@@ -34,11 +34,12 @@ const (
 	// fall through to the allocator and Put drops them.
 	maxClassBits = 26
 	numClasses   = maxClassBits - minClassBits + 1
-	// maxPerClass bounds how many free buffers one class retains; beyond
-	// that Put releases to the garbage collector. Classes of 4 MB and up
-	// retain fewer so idle pools cannot pin unbounded memory.
-	maxPerClass      = 64
-	maxPerClassLarge = 8
+	// classBudget bounds the free bytes one class retains; beyond that Put
+	// releases to the garbage collector. A byte budget lets the small
+	// classes keep the hundreds of same-sized exchange payloads a round has
+	// in flight (ranks x aggregators) while the largest class keeps a
+	// single buffer, so idle pools cannot pin unbounded memory.
+	classBudget = 1 << maxClassBits
 )
 
 // class is one free list. A mutex-guarded stack (rather than sync.Pool)
@@ -58,11 +59,7 @@ var gets, puts, news, drops atomic.Int64
 
 func init() {
 	for i := range classes {
-		max := maxPerClass
-		if i+minClassBits >= 22 { // 4 MB and larger
-			max = maxPerClassLarge
-		}
-		classes[i] = &class{max: max}
+		classes[i] = &class{max: classBudget >> (i + minClassBits)}
 	}
 }
 

@@ -83,16 +83,23 @@ func TestOversize(t *testing.T) {
 func TestClassCap(t *testing.T) {
 	Drain()
 	before := Snapshot()
-	bufs := make([][]byte, maxPerClass+5)
+	// One byte budget for every class: a 4 MiB class keeps 16 buffers, a
+	// 512 B class (checked through its cap, not by filling it) 131072.
+	const size = 4 << 20
+	const want = classBudget / size
+	if got := classes[classIndex(300)].max; got != classBudget/512 {
+		t.Errorf("512 B class keeps %d buffers, want %d", got, classBudget/512)
+	}
+	bufs := make([][]byte, want+5)
 	for i := range bufs {
-		bufs[i] = Get(300)
+		bufs[i] = Get(size)
 	}
 	for _, b := range bufs {
 		Put(b)
 	}
 	after := Snapshot()
-	if got := after.Puts - before.Puts; got != maxPerClass {
-		t.Errorf("class accepted %d buffers, want cap %d", got, maxPerClass)
+	if got := after.Puts - before.Puts; got != want {
+		t.Errorf("class accepted %d buffers, want cap %d", got, want)
 	}
 	if got := after.Drops - before.Drops; got != 5 {
 		t.Errorf("dropped %d buffers, want 5", got)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 
@@ -111,7 +113,10 @@ type Options struct {
 	// what ROMIO does and what the rank-chaos victim logic assumes.
 	SpreadAggs bool
 	// Validate checks realm coverage of the aggregate access region
-	// before every call (debugging aid; O(realms) per call).
+	// before every call and, on every aggregator memo hit, rebuilds the
+	// merge plans from the requests just received and aborts the
+	// collective unless they equal the cached ones (debugging aid: the
+	// rebuild costs what a memo miss costs in host time, none in virtual).
 	Validate bool
 	// Journal, when set, records which (aggregator, round) writes became
 	// durable so a collective resumed after a rank failure replays only
@@ -143,9 +148,11 @@ type Impl struct {
 type rankScratch struct {
 	allSt, allEn []int64
 	msgs         [][]byte
-	entries      []entry
+	merger       datatype.RunMerger
+	runs         [][]datatype.Seg
 	segs         []datatype.Seg
-	payload      map[int][]byte
+	payload      [][]byte // per peer rank, this round
+	cur          []int64  // per-client read position while gathering a round
 	iov          [][][]byte
 	reqs         []*mpi.Request
 	from         []int
@@ -172,7 +179,7 @@ func (i *Impl) scratchFor(rank int) *rankScratch {
 		i.scratch = append(i.scratch, nil)
 	}
 	if i.scratch[rank] == nil {
-		i.scratch[rank] = &rankScratch{payload: make(map[int][]byte)}
+		i.scratch[rank] = &rankScratch{}
 	}
 	return i.scratch[rank]
 }
@@ -219,48 +226,56 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// roundPieces groups one peer's pieces by two-phase round.
+// roundPieces groups one aggregator's pieces by two-phase round (client
+// side; the aggregator keeps a roundPlan instead).
 type roundPieces struct {
 	pieces []piece
-	// byRound[r] indexes the first piece of round r in pieces (pieces
-	// are emitted with non-decreasing rounds).
-	starts map[int][2]int // round -> [first, past-last)
-	rounds int
+	// rounds[r] locates round r's pieces (emitted with non-decreasing
+	// rounds) and carries their byte count; rounds the access skips are zero.
+	rounds []roundSpan
+}
+
+type roundSpan struct {
+	first, end int
+	bytes      int64
 }
 
 func groupRounds(ps []piece) *roundPieces {
-	rp := &roundPieces{pieces: ps, starts: make(map[int][2]int)}
+	rp := &roundPieces{pieces: ps}
 	for k := 0; k < len(ps); {
-		r := ps[k].round
-		j := k
-		for j < len(ps) && ps[j].round == r {
-			j++
+		sp := roundSpan{first: k, end: k}
+		sorted := true
+		for r := ps[k].round; sp.end < len(ps) && ps[sp.end].round == r; sp.end++ {
+			sp.bytes += ps[sp.end].file.Len
+			sorted = sorted && (sp.end == k || ps[sp.end-1].file.Off <= ps[sp.end].file.Off)
 		}
-		rp.starts[r] = [2]int{k, j}
-		if r+1 > rp.rounds {
-			rp.rounds = r + 1
+		if !sorted {
+			// A round's payload travels in file-offset order: the
+			// aggregator's merger sorts a run that is not, and both ends
+			// must walk the same sequence.
+			slices.SortStableFunc(ps[k:sp.end], func(x, y piece) int { return cmp.Compare(x.file.Off, y.file.Off) })
 		}
-		k = j
+		for len(rp.rounds) <= ps[k].round {
+			rp.rounds = append(rp.rounds, roundSpan{})
+		}
+		rp.rounds[ps[k].round] = sp
+		k = sp.end
 	}
 	return rp
 }
 
 func (rp *roundPieces) of(r int) []piece {
-	if rp == nil {
+	if rp == nil || r >= len(rp.rounds) {
 		return nil
 	}
-	if b, ok := rp.starts[r]; ok {
-		return rp.pieces[b[0]:b[1]]
-	}
-	return nil
+	return rp.pieces[rp.rounds[r].first:rp.rounds[r].end]
 }
 
 func (rp *roundPieces) bytes(r int) int64 {
-	var n int64
-	for _, pc := range rp.of(r) {
-		n += pc.file.Len
+	if rp == nil || r >= len(rp.rounds) {
+		return 0
 	}
-	return n
+	return rp.rounds[r].bytes
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
@@ -468,15 +483,14 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
 		}
 		scr.msgs = sized(scr.msgs, p.Size())
-		h := uint64(fnvOffset)
+		h := uint64(hashSeed)
 		for c := 0; c < p.Size(); c++ {
 			var msg []byte
 			if pre == nil || scr.leaders[c] {
 				msg, _ = p.Recv(c, tagFlat)
 			}
 			scr.msgs[c] = msg
-			h = fnvInt64(h, int64(len(msg)))
-			h = fnvBytes(h, msg)
+			h = hashBytes(h, msg)
 		}
 		ak = aggKey{rank: p.Rank(), req: h, cb: cb, naggs: naggs, sig: sig}
 		ae = i.memo.getAgg(ak)
@@ -486,41 +500,18 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			p.Metrics.Inc(metrics.CMemoHits)
 			p.Trace.Instant2(p.Clock(), "isect_cache",
 				trace.S("side", "agg"), trace.S("result", "hit"))
-			f.ChargePairs(ae.charges[0]) // tree-expansion replay
 		} else {
 			p.Stats.Add(stats.CIsectCacheMisses, 1)
 			p.Metrics.Inc(metrics.CMemoMisses)
 			p.Trace.Instant2(p.Clock(), "isect_cache",
 				trace.S("side", "agg"), trace.S("result", "miss"))
-			ae = &aggEntry{}
-			flats = make([]datatype.Flat, p.Size())
 			var expand int64
-			for c, msg := range scr.msgs {
-				if msg == nil {
-					// The client is dead or unresponsive: stand in an
-					// empty access so the collective keeps its structure
-					// through to the next agreement point. Deserting here
-					// would strand the surviving ranks in their exchanges.
-					flats[c] = datatype.FlatOf(datatype.Bytes(0), 0, 0)
-					continue
-				}
-				var fl datatype.Flat
-				var err error
-				if i.o.TreeRequests && pre == nil {
-					var work int64
-					fl, work, err = decodeTreeRequest(msg)
-					expand += work
-				} else {
-					fl, err = datatype.DecodeFlat(msg)
-				}
-				if err != nil {
-					return fmt.Errorf("core: bad request from rank %d: %w", c, err)
-				}
-				flats[c] = fl
+			if flats, expand, err = i.decodeRequests(scr.msgs, pre == nil); err != nil {
+				return err
 			}
-			f.ChargePairs(expand)
-			ae.charges = append(ae.charges, expand)
+			ae = &aggEntry{charges: []int64{expand}}
 		}
+		f.ChargePairs(ae.charges[0]) // tree expansion, replayed on a hit
 	}
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
 	p.Trace.End(p.Clock())
@@ -545,9 +536,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				for _, rc := range rcs {
 					rwork += rc.Work()
 				}
-				w := ac.Work() + rwork + hw
-				f.ChargePairs(w)
-				ce.charges = append(ce.charges, w)
+				ce.charges = append(ce.charges, ac.Work()+rwork+hw)
 				for a := range perAgg {
 					ce.pieces[a] = groupRounds(perAgg[a])
 				}
@@ -561,53 +550,37 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 					rc := realms[a].Cursor()
 					var ps []piece
 					intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
-					w := ac.Work() + rc.Work()
-					f.ChargePairs(w)
-					ce.charges = append(ce.charges, w)
+					ce.charges = append(ce.charges, ac.Work()+rc.Work())
 					ce.pieces[a] = groupRounds(ps)
 				}
 			}
 		}
 		i.memo.putClient(ck, ce)
-	} else {
-		for _, n := range ce.charges {
-			f.ChargePairs(n)
-		}
+	}
+	for _, n := range ce.charges {
+		f.ChargePairs(n)
 	}
 	myPieces := ce.pieces
 
 	// --- Aggregator-side intersection: every client's filetype against
-	// my realm. ---
-	var aggPieces []*roundPieces
+	// my realm, merged into one plan per round. ---
 	myRounds := 0
+	var planErr error
 	if amAgg {
 		if !aggHit {
-			ae.pieces = make([]*roundPieces, p.Size())
-			for c := 0; c < p.Size(); c++ {
-				ac := flats[c].Cursor()
-				rc := realms[p.Rank()].Cursor()
-				var ps []piece
-				intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
-				w := ac.Work() + rc.Work()
-				f.ChargePairs(w)
-				ae.charges = append(ae.charges, w)
-				ae.pieces[c] = groupRounds(ps)
-				if ae.pieces[c].rounds > ae.rounds {
-					ae.rounds = ae.pieces[c].rounds
-				}
-			}
+			buildPlans(scr, ae, flats, realms[p.Rank()], cb)
 			// A failure-degraded request set (nil stand-ins above) must
 			// not poison the cache for later healthy collectives.
 			if p.PeerFailure() == nil {
 				i.memo.putAgg(ak, ae)
 			}
-		} else {
-			for _, n := range ae.charges[1:] {
-				f.ChargePairs(n)
-			}
+		} else if i.o.Validate {
+			planErr = i.checkPlans(scr, ae, realms[p.Rank()], cb, pre == nil)
 		}
-		aggPieces = ae.pieces
-		myRounds = ae.rounds
+		for _, n := range ae.charges[1:] {
+			f.ChargePairs(n)
+		}
+		myRounds = len(ae.rounds)
 	}
 
 	ntimes := int(p.AllreduceMaxInt64(int64(myRounds)))
@@ -651,14 +624,14 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		}
 	}
 
-	var preErr error
-	if pre != nil {
+	preErr := planErr
+	if pre != nil && pre.err != nil {
 		preErr = pre.err
 	}
 	if write {
-		err = i.writeRounds(f, scr, stream, realms, myPieces, aggPieces, ntimes, naggs, method, preErr)
+		err = i.writeRounds(f, scr, stream, myPieces, ae, ntimes, naggs, method, preErr)
 	} else {
-		err = i.readRounds(f, scr, stream, realms, myPieces, aggPieces, ntimes, naggs, method, preErr)
+		err = i.readRounds(f, scr, stream, myPieces, ae, ntimes, naggs, method, preErr)
 		if pre != nil {
 			stream, err = i.preaggScatter(f, scr, stream, pre, dataLen, err)
 		}
@@ -772,83 +745,132 @@ func (i *Impl) gatherAllSegs(f *mpiio.File, dataLen int64) ([]datatype.Seg, [][]
 	return out, perRank
 }
 
-// assembleEntries merges per-client round pieces into file-offset order.
-type entry struct {
-	seg    datatype.Seg
-	client int
-	data   []byte // write payload slice (nil for reads until filled)
-}
-
-// finishEntries sorts the round's entries into file-offset order and
-// coalesces them into I/O segments, persisting the grown slices back into
-// the scratch for the next round.
-func finishEntries(scr *rankScratch, entries []entry) ([]entry, []datatype.Seg, int64) {
-	slices.SortFunc(entries, func(x, y entry) int {
+// decodeRequests turns the request messages an aggregator received into
+// accesses, returning the tree-expansion work alongside. A nil message
+// (dead or unresponsive client, or a pre-aggregated member) stands in an
+// empty access so the collective keeps its structure through to the next
+// agreement point; deserting here would strand the surviving ranks.
+func (i *Impl) decodeRequests(msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, err error) {
+	flats = make([]datatype.Flat, len(msgs))
+	for c, msg := range msgs {
 		switch {
-		case x.seg.Off < y.seg.Off:
-			return -1
-		case x.seg.Off > y.seg.Off:
-			return 1
+		case msg == nil:
+			flats[c] = datatype.FlatOf(datatype.Bytes(0), 0, 0)
+		case i.o.TreeRequests && trees:
+			var work int64
+			flats[c], work, err = decodeTreeRequest(msg)
+			expand += work
+		default:
+			flats[c], err = datatype.DecodeFlat(msg)
 		}
-		return 0
-	})
-	segs := scr.segs[:0]
-	var total int64
-	for _, e := range entries {
-		if n := len(segs); n > 0 && segs[n-1].End() == e.seg.Off {
-			segs[n-1].Len += e.seg.Len
-		} else {
-			segs = append(segs, e.seg)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: bad request from rank %d: %w", c, err)
 		}
-		total += e.seg.Len
 	}
-	scr.entries, scr.segs = entries, segs
-	return entries, segs, total
+	return flats, expand, nil
 }
 
-func mergeEntries(scr *rankScratch, perClient []*roundPieces, r int, payload map[int][]byte) ([]entry, []datatype.Seg, int64) {
-	entries := scr.entries[:0]
-	for c, rp := range perClient {
-		ps := rp.of(r)
-		if len(ps) == 0 {
-			continue
-		}
-		var pos int64
-		data := payload[c]
-		for _, pc := range ps {
-			e := entry{seg: pc.file, client: c}
-			if data != nil {
-				e.data = data[pos : pos+pc.file.Len]
-				pos += pc.file.Len
-			}
-			entries = append(entries, e)
-		}
-	}
-	return finishEntries(scr, entries)
+// roundPlan is one aggregator round with its merge already done: what is
+// left per call is to walk order and move payload bytes. Plans depend only
+// on what the aggregator memo key pins (requests, realms, cb), so a hit
+// round does no comparisons and no lookups.
+type roundPlan struct {
+	order []datatype.RunItem // every piece in file order, as (client, len)
+	segs  []datatype.Seg     // order coalesced into the round's I/O list
+	total int64
+	peers []peerBytes // the clients with bytes in this round, in rank order
 }
 
-// mergeEntriesIov is mergeEntries for the iovec exchange: recv[c] holds
-// one view per round-r piece of client c, in piece order, aliasing the
-// sender's memory.
-func mergeEntriesIov(scr *rankScratch, perClient []*roundPieces, r int, recv [][][]byte) ([]entry, []datatype.Seg, int64) {
-	entries := scr.entries[:0]
-	for c, rp := range perClient {
-		ps := rp.of(r)
-		if len(ps) == 0 {
-			continue
-		}
-		views := recv[c]
-		for k, pc := range ps {
-			if k >= len(views) {
-				// Dead sender: its iovec slot was published nil. The
-				// caller's peer-failure guard aborts the round; stop
-				// rather than index past the truncated view list.
-				break
+type peerBytes struct {
+	client int
+	bytes  int64
+}
+
+// buildPlans intersects every client's access with this aggregator's realm
+// and merges the pieces round by round into ae.rounds, appending the
+// per-client pair charges (which the caller issues) to ae.charges.
+func buildPlans(scr *rankScratch, ae *aggEntry, flats []datatype.Flat, rm realm.Realm, cb int64) {
+	// runs[c] is client c's pieces in emission order; starts[c][r] indexes
+	// the first one of round r (rounds never decrease along a run).
+	runs := make([][]datatype.Seg, len(flats))
+	starts := make([][]int, len(flats))
+	npieces, nrounds := 0, 0
+	for c := range flats {
+		ac, rc := flats[c].Cursor(), rm.Cursor()
+		intersect(ac, rc, cb, func(pc piece) {
+			for len(starts[c]) <= pc.round {
+				starts[c] = append(starts[c], len(runs[c]))
 			}
-			entries = append(entries, entry{seg: pc.file, client: c, data: views[k]})
+			runs[c] = append(runs[c], pc.file)
+		})
+		ae.charges = append(ae.charges, ac.Work()+rc.Work())
+		npieces += len(runs[c])
+		nrounds = max(nrounds, len(starts[c]))
+	}
+	order := make([]datatype.RunItem, 0, npieces) // shared by all rounds
+	ae.rounds = make([]roundPlan, nrounds)
+	scr.runs = sized(scr.runs, len(flats))
+	for c, run := range runs {
+		for len(starts[c]) <= nrounds { // rounds past the run's last are empty
+			starts[c] = append(starts[c], len(run))
 		}
 	}
-	return finishEntries(scr, entries)
+	for r := range ae.rounds {
+		rp := &ae.rounds[r]
+		for c, run := range runs {
+			scr.runs[c] = run[starts[c][r]:starts[c][r+1]]
+			var n int64
+			for _, s := range scr.runs[c] {
+				n += s.Len
+			}
+			if n > 0 {
+				rp.peers = append(rp.peers, peerBytes{client: c, bytes: n})
+			}
+		}
+		rp.order, scr.segs, rp.total = scr.merger.Merge(scr.runs, order[len(order):], scr.segs)
+		rp.segs = slices.Clone(scr.segs)
+		order = order[:len(order)+len(rp.order)]
+	}
+}
+
+// checkPlans is the Validate cross-check of a memo hit: the plans are
+// rebuilt from the requests just received and must equal the cached ones.
+// The error seeds the first round-boundary agreement, so a stale plan
+// aborts every rank together before it can move a byte.
+func (i *Impl) checkPlans(scr *rankScratch, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
+	flats, expand, err := i.decodeRequests(scr.msgs, trees)
+	if err != nil {
+		return err
+	}
+	fresh := &aggEntry{charges: []int64{expand}}
+	buildPlans(scr, fresh, flats, rm, cb)
+	if !reflect.DeepEqual(fresh, ae) {
+		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
+	}
+	return nil
+}
+
+// gather appends the round's collective buffer to dst: the plan's pieces in
+// file order, each the next unread bytes of its client's payload, or, on
+// the iovec exchange (views non-nil), its client's next view. cur is
+// zeroed per-client scratch. A dead sender's slot arrives nil and is
+// skipped (the caller's peer-failure guard aborts the round, and WriteStream
+// refuses a short buffer regardless).
+func (rp *roundPlan) gather(dst []byte, cur []int64, payload [][]byte, views [][][]byte) []byte {
+	for _, it := range rp.order {
+		c := it.Run
+		switch {
+		case views != nil:
+			if k := cur[c]; k < int64(len(views[c])) {
+				dst = append(dst, views[c][k]...)
+			}
+			cur[c]++
+		case payload[c] != nil:
+			dst = append(dst, payload[c][cur[c]:cur[c]+it.Len]...)
+			cur[c] += it.Len
+		}
+	}
+	return dst
 }
 
 // clientPayload builds the data a client contributes to aggregator a in
@@ -892,12 +914,12 @@ func roundIov(scr *rankScratch, size int) [][][]byte {
 	return iov
 }
 
-func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms []realm.Realm,
-	myPieces []*roundPieces, aggPieces []*roundPieces, ntimes, naggs int, method mpiio.Method, preErr error) error {
+func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
+	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
 	cfg := p.Config()
-	amAgg := p.Rank() < naggs && aggPieces != nil
+	amAgg := ae != nil
 
 	// Pending I/O from the previous round (nonblocking pipeline). On an
 	// I/O error the rank keeps participating in the round's exchange
@@ -905,8 +927,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 	// round boundary all ranks agree on the worst error class and either
 	// all continue or all abort with the same error.
 	//
-	// pendSegs aliases the rank scratch; the pipeline is safe because
-	// flush always runs before the next round's merge refills it.
+	// pendSegs aliases the round's (immutable) plan.
 	var pendSegs []datatype.Seg
 	var pendData []byte
 	firstErr := preErr // a leader's failed pre-aggregation aborts round 0
@@ -963,7 +984,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 		}
 		probe := p.Metrics.BeginRound(p.Stats)
 		var roundRecv int64
-		var payload map[int][]byte
+		rp := ae.round(r)
+		var payload [][]byte
 		var recvIov [][][]byte
 
 		if i.o.Comm == Alltoallw {
@@ -989,14 +1011,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 			t0 := p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "post+send"))
 			reqs := scr.reqs[:0]
-			from := scr.from[:0]
-			if amAgg {
-				for c := 0; c < p.Size(); c++ {
-					if aggPieces[c].bytes(r) > 0 {
-						reqs = append(reqs, p.Irecv(c, tagData+r%1024))
-						from = append(from, c)
-					}
-				}
+			for _, pb := range rp.peers {
+				reqs = append(reqs, p.Irecv(pb.client, tagData+r%1024))
 			}
 			for a := 0; a < naggs; a++ {
 				if myPieces[a] == nil {
@@ -1023,16 +1039,16 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 			t0 = p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			if amAgg {
+				scr.payload = sized(scr.payload, p.Size())
 				payload = scr.payload
-				clear(payload)
 				data := mpi.Waitall(reqs)
-				for k, c := range from {
-					payload[c] = data[k]
+				for k, pb := range rp.peers {
+					payload[pb.client] = data[k]
 				}
 			}
 			p.ChargeTime(stats.PComm, p.Clock()-t0)
 			p.Trace.End(p.Clock())
-			scr.reqs, scr.from = reqs[:0], from[:0]
+			scr.reqs = reqs[:0]
 		}
 
 		// A payload that arrived corrupted and exhausted its re-request
@@ -1050,15 +1066,9 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 				// is skipped and the boundary agreement aborts every rank.
 				firstErr = fmt.Errorf("core: write round %d: %w", r, perr)
 			}
-			var entries []entry
-			var segs []datatype.Seg
 			var total int64
 			if firstErr == nil {
-				if i.o.Comm == Alltoallw {
-					entries, segs, total = mergeEntriesIov(scr, aggPieces, r, recvIov)
-				} else {
-					entries, segs, total = mergeEntries(scr, aggPieces, r, payload)
-				}
+				total = rp.total
 			}
 			roundRecv = total
 			if total > 0 {
@@ -1067,10 +1077,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 				// Assemble the collective buffer (gap-free: only
 				// useful data, unlike the integrated sieve buffer).
 				// This is the single gather of the iovec path.
-				concat := bufpool.Get(total)[:0]
-				for _, e := range entries {
-					concat = append(concat, e.data...)
-				}
+				scr.cur = sized(scr.cur, p.Size())
+				concat := rp.gather(bufpool.Get(total)[:0], scr.cur, payload, recvIov)
 				if i.o.Comm != Alltoallw {
 					d := cfg.MemcpyTime(total)
 					p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, total))
@@ -1078,7 +1086,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 					p.ChargeTime(stats.PCopy, d)
 					p.Trace.End(p.Clock())
 				}
-				pendSegs, pendData = segs, concat
+				pendSegs, pendData = rp.segs, concat
 				if i.o.Comm == Alltoallw {
 					// No pipeline in collective mode: write now.
 					flush(r)
@@ -1087,9 +1095,10 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 			// The received nonblocking payloads are gathered into the
 			// collective buffer above; this rank, as their receiver,
 			// recycles them.
-			for c, b := range payload {
-				bufpool.Put(b)
-				delete(payload, c)
+			if payload != nil {
+				for _, pb := range rp.peers {
+					bufpool.Put(payload[pb.client])
+				}
 			}
 		}
 		p.Trace.End(p.Clock()) // round span
@@ -1128,12 +1137,12 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte, realm
 	return nil
 }
 
-func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms []realm.Realm,
-	myPieces []*roundPieces, aggPieces []*roundPieces, ntimes, naggs int, method mpiio.Method, preErr error) error {
+func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
+	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
 	cfg := p.Config()
-	amAgg := p.Rank() < naggs && aggPieces != nil
+	amAgg := ae != nil
 	firstErr := preErr // a leader's failed pre-aggregation aborts round 0
 
 	for r := 0; r < ntimes; r++ {
@@ -1154,17 +1163,17 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms
 		// buffer on the iovec path (the read buffer is retired only after
 		// the round's AgreeError, once every client has placed its data).
 		probe := p.Metrics.BeginRound(p.Stats)
-		var roundRecv int64
+		scr.payload = sized(scr.payload, p.Size())
 		perClient := scr.payload
-		clear(perClient)
 		var sendIov [][][]byte
 		if i.o.Comm == Alltoallw {
 			sendIov = roundIov(scr, p.Size())
 		}
 		var retire []byte
+		rp := ae.round(r)
+		roundRecv := rp.total
 		if amAgg {
-			entries, segs, total := mergeEntries(scr, aggPieces, r, nil)
-			roundRecv = total
+			segs, total := rp.segs, rp.total
 			if total > 0 {
 				p.Trace.Instant2(p.Clock(), "round_bytes",
 					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
@@ -1196,22 +1205,21 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms
 				}
 				if i.o.Comm == Alltoallw {
 					// Iovec exchange: serve views of the read buffer,
-					// one per entry, grouped per client in piece order.
+					// one per piece, grouped per client in piece order.
 					pos := int64(0)
-					for _, e := range entries {
-						sendIov[e.client] = append(sendIov[e.client], rbuf[pos:pos+e.seg.Len])
-						pos += e.seg.Len
+					for _, it := range rp.order {
+						sendIov[it.Run] = append(sendIov[it.Run], rbuf[pos:pos+it.Len])
+						pos += it.Len
 					}
 					retire = rbuf
 				} else {
+					for _, pb := range rp.peers {
+						perClient[pb.client] = bufpool.Get(pb.bytes)[:0]
+					}
 					pos := int64(0)
-					for _, e := range entries {
-						buf, ok := perClient[e.client]
-						if !ok {
-							buf = bufpool.Get(aggPieces[e.client].bytes(r))[:0]
-						}
-						perClient[e.client] = append(buf, rbuf[pos:pos+e.seg.Len]...)
-						pos += e.seg.Len
+					for _, it := range rp.order {
+						perClient[it.Run] = append(perClient[it.Run], rbuf[pos:pos+it.Len]...)
+						pos += it.Len
 					}
 					bufpool.Put(rbuf)
 					d := cfg.MemcpyTime(total)
@@ -1243,14 +1251,10 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte, realms
 					from = append(from, a)
 				}
 			}
-			if amAgg {
-				for c := 0; c < p.Size(); c++ {
-					if msg, ok := perClient[c]; ok && len(msg) > 0 {
-						// Ownership of the pooled msg passes to the
-						// receiving client.
-						p.Isend(c, tagBack+r%1024, msg)
-					}
-				}
+			for _, pb := range rp.peers {
+				// Ownership of the pooled msg passes to the receiving
+				// client.
+				p.Isend(pb.client, tagBack+r%1024, perClient[pb.client])
 			}
 			data := mpi.Waitall(reqs)
 			for k, a := range from {

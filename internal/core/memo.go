@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"flexio/internal/datatype"
@@ -14,7 +16,10 @@ import (
 // identical realms. The piece lists produced by the client- and
 // aggregator-side intersections are pure functions of that shape, so the
 // engine caches them and, on a hit, skips rebuilding cursors, decoding
-// request messages, and re-walking the intersections.
+// request messages, and re-walking the intersections. The aggregator side
+// goes one step further and caches what it would do with its piece lists:
+// the per-round merge plan (see roundPlan), so a hit round neither merges
+// nor looks anything up.
 //
 // The cost model must not notice: every communication step still happens
 // (requests are sent and received, only their decoding is skipped), and
@@ -65,10 +70,20 @@ type aggKey struct {
 }
 
 type aggEntry struct {
-	pieces  []*roundPieces // per-client piece lists, immutable
-	rounds  int
-	charges []int64 // [0] is the tree-expansion charge, rest per client
+	rounds  []roundPlan // one merge plan per two-phase round, immutable
+	charges []int64     // [0] is the tree-expansion charge, rest per client
 }
+
+// round returns the plan of round r; an aggregator whose realm runs out
+// before the collective's last round (or a nil entry) gets the empty plan.
+func (ae *aggEntry) round(r int) *roundPlan {
+	if ae == nil || r >= len(ae.rounds) {
+		return &noRound
+	}
+	return &ae.rounds[r]
+}
+
+var noRound roundPlan // read-only
 
 // memoLimit bounds each cache map; overflowing clears the map outright
 // (steady-state workloads hold a handful of shapes, so LRU bookkeeping
@@ -117,26 +132,60 @@ func (m *memoCache) putAgg(k aggKey, e *aggEntry) {
 	m.aggs[k] = e
 }
 
-// FNV-1a, inlined so hashing allocates nothing.
+// The memo hash: 64 bits, sixteen input bytes per multiply, nothing
+// allocated. It is the wyhash construction: two words, each masked with a
+// secret or the running state, are multiplied to 128 bits and the halves
+// folded together, so every input bit reaches every state bit in one step.
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	hashSeed = 0x9E3779B97F4A7C15
+	hashK0   = 0x2D358DCCAA6C78A5
+	hashK1   = 0x8BB84B93962EACC9
+	hashK2   = 0x4B33A62ED433D4A3
+	hashK3   = 0x4D5A2DA51DE1AA47
 )
 
-func fnvInt64(h uint64, v int64) uint64 {
-	x := uint64(v)
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
+// hashPair folds the 16 bytes at the head of b into state s under secret k.
+func hashPair(b []byte, k, s uint64) uint64 {
+	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(b)^k, binary.LittleEndian.Uint64(b[8:])^s)
+	return hi ^ lo
 }
 
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
+func hashInt64(h uint64, v int64) uint64 {
+	hi, lo := bits.Mul64(uint64(v)^hashK0, h^hashK1)
+	return hi ^ lo
+}
+
+// hashBytes folds b's length and then its bytes into h. Blocks of 128 bytes
+// go through eight independent lanes, so the multiplies (and the cache
+// misses on request bytes another rank wrote) overlap instead of queueing;
+// the remaining 16-byte pairs and the zero-padded tail follow on the
+// combined state.
+func hashBytes(h uint64, b []byte) uint64 {
+	h = hashInt64(h, int64(len(b)))
+	if len(b) >= 128 {
+		s0, s1, s2, s3, s4, s5, s6, s7 := h, h, h, h, ^h, ^h, ^h, ^h
+		n := len(b) &^ 127
+		for i := 0; i < n; i += 128 {
+			blk := b[i : i+128 : i+128]
+			s0 = hashPair(blk[0:16], hashK0, s0)
+			s1 = hashPair(blk[16:32], hashK1, s1)
+			s2 = hashPair(blk[32:48], hashK2, s2)
+			s3 = hashPair(blk[48:64], hashK3, s3)
+			s4 = hashPair(blk[64:80], hashK0, s4)
+			s5 = hashPair(blk[80:96], hashK1, s5)
+			s6 = hashPair(blk[96:112], hashK2, s6)
+			s7 = hashPair(blk[112:128], hashK3, s7)
+		}
+		b = b[n:]
+		h = s0 ^ s1 ^ s2 ^ s3 ^ s4 ^ s5 ^ s6 ^ s7
+	}
+	for ; len(b) >= 16; b = b[16:] {
+		h = hashPair(b, hashK0, h)
+	}
+	if len(b) > 0 {
+		var tail [16]byte
+		copy(tail[:], b)
+		h = hashPair(tail[:], hashK1, h)
 	}
 	return h
 }
@@ -147,19 +196,19 @@ func fnvBytes(h uint64, b []byte) uint64 {
 // stable whenever the assignment is. Realm patterns are small (one segment
 // for contiguous partitions), so this is O(realms) per call.
 func realmSignature(realms []realm.Realm) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvInt64(h, int64(len(realms)))
+	h := uint64(hashSeed)
+	h = hashInt64(h, int64(len(realms)))
 	for _, r := range realms {
-		h = fnvInt64(h, r.Disp)
-		h = fnvInt64(h, r.Count)
+		h = hashInt64(h, r.Disp)
+		h = hashInt64(h, r.Count)
 		if r.Pattern == nil {
-			h = fnvInt64(h, -1)
+			h = hashInt64(h, -1)
 			continue
 		}
-		h = fnvInt64(h, r.Pattern.Extent())
+		h = hashInt64(h, r.Pattern.Extent())
 		for _, s := range r.Pattern.Flatten() {
-			h = fnvInt64(h, s.Off)
-			h = fnvInt64(h, s.Len)
+			h = hashInt64(h, s.Off)
+			h = hashInt64(h, s.Len)
 		}
 	}
 	return h

@@ -1,9 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"flexio/internal/datatype"
+	"flexio/internal/mpi"
+	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
 	"flexio/internal/realm"
+	"flexio/internal/sim"
 )
 
 // TestRealmSignatureAssignments: the signature must separate the realm
@@ -37,5 +45,152 @@ func TestRealmSignatureAssignments(t *testing.T) {
 	}
 	if again := assign(realm.Even{}, ctx); again != even {
 		t.Fatalf("recomputed even assignment changed signature: %#x != %#x", again, even)
+	}
+}
+
+// requestKey hashes a set of request messages the way the aggregator does.
+func requestKey(msgs [][]byte) uint64 {
+	h := uint64(hashSeed)
+	for _, m := range msgs {
+		h = hashBytes(h, m)
+	}
+	return h
+}
+
+// TestRequestKeySeparatesRequests: the aggregator memo key is the only
+// thing standing between a changed access and a stale merge plan. Equal
+// messages must give equal keys; any single flipped byte (every position,
+// so every lane, the whole-word loop and the padded tail are covered), any
+// swapped pair of clients, and any length change must give a different one.
+func TestRequestKeySeparatesRequests(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	msgs := make([][]byte, 6)
+	for c, n := range []int{0, 5, 8, 32, 77, 200} {
+		msgs[c] = make([]byte, n)
+		rng.Read(msgs[c])
+	}
+	clone := func() [][]byte {
+		out := make([][]byte, len(msgs))
+		for c := range msgs {
+			out[c] = append([]byte{}, msgs[c]...)
+		}
+		return out
+	}
+	base := requestKey(msgs)
+	if again := requestKey(clone()); again != base {
+		t.Fatalf("same messages, different keys: %#x != %#x", again, base)
+	}
+	seen := map[uint64]string{base: "base"}
+	distinct := func(what string, m [][]byte) {
+		t.Helper()
+		k := requestKey(m)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%s shares key %#x with %s", what, k, prev)
+		}
+		seen[k] = what
+	}
+	for c := range msgs {
+		for b := range msgs[c] {
+			m := clone()
+			m[c][b] ^= 1 << uint(rng.Intn(8))
+			distinct(fmt.Sprintf("flip client %d byte %d", c, b), m)
+		}
+		for d := c + 1; d < len(msgs); d++ {
+			m := clone()
+			m[c], m[d] = m[d], m[c]
+			distinct(fmt.Sprintf("swap clients %d and %d", c, d), m)
+		}
+		m := clone()
+		m[c] = append(m[c], 0) // a zero byte: the padded tail alone cannot tell
+		distinct(fmt.Sprintf("grow client %d", c), m)
+		if len(msgs[c]) > 0 {
+			m = clone()
+			m[c] = m[c][:len(m[c])-1]
+			distinct(fmt.Sprintf("shrink client %d", c), m)
+		}
+	}
+	// Moving a byte across a client boundary keeps the concatenation equal.
+	m := clone()
+	m[3], m[4] = append(m[3], m[4][0]), m[4][1:]
+	distinct("boundary shift", m)
+}
+
+// TestClientAndMergerAgreeOnUnsortedRuns: a round's payload travels in
+// file-offset order. Views are normalized today, so the intersection never
+// emits an unsorted round; if one ever did, the client (groupRounds) and
+// the aggregator (RunMerger's fallback) must still walk the same sequence,
+// or payload bytes would land at the wrong offsets.
+func TestClientAndMergerAgreeOnUnsortedRuns(t *testing.T) {
+	ps := []piece{
+		{round: 0, file: datatype.Seg{Off: 40, Len: 4}, aStream: 0},
+		{round: 0, file: datatype.Seg{Off: 8, Len: 4}, aStream: 4},
+		{round: 0, file: datatype.Seg{Off: 40, Len: 2}, aStream: 8},
+		{round: 2, file: datatype.Seg{Off: 90, Len: 1}, aStream: 10},
+		{round: 2, file: datatype.Seg{Off: 80, Len: 1}, aStream: 11},
+	}
+	run0 := []datatype.Seg{ps[0].file, ps[1].file, ps[2].file}
+	rp := groupRounds(ps)
+	if rp.bytes(0) != 10 || rp.bytes(1) != 0 || rp.bytes(2) != 2 || rp.bytes(3) != 0 {
+		t.Fatalf("round bytes %d %d %d %d, want 10 0 2 0", rp.bytes(0), rp.bytes(1), rp.bytes(2), rp.bytes(3))
+	}
+	var m datatype.RunMerger
+	items, _, _ := m.Merge([][]datatype.Seg{run0}, nil, nil)
+	got := rp.of(0)
+	if len(got) != len(items) {
+		t.Fatalf("client walks %d pieces, aggregator %d", len(got), len(items))
+	}
+	wantStream := []int64{4, 0, 8} // offset order, ties in emission order
+	for k := range got {
+		if got[k].file.Len != items[k].Len || got[k].aStream != wantStream[k] {
+			t.Fatalf("piece %d: client %+v, aggregator %+v, want stream pos %d", k, got[k], items[k], wantStream[k])
+		}
+	}
+	if r2 := rp.of(2); r2[0].file.Off != 80 || r2[1].file.Off != 90 {
+		t.Fatalf("round 2 not in offset order: %+v", r2)
+	}
+}
+
+// TestValidateCatchesStalePlan proves the Validate cross-check is live: a
+// cached plan that no longer matches what the requests would build must
+// abort the next collective on every rank, before a byte moves.
+func TestValidateCatchesStalePlan(t *testing.T) {
+	const ranks, blk, count = 4, 32, 16
+	cfg := sim.DefaultConfig()
+	w := mpi.NewWorld(ranks, cfg)
+	fs := pfs.NewFileSystem(cfg)
+	eng := New(Options{Validate: true})
+	writeAll := func() []error {
+		errs := make([]error, ranks)
+		w.Run(func(p *mpi.Proc) {
+			f, err := mpiio.Open(p, fs, "stale.dat", mpiio.Info{Collective: eng, CollBufSize: 256})
+			if err != nil {
+				errs[p.Rank()] = err
+				return
+			}
+			ft := datatype.Must(datatype.Resized(datatype.Bytes(blk), blk*ranks))
+			if err := f.SetView(int64(p.Rank()*blk), datatype.Bytes(1), ft); err != nil {
+				errs[p.Rank()] = err
+				return
+			}
+			errs[p.Rank()] = f.WriteAll(make([]byte, blk*count), datatype.Bytes(blk), count)
+			f.Close()
+		})
+		return errs
+	}
+	for r, err := range writeAll() {
+		if err != nil {
+			t.Fatalf("rank %d: clean write: %v", r, err)
+		}
+	}
+	for _, ae := range eng.memo.aggs {
+		if n := len(ae.rounds[0].order); n > 1 {
+			o := ae.rounds[0].order
+			o[0], o[n-1] = o[n-1], o[0]
+		}
+	}
+	for r, err := range writeAll() {
+		if err == nil || !strings.Contains(err.Error(), "merge plan") {
+			t.Fatalf("rank %d: tampered plan went unnoticed: %v", r, err)
+		}
 	}
 }

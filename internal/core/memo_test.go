@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"flexio/internal/colltest"
@@ -9,7 +8,6 @@ import (
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
-	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 )
@@ -31,27 +29,7 @@ func cacheCounts(rs ...*stats.Recorder) (hits, misses int64) {
 // collective calls.
 func runScript(t *testing.T, ranks int, info mpiio.Info, script func(p *mpi.Proc, f *mpiio.File) error) *mpi.World {
 	t.Helper()
-	cfg := sim.DefaultConfig()
-	w := mpi.NewWorld(ranks, cfg)
-	fs := pfs.NewFileSystem(cfg)
-	errs := make(chan error, ranks)
-	w.Run(func(p *mpi.Proc) {
-		f, err := mpiio.Open(p, fs, "memo.dat", info)
-		if err != nil {
-			errs <- err
-			return
-		}
-		if err := script(p, f); err != nil {
-			errs <- fmt.Errorf("rank %d: %w", p.Rank(), err)
-			return
-		}
-		errs <- f.Close()
-	})
-	for i := 0; i < ranks; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
+	w, _ := planWorld(t, ranks, 0, info, script)
 	return w
 }
 

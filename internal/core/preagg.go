@@ -102,11 +102,11 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 	bufs := sized(scr.preBufs, nparts)
 	scr.preBufs = bufs
 	bufs[0] = stream
-	h := uint64(fnvOffset)
+	h := uint64(hashSeed)
 	for k, m := range ps.plan.Members {
 		enc, _ := p.Recv(m, tagPre)
-		h = fnvInt64(h, int64(m))
-		h = fnvBytes(h, enc)
+		h = hashInt64(h, int64(m))
+		h = hashBytes(h, enc)
 		if enc == nil {
 			if ps.err == nil {
 				ps.err = fmt.Errorf("core: preagg: no request from member rank %d", m)
@@ -146,7 +146,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 	scr.mergedSegs = merged
 	ps.items, ps.total = items, total
 	f.ChargePairs(int64(len(items)))
-	ps.pre = fnvInt64(h, total)
+	ps.pre = hashInt64(h, total)
 
 	if write {
 		// Gather every participant's bytes into the merged stream. A

@@ -92,7 +92,19 @@ func (b *base) Size() int64    { return b.size }
 func (b *base) Extent() int64  { return b.extent }
 func (b *base) NumSegs() int64 { return int64(len(b.segs)) }
 func (b *base) Flatten() []Seg { return b.segs }
-func (b *base) String() string { return b.desc }
+
+// String returns the constructor's description. Bytes and FromSegs are
+// built on hot paths (realm assignment makes a Bytes per aggregator per
+// call) and leave desc empty; theirs is formatted here, on demand.
+func (b *base) String() string {
+	switch {
+	case b.desc != "":
+		return b.desc
+	case b.node.Kind == KindBytes:
+		return fmt.Sprintf("bytes(%d)", b.size)
+	}
+	return fmt.Sprintf("segs(%d)", len(b.segs))
+}
 
 // normalize sorts, validates, and coalesces raw segments. Zero-length
 // segments are dropped. Overlapping segments are an error (MPI forbids
@@ -159,9 +171,7 @@ func Bytes(n int64) Type {
 	if n > 0 {
 		segs = []Seg{{0, n}}
 	}
-	return &base{segs: segs, size: n, extent: n,
-		desc: fmt.Sprintf("bytes(%d)", n),
-		node: Node{Kind: KindBytes, A: n}}
+	return &base{segs: segs, size: n, extent: n, node: Node{Kind: KindBytes, A: n}}
 }
 
 // Contiguous replicates inner count times back to back
@@ -406,8 +416,7 @@ func FromSegs(raw []Seg, extent int64) (Type, error) {
 		return nil, fmt.Errorf("datatype: FromSegs: extent %d smaller than span %d",
 			extent, segs[len(segs)-1].End())
 	}
-	return &base{segs: segs, size: size, extent: extent,
-		desc: fmt.Sprintf("segs(%d)", len(segs))}, nil
+	return &base{segs: segs, size: size, extent: extent}, nil
 }
 
 // Must panics if err is non-nil; it is a convenience for tests and

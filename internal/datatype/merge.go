@@ -98,3 +98,112 @@ func BuildMergePlan(items []MergeItem, merged []Seg) ([]MergeItem, []Seg, int64)
 
 // End returns the first offset past the item's run.
 func (m MergeItem) End() int64 { return m.Off + m.Len }
+
+// Run merging for the aggregator rounds: every client's pieces of one
+// two-phase round arrive as a run of segments already in file-offset order
+// (the realm intersection emits them that way), so the round's file-ordered
+// sequence is a k-way merge, O(n log k), rather than a sort of the
+// concatenation.
+
+// RunItem names one segment of a merged sequence by its source run and its
+// byte length. A run's items keep the run's own order, so a consumer walking
+// the sequence with one cursor per run visits each run's payload front to
+// back.
+type RunItem struct {
+	Run int32
+	Len int64
+}
+
+// RunMerger merges offset-sorted runs. The zero value is ready to use; it
+// keeps its heap between calls so steady callers merge without allocating.
+type RunMerger struct {
+	heads []runHead // binary min-heap on (off, run)
+	next  []int     // next[i] indexes the segment after run i's head
+}
+
+type runHead struct {
+	off int64
+	run int32
+}
+
+func (a runHead) before(b runHead) bool {
+	return a.off < b.off || (a.off == b.off && a.run < b.run)
+}
+
+// Merge appends to items[:0] every segment of every run in file-offset
+// order and to segs[:0] the same bytes as an I/O list (a segment starting
+// exactly where the previous one ends extends it; nothing else coalesces),
+// and returns both with the total byte count.
+//
+// Segments at equal offsets are ordered by run index, then by position in
+// the run. Data written in sequence order therefore resolves overlapping
+// writes the way BuildMergePlan does: the highest (run, position) wins.
+//
+// Every run is checked for sortedness; one that is not sorted is stably
+// sorted in place first, which keeps the order above but means its items no
+// longer follow the order the caller handed in.
+func (m *RunMerger) Merge(runs [][]Seg, items []RunItem, segs []Seg) ([]RunItem, []Seg, int64) {
+	items, segs = items[:0], segs[:0]
+	h := m.heads[:0]
+	if cap(m.next) < len(runs) {
+		m.next = make([]int, len(runs))
+	}
+	next := m.next[:len(runs)]
+	for i, run := range runs {
+		if len(run) == 0 {
+			continue
+		}
+		for j := 1; j < len(run); j++ {
+			if run[j].Off < run[j-1].Off {
+				sort.SliceStable(run, func(a, b int) bool { return run[a].Off < run[b].Off })
+				break
+			}
+		}
+		next[i] = 1
+		h = append(h, runHead{off: run[0].Off, run: int32(i)})
+	}
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		siftDown(h, k)
+	}
+	var total int64
+	for len(h) > 0 {
+		i := h[0].run
+		run := runs[i]
+		s := run[next[i]-1]
+		items = append(items, RunItem{Run: i, Len: s.Len})
+		if n := len(segs); n > 0 && segs[n-1].End() == s.Off {
+			segs[n-1].Len += s.Len
+		} else {
+			segs = append(segs, s)
+		}
+		total += s.Len
+		if next[i] < len(run) {
+			h[0].off = run[next[i]].Off
+			next[i]++
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	m.heads = h[:0]
+	return items, segs, total
+}
+
+// siftDown restores the heap property below node k.
+func siftDown(h []runHead, k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}

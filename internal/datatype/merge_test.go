@@ -2,8 +2,10 @@ package datatype
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -197,4 +199,121 @@ func TestBuildMergePlanRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeOracle is RunMerger.Merge the slow way: concatenate the runs in run
+// order, stable-sort by offset (so ties keep (run, position) order), then
+// coalesce exact adjacency only.
+func mergeOracle(runs [][]Seg) ([]RunItem, []Seg, int64) {
+	type tagged struct {
+		seg Seg
+		run int32
+	}
+	var all []tagged
+	for i, run := range runs {
+		for _, s := range run {
+			all = append(all, tagged{s, int32(i)})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b tagged) int { return cmp.Compare(a.seg.Off, b.seg.Off) })
+	items, segs := []RunItem{}, []Seg{}
+	var total int64
+	for _, e := range all {
+		items = append(items, RunItem{Run: e.run, Len: e.seg.Len})
+		if n := len(segs); n > 0 && segs[n-1].End() == e.seg.Off {
+			segs[n-1].Len += e.seg.Len
+		} else {
+			segs = append(segs, e.seg)
+		}
+		total += e.seg.Len
+	}
+	return items, segs, total
+}
+
+func cloneRuns(runs [][]Seg) [][]Seg {
+	out := make([][]Seg, len(runs))
+	for i, run := range runs {
+		out[i] = slices.Clone(run)
+	}
+	return out
+}
+
+// checkMerge runs one merger call against the oracle. The merger may sort
+// an unsorted run in place, so each side gets its own copy of the input.
+func checkMerge(t *testing.T, m *RunMerger, runs [][]Seg) {
+	t.Helper()
+	wantItems, wantSegs, wantTotal := mergeOracle(cloneRuns(runs))
+	items, segs, total := m.Merge(cloneRuns(runs), nil, nil)
+	if total != wantTotal || !slices.Equal(items, wantItems) || !slices.Equal(segs, wantSegs) {
+		t.Fatalf("runs %v:\n got  %v %v %d\n want %v %v %d", runs, items, segs, total, wantItems, wantSegs, wantTotal)
+	}
+}
+
+// TestMergeRunsMatchesStableSort: random k in 0..32, empty runs, duplicate
+// offsets within and across runs (the offset range is far smaller than the
+// segment count), exact adjacency, and in half the cases one deliberately
+// unsorted run, which takes the sort fallback. One merger serves every
+// case, so its retained heap is exercised too.
+func TestMergeRunsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var m RunMerger
+	for iter := 0; iter < 2000; iter++ {
+		runs := make([][]Seg, rng.Intn(33))
+		for i := range runs {
+			off := int64(rng.Intn(8))
+			for n := rng.Intn(12); n > 0; n-- { // 0 leaves the run empty
+				ln := int64(1 + rng.Intn(4))
+				runs[i] = append(runs[i], Seg{Off: off, Len: ln})
+				off += int64(rng.Intn(3)) * ln // 0: duplicate offset, 1: adjacent, 2: gap
+			}
+		}
+		if len(runs) > 0 && iter%2 == 0 {
+			i := rng.Intn(len(runs))
+			rng.Shuffle(len(runs[i]), func(a, b int) { runs[i][a], runs[i][b] = runs[i][b], runs[i][a] })
+		}
+		checkMerge(t, &m, runs)
+	}
+}
+
+// TestMergeRunsTieBreak pins the overlap rule: at equal offsets the lower
+// run comes first, and within a run the earlier position, so data written
+// in sequence order leaves the highest (run, position) on top.
+func TestMergeRunsTieBreak(t *testing.T) {
+	runs := [][]Seg{
+		{{Off: 8, Len: 4}},
+		{{Off: 0, Len: 4}, {Off: 8, Len: 2}, {Off: 8, Len: 3}},
+		{},
+		{{Off: 8, Len: 1}},
+	}
+	var m RunMerger
+	items, segs, total := m.Merge(runs, nil, nil)
+	want := []RunItem{{1, 4}, {0, 4}, {1, 2}, {1, 3}, {3, 1}}
+	if !slices.Equal(items, want) {
+		t.Fatalf("order %v, want %v", items, want)
+	}
+	// Overlapping segments never coalesce: only exact adjacency does.
+	wantSegs := []Seg{{0, 4}, {8, 4}, {8, 2}, {8, 3}, {8, 1}}
+	if !slices.Equal(segs, wantSegs) || total != 14 {
+		t.Fatalf("segs %v total %d, want %v 14", segs, total, wantSegs)
+	}
+}
+
+// FuzzMergeRuns decodes arbitrary bytes into runs (first byte: run count
+// mod 33; then triples of run, offset, length) and checks the merger against
+// the oracle. Nothing makes the runs sorted, so the fallback is fuzzed too.
+func FuzzMergeRuns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 5, 2, 1, 5, 2, 2, 7, 1, 0, 1, 4})
+	f.Add([]byte{1, 0, 9, 1, 0, 3, 1, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		runs := make([][]Seg, int(data[0])%33)
+		for data = data[1:]; len(data) >= 3 && len(runs) > 0; data = data[3:] {
+			i := int(data[0]) % len(runs)
+			runs[i] = append(runs[i], Seg{Off: int64(data[1]), Len: int64(data[2])})
+		}
+		checkMerge(t, new(RunMerger), runs)
+	})
 }

@@ -20,7 +20,6 @@ package twophase
 
 import (
 	"fmt"
-	"slices"
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
@@ -91,48 +90,38 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// portion is a contiguous piece of this rank's access together with its
-// position in the rank's linearized data stream.
-type portion struct {
-	seg       datatype.Seg
-	streamOff int64
-}
-
-// clipState walks a sorted portion list through consecutive windows.
+// clipState walks one offset-sorted segment list, and the linear data
+// stream its bytes occupy back to back, through consecutive windows.
 type clipState struct {
-	ps    []portion
+	segs  []datatype.Seg
 	idx   int
-	intra int64 // bytes of ps[idx] already consumed
+	intra int64 // bytes of segs[idx] already consumed
+	pos   int64 // stream position of the next unconsumed byte
 }
 
-// next returns the sub-portions with file offsets in [lo, hi). Windows must
-// be visited in increasing order.
-func (cs *clipState) next(lo, hi int64) []portion {
-	var out []portion
-	for cs.idx < len(cs.ps) {
-		p := cs.ps[cs.idx]
-		off := p.seg.Off + cs.intra
+// next appends the sub-segments with file offsets in [lo, hi) to out[:0]
+// and returns them with their byte count and the stream position of the
+// first; they are back to back in the stream. Windows must be visited in
+// increasing order.
+func (cs *clipState) next(lo, hi int64, out []datatype.Seg) (_ []datatype.Seg, at, total int64) {
+	out = out[:0]
+	for cs.idx < len(cs.segs) {
+		s := cs.segs[cs.idx]
+		off := s.Off + cs.intra
 		if off >= hi {
 			break
 		}
-		n := p.seg.End() - off
-		if off+n > hi {
-			n = hi - off
-		}
-		if off+n <= lo { // entirely before the window (shouldn't happen when windows tile)
-			cs.intra += n
-			if cs.intra == p.seg.Len {
-				cs.idx++
-				cs.intra = 0
+		n := min(s.End(), hi) - off
+		if off+n > lo { // else entirely before the window (shouldn't happen when windows tile)
+			if len(out) == 0 {
+				at = cs.pos
 			}
-			continue
+			out = append(out, datatype.Seg{Off: off, Len: n})
+			total += n
 		}
-		out = append(out, portion{
-			seg:       datatype.Seg{Off: off, Len: n},
-			streamOff: p.streamOff + cs.intra,
-		})
+		cs.pos += n
 		cs.intra += n
-		if cs.intra == p.seg.Len {
+		if cs.intra == s.Len {
 			cs.idx++
 			cs.intra = 0
 		}
@@ -140,7 +129,7 @@ func (cs *clipState) next(lo, hi int64) []portion {
 			break
 		}
 	}
-	return out
+	return out, at, total
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
@@ -253,16 +242,14 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// O(M) processing, O(M) request bytes on the wire.
 	t0 = p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	prefix := make([]int64, len(mySegs)+1)
-	for k, s := range mySegs {
-		prefix[k+1] = prefix[k] + s.Len
-	}
-	myPortions := make([][]portion, naggs)
+	// mySegs is offset-sorted and domains ascend, so each aggregator's share
+	// is one back-to-back range of the stream: its clip state starts there.
+	myClip := make([]clipState, naggs)
 	{
 		a := 0
-		for k, s := range mySegs {
-			off, pos := s.Off, prefix[k]
-			for off < s.End() {
+		var pos int64
+		for _, s := range mySegs {
+			for off := s.Off; off < s.End(); {
 				for a < naggs-1 && off >= fdEnd[a] {
 					a++
 				}
@@ -270,10 +257,10 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				if lim := fdEnd[a] - off; a < naggs-1 && n > lim {
 					n = lim
 				}
-				myPortions[a] = append(myPortions[a], portion{
-					seg:       datatype.Seg{Off: off, Len: n},
-					streamOff: pos,
-				})
+				if len(myClip[a].segs) == 0 {
+					myClip[a].pos = pos
+				}
+				myClip[a].segs = append(myClip[a].segs, datatype.Seg{Off: off, Len: n})
 				off += n
 				pos += n
 			}
@@ -281,20 +268,26 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	}
 	f.ChargePairs(int64(len(mySegs)))
 	for a := 0; a < naggs; a++ {
-		segs := make([]datatype.Seg, len(myPortions[a]))
-		for k, pt := range myPortions[a] {
-			segs[k] = pt.seg
-		}
-		enc := datatype.EncodeSegs(segs)
+		enc := datatype.EncodeSegs(myClip[a].segs)
 		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
 		p.Send(a, tagReq, enc)
 	}
 
-	// Aggregators receive every rank's request list.
-	var reqs [][]datatype.Seg // per client
+	// Aggregators receive every rank's request list: the walk state per
+	// client, and the per-round working set reused by every round.
 	amAgg := p.Rank() < naggs
+	var aggClip []clipState
+	var runs [][]datatype.Seg // this round's pieces per client
+	var msgs [][]byte         // this round's payload per client
+	var cur []int64           // per-client read position while gathering
+	var merger datatype.RunMerger
+	var order []datatype.RunItem
+	var segs []datatype.Seg
 	if amAgg {
-		reqs = make([][]datatype.Seg, p.Size())
+		aggClip = make([]clipState, p.Size())
+		runs = make([][]datatype.Seg, p.Size())
+		msgs = make([][]byte, p.Size())
+		cur = make([]int64, p.Size())
 		var pairs int64
 		for c := 0; c < p.Size(); c++ {
 			enc, _ := p.Recv(c, tagReq)
@@ -303,15 +296,14 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				// empty so the collective keeps its structure through to
 				// the next agreement point (deserting here would strand
 				// the surviving ranks in their exchanges).
-				reqs[c] = nil
 				continue
 			}
-			segs, err := datatype.DecodeSegs(enc)
+			req, err := datatype.DecodeSegs(enc)
 			if err != nil {
 				return fmt.Errorf("twophase: bad request from rank %d: %w", c, err)
 			}
-			reqs[c] = segs
-			pairs += int64(len(segs))
+			aggClip[c].segs = req
+			pairs += int64(len(req))
 		}
 		f.ChargePairs(pairs)
 	}
@@ -374,23 +366,6 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		}
 	}
 
-	// Walk state per aggregator (client side) and per client (agg side).
-	myClip := make([]*clipState, naggs)
-	for a := 0; a < naggs; a++ {
-		myClip[a] = &clipState{ps: myPortions[a]}
-	}
-	var aggClip []*clipState
-	if amAgg {
-		aggClip = make([]*clipState, p.Size())
-		for c := 0; c < p.Size(); c++ {
-			ps := make([]portion, len(reqs[c]))
-			for k, s := range reqs[c] {
-				ps[k] = portion{seg: s}
-			}
-			aggClip[c] = &clipState{ps: ps}
-		}
-	}
-
 	// On an I/O error the rank keeps participating in the round's
 	// exchange (deserting a collective deadlocks the communicator); at
 	// each round boundary all ranks agree on the worst error class and
@@ -398,6 +373,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// pre-aggregation lost a member seeds the same machinery, so the first
 	// boundary aborts every rank before a partial merge becomes durable.
 	firstErr := preErr
+	var clipped []datatype.Seg // scratch: the client side only needs the byte range
 
 	for r := 0; r < ntimes; r++ {
 		f.SetRound(r)
@@ -415,26 +391,21 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		// Aggregator: figure out this round's window pieces per client
 		// and post all receives first (for writes) — the original
 		// code's "all Irecvs, then all Isends" structure.
-		var wlo, whi int64
-		var perClient [][]portion
+		window := false
 		if amAgg {
-			wlo = fdStart[p.Rank()] + int64(r)*cb
-			whi = wlo + cb
-			if whi > fdEnd[p.Rank()] {
-				whi = fdEnd[p.Rank()]
-			}
-			if wlo < whi {
-				perClient = make([][]portion, p.Size())
-				for c := 0; c < p.Size(); c++ {
-					perClient[c] = aggClip[c].next(wlo, whi)
+			wlo := fdStart[p.Rank()] + int64(r)*cb
+			whi := min(wlo+cb, fdEnd[p.Rank()])
+			if window = wlo < whi; window {
+				for c := range runs {
+					runs[c], _, _ = aggClip[c].next(wlo, whi, runs[c])
 				}
 			}
 		}
 		var recvReqs []*mpi.Request
 		var recvFrom []int
-		if write && perClient != nil {
-			for c := 0; c < p.Size(); c++ {
-				if len(perClient[c]) > 0 {
+		if write && window {
+			for c := range runs {
+				if len(runs[c]) > 0 {
 					recvReqs = append(recvReqs, p.Irecv(c, tag))
 					recvFrom = append(recvFrom, c)
 				}
@@ -442,11 +413,11 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		}
 
 		// Client: send my data for each aggregator's window r.
-		type sentPiece struct {
-			agg      int
-			portions []portion
+		type sentRange struct {
+			agg   int
+			at, n int64 // where in my stream the aggregator's bytes go
 		}
-		var sent []sentPiece
+		var sent []sentRange
 		tSend := p.Clock()
 		if write {
 			p.Trace.Begin1(tSend, stats.PComm, trace.S("what", "send"))
@@ -460,28 +431,19 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			if alo >= ahi {
 				continue
 			}
-			pieces := myClip[a].next(alo, ahi)
-			if len(pieces) == 0 {
+			var at, total int64
+			clipped, at, total = myClip[a].next(alo, ahi, clipped)
+			if total == 0 {
 				continue
 			}
-			for _, pt := range pieces {
-				roundSend += pt.seg.Len
-			}
+			roundSend += total
 			if write {
-				var total int64
-				for _, pt := range pieces {
-					total += pt.seg.Len
-				}
 				// Built directly in a pooled buffer; ownership moves to
 				// the aggregator, which releases it after assembling the
 				// round's sieve input.
-				msg := bufpool.Get(total)[:0]
-				for _, pt := range pieces {
-					msg = append(msg, stream[pt.streamOff:pt.streamOff+pt.seg.Len]...)
-				}
-				p.Isend(a, tag, msg)
+				p.Isend(a, tag, append(bufpool.Get(total)[:0], stream[at:at+total]...))
 			} else {
-				sent = append(sent, sentPiece{agg: a, portions: pieces})
+				sent = append(sent, sentRange{agg: a, at: at, n: total})
 			}
 		}
 		if write {
@@ -491,14 +453,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 
 		// Aggregator: complete the exchange and do the I/O for this
 		// round through the integrated sieve buffer.
-		if perClient != nil {
-			// Merge all clients' pieces in file-offset order.
-			type entry struct {
-				seg    datatype.Seg
-				client int
-				data   []byte
-			}
-			var entries []entry
+		if window {
 			var payloads [][]byte
 			if write {
 				tWait := p.Clock()
@@ -507,11 +462,11 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				p.ChargeTime(stats.PComm, p.Clock()-tWait)
 				p.Trace.End(p.Clock())
 				for k, c := range recvFrom {
-					data := payloads[k]
-					if data == nil {
+					msgs[c] = payloads[k]
+					if payloads[k] == nil {
 						// The client died, stalled past the deadline, or its
 						// payload arrived corrupted past the re-request
-						// budget. Skip its entries — the boundary agreement
+						// budget. Skip its pieces — the boundary agreement
 						// below aborts every rank with the right class.
 						if firstErr == nil {
 							if ierr := p.TakeIntegrityFailure(); ierr != nil {
@@ -520,46 +475,15 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 								firstErr = fmt.Errorf("twophase: round %d: %w", r, mpi.ErrRankUnresponsive)
 							}
 						}
-						continue
-					}
-					pos := int64(0)
-					for _, pt := range perClient[c] {
-						entries = append(entries, entry{
-							seg:    pt.seg,
-							client: c,
-							data:   data[pos : pos+pt.seg.Len],
-						})
-						pos += pt.seg.Len
-					}
-				}
-			} else {
-				for c := 0; c < p.Size(); c++ {
-					for _, pt := range perClient[c] {
-						entries = append(entries, entry{seg: pt.seg, client: c})
+						runs[c] = nil
 					}
 				}
 			}
-			if len(entries) > 0 {
-				slices.SortFunc(entries, func(x, y entry) int {
-					switch {
-					case x.seg.Off < y.seg.Off:
-						return -1
-					case x.seg.Off > y.seg.Off:
-						return 1
-					}
-					return 0
-				})
-				segs := make([]datatype.Seg, 0, len(entries))
-				var total int64
-				for _, e := range entries {
-					if n := len(segs); n > 0 && segs[n-1].End() == e.seg.Off {
-						segs[n-1].Len += e.seg.Len
-					} else {
-						segs = append(segs, e.seg)
-					}
-					total += e.seg.Len
-				}
-				lo := entries[0].seg.Off
+			// Merge all clients' pieces into file-offset order.
+			var total int64
+			order, segs, total = merger.Merge(runs, order, segs)
+			if len(order) > 0 {
+				lo := segs[0].Off
 				hi := segs[len(segs)-1].End()
 				span := datatype.Seg{Off: lo, Len: hi - lo}
 				roundRecv = total
@@ -577,11 +501,14 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				if write {
 					p.Trace.Begin2(tio, stats.PIO, trace.S("op", "write"), trace.I(trace.BytesTag, total))
 					concat := bufpool.Get(total)[:0]
-					for _, e := range entries {
-						concat = append(concat, e.data...)
+					clear(cur)
+					for _, it := range order {
+						c := it.Run
+						concat = append(concat, msgs[c][cur[c]:cur[c]+it.Len]...)
+						cur[c] += it.Len
 					}
-					// The entries' views into the clients' pooled payloads
-					// are consumed; release them (receiver-releases).
+					// The clients' pooled payloads are consumed; release
+					// them (receiver-releases).
 					for _, pl := range payloads {
 						bufpool.Put(pl)
 					}
@@ -642,24 +569,24 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 					// pooled buffer the client releases after unpacking.
 					tc := p.Clock()
 					p.Trace.Begin1(tc, stats.PComm, trace.S("what", "send-back"))
-					perMsg := make(map[int][]byte, p.Size())
-					for c := 0; c < p.Size(); c++ {
+					clear(msgs)
+					for c, run := range runs {
 						var tot int64
-						for _, pt := range perClient[c] {
-							tot += pt.seg.Len
+						for _, s := range run {
+							tot += s.Len
 						}
 						if tot > 0 {
-							perMsg[c] = bufpool.Get(tot)[:0]
+							msgs[c] = bufpool.Get(tot)[:0]
 						}
 					}
 					pos := int64(0)
-					for _, e := range entries {
-						perMsg[e.client] = append(perMsg[e.client], rbuf[pos:pos+e.seg.Len]...)
-						pos += e.seg.Len
+					for _, it := range order {
+						msgs[it.Run] = append(msgs[it.Run], rbuf[pos:pos+it.Len]...)
+						pos += it.Len
 					}
 					bufpool.Put(rbuf)
-					for c := 0; c < p.Size(); c++ {
-						if msg, ok := perMsg[c]; ok {
+					for c, msg := range msgs {
+						if msg != nil {
 							p.Isend(c, tag, msg)
 						}
 					}
@@ -689,11 +616,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 					}
 					continue
 				}
-				pos := int64(0)
-				for _, pt := range sp.portions {
-					copy(stream[pt.streamOff:pt.streamOff+pt.seg.Len], data[pos:pos+pt.seg.Len])
-					pos += pt.seg.Len
-				}
+				copy(stream[sp.at:sp.at+sp.n], data)
 				bufpool.Put(data) // pooled by the aggregator; receiver releases
 			}
 			p.ChargeTime(stats.PComm, p.Clock()-tRecv)
