@@ -620,10 +620,37 @@ func Run(b *testing.B, cfg Config) {
 		b.ReportMetric(float64(s.sink.SampledCount()), "sampled-ranks")
 	}
 	if s.rollup != nil {
-		n, err := s.rollup.ExpositionBytes()
+		n, err := rollupBytes(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "rollup-B")
 	}
+}
+
+// rollupWindowOps is the number of ops the rollup-B column is measured
+// over.
+const rollupWindowOps = 32
+
+// rollupBytes is the size of cfg's per-node rollup exposition once a fresh
+// session has run rollupWindowOps ops. The exposition grows with the number
+// of ops the registries have seen — counter values gain digits, and the
+// log-bucketed flexio_phase_seconds histograms (exchange and io above all,
+// whose durations wander with scheduling) fill more buckets — so its size
+// after the b.N ops of a timing loop measures the runner's speed, not what
+// a scraper pays per node.
+func rollupBytes(cfg Config) (int, error) {
+	s, err := NewSession(cfg)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < rollupWindowOps; i++ {
+		if err := s.Step(); err != nil {
+			return 0, err
+		}
+	}
+	if rep := s.CritPath(); rep != nil {
+		rep.Note(s.met)
+	}
+	return s.rollup.ExpositionBytes()
 }

@@ -292,18 +292,7 @@ func Analyze(s *trace.Sink) *Report {
 	}
 
 	for b, d := range acc {
-		sec := d.Seconds()
-		rep.CoveredSec += sec
-		rep.ByRank[b.rank].OnPathSec += sec
-		switch b.phase {
-		case PhaseTransfer:
-			rep.TransferSec += sec
-		case PhaseRendezvous:
-			rep.RendezvousSec += sec
-		case PhaseIdle:
-			rep.IdleSec += sec
-		}
-		rep.Entries = append(rep.Entries, Entry{Rank: b.rank, Phase: b.phase, Round: b.round, Sec: sec})
+		rep.Entries = append(rep.Entries, Entry{Rank: b.rank, Phase: b.phase, Round: b.round, Sec: d.Seconds()})
 	}
 	sort.Slice(rep.Entries, func(i, k int) bool {
 		a, b := rep.Entries[i], rep.Entries[k]
@@ -318,6 +307,21 @@ func Analyze(s *trace.Sink) *Report {
 		}
 		return a.Round < b.Round
 	})
+	// Totals are summed in the sorted order, never in the map's: float
+	// addition is not associative, and two analyses of one trace must agree
+	// to the last bit (the differential report compares them with ==).
+	for _, e := range rep.Entries {
+		rep.CoveredSec += e.Sec
+		rep.ByRank[e.Rank].OnPathSec += e.Sec
+		switch e.Phase {
+		case PhaseTransfer:
+			rep.TransferSec += e.Sec
+		case PhaseRendezvous:
+			rep.RendezvousSec += e.Sec
+		case PhaseIdle:
+			rep.IdleSec += e.Sec
+		}
+	}
 	return rep
 }
 

@@ -13,6 +13,7 @@ package integrity
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sync"
 )
 
@@ -29,7 +30,8 @@ var ErrDataIntegrity = errors.New("integrity: checksum mismatch, data unrepairab
 // unrepairable by construction.
 const MaxReRequests = 3
 
-// tabWords is the size of the seeded scratch table the hash mixes through.
+// tabWords is the size of the seeded table of per-position word keys (a
+// power of two: positions wrap with a mask).
 const tabWords = 256
 
 // tabPool recycles scratch tables across hashers so short-lived worlds
@@ -67,26 +69,64 @@ func (h *Hasher) Release() {
 	}
 }
 
-// Sum checksums data under the hasher's seed. Word-at-a-time with a
-// table-dependent mix, so single-bit flips anywhere in the payload change
-// the sum; allocation-free.
+// Lane constants: odd, so multiplying by one is a bijection on 64 bits.
+const (
+	laneMul = 0x9e3779b97f4a7c15
+	lenMul  = 0xff51afd7ed558ccd
+)
+
+// mixWord folds one keyed 8-byte word into a lane: a bijection of the lane
+// for a fixed word and injective in the word for a fixed lane, so a change
+// confined to one word can never be absorbed by the steps that follow it.
+func mixWord(x, k uint64) uint64 {
+	return (bits.RotateLeft64(x, 27) ^ k) * laneMul
+}
+
+// Sum checksums data under the hasher's seed; allocation-free.
+//
+// The input is cut into 32-byte blocks of four 8-byte words, and word j of
+// every block feeds lane j. The lanes never read each other until the end,
+// so the four multiply chains and their table loads overlap in the
+// pipeline instead of queueing behind one another. Each word is keyed by a
+// table entry chosen by its position, which makes the sum depend on the
+// seed everywhere (a run of zeros hashes differently at every offset). What
+// is left after the last full block goes word by word into lanes 0, 1, 2
+// and the final 1..7 bytes, zero-extended, into the next lane; the length
+// is part of every lane's start value, so padding is unambiguous. Because
+// every step is a bijection of its lane and the fold is injective in each
+// lane, any single flipped bit — any change inside one word — changes the
+// sum with certainty, not just with high probability.
 func (h *Hasher) Sum(data []byte) uint64 {
-	x := h.seed ^ uint64(len(data))*0xff51afd7ed558ccd
-	for len(data) >= 8 {
-		k := binary.LittleEndian.Uint64(data)
-		x = (x << 27) | (x >> 37)
-		x ^= k * 0x9e3779b97f4a7c15
-		x ^= h.tab[byte(x)]
-		data = data[8:]
+	tab := h.tab
+	s := h.seed ^ uint64(len(data))*lenMul
+	x0, x1, x2, x3 := s^tab[252], s^tab[253], s^tab[254], s^tab[255]
+	pos := 0 // table position of the next word's key; stays a multiple of 4 in the block loop
+	for len(data) >= 32 {
+		b := data[:32]
+		k := tab[pos&(tabWords-4):][:4]
+		x0 = mixWord(x0, binary.LittleEndian.Uint64(b[0:8])^k[0])
+		x1 = mixWord(x1, binary.LittleEndian.Uint64(b[8:16])^k[1])
+		x2 = mixWord(x2, binary.LittleEndian.Uint64(b[16:24])^k[2])
+		x3 = mixWord(x3, binary.LittleEndian.Uint64(b[24:32])^k[3])
+		data = data[32:]
+		pos += 4
+	}
+	lanes := [4]uint64{x0, x1, x2, x3}
+	lane := 0
+	for ; len(data) >= 8; data = data[8:] {
+		lanes[lane] = mixWord(lanes[lane], binary.LittleEndian.Uint64(data)^tab[(pos+lane)&(tabWords-1)])
+		lane++
 	}
 	if len(data) > 0 {
 		var tail uint64
 		for i, b := range data {
 			tail |= uint64(b) << (8 * uint(i))
 		}
-		x = (x << 27) | (x >> 37)
-		x ^= tail * 0x9e3779b97f4a7c15
-		x ^= h.tab[byte(x)]
+		lanes[lane] = mixWord(lanes[lane], tail^tab[(pos+lane)&(tabWords-1)])
+	}
+	x := lanes[0]
+	for _, l := range lanes[1:] {
+		x = mixWord(x, l)
 	}
 	return smix(x)
 }

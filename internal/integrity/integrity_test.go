@@ -1,6 +1,9 @@
 package integrity
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestSumDeterministicAndSeedSensitive(t *testing.T) {
 	h1 := NewHasher(42)
@@ -21,24 +24,91 @@ func TestSumDeterministicAndSeedSensitive(t *testing.T) {
 	}
 }
 
+// TestSumDetectsEverySingleBitFlip flips every bit of a 4 KiB page and of
+// every length from 0 to 200 — whole lane blocks, the 8-byte words after
+// the last block, the byte tail — and requires each flip to change the sum.
 func TestSumDetectsEverySingleBitFlip(t *testing.T) {
 	h := NewHasher(7)
 	defer h.Release()
-	data := make([]byte, 67) // odd length exercises the tail path
+	lengths := []int{4096}
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 37)
+		}
+		want := h.Sum(data)
+		for bit := 0; bit < n*8; bit++ {
+			data[bit/8] ^= 1 << (bit % 8)
+			if h.Sum(data) == want {
+				t.Fatalf("length %d: bit flip at %d not detected", n, bit)
+			}
+			data[bit/8] ^= 1 << (bit % 8)
+		}
+		if h.Sum(data) != want {
+			t.Fatalf("length %d: restored data must hash to the original sum", n)
+		}
+		// Length is part of the sum: a zero byte more is a different input.
+		if h.Sum(append(data, 0)) == want {
+			t.Fatalf("length %d: appending a zero byte kept the sum", n)
+		}
+	}
+}
+
+// TestSumPositionAndSeedSensitive: the same word hashes differently in
+// every lane and block (so swapped or shifted zero runs are caught), and a
+// page of zeros — what a torn write leaves — hashes differently per seed.
+func TestSumPositionAndSeedSensitive(t *testing.T) {
+	h := NewHasher(7)
+	defer h.Release()
+	seen := map[uint64]int{}
+	for pos := 0; pos+8 <= 512; pos += 8 {
+		data := make([]byte, 512)
+		data[pos] = 0xA5
+		sum := h.Sum(data)
+		if prev, dup := seen[sum]; dup {
+			t.Fatalf("marker at %d and at %d hash equal", prev, pos)
+		}
+		seen[sum] = pos
+	}
+	zeros := make([]byte, 4096)
+	bySeed := map[uint64]bool{}
+	for seed := int64(0); seed < 64; seed++ {
+		hs := NewHasher(seed)
+		bySeed[hs.Sum(zeros)] = true
+		hs.Release()
+	}
+	if len(bySeed) != 64 {
+		t.Fatalf("64 seeds gave %d distinct sums of a zero page", len(bySeed))
+	}
+}
+
+// TestSumConcurrent: one hasher serves many goroutines (every rank's
+// receiver verifies with the world's hasher); run under -race.
+func TestSumConcurrent(t *testing.T) {
+	h := NewHasher(5)
+	defer h.Release()
+	data := make([]byte, 4099)
 	for i := range data {
-		data[i] = byte(i * 37)
+		data[i] = byte(i*131 + i>>8)
 	}
 	want := h.Sum(data)
-	for bit := 0; bit < len(data)*8; bit++ {
-		data[bit/8] ^= 1 << (bit % 8)
-		if h.Sum(data) == want {
-			t.Fatalf("bit flip at %d not detected", bit)
-		}
-		data[bit/8] ^= 1 << (bit % 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if h.Sum(data) != want {
+					t.Error("concurrent Sum disagrees with the serial sum")
+					return
+				}
+			}
+		}()
 	}
-	if h.Sum(data) != want {
-		t.Fatal("restored data must hash to the original sum")
-	}
+	wg.Wait()
 }
 
 func TestSumAllocationFree(t *testing.T) {

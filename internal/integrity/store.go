@@ -2,7 +2,10 @@ package integrity
 
 import (
 	"sort"
+	"strings"
 	"sync"
+
+	"flexio/internal/pagetab"
 )
 
 // Store keeps the at-rest side of the integrity layer for one file
@@ -12,6 +15,13 @@ import (
 // storage page — the unit pfs moves to and from its stripe-block store —
 // so every checksum domain maps onto exactly one OST via the file offset.
 //
+// Everything the store knows about one block (checksum, written extent,
+// quarantine) sits in one slot of its file's page-indexed table, so an
+// operation on a block is one lookup. The file system resolves a name to
+// its *File once per I/O call and works through that; the name-keyed Store
+// methods are the same operations for callers that touch one block at a
+// time (the scrubber callback, tests, isolated timings).
+//
 // The ring is the fast repair path: a corrupted block whose pristine
 // image is still retained is fixed in place without replaying the round
 // journal. Blocks that age out of the ring are only repairable by the
@@ -20,9 +30,7 @@ import (
 type Store struct {
 	mu    sync.Mutex
 	h     *Hasher
-	sums  map[string]map[int64]uint64
-	quar  map[string]map[int64]*extent
-	wrote map[string]map[int64]*extent
+	files map[string]*File
 	ring  []retained
 	next  int
 
@@ -32,16 +40,36 @@ type Store struct {
 	unrepaired  int64 // reads that had to surface ErrDataIntegrity
 }
 
-// retained is one ring slot: the latest image of (name, block) observed
-// at write time. Slots are recycled in place — the data buffer is reused
-// when capacities allow — so steady-state writes retain without
-// allocating.
+// File is the store's state for one file: a table of blocks by index. It is
+// valid until the name is forgotten; all methods take the store's lock.
+type File struct {
+	st     *Store
+	blocks pagetab.Table[block]
+	quar   int // blocks quarantined right now
+}
+
+// block is one block's state. The store keeps two extents per block: the
+// bytes ever written (sparse strided layouts leave permanent holes inside
+// a block), and — while the block is quarantined — the bytes clean
+// rewrites have repaved since.
+type block struct {
+	sum      uint64
+	recorded bool
+	wrote    extent
+	repaved  *extent // non-nil while quarantined
+}
+
+// Span is a block-relative byte range [Off,End).
+type Span struct{ Off, End int64 }
+
+// retained is one ring slot: the image of (file, block) observed at write
+// time. Slots are recycled in place — the data buffer is reused when
+// capacities allow — so steady-state writes retain without allocating.
 type retained struct {
-	name string
+	file *File
 	idx  int64
 	sum  uint64
 	data []byte
-	live bool
 }
 
 // NewStore builds a store hashing with h and retaining up to ringCap
@@ -53,19 +81,30 @@ func NewStore(h *Hasher, ringCap int) *Store {
 	}
 	return &Store{
 		h:     h,
-		sums:  make(map[string]map[int64]uint64),
-		quar:  make(map[string]map[int64]*extent),
-		wrote: make(map[string]map[int64]*extent),
+		files: make(map[string]*File),
 		ring:  make([]retained, ringCap),
 	}
 }
 
-// extent is a merged, sorted set of block-relative byte intervals. The
-// store keeps two per block: the bytes ever written (sparse strided
-// layouts leave permanent holes inside a block), and — while the block is
-// quarantined — the bytes clean rewrites have repaved since. Collective
-// engines repair in shuffle-window-sized pieces, often smaller than a
-// stripe block, so the quarantine clears when the repaved union covers
+// File returns the state of the named file, creating it on first use.
+func (s *Store) File(name string) *File {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fileLocked(name)
+}
+
+func (s *Store) fileLocked(name string) *File {
+	f := s.files[name]
+	if f == nil {
+		f = &File{st: s}
+		s.files[name] = f
+	}
+	return f
+}
+
+// extent is a merged, sorted set of block-relative byte intervals.
+// Collective engines repair in shuffle-window-sized pieces, often smaller
+// than a stripe block, so a quarantine clears when the repaved union covers
 // the written union, not only on one monolithic overwrite.
 type extent struct {
 	cover []qspan
@@ -128,94 +167,107 @@ func (b *extent) coversAll(other *extent) bool {
 	return true
 }
 
-// Record checksums one block's bytes after a write landed its [off,end)
-// byte range (block-relative), retains a copy in the ring, and — once
-// clean rewrites have repaved every byte the block ever held — clears any
-// quarantine on it: a full overwrite through the normal datapath
-// (including a journal-replay rewrite) is itself the repair, and
-// sub-block repair pieces accumulate until their union covers the block's
-// written extent. Never-written gap bytes inside the block (sparse
-// strided layouts) don't gate the heal — nothing ever landed there for
-// the media to corrupt. While the coverage is still partial, nothing is
-// recorded: bytes outside the repaved spans are suspect, and refreshing
-// the checksum over the merged content would bless corruption as
-// verified. The block stays poisoned (reads keep failing) until the
-// coverage completes or a ring repair heals it.
+// Record is File.Record for one landed range of a block found by name.
 func (s *Store) Record(name string, idx int64, data []byte, off, end int64) {
-	if off < 0 {
-		off = 0
-	}
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
+	run := [1]Span{{off, end}}
 	s.mu.Lock()
-	w := s.wrote[name]
-	if w == nil {
-		w = make(map[int64]*extent)
-		s.wrote[name] = w
-	}
-	we := w[idx]
-	if we == nil {
-		we = &extent{}
-		w[idx] = we
-	}
-	we.add(off, end)
-	if q := s.quar[name]; q != nil {
-		if qb, held := q[idx]; held {
-			qb.add(off, end)
-			if !qb.coversAll(we) {
-				s.mu.Unlock()
-				return
-			}
-			delete(q, idx)
-			s.repairs++
+	s.fileLocked(name).record(idx, data, run[:])
+	s.mu.Unlock()
+}
+
+// Record checksums one block's bytes after a write landed the given byte
+// ranges in it (block-relative, clamped to the block), retains a copy in
+// the ring, and — once clean rewrites have repaved every byte the block
+// ever held — clears any quarantine on it: a full overwrite through the
+// normal datapath (including a journal-replay rewrite) is itself the
+// repair, and sub-block repair pieces accumulate until their union covers
+// the block's written extent. Never-written gap bytes inside the block
+// (sparse strided layouts) don't gate the heal — nothing ever landed there
+// for the media to corrupt. While the coverage is still partial, nothing
+// is recorded: bytes outside the repaved spans are suspect, and refreshing
+// the checksum over the merged content would bless corruption as verified.
+// The block stays poisoned (reads keep failing) until the coverage
+// completes or a ring repair heals it.
+//
+// A caller that landed several ranges in the block passes them all in one
+// call: the content is hashed and retained once, however many pieces made
+// it up, so one ring slot holds one block and a ring of N slots can repair
+// the N blocks written last.
+func (f *File) Record(idx int64, data []byte, runs []Span) {
+	f.st.mu.Lock()
+	f.record(idx, data, runs)
+	f.st.mu.Unlock()
+}
+
+func (f *File) record(idx int64, data []byte, runs []Span) {
+	s := f.st
+	b := f.blocks.Slot(idx)
+	for _, r := range runs {
+		off, end := max(r.Off, 0), min(r.End, int64(len(data)))
+		b.wrote.add(off, end)
+		if b.repaved != nil {
+			b.repaved.add(off, end)
 		}
 	}
-	sum := s.h.Sum(data)
-	m := s.sums[name]
-	if m == nil {
-		m = make(map[int64]uint64)
-		s.sums[name] = m
+	if b.repaved != nil {
+		if !b.repaved.coversAll(&b.wrote) {
+			return
+		}
+		b.repaved = nil
+		f.quar--
+		s.repairs++
 	}
-	m[idx] = sum
+	b.sum, b.recorded = s.h.Sum(data), true
 	r := &s.ring[s.next]
 	s.next = (s.next + 1) % len(s.ring)
-	r.name, r.idx, r.sum, r.live = name, idx, sum, true
+	r.file, r.idx, r.sum = f, idx, b.sum
 	if cap(r.data) >= len(data) {
 		r.data = r.data[:len(data)]
 	} else {
 		r.data = make([]byte, len(data))
 	}
 	copy(r.data, data)
-	s.mu.Unlock()
+}
+
+// Verify is File.Verify for a block found by name; a file the store has
+// never seen verifies trivially.
+func (s *Store) Verify(name string, idx int64, data []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.files[name]
+	return f == nil || f.verify(idx, data)
 }
 
 // Verify checks one block's stored bytes against the recorded checksum.
 // Blocks never recorded (sparse holes, pre-integrity writes) verify
 // trivially. On mismatch the block is quarantined and false returned; the
 // caller decides between inline repair (Repair) and surfacing the error.
-func (s *Store) Verify(name string, idx int64, data []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.sums[name]
-	if m == nil {
+func (f *File) Verify(idx int64, data []byte) bool {
+	f.st.mu.Lock()
+	defer f.st.mu.Unlock()
+	return f.verify(idx, data)
+}
+
+func (f *File) verify(idx int64, data []byte) bool {
+	b := f.blocks.Peek(idx)
+	if b == nil || !b.recorded || f.st.h.Sum(data) == b.sum {
 		return true
 	}
-	want, ok := m[idx]
-	if !ok || s.h.Sum(data) == want {
-		return true
-	}
-	s.mismatches++
-	q := s.quar[name]
-	if q == nil {
-		q = make(map[int64]*extent)
-		s.quar[name] = q
-	}
-	if _, held := q[idx]; !held {
-		q[idx] = &extent{}
-		s.quarantined++
+	f.st.mismatches++
+	if b.repaved == nil {
+		b.repaved = &extent{}
+		f.quar++
+		f.st.quarantined++
 	}
 	return false
+}
+
+// Repair is File.Repair for a block found by name.
+func (s *Store) Repair(name string, idx int64, dst []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.files[name]
+	return f != nil && f.repair(idx, dst)
 }
 
 // Repair attempts the ring repair path for a quarantined block: if a
@@ -223,35 +275,53 @@ func (s *Store) Verify(name string, idx int64, data []byte) bool {
 // dst (which must be the block's storage buffer), the quarantine cleared,
 // and true returned. Otherwise the block stays quarantined for the
 // scrubber / journal-replay path and false is returned.
-func (s *Store) Repair(name string, idx int64, dst []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairLocked(name, idx, dst)
+func (f *File) Repair(idx int64, dst []byte) bool {
+	f.st.mu.Lock()
+	defer f.st.mu.Unlock()
+	return f.repair(idx, dst)
 }
 
-func (s *Store) repairLocked(name string, idx int64, dst []byte) bool {
-	want, ok := s.sums[name][idx]
-	if !ok {
+func (f *File) repair(idx int64, dst []byte) bool {
+	s := f.st
+	b := f.blocks.Peek(idx)
+	if b == nil || !b.recorded {
 		return false
 	}
 	// Scan newest-first so a block rewritten while quarantined repairs
 	// from its latest image.
 	for off := 1; off <= len(s.ring); off++ {
 		r := &s.ring[(s.next-off+len(s.ring))%len(s.ring)]
-		if !r.live || r.name != name || r.idx != idx || r.sum != want {
-			continue
-		}
-		if len(r.data) != len(dst) {
+		if r.file != f || r.idx != idx || r.sum != b.sum || len(r.data) != len(dst) {
 			continue
 		}
 		copy(dst, r.data)
-		if q := s.quar[name]; q != nil {
-			delete(q, idx)
+		if b.repaved != nil {
+			b.repaved = nil
+			f.quar--
 		}
 		s.repairs++
 		return true
 	}
 	return false
+}
+
+// PreMerge is the gate a partially overwritten block passes before new
+// bytes merge into it: the bytes the write leaves alone must still match
+// the recorded checksum, or the overwrite would launder undetected
+// corruption into a freshly blessed block. A block already quarantined is
+// not verified again (its mismatch is already counted); either way a
+// mismatched block gets one ring repair attempt. It reports whether this
+// call detected a new mismatch and whether the block was repaired.
+func (f *File) PreMerge(idx int64, data []byte) (mismatch, repaired bool) {
+	f.st.mu.Lock()
+	defer f.st.mu.Unlock()
+	if b := f.blocks.Peek(idx); b != nil && b.repaved != nil {
+		return false, f.repair(idx, data)
+	}
+	if f.verify(idx, data) {
+		return false, false
+	}
+	return true, f.repair(idx, data)
 }
 
 // NoteUnrepairable counts a read that had to surface ErrDataIntegrity.
@@ -262,12 +332,11 @@ func (s *Store) NoteUnrepairable() {
 }
 
 // Forget drops all checksum and quarantine state for one file (the file
-// was removed; its ring images are left to age out naturally).
+// was removed; its ring images are left to age out naturally). A *File
+// obtained earlier for the name must not be used afterwards.
 func (s *Store) Forget(name string) {
 	s.mu.Lock()
-	delete(s.sums, name)
-	delete(s.quar, name)
-	delete(s.wrote, name)
+	delete(s.files, name)
 	s.mu.Unlock()
 }
 
@@ -275,8 +344,12 @@ func (s *Store) Forget(name string) {
 func (s *Store) Quarantined(name string, idx int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, held := s.quar[name][idx]
-	return held
+	f := s.files[name]
+	if f == nil {
+		return false
+	}
+	b := f.blocks.Peek(idx)
+	return b != nil && b.repaved != nil
 }
 
 // Backlog returns how many blocks are quarantined right now, optionally
@@ -286,12 +359,15 @@ func (s *Store) Quarantined(name string, idx int64) bool {
 func (s *Store) Backlog(prefix string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.backlogLocked(prefix)
+}
+
+func (s *Store) backlogLocked(prefix string) int {
 	n := 0
-	for name, q := range s.quar {
-		if prefix != "" && !hasPrefix(name, prefix) {
-			continue
+	for name, f := range s.files {
+		if strings.HasPrefix(name, prefix) {
+			n += f.quar
 		}
-		n += len(q)
 	}
 	return n
 }
@@ -309,16 +385,12 @@ type Stats struct {
 func (s *Store) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, q := range s.quar {
-		n += len(q)
-	}
 	return Stats{
 		Mismatches:  s.mismatches,
 		Quarantined: s.quarantined,
 		Repairs:     s.repairs,
 		Unrepaired:  s.unrepaired,
-		Backlog:     n,
+		Backlog:     s.backlogLocked(""),
 	}
 }
 
@@ -329,13 +401,15 @@ func (s *Store) quarList(prefix string) []blockRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []blockRef
-	for name, q := range s.quar {
-		if prefix != "" && !hasPrefix(name, prefix) {
+	for name, f := range s.files {
+		if f.quar == 0 || !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		for idx := range q {
-			out = append(out, blockRef{name, idx})
-		}
+		f.blocks.Each(func(idx int64, b *block) {
+			if b.repaved != nil {
+				out = append(out, blockRef{name, idx})
+			}
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
@@ -349,8 +423,4 @@ func (s *Store) quarList(prefix string) []blockRef {
 type blockRef struct {
 	name string
 	idx  int64
-}
-
-func hasPrefix(s, p string) bool {
-	return len(s) >= len(p) && s[:len(p)] == p
 }

@@ -185,6 +185,7 @@ func (f *File) Close() error {
 	}
 	f.closed = true
 	f.pfr = nil
+	f.client.Close()
 	f.proc.Barrier()
 	return nil
 }

@@ -90,6 +90,36 @@ func TestDoubleCloseFails(t *testing.T) {
 	})
 }
 
+// TestCloseReleasesClient: closing a file deregisters its pfs client, so a
+// job that reopens its files does not leave one page cache per open behind
+// in the file system; what the closed clients locked stays revocable.
+func TestCloseReleasesClient(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	fs := pfs.NewFileSystem(cfg)
+	start := fs.Clients()
+	w := mpi.NewWorld(2, cfg)
+	w.Run(func(p *mpi.Proc) {
+		for i := 0; i < 100; i++ {
+			f, err := Open(p, fs, "reopen.dat", Info{})
+			if err != nil {
+				t.Errorf("open %d: %v", i, err)
+				return
+			}
+			// Both ranks write the same page: each open revokes what the
+			// other rank's previous, closed client still holds.
+			if err := f.WriteStream([]datatype.Seg{{Off: int64(p.Rank()) * 64, Len: 64}}, make([]byte, 64), Naive); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			if err := f.Close(); err != nil {
+				t.Errorf("close %d: %v", i, err)
+			}
+		}
+	})
+	if got := fs.Clients(); got != start {
+		t.Fatalf("%d clients registered after 100 open/close rounds, want %d", got, start)
+	}
+}
+
 func TestResolveAccessDefaultView(t *testing.T) {
 	single(t, func(f *File, _ *pfs.FileSystem) {
 		segs := f.ResolveAccess(100)

@@ -1,5 +1,7 @@
 package pfs
 
+import "flexio/internal/pagetab"
+
 // pageCache tracks which (file, page) pairs a client holds locally, with
 // O(1) LRU eviction at a fixed capacity. Only presence matters: the
 // simulated file image is updated synchronously, so the cache influences
@@ -9,26 +11,27 @@ package pfs
 // free list, so steady-state churn (insert evicting the oldest entry)
 // recycles nodes instead of allocating: the collective write path touches
 // hundreds of pages per call, and per-page allocations here dominated the
-// whole datapath's allocation profile.
+// whole datapath's allocation profile. A page finds its node through a
+// page-indexed table per file id — an array index and a chunk cursor, with
+// no hashing of the file name.
 //
 // All methods are called with the owning FileSystem's mutex held.
 type pageCache struct {
 	cap   int
+	n     int // pages cached
 	nodes []cacheNode
 	free  []int32
 	head  int32 // most recently used, -1 when empty
 	tail  int32 // least recently used, -1 when empty
-	pages map[pageKey]int32
+	// index[file] maps a page of that file to its node index plus one
+	// (0 = not cached).
+	index []pagetab.Table[int32]
 }
 
 type cacheNode struct {
-	key        pageKey
+	file       int32
+	page       int64
 	prev, next int32
-}
-
-type pageKey struct {
-	name string
-	page int64
 }
 
 const nilNode = int32(-1)
@@ -37,12 +40,7 @@ func newPageCache(capacity int) *pageCache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &pageCache{
-		cap:   capacity,
-		head:  nilNode,
-		tail:  nilNode,
-		pages: make(map[pageKey]int32),
-	}
+	return &pageCache{cap: capacity, head: nilNode, tail: nilNode}
 }
 
 // unlink detaches node i from the LRU list.
@@ -74,40 +72,56 @@ func (pc *pageCache) pushFront(i int32) {
 	}
 }
 
-// has reports whether the page is cached, refreshing its recency.
-func (pc *pageCache) has(name string, page int64) bool {
-	i, ok := pc.pages[pageKey{name, page}]
-	if !ok {
-		return false
-	}
+// refresh makes an already linked node i the most recently used.
+func (pc *pageCache) refresh(i int32) {
 	if pc.head != i {
 		pc.unlink(i)
 		pc.pushFront(i)
 	}
+}
+
+// lookup returns the index slot of the page, nil when nothing near it was
+// ever cached.
+func (pc *pageCache) lookup(file int32, page int64) *int32 {
+	if int(file) >= len(pc.index) {
+		return nil
+	}
+	return pc.index[file].Peek(page)
+}
+
+// has reports whether the page is cached, refreshing its recency.
+func (pc *pageCache) has(file int32, page int64) bool {
+	p := pc.lookup(file, page)
+	if p == nil || *p == 0 {
+		return false
+	}
+	pc.refresh(*p - 1)
 	return true
 }
 
 // put inserts the page, evicting the least recently used entry if the
 // cache is full.
-func (pc *pageCache) put(name string, page int64) {
+func (pc *pageCache) put(file int32, page int64) {
 	if pc.cap == 0 {
 		return
 	}
-	k := pageKey{name, page}
-	if i, ok := pc.pages[k]; ok {
-		if pc.head != i {
-			pc.unlink(i)
-			pc.pushFront(i)
-		}
+	for int(file) >= len(pc.index) {
+		pc.index = append(pc.index, pagetab.Table[int32]{})
+	}
+	p := pc.index[file].Slot(page)
+	if *p != 0 {
+		pc.refresh(*p - 1)
 		return
 	}
 	var i int32
 	switch {
-	case len(pc.pages) >= pc.cap:
+	case pc.n >= pc.cap:
 		// Recycle the evicted node in place.
 		i = pc.tail
 		pc.unlink(i)
-		delete(pc.pages, pc.nodes[i].key)
+		old := &pc.nodes[i]
+		pc.index[old.file].Reset(old.page)
+		pc.n--
 	case len(pc.free) > 0:
 		i = pc.free[len(pc.free)-1]
 		pc.free = pc.free[:len(pc.free)-1]
@@ -115,20 +129,23 @@ func (pc *pageCache) put(name string, page int64) {
 		pc.nodes = append(pc.nodes, cacheNode{})
 		i = int32(len(pc.nodes) - 1)
 	}
-	pc.nodes[i].key = k
+	pc.nodes[i].file, pc.nodes[i].page = file, page
 	pc.pushFront(i)
-	pc.pages[k] = i
+	*p = i + 1
+	pc.n++
 }
 
 // drop removes a page (lock revocation).
-func (pc *pageCache) drop(name string, page int64) {
-	k := pageKey{name, page}
-	if i, ok := pc.pages[k]; ok {
-		pc.unlink(i)
-		pc.nodes[i].key = pageKey{}
-		pc.free = append(pc.free, i)
-		delete(pc.pages, k)
+func (pc *pageCache) drop(file int32, page int64) {
+	p := pc.lookup(file, page)
+	if p == nil || *p == 0 {
+		return
 	}
+	i := *p - 1
+	pc.unlink(i)
+	pc.free = append(pc.free, i)
+	*p = 0
+	pc.n--
 }
 
 // reset clears the cache, keeping the node slab for reuse.
@@ -136,8 +153,9 @@ func (pc *pageCache) reset() {
 	pc.nodes = pc.nodes[:0]
 	pc.free = pc.free[:0]
 	pc.head, pc.tail = nilNode, nilNode
-	clear(pc.pages)
+	pc.n = 0
+	clear(pc.index)
 }
 
 // size reports the number of cached pages (for tests).
-func (pc *pageCache) size() int { return len(pc.pages) }
+func (pc *pageCache) size() int { return pc.n }

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"flexio/internal/bufpool"
+	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
 )
 
@@ -174,7 +177,7 @@ func TestScrubberRepairsQuarantineInPlace(t *testing.T) {
 	// Quarantine via the store directly (as a failed read would), then let
 	// the scrubber — not a read — repair it.
 	st := fs.IntegrityStore()
-	if st.Verify("t0/f", 0, fs.files["t0/f"].pages[0]) {
+	if st.Verify("t0/f", 0, fs.files["t0/f"].page(0)) {
 		t.Fatal("flip not detected")
 	}
 	sc := fs.Scrubber(4)
@@ -221,5 +224,142 @@ func TestRMWVerifyCatchesUndetectedCorruption(t *testing.T) {
 	st := fs.IntegrityStats()
 	if st.Mismatches != 1 || st.Repairs != 1 {
 		t.Fatalf("stats = %+v, want the write-time verify to detect and repair", st)
+	}
+}
+
+// flipStored flips one bit of the stored image behind the datapath's back,
+// as a media fault long after the write would.
+func flipStored(fs *FileSystem, name string, off int64) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	ps := fs.cfg.PageSize
+	fs.files[name].page(off / ps)[off%ps] ^= 0x04
+}
+
+// TestSievePrefetchVerifiesWithoutCopying: the RMW prefetch of a sieve
+// window delivers no bytes, but it still verifies every recorded page of the
+// span. A bit flipped in a gap byte — one the window's pieces never touch —
+// is caught there, counted, quarantined and ring-repaired before the pieces
+// merge.
+func TestSievePrefetchVerifiesWithoutCopying(t *testing.T) {
+	fs, cfg := newIntegFS(64)
+	ps := cfg.PageSize
+	mets := metrics.NewSet(1)
+	c := fs.NewClient(nil)
+	c.SetMetrics(mets.Registry(0))
+	h := c.Open("f")
+	base := bytes.Repeat([]byte{0xAB}, int(2*ps))
+	if _, err := h.WriteAt(0, base, 0); err != nil {
+		t.Fatal(err)
+	}
+	flipStored(fs, "f", 3000) // between the pieces below
+	span := datatype.Seg{Off: 0, Len: 2 * ps}
+	segs := []datatype.Seg{{Off: 0, Len: 256}, {Off: 512, Len: 256}, {Off: ps + 100, Len: 50}}
+	patch := bytes.Repeat([]byte{0x5A}, 562)
+	gets := bufpool.Snapshot().Gets
+	if _, err := h.SieveWrite(span, segs, patch, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := bufpool.Snapshot().Gets; got != gets {
+		t.Errorf("the prefetch took %d buffer(s) from the pool, want none", got-gets)
+	}
+	st := fs.IntegrityStats()
+	if st.Mismatches != 1 || st.Quarantined != 1 || st.Repairs != 1 || st.Backlog != 0 {
+		t.Fatalf("stats = %+v, want one mismatch, quarantined once, ring-repaired", st)
+	}
+	reg := mets.Registry(0)
+	if reg.Counter(metrics.CIntegAtRestMismatch) != 1 || reg.Counter(metrics.CIntegRepaired) != 1 {
+		t.Errorf("rank metrics: mismatches %d, repaired %d, want 1 and 1",
+			reg.Counter(metrics.CIntegAtRestMismatch), reg.Counter(metrics.CIntegRepaired))
+	}
+	want := append([]byte{}, base...)
+	pos := 0
+	for _, s := range segs {
+		pos += copy(want[s.Off:s.End()], patch[pos:])
+	}
+	if got := fs.Snapshot("f", 2*ps); !bytes.Equal(got, want) {
+		t.Fatal("stored image is not pieces over the repaired page")
+	}
+	buf := make([]byte, 2*ps)
+	if _, err := h.ReadAt(0, buf, 0); err != nil || !bytes.Equal(buf, want) {
+		t.Fatalf("read back after the window: err %v", err)
+	}
+}
+
+// TestSieveWindowOverUnrepairablePage: when the ring no longer holds the
+// flipped page, the prefetch leaves it quarantined, the window still lands,
+// the page its pieces only partly repave stays poisoned, and a quarantined
+// page the pieces repave whole heals.
+func TestSieveWindowOverUnrepairablePage(t *testing.T) {
+	fs, cfg := newIntegFS(1)
+	ps := cfg.PageSize
+	h := fs.NewClient(nil).Open("f")
+	if _, err := h.WriteAt(0, bytes.Repeat([]byte{0x11}, int(3*ps)), 0); err != nil {
+		t.Fatal(err)
+	}
+	// The one-slot ring now holds page 2 only.
+	flipStored(fs, "f", 3000)
+	flipStored(fs, "f", ps+3000)
+	buf := make([]byte, ps)
+	if _, err := h.ReadAt(ps, buf, 0); !errors.Is(err, ErrDataIntegrity) {
+		t.Fatalf("read of the flipped page 1: %v, want ErrDataIntegrity", err)
+	}
+	span := datatype.Seg{Off: 0, Len: 3 * ps}
+	segs := []datatype.Seg{
+		{Off: 0, Len: 256}, {Off: 512, Len: 256}, // page 0 in part
+		{Off: ps, Len: 1000}, {Off: ps + 1000, Len: ps - 1000}, // page 1 whole, in two pieces
+		{Off: 2*ps + 64, Len: 64}, // page 2 in part
+	}
+	patch := bytes.Repeat([]byte{0x77}, int(segBytes(segs)))
+	if _, err := h.SieveWrite(span, segs, patch, 0); err != nil {
+		t.Fatalf("window over a quarantined page must still land: %v", err)
+	}
+	st := fs.IntegrityStats()
+	if st.Backlog != 1 || !fs.IntegrityStore().Quarantined("f", 0) {
+		t.Fatalf("stats = %+v, want page 0 alone still quarantined", st)
+	}
+	if _, err := h.ReadAt(0, buf, 0); !errors.Is(err, ErrDataIntegrity) {
+		t.Fatalf("partly repaved page 0 was blessed: %v", err)
+	}
+	if _, err := h.ReadAt(ps, buf, 0); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{0x77}, int(ps))) {
+		t.Fatalf("fully repaved page 1 did not heal: %v", err)
+	}
+	if _, err := h.ReadAt(2*ps, buf, 0); err != nil {
+		t.Fatalf("page 2: %v", err)
+	}
+}
+
+// TestSieveWindowRetainsOneImagePerPage: a window that lands five or six
+// pieces in each of 256 pages leaves 256 distinct images in the 256-slot ring — one
+// per page, not one per piece — so every page of the window can be repaired
+// afterwards.
+func TestSieveWindowRetainsOneImagePerPage(t *testing.T) {
+	const pages = 256
+	fs, cfg := newIntegFS(pages)
+	ps := cfg.PageSize
+	h := fs.NewClient(nil).Open("f")
+	// 800 does not divide the page size, so pieces straddle pages too.
+	w := strided(100, 800, 300, int((pages*ps-400)/800)+1)
+	w.span = datatype.Seg{Off: 0, Len: pages * ps}
+	data := make([]byte, segBytes(w.segs))
+	for i := range data {
+		data[i] = byte(i*7 + i>>9)
+	}
+	if _, err := h.SieveWrite(w.span, w.segs, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := fs.Snapshot("f", pages*ps)
+	for pi := int64(0); pi < pages; pi++ {
+		flipStored(fs, "f", pi*ps+int64(pi*13)%ps)
+	}
+	got := make([]byte, pages*ps)
+	if _, err := h.ReadAt(0, got, 0); err != nil {
+		t.Fatalf("a page of the window could not be repaired from the ring: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("repaired window differs from what was written")
+	}
+	if st := fs.IntegrityStats(); st.Mismatches != pages || st.Repairs != pages || st.Backlog != 0 {
+		t.Fatalf("stats = %+v, want %d mismatches all repaired", st, pages)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"flexio/internal/datatype"
 	"flexio/internal/integrity"
 	"flexio/internal/metrics"
+	"flexio/internal/pagetab"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
@@ -50,6 +51,7 @@ type FileSystem struct {
 	mu      sync.Mutex
 	cfg     *sim.Config
 	files   map[string]*fileData
+	fileIDs map[string]int32 // every name ever opened -> its id; see fileData.id
 	osts    []ostState
 	nextID  int
 	clients map[int]*Client
@@ -65,7 +67,16 @@ type FileSystem struct {
 type ostState struct {
 	busyUntil sim.Time           // latest completion handed out (diagnostics)
 	buckets   map[int64]sim.Time // service time binned by virtual arrival time
-	lastEnd   map[string]int64   // per-file last served end offset, for seek detection
+	lastEnd   []int64            // by file id: last served end offset, for seek detection
+}
+
+// head returns where the OST stopped in the file (0 before it first served
+// it).
+func (o *ostState) head(file int32) *int64 {
+	for int(file) >= len(o.lastEnd) {
+		o.lastEnd = append(o.lastEnd, 0)
+	}
+	return &o.lastEnd[file]
 }
 
 // The OST queueing model must be independent of the wall-clock order in
@@ -118,17 +129,36 @@ func (o *ostState) serve(t, svc sim.Time) sim.Time {
 }
 
 type fileData struct {
-	name  string
-	pages map[int64][]byte // page index -> page content
-	size  int64
-	// lockOwner maps a page index to the client id holding its exclusive
-	// lock; absent means unlocked.
-	lockOwner map[int64]int
-	// stripeWriter maps a stripe index to the last client that wrote
-	// into it; a different writer pays a server-side extent-lock
-	// transfer (StripeLockCost) and invalidates the previous writer's
-	// cached pages in the stripe.
-	stripeWriter map[int64]int
+	name string
+	// id indexes this file in the per-file tables kept outside it (client
+	// page caches, OST head positions), so the per-page paths never hash
+	// the name. An id belongs to the name for the life of the file system:
+	// a name removed and created again gets its old id back, and what
+	// clients still cache under it survives exactly as it did when those
+	// tables were keyed by name.
+	id   int32
+	size int64
+	// pages holds, by page index, the page's content and its lock.
+	pages pagetab.Table[pageSlot]
+	// stripeWriter holds, by stripe index, the id of the last client that
+	// wrote into the stripe (0 = nobody yet); a different writer pays a
+	// server-side extent-lock transfer (StripeLockCost) and invalidates
+	// the previous writer's cached pages in the stripe.
+	stripeWriter pagetab.Table[int]
+}
+
+// pageSlot is one page of a file.
+type pageSlot struct {
+	data  []byte // nil = hole (never written)
+	owner int    // client id holding the exclusive lock, 0 = unlocked
+}
+
+// page returns the content of page pi, nil for a hole.
+func (f *fileData) page(pi int64) []byte {
+	if s := f.pages.Peek(pi); s != nil {
+		return s.data
+	}
+	return nil
 }
 
 // NewFileSystem creates an empty file system with cfg.StripeCount OSTs.
@@ -139,11 +169,9 @@ func NewFileSystem(cfg *sim.Config) *FileSystem {
 	fs := &FileSystem{
 		cfg:     cfg,
 		files:   make(map[string]*fileData),
+		fileIDs: make(map[string]int32),
 		osts:    make([]ostState, cfg.StripeCount),
 		clients: make(map[int]*Client),
-	}
-	for i := range fs.osts {
-		fs.osts[i].lastEnd = make(map[string]int64)
 	}
 	return fs
 }
@@ -235,7 +263,7 @@ func (fs *FileSystem) Scrubber(perTick int) *integrity.Scrubber {
 		if f == nil {
 			return false
 		}
-		page := f.pages[idx]
+		page := f.page(idx)
 		if page == nil {
 			return false
 		}
@@ -270,12 +298,12 @@ func (fs *FileSystem) Config() *sim.Config { return fs.cfg }
 func (fs *FileSystem) file(name string) *fileData {
 	f := fs.files[name]
 	if f == nil {
-		f = &fileData{
-			name:         name,
-			pages:        make(map[int64][]byte),
-			lockOwner:    make(map[int64]int),
-			stripeWriter: make(map[int64]int),
+		id, seen := fs.fileIDs[name]
+		if !seen {
+			id = int32(len(fs.fileIDs))
+			fs.fileIDs[name] = id
 		}
+		f = &fileData{name: name, id: id}
 		fs.files[name] = f
 	}
 	return f
@@ -286,10 +314,12 @@ func (fs *FileSystem) file(name string) *fileData {
 func (fs *FileSystem) Remove(name string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.files, name)
-	for i := range fs.osts {
-		delete(fs.osts[i].lastEnd, name)
+	if f := fs.files[name]; f != nil {
+		for i := range fs.osts {
+			*fs.osts[i].head(f.id) = 0
+		}
 	}
+	delete(fs.files, name)
 	if fs.isums != nil {
 		fs.isums.Forget(name)
 	}
@@ -303,11 +333,11 @@ func (fs *FileSystem) ResetTiming() {
 	for i := range fs.osts {
 		fs.osts[i].busyUntil = 0
 		fs.osts[i].buckets = nil
-		fs.osts[i].lastEnd = make(map[string]int64)
+		clear(fs.osts[i].lastEnd)
 	}
 	for _, f := range fs.files {
-		f.lockOwner = make(map[int64]int)
-		f.stripeWriter = make(map[int64]int)
+		f.pages.Each(func(_ int64, s *pageSlot) { s.owner = 0 })
+		f.stripeWriter.Clear()
 	}
 	for _, c := range fs.clients {
 		c.cache.reset()
@@ -323,20 +353,20 @@ func (c *Client) stripeConflicts(f *fileData, s datatype.Seg, now sim.Time) sim.
 	pagesPerStripe := ss / fs.cfg.PageSize
 	var cost sim.Time
 	for st := s.Off / ss; st <= (s.End()-1)/ss; st++ {
-		prev, ok := f.stripeWriter[st]
-		if ok && prev != c.id {
+		writer := f.stripeWriter.Slot(st)
+		if prev := *writer; prev != 0 && prev != c.id {
 			cost += fs.cfg.StripeLockCost
 			c.rec.Add(stats.CStripeConflicts, 1)
 			c.met.Inc(metrics.CStripeConflicts)
-			c.tr.Instant(now, "stripe_conflict",
+			c.tr.Instant2(now, "stripe_conflict",
 				trace.I("stripe", st), trace.I("prev", int64(prev)))
 			if holder := fs.clients[prev]; holder != nil {
 				for pi := st * pagesPerStripe; pi < (st+1)*pagesPerStripe; pi++ {
-					holder.cache.drop(f.name, pi)
+					holder.cache.drop(f.id, pi)
 				}
 			}
 		}
-		f.stripeWriter[st] = c.id
+		*writer = c.id
 	}
 	return cost
 }
@@ -349,7 +379,7 @@ func (fs *FileSystem) ResetTimingKeepLocks() {
 	for i := range fs.osts {
 		fs.osts[i].busyUntil = 0
 		fs.osts[i].buckets = nil
-		fs.osts[i].lastEnd = make(map[string]int64)
+		clear(fs.osts[i].lastEnd)
 	}
 }
 
@@ -374,13 +404,11 @@ func (fs *FileSystem) Snapshot(name string, n int64) []byte {
 		return out
 	}
 	ps := fs.cfg.PageSize
-	for pi, page := range f.pages {
-		base := pi * ps
-		if base >= n {
-			continue
+	f.pages.Each(func(pi int64, s *pageSlot) {
+		if base := pi * ps; base < n {
+			copy(out[base:], s.data)
 		}
-		copy(out[base:], page)
-	}
+	})
 	return out
 }
 
@@ -404,12 +432,16 @@ type Client struct {
 	// round is the collective two-phase round tag stamped on ops (-1
 	// outside a collective); set by the MPI-IO layer.
 	round int
-	// lockRanges, portions and rmwSpan are per-request scratch (a client
-	// serves one rank goroutine, and all are consumed before the request
-	// returns).
+	// lockRanges, portions, rmwSpan, runs and sums are per-request scratch
+	// (a client serves one rank goroutine, and all are consumed before the
+	// request returns). sums is the integrity store's state for the file
+	// of the request in flight, looked up by name once per request; nil
+	// when integrity is off.
 	lockRanges []pageRange
 	portions   []stripePortion
 	rmwSpan    [1]datatype.Seg
+	runs       []integrity.Span
+	sums       *integrity.File
 }
 
 // pageRange is an inclusive page-index range of one request segment.
@@ -433,6 +465,25 @@ func (fs *FileSystem) NewClient(rec *stats.Recorder) *Client {
 
 // ID returns the client's unique id.
 func (c *Client) ID() int { return c.id }
+
+// Close deregisters the client, releasing its page cache; the client must
+// issue no further I/O. Page locks and stripe ownership it holds stay where
+// they are: the next client to need them pays the same revocation it would
+// have paid a live holder, there is just no cache left to invalidate.
+func (c *Client) Close() {
+	c.fs.mu.Lock()
+	delete(c.fs.clients, c.id)
+	c.fs.mu.Unlock()
+}
+
+// beginRequest resolves the per-request scratch that depends on the file.
+// Called with fs.mu held, before the request touches any page.
+func (c *Client) beginRequest(f *fileData) {
+	c.sums = nil
+	if st := c.fs.isums; st != nil {
+		c.sums = st.File(f.name)
+	}
+}
 
 // SetTracer attaches the owning rank's tracer (nil disables tracing).
 func (c *Client) SetTracer(t *trace.Tracer) { c.tr = t }
@@ -486,7 +537,10 @@ func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Ti
 }
 
 // access is the single entry point for all I/O: it validates, applies fault
-// injection, moves bytes, and computes the completion time.
+// injection, moves bytes, and computes the completion time. A read with a
+// nil rbuf is a timing-only access: it takes the locks, verifies the pages,
+// fills the page cache and charges the OSTs like any read of segs, but
+// delivers no bytes (the sieve RMW prefetch, whose data nobody looks at).
 func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []byte, rbuf []byte, sieve bool, now sim.Time) (sim.Time, error) {
 	var total int64
 	for _, s := range segs {
@@ -498,7 +552,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 	if kind == "write" && total != int64(len(wdata)) {
 		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, len(wdata))
 	}
-	if kind == "read" && total != int64(len(rbuf)) {
+	if kind == "read" && rbuf != nil && total != int64(len(rbuf)) {
 		return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", f.name, total, len(rbuf))
 	}
 	if total == 0 {
@@ -532,7 +586,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 			segs, _ = datatype.SplitSegs(segs, w)
 			if kind == "write" {
 				wdata = wdata[:w]
-			} else {
+			} else if rbuf != nil {
 				rbuf = rbuf[:w]
 			}
 			total = w
@@ -544,6 +598,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	c.beginRequest(f)
 
 	// One call overhead for the whole (possibly list) request. Guarded:
 	// four tags would allocate per call even with tracing off.
@@ -570,8 +625,12 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 		if kind == "write" {
 			segDone = c.writeSeg(f, s, wdata[pos:pos+s.Len], t)
 		} else {
+			var dst []byte
+			if rbuf != nil {
+				dst = rbuf[pos : pos+s.Len]
+			}
 			var rerr error
-			segDone, rerr = c.readSeg(f, s, rbuf[pos:pos+s.Len], t)
+			segDone, rerr = c.readSeg(f, s, dst, t)
 			if rerr != nil {
 				// An unrepairable block poisons the whole request: the
 				// caller must not trust any byte of the buffer.
@@ -601,8 +660,10 @@ func (c *Client) noteFault(now sim.Time, kind string, cl Class, written, off int
 	if s := c.fs.Schedule(); s != nil {
 		s.noteOSTError(c.fs.ostOf(off))
 	}
-	c.tr.Instant(now, "fault", trace.S("kind", kind),
-		trace.S("class", cl.String()), trace.I("written", written), trace.I("seq", c.seq))
+	if c.tr != nil {
+		c.tr.Instant(now, "fault", trace.S("kind", kind),
+			trace.S("class", cl.String()), trace.I("written", written), trace.I("seq", c.seq))
+	}
 }
 
 // degradeSvc applies any active brownout to one request's OST service time.
@@ -653,50 +714,55 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 	lastPage := int64(-2) // avoid double-charging overlapping segment pages
 	inGrantRun := false
 	lastRevokedOwner := 0
-	grants := int64(0)
+	var grants, hits, flushes int64
 	for _, r := range ranges {
 		lo := r.lo
 		if lo <= lastPage {
 			lo = lastPage + 1
 		}
 		for pi := lo; pi <= r.hi; pi++ {
-			owner, held := f.lockOwner[pi]
+			// A write takes the lock, so it needs the slot; a read only
+			// looks, and must not grow the table over holes.
+			var slot *pageSlot
+			if write {
+				slot = f.pages.Slot(pi)
+			} else {
+				slot = f.pages.Peek(pi)
+			}
+			owner := 0
+			if slot != nil {
+				owner = slot.owner
+			}
 			switch {
-			case held && owner == c.id:
-				c.rec.Add(stats.CCacheHits, 1)
+			case owner == c.id:
+				hits++
 				inGrantRun = false
-			case held: // conflicting owner: revoke (callback + holder flush)
+			case owner != 0: // conflicting owner: revoke (callback + holder flush)
 				if owner != lastRevokedOwner || !inGrantRun {
 					cost += fs.cfg.LockRevokeCost
 					c.rec.Add(stats.CLockRevokes, 1)
 					c.met.Inc(metrics.CLockRevokes)
-					c.tr.Instant(now, "lock_revoke",
+					c.tr.Instant2(now, "lock_revoke",
 						trace.I("page", pi), trace.I("owner", int64(owner)))
 					lastRevokedOwner = owner
 				}
-				fs.evictClientPage(owner, f.name, pi)
-				c.rec.Add(stats.CCacheFlushes, 1)
-				c.met.Inc(metrics.CCacheFlushes)
+				fs.evictClientPage(owner, f.id, pi)
+				flushes++
+				slot.owner = 0
 				if write {
-					f.lockOwner[pi] = c.id
-				} else {
-					delete(f.lockOwner, pi)
+					slot.owner = c.id
 				}
 				if !inGrantRun {
 					cost += fs.cfg.LockGrantCost
-					c.rec.Add(stats.CLockGrants, 1)
-					c.met.Inc(metrics.CLockGrants)
 					grants++
 					inGrantRun = true
 				}
 			default: // unlocked
 				if write {
-					f.lockOwner[pi] = c.id
+					slot.owner = c.id
 				}
 				if !inGrantRun {
 					cost += fs.cfg.LockGrantCost
-					c.rec.Add(stats.CLockGrants, 1)
-					c.met.Inc(metrics.CLockGrants)
 					grants++
 					inGrantRun = true
 				}
@@ -704,6 +770,19 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 			lastPage = pi
 		}
 		inGrantRun = false // discontiguous request parts are separate extents
+	}
+	// One update per counter per request; a counter the request did not move
+	// is not touched, so the recorder lists the same keys as ever.
+	if hits > 0 {
+		c.rec.Add(stats.CCacheHits, hits)
+	}
+	if flushes > 0 {
+		c.rec.Add(stats.CCacheFlushes, flushes)
+		c.met.Add(metrics.CCacheFlushes, flushes)
+	}
+	if grants > 0 {
+		c.rec.Add(stats.CLockGrants, grants)
+		c.met.Add(metrics.CLockGrants, grants)
 	}
 	// A lock-revoke storm makes every grant pay extra revocation
 	// round-trips (a competing job churning the lock manager).
@@ -713,7 +792,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 			cost += sim.Time(float64(n)) * fs.cfg.LockRevokeCost
 			c.rec.Add(stats.CStormRevokes, n)
 			fs.sched.noteStormRevokes(fs.ostOf(segs[0].Off), n)
-			c.tr.Instant(now, "revoke_storm", trace.I("revokes", n))
+			c.tr.Instant1(now, "revoke_storm", trace.I("revokes", n))
 		}
 	}
 	return cost
@@ -723,9 +802,9 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 // lock, so a later access by that client pays the server again (the flush
 // time itself is charged to the revoker as part of LockRevokeCost).
 // Callers hold fs.mu, which also guards all cache contents.
-func (fs *FileSystem) evictClientPage(clientID int, name string, page int64) {
+func (fs *FileSystem) evictClientPage(clientID int, file int32, page int64) {
 	if holder := fs.clients[clientID]; holder != nil {
-		holder.cache.drop(name, page)
+		holder.cache.drop(file, page)
 	}
 }
 
@@ -742,24 +821,26 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) 
 	var rmwPages int64
 	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
 	if s.Off%ps != 0 || (firstPage == lastPage && s.End()%ps != 0) {
-		if !c.cache.has(f.name, firstPage) {
+		if !c.cache.has(f.id, firstPage) {
 			rmwPages++
 		}
 	}
 	if lastPage != firstPage && s.End()%ps != 0 {
-		if !c.cache.has(f.name, lastPage) {
+		if !c.cache.has(f.id, lastPage) {
 			rmwPages++
 		}
 	}
 	c.rec.Add(stats.CRMWPages, rmwPages)
 	c.met.Add(metrics.CRMWPages, rmwPages)
+	var rmwSvc sim.Time
 	if rmwPages > 0 {
-		c.tr.Instant(t, "rmw", trace.I("pages", rmwPages))
+		c.tr.Instant1(t, "rmw", trace.I("pages", rmwPages))
+		rmwSvc = sim.Time(fs.cfg.RMWPenalty*float64(rmwPages)) * fs.cfg.ServerTransferTime(ps)
 	}
 
 	// The written pages are now cached at this client.
 	for pi := firstPage; pi <= lastPage; pi++ {
-		c.cache.put(f.name, pi)
+		c.cache.put(f.id, pi)
 	}
 
 	c.integrityPreMerge(f, s, t)
@@ -769,27 +850,35 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) 
 
 	integSvc := c.integrityCommit(f, s, t)
 
-	// OST service, striped.
+	return c.serve(f, s, t, 1, rmwSvc, conflictSvc, integSvc)
+}
+
+// serve charges one contiguous segment to the OSTs it is striped over and
+// returns when the last portion is done. frac scales every portion's
+// transfer (the share of a read that the client cache did not absorb; 1 for
+// writes). rmwSvc, conflictSvc and integSvc are one-off service times — the
+// extra page reads of a read-modify-write, extent-lock transfers (they
+// occupy the server, not just the client) and the checksum pass — folded
+// into the first portion, in that order. Called with fs.mu held.
+func (c *Client) serve(f *fileData, s datatype.Seg, t sim.Time, frac float64, rmwSvc, conflictSvc, integSvc sim.Time) sim.Time {
+	fs := c.fs
 	done := t
 	c.portions = fs.stripePortions(s, c.portions[:0])
-	for _, p := range c.portions {
+	for i, p := range c.portions {
 		ost := &fs.osts[p.ost]
-		svc := fs.cfg.ServerTransferTime(p.seg.Len)
-		if ost.lastEnd[f.name] != p.seg.Off {
+		head := ost.head(f.id)
+		svc := sim.Time(frac) * fs.cfg.ServerTransferTime(p.seg.Len)
+		if *head != p.seg.Off {
 			svc += fs.cfg.SeekCost
 		}
-		if rmwPages > 0 {
-			// Charge the extra page reads on the first portion only.
-			svc += sim.Time(fs.cfg.RMWPenalty*float64(rmwPages)) * fs.cfg.ServerTransferTime(ps)
-			rmwPages = 0
+		if i == 0 {
+			svc += rmwSvc
+			svc += conflictSvc
+			svc += integSvc
 		}
-		svc += conflictSvc
-		conflictSvc = 0
-		svc += integSvc // checksum pass over the touched pages
-		integSvc = 0
 		svc = c.degradeSvc(p.ost, t, svc)
 		end := ost.serve(t, svc)
-		ost.lastEnd[f.name] = p.seg.End()
+		*head = p.seg.End()
 		c.rec.AddTime(stats.PServe, svc)
 		c.met.ObservePhase(stats.PServe, svc)
 		if end > done {
@@ -809,31 +898,38 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) 
 // the block poisoned until a full rewrite heals it. Called with fs.mu
 // held, before the segment's writeBytes.
 func (c *Client) integrityPreMerge(f *fileData, s datatype.Seg, t sim.Time) {
-	fs := c.fs
-	st := fs.isums
-	if st == nil {
+	if c.sums == nil {
 		return
 	}
-	ps := fs.cfg.PageSize
+	ps := c.fs.cfg.PageSize
 	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
 	for pi := firstPage; pi <= lastPage; pi++ {
-		page := f.pages[pi]
-		if page == nil {
-			continue
-		}
 		if full := pi*ps >= s.Off && (pi+1)*ps <= s.End(); full {
 			continue // fully rewritten below: old content is irrelevant
 		}
-		if st.Quarantined(f.name, pi) {
-			st.Repair(f.name, pi, page)
-			continue
-		}
-		if !st.Verify(f.name, pi, page) {
-			repaired := st.Repair(f.name, pi, page)
-			c.met.NoteAtRestIntegrity(true, repaired)
-			c.tr.Instant(t, "integrity_mismatch", trace.I("page", pi),
-				trace.S("repaired", fmt.Sprintf("%v", repaired)))
-		}
+		c.preMergePage(f, pi, t)
+	}
+}
+
+// preMergePage passes one partially overwritten page through the store's
+// pre-merge gate. Holes have nothing recorded and nothing to launder.
+func (c *Client) preMergePage(f *fileData, pi int64, t sim.Time) {
+	page := f.page(pi)
+	if page == nil {
+		return
+	}
+	if mismatch, repaired := c.sums.PreMerge(pi, page); mismatch {
+		c.noteMismatch(pi, repaired, t)
+	}
+}
+
+// noteMismatch reports one at-rest checksum failure on the owning rank's
+// metrics and trace.
+func (c *Client) noteMismatch(pi int64, repaired bool, t sim.Time) {
+	c.met.NoteAtRestIntegrity(true, repaired)
+	if c.tr != nil {
+		c.tr.Instant2(t, "integrity_mismatch", trace.I("page", pi),
+			trace.S("repaired", fmt.Sprintf("%v", repaired)))
 	}
 }
 
@@ -849,15 +945,39 @@ func (c *Client) integrityCommit(f *fileData, s datatype.Seg, t sim.Time) sim.Ti
 	ps := fs.cfg.PageSize
 	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
 	var integSvc sim.Time
-	if st := fs.isums; st != nil {
+	if c.sums != nil {
 		for pi := firstPage; pi <= lastPage; pi++ {
 			pstart := pi * ps
-			st.Record(f.name, pi, f.pages[pi], s.Off-pstart, s.End()-pstart)
+			c.runs = append(c.runs[:0], integrity.Span{Off: s.Off - pstart, End: s.End() - pstart})
+			c.sums.Record(pi, f.page(pi), c.runs)
 		}
 		integSvc = fs.cfg.ChecksumTime((lastPage - firstPage + 1) * ps)
 	}
 	c.injectFlip(f, s, t)
 	return integSvc
+}
+
+// landedRuns collects into c.runs the byte ranges, relative to the page
+// [pstart,pend), that the segments from segs[si] on land in it — abutting
+// pieces merged, everything clipped to the page — and returns the index of
+// the first segment reaching into or past the page, where the next page's
+// search resumes. segs must be sorted ascending and non-overlapping (the
+// sieve contract). No runs means no segment lands in the page; the single
+// run [0,pend-pstart) means the window repaves it whole.
+func (c *Client) landedRuns(segs []datatype.Seg, si int, pstart, pend int64) int {
+	c.runs = c.runs[:0]
+	for si < len(segs) && segs[si].End() <= pstart {
+		si++
+	}
+	for k := si; k < len(segs) && segs[k].Off < pend; k++ {
+		off, end := max(segs[k].Off, pstart)-pstart, min(segs[k].End(), pend)-pstart
+		if n := len(c.runs); n > 0 && c.runs[n-1].End >= off {
+			c.runs[n-1].End = end
+		} else {
+			c.runs = append(c.runs, integrity.Span{Off: off, End: end})
+		}
+	}
+	return si
 }
 
 // integrityPreMergeSpan is integrityPreMerge for a whole sieve window: it
@@ -867,96 +987,53 @@ func (c *Client) integrityCommit(f *fileData, s datatype.Seg, t sim.Time) sim.Ti
 // and a per-segment verify would misread that as corruption and "repair"
 // the just-written bytes away. Pages fully repaved by the union of the
 // segments skip the check (their old content is irrelevant); pages the
-// window never touches keep their sums untouched. segs must be sorted
-// ascending and non-overlapping. Called with fs.mu held, before the
-// scatter.
+// window never touches keep their sums untouched. Called with fs.mu held,
+// before the scatter.
 func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, t sim.Time) {
-	fs := c.fs
-	st := fs.isums
-	if st == nil {
+	if c.sums == nil {
 		return
 	}
-	ps := fs.cfg.PageSize
+	ps := c.fs.cfg.PageSize
 	si := 0
 	for pi := span.Off / ps; pi <= (span.End()-1)/ps; pi++ {
-		pstart, pend := pi*ps, (pi+1)*ps
-		for si < len(segs) && segs[si].End() <= pstart {
-			si++
-		}
-		if si >= len(segs) || segs[si].Off >= pend {
+		si = c.landedRuns(segs, si, pi*ps, (pi+1)*ps)
+		if len(c.runs) == 0 {
 			continue // no segment lands in this page
 		}
-		page := f.pages[pi]
-		if page == nil {
-			continue
-		}
-		full := false
-		if segs[si].Off <= pstart {
-			cover := segs[si].End()
-			for k := si + 1; cover < pend && k < len(segs) && segs[k].Off <= cover; k++ {
-				cover = segs[k].End()
-			}
-			full = cover >= pend
-		}
-		if full {
+		if c.runs[0] == (integrity.Span{Off: 0, End: ps}) {
 			continue // fully repaved below: old content is irrelevant
 		}
-		if st.Quarantined(f.name, pi) {
-			st.Repair(f.name, pi, page)
-			continue
-		}
-		if !st.Verify(f.name, pi, page) {
-			repaired := st.Repair(f.name, pi, page)
-			c.met.NoteAtRestIntegrity(true, repaired)
-			c.tr.Instant(t, "integrity_mismatch", trace.I("page", pi),
-				trace.S("repaired", fmt.Sprintf("%v", repaired)))
-		}
+		c.preMergePage(f, pi, t)
 	}
 }
 
-// integrityRecordSpan records checksums over the pages a sieve window
-// touched, with "fully rewritten" judged against the union of the
-// window's segments rather than any one of them: sub-page shuffle pieces
-// that collectively repave a page must clear its quarantine exactly like
-// one contiguous write would. Pages inside the span that no segment
-// touched are left unrecorded — re-blessing bytes nobody wrote would
-// launder undetected gap corruption. segs must be sorted ascending and
-// non-overlapping (the sieve contract). Returns the checksum pass's
-// service time. Called with fs.mu held, after the scatter.
-func (c *Client) integrityRecordSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, t sim.Time) sim.Time {
-	fs := c.fs
-	st := fs.isums
-	if st == nil {
+// integrityRecordSpan records a checksum over every page a sieve window
+// touched — once per page: all the runs the window landed in the page go
+// to the store together, which folds them into the page's written (and,
+// under quarantine, repaved) extent and then hashes and retains the page
+// a single time, as the model charges it. "Fully rewritten" is thereby
+// judged against the union of the window's segments rather than any one of
+// them: sub-page shuffle pieces that collectively repave a page must clear
+// its quarantine exactly like one contiguous write would. Pages inside the
+// span that no segment touched are left unrecorded — re-blessing bytes
+// nobody wrote would launder undetected gap corruption. Returns the
+// checksum pass's service time. Called with fs.mu held, after the scatter.
+func (c *Client) integrityRecordSpan(f *fileData, span datatype.Seg, segs []datatype.Seg) sim.Time {
+	if c.sums == nil {
 		return 0
 	}
-	ps := fs.cfg.PageSize
+	ps := c.fs.cfg.PageSize
 	si := 0
 	var touched int64
 	for pi := span.Off / ps; pi <= (span.End()-1)/ps; pi++ {
-		pstart, pend := pi*ps, (pi+1)*ps
-		for si < len(segs) && segs[si].End() <= pstart {
-			si++
-		}
-		if si >= len(segs) || segs[si].Off >= pend {
+		si = c.landedRuns(segs, si, pi*ps, (pi+1)*ps)
+		if len(c.runs) == 0 {
 			continue // no segment lands in this page
 		}
 		touched++
-		// One Record per contiguous run of segments inside this page —
-		// runs merge adjacent segments, so the gap-free steady state
-		// records each page exactly once. Record clamps the covered range
-		// to the page, so runs spilling into neighbours are harmless.
-		for k := si; k < len(segs) && segs[k].Off < pend; k++ {
-			runStart, runEnd := segs[k].Off, segs[k].End()
-			for k+1 < len(segs) && segs[k+1].Off <= runEnd {
-				k++
-				if segs[k].End() > runEnd {
-					runEnd = segs[k].End()
-				}
-			}
-			st.Record(f.name, pi, f.pages[pi], runStart-pstart, runEnd-pstart)
-		}
+		c.sums.Record(pi, f.page(pi), c.runs)
 	}
-	return fs.cfg.ChecksumTime(touched * ps)
+	return c.fs.cfg.ChecksumTime(touched * ps)
 }
 
 // injectFlip lets the fault schedule silently corrupt the landed bytes of
@@ -988,20 +1065,24 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 			tail = 1
 		}
 		for abs := s.End() - tail; abs < s.End(); abs++ {
-			if page := f.pages[abs/ps]; page != nil {
+			if page := f.page(abs / ps); page != nil {
 				page[abs%ps] = 0
 			}
 		}
-		c.tr.Instant(t, "atrest_flip", trace.S("kind", "torn"),
-			trace.I("off", s.End()-tail), trace.I("len", tail))
+		if c.tr != nil {
+			c.tr.Instant(t, "atrest_flip", trace.S("kind", "torn"),
+				trace.I("off", s.End()-tail), trace.I("len", tail))
+		}
 	default: // "bitflip"
 		bit := int64(fl.hash % uint64(s.Len*8))
 		abs := s.Off + bit/8
-		if page := f.pages[abs/ps]; page != nil {
+		if page := f.page(abs / ps); page != nil {
 			page[abs%ps] ^= 1 << (bit % 8)
 		}
-		c.tr.Instant(t, "atrest_flip", trace.S("kind", "bitflip"),
-			trace.I("off", abs), trace.I("bit", bit%8))
+		if c.tr != nil {
+			c.tr.Instant(t, "atrest_flip", trace.S("kind", "bitflip"),
+				trace.I("off", abs), trace.I("bit", bit%8))
+		}
 	}
 }
 
@@ -1010,29 +1091,28 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 // With integrity on, every recorded page the read touches is re-verified
 // first: a mismatch quarantines the page and attempts an inline ring
 // repair; if that fails the read aborts with ErrDataIntegrity, leaving the
-// page quarantined for the scrubber / journal-replay path.
+// page quarantined for the scrubber / journal-replay path. A nil buf makes
+// the read timing-only: every check and charge, no bytes delivered.
 func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (sim.Time, error) {
 	fs := c.fs
 	ps := fs.cfg.PageSize
+	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
 
 	var integSvc sim.Time
-	if st := fs.isums; st != nil {
-		firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
+	if c.sums != nil {
 		integSvc = fs.cfg.ChecksumTime((lastPage - firstPage + 1) * ps)
 		for pi := firstPage; pi <= lastPage; pi++ {
-			page := f.pages[pi]
+			page := f.page(pi)
 			if page == nil {
 				continue // sparse hole: nothing recorded, nothing to check
 			}
-			if st.Verify(f.name, pi, page) {
+			if c.sums.Verify(pi, page) {
 				continue
 			}
-			repaired := st.Repair(f.name, pi, page)
-			c.met.NoteAtRestIntegrity(true, repaired)
-			c.tr.Instant(t, "integrity_mismatch", trace.I("page", pi),
-				trace.S("repaired", fmt.Sprintf("%v", repaired)))
+			repaired := c.sums.Repair(pi, page)
+			c.noteMismatch(pi, repaired, t)
 			if !repaired {
-				st.NoteUnrepairable()
+				fs.isums.NoteUnrepairable()
 				return t + integSvc, fmt.Errorf("pfs: read %q page %d: %w",
 					f.name, pi, ErrDataIntegrity)
 			}
@@ -1042,56 +1122,33 @@ func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (s
 		}
 	}
 
-	f.readBytes(s.Off, buf, ps)
+	if buf != nil {
+		f.readBytes(s.Off, buf, ps)
+	}
 
 	// Determine the portion actually needing server access.
-	var serverBytes int64
-	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
+	var serverBytes, hits int64
 	for pi := firstPage; pi <= lastPage; pi++ {
-		if c.cache.has(f.name, pi) {
-			c.rec.Add(stats.CCacheHits, 1)
-			c.met.Inc(metrics.CPageCacheHits)
+		if c.cache.has(f.id, pi) {
+			hits++
 			continue
 		}
-		c.met.Inc(metrics.CPageCacheMisses)
-		c.cache.put(f.name, pi)
-		lo := pi * ps
-		hi := lo + ps
-		if lo < s.Off {
-			lo = s.Off
-		}
-		if hi > s.End() {
-			hi = s.End()
-		}
-		serverBytes += hi - lo
+		c.cache.put(f.id, pi)
+		serverBytes += min((pi+1)*ps, s.End()) - max(pi*ps, s.Off)
+	}
+	if hits > 0 {
+		c.rec.Add(stats.CCacheHits, hits)
+		c.met.Add(metrics.CPageCacheHits, hits)
+	}
+	if misses := lastPage - firstPage + 1 - hits; misses > 0 {
+		c.met.Add(metrics.CPageCacheMisses, misses)
 	}
 	if serverBytes == 0 {
 		return t + integSvc + fs.cfg.MemcpyTime(s.Len), nil
 	}
-
-	done := t
-	c.portions = fs.stripePortions(s, c.portions[:0])
-	for _, p := range c.portions {
-		ost := &fs.osts[p.ost]
-		// Approximate: scale the portion's transfer by the fraction of
-		// the segment actually served remotely.
-		frac := float64(serverBytes) / float64(s.Len)
-		svc := sim.Time(frac) * fs.cfg.ServerTransferTime(p.seg.Len)
-		if ost.lastEnd[f.name] != p.seg.Off {
-			svc += fs.cfg.SeekCost
-		}
-		svc += integSvc // checksum verify pass over the touched pages
-		integSvc = 0
-		svc = c.degradeSvc(p.ost, t, svc)
-		end := ost.serve(t, svc)
-		ost.lastEnd[f.name] = p.seg.End()
-		c.rec.AddTime(stats.PServe, svc)
-		c.met.ObservePhase(stats.PServe, svc)
-		if end > done {
-			done = end
-		}
-	}
-	return done, nil
+	// Approximate: scale each portion's transfer by the fraction of the
+	// segment actually served remotely.
+	return c.serve(f, s, t, float64(serverBytes)/float64(s.Len), 0, 0, integSvc), nil
 }
 
 // stripePortion is the part of a segment living on one OST.
@@ -1135,12 +1192,11 @@ func (f *fileData) writeBytes(off int64, data []byte, pageSize int64) {
 		if rem := int64(len(data)) - pos; n > rem {
 			n = rem
 		}
-		page := f.pages[pi]
-		if page == nil {
-			page = make([]byte, pageSize)
-			f.pages[pi] = page
+		slot := f.pages.Slot(pi)
+		if slot.data == nil {
+			slot.data = make([]byte, pageSize)
 		}
-		copy(page[inPage:inPage+n], data[pos:pos+n])
+		copy(slot.data[inPage:inPage+n], data[pos:pos+n])
 		pos += n
 	}
 	if end := off + int64(len(data)); end > f.size {
@@ -1159,15 +1215,20 @@ func (f *fileData) readBytes(off int64, buf []byte, pageSize int64) {
 		if rem := int64(len(buf)) - pos; n > rem {
 			n = rem
 		}
-		if page := f.pages[pi]; page != nil {
+		if page := f.page(pi); page != nil {
 			copy(buf[pos:pos+n], page[inPage:inPage+n])
 		} else {
-			for i := pos; i < pos+n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[pos : pos+n])
 		}
 		pos += n
 	}
+}
+
+// Clients reports how many clients are registered (diagnostics).
+func (fs *FileSystem) Clients() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.clients)
 }
 
 // OSTBusy reports each OST's busy-until time (diagnostics).

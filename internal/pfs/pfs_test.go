@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"flexio/internal/datatype"
@@ -318,18 +319,18 @@ func TestZeroLengthAccess(t *testing.T) {
 
 func TestPageCacheLRU(t *testing.T) {
 	pc := newPageCache(2)
-	pc.put("f", 1)
-	pc.put("f", 2)
-	pc.has("f", 1) // refresh 1
-	pc.put("f", 3) // evicts 2
-	if pc.has("f", 2) {
+	pc.put(0, 1)
+	pc.put(0, 2)
+	pc.has(0, 1) // refresh 1
+	pc.put(0, 3) // evicts 2
+	if pc.has(0, 2) {
 		t.Fatal("LRU did not evict page 2")
 	}
-	if !pc.has("f", 1) || !pc.has("f", 3) {
+	if !pc.has(0, 1) || !pc.has(0, 3) {
 		t.Fatal("LRU evicted the wrong page")
 	}
-	pc.drop("f", 1)
-	if pc.has("f", 1) {
+	pc.drop(0, 1)
+	if pc.has(0, 1) {
 		t.Fatal("drop did not remove page")
 	}
 	if pc.size() != 1 {
@@ -343,8 +344,72 @@ func TestPageCacheLRU(t *testing.T) {
 
 func TestPageCacheZeroCapacity(t *testing.T) {
 	pc := newPageCache(0)
-	pc.put("f", 1)
-	if pc.has("f", 1) {
+	pc.put(0, 1)
+	if pc.has(0, 1) {
 		t.Fatal("zero-capacity cache stored a page")
+	}
+}
+
+// TestTablesFollowPagesTouched: one page written a tebibyte into the file
+// costs one chunk per table — the page store, the stripe-writer table, the
+// client's cache index, the checksum store — not memory proportional to
+// the offset.
+func TestTablesFollowPagesTouched(t *testing.T) {
+	fs, cfg := newFS()
+	fs.EnableIntegrity(1, 0)
+	c := fs.NewClient(stats.New())
+	h := c.Open("sparse.dat")
+	data := bytes.Repeat([]byte{0xC3}, int(cfg.PageSize))
+	buf := make([]byte, cfg.PageSize)
+	const off = int64(1) << 40
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := h.WriteAt(off, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// Everything the write allocated: the page, its ring image, one chunk
+	// of every table, the maps that hold them.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("one page at offset 1<<40 allocated %d bytes, want under 64 KiB", grew)
+	}
+	f := fs.files["sparse.dat"]
+	if f.pages.Chunks() != 1 || f.stripeWriter.Chunks() != 1 || c.cache.index[f.id].Chunks() != 1 {
+		t.Fatalf("chunks: pages %d, stripe writers %d, cache index %d, want 1 each",
+			f.pages.Chunks(), f.stripeWriter.Chunks(), c.cache.index[f.id].Chunks())
+	}
+	if _, err := h.ReadAt(off, buf, 0); err != nil || !bytes.Equal(buf, data) {
+		t.Fatalf("read back at 1<<40: %v", err)
+	}
+	// Reads over the hole before it find nothing and allocate nothing.
+	if _, err := h.ReadAt(off/2, buf, 0); err != nil || !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatalf("read of the hole: %v", err)
+	}
+	if f.pages.Chunks() != 1 {
+		t.Fatalf("reading a hole grew the page table to %d chunks", f.pages.Chunks())
+	}
+	if fs.Size("sparse.dat") != off+cfg.PageSize {
+		t.Fatalf("size = %d", fs.Size("sparse.dat"))
+	}
+	// The scrubber finds the page through the same table.
+	flipStored(fs, "sparse.dat", off+17)
+	if fs.IntegrityStore().Verify("sparse.dat", off/cfg.PageSize, f.page(off/cfg.PageSize)) {
+		t.Fatal("flip not detected")
+	}
+	if fixed := fs.Scrubber(4).Tick(""); fixed != 1 {
+		t.Fatalf("scrub tick fixed %d pages, want 1", fixed)
+	}
+	// Snapshot sees a prefix only; Remove forgets the page and its backlog.
+	if img := fs.Snapshot("sparse.dat", 8192); !bytes.Equal(img, make([]byte, 8192)) {
+		t.Fatal("snapshot of the empty prefix is not zeros")
+	}
+	flipStored(fs, "sparse.dat", off+18)
+	if _, err := h.ReadAt(off, buf, 0); err != nil {
+		t.Fatalf("ring repair on read: %v", err)
+	}
+	fs.Remove("sparse.dat")
+	if fs.Size("sparse.dat") != 0 || fs.IntegrityStats().Backlog != 0 {
+		t.Fatal("Remove left size or scrub backlog behind")
 	}
 }

@@ -42,23 +42,22 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 		// write below pays no per-page RMW.
 		h.c.tr.Instant2(now, "sieve_rmw",
 			trace.I("span", span.Len), trace.I("useful", useful))
-		// The prefetch only exists for its timing (the data is discarded),
-		// but access still needs a real destination buffer; recycle one.
-		scratch := bufpool.Get(span.Len)
+		// The prefetch only exists for its timing — the file image is
+		// exact, so the gap bytes a real sieve buffer would carry are
+		// already where they belong — hence a timing-only access.
 		h.c.rmwSpan[0] = span
 		var err error
-		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], nil, scratch, true, t)
-		bufpool.Put(scratch)
+		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], nil, nil, true, t)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrDataIntegrity):
-				// The prefetch only feeds the timing model: its bytes are
-				// discarded, and a quarantined page in the span stays
-				// quarantined for every real reader. Failing the window
+				// The prefetch only feeds the timing model, and a
+				// quarantined page in the span stays quarantined for
+				// every real reader. Failing the window
 				// here would block the clean full rewrite that is the
 				// repair path, so press on — fully rewritten pages clear
 				// their quarantine below, gap pages keep it.
-				h.c.tr.Instant(t, "sieve_rmw_quarantined",
+				h.c.tr.Instant1(t, "sieve_rmw_quarantined",
 					trace.I("span", span.Len))
 			case errors.Is(err, ErrPartial):
 				// A short RMW prefetch is not a short write: its Written
@@ -113,9 +112,14 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	c.beginRequest(f)
 
-	c.tr.Instant(now, "io_call", trace.S("kind", "sieve_write"),
-		trace.I("off", span.Off), trace.I("len", span.Len), trace.I("segs", int64(len(segs))))
+	// Guarded like the io_call of access: four tags would allocate per
+	// window even with tracing off.
+	if c.tr != nil {
+		c.tr.Instant(now, "io_call", trace.S("kind", "sieve_write"),
+			trace.I("off", span.Off), trace.I("len", span.Len), trace.I("segs", int64(len(segs))))
+	}
 	t := now + fs.cfg.IOCallOverhead
 	c.rec.Add(stats.CIOCalls, 1)
 	c.rec.Add(stats.CBytesIO, span.Len)
@@ -140,7 +144,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// Checksums first (over the union of the landed segments), injection
 	// second, so the recorded sums cover the intended content and the
 	// damage is detectable.
-	integSvc := c.integrityRecordSpan(f, span, segs, t)
+	integSvc := c.integrityRecordSpan(f, span, segs)
 	for _, s := range segs {
 		c.injectFlip(f, s, t)
 	}
@@ -151,30 +155,10 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// Timing: one contiguous span write (the sieve buffer holds the gap
 	// data, so the whole span streams out). The preceding span read (or
 	// cache) covers partial pages, so no RMW penalty here.
-	done := t
 	for pi := span.Off / fs.cfg.PageSize; pi <= (span.End()-1)/fs.cfg.PageSize; pi++ {
-		c.cache.put(f.name, pi)
+		c.cache.put(f.id, pi)
 	}
-	c.portions = fs.stripePortions(span, c.portions[:0])
-	for _, p := range c.portions {
-		ost := &fs.osts[p.ost]
-		svc := fs.cfg.ServerTransferTime(p.seg.Len)
-		if ost.lastEnd[f.name] != p.seg.Off {
-			svc += fs.cfg.SeekCost
-		}
-		svc += conflictSvc
-		conflictSvc = 0
-		svc += integSvc // checksum pass over the landed segments
-		integSvc = 0
-		svc = c.degradeSvc(p.ost, t, svc)
-		end := ost.serve(t, svc)
-		ost.lastEnd[f.name] = p.seg.End()
-		c.rec.AddTime(stats.PServe, svc)
-		c.met.ObservePhase(stats.PServe, svc)
-		if end > done {
-			done = end
-		}
-	}
+	done := c.serve(f, span, t, 1, 0, conflictSvc, integSvc)
 	if partial != nil {
 		return done, fmt.Errorf("pfs: write %q: %w", f.name, partial)
 	}
