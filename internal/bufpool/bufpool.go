@@ -1,20 +1,27 @@
 // Package bufpool provides size-classed byte-slice pools for the
 // collective datapath. Every hot-path buffer — packed data streams,
-// exchange messages, collective/concat buffers, sieve scratch — cycles
-// through these pools so a steady-state collective call allocates nothing.
+// collective/concat buffers, aggregator read buffers, forwarded payloads —
+// cycles through these pools so a steady-state collective call allocates
+// nothing.
 //
 // Ownership discipline (strict, verified under -race by the colltest pool
 // tests and, with the `bufpooldebug` build tag, by poison-on-put):
 //
 //   - Get hands out a buffer with len n; its contents are undefined
 //     (GetZero guarantees zeroes). The caller owns it exclusively.
-//   - Ownership transfers at most once: a buffer sent as an MPI message
-//     belongs to the RECEIVER the moment it is sent (the simulated
-//     transport passes slices by reference). The sender must not touch it
-//     again — not even to Put it.
+//   - The simulated transport passes slices by reference. A message that
+//     hands a buffer over (Send of a whole pooled buffer, by agreement of
+//     both ends) transfers ownership at most once: it belongs to the
+//     RECEIVER the moment it is sent, and the sender must not touch it
+//     again — not even to Put it. A message that only lends views of a
+//     buffer (the shuffle: SendIov, AlltoallvIov, a Send of a subslice)
+//     leaves ownership with the sender, who must keep the buffer intact
+//     until a rendezvous proves every receiver has consumed its views,
+//     and must drop it — never Put it — if it dies before that.
 //   - Put returns the buffer to its class; the caller must hold no live
-//     aliases (subslices included). Put(nil) and Put of tiny or foreign
-//     buffers are safe no-ops.
+//     aliases (subslices included), its own or lent. Put(nil) and Put of
+//     tiny buffers are safe no-ops; never Put a buffer Get did not hand
+//     out (a caller's own memory would be handed to the next Get).
 //
 // Pools are global and shared by every rank goroutine: the same buffer a
 // client packed a message into comes back as an aggregator's concat

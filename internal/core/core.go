@@ -151,9 +151,11 @@ type rankScratch struct {
 	merger       datatype.RunMerger
 	runs         [][]datatype.Seg
 	segs         []datatype.Seg
-	payload      [][]byte // per peer rank, this round
-	cur          []int64  // per-client read position while gathering a round
-	iov          [][][]byte
+	pieces       []piece      // one aggregator's intersection, before grouping
+	cur          []viewCursor // per-client read position while gathering a round
+	iov          [][][]byte   // views this rank sends, per destination
+	recvIov      [][][]byte   // views this rank received, per source (nonblocking)
+	waited       [][][]byte   // WaitallIov output, in request order
 	reqs         []*mpi.Request
 	from         []int
 	heap         realmHeap
@@ -226,49 +228,82 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// roundPieces groups one aggregator's pieces by two-phase round (client
-// side; the aggregator keeps a roundPlan instead).
+// roundPieces is what one client exchanges with one aggregator, grouped by
+// two-phase round (client side; the aggregator keeps a roundPlan instead).
+// Only the stream side of a piece matters once the rounds are formed, so
+// the pieces are kept as ranges of the client's data stream.
 type roundPieces struct {
-	pieces []piece
-	// rounds[r] locates round r's pieces (emitted with non-decreasing
-	// rounds) and carries their byte count; rounds the access skips are zero.
+	// runs lists every round's pieces in the order the payload travels
+	// (file-offset order), neighbours that are adjacent in the stream
+	// merged into one range: both ends consume payloads by byte count, so
+	// a range is one view however many pieces it covers.
+	runs []streamRun
+	// rounds[r] locates round r's runs and carries their byte count;
+	// rounds the access skips are zero.
 	rounds []roundSpan
 }
 
+// streamRun is a contiguous range of a client's linear data stream.
+type streamRun struct{ at, n int64 }
+
 type roundSpan struct {
-	first, end int
+	first, end int // into runs
 	bytes      int64
 }
 
+// groupRounds forms the rounds of ps, which intersect emitted with
+// non-decreasing rounds. It may reorder ps and keeps no reference to it:
+// callers pass scratch.
 func groupRounds(ps []piece) *roundPieces {
-	rp := &roundPieces{pieces: ps}
+	// First pass: put every round in travelling order and count the runs,
+	// so the result is allocated once at its final size.
+	nruns := 0
 	for k := 0; k < len(ps); {
-		sp := roundSpan{first: k, end: k}
+		end := k
 		sorted := true
-		for r := ps[k].round; sp.end < len(ps) && ps[sp.end].round == r; sp.end++ {
-			sp.bytes += ps[sp.end].file.Len
-			sorted = sorted && (sp.end == k || ps[sp.end-1].file.Off <= ps[sp.end].file.Off)
+		for r := ps[k].round; end < len(ps) && ps[end].round == r; end++ {
+			sorted = sorted && (end == k || ps[end-1].file.Off <= ps[end].file.Off)
 		}
 		if !sorted {
 			// A round's payload travels in file-offset order: the
 			// aggregator's merger sorts a run that is not, and both ends
 			// must walk the same sequence.
-			slices.SortStableFunc(ps[k:sp.end], func(x, y piece) int { return cmp.Compare(x.file.Off, y.file.Off) })
+			slices.SortStableFunc(ps[k:end], func(x, y piece) int { return cmp.Compare(x.file.Off, y.file.Off) })
 		}
-		for len(rp.rounds) <= ps[k].round {
-			rp.rounds = append(rp.rounds, roundSpan{})
+		for j := k; j < end; j++ {
+			if j == k || ps[j-1].aStream+ps[j-1].file.Len != ps[j].aStream {
+				nruns++
+			}
 		}
-		rp.rounds[ps[k].round] = sp
-		k = sp.end
+		k = end
+	}
+	rp := &roundPieces{runs: make([]streamRun, 0, nruns)}
+	if len(ps) > 0 {
+		rp.rounds = make([]roundSpan, ps[len(ps)-1].round+1)
+	}
+	for k := 0; k < len(ps); {
+		r := ps[k].round
+		sp := roundSpan{first: len(rp.runs)}
+		for ; k < len(ps) && ps[k].round == r; k++ {
+			pc := ps[k]
+			sp.bytes += pc.file.Len
+			if n := len(rp.runs); n > sp.first && rp.runs[n-1].at+rp.runs[n-1].n == pc.aStream {
+				rp.runs[n-1].n += pc.file.Len
+			} else {
+				rp.runs = append(rp.runs, streamRun{at: pc.aStream, n: pc.file.Len})
+			}
+		}
+		sp.end = len(rp.runs)
+		rp.rounds[r] = sp
 	}
 	return rp
 }
 
-func (rp *roundPieces) of(r int) []piece {
+func (rp *roundPieces) of(r int) []streamRun {
 	if rp == nil || r >= len(rp.rounds) {
 		return nil
 	}
-	return rp.pieces[rp.rounds[r].first:rp.rounds[r].end]
+	return rp.runs[rp.rounds[r].first:rp.rounds[r].end]
 }
 
 func (rp *roundPieces) bytes(r int) int64 {
@@ -279,9 +314,38 @@ func (rp *roundPieces) bytes(r int) int64 {
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
+	// --- Linearize user data. A write's stream is the user's bytes in
+	// stream order — the caller's buffer itself when the memory type is
+	// dense, a packed pooled copy otherwise — and peers read it in place:
+	// every exchange hands the aggregators views of it. A read's stream is
+	// private. Node-local pre-aggregation swaps the stream (a member hands
+	// its own to the leader, a leader continues with the merged one).
+	var cs mpiio.Stream
+	if write {
+		// Alltoallw communicates directly from the user buffer: its
+		// linearization is free of charge. Nonblocking models the pack.
+		var err error
+		if cs, err = f.Linearize(buf, memtype, count, i.o.Comm != Alltoallw); err != nil {
+			return err
+		}
+	} else {
+		cs = mpiio.ReadStreamBuf(datatype.TotalSize(memtype, count))
+	}
+	err := i.run(f, &cs, buf, memtype, count, write)
+	// Not deferred: every consumer of the stream's views is ordered before
+	// a normal return by the closing Barrier/AgreeError rendezvous, but an
+	// injected crash unwinds this rank while peers may still be reading
+	// them, and a dying rank must drop its stream, not pool it.
+	cs.Release()
+	return err
+}
+
+// run is the collective call proper, on an already linearized stream.
+func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	p := f.Proc()
 	info := f.Info()
 	cb := info.CollBufSize
+	dataLen := datatype.TotalSize(memtype, count)
 
 	naggs := info.CbNodes
 	if naggs == 0 {
@@ -299,35 +363,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	amAgg := p.Rank() < naggs
 	scr := i.scratchFor(p.Rank())
 
-	// --- Linearize user data and describe the access succinctly. ---
-	// The stream is pooled; it is recycled on return, which is safe even
-	// for the exchange paths that hand peers views of it, because the
-	// closing Barrier/AgreeError rendezvous orders every consumer before
-	// the return.
-	dataLen := datatype.TotalSize(memtype, count)
-	var stream []byte
-	if write {
-		stream = bufpool.Get(dataLen)[:0]
-		var err error
-		if i.o.Comm == Alltoallw {
-			// Alltoallw communicates directly from the user buffer:
-			// the linearization is free of charge.
-			stream, err = datatype.AppendPack(stream, buf, memtype, 0, count)
-		} else {
-			stream, err = f.PackMemoryInto(stream, buf, memtype, count)
-		}
-		if err != nil {
-			bufpool.Put(stream)
-			return err
-		}
-	} else {
-		// Reads scatter aggregator payloads over the whole stream; the
-		// zero fill keeps any byte the realms happen not to cover
-		// byte-identical to a fresh allocation.
-		stream = bufpool.GetZero(dataLen)
-	}
-	defer func() { bufpool.Put(stream) }()
-
+	// --- Describe the access succinctly. ---
 	view := f.View()
 	ftSize := view.Filetype.Size()
 	var myFlat datatype.Flat
@@ -404,7 +440,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// accesses and streams, members fall silent for the rest of the call.
 	var pre *preaggState
 	if i.o.Preagg {
-		stream, myFlat, pre = i.preaggExchange(f, scr, stream, myFlat, dataLen, write)
+		myFlat, pre = i.preaggExchange(f, scr, cs, myFlat, dataLen, write)
 	}
 
 	// --- Memoized layout lookup (client side). The key pins everything
@@ -548,10 +584,11 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 				for a := 0; a < naggs; a++ {
 					ac := myFlat.Cursor()
 					rc := realms[a].Cursor()
-					var ps []piece
+					ps := scr.pieces[:0]
 					intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
 					ce.charges = append(ce.charges, ac.Work()+rc.Work())
 					ce.pieces[a] = groupRounds(ps)
+					scr.pieces = ps
 				}
 			}
 		}
@@ -607,7 +644,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			return err
 		}
 		if !write {
-			return f.UnpackMemory(stream, buf, memtype, count)
+			return f.UnpackMemory(cs.B, buf, memtype, count)
 		}
 		return nil
 	}
@@ -629,11 +666,11 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		preErr = pre.err
 	}
 	if write {
-		err = i.writeRounds(f, scr, stream, myPieces, ae, ntimes, naggs, method, preErr)
+		err = i.writeRounds(f, scr, cs.B, myPieces, ae, ntimes, naggs, method, preErr)
 	} else {
-		err = i.readRounds(f, scr, stream, myPieces, ae, ntimes, naggs, method, preErr)
+		err = i.readRounds(f, scr, cs.B, myPieces, ae, ntimes, naggs, method, preErr)
 		if pre != nil {
-			stream, err = i.preaggScatter(f, scr, stream, pre, dataLen, err)
+			err = i.preaggScatter(f, scr, cs, pre, dataLen, err)
 		}
 	}
 
@@ -650,7 +687,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// re-reporting the failover.
 	i.o.Journal.Complete()
 	if !write {
-		return f.UnpackMemory(stream, buf, memtype, count)
+		return f.UnpackMemory(cs.B, buf, memtype, count)
 	}
 	return nil
 }
@@ -850,52 +887,60 @@ func (i *Impl) checkPlans(scr *rankScratch, ae *aggEntry, rm realm.Realm, cb int
 	return nil
 }
 
+// viewCursor reads an iovec payload as one byte stream. The transport does
+// not promise the sender's view boundaries (a corrupted delivery, a
+// re-requested original or a self-send may arrive cut differently), so both
+// ends of the exchange consume views by byte count, never one view per
+// piece.
+type viewCursor struct {
+	k   int // current view
+	off int // bytes of it already consumed
+}
+
+// take returns the next unread bytes that are contiguous in views, at most
+// n of them, and advances; nil once the payload is exhausted (or never
+// arrived: a dead sender's table is nil).
+func (c *viewCursor) take(views [][]byte, n int64) []byte {
+	for c.k < len(views) {
+		v := views[c.k][c.off:]
+		if len(v) == 0 {
+			c.k, c.off = c.k+1, 0
+			continue
+		}
+		if int64(len(v)) > n {
+			v = v[:n]
+		}
+		c.off += len(v)
+		return v
+	}
+	return nil
+}
+
 // gather appends the round's collective buffer to dst: the plan's pieces in
-// file order, each the next unread bytes of its client's payload, or, on
-// the iovec exchange (views non-nil), its client's next view. cur is
-// zeroed per-client scratch. A dead sender's slot arrives nil and is
-// skipped (the caller's peer-failure guard aborts the round, and WriteStream
-// refuses a short buffer regardless).
-func (rp *roundPlan) gather(dst []byte, cur []int64, payload [][]byte, views [][][]byte) []byte {
+// file order, each the next unread bytes of its client's views. This is the
+// only host copy of the shuffle. cur is zeroed per-client scratch. A dead
+// sender's slot arrives nil and is skipped (the caller's peer-failure guard
+// aborts the round, and WriteStream refuses a short buffer regardless).
+func (rp *roundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) []byte {
 	for _, it := range rp.order {
 		c := it.Run
-		switch {
-		case views != nil:
-			if k := cur[c]; k < int64(len(views[c])) {
-				dst = append(dst, views[c][k]...)
+		for n := it.Len; n > 0; {
+			b := cur[c].take(views[c], n)
+			if b == nil {
+				break
 			}
-			cur[c]++
-		case payload[c] != nil:
-			dst = append(dst, payload[c][cur[c]:cur[c]+it.Len]...)
-			cur[c] += it.Len
+			dst = append(dst, b...)
+			n -= int64(len(b))
 		}
 	}
 	return dst
 }
 
-// clientPayload builds the data a client contributes to aggregator a in
-// round r, in a pooled buffer whose ownership passes to the receiver.
-func clientPayload(stream []byte, rp *roundPieces, r int) []byte {
-	ps := rp.of(r)
-	if len(ps) == 0 {
-		return nil
-	}
-	var total int64
-	for _, pc := range ps {
-		total += pc.file.Len
-	}
-	out := bufpool.Get(total)[:0]
-	for _, pc := range ps {
-		out = append(out, stream[pc.aStream:pc.aStream+pc.file.Len]...)
-	}
-	return out
-}
-
-// pieceViews appends one view of the stream per round-r piece: the iovec
-// the Alltoallw transport gathers directly, with no client-side copy.
+// pieceViews appends one view of the stream per round-r run of pieces: the
+// iovec both transports carry by reference, with no client-side copy.
 func pieceViews(dst [][]byte, stream []byte, rp *roundPieces, r int) [][]byte {
-	for _, pc := range rp.of(r) {
-		dst = append(dst, stream[pc.aStream:pc.aStream+pc.file.Len])
+	for _, run := range rp.of(r) {
+		dst = append(dst, stream[run.at:run.at+run.n])
 	}
 	return dst
 }
@@ -918,7 +963,6 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
-	cfg := p.Config()
 	amAgg := ae != nil
 
 	// Pending I/O from the previous round (nonblocking pipeline). On an
@@ -985,21 +1029,20 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 		probe := p.Metrics.BeginRound(p.Stats)
 		var roundRecv int64
 		rp := ae.round(r)
-		var payload [][]byte
-		var recvIov [][][]byte
 
-		if i.o.Comm == Alltoallw {
-			// Iovec exchange: the transport gathers views of the user
-			// stream directly — no client-side payload copy at all. The
-			// views are dead before this rank reuses the iovec table or
-			// the stream, because the aggregators consume them before
-			// the round's closing AgreeError.
-			send := roundIov(scr, p.Size())
-			for a := 0; a < naggs; a++ {
-				if myPieces[a] != nil {
-					send[a] = pieceViews(send[a], stream, myPieces[a], r)
-				}
+		// Both strategies carry views of the stream, one per run of
+		// pieces, by reference: no client-side payload copy on the host. The views
+		// are dead before this rank reuses the iovec table or recycles the
+		// stream, because the aggregators gather them before the round's
+		// closing AgreeError.
+		send := roundIov(scr, p.Size())
+		for a := 0; a < naggs; a++ {
+			if myPieces[a] != nil {
+				send[a] = pieceViews(send[a], stream, myPieces[a], r)
 			}
+		}
+		var recvIov [][][]byte
+		if i.o.Comm == Alltoallw {
 			t0 := p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "alltoallv"))
 			recvIov = p.AlltoallvIov(send)
@@ -1015,18 +1058,10 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 				reqs = append(reqs, p.Irecv(pb.client, tagData+r%1024))
 			}
 			for a := 0; a < naggs; a++ {
-				if myPieces[a] == nil {
-					continue
-				}
-				if msg := clientPayload(stream, myPieces[a], r); msg != nil {
-					d := cfg.MemcpyTime(int64(len(msg)))
-					p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, int64(len(msg))))
-					p.AdvanceClock(d)
-					p.ChargeTime(stats.PCopy, d)
-					p.Trace.End(p.Clock())
-					// Ownership of the pooled msg passes to the
-					// receiving aggregator here.
-					p.Isend(a, tagData+r%1024, msg)
+				if n := myPieces[a].bytes(r); n > 0 {
+					// The modelled pack of the message.
+					f.ChargeCopy(n)
+					p.IsendIov(a, tagData+r%1024, send[a])
 				}
 			}
 			p.ChargeTime(stats.PComm, p.Clock()-t0)
@@ -1039,11 +1074,11 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 			t0 = p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			if amAgg {
-				scr.payload = sized(scr.payload, p.Size())
-				payload = scr.payload
-				data := mpi.Waitall(reqs)
+				scr.recvIov = sized(scr.recvIov, p.Size())
+				recvIov = scr.recvIov
+				scr.waited = mpi.WaitallIov(reqs, scr.waited)
 				for k, pb := range rp.peers {
-					payload[pb.client] = data[k]
+					recvIov[pb.client] = scr.waited[k]
 				}
 			}
 			p.ChargeTime(stats.PComm, p.Clock()-t0)
@@ -1076,28 +1111,17 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
 				// Assemble the collective buffer (gap-free: only
 				// useful data, unlike the integrated sieve buffer).
-				// This is the single gather of the iovec path.
+				// This is the single host copy of the shuffle; only the
+				// nonblocking model charges it.
 				scr.cur = sized(scr.cur, p.Size())
-				concat := rp.gather(bufpool.Get(total)[:0], scr.cur, payload, recvIov)
+				concat := rp.gather(bufpool.Get(total)[:0], scr.cur, recvIov)
 				if i.o.Comm != Alltoallw {
-					d := cfg.MemcpyTime(total)
-					p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, total))
-					p.AdvanceClock(d)
-					p.ChargeTime(stats.PCopy, d)
-					p.Trace.End(p.Clock())
+					f.ChargeCopy(total)
 				}
 				pendSegs, pendData = rp.segs, concat
 				if i.o.Comm == Alltoallw {
 					// No pipeline in collective mode: write now.
 					flush(r)
-				}
-			}
-			// The received nonblocking payloads are gathered into the
-			// collective buffer above; this rank, as their receiver,
-			// recycles them.
-			if payload != nil {
-				for _, pb := range rp.peers {
-					bufpool.Put(payload[pb.client])
 				}
 			}
 		}
@@ -1141,7 +1165,6 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
-	cfg := p.Config()
 	amAgg := ae != nil
 	firstErr := preErr // a leader's failed pre-aggregation aborts round 0
 
@@ -1158,17 +1181,12 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 		// so the round's exchange completes; the round-boundary
 		// agreement below then aborts every rank together.
 		//
-		// Per-client payloads are pooled copies on the nonblocking path
-		// (freed by the receiving client) and views of the pooled read
-		// buffer on the iovec path (the read buffer is retired only after
-		// the round's AgreeError, once every client has placed its data).
+		// Both strategies serve each client views of the pooled read
+		// buffer, one per piece, by reference: the buffer is retired only
+		// after the round's AgreeError, once every client has placed its
+		// data.
 		probe := p.Metrics.BeginRound(p.Stats)
-		scr.payload = sized(scr.payload, p.Size())
-		perClient := scr.payload
-		var sendIov [][][]byte
-		if i.o.Comm == Alltoallw {
-			sendIov = roundIov(scr, p.Size())
-		}
+		sendIov := roundIov(scr, p.Size())
 		var retire []byte
 		rp := ae.round(r)
 		roundRecv := rp.total
@@ -1182,9 +1200,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 				// stale pooled contents are never placed.
 				rbuf := bufpool.Get(total)
 				if firstErr != nil {
-					for k := range rbuf {
-						rbuf[k] = 0
-					}
+					clear(rbuf)
 				} else {
 					err := f.ReadStream(segs, rbuf, method)
 					if err != nil && i.degradeNow() && method == mpiio.DataSieve {
@@ -1198,35 +1214,18 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 						// Serve deterministic zeros, as a fresh buffer
 						// would have; the agreement below aborts every
 						// rank before any of it reaches a user buffer.
-						for k := range rbuf {
-							rbuf[k] = 0
-						}
+						clear(rbuf)
 					}
 				}
-				if i.o.Comm == Alltoallw {
-					// Iovec exchange: serve views of the read buffer,
-					// one per piece, grouped per client in piece order.
-					pos := int64(0)
-					for _, it := range rp.order {
-						sendIov[it.Run] = append(sendIov[it.Run], rbuf[pos:pos+it.Len])
-						pos += it.Len
-					}
-					retire = rbuf
-				} else {
-					for _, pb := range rp.peers {
-						perClient[pb.client] = bufpool.Get(pb.bytes)[:0]
-					}
-					pos := int64(0)
-					for _, it := range rp.order {
-						perClient[it.Run] = append(perClient[it.Run], rbuf[pos:pos+it.Len]...)
-						pos += it.Len
-					}
-					bufpool.Put(rbuf)
-					d := cfg.MemcpyTime(total)
-					p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, total))
-					p.AdvanceClock(d)
-					p.ChargeTime(stats.PCopy, d)
-					p.Trace.End(p.Clock())
+				pos := int64(0)
+				for _, it := range rp.order {
+					sendIov[it.Run] = append(sendIov[it.Run], rbuf[pos:pos+it.Len])
+					pos += it.Len
+				}
+				retire = rbuf
+				if i.o.Comm != Alltoallw {
+					// The modelled split into per-client messages.
+					f.ChargeCopy(total)
 				}
 			}
 		}
@@ -1234,40 +1233,34 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 		// Exchange.
 		t0 := p.Clock()
 		p.Trace.Begin1(t0, stats.PComm, trace.S("what", "exchange"))
+		var recv [][][]byte
 		if i.o.Comm == Alltoallw {
-			recv := p.AlltoallvIov(sendIov)
-			for a := 0; a < naggs; a++ {
-				if myPieces[a] == nil {
-					continue
-				}
-				placeIov(stream, myPieces[a], r, recv[a])
-			}
+			recv = p.AlltoallvIov(sendIov)
 		} else {
 			reqs := scr.reqs[:0]
 			from := scr.from[:0]
 			for a := 0; a < naggs; a++ {
-				if myPieces[a] != nil && myPieces[a].bytes(r) > 0 {
+				if myPieces[a].bytes(r) > 0 {
 					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
 					from = append(from, a)
 				}
 			}
 			for _, pb := range rp.peers {
-				// Ownership of the pooled msg passes to the receiving
-				// client.
-				p.Isend(pb.client, tagBack+r%1024, perClient[pb.client])
+				p.IsendIov(pb.client, tagBack+r%1024, sendIov[pb.client])
 			}
-			data := mpi.Waitall(reqs)
+			scr.recvIov = sized(scr.recvIov, p.Size())
+			recv = scr.recvIov
+			scr.waited = mpi.WaitallIov(reqs, scr.waited)
 			for k, a := range from {
-				if data[k] == nil {
-					// Aggregator died or stalled past the deadline; the
-					// round-boundary agreement below aborts the read
-					// before any partial data reaches the user buffer.
-					continue
-				}
-				place(stream, myPieces[a], r, data[k])
-				bufpool.Put(data[k])
+				recv[a] = scr.waited[k]
 			}
 			scr.reqs, scr.from = reqs[:0], from[:0]
+		}
+		for a := 0; a < naggs; a++ {
+			// A dead or stalled aggregator's slot is nil: nothing is
+			// placed, and the round-boundary agreement below aborts the
+			// read before any partial data reaches the user buffer.
+			placeIov(stream, myPieces[a], r, recv[a])
 		}
 		p.ChargeTime(stats.PComm, p.Clock()-t0)
 		p.Trace.End(p.Clock())
@@ -1307,25 +1300,21 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 	return nil
 }
 
-// place scatters an aggregator's round payload into the client's linear
-// stream.
-func place(stream []byte, rp *roundPieces, r int, data []byte) {
-	pos := int64(0)
-	for _, pc := range rp.of(r) {
-		copy(stream[pc.aStream:pc.aStream+pc.file.Len], data[pos:pos+pc.file.Len])
-		pos += pc.file.Len
-	}
-}
-
-// placeIov scatters an aggregator's round views (one per piece, in piece
-// order) into the client's linear stream.
+// placeIov scatters an aggregator's round payload — views of its read
+// buffer, consumed by byte count — into the client's linear stream. A dead
+// aggregator's table is nil: nothing arrived, and the round's agreement
+// aborts before the stream reaches the user.
 func placeIov(stream []byte, rp *roundPieces, r int, views [][]byte) {
-	for k, pc := range rp.of(r) {
-		if k >= len(views) {
-			// Dead aggregator's slot: nothing arrived, and the round's
-			// agreement aborts before the stream reaches the user.
-			return
+	var cur viewCursor
+	for _, run := range rp.of(r) {
+		for at, n := run.at, run.n; n > 0; {
+			b := cur.take(views, n)
+			if b == nil {
+				return
+			}
+			copy(stream[at:], b)
+			at += int64(len(b))
+			n -= int64(len(b))
 		}
-		copy(stream[pc.aStream:pc.aStream+pc.file.Len], views[k])
 	}
 }

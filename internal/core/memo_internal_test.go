@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,12 +142,36 @@ func TestClientAndMergerAgreeOnUnsortedRuns(t *testing.T) {
 	}
 	wantStream := []int64{4, 0, 8} // offset order, ties in emission order
 	for k := range got {
-		if got[k].file.Len != items[k].Len || got[k].aStream != wantStream[k] {
+		if got[k].n != items[k].Len || got[k].at != wantStream[k] {
 			t.Fatalf("piece %d: client %+v, aggregator %+v, want stream pos %d", k, got[k], items[k], wantStream[k])
 		}
 	}
-	if r2 := rp.of(2); r2[0].file.Off != 80 || r2[1].file.Off != 90 {
+	if r2 := rp.of(2); r2[0] != (streamRun{at: 11, n: 1}) || r2[1] != (streamRun{at: 10, n: 1}) {
 		t.Fatalf("round 2 not in offset order: %+v", r2)
+	}
+}
+
+// TestGroupRoundsMergesStreamNeighbours: pieces that follow one another in
+// the client's stream travel as one range, but never across a round
+// boundary or a gap in the stream, and the byte counts stay per round.
+func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
+	seg := func(off, n int64) datatype.Seg { return datatype.Seg{Off: off, Len: n} }
+	rp := groupRounds([]piece{
+		{round: 0, file: seg(0, 16), aStream: 0},
+		{round: 0, file: seg(128, 16), aStream: 16},
+		{round: 0, file: seg(256, 16), aStream: 32},
+		{round: 1, file: seg(384, 16), aStream: 48}, // adjacent, but the next round
+		{round: 1, file: seg(512, 16), aStream: 80}, // a gap in the stream
+		{round: 1, file: seg(640, 8), aStream: 96},
+	})
+	want := [][]streamRun{{{0, 48}}, {{48, 16}, {80, 24}}}
+	for r, w := range want {
+		if got := rp.of(r); !slices.Equal(got, w) {
+			t.Errorf("round %d runs %v, want %v", r, got, w)
+		}
+	}
+	if rp.bytes(0) != 48 || rp.bytes(1) != 40 {
+		t.Errorf("round bytes %d %d, want 48 40", rp.bytes(0), rp.bytes(1))
 	}
 }
 

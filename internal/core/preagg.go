@@ -48,15 +48,15 @@ type preaggState struct {
 	total  int64
 }
 
-// preaggExchange runs the intra-node forwarding stage and returns the
-// effective stream and access this rank takes into the request exchange: a
-// member hands both to its leader (ownership of a write stream transfers)
-// and continues with an empty access; a leader returns the merged stream
-// and merged flat. The whole stage is traced and charged as the "preagg"
+// preaggExchange runs the intra-node forwarding stage, leaving in cs the
+// stream and returning the access this rank takes into the request
+// exchange: a member hands both to its leader (ownership of a write stream
+// transfers) and continues with an empty access; a leader continues with
+// the merged stream and merged flat. The whole stage is traced and charged as the "preagg"
 // phase; it runs before the first round, so none of its traffic counts as
 // shuffle — and it is intra-node by construction anyway.
-func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
-	myFlat datatype.Flat, dataLen int64, write bool) ([]byte, datatype.Flat, *preaggState) {
+func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
+	myFlat datatype.Flat, dataLen int64, write bool) (datatype.Flat, *preaggState) {
 
 	p := f.Proc()
 	ps := &scr.pre
@@ -80,18 +80,19 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
 		p.Send(ps.plan.Leader, tagPre, enc)
 		if write && dataLen > 0 {
-			// Ownership of the pooled stream passes to the leader.
-			p.Send(ps.plan.Leader, tagPreData, stream)
-			stream = nil
+			// Ownership of a pooled buffer passes to the leader, which
+			// recycles it.
+			p.Send(ps.plan.Leader, tagPreData, cs.Owned())
+			*cs = mpiio.Stream{}
 		}
 		empty := datatype.FlatOf(datatype.Bytes(0), myFlat.Disp, 0)
 		empty.Limit = 0
-		return stream, empty, ps
+		return empty, ps
 	}
 	if len(ps.plan.Members) == 0 {
 		// Single-rank node: pre-aggregation is the identity, including for
 		// the memo (pre stays 0 — the piece lists match the plain path).
-		return stream, myFlat, ps
+		return myFlat, ps
 	}
 
 	// Leader: collect the members' accesses and build the merge plan.
@@ -101,7 +102,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 	ps.totals[0] = dataLen
 	bufs := sized(scr.preBufs, nparts)
 	scr.preBufs = bufs
-	bufs[0] = stream
+	bufs[0] = cs.B
 	h := uint64(hashSeed)
 	for k, m := range ps.plan.Members {
 		enc, _ := p.Recv(m, tagPre)
@@ -167,14 +168,16 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 		}
 		p.AdvanceClock(p.Config().MemcpyTime(total))
 		for k, b := range bufs {
-			bufpool.Put(b) // the members' forwarded payloads and our own stream
+			if k > 0 || cs.Pooled {
+				bufpool.Put(b) // the members' forwarded payloads and our own stream
+			}
 			bufs[k] = nil
 		}
-		stream = out
+		*cs = mpiio.Stream{B: out, Pooled: true}
 	} else {
-		bufpool.Put(stream)
+		bufpool.Put(cs.B)
 		bufs[0] = nil
-		stream = bufpool.GetZero(total)
+		cs.B = bufpool.GetZero(total)
 	}
 
 	var extent int64
@@ -182,7 +185,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 		extent = merged[len(merged)-1].End()
 	}
 	mf := datatype.Flat{Disp: 0, Extent: extent, Size: total, Count: 1, Limit: -1, Segs: merged}
-	return stream, mf, ps
+	return mf, ps
 }
 
 // preaggScatter distributes a read's merged stream back to the node's
@@ -191,8 +194,8 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, stream []byte,
 // a member that lost its leader aborts the collective uniformly instead of
 // unpacking stale zeros. roundsErr, when non-nil, is already uniform (it
 // came out of a round-boundary agreement), so the stage is skipped as one.
-func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, stream []byte,
-	ps *preaggState, dataLen int64, roundsErr error) ([]byte, error) {
+func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
+	ps *preaggState, dataLen int64, roundsErr error) error {
 
 	p := f.Proc()
 	t0 := p.Clock()
@@ -204,6 +207,7 @@ func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, stream []byte,
 
 	var scErr error
 	rank := p.Rank()
+	stream := cs.B // a read's stream: always pooled
 	if roundsErr == nil {
 		switch {
 		case ps.plan.Leads(rank) && len(ps.plan.Members) > 0:
@@ -232,7 +236,7 @@ func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, stream []byte,
 			}
 			p.AdvanceClock(p.Config().MemcpyTime(copied))
 			bufpool.Put(stream)
-			stream = own
+			cs.B = own
 		case !ps.plan.Leads(rank) && dataLen > 0:
 			data, _ := p.Recv(ps.plan.Leader, tagScatter)
 			if data == nil {
@@ -248,5 +252,5 @@ func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, stream []byte,
 	if err == nil {
 		err = mpiio.AgreeError(p, scErr)
 	}
-	return stream, err
+	return err
 }

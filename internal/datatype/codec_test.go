@@ -147,6 +147,36 @@ func TestPackErrors(t *testing.T) {
 	}
 }
 
+// TestPackUnpackAllocationFree: AppendPack into a sized destination and
+// Unpack (a partial stream ending inside a segment included) walk the type
+// without a heap cursor — the collective hot path calls both once per rank
+// per op.
+func TestPackUnpackAllocationFree(t *testing.T) {
+	v := Must(Vector(3, 1, 10, Bytes(4)))
+	buf := make([]byte, 8*24)
+	for i := range buf {
+		buf[i] = byte(i * 3)
+	}
+	dst := make([]byte, 0, 8*12)
+	var stream []byte
+	if n := testing.AllocsPerRun(100, func() { stream, _ = AppendPack(dst, buf, v, 0, 8) }); n != 0 {
+		t.Errorf("AppendPack allocates %v times per call, want 0", n)
+	}
+	want, _ := Pack(buf, v, 0, 8)
+	if !bytes.Equal(stream, want) {
+		t.Fatal("AppendPack into a prepared destination differs from Pack")
+	}
+	out := make([]byte, len(buf))
+	if n := testing.AllocsPerRun(100, func() { _ = Unpack(stream[:30], out, v, 0, 8) }); n != 0 {
+		t.Errorf("Unpack allocates %v times per call, want 0", n)
+	}
+	// 30 bytes = two instances and a half: 2.5 segments of the third.
+	back, _ := Pack(out, v, 0, 8)
+	if !bytes.Equal(back[:30], stream[:30]) || !bytes.Equal(back[30:], make([]byte, len(back)-30)) {
+		t.Fatal("a partial Unpack must scatter exactly its stream's bytes")
+	}
+}
+
 func TestPackZeroCount(t *testing.T) {
 	stream, err := Pack(nil, Bytes(8), 0, 0)
 	if err != nil || len(stream) != 0 {

@@ -26,13 +26,15 @@ func AppendPack(dst, buf []byte, t Type, disp int64, count int64) ([]byte, error
 	if count > 0 && need > int64(len(buf)) {
 		return nil, fmt.Errorf("datatype: Pack: buffer too small: need %d bytes, have %d", need, len(buf))
 	}
-	cur := NewCursor(t, disp, count)
-	for {
-		seg, _, ok := cur.Next(1 << 62)
-		if !ok {
-			break
+	// A plain instance-by-segment walk: no Cursor (it would be one heap
+	// object and one prefix table per call for state this loop keeps in
+	// two integers).
+	segs, ext := t.Flatten(), t.Extent()
+	for i := int64(0); i < count; i++ {
+		base := disp + i*ext
+		for _, s := range segs {
+			dst = append(dst, buf[base+s.Off:base+s.End()]...)
 		}
-		dst = append(dst, buf[seg.Off:seg.End()]...)
 	}
 	return dst, nil
 }
@@ -51,15 +53,15 @@ func Unpack(stream []byte, buf []byte, t Type, disp int64, count int64) error {
 	if max := TotalSize(t, count); int64(len(stream)) > max {
 		return fmt.Errorf("datatype: Unpack: stream of %d bytes exceeds access size %d", len(stream), max)
 	}
-	cur := NewCursor(t, disp, count)
-	pos := int64(0)
-	for pos < int64(len(stream)) {
-		seg, _, ok := cur.Next(int64(len(stream)) - pos)
-		if !ok {
-			break
+	segs, ext := t.Flatten(), t.Extent()
+	for i := int64(0); len(stream) > 0 && len(segs) > 0; i++ {
+		base := disp + i*ext
+		for _, s := range segs {
+			n := copy(buf[base+s.Off:base+s.End()], stream)
+			if stream = stream[n:]; len(stream) == 0 {
+				break
+			}
 		}
-		copy(buf[seg.Off:seg.End()], stream[pos:pos+seg.Len])
-		pos += seg.Len
 	}
 	return nil
 }

@@ -97,10 +97,60 @@ func mixWord(x, k uint64) uint64 {
 // lane, any single flipped bit — any change inside one word — changes the
 // sum with certainty, not just with high probability.
 func (h *Hasher) Sum(data []byte) uint64 {
+	st := h.start(len(data))
+	return h.finish(&st, h.blocks(&st, data))
+}
+
+// SumIov is Sum of the concatenation of iov, computed without building it:
+// the sum a payload travelling as views of the sender's memory carries in
+// its envelope. A block that straddles two views is assembled in a 32-byte
+// carry on the stack, so empty views, one-byte views and splits anywhere
+// inside a block all give Sum's result; allocation-free.
+func (h *Hasher) SumIov(iov [][]byte) uint64 {
+	n := 0
+	for _, v := range iov {
+		n += len(v)
+	}
+	st := h.start(n)
+	var carry [32]byte
+	nc := 0 // bytes of an unfinished block held in carry
+	for _, v := range iov {
+		if nc > 0 {
+			k := copy(carry[nc:], v)
+			nc, v = nc+k, v[k:]
+			if nc < len(carry) {
+				continue
+			}
+			h.blocks(&st, carry[:])
+		}
+		nc = copy(carry[:], h.blocks(&st, v))
+	}
+	return h.finish(&st, carry[:nc])
+}
+
+// sumState is a sum in progress: the four lanes and the table position of
+// the next block's first word (a multiple of 4).
+type sumState struct {
+	x   [4]uint64
+	pos int
+}
+
+// start seeds the lanes for an input of n bytes.
+func (h *Hasher) start(n int) sumState {
+	s := h.seed ^ uint64(n)*lenMul
+	return sumState{x: [4]uint64{s ^ h.tab[252], s ^ h.tab[253], s ^ h.tab[254], s ^ h.tab[255]}}
+}
+
+// blocks mixes every full 32-byte block of data into the lanes and returns
+// what is left (fewer than 32 bytes). The lanes live in locals for the
+// whole loop so they stay in registers.
+func (h *Hasher) blocks(st *sumState, data []byte) []byte {
+	if len(data) < 32 {
+		return data
+	}
 	tab := h.tab
-	s := h.seed ^ uint64(len(data))*lenMul
-	x0, x1, x2, x3 := s^tab[252], s^tab[253], s^tab[254], s^tab[255]
-	pos := 0 // table position of the next word's key; stays a multiple of 4 in the block loop
+	x0, x1, x2, x3 := st.x[0], st.x[1], st.x[2], st.x[3]
+	pos := st.pos
 	for len(data) >= 32 {
 		b := data[:32]
 		k := tab[pos&(tabWords-4):][:4]
@@ -111,18 +161,26 @@ func (h *Hasher) Sum(data []byte) uint64 {
 		data = data[32:]
 		pos += 4
 	}
-	lanes := [4]uint64{x0, x1, x2, x3}
+	st.x, st.pos = [4]uint64{x0, x1, x2, x3}, pos
+	return data
+}
+
+// finish mixes the last partial block (fewer than 32 bytes) and folds the
+// lanes into the sum.
+func (h *Hasher) finish(st *sumState, tail []byte) uint64 {
+	tab, pos := h.tab, st.pos
+	lanes := &st.x
 	lane := 0
-	for ; len(data) >= 8; data = data[8:] {
-		lanes[lane] = mixWord(lanes[lane], binary.LittleEndian.Uint64(data)^tab[(pos+lane)&(tabWords-1)])
+	for ; len(tail) >= 8; tail = tail[8:] {
+		lanes[lane] = mixWord(lanes[lane], binary.LittleEndian.Uint64(tail)^tab[(pos+lane)&(tabWords-1)])
 		lane++
 	}
-	if len(data) > 0 {
-		var tail uint64
-		for i, b := range data {
-			tail |= uint64(b) << (8 * uint(i))
+	if len(tail) > 0 {
+		var w uint64
+		for i, b := range tail {
+			w |= uint64(b) << (8 * uint(i))
 		}
-		lanes[lane] = mixWord(lanes[lane], tail^tab[(pos+lane)&(tabWords-1)])
+		lanes[lane] = mixWord(lanes[lane], w^tab[(pos+lane)&(tabWords-1)])
 	}
 	x := lanes[0]
 	for _, l := range lanes[1:] {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"flexio/internal/integrity"
@@ -11,21 +12,25 @@ import (
 	"flexio/internal/trace"
 )
 
-// envelope is one in-flight message.
+// envelope is one in-flight message. Its payload is either one contiguous
+// buffer (data, from Send) or a list of views of the sender's memory (iov,
+// from SendIov); n is the byte count either way.
 type envelope struct {
 	src   int
 	tag   int
 	data  []byte
+	iov   [][]byte
+	n     int64
 	stamp sim.Time // sender clock when the message left
 	edge  int64    // causal edge id, shared by the send/recv trace instants
 	// Integrity fields (zero when the world's checksummed datapath is
 	// off). sum is the checksum of the pristine payload, computed at the
 	// sender. When fault injection corrupted the payload in flight, data
-	// is a flipped copy, orig keeps the sender's pristine bytes (the
-	// retransmit source the re-request protocol draws from), and rep is
-	// how many consecutive delivery attempts arrive corrupted.
+	// (or iov) is a flipped copy, orig keeps the sender's pristine bytes as
+	// views (the retransmit source the re-request protocol draws from), and
+	// rep is how many consecutive delivery attempts arrive corrupted.
 	sum  uint64
-	orig []byte
+	orig [][]byte
 	rep  uint8
 }
 
@@ -35,10 +40,13 @@ type envelope struct {
 // theirs to the GC.
 var envPool = sync.Pool{New: func() any { return new(envelope) }}
 
-func newEnvelope(src, tag int, data []byte, stamp sim.Time, edge int64, sum uint64, orig []byte, rep uint8) *envelope {
-	e := envPool.Get().(*envelope)
-	*e = envelope{src: src, tag: tag, data: data, stamp: stamp, edge: edge, sum: sum, orig: orig, rep: rep}
-	return e
+// checksum sums the payload as it currently is: Sum and SumIov agree on
+// equal bytes, so the cut does not matter.
+func (e *envelope) checksum(ig *integrity.Hasher) uint64 {
+	if e.iov != nil {
+		return ig.SumIov(e.iov)
+	}
+	return ig.Sum(e.data)
 }
 
 func releaseEnvelope(e *envelope) {
@@ -138,19 +146,36 @@ func (b *mailbox) poisonAndWake() {
 // buffered: the sender is charged only its send overhead, matching the way
 // ROMIO posts all its MPI_Isends before waiting.
 func (p *Proc) Send(to, tag int, data []byte) {
+	p.post(to, tag, data, nil, int64(len(data)))
+}
+
+// SendIov is Send of the concatenation of iov without building it: the
+// transport carries the views themselves (an MPI send of a derived
+// datatype), so the receiver reads the sender's memory and the sender must
+// keep every view — and the iov table — intact until a later rendezvous
+// proves the receiver is done with them. Cost accounting, comm-matrix row,
+// edge id, message count and fault-rule sequence are those of Send.
+func (p *Proc) SendIov(to, tag int, iov [][]byte) {
+	var n int64
+	for _, v := range iov {
+		n += int64(len(v))
+	}
+	p.post(to, tag, nil, iov, n)
+}
+
+// post is the one send path: exactly one of data and iov carries the n
+// payload bytes.
+func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 	if to < 0 || to >= p.w.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", to, p.w.size))
 	}
-	var (
-		sum  uint64
-		orig []byte
-		rep  uint8
-	)
+	e := envPool.Get().(*envelope)
+	*e = envelope{src: p.rank, tag: tag, data: data, iov: iov, n: n}
 	if ig := p.w.integ; ig != nil {
 		// Checksum the pristine payload before any in-flight fault can
 		// touch it: one streaming read-only pass.
-		sum = ig.Sum(data)
-		p.clock += p.w.cfg.ChecksumTime(int64(len(data)))
+		e.sum = e.checksum(ig)
+		p.clock += p.w.cfg.ChecksumTime(n)
 	}
 	if rf := p.w.rf; rf != nil {
 		p.sendSeq++
@@ -162,24 +187,21 @@ func (p *Proc) Send(to, tag int, data []byte) {
 			p.Stats.Add(stats.CRedeliveries, 1)
 			p.Metrics.Inc(metrics.CRedelivered)
 		}
-		if r, h, ok := rf.corruptHit(p.rank, to, p.sendSeq); ok && len(data) > 0 {
+		if r, h, ok := rf.corruptHit(p.rank, to, p.sendSeq); ok && n > 0 {
 			// Silent in-flight corruption: deliver a copy with one bit
 			// flipped, never mutating the sender's buffer (engine iovec
 			// views alias it). The pristine original rides along as the
 			// retransmit source for the receiver's re-request protocol.
-			bad := make([]byte, len(data))
-			copy(bad, data)
-			bit := h % uint64(len(data)*8)
-			bad[bit/8] ^= 1 << (bit % 8)
-			orig, data = data, bad
-			if r > 255 {
-				r = 255
+			if iov != nil {
+				e.orig, e.iov = iov, corruptIov(iov, h, n)
+			} else {
+				e.orig = [][]byte{data}
+				e.data = corruptIov(e.orig, h, n)[0]
 			}
-			rep = uint8(r)
+			e.rep = uint8(min(r, 255))
 		}
 	}
 	p.clock += p.w.cfg.SendOverhead
-	n := int64(len(data))
 	p.Stats.Add(stats.CBytesComm, n)
 	p.Metrics.Add(metrics.CCommBytes, n)
 	// Edge id: the sender alone sequences its (src,dst) stream, so the id
@@ -188,7 +210,7 @@ func (p *Proc) Send(to, tag int, data []byte) {
 	seq := p.sendsTo[to]
 	p.sendsTo[to]++
 	size := int64(p.w.size)
-	edge := (seq*size+int64(p.rank))*size + int64(to)
+	e.edge = (seq*size+int64(p.rank))*size + int64(to)
 	if shuffle := p.round >= 0; shuffle {
 		if p.w.node(p.rank) == p.w.node(to) {
 			p.Metrics.Add(metrics.CShuffleIntraNodeBytes, n)
@@ -201,8 +223,9 @@ func (p *Proc) Send(to, tag int, data []byte) {
 	} else if m := p.w.comm; m != nil {
 		m.add(p.rank, to, n, false)
 	}
-	p.Trace.Instant2(p.clock, trace.MsgSendName, trace.I(trace.EdgeTag, edge), trace.I(trace.BytesTag, n))
-	p.w.boxes[to].put(newEnvelope(p.rank, tag, data, p.clock, edge, sum, orig, rep))
+	p.Trace.Instant2(p.clock, trace.MsgSendName, trace.I(trace.EdgeTag, e.edge), trace.I(trace.BytesTag, n))
+	e.stamp = p.clock
+	p.w.boxes[to].put(e)
 }
 
 // Recv blocks until a message from src (or Any) with tag (or Any) arrives.
@@ -215,14 +238,68 @@ func (p *Proc) Send(to, tag int, data []byte) {
 // Recv gives up at the deadline and returns nil data: the peer is
 // reported through PeerFailure and the collective error agreement.
 func (p *Proc) Recv(src, tag int) (data []byte, from int) {
-	post := p.clock
+	e, from := p.recv(p.clock, src, tag)
+	if e == nil {
+		return nil, from
+	}
+	data = asBytes(e.data, e.iov)
+	releaseEnvelope(e)
+	return data, from
+}
+
+// RecvIov is Recv for a payload consumed as views: it returns what SendIov
+// posted, by reference (see SendIov for the lifetime rule), without
+// concatenating. The transport does not promise the sender's view
+// boundaries — a corrupted delivery, a re-requested original or a payload
+// posted with Send arrive cut differently — so receivers must consume the
+// views by byte count. A nil table reports the failures Recv reports with
+// nil data.
+func (p *Proc) RecvIov(src, tag int) (iov [][]byte, from int) {
+	e, from := p.recv(p.clock, src, tag)
+	if e == nil {
+		return nil, from
+	}
+	iov = asViews(e.data, e.iov)
+	releaseEnvelope(e)
+	return iov, from
+}
+
+// recv matches and completes one receive posted at post. A nil envelope
+// means the receive failed (see completeRecv); otherwise the caller takes
+// the payload and releases the envelope.
+func (p *Proc) recv(post sim.Time, src, tag int) (*envelope, int) {
 	e := p.w.boxes[p.rank].take(p.w, p.rank, src, tag)
 	if done := p.completeRecv(post, e); !done {
 		return nil, src
 	}
-	data, from = e.data, e.src
-	releaseEnvelope(e)
-	return data, from
+	return e, e.src
+}
+
+// asBytes returns a payload as one buffer: data itself, or the
+// concatenation of iov when the sender posted views and the receiver wants
+// bytes.
+func asBytes(data []byte, iov [][]byte) []byte {
+	if iov == nil {
+		return data
+	}
+	var n int
+	for _, v := range iov {
+		n += len(v)
+	}
+	out := make([]byte, 0, n)
+	for _, v := range iov {
+		out = append(out, v...)
+	}
+	return out
+}
+
+// asViews returns a payload as a view table: iov itself, or data wrapped in
+// a one-row table when the sender posted bytes and the receiver wants views.
+func asViews(data []byte, iov [][]byte) [][]byte {
+	if iov == nil {
+		return [][]byte{data}
+	}
+	return iov
 }
 
 // completeRecv finishes a matched (or abandoned) receive posted at post.
@@ -252,8 +329,8 @@ func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 		// Verify on every delivery — including redelivered copies that
 		// sat in the mailbox: a corrupted payload must never be trusted
 		// just because its envelope was matched before.
-		p.clock += p.w.cfg.ChecksumTime(int64(len(e.data)))
-		if ig.Sum(e.data) != e.sum && !p.reRequest(e) {
+		p.clock += p.w.cfg.ChecksumTime(e.n)
+		if e.checksum(ig) != e.sum && !p.reRequest(e) {
 			releaseEnvelope(e)
 			return false
 		}
@@ -274,7 +351,7 @@ func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 // pristine bytes in and succeeds; a corruption outliving the bound leaves
 // the sticky integrity error armed for the engines' error agreement.
 func (p *Proc) reRequest(e *envelope) bool {
-	n := int64(len(e.data))
+	n := e.n
 	intra := e.src != p.rank && p.w.node(e.src) == p.w.node(p.rank)
 	for attempt := 1; attempt <= integrity.MaxReRequests; attempt++ {
 		switch {
@@ -286,7 +363,11 @@ func (p *Proc) reRequest(e *envelope) bool {
 			p.clock += 2*p.w.cfg.NetLatency + p.w.cfg.TransferTime(n)
 		}
 		if attempt >= int(e.rep) && e.orig != nil {
-			e.data = e.orig
+			if e.iov != nil {
+				e.iov = e.orig
+			} else {
+				e.data = e.orig[0]
+			}
 			p.Metrics.NoteWireIntegrity(true)
 			return true
 		}
@@ -306,14 +387,14 @@ func (p *Proc) reRequest(e *envelope) bool {
 func (p *Proc) arrivalTime(post sim.Time, e *envelope) sim.Time {
 	start := sim.Max(post, e.stamp)
 	if e.src == p.rank {
-		return start + p.w.cfg.MemcpyTime(int64(len(e.data)))
+		return start + p.w.cfg.MemcpyTime(e.n)
 	}
 	if p.w.node(e.src) == p.w.node(p.rank) {
-		return start + p.w.cfg.IntraNodeTransferTime(int64(len(e.data))) +
+		return start + p.w.cfg.IntraNodeTransferTime(e.n) +
 			p.w.cfg.IntraNodeHopLatency()
 	}
 	start = sim.Max(start, p.nicBusy)
-	p.nicBusy = start + p.w.cfg.TransferTime(int64(len(e.data)))
+	p.nicBusy = start + p.w.cfg.TransferTime(e.n)
 	return p.nicBusy + p.w.cfg.NetLatency
 }
 
@@ -326,8 +407,12 @@ type Request struct {
 	src    int
 	tag    int
 	post   sim.Time // clock when the receive was posted
-	data   []byte
-	from   int
+	// A completed receive holds its payload the way it travelled: data
+	// from Send, iov from SendIov, both nil when the receive failed.
+	data []byte
+	iov  [][]byte
+	from int
+	ok   bool
 }
 
 // reqPool recycles receive requests; Waitall returns them once completed.
@@ -346,6 +431,12 @@ func (p *Proc) Isend(to, tag int, data []byte) *Request {
 	return doneRequest
 }
 
+// IsendIov is Isend for SendIov.
+func (p *Proc) IsendIov(to, tag int, iov [][]byte) *Request {
+	p.SendIov(to, tag, iov)
+	return doneRequest
+}
+
 // Irecv posts a nonblocking receive. The matching and transfer are resolved
 // at Wait time, but the transfer is modelled as starting at the later of
 // the post time and the send time — computation between Irecv and Wait
@@ -361,25 +452,43 @@ func (p *Proc) Irecv(src, tag int) *Request {
 	return r
 }
 
+// complete finishes the request (once): a receive is matched and its
+// payload moved into the request. ok is false for sends and for receives
+// that failed.
+func (r *Request) complete() (ok bool) {
+	if !r.done {
+		r.done = true
+		if r.isRecv {
+			e, from := r.p.recv(r.post, r.src, r.tag)
+			r.from = from
+			if e != nil {
+				r.data, r.iov = e.data, e.iov
+				releaseEnvelope(e)
+				r.ok = true
+			}
+		}
+	}
+	return r.ok
+}
+
 // Wait completes the request. For receives it returns the data and source;
 // nil data with the posted source means the peer crashed or tripped the
 // deadline (see Recv).
 func (r *Request) Wait() (data []byte, from int) {
-	if r.done {
-		return r.data, r.from
+	if r.complete() {
+		// Views wanted as bytes are concatenated once and kept.
+		r.data, r.iov = asBytes(r.data, r.iov), nil
 	}
-	r.done = true
-	if !r.isRecv {
-		return nil, 0
-	}
-	e := r.p.w.boxes[r.p.rank].take(r.p.w, r.p.rank, r.src, r.tag)
-	if done := r.p.completeRecv(r.post, e); !done {
-		r.data, r.from = nil, r.src
-		return r.data, r.from
-	}
-	r.data, r.from = e.data, e.src
-	releaseEnvelope(e)
 	return r.data, r.from
+}
+
+// waitIov completes the request like Wait but returns the payload as views
+// (see RecvIov); a nil table reports a failed receive.
+func (r *Request) waitIov() [][]byte {
+	if r.complete() {
+		r.data, r.iov = nil, asViews(r.data, r.iov)
+	}
+	return r.iov
 }
 
 // Waitall completes a set of requests and returns the received payloads in
@@ -387,17 +496,43 @@ func (r *Request) Wait() (data []byte, from int) {
 // released back to the pool and its slot nilled, so callers must not Wait
 // on them again.
 func Waitall(reqs []*Request) [][]byte {
-	out := make([][]byte, len(reqs))
+	return WaitallInto(reqs, nil)
+}
+
+// WaitallInto is Waitall filling caller scratch: out is resized to
+// len(reqs) (reusing its capacity) and returned, so a round loop waits
+// without allocating.
+func WaitallInto(reqs []*Request, out [][]byte) [][]byte {
+	out = slices.Grow(out[:0], len(reqs))[:len(reqs)]
 	for i, r := range reqs {
-		if r == nil {
-			continue
+		out[i] = nil
+		if r != nil {
+			out[i], _ = r.Wait()
+			retire(reqs, i)
 		}
-		out[i], _ = r.Wait()
-		if r != doneRequest {
-			*r = Request{}
-			reqPool.Put(r)
-		}
-		reqs[i] = nil
 	}
 	return out
+}
+
+// WaitallIov is WaitallInto for payloads consumed as views: out[i] is
+// request i's view table (nil for sends and failed receives).
+func WaitallIov(reqs []*Request, out [][][]byte) [][][]byte {
+	out = slices.Grow(out[:0], len(reqs))[:len(reqs)]
+	for i, r := range reqs {
+		out[i] = nil
+		if r != nil {
+			out[i] = r.waitIov()
+			retire(reqs, i)
+		}
+	}
+	return out
+}
+
+// retire releases a completed request back to the pool and nils its slot.
+func retire(reqs []*Request, i int) {
+	if r := reqs[i]; r != doneRequest {
+		*r = Request{}
+		reqPool.Put(r)
+	}
+	reqs[i] = nil
 }

@@ -38,18 +38,15 @@ func (f *File) WriteIndependent(buf []byte, memtype datatype.Type, count int64) 
 	if err := f.checkAccess(buf, memtype, count); err != nil {
 		return err
 	}
-	// Pack into a pooled stream; storage copies the bytes into its pages
-	// synchronously, so the stream can be recycled as soon as WriteStream
-	// returns.
-	stream := bufpool.Get(datatype.TotalSize(memtype, count))[:0]
-	stream, err := f.PackMemoryInto(stream, buf, memtype, count)
+	stream, err := f.Linearize(buf, memtype, count, true)
 	if err != nil {
-		bufpool.Put(stream)
 		return err
 	}
-	segs := f.ResolveAccess(int64(len(stream)))
-	err = f.WriteStream(segs, stream, f.info.IndepMethod)
-	bufpool.Put(stream)
+	segs := f.ResolveAccess(int64(len(stream.B)))
+	err = f.WriteStream(segs, stream.B, f.info.IndepMethod)
+	// Storage copies the bytes into its pages synchronously, so the stream
+	// can be recycled as soon as WriteStream returns.
+	stream.Release()
 	return err
 }
 
@@ -189,10 +186,11 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 // windows and performs each as one contiguous read(-modify-write) through
 // the data sieve buffer. The pass through the sieve buffer is an extra
 // memory copy of the useful bytes — the double-buffering cost the paper
-// attributes to layering collective I/O on the independent path.
+// attributes to layering collective I/O on the independent path. It is a
+// modelled copy only: the charge is issued here, and the storage layer
+// moves the useful bytes straight between data and the file's pages.
 func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error {
 	sieve := f.info.SieveBufSize
-	cfg := f.proc.Config()
 	i := 0
 	pos := int64(0)
 	pending := append(f.sievePending[:0], segs...)
@@ -220,12 +218,8 @@ func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error 
 		span := datatype.Seg{Off: wlo, Len: group[len(group)-1].End() - wlo}
 		chunk := data[pos : pos+useful]
 
-		// The copy through the sieve buffer.
-		d := cfg.MemcpyTime(useful)
-		f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, useful))
-		f.proc.AdvanceClock(d)
-		f.proc.ChargeTime(stats.PCopy, d)
-		f.proc.Trace.End(f.proc.Clock())
+		// The modelled copy through the sieve buffer.
+		f.ChargeCopy(useful)
 
 		var err error
 		if write {

@@ -14,6 +14,7 @@ package mpiio
 import (
 	"fmt"
 
+	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
@@ -331,30 +332,75 @@ func (f *File) PackMemory(buf []byte, memtype datatype.Type, count int64) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	d := f.proc.Config().MemcpyTime(int64(len(stream)))
-	f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, int64(len(stream))))
-	f.proc.AdvanceClock(d)
-	f.proc.ChargeTime(stats.PCopy, d)
-	f.proc.Trace.End(f.proc.Clock())
+	f.ChargeCopy(int64(len(stream)))
 	return stream, nil
 }
 
-// PackMemoryInto is PackMemory appending into a caller-provided (typically
-// pooled) destination, charging the same copy cost. It returns the
-// extended slice.
-func (f *File) PackMemoryInto(dst, buf []byte, memtype datatype.Type, count int64) ([]byte, error) {
-	before := len(dst)
-	dst, err := datatype.AppendPack(dst, buf, memtype, 0, count)
-	if err != nil {
-		return dst, err
+// Stream is the linear data stream of one access: the bytes it moves, in
+// file-view order. B is a pooled buffer the holder owns unless Pooled is
+// false, when it is the caller's own buffer used in place (see Linearize)
+// and must be neither modified nor recycled.
+type Stream struct {
+	B      []byte
+	Pooled bool
+}
+
+// ReadStreamBuf returns the private, zeroed, pooled stream a read of n bytes
+// fills before it is unpacked: reads never alias the user buffer, so an
+// aborted collective leaves it untouched, and the zero fill keeps any byte
+// the access happens not to cover identical to a fresh allocation.
+func ReadStreamBuf(n int64) Stream {
+	return Stream{B: bufpool.GetZero(n), Pooled: true}
+}
+
+// Release recycles a pooled stream. Collective engines call it after the
+// rendezvous that ends the call, and not from a deferred function: peers
+// hold views of a write stream until then, and a rank an injected crash
+// unwinds must drop its stream to the garbage collector instead.
+func (s Stream) Release() {
+	if s.Pooled {
+		bufpool.Put(s.B)
 	}
-	n := int64(len(dst) - before)
-	d := f.proc.Config().MemcpyTime(n)
-	f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, n))
-	f.proc.AdvanceClock(d)
-	f.proc.ChargeTime(stats.PCopy, d)
-	f.proc.Trace.End(f.proc.Clock())
-	return dst, nil
+}
+
+// Owned returns the stream's bytes in a pooled buffer whose ownership can
+// be handed to a peer that will recycle it: B itself when pooled, a pooled
+// copy of the caller's buffer otherwise.
+func (s Stream) Owned() []byte {
+	if s.Pooled {
+		return s.B
+	}
+	return append(bufpool.Get(int64(len(s.B)))[:0], s.B...)
+}
+
+// Linearize returns the data stream of a write: count instances of memtype
+// in buf, back to back. A dense memory type — one segment at offset 0
+// filling its extent, so the instances tile buf without gaps — needs no
+// packing: the stream is then buf itself, in place. Every other type is
+// packed into a pooled buffer. With charged set the modelled pack is
+// charged to the rank's clock either way: the model packs whatever the
+// host does.
+func (f *File) Linearize(buf []byte, memtype datatype.Type, count int64, charged bool) (Stream, error) {
+	n := datatype.TotalSize(memtype, count)
+	var s Stream
+	if segs := memtype.Flatten(); n >= 0 && len(segs) == 1 && segs[0].Off == 0 && segs[0].Len == memtype.Extent() {
+		if n > int64(len(buf)) {
+			return s, fmt.Errorf("mpiio: buffer of %d bytes too small for %d x %s", len(buf), count, memtype)
+		}
+		s.B = buf[:n:n]
+	} else {
+		scratch := bufpool.Get(n)
+		packed, err := datatype.AppendPack(scratch[:0], buf, memtype, 0, count)
+		if err != nil {
+			bufpool.Put(scratch)
+			return s, err
+		}
+		s = Stream{B: packed, Pooled: true}
+	}
+	if charged {
+		f.ChargeCopy(n)
+	}
+	return s, nil
 }
 
 // UnpackMemory scatters a linear stream back into the user buffer.
@@ -362,12 +408,20 @@ func (f *File) UnpackMemory(stream, buf []byte, memtype datatype.Type, count int
 	if err := datatype.Unpack(stream, buf, memtype, 0, count); err != nil {
 		return err
 	}
-	d := f.proc.Config().MemcpyTime(int64(len(stream)))
-	f.proc.Trace.Begin1(f.proc.Clock(), stats.PCopy, trace.I(trace.BytesTag, int64(len(stream))))
-	f.proc.AdvanceClock(d)
-	f.proc.ChargeTime(stats.PCopy, d)
-	f.proc.Trace.End(f.proc.Clock())
+	f.ChargeCopy(int64(len(stream)))
 	return nil
+}
+
+// ChargeCopy charges one modelled memory pass over n bytes (a pack, the
+// pass through a sieve or collective buffer, a split) to the rank's clock
+// as copy time.
+func (f *File) ChargeCopy(n int64) {
+	p := f.proc
+	d := p.Config().MemcpyTime(n)
+	p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, n))
+	p.AdvanceClock(d)
+	p.ChargeTime(stats.PCopy, d)
+	p.Trace.End(p.Clock())
 }
 
 // ChargePairs converts offset/length-pair processing into virtual time on

@@ -515,33 +515,37 @@ func (h *Handle) Name() string { return h.f.name }
 // WriteAt writes data at off starting at virtual time now and returns the
 // completion time.
 func (h *Handle) WriteAt(off int64, data []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("write", h.f, []datatype.Seg{{Off: off, Len: int64(len(data))}}, data, nil, false, now)
+	return h.c.access("write", h.f, []datatype.Seg{{Off: off, Len: int64(len(data))}}, data, nil, nil, false, now)
 }
 
 // ReadAt reads len(buf) bytes at off into buf.
 func (h *Handle) ReadAt(off int64, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, []datatype.Seg{{Off: off, Len: int64(len(buf))}}, nil, buf, false, now)
+	return h.c.access("read", h.f, []datatype.Seg{{Off: off, Len: int64(len(buf))}}, nil, buf, nil, false, now)
 }
 
 // WriteList writes the concatenated data stream into the given file
 // segments with a single request (list I/O semantics: one call overhead for
 // the whole batch, as with PVFS's listio interface).
 func (h *Handle) WriteList(segs []datatype.Seg, data []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("write", h.f, segs, data, nil, false, now)
+	return h.c.access("write", h.f, segs, data, nil, nil, false, now)
 }
 
 // ReadList reads the given file segments into the concatenated buffer with
 // a single request.
 func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, segs, nil, buf, false, now)
+	return h.c.access("read", h.f, segs, nil, buf, nil, false, now)
 }
 
 // access is the single entry point for all I/O: it validates, applies fault
 // injection, moves bytes, and computes the completion time. A read with a
 // nil rbuf is a timing-only access: it takes the locks, verifies the pages,
 // fills the page cache and charges the OSTs like any read of segs, but
-// delivers no bytes (the sieve RMW prefetch, whose data nobody looks at).
-func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []byte, rbuf []byte, sieve bool, now sim.Time) (sim.Time, error) {
+// delivers no bytes (the sieve RMW prefetch, whose data nobody looks at). A
+// read with gather set is a sieve read: segs (the span) is accessed
+// timing-only in the same way, and rbuf then receives the bytes of gather
+// — the useful segments inside the span — straight from the pages, up to
+// where a partial fault cut the span short.
+func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rbuf []byte, gather []datatype.Seg, sieve bool, now sim.Time) (sim.Time, error) {
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Len < 0 {
@@ -552,8 +556,14 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 	if kind == "write" && total != int64(len(wdata)) {
 		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, len(wdata))
 	}
-	if kind == "read" && rbuf != nil && total != int64(len(rbuf)) {
-		return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", f.name, total, len(rbuf))
+	// dst receives the bytes of segs themselves; a sieve read delivers
+	// through gather instead and accesses segs timing-only.
+	dst := rbuf
+	if gather != nil {
+		dst = nil
+	}
+	if kind == "read" && dst != nil && total != int64(len(dst)) {
+		return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", f.name, total, len(dst))
 	}
 	if total == 0 {
 		return now, nil
@@ -586,8 +596,8 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 			segs, _ = datatype.SplitSegs(segs, w)
 			if kind == "write" {
 				wdata = wdata[:w]
-			} else if rbuf != nil {
-				rbuf = rbuf[:w]
+			} else if dst != nil {
+				dst = dst[:w]
 			}
 			total = w
 		} else {
@@ -625,12 +635,12 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 		if kind == "write" {
 			segDone = c.writeSeg(f, s, wdata[pos:pos+s.Len], t)
 		} else {
-			var dst []byte
-			if rbuf != nil {
-				dst = rbuf[pos : pos+s.Len]
+			var into []byte
+			if dst != nil {
+				into = dst[pos : pos+s.Len]
 			}
 			var rerr error
-			segDone, rerr = c.readSeg(f, s, dst, t)
+			segDone, rerr = c.readSeg(f, s, into, t)
 			if rerr != nil {
 				// An unrepairable block poisons the whole request: the
 				// caller must not trust any byte of the buffer.
@@ -644,6 +654,9 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata []b
 			completion = segDone
 		}
 		pos += s.Len
+	}
+	if gather != nil {
+		f.gatherBytes(gather, segs[len(segs)-1].End(), rbuf, fs.cfg.PageSize)
 	}
 	if partial != nil {
 		return completion, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
@@ -1222,6 +1235,23 @@ func (f *fileData) readBytes(off int64, buf []byte, pageSize int64) {
 		}
 		pos += n
 	}
+}
+
+// gatherBytes fills buf, back to back, with the bytes of segs that lie below
+// file offset cut and returns how many those are; a nil buf only counts.
+func (f *fileData) gatherBytes(segs []datatype.Seg, cut int64, buf []byte, pageSize int64) int64 {
+	var pos int64
+	for _, s := range segs {
+		n := min(s.End(), cut) - s.Off
+		if n <= 0 {
+			break
+		}
+		if buf != nil {
+			f.readBytes(s.Off, buf[pos:pos+n], pageSize)
+		}
+		pos += n
+	}
+	return pos
 }
 
 // Clients reports how many clients are registered (diagnostics).

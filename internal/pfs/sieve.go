@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/sim"
@@ -47,7 +46,7 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 		// already where they belong — hence a timing-only access.
 		h.c.rmwSpan[0] = span
 		var err error
-		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], nil, nil, true, t)
+		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], nil, nil, nil, true, t)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrDataIntegrity):
@@ -166,7 +165,10 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 }
 
 // SieveRead models a data-sieving read window: one contiguous read of the
-// span, with the useful bytes gathered into buf.
+// span in timing, locking, page verification and cache fill, while only the
+// useful bytes move — each once, from the file's pages into buf. No sieve
+// buffer exists on the host: the file image is exact, so the gap bytes a
+// real one would carry have nowhere to go.
 func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
 	var useful int64
 	for _, s := range segs {
@@ -184,44 +186,17 @@ func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, n
 	}
 	h.c.met.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.met.Add(metrics.CSieveUsefulBytes, useful)
-	// Recycled without zeroing: access fills every byte of the span
-	// (readBytes zeroes unwritten ranges itself).
-	tmp := bufpool.Get(span.Len)
-	defer bufpool.Put(tmp)
 	h.c.rmwSpan[0] = span
-	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], nil, tmp, true, now)
+	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], nil, buf, segs, true, now)
 	if err != nil {
 		var pe *PartialError
 		if errors.As(err, &pe) {
 			// The span read stopped short. Translate Written from span
-			// bytes into useful bytes: gather the fully-read prefix of
-			// the segments so the caller can resume from there.
-			cut := span.Off + pe.Written
-			var got, pos int64
-			for _, s := range segs {
-				end := s.End()
-				if end > cut {
-					end = cut
-				}
-				if end <= s.Off {
-					break
-				}
-				n := end - s.Off
-				copy(buf[pos:pos+n], tmp[s.Off-span.Off:s.Off-span.Off+n])
-				got += n
-				pos += n
-				if end < s.End() {
-					break
-				}
-			}
+			// bytes into useful bytes — access delivered exactly the useful
+			// bytes below the cut — so the caller can resume from there.
+			got := h.f.gatherBytes(segs, span.Off+pe.Written, nil, 0)
 			return done, fmt.Errorf("pfs: read %q: %w", h.f.name, &PartialError{Written: got})
 		}
-		return done, err
 	}
-	pos := int64(0)
-	for _, s := range segs {
-		copy(buf[pos:pos+s.Len], tmp[s.Off-span.Off:s.End()-span.Off])
-		pos += s.Len
-	}
-	return done, nil
+	return done, err
 }

@@ -45,15 +45,15 @@ type preaggState struct {
 	total  int64
 }
 
-// preaggExchange runs the intra-node forwarding stage and returns the
-// effective access and stream this rank takes into the rounds: a member
+// preaggExchange runs the intra-node forwarding stage, leaving in cs the
+// stream and returning the access this rank takes into the rounds: a member
 // hands both to its leader (ownership of a write stream transfers) and
-// continues with an empty access; a leader returns the merged segments and
-// merged stream. The stage is traced and charged as the "preagg" phase; it
+// continues with an empty access; a leader continues with the merged
+// segments and merged stream. The stage is traced and charged as the "preagg" phase; it
 // runs before the first round, so none of its traffic counts as shuffle —
 // and it is intra-node by construction anyway.
-func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, stream []byte,
-	dataLen int64, write bool) ([]datatype.Seg, []byte, *preaggState) {
+func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, cs *mpiio.Stream,
+	dataLen int64, write bool) ([]datatype.Seg, *preaggState) {
 
 	p := f.Proc()
 	ps := &preaggState{plan: p.PlanNode(i.journal.Dead())}
@@ -73,15 +73,16 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, stream []byt
 		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
 		p.Send(ps.plan.Leader, tagPre, enc)
 		if write && dataLen > 0 {
-			// Ownership of the pooled stream passes to the leader.
-			p.Send(ps.plan.Leader, tagPreData, stream)
-			stream = nil
+			// Ownership of a pooled buffer passes to the leader, which
+			// recycles it.
+			p.Send(ps.plan.Leader, tagPreData, cs.Owned())
+			*cs = mpiio.Stream{}
 		}
-		return nil, stream, ps
+		return nil, ps
 	}
 	if len(ps.plan.Members) == 0 {
 		// Single-rank node: pre-aggregation is the identity.
-		return mySegs, stream, ps
+		return mySegs, ps
 	}
 
 	// Leader: collect the members' accesses and build the merge plan.
@@ -90,7 +91,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, stream []byt
 	ps.totals = make([]int64, nparts)
 	ps.totals[0] = dataLen
 	bufs := make([][]byte, nparts)
-	bufs[0] = stream
+	bufs[0] = cs.B
 	for k, m := range ps.plan.Members {
 		enc, _ := p.Recv(m, tagPre)
 		if enc == nil {
@@ -151,15 +152,17 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, stream []byt
 			copy(out[it.DstPos:it.DstPos+it.Len], src[it.SrcPos:it.SrcPos+it.Len])
 		}
 		p.AdvanceClock(p.Config().MemcpyTime(ps.total))
-		for _, b := range bufs {
-			bufpool.Put(b) // the members' forwarded payloads and our own stream
+		for k, b := range bufs {
+			if k > 0 || cs.Pooled {
+				bufpool.Put(b) // the members' forwarded payloads and our own stream
+			}
 		}
-		stream = out
+		*cs = mpiio.Stream{B: out, Pooled: true}
 	} else {
-		bufpool.Put(stream)
-		stream = bufpool.GetZero(ps.total)
+		bufpool.Put(cs.B)
+		cs.B = bufpool.GetZero(ps.total)
 	}
-	return merged, stream, ps
+	return merged, ps
 }
 
 // preaggScatter distributes a read's merged stream back to the node's
@@ -167,8 +170,8 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, stream []byt
 // the leader's stream to its own bytes. All ranks agree on the outcome so
 // a member that lost its leader aborts the collective uniformly instead of
 // unpacking stale zeros.
-func (i *Impl) preaggScatter(f *mpiio.File, stream []byte,
-	ps *preaggState, dataLen int64) ([]byte, error) {
+func (i *Impl) preaggScatter(f *mpiio.File, cs *mpiio.Stream,
+	ps *preaggState, dataLen int64) error {
 
 	p := f.Proc()
 	t0 := p.Clock()
@@ -180,6 +183,7 @@ func (i *Impl) preaggScatter(f *mpiio.File, stream []byte,
 
 	var scErr error
 	rank := p.Rank()
+	stream := cs.B // a read's stream: always pooled
 	switch {
 	case ps.plan.Leads(rank) && len(ps.plan.Members) > 0:
 		own := bufpool.Get(dataLen)
@@ -207,7 +211,7 @@ func (i *Impl) preaggScatter(f *mpiio.File, stream []byte,
 		}
 		p.AdvanceClock(p.Config().MemcpyTime(copied))
 		bufpool.Put(stream)
-		stream = own
+		cs.B = own
 	case !ps.plan.Leads(rank) && dataLen > 0:
 		data, _ := p.Recv(ps.plan.Leader, tagScatter)
 		if data == nil {
@@ -218,5 +222,5 @@ func (i *Impl) preaggScatter(f *mpiio.File, stream []byte,
 			bufpool.Put(data)
 		}
 	}
-	return stream, mpiio.AgreeError(p, scErr)
+	return mpiio.AgreeError(p, scErr)
 }

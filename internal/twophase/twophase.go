@@ -133,31 +133,37 @@ func (cs *clipState) next(lo, hi int64, out []datatype.Seg) (_ []datatype.Seg, a
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
+	// Linearize the user data. A write's stream is read in place by the
+	// aggregators (each gets a view of its contiguous share); a read's is
+	// private. Pre-aggregation swaps the stream (a member hands its own to
+	// the leader, a leader continues with the merged one).
+	var cs mpiio.Stream
+	if write {
+		var err error
+		if cs, err = f.Linearize(buf, memtype, count, true); err != nil {
+			return err
+		}
+	} else {
+		cs = mpiio.ReadStreamBuf(datatype.TotalSize(memtype, count))
+	}
+	err := i.run(f, &cs, buf, memtype, count, write)
+	// Not deferred: the round-boundary agreements order every reader of
+	// the stream's views before a normal return, but an injected crash
+	// unwinds this rank while an aggregator may still be gathering from
+	// them, and a dying rank must drop its stream, not pool it.
+	cs.Release()
+	return err
+}
+
+// run is the collective call proper, on an already linearized stream.
+func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	p := f.Proc()
 	cfg := p.Config()
 	info := f.Info()
 
-	// Linearize the user data and flatten the whole access: the O(M)
-	// flattened-access representation is this implementation's currency.
-	// The stream is pooled: it is private to this rank (message payloads
-	// are separate pooled buffers, never views of it), so it can be
-	// released on every exit path.
-	var stream []byte
+	// Flatten the whole access: the O(M) flattened-access representation
+	// is this implementation's currency.
 	dataLen := datatype.TotalSize(memtype, count)
-	if write {
-		var err error
-		stream, err = f.PackMemoryInto(bufpool.Get(dataLen)[:0], buf, memtype, count)
-		if err != nil {
-			bufpool.Put(stream)
-			return err
-		}
-	} else {
-		stream = bufpool.GetZero(dataLen)
-	}
-	// The deferred release reads the variable, not the value at defer time:
-	// pre-aggregation legitimately swaps the stream (a member hands its own
-	// to the leader; a leader continues with the merged one).
-	defer func() { bufpool.Put(stream) }()
 	mySegs := f.ResolveAccess(dataLen)
 
 	// Aggregate access region.
@@ -194,7 +200,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	var pre *preaggState
 	var preErr error
 	if i.preagg {
-		mySegs, stream, pre = i.preaggExchange(f, mySegs, stream, dataLen, write)
+		mySegs, pre = i.preaggExchange(f, mySegs, cs, dataLen, write)
 		preErr = pre.err
 	}
 
@@ -283,6 +289,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	var merger datatype.RunMerger
 	var order []datatype.RunItem
 	var segs []datatype.Seg
+	var payloads [][]byte // WaitallInto scratch
 	if amAgg {
 		aggClip = make([]clipState, p.Size())
 		runs = make([][]datatype.Seg, p.Size())
@@ -374,6 +381,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// boundary aborts every rank before a partial merge becomes durable.
 	firstErr := preErr
 	var clipped []datatype.Seg // scratch: the client side only needs the byte range
+	stream := cs.B             // fixed from here on: pre-aggregation is done swapping
 
 	for r := 0; r < ntimes; r++ {
 		f.SetRound(r)
@@ -438,10 +446,10 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 			}
 			roundSend += total
 			if write {
-				// Built directly in a pooled buffer; ownership moves to
-				// the aggregator, which releases it after assembling the
-				// round's sieve input.
-				p.Isend(a, tag, append(bufpool.Get(total)[:0], stream[at:at+total]...))
+				// The aggregator's share is one contiguous range of the
+				// stream: sent by reference, read before the round's
+				// closing agreement, never recycled by the receiver.
+				p.Isend(a, tag, stream[at:at+total])
 			} else {
 				sent = append(sent, sentRange{agg: a, at: at, n: total})
 			}
@@ -454,11 +462,10 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 		// Aggregator: complete the exchange and do the I/O for this
 		// round through the integrated sieve buffer.
 		if window {
-			var payloads [][]byte
 			if write {
 				tWait := p.Clock()
 				p.Trace.Begin1(tWait, stats.PComm, trace.S("what", "waitall"))
-				payloads = mpi.Waitall(recvReqs)
+				payloads = mpi.WaitallInto(recvReqs, payloads)
 				p.ChargeTime(stats.PComm, p.Clock()-tWait)
 				p.Trace.End(p.Clock())
 				for k, c := range recvFrom {
@@ -506,11 +513,6 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 						c := it.Run
 						concat = append(concat, msgs[c][cur[c]:cur[c]+it.Len]...)
 						cur[c] += it.Len
-					}
-					// The clients' pooled payloads are consumed; release
-					// them (receiver-releases).
-					for _, pl := range payloads {
-						bufpool.Put(pl)
 					}
 					switch {
 					case firstErr != nil:
@@ -647,9 +649,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	// Reads under pre-aggregation: the leader scatters each member its
 	// bytes and takes back its own; an abort above skipped this uniformly.
 	if !write && pre != nil {
-		var err error
-		stream, err = i.preaggScatter(f, stream, pre, dataLen)
-		if err != nil {
+		if err := i.preaggScatter(f, cs, pre, dataLen); err != nil {
 			return err
 		}
 	}
@@ -664,7 +664,7 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	i.journal.Complete()
 
 	if !write {
-		return f.UnpackMemory(stream, buf, memtype, count)
+		return f.UnpackMemory(cs.B, buf, memtype, count)
 	}
 	return nil
 }
