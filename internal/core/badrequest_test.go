@@ -1,0 +1,122 @@
+package core
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"flexio/internal/datatype"
+	"flexio/internal/mpi"
+	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
+	"flexio/internal/sim"
+)
+
+// TestMalformedRequestAbortsCollective: a request an aggregator cannot
+// decode used to panic inside that aggregator (overlapping pairs) or make it
+// leave the collective alone (short buffer) while its peers waited in the
+// next rendezvous. It must abort the call on every rank instead, and leave
+// the engine fit for the next one.
+//
+// The bad bytes are planted in the sender's memo entry: the second call of
+// a shape sends the cached encoding, and the aggregators, whose key is a
+// hash of what they receive, miss and decode it.
+func TestMalformedRequestAbortsCollective(t *testing.T) {
+	const ranks, bad, blk, count = 4, 2, 32, 16
+	malformed := []struct {
+		name   string
+		mangle func(enc []byte) []byte
+	}{
+		{"truncated", func(enc []byte) []byte { return enc[:len(enc)-5] }},
+		{"overlapping", func(enc []byte) []byte {
+			fl, err := datatype.DecodeFlat(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl.Segs = []datatype.Seg{{Off: 0, Len: 8}, {Off: 4, Len: 8}}
+			return fl.Encode()
+		}},
+		{"unbounded", func(enc []byte) []byte {
+			fl, err := datatype.DecodeFlat(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl.Count, fl.Limit = -1, -1
+			return fl.Encode()
+		}},
+	}
+	for _, comm := range []CommStrategy{Nonblocking, Alltoallw} {
+		for _, m := range malformed {
+			t.Run(comm.String()+"/"+m.name, func(t *testing.T) {
+				cfg := sim.DefaultConfig()
+				w := mpi.NewWorld(ranks, cfg)
+				fs := pfs.NewFileSystem(cfg)
+				eng := New(Options{Comm: comm})
+				// One filetype object per rank for all calls, so the sender's
+				// side of the memo hits on the second.
+				fts := make([]datatype.Type, ranks)
+				for r := range fts {
+					fts[r] = datatype.Must(datatype.Resized(datatype.Bytes(blk), blk*ranks))
+				}
+				writeAll := func() []error {
+					errs := make([]error, ranks)
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						w.Run(func(p *mpi.Proc) {
+							f, err := mpiio.Open(p, fs, "bad.dat", mpiio.Info{Collective: eng, CollBufSize: 256})
+							if err != nil {
+								errs[p.Rank()] = err
+								return
+							}
+							if err := f.SetView(int64(p.Rank()*blk), datatype.Bytes(1), fts[p.Rank()]); err != nil {
+								errs[p.Rank()] = err
+								return
+							}
+							errs[p.Rank()] = f.WriteAll(make([]byte, blk*count), datatype.Bytes(blk), count)
+							f.Close()
+						})
+					}()
+					select {
+					case <-done:
+					case <-time.After(30 * time.Second):
+						t.Fatal("collective hung")
+					}
+					return errs
+				}
+				for r, err := range writeAll() {
+					if err != nil {
+						t.Fatalf("rank %d: clean write: %v", r, err)
+					}
+				}
+				var sender *clientEntry
+				for k, ce := range eng.memo.clients {
+					if k.rank == bad {
+						sender = ce
+					}
+				}
+				if sender == nil {
+					t.Fatal("no memo entry for the sender")
+				}
+				good := sender.enc
+				sender.enc = m.mangle(good)
+				named := false
+				for r, err := range writeAll() {
+					if err == nil {
+						t.Fatalf("rank %d: malformed request went unnoticed", r)
+					}
+					named = named || strings.Contains(err.Error(), "bad request from rank 2")
+				}
+				if !named {
+					t.Fatal("no rank's error names the sender")
+				}
+				sender.enc = good
+				for r, err := range writeAll() {
+					if err != nil {
+						t.Fatalf("rank %d: write after the abort: %v", r, err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -148,23 +148,63 @@ type Impl struct {
 type rankScratch struct {
 	allSt, allEn []int64
 	msgs         [][]byte
-	merger       datatype.RunMerger
-	runs         [][]datatype.Seg
-	segs         []datatype.Seg
-	pieces       []piece      // one aggregator's intersection, before grouping
+	miss         missScratch
 	cur          []viewCursor // per-client read position while gathering a round
 	iov          [][][]byte   // views this rank sends, per destination
 	recvIov      [][][]byte   // views this rank received, per source (nonblocking)
 	waited       [][][]byte   // WaitallIov output, in request order
 	reqs         []*mpi.Request
 	from         []int
-	heap         realmHeap
 	realmDisps   []int64
 	// Node-local pre-aggregation working set (see preagg.go).
 	pre        preaggState
 	preBufs    [][]byte
 	mergedSegs []datatype.Seg
 	leaders    []bool
+}
+
+// missScratch is the working memory of planning a layout the memo has not
+// seen: everything the intersections and the round merge need and the stored
+// entry does not keep. It stays in the rank scratch while misses recur (a
+// checkpoint loop installs a new view, and misses, on every call) and is
+// dropped by the first call that hits on both sides, so the build of one
+// large enumerated layout does not stay pinned under a steady state that
+// never plans again.
+type missScratch struct {
+	// ac and rc are the access and realm cursors of the intersection in
+	// progress, re-pointed (never rebuilt) per client and per aggregator.
+	ac, rc datatype.Cursor
+	pieces []datatype.Piece // one intersection's output
+
+	// Client side: every aggregator's grouped rounds, before the entry's
+	// arenas are cut to size; cuts holds (len(runs), len(rounds)) after each
+	// aggregator (and, in turn, the aggregator side's (len(segs), len(peers))
+	// after each round).
+	runs   []streamRun
+	rounds []roundSpan
+	cuts   []int
+	// HeapMerge: one realm cursor and one piece list per aggregator.
+	heap   realmHeap
+	rcs    []datatype.Cursor
+	rcPtrs []*datatype.Cursor
+	perAgg [][]datatype.Piece
+
+	// Aggregator side: the decoded requests (segments in one block), then
+	// every client's pieces as file segments in client order with the round
+	// of each, client c's ending at ends[c]; next[c] walks them round by
+	// round. merger, clientRuns and roundSegs serve one round's merge; segs
+	// and peers collect all rounds' results before the entry's blocks are
+	// cut to size.
+	flats      []datatype.Flat
+	reqSegs    []datatype.Seg
+	fileSegs   []datatype.Seg
+	pieceRound []int32
+	ends, next []int
+	merger     datatype.RunMerger
+	clientRuns [][]datatype.Seg
+	roundSegs  []datatype.Seg
+	segs       []datatype.Seg
+	peers      []peerBytes
 }
 
 // degradeNow reports whether a failed sieve round should fall back to
@@ -251,66 +291,72 @@ type roundSpan struct {
 	bytes      int64
 }
 
-// groupRounds forms the rounds of ps, which intersect emitted with
-// non-decreasing rounds. It may reorder ps and keeps no reference to it:
-// callers pass scratch.
-func groupRounds(ps []piece) *roundPieces {
-	// First pass: put every round in travelling order and count the runs,
-	// so the result is allocated once at its final size.
-	nruns := 0
+// groupRounds forms the rounds of one aggregator's pieces, which the
+// intersection emitted with non-decreasing rounds, appending the stream runs
+// to runs and one roundSpan per round up to the last to rounds (spans index
+// the runs appended here, from zero). It may reorder ps and keeps no
+// reference to it: all three slices are the caller's scratch.
+func groupRounds(ps []datatype.Piece, runs []streamRun, rounds []roundSpan) ([]streamRun, []roundSpan) {
+	base, rbase := len(runs), len(rounds)
 	for k := 0; k < len(ps); {
+		r := ps[k].Round
 		end := k
 		sorted := true
-		for r := ps[k].round; end < len(ps) && ps[end].round == r; end++ {
-			sorted = sorted && (end == k || ps[end-1].file.Off <= ps[end].file.Off)
+		for ; end < len(ps) && ps[end].Round == r; end++ {
+			sorted = sorted && (end == k || ps[end-1].File.Off <= ps[end].File.Off)
 		}
 		if !sorted {
 			// A round's payload travels in file-offset order: the
 			// aggregator's merger sorts a run that is not, and both ends
 			// must walk the same sequence.
-			slices.SortStableFunc(ps[k:end], func(x, y piece) int { return cmp.Compare(x.file.Off, y.file.Off) })
+			slices.SortStableFunc(ps[k:end], func(x, y datatype.Piece) int { return cmp.Compare(x.File.Off, y.File.Off) })
 		}
-		for j := k; j < end; j++ {
-			if j == k || ps[j-1].aStream+ps[j-1].file.Len != ps[j].aStream {
-				nruns++
-			}
+		for len(rounds)-rbase < r {
+			rounds = append(rounds, roundSpan{}) // a round the access skips
 		}
-		k = end
-	}
-	rp := &roundPieces{runs: make([]streamRun, 0, nruns)}
-	if len(ps) > 0 {
-		rp.rounds = make([]roundSpan, ps[len(ps)-1].round+1)
-	}
-	for k := 0; k < len(ps); {
-		r := ps[k].round
-		sp := roundSpan{first: len(rp.runs)}
-		for ; k < len(ps) && ps[k].round == r; k++ {
+		sp := roundSpan{first: len(runs) - base}
+		for ; k < end; k++ {
 			pc := ps[k]
-			sp.bytes += pc.file.Len
-			if n := len(rp.runs); n > sp.first && rp.runs[n-1].at+rp.runs[n-1].n == pc.aStream {
-				rp.runs[n-1].n += pc.file.Len
+			sp.bytes += pc.File.Len
+			if n := len(runs); n > base+sp.first && runs[n-1].at+runs[n-1].n == pc.AStream {
+				runs[n-1].n += pc.File.Len
 			} else {
-				rp.runs = append(rp.runs, streamRun{at: pc.aStream, n: pc.file.Len})
+				runs = append(runs, streamRun{at: pc.AStream, n: pc.File.Len})
 			}
 		}
-		sp.end = len(rp.runs)
-		rp.rounds[r] = sp
+		sp.end = len(runs) - base
+		rounds = append(rounds, sp)
 	}
-	return rp
+	return runs, rounds
 }
 
 func (rp *roundPieces) of(r int) []streamRun {
-	if rp == nil || r >= len(rp.rounds) {
+	if r >= len(rp.rounds) {
 		return nil
 	}
 	return rp.runs[rp.rounds[r].first:rp.rounds[r].end]
 }
 
 func (rp *roundPieces) bytes(r int) int64 {
-	if rp == nil || r >= len(rp.rounds) {
+	if r >= len(rp.rounds) {
 		return 0
 	}
 	return rp.rounds[r].bytes
+}
+
+// sealPieces cuts a client entry's piece lists out of scratch: every
+// aggregator's runs in one block and rounds in another, each at its exact
+// size, with cuts as groupRounds' caller recorded them.
+func sealPieces(runs []streamRun, rounds []roundSpan, cuts []int) []roundPieces {
+	runs, rounds = slices.Clone(runs), slices.Clone(rounds)
+	out := make([]roundPieces, len(cuts)/2)
+	var r0, s0 int
+	for a := range out {
+		r1, s1 := cuts[2*a], cuts[2*a+1]
+		out[a] = roundPieces{runs: runs[r0:r1:r1], rounds: rounds[s0:s1:s1]}
+		r0, s0 = r1, s1
+	}
+	return out
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
@@ -511,6 +557,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	var ak aggKey
 	aggHit := false
 	var flats []datatype.Flat
+	// reqErr is a request this aggregator could not decode. The sender got
+	// the empty stand-in of a dead rank, so the collective keeps its shape
+	// up to the first agreement, which the error seeds: every rank aborts.
+	var reqErr error
 	if amAgg {
 		if pre != nil {
 			// Only node leaders send merged requests; members get the same
@@ -542,10 +592,9 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			p.Trace.Instant2(p.Clock(), "isect_cache",
 				trace.S("side", "agg"), trace.S("result", "miss"))
 			var expand int64
-			if flats, expand, err = i.decodeRequests(scr.msgs, pre == nil); err != nil {
-				return err
-			}
-			ae = &aggEntry{charges: []int64{expand}}
+			flats, expand, reqErr = i.decodeRequests(&scr.miss, scr.msgs, pre == nil)
+			ae = &aggEntry{charges: make([]int64, 1, 1+len(flats))}
+			ae.charges[0] = expand
 		}
 		f.ChargePairs(ae.charges[0]) // tree expansion, replayed on a hit
 	}
@@ -555,42 +604,14 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// --- Client-side intersection: my access against every realm. ---
 	// Flatten time is charged (and traced) by the ChargePairs calls below;
 	// no blanket interval here, or the pair processing would count twice.
+	if clientHit && (!amAgg || aggHit) {
+		scr.miss = missScratch{} // nothing to plan: see missScratch
+	}
 	if !clientHit {
-		ce.pieces = make([]*roundPieces, naggs)
 		if dataLen > 0 {
-			if i.o.HeapMerge {
-				perAgg := make([][]piece, naggs)
-				ac := myFlat.Cursor()
-				rcs := make([]*datatype.Cursor, naggs)
-				var rwork int64
-				for a := range realms {
-					rcs[a] = realms[a].Cursor()
-				}
-				hw := heapMerge(&scr.heap, ac, rcs, cb, func(a int, pc piece) {
-					perAgg[a] = append(perAgg[a], pc)
-				})
-				for _, rc := range rcs {
-					rwork += rc.Work()
-				}
-				ce.charges = append(ce.charges, ac.Work()+rwork+hw)
-				for a := range perAgg {
-					ce.pieces[a] = groupRounds(perAgg[a])
-				}
-			} else {
-				// The paper's base client algorithm: one pass over the
-				// access per aggregator — O(M·A) for enumerated
-				// filetypes, near O(M) for succinct ones thanks to
-				// instance skipping.
-				for a := 0; a < naggs; a++ {
-					ac := myFlat.Cursor()
-					rc := realms[a].Cursor()
-					ps := scr.pieces[:0]
-					intersect(ac, rc, cb, func(pc piece) { ps = append(ps, pc) })
-					ce.charges = append(ce.charges, ac.Work()+rc.Work())
-					ce.pieces[a] = groupRounds(ps)
-					scr.pieces = ps
-				}
-			}
+			ce.pieces, ce.charges = i.clientPieces(&scr.miss, myFlat, realms, cb)
+		} else {
+			ce.pieces = make([]roundPieces, naggs)
 		}
 		i.memo.putClient(ck, ce)
 	}
@@ -605,14 +626,16 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	var planErr error
 	if amAgg {
 		if !aggHit {
-			buildPlans(scr, ae, flats, realms[p.Rank()], cb)
-			// A failure-degraded request set (nil stand-ins above) must
-			// not poison the cache for later healthy collectives.
-			if p.PeerFailure() == nil {
+			buildPlans(&scr.miss, ae, flats, realms[p.Rank()], cb)
+			// A failure-degraded request set (stand-ins for dead or
+			// undecodable senders above) must not poison the cache for
+			// later healthy collectives.
+			if p.PeerFailure() == nil && reqErr == nil {
 				i.memo.putAgg(ak, ae)
 			}
+			planErr = reqErr
 		} else if i.o.Validate {
-			planErr = i.checkPlans(scr, ae, realms[p.Rank()], cb, pre == nil)
+			planErr = i.checkPlans(&scr.miss, scr.msgs, ae, realms[p.Rank()], cb, pre == nil)
 		}
 		for _, n := range ae.charges[1:] {
 			f.ChargePairs(n)
@@ -635,8 +658,9 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		// budget reads as an empty access, so no rounds run and the
 		// sticky failure armed at the receiver would otherwise leak into
 		// the next collective. Agree on it here so every rank aborts with
-		// ClassIntegrity instead of silently writing nothing.
-		var ierr error
+		// ClassIntegrity instead of silently writing nothing. Requests no
+		// aggregator could decode shrink it the same way.
+		ierr := planErr
 		if e := p.TakeIntegrityFailure(); e != nil {
 			ierr = fmt.Errorf("core: access exchange: %w", e)
 		}
@@ -782,29 +806,85 @@ func (i *Impl) gatherAllSegs(f *mpiio.File, dataLen int64) ([]datatype.Seg, [][]
 	return out, perRank
 }
 
+// clientPieces intersects this rank's access with every realm and returns
+// the per-aggregator piece lists, cut to size out of scratch, with the pair
+// charges the caller issues.
+func (i *Impl) clientPieces(ms *missScratch, myFlat datatype.Flat, realms []realm.Realm, cb int64) ([]roundPieces, []int64) {
+	if err := myFlat.CursorInto(&ms.ac); err != nil {
+		panic(fmt.Sprintf("core: own access: %v", err)) // built from a validated filetype
+	}
+	naggs := len(realms)
+	ms.runs, ms.rounds, ms.cuts = ms.runs[:0], ms.rounds[:0], ms.cuts[:0]
+	var charges []int64
+	if i.o.HeapMerge {
+		// Not sized(): the entries keep their tables and capacity.
+		ms.rcs, ms.perAgg = slices.Grow(ms.rcs[:0], naggs)[:naggs], slices.Grow(ms.perAgg[:0], naggs)[:naggs]
+		ms.rcPtrs = sized(ms.rcPtrs, naggs)
+		for a := range realms {
+			realms[a].CursorInto(&ms.rcs[a])
+			ms.rcPtrs[a] = &ms.rcs[a]
+			ms.perAgg[a] = ms.perAgg[a][:0]
+		}
+		work := heapMerge(&ms.heap, &ms.ac, ms.rcPtrs, cb, ms.perAgg) + ms.ac.Work()
+		for a := range ms.rcs {
+			work += ms.rcs[a].Work()
+			ms.runs, ms.rounds = groupRounds(ms.perAgg[a], ms.runs, ms.rounds)
+			ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
+		}
+		charges = []int64{work}
+	} else {
+		// The paper's base client algorithm: one pass over the access per
+		// aggregator — O(M·A) for enumerated filetypes, near O(M) for
+		// succinct ones thanks to instance skipping.
+		charges = make([]int64, naggs)
+		for a := range realms {
+			ms.ac.Reset()
+			realms[a].CursorInto(&ms.rc)
+			ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
+			charges[a] = ms.ac.Work() + ms.rc.Work()
+			ms.runs, ms.rounds = groupRounds(ms.pieces, ms.runs, ms.rounds)
+			ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
+		}
+	}
+	return sealPieces(ms.runs, ms.rounds, ms.cuts), charges
+}
+
+// noAccess is the request of a rank that takes no part: dead, unresponsive,
+// a pre-aggregated member, or one whose request could not be decoded.
+var noAccess = datatype.Flat{Limit: -1}
+
 // decodeRequests turns the request messages an aggregator received into
-// accesses, returning the tree-expansion work alongside. A nil message
-// (dead or unresponsive client, or a pre-aggregated member) stands in an
-// empty access so the collective keeps its structure through to the next
-// agreement point; deserting here would strand the surviving ranks.
-func (i *Impl) decodeRequests(msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, err error) {
-	flats = make([]datatype.Flat, len(msgs))
+// accesses in ms, returning the tree-expansion work alongside. A nil message
+// stands in an empty access so the collective keeps its structure through to
+// the next agreement point; deserting here would strand the surviving ranks.
+// A message that does not decode gets the same stand-in, and the first such
+// error is returned for that agreement to carry.
+func (i *Impl) decodeRequests(ms *missScratch, msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, bad error) {
+	ms.flats, ms.reqSegs = slices.Grow(ms.flats[:0], len(msgs))[:len(msgs)], ms.reqSegs[:0]
+	flats = ms.flats
 	for c, msg := range msgs {
+		var err error
 		switch {
 		case msg == nil:
-			flats[c] = datatype.FlatOf(datatype.Bytes(0), 0, 0)
+			flats[c] = noAccess
 		case i.o.TreeRequests && trees:
 			var work int64
 			flats[c], work, err = decodeTreeRequest(msg)
 			expand += work
 		default:
-			flats[c], err = datatype.DecodeFlat(msg)
+			flats[c], ms.reqSegs, err = datatype.DecodeFlatAppend(msg, ms.reqSegs)
+		}
+		if err == nil && flats[c].Count < 0 {
+			err = fmt.Errorf("unbounded access (count %d)", flats[c].Count)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: bad request from rank %d: %w", c, err)
+			flats[c] = noAccess
+			if bad == nil {
+				bad = fmt.Errorf("core: bad request from rank %d: %w", c, err)
+			}
 		}
 	}
-	return flats, expand, nil
+	return flats, expand, bad
 }
 
 // roundPlan is one aggregator round with its merge already done: what is
@@ -825,48 +905,64 @@ type peerBytes struct {
 
 // buildPlans intersects every client's access with this aggregator's realm
 // and merges the pieces round by round into ae.rounds, appending the
-// per-client pair charges (which the caller issues) to ae.charges.
-func buildPlans(scr *rankScratch, ae *aggEntry, flats []datatype.Flat, rm realm.Realm, cb int64) {
-	// runs[c] is client c's pieces in emission order; starts[c][r] indexes
-	// the first one of round r (rounds never decrease along a run).
-	runs := make([][]datatype.Seg, len(flats))
-	starts := make([][]int, len(flats))
-	npieces, nrounds := 0, 0
+// per-client pair charges (which the caller issues) to ae.charges. The work
+// happens in ms; what the entry keeps is allocated once the sizes are known:
+// one block each for all rounds' order, segs and peers.
+func buildPlans(ms *missScratch, ae *aggEntry, flats []datatype.Flat, rm realm.Realm, cb int64) {
+	// Every client's pieces, as file segments with the round of each.
+	ms.fileSegs, ms.pieceRound, ms.ends = ms.fileSegs[:0], ms.pieceRound[:0], ms.ends[:0]
+	nrounds := 0
+	rm.CursorInto(&ms.rc)
 	for c := range flats {
-		ac, rc := flats[c].Cursor(), rm.Cursor()
-		intersect(ac, rc, cb, func(pc piece) {
-			for len(starts[c]) <= pc.round {
-				starts[c] = append(starts[c], len(runs[c]))
-			}
-			runs[c] = append(runs[c], pc.file)
-		})
-		ae.charges = append(ae.charges, ac.Work()+rc.Work())
-		npieces += len(runs[c])
-		nrounds = max(nrounds, len(starts[c]))
-	}
-	order := make([]datatype.RunItem, 0, npieces) // shared by all rounds
-	ae.rounds = make([]roundPlan, nrounds)
-	scr.runs = sized(scr.runs, len(flats))
-	for c, run := range runs {
-		for len(starts[c]) <= nrounds { // rounds past the run's last are empty
-			starts[c] = append(starts[c], len(run))
+		if err := flats[c].CursorInto(&ms.ac); err != nil {
+			panic(fmt.Sprintf("core: request of rank %d: %v", c, err)) // decodeRequests validated it
 		}
+		ms.rc.Reset()
+		ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
+		ae.charges = append(ae.charges, ms.ac.Work()+ms.rc.Work())
+		for _, pc := range ms.pieces {
+			ms.fileSegs = append(ms.fileSegs, pc.File)
+			ms.pieceRound = append(ms.pieceRound, int32(pc.Round))
+		}
+		if n := len(ms.pieces); n > 0 { // rounds never decrease along a client's pieces
+			nrounds = max(nrounds, ms.pieces[n-1].Round+1)
+		}
+		ms.ends = append(ms.ends, len(ms.fileSegs))
 	}
+
+	// Merge round by round: client c's pieces of the round are the next ones
+	// of its list.
+	ms.next = append(ms.next[:0], 0)
+	ms.next = append(ms.next, ms.ends[:len(ms.ends)-1]...)
+	ms.clientRuns = sized(ms.clientRuns, len(flats))
+	ms.segs, ms.peers, ms.cuts = ms.segs[:0], ms.peers[:0], ms.cuts[:0]
+	order := make([]datatype.RunItem, 0, len(ms.fileSegs)) // shared by all rounds
+	ae.rounds = make([]roundPlan, nrounds)
 	for r := range ae.rounds {
 		rp := &ae.rounds[r]
-		for c, run := range runs {
-			scr.runs[c] = run[starts[c][r]:starts[c][r+1]]
+		for c := range flats {
+			lo, hi := ms.next[c], ms.next[c]
 			var n int64
-			for _, s := range scr.runs[c] {
-				n += s.Len
+			for ; hi < ms.ends[c] && ms.pieceRound[hi] == int32(r); hi++ {
+				n += ms.fileSegs[hi].Len
 			}
+			ms.next[c] = hi
+			ms.clientRuns[c] = ms.fileSegs[lo:hi]
 			if n > 0 {
-				rp.peers = append(rp.peers, peerBytes{client: c, bytes: n})
+				ms.peers = append(ms.peers, peerBytes{client: c, bytes: n})
 			}
 		}
-		rp.order, scr.segs, rp.total = scr.merger.Merge(scr.runs, order[len(order):], scr.segs)
-		rp.segs = slices.Clone(scr.segs)
+		rp.order, ms.roundSegs, rp.total = ms.merger.Merge(ms.clientRuns, order[len(order):], ms.roundSegs)
 		order = order[:len(order)+len(rp.order)]
+		ms.segs = append(ms.segs, ms.roundSegs...)
+		ms.cuts = append(ms.cuts, len(ms.segs), len(ms.peers))
+	}
+	segs, peers := slices.Clone(ms.segs), slices.Clone(ms.peers)
+	var s0, p0 int
+	for r := range ae.rounds {
+		s1, p1 := ms.cuts[2*r], ms.cuts[2*r+1]
+		ae.rounds[r].segs, ae.rounds[r].peers = segs[s0:s1:s1], peers[p0:p1:p1]
+		s0, p0 = s1, p1
 	}
 }
 
@@ -874,13 +970,13 @@ func buildPlans(scr *rankScratch, ae *aggEntry, flats []datatype.Flat, rm realm.
 // rebuilt from the requests just received and must equal the cached ones.
 // The error seeds the first round-boundary agreement, so a stale plan
 // aborts every rank together before it can move a byte.
-func (i *Impl) checkPlans(scr *rankScratch, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
-	flats, expand, err := i.decodeRequests(scr.msgs, trees)
+func (i *Impl) checkPlans(ms *missScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
+	flats, expand, err := i.decodeRequests(ms, msgs, trees)
 	if err != nil {
 		return err
 	}
 	fresh := &aggEntry{charges: []int64{expand}}
-	buildPlans(scr, fresh, flats, rm, cb)
+	buildPlans(ms, fresh, flats, rm, cb)
 	if !reflect.DeepEqual(fresh, ae) {
 		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
 	}
@@ -960,7 +1056,7 @@ func roundIov(scr *rankScratch, size int) [][][]byte {
 }
 
 func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
-	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
+	myPieces []roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
 	amAgg := ae != nil
@@ -1037,9 +1133,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 		// closing AgreeError.
 		send := roundIov(scr, p.Size())
 		for a := 0; a < naggs; a++ {
-			if myPieces[a] != nil {
-				send[a] = pieceViews(send[a], stream, myPieces[a], r)
-			}
+			send[a] = pieceViews(send[a], stream, &myPieces[a], r)
 		}
 		var recvIov [][][]byte
 		if i.o.Comm == Alltoallw {
@@ -1162,7 +1256,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 }
 
 func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
-	myPieces []*roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
+	myPieces []roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
 
 	p := f.Proc()
 	amAgg := ae != nil
@@ -1260,7 +1354,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
 			// A dead or stalled aggregator's slot is nil: nothing is
 			// placed, and the round-boundary agreement below aborts the
 			// read before any partial data reaches the user buffer.
-			placeIov(stream, myPieces[a], r, recv[a])
+			placeIov(stream, &myPieces[a], r, recv[a])
 		}
 		p.ChargeTime(stats.PComm, p.Clock()-t0)
 		p.Trace.End(p.Clock())

@@ -12,57 +12,6 @@ import (
 	"flexio/internal/datatype"
 )
 
-// piece is one contiguous overlap between a process's access and an
-// aggregator's file realm, split at collective-buffer boundaries so that a
-// piece never spans two two-phase rounds.
-type piece struct {
-	round   int
-	file    datatype.Seg
-	aStream int64 // position within the access's linear data stream
-	rStream int64 // position within the realm's linear byte stream
-}
-
-// intersect walks an access cursor against a realm cursor and emits every
-// overlap, split at cb-sized boundaries of the realm stream. Both cursors
-// are consumed. The caller charges (ac.Work() + rc.Work()) pairs.
-//
-// Succinct filetypes make this cheap for the access side: SeekOffset skips
-// whole datatype instances over foreign realms. Enumerated filetypes scan
-// pair by pair — the O(M)-per-aggregator cost the paper measures.
-func intersect(ac, rc *datatype.Cursor, cb int64, emit func(piece)) {
-	for !ac.Done() && !rc.Done() {
-		ao, ro := ac.Offset(), rc.Offset()
-		switch {
-		case ao < ro:
-			if !ac.SeekOffset(ro) {
-				return
-			}
-		case ro < ao:
-			if !rc.SeekOffset(ao) {
-				return
-			}
-		default:
-			n := ac.Run()
-			if rn := rc.Run(); rn < n {
-				n = rn
-			}
-			rs := rc.StreamPos()
-			if rem := cb - rs%cb; n > rem {
-				n = rem
-			}
-			as := ac.StreamPos()
-			emit(piece{
-				round:   int(rs / cb),
-				file:    datatype.Seg{Off: ao, Len: n},
-				aStream: as,
-				rStream: rs,
-			})
-			ac.Next(n)
-			rc.Next(n)
-		}
-	}
-}
-
 // realmHeap orders realm cursors by their current file offset; exhausted
 // cursors are removed.
 type realmHeap struct {
@@ -87,13 +36,13 @@ func (h *realmHeap) Pop() interface{} {
 
 // heapMerge is the client-side binary-heap optimization (paper §5.3): one
 // pass over the access cursor, with a heap of realm cursors deciding which
-// aggregator owns each run. emit receives the aggregator index alongside
-// the piece. Returns the total heap work in pair-equivalents (log2(A) per
-// repositioning).
+// aggregator owns each run. Aggregator a's pieces are appended to perAgg[a],
+// the same pieces datatype.Intersect finds pass by pass. Returns the total
+// heap work in pair-equivalents (log2(A) per repositioning).
 // h is reusable scratch (pass nil to allocate fresh): its entry arrays
 // are truncated and refilled, so steady callers re-merge without
 // reallocating the heap.
-func heapMerge(h *realmHeap, ac *datatype.Cursor, realms []*datatype.Cursor, cb int64, emit func(agg int, pc piece)) int64 {
+func heapMerge(h *realmHeap, ac *datatype.Cursor, realms []*datatype.Cursor, cb int64, perAgg [][]datatype.Piece) int64 {
 	if h == nil {
 		h = &realmHeap{}
 	}
@@ -147,11 +96,11 @@ func heapMerge(h *realmHeap, ac *datatype.Cursor, realms []*datatype.Cursor, cb 
 			if rem := cb - rs%cb; n > rem {
 				n = rem
 			}
-			emit(agg, piece{
-				round:   int(rs / cb),
-				file:    datatype.Seg{Off: ao, Len: n},
-				aStream: ac.StreamPos(),
-				rStream: rs,
+			perAgg[agg] = append(perAgg[agg], datatype.Piece{
+				Round:   int(rs / cb),
+				File:    datatype.Seg{Off: ao, Len: n},
+				AStream: ac.StreamPos(),
+				RStream: rs,
 			})
 			ac.Next(n)
 			if rc.Next(n); rc.Done() {

@@ -37,7 +37,7 @@ func BenchmarkHeapMerge(b *testing.B) {
 		rcs[a] = realms[a].Cursor()
 	}
 	var h realmHeap
-	var pieces int64
+	perAgg := make([][]datatype.Piece, naggs)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,9 +46,69 @@ func BenchmarkHeapMerge(b *testing.B) {
 		for _, rc := range rcs {
 			rc.Reset()
 		}
-		heapMerge(&h, ac, rcs, cb, func(agg int, pc piece) { pieces++ })
+		for a := range perAgg {
+			perAgg[a] = perAgg[a][:0]
+		}
+		heapMerge(&h, ac, rcs, cb, perAgg)
 	}
-	if pieces == 0 {
+	if len(perAgg[0]) == 0 {
 		b.Fatal("heapMerge emitted no pieces")
 	}
+}
+
+// BenchmarkPlanMiss measures what one collective call spends planning a
+// layout the memo has never seen, at the scale of the benchmark's ckpt-write
+// (16 ranks, 8 aggregators, 2 MiB-aligned persistent realms, 256 data points
+// of 100 elements): every rank intersects its access with every realm and
+// groups the rounds, every aggregator decodes the 16 requests and builds its
+// merge plans. No communication, no I/O; the rank scratch persists across
+// iterations as it does across a checkpoint loop's calls. ns/piece divides
+// by the pieces found on both sides.
+func BenchmarkPlanMiss(b *testing.B) {
+	const naggs, cb = 8, 4 << 20
+	sh := ckptShape{ranks: 16, elem: 32, elems: 100, points: 256, slots: 32}
+	eng := New(Options{Persistent: true, Align: 2 << 20})
+	fileEnd := sh.points * sh.slots * sh.elems * sh.elem
+	realms, err := realm.Even{}.Assign(realm.Context{NAggs: naggs, Start: 0, End: fileEnd, Align: 2 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flats := make([]datatype.Flat, sh.ranks)
+	msgs := make([][]byte, sh.ranks)
+	for r := range flats {
+		disp, ft := sh.view(r, 3)
+		flats[r] = datatype.FlatOf(ft, disp, sh.points)
+		flats[r].Limit = sh.points * ft.Size()
+		msgs[r] = flats[r].Encode()
+	}
+	scratch := make([]missScratch, sh.ranks)
+	var pieces int64
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pieces = 0
+		for r := range flats {
+			ms := &scratch[r]
+			ce, _ := eng.clientPieces(ms, flats[r], realms, cb)
+			if len(ce) != naggs {
+				b.Fatal("client pieces missing")
+			}
+			if r >= naggs {
+				continue
+			}
+			decoded, _, err := eng.decodeRequests(ms, msgs, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ae := &aggEntry{charges: make([]int64, 1, 1+len(decoded))}
+			buildPlans(ms, ae, decoded, realms[r], cb)
+			pieces += int64(len(ms.fileSegs))
+		}
+	}
+	if pieces == 0 {
+		b.Fatal("no pieces planned")
+	}
+	// Each piece is found twice: once by its client, once by its aggregator.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*pieces), "ns/piece")
 }

@@ -56,9 +56,9 @@ type clientKey struct {
 }
 
 type clientEntry struct {
-	enc     []byte         // request encoding, as sent to every aggregator
-	pieces  []*roundPieces // per-aggregator piece lists, immutable
-	charges []int64        // ChargePairs replay for the intersection section
+	enc     []byte        // request encoding, as sent to every aggregator
+	pieces  []roundPieces // per-aggregator piece lists, immutable
+	charges []int64       // ChargePairs replay for the intersection section
 }
 
 type aggKey struct {

@@ -116,21 +116,28 @@ func TestRequestKeySeparatesRequests(t *testing.T) {
 	distinct("boundary shift", m)
 }
 
+// grouped forms the rounds of one aggregator's pieces on their own, the way
+// clientPieces does for each aggregator in turn.
+func grouped(ps []datatype.Piece) *roundPieces {
+	runs, rounds := groupRounds(ps, nil, nil)
+	return &roundPieces{runs: runs, rounds: rounds}
+}
+
 // TestClientAndMergerAgreeOnUnsortedRuns: a round's payload travels in
 // file-offset order. Views are normalized today, so the intersection never
 // emits an unsorted round; if one ever did, the client (groupRounds) and
 // the aggregator (RunMerger's fallback) must still walk the same sequence,
 // or payload bytes would land at the wrong offsets.
 func TestClientAndMergerAgreeOnUnsortedRuns(t *testing.T) {
-	ps := []piece{
-		{round: 0, file: datatype.Seg{Off: 40, Len: 4}, aStream: 0},
-		{round: 0, file: datatype.Seg{Off: 8, Len: 4}, aStream: 4},
-		{round: 0, file: datatype.Seg{Off: 40, Len: 2}, aStream: 8},
-		{round: 2, file: datatype.Seg{Off: 90, Len: 1}, aStream: 10},
-		{round: 2, file: datatype.Seg{Off: 80, Len: 1}, aStream: 11},
+	ps := []datatype.Piece{
+		{Round: 0, File: datatype.Seg{Off: 40, Len: 4}, AStream: 0},
+		{Round: 0, File: datatype.Seg{Off: 8, Len: 4}, AStream: 4},
+		{Round: 0, File: datatype.Seg{Off: 40, Len: 2}, AStream: 8},
+		{Round: 2, File: datatype.Seg{Off: 90, Len: 1}, AStream: 10},
+		{Round: 2, File: datatype.Seg{Off: 80, Len: 1}, AStream: 11},
 	}
-	run0 := []datatype.Seg{ps[0].file, ps[1].file, ps[2].file}
-	rp := groupRounds(ps)
+	run0 := []datatype.Seg{ps[0].File, ps[1].File, ps[2].File}
+	rp := grouped(ps)
 	if rp.bytes(0) != 10 || rp.bytes(1) != 0 || rp.bytes(2) != 2 || rp.bytes(3) != 0 {
 		t.Fatalf("round bytes %d %d %d %d, want 10 0 2 0", rp.bytes(0), rp.bytes(1), rp.bytes(2), rp.bytes(3))
 	}
@@ -156,13 +163,13 @@ func TestClientAndMergerAgreeOnUnsortedRuns(t *testing.T) {
 // boundary or a gap in the stream, and the byte counts stay per round.
 func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
 	seg := func(off, n int64) datatype.Seg { return datatype.Seg{Off: off, Len: n} }
-	rp := groupRounds([]piece{
-		{round: 0, file: seg(0, 16), aStream: 0},
-		{round: 0, file: seg(128, 16), aStream: 16},
-		{round: 0, file: seg(256, 16), aStream: 32},
-		{round: 1, file: seg(384, 16), aStream: 48}, // adjacent, but the next round
-		{round: 1, file: seg(512, 16), aStream: 80}, // a gap in the stream
-		{round: 1, file: seg(640, 8), aStream: 96},
+	rp := grouped([]datatype.Piece{
+		{Round: 0, File: seg(0, 16), AStream: 0},
+		{Round: 0, File: seg(128, 16), AStream: 16},
+		{Round: 0, File: seg(256, 16), AStream: 32},
+		{Round: 1, File: seg(384, 16), AStream: 48}, // adjacent, but the next round
+		{Round: 1, File: seg(512, 16), AStream: 80}, // a gap in the stream
+		{Round: 1, File: seg(640, 8), AStream: 96},
 	})
 	want := [][]streamRun{{{0, 48}}, {{48, 16}, {80, 24}}}
 	for r, w := range want {
@@ -172,6 +179,26 @@ func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
 	}
 	if rp.bytes(0) != 48 || rp.bytes(1) != 40 {
 		t.Errorf("round bytes %d %d, want 48 40", rp.bytes(0), rp.bytes(1))
+	}
+
+	// A client entry's lists are grouped one aggregator after another into
+	// the same scratch and cut apart afterwards: the second aggregator's run
+	// must not merge into the first's last (stream position 104 follows it),
+	// its spans count from its own first run, and the round it skips is
+	// empty.
+	runs, rounds := groupRounds([]datatype.Piece{
+		{Round: 1, File: seg(4096, 8), AStream: 104},
+		{Round: 1, File: seg(4200, 8), AStream: 112},
+	}, rp.runs, rp.rounds)
+	both := sealPieces(runs, rounds, []int{len(rp.runs), len(rp.rounds), len(runs), len(rounds)})
+	for r, w := range want {
+		if got := both[0].of(r); !slices.Equal(got, w) {
+			t.Errorf("first aggregator, round %d runs %v, want %v", r, got, w)
+		}
+	}
+	if got := both[1].of(1); both[1].bytes(0) != 0 || len(both[1].of(0)) != 0 ||
+		!slices.Equal(got, []streamRun{{104, 16}}) || both[1].bytes(1) != 16 || both[1].bytes(2) != 0 {
+		t.Errorf("second aggregator: round 0 %v, round 1 %v (%d bytes)", both[1].of(0), got, both[1].bytes(1))
 	}
 }
 

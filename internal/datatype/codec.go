@@ -3,6 +3,8 @@ package datatype
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Flat is the wire representation of a tiled datatype access: the flattened
@@ -31,19 +33,60 @@ func FlatOf(t Type, disp, count int64) Flat {
 	}
 }
 
-// Cursor builds a streaming cursor over the access the Flat describes.
+// Cursor builds a streaming cursor over the access the Flat describes. It
+// panics on a Flat no datatype could have produced; one decoded by DecodeFlat
+// is never that.
 func (f Flat) Cursor() *Cursor {
-	t, err := FromSegs(f.Segs, f.Extent)
-	if err != nil {
-		// Segs decoded by DecodeFlat are already normalized; this can
-		// only happen with a hand-built, invalid Flat.
+	c := new(Cursor)
+	if err := f.CursorInto(c); err != nil {
 		panic(fmt.Sprintf("datatype: invalid Flat: %v", err))
 	}
-	c := NewCursor(t, f.Disp, f.Count)
+	return c
+}
+
+// CursorInto is Cursor into caller-owned memory: c becomes the cursor over
+// f's access, keeping its prefix table's memory (see Cursor.Init). The cursor
+// reads f.Segs in place when they are in normal form, so they must stay
+// untouched while it is in use.
+func (f Flat) CursorInto(c *Cursor) error {
+	segs, size, extent, err := f.normalSegs()
+	if err != nil {
+		return err
+	}
+	c.init(segs, size, extent, f.Disp, f.Count)
 	if f.Limit >= 0 {
 		c.SetLimit(f.Limit)
 	}
-	return c
+	return nil
+}
+
+// normalSegs returns f's segments in the normal form a Type keeps (sorted,
+// disjoint, coalesced, none empty) with their total size and the tiling
+// extent, or the error FromSegs(f.Segs, f.Extent) gives. Segments already in
+// that form, which is what every encoder sends, are recognised in one pass
+// and returned as they are: no copy, no sort.
+func (f Flat) normalSegs() (segs []Seg, size, extent int64, err error) {
+	segs = f.Segs
+	for i, s := range segs {
+		if s.Off < 0 || s.Len <= 0 || s.Len > math.MaxInt64-s.Off || (i > 0 && s.Off <= segs[i-1].End()) {
+			if segs, size, err = normalize(f.Segs); err != nil {
+				return nil, 0, 0, err
+			}
+			break
+		}
+		size += s.Len
+	}
+	var span int64
+	if n := len(segs); n > 0 {
+		span = segs[n-1].End()
+	}
+	if extent = f.Extent; extent <= 0 {
+		extent = span
+	}
+	if span > extent {
+		return nil, 0, 0, fmt.Errorf("datatype: extent %d smaller than span %d", extent, span)
+	}
+	return segs, size, extent, nil
 }
 
 // WireBytes returns the encoded size in bytes, the quantity the cost model
@@ -71,10 +114,20 @@ func (f Flat) Encode() []byte {
 	return buf
 }
 
-// DecodeFlat parses a Flat encoded by Encode.
+// DecodeFlat parses a Flat encoded by Encode. The bytes come from another
+// process, so the segments are validated here (the check Cursor would make,
+// as an error): a Flat this returns always yields a cursor.
 func DecodeFlat(buf []byte) (Flat, error) {
+	f, _, err := DecodeFlatAppend(buf, nil)
+	return f, err
+}
+
+// DecodeFlatAppend is DecodeFlat with the segments appended to arena, which
+// is returned extended: an aggregator decodes every client's request into
+// one block. Flats decoded earlier keep their segments when arena grows.
+func DecodeFlatAppend(buf []byte, arena []Seg) (Flat, []Seg, error) {
 	if len(buf) < 44 {
-		return Flat{}, fmt.Errorf("datatype: DecodeFlat: short buffer (%d bytes)", len(buf))
+		return Flat{}, arena, fmt.Errorf("datatype: DecodeFlat: short buffer (%d bytes)", len(buf))
 	}
 	f := Flat{
 		Disp:   int64(binary.LittleEndian.Uint64(buf[0:])),
@@ -85,17 +138,24 @@ func DecodeFlat(buf []byte) (Flat, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf[40:]))
 	if len(buf) != 44+16*n {
-		return Flat{}, fmt.Errorf("datatype: DecodeFlat: want %d bytes for %d segs, have %d",
+		return Flat{}, arena, fmt.Errorf("datatype: DecodeFlat: want %d bytes for %d segs, have %d",
 			44+16*n, n, len(buf))
 	}
-	f.Segs = make([]Seg, n)
-	p := 44
-	for i := range f.Segs {
-		f.Segs[i].Off = int64(binary.LittleEndian.Uint64(buf[p:]))
-		f.Segs[i].Len = int64(binary.LittleEndian.Uint64(buf[p+8:]))
-		p += 16
+	at := len(arena)
+	arena = slices.Grow(arena, n)
+	for p := 44; p < len(buf); p += 16 {
+		arena = append(arena, Seg{
+			Off: int64(binary.LittleEndian.Uint64(buf[p:])),
+			Len: int64(binary.LittleEndian.Uint64(buf[p+8:])),
+		})
 	}
-	return f, nil
+	f.Segs = arena[at:len(arena):len(arena)]
+	segs, _, _, err := f.normalSegs()
+	if err != nil {
+		return Flat{}, arena[:at], fmt.Errorf("datatype: DecodeFlat: %w", err)
+	}
+	f.Segs = segs
+	return f, arena, nil
 }
 
 // EncodeSegs serializes a flattened access (absolute offset/length pairs) —

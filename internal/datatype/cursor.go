@@ -37,24 +37,42 @@ type Cursor struct {
 // NewCursor creates a cursor over count instances of t at displacement
 // disp. count < 0 means unbounded tiling.
 func NewCursor(t Type, disp int64, count int64) *Cursor {
-	segs := t.Flatten()
-	prefix := make([]int64, len(segs)+1)
-	for i, s := range segs {
-		prefix[i+1] = prefix[i] + s.Len
+	c := new(Cursor)
+	c.Init(t, disp, count)
+	return c
+}
+
+// Init makes c what NewCursor(t, disp, count) returns, reusing the memory of
+// c's prefix table: a caller that walks one access after another keeps one
+// Cursor in its scratch and builds none. Clones of c share that table and
+// must be dead by now.
+func (c *Cursor) Init(t Type, disp int64, count int64) {
+	c.init(t.Flatten(), t.Size(), t.Extent(), disp, count)
+}
+
+// init points c at a tiling of segs, which must be in normal form (sorted,
+// disjoint, coalesced, inside extent) with size their total length.
+func (c *Cursor) init(segs []Seg, size, extent, disp, count int64) {
+	prefix := c.prefix[:0]
+	if cap(prefix) <= len(segs) {
+		prefix = make([]int64, 0, len(segs)+1)
 	}
-	c := &Cursor{
+	var sum int64
+	prefix = append(prefix, 0)
+	for _, s := range segs {
+		sum += s.Len
+		prefix = append(prefix, sum)
+	}
+	*c = Cursor{
 		segs:   segs,
 		prefix: prefix,
-		size:   t.Size(),
-		extent: t.Extent(),
+		size:   size,
+		extent: extent,
 		disp:   disp,
 		count:  count,
 		limit:  -1,
+		done:   size == 0 || extent == 0 || count == 0,
 	}
-	if c.size == 0 || c.extent == 0 || count == 0 {
-		c.done = true
-	}
-	return c
 }
 
 // Clone returns an independent cursor at the same position with a zeroed

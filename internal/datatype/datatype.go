@@ -19,9 +19,10 @@
 package datatype
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"math"
+	"slices"
 )
 
 // Seg is one contiguous byte range: offsets are relative to the start of a
@@ -84,7 +85,6 @@ type base struct {
 	segs   []Seg
 	size   int64
 	extent int64
-	desc   string
 	node   Node // constructor tree (zero Kind when built from raw segments)
 }
 
@@ -93,24 +93,24 @@ func (b *base) Extent() int64  { return b.extent }
 func (b *base) NumSegs() int64 { return int64(len(b.segs)) }
 func (b *base) Flatten() []Seg { return b.segs }
 
-// String returns the constructor's description. Bytes and FromSegs are
-// built on hot paths (realm assignment makes a Bytes per aggregator per
-// call) and leave desc empty; theirs is formatted here, on demand.
+// String returns the constructor's description. Types are built on hot
+// paths (realm assignment makes a Bytes per aggregator per call, a checkpoint
+// loop a new view per step), so nothing is formatted until someone asks.
 func (b *base) String() string {
-	switch {
-	case b.desc != "":
-		return b.desc
-	case b.node.Kind == KindBytes:
-		return fmt.Sprintf("bytes(%d)", b.size)
+	if b.node.Kind == 0 {
+		return fmt.Sprintf("segs(%d)", len(b.segs))
 	}
-	return fmt.Sprintf("segs(%d)", len(b.segs))
+	return b.node.String()
 }
 
-// normalize sorts, validates, and coalesces raw segments. Zero-length
-// segments are dropped. Overlapping segments are an error (MPI forbids
-// overlapping writes; we reject the type eagerly to catch workload bugs).
+// normalize sorts, validates, and coalesces raw segments into a new slice.
+// Zero-length segments are dropped. Overlapping segments are an error (MPI
+// forbids overlapping writes; we reject the type eagerly to catch workload
+// bugs). Constructors emit segments in offset order almost always, so the
+// order is checked while copying and the sort runs only when it is needed.
 func normalize(raw []Seg) ([]Seg, int64, error) {
 	segs := make([]Seg, 0, len(raw))
+	sorted := true
 	for _, s := range raw {
 		if s.Len < 0 {
 			return nil, 0, fmt.Errorf("datatype: negative segment length %d", s.Len)
@@ -118,12 +118,20 @@ func normalize(raw []Seg) ([]Seg, int64, error) {
 		if s.Off < 0 {
 			return nil, 0, fmt.Errorf("datatype: negative segment offset %d", s.Off)
 		}
+		if s.Len > math.MaxInt64-s.Off {
+			return nil, 0, fmt.Errorf("datatype: segment at %d of %d bytes ends beyond the offset range", s.Off, s.Len)
+		}
 		if s.Len == 0 {
 			continue
 		}
+		if n := len(segs); n > 0 && s.Off < segs[n-1].Off {
+			sorted = false
+		}
 		segs = append(segs, s)
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
+	if !sorted {
+		slices.SortFunc(segs, func(a, b Seg) int { return cmp.Compare(a.Off, b.Off) })
+	}
 	out := segs[:0]
 	var size int64
 	for _, s := range segs {
@@ -145,21 +153,23 @@ func normalize(raw []Seg) ([]Seg, int64, error) {
 	return out, size, nil
 }
 
-func newBase(raw []Seg, extent int64, desc string) (*base, error) {
+// newBase builds the type a constructor describes by node from its raw
+// segments.
+func newBase(raw []Seg, extent int64, node Node) (Type, error) {
 	segs, size, err := normalize(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", desc, err)
+		return nil, fmt.Errorf("%s: %w", node, err)
 	}
 	if extent < 0 {
-		return nil, fmt.Errorf("%s: negative extent %d", desc, extent)
+		return nil, fmt.Errorf("%s: negative extent %d", node, extent)
 	}
 	if n := len(segs); n > 0 {
 		if segs[n-1].End() > extent {
 			return nil, fmt.Errorf("%s: segments span %d bytes, beyond extent %d (tiled instances would overlap)",
-				desc, segs[n-1].End(), extent)
+				node, segs[n-1].End(), extent)
 		}
 	}
-	return &base{segs: segs, size: size, extent: extent, desc: desc}, nil
+	return &base{segs: segs, size: size, extent: extent, node: node}, nil
 }
 
 // Bytes returns an elementary datatype of n contiguous bytes.
@@ -187,12 +197,7 @@ func Contiguous(count int64, inner Type) (Type, error) {
 			raw = append(raw, Seg{s.Off + i*ext, s.Len})
 		}
 	}
-	b, err := newBase(raw, count*ext, fmt.Sprintf("contig(%d, %s)", count, inner))
-	if err != nil {
-		return nil, err
-	}
-	b.node = Node{Kind: KindContig, A: count, Children: []Node{Tree(inner)}}
-	return b, nil
+	return newBase(raw, count*ext, Node{Kind: KindContig, A: count, Children: []Node{Tree(inner)}})
 }
 
 // Vector is MPI_Type_vector with byte-granular stride semantics of
@@ -217,12 +222,7 @@ func Vector(count, blocklen int64, stride int64, inner Type) (Type, error) {
 	if count > 0 {
 		ext = (count-1)*stride + blocklen*iext
 	}
-	b, err := newBase(raw, ext, fmt.Sprintf("vector(%d, %d, %d, %s)", count, blocklen, stride, inner))
-	if err != nil {
-		return nil, err
-	}
-	b.node = Node{Kind: KindVector, A: count, B: blocklen, C: stride, Children: []Node{Tree(inner)}}
-	return b, nil
+	return newBase(raw, ext, Node{Kind: KindVector, A: count, B: blocklen, C: stride, Children: []Node{Tree(inner)}})
 }
 
 // Indexed is MPI_Type_indexed with displacements and block lengths in units
@@ -233,32 +233,29 @@ func Indexed(blocklens, displs []int64, inner Type) (Type, error) {
 	}
 	iext := inner.Extent()
 	hd := make([]int64, len(displs))
-	hb := make([]int64, len(blocklens))
 	for i := range displs {
 		hd[i] = displs[i] * iext
-		hb[i] = blocklens[i]
 	}
-	return hIndexed(hb, hd, inner, fmt.Sprintf("indexed(%d blocks, %s)", len(blocklens), inner))
+	return HIndexed(blocklens, hd, inner)
 }
 
 // HIndexed is MPI_Type_create_hindexed: displacements in bytes, block
 // lengths in units of inner instances.
 func HIndexed(blocklens, byteDispls []int64, inner Type) (Type, error) {
-	return hIndexed(blocklens, byteDispls, inner,
-		fmt.Sprintf("hindexed(%d blocks, %s)", len(blocklens), inner))
-}
-
-func hIndexed(blocklens, byteDispls []int64, inner Type, desc string) (Type, error) {
 	if len(blocklens) != len(byteDispls) {
 		return nil, fmt.Errorf("datatype: hindexed: %d blocklens vs %d displs", len(blocklens), len(byteDispls))
 	}
+	var blocks int64
+	for _, n := range blocklens {
+		if n < 0 {
+			return nil, fmt.Errorf("datatype: hindexed: negative blocklen %d", n)
+		}
+		blocks += n
+	}
 	iext := inner.Extent()
-	var raw []Seg
+	raw := make([]Seg, 0, blocks*inner.NumSegs())
 	ext := int64(0)
 	for i := range blocklens {
-		if blocklens[i] < 0 {
-			return nil, fmt.Errorf("datatype: hindexed: negative blocklen %d", blocklens[i])
-		}
 		for j := int64(0); j < blocklens[i]; j++ {
 			for _, s := range inner.Flatten() {
 				raw = append(raw, Seg{byteDispls[i] + j*iext + s.Off, s.Len})
@@ -268,17 +265,12 @@ func hIndexed(blocklens, byteDispls []int64, inner Type, desc string) (Type, err
 			ext = end
 		}
 	}
-	b, err := newBase(raw, ext, desc)
-	if err != nil {
-		return nil, err
-	}
-	b.node = Node{
+	return newBase(raw, ext, Node{
 		Kind:     KindHIndexed,
 		Lens:     append([]int64(nil), blocklens...),
 		Displs:   append([]int64(nil), byteDispls...),
 		Children: []Node{Tree(inner)},
-	}
-	return b, nil
+	})
 }
 
 // Struct is MPI_Type_create_struct: heterogeneous blocks at byte
@@ -290,7 +282,6 @@ func Struct(blocklens []int64, byteDispls []int64, types []Type) (Type, error) {
 	}
 	var raw []Seg
 	ext := int64(0)
-	names := make([]string, len(types))
 	for i := range types {
 		if blocklens[i] < 0 {
 			return nil, fmt.Errorf("datatype: struct: negative blocklen %d", blocklens[i])
@@ -304,23 +295,17 @@ func Struct(blocklens []int64, byteDispls []int64, types []Type) (Type, error) {
 		if end := byteDispls[i] + blocklens[i]*iext; end > ext {
 			ext = end
 		}
-		names[i] = types[i].String()
-	}
-	b, err := newBase(raw, ext, fmt.Sprintf("struct(%d blocks: %s)", len(types), strings.Join(names, ", ")))
-	if err != nil {
-		return nil, err
 	}
 	children := make([]Node, len(types))
 	for i, ty := range types {
 		children[i] = Tree(ty)
 	}
-	b.node = Node{
+	return newBase(raw, ext, Node{
 		Kind:     KindStruct,
 		Lens:     append([]int64(nil), blocklens...),
 		Displs:   append([]int64(nil), byteDispls...),
 		Children: children,
-	}
-	return b, nil
+	})
 }
 
 // Resized is MPI_Type_create_resized: the same data pattern with an
@@ -339,7 +324,6 @@ func Resized(inner Type, extent int64) (Type, error) {
 		segs:   segs,
 		size:   inner.Size(),
 		extent: extent,
-		desc:   fmt.Sprintf("resized(%s, %d)", inner, extent),
 		node:   Node{Kind: KindResized, A: extent, Children: []Node{Tree(inner)}},
 	}, nil
 }
@@ -383,19 +367,13 @@ func Subarray(sizes, subsizes, starts []int64, elemSize int64) (Type, error) {
 		}
 	}
 	walk(0, 0)
-	b, err := newBase(raw, strides[0]*sizes[0],
-		fmt.Sprintf("subarray(%dd, elem=%d)", n, elemSize))
-	if err != nil {
-		return nil, err
-	}
-	b.node = Node{
+	return newBase(raw, strides[0]*sizes[0], Node{
 		Kind:   KindSubarray,
 		A:      elemSize,
 		Lens:   append([]int64(nil), sizes...),
 		Displs: append([]int64(nil), subsizes...),
 		Aux:    append([]int64(nil), starts...),
-	}
-	return b, nil
+	})
 }
 
 // FromSegs builds a datatype directly from raw segments (relative to 0)

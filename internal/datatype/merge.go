@@ -1,6 +1,9 @@
 package datatype
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Stream merging for node-local pre-aggregation: a leader rank combines the
 // flattened accesses of its co-resident ranks into one offset-sorted,
@@ -115,19 +118,30 @@ type RunItem struct {
 }
 
 // RunMerger merges offset-sorted runs. The zero value is ready to use; it
-// keeps its heap between calls so steady callers merge without allocating.
+// keeps its tables between calls so steady callers merge without allocating.
+//
+// The merge is a tournament (loser) tree over the runs' heads: leaf i is run
+// i, every inner node remembers the run that lost the match played there, and
+// tree[0] is the overall winner. Taking the winner's head and replaying its
+// leaf-to-root path costs one comparison per level, half of what sifting a
+// binary heap down does; an aggregator planning a layout the memo has not
+// seen spends a third of its time here.
 type RunMerger struct {
-	heads []runHead // binary min-heap on (off, run)
-	next  []int     // next[i] indexes the segment after run i's head
+	tree  []int32 // tree[0] the winner, tree[1:] the loser of each match, as run indices
+	win   []int32 // the winner of each match while the first tournament is played
+	heads []int64 // heads[i] is the offset of run i's head, exhausted when there is none
+	next  []int   // next[i] indexes the segment after run i's head
 }
 
-type runHead struct {
-	off int64
-	run int32
-}
+// exhausted is the head of a run with nothing left, and of the leaves that
+// pad the tree to a power of two. No segment starts there: a segment is not
+// empty and ends inside the offset range.
+const exhausted = math.MaxInt64
 
-func (a runHead) before(b runHead) bool {
-	return a.off < b.off || (a.off == b.off && a.run < b.run)
+// before orders runs a and b by (head offset, run index).
+func (m *RunMerger) before(a, b int32) bool {
+	ha, hb := m.heads[a], m.heads[b]
+	return ha < hb || (ha == hb && a < b)
 }
 
 // Merge appends to items[:0] every segment of every run in file-offset
@@ -144,66 +158,66 @@ func (a runHead) before(b runHead) bool {
 // longer follow the order the caller handed in.
 func (m *RunMerger) Merge(runs [][]Seg, items []RunItem, segs []Seg) ([]RunItem, []Seg, int64) {
 	items, segs = items[:0], segs[:0]
-	h := m.heads[:0]
-	if cap(m.next) < len(runs) {
-		m.next = make([]int, len(runs))
+	leaves := 1
+	for leaves < len(runs) {
+		leaves <<= 1
 	}
-	next := m.next[:len(runs)]
-	for i, run := range runs {
-		if len(run) == 0 {
+	if cap(m.heads) < leaves {
+		m.heads, m.next = make([]int64, leaves), make([]int, leaves)
+		m.tree, m.win = make([]int32, leaves), make([]int32, 2*leaves)
+	}
+	heads, next, tree, win := m.heads[:leaves], m.next[:leaves], m.tree[:leaves], m.win[:2*leaves]
+	for i := range heads {
+		heads[i], next[i] = exhausted, 1
+		win[leaves+i] = int32(i)
+		if i >= len(runs) || len(runs[i]) == 0 {
 			continue
 		}
+		run := runs[i]
 		for j := 1; j < len(run); j++ {
 			if run[j].Off < run[j-1].Off {
 				sort.SliceStable(run, func(a, b int) bool { return run[a].Off < run[b].Off })
 				break
 			}
 		}
-		next[i] = 1
-		h = append(h, runHead{off: run[0].Off, run: int32(i)})
+		heads[i] = run[0].Off
 	}
-	for k := len(h)/2 - 1; k >= 0; k-- {
-		siftDown(h, k)
+	// The first tournament, bottom-up: match k is between the winners of
+	// matches 2k and 2k+1 (the leaves are matches already won).
+	for k := leaves - 1; k >= 1; k-- {
+		a, b := win[2*k], win[2*k+1]
+		if m.before(b, a) {
+			a, b = b, a
+		}
+		win[k], tree[k] = a, b
 	}
+	tree[0] = win[1] // with a single leaf, win[1] is that leaf
+
 	var total int64
-	for len(h) > 0 {
-		i := h[0].run
-		run := runs[i]
-		s := run[next[i]-1]
-		items = append(items, RunItem{Run: i, Len: s.Len})
+	for w := tree[0]; heads[w] != exhausted; w = tree[0] {
+		run := runs[w]
+		s := run[next[w]-1]
+		items = append(items, RunItem{Run: w, Len: s.Len})
 		if n := len(segs); n > 0 && segs[n-1].End() == s.Off {
 			segs[n-1].Len += s.Len
 		} else {
 			segs = append(segs, s)
 		}
 		total += s.Len
-		if next[i] < len(run) {
-			h[0].off = run[next[i]].Off
-			next[i]++
+		if next[w] < len(run) {
+			heads[w] = run[next[w]].Off
+			next[w]++
 		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+			heads[w] = exhausted
 		}
-		siftDown(h, 0)
+		// Replay the matches on the way from leaf w to the root: the run
+		// coming up meets the loser stored at each and the better goes on.
+		for k := (leaves + int(w)) >> 1; k >= 1; k >>= 1 {
+			if m.before(tree[k], w) {
+				tree[k], w = w, tree[k]
+			}
+		}
+		tree[0] = w
 	}
-	m.heads = h[:0]
 	return items, segs, total
-}
-
-// siftDown restores the heap property below node k.
-func siftDown(h []runHead, k int) {
-	for {
-		c := 2*k + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(h[k]) {
-			return
-		}
-		h[k], h[c] = h[c], h[k]
-		k = c
-	}
 }

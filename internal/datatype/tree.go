@@ -3,6 +3,7 @@ package datatype
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Kind identifies a datatype constructor in the tree representation.
@@ -60,6 +61,39 @@ func Tree(t Type) Node {
 		n.Lens[i] = s.Len
 	}
 	return n
+}
+
+// String renders the tree as a constructor-style description.
+func (n Node) String() string {
+	child := func() string {
+		if len(n.Children) == 0 {
+			return "?"
+		}
+		return n.Children[0].String()
+	}
+	switch n.Kind {
+	case KindBytes:
+		return fmt.Sprintf("bytes(%d)", n.A)
+	case KindContig:
+		return fmt.Sprintf("contig(%d, %s)", n.A, child())
+	case KindVector:
+		return fmt.Sprintf("vector(%d, %d, %d, %s)", n.A, n.B, n.C, child())
+	case KindHIndexed:
+		return fmt.Sprintf("hindexed(%d blocks, %s)", len(n.Lens), child())
+	case KindStruct:
+		names := make([]string, len(n.Children))
+		for i, c := range n.Children {
+			names[i] = c.String()
+		}
+		return fmt.Sprintf("struct(%d blocks: %s)", len(n.Children), strings.Join(names, ", "))
+	case KindResized:
+		return fmt.Sprintf("resized(%s, %d)", child(), n.A)
+	case KindSubarray:
+		return fmt.Sprintf("subarray(%dd, elem=%d)", len(n.Lens), n.A)
+	case KindSegs:
+		return fmt.Sprintf("segs(%d)", len(n.Lens))
+	}
+	return fmt.Sprintf("kind(%d)", n.Kind)
 }
 
 // Build reconstructs the datatype the node describes.

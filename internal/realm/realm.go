@@ -30,11 +30,22 @@ func (r Realm) Empty() bool {
 
 // Cursor returns a fresh cursor over the realm's bytes.
 func (r Realm) Cursor() *datatype.Cursor {
-	if r.Pattern == nil {
-		return datatype.NewCursor(datatype.Bytes(0), 0, 0)
-	}
-	return datatype.NewCursor(r.Pattern, r.Disp, r.Count)
+	c := new(datatype.Cursor)
+	r.CursorInto(c)
+	return c
 }
+
+// CursorInto is Cursor into caller-owned memory: c becomes the cursor over
+// the realm's bytes, keeping its table's memory (see datatype.Cursor.Init).
+func (r Realm) CursorInto(c *datatype.Cursor) {
+	if r.Pattern == nil {
+		c.Init(noBytes, 0, 0)
+		return
+	}
+	c.Init(r.Pattern, r.Disp, r.Count)
+}
+
+var noBytes = datatype.Bytes(0) // immutable
 
 // Flat returns the wire form of the realm (realms, like accesses, travel
 // as flattened datatypes).
