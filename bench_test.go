@@ -29,6 +29,14 @@ import (
 // strategies x read/write, plus the PFR steady-state points). Allocation
 // reporting is on; `flexio-bench -benchjson` runs the same matrix and
 // records it to the committed trajectory.
+//
+// The twophase rows are steady-state rows too since the baseline became a
+// memoized planner in front of core's round executor: 24 allocs/op (what
+// World.Run allocates) where its own round loop measured 880-930 (934
+// write, 879 read, at the commit before), at the same virtual time (the
+// read row is deterministic: 0.007931 virt-s/op on both sides). A change
+// that moves them moved the shared executor or the ROMIO planner's memo:
+// see TestRomioGolden and TestRomioSteadyStateAllocs in internal/twophase.
 
 func BenchmarkCollectiveMatrix(b *testing.B) {
 	for _, cfg := range benchsuite.Default() {

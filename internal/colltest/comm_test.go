@@ -12,13 +12,16 @@ import (
 )
 
 // commEngines lists the engine configurations the comm-matrix property is
-// asserted on: both implementations, and both exchange strategies for the
-// new one.
+// asserted on: both planners, and every exchange strategy for the flexible
+// one (the blocking one under the access ROMIO pairs it with).
 func commEngines() map[string]func() mpiio.Collective {
 	return map[string]func() mpiio.Collective{
 		"twophase": func() mpiio.Collective { return twophase.New() },
 		"core-nb":  func() mpiio.Collective { return core.New(core.Options{Comm: core.Nonblocking}) },
 		"core-a2a": func() mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw}) },
+		"core-blk": func() mpiio.Collective {
+			return core.New(core.Options{Comm: core.Blocking, Method: mpiio.IntegratedSieve})
+		},
 	}
 }
 

@@ -28,24 +28,18 @@ func genWorkload(rng *rand.Rand) Workload {
 	}
 }
 
-// genInfo draws random hints and a random collective engine configuration.
+// genInfo draws random hints and a random collective engine configuration:
+// the ROMIO planner under its fixed executor settings, or the flexible
+// planner under any exchange strategy and buffer access, ROMIO's two included.
+// Both validate their memo hits.
 func genInfo(rng *rand.Rand, wl Workload) mpiio.Info {
 	var coll mpiio.Collective
 	if rng.Intn(4) == 0 {
-		coll = twophase.New()
+		coll = twophase.New().WithValidate()
 	} else {
 		o := core.Options{Validate: true}
-		switch rng.Intn(3) {
-		case 0:
-			o.Method = mpiio.DataSieve
-		case 1:
-			o.Method = mpiio.Naive
-		default:
-			o.Method = mpiio.ListIO
-		}
-		if rng.Intn(2) == 0 {
-			o.Comm = core.Alltoallw
-		}
+		o.Method = []mpiio.Method{mpiio.DataSieve, mpiio.Naive, mpiio.ListIO, mpiio.IntegratedSieve}[rng.Intn(4)]
+		o.Comm = []core.CommStrategy{core.Nonblocking, core.Alltoallw, core.Blocking}[rng.Intn(3)]
 		if rng.Intn(3) == 0 {
 			o.HeapMerge = true
 		}
@@ -90,7 +84,7 @@ func TestRandomizedWriteCorrectness(t *testing.T) {
 		if info.Collective != nil {
 			name = info.Collective.Name()
 		}
-		res, err := RunWrite(sim.DefaultConfig(), wl, info)
+		res, err := RunWriteSteps(sim.DefaultConfig(), wl, info, 2) // the second call hits the memo
 		if err != nil {
 			t.Fatalf("trial %d (%s, %s): %v", trial, wl, name, err)
 		}

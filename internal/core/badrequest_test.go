@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 					}
 				}
 				var sender *clientEntry
-				for k, ce := range eng.memo.clients {
+				for k, ce := range eng.memo.clients.m {
 					if k.rank == bad {
 						sender = ce
 					}
@@ -117,6 +118,38 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMergeAccessListsRefusesMalformed: the O(M) exchange of the
+// segment-hungry assigners used to drop a rank whose list did not decode and
+// assign realms as if it had no data. Every rank decodes the same gathered
+// bytes, so refusing the list is a uniform way out of the collective.
+func TestMergeAccessListsRefusesMalformed(t *testing.T) {
+	seg := func(off, n int64) datatype.Seg { return datatype.Seg{Off: off, Len: n} }
+	good := [][]byte{
+		datatype.EncodeSegs([]datatype.Seg{seg(0, 8), seg(64, 8)}),
+		nil, // a crashed rank's slot
+		datatype.EncodeSegs([]datatype.Seg{seg(8, 8), seg(60, 8)}),
+	}
+	union, perRank, pairs, err := mergeAccessLists(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []datatype.Seg{seg(0, 16), seg(60, 12)}; !slices.Equal(union, want) || pairs != 4 {
+		t.Fatalf("union %v of %d pairs, want %v of 4", union, pairs, want)
+	}
+	if perRank[1] != nil || !slices.Equal(perRank[2], []datatype.Seg{seg(8, 8), seg(60, 8)}) {
+		t.Fatalf("per-rank lists %v", perRank)
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":   good[0][:len(good[0])-3],
+		"overlapping": datatype.EncodeSegs([]datatype.Seg{seg(0, 8), seg(4, 8)}),
+		"negative":    datatype.EncodeSegs([]datatype.Seg{seg(8, -8)}),
+	} {
+		if _, _, _, err := mergeAccessLists([][]byte{good[0], good[2], bad}); err == nil || !strings.Contains(err.Error(), "rank 2") {
+			t.Errorf("%s: error %v, want one naming rank 2", name, err)
 		}
 	}
 }

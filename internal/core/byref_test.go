@@ -42,6 +42,7 @@ func byrefEngines() []engineSet {
 	return []engineSet{
 		coreSet("core-nb", core.Options{Method: mpiio.DataSieve}),
 		coreSet("core-a2a", core.Options{Method: mpiio.DataSieve, Comm: core.Alltoallw}),
+		coreSet("core-blocking", core.Options{Method: mpiio.IntegratedSieve, Comm: core.Blocking}),
 		{
 			name:  "twophase",
 			fresh: func(j *mpiio.WriteJournal) mpiio.Collective { return twophase.NewJournaled(j) },

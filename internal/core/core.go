@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 
-	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
@@ -35,12 +33,23 @@ const (
 	// the pack/unpack copies by communicating noncontiguously straight
 	// from the user and collective buffers.
 	Alltoallw
+	// Blocking is the exchange of ROMIO's two-phase code: point-to-point
+	// like Nonblocking, but everything of a round is posted at once (all
+	// Irecvs, all Isends, a wait for everything; a read's pieces are taken
+	// with blocking receives) and the round's file I/O follows with nothing
+	// overlapped, so there is no trailing write or agreement after the last
+	// round. The model charges no copies for it: the one pass ROMIO makes
+	// is into its integrated sieve buffer (mpiio.IntegratedSieve).
+	Blocking
 )
 
 // String names the strategy.
 func (c CommStrategy) String() string {
-	if c == Alltoallw {
+	switch c {
+	case Alltoallw:
 		return "alltoallw"
+	case Blocking:
+		return "blocking"
 	}
 	return "nonblocking"
 }
@@ -133,29 +142,20 @@ type Options struct {
 // still shared).
 type Impl struct {
 	o    Options
+	exec Executor
 	memo memoCache
 
-	mu      sync.Mutex
-	scratch []*rankScratch
+	scratch RankTable[rankScratch]
 }
 
 // rankScratch is one rank's reusable working memory across collective
-// calls: the merge outputs, exchange bookkeeping, and iovec tables that
-// would otherwise be reallocated every round. A rank never holds these
-// across a rendezvous where a peer could still read them — everything
-// here is either rank-private or consumed by peers before the round's
-// closing collective (see the ownership notes in writeRounds/readRounds).
+// calls: the planner's below, the executor's in RoundScratch.
 type rankScratch struct {
-	allSt, allEn []int64
-	msgs         [][]byte
-	miss         missScratch
-	cur          []viewCursor // per-client read position while gathering a round
-	iov          [][][]byte   // views this rank sends, per destination
-	recvIov      [][][]byte   // views this rank received, per source (nonblocking)
-	waited       [][][]byte   // WaitallIov output, in request order
-	reqs         []*mpi.Request
-	from         []int
-	realmDisps   []int64
+	RoundScratch
+	bounds     []int64
+	msgs       [][]byte
+	miss       PlanScratch
+	realmDisps []int64
 	// Node-local pre-aggregation working set (see preagg.go).
 	pre        preaggState
 	preBufs    [][]byte
@@ -163,14 +163,14 @@ type rankScratch struct {
 	leaders    []bool
 }
 
-// missScratch is the working memory of planning a layout the memo has not
+// PlanScratch is the working memory of planning a layout the memo has not
 // seen: everything the intersections and the round merge need and the stored
 // entry does not keep. It stays in the rank scratch while misses recur (a
 // checkpoint loop installs a new view, and misses, on every call) and is
 // dropped by the first call that hits on both sides, so the build of one
 // large enumerated layout does not stay pinned under a steady state that
 // never plans again.
-type missScratch struct {
+type PlanScratch struct {
 	// ac and rc are the access and realm cursors of the intersection in
 	// progress, re-pointed (never rebuilt) per client and per aggregator.
 	ac, rc datatype.Cursor
@@ -204,38 +204,17 @@ type missScratch struct {
 	clientRuns [][]datatype.Seg
 	roundSegs  []datatype.Seg
 	segs       []datatype.Seg
-	peers      []peerBytes
+	peers      []PeerBytes
 }
 
-// degradeNow reports whether a failed sieve round should fall back to
-// naive I/O: statically via Options.Degraded, or dynamically while the
-// Degrade hook (a tenancy layer's breaker check) says so.
-func (i *Impl) degradeNow() bool {
-	return i.o.Degraded || (i.o.Degrade != nil && i.o.Degrade())
-}
-
-func (i *Impl) scratchFor(rank int) *rankScratch {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	for len(i.scratch) <= rank {
-		i.scratch = append(i.scratch, nil)
-	}
-	if i.scratch[rank] == nil {
-		i.scratch[rank] = &rankScratch{}
-	}
-	return i.scratch[rank]
-}
-
-// sized returns s truncated/grown to n entries, reusing capacity.
-func sized[T any](s []T, n int) []T {
+// Sized returns s truncated or grown to n zeroed entries, reusing capacity:
+// how the engines size per-call tables in their rank scratch.
+func Sized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
 	s = s[:n]
-	var zero T
-	for k := range s {
-		s[k] = zero
-	}
+	clear(s)
 	return s
 }
 
@@ -247,7 +226,13 @@ func New(o Options) *Impl {
 	if o.CondThreshold <= 0 {
 		o.CondThreshold = 24 << 10
 	}
-	return &Impl{o: o}
+	// A failed sieve round falls back to naive I/O statically via Degraded,
+	// or while the Degrade hook (a tenancy layer's breaker check) says so.
+	degrade := o.Degrade
+	if o.Degraded {
+		degrade = func() bool { return true }
+	}
+	return &Impl{o: o, exec: Executor{Comm: o.Comm, Journal: o.Journal, Degrade: degrade}}
 }
 
 // Name implements mpiio.Collective.
@@ -268,11 +253,11 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// roundPieces is what one client exchanges with one aggregator, grouped by
-// two-phase round (client side; the aggregator keeps a roundPlan instead).
+// RoundPieces is what one client exchanges with one aggregator, grouped by
+// two-phase round (client side; the aggregator keeps a RoundPlan instead).
 // Only the stream side of a piece matters once the rounds are formed, so
 // the pieces are kept as ranges of the client's data stream.
-type roundPieces struct {
+type RoundPieces struct {
 	// runs lists every round's pieces in the order the payload travels
 	// (file-offset order), neighbours that are adjacent in the stream
 	// merged into one range: both ends consume payloads by byte count, so
@@ -330,14 +315,14 @@ func groupRounds(ps []datatype.Piece, runs []streamRun, rounds []roundSpan) ([]s
 	return runs, rounds
 }
 
-func (rp *roundPieces) of(r int) []streamRun {
+func (rp *RoundPieces) of(r int) []streamRun {
 	if r >= len(rp.rounds) {
 		return nil
 	}
 	return rp.runs[rp.rounds[r].first:rp.rounds[r].end]
 }
 
-func (rp *roundPieces) bytes(r int) int64 {
+func (rp *RoundPieces) bytes(r int) int64 {
 	if r >= len(rp.rounds) {
 		return 0
 	}
@@ -347,37 +332,55 @@ func (rp *roundPieces) bytes(r int) int64 {
 // sealPieces cuts a client entry's piece lists out of scratch: every
 // aggregator's runs in one block and rounds in another, each at its exact
 // size, with cuts as groupRounds' caller recorded them.
-func sealPieces(runs []streamRun, rounds []roundSpan, cuts []int) []roundPieces {
+func sealPieces(runs []streamRun, rounds []roundSpan, cuts []int) []RoundPieces {
 	runs, rounds = slices.Clone(runs), slices.Clone(rounds)
-	out := make([]roundPieces, len(cuts)/2)
+	out := make([]RoundPieces, len(cuts)/2)
 	var r0, s0 int
 	for a := range out {
 		r1, s1 := cuts[2*a], cuts[2*a+1]
-		out[a] = roundPieces{runs: runs[r0:r1:r1], rounds: rounds[s0:s1:s1]}
+		out[a] = RoundPieces{runs: runs[r0:r1:r1], rounds: rounds[s0:s1:s1]}
 		r0, s0 = r1, s1
 	}
 	return out
 }
 
+// A planner forms a client's piece lists with three calls: StartClient, then
+// AddAggregator with the pieces of each aggregator in rank order, then
+// ClientPieces.
+
+// StartClient begins the piece lists of one client.
+func (ms *PlanScratch) StartClient() {
+	ms.runs, ms.rounds, ms.cuts = ms.runs[:0], ms.rounds[:0], ms.cuts[:0]
+}
+
+// AddAggregator groups into rounds the pieces this client exchanges with the
+// next aggregator: its access intersected with that aggregator's realm,
+// rounds non-decreasing. It may reorder ps and keeps no reference to it.
+func (ms *PlanScratch) AddAggregator(ps []datatype.Piece) {
+	ms.runs, ms.rounds = groupRounds(ps, ms.runs, ms.rounds)
+	ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
+}
+
+// ClientPieces returns the lists added since StartClient, one per aggregator,
+// cut to size out of the scratch: they are the caller's to keep.
+func (ms *PlanScratch) ClientPieces() []RoundPieces {
+	return sealPieces(ms.runs, ms.rounds, ms.cuts)
+}
+
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
-	// --- Linearize user data. A write's stream is the user's bytes in
-	// stream order — the caller's buffer itself when the memory type is
-	// dense, a packed pooled copy otherwise — and peers read it in place:
-	// every exchange hands the aggregators views of it. A read's stream is
-	// private. Node-local pre-aggregation swaps the stream (a member hands
-	// its own to the leader, a leader continues with the merged one).
-	var cs mpiio.Stream
-	if write {
-		// Alltoallw communicates directly from the user buffer: its
-		// linearization is free of charge. Nonblocking models the pack.
-		var err error
-		if cs, err = f.Linearize(buf, memtype, count, i.o.Comm != Alltoallw); err != nil {
-			return err
-		}
-	} else {
-		cs = mpiio.ReadStreamBuf(datatype.TotalSize(memtype, count))
+	// A write's stream is the user's bytes in stream order — the caller's
+	// buffer itself when the memory type is dense, a packed pooled copy
+	// otherwise — and peers read it in place: every exchange hands the
+	// aggregators views of it. A read's stream is private. Node-local
+	// pre-aggregation swaps the stream (a member hands its own to the leader,
+	// a leader continues with the merged one). Alltoallw communicates
+	// directly from the user buffer: its linearization is free of charge.
+	// The point-to-point strategies model the pack.
+	cs, err := f.CollectiveStream(buf, memtype, count, write, i.o.Comm != Alltoallw)
+	if err != nil {
+		return err
 	}
-	err := i.run(f, &cs, buf, memtype, count, write)
+	err = i.run(f, &cs, buf, memtype, count, write)
 	// Not deferred: every consumer of the stream's views is ordered before
 	// a normal return by the closing Barrier/AgreeError rendezvous, but an
 	// injected crash unwinds this rank while peers may still be reading
@@ -407,7 +410,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		naggs = p.Size()
 	}
 	amAgg := p.Rank() < naggs
-	scr := i.scratchFor(p.Rank())
+	scr := i.scratch.For(p.Rank())
 
 	// --- Describe the access succinctly. ---
 	view := f.View()
@@ -428,24 +431,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if dataLen > 0 {
 		st, en = f.AccessBounds(dataLen)
 	}
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
-	scr.allSt = sized(scr.allSt, p.Size())
-	scr.allEn = sized(scr.allEn, p.Size())
-	allSt, allEn := scr.allSt, scr.allEn
-	p.AllgatherInt64Into(st, allSt)
-	p.AllgatherInt64Into(en, allEn)
-	aarSt, aarEn := int64(1<<62), int64(-1)
-	for r := 0; r < p.Size(); r++ {
-		if allSt[r] < aarSt {
-			aarSt = allSt[r]
-		}
-		if allEn[r] > aarEn {
-			aarEn = allEn[r]
-		}
-	}
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
+	aarSt, aarEn := AccessRegion(p, st, en, &scr.bounds)
 	if aarEn <= aarSt {
 		return nil
 	}
@@ -465,7 +451,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// stripe width) and the flight recorder's layout context. ---
 	if p.Metrics != nil {
 		stripe := f.FS().Config().StripeSize
-		scr.realmDisps = sized(scr.realmDisps, len(realms))
+		scr.realmDisps = Sized(scr.realmDisps, len(realms))
 		var misaligned int64
 		for k := range realms {
 			scr.realmDisps[k] = realms[k].Disp
@@ -519,18 +505,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if pre != nil {
 		ck.pre = pre.pre
 	}
-	ce := i.memo.getClient(ck)
+	ce := i.memo.clients.Get(ck)
 	clientHit := ce != nil
-	if clientHit {
-		p.Stats.Add(stats.CIsectCacheHits, 1)
-		p.Metrics.Inc(metrics.CMemoHits)
-		p.Trace.Instant2(p.Clock(), "isect_cache",
-			trace.S("side", "client"), trace.S("result", "hit"))
-	} else {
-		p.Stats.Add(stats.CIsectCacheMisses, 1)
-		p.Metrics.Inc(metrics.CMemoMisses)
-		p.Trace.Instant2(p.Clock(), "isect_cache",
-			trace.S("side", "client"), trace.S("result", "miss"))
+	NoteMemo(p, "client", clientHit)
+	if !clientHit {
 		ce = &clientEntry{}
 		if i.o.TreeRequests && pre == nil {
 			// A merged access has no constructor tree; pre-aggregated
@@ -545,7 +523,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// constructor trees (smaller still for regular nested types). The
 	// exchange itself always happens — only the decoding is memoizable,
 	// keyed by a hash of the bytes actually received. ---
-	t0 = p.Clock()
+	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
 	if pre == nil || pre.plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
@@ -565,32 +543,24 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		if pre != nil {
 			// Only node leaders send merged requests; members get the same
 			// empty-access stand-in a dead rank would.
-			scr.leaders = sized(scr.leaders, p.Size())
+			scr.leaders = Sized(scr.leaders, p.Size())
 			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
 		}
-		scr.msgs = sized(scr.msgs, p.Size())
-		h := uint64(hashSeed)
+		scr.msgs = Sized(scr.msgs, p.Size())
+		h := HashSeed
 		for c := 0; c < p.Size(); c++ {
 			var msg []byte
 			if pre == nil || scr.leaders[c] {
 				msg, _ = p.Recv(c, tagFlat)
 			}
 			scr.msgs[c] = msg
-			h = hashBytes(h, msg)
+			h = HashBytes(h, msg)
 		}
 		ak = aggKey{rank: p.Rank(), req: h, cb: cb, naggs: naggs, sig: sig}
-		ae = i.memo.getAgg(ak)
+		ae = i.memo.aggs.Get(ak)
 		aggHit = ae != nil
-		if aggHit {
-			p.Stats.Add(stats.CIsectCacheHits, 1)
-			p.Metrics.Inc(metrics.CMemoHits)
-			p.Trace.Instant2(p.Clock(), "isect_cache",
-				trace.S("side", "agg"), trace.S("result", "hit"))
-		} else {
-			p.Stats.Add(stats.CIsectCacheMisses, 1)
-			p.Metrics.Inc(metrics.CMemoMisses)
-			p.Trace.Instant2(p.Clock(), "isect_cache",
-				trace.S("side", "agg"), trace.S("result", "miss"))
+		NoteMemo(p, "agg", aggHit)
+		if !aggHit {
 			var expand int64
 			flats, expand, reqErr = i.decodeRequests(&scr.miss, scr.msgs, pre == nil)
 			ae = &aggEntry{charges: make([]int64, 1, 1+len(flats))}
@@ -605,15 +575,15 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// Flatten time is charged (and traced) by the ChargePairs calls below;
 	// no blanket interval here, or the pair processing would count twice.
 	if clientHit && (!amAgg || aggHit) {
-		scr.miss = missScratch{} // nothing to plan: see missScratch
+		scr.miss = PlanScratch{} // nothing to plan: see PlanScratch
 	}
 	if !clientHit {
 		if dataLen > 0 {
 			ce.pieces, ce.charges = i.clientPieces(&scr.miss, myFlat, realms, cb)
 		} else {
-			ce.pieces = make([]roundPieces, naggs)
+			ce.pieces = make([]RoundPieces, naggs)
 		}
-		i.memo.putClient(ck, ce)
+		i.memo.clients.Put(ck, ce)
 	}
 	for _, n := range ce.charges {
 		f.ChargePairs(n)
@@ -626,12 +596,12 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	var planErr error
 	if amAgg {
 		if !aggHit {
-			buildPlans(&scr.miss, ae, flats, realms[p.Rank()], cb)
+			ae.rounds, ae.charges = BuildPlans(&scr.miss, flats, realms[p.Rank()], cb, ae.charges)
 			// A failure-degraded request set (stand-ins for dead or
 			// undecodable senders above) must not poison the cache for
 			// later healthy collectives.
 			if p.PeerFailure() == nil && reqErr == nil {
-				i.memo.putAgg(ak, ae)
+				i.memo.aggs.Put(ak, ae)
 			}
 			planErr = reqErr
 		} else if i.o.Validate {
@@ -685,35 +655,53 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		}
 	}
 
-	preErr := planErr
+	// --- Execution: everything above was planning. ---
+	plan := Plan{Pieces: myPieces, Rounds: ntimes, Method: method, Err: planErr}
+	if amAgg {
+		plan.Agg = ae
+	}
 	if pre != nil && pre.err != nil {
-		preErr = pre.err
+		plan.Err = pre.err
 	}
-	if write {
-		err = i.writeRounds(f, scr, cs.B, myPieces, ae, ntimes, naggs, method, preErr)
-	} else {
-		err = i.readRounds(f, scr, cs.B, myPieces, ae, ntimes, naggs, method, preErr)
-		if pre != nil {
-			err = i.preaggScatter(f, scr, cs, pre, dataLen, err)
-		}
+	err = i.exec.Rounds(f, &scr.RoundScratch, cs.B, &plan, write)
+	if !write && pre != nil {
+		err = i.preaggScatter(f, scr, cs, pre, dataLen, err)
 	}
+	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
+}
 
-	// Synchronize before reporting: a rank that hit a local I/O error
-	// must still complete the collective (its peers are in the barrier).
-	p.Barrier()
-	if err != nil {
-		return err
+// AccessRegion is where every planner starts: the ranks exchange the bounds of
+// their accesses ([st, en); st > en for a rank that moves nothing) and get the
+// aggregate access region, empty (aarEn <= aarSt) when nobody moves a byte.
+// buf is scratch for the gathers.
+func AccessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) {
+	t0 := p.Clock()
+	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
+	all := Sized(*buf, p.Size())
+	*buf = all
+	aarSt, aarEn = 1<<62, -1
+	p.AllgatherInt64Into(st, all)
+	for _, v := range all {
+		aarSt = min(aarSt, v)
 	}
-	// Success: retire the journal's recovery state. Every rank is past its
-	// rounds (the barrier above), so clearing the committed set and the
-	// resume flags here cannot race a Done check, and the next collective
-	// on this engine starts fresh instead of skipping rounds or
-	// re-reporting the failover.
-	i.o.Journal.Complete()
-	if !write {
-		return f.UnpackMemory(cs.B, buf, memtype, count)
+	p.AllgatherInt64Into(en, all)
+	for _, v := range all {
+		aarEn = max(aarEn, v)
 	}
-	return nil
+	p.ChargeTime(stats.PExchange, p.Clock()-t0)
+	p.Trace.End(p.Clock())
+	return aarSt, aarEn
+}
+
+// NoteMemo records one side's memo lookup in the rank's counters and trace.
+func NoteMemo(p *mpi.Proc, side string, hit bool) {
+	counter, metric, result := stats.CIsectCacheMisses, metrics.CMemoMisses, "miss"
+	if hit {
+		counter, metric, result = stats.CIsectCacheHits, metrics.CMemoHits, "hit"
+	}
+	p.Stats.Add(counter, 1)
+	p.Metrics.Inc(metric)
+	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", result))
 }
 
 // realms resolves the file realm set, honouring persistence.
@@ -742,7 +730,10 @@ func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, data
 		}
 	}
 	if i.o.Assigner.NeedsSegs() {
-		ctx.AllSegs, ctx.RankSegs = i.gatherAllSegs(f, dataLen)
+		var err error
+		if ctx.AllSegs, ctx.RankSegs, err = i.gatherAllSegs(f, dataLen); err != nil {
+			return nil, err
+		}
 	}
 	assigner := i.o.Assigner
 	if spreadActive > 0 {
@@ -768,58 +759,64 @@ func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, data
 
 // gatherAllSegs builds the combined flattened access of every rank — the
 // O(M) exchange some assigners (load balancing) genuinely need — and the
-// per-rank lists topology-aware assigners attribute to nodes.
-func (i *Impl) gatherAllSegs(f *mpiio.File, dataLen int64) ([]datatype.Seg, [][]datatype.Seg) {
-	p := f.Proc()
+// per-rank lists topology-aware assigners attribute to nodes. A list that
+// does not decode is an error on every rank alike: they all decode the same
+// gathered bytes, so the collective is left uniformly.
+func (i *Impl) gatherAllSegs(f *mpiio.File, dataLen int64) ([]datatype.Seg, [][]datatype.Seg, error) {
 	mine := f.ResolveAccess(dataLen)
-	all := p.Allgather(datatype.EncodeSegs(mine))
-	perRank := make([][]datatype.Seg, p.Size())
+	union, perRank, pairs, err := mergeAccessLists(f.Proc().Allgather(datatype.EncodeSegs(mine)))
+	if err != nil {
+		return nil, nil, err
+	}
+	f.ChargePairs(pairs)
+	return union, perRank, nil
+}
+
+// mergeAccessLists decodes every rank's gathered access list (a crashed
+// rank's slot is nil and reads as no access) and returns their sorted,
+// coalesced union, the lists themselves, and how many pairs went in.
+func mergeAccessLists(all [][]byte) (union []datatype.Seg, perRank [][]datatype.Seg, pairs int64, err error) {
+	perRank = make([][]datatype.Seg, len(all))
 	var merged []datatype.Seg
 	for r, enc := range all {
-		segs, err := datatype.DecodeSegs(enc)
-		if err != nil {
+		if enc == nil {
 			continue
 		}
-		perRank[r] = segs
-		merged = append(merged, segs...)
-	}
-	slices.SortFunc(merged, func(a, b datatype.Seg) int {
-		switch {
-		case a.Off < b.Off:
-			return -1
-		case a.Off > b.Off:
-			return 1
+		at := len(merged)
+		if merged, err = datatype.DecodeSegsAppend(enc, merged); err != nil {
+			return nil, nil, 0, fmt.Errorf("core: access list of rank %d: %w", r, err)
 		}
-		return 0
-	})
-	out := merged[:0]
+		perRank[r] = slices.Clone(merged[at:])
+	}
+	slices.SortFunc(merged, func(a, b datatype.Seg) int { return cmp.Compare(a.Off, b.Off) })
+	pairs = int64(len(merged))
+	union = merged[:0]
 	for _, s := range merged {
-		if n := len(out); n > 0 && s.Off <= out[n-1].End() {
-			if s.End() > out[n-1].End() {
-				out[n-1].Len = s.End() - out[n-1].Off
+		if n := len(union); n > 0 && s.Off <= union[n-1].End() {
+			if s.End() > union[n-1].End() {
+				union[n-1].Len = s.End() - union[n-1].Off
 			}
 			continue
 		}
-		out = append(out, s)
+		union = append(union, s)
 	}
-	f.ChargePairs(int64(len(merged)))
-	return out, perRank
+	return union, perRank, pairs, nil
 }
 
 // clientPieces intersects this rank's access with every realm and returns
 // the per-aggregator piece lists, cut to size out of scratch, with the pair
 // charges the caller issues.
-func (i *Impl) clientPieces(ms *missScratch, myFlat datatype.Flat, realms []realm.Realm, cb int64) ([]roundPieces, []int64) {
+func (i *Impl) clientPieces(ms *PlanScratch, myFlat datatype.Flat, realms []realm.Realm, cb int64) ([]RoundPieces, []int64) {
 	if err := myFlat.CursorInto(&ms.ac); err != nil {
 		panic(fmt.Sprintf("core: own access: %v", err)) // built from a validated filetype
 	}
 	naggs := len(realms)
-	ms.runs, ms.rounds, ms.cuts = ms.runs[:0], ms.rounds[:0], ms.cuts[:0]
+	ms.StartClient()
 	var charges []int64
 	if i.o.HeapMerge {
-		// Not sized(): the entries keep their tables and capacity.
+		// Not Sized(): the entries keep their tables and capacity.
 		ms.rcs, ms.perAgg = slices.Grow(ms.rcs[:0], naggs)[:naggs], slices.Grow(ms.perAgg[:0], naggs)[:naggs]
-		ms.rcPtrs = sized(ms.rcPtrs, naggs)
+		ms.rcPtrs = Sized(ms.rcPtrs, naggs)
 		for a := range realms {
 			realms[a].CursorInto(&ms.rcs[a])
 			ms.rcPtrs[a] = &ms.rcs[a]
@@ -828,8 +825,7 @@ func (i *Impl) clientPieces(ms *missScratch, myFlat datatype.Flat, realms []real
 		work := heapMerge(&ms.heap, &ms.ac, ms.rcPtrs, cb, ms.perAgg) + ms.ac.Work()
 		for a := range ms.rcs {
 			work += ms.rcs[a].Work()
-			ms.runs, ms.rounds = groupRounds(ms.perAgg[a], ms.runs, ms.rounds)
-			ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
+			ms.AddAggregator(ms.perAgg[a])
 		}
 		charges = []int64{work}
 	} else {
@@ -842,11 +838,10 @@ func (i *Impl) clientPieces(ms *missScratch, myFlat datatype.Flat, realms []real
 			realms[a].CursorInto(&ms.rc)
 			ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
 			charges[a] = ms.ac.Work() + ms.rc.Work()
-			ms.runs, ms.rounds = groupRounds(ms.pieces, ms.runs, ms.rounds)
-			ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
+			ms.AddAggregator(ms.pieces)
 		}
 	}
-	return sealPieces(ms.runs, ms.rounds, ms.cuts), charges
+	return ms.ClientPieces(), charges
 }
 
 // noAccess is the request of a rank that takes no part: dead, unresponsive,
@@ -859,7 +854,7 @@ var noAccess = datatype.Flat{Limit: -1}
 // the next agreement point; deserting here would strand the surviving ranks.
 // A message that does not decode gets the same stand-in, and the first such
 // error is returned for that agreement to carry.
-func (i *Impl) decodeRequests(ms *missScratch, msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, bad error) {
+func (i *Impl) decodeRequests(ms *PlanScratch, msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, bad error) {
 	ms.flats, ms.reqSegs = slices.Grow(ms.flats[:0], len(msgs))[:len(msgs)], ms.reqSegs[:0]
 	flats = ms.flats
 	for c, msg := range msgs {
@@ -887,39 +882,42 @@ func (i *Impl) decodeRequests(ms *missScratch, msgs [][]byte, trees bool) (flats
 	return flats, expand, bad
 }
 
-// roundPlan is one aggregator round with its merge already done: what is
+// RoundPlan is one aggregator round with its merge already done: what is
 // left per call is to walk order and move payload bytes. Plans depend only
 // on what the aggregator memo key pins (requests, realms, cb), so a hit
 // round does no comparisons and no lookups.
-type roundPlan struct {
-	order []datatype.RunItem // every piece in file order, as (client, len)
-	segs  []datatype.Seg     // order coalesced into the round's I/O list
-	total int64
-	peers []peerBytes // the clients with bytes in this round, in rank order
+type RoundPlan struct {
+	Order []datatype.RunItem // every piece in file order, as (client, len)
+	Segs  []datatype.Seg     // Order coalesced into the round's I/O list
+	Total int64
+	Peers []PeerBytes // the clients with bytes in this round, in rank order
 }
 
-type peerBytes struct {
-	client int
-	bytes  int64
+// PeerBytes is what one client moves in one round of an aggregator.
+type PeerBytes struct {
+	Client int
+	Bytes  int64
 }
 
-// buildPlans intersects every client's access with this aggregator's realm
-// and merges the pieces round by round into ae.rounds, appending the
-// per-client pair charges (which the caller issues) to ae.charges. The work
-// happens in ms; what the entry keeps is allocated once the sizes are known:
-// one block each for all rounds' order, segs and peers.
-func buildPlans(ms *missScratch, ae *aggEntry, flats []datatype.Flat, rm realm.Realm, cb int64) {
+// BuildPlans intersects every client's access with this aggregator's realm
+// and merges the pieces round by round, returning one plan per round up to the
+// last the realm has data in, and charges extended by each client's pair work
+// (which the caller issues, or ignores when its model charges otherwise). The
+// flats must have been validated (DecodeFlat, DecodeSegs). The work happens in
+// ms; what is returned is allocated once the sizes are known: one block each
+// for all rounds' order, segs and peers.
+func BuildPlans(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64, charges []int64) ([]RoundPlan, []int64) {
 	// Every client's pieces, as file segments with the round of each.
 	ms.fileSegs, ms.pieceRound, ms.ends = ms.fileSegs[:0], ms.pieceRound[:0], ms.ends[:0]
 	nrounds := 0
 	rm.CursorInto(&ms.rc)
 	for c := range flats {
 		if err := flats[c].CursorInto(&ms.ac); err != nil {
-			panic(fmt.Sprintf("core: request of rank %d: %v", c, err)) // decodeRequests validated it
+			panic(fmt.Sprintf("core: request of rank %d: %v", c, err)) // validated at decode
 		}
 		ms.rc.Reset()
 		ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
-		ae.charges = append(ae.charges, ms.ac.Work()+ms.rc.Work())
+		charges = append(charges, ms.ac.Work()+ms.rc.Work())
 		for _, pc := range ms.pieces {
 			ms.fileSegs = append(ms.fileSegs, pc.File)
 			ms.pieceRound = append(ms.pieceRound, int32(pc.Round))
@@ -934,12 +932,12 @@ func buildPlans(ms *missScratch, ae *aggEntry, flats []datatype.Flat, rm realm.R
 	// of its list.
 	ms.next = append(ms.next[:0], 0)
 	ms.next = append(ms.next, ms.ends[:len(ms.ends)-1]...)
-	ms.clientRuns = sized(ms.clientRuns, len(flats))
+	ms.clientRuns = Sized(ms.clientRuns, len(flats))
 	ms.segs, ms.peers, ms.cuts = ms.segs[:0], ms.peers[:0], ms.cuts[:0]
 	order := make([]datatype.RunItem, 0, len(ms.fileSegs)) // shared by all rounds
-	ae.rounds = make([]roundPlan, nrounds)
-	for r := range ae.rounds {
-		rp := &ae.rounds[r]
+	rounds := make([]RoundPlan, nrounds)
+	for r := range rounds {
+		rp := &rounds[r]
 		for c := range flats {
 			lo, hi := ms.next[c], ms.next[c]
 			var n int64
@@ -949,466 +947,37 @@ func buildPlans(ms *missScratch, ae *aggEntry, flats []datatype.Flat, rm realm.R
 			ms.next[c] = hi
 			ms.clientRuns[c] = ms.fileSegs[lo:hi]
 			if n > 0 {
-				ms.peers = append(ms.peers, peerBytes{client: c, bytes: n})
+				ms.peers = append(ms.peers, PeerBytes{Client: c, Bytes: n})
 			}
 		}
-		rp.order, ms.roundSegs, rp.total = ms.merger.Merge(ms.clientRuns, order[len(order):], ms.roundSegs)
-		order = order[:len(order)+len(rp.order)]
+		rp.Order, ms.roundSegs, rp.Total = ms.merger.Merge(ms.clientRuns, order[len(order):], ms.roundSegs)
+		order = order[:len(order)+len(rp.Order)]
 		ms.segs = append(ms.segs, ms.roundSegs...)
 		ms.cuts = append(ms.cuts, len(ms.segs), len(ms.peers))
 	}
 	segs, peers := slices.Clone(ms.segs), slices.Clone(ms.peers)
 	var s0, p0 int
-	for r := range ae.rounds {
+	for r := range rounds {
 		s1, p1 := ms.cuts[2*r], ms.cuts[2*r+1]
-		ae.rounds[r].segs, ae.rounds[r].peers = segs[s0:s1:s1], peers[p0:p1:p1]
+		rounds[r].Segs, rounds[r].Peers = segs[s0:s1:s1], peers[p0:p1:p1]
 		s0, p0 = s1, p1
 	}
+	return rounds, charges
 }
 
 // checkPlans is the Validate cross-check of a memo hit: the plans are
 // rebuilt from the requests just received and must equal the cached ones.
 // The error seeds the first round-boundary agreement, so a stale plan
 // aborts every rank together before it can move a byte.
-func (i *Impl) checkPlans(ms *missScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
+func (i *Impl) checkPlans(ms *PlanScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
 	flats, expand, err := i.decodeRequests(ms, msgs, trees)
 	if err != nil {
 		return err
 	}
-	fresh := &aggEntry{charges: []int64{expand}}
-	buildPlans(ms, fresh, flats, rm, cb)
+	fresh := &aggEntry{}
+	fresh.rounds, fresh.charges = BuildPlans(ms, flats, rm, cb, []int64{expand})
 	if !reflect.DeepEqual(fresh, ae) {
 		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
 	}
 	return nil
-}
-
-// viewCursor reads an iovec payload as one byte stream. The transport does
-// not promise the sender's view boundaries (a corrupted delivery, a
-// re-requested original or a self-send may arrive cut differently), so both
-// ends of the exchange consume views by byte count, never one view per
-// piece.
-type viewCursor struct {
-	k   int // current view
-	off int // bytes of it already consumed
-}
-
-// take returns the next unread bytes that are contiguous in views, at most
-// n of them, and advances; nil once the payload is exhausted (or never
-// arrived: a dead sender's table is nil).
-func (c *viewCursor) take(views [][]byte, n int64) []byte {
-	for c.k < len(views) {
-		v := views[c.k][c.off:]
-		if len(v) == 0 {
-			c.k, c.off = c.k+1, 0
-			continue
-		}
-		if int64(len(v)) > n {
-			v = v[:n]
-		}
-		c.off += len(v)
-		return v
-	}
-	return nil
-}
-
-// gather appends the round's collective buffer to dst: the plan's pieces in
-// file order, each the next unread bytes of its client's views. This is the
-// only host copy of the shuffle. cur is zeroed per-client scratch. A dead
-// sender's slot arrives nil and is skipped (the caller's peer-failure guard
-// aborts the round, and WriteStream refuses a short buffer regardless).
-func (rp *roundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) []byte {
-	for _, it := range rp.order {
-		c := it.Run
-		for n := it.Len; n > 0; {
-			b := cur[c].take(views[c], n)
-			if b == nil {
-				break
-			}
-			dst = append(dst, b...)
-			n -= int64(len(b))
-		}
-	}
-	return dst
-}
-
-// pieceViews appends one view of the stream per round-r run of pieces: the
-// iovec both transports carry by reference, with no client-side copy.
-func pieceViews(dst [][]byte, stream []byte, rp *roundPieces, r int) [][]byte {
-	for _, run := range rp.of(r) {
-		dst = append(dst, stream[run.at:run.at+run.n])
-	}
-	return dst
-}
-
-// roundIov returns the scratch iovec table truncated to one empty
-// per-rank slot, reusing the inner slices' capacity.
-func roundIov(scr *rankScratch, size int) [][][]byte {
-	if cap(scr.iov) < size {
-		scr.iov = make([][][]byte, size)
-	}
-	iov := scr.iov[:size]
-	for k := range iov {
-		iov[k] = iov[k][:0]
-	}
-	scr.iov = iov
-	return iov
-}
-
-func (i *Impl) writeRounds(f *mpiio.File, scr *rankScratch, stream []byte,
-	myPieces []roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
-
-	p := f.Proc()
-	amAgg := ae != nil
-
-	// Pending I/O from the previous round (nonblocking pipeline). On an
-	// I/O error the rank keeps participating in the round's exchange
-	// (deserting a collective would deadlock the communicator); at each
-	// round boundary all ranks agree on the worst error class and either
-	// all continue or all abort with the same error.
-	//
-	// pendSegs aliases the round's (immutable) plan.
-	var pendSegs []datatype.Seg
-	var pendData []byte
-	firstErr := preErr // a leader's failed pre-aggregation aborts round 0
-	j := i.o.Journal
-
-	flush := func(round int) {
-		if len(pendSegs) == 0 || firstErr != nil {
-			bufpool.Put(pendData)
-			pendSegs, pendData = nil, nil
-			return
-		}
-		if j.Done(p.Rank(), round) {
-			// Already durable from the attempt that failed: the journal
-			// lets the resume skip the physical write entirely. Done
-			// answers true only while the journal is resuming, so a fresh
-			// collective under an unchanged realm epoch never skips its
-			// own writes.
-			p.Metrics.NoteReplay(0, 1)
-			p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(round)))
-			bufpool.Put(pendData)
-			pendSegs, pendData = nil, nil
-			return
-		}
-		err := f.WriteStream(pendSegs, pendData, method)
-		if err != nil && i.degradeNow() && method == mpiio.DataSieve {
-			p.Stats.Add(stats.CDegradedRounds, 1)
-			p.Trace.Instant2(p.Clock(), "degrade",
-				trace.I(trace.RoundTag, int64(round)), trace.S("op", "write"))
-			err = f.WriteStream(pendSegs, pendData, mpiio.Naive)
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("core: write round %d: %w", round, err)
-		} else if p.PeerFailure() == nil {
-			// Journal the round only while no failure is pending that
-			// could abort the collective out from under it; an uncommitted
-			// round merely replays (byte-identically) on resume.
-			j.Commit(p.Rank(), round)
-			if j.Resuming() {
-				p.Metrics.NoteReplay(1, 0)
-				p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(round)))
-			}
-		}
-		bufpool.Put(pendData)
-		pendSegs, pendData = nil, nil
-	}
-
-	for r := 0; r < ntimes; r++ {
-		f.SetRound(r)
-		if amAgg {
-			p.Trace.Begin2(p.Clock(), trace.RoundSpan,
-				trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
-		} else {
-			p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
-		}
-		probe := p.Metrics.BeginRound(p.Stats)
-		var roundRecv int64
-		rp := ae.round(r)
-
-		// Both strategies carry views of the stream, one per run of
-		// pieces, by reference: no client-side payload copy on the host. The views
-		// are dead before this rank reuses the iovec table or recycles the
-		// stream, because the aggregators gather them before the round's
-		// closing AgreeError.
-		send := roundIov(scr, p.Size())
-		for a := 0; a < naggs; a++ {
-			send[a] = pieceViews(send[a], stream, &myPieces[a], r)
-		}
-		var recvIov [][][]byte
-		if i.o.Comm == Alltoallw {
-			t0 := p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "alltoallv"))
-			recvIov = p.AlltoallvIov(send)
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
-		} else {
-			// Nonblocking: post receives, send, then overlap the
-			// previous round's file I/O with the incoming data.
-			t0 := p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "post+send"))
-			reqs := scr.reqs[:0]
-			for _, pb := range rp.peers {
-				reqs = append(reqs, p.Irecv(pb.client, tagData+r%1024))
-			}
-			for a := 0; a < naggs; a++ {
-				if n := myPieces[a].bytes(r); n > 0 {
-					// The modelled pack of the message.
-					f.ChargeCopy(n)
-					p.IsendIov(a, tagData+r%1024, send[a])
-				}
-			}
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
-
-			// Overlap: previous round's I/O happens while this
-			// round's data is in flight.
-			flush(r - 1)
-
-			t0 = p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
-			if amAgg {
-				scr.recvIov = sized(scr.recvIov, p.Size())
-				recvIov = scr.recvIov
-				scr.waited = mpi.WaitallIov(reqs, scr.waited)
-				for k, pb := range rp.peers {
-					recvIov[pb.client] = scr.waited[k]
-				}
-			}
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
-			scr.reqs = reqs[:0]
-		}
-
-		// A payload that arrived corrupted and exhausted its re-request
-		// budget is unusable: the round's merge would shuffle damaged
-		// bytes into the file. Consume the sticky failure so the boundary
-		// agreement aborts every rank with ClassIntegrity.
-		if ierr := p.TakeIntegrityFailure(); ierr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: write round %d: %w", r, ierr)
-		}
-
-		if amAgg {
-			if perr := p.PeerFailure(); perr != nil && firstErr == nil {
-				// The exchange surfaced a dead or straggling peer: the
-				// received round views are incomplete, so the merge below
-				// is skipped and the boundary agreement aborts every rank.
-				firstErr = fmt.Errorf("core: write round %d: %w", r, perr)
-			}
-			var total int64
-			if firstErr == nil {
-				total = rp.total
-			}
-			roundRecv = total
-			if total > 0 {
-				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
-				// Assemble the collective buffer (gap-free: only
-				// useful data, unlike the integrated sieve buffer).
-				// This is the single host copy of the shuffle; only the
-				// nonblocking model charges it.
-				scr.cur = sized(scr.cur, p.Size())
-				concat := rp.gather(bufpool.Get(total)[:0], scr.cur, recvIov)
-				if i.o.Comm != Alltoallw {
-					f.ChargeCopy(total)
-				}
-				pendSegs, pendData = rp.segs, concat
-				if i.o.Comm == Alltoallw {
-					// No pipeline in collective mode: write now.
-					flush(r)
-				}
-			}
-		}
-		p.Trace.End(p.Clock()) // round span
-
-		// Flight record before the boundary agreement, so an aborting
-		// round's exchange traffic is still captured. (The last round's
-		// pipelined write lands after its record — see the final flush.)
-		if p.Metrics != nil {
-			var sendBytes int64
-			for a := 0; a < naggs; a++ {
-				sendBytes += myPieces[a].bytes(r)
-			}
-			p.Metrics.EndRound(p.Stats, probe, r, amAgg, sendBytes, roundRecv)
-		}
-
-		// Round boundary: agree on the worst error class so every rank
-		// aborts (or continues) together.
-		if err := mpiio.AgreeError(p, firstErr); err != nil {
-			p.Metrics.NoteAbort(r, mpiio.ClassName(mpiio.ErrorClass(err)))
-			bufpool.Put(pendData)
-			f.SetRound(-1)
-			return err
-		}
-	}
-	// The last round's pipelined write lands outside the loop; give it its
-	// own round wrapper so the breakdown attributes the I/O correctly.
-	f.SetRound(ntimes - 1)
-	p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(ntimes-1)))
-	flush(ntimes - 1)
-	p.Trace.End(p.Clock())
-	f.SetRound(-1)
-	if err := mpiio.AgreeError(p, firstErr); err != nil {
-		p.Metrics.NoteAbort(ntimes-1, mpiio.ClassName(mpiio.ErrorClass(err)))
-		return err
-	}
-	return nil
-}
-
-func (i *Impl) readRounds(f *mpiio.File, scr *rankScratch, stream []byte,
-	myPieces []roundPieces, ae *aggEntry, ntimes, naggs int, method mpiio.Method, preErr error) error {
-
-	p := f.Proc()
-	amAgg := ae != nil
-	firstErr := preErr // a leader's failed pre-aggregation aborts round 0
-
-	for r := 0; r < ntimes; r++ {
-		f.SetRound(r)
-		if amAgg {
-			p.Trace.Begin2(p.Clock(), trace.RoundSpan,
-				trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
-		} else {
-			p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
-		}
-		// Aggregator: read this round's realm window and carve it up.
-		// On an I/O error the rank still serves (zero-filled) payloads
-		// so the round's exchange completes; the round-boundary
-		// agreement below then aborts every rank together.
-		//
-		// Both strategies serve each client views of the pooled read
-		// buffer, one per piece, by reference: the buffer is retired only
-		// after the round's AgreeError, once every client has placed its
-		// data.
-		probe := p.Metrics.BeginRound(p.Stats)
-		sendIov := roundIov(scr, p.Size())
-		var retire []byte
-		rp := ae.round(r)
-		roundRecv := rp.total
-		if amAgg {
-			segs, total := rp.segs, rp.total
-			if total > 0 {
-				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
-				// ReadStream fills every byte of rbuf on success; on
-				// error the agreement below aborts the collective, so
-				// stale pooled contents are never placed.
-				rbuf := bufpool.Get(total)
-				if firstErr != nil {
-					clear(rbuf)
-				} else {
-					err := f.ReadStream(segs, rbuf, method)
-					if err != nil && i.degradeNow() && method == mpiio.DataSieve {
-						p.Stats.Add(stats.CDegradedRounds, 1)
-						p.Trace.Instant2(p.Clock(), "degrade",
-							trace.I(trace.RoundTag, int64(r)), trace.S("op", "read"))
-						err = f.ReadStream(segs, rbuf, mpiio.Naive)
-					}
-					if err != nil {
-						firstErr = fmt.Errorf("core: read round %d: %w", r, err)
-						// Serve deterministic zeros, as a fresh buffer
-						// would have; the agreement below aborts every
-						// rank before any of it reaches a user buffer.
-						clear(rbuf)
-					}
-				}
-				pos := int64(0)
-				for _, it := range rp.order {
-					sendIov[it.Run] = append(sendIov[it.Run], rbuf[pos:pos+it.Len])
-					pos += it.Len
-				}
-				retire = rbuf
-				if i.o.Comm != Alltoallw {
-					// The modelled split into per-client messages.
-					f.ChargeCopy(total)
-				}
-			}
-		}
-
-		// Exchange.
-		t0 := p.Clock()
-		p.Trace.Begin1(t0, stats.PComm, trace.S("what", "exchange"))
-		var recv [][][]byte
-		if i.o.Comm == Alltoallw {
-			recv = p.AlltoallvIov(sendIov)
-		} else {
-			reqs := scr.reqs[:0]
-			from := scr.from[:0]
-			for a := 0; a < naggs; a++ {
-				if myPieces[a].bytes(r) > 0 {
-					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
-					from = append(from, a)
-				}
-			}
-			for _, pb := range rp.peers {
-				p.IsendIov(pb.client, tagBack+r%1024, sendIov[pb.client])
-			}
-			scr.recvIov = sized(scr.recvIov, p.Size())
-			recv = scr.recvIov
-			scr.waited = mpi.WaitallIov(reqs, scr.waited)
-			for k, a := range from {
-				recv[a] = scr.waited[k]
-			}
-			scr.reqs, scr.from = reqs[:0], from[:0]
-		}
-		for a := 0; a < naggs; a++ {
-			// A dead or stalled aggregator's slot is nil: nothing is
-			// placed, and the round-boundary agreement below aborts the
-			// read before any partial data reaches the user buffer.
-			placeIov(stream, &myPieces[a], r, recv[a])
-		}
-		p.ChargeTime(stats.PComm, p.Clock()-t0)
-		p.Trace.End(p.Clock())
-		p.Trace.End(p.Clock()) // round span
-
-		// Read-back data that arrived corrupted past its re-request budget
-		// must never reach the user buffer verified-looking: abort the
-		// round uniformly with ClassIntegrity.
-		if ierr := p.TakeIntegrityFailure(); ierr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: read round %d: %w", r, ierr)
-		}
-
-		// Flight record: send_bytes is this rank's exchange volume with
-		// the aggregators (read-back direction), recv_bytes the merged
-		// realm window at the aggregator.
-		if p.Metrics != nil {
-			var sendBytes int64
-			for a := 0; a < naggs; a++ {
-				sendBytes += myPieces[a].bytes(r)
-			}
-			p.Metrics.EndRound(p.Stats, probe, r, amAgg, sendBytes, roundRecv)
-		}
-
-		// Round boundary: agree on the worst error class so every rank
-		// aborts (or continues) together. It also proves every client has
-		// consumed its views of this aggregator's read buffer, making it
-		// safe to retire.
-		err := mpiio.AgreeError(p, firstErr)
-		bufpool.Put(retire)
-		if err != nil {
-			p.Metrics.NoteAbort(r, mpiio.ClassName(mpiio.ErrorClass(err)))
-			f.SetRound(-1)
-			return err
-		}
-	}
-	f.SetRound(-1)
-	return nil
-}
-
-// placeIov scatters an aggregator's round payload — views of its read
-// buffer, consumed by byte count — into the client's linear stream. A dead
-// aggregator's table is nil: nothing arrived, and the round's agreement
-// aborts before the stream reaches the user.
-func placeIov(stream []byte, rp *roundPieces, r int, views [][]byte) {
-	var cur viewCursor
-	for _, run := range rp.of(r) {
-		for at, n := run.at, run.n; n > 0; {
-			b := cur.take(views, n)
-			if b == nil {
-				return
-			}
-			copy(stream[at:], b)
-			at += int64(len(b))
-			n -= int64(len(b))
-		}
-	}
 }

@@ -81,7 +81,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 		flats[r].Limit = sh.points * ft.Size()
 		msgs[r] = flats[r].Encode()
 	}
-	scratch := make([]missScratch, sh.ranks)
+	scratch := make([]PlanScratch, sh.ranks)
 	var pieces int64
 
 	b.ReportAllocs()
@@ -101,8 +101,9 @@ func BenchmarkPlanMiss(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ae := &aggEntry{charges: make([]int64, 1, 1+len(decoded))}
-			buildPlans(ms, ae, decoded, realms[r], cb)
+			if rounds, _ := BuildPlans(ms, decoded, realms[r], cb, make([]int64, 1, 1+len(decoded))); len(rounds) == 0 {
+				b.Fatal("no rounds planned")
+			}
 			pieces += int64(len(ms.fileSegs))
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // engine caches them and, on a hit, skips rebuilding cursors, decoding
 // request messages, and re-walking the intersections. The aggregator side
 // goes one step further and caches what it would do with its piece lists:
-// the per-round merge plan (see roundPlan), so a hit round neither merges
+// the per-round merge plan (see RoundPlan), so a hit round neither merges
 // nor looks anything up.
 //
 // The cost model must not notice: every communication step still happens
@@ -57,7 +57,7 @@ type clientKey struct {
 
 type clientEntry struct {
 	enc     []byte        // request encoding, as sent to every aggregator
-	pieces  []roundPieces // per-aggregator piece lists, immutable
+	pieces  []RoundPieces // per-aggregator piece lists, immutable
 	charges []int64       // ChargePairs replay for the intersection section
 }
 
@@ -70,79 +70,91 @@ type aggKey struct {
 }
 
 type aggEntry struct {
-	rounds  []roundPlan // one merge plan per two-phase round, immutable
+	rounds  []RoundPlan // one merge plan per two-phase round, immutable
 	charges []int64     // [0] is the tree-expansion charge, rest per client
 }
 
-// round returns the plan of round r; an aggregator whose realm runs out
-// before the collective's last round (or a nil entry) gets the empty plan.
-func (ae *aggEntry) round(r int) *roundPlan {
-	if ae == nil || r >= len(ae.rounds) {
+// Round implements AggRounds: an aggregator whose realm runs out before the
+// collective's last round gets the empty plan.
+func (ae *aggEntry) Round(r int) *RoundPlan {
+	if r >= len(ae.rounds) {
 		return &noRound
 	}
 	return &ae.rounds[r]
 }
-
-var noRound roundPlan // read-only
 
 // memoLimit bounds each cache map; overflowing clears the map outright
 // (steady-state workloads hold a handful of shapes, so LRU bookkeeping
 // isn't worth carrying).
 const memoLimit = 128
 
+// Memo is one locked cache map under the rules above, shared by every rank
+// goroutine of a world. Entries are immutable once stored. The zero value is
+// ready to use.
+type Memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*V
+}
+
+// Get returns the entry stored under k, or nil.
+func (c *Memo[K, V]) Get(k K) *V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[k]
+}
+
+// Put stores e under k.
+func (c *Memo[K, V]) Put(k K, e *V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = make(map[K]*V)
+	}
+	if len(c.m) >= memoLimit {
+		clear(c.m)
+	}
+	c.m[k] = e
+}
+
 type memoCache struct {
-	mu      sync.Mutex
-	clients map[clientKey]*clientEntry
-	aggs    map[aggKey]*aggEntry
+	clients Memo[clientKey, clientEntry]
+	aggs    Memo[aggKey, aggEntry]
 }
 
-func (m *memoCache) getClient(k clientKey) *clientEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.clients[k]
+// RankTable holds one lazily built T per rank: an engine's mutable per-call
+// scratch, segregated by rank because one engine serves every rank goroutine
+// of a world. The zero value is ready to use.
+type RankTable[T any] struct {
+	mu sync.Mutex
+	t  []*T
 }
 
-func (m *memoCache) putClient(k clientKey, e *clientEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.clients == nil {
-		m.clients = make(map[clientKey]*clientEntry)
+// For returns rank's T.
+func (rt *RankTable[T]) For(rank int) *T {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for len(rt.t) <= rank {
+		rt.t = append(rt.t, nil)
 	}
-	if len(m.clients) >= memoLimit {
-		clear(m.clients)
+	if rt.t[rank] == nil {
+		rt.t[rank] = new(T)
 	}
-	m.clients[k] = e
+	return rt.t[rank]
 }
 
-func (m *memoCache) getAgg(k aggKey) *aggEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.aggs[k]
-}
-
-func (m *memoCache) putAgg(k aggKey, e *aggEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.aggs == nil {
-		m.aggs = make(map[aggKey]*aggEntry)
-	}
-	if len(m.aggs) >= memoLimit {
-		clear(m.aggs)
-	}
-	m.aggs[k] = e
-}
-
-// The memo hash: 64 bits, sixteen input bytes per multiply, nothing
-// allocated. It is the wyhash construction: two words, each masked with a
+// The memo hash (HashSeed, HashBytes): 64 bits, sixteen input bytes per
+// multiply, nothing allocated. It is the wyhash construction: two words, each masked with a
 // secret or the running state, are multiplied to 128 bits and the halves
 // folded together, so every input bit reaches every state bit in one step.
 const (
-	hashSeed = 0x9E3779B97F4A7C15
-	hashK0   = 0x2D358DCCAA6C78A5
-	hashK1   = 0x8BB84B93962EACC9
-	hashK2   = 0x4B33A62ED433D4A3
-	hashK3   = 0x4D5A2DA51DE1AA47
+	hashK0 = 0x2D358DCCAA6C78A5
+	hashK1 = 0x8BB84B93962EACC9
+	hashK2 = 0x4B33A62ED433D4A3
+	hashK3 = 0x4D5A2DA51DE1AA47
 )
+
+// HashSeed is the state a hash starts from.
+const HashSeed uint64 = 0x9E3779B97F4A7C15
 
 // hashPair folds the 16 bytes at the head of b into state s under secret k.
 func hashPair(b []byte, k, s uint64) uint64 {
@@ -150,18 +162,19 @@ func hashPair(b []byte, k, s uint64) uint64 {
 	return hi ^ lo
 }
 
-func hashInt64(h uint64, v int64) uint64 {
+// HashInt64 folds v into h.
+func HashInt64(h uint64, v int64) uint64 {
 	hi, lo := bits.Mul64(uint64(v)^hashK0, h^hashK1)
 	return hi ^ lo
 }
 
-// hashBytes folds b's length and then its bytes into h. Blocks of 128 bytes
+// HashBytes folds b's length and then its bytes into h. Blocks of 128 bytes
 // go through eight independent lanes, so the multiplies (and the cache
 // misses on request bytes another rank wrote) overlap instead of queueing;
 // the remaining 16-byte pairs and the zero-padded tail follow on the
 // combined state.
-func hashBytes(h uint64, b []byte) uint64 {
-	h = hashInt64(h, int64(len(b)))
+func HashBytes(h uint64, b []byte) uint64 {
+	h = HashInt64(h, int64(len(b)))
 	if len(b) >= 128 {
 		s0, s1, s2, s3, s4, s5, s6, s7 := h, h, h, h, ^h, ^h, ^h, ^h
 		n := len(b) &^ 127
@@ -196,19 +209,19 @@ func hashBytes(h uint64, b []byte) uint64 {
 // stable whenever the assignment is. Realm patterns are small (one segment
 // for contiguous partitions), so this is O(realms) per call.
 func realmSignature(realms []realm.Realm) uint64 {
-	h := uint64(hashSeed)
-	h = hashInt64(h, int64(len(realms)))
+	h := HashSeed
+	h = HashInt64(h, int64(len(realms)))
 	for _, r := range realms {
-		h = hashInt64(h, r.Disp)
-		h = hashInt64(h, r.Count)
+		h = HashInt64(h, r.Disp)
+		h = HashInt64(h, r.Count)
 		if r.Pattern == nil {
-			h = hashInt64(h, -1)
+			h = HashInt64(h, -1)
 			continue
 		}
-		h = hashInt64(h, r.Pattern.Extent())
+		h = HashInt64(h, r.Pattern.Extent())
 		for _, s := range r.Pattern.Flatten() {
-			h = hashInt64(h, s.Off)
-			h = hashInt64(h, s.Len)
+			h = HashInt64(h, s.Off)
+			h = HashInt64(h, s.Len)
 		}
 	}
 	return h

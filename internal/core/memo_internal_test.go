@@ -51,9 +51,9 @@ func TestRealmSignatureAssignments(t *testing.T) {
 
 // requestKey hashes a set of request messages the way the aggregator does.
 func requestKey(msgs [][]byte) uint64 {
-	h := uint64(hashSeed)
+	h := HashSeed
 	for _, m := range msgs {
-		h = hashBytes(h, m)
+		h = HashBytes(h, m)
 	}
 	return h
 }
@@ -118,9 +118,9 @@ func TestRequestKeySeparatesRequests(t *testing.T) {
 
 // grouped forms the rounds of one aggregator's pieces on their own, the way
 // clientPieces does for each aggregator in turn.
-func grouped(ps []datatype.Piece) *roundPieces {
+func grouped(ps []datatype.Piece) *RoundPieces {
 	runs, rounds := groupRounds(ps, nil, nil)
-	return &roundPieces{runs: runs, rounds: rounds}
+	return &RoundPieces{runs: runs, rounds: rounds}
 }
 
 // TestClientAndMergerAgreeOnUnsortedRuns: a round's payload travels in
@@ -234,9 +234,9 @@ func TestValidateCatchesStalePlan(t *testing.T) {
 			t.Fatalf("rank %d: clean write: %v", r, err)
 		}
 	}
-	for _, ae := range eng.memo.aggs {
-		if n := len(ae.rounds[0].order); n > 1 {
-			o := ae.rounds[0].order
+	for _, ae := range eng.memo.aggs.m {
+		if n := len(ae.rounds[0].Order); n > 1 {
+			o := ae.rounds[0].Order
 			o[0], o[n-1] = o[n-1], o[0]
 		}
 	}

@@ -98,16 +98,16 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 	// Leader: collect the members' accesses and build the merge plan.
 	nparts := len(ps.plan.Members) + 1
 	items := datatype.AppendFlatRuns(ps.items[:0], myFlat, 0)
-	ps.totals = sized(ps.totals, nparts)
+	ps.totals = Sized(ps.totals, nparts)
 	ps.totals[0] = dataLen
-	bufs := sized(scr.preBufs, nparts)
+	bufs := Sized(scr.preBufs, nparts)
 	scr.preBufs = bufs
 	bufs[0] = cs.B
-	h := uint64(hashSeed)
+	h := HashSeed
 	for k, m := range ps.plan.Members {
 		enc, _ := p.Recv(m, tagPre)
-		h = hashInt64(h, int64(m))
-		h = hashBytes(h, enc)
+		h = HashInt64(h, int64(m))
+		h = HashBytes(h, enc)
 		if enc == nil {
 			if ps.err == nil {
 				ps.err = fmt.Errorf("core: preagg: no request from member rank %d", m)
@@ -130,6 +130,15 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 		ps.totals[k+1] = mb
 		if write && mb > 0 {
 			data, _ := p.Recv(m, tagPreData)
+			if data != nil && int64(len(data)) != mb {
+				// The list and the payload disagree (a damaged list that
+				// still decoded): the merge must not index past either.
+				if ps.err == nil {
+					ps.err = fmt.Errorf("core: preagg: member rank %d sent %d bytes for a request of %d", m, len(data), mb)
+				}
+				bufpool.Put(data)
+				data = nil
+			}
 			if data == nil {
 				if ps.err == nil {
 					ps.err = fmt.Errorf("core: preagg: no payload from member rank %d", m)
@@ -147,7 +156,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 	scr.mergedSegs = merged
 	ps.items, ps.total = items, total
 	f.ChargePairs(int64(len(items)))
-	ps.pre = hashInt64(h, total)
+	ps.pre = HashInt64(h, total)
 
 	if write {
 		// Gather every participant's bytes into the merged stream. A

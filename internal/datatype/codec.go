@@ -67,14 +67,10 @@ func (f Flat) CursorInto(c *Cursor) error {
 // and returned as they are: no copy, no sort.
 func (f Flat) normalSegs() (segs []Seg, size, extent int64, err error) {
 	segs = f.Segs
-	for i, s := range segs {
-		if s.Off < 0 || s.Len <= 0 || s.Len > math.MaxInt64-s.Off || (i > 0 && s.Off <= segs[i-1].End()) {
-			if segs, size, err = normalize(f.Segs); err != nil {
-				return nil, 0, 0, err
-			}
-			break
+	if size, err = checkNormal(segs); err != nil {
+		if segs, size, err = normalize(f.Segs); err != nil {
+			return nil, 0, 0, err
 		}
-		size += s.Len
 	}
 	var span int64
 	if n := len(segs); n > 0 {
@@ -142,13 +138,7 @@ func DecodeFlatAppend(buf []byte, arena []Seg) (Flat, []Seg, error) {
 			44+16*n, n, len(buf))
 	}
 	at := len(arena)
-	arena = slices.Grow(arena, n)
-	for p := 44; p < len(buf); p += 16 {
-		arena = append(arena, Seg{
-			Off: int64(binary.LittleEndian.Uint64(buf[p:])),
-			Len: int64(binary.LittleEndian.Uint64(buf[p+8:])),
-		})
-	}
+	arena = appendPairs(arena, buf[44:])
 	f.Segs = arena[at:len(arena):len(arena)]
 	segs, _, _, err := f.normalSegs()
 	if err != nil {
@@ -173,22 +163,64 @@ func EncodeSegs(segs []Seg) []byte {
 	return buf
 }
 
-// DecodeSegs parses a flattened access encoded by EncodeSegs.
+// appendPairs decodes the 16-byte offset/length pairs buf consists of onto
+// arena.
+func appendPairs(arena []Seg, buf []byte) []Seg {
+	arena = slices.Grow(arena, len(buf)/16)
+	for p := 0; p < len(buf); p += 16 {
+		arena = append(arena, Seg{
+			Off: int64(binary.LittleEndian.Uint64(buf[p:])),
+			Len: int64(binary.LittleEndian.Uint64(buf[p+8:])),
+		})
+	}
+	return arena
+}
+
+// checkNormal makes the one linear pass that recognises a segment list in
+// normal form (sorted, disjoint, coalesced, no segment empty, negative or
+// ending past the offset range) and returns its total size, or says which
+// pair breaks the form.
+func checkNormal(segs []Seg) (size int64, err error) {
+	for i, s := range segs {
+		switch {
+		case s.Off < 0 || s.Len <= 0:
+			return 0, fmt.Errorf("datatype: pair %d: offset %d, length %d", i, s.Off, s.Len)
+		case s.Len > math.MaxInt64-s.Off:
+			return 0, fmt.Errorf("datatype: pair %d: end of [%d,+%d) overflows", i, s.Off, s.Len)
+		case i > 0 && s.Off <= segs[i-1].End():
+			return 0, fmt.Errorf("datatype: pair %d at %d is not past pair %d ending at %d", i, s.Off, i-1, segs[i-1].End())
+		}
+		size += s.Len
+	}
+	return size, nil
+}
+
+// DecodeSegs parses a flattened access encoded by EncodeSegs. The bytes come
+// from another process, so the list is validated here: what this returns is
+// in normal form (see DecodeSegsAppend).
 func DecodeSegs(buf []byte) ([]Seg, error) {
+	return DecodeSegsAppend(buf, nil)
+}
+
+// DecodeSegsAppend is DecodeSegs with the segments appended to arena, which
+// is returned extended (and as it was on an error): an aggregator decodes
+// every client's request into one block. Unlike a Flat, whose segments may
+// arrive in any order, a flattened access is sent sorted and coalesced, so
+// one that is not in normal form is refused, not repaired: negative or empty
+// pairs, pairs out of order, overlapping or touching, an end that overflows.
+func DecodeSegsAppend(buf []byte, arena []Seg) ([]Seg, error) {
 	if len(buf) < 4 {
-		return nil, fmt.Errorf("datatype: DecodeSegs: short buffer (%d bytes)", len(buf))
+		return arena, fmt.Errorf("datatype: DecodeSegs: short buffer (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	if len(buf) != 4+16*n {
-		return nil, fmt.Errorf("datatype: DecodeSegs: want %d bytes for %d segs, have %d",
+		return arena, fmt.Errorf("datatype: DecodeSegs: want %d bytes for %d segs, have %d",
 			4+16*n, n, len(buf))
 	}
-	segs := make([]Seg, n)
-	p := 4
-	for i := range segs {
-		segs[i].Off = int64(binary.LittleEndian.Uint64(buf[p:]))
-		segs[i].Len = int64(binary.LittleEndian.Uint64(buf[p+8:]))
-		p += 16
+	at := len(arena)
+	arena = appendPairs(arena, buf[4:])
+	if _, err := checkNormal(arena[at:]); err != nil {
+		return arena[:at], fmt.Errorf("datatype: DecodeSegs: %w", err)
 	}
-	return segs, nil
+	return arena, nil
 }

@@ -89,6 +89,95 @@ func TestDecodeSegsErrors(t *testing.T) {
 	}
 }
 
+// malformedSegs are lists of the right byte length that no flattened access
+// is: DecodeSegs used to hand them on, and the engines that planned from them
+// indexed past a payload or walked a cursor backwards.
+var malformedSegs = map[string][]Seg{
+	"negative offset": {{-8, 16}},
+	"negative length": {{8, -1}},
+	"empty pair":      {{0, 8}, {16, 0}},
+	"unsorted":        {{40, 8}, {0, 8}},
+	"overlapping":     {{0, 8}, {4, 8}},
+	"touching":        {{0, 8}, {8, 8}},
+	"end overflows":   {{0, 8}, {16, 1<<63 - 1}},
+}
+
+// TestDecodeSegsRejectsMalformed: a list not in normal form is a decode
+// error, with and without an arena, and the arena comes back as it went in.
+func TestDecodeSegsRejectsMalformed(t *testing.T) {
+	for name, bad := range malformedSegs {
+		if _, err := DecodeSegs(EncodeSegs(bad)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		arena := segs(0, 4, 100, 4)
+		got, err := DecodeSegsAppend(EncodeSegs(bad), arena)
+		if err == nil || !reflect.DeepEqual(got, segs(0, 4, 100, 4)) {
+			t.Errorf("%s: arena %v, error %v", name, got, err)
+		}
+	}
+}
+
+// TestDecodeSegsAppendKeepsEarlierLists: every request of a call is decoded
+// into one block; a list decoded earlier stays what it was when the block
+// grows, and each list is validated on its own (a later one may start before
+// an earlier one ends: they are different ranks' accesses).
+func TestDecodeSegsAppendKeepsEarlierLists(t *testing.T) {
+	first, second := segs(0, 8, 100, 16), segs(4, 2, 50, 7, 4096, 1)
+	arena, err := DecodeSegsAppend(EncodeSegs(first), make([]Seg, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arena[:len(first):len(first)]
+	if arena, err = DecodeSegsAppend(EncodeSegs(second), arena); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, first) || !reflect.DeepEqual(arena[len(first):], second) {
+		t.Fatalf("arena %v, first list %v", arena, a)
+	}
+}
+
+// FuzzDecodeSegs: whatever bytes arrive as an offset/length list, decoding
+// either fails or yields a list an aggregator can plan from (a cursor over
+// it, intersected with a file domain in rounds, merged with another client's
+// run) without a panic.
+func FuzzDecodeSegs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeSegs(nil))
+	f.Add(EncodeSegs(segs(0, 8, 100, 16, 4096, 1)))
+	for _, bad := range malformedSegs {
+		f.Add(EncodeSegs(bad))
+	}
+	enc := EncodeSegs(segs(64, 64, 160, 64, 256, 64))
+	f.Add(enc[:len(enc)-5]) // truncated
+	enc[0] ^= 2             // the count says five pairs
+	f.Add(enc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeSegs(data)
+		if err != nil || len(req) == 0 {
+			return
+		}
+		fl := Flat{Extent: req[len(req)-1].End(), Count: 1, Limit: -1, Segs: req}
+		var ac Cursor
+		if err := fl.CursorInto(&ac); err != nil {
+			t.Fatalf("decoded list %v rejected by its cursor: %v", req, err)
+		}
+		pieces := Intersect(&ac, NewCursor(Bytes(4096), req[0].Off, 1), 512, nil)
+		run := make([]Seg, len(pieces))
+		for k, pc := range pieces {
+			run[k] = pc.File
+		}
+		var m RunMerger
+		_, _, total := m.Merge([][]Seg{run, {{Off: req[0].Off, Len: 1}}}, nil, nil)
+		var want int64 = 1
+		for _, s := range run {
+			want += s.Len
+		}
+		if total != want {
+			t.Fatalf("merged %d bytes of %v, want %d", total, run, want)
+		}
+	})
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	v := Must(Vector(3, 1, 10, Bytes(4))) // data at 0-4,10-14,20-24; extent 24
 	buf := make([]byte, 2*24+16)

@@ -15,21 +15,29 @@ import (
 // processing to the rank's clock. The returned segments are absolute,
 // sorted, disjoint, and coalesced.
 func (f *File) ResolveAccess(dataLen int64) []datatype.Seg {
+	segs, work := f.AppendAccess(nil, dataLen)
+	f.ChargePairs(work)
+	return segs
+}
+
+// AppendAccess is ResolveAccess appending to dst and charging nothing: it
+// returns the pairs the flattening evaluated, for the caller to charge (or to
+// have charged already, when it replays a recorded access).
+func (f *File) AppendAccess(dst []datatype.Seg, dataLen int64) (segs []datatype.Seg, work int64) {
 	cur := f.ViewCursor(dataLen)
-	var segs []datatype.Seg
+	at := len(dst)
 	for {
 		s, _, ok := cur.Next(1 << 62)
 		if !ok {
 			break
 		}
-		if n := len(segs); n > 0 && segs[n-1].End() == s.Off {
-			segs[n-1].Len += s.Len
+		if n := len(dst); n > at && dst[n-1].End() == s.Off {
+			dst[n-1].Len += s.Len
 		} else {
-			segs = append(segs, s)
+			dst = append(dst, s)
 		}
 	}
-	f.ChargePairs(cur.Work())
-	return segs
+	return dst, cur.Work()
 }
 
 // WriteIndependent is MPI_File_write: an independent noncontiguous write
@@ -94,12 +102,15 @@ func (f *File) WriteStream(segs []datatype.Seg, data []byte, m Method) error {
 	}
 	defer func() { f.proc.Trace.End(f.proc.Clock()) }()
 	var err error
-	// Contiguous fast path: "contiguous in memory to contiguous in file".
-	if len(segs) == 1 {
+	switch {
+	case m == IntegratedSieve:
+		err = f.WriteSieve(spanOf(segs), segs, data)
+	case len(segs) == 1:
+		// Contiguous fast path: "contiguous in memory to contiguous in file".
 		err = f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
 			return f.handle.WriteAt(segs[0].Off+skip, data[skip:], now)
 		})
-	} else {
+	default:
 		switch m {
 		case Naive:
 			pos := int64(0)
@@ -149,11 +160,14 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 	}
 	defer func() { f.proc.Trace.End(f.proc.Clock()) }()
 	var err error
-	if len(segs) == 1 {
+	switch {
+	case m == IntegratedSieve:
+		err = f.ReadSieve(spanOf(segs), segs, buf)
+	case len(segs) == 1:
 		err = f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
 			return f.handle.ReadAt(segs[0].Off+skip, buf[skip:], now)
 		})
-	} else {
+	default:
 		switch m {
 		case Naive:
 			pos := int64(0)
@@ -180,6 +194,16 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 	}
 	f.proc.ChargeTime(stats.PIO, f.proc.Clock()-start)
 	return err
+}
+
+// spanOf returns the extent covering a non-empty offset-sorted list (whose
+// segments may overlap, so the last one need not end it).
+func spanOf(segs []datatype.Seg) datatype.Seg {
+	lo, hi := segs[0].Off, segs[0].End()
+	for _, s := range segs[1:] {
+		hi = max(hi, s.End())
+	}
+	return datatype.Seg{Off: lo, Len: hi - lo}
 }
 
 // sieveWindows splits a noncontiguous access into sieve-buffer-sized

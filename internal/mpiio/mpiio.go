@@ -40,6 +40,12 @@ const (
 	// ListIO passes the whole segment list to the file system in a
 	// single call (PVFS-style listio). No sieve buffer, one overhead.
 	ListIO
+	// IntegratedSieve is data sieving done in the caller's own buffer, the
+	// way ROMIO's two-phase code sieves inside its collective buffer: the
+	// whole list is one read(-modify)-write of its covering extent however
+	// large SieveBufSize is, and there is no pass through a separate sieve
+	// buffer to charge. Filling the buffer is the caller's pass to charge.
+	IntegratedSieve
 )
 
 // String names the method.
@@ -51,6 +57,8 @@ func (m Method) String() string {
 		return "naive"
 	case ListIO:
 		return "listio"
+	case IntegratedSieve:
+		return "integrated"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -351,6 +359,16 @@ type Stream struct {
 // the access happens not to cover identical to a fresh allocation.
 func ReadStreamBuf(n int64) Stream {
 	return Stream{B: bufpool.GetZero(n), Pooled: true}
+}
+
+// CollectiveStream returns the stream a collective call works on: a write's
+// linearized user data (see Linearize), a read's private buffer (see
+// ReadStreamBuf).
+func (f *File) CollectiveStream(buf []byte, memtype datatype.Type, count int64, write, charged bool) (Stream, error) {
+	if !write {
+		return ReadStreamBuf(datatype.TotalSize(memtype, count)), nil
+	}
+	return f.Linearize(buf, memtype, count, charged)
 }
 
 // Release recycles a pooled stream. Collective engines call it after the

@@ -56,7 +56,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, cs *mpiio.St
 	dataLen int64, write bool) ([]datatype.Seg, *preaggState) {
 
 	p := f.Proc()
-	ps := &preaggState{plan: p.PlanNode(i.journal.Dead())}
+	ps := &preaggState{plan: p.PlanNode(i.exec.Journal.Dead())}
 	rank := p.Rank()
 
 	t0 := p.Clock()
@@ -116,6 +116,15 @@ func (i *Impl) preaggExchange(f *mpiio.File, mySegs []datatype.Seg, cs *mpiio.St
 		ps.totals[k+1] = mb
 		if write && mb > 0 {
 			data, _ := p.Recv(m, tagPreData)
+			if data != nil && int64(len(data)) != mb {
+				// The list and the payload disagree (a damaged list that
+				// still decoded): the merge must not index past either.
+				if ps.err == nil {
+					ps.err = fmt.Errorf("twophase: preagg: member rank %d sent %d bytes for a request of %d", m, len(data), mb)
+				}
+				bufpool.Put(data)
+				data = nil
+			}
 			if data == nil {
 				if ps.err == nil {
 					ps.err = fmt.Errorf("twophase: preagg: no payload from member rank %d", m)

@@ -3,11 +3,16 @@ package twophase_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"flexio/internal/colltest"
+	"flexio/internal/datatype"
 	"flexio/internal/metrics"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/twophase"
 )
@@ -149,5 +154,61 @@ func TestPreaggLeaderCarriesRoundData(t *testing.T) {
 		if out := res.Comm.ShuffleRowBytes(r); out != 0 {
 			t.Fatalf("member rank %d sent %d shuffle bytes; leaders should carry the rounds", r, out)
 		}
+	}
+}
+
+// TestPreaggMalformedMemberAbortsUniformly: one bit of a member's
+// offset/length list flips on its way to the node leader (integrity off).
+// The leader used to merge whatever arrived; a list that is no flattened
+// access (pairs out of order, a negative length, a wrong count) now counts as
+// a member lost: the leader seeds the first agreement and every rank aborts
+// alike. A flip that leaves a valid list for other bytes cannot be told
+// without checksums; it, too, must end the same way on every rank.
+func TestPreaggMalformedMemberAbortsUniformly(t *testing.T) {
+	wl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 16, Spacing: 32, NodeRanks: 2}
+	rejected := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		cfg := sim.DefaultConfig()
+		w := mpi.NewWorld(wl.Ranks, cfg)
+		w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
+		w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(1, 0, 1.0, 1, 1)) // member 1 to leader 0
+		fs := pfs.NewFileSystem(cfg)
+		info := mpiio.Info{Collective: twophase.New().WithPreagg(), CbNodes: 2, CollBufSize: 1 << 10}
+		errs := make([]error, wl.Ranks)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w.Run(func(p *mpi.Proc) {
+				r := p.Rank()
+				f, err := mpiio.Open(p, fs, "member.dat", info)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				ft, disp := wl.Filetype(r)
+				if errs[r] = f.SetView(disp, datatype.Bytes(1), ft); errs[r] != nil {
+					return
+				}
+				mt, _ := wl.Memtype()
+				errs[r] = f.WriteAll(wl.FillBuffer(r), mt, wl.RegionCount)
+				f.Close()
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("seed %d: collective hung", seed)
+		}
+		for r, err := range errs {
+			if (err == nil) != (errs[0] == nil) || mpiio.ErrorClass(err) != mpiio.ErrorClass(errs[0]) {
+				t.Fatalf("seed %d: rank %d returned %v, rank 0 %v", seed, r, err, errs[0])
+			}
+		}
+		if errs[0] != nil && strings.Contains(errs[0].Error(), "bad request from member rank 1") {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no flipped list was refused at decode")
 	}
 }

@@ -3,7 +3,7 @@
 // against (Thakur, Gropp, Lusk — "Data sieving and collective I/O in
 // ROMIO").
 //
-// Its defining characteristics, all modelled here:
+// Its defining characteristics, all modelled:
 //
 //   - The entire access is flattened into offset/length pairs (M pairs) and
 //     the pairs themselves are exchanged: O(M) memory and communication,
@@ -16,57 +16,68 @@
 //     separate sieve buffer.
 //   - All communication of a round is posted at once (all MPI_Irecvs, then
 //     all MPI_Isends, then a wait for everything).
+//
+// The first two are this package, a planner: it decides what every rank
+// exchanges with every aggregator in every round and charges what ROMIO's
+// planning costs. The last two are settings (core.Blocking,
+// mpiio.IntegratedSieve) of the round executor it shares with
+// flexio/internal/core. There is no round loop here.
 package twophase
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
+	"slices"
 
-	"flexio/internal/bufpool"
+	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
-	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/realm"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
-const (
-	tagReq  = 1000
-	tagData = 2000
-)
+const tagReq = 1000
 
-// Impl implements mpiio.Collective.
+// Impl implements mpiio.Collective. Like core.Impl, one Impl is shared by
+// every rank goroutine of a world (the plan memo is locked, per-call scratch
+// is segregated per rank) and must not serve two concurrently running worlds.
 type Impl struct {
-	// journal, when set, records which (aggregator, round) sieve writes
-	// became durable so a rerun after a rank failure skips them. The
-	// baseline has no realm flexibility: a recovered rank resumes its old
-	// fixed file domain, so the epoch is the domain layout itself.
-	journal *mpiio.WriteJournal
-	// degrade, when non-nil, enables the graceful-degradation fallback
-	// the flexio engine has: if a round's integrated sieve access fails
-	// while degrade() reports true, the aggregator re-issues the round's
-	// useful bytes with naive per-segment I/O before reporting an error.
-	// Called only on round failures; must be safe for concurrent use.
-	degrade func() bool
-	// preagg enables the node-local pre-aggregation stage (see preagg.go):
-	// node leaders merge their co-residents' accesses and carry the round
-	// data, cutting inter-node volume while the output stays byte-identical.
+	// exec runs the rounds, and holds the journal and the degrade hook (see
+	// NewJournaled, NewDegradable).
+	exec core.Executor
+	// preagg enables the node-local pre-aggregation stage (see preagg.go).
 	preagg bool
+	// validate cross-checks every aggregator memo hit (see WithValidate).
+	validate bool
+
+	clients core.Memo[clientKey, clientEntry]
+	aggs    core.Memo[aggKey, aggEntry]
+	scratch core.RankTable[rankScratch]
+}
+
+func newImpl(j *mpiio.WriteJournal, degrade func() bool) *Impl {
+	return &Impl{exec: core.Executor{Comm: core.Blocking, Journal: j, Degrade: degrade}}
 }
 
 // New returns the baseline implementation.
-func New() *Impl { return &Impl{} }
+func New() *Impl { return newImpl(nil, nil) }
 
 // NewJournaled returns the baseline with a write journal attached: reruns
 // against the same journal skip rounds that were already durable when a
-// previous attempt aborted.
-func NewJournaled(j *mpiio.WriteJournal) *Impl { return &Impl{journal: j} }
+// previous attempt aborted. The baseline has no realm flexibility: a
+// recovered rank resumes its old fixed file domain, so the journal's epoch is
+// the domain layout itself.
+func NewJournaled(j *mpiio.WriteJournal) *Impl { return newImpl(j, nil) }
 
 // NewDegradable returns the baseline with a dynamic degrade hook, the
 // tenant service's entry point for routing jobs off a failing OST: while
 // the hook reports true, failed sieve rounds fall back to naive I/O
-// (touching only useful bytes) instead of aborting the collective.
-func NewDegradable(degrade func() bool) *Impl { return &Impl{degrade: degrade} }
+// (touching only useful bytes) instead of aborting the collective. It is
+// called only on round failures and must be safe for concurrent use.
+func NewDegradable(degrade func() bool) *Impl { return newImpl(nil, degrade) }
 
 // WithPreagg enables node-local pre-aggregation (the two-level exchange)
 // and returns the receiver for chaining with any constructor. It requires
@@ -74,6 +85,15 @@ func NewDegradable(degrade func() bool) *Impl { return &Impl{degrade: degrade} }
 // map every rank is its own leader and the stage is a no-op.
 func (i *Impl) WithPreagg() *Impl {
 	i.preagg = true
+	return i
+}
+
+// WithValidate makes every aggregator memo hit rebuild its plan from the
+// requests just received and abort the collective unless it equals the
+// cached one (core.Options.Validate for this engine: a debugging aid that
+// costs a miss in host time, nothing in virtual). It returns the receiver.
+func (i *Impl) WithValidate() *Impl {
+	i.validate = true
 	return i
 }
 
@@ -90,63 +110,169 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// clipState walks one offset-sorted segment list, and the linear data
-// stream its bytes occupy back to back, through consecutive windows.
-type clipState struct {
-	segs  []datatype.Seg
-	idx   int
-	intra int64 // bytes of segs[idx] already consumed
-	pos   int64 // stream position of the next unconsumed byte
+// The plan memo keeps the contract of core's (core/memo.go): an entry is a
+// pure function of its key, every communication step still happens on a hit
+// (requests are sent and received, only building and decoding them is
+// skipped), and the pair charges planning would have issued are replayed in
+// the original order, so clocks and counters cannot tell a hit from a miss.
+//
+// clientKey pins what a rank's requests and stream ranges depend on: its
+// access (filetype by identity, displacement, size) and the file domains, a
+// function of the aggregate access region and the aggregator count, cut into
+// rounds of cb bytes.
+type clientKey struct {
+	rank          int
+	ft            datatype.Type
+	disp, dataLen int64
+	cb            int64
+	naggs         int
+	aarSt, aarEn  int64
 }
 
-// next appends the sub-segments with file offsets in [lo, hi) to out[:0]
-// and returns them with their byte count and the stream position of the
-// first; they are back to back in the stream. Windows must be visited in
-// increasing order.
-func (cs *clipState) next(lo, hi int64, out []datatype.Seg) (_ []datatype.Seg, at, total int64) {
-	out = out[:0]
-	for cs.idx < len(cs.segs) {
-		s := cs.segs[cs.idx]
-		off := s.Off + cs.intra
-		if off >= hi {
-			break
-		}
-		n := min(s.End(), hi) - off
-		if off+n > lo { // else entirely before the window (shouldn't happen when windows tile)
-			if len(out) == 0 {
-				at = cs.pos
-			}
-			out = append(out, datatype.Seg{Off: off, Len: n})
-			total += n
-		}
-		cs.pos += n
-		cs.intra += n
-		if cs.intra == s.Len {
-			cs.idx++
-			cs.intra = 0
-		}
-		if off+n == hi {
-			break
+type clientEntry struct {
+	encs   [][]byte           // the request sent to each aggregator: its share of the pairs
+	pieces []core.RoundPieces // per aggregator, the stream range of each round
+	pairs  int64              // ChargePairs replay of the split
+}
+
+// aggKey replaces the access with a hash of the request messages received
+// this call, so any client changing its access misses.
+type aggKey struct {
+	rank         int
+	req          uint64
+	cb           int64
+	naggs        int
+	aarSt, aarEn int64
+}
+
+// aggEntry is an aggregator's merge plan at the size this engine can afford:
+// the clients' entries already hold every pair of the file once, as
+// encodings, and full round plans (the merge order at 16 bytes a piece, the
+// I/O lists at 16 more) would hold it twice again. The entry keeps what the
+// merge decided, the client each piece comes from; aggWalk reads the rest of
+// a round off the requests as they arrive, along that order.
+type aggEntry struct {
+	from   []int32 // the client of every piece: file order within a round, rounds back to back
+	rounds []aggRound
+	widest int   // pieces of the largest round
+	pairs  int64 // ChargePairs replay: every pair received
+}
+
+type aggRound struct {
+	pieces int // how many entries of from are this round's
+	total  int64
+	peers  []core.PeerBytes
+}
+
+// aggWalk serves an aggregator's rounds to the executor (core.AggRounds),
+// decoding every client's request once per call, piece by piece in the
+// entry's order: a piece is the rest of its client's current pair up to the
+// end of the round's window. One round is materialized at a time (the
+// blocking exchange is done with a round before it asks for the next).
+type aggWalk struct {
+	ae     *aggEntry
+	lo, cb int64 // the domain's start and the window size
+	// Per client, the pairs of its request not yet handed out in full, and
+	// the bytes of the first of them that were.
+	cur []struct {
+		pairs []byte
+		used  int64
+	}
+	next  int // first entry of ae.from not yet walked
+	order []datatype.RunItem
+	segs  []datatype.Seg
+	plan  core.RoundPlan
+}
+
+func (w *aggWalk) start(ae *aggEntry, msgs [][]byte, lo, cb int64) {
+	w.ae, w.lo, w.cb, w.next = ae, lo, cb, 0
+	w.cur = core.Sized(w.cur, len(msgs))
+	for c, msg := range msgs {
+		if len(msg) > 4 {
+			w.cur[c].pairs = msg[4:]
 		}
 	}
-	return out, at, total
+	if cap(w.order) < ae.widest {
+		w.order, w.segs = make([]datatype.RunItem, 0, ae.widest), make([]datatype.Seg, 0, ae.widest)
+	}
+}
+
+// Round implements core.AggRounds.
+func (w *aggWalk) Round(r int) *core.RoundPlan {
+	w.plan = core.RoundPlan{}
+	if r >= len(w.ae.rounds) {
+		return &w.plan // the domain ran out before this round
+	}
+	rd := &w.ae.rounds[r]
+	order, segs := w.order[:0], w.segs[:0]
+	whi := w.lo + int64(r+1)*w.cb
+	for _, c := range w.ae.from[w.next : w.next+rd.pieces] {
+		cu := &w.cur[c]
+		if len(cu.pairs) < 16 {
+			break // only a collision of the memo key gets here; the executor refuses the short list
+		}
+		off := int64(binary.LittleEndian.Uint64(cu.pairs))
+		end := off + int64(binary.LittleEndian.Uint64(cu.pairs[8:]))
+		off += cu.used
+		if end <= whi {
+			cu.pairs, cu.used = cu.pairs[16:], 0
+		} else {
+			cu.used += whi - off
+			end = whi
+		}
+		order = append(order, datatype.RunItem{Run: c, Len: end - off})
+		if n := len(segs); n > 0 && segs[n-1].End() == off {
+			segs[n-1].Len += end - off
+		} else {
+			segs = append(segs, datatype.Seg{Off: off, Len: end - off})
+		}
+	}
+	w.next += rd.pieces
+	w.order, w.segs = order, segs
+	w.plan = core.RoundPlan{Order: order, Segs: segs, Total: rd.total, Peers: rd.peers}
+	return &w.plan
+}
+
+// rankScratch is one rank's working memory across calls.
+type rankScratch struct {
+	rounds core.RoundScratch
+	walk   aggWalk
+	bounds []int64
+	msgs   [][]byte
+	disps  []int64
+	// last is the access the rank flattened last. A steady caller repeats
+	// it, and what flattening is needed for before the file domains are known
+	// (its pair charge and the access bounds) replays from here.
+	last struct {
+		ft            datatype.Type
+		disp, dataLen int64
+		work          int64 // pairs the flattening evaluated
+		st, en        int64 // first and last+1 offset; st > en when empty
+	}
+	plan planScratch
+}
+
+// planScratch is what planning needs and the entries do not keep. Like
+// core's, it is dropped by the first call that hits on both sides.
+type planScratch struct {
+	core   core.PlanScratch
+	mine   []datatype.Seg   // this rank's flattened access
+	share  []datatype.Seg   // one aggregator's share of it
+	pieces []datatype.Piece // that share cut at the round windows
+	reqs   []datatype.Seg   // every request received, decoded into one block
+	flats  []datatype.Flat
 }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
-	// Linearize the user data. A write's stream is read in place by the
-	// aggregators (each gets a view of its contiguous share); a read's is
-	// private. Pre-aggregation swaps the stream (a member hands its own to
-	// the leader, a leader continues with the merged one).
-	var cs mpiio.Stream
-	if write {
-		var err error
-		if cs, err = f.Linearize(buf, memtype, count, true); err != nil {
-			return err
-		}
-	} else {
-		cs = mpiio.ReadStreamBuf(datatype.TotalSize(memtype, count))
+	// A write's stream is read in place by the aggregators (each gets a view
+	// of its contiguous share); a read's is private. Pre-aggregation swaps
+	// the stream (a member hands its own to the leader, a leader continues
+	// with the merged one).
+	cs, err := f.CollectiveStream(buf, memtype, count, write, true)
+	if err != nil {
+		return err
 	}
-	err := i.run(f, &cs, buf, memtype, count, write)
+	err = i.run(f, &cs, buf, memtype, count, write)
 	// Not deferred: the round-boundary agreements order every reader of
 	// the stream's views before a normal return, but an injected crash
 	// unwinds this rank while an aggregator may still be gathering from
@@ -155,83 +281,70 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	return err
 }
 
-// run is the collective call proper, on an already linearized stream.
+// run is the collective call proper, on an already linearized stream:
+// planning here, execution in core.
 func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	p := f.Proc()
-	cfg := p.Config()
-	info := f.Info()
-
-	// Flatten the whole access: the O(M) flattened-access representation
-	// is this implementation's currency.
+	cb := f.Info().CollBufSize
+	naggs := f.Info().CbNodes
+	if naggs == 0 {
+		naggs = p.Size()
+	}
+	amAgg := p.Rank() < naggs
 	dataLen := datatype.TotalSize(memtype, count)
-	mySegs := f.ResolveAccess(dataLen)
+	view := f.View()
+	scr := i.scratch.For(p.Rank())
+	ps, last := &scr.plan, &scr.last
 
-	// Aggregate access region.
-	var st, en int64 = 1 << 62, -1
-	if len(mySegs) > 0 {
-		st = mySegs[0].Off
-		en = mySegs[len(mySegs)-1].End()
-	}
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
-	allSt := p.AllgatherInt64(st)
-	allEn := p.AllgatherInt64(en)
-	aarSt, aarEn := int64(1<<62), int64(-1)
-	for r := 0; r < p.Size(); r++ {
-		if allSt[r] < aarSt {
-			aarSt = allSt[r]
-		}
-		if allEn[r] > aarEn {
-			aarEn = allEn[r]
+	// Flatten the whole access: the O(M) flattened-access representation is
+	// this implementation's currency. A repeated access replays the charge;
+	// under pre-aggregation the pairs themselves go to the node leader.
+	var mySegs []datatype.Seg
+	flattened := i.preagg || last.ft != view.Filetype || last.disp != view.Disp || last.dataLen != dataLen
+	if flattened {
+		last.ft, last.disp, last.dataLen = view.Filetype, view.Disp, dataLen
+		ps.mine, last.work = f.AppendAccess(ps.mine[:0], dataLen)
+		mySegs = ps.mine
+		last.st, last.en = 1<<62, -1
+		if n := len(mySegs); n > 0 {
+			last.st, last.en = mySegs[0].Off, mySegs[n-1].End()
 		}
 	}
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
+	f.ChargePairs(last.work)
+
+	aarSt, aarEn := core.AccessRegion(p, last.st, last.en, &scr.bounds)
 	if aarEn <= aarSt {
 		return nil // no process accesses any data
 	}
 
-	// Node-local pre-aggregation: after the bounds exchange (so the
-	// aggregate region reflects every rank's true access) the node leaders
-	// absorb their members' segments and payloads; members continue with an
-	// empty access. The merged lists are deduplicated unions, so the even
-	// domains and round windows carve out exactly the byte sets the members
-	// would have shipped individually — output stays byte-identical.
+	// Node-local pre-aggregation, after the bounds exchange so the aggregate
+	// region reflects every rank's true access: the node leaders absorb
+	// their members' segments and payloads, members continue with an empty
+	// access. The merged lists are deduplicated unions, so the domains and
+	// round windows carve out exactly the byte sets the members would have
+	// shipped individually.
 	var pre *preaggState
-	var preErr error
 	if i.preagg {
 		mySegs, pre = i.preaggExchange(f, mySegs, cs, dataLen, write)
-		preErr = pre.err
 	}
 
-	// Even file domains over the aggregate access region.
-	naggs := info.CbNodes
-	if naggs == 0 {
-		naggs = p.Size()
-	}
-	span := aarEn - aarSt
-	chunk := (span + int64(naggs) - 1) / int64(naggs)
-	fdStart := make([]int64, naggs)
-	fdEnd := make([]int64, naggs)
-	for a := 0; a < naggs; a++ {
-		fdStart[a] = aarSt + int64(a)*chunk
-		fdEnd[a] = fdStart[a] + chunk
-		if fdEnd[a] > aarEn {
-			fdEnd[a] = aarEn
-		}
-		if fdStart[a] > aarEn {
-			fdStart[a] = aarEn
-		}
-	}
+	// Even file domains over the aggregate access region, realm.Even's
+	// unaligned arithmetic: aggregator a owns [aarSt+a*chunk, +chunk), the
+	// last one whatever lies beyond. Domain 0 is never the shortest, so it
+	// sets the round count every rank walks.
+	d := domains{st: aarSt, en: aarEn, chunk: (aarEn - aarSt + int64(naggs) - 1) / int64(naggs), naggs: naggs}
+	ntimes := int((d.chunk + cb - 1) / cb)
 
-	// Metrics: file-domain layout health. ROMIO-style even domains are
-	// whatever the aggregate access region dictates, so misalignment
-	// against the stripe width is the common case this surfaces.
+	// Metrics: even domains are whatever the aggregate access region
+	// dictates, so misalignment against the stripe width is the common case.
 	if p.Metrics != nil {
 		stripe := f.FS().Config().StripeSize
+		scr.disps = core.Sized(scr.disps, naggs)
 		var misaligned int64
-		for a := 0; a < naggs; a++ {
-			if fdStart[a] < fdEnd[a] && fdStart[a]%stripe != 0 {
+		for a := range scr.disps {
+			lo, hi := d.of(a)
+			scr.disps[a] = min(lo, aarEn)
+			if lo < hi && lo%stripe != 0 {
 				misaligned++
 			}
 		}
@@ -239,94 +352,94 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		p.Metrics.Add(metrics.CRealmsMisaligned, misaligned)
 		p.Metrics.SetGauge(metrics.GNAggs, float64(naggs))
 		if p.Rank() == 0 {
-			p.Metrics.SetRealmContext(naggs, stripe, 0, fdStart)
+			p.Metrics.SetRealmContext(naggs, stripe, 0, scr.disps)
 			p.Metrics.SetTopology(p.NodeCount())
 		}
 	}
 
-	// Split my access per aggregator and ship the offset/length pairs.
-	// O(M) processing, O(M) request bytes on the wire.
-	t0 = p.Clock()
+	// Split my access per aggregator and ship the offset/length pairs: O(M)
+	// processing, O(M) request bytes on the wire. A pre-aggregated access
+	// depends on what the co-residents asked for, which the key does not
+	// pin, so it is planned on every call.
+	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	// mySegs is offset-sorted and domains ascend, so each aggregator's share
-	// is one back-to-back range of the stream: its clip state starts there.
-	myClip := make([]clipState, naggs)
-	{
-		a := 0
-		var pos int64
-		for _, s := range mySegs {
-			for off := s.Off; off < s.End(); {
-				for a < naggs-1 && off >= fdEnd[a] {
-					a++
-				}
-				n := s.End() - off
-				if lim := fdEnd[a] - off; a < naggs-1 && n > lim {
-					n = lim
-				}
-				if len(myClip[a].segs) == 0 {
-					myClip[a].pos = pos
-				}
-				myClip[a].segs = append(myClip[a].segs, datatype.Seg{Off: off, Len: n})
-				off += n
-				pos += n
-			}
+	ck := clientKey{rank: p.Rank(), ft: view.Filetype, disp: view.Disp, dataLen: dataLen,
+		cb: cb, naggs: naggs, aarSt: aarSt, aarEn: aarEn}
+	var ce *clientEntry
+	if !i.preagg {
+		ce = i.clients.Get(ck)
+	}
+	clientHit := ce != nil
+	core.NoteMemo(p, "client", clientHit)
+	if !clientHit {
+		if !flattened { // the last access again, but the domains moved under it
+			ps.mine, _ = f.AppendAccess(ps.mine[:0], dataLen)
+			mySegs = ps.mine
+		}
+		ce = ps.planClient(mySegs, d, cb)
+		if !i.preagg {
+			i.clients.Put(ck, ce)
 		}
 	}
-	f.ChargePairs(int64(len(mySegs)))
+	f.ChargePairs(ce.pairs)
 	for a := 0; a < naggs; a++ {
-		enc := datatype.EncodeSegs(myClip[a].segs)
-		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
-		p.Send(a, tagReq, enc)
+		p.Stats.Add(stats.CReqBytes, int64(len(ce.encs[a])))
+		p.Send(a, tagReq, ce.encs[a])
 	}
 
-	// Aggregators receive every rank's request list: the walk state per
-	// client, and the per-round working set reused by every round.
-	amAgg := p.Rank() < naggs
-	var aggClip []clipState
-	var runs [][]datatype.Seg // this round's pieces per client
-	var msgs [][]byte         // this round's payload per client
-	var cur []int64           // per-client read position while gathering
-	var merger datatype.RunMerger
-	var order []datatype.RunItem
-	var segs []datatype.Seg
-	var payloads [][]byte // WaitallInto scratch
+	// Aggregators receive every rank's request list and merge them into a
+	// plan. The exchange always happens; only decoding and merging are
+	// memoizable, keyed by a hash of the bytes actually received.
+	var ae *aggEntry
+	aggHit := false
+	// planErr is a request this aggregator could not use. The sender got the
+	// empty stand-in of a dead rank, so the collective keeps its shape up to
+	// the first agreement, which the error seeds: every rank aborts.
+	var planErr error
 	if amAgg {
-		aggClip = make([]clipState, p.Size())
-		runs = make([][]datatype.Seg, p.Size())
-		msgs = make([][]byte, p.Size())
-		cur = make([]int64, p.Size())
-		var pairs int64
-		for c := 0; c < p.Size(); c++ {
-			enc, _ := p.Recv(c, tagReq)
-			if enc == nil {
-				// The client is dead or unresponsive: treat its access as
-				// empty so the collective keeps its structure through to
-				// the next agreement point (deserting here would strand
-				// the surviving ranks in their exchanges).
-				continue
-			}
-			req, err := datatype.DecodeSegs(enc)
-			if err != nil {
-				return fmt.Errorf("twophase: bad request from rank %d: %w", c, err)
-			}
-			aggClip[c].segs = req
-			pairs += int64(len(req))
+		scr.msgs = core.Sized(scr.msgs, p.Size())
+		h := core.HashSeed
+		for c := range scr.msgs {
+			// A nil message is a dead or unresponsive client: its access
+			// reads as empty, so the collective keeps its structure through
+			// to the next agreement (deserting here would strand the
+			// surviving ranks in their exchanges).
+			scr.msgs[c], _ = p.Recv(c, tagReq)
+			h = core.HashBytes(h, scr.msgs[c])
 		}
-		f.ChargePairs(pairs)
+		ak := aggKey{rank: p.Rank(), req: h, cb: cb, naggs: naggs, aarSt: aarSt, aarEn: aarEn}
+		ae = i.aggs.Get(ak)
+		aggHit = ae != nil
+		core.NoteMemo(p, "agg", aggHit)
+		if !aggHit {
+			ae, planErr = ps.planAgg(scr.msgs, d, p.Rank(), cb)
+			// A failure-degraded request set (stand-ins for dead or unusable
+			// senders) must not poison the cache for later healthy calls.
+			if p.PeerFailure() == nil && planErr == nil {
+				i.aggs.Put(ak, ae)
+			}
+		} else if i.validate {
+			var fresh *aggEntry
+			if fresh, planErr = ps.planAgg(scr.msgs, d, p.Rank(), cb); planErr == nil && !reflect.DeepEqual(fresh, ae) {
+				planErr = fmt.Errorf("twophase: memoized merge plan differs from a fresh build")
+			}
+		}
+		f.ChargePairs(ae.pairs)
 	}
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
 	p.Trace.End(p.Clock())
+	if clientHit && (!amAgg || aggHit) {
+		*ps = planScratch{} // nothing to plan: see planScratch
+	}
 
 	// A request list that arrived corrupted past the re-request budget
-	// reads as an empty access. For writes the client's unsolicited round
-	// payloads would merely sit unmatched, but for reads the aggregator
-	// would never send that client its pieces — and the client, whose own
-	// view of its access is intact, would wait forever: a deadlock, not an
-	// abort. The receiving aggregator is the only rank that knows, so when
-	// the checksummed datapath is armed every rank rendezvous here and
-	// aborts with ClassIntegrity before the rounds begin.
+	// reads as an empty access. A read's aggregator would then never send
+	// that client its pieces, and the client, whose own view of its access is
+	// intact, would wait forever: a deadlock, not an abort. Only the
+	// receiving aggregator knows, so when the checksummed datapath is armed
+	// every rank rendezvous here and aborts before the rounds begin.
 	if p.World().IntegrityEnabled() {
-		var reqErr error
+		reqErr := planErr
 		if ierr := p.TakeIntegrityFailure(); ierr != nil {
 			reqErr = fmt.Errorf("twophase: request exchange: %w", ierr)
 		}
@@ -335,336 +448,152 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		}
 	}
 
-	// Round count: every rank can compute it from the global domain
-	// bounds.
-	cb := info.CollBufSize
-	ntimes := 0
-	for a := 0; a < naggs; a++ {
-		if r := int((fdEnd[a] - fdStart[a] + cb - 1) / cb); r > ntimes {
-			ntimes = r
+	if j := i.exec.Journal; write && j != nil {
+		// The journal epoch is the file-domain layout: a rerun after
+		// recovery sees the same fixed domains and can skip the rounds
+		// already durable (the flexio engine's failover reassignment starts
+		// a fresh epoch when realms move).
+		h := core.HashSeed
+		for _, v := range [...]int64{int64(naggs), cb, aarSt, aarEn} {
+			h = core.HashInt64(h, v)
 		}
-	}
-
-	if write && i.journal != nil {
-		// The journal epoch is the file-domain layout: fixed even domains
-		// mean a rerun after recovery sees the same layout and can skip
-		// the rounds already durable. (Contrast with the flexio engine,
-		// whose failover reassignment starts a fresh epoch when realms
-		// move.)
-		h := uint64(14695981039346656037)
-		mix := func(v int64) {
-			for k := 0; k < 8; k++ {
-				h = (h ^ uint64(v>>(8*k))&0xff) * 1099511628211
-			}
-		}
-		mix(int64(naggs))
-		mix(cb)
-		for a := 0; a < naggs; a++ {
-			mix(fdStart[a])
-			mix(fdEnd[a])
-		}
-		i.journal.Begin(h)
-		if i.journal.Resuming() && p.Rank() == 0 {
-			p.Metrics.NoteFailover(i.journal.Dead(), naggs)
-			for _, d := range i.journal.Dead() {
+		j.Begin(h)
+		if j.Resuming() && p.Rank() == 0 {
+			p.Metrics.NoteFailover(j.Dead(), naggs)
+			for _, dead := range j.Dead() {
 				p.Trace.Instant2(p.Clock(), trace.FailoverName,
-					trace.I(trace.DeadTag, int64(d)), trace.I(trace.RealmsTag, int64(naggs)))
+					trace.I(trace.DeadTag, int64(dead)), trace.I(trace.RealmsTag, int64(naggs)))
 			}
 		}
 	}
 
-	// On an I/O error the rank keeps participating in the round's
-	// exchange (deserting a collective deadlocks the communicator); at
-	// each round boundary all ranks agree on the worst error class and
-	// either all continue or all abort with the same error. A leader whose
-	// pre-aggregation lost a member seeds the same machinery, so the first
-	// boundary aborts every rank before a partial merge becomes durable.
-	firstErr := preErr
-	var clipped []datatype.Seg // scratch: the client side only needs the byte range
-	stream := cs.B             // fixed from here on: pre-aggregation is done swapping
-
-	for r := 0; r < ntimes; r++ {
-		f.SetRound(r)
-		tag := tagData + r%1024
-		if amAgg {
-			p.Trace.Begin2(p.Clock(), trace.RoundSpan,
-				trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
-		} else {
-			p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
-		}
-
-		probe := p.Metrics.BeginRound(p.Stats)
-		var roundSend, roundRecv int64
-
-		// Aggregator: figure out this round's window pieces per client
-		// and post all receives first (for writes) — the original
-		// code's "all Irecvs, then all Isends" structure.
-		window := false
-		if amAgg {
-			wlo := fdStart[p.Rank()] + int64(r)*cb
-			whi := min(wlo+cb, fdEnd[p.Rank()])
-			if window = wlo < whi; window {
-				for c := range runs {
-					runs[c], _, _ = aggClip[c].next(wlo, whi, runs[c])
-				}
-			}
-		}
-		var recvReqs []*mpi.Request
-		var recvFrom []int
-		if write && window {
-			for c := range runs {
-				if len(runs[c]) > 0 {
-					recvReqs = append(recvReqs, p.Irecv(c, tag))
-					recvFrom = append(recvFrom, c)
-				}
-			}
-		}
-
-		// Client: send my data for each aggregator's window r.
-		type sentRange struct {
-			agg   int
-			at, n int64 // where in my stream the aggregator's bytes go
-		}
-		var sent []sentRange
-		tSend := p.Clock()
-		if write {
-			p.Trace.Begin1(tSend, stats.PComm, trace.S("what", "send"))
-		}
-		for a := 0; a < naggs; a++ {
-			alo := fdStart[a] + int64(r)*cb
-			ahi := alo + cb
-			if ahi > fdEnd[a] {
-				ahi = fdEnd[a]
-			}
-			if alo >= ahi {
-				continue
-			}
-			var at, total int64
-			clipped, at, total = myClip[a].next(alo, ahi, clipped)
-			if total == 0 {
-				continue
-			}
-			roundSend += total
-			if write {
-				// The aggregator's share is one contiguous range of the
-				// stream: sent by reference, read before the round's
-				// closing agreement, never recycled by the receiver.
-				p.Isend(a, tag, stream[at:at+total])
-			} else {
-				sent = append(sent, sentRange{agg: a, at: at, n: total})
-			}
-		}
-		if write {
-			p.ChargeTime(stats.PComm, p.Clock()-tSend)
-			p.Trace.End(p.Clock())
-		}
-
-		// Aggregator: complete the exchange and do the I/O for this
-		// round through the integrated sieve buffer.
-		if window {
-			if write {
-				tWait := p.Clock()
-				p.Trace.Begin1(tWait, stats.PComm, trace.S("what", "waitall"))
-				payloads = mpi.WaitallInto(recvReqs, payloads)
-				p.ChargeTime(stats.PComm, p.Clock()-tWait)
-				p.Trace.End(p.Clock())
-				for k, c := range recvFrom {
-					msgs[c] = payloads[k]
-					if payloads[k] == nil {
-						// The client died, stalled past the deadline, or its
-						// payload arrived corrupted past the re-request
-						// budget. Skip its pieces — the boundary agreement
-						// below aborts every rank with the right class.
-						if firstErr == nil {
-							if ierr := p.TakeIntegrityFailure(); ierr != nil {
-								firstErr = fmt.Errorf("twophase: round %d: %w", r, ierr)
-							} else {
-								firstErr = fmt.Errorf("twophase: round %d: %w", r, mpi.ErrRankUnresponsive)
-							}
-						}
-						runs[c] = nil
-					}
-				}
-			}
-			// Merge all clients' pieces into file-offset order.
-			var total int64
-			order, segs, total = merger.Merge(runs, order, segs)
-			if len(order) > 0 {
-				lo := segs[0].Off
-				hi := segs[len(segs)-1].End()
-				span := datatype.Seg{Off: lo, Len: hi - lo}
-				roundRecv = total
-
-				// Single pass into the integrated buffer.
-				d := cfg.MemcpyTime(total)
-				p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, total))
-				p.AdvanceClock(d)
-				p.ChargeTime(stats.PCopy, d)
-				p.Trace.End(p.Clock())
-				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
-
-				tio := p.Clock()
-				if write {
-					p.Trace.Begin2(tio, stats.PIO, trace.S("op", "write"), trace.I(trace.BytesTag, total))
-					concat := bufpool.Get(total)[:0]
-					clear(cur)
-					for _, it := range order {
-						c := it.Run
-						concat = append(concat, msgs[c][cur[c]:cur[c]+it.Len]...)
-						cur[c] += it.Len
-					}
-					switch {
-					case firstErr != nil:
-					case i.journal.Done(p.Rank(), r):
-						// Already durable from the attempt that failed:
-						// the journal lets the rerun skip the sieve I/O.
-						// Done answers true only during a resume, so a
-						// fresh collective under the same file-domain
-						// epoch still performs all its writes.
-						p.Metrics.NoteReplay(0, 1)
-						p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(r)))
-					default:
-						err := f.WriteSieve(span, segs, concat)
-						if err != nil && i.degrade != nil && i.degrade() {
-							p.Stats.Add(stats.CDegradedRounds, 1)
-							p.Trace.Instant2(p.Clock(), "degrade",
-								trace.I(trace.RoundTag, int64(r)), trace.S("op", "write"))
-							err = f.WriteStream(segs, concat, mpiio.Naive)
-						}
-						if err != nil {
-							firstErr = fmt.Errorf("twophase: round %d: %w", r, err)
-						} else if p.PeerFailure() == nil {
-							i.journal.Commit(p.Rank(), r)
-							if i.journal.Resuming() {
-								p.Metrics.NoteReplay(1, 0)
-								p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(r)))
-							}
-						}
-					}
-					bufpool.Put(concat) // storage copies synchronously
-					p.ChargeTime(stats.PIO, p.Clock()-tio)
-					p.Trace.End(p.Clock())
-				} else {
-					p.Trace.Begin2(tio, stats.PIO, trace.S("op", "read"), trace.I(trace.BytesTag, total))
-					rbuf := bufpool.Get(total)
-					if firstErr == nil {
-						err := f.ReadSieve(span, segs, rbuf)
-						if err != nil && i.degrade != nil && i.degrade() {
-							p.Stats.Add(stats.CDegradedRounds, 1)
-							p.Trace.Instant2(p.Clock(), "degrade",
-								trace.I(trace.RoundTag, int64(r)), trace.S("op", "read"))
-							err = f.ReadStream(segs, rbuf, mpiio.Naive)
-						}
-						if err != nil {
-							firstErr = fmt.Errorf("twophase: round %d: %w", r, err)
-							// Serve deterministic zeros, as a fresh buffer
-							// would have.
-							clear(rbuf)
-						}
-					} else {
-						clear(rbuf)
-					}
-					p.ChargeTime(stats.PIO, p.Clock()-tio)
-					p.Trace.End(p.Clock())
-					// Ship each client its pieces, each built directly in a
-					// pooled buffer the client releases after unpacking.
-					tc := p.Clock()
-					p.Trace.Begin1(tc, stats.PComm, trace.S("what", "send-back"))
-					clear(msgs)
-					for c, run := range runs {
-						var tot int64
-						for _, s := range run {
-							tot += s.Len
-						}
-						if tot > 0 {
-							msgs[c] = bufpool.Get(tot)[:0]
-						}
-					}
-					pos := int64(0)
-					for _, it := range order {
-						msgs[it.Run] = append(msgs[it.Run], rbuf[pos:pos+it.Len]...)
-						pos += it.Len
-					}
-					bufpool.Put(rbuf)
-					for c, msg := range msgs {
-						if msg != nil {
-							p.Isend(c, tag, msg)
-						}
-					}
-					p.ChargeTime(stats.PComm, p.Clock()-tc)
-					p.Trace.End(p.Clock())
-				}
-			}
-		}
-
-		// Client (read): collect my pieces back from the aggregators.
-		if !write {
-			tRecv := p.Clock()
-			p.Trace.Begin1(tRecv, stats.PComm, trace.S("what", "recv"))
-			for _, sp := range sent {
-				data, _ := p.Recv(sp.agg, tag)
-				if data == nil {
-					// Dead or straggling aggregator — or read-back data
-					// corrupted past the re-request budget: nothing to
-					// place; the boundary agreement aborts before partial
-					// data could reach the user buffer.
-					if firstErr == nil {
-						if ierr := p.TakeIntegrityFailure(); ierr != nil {
-							firstErr = fmt.Errorf("twophase: round %d: %w", r, ierr)
-						} else {
-							firstErr = fmt.Errorf("twophase: round %d: %w", r, mpi.ErrRankUnresponsive)
-						}
-					}
-					continue
-				}
-				copy(stream[sp.at:sp.at+sp.n], data)
-				bufpool.Put(data) // pooled by the aggregator; receiver releases
-			}
-			p.ChargeTime(stats.PComm, p.Clock()-tRecv)
-			p.Trace.End(p.Clock())
-		}
-		p.Trace.End(p.Clock()) // round span
-
-		// A payload that arrived corrupted and exhausted its re-request
-		// budget is unusable (shuffle data on writes, read-back data on
-		// reads): consume the sticky failure so the boundary agreement
-		// aborts every rank with ClassIntegrity.
-		if ierr := p.TakeIntegrityFailure(); ierr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("twophase: round %d: %w", r, ierr)
-		}
-
-		p.Metrics.EndRound(p.Stats, probe, r, amAgg, roundSend, roundRecv)
-
-		// Round boundary: agree on the worst error class so every rank
-		// aborts (or continues) together.
-		if err := mpiio.AgreeError(p, firstErr); err != nil {
-			p.Metrics.NoteAbort(r, mpiio.ClassName(mpiio.ErrorClass(err)))
-			f.SetRound(-1)
-			return err
-		}
+	// Execution. A leader whose pre-aggregation lost a member seeds the
+	// first agreement like an unusable request does, so every rank aborts
+	// before a partial merge becomes durable.
+	plan := core.Plan{Pieces: ce.pieces, Rounds: ntimes, Method: mpiio.IntegratedSieve, Err: planErr}
+	if amAgg {
+		lo, _ := d.of(p.Rank())
+		scr.walk.start(ae, scr.msgs, lo, cb)
+		plan.Agg = &scr.walk
 	}
-	f.SetRound(-1)
-
+	if pre != nil && pre.err != nil {
+		plan.Err = pre.err
+	}
+	err := i.exec.Rounds(f, &scr.rounds, cs.B, &plan, write)
 	// Reads under pre-aggregation: the leader scatters each member its
-	// bytes and takes back its own; an abort above skipped this uniformly.
-	if !write && pre != nil {
-		if err := i.preaggScatter(f, cs, pre, dataLen); err != nil {
-			return err
+	// bytes and takes back its own; an abort above skips this uniformly.
+	if err == nil && !write && pre != nil {
+		err = i.preaggScatter(f, cs, pre, dataLen)
+	}
+	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
+}
+
+// domains is the even partition of the aggregate access region [st, en).
+type domains struct {
+	st, en, chunk int64
+	naggs         int
+}
+
+// of returns aggregator a's file domain [lo, hi); lo >= hi when the region
+// ran out before it.
+func (d domains) of(a int) (lo, hi int64) {
+	lo = d.st + int64(a)*d.chunk
+	return lo, min(lo+d.chunk, d.en)
+}
+
+// planClient splits an offset-sorted access at the domain boundaries and
+// encodes each aggregator's share as its request. The domains ascend, so the
+// shares follow one another in the access and in the stream its bytes occupy
+// back to back; each share is cut again at its domain's round windows, which
+// gives the stream range the aggregator receives (or sends back) per round.
+func (ps *planScratch) planClient(segs []datatype.Seg, d domains, cb int64) *clientEntry {
+	ce := &clientEntry{encs: make([][]byte, d.naggs), pairs: int64(len(segs))}
+	ps.core.StartClient()
+	share, pieces := ps.share[:0], ps.pieces[:0]
+	a := 0
+	lo, hi := d.of(0)
+	seal := func() {
+		ce.encs[a] = datatype.EncodeSegs(share)
+		ps.core.AddAggregator(pieces)
+		share, pieces = share[:0], pieces[:0]
+		a++
+		lo, hi = d.of(a)
+	}
+	var pos int64 // stream position of the next byte
+	for _, s := range segs {
+		for off := s.Off; off < s.End(); {
+			for a < d.naggs-1 && off >= hi {
+				seal()
+			}
+			end := s.End()
+			if a < d.naggs-1 {
+				end = min(end, hi)
+			}
+			share = append(share, datatype.Seg{Off: off, Len: end - off})
+			for off < end {
+				r := (off - lo) / cb
+				n := min(end, lo+(r+1)*cb) - off
+				pieces = append(pieces, datatype.Piece{Round: int(r), File: datatype.Seg{Off: off, Len: n}, AStream: pos})
+				off, pos = off+n, pos+n
+			}
 		}
 	}
-
-	// Collective calls leave all ranks synchronized.
-	p.Barrier()
-
-	// Success: retire the journal's recovery state so the next collective
-	// starts a fresh attempt (no round skips, no repeated failover
-	// reports). All ranks are past their rounds — the barrier above — so
-	// the clear cannot race a Done check.
-	i.journal.Complete()
-
-	if !write {
-		return f.UnpackMemory(cs.B, buf, memtype, count)
+	for a < d.naggs {
+		seal()
 	}
-	return nil
+	ps.share, ps.pieces = share, pieces
+	ce.pieces = ps.core.ClientPieces()
+	return ce
+}
+
+// planAgg decodes the requests an aggregator received and merges them into
+// its plan. A request that does not decode, or asks for bytes outside this
+// aggregator's domain, gets the empty stand-in a nil message (a dead rank)
+// gets, and the first such error is returned for the first agreement to
+// carry.
+func (ps *planScratch) planAgg(msgs [][]byte, d domains, rank int, cb int64) (*aggEntry, error) {
+	lo, hi := d.of(rank)
+	ps.reqs, ps.flats = ps.reqs[:0], core.Sized(ps.flats, len(msgs))
+	ae := &aggEntry{}
+	var bad error
+	for c, msg := range msgs {
+		ps.flats[c] = datatype.Flat{Limit: -1} // no access
+		if msg == nil {
+			continue
+		}
+		at := len(ps.reqs)
+		var err error
+		ps.reqs, err = datatype.DecodeSegsAppend(msg, ps.reqs)
+		req := ps.reqs[at:len(ps.reqs):len(ps.reqs)]
+		if n := len(req); err == nil && n > 0 && (req[0].Off < lo || req[n-1].End() > hi) {
+			err = fmt.Errorf("pairs [%d,%d) outside file domain [%d,%d)", req[0].Off, req[n-1].End(), lo, hi)
+			ps.reqs = ps.reqs[:at]
+		}
+		switch {
+		case err != nil && bad == nil:
+			bad = fmt.Errorf("twophase: bad request from rank %d: %w", c, err)
+		case err == nil && len(req) > 0:
+			ae.pairs += int64(len(req))
+			ps.flats[c] = datatype.Flat{Extent: req[len(req)-1].End(), Count: 1, Limit: -1, Segs: req}
+		}
+	}
+	var dom realm.Realm
+	if lo < hi {
+		dom = realm.Realm{Disp: lo, Pattern: datatype.Bytes(hi - lo), Count: 1}
+	}
+	// Merge with the shared kernel and keep the order it decided.
+	plans, _ := core.BuildPlans(&ps.core, ps.flats, dom, cb, nil)
+	pieces := 0
+	for r := range plans {
+		pieces += len(plans[r].Order)
+	}
+	ae.from, ae.rounds = make([]int32, 0, pieces), make([]aggRound, len(plans))
+	for r := range plans {
+		ae.rounds[r] = aggRound{pieces: len(plans[r].Order), total: plans[r].Total, peers: slices.Clone(plans[r].Peers)}
+		ae.widest = max(ae.widest, len(plans[r].Order))
+		for _, it := range plans[r].Order {
+			ae.from = append(ae.from, it.Run)
+		}
+	}
+	return ae, bad
 }
