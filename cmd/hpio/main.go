@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"flexio/internal/analyze"
-	"flexio/internal/chaos"
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/critpath"
@@ -51,96 +50,9 @@ func main() {
 	critRun := flag.Bool("critpath", false, "print the run's critical-path profile (virtual-time causal DAG)")
 	metricsOut := flag.String("metrics-out", "", "write the run's Prometheus text exposition to this file")
 	analyzeRun := flag.Bool("analyze", false, "print the collective-I/O health analyzer report for the run")
-	rankSpec := flag.String("rankchaos", "", "run a rank-failure scenario \"fault:victim[:cbnodes]\" (e.g. crash-mid-rounds:1) through the chosen impl/comm instead of the benchmark")
-	rankSeed := flag.Int64("rankseed", 1, "rank-fault schedule seed for -rankchaos")
-	corruptSpec := flag.String("corrupt", "", "run a data-corruption scenario \"plane[:abort|:repair][:pre]\" (plane: wire, atrest, torn; e.g. wire, atrest:abort) through the chosen impl/comm instead of the benchmark")
-	corruptSeed := flag.Int64("corruptseed", 1, "corruption schedule seed for -corrupt")
-	corruptRead := flag.Bool("corruptread", false, "inject the -corrupt scenario on the read-back direction instead of the write")
 	flag.Parse()
 
 	colltest.SampleK = *sampleK
-
-	engine := "twophase"
-	if *impl == "new" {
-		engine = "core-nb"
-		if *comm == "alltoallw" {
-			engine = "core-a2a"
-		}
-	}
-
-	if *corruptSpec != "" {
-		s, err := chaos.ParseCorruptSpec(engine, !*corruptRead, *corruptSpec, *corruptSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *preagg {
-			s.Preagg = true
-		}
-		out, verr := s.Run()
-		if out != nil {
-			fmt.Printf("%s: class %s, %d corruption(s) injected\n",
-				s.Name(), mpiio.ClassName(out.Class), out.Injected)
-			fmt.Printf("wire: %d mismatch(es), %d re-requested clean; at-rest: %d mismatch(es), %d quarantined, %d repaired, backlog %d\n",
-				out.WireMismatch, out.WireRepaired,
-				out.AtRest.Mismatches, out.AtRest.Quarantined, out.AtRest.Repairs, out.AtRest.Backlog)
-			fmt.Printf("elapsed (virtual): %.3fms\n", float64(out.Elapsed)*1e3)
-			if *tracePath != "" && out.Trace != nil {
-				if err := out.Trace.WriteChromeTraceFile(*tracePath); err != nil {
-					log.Fatalf("trace: %v", err)
-				}
-				fmt.Printf("wrote Chrome trace to %s\n", *tracePath)
-			}
-			if *analyzeRun && out.Metrics != nil {
-				fmt.Println()
-				fmt.Print(analyze.FormatReport(analyze.Analyze(out.Metrics.Dump(true))))
-			}
-		}
-		if verr != nil {
-			log.Fatalf("corrupt: invariant violated: %v", verr)
-		}
-		fmt.Println("no silent corruption: every flip was repaired or aborted uniformly")
-		return
-	}
-
-	if *rankSpec != "" {
-		s, err := chaos.ParseRankSpec(engine, *rankSpec, *rankSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, verr := s.Run()
-		if out != nil {
-			fmt.Printf("%s: abort class %s, dead ranks %v\n", s.Name(), mpiio.ClassName(out.AbortClass), out.Dead)
-			fmt.Printf("deadline trips=%d failovers=%d rounds replayed=%d skipped=%d redeliveries=%d\n",
-				out.DeadlineTrips, out.Failovers, out.Replayed, out.Skipped, out.Redelivered)
-			fmt.Printf("elapsed (virtual): %.3fms\n", float64(out.Elapsed)*1e3)
-			if *tracePath != "" && out.Trace != nil {
-				if err := out.Trace.WriteChromeTraceFile(*tracePath); err != nil {
-					log.Fatalf("trace: %v", err)
-				}
-				fmt.Printf("wrote Chrome trace to %s\n", *tracePath)
-			}
-			if *analyzeRun && out.Metrics != nil {
-				fmt.Println()
-				fmt.Print(analyze.FormatReport(analyze.Analyze(out.Metrics.Dump(true))))
-			}
-			if *critRun && out.Trace != nil {
-				rep := critpath.Analyze(out.Trace)
-				if out.Metrics != nil {
-					rep.Note(out.Metrics)
-				}
-				fmt.Println()
-				fmt.Println(rep.Format())
-				if fs := analyze.TraceFindings(out.Trace, rep); len(fs) > 0 {
-					fmt.Print(analyze.FormatReport(fs))
-				}
-			}
-		}
-		if verr != nil {
-			log.Fatalf("rankchaos: invariant violated: %v", verr)
-		}
-		fmt.Println("recovered byte-identically")
-		return
-	}
 
 	wl := hpio.Pattern{
 		Ranks:        *procs,

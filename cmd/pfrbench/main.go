@@ -14,10 +14,8 @@ import (
 	"log"
 	"os"
 
-	"flexio/internal/chaos"
 	"flexio/internal/critpath"
 	"flexio/internal/experiments"
-	"flexio/internal/mpiio"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
@@ -37,54 +35,10 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "print the per-phase/per-round trace breakdown")
 	critRun := flag.Bool("critpath", false, "print the run's critical-path profile (virtual-time causal DAG)")
 	metricsOut := flag.String("metrics-out", "", "write the run's Prometheus text exposition to this file")
-	rankSpec := flag.String("rankchaos", "", "run a rank-failure scenario \"fault:victim[:cbnodes]\" (e.g. crash-mid-rounds:1) on the core engine instead of the benchmark")
-	rankSeed := flag.Int64("rankseed", 1, "rank-fault schedule seed for -rankchaos")
-	corruptSpec := flag.String("corrupt", "", "run a data-corruption scenario \"plane[:abort|:repair][:pre]\" (plane: wire, atrest, torn; e.g. wire, atrest:abort) on the core engine instead of the benchmark")
-	corruptSeed := flag.Int64("corruptseed", 1, "corruption schedule seed for -corrupt")
 	flag.Parse()
 
 	experiments.NodeRanks = *nodes
 	experiments.SampleK = *sampleK
-
-	if *corruptSpec != "" {
-		s, err := chaos.ParseCorruptSpec("core-nb", true, *corruptSpec, *corruptSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, verr := s.Run()
-		if out != nil {
-			fmt.Printf("%s: class %s, %d corruption(s) injected\n",
-				s.Name(), mpiio.ClassName(out.Class), out.Injected)
-			fmt.Printf("wire: %d mismatch(es), %d re-requested clean; at-rest: %d mismatch(es), %d quarantined, %d repaired, backlog %d\n",
-				out.WireMismatch, out.WireRepaired,
-				out.AtRest.Mismatches, out.AtRest.Quarantined, out.AtRest.Repairs, out.AtRest.Backlog)
-			fmt.Printf("elapsed (virtual): %.3fms\n", float64(out.Elapsed)*1e3)
-		}
-		if verr != nil {
-			log.Fatalf("corrupt: invariant violated: %v", verr)
-		}
-		fmt.Println("no silent corruption: every flip was repaired or aborted uniformly")
-		return
-	}
-
-	if *rankSpec != "" {
-		s, err := chaos.ParseRankSpec("core-nb", *rankSpec, *rankSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, verr := s.Run()
-		if out != nil {
-			fmt.Printf("%s: abort class %s, dead ranks %v\n", s.Name(), mpiio.ClassName(out.AbortClass), out.Dead)
-			fmt.Printf("deadline trips=%d failovers=%d rounds replayed=%d skipped=%d redeliveries=%d\n",
-				out.DeadlineTrips, out.Failovers, out.Replayed, out.Skipped, out.Redelivered)
-			fmt.Printf("elapsed (virtual): %.3fms\n", float64(out.Elapsed)*1e3)
-		}
-		if verr != nil {
-			log.Fatalf("rankchaos: invariant violated: %v", verr)
-		}
-		fmt.Println("recovered byte-identically")
-		return
-	}
 
 	if *tracePath != "" || *breakdown || *critRun {
 		experiments.TraceCapacity = trace.DefaultCapacity

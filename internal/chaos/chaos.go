@@ -1,19 +1,33 @@
 // Package chaos is a deterministic fault-injection harness for the
-// collective I/O implementations. It enumerates seeded fault scenarios
-// across both engines, both transfer directions, and the buffered I/O
-// methods, and checks the robustness invariants the fault model promises:
+// collective I/O implementations. One Scenario describes one experiment on
+// one simulated world: an engine configuration plus any subset of three
+// fault planes — a storage fault (pfs.FaultSchedule rules), a rank fault
+// (mpi.RankFaultSchedule crashes, stalls and drops) and silent corruption
+// (wire or at-rest bit damage under the checksummed datapath). One Run
+// checks the invariants the fault model promises, whatever the planes:
 //
 //   - Agreement: a collective either completes on every rank or returns an
-//     error of the same class on every rank (wrapping ErrCollectiveAbort) —
-//     and it always returns: no deadlock.
-//   - Integrity: when the collective reports success, the bytes are right,
+//     error of the same class on every surviving rank (wrapping
+//     ErrCollectiveAbort) — and it always returns: no deadlock. The class
+//     is the join of what the planes predict.
+//   - Evidence: every armed plane actually fired and was noticed — retries,
+//     deadline trips, checksum mismatches are on the books. With checksums
+//     on, an undetected flip is the one forbidden outcome.
+//   - Recovery: an unresponsive abort resumes against the write journal
+//     after the world is revived; an exhausted repair budget heals through
+//     a clean rewrite.
+//   - Integrity: whenever the run ends in success, the bytes are right,
 //     verified against an independently computed reference image.
 //   - Accounting: recovery work is visible in virtual time — the trace and
 //     the stats agree on the backoff cost to within 1% — and the trace
 //     stays well formed (balanced spans, monotone clocks).
 //
-// Every scenario is seeded and virtual-timed, so a failure reproduces
-// exactly and its Chrome trace can be exported for inspection.
+// Tenant scripts (multitenant.go) drive the tenant service instead of a
+// world; they and the scenarios are cells of one table (matrix.go) behind
+// the Cell interface, run by one Soak (soak.go).
+//
+// Every cell is seeded and virtual-timed, so a failure reproduces exactly
+// and its artifacts can be diffed against a local run.
 package chaos
 
 import (
@@ -21,10 +35,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
+	"slices"
+	"strings"
 
 	"flexio/internal/core"
-	"flexio/internal/critpath"
 	"flexio/internal/datatype"
 	"flexio/internal/hpio"
 	"flexio/internal/metrics"
@@ -33,11 +47,10 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/trace"
 	"flexio/internal/twophase"
 )
 
-// Fault names the injection pattern a scenario applies.
+// Fault names a storage fault plane.
 type Fault string
 
 const (
@@ -60,18 +73,118 @@ const (
 	// Degraded set the engine falls back to naive I/O and completes,
 	// otherwise it aborts with the io class.
 	FaultSieveHard Fault = "sieve-hard"
-
-	// FaultNone runs the workload with an empty fault schedule. It is not
-	// part of the soak matrices; the soaks run it once per engine
-	// configuration to obtain the fault-free baseline their .report.txt
-	// differential artifacts diff against.
-	FaultNone Fault = "none"
 )
 
-// Scenario is one deterministic chaos experiment.
+// RankFault names a rank fault plane — process failures, as opposed to the
+// storage failures of Fault.
+type RankFault string
+
+const (
+	// RankCrashShuffle kills the victim at round 0, before any round data
+	// has been exchanged: the write journal is empty and recovery replays
+	// the entire collective under reassigned realms.
+	RankCrashShuffle RankFault = "crash-before-shuffle"
+	// RankCrashMid kills the victim at round 2, after earlier rounds
+	// became durable: recovery replays only what the journal lacks (the
+	// skip path needs the victim to be a pure client — realm layouts that
+	// survive the failover keep their journal epoch).
+	RankCrashMid RankFault = "crash-mid-rounds"
+	// RankCrashRead is RankCrashMid on a collective read; the rerun has no
+	// journal to consult (reads are idempotent) but must still deliver
+	// every byte through the reassigned realms. It is the one rank fault of
+	// the read direction.
+	RankCrashRead RankFault = "crash-mid-read"
+	// RankStraggler stalls the victim far past the collective deadline at
+	// round 1 without killing it: deadline detection must flag it suspect
+	// and abort every rank on the same decision.
+	RankStraggler RankFault = "straggler"
+	// RankDropStorm drops-and-redelivers a fraction of the victim's sends
+	// with a retransmit penalty below the deadline: the collective must
+	// complete, unaborted and byte-perfect, with redeliveries counted.
+	RankDropStorm RankFault = "drop-storm"
+)
+
+// CorruptPlane names where a corruption plane injects bit damage.
+type CorruptPlane string
+
+const (
+	// CorruptWire flips payload bits in flight on every link: the
+	// receiver-side wire checksum must catch each one.
+	CorruptWire CorruptPlane = "wire"
+	// CorruptAtRest flips a stored bit after the bytes land on the media:
+	// the per-stripe-block checksum must catch it on the next read.
+	CorruptAtRest CorruptPlane = "atrest"
+	// CorruptTorn loses the tail of written segments (torn write): reads
+	// see zeros where data should be, caught like any at-rest mismatch.
+	CorruptTorn CorruptPlane = "torn"
+)
+
+// The vocabularies ParseSpec and validate accept, in the order error
+// messages list them.
+var (
+	storageFaults = []Fault{FaultTransient, FaultPartial, FaultRound1, FaultBrownout, FaultStorm, FaultGiveup, FaultSieveHard}
+	rankFaults    = []RankFault{RankCrashShuffle, RankCrashMid, RankCrashRead, RankStraggler, RankDropStorm}
+	corruptPlanes = []CorruptPlane{CorruptWire, CorruptAtRest, CorruptTorn}
+	methods       = []mpiio.Method{mpiio.DataSieve, mpiio.Naive, mpiio.ListIO}
+)
+
+// engines is the engine table: a core engine is its exchange strategy, and
+// twophase is the ROMIO-style planner in front of the same executor.
+var engines = []engine{
+	{name: "core-nb", comm: core.Nonblocking},
+	{name: "core-a2a", comm: core.Alltoallw},
+	{name: "core-blk", comm: core.Blocking},
+	{name: "twophase", romio: true},
+}
+
+type engine struct {
+	name  string
+	comm  core.CommStrategy
+	romio bool
+}
+
+// Rank-plane timing: the collective deadline, the straggler stall (far
+// beyond it), and the drop redelivery penalty (safely below it). The
+// deadline must clear the legitimate per-round skew — aggregators do file
+// I/O while pure clients idle, a resume lets some aggregators skip
+// journalled rounds others replay, and a brownout inflates every round —
+// so it sits well above the worst healthy round and well below the stall.
+const (
+	rankDeadline = sim.Time(50e-3)
+	rankStall    = sim.Time(1.0)
+	rankDropPen  = sim.Time(3e-4)
+)
+
+// wireRepeatUnrepairable is one past the bounded re-request budget: every
+// delivery attempt of a hit arrives corrupted, so the receiver can never
+// pull a clean copy.
+const wireRepeatUnrepairable = 4
+
+// tile is the workload every scenario transfers: a gapped interleaved tile
+// whose holes keep aggregator accesses noncontiguous (exercising data
+// sieving and its RMW prefetch); with collBuf it splits each access into
+// several rounds.
+var tile = hpio.Pattern{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64}
+
+const (
+	fname   = "chaos.dat"
+	collBuf = 1024
+	// nodeRanks is the block node-mapping width chaos worlds run under, so
+	// pre-aggregation has co-resident ranks to gather and comm-matrix
+	// artifacts split shuffle bytes into inter- and intra-node (matching
+	// benchsuite.NodeRanks).
+	nodeRanks = 2
+)
+
+// Scenario is one deterministic single-world chaos experiment: an engine
+// configuration and the fault planes armed against it. The zero value of a
+// plane leaves it unarmed; a scenario with none is the fault-free baseline
+// the soak's differential reports diff against.
 type Scenario struct {
-	// Engine selects the collective: "core-nb" (nonblocking pipeline),
-	// "core-a2a" (Alltoallw), or "twophase" (ROMIO-style baseline).
+	// Engine names a row of the engine table: "core-nb" (nonblocking
+	// pipeline), "core-a2a" (Alltoallw), "core-blk" (ROMIO's blocking
+	// exchange on the flexible planner) or "twophase" (ROMIO-style
+	// baseline).
 	Engine string
 	// Write selects the transfer direction.
 	Write bool
@@ -80,76 +193,208 @@ type Scenario struct {
 	Method mpiio.Method
 	// Degraded enables the core engine's fall-back-to-naive recovery.
 	Degraded bool
-	// Fault is the injection pattern.
-	Fault Fault
-	// Seed drives the fault schedule's probability coins.
-	Seed int64
 	// Preagg enables node-local pre-aggregation, so the fault planes also
-	// exercise the two-level exchange (chaos worlds run under a node map of
-	// nodeRanks ranks per node).
+	// exercise the two-level exchange and its leader failover.
 	Preagg bool
+	// CbNodes caps the aggregator count (0 = every rank aggregates).
+	// Killing a rank at or above it exercises the journal's same-epoch
+	// skip path: a dead pure client moves no realms.
+	CbNodes int
+	// Seed drives the fault schedules' probability coins and the checksum
+	// domain.
+	Seed int64
+
+	// Storage is the storage fault plane ("" = none). It arms RetryLimit.
+	Storage Fault
+	// Rank is the rank fault plane ("" = none) and Victim the rank it
+	// targets. It arms the collective deadline and the write journal.
+	Rank   RankFault
+	Victim int
+	// Corrupt is the corruption plane ("" = none). It arms the wire and
+	// at-rest checksums. Repairable is its recovery budget: true leaves the
+	// repair path available (wire: one corrupted delivery per hit, inside
+	// the re-request bound; at-rest: a retained-block ring large enough to
+	// hold the working set), false exhausts it, forcing the
+	// ErrDataIntegrity abort.
+	Corrupt    CorruptPlane
+	Repairable bool
 }
 
-// Name is a stable identifier for logs, subtests, and trace file names.
+// Name is a stable identifier for logs, subtests, and artifact file names.
+// The shapes predate the one Scenario and are pinned by the golden matrix
+// and by artifact names: a rank fault names its own direction and carries
+// its victim, only storage-only cells spell out the method, and a storage
+// fault riding a rank fault replaces the crash point (crash-brownout).
 func (s Scenario) Name() string {
 	dir := "read"
 	if s.Write {
 		dir = "write"
 	}
-	n := fmt.Sprintf("%s-%s-%s-%s", s.Engine, dir, s.Method, s.Fault)
+	parts := []string{s.Engine}
+	switch {
+	case s.Rank != "":
+		fault := string(s.Rank)
+		if s.Storage != "" {
+			kind, _, _ := strings.Cut(fault, "-")
+			fault = kind + "-" + string(s.Storage)
+		}
+		parts = append(parts, fault, fmt.Sprintf("v%d", s.Victim))
+	case s.Corrupt != "":
+		parts = append(parts, dir)
+	default:
+		parts = append(parts, dir, s.Method.String())
+	}
+	if s.Rank == "" && s.Storage != "" {
+		parts = append(parts, string(s.Storage))
+	}
+	if s.CbNodes > 0 {
+		parts = append(parts, fmt.Sprintf("cb%d", s.CbNodes))
+	}
+	if s.Corrupt != "" {
+		mode := "abort"
+		if s.Repairable {
+			mode = "repair"
+		}
+		parts = append(parts, "corrupt", string(s.Corrupt), mode)
+	}
 	if s.Degraded {
-		n += "-degraded"
+		parts = append(parts, "degraded")
 	}
 	if s.Preagg {
-		n += "-pre"
+		parts = append(parts, "pre")
 	}
-	return n
+	return strings.Join(parts, "-")
 }
 
-// wantClass is the error class the scenario must agree on (ClassOK means
-// the collective must succeed).
-func (s Scenario) wantClass() int64 {
-	switch s.Fault {
-	case FaultRound1:
-		return mpiio.ClassIO
-	case FaultGiveup:
-		return mpiio.ClassTransient
-	case FaultSieveHard:
-		if s.Degraded && s.Write && s.Engine != "twophase" {
-			return mpiio.ClassOK
+// Family is the table the scenario belongs to: its most disruptive plane.
+func (s Scenario) Family() string {
+	switch {
+	case s.Rank != "":
+		return "rank"
+	case s.Corrupt != "":
+		return "corrupt"
+	default:
+		return "storage"
+	}
+}
+
+// Fault names the planes set, for Quick's one-cell-per-fault subset.
+func (s Scenario) Fault() string {
+	var parts []string
+	if s.Storage != "" {
+		parts = append(parts, string(s.Storage))
+	}
+	if s.Rank != "" {
+		parts = append(parts, string(s.Rank))
+	}
+	if s.Corrupt != "" {
+		parts = append(parts, fmt.Sprintf("%s:%t", s.Corrupt, s.Repairable))
+	}
+	return strings.Join(parts, "+")
+}
+
+// Baseline is the fault-free scenario of the same engine configuration.
+func (s Scenario) Baseline() Cell {
+	return Scenario{Engine: s.Engine, Write: s.Write, Method: s.Method, Degraded: s.Degraded,
+		Preagg: s.Preagg, CbNodes: s.CbNodes, Seed: 1}
+}
+
+// crashes reports whether the rank plane kills the victim's goroutine (as
+// opposed to running it late or dropping its messages).
+func (s Scenario) crashes() bool {
+	return s.Rank == RankCrashShuffle || s.Rank == RankCrashMid || s.Rank == RankCrashRead
+}
+
+// atRest reports whether the corruption plane damages stored bytes.
+func (s Scenario) atRest() bool { return s.Corrupt == CorruptAtRest || s.Corrupt == CorruptTorn }
+
+// validate rejects a scenario no world can run, naming the field at fault.
+func (s Scenario) validate() error {
+	if _, err := engineRow(s.Engine); err != nil {
+		return err
+	}
+	if !slices.Contains(methods, s.Method) {
+		return fmt.Errorf("unknown method %q (want one of %v)", s.Method, methods)
+	}
+	if s.Storage != "" && !slices.Contains(storageFaults, s.Storage) {
+		return fmt.Errorf("unknown storage fault %q (want one of %v)", s.Storage, storageFaults)
+	}
+	if s.CbNodes < 0 || s.CbNodes > tile.Ranks {
+		return fmt.Errorf("cb_nodes %d out of range [0,%d]", s.CbNodes, tile.Ranks)
+	}
+	switch {
+	case s.Rank == "":
+		if s.Victim != 0 {
+			return fmt.Errorf("victim %d without a rank fault", s.Victim)
 		}
-		return mpiio.ClassIO
-	default:
-		return mpiio.ClassOK
+	case !slices.Contains(rankFaults, s.Rank):
+		return fmt.Errorf("unknown rank fault %q (want one of %v)", s.Rank, rankFaults)
+	case s.Victim < 0 || s.Victim >= tile.Ranks:
+		return fmt.Errorf("victim %d out of range [0,%d)", s.Victim, tile.Ranks)
+	case s.Write == (s.Rank == RankCrashRead):
+		return fmt.Errorf("direction: %s is the rank fault of the read direction, the others need the write journal", RankCrashRead)
 	}
+	switch {
+	case s.Corrupt == "":
+		if s.Repairable {
+			return errors.New("repair budget without a corruption plane")
+		}
+	case !slices.Contains(corruptPlanes, s.Corrupt):
+		return fmt.Errorf("unknown corruption plane %q (want one of %v)", s.Corrupt, corruptPlanes)
+	}
+	return nil
 }
 
-// wantCounter names a stat that must be nonzero after the run, proving the
-// injection actually exercised the path under test (empty = nothing to
-// prove; FaultNone injects nothing).
-func (s Scenario) wantCounter() string {
-	switch s.Fault {
-	case FaultNone:
-		return ""
-	case FaultTransient:
-		return stats.CRetries
-	case FaultPartial:
-		return stats.CPartialResumes
-	case FaultBrownout:
-		return stats.CBrownoutServes
-	case FaultStorm:
-		return stats.CStormRevokes
-	case FaultGiveup:
-		return stats.CGiveups
-	default:
-		return stats.CFaultsInjected
+// engineRow looks an engine up in the table; an unknown name is an error.
+func engineRow(name string) (engine, error) {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		if e.name == name {
+			return e, nil
+		}
+		names[i] = e.name
 	}
+	return engine{}, fmt.Errorf("unknown engine %q (want one of %v)", name, names)
 }
 
-// schedule builds the scenario's seeded fault plan.
-func (s Scenario) schedule() *pfs.FaultSchedule {
+// collective instantiates the scenario's engine against the journal (nil
+// without a rank plane). A non-nil dead set makes it the resume of an
+// attempt those ranks failed in: the flexio engines reassign realms off
+// them, the baseline can only re-run under its fixed domains.
+func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) mpiio.Collective {
+	if e.romio {
+		if dead != nil {
+			journal.MarkResume(dead)
+		}
+		tw := twophase.NewJournaled(journal)
+		if s.Preagg {
+			tw.WithPreagg()
+		}
+		return tw
+	}
+	o := core.Options{Comm: e.comm, Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg, Journal: journal}
+	if dead != nil {
+		return core.ResumeCollective(o, journal, dead)
+	}
+	return core.New(o)
+}
+
+// flipRule is the at-rest corruption plan: every write segment is flipped
+// (or torn), so whichever write lands last on a page leaves detectable
+// damage for the next read.
+func (s Scenario) flipRule() pfs.FlipRule {
+	if s.Corrupt == CorruptTorn {
+		return pfs.FlipRule{Kind: "torn"}
+	}
+	return pfs.FlipRule{Kind: "bitflip"}
+}
+
+// storageSchedule builds the seeded pfs plan the transfer runs under: the
+// storage plane's rules, and the at-rest flips when the transfer is the
+// write that has to land them.
+func (s Scenario) storageSchedule() *pfs.FaultSchedule {
 	sched := pfs.NewFaultSchedule(s.Seed)
-	switch s.Fault {
+	switch s.Storage {
 	case FaultTransient:
 		sched.Add(pfs.Rule{Class: pfs.ClassTransient, Count: 2})
 	case FaultPartial:
@@ -170,391 +415,457 @@ func (s Scenario) schedule() *pfs.FaultSchedule {
 	case FaultGiveup:
 		sched.Add(pfs.Rule{Class: pfs.ClassTransient})
 	case FaultSieveHard:
-		sched.Add(pfs.Rule{Kind: "write", Class: pfs.ClassIO,
-			Match: func(op pfs.Op) bool { return op.Sieve }})
+		sched.Add(sieveHardOn(""))
+	}
+	if s.atRest() && s.Write {
+		sched.AddFlip(s.flipRule())
 	}
 	return sched
 }
 
-// collective instantiates the engine under test.
-func (s Scenario) collective() mpiio.Collective {
-	switch s.Engine {
-	case "core-a2a":
-		return core.New(core.Options{Comm: core.Alltoallw, Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg})
-	case "twophase":
-		tw := twophase.New()
-		if s.Preagg {
-			tw.WithPreagg()
+// rankSchedule builds the rank plane's seeded plan; wire corruption rides
+// the same schedule (every payload on every link, the repeat budget
+// deciding repairability — unlimited count keeps the plan independent of
+// goroutine scheduling).
+func (s Scenario) rankSchedule() *mpi.RankFaultSchedule {
+	rf := mpi.NewRankFaultSchedule(s.Seed)
+	switch s.Rank {
+	case RankCrashShuffle:
+		rf.Crash(s.Victim, 0)
+	case RankCrashMid, RankCrashRead:
+		rf.Crash(s.Victim, 2)
+	case RankStraggler:
+		rf.Stall(s.Victim, 1, rankStall)
+	case RankDropStorm:
+		rf.Drop(s.Victim, mpi.Any, 0.4, rankDropPen, 0)
+	}
+	if s.Corrupt == CorruptWire {
+		repeat := 1
+		if !s.Repairable {
+			repeat = wireRepeatUnrepairable
 		}
-		return tw
+		rf.Corrupt(mpi.Any, mpi.Any, 1, repeat, 0)
+	}
+	return rf
+}
+
+// wantClass is the class the faulted attempt must agree on: the join (the
+// maximum in mpiio's severity order, which is what AgreeError votes) of
+// what each armed plane predicts.
+func (e *world) wantClass() int64 {
+	s, want := e.s, mpiio.ClassOK
+	join := func(c int64) {
+		if c > want {
+			want = c
+		}
+	}
+	switch s.Storage {
+	case FaultRound1:
+		join(mpiio.ClassIO)
+	case FaultGiveup:
+		join(mpiio.ClassTransient)
+	case FaultSieveHard:
+		// The flexible engines' degraded mode absorbs it on writes.
+		if !s.Degraded || !s.Write || e.engine.romio {
+			join(mpiio.ClassIO)
+		}
+	}
+	if s.crashes() || s.Rank == RankStraggler {
+		join(mpiio.ClassUnresponsive)
+	}
+	if s.Corrupt != "" && !s.Repairable {
+		join(mpiio.ClassIntegrity)
+	}
+	return want
+}
+
+// storageEvidence names the stat that proves the storage plane exercised
+// the path under test, and whether the schedule must also have counted an
+// injection (brownouts and storms slow operations without failing any).
+func (s Scenario) storageEvidence() (counter string, injects bool) {
+	switch s.Storage {
+	case FaultTransient:
+		return stats.CRetries, true
+	case FaultPartial:
+		return stats.CPartialResumes, true
+	case FaultBrownout:
+		return stats.CBrownoutServes, false
+	case FaultStorm:
+		return stats.CStormRevokes, false
+	case FaultGiveup:
+		return stats.CGiveups, true
 	default:
-		return core.New(core.Options{Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg})
+		return stats.CFaultsInjected, true
 	}
 }
 
-// Outcome reports what one scenario run observed.
-type Outcome struct {
-	Scenario Scenario
-	// Class is the agreed error class (ClassOK when the collective
-	// succeeded on every rank).
-	Class int64
-	// Injected counts faults the schedule fired.
-	Injected int64
-	// Stats is the merged per-rank recorder.
-	Stats *stats.Recorder
-	// Elapsed is the collective's virtual wall time.
-	Elapsed sim.Time
-	// Trace is the virtual-time event record, exportable as a Chrome
-	// trace for postmortems.
-	Trace *trace.Sink
-	// Metrics is the live registry set; its flight recorder holds the
-	// rounds leading up to an abort and is dumped as a postmortem
-	// artifact alongside the trace.
-	Metrics *metrics.Set
-	// Comm is the rank×rank communication matrix of the faulted phase.
-	Comm *mpi.CommMatrix
+// world is one scenario's simulated cluster and what was armed on it.
+type world struct {
+	s       Scenario
+	engine  engine
+	cfg     *sim.Config
+	w       *mpi.World
+	fs      *pfs.FileSystem
+	journal *mpiio.WriteJournal
+	// sched and rf are the plans the transfer runs under; seedFlips is the
+	// at-rest plan an at-rest read scenario seeds its file under.
+	sched, seedFlips *pfs.FaultSchedule
+	rf               *mpi.RankFaultSchedule
 }
 
-// nodeRanks is the block node-mapping width chaos worlds run under, so
-// comm-matrix artifacts split shuffle bytes into inter- and intra-node
-// (matching benchsuite.NodeRanks).
-const nodeRanks = 2
-
-// Run executes the scenario and checks every invariant. The returned error
-// is an invariant violation (nil means the scenario behaved); the Outcome
-// is returned even on violation so the caller can export the trace.
-func (s Scenario) Run() (*Outcome, error) {
-	// A gapped interleaved tile: holes keep aggregator accesses
-	// noncontiguous (exercising data sieving and its RMW prefetch) and the
-	// small collective buffer splits each access into several rounds.
-	wl := hpio.Pattern{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64}
-	cfg := sim.DefaultConfig()
-	w := mpi.NewWorld(wl.Ranks, cfg)
-	fs := pfs.NewFileSystem(cfg)
-	const fname = "chaos.dat"
-
-	// Reads verify against a file seeded through the trusted, fault-free
-	// independent path.
-	if !s.Write {
-		seedErr := make(chan error, wl.Ranks)
-		w.Run(func(p *mpi.Proc) {
-			f, err := mpiio.Open(p, fs, fname, mpiio.Info{IndepMethod: mpiio.ListIO})
-			if err != nil {
-				seedErr <- err
-				return
-			}
-			ft, disp := wl.Filetype(p.Rank())
-			if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
-				seedErr <- err
-				return
-			}
-			mt, _ := wl.Memtype()
-			if err := f.WriteIndependent(wl.FillBuffer(p.Rank()), mt, wl.RegionCount); err != nil {
-				seedErr <- err
-				return
-			}
-			seedErr <- f.Close()
-		})
-		for i := 0; i < wl.Ranks; i++ {
-			if err := <-seedErr; err != nil {
-				return nil, fmt.Errorf("chaos: seeding %s: %w", s.Name(), err)
-			}
-		}
-	}
-
-	// Trace and time only the faulted phase.
-	sink := w.EnableTracing(0)
-	met := w.EnableMetrics()
-	comm := w.EnableCommMatrix()
-	w.SetNodeMap(mpi.BlockNodeMap(nodeRanks))
-	w.ResetClocks()
-	fs.ResetTiming()
-	sched := s.schedule()
-	fs.SetFaultSchedule(sched)
-
-	errs := make([]error, wl.Ranks)
-	mism := make([]bool, wl.Ranks)
-	w.Run(func(p *mpi.Proc) {
-		f, err := mpiio.Open(p, fs, fname, mpiio.Info{
-			Collective:  s.collective(),
-			CollBufSize: 1024,
-			RetryLimit:  6,
-		})
+// transfer runs one transfer of the tile on every rank: collective through
+// info.Collective, or an independent write without one. It returns the
+// per-rank results (nil error and false mismatch for a rank whose goroutine
+// the fault killed mid-call); an Open or SetView failure is a setup error,
+// not a result.
+func (e *world) transfer(info mpiio.Info, write bool) (errs []error, mism []bool, setup error) {
+	errs = make([]error, tile.Ranks)
+	mism = make([]bool, tile.Ranks)
+	setups := make([]error, tile.Ranks)
+	e.w.Run(func(p *mpi.Proc) {
+		f, err := mpiio.Open(p, e.fs, fname, info)
 		if err != nil {
-			errs[p.Rank()] = err
+			setups[p.Rank()] = err
 			return
 		}
-		ft, disp := wl.Filetype(p.Rank())
+		ft, disp := tile.Filetype(p.Rank())
 		if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
-			errs[p.Rank()] = err
+			setups[p.Rank()] = err
 			return
 		}
-		mt, bufLen := wl.Memtype()
-		if s.Write {
-			errs[p.Rank()] = f.WriteAll(wl.FillBuffer(p.Rank()), mt, wl.RegionCount)
-		} else {
+		mt, bufLen := tile.Memtype()
+		switch {
+		case info.Collective == nil:
+			errs[p.Rank()] = f.WriteIndependent(tile.FillBuffer(p.Rank()), mt, tile.RegionCount)
+		case write:
+			errs[p.Rank()] = f.WriteAll(tile.FillBuffer(p.Rank()), mt, tile.RegionCount)
+		default:
 			buf := make([]byte, bufLen)
-			if err := f.ReadAll(buf, mt, wl.RegionCount); err != nil {
+			if err := f.ReadAll(buf, mt, tile.RegionCount); err != nil {
 				errs[p.Rank()] = err
 			} else {
-				got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
-				exp, _ := datatype.Pack(wl.FillBuffer(p.Rank()), mt, 0, wl.RegionCount)
+				got, _ := datatype.Pack(buf, mt, 0, tile.RegionCount)
+				exp, _ := datatype.Pack(tile.FillBuffer(p.Rank()), mt, 0, tile.RegionCount)
 				mism[p.Rank()] = !bytes.Equal(got, exp)
 			}
 		}
 		f.Close()
 	})
-
-	out := &Outcome{
-		Scenario: s,
-		Injected: sched.Injected(),
-		Stats:    stats.Merge(w.Recorders()...),
-		Elapsed:  w.MaxClock(),
-		Trace:    sink,
-		Metrics:  met,
-		Comm:     comm,
-	}
-
-	// Invariant 1: agreement. All ranks succeed, or all ranks fail with
-	// the same class wrapping ErrCollectiveAbort.
-	failed := 0
-	for _, err := range errs {
+	for _, err := range setups {
 		if err != nil {
-			failed++
+			return nil, nil, err
 		}
 	}
-	if failed != 0 && failed != wl.Ranks {
-		return out, fmt.Errorf("agreement violated: %d of %d ranks errored: %v", failed, wl.Ranks, errs)
+	return errs, mism, nil
+}
+
+// attempt is a collective transfer under the scenario's engine and arming:
+// the sub-block collective buffer (shuffle pieces smaller than a stripe
+// block are the interesting case), cb_nodes, and RetryLimit with a storage
+// plane. A non-nil dead set makes it the resume of an attempt those ranks
+// failed in.
+func (e *world) attempt(write bool, dead []int) ([]error, []bool, error) {
+	info := mpiio.Info{Collective: e.engine.collective(e.s, e.journal, dead), CollBufSize: collBuf, CbNodes: e.s.CbNodes}
+	if e.s.Storage != "" {
+		info.RetryLimit = 6
 	}
-	out.Class = mpiio.ErrorClass(errs[0])
+	return e.transfer(info, write)
+}
+
+// seedFile writes the reference file through the trusted independent path.
+func (e *world) seedFile() error {
+	errs, _, err := e.transfer(mpiio.Info{IndepMethod: mpiio.ListIO}, true)
+	if err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// agree checks the agreement invariant over the ranks that returned (killed
+// ones never do): all succeed, or all fail with one class wrapping
+// ErrCollectiveAbort. It returns the agreed class.
+func agree(errs []error, killed func(rank int) bool) (int64, error) {
+	class, first := int64(-1), -1
 	for r, err := range errs {
-		if err == nil {
+		if killed(r) {
 			continue
 		}
-		if !errors.Is(err, mpiio.ErrCollectiveAbort) {
-			return out, fmt.Errorf("rank %d error does not wrap ErrCollectiveAbort: %v", r, err)
+		if err != nil && !errors.Is(err, mpiio.ErrCollectiveAbort) {
+			return 0, fmt.Errorf("rank %d error does not wrap ErrCollectiveAbort: %v", r, err)
 		}
-		if c := mpiio.ErrorClass(err); c != out.Class {
-			return out, fmt.Errorf("rank %d agreed class %s, rank 0 %s",
-				r, mpiio.ClassName(c), mpiio.ClassName(out.Class))
+		c := mpiio.ErrorClass(err)
+		if first < 0 {
+			class, first = c, r
+		} else if c != class {
+			return 0, fmt.Errorf("agreement violated: rank %d ended %s (%v), rank %d %s (%v)",
+				r, mpiio.ClassName(c), err, first, mpiio.ClassName(class), errs[first])
 		}
 	}
-	if want := s.wantClass(); out.Class != want {
-		return out, fmt.Errorf("agreed class %s, want %s (rank 0: %v)",
-			mpiio.ClassName(out.Class), mpiio.ClassName(want), errs[0])
+	return class, nil
+}
+
+// verifyData checks byte-identity with a fault-free run: every rank's
+// read-back buffer and the file image against the workload's independent
+// reference.
+func (e *world) verifyData(mism []bool) error {
+	for r, bad := range mism {
+		if bad {
+			return fmt.Errorf("rank %d: read-back bytes diverge from the reference", r)
+		}
+	}
+	img := e.fs.Snapshot(fname, tile.FileSize())
+	ref := tile.Reference()
+	for i := range ref {
+		if img[i] != ref[i] {
+			return fmt.Errorf("file byte %d = %d, want %d (not byte-identical to a fault-free run)",
+				i, img[i], ref[i])
+		}
+	}
+	return nil
+}
+
+// Run executes the scenario and checks every invariant. A scenario that
+// cannot run at all (bad field, Open or SetView failure) returns that error
+// and no outcome. Otherwise the error is an invariant violation (nil means
+// the scenario behaved) and the outcome is returned even on violation, so
+// the caller can export its recordings.
+func (s Scenario) Run() (*Outcome, error) {
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", s.Name(), err)
+	}
+	return s.run()
+}
+
+func (s Scenario) run() (*Outcome, error) {
+	eng, err := engineRow(s.Engine)
+	if err != nil {
+		return nil, err
+	}
+	e := &world{s: s, engine: eng, cfg: sim.DefaultConfig(), seedFlips: pfs.NewFaultSchedule(s.Seed)}
+	e.w = mpi.NewWorld(tile.Ranks, e.cfg)
+	e.fs = pfs.NewFileSystem(e.cfg)
+	if s.Corrupt != "" {
+		ringCap := 0 // default, sized for the tile's working set
+		if !s.Repairable {
+			// A single slot: every quarantined page but the most recent one
+			// has aged out and the read must surface ErrDataIntegrity.
+			ringCap = 1
+		}
+		e.w.EnableIntegrity(s.Seed)
+		e.fs.EnableIntegrity(s.Seed, ringCap)
 	}
 
-	// Invariant 2: integrity on success.
-	if out.Class == mpiio.ClassOK {
-		if s.Write {
-			img := fs.Snapshot(fname, wl.FileSize())
-			ref := wl.Reference()
-			for i := range ref {
-				if img[i] != ref[i] {
-					return out, fmt.Errorf("file byte %d = %d, want %d", i, img[i], ref[i])
-				}
+	// Reads verify against a file seeded before the planes are armed.
+	// At-rest read scenarios arm the flips for the seeding writes instead of
+	// the transfer — that is how the damage gets to rest under recorded
+	// checksums.
+	if !s.Write {
+		if s.atRest() {
+			e.fs.SetFaultSchedule(e.seedFlips.AddFlip(s.flipRule()))
+		}
+		if err := e.seedFile(); err != nil {
+			return nil, fmt.Errorf("chaos: seeding %s: %w", s.Name(), err)
+		}
+	}
+
+	// Trace and time only the faulted phase.
+	rec := Recording{Trace: e.w.EnableTracing(0), Metrics: e.w.EnableMetrics(), Comm: e.w.EnableCommMatrix()}
+	out := &Outcome{Name: s.Name(), Seed: s.Seed, Recordings: []Recording{rec}}
+	e.w.SetNodeMap(mpi.BlockNodeMap(nodeRanks))
+	e.w.ResetClocks()
+	e.fs.ResetTiming()
+
+	e.sched = s.storageSchedule()
+	e.fs.SetFaultSchedule(e.sched)
+	e.rf = s.rankSchedule()
+	e.w.SetRankFaults(e.rf)
+	if s.Rank != "" {
+		e.w.SetCollDeadline(rankDeadline)
+		e.journal = mpiio.NewWriteJournal()
+	}
+
+	// The faulted attempt. With a corruption plane a write is followed by a
+	// verifying collective read-back: that is where at-rest damage is
+	// detected (reads detect inside the faulted read itself).
+	errs, mism, err := e.attempt(s.Write, nil)
+	if err == nil && s.Corrupt != "" && s.Write && errors.Join(errs...) == nil {
+		errs, mism, err = e.attempt(false, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.snapshot(out)
+	out.Dead = e.w.FailedRanks()
+
+	out.Class, err = agree(errs, func(r int) bool { return s.crashes() && r == s.Victim })
+	if err != nil {
+		return out, err
+	}
+	if want := e.wantClass(); out.Class != want {
+		return out, fmt.Errorf("agreed class %s, want %s (rank errors: %v)",
+			mpiio.ClassName(out.Class), mpiio.ClassName(want), errs)
+	}
+	if err := e.evidence(out); err != nil {
+		return out, err
+	}
+
+	// Follow the agreed class to the scenario's end state. A storage abort
+	// has no recovery: the file is whatever the rounds before it wrote, and
+	// nothing is promised about it.
+	intact := true
+	switch out.Class {
+	case mpiio.ClassOK:
+	case mpiio.ClassUnresponsive:
+		mism, err = e.resume(out)
+	case mpiio.ClassIntegrity:
+		mism, err = e.heal(out)
+	default:
+		intact = false
+	}
+	if err == nil && intact {
+		err = e.verifyData(mism)
+	}
+	if err == nil {
+		err = e.accounting(out)
+	}
+	return out, err
+}
+
+// evidence requires each armed plane to have fired and been noticed in the
+// faulted attempt. With the checksummed datapath on, an injection no
+// checksum tripped on is silent corruption, the one forbidden outcome; and
+// damage past the repair budget must stay flagged (quarantined), never be
+// served.
+func (e *world) evidence(out *Outcome) error {
+	s := e.s
+	counter, injects := s.storageEvidence()
+	failed := s.Rank != "" && s.Rank != RankDropStorm
+	wire, rest := s.Corrupt == CorruptWire, s.atRest()
+	for _, c := range []struct {
+		armed, seen bool
+		missing     string
+	}{
+		{s.Storage != "" && injects, e.sched.Injected() > 0, "storage fault schedule never fired"},
+		{s.Storage != "", out.Stats.Counter(counter) > 0, fmt.Sprintf("counter %q stayed zero", counter)},
+		{s.Rank == RankDropStorm, out.Redelivered > 0, "drop schedule never fired: nothing was redelivered"},
+		{failed, slices.Contains(out.Dead, s.Victim), fmt.Sprintf("victim %d not in detected dead set %v", s.Victim, out.Dead)},
+		{failed, out.DeadlineTrips > 0, "deadline_trips stayed zero across an unresponsive abort"},
+		{s.Corrupt != "", out.Injected > 0, "corruption schedule never fired"},
+		{wire, out.WireMismatch > 0, fmt.Sprintf("wire checksum never tripped across %d injections", out.Injected)},
+		{wire && s.Repairable, out.WireRepaired > 0, "no wire repair recorded"},
+		{rest, out.AtRest.Mismatches > 0, fmt.Sprintf("at-rest checksum never tripped across %d injections", out.Injected)},
+		{rest && s.Repairable, out.AtRest.Repairs > 0, "no at-rest repair recorded"},
+		{rest && s.Repairable, out.AtRest.Backlog == 0, fmt.Sprintf("repairable run left %d blocks quarantined", out.AtRest.Backlog)},
+		{rest && !s.Repairable, out.AtRest.Backlog > 0, "unrepairable at-rest damage left no quarantine backlog"},
+	} {
+		if c.armed && !c.seen {
+			return errors.New(c.missing)
+		}
+	}
+	return nil
+}
+
+// resume recovers from an unresponsive abort: revive the world (the
+// crashed process restarts and rejoins), demote the dead ranks from
+// aggregator duty, and run the transfer again against the journal, which
+// lets same-epoch reruns skip the rounds already durable.
+func (e *world) resume(out *Outcome) ([]bool, error) {
+	s := e.s
+	out.PreRounds = e.journal.Rounds()
+	e.w.ReviveAll()
+	errs, mism, err := e.attempt(s.Write, out.Dead)
+	if err != nil {
+		return nil, err
+	}
+	for r, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("rank %d failed on resume: %v", r, err)
+		}
+	}
+	e.snapshot(out)
+	if out.Failovers == 0 {
+		return nil, errors.New("resume recorded no failover")
+	}
+	if !s.Write {
+		return mism, nil
+	}
+	if out.Replayed+out.Skipped == 0 {
+		return nil, errors.New("resume journalled no rounds (replayed=0 skipped=0)")
+	}
+	// The same-epoch skip path: a dead pure client moves no realms, so
+	// everything committed before the crash must be reused, and a
+	// mid-collective crash must have committed something.
+	if s.Rank == RankCrashMid && s.CbNodes > 0 && s.Victim >= s.CbNodes {
+		if out.PreRounds == 0 {
+			return nil, errors.New("mid-collective crash committed no rounds before dying")
+		}
+		if out.Skipped == 0 {
+			return nil, fmt.Errorf("client-victim resume replayed everything (skipped=0, pre=%d)", out.PreRounds)
+		}
+	}
+	return mism, nil
+}
+
+// heal recovers from an integrity abort: with the planes cleared, a full
+// rewrite through the normal datapath (the journal-replay repair in
+// miniature) must empty the quarantine and the file converge to the
+// reference. It uses block-aligned windows, because clearing a quarantine
+// demands a window that repaves the whole block — exactly what a
+// journal-replay repair writer does. The outcome keeps the counters of the
+// abort; only the backlog is read again.
+func (e *world) heal(out *Outcome) ([]bool, error) {
+	e.w.SetRankFaults(nil)
+	e.fs.SetFaultSchedule(nil)
+	var mism []bool
+	for _, write := range []bool{true, false} {
+		info := mpiio.Info{Collective: e.engine.collective(e.s, nil, nil), CollBufSize: e.cfg.PageSize}
+		errs, m, err := e.transfer(info, write)
+		if err != nil {
+			return nil, err
+		}
+		for r, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("rank %d failed on the clean heal (write=%t): %v", r, write, err)
 			}
-		} else {
-			for r, bad := range mism {
-				if bad {
-					return out, fmt.Errorf("rank %d: read-back data mismatch", r)
-				}
-			}
 		}
+		mism = m
 	}
+	if out.AtRest.Backlog = e.fs.IntegrityStats().Backlog; out.AtRest.Backlog != 0 {
+		return nil, fmt.Errorf("heal rewrite left %d blocks quarantined", out.AtRest.Backlog)
+	}
+	out.Healed = true
+	return mism, nil
+}
 
-	// Invariant 3: the injection actually exercised the intended path.
-	if s.Fault != FaultNone && s.Fault != FaultBrownout && s.Fault != FaultStorm && out.Injected == 0 {
-		return out, fmt.Errorf("fault schedule never fired")
-	}
-	if c := s.wantCounter(); c != "" && out.Stats.Counter(c) == 0 {
-		return out, fmt.Errorf("counter %q stayed zero", c)
-	}
-
-	// Invariant 4: accounting. The trace is well formed and agrees with
-	// the stats on the virtual-time cost of backoff to within 1%.
+// accounting checks the trace is well formed and agrees with the stats on
+// the virtual-time cost of backoff to within 1%.
+func (e *world) accounting(out *Outcome) error {
+	sink := out.Recordings[0].Trace
 	if err := sink.Check(); err != nil {
-		return out, fmt.Errorf("trace malformed: %w", err)
+		return fmt.Errorf("trace malformed: %w", err)
 	}
 	sb := out.Stats.Time(stats.PBackoff)
 	tb := sink.Breakdown().PhaseTotal(stats.PBackoff)
 	if drift := math.Abs(float64(sb - tb)); sb > 0 && drift > 0.01*float64(sb) {
-		return out, fmt.Errorf("backoff drift: stats %v vs trace %v", sb, tb)
+		return fmt.Errorf("backoff drift: stats %v vs trace %v", sb, tb)
 	}
-	return out, nil
+	return nil
 }
 
-// Matrix enumerates the full scenario grid: both engines (and both core
-// exchange protocols), both directions, the buffered I/O methods, and every
-// fault pattern — plus the degraded-mode recovery scenarios. Seeds are a
-// deterministic function of the scenario index.
-func Matrix() []Scenario {
-	engines := []struct {
-		name   string
-		method mpiio.Method
-	}{
-		{"core-nb", mpiio.DataSieve},
-		{"core-nb", mpiio.ListIO},
-		{"core-a2a", mpiio.DataSieve},
-		{"twophase", mpiio.DataSieve},
-	}
-	faults := []Fault{FaultTransient, FaultPartial, FaultRound1, FaultBrownout, FaultStorm, FaultGiveup}
-	var ms []Scenario
-	i := int64(0)
-	for _, e := range engines {
-		for _, write := range []bool{true, false} {
-			for _, f := range faults {
-				i++
-				ms = append(ms, Scenario{
-					Engine: e.name, Write: write, Method: e.method,
-					Fault: f, Seed: 1000 + i,
-				})
-			}
-		}
-	}
-	// Degraded-mode recovery: hard sieve faults, with and without the
-	// fallback, on both core exchange protocols.
-	for _, e := range []string{"core-nb", "core-a2a"} {
-		for _, degraded := range []bool{false, true} {
-			i++
-			ms = append(ms, Scenario{
-				Engine: e, Write: true, Method: mpiio.DataSieve,
-				Degraded: degraded, Fault: FaultSieveHard, Seed: 1000 + i,
-			})
-		}
-	}
-	// Pre-aggregation riding the storage-fault planes: the two-level
-	// exchange must keep agreement and integrity through retries, partial
-	// transfers, and hard round aborts on every engine and direction.
-	for _, e := range []string{"core-nb", "core-a2a", "twophase"} {
-		for _, write := range []bool{true, false} {
-			for _, f := range []Fault{FaultTransient, FaultPartial, FaultRound1} {
-				i++
-				ms = append(ms, Scenario{
-					Engine: e, Write: write, Method: mpiio.DataSieve,
-					Fault: f, Seed: 1000 + i, Preagg: true,
-				})
-			}
-		}
-	}
-	return ms
-}
-
-// Quick is the short-mode subset: one scenario per fault pattern.
-func Quick() []Scenario {
-	seen := map[Fault]bool{}
-	var qs []Scenario
-	for _, s := range Matrix() {
-		if !seen[s.Fault] {
-			seen[s.Fault] = true
-			qs = append(qs, s)
-		}
-	}
-	return qs
-}
-
-// Soak runs the scenarios, logging one line each via logf. Failing
-// scenarios export their Chrome trace into traceDir (when non-empty) as
-// <name>.trace.json; scenarios that aborted or violated an invariant
-// additionally dump their flight recorder as <name>.flight.json (the
-// canonical, byte-deterministic form — see TestFlightDumpDeterministic).
-// Every scenario writes <name>.report.txt, the ranked differential report
-// of the faulted run against a fault-free baseline of the same engine
-// configuration. It returns the number of invariant violations.
-func Soak(scenarios []Scenario, traceDir string, logf func(format string, args ...any)) int {
-	failures := 0
-	bl := baselines{}
-	for _, s := range scenarios {
-		out, err := s.Run()
-		status := "ok"
-		if err != nil {
-			failures++
-			status = "FAIL: " + err.Error()
-		}
-		var class string
-		var elapsed sim.Time
-		var injected, retries, resumes int64
-		if out != nil {
-			class = mpiio.ClassName(out.Class)
-			elapsed = out.Elapsed
-			injected = out.Injected
-			retries = out.Stats.Counter(stats.CRetries)
-			resumes = out.Stats.Counter(stats.CPartialResumes)
-		}
-		logf("%-44s class=%-9s inj=%-3d retry=%-3d resume=%-3d t=%8.3fms  %s",
-			s.Name(), class, injected, retries, resumes, float64(elapsed)*1e3, status)
-		if traceDir == "" || out == nil {
-			continue
-		}
-		if err != nil && out.Trace != nil {
-			path := traceDir + "/" + s.Name() + ".trace.json"
-			if werr := out.Trace.WriteChromeTraceFile(path); werr == nil {
-				logf("  trace written to %s", path)
-			}
-			path = traceDir + "/" + s.Name() + ".critpath.txt"
-			if werr := writeCritPathFile(out.Trace, path); werr == nil {
-				logf("  critical path written to %s", path)
-			}
-		}
-		if (err != nil || out.Class != mpiio.ClassOK) && out.Metrics != nil {
-			path := traceDir + "/" + s.Name() + ".flight.json"
-			if werr := writeFlightFile(out.Metrics, path); werr == nil {
-				logf("  flight recorder written to %s", path)
-			}
-			if out.Comm != nil {
-				path = traceDir + "/" + s.Name() + ".comm.json"
-				if werr := writeCommFile(out.Comm, path); werr == nil {
-					logf("  comm matrix written to %s", path)
-				}
-			}
-		}
-		if out.Metrics != nil {
-			path := traceDir + "/" + s.Name() + ".report.txt"
-			if werr := writeReportFile(bl.source(s), out.Metrics, s.Name(), path); werr == nil {
-				logf("  differential report written to %s", path)
-			}
-		}
-	}
-	return failures
-}
-
-// writeFlightFile dumps the canonical flight-recorder JSON to path.
-func writeFlightFile(met *metrics.Set, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := met.Dump(false).WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeCritPathFile writes the critical-path report computed from the
-// scenario trace to path.
-func writeCritPathFile(sink *trace.Sink, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(critpath.Analyze(sink).Format()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeCommFile dumps the comm matrix JSON (under the chaos node map) to
-// path.
-func writeCommFile(comm *mpi.CommMatrix, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := comm.WriteJSON(f, mpi.BlockNodeMap(nodeRanks)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// snapshot reads the world's books into the outcome.
+func (e *world) snapshot(out *Outcome) {
+	m := out.Recordings[0].Metrics.Merged()
+	out.Injected = e.rf.Injected() + e.sched.Injected() + e.seedFlips.Injected()
+	out.Stats = stats.Merge(e.w.Recorders()...)
+	out.Retries = out.Stats.Counter(stats.CRetries)
+	out.Resumes = out.Stats.Counter(stats.CPartialResumes)
+	out.DeadlineTrips = m.Counter(metrics.CDeadlineTrips)
+	out.Failovers = m.Counter(metrics.CFailovers)
+	out.Replayed = m.Counter(metrics.CRoundsReplayed)
+	out.Skipped = m.Counter(metrics.CRoundsSkipped)
+	out.Redelivered = m.Counter(metrics.CRedelivered)
+	out.WireMismatch = m.Counter(metrics.CIntegWireMismatch)
+	out.WireRepaired = m.Counter(metrics.CIntegWireRepaired)
+	out.AtRest = e.fs.IntegrityStats()
+	out.Elapsed = e.w.MaxClock()
 }

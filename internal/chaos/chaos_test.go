@@ -1,134 +1,125 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
-	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/stats"
 )
 
-// out0Dump parses a canonical dump back for structural assertions.
-func out0Dump(t *testing.T, b []byte) *metrics.Dump {
-	t.Helper()
-	var d metrics.Dump
-	if err := json.Unmarshal(b, &d); err != nil {
-		t.Fatalf("flight dump does not parse: %v", err)
-	}
-	return &d
-}
-
-// TestChaosMatrix runs the seeded scenario grid (the short-mode subset
-// covers one scenario per fault pattern) and asserts every robustness
-// invariant. On violation the scenario's Chrome trace is exported to
-// $CHAOS_TRACE_DIR when set, so CI can attach it as an artifact.
-func TestChaosMatrix(t *testing.T) {
-	scenarios := Matrix()
-	if testing.Short() {
-		scenarios = Quick()
-	}
-	traceDir := os.Getenv("CHAOS_TRACE_DIR")
-	for _, s := range scenarios {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			t.Parallel()
-			out, err := s.Run()
-			if err != nil {
-				if traceDir != "" && out != nil {
-					if out.Trace != nil {
-						path := traceDir + "/" + s.Name() + ".trace.json"
-						if werr := out.Trace.WriteChromeTraceFile(path); werr == nil {
-							t.Logf("chrome trace written to %s", path)
-						}
-					}
-					if out.Metrics != nil {
-						path := traceDir + "/" + s.Name() + ".flight.json"
-						if werr := writeFlightFile(out.Metrics, path); werr == nil {
-							t.Logf("flight recorder written to %s", path)
-						}
-					}
-				}
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestChaosDeterministic reruns a retry-heavy scenario and checks the fault
-// decisions and recovery work reproduce exactly. (Virtual elapsed time is
-// not compared: lock-revoke arrival order can wobble it within a round.)
-func TestChaosDeterministic(t *testing.T) {
-	s := Scenario{Engine: "core-nb", Write: true, Fault: FaultTransient, Seed: 7}
-	a, err := s.Run()
+// TestRankChaosJournalPaths pins the two recovery modes side by side: an
+// aggregator victim moves realms (fresh journal epoch, full replay) while
+// a pure-client victim keeps them (same epoch, committed rounds skipped).
+func TestRankChaosJournalPaths(t *testing.T) {
+	agg := Scenario{Engine: "core-nb", Write: true, Rank: RankCrashMid, Victim: 1, Seed: 21}
+	out, err := agg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run()
+	if out.PreRounds == 0 {
+		t.Error("aggregator victim: nothing journalled before the crash")
+	}
+	if out.Skipped != 0 {
+		t.Errorf("aggregator victim moved realms; resume must replay everything, skipped %d", out.Skipped)
+	}
+	if out.Replayed == 0 {
+		t.Error("aggregator victim: resume replayed nothing")
+	}
+
+	client := Scenario{Engine: "core-nb", Write: true, Rank: RankCrashMid, Victim: 3, CbNodes: 2, Seed: 22}
+	out, err = client.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Class != b.Class || a.Injected != b.Injected {
-		t.Errorf("outcome not deterministic: class %d/%d injected %d/%d",
-			a.Class, b.Class, a.Injected, b.Injected)
-	}
-	for _, c := range []string{stats.CRetries, stats.CPartialResumes, stats.CGiveups, stats.CFaultsInjected} {
-		if x, y := a.Stats.Counter(c), b.Stats.Counter(c); x != y {
-			t.Errorf("counter %q not deterministic: %d vs %d", c, x, y)
-		}
+	if out.Skipped == 0 {
+		t.Errorf("client victim kept realms; resume must skip the %d committed rounds", out.PreRounds)
 	}
 }
 
-// TestFlightDumpDeterministic: for a fixed chaos seed, the canonical
-// flight-recorder dump — the postmortem artifact Soak writes for aborted
-// scenarios — must be byte-identical across runs. This is what makes a CI
-// flight.json artifact directly diffable against a local reproduction.
-func TestFlightDumpDeterministic(t *testing.T) {
-	// A scenario that aborts: hard error confined to round 1, so the dump
-	// carries both round traffic and the abort context.
-	s := Scenario{Engine: "core-nb", Write: true, Method: mpiio.DataSieve, Fault: FaultRound1, Seed: 42}
-	dumps := make([][]byte, 2)
-	for i := range dumps {
-		out, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Class == mpiio.ClassOK {
-			t.Fatal("scenario unexpectedly succeeded; dump would carry no abort")
-		}
-		var buf bytes.Buffer
-		if err := out.Metrics.Dump(false).WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dumps[i] = buf.Bytes()
-	}
-	if !bytes.Equal(dumps[0], dumps[1]) {
-		t.Errorf("canonical flight dumps differ between identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			dumps[0], dumps[1])
-	}
-	d := out0Dump(t, dumps[0])
-	if d.Abort == nil {
-		t.Error("dump carries no abort context")
-	}
-
-	// The Soak file path produces the same bytes.
-	dir := t.TempDir()
+// TestRankChaosComposesStorageFaults pins two planes at once: the brownout
+// slows storage (visible in the stats) while the crash kills the rank, and
+// recovery still converges byte-identically.
+func TestRankChaosComposesStorageFaults(t *testing.T) {
+	s := Scenario{Engine: "core-nb", Write: true, Rank: RankCrashMid, Victim: 1, Storage: FaultBrownout, Seed: 41}
 	out, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "x.flight.json")
-	if err := writeFlightFile(out.Metrics, path); err != nil {
-		t.Fatal(err)
+	if out.Class != mpiio.ClassUnresponsive {
+		t.Errorf("abort class %s, want unresponsive", mpiio.ClassName(out.Class))
 	}
-	got, err := os.ReadFile(path)
+	if out.Stats.Counter(stats.CBrownoutServes) == 0 {
+		t.Error("brownout never served a slowed request")
+	}
+}
+
+// TestCorruptAbortHeals pins the full quarantine lifecycle on one
+// scenario: unrepairable at-rest damage aborts with the integrity class,
+// stays quarantined (never silently served), and a clean full rewrite
+// through the normal datapath heals the backlog to zero.
+func TestCorruptAbortHeals(t *testing.T) {
+	s := Scenario{Engine: "core-nb", Write: true, Corrupt: CorruptAtRest, Seed: 77}
+	out, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, dumps[0]) {
-		t.Error("Soak flight file differs from in-memory canonical dump")
+	if out.Class != mpiio.ClassIntegrity {
+		t.Fatalf("class = %s, want integrity", mpiio.ClassName(out.Class))
+	}
+	if !out.Healed {
+		t.Fatal("clean rewrite did not heal the quarantine")
+	}
+	if out.AtRest.Unrepaired == 0 {
+		t.Fatal("no unrepaired read recorded before the heal")
+	}
+}
+
+// TestRunRejectsBadRows: a table row is validated like a spec, so a bad
+// field is reported as what it is — not run under another engine, and not
+// as the invariant violation the misconfigured world would produce.
+func TestRunRejectsBadRows(t *testing.T) {
+	ok := Scenario{Engine: "core-nb", Write: true, Rank: RankCrashMid, Victim: 1, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*Scenario)
+		want string
+	}{
+		{"engine", func(s *Scenario) { *s = Scenario{Engine: "romio", Write: true, Storage: FaultTransient} }, `unknown engine "romio"`},
+		{"victim-negative", func(s *Scenario) { s.Victim = -1 }, "victim -1 out of range [0,4)"},
+		{"victim-high", func(s *Scenario) { s.Victim = 7 }, "victim 7 out of range [0,4)"},
+		{"cb-high", func(s *Scenario) { s.CbNodes = 9 }, "cb_nodes 9 out of range [0,4]"},
+		{"cb-negative", func(s *Scenario) { s.CbNodes = -3 }, "cb_nodes -3 out of range [0,4]"},
+		{"storage", func(s *Scenario) { s.Storage = "gremlins" }, `unknown storage fault "gremlins"`},
+		{"rank", func(s *Scenario) { s.Rank = "crash-brownout" }, `unknown rank fault "crash-brownout"`},
+		{"plane", func(s *Scenario) { s.Corrupt = "gamma-ray" }, `unknown corruption plane "gamma-ray"`},
+		{"method", func(s *Scenario) { s.Method = mpiio.IntegratedSieve }, `unknown method "integrated"`},
+		{"direction", func(s *Scenario) { s.Write = false }, "direction"},
+		{"stray-victim", func(s *Scenario) { s.Rank = "" }, "victim 1 without a rank fault"},
+		{"stray-budget", func(s *Scenario) { s.Repairable = true }, "repair budget without a corruption plane"},
+	} {
+		s := ok
+		tc.edit(&s)
+		out, err := s.Run()
+		if out != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run() = %v, %v; want no outcome and an error containing %q", tc.name, out, err, tc.want)
+		}
+	}
+}
+
+// TestSetupErrorVerbatim: when the world itself refuses the configuration
+// (here past validate, so Open sees the cb_nodes it rejects), Run returns
+// that error and no outcome, rather than the "no failed rank detected" the
+// dropped error used to end in.
+func TestSetupErrorVerbatim(t *testing.T) {
+	for _, s := range []Scenario{
+		{Engine: "core-nb", Write: true, Rank: RankCrashMid, Victim: 3, CbNodes: 9, Seed: 1},
+		{Engine: "twophase", Write: true, Storage: FaultTransient, CbNodes: 9, Seed: 1},
+		{Engine: "core-a2a", Corrupt: CorruptWire, Repairable: true, CbNodes: 9, Seed: 1},
+	} {
+		out, err := s.run()
+		if out != nil || err == nil || err.Error() != "mpiio: cb_nodes 9 out of range [0,4]" {
+			t.Errorf("%s: run() = %v, %v; want Open's error verbatim", s.Name(), out, err)
+		}
 	}
 }

@@ -10,14 +10,13 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
-	"flexio/internal/report"
 	"flexio/internal/sim"
 	"flexio/internal/tenant"
 )
 
-// Multi-tenant chaos: scenarios that host several tenants on one shared
-// file system through the tenant service and hurt one of them, asserting
-// that the service's protections hold:
+// Multi-tenant chaos: scripts that host several tenants on one shared file
+// system through the tenant service and hurt one of them, asserting that
+// the service's protections hold:
 //
 //   - Survivor integrity: tenants that were not targeted end the scenario
 //     with files byte-identical to a fault-free solo run.
@@ -28,9 +27,11 @@ import (
 //     ErrAdmissionRejected errors, and the counts in TenantStats match the
 //     exposition exactly.
 //
-// Scenarios are deterministic: jobs run inline in submission order, service
+// Scripts are deterministic: jobs run inline in submission order, service
 // time is logical ticks, and fault rules are scoped by file name so each
-// phase is a pure function of the submitted sequence.
+// phase is a pure function of the submitted sequence. They drive
+// tenant.Service rather than one world, so they stay scripts instead of
+// planes of Scenario; TenantScenario is a Cell like any other.
 
 // Tenant scenario kinds.
 const (
@@ -78,22 +79,15 @@ type TenantScenario struct {
 // Name is a stable identifier for logs, subtests, and artifact file names.
 func (s TenantScenario) Name() string { return "tenant-" + s.Kind + "-" + s.Engine }
 
-// TenantOutcome reports what one multi-tenant scenario observed.
-type TenantOutcome struct {
-	Scenario TenantScenario
-	// Stats is the final per-tenant accounting, registration order.
-	Stats []tenant.Stats
-	// Breakers is the final per-OST breaker status.
-	Breakers []tenant.BreakerStatus
-	// Findings is the tenant analyzer's verdict on the final usage.
-	Findings []analyze.Finding
-	// Prom is the parsed Prometheus exposition of the final state.
-	Prom map[string]float64
-	// Injected counts faults the schedule fired.
-	Injected int64
-	// Service is the live service, for artifact export.
-	Service *tenant.Service
-}
+// Family is the tenant table.
+func (s TenantScenario) Family() string { return "tenant" }
+
+// Fault is the interference pattern.
+func (s TenantScenario) Fault() string { return s.Kind }
+
+// Baseline is nil: a tenant script's report diffs its own first two tenants
+// (under interference, how the victim's run differs from its neighbor's).
+func (s TenantScenario) Baseline() Cell { return nil }
 
 // Access tiles. The noisy tile is several times the victim tile so
 // interference scenarios generate a byte-dominant tenant.
@@ -112,9 +106,9 @@ type tenantEnv struct {
 	sched *pfs.FaultSchedule
 }
 
-// sieveHardOn returns a rule failing file's sieve writes with hard errors:
-// the noisy tenant aborts (or degrades) while everyone else's files never
-// match.
+// sieveHardOn returns a rule failing file's sieve writes (every file's when
+// empty) with hard errors: scoped to the noisy tenant's file, that tenant
+// aborts (or degrades) while everyone else's files never match.
 func sieveHardOn(file string) pfs.Rule {
 	return pfs.Rule{Name: file, Kind: "write", Class: pfs.ClassIO,
 		Match: func(op pfs.Op) bool { return op.Sieve }}
@@ -202,7 +196,7 @@ func stat(stats []tenant.Stats, name string) tenant.Stats {
 // Run executes the scenario and checks its invariants. The returned error
 // is a violation (nil means the scenario behaved); the outcome is returned
 // even on violation so the caller can export artifacts.
-func (s TenantScenario) Run() (*TenantOutcome, error) {
+func (s TenantScenario) Run() (*Outcome, error) {
 	e, err := s.setup()
 	if err != nil {
 		return nil, err
@@ -238,26 +232,27 @@ func (s TenantScenario) Run() (*TenantOutcome, error) {
 	return out, e.checkAccounting(out)
 }
 
-// outcome snapshots the final service state, exposition, and analysis.
-func (e *tenantEnv) outcome() (*TenantOutcome, error) {
-	out := &TenantOutcome{
-		Scenario: e.s,
-		Stats:    e.svc.TenantStats(),
+// outcome snapshots the final service state, exposition, and analysis, and
+// every tenant's last traced job as a recording.
+func (e *tenantEnv) outcome() (*Outcome, error) {
+	out := &Outcome{
+		Name:     e.s.Name(),
+		Seed:     e.s.Seed,
+		Tenants:  e.svc.TenantStats(),
 		Breakers: e.svc.Breakers().Status(),
 		Injected: e.sched.Injected(),
-		Service:  e.svc,
 	}
-	var trips int64
-	for _, b := range out.Breakers {
-		trips += b.Trips
-	}
-	us := make([]analyze.TenantUsage, 0, len(out.Stats))
-	for _, st := range out.Stats {
+	tripped := trips(out.Breakers)
+	us := make([]analyze.TenantUsage, 0, len(out.Tenants))
+	for _, st := range out.Tenants {
 		us = append(us, analyze.TenantUsage{
 			Name: st.Name, Ops: st.Ops, Bytes: st.Bytes,
 			Shed: st.Shed(), Rejected: st.Rejected - st.Shed(),
-			Degraded: st.Degraded, Trips: trips,
+			Degraded: st.Degraded, Trips: tripped,
 		})
+		if met, sink := e.svc.LastArtifacts(st.Name); met != nil || sink != nil {
+			out.Recordings = append(out.Recordings, Recording{Label: st.Name, Trace: sink, Metrics: met})
+		}
 	}
 	out.Findings = analyze.TenantFindings(us)
 
@@ -276,8 +271,8 @@ func (e *tenantEnv) outcome() (*TenantOutcome, error) {
 // checkAccounting cross-checks the exposition against the stats and breaker
 // snapshots: every admission rejection and breaker trip the scenario
 // asserted on must also be visible to a Prometheus scrape.
-func (e *tenantEnv) checkAccounting(out *TenantOutcome) error {
-	for _, st := range out.Stats {
+func (e *tenantEnv) checkAccounting(out *Outcome) error {
+	for _, st := range out.Tenants {
 		key := fmt.Sprintf(`flexio_tenant_rejected_total{tenant=%q}`, st.Name)
 		if got := int64(out.Prom[key]); got != st.Rejected {
 			return fmt.Errorf("exposition %s = %d, stats say %d", key, got, st.Rejected)
@@ -294,11 +289,17 @@ func (e *tenantEnv) checkAccounting(out *TenantOutcome) error {
 
 // tripsTotal sums breaker trips right now.
 func (e *tenantEnv) tripsTotal() int64 {
-	var n int64
-	for _, b := range e.svc.Breakers().Status() {
-		n += b.Trips
+	return trips(e.svc.Breakers().Status())
+}
+
+// addNoisyAndVictim registers the unlimited pair most scripts host.
+func (e *tenantEnv) addNoisyAndVictim() error {
+	for _, name := range []string{"noisy", "victim"} {
+		if _, err := e.svc.AddTenant(name, tenant.Limits{}); err != nil {
+			return err
+		}
 	}
-	return n
+	return nil
 }
 
 // runErrorStorm: the noisy tenant's sieve writes fail hard. Its first job
@@ -306,10 +307,8 @@ func (e *tenantEnv) tripsTotal() int64 {
 // (degraded), the noisy tenant's retry degrades and completes, and a clean
 // probe closes the breaker.
 func (e *tenantEnv) runErrorStorm(readBack bool) error {
-	for _, name := range []string{"noisy", "victim"} {
-		if _, err := e.svc.AddTenant(name, tenant.Limits{}); err != nil {
-			return err
-		}
+	if err := e.addNoisyAndVictim(); err != nil {
+		return err
 	}
 	victimWrite := e.job("victim-write", "victim.dat", victimTile, true)
 	if readBack {
@@ -376,10 +375,8 @@ func (e *tenantEnv) runErrorStorm(readBack bool) error {
 // without failing anything. The slow/revoke counts must still trip a
 // breaker, and the victim must complete intact (degraded-routed).
 func (e *tenantEnv) runSlowNeighbor() error {
-	for _, name := range []string{"noisy", "victim"} {
-		if _, err := e.svc.AddTenant(name, tenant.Limits{}); err != nil {
-			return err
-		}
+	if err := e.addNoisyAndVictim(); err != nil {
+		return err
 	}
 	if err := e.svc.SubmitWait("noisy", e.job("noisy-write", "noisy.dat", noisyTile, true)); err != nil {
 		return fmt.Errorf("noisy job failed under %s (should only be slowed): %w", e.s.Kind, err)
@@ -563,10 +560,8 @@ func (e *tenantEnv) runFairShare() error {
 // runHalfOpen drives one breaker through the complete cycle and asserts
 // the state at every stage.
 func (e *tenantEnv) runHalfOpen() error {
-	for _, name := range []string{"noisy", "victim"} {
-		if _, err := e.svc.AddTenant(name, tenant.Limits{}); err != nil {
-			return err
-		}
+	if err := e.addNoisyAndVictim(); err != nil {
+		return err
 	}
 	if err := e.svc.SubmitWait("noisy", e.job("noisy-write", "noisy.dat", noisyTile, true)); err == nil {
 		return errors.New("noisy job survived a hard sieve fault storm")
@@ -674,9 +669,9 @@ func (e *tenantEnv) runInterferenceSoak() error {
 	return fmt.Errorf("analyzer missed the noisy neighbor (findings: %v)", out.Findings)
 }
 
-// TenantMatrix enumerates the multi-tenant scenario grid across the three
-// engines. Seeds are a deterministic function of the scenario index.
-func TenantMatrix() []TenantScenario {
+// tenantTable is the tenant family: the scripts across the engines the
+// tenant service runs.
+func tenantTable() []Cell {
 	grid := []struct {
 		kind    string
 		engines []string
@@ -691,104 +686,11 @@ func TenantMatrix() []TenantScenario {
 		{TKindHalfOpen, []string{"core-a2a"}},
 		{TKindInterferenceSoak, []string{"core-nb", "twophase"}},
 	}
-	var ms []TenantScenario
-	i := int64(0)
+	var cells []Cell
 	for _, g := range grid {
 		for _, eng := range g.engines {
-			i++
-			ms = append(ms, TenantScenario{Kind: g.kind, Engine: eng, Seed: 7000 + i})
+			cells = append(cells, TenantScenario{Kind: g.kind, Engine: eng, Seed: 7001 + int64(len(cells))})
 		}
 	}
-	return ms
-}
-
-// TenantQuick is the short-mode subset: one scenario per kind.
-func TenantQuick() []TenantScenario {
-	seen := map[string]bool{}
-	var qs []TenantScenario
-	for _, s := range TenantMatrix() {
-		if !seen[s.Kind] {
-			seen[s.Kind] = true
-			qs = append(qs, s)
-		}
-	}
-	return qs
-}
-
-// TenantSoak runs the scenarios, logging one line each. Every scenario
-// exports per-tenant artifacts into traceDir (when non-empty): the last
-// job's flight recorder as <scenario>.<tenant>.flight.json, its critical
-// path as <scenario>.<tenant>.critpath.txt, and a cross-tenant
-// differential report <scenario>.report.txt diffing the first two tenants'
-// last jobs (under interference scenarios, how the victim's run differs
-// from its neighbor's). It returns the number of invariant violations.
-func TenantSoak(scenarios []TenantScenario, traceDir string, logf func(format string, args ...any)) int {
-	failures := 0
-	for _, s := range scenarios {
-		out, err := s.Run()
-		status := "ok"
-		if err != nil {
-			failures++
-			status = "FAIL: " + err.Error()
-		}
-		var trips, rejected, degraded int64
-		if out != nil {
-			for _, b := range out.Breakers {
-				trips += b.Trips
-			}
-			for _, st := range out.Stats {
-				rejected += st.Rejected
-				degraded += st.Degraded
-			}
-		}
-		var inj int64
-		if out != nil {
-			inj = out.Injected
-		}
-		logf("%-38s inj=%-4d trips=%-2d rejected=%-3d degraded=%-3d findings=%-2d %s",
-			s.Name(), inj, trips, rejected, degraded, findingCount(out), status)
-		if traceDir == "" || out == nil || out.Service == nil {
-			continue
-		}
-		for _, st := range out.Stats {
-			met, sink := out.Service.LastArtifacts(st.Name)
-			if met != nil {
-				path := traceDir + "/" + s.Name() + "." + st.Name + ".flight.json"
-				if werr := writeFlightFile(met, path); werr == nil {
-					logf("  flight recorder written to %s", path)
-				}
-			}
-			if sink != nil {
-				path := traceDir + "/" + s.Name() + "." + st.Name + ".critpath.txt"
-				if werr := writeCritPathFile(sink, path); werr == nil {
-					logf("  critical path written to %s", path)
-				}
-			}
-		}
-		var pair []*report.Source
-		for _, st := range out.Stats {
-			if len(pair) == 2 {
-				break
-			}
-			if met, _ := out.Service.LastArtifacts(st.Name); met != nil {
-				if src, serr := report.FromSet(st.Name, met); serr == nil {
-					pair = append(pair, src)
-				}
-			}
-		}
-		if len(pair) == 2 {
-			path := traceDir + "/" + s.Name() + ".report.txt"
-			if werr := writeDiffFile(pair[0], pair[1], path); werr == nil {
-				logf("  cross-tenant report written to %s", path)
-			}
-		}
-	}
-	return failures
-}
-
-func findingCount(out *TenantOutcome) int {
-	if out == nil {
-		return 0
-	}
-	return len(out.Findings)
+	return cells
 }
