@@ -107,6 +107,12 @@ func main() {
 	}
 
 	if *chaosRun != "" {
+		if strings.HasPrefix(*chaosRun, "-") {
+			// -chaos takes a value, so "-chaos -chaostraces d" reads the next
+			// flag as the selection. No cell, family or spec begins with a dash.
+			fmt.Fprintf(os.Stderr, "chaos: %q looks like a flag, not a selection: -chaos wants all, a family, a regexp or a spec\n", *chaosRun)
+			os.Exit(2)
+		}
 		cells, err := chaos.Select(*chaosRun)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)

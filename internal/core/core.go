@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"flexio/internal/datatype"
@@ -135,29 +134,30 @@ type Options struct {
 }
 
 // Impl implements mpiio.Collective. One Impl is shared by every rank
-// goroutine of a world; the memo cache is locked, and mutable per-call
-// scratch is segregated per rank. Because scratch is keyed by rank index,
-// a single Impl must not serve two concurrently running worlds — give
-// each simulation its own engine instance (the global buffer pools are
-// still shared).
+// goroutine of a world; what a rank keeps across calls (layout memo, scratch)
+// is segregated per rank, and only the realm assignment is shared. Because
+// that state is keyed by rank index, an Impl must not serve two concurrently
+// running worlds: give each simulation its own (buffer pools stay shared).
 type Impl struct {
-	o    Options
-	exec Executor
-	memo memoCache
+	o      Options
+	exec   Executor
+	assign assignCache
 
 	scratch RankTable[rankScratch]
 }
 
-// rankScratch is one rank's reusable working memory across collective
-// calls: the planner's below, the executor's in RoundScratch.
+// rankScratch is one rank's state across collective calls: its layout memo
+// and reusable working memory, the planner's below, the executor's embedded.
 type rankScratch struct {
 	RoundScratch
+	clients    Memo[clientKey, clientEntry]
+	aggs       Memo[aggKey, aggEntry]
 	bounds     []int64
 	msgs       [][]byte
 	miss       PlanScratch
 	realmDisps []int64
 	// Node-local pre-aggregation working set (see preagg.go).
-	pre        preaggState
+	pre        PreaggState
 	preBufs    [][]byte
 	mergedSegs []datatype.Seg
 	leaders    []bool
@@ -176,14 +176,7 @@ type PlanScratch struct {
 	ac, rc datatype.Cursor
 	pieces []datatype.Piece // one intersection's output
 
-	// Client side: every aggregator's grouped rounds, before the entry's
-	// arenas are cut to size; cuts holds (len(runs), len(rounds)) after each
-	// aggregator (and, in turn, the aggregator side's (len(segs), len(peers))
-	// after each round).
-	runs   []streamRun
-	rounds []roundSpan
-	cuts   []int
-	// HeapMerge: one realm cursor and one piece list per aggregator.
+	// Client side, HeapMerge: one realm cursor and one piece list per aggregator.
 	heap   realmHeap
 	rcs    []datatype.Cursor
 	rcPtrs []*datatype.Cursor
@@ -193,8 +186,8 @@ type PlanScratch struct {
 	// every client's pieces as file segments in client order with the round
 	// of each, client c's ending at ends[c]; next[c] walks them round by
 	// round. merger, clientRuns and roundSegs serve one round's merge; segs
-	// and peers collect all rounds' results before the entry's blocks are
-	// cut to size.
+	// and peers collect all rounds' results, (len(segs), len(peers)) in cuts
+	// after each, before the plans' blocks are filled at their exact size.
 	flats      []datatype.Flat
 	reqSegs    []datatype.Seg
 	fileSegs   []datatype.Seg
@@ -205,6 +198,7 @@ type PlanScratch struct {
 	roundSegs  []datatype.Seg
 	segs       []datatype.Seg
 	peers      []PeerBytes
+	cuts       []int
 }
 
 // Sized returns s truncated or grown to n zeroed entries, reusing capacity:
@@ -253,19 +247,23 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// RoundPieces is what one client exchanges with one aggregator, grouped by
+// PieceLists is what one client exchanges with every aggregator, grouped by
 // two-phase round (client side; the aggregator keeps a RoundPlan instead).
-// Only the stream side of a piece matters once the rounds are formed, so
-// the pieces are kept as ranges of the client's data stream.
-type RoundPieces struct {
-	// runs lists every round's pieces in the order the payload travels
-	// (file-offset order), neighbours that are adjacent in the stream
-	// merged into one range: both ends consume payloads by byte count, so
-	// a range is one view however many pieces it covers.
+// Only the stream side of a piece matters once the rounds are formed, so the
+// pieces are kept as ranges of the client's data stream. The blocks keep
+// their memory from one filling (Start, then Add per aggregator) to the next.
+type PieceLists struct {
+	// runs lists every aggregator's, and within it every round's, pieces in
+	// the order the payload travels (file-offset order), neighbours that are
+	// adjacent in the stream merged into one range: both ends consume payloads
+	// by byte count, so a range is one view however many pieces it covers.
 	runs []streamRun
-	// rounds[r] locates round r's runs and carries their byte count;
+	// rounds locates each round's runs and carries their byte count, for
+	// aggregator a the rounds up to its last in rounds[ends[a-1]:ends[a]];
 	// rounds the access skips are zero.
 	rounds []roundSpan
+	ends   []int
+	naggs  int
 }
 
 // streamRun is a contiguous range of a client's linear data stream.
@@ -276,13 +274,17 @@ type roundSpan struct {
 	bytes      int64
 }
 
-// groupRounds forms the rounds of one aggregator's pieces, which the
-// intersection emitted with non-decreasing rounds, appending the stream runs
-// to runs and one roundSpan per round up to the last to rounds (spans index
-// the runs appended here, from zero). It may reorder ps and keeps no
-// reference to it: all three slices are the caller's scratch.
-func groupRounds(ps []datatype.Piece, runs []streamRun, rounds []roundSpan) ([]streamRun, []roundSpan) {
-	base, rbase := len(runs), len(rounds)
+// Start empties the lists of naggs aggregators; Add fills them in rank order.
+func (pl *PieceLists) Start(naggs int) {
+	pl.runs, pl.rounds, pl.ends, pl.naggs = pl.runs[:0], pl.rounds[:0], pl.ends[:0], naggs
+}
+
+// Add forms the rounds of the pieces this client exchanges with the next
+// aggregator: its access intersected with that aggregator's realm, which the
+// intersection emitted with non-decreasing rounds. It may reorder ps and keeps
+// no reference to it.
+func (pl *PieceLists) Add(ps []datatype.Piece) {
+	runs, rbase := pl.runs, len(pl.rounds)
 	for k := 0; k < len(ps); {
 		r := ps[k].Round
 		end := k
@@ -296,76 +298,45 @@ func groupRounds(ps []datatype.Piece, runs []streamRun, rounds []roundSpan) ([]s
 			// must walk the same sequence.
 			slices.SortStableFunc(ps[k:end], func(x, y datatype.Piece) int { return cmp.Compare(x.File.Off, y.File.Off) })
 		}
-		for len(rounds)-rbase < r {
-			rounds = append(rounds, roundSpan{}) // a round the access skips
+		for len(pl.rounds)-rbase < r {
+			pl.rounds = append(pl.rounds, roundSpan{}) // a round the access skips
 		}
-		sp := roundSpan{first: len(runs) - base}
+		sp := roundSpan{first: len(runs)}
 		for ; k < end; k++ {
 			pc := ps[k]
 			sp.bytes += pc.File.Len
-			if n := len(runs); n > base+sp.first && runs[n-1].at+runs[n-1].n == pc.AStream {
+			if n := len(runs); n > sp.first && runs[n-1].at+runs[n-1].n == pc.AStream {
 				runs[n-1].n += pc.File.Len
 			} else {
 				runs = append(runs, streamRun{at: pc.AStream, n: pc.File.Len})
 			}
 		}
-		sp.end = len(runs) - base
-		rounds = append(rounds, sp)
+		sp.end = len(runs)
+		pl.rounds = append(pl.rounds, sp)
 	}
-	return runs, rounds
+	pl.runs, pl.ends = runs, append(pl.ends, len(pl.rounds))
 }
 
-func (rp *RoundPieces) of(r int) []streamRun {
-	if r >= len(rp.rounds) {
-		return nil
+// span is round r of aggregator a, zero where it exchanges nothing.
+func (pl *PieceLists) span(a, r int) roundSpan {
+	if a >= len(pl.ends) {
+		return roundSpan{}
 	}
-	return rp.runs[rp.rounds[r].first:rp.rounds[r].end]
-}
-
-func (rp *RoundPieces) bytes(r int) int64 {
-	if r >= len(rp.rounds) {
-		return 0
+	if a > 0 {
+		r += pl.ends[a-1]
 	}
-	return rp.rounds[r].bytes
-}
-
-// sealPieces cuts a client entry's piece lists out of scratch: every
-// aggregator's runs in one block and rounds in another, each at its exact
-// size, with cuts as groupRounds' caller recorded them.
-func sealPieces(runs []streamRun, rounds []roundSpan, cuts []int) []RoundPieces {
-	runs, rounds = slices.Clone(runs), slices.Clone(rounds)
-	out := make([]RoundPieces, len(cuts)/2)
-	var r0, s0 int
-	for a := range out {
-		r1, s1 := cuts[2*a], cuts[2*a+1]
-		out[a] = RoundPieces{runs: runs[r0:r1:r1], rounds: rounds[s0:s1:s1]}
-		r0, s0 = r1, s1
+	if r >= pl.ends[a] {
+		return roundSpan{}
 	}
-	return out
+	return pl.rounds[r]
 }
 
-// A planner forms a client's piece lists with three calls: StartClient, then
-// AddAggregator with the pieces of each aggregator in rank order, then
-// ClientPieces.
-
-// StartClient begins the piece lists of one client.
-func (ms *PlanScratch) StartClient() {
-	ms.runs, ms.rounds, ms.cuts = ms.runs[:0], ms.rounds[:0], ms.cuts[:0]
+func (pl *PieceLists) of(a, r int) []streamRun {
+	sp := pl.span(a, r)
+	return pl.runs[sp.first:sp.end]
 }
 
-// AddAggregator groups into rounds the pieces this client exchanges with the
-// next aggregator: its access intersected with that aggregator's realm,
-// rounds non-decreasing. It may reorder ps and keeps no reference to it.
-func (ms *PlanScratch) AddAggregator(ps []datatype.Piece) {
-	ms.runs, ms.rounds = groupRounds(ps, ms.runs, ms.rounds)
-	ms.cuts = append(ms.cuts, len(ms.runs), len(ms.rounds))
-}
-
-// ClientPieces returns the lists added since StartClient, one per aggregator,
-// cut to size out of the scratch: they are the caller's to keep.
-func (ms *PlanScratch) ClientPieces() []RoundPieces {
-	return sealPieces(ms.runs, ms.rounds, ms.cuts)
-}
+func (pl *PieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	// A write's stream is the user's bytes in stream order — the caller's
@@ -410,7 +381,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		naggs = p.Size()
 	}
 	amAgg := p.Rank() < naggs
-	scr := i.scratch.For(p.Rank())
+	scr := i.scratch.For(p.Rank(), p.Size())
 
 	// --- Describe the access succinctly. ---
 	view := f.View()
@@ -437,10 +408,11 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- File realms. ---
-	realms, err := i.realms(f, naggs, spreadActive, aarSt, aarEn, dataLen)
+	asg, err := i.realms(f, naggs, spreadActive, aarSt, aarEn, dataLen)
 	if err != nil {
 		return err
 	}
+	realms, sig := asg.Realms, asg.Sig
 	if i.o.Validate {
 		if err := realm.Coverage(realms, aarSt, aarEn); err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -470,7 +442,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 
 	// --- Node-local pre-aggregation: leaders absorb their co-residents'
 	// accesses and streams, members fall silent for the rest of the call.
-	var pre *preaggState
+	var pre *PreaggState
 	if i.o.Preagg {
 		myFlat, pre = i.preaggExchange(f, scr, cs, myFlat, dataLen, write)
 	}
@@ -480,7 +452,6 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// On a hit, the request encoding and intersections are reused and the
 	// ChargePairs sequence the miss path would issue is replayed verbatim,
 	// so virtual time and stats are unaffected.
-	sig := realmSignature(realms)
 	if i.o.Journal != nil {
 		if write {
 			// Open (or re-open) the write journal under this realm
@@ -500,22 +471,22 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			}
 		}
 	}
-	ck := clientKey{rank: p.Rank(), ft: view.Filetype, disp: view.Disp,
+	ck := clientKey{ft: view.Filetype, disp: view.Disp,
 		dataLen: dataLen, cb: cb, naggs: naggs, sig: sig}
 	if pre != nil {
 		ck.pre = pre.pre
 	}
-	ce := i.memo.clients.Get(ck)
+	ce := scr.clients.Get(ck)
 	clientHit := ce != nil
 	NoteMemo(p, "client", clientHit)
 	if !clientHit {
-		ce = &clientEntry{}
+		ce = scr.clients.Evict()
 		if i.o.TreeRequests && pre == nil {
 			// A merged access has no constructor tree; pre-aggregated
 			// requests always travel in flattened form.
 			ce.enc = encodeTreeRequest(view.Filetype, myFlat.Disp, myFlat.Count, myFlat.Limit)
 		} else {
-			ce.enc = myFlat.Encode()
+			ce.enc = myFlat.AppendEncode(ce.enc[:0])
 		}
 	}
 
@@ -525,7 +496,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// keyed by a hash of the bytes actually received. ---
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	if pre == nil || pre.plan.Leads(p.Rank()) {
+	if pre == nil || pre.Plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
 			p.Stats.Add(stats.CReqBytes, int64(len(ce.enc)))
 			p.Send(a, tagFlat, ce.enc)
@@ -556,15 +527,15 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			scr.msgs[c] = msg
 			h = HashBytes(h, msg)
 		}
-		ak = aggKey{rank: p.Rank(), req: h, cb: cb, naggs: naggs, sig: sig}
-		ae = i.memo.aggs.Get(ak)
+		ak = aggKey{req: h, cb: cb, naggs: naggs, sig: sig}
+		ae = scr.aggs.Get(ak)
 		aggHit = ae != nil
 		NoteMemo(p, "agg", aggHit)
 		if !aggHit {
 			var expand int64
 			flats, expand, reqErr = i.decodeRequests(&scr.miss, scr.msgs, pre == nil)
-			ae = &aggEntry{charges: make([]int64, 1, 1+len(flats))}
-			ae.charges[0] = expand
+			ae = scr.aggs.Evict()
+			ae.charges = append(ae.charges[:0], expand)
 		}
 		f.ChargePairs(ae.charges[0]) // tree expansion, replayed on a hit
 	}
@@ -578,17 +549,16 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		scr.miss = PlanScratch{} // nothing to plan: see PlanScratch
 	}
 	if !clientHit {
+		ce.pieces.Start(naggs)
+		ce.charges = ce.charges[:0]
 		if dataLen > 0 {
-			ce.pieces, ce.charges = i.clientPieces(&scr.miss, myFlat, realms, cb)
-		} else {
-			ce.pieces = make([]RoundPieces, naggs)
+			i.clientPieces(&scr.miss, ce, myFlat, realms, cb)
 		}
-		i.memo.clients.Put(ck, ce)
+		scr.clients.Keep(ck)
 	}
 	for _, n := range ce.charges {
 		f.ChargePairs(n)
 	}
-	myPieces := ce.pieces
 
 	// --- Aggregator-side intersection: every client's filetype against
 	// my realm, merged into one plan per round. ---
@@ -596,12 +566,12 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	var planErr error
 	if amAgg {
 		if !aggHit {
-			ae.rounds, ae.charges = BuildPlans(&scr.miss, flats, realms[p.Rank()], cb, ae.charges)
+			ae.charges = ae.Build(&scr.miss, flats, realms[p.Rank()], cb, ae.charges)
 			// A failure-degraded request set (stand-ins for dead or
 			// undecodable senders above) must not poison the cache for
-			// later healthy collectives.
+			// later healthy collectives: it goes without a key.
 			if p.PeerFailure() == nil && reqErr == nil {
-				i.memo.aggs.Put(ak, ae)
+				scr.aggs.Keep(ak)
 			}
 			planErr = reqErr
 		} else if i.o.Validate {
@@ -610,7 +580,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		for _, n := range ae.charges[1:] {
 			f.ChargePairs(n)
 		}
-		myRounds = len(ae.rounds)
+		myRounds = len(ae.Rounds)
 	}
 
 	ntimes := int(p.AllreduceMaxInt64(int64(myRounds)))
@@ -656,16 +626,16 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Execution: everything above was planning. ---
-	plan := Plan{Pieces: myPieces, Rounds: ntimes, Method: method, Err: planErr}
+	plan := Plan{Pieces: &ce.pieces, Rounds: ntimes, Method: method, Err: planErr}
 	if amAgg {
-		plan.Agg = ae
+		plan.Agg = &ae.AggPlans
 	}
-	if pre != nil && pre.err != nil {
-		plan.Err = pre.err
+	if pre != nil && pre.Err != nil {
+		plan.Err = pre.Err
 	}
 	err = i.exec.Rounds(f, &scr.RoundScratch, cs.B, &plan, write)
 	if !write && pre != nil {
-		err = i.preaggScatter(f, scr, cs, pre, dataLen, err)
+		err = pre.Scatter(f, cs, dataLen, err)
 	}
 	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
 }
@@ -704,8 +674,10 @@ func NoteMemo(p *mpi.Proc, side string, hit bool) {
 	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", result))
 }
 
-// realms resolves the file realm set, honouring persistence.
-func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, dataLen int64) ([]realm.Realm, error) {
+// realms resolves the file realm set: the one persisted with the file, the
+// one the engine's cache holds (see assignCache), or a new assignment, which
+// an assigner that reads the gathered accesses is asked for every time.
+func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, dataLen int64) (*realm.Assignment, error) {
 	if i.o.Persistent {
 		// A resume must not honour realms persisted before the failure:
 		// they still route file regions through the dead aggregator. The
@@ -713,48 +685,56 @@ func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, data
 		if prev := f.PFR(); prev != nil && !i.o.Journal.Resuming() {
 			return prev, nil
 		}
-	}
-	ctx := realm.Context{
-		NAggs:  naggs,
-		Start:  aarSt,
-		End:    aarEn,
-		Align:  i.o.Align,
-		NodeOf: f.Proc().Node,
-	}
-	if i.o.Persistent {
 		// PFRs designate assignments for the entire file, anchored at
 		// byte zero.
-		ctx.Start = 0
-		if sz := f.FS().Size(f.Name()); sz > ctx.End {
-			ctx.End = sz
+		aarSt = 0
+		if sz := f.FS().Size(f.Name()); sz > aarEn {
+			aarEn = sz
 		}
 	}
-	if i.o.Assigner.NeedsSegs() {
-		var err error
-		if ctx.AllSegs, ctx.RankSegs, err = i.gatherAllSegs(f, dataLen); err != nil {
-			return nil, err
+	key := assignKey{world: f.Proc().World(), naggs: naggs, spread: spreadActive, start: aarSt, end: aarEn}
+	shared := !i.o.Assigner.NeedsSegs()
+	var asg *realm.Assignment
+	if shared {
+		i.assign.mu.Lock()
+		defer i.assign.mu.Unlock()
+		if i.assign.key == key { // never the zero key: it names a world
+			asg = i.assign.val
 		}
 	}
-	assigner := i.o.Assigner
-	if spreadActive > 0 {
-		// Spread nests inside Failover: dead slots drop out first, then
-		// the spread picks among the survivors, so a resume never routes
-		// a realm through a dead rank.
-		if fo, ok := assigner.(realm.Failover); ok {
-			fo.Base = realm.Spread{Base: fo.Base, Active: spreadActive}
-			assigner = fo
-		} else {
-			assigner = realm.Spread{Base: assigner, Active: spreadActive}
+	if asg == nil {
+		ctx := realm.Context{NAggs: naggs, Start: aarSt, End: aarEn, Align: i.o.Align, NodeOf: f.Proc().Node}
+		if !shared {
+			var err error
+			if ctx.AllSegs, ctx.RankSegs, err = i.gatherAllSegs(f, dataLen); err != nil {
+				return nil, err
+			}
 		}
-	}
-	realms, err := assigner.Assign(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: realm assignment: %w", err)
+		assigner := i.o.Assigner
+		if spreadActive > 0 {
+			// Spread nests inside Failover: dead slots drop out first, then
+			// the spread picks among the survivors, so a resume never routes
+			// a realm through a dead rank.
+			if fo, ok := assigner.(realm.Failover); ok {
+				fo.Base = realm.Spread{Base: fo.Base, Active: spreadActive}
+				assigner = fo
+			} else {
+				assigner = realm.Spread{Base: assigner, Active: spreadActive}
+			}
+		}
+		realms, err := assigner.Assign(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("core: realm assignment: %w", err)
+		}
+		asg = &realm.Assignment{Realms: realms, Sig: realmSignature(realms)}
+		if shared {
+			i.assign.key, i.assign.val = key, asg
+		}
 	}
 	if i.o.Persistent {
-		f.SetPFR(realms)
+		f.SetPFR(asg)
 	}
-	return realms, nil
+	return asg, nil
 }
 
 // gatherAllSegs builds the combined flattened access of every rank — the
@@ -803,16 +783,13 @@ func mergeAccessLists(all [][]byte) (union []datatype.Seg, perRank [][]datatype.
 	return union, perRank, pairs, nil
 }
 
-// clientPieces intersects this rank's access with every realm and returns
-// the per-aggregator piece lists, cut to size out of scratch, with the pair
-// charges the caller issues.
-func (i *Impl) clientPieces(ms *PlanScratch, myFlat datatype.Flat, realms []realm.Realm, cb int64) ([]RoundPieces, []int64) {
+// clientPieces intersects this rank's access with every realm into ce's
+// piece lists and the pair charges the caller issues.
+func (i *Impl) clientPieces(ms *PlanScratch, ce *clientEntry, myFlat datatype.Flat, realms []realm.Realm, cb int64) {
 	if err := myFlat.CursorInto(&ms.ac); err != nil {
 		panic(fmt.Sprintf("core: own access: %v", err)) // built from a validated filetype
 	}
 	naggs := len(realms)
-	ms.StartClient()
-	var charges []int64
 	if i.o.HeapMerge {
 		// Not Sized(): the entries keep their tables and capacity.
 		ms.rcs, ms.perAgg = slices.Grow(ms.rcs[:0], naggs)[:naggs], slices.Grow(ms.perAgg[:0], naggs)[:naggs]
@@ -825,23 +802,21 @@ func (i *Impl) clientPieces(ms *PlanScratch, myFlat datatype.Flat, realms []real
 		work := heapMerge(&ms.heap, &ms.ac, ms.rcPtrs, cb, ms.perAgg) + ms.ac.Work()
 		for a := range ms.rcs {
 			work += ms.rcs[a].Work()
-			ms.AddAggregator(ms.perAgg[a])
+			ce.pieces.Add(ms.perAgg[a])
 		}
-		charges = []int64{work}
-	} else {
-		// The paper's base client algorithm: one pass over the access per
-		// aggregator — O(M·A) for enumerated filetypes, near O(M) for
-		// succinct ones thanks to instance skipping.
-		charges = make([]int64, naggs)
-		for a := range realms {
-			ms.ac.Reset()
-			realms[a].CursorInto(&ms.rc)
-			ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
-			charges[a] = ms.ac.Work() + ms.rc.Work()
-			ms.AddAggregator(ms.pieces)
-		}
+		ce.charges = append(ce.charges, work)
+		return
 	}
-	return ms.ClientPieces(), charges
+	// The paper's base client algorithm: one pass over the access per
+	// aggregator — O(M·A) for enumerated filetypes, near O(M) for
+	// succinct ones thanks to instance skipping.
+	for a := range realms {
+		ms.ac.Reset()
+		realms[a].CursorInto(&ms.rc)
+		ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
+		ce.charges = append(ce.charges, ms.ac.Work()+ms.rc.Work())
+		ce.pieces.Add(ms.pieces)
+	}
 }
 
 // noAccess is the request of a rank that takes no part: dead, unresponsive,
@@ -899,14 +874,37 @@ type PeerBytes struct {
 	Bytes  int64
 }
 
-// BuildPlans intersects every client's access with this aggregator's realm
-// and merges the pieces round by round, returning one plan per round up to the
-// last the realm has data in, and charges extended by each client's pair work
-// (which the caller issues, or ignores when its model charges otherwise). The
-// flats must have been validated (DecodeFlat, DecodeSegs). The work happens in
-// ms; what is returned is allocated once the sizes are known: one block each
-// for all rounds' order, segs and peers.
-func BuildPlans(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64, charges []int64) ([]RoundPlan, []int64) {
+// AggPlans is an aggregator's merged rounds, up to the last its realm has data
+// in, and the blocks they are cut from, which Build truncates and refills.
+type AggPlans struct {
+	Rounds []RoundPlan
+	order  []datatype.RunItem
+	segs   []datatype.Seg
+	peers  []PeerBytes
+}
+
+// Round implements AggRounds: an aggregator whose realm runs out before the
+// collective's last round gets the empty plan.
+func (ap *AggPlans) Round(r int) *RoundPlan {
+	if r >= len(ap.Rounds) {
+		return &noRound
+	}
+	return &ap.Rounds[r]
+}
+
+// equal reports whether two builds planned the same rounds.
+func (ap *AggPlans) equal(o *AggPlans) bool {
+	return slices.EqualFunc(ap.Rounds, o.Rounds, func(x, y RoundPlan) bool {
+		return x.Total == y.Total && slices.Equal(x.Order, y.Order) && slices.Equal(x.Segs, y.Segs) && slices.Equal(x.Peers, y.Peers)
+	})
+}
+
+// Build intersects every client's access with this aggregator's realm and
+// merges the pieces round by round into ap, replacing what it held, and
+// returns charges extended by each client's pair work (which the caller
+// issues, or ignores when its model charges otherwise). The flats must have
+// been validated (DecodeFlat, DecodeSegs). The work happens in ms.
+func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64, charges []int64) []int64 {
 	// Every client's pieces, as file segments with the round of each.
 	ms.fileSegs, ms.pieceRound, ms.ends = ms.fileSegs[:0], ms.pieceRound[:0], ms.ends[:0]
 	nrounds := 0
@@ -934,8 +932,8 @@ func BuildPlans(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64
 	ms.next = append(ms.next, ms.ends[:len(ms.ends)-1]...)
 	ms.clientRuns = Sized(ms.clientRuns, len(flats))
 	ms.segs, ms.peers, ms.cuts = ms.segs[:0], ms.peers[:0], ms.cuts[:0]
-	order := make([]datatype.RunItem, 0, len(ms.fileSegs)) // shared by all rounds
-	rounds := make([]RoundPlan, nrounds)
+	order := slices.Grow(ap.order[:0], len(ms.fileSegs)) // shared by all rounds
+	rounds := Sized(ap.Rounds, nrounds)
 	for r := range rounds {
 		rp := &rounds[r]
 		for c := range flats {
@@ -955,14 +953,15 @@ func BuildPlans(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64
 		ms.segs = append(ms.segs, ms.roundSegs...)
 		ms.cuts = append(ms.cuts, len(ms.segs), len(ms.peers))
 	}
-	segs, peers := slices.Clone(ms.segs), slices.Clone(ms.peers)
+	segs, peers := append(ap.segs[:0], ms.segs...), append(ap.peers[:0], ms.peers...)
 	var s0, p0 int
 	for r := range rounds {
 		s1, p1 := ms.cuts[2*r], ms.cuts[2*r+1]
 		rounds[r].Segs, rounds[r].Peers = segs[s0:s1:s1], peers[p0:p1:p1]
 		s0, p0 = s1, p1
 	}
-	return rounds, charges
+	ap.Rounds, ap.order, ap.segs, ap.peers = rounds, order, segs, peers
+	return charges
 }
 
 // checkPlans is the Validate cross-check of a memo hit: the plans are
@@ -974,9 +973,9 @@ func (i *Impl) checkPlans(ms *PlanScratch, msgs [][]byte, ae *aggEntry, rm realm
 	if err != nil {
 		return err
 	}
-	fresh := &aggEntry{}
-	fresh.rounds, fresh.charges = BuildPlans(ms, flats, rm, cb, []int64{expand})
-	if !reflect.DeepEqual(fresh, ae) {
+	var fresh aggEntry
+	fresh.charges = fresh.Build(ms, flats, rm, cb, []int64{expand})
+	if !fresh.equal(&ae.AggPlans) || !slices.Equal(fresh.charges, ae.charges) {
 		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
 	}
 	return nil

@@ -35,10 +35,10 @@ type Executor struct {
 
 // Plan is one rank's part of a planned collective call.
 type Plan struct {
-	Pieces []RoundPieces // what this rank exchanges with each aggregator
-	Agg    AggRounds     // this rank's aggregator side; nil if it has none
-	Rounds int           // how many rounds every rank walks
-	Method mpiio.Method  // moves a collective buffer to and from storage
+	Pieces *PieceLists  // what this rank exchanges with each aggregator
+	Agg    AggRounds    // this rank's aggregator side; nil if it has none
+	Rounds int          // how many rounds every rank walks
+	Method mpiio.Method // moves a collective buffer to and from storage
 	// Err is a planning failure only this rank knows of (a request it could
 	// not decode, a pre-aggregation member it lost). It seeds the first
 	// round's agreement, so every rank aborts before a byte is written.
@@ -58,8 +58,8 @@ var noRound RoundPlan // read-only
 
 // sendBytes is what this rank exchanges with the aggregators in round r.
 func (pl *Plan) sendBytes(r int) (n int64) {
-	for a := range pl.Pieces {
-		n += pl.Pieces[a].bytes(r)
+	for a := 0; a < pl.Pieces.naggs; a++ {
+		n += pl.Pieces.bytes(a, r)
 	}
 	return n
 }
@@ -97,6 +97,10 @@ func (x *Executor) Rounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *P
 // leaves all ranks synchronized, journal retirement, and a read's unpack into
 // the user buffer. err is the rounds' outcome, uniform across ranks.
 func (x *Executor) Finish(f *mpiio.File, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
+	if err != nil {
+		// Nothing of an aborted call may meet the next one's receives.
+		f.Proc().DropUndelivered()
+	}
 	// Synchronize before reporting: a rank that hit a local I/O error
 	// must still complete the collective (its peers are in the barrier).
 	f.Proc().Barrier()
@@ -169,15 +173,17 @@ func (rp *RoundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) ([]b
 
 // pieceViews appends one view of the stream per round-r run of pieces: the
 // iovec both transports carry by reference, with no client-side copy.
-func pieceViews(dst [][]byte, stream []byte, rp *RoundPieces, r int) [][]byte {
-	for _, run := range rp.of(r) {
+func pieceViews(dst [][]byte, stream []byte, pl *PieceLists, a, r int) [][]byte {
+	for _, run := range pl.of(a, r) {
 		dst = append(dst, stream[run.at:run.at+run.n])
 	}
 	return dst
 }
 
-// roundIov returns the scratch iovec table truncated to one empty
-// per-rank slot, reusing the inner slices' capacity.
+// roundIov returns the scratch iovec table truncated to size empty slots,
+// reusing the inner slices' capacity: one per aggregator under the
+// point-to-point exchanges (a slot per rank is O(P) on every rank every
+// round), one per rank for the collective exchange.
 func (scr *RoundScratch) roundIov(size int) [][][]byte {
 	if cap(scr.iov) < size {
 		scr.iov = make([][][]byte, size)
@@ -192,11 +198,15 @@ func (scr *RoundScratch) roundIov(size int) [][][]byte {
 
 func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
 	p := f.Proc()
-	amAgg, naggs, ntimes, method := pl.Agg != nil, len(pl.Pieces), pl.Rounds, pl.Method
+	amAgg, naggs, ntimes, method := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds, pl.Method
 	// Only the nonblocking strategy overlaps a round's file I/O with the next
 	// round's exchange, and only it models the pack of each message and the
 	// unpack into the collective buffer as copies.
 	pipelined := x.Comm == Nonblocking
+	slots := naggs
+	if x.Comm == Alltoallw {
+		slots = p.Size()
+	}
 
 	// Pending I/O from the previous round (nonblocking pipeline). On an
 	// I/O error the rank keeps participating in the round's exchange
@@ -271,9 +281,9 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 		// are dead before this rank reuses the iovec table or recycles the
 		// stream, because the aggregators gather them before the round's
 		// closing AgreeError.
-		send := scr.roundIov(p.Size())
+		send := scr.roundIov(slots)
 		for a := 0; a < naggs; a++ {
-			send[a] = pieceViews(send[a], stream, &pl.Pieces[a], r)
+			send[a] = pieceViews(send[a], stream, pl.Pieces, a, r)
 		}
 		var recvIov [][][]byte
 		if x.Comm == Alltoallw {
@@ -295,7 +305,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 				reqs = append(reqs, p.Irecv(pb.Client, tagData+r%1024))
 			}
 			for a := 0; a < naggs; a++ {
-				if n := pl.Pieces[a].bytes(r); n > 0 {
+				if n := pl.Pieces.bytes(a, r); n > 0 {
 					if pipelined {
 						// The modelled pack of the message.
 						f.ChargeCopy(n)
@@ -409,8 +419,13 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 
 func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
 	p := f.Proc()
-	amAgg, naggs, ntimes, method := pl.Agg != nil, len(pl.Pieces), pl.Rounds, pl.Method
+	amAgg, naggs, ntimes, method := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds, pl.Method
 	firstErr := pl.Err // a planning failure aborts round 0
+	// Only an aggregator sends point-to-point, a slot per client.
+	sendSlots := 0
+	if amAgg || x.Comm == Alltoallw {
+		sendSlots = p.Size()
+	}
 
 	for r := 0; r < ntimes; r++ {
 		f.SetRound(r)
@@ -430,7 +445,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 		// after the round's AgreeError, once every client has placed its
 		// data.
 		probe := p.Metrics.BeginRound(p.Stats)
-		sendIov := scr.roundIov(p.Size())
+		sendIov := scr.roundIov(sendSlots)
 		var retire []byte
 		rp := &noRound
 		if amAgg {
@@ -495,19 +510,19 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 			posted := x.Comm == Nonblocking
 			reqs := scr.reqs[:0]
 			for a := 0; posted && a < naggs; a++ {
-				if pl.Pieces[a].bytes(r) > 0 {
+				if pl.Pieces.bytes(a, r) > 0 {
 					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
 				}
 			}
 			for _, pb := range rp.Peers {
 				p.IsendIov(pb.Client, tagBack+r%1024, sendIov[pb.Client])
 			}
-			scr.recvIov = Sized(scr.recvIov, p.Size())
+			scr.recvIov = Sized(scr.recvIov, naggs)
 			recv = scr.recvIov
 			scr.waited = mpi.WaitallIov(reqs, scr.waited)
 			k := 0
 			for a := 0; a < naggs; a++ {
-				if pl.Pieces[a].bytes(r) == 0 {
+				if pl.Pieces.bytes(a, r) == 0 {
 					continue
 				}
 				if posted {
@@ -522,7 +537,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 			// A dead or stalled aggregator's slot is nil: nothing is
 			// placed, and the round-boundary agreement below aborts the
 			// read before any partial data reaches the user buffer.
-			placeIov(stream, &pl.Pieces[a], r, recv[a])
+			placeIov(stream, pl.Pieces, a, r, recv[a])
 		}
 		p.ChargeTime(stats.PComm, p.Clock()-t0)
 		p.Trace.End(p.Clock())
@@ -562,9 +577,9 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 // buffer, consumed by byte count — into the client's linear stream. A dead
 // aggregator's table is nil: nothing arrived, and the round's agreement
 // aborts before the stream reaches the user.
-func placeIov(stream []byte, rp *RoundPieces, r int, views [][]byte) {
+func placeIov(stream []byte, pl *PieceLists, a, r int, views [][]byte) {
 	var cur viewCursor
-	for _, run := range rp.of(r) {
+	for _, run := range pl.of(a, r) {
 		for at, n := run.at, run.n; n > 0; {
 			b := cur.take(views, n)
 			if b == nil {

@@ -82,6 +82,8 @@ func BenchmarkPlanMiss(b *testing.B) {
 		msgs[r] = flats[r].Encode()
 	}
 	scratch := make([]PlanScratch, sh.ranks)
+	var ce clientEntry
+	var ae aggEntry
 	var pieces int64
 
 	b.ReportAllocs()
@@ -90,8 +92,10 @@ func BenchmarkPlanMiss(b *testing.B) {
 		pieces = 0
 		for r := range flats {
 			ms := &scratch[r]
-			ce, _ := eng.clientPieces(ms, flats[r], realms, cb)
-			if len(ce) != naggs {
+			ce.pieces.Start(naggs)
+			ce.charges = ce.charges[:0]
+			eng.clientPieces(ms, &ce, flats[r], realms, cb)
+			if len(ce.charges) != naggs {
 				b.Fatal("client pieces missing")
 			}
 			if r >= naggs {
@@ -101,7 +105,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rounds, _ := BuildPlans(ms, decoded, realms[r], cb, make([]int64, 1, 1+len(decoded))); len(rounds) == 0 {
+			if ae.charges = ae.Build(ms, decoded, realms[r], cb, append(ae.charges[:0], 0)); len(ae.Rounds) == 0 {
 				b.Fatal("no rounds planned")
 			}
 			pieces += int64(len(ms.fileSegs))

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"flexio/internal/datatype"
+	"flexio/internal/mpi"
 	"flexio/internal/realm"
 )
 
@@ -28,6 +30,11 @@ import (
 // phase times, and pair counters are bit-identical to the miss path. Only
 // host CPU time is saved.
 //
+// A memo is per-rank state, in the rank's scratch: nothing a rank plans is
+// of use to another, so there is no lock, and what a rank can hold does not
+// depend on how many ranks there are (one map capped at 128 entries per world
+// kept nobody's beyond 128 ranks: every call evicted the steady state).
+//
 // Invalidation is by key equality, not by eviction hooks:
 //
 //   - the client key pins the filetype (by datatype identity — types are
@@ -39,7 +46,6 @@ import (
 //   - realm reassignment (Even -> Aligned -> PFR, or a PFR anchored on a
 //     different region) changes the realm signature and misses.
 type clientKey struct {
-	rank    int
 	ft      datatype.Type // identity: types are immutable and comparable
 	disp    int64
 	dataLen int64
@@ -56,13 +62,12 @@ type clientKey struct {
 }
 
 type clientEntry struct {
-	enc     []byte        // request encoding, as sent to every aggregator
-	pieces  []RoundPieces // per-aggregator piece lists, immutable
-	charges []int64       // ChargePairs replay for the intersection section
+	enc     []byte     // request encoding, as sent to every aggregator
+	pieces  PieceLists // what this rank exchanges with each aggregator
+	charges []int64    // ChargePairs replay for the intersection section
 }
 
 type aggKey struct {
-	rank  int
 	req   uint64 // hash of all received request messages
 	cb    int64
 	naggs int
@@ -70,76 +75,116 @@ type aggKey struct {
 }
 
 type aggEntry struct {
-	rounds  []RoundPlan // one merge plan per two-phase round, immutable
-	charges []int64     // [0] is the tree-expansion charge, rest per client
+	AggPlans         // one merge plan per two-phase round
+	charges  []int64 // [0] is the tree-expansion charge, rest per client
 }
 
-// Round implements AggRounds: an aggregator whose realm runs out before the
-// collective's last round gets the empty plan.
-func (ae *aggEntry) Round(r int) *RoundPlan {
-	if r >= len(ae.rounds) {
-		return &noRound
-	}
-	return &ae.rounds[r]
-}
+// memoSlots is how many shapes a rank remembers per side. A constant, not an
+// option: a steady state holds one or two, and a loop that never repeats a
+// shape pins this many plans per rank (ckpt-write's aggregators: 64 KiB each).
+const memoSlots = 8
 
-// memoLimit bounds each cache map; overflowing clears the map outright
-// (steady-state workloads hold a handful of shapes, so LRU bookkeeping
-// isn't worth carrying).
-const memoLimit = 128
-
-// Memo is one locked cache map under the rules above, shared by every rank
-// goroutine of a world. Entries are immutable once stored. The zero value is
-// ready to use.
+// Memo is one rank's cache under the rules above: a fixed ring of entries,
+// least recently used out first. Entries are rebuilt in place: Evict hands
+// out the slot to go, whose blocks the caller truncates and refills, so a
+// rank that plans a never-seen layout on every call allocates nothing once
+// its ring is warm; Keep gives the rebuilt entry its key. An entry that must
+// not be trusted later (a peer failed, a request was unusable) is never kept
+// and is the next to go. What Get or Evict returned stays intact until the
+// rank has evicted memoSlots more entries, far longer than the one call the
+// executor reads it for. The zero value is ready to use.
 type Memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*V
+	keys   [memoSlots]K
+	vals   [memoSlots]V
+	used   [memoSlots]uint64 // tick of the last Get or Keep; 0: no key
+	tick   uint64
+	victim int // the slot Evict handed out last
 }
 
-// Get returns the entry stored under k, or nil.
+// Get returns the entry kept under k, or nil.
 func (c *Memo[K, V]) Get(k K) *V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[k]
-}
-
-// Put stores e under k.
-func (c *Memo[K, V]) Put(k K, e *V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[K]*V)
+	for s := range c.keys {
+		if c.used[s] != 0 && c.keys[s] == k {
+			c.tick++
+			c.used[s] = c.tick
+			return &c.vals[s]
+		}
 	}
-	if len(c.m) >= memoLimit {
-		clear(c.m)
+	return nil
+}
+
+// Evict drops the least recently used key (a slot without one goes first)
+// and returns its entry for the caller to rebuild.
+func (c *Memo[K, V]) Evict() *V {
+	c.victim = 0
+	for s, t := range c.used {
+		if t < c.used[c.victim] {
+			c.victim = s
+		}
 	}
-	c.m[k] = e
+	var none K
+	c.keys[c.victim], c.used[c.victim] = none, 0
+	return &c.vals[c.victim]
 }
 
-type memoCache struct {
-	clients Memo[clientKey, clientEntry]
-	aggs    Memo[aggKey, aggEntry]
+// Keep files the entry Evict returned last under k.
+func (c *Memo[K, V]) Keep(k K) {
+	c.tick++
+	c.keys[c.victim], c.used[c.victim] = k, c.tick
 }
 
-// RankTable holds one lazily built T per rank: an engine's mutable per-call
-// scratch, segregated by rank because one engine serves every rank goroutine
-// of a world. The zero value is ready to use.
+// Each visits every kept entry.
+func (c *Memo[K, V]) Each(visit func(k K, e *V)) {
+	for s := range c.keys {
+		if c.used[s] != 0 {
+			visit(c.keys[s], &c.vals[s])
+		}
+	}
+}
+
+// RankTable holds one lazily built T per rank: an engine's per-rank state
+// (scratch, memo), segregated by rank because one engine serves every rank
+// goroutine of a world. Lock-free: the table is sized to the world by
+// whichever rank gets there first, and a slot is touched by its rank alone.
+// The zero value is ready to use.
 type RankTable[T any] struct {
-	mu sync.Mutex
-	t  []*T
+	t atomic.Pointer[[]*T]
 }
 
-// For returns rank's T.
-func (rt *RankTable[T]) For(rank int) *T {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for len(rt.t) <= rank {
-		rt.t = append(rt.t, nil)
+// For returns rank's T in a world of size ranks.
+func (rt *RankTable[T]) For(rank, size int) *T {
+	t := rt.t.Load()
+	for t == nil || len(*t) < size {
+		// A larger world than the engine served before. Every rank of it finds
+		// the table short, so none writes a slot of the old one during the copy.
+		grown := make([]*T, size)
+		if t != nil {
+			copy(grown, *t)
+		}
+		rt.t.CompareAndSwap(t, &grown)
+		t = rt.t.Load()
 	}
-	if rt.t[rank] == nil {
-		rt.t[rank] = new(T)
+	if (*t)[rank] == nil {
+		(*t)[rank] = new(T)
 	}
-	return rt.t[rank]
+	return (*t)[rank]
+}
+
+// assignCache is the realm assignment an engine computed last, with its key.
+// Every rank of a call asks with the same key: the first computes, the others
+// receive the same immutable realms and signature. What Assign reads beyond
+// the key (policy, dead set, alignment) is fixed per engine; the world stands
+// for its node map.
+type assignCache struct {
+	mu  sync.Mutex
+	key assignKey
+	val *realm.Assignment
+}
+
+type assignKey struct {
+	world         *mpi.World
+	naggs, spread int
+	start, end    int64
 }
 
 // The memo hash (HashSeed, HashBytes): 64 bits, sixteen input bytes per

@@ -118,14 +118,25 @@ func TestRequestKeySeparatesRequests(t *testing.T) {
 
 // grouped forms the rounds of one aggregator's pieces on their own, the way
 // clientPieces does for each aggregator in turn.
-func grouped(ps []datatype.Piece) *RoundPieces {
-	runs, rounds := groupRounds(ps, nil, nil)
-	return &RoundPieces{runs: runs, rounds: rounds}
+func grouped(ps []datatype.Piece) *oneAgg {
+	pl := &PieceLists{}
+	pl.Start(1)
+	pl.Add(ps)
+	return &oneAgg{pl, 0}
 }
+
+// oneAgg is one aggregator's lists of a client's.
+type oneAgg struct {
+	*PieceLists
+	a int
+}
+
+func (o *oneAgg) of(r int) []streamRun { return o.PieceLists.of(o.a, r) }
+func (o *oneAgg) bytes(r int) int64    { return o.PieceLists.bytes(o.a, r) }
 
 // TestClientAndMergerAgreeOnUnsortedRuns: a round's payload travels in
 // file-offset order. Views are normalized today, so the intersection never
-// emits an unsorted round; if one ever did, the client (groupRounds) and
+// emits an unsorted round; if one ever did, the client (PieceLists.Add) and
 // the aggregator (RunMerger's fallback) must still walk the same sequence,
 // or payload bytes would land at the wrong offsets.
 func TestClientAndMergerAgreeOnUnsortedRuns(t *testing.T) {
@@ -182,23 +193,27 @@ func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
 	}
 
 	// A client entry's lists are grouped one aggregator after another into
-	// the same scratch and cut apart afterwards: the second aggregator's run
-	// must not merge into the first's last (stream position 104 follows it),
-	// its spans count from its own first run, and the round it skips is
-	// empty.
-	runs, rounds := groupRounds([]datatype.Piece{
+	// the same blocks: the second aggregator's run must not merge into the
+	// first's last (stream position 104 follows it), its rounds count from
+	// its own first, the round it skips is empty, and a third aggregator
+	// nobody added pieces for exchanges nothing.
+	rp.naggs = 3
+	rp.Add([]datatype.Piece{
 		{Round: 1, File: seg(4096, 8), AStream: 104},
 		{Round: 1, File: seg(4200, 8), AStream: 112},
-	}, rp.runs, rp.rounds)
-	both := sealPieces(runs, rounds, []int{len(rp.runs), len(rp.rounds), len(runs), len(rounds)})
+	})
 	for r, w := range want {
-		if got := both[0].of(r); !slices.Equal(got, w) {
+		if got := rp.of(r); !slices.Equal(got, w) {
 			t.Errorf("first aggregator, round %d runs %v, want %v", r, got, w)
 		}
 	}
-	if got := both[1].of(1); both[1].bytes(0) != 0 || len(both[1].of(0)) != 0 ||
-		!slices.Equal(got, []streamRun{{104, 16}}) || both[1].bytes(1) != 16 || both[1].bytes(2) != 0 {
-		t.Errorf("second aggregator: round 0 %v, round 1 %v (%d bytes)", both[1].of(0), got, both[1].bytes(1))
+	second := &oneAgg{rp.PieceLists, 1}
+	if got := second.of(1); second.bytes(0) != 0 || len(second.of(0)) != 0 ||
+		!slices.Equal(got, []streamRun{{104, 16}}) || second.bytes(1) != 16 || second.bytes(2) != 0 {
+		t.Errorf("second aggregator: round 0 %v, round 1 %v (%d bytes)", second.of(0), got, second.bytes(1))
+	}
+	if third := (&oneAgg{rp.PieceLists, 2}); third.bytes(0) != 0 || len(third.of(1)) != 0 {
+		t.Errorf("third aggregator: %d bytes in round 0, round 1 %v", third.bytes(0), third.of(1))
 	}
 }
 
@@ -234,15 +249,141 @@ func TestValidateCatchesStalePlan(t *testing.T) {
 			t.Fatalf("rank %d: clean write: %v", r, err)
 		}
 	}
-	for _, ae := range eng.memo.aggs.m {
-		if n := len(ae.rounds[0].Order); n > 1 {
-			o := ae.rounds[0].Order
-			o[0], o[n-1] = o[n-1], o[0]
-		}
+	for r := 0; r < ranks; r++ {
+		eng.scratch.For(r, ranks).aggs.Each(func(_ aggKey, ae *aggEntry) {
+			if n := len(ae.Rounds[0].Order); n > 1 {
+				o := ae.Rounds[0].Order
+				o[0], o[n-1] = o[n-1], o[0]
+			}
+		})
 	}
 	for r, err := range writeAll() {
 		if err == nil || !strings.Contains(err.Error(), "merge plan") {
 			t.Fatalf("rank %d: tampered plan went unnoticed: %v", r, err)
 		}
+	}
+}
+
+// TestMemoRing: the ring keeps memoSlots shapes per side, drops the least
+// recently used, and rebuilds in the slot it dropped. An entry that was
+// evicted into but never kept is not found and is the next to go.
+func TestMemoRing(t *testing.T) {
+	var m Memo[int, []int]
+	put := func(k int, keep bool) *[]int {
+		e := m.Evict()
+		*e = append((*e)[:0], k)
+		if keep {
+			m.Keep(k)
+		}
+		return e
+	}
+	if m.Get(0) != nil {
+		t.Fatal("empty ring hit (a zero key must not match an empty slot)")
+	}
+	// Alternating shapes hit from their second use on.
+	put(100, true)
+	put(200, true)
+	for call := 3; call <= 6; call++ {
+		k := 100 + 100*((call+1)%2)
+		if e := m.Get(k); e == nil || (*e)[0] != k {
+			t.Fatalf("call %d: shape %d missed", call, k)
+		}
+	}
+	// Fill up; touching 100 makes 200 the oldest.
+	for k := 1; k <= memoSlots-2; k++ {
+		put(k, true)
+	}
+	m.Get(100)
+	victim := m.Get(200)
+	m.Get(100)
+	for k := 1; k <= memoSlots-2; k++ {
+		m.Get(k)
+	}
+	if got := put(300, true); got != victim {
+		t.Fatal("the least recently used slot was not the one rebuilt")
+	}
+	if m.Get(200) != nil {
+		t.Fatal("evicted shape still found")
+	}
+	// An entry without a key is never found, and its slot goes first.
+	m.Get(300)
+	untrusted := put(999, false)
+	if m.Get(999) != nil {
+		t.Fatal("an entry that was never kept was found")
+	}
+	if put(400, true) != untrusted {
+		t.Fatal("the unkept entry's slot was not the next to be rebuilt")
+	}
+	kept := 0
+	m.Each(func(k int, e *[]int) {
+		kept++
+		if (*e)[0] != k {
+			t.Errorf("key %d holds the entry of %d", k, (*e)[0])
+		}
+	})
+	if kept != memoSlots {
+		t.Fatalf("%d entries kept, want %d", kept, memoSlots)
+	}
+}
+
+// TestMemoRecyclesEvictedSlots: a checkpoint loop plans a layout nobody has
+// seen on every call. Once every slot of the rank's rings has held plans of
+// the loop's sizes, planning the next one (request encoding, client
+// intersections, request decoding, merge plans) allocates nothing: the
+// evicted entry's blocks are truncated and refilled.
+func TestMemoRecyclesEvictedSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const naggs, cb, steps = 8, 4 << 10, 5 * memoSlots
+	sh := ckptShape{ranks: 16, elem: 32, elems: 40, points: 32, slots: 64}
+	eng := New(Options{Persistent: true, Align: 8 << 10})
+	realms, err := realm.Even{}.Assign(realm.Context{NAggs: naggs, Start: 0,
+		End: sh.points * sh.slots * sh.elems * sh.elem, Align: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The views and the requests as received are the caller's and the
+	// transport's: built outside the measurement.
+	flats, msgs := make([][]datatype.Flat, steps), make([][][]byte, steps)
+	for step := range flats {
+		flats[step], msgs[step] = make([]datatype.Flat, sh.ranks), make([][]byte, sh.ranks)
+		for r := range flats[step] {
+			disp, ft := sh.view(r, step)
+			fl := datatype.FlatOf(ft, disp, sh.points)
+			fl.Limit = sh.points * ft.Size()
+			flats[step][r], msgs[step][r] = fl, fl.Encode()
+		}
+	}
+	scr := new(rankScratch) // rank 0: a client and an aggregator
+	calls := 0
+	plan := func() {
+		step := calls % steps
+		ce := scr.clients.Evict()
+		ce.enc = flats[step][0].AppendEncode(ce.enc[:0])
+		ce.pieces.Start(naggs)
+		ce.charges = ce.charges[:0]
+		eng.clientPieces(&scr.miss, ce, flats[step][0], realms, cb)
+		scr.clients.Keep(clientKey{disp: int64(calls)})
+
+		decoded, expand, err := eng.decodeRequests(&scr.miss, msgs[step], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ae := scr.aggs.Evict()
+		ae.charges = ae.Build(&scr.miss, decoded, realms[0], cb, append(ae.charges[:0], expand))
+		scr.aggs.Keep(aggKey{req: uint64(calls)})
+		if len(ae.Rounds) == 0 || len(ce.pieces.runs) == 0 {
+			t.Fatal("nothing planned")
+		}
+		calls++
+	}
+	// The steps differ a little in size (rounds skipped, runs merged), so a
+	// slot is warm once it has been through its share of the loop.
+	for k := 0; k < steps; k++ {
+		plan()
+	}
+	if got := testing.AllocsPerRun(steps-1, plan); got != 0 {
+		t.Fatalf("%.1f allocs per planned call on a warm ring, want 0", got)
 	}
 }

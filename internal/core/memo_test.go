@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"flexio/internal/colltest"
@@ -188,5 +190,100 @@ func TestMemoRealmReassignmentMisses(t *testing.T) {
 	want := 2 * 2 * int64(ranks)
 	if misses != want || hits != want {
 		t.Fatalf("total: hits=%d misses=%d, want %d of each", hits, misses, want)
+	}
+}
+
+// TestMemoHitsAtScale: what a rank remembers must not depend on how many
+// ranks there are. When the memo was one map of 128 entries per world, a
+// world of more than 128 ranks evicted its whole steady state on every call
+// (148 hits of 1,088 lookups at P=256, 115 of 8,320 at P=1024 over 8 steps);
+// per rank, every call after the first hits on both sides.
+func TestMemoHitsAtScale(t *testing.T) {
+	const steps, aggs = 4, 16
+	for _, ranks := range []int{256, 1024} {
+		for _, comm := range []core.CommStrategy{core.Nonblocking, core.Alltoallw} {
+			t.Run(fmt.Sprintf("P=%d/%s", ranks, comm), func(t *testing.T) {
+				wl := colltest.Workload{Ranks: ranks, RegionSize: 16, RegionCount: 32, Spacing: 128, NodeRanks: 16}
+				res, err := colltest.RunWriteSteps(sim.DefaultConfig(), wl,
+					mpiio.Info{Collective: core.New(core.Options{Comm: comm}), CbNodes: aggs}, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := colltest.VerifyImage(wl, res.Image); err != nil {
+					t.Fatal(err)
+				}
+				hits, misses := cacheCounts(res.World.Recorders()...)
+				if u := int64(ranks + aggs); misses != u || hits != (steps-1)*u {
+					t.Fatalf("hits=%d misses=%d, want hits=%d misses=%d", hits, misses, (steps-1)*u, u)
+				}
+			})
+		}
+	}
+}
+
+// shapeScript writes the workload through the given view displacements, one
+// collective call each, with one filetype object for all of them.
+func shapeScript(wl colltest.Workload, disps []int64) func(p *mpi.Proc, f *mpiio.File) error {
+	return func(p *mpi.Proc, f *mpiio.File) error {
+		ft, disp := wl.Filetype(p.Rank())
+		mt, _ := wl.Memtype()
+		buf := wl.FillBuffer(p.Rank())
+		for _, d := range disps {
+			if err := f.SetView(disp+d, byteType, ft); err != nil {
+				return err
+			}
+			if err := f.WriteAll(buf, mt, wl.RegionCount); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestMemoKeepsEightShapes: a rank remembers eight shapes per side, least
+// recently used out first. Two alternating shapes hit from the third call
+// on; eight in rotation all hit the second time round; nine in rotation never
+// do (each call evicts the shape the next-but-seven needs), and every one of
+// those calls, planned into the slot of the shape it evicted, still moves the
+// right bytes under Validate's cross-checks.
+func TestMemoKeepsEightShapes(t *testing.T) {
+	wl := baseWorkload()
+	u := int64(2 * wl.Ranks) // lookups per call: naggs == ranks
+	rotate := func(shapes, calls int) (disps []int64) {
+		for c := 0; c < calls; c++ {
+			disps = append(disps, int64(c%shapes)*4096)
+		}
+		return disps
+	}
+	for _, tc := range []struct {
+		name          string
+		shapes, calls int
+		wantMisses    int64
+	}{
+		{"alternating", 2, 6, 2 * u},
+		{"eight", 8, 24, 8 * u},
+		{"nine", 9, 27, 27 * u},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			info := mpiio.Info{Collective: core.New(core.Options{Validate: true})}
+			w, fs := planWorld(t, wl.Ranks, 0, info, shapeScript(wl, rotate(tc.shapes, tc.calls)))
+			hits, misses := cacheCounts(w.Recorders()...)
+			if misses != tc.wantMisses || hits != int64(tc.calls)*u-tc.wantMisses {
+				t.Fatalf("hits=%d misses=%d, want %d misses of %d lookups", hits, misses, tc.wantMisses, int64(tc.calls)*u)
+			}
+			// The last call of every shape is in the file.
+			for s := 0; s < tc.shapes; s++ {
+				at := wl
+				at.Disp += int64(s) * 4096
+				img := fs.Snapshot("plan.dat", at.FileSize())
+				want := at.Reference()
+				for r := 0; r < wl.Ranks; r++ {
+					off := at.Disp + int64(r)*(wl.RegionSize+wl.Spacing)
+					if !bytes.Equal(img[off:off+wl.RegionSize], want[off:off+wl.RegionSize]) {
+						t.Fatalf("shape %d: rank %d's first region is not in the file", s, r)
+					}
+				}
+			}
+		})
 	}
 }

@@ -29,23 +29,23 @@ const (
 	tagScatter = 7000 // leader → member: read payload in member-stream order
 )
 
-// preaggState is one rank's per-call pre-aggregation context, resident in
-// the rank scratch so the steady state allocates nothing for it.
-type preaggState struct {
-	plan mpi.NodePlan
+// PreaggState is one rank's per-call pre-aggregation context, for both
+// planners; core's lives in the rank scratch and allocates nothing when steady.
+type PreaggState struct {
+	Plan mpi.NodePlan
 	// pre is the clientKey discriminator (see memo.go).
 	pre uint64
-	// err records a member that failed to deliver its access or payload;
+	// Err records a member that failed to deliver its access or payload;
 	// it seeds the first round-boundary agreement so every rank aborts
 	// together instead of the leader writing a partial merge.
-	err error
-	// items is the leader's merge plan: the byte map between each
+	Err error
+	// Items is the leader's merge plan: the byte map between each
 	// participant's stream and the merged stream (participant 0 is the
-	// leader, k+1 is plan.Members[k]).
-	items []datatype.MergeItem
-	// totals is the per-participant stream byte count, for scatter sizing.
-	totals []int64
-	total  int64
+	// leader, k+1 is Plan.Members[k]).
+	Items []datatype.MergeItem
+	// Totals is the per-participant stream byte count, for scatter sizing.
+	Totals []int64
+	Total  int64
 }
 
 // preaggExchange runs the intra-node forwarding stage, leaving in cs the
@@ -56,12 +56,12 @@ type preaggState struct {
 // phase; it runs before the first round, so none of its traffic counts as
 // shuffle — and it is intra-node by construction anyway.
 func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
-	myFlat datatype.Flat, dataLen int64, write bool) (datatype.Flat, *preaggState) {
+	myFlat datatype.Flat, dataLen int64, write bool) (datatype.Flat, *PreaggState) {
 
 	p := f.Proc()
 	ps := &scr.pre
-	*ps = preaggState{items: ps.items[:0], totals: ps.totals[:0]}
-	ps.plan = p.PlanNode(i.o.Journal.Dead())
+	*ps = PreaggState{Items: ps.Items[:0], Totals: ps.Totals[:0]}
+	ps.Plan = p.PlanNode(i.o.Journal.Dead())
 	rank := p.Rank()
 
 	t0 := p.Clock()
@@ -71,53 +71,53 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 		p.Trace.End(p.Clock())
 	}()
 
-	if !ps.plan.Leads(rank) {
+	if !ps.Plan.Leads(rank) {
 		// Member: forward the access (and write payload) to the leader and
 		// fall silent — an empty access produces no pieces, so this rank
 		// sends nothing to any aggregator in the rounds.
 		ps.pre = 1
 		enc := myFlat.Encode()
 		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
-		p.Send(ps.plan.Leader, tagPre, enc)
+		p.Send(ps.Plan.Leader, tagPre, enc)
 		if write && dataLen > 0 {
 			// Ownership of a pooled buffer passes to the leader, which
 			// recycles it.
-			p.Send(ps.plan.Leader, tagPreData, cs.Owned())
+			p.Send(ps.Plan.Leader, tagPreData, cs.Owned())
 			*cs = mpiio.Stream{}
 		}
 		empty := datatype.FlatOf(datatype.Bytes(0), myFlat.Disp, 0)
 		empty.Limit = 0
 		return empty, ps
 	}
-	if len(ps.plan.Members) == 0 {
+	if len(ps.Plan.Members) == 0 {
 		// Single-rank node: pre-aggregation is the identity, including for
 		// the memo (pre stays 0 — the piece lists match the plain path).
 		return myFlat, ps
 	}
 
 	// Leader: collect the members' accesses and build the merge plan.
-	nparts := len(ps.plan.Members) + 1
-	items := datatype.AppendFlatRuns(ps.items[:0], myFlat, 0)
-	ps.totals = Sized(ps.totals, nparts)
-	ps.totals[0] = dataLen
+	nparts := len(ps.Plan.Members) + 1
+	items := datatype.AppendFlatRuns(ps.Items[:0], myFlat, 0)
+	ps.Totals = Sized(ps.Totals, nparts)
+	ps.Totals[0] = dataLen
 	bufs := Sized(scr.preBufs, nparts)
 	scr.preBufs = bufs
 	bufs[0] = cs.B
 	h := HashSeed
-	for k, m := range ps.plan.Members {
+	for k, m := range ps.Plan.Members {
 		enc, _ := p.Recv(m, tagPre)
 		h = HashInt64(h, int64(m))
 		h = HashBytes(h, enc)
 		if enc == nil {
-			if ps.err == nil {
-				ps.err = fmt.Errorf("core: preagg: no request from member rank %d", m)
+			if ps.Err == nil {
+				ps.Err = fmt.Errorf("core: preagg: no request from member rank %d", m)
 			}
 			continue
 		}
 		fl, err := datatype.DecodeFlat(enc)
 		if err != nil {
-			if ps.err == nil {
-				ps.err = fmt.Errorf("core: preagg: bad request from member rank %d: %v", m, err)
+			if ps.Err == nil {
+				ps.Err = fmt.Errorf("core: preagg: bad request from member rank %d: %v", m, err)
 			}
 			continue
 		}
@@ -127,26 +127,26 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 		for _, it := range items[before:] {
 			mb += it.Len
 		}
-		ps.totals[k+1] = mb
+		ps.Totals[k+1] = mb
 		if write && mb > 0 {
 			data, _ := p.Recv(m, tagPreData)
 			if data != nil && int64(len(data)) != mb {
 				// The list and the payload disagree (a damaged list that
 				// still decoded): the merge must not index past either.
-				if ps.err == nil {
-					ps.err = fmt.Errorf("core: preagg: member rank %d sent %d bytes for a request of %d", m, len(data), mb)
+				if ps.Err == nil {
+					ps.Err = fmt.Errorf("core: preagg: member rank %d sent %d bytes for a request of %d", m, len(data), mb)
 				}
 				bufpool.Put(data)
 				data = nil
 			}
 			if data == nil {
-				if ps.err == nil {
-					ps.err = fmt.Errorf("core: preagg: no payload from member rank %d", m)
+				if ps.Err == nil {
+					ps.Err = fmt.Errorf("core: preagg: no payload from member rank %d", m)
 				}
 				// No bytes to back these runs: drop them so the merge
 				// below never reads a nil source.
 				items = items[:before]
-				ps.totals[k+1] = 0
+				ps.Totals[k+1] = 0
 				continue
 			}
 			bufs[k+1] = data
@@ -154,7 +154,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 	}
 	items, merged, total := datatype.BuildMergePlan(items, scr.mergedSegs[:0])
 	scr.mergedSegs = merged
-	ps.items, ps.total = items, total
+	ps.Items, ps.Total = items, total
 	f.ChargePairs(int64(len(items)))
 	ps.pre = HashInt64(h, total)
 
@@ -163,7 +163,7 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 		// member failure leaves holes; zero them deterministically (the
 		// seeded abort below keeps the result from becoming durable).
 		var out []byte
-		if ps.err != nil {
+		if ps.Err != nil {
 			out = bufpool.GetZero(total)
 		} else {
 			out = bufpool.Get(total)
@@ -197,15 +197,13 @@ func (i *Impl) preaggExchange(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 	return mf, ps
 }
 
-// preaggScatter distributes a read's merged stream back to the node's
-// members, each payload in that member's own stream order, and restores
-// the leader's stream to its own bytes. All ranks agree on the outcome so
-// a member that lost its leader aborts the collective uniformly instead of
-// unpacking stale zeros. roundsErr, when non-nil, is already uniform (it
-// came out of a round-boundary agreement), so the stage is skipped as one.
-func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
-	ps *preaggState, dataLen int64, roundsErr error) error {
-
+// Scatter distributes a read's merged stream back to the node's members,
+// each payload in that member's own stream order, and restores the leader's
+// stream to its own bytes. All ranks agree on the outcome so a member that
+// lost its leader aborts the collective uniformly instead of unpacking stale
+// zeros. roundsErr, when non-nil, is already uniform (it came out of a
+// round-boundary agreement), so the stage is skipped as one.
+func (ps *PreaggState) Scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64, roundsErr error) error {
 	p := f.Proc()
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PPreagg, trace.S("what", "scatter"))
@@ -219,22 +217,22 @@ func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 	stream := cs.B // a read's stream: always pooled
 	if roundsErr == nil {
 		switch {
-		case ps.plan.Leads(rank) && len(ps.plan.Members) > 0:
+		case ps.Plan.Leads(rank) && len(ps.Plan.Members) > 0:
 			own := bufpool.Get(dataLen)
 			var copied int64
-			for _, it := range ps.items {
+			for _, it := range ps.Items {
 				if it.Part == 0 {
 					copy(own[it.SrcPos:it.SrcPos+it.Len], stream[it.DstPos:it.DstPos+it.Len])
 					copied += it.Len
 				}
 			}
-			for k, m := range ps.plan.Members {
-				mb := ps.totals[k+1]
+			for k, m := range ps.Plan.Members {
+				mb := ps.Totals[k+1]
 				if mb == 0 {
 					continue
 				}
 				out := bufpool.Get(mb)
-				for _, it := range ps.items {
+				for _, it := range ps.Items {
 					if it.Part == k+1 {
 						copy(out[it.SrcPos:it.SrcPos+it.Len], stream[it.DstPos:it.DstPos+it.Len])
 					}
@@ -246,10 +244,10 @@ func (i *Impl) preaggScatter(f *mpiio.File, scr *rankScratch, cs *mpiio.Stream,
 			p.AdvanceClock(p.Config().MemcpyTime(copied))
 			bufpool.Put(stream)
 			cs.B = own
-		case !ps.plan.Leads(rank) && dataLen > 0:
-			data, _ := p.Recv(ps.plan.Leader, tagScatter)
+		case !ps.Plan.Leads(rank) && dataLen > 0:
+			data, _ := p.Recv(ps.Plan.Leader, tagScatter)
 			if data == nil {
-				scErr = fmt.Errorf("core: preagg scatter: no payload from leader rank %d", ps.plan.Leader)
+				scErr = fmt.Errorf("core: preagg scatter: no payload from leader rank %d", ps.Plan.Leader)
 			} else {
 				copy(stream, data)
 				p.AdvanceClock(p.Config().MemcpyTime(int64(len(data))))

@@ -93,21 +93,37 @@ func (f Flat) WireBytes() int64 {
 
 // Encode serializes the Flat into a byte slice (fixed-width little-endian;
 // the simulated network carries real bytes so sizes feed the cost model).
-func (f Flat) Encode() []byte {
-	buf := make([]byte, f.WireBytes())
+func (f Flat) Encode() []byte { return f.AppendEncode(nil) }
+
+// AppendEncode is Encode onto dst, which is returned extended: a caller that
+// keeps its last encoding's buffer encodes the next one into it.
+func (f Flat) AppendEncode(dst []byte) []byte {
+	dst, buf := extend(dst, int(f.WireBytes()))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(f.Disp))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(f.Extent))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(f.Size))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(f.Count))
 	binary.LittleEndian.PutUint64(buf[32:], uint64(f.Limit))
 	binary.LittleEndian.PutUint32(buf[40:], uint32(len(f.Segs)))
-	p := 44
-	for _, s := range f.Segs {
+	putPairs(buf[44:], f.Segs)
+	return dst
+}
+
+// extend grows dst by n bytes and returns it with the new tail.
+func extend(dst []byte, n int) (all, tail []byte) {
+	at := len(dst)
+	all = slices.Grow(dst, n)[:at+n]
+	return all, all[at:]
+}
+
+// putPairs encodes segs as 16-byte offset/length pairs into buf.
+func putPairs(buf []byte, segs []Seg) {
+	p := 0
+	for _, s := range segs {
 		binary.LittleEndian.PutUint64(buf[p:], uint64(s.Off))
 		binary.LittleEndian.PutUint64(buf[p+8:], uint64(s.Len))
 		p += 16
 	}
-	return buf
 }
 
 // DecodeFlat parses a Flat encoded by Encode. The bytes come from another
@@ -151,16 +167,14 @@ func DecodeFlatAppend(buf []byte, arena []Seg) (Flat, []Seg, error) {
 // EncodeSegs serializes a flattened access (absolute offset/length pairs) —
 // the representation the original implementation exchanges. 16 bytes per
 // pair, so the wire cost is O(M).
-func EncodeSegs(segs []Seg) []byte {
-	buf := make([]byte, 4+16*len(segs))
+func EncodeSegs(segs []Seg) []byte { return AppendSegsEncoding(nil, segs) }
+
+// AppendSegsEncoding is EncodeSegs onto dst, which is returned extended.
+func AppendSegsEncoding(dst []byte, segs []Seg) []byte {
+	dst, buf := extend(dst, 4+16*len(segs))
 	binary.LittleEndian.PutUint32(buf, uint32(len(segs)))
-	p := 4
-	for _, s := range segs {
-		binary.LittleEndian.PutUint64(buf[p:], uint64(s.Off))
-		binary.LittleEndian.PutUint64(buf[p+8:], uint64(s.Len))
-		p += 16
-	}
-	return buf
+	putPairs(buf[4:], segs)
+	return dst
 }
 
 // appendPairs decodes the 16-byte offset/length pairs buf consists of onto

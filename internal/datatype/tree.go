@@ -144,6 +144,9 @@ func (n Node) Build() (Type, error) {
 	case KindSubarray:
 		return Subarray(n.Lens, n.Displs, n.Aux, n.A)
 	case KindSegs:
+		if len(n.Lens) != len(n.Displs) {
+			return nil, fmt.Errorf("datatype: tree: %d lengths for %d displacements", len(n.Lens), len(n.Displs))
+		}
 		segs := make([]Seg, len(n.Lens))
 		for i := range segs {
 			segs[i] = Seg{Off: n.Displs[i], Len: n.Lens[i]}

@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -109,4 +110,82 @@ func TestQuickTreeRoundTrip(t *testing.T) {
 		ty := genType(rng)
 		treeRoundTrip(t, ty)
 	}
+}
+
+// FuzzDecodeNode: whatever bytes arrive as a tree request, decoding either
+// fails or yields a node that encodes back to the same bytes, and building
+// it fails or yields a type that survives the round trip through its own
+// tree. Only small trees are built: a count is a claim, not memory yet.
+func FuzzDecodeNode(f *testing.F) {
+	inner := Must(Vector(3, 1, 24, Bytes(8)))
+	for _, ty := range []Type{
+		Bytes(16),
+		Bytes(0),
+		Must(Contiguous(5, Bytes(8))),
+		Must(Vector(4, 2, 48, Bytes(8))),
+		Must(HIndexed([]int64{1, 1}, []int64{100, 0}, Bytes(4))),
+		Must(Struct([]int64{1, 1}, []int64{0, 64}, []Type{Bytes(4), inner})),
+		Must(Resized(Bytes(8), 40)),
+		Must(Subarray([]int64{4, 6}, []int64{2, 3}, []int64{1, 2}, 4)),
+		Must(FromSegs([]Seg{{0, 4}, {16, 8}}, 32)),
+	} {
+		f.Add(Tree(ty).Encode())
+	}
+	enc := Tree(Bytes(8)).Encode()
+	f.Add(enc[:len(enc)-1])                   // truncated
+	f.Add(append(enc[:len(enc):len(enc)], 7)) // trailing byte
+	f.Add(Node{Kind: Kind(99)}.Encode())      // unknown kind
+	f.Add(Node{Kind: KindVector}.Encode())    // no child
+	f.Add(Node{Kind: KindContig, A: -3, Children: []Node{{Kind: KindBytes, A: 8}}}.Encode())
+
+	var small func(n Node, depth int) bool
+	small = func(n Node, depth int) bool {
+		ok := func(v int64) bool { return v >= -64 && v <= 64 }
+		if depth > 3 || !ok(n.A) || !ok(n.B) || !ok(n.C) || !ok(n.D) || len(n.Children) > 3 {
+			return false
+		}
+		for _, arr := range [][]int64{n.Lens, n.Displs, n.Aux} {
+			if len(arr) > 3 {
+				return false
+			}
+			for _, v := range arr {
+				if !ok(v) {
+					return false
+				}
+			}
+		}
+		for _, c := range n.Children {
+			if !small(c, depth+1) {
+				return false
+			}
+		}
+		return true
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := DecodeNode(data)
+		if err != nil {
+			return
+		}
+		if back := n.Encode(); !bytes.Equal(back, data) {
+			t.Fatalf("decoded node encodes to %x, came from %x", back, data)
+		}
+		if !small(n, 0) {
+			return
+		}
+		ty, err := n.Build()
+		if err != nil {
+			return
+		}
+		again, err := DecodeNode(Tree(ty).Encode())
+		if err != nil {
+			t.Fatalf("tree of the built type does not decode: %v", err)
+		}
+		rebuilt, err := again.Build()
+		if err != nil {
+			t.Fatalf("tree of the built type does not build: %v", err)
+		}
+		if !reflect.DeepEqual(rebuilt.Flatten(), ty.Flatten()) || rebuilt.Extent() != ty.Extent() {
+			t.Fatalf("type %s changed across its own tree", ty)
+		}
+	})
 }

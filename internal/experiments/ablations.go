@@ -157,10 +157,7 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 			}
 			// Rank r owns its private dense cluster.
 			ft := datatype.Must(datatype.Resized(datatype.Bytes(regionSize), regionSize+spacing))
-			buf := make([]byte, clusterBytes)
-			for i := range buf {
-				buf[i] = hpio.FillByte(rank, int64(i))
-			}
+			buf := hpio.Fill(make([]byte, clusterBytes), rank, 0)
 			return StepSpec{
 				Filetype: ft,
 				Disp:     clusterBase + int64(rank-1)*clusterPitch,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"flexio/internal/core"
@@ -87,10 +88,7 @@ func fig5Spec(p Fig5Params, extent, rs int64) (func(step, rank int) StepSpec, in
 	}
 	total := int64(p.Ranks) * regionsPerRank * rs
 	spec := func(step, rank int) StepSpec {
-		buf := make([]byte, rs*regionsPerRank)
-		for i := range buf {
-			buf[i] = hpio.FillByte(rank, int64(i))
-		}
+		buf := hpio.Fill(make([]byte, rs*regionsPerRank), rank, 0)
 		return StepSpec{
 			Filetype: ft,
 			Disp:     int64(rank) * blockSize,
@@ -158,20 +156,29 @@ func Fig5(p Fig5Params) ([]Table, error) {
 func verifyFig5(p Fig5Params, res RunResult, ext, rs int64) error {
 	blockSize := p.FileSize / int64(p.Ranks)
 	img := res.FS.Snapshot("exp.dat", p.FileSize)
+	want := make([]byte, blockSize/ext*rs) // one rank's data stream
 	for rank := 0; rank < p.Ranks; rank++ {
 		base := int64(rank) * blockSize
-		k := int64(0)
+		hpio.Fill(want, rank, 0)
 		for reg := int64(0); reg < blockSize/ext; reg++ {
 			off := base + reg*ext
-			for b := int64(0); b < rs; b++ {
-				if img[off+b] != hpio.FillByte(rank, k) {
-					return fmt.Errorf("file byte %d = %d, want %d", off+b, img[off+b], hpio.FillByte(rank, k))
-				}
-				k++
+			if got, w := img[off:off+rs], want[reg*rs:(reg+1)*rs]; !bytes.Equal(got, w) {
+				b := firstDiff(got, w)
+				return fmt.Errorf("file byte %d = %d, want %d", off+int64(b), got[b], w[b])
 			}
 		}
 	}
 	return nil
+}
+
+// firstDiff is the index of the first byte two equally long slices differ in.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 func fmtBytes(n int64) string {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"flexio/internal/core"
@@ -80,10 +81,7 @@ func fig7Spec(p Fig7Params, clients int) func(step, rank int) StepSpec {
 		pattern := datatype.Must(datatype.HIndexed(lens, displs, datatype.Bytes(p.ElemSize)))
 		ft := datatype.Must(datatype.Resized(pattern, pointExtent))
 		mine := int64(len(elems)) * p.ElemSize
-		buf := make([]byte, mine*p.Points)
-		for i := range buf {
-			buf[i] = hpio.FillByte(rank, int64(step)*mine*p.Points+int64(i))
-		}
+		buf := hpio.Fill(make([]byte, mine*p.Points), rank, int64(step)*mine*p.Points)
 		return StepSpec{
 			Filetype: ft,
 			Disp:     int64(step) * slotSize,
@@ -178,19 +176,18 @@ func verifyFig7(p Fig7Params, res RunResult, clients int) error {
 	for rank := 0; rank < clients; rank++ {
 		elems := myElems(rank, clients, p.ElemsPerPoint)
 		mine := int64(len(elems)) * p.ElemSize
+		stream := make([]byte, mine*p.Points) // what the rank wrote in one step
 		for step := 0; step < p.Steps; step++ {
-			k := int64(step) * mine * p.Points
+			want := hpio.Fill(stream, rank, int64(step)*mine*p.Points)
 			for pt := int64(0); pt < p.Points; pt++ {
 				for _, e := range elems {
 					off := pt*pointExtent + int64(step)*slotSize + e*p.ElemSize
-					for b := int64(0); b < p.ElemSize; b++ {
-						want := hpio.FillByte(rank, k)
-						if img[off+b] != want {
-							return fmt.Errorf("byte %d (rank %d step %d point %d elem %d) = %d, want %d",
-								off+b, rank, step, pt, e, img[off+b], want)
-						}
-						k++
+					if got := img[off : off+p.ElemSize]; !bytes.Equal(got, want[:p.ElemSize]) {
+						b := firstDiff(got, want)
+						return fmt.Errorf("byte %d (rank %d step %d point %d elem %d) = %d, want %d",
+							off+int64(b), rank, step, pt, e, got[b], want[b])
 					}
+					want = want[p.ElemSize:]
 				}
 			}
 		}

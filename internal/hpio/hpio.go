@@ -107,21 +107,36 @@ func FillByte(rank int, k int64) byte {
 	return byte((int64(rank)*131 + k*7 + 13) % 251)
 }
 
+// Fill writes rank's payload bytes k0, k0+1, ... over dst and returns it.
+// FillByte has period 251 in k, so only the first period is computed; the
+// rest is copied from it, doubling.
+func Fill(dst []byte, rank int, k0 int64) []byte {
+	const period = 251
+	n := min(len(dst), period)
+	for i := 0; i < n; i++ {
+		dst[i] = FillByte(rank, k0+int64(i))
+	}
+	for ; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+	return dst
+}
+
 // FillBuffer builds rank r's user buffer with the verification pattern.
 func (p Pattern) FillBuffer(rank int) []byte {
+	stream := Fill(make([]byte, p.RegionSize*p.RegionCount), rank, 0)
+	if !p.MemNoncontig {
+		return stream
+	}
 	mt, n := p.Memtype()
 	buf := make([]byte, n)
 	cur := datatype.NewCursor(mt, 0, p.RegionCount)
-	k := int64(0)
 	for {
 		s, _, ok := cur.Next(1 << 30)
 		if !ok {
 			break
 		}
-		for b := s.Off; b < s.End(); b++ {
-			buf[b] = FillByte(rank, k)
-			k++
-		}
+		stream = stream[copy(buf[s.Off:s.End()], stream):]
 	}
 	return buf
 }
@@ -138,8 +153,9 @@ func (p Pattern) FileSize() int64 {
 // Reference computes the expected file image for a full collective write.
 func (p Pattern) Reference() []byte {
 	img := make([]byte, p.FileSize())
+	stream := make([]byte, p.RegionSize*p.RegionCount)
 	for r := 0; r < p.Ranks; r++ {
-		k := int64(0)
+		Fill(stream, r, 0)
 		for i := int64(0); i < p.RegionCount; i++ {
 			var off int64
 			if p.FileContig {
@@ -147,10 +163,7 @@ func (p Pattern) Reference() []byte {
 			} else {
 				off = p.Disp + i*p.stride() + int64(r)*(p.RegionSize+p.Spacing)
 			}
-			for b := int64(0); b < p.RegionSize; b++ {
-				img[off+b] = FillByte(r, k)
-				k++
-			}
+			copy(img[off:off+p.RegionSize], stream[i*p.RegionSize:])
 		}
 	}
 	return img

@@ -1,6 +1,7 @@
 package hpio
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -161,5 +162,57 @@ func TestFillByteDeterministic(t *testing.T) {
 	}
 	if FillByte(1, 0) == FillByte(2, 0) && FillByte(1, 1) == FillByte(2, 1) && FillByte(1, 2) == FillByte(2, 2) {
 		t.Fatal("ranks not distinguished")
+	}
+}
+
+// TestFillMatchesFillByte: Fill computes one period and copies the rest, so
+// it must agree with the per-byte definition at every length around the
+// period and its doublings, from any starting index.
+func TestFillMatchesFillByte(t *testing.T) {
+	for _, n := range []int{0, 1, 250, 251, 252, 501, 502, 503, 1004, 1005, 4099} {
+		for _, k0 := range []int64{0, 1, 250, 251, 1 << 33} {
+			for _, rank := range []int{0, 3, 4095} {
+				got := Fill(make([]byte, n), rank, k0)
+				for i, b := range got {
+					if want := FillByte(rank, k0+int64(i)); b != want {
+						t.Fatalf("Fill(len %d, rank %d, k0 %d)[%d] = %d, want %d", n, rank, k0, i, b, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillBufferAndReferenceBytes pins the buffers and the file image to the
+// per-byte definition they had before Fill: rank r's k-th data byte, in
+// memory-type order in the buffer and at its region's place in the file.
+func TestFillBufferAndReferenceBytes(t *testing.T) {
+	for _, p := range []Pattern{
+		{Ranks: 3, RegionSize: 300, RegionCount: 5, Spacing: 7, Disp: 11},
+		{Ranks: 4, RegionSize: 16, RegionCount: 40, Spacing: 128, MemNoncontig: true, MemGap: 9},
+		{Ranks: 2, RegionSize: 600, RegionCount: 3, FileContig: true, MemNoncontig: true, MemGap: 1},
+	} {
+		img := make([]byte, p.FileSize())
+		for r := 0; r < p.Ranks; r++ {
+			mt, n := p.Memtype()
+			buf := make([]byte, n)
+			k := int64(0)
+			for i := int64(0); i < p.RegionCount; i++ {
+				off := p.Disp + i*p.stride() + int64(r)*(p.RegionSize+p.Spacing)
+				if p.FileContig {
+					off = p.Disp + int64(r)*p.RegionSize*p.RegionCount + i*p.RegionSize
+				}
+				for b := int64(0); b < p.RegionSize; b++ {
+					buf[i*mt.Extent()+b], img[off+b] = FillByte(r, k), FillByte(r, k)
+					k++
+				}
+			}
+			if got := p.FillBuffer(r); !bytes.Equal(got, buf) {
+				t.Fatalf("%v: rank %d's buffer differs from the per-byte fill", p, r)
+			}
+		}
+		if !bytes.Equal(p.Reference(), img) {
+			t.Fatalf("%v: reference image differs from the per-byte fill", p)
+		}
 	}
 }

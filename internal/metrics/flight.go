@@ -88,12 +88,17 @@ type FailoverEvent struct {
 }
 
 // noteFailover records the first failover's dead set and realm count;
-// repeat calls (every rank reports the same resume) are folded into it.
+// repeat calls (every rank reports the same resume) are folded into it. An
+// aggregator may have journalled a resumed round first (noteReplay), which
+// leaves the event with its counts and these two fields still to fill.
 func (f *Flight) noteFailover(dead []int, realms int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failover == nil {
-		f.failover = &FailoverEvent{DeadRanks: append([]int(nil), dead...), Realms: realms}
+		f.failover = &FailoverEvent{}
+	}
+	if f.failover.Realms == 0 {
+		f.failover.DeadRanks, f.failover.Realms = append([]int(nil), dead...), realms
 	}
 }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -358,4 +360,91 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	var nilH *stats.Histogram
 	nilH.Buckets(func(float64, int64) { t.Fatal("nil histogram visited a bucket") })
+}
+
+// TestFailoverEventOrderIndependent: an aggregator may journal a resumed
+// round (NoteReplay) before rank 0 publishes the dead set (NoteFailover).
+// Either order must leave the same event in the dump; the replay used to
+// create it empty and the failover note then kept "dead_ranks": null.
+func TestFailoverEventOrderIndependent(t *testing.T) {
+	dump := func(replayFirst bool) string {
+		s := NewSet(2)
+		failover := func() { s.Registry(0).NoteFailover([]int{0}, 4) }
+		if !replayFirst {
+			failover()
+		}
+		s.Registry(1).NoteReplay(1, 0)
+		s.Registry(1).NoteReplay(0, 2)
+		failover() // every resuming call of rank 0 reports it again
+		var b bytes.Buffer
+		if err := s.Dump(false).WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first, second := dump(false), dump(true)
+	if first != second {
+		t.Fatalf("dump depends on who reached the recorder first:\n%s\n%s", first, second)
+	}
+	d := NewSet(1)
+	d.Registry(0).NoteReplay(1, 0)
+	d.Registry(0).NoteFailover([]int{0}, 4)
+	if fo := d.Dump(false).Failover; fo == nil || len(fo.DeadRanks) != 1 || fo.Realms != 4 || fo.RoundsReplayed != 1 {
+		t.Fatalf("failover event %+v, want dead [0], 4 realms, 1 round replayed", fo)
+	}
+}
+
+// FuzzParseProm: whatever text arrives as an exposition (the analyzer reads
+// files), parsing either fails or returns series that stand in the text, at
+// most one per line, and our own rendering of them parses back to the same
+// values.
+func FuzzParseProm(f *testing.F) {
+	s := NewSet(2)
+	st := stats.New()
+	for rank := 0; rank < 2; rank++ {
+		r := s.Registry(rank)
+		r.Add(CIOBytes, int64(1000*(rank+1)))
+		r.SetGauge(GNAggs, 2)
+		r.ObservePhase(stats.PComm, 0.25)
+		pr := r.BeginRound(st)
+		r.EndRound(st, pr, 0, rank == 0, 512, 1024)
+	}
+	var own bytes.Buffer
+	if err := s.WriteProm(&own); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(own.String())
+	f.Add("")
+	f.Add("flexio_orphan 1\n")                                 // sample without TYPE
+	f.Add("# TYPE flexio_x counter\nflexio_x notnum\n")        // bad value
+	f.Add("# TYPE flexio_x counter\nflexio_x 1\nflexio_x 1\n") // duplicate
+	f.Add("# TYPE flexio_x wat\n")                             // unknown type
+	f.Add("# TYPE flexio_h histogram\nflexio_h_bucket{le=\"+Inf\"} 3\nflexio_h_sum NaN\nflexio_h_count 3\n")
+	f.Add("# TYPE flexio_x gauge\nflexio_x{a=\"b c\" 1\n") // unterminated labels
+	f.Fuzz(func(t *testing.T, text string) {
+		got, err := ParseProm(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if lines := strings.Count(text, "\n") + 1; len(got) > lines {
+			t.Fatalf("%d series from %d lines", len(got), lines)
+		}
+		var again strings.Builder
+		for _, series := range PromSeriesNames(got) {
+			if series == "" || !strings.Contains(text, series) {
+				t.Fatalf("series %q is not in the text", series)
+			}
+			name, _, _ := strings.Cut(series, "{")
+			fmt.Fprintf(&again, "# TYPE %s untyped\n%s %s\n", name, series, formatProm(got[series]))
+		}
+		back, err := ParseProm(strings.NewReader(again.String()))
+		if err != nil {
+			t.Fatalf("our rendering of the parsed series does not parse: %v\n%s", err, again.String())
+		}
+		for series, v := range got {
+			if w, ok := back[series]; !ok || (w != v && !(math.IsNaN(w) && math.IsNaN(v))) {
+				t.Fatalf("series %q: %v became %v", series, v, w)
+			}
+		}
+	})
 }

@@ -134,6 +134,19 @@ func (b *mailbox) drain() {
 	b.mu.Unlock()
 }
 
+// DropUndelivered discards every message sent to this rank and not yet
+// received. A collective that aborts by agreement calls it on every rank
+// between the agreement (after which nothing more of the call is sent) and the
+// closing barrier (before which nothing of the next is): a rank that stopped
+// expecting a payload, such as an aggregator that refused the sender's
+// request, would otherwise match it in the next call, under the same tag.
+func (p *Proc) DropUndelivered() {
+	b := p.w.boxes[p.rank]
+	b.mu.Lock()
+	b.msgs = nil
+	b.mu.Unlock()
+}
+
 // poisonAndWake releases blocked receivers after a peer failure.
 func (b *mailbox) poisonAndWake() {
 	b.mu.Lock()

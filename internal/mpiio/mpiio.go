@@ -143,7 +143,7 @@ type File struct {
 
 	// pfr holds persistent file realms across collective calls (paper
 	// §5.2); owned by the collective implementation via PFR/SetPFR.
-	pfr []realm.Realm
+	pfr *realm.Assignment
 
 	// pos is the individual file pointer in etype units (MPI_File_seek /
 	// the pointer-relative read/write forms).
@@ -255,10 +255,10 @@ func (f *File) SetRound(r int) {
 
 // PFR returns the persistent file realms established by an earlier
 // collective call (nil if none).
-func (f *File) PFR() []realm.Realm { return f.pfr }
+func (f *File) PFR() *realm.Assignment { return f.pfr }
 
 // SetPFR records persistent file realms for subsequent collective calls.
-func (f *File) SetPFR(r []realm.Realm) { f.pfr = r }
+func (f *File) SetPFR(a *realm.Assignment) { f.pfr = a }
 
 // ViewCursor returns a cursor over the file view's accessible bytes,
 // limited to dataLen bytes of data, and charges the flattening of the

@@ -73,6 +73,15 @@ func (r Realm) String() string {
 	return fmt.Sprintf("realm(disp=%d count=%d %s)", r.Disp, r.Count, r.Pattern)
 }
 
+// Assignment is a realm set as a collective engine passes it around: computed
+// once (per call for the whole world, or per file when persisted) and then
+// shared read-only by every rank, together with the content signature the
+// engine's layout memo keys on, so no rank re-hashes the patterns per call.
+type Assignment struct {
+	Realms []Realm
+	Sig    uint64
+}
+
 // Context carries everything an assignment policy may consult.
 type Context struct {
 	// NAggs is the number of I/O aggregators to assign realms for.

@@ -273,3 +273,48 @@ func TestDiffDumpsCritPath(t *testing.T) {
 		t.Fatalf("rounds delta = %+v", r.Rounds)
 	}
 }
+
+// FuzzLoadFile: whatever a file holds, loading it fails or yields a source
+// of exactly one kind, labelled, that a report can be built from and
+// rendered without a panic (the loader feeds Diff unchecked).
+func FuzzLoadFile(f *testing.F) {
+	f.Add([]byte(`{"results":{"before":[{"name":"a","virt_sec_per_op":1}],"after":[{"name":"a","virt_sec_per_op":2}]}}`), "before")
+	f.Add([]byte(`{"results":{"after":[]}}`), "")
+	f.Add([]byte(`{"results":{"before":[]}}`), "nope")
+	f.Add([]byte("# TYPE flexio_io_bytes_total counter\nflexio_io_bytes_total{rank=\"0\"} 7\n"), "")
+	f.Add([]byte(`{"schema":"flexio-flight-v1","ranks":2,"naggs":1,"stripe_size":65536,"rounds":[]}`), "run1")
+	f.Add([]byte(`{"schema":"flexio-flight-v1","ranks":2,"naggs":1,"rounds":[{"round":0,"aggs":[{"rank":0,"recv_bytes":5}],"imbalance":1}],"failover":{"dead_ranks":[1],"realms":2}}`), "")
+	f.Add([]byte(`{"schema":"other"}`), "")
+	f.Add([]byte(`{"results":`), "")
+	f.Add([]byte("  \n"), "")
+	f.Fuzz(func(t *testing.T, data []byte, label string) {
+		if strings.ContainsAny(label, "#/\x00") {
+			return // the label is not what is fuzzed: keep the spec one path and one label
+		}
+		path := filepath.Join(t.TempDir(), "artifact")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec := path
+		if label != "" {
+			spec += "#" + label
+		}
+		src, err := LoadFile(spec)
+		if err != nil {
+			return
+		}
+		kinds := 0
+		for _, is := range []bool{src.Dump != nil, src.Prom != nil, src.Bench != nil} {
+			if is {
+				kinds++
+			}
+		}
+		if kinds > 1 || src.Label == "" { // a trajectory label may hold no rows
+			t.Fatalf("loaded source %+v: want one kind and a label", src)
+		}
+		rep := Diff(src, src)
+		if text := rep.Format(); !strings.Contains(text, "differential run report") {
+			t.Fatalf("report of a loaded source against itself:\n%s", text)
+		}
+	})
+}

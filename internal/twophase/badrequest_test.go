@@ -120,7 +120,7 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 				}
 			}
 			_, disp := b.wl.Filetype(bad)
-			sender := b.eng.clients.Get(clientKey{rank: bad, ft: b.fts[bad], disp: disp,
+			sender := b.eng.scratch.For(bad, b.wl.Ranks).clients.Get(clientKey{ft: b.fts[bad], disp: disp,
 				dataLen: b.wl.RegionSize * b.wl.RegionCount, cb: 4 << 10, naggs: 2, aarSt: 0, aarEn: b.wl.FileSize()})
 			if sender == nil {
 				t.Fatal("no memo entry for the sender")
@@ -139,6 +139,16 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 				}
 				if !named {
 					t.Fatalf("attempt %d: no rank's error names the sender", attempt)
+				}
+				// A list that plans (the last case: only the payload shows it
+				// up, in the executor) is a shape like any other; one planned
+				// around a stand-in must have gone without a key.
+				for a := 0; a < 2 && m.name != "longer than the payload"; a++ {
+					kept := 0
+					b.eng.scratch.For(a, b.wl.Ranks).aggs.Each(func(aggKey, *aggEntry) { kept++ })
+					if kept != 1 {
+						t.Fatalf("attempt %d: aggregator %d keeps %d plans, want the clean call's alone", attempt, a, kept)
+					}
 				}
 			}
 			sender.encs[0] = good

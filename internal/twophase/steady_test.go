@@ -78,9 +78,10 @@ func (s *steadySession) step(t testing.TB) {
 // call plans like a call with a view nobody has seen, in the scratch a run of
 // such calls keeps.
 func (s *steadySession) forget() {
-	s.eng.clients, s.eng.aggs = core.Memo[clientKey, clientEntry]{}, core.Memo[aggKey, aggEntry]{}
 	for r := range s.files {
-		s.eng.scratch.For(r).last.ft = nil
+		scr := s.eng.scratch.For(r, len(s.files))
+		scr.clients, scr.aggs = core.Memo[clientKey, clientEntry]{}, core.Memo[aggKey, aggEntry]{}
+		scr.last.ft = nil
 	}
 }
 

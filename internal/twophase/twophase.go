@@ -27,7 +27,6 @@ package twophase
 import (
 	"encoding/binary"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"flexio/internal/core"
@@ -42,8 +41,8 @@ import (
 const tagReq = 1000
 
 // Impl implements mpiio.Collective. Like core.Impl, one Impl is shared by
-// every rank goroutine of a world (the plan memo is locked, per-call scratch
-// is segregated per rank) and must not serve two concurrently running worlds.
+// every rank goroutine of a world (plan memo and scratch are per rank) and
+// must not serve two concurrently running worlds.
 type Impl struct {
 	// exec runs the rounds, and holds the journal and the degrade hook (see
 	// NewJournaled, NewDegradable).
@@ -53,8 +52,6 @@ type Impl struct {
 	// validate cross-checks every aggregator memo hit (see WithValidate).
 	validate bool
 
-	clients core.Memo[clientKey, clientEntry]
-	aggs    core.Memo[aggKey, aggEntry]
 	scratch core.RankTable[rankScratch]
 }
 
@@ -121,7 +118,6 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 // function of the aggregate access region and the aggregator count, cut into
 // rounds of cb bytes.
 type clientKey struct {
-	rank          int
 	ft            datatype.Type
 	disp, dataLen int64
 	cb            int64
@@ -130,15 +126,15 @@ type clientKey struct {
 }
 
 type clientEntry struct {
-	encs   [][]byte           // the request sent to each aggregator: its share of the pairs
-	pieces []core.RoundPieces // per aggregator, the stream range of each round
-	pairs  int64              // ChargePairs replay of the split
+	encs   [][]byte        // the request sent to each aggregator: its share of the pairs
+	enc    []byte          // the block they are cut from
+	pieces core.PieceLists // per aggregator, the stream range of each round
+	pairs  int64           // ChargePairs replay of the split
 }
 
 // aggKey replaces the access with a hash of the request messages received
 // this call, so any client changing its access misses.
 type aggKey struct {
-	rank         int
 	req          uint64
 	cb           int64
 	naggs        int
@@ -154,8 +150,17 @@ type aggKey struct {
 type aggEntry struct {
 	from   []int32 // the client of every piece: file order within a round, rounds back to back
 	rounds []aggRound
-	widest int   // pieces of the largest round
-	pairs  int64 // ChargePairs replay: every pair received
+	peers  []core.PeerBytes // every round's, back to back
+	widest int              // pieces of the largest round
+	pairs  int64            // ChargePairs replay: every pair received
+}
+
+// equal reports whether two builds planned the same rounds.
+func (ae *aggEntry) equal(o *aggEntry) bool {
+	return ae.widest == o.widest && ae.pairs == o.pairs && slices.Equal(ae.from, o.from) &&
+		slices.EqualFunc(ae.rounds, o.rounds, func(x, y aggRound) bool {
+			return x.pieces == y.pieces && x.total == y.total && slices.Equal(x.peers, y.peers)
+		})
 }
 
 type aggRound struct {
@@ -233,8 +238,11 @@ func (w *aggWalk) Round(r int) *core.RoundPlan {
 	return &w.plan
 }
 
-// rankScratch is one rank's working memory across calls.
+// rankScratch is one rank's plan memo and working memory across calls.
 type rankScratch struct {
+	clients core.Memo[clientKey, clientEntry]
+	aggs    core.Memo[aggKey, aggEntry]
+
 	rounds core.RoundScratch
 	walk   aggWalk
 	bounds []int64
@@ -256,6 +264,8 @@ type rankScratch struct {
 // core's, it is dropped by the first call that hits on both sides.
 type planScratch struct {
 	core   core.PlanScratch
+	plans  core.AggPlans    // the merge, before an entry keeps what it decided
+	ends   []int            // where each aggregator's request ends in the encoding block
 	mine   []datatype.Seg   // this rank's flattened access
 	share  []datatype.Seg   // one aggregator's share of it
 	pieces []datatype.Piece // that share cut at the round windows
@@ -293,7 +303,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	amAgg := p.Rank() < naggs
 	dataLen := datatype.TotalSize(memtype, count)
 	view := f.View()
-	scr := i.scratch.For(p.Rank())
+	scr := i.scratch.For(p.Rank(), p.Size())
 	ps, last := &scr.plan, &scr.last
 
 	// Flatten the whole access: the O(M) flattened-access representation is
@@ -323,7 +333,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// access. The merged lists are deduplicated unions, so the domains and
 	// round windows carve out exactly the byte sets the members would have
 	// shipped individually.
-	var pre *preaggState
+	var pre *core.PreaggState
 	if i.preagg {
 		mySegs, pre = i.preaggExchange(f, mySegs, cs, dataLen, write)
 	}
@@ -363,11 +373,11 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// pin, so it is planned on every call.
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	ck := clientKey{rank: p.Rank(), ft: view.Filetype, disp: view.Disp, dataLen: dataLen,
+	ck := clientKey{ft: view.Filetype, disp: view.Disp, dataLen: dataLen,
 		cb: cb, naggs: naggs, aarSt: aarSt, aarEn: aarEn}
 	var ce *clientEntry
 	if !i.preagg {
-		ce = i.clients.Get(ck)
+		ce = scr.clients.Get(ck)
 	}
 	clientHit := ce != nil
 	core.NoteMemo(p, "client", clientHit)
@@ -376,9 +386,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			ps.mine, _ = f.AppendAccess(ps.mine[:0], dataLen)
 			mySegs = ps.mine
 		}
-		ce = ps.planClient(mySegs, d, cb)
+		ce = scr.clients.Evict()
+		ps.planClient(ce, mySegs, d, cb)
 		if !i.preagg {
-			i.clients.Put(ck, ce)
+			scr.clients.Keep(ck)
 		}
 	}
 	f.ChargePairs(ce.pairs)
@@ -407,20 +418,22 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			scr.msgs[c], _ = p.Recv(c, tagReq)
 			h = core.HashBytes(h, scr.msgs[c])
 		}
-		ak := aggKey{rank: p.Rank(), req: h, cb: cb, naggs: naggs, aarSt: aarSt, aarEn: aarEn}
-		ae = i.aggs.Get(ak)
+		ak := aggKey{req: h, cb: cb, naggs: naggs, aarSt: aarSt, aarEn: aarEn}
+		ae = scr.aggs.Get(ak)
 		aggHit = ae != nil
 		core.NoteMemo(p, "agg", aggHit)
 		if !aggHit {
-			ae, planErr = ps.planAgg(scr.msgs, d, p.Rank(), cb)
+			ae = scr.aggs.Evict()
+			planErr = ps.planAgg(ae, scr.msgs, d, p.Rank(), cb)
 			// A failure-degraded request set (stand-ins for dead or unusable
-			// senders) must not poison the cache for later healthy calls.
+			// senders) must not poison the cache for later healthy calls: it
+			// goes without a key.
 			if p.PeerFailure() == nil && planErr == nil {
-				i.aggs.Put(ak, ae)
+				scr.aggs.Keep(ak)
 			}
 		} else if i.validate {
-			var fresh *aggEntry
-			if fresh, planErr = ps.planAgg(scr.msgs, d, p.Rank(), cb); planErr == nil && !reflect.DeepEqual(fresh, ae) {
+			var fresh aggEntry
+			if planErr = ps.planAgg(&fresh, scr.msgs, d, p.Rank(), cb); planErr == nil && !fresh.equal(ae) {
 				planErr = fmt.Errorf("twophase: memoized merge plan differs from a fresh build")
 			}
 		}
@@ -470,20 +483,20 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// Execution. A leader whose pre-aggregation lost a member seeds the
 	// first agreement like an unusable request does, so every rank aborts
 	// before a partial merge becomes durable.
-	plan := core.Plan{Pieces: ce.pieces, Rounds: ntimes, Method: mpiio.IntegratedSieve, Err: planErr}
+	plan := core.Plan{Pieces: &ce.pieces, Rounds: ntimes, Method: mpiio.IntegratedSieve, Err: planErr}
 	if amAgg {
 		lo, _ := d.of(p.Rank())
 		scr.walk.start(ae, scr.msgs, lo, cb)
 		plan.Agg = &scr.walk
 	}
-	if pre != nil && pre.err != nil {
-		plan.Err = pre.err
+	if pre != nil && pre.Err != nil {
+		plan.Err = pre.Err
 	}
 	err := i.exec.Rounds(f, &scr.rounds, cs.B, &plan, write)
 	// Reads under pre-aggregation: the leader scatters each member its
 	// bytes and takes back its own; an abort above skips this uniformly.
 	if err == nil && !write && pre != nil {
-		err = i.preaggScatter(f, cs, pre, dataLen)
+		err = pre.Scatter(f, cs, dataLen, nil)
 	}
 	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
 }
@@ -506,15 +519,17 @@ func (d domains) of(a int) (lo, hi int64) {
 // shares follow one another in the access and in the stream its bytes occupy
 // back to back; each share is cut again at its domain's round windows, which
 // gives the stream range the aggregator receives (or sends back) per round.
-func (ps *planScratch) planClient(segs []datatype.Seg, d domains, cb int64) *clientEntry {
-	ce := &clientEntry{encs: make([][]byte, d.naggs), pairs: int64(len(segs))}
-	ps.core.StartClient()
+func (ps *planScratch) planClient(ce *clientEntry, segs []datatype.Seg, d domains, cb int64) {
+	ce.pairs = int64(len(segs))
+	ce.pieces.Start(d.naggs)
+	enc, ends := ce.enc[:0], ps.ends[:0]
 	share, pieces := ps.share[:0], ps.pieces[:0]
 	a := 0
 	lo, hi := d.of(0)
 	seal := func() {
-		ce.encs[a] = datatype.EncodeSegs(share)
-		ps.core.AddAggregator(pieces)
+		enc = datatype.AppendSegsEncoding(enc, share)
+		ends = append(ends, len(enc))
+		ce.pieces.Add(pieces)
 		share, pieces = share[:0], pieces[:0]
 		a++
 		lo, hi = d.of(a)
@@ -541,20 +556,23 @@ func (ps *planScratch) planClient(segs []datatype.Seg, d domains, cb int64) *cli
 	for a < d.naggs {
 		seal()
 	}
-	ps.share, ps.pieces = share, pieces
-	ce.pieces = ps.core.ClientPieces()
-	return ce
+	ps.share, ps.pieces, ps.ends, ce.enc = share, pieces, ends, enc
+	ce.encs = ce.encs[:0]
+	at := 0
+	for _, end := range ends {
+		ce.encs, at = append(ce.encs, enc[at:end:end]), end
+	}
 }
 
 // planAgg decodes the requests an aggregator received and merges them into
-// its plan. A request that does not decode, or asks for bytes outside this
+// its plan, replacing what ae held. A request that does not decode, or asks for bytes outside this
 // aggregator's domain, gets the empty stand-in a nil message (a dead rank)
 // gets, and the first such error is returned for the first agreement to
 // carry.
-func (ps *planScratch) planAgg(msgs [][]byte, d domains, rank int, cb int64) (*aggEntry, error) {
+func (ps *planScratch) planAgg(ae *aggEntry, msgs [][]byte, d domains, rank int, cb int64) error {
 	lo, hi := d.of(rank)
 	ps.reqs, ps.flats = ps.reqs[:0], core.Sized(ps.flats, len(msgs))
-	ae := &aggEntry{}
+	ae.pairs, ae.widest = 0, 0
 	var bad error
 	for c, msg := range msgs {
 		ps.flats[c] = datatype.Flat{Limit: -1} // no access
@@ -582,18 +600,21 @@ func (ps *planScratch) planAgg(msgs [][]byte, d domains, rank int, cb int64) (*a
 		dom = realm.Realm{Disp: lo, Pattern: datatype.Bytes(hi - lo), Count: 1}
 	}
 	// Merge with the shared kernel and keep the order it decided.
-	plans, _ := core.BuildPlans(&ps.core, ps.flats, dom, cb, nil)
-	pieces := 0
+	ps.plans.Build(&ps.core, ps.flats, dom, cb, nil)
+	plans := ps.plans.Rounds
+	pieces, peers := 0, 0
 	for r := range plans {
-		pieces += len(plans[r].Order)
+		pieces, peers = pieces+len(plans[r].Order), peers+len(plans[r].Peers)
 	}
-	ae.from, ae.rounds = make([]int32, 0, pieces), make([]aggRound, len(plans))
+	ae.from, ae.peers, ae.rounds = slices.Grow(ae.from[:0], pieces), slices.Grow(ae.peers[:0], peers), core.Sized(ae.rounds, len(plans))
 	for r := range plans {
-		ae.rounds[r] = aggRound{pieces: len(plans[r].Order), total: plans[r].Total, peers: slices.Clone(plans[r].Peers)}
+		at := len(ae.peers)
+		ae.peers = append(ae.peers, plans[r].Peers...)
+		ae.rounds[r] = aggRound{pieces: len(plans[r].Order), total: plans[r].Total, peers: ae.peers[at:len(ae.peers):len(ae.peers)]}
 		ae.widest = max(ae.widest, len(plans[r].Order))
 		for _, it := range plans[r].Order {
 			ae.from = append(ae.from, it.Run)
 		}
 	}
-	return ae, bad
+	return bad
 }

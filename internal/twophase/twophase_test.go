@@ -1,12 +1,16 @@
 package twophase_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"flexio/internal/colltest"
 	"flexio/internal/core"
+	"flexio/internal/datatype"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/twophase"
@@ -184,5 +188,92 @@ func TestIntegratedSieveSingleCopy(t *testing.T) {
 func TestName(t *testing.T) {
 	if twophase.New().Name() != "romio-twophase" {
 		t.Fatal("unexpected name")
+	}
+}
+
+// TestMemoHitsAtScale: the plan memo is per rank, so a world of more than
+// 128 ranks keeps its steady state (one map of 128 entries per world kept
+// nobody's): every call after the first hits on both sides.
+func TestMemoHitsAtScale(t *testing.T) {
+	const steps, aggs = 4, 16
+	for _, ranks := range []int{256, 1024} {
+		for _, enumerate := range []bool{false, true} {
+			t.Run(fmt.Sprintf("P=%d/enumerate=%v", ranks, enumerate), func(t *testing.T) {
+				wl := colltest.Workload{Ranks: ranks, RegionSize: 16, RegionCount: 32, Spacing: 128,
+					NodeRanks: 16, Enumerate: enumerate}
+				res, err := colltest.RunWriteSteps(sim.DefaultConfig(), wl,
+					mpiio.Info{Collective: twophase.New(), CbNodes: aggs}, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := colltest.VerifyImage(wl, res.Image); err != nil {
+					t.Fatal(err)
+				}
+				agg := stats.Merge(res.World.Recorders()...)
+				hits, misses := agg.Counter(stats.CIsectCacheHits), agg.Counter(stats.CIsectCacheMisses)
+				if u := int64(ranks + aggs); misses != u || hits != (steps-1)*u {
+					t.Fatalf("hits=%d misses=%d, want hits=%d misses=%d", hits, misses, (steps-1)*u, u)
+				}
+			})
+		}
+	}
+}
+
+// TestMemoKeepsEightShapes is core's test of the same name for this engine's
+// plan memo: eight shapes in rotation hit the second time round, nine never
+// do, and every call planned into an evicted slot passes WithValidate's
+// cross-check and lands its bytes.
+func TestMemoKeepsEightShapes(t *testing.T) {
+	wl := baseWorkload()
+	u := int64(2 * wl.Ranks)
+	for _, tc := range []struct {
+		shapes, calls int
+		wantMisses    int64
+	}{{2, 6, 2 * u}, {8, 24, 8 * u}, {9, 27, 27 * u}} {
+		t.Run(fmt.Sprint(tc.shapes, " shapes"), func(t *testing.T) {
+			cfg := sim.DefaultConfig()
+			w, fs := mpi.NewWorld(wl.Ranks, cfg), pfs.NewFileSystem(cfg)
+			eng := twophase.New().WithValidate()
+			errs := make([]error, wl.Ranks)
+			w.Run(func(p *mpi.Proc) {
+				r := p.Rank()
+				f, err := mpiio.Open(p, fs, "shapes.dat", mpiio.Info{Collective: eng})
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				ft, disp := wl.Filetype(r)
+				mt, _ := wl.Memtype()
+				buf := wl.FillBuffer(r)
+				for c := 0; c < tc.calls && errs[r] == nil; c++ {
+					if errs[r] = f.SetView(disp+int64(c%tc.shapes)*4096, datatype.Bytes(1), ft); errs[r] == nil {
+						errs[r] = f.WriteAll(buf, mt, wl.RegionCount)
+					}
+				}
+				f.Close()
+			})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			agg := stats.Merge(w.Recorders()...)
+			hits, misses := agg.Counter(stats.CIsectCacheHits), agg.Counter(stats.CIsectCacheMisses)
+			if misses != tc.wantMisses || hits != int64(tc.calls)*u-tc.wantMisses {
+				t.Fatalf("hits=%d misses=%d, want %d misses of %d lookups", hits, misses, tc.wantMisses, int64(tc.calls)*u)
+			}
+			// The last shape written overlaps none that followed it.
+			last := wl
+			last.Disp += int64((tc.calls-1)%tc.shapes) * 4096
+			img, want := fs.Snapshot("shapes.dat", last.FileSize()), last.Reference()
+			for i := int64(0); i < wl.RegionCount; i++ {
+				for r := 0; r < wl.Ranks; r++ {
+					off := last.Disp + (i*int64(wl.Ranks)+int64(r))*(wl.RegionSize+wl.Spacing)
+					if !bytes.Equal(img[off:off+wl.RegionSize], want[off:off+wl.RegionSize]) {
+						t.Fatalf("region %d of rank %d is not in the file", i, r)
+					}
+				}
+			}
+		})
 	}
 }
