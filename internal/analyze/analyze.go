@@ -67,8 +67,12 @@ func Analyze(d *metrics.Dump) []Finding {
 
 	// Collective abort: always the headline if present.
 	if d.Abort != nil {
+		where := fmt.Sprintf("in round %d", d.Abort.Round)
+		if d.Abort.Round < 0 {
+			where = "before round 0"
+		}
 		fs = append(fs, finding(SevCritical, "abort",
-			fmt.Sprintf("collective aborted in round %d (error class %q)", d.Abort.Round, d.Abort.Class),
+			fmt.Sprintf("collective aborted %s (error class %q)", where, d.Abort.Class),
 			"inspect the flight-recorder rounds leading up to the abort; retries/faults columns show which rank's I/O path degraded first",
 			50))
 	}

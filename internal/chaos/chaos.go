@@ -73,6 +73,14 @@ const (
 	// Degraded set the engine falls back to naive I/O and completes,
 	// otherwise it aborts with the io class.
 	FaultSieveHard Fault = "sieve-hard"
+	// FaultTransientRound1 is FaultTransient confined to round 1: the first
+	// round a pipelined read reads ahead, so the retries run while round 0
+	// is on the wire.
+	FaultTransientRound1 Fault = "transient-round1"
+	// FaultPartialLast is FaultPartial confined to the collective's last
+	// round: the resumed tail belongs to the last read-ahead, or to the
+	// pipelined write that lands after the loop.
+	FaultPartialLast Fault = "partial-last"
 )
 
 // RankFault names a rank fault plane — process failures, as opposed to the
@@ -92,8 +100,13 @@ const (
 	// RankCrashRead is RankCrashMid on a collective read; the rerun has no
 	// journal to consult (reads are idempotent) but must still deliver
 	// every byte through the reassigned realms. It is the one rank fault of
-	// the read direction.
+	// the read direction entered at a round boundary.
 	RankCrashRead RankFault = "crash-mid-read"
+	// RankCrashExchange kills an aggregator of a collective read in the
+	// middle of round 1, right after its last send of the round and before
+	// the read-ahead that would follow: its clients hold views of a read
+	// buffer nobody will retire, and the round's agreement must notice.
+	RankCrashExchange RankFault = "crash-mid-exchange"
 	// RankStraggler stalls the victim far past the collective deadline at
 	// round 1 without killing it: deadline detection must flag it suspect
 	// and abort every rank on the same decision.
@@ -117,14 +130,19 @@ const (
 	// CorruptTorn loses the tail of written segments (torn write): reads
 	// see zeros where data should be, caught like any at-rest mismatch.
 	CorruptTorn CorruptPlane = "torn"
+	// CorruptAtRestAhead is CorruptAtRest sparing the file's first page, so
+	// that a single aggregator (cb=1) reads its first rounds clean and meets
+	// the damage in a round it reads ahead: the repair, or the abort, comes
+	// out of a read-ahead.
+	CorruptAtRestAhead CorruptPlane = "atrest-ahead"
 )
 
 // The vocabularies ParseSpec and validate accept, in the order error
 // messages list them.
 var (
-	storageFaults = []Fault{FaultTransient, FaultPartial, FaultRound1, FaultBrownout, FaultStorm, FaultGiveup, FaultSieveHard}
-	rankFaults    = []RankFault{RankCrashShuffle, RankCrashMid, RankCrashRead, RankStraggler, RankDropStorm}
-	corruptPlanes = []CorruptPlane{CorruptWire, CorruptAtRest, CorruptTorn}
+	storageFaults = []Fault{FaultTransient, FaultPartial, FaultRound1, FaultBrownout, FaultStorm, FaultGiveup, FaultSieveHard, FaultTransientRound1, FaultPartialLast}
+	rankFaults    = []RankFault{RankCrashShuffle, RankCrashMid, RankCrashRead, RankCrashExchange, RankStraggler, RankDropStorm}
+	corruptPlanes = []CorruptPlane{CorruptWire, CorruptAtRest, CorruptTorn, CorruptAtRestAhead}
 	methods       = []mpiio.Method{mpiio.DataSieve, mpiio.Naive, mpiio.ListIO}
 )
 
@@ -302,11 +320,23 @@ func (s Scenario) Baseline() Cell {
 // crashes reports whether the rank plane kills the victim's goroutine (as
 // opposed to running it late or dropping its messages).
 func (s Scenario) crashes() bool {
-	return s.Rank == RankCrashShuffle || s.Rank == RankCrashMid || s.Rank == RankCrashRead
+	return s.Rank == RankCrashShuffle || s.Rank == RankCrashMid || s.Rank.reads()
 }
 
+// reads reports whether the rank fault is one of the read direction (reads
+// have no journal; the others need the write journal).
+func (f RankFault) reads() bool { return f == RankCrashRead || f == RankCrashExchange }
+
 // atRest reports whether the corruption plane damages stored bytes.
-func (s Scenario) atRest() bool { return s.Corrupt == CorruptAtRest || s.Corrupt == CorruptTorn }
+func (s Scenario) atRest() bool { return s.Corrupt != "" && s.Corrupt != CorruptWire }
+
+// naggs is how many ranks aggregate.
+func (s Scenario) naggs() int {
+	if s.CbNodes > 0 {
+		return s.CbNodes
+	}
+	return tile.Ranks
+}
 
 // validate rejects a scenario no world can run, naming the field at fault.
 func (s Scenario) validate() error {
@@ -331,8 +361,8 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("unknown rank fault %q (want one of %v)", s.Rank, rankFaults)
 	case s.Victim < 0 || s.Victim >= tile.Ranks:
 		return fmt.Errorf("victim %d out of range [0,%d)", s.Victim, tile.Ranks)
-	case s.Write == (s.Rank == RankCrashRead):
-		return fmt.Errorf("direction: %s is the rank fault of the read direction, the others need the write journal", RankCrashRead)
+	case s.Write == s.Rank.reads():
+		return fmt.Errorf("direction: %s and %s are the rank faults of the read direction, the others need the write journal", RankCrashRead, RankCrashExchange)
 	}
 	switch {
 	case s.Corrupt == "":
@@ -383,8 +413,11 @@ func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) 
 // (or torn), so whichever write lands last on a page leaves detectable
 // damage for the next read.
 func (s Scenario) flipRule() pfs.FlipRule {
-	if s.Corrupt == CorruptTorn {
+	switch s.Corrupt {
+	case CorruptTorn:
 		return pfs.FlipRule{Kind: "torn"}
+	case CorruptAtRestAhead:
+		return pfs.FlipRule{Kind: "bitflip", MinOff: sim.DefaultConfig().PageSize}
 	}
 	return pfs.FlipRule{Kind: "bitflip"}
 }
@@ -394,18 +427,26 @@ func (s Scenario) flipRule() pfs.FlipRule {
 // write that has to land them.
 func (s Scenario) storageSchedule() *pfs.FaultSchedule {
 	sched := pfs.NewFaultSchedule(s.Seed)
+	// Partial rules are scoped to the transfer direction: an unscoped rule
+	// would spend its injections on the sieve RMW prefetch reads, which the
+	// pfs layer reports as transient (no data bytes lost), not partial.
+	kind := "read"
+	if s.Write {
+		kind = "write"
+	}
 	switch s.Storage {
 	case FaultTransient:
 		sched.Add(pfs.Rule{Class: pfs.ClassTransient, Count: 2})
+	case FaultTransientRound1:
+		sched.Add(pfs.Rule{Rounds: []int{1}, Class: pfs.ClassTransient, Count: 2})
 	case FaultPartial:
-		// Scoped to the transfer direction: an unscoped rule would spend
-		// its injections on the sieve RMW prefetch reads, which the pfs
-		// layer reports as transient (no data bytes lost), not partial.
-		kind := "read"
-		if s.Write {
-			kind = "write"
-		}
 		sched.Add(pfs.Rule{Kind: kind, Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2})
+	case FaultPartialLast:
+		// Every realm is an even share of the file, drained a collective
+		// buffer a round.
+		realm := (tile.FileSize() + int64(s.naggs()) - 1) / int64(s.naggs())
+		last := int((realm+collBuf-1)/collBuf) - 1
+		sched.Add(pfs.Rule{Kind: kind, Rounds: []int{last}, Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2})
 	case FaultRound1:
 		sched.Add(pfs.Rule{Rounds: []int{1}, Class: pfs.ClassIO})
 	case FaultBrownout:
@@ -434,6 +475,15 @@ func (s Scenario) rankSchedule() *mpi.RankFaultSchedule {
 		rf.Crash(s.Victim, 0)
 	case RankCrashMid, RankCrashRead:
 		rf.Crash(s.Victim, 2)
+	case RankCrashExchange:
+		// An aggregator serves every rank with data in the round (with
+		// pre-aggregation, every node leader), itself included: this is its
+		// last send of round 1.
+		clients := tile.Ranks
+		if s.Preagg {
+			clients /= nodeRanks
+		}
+		rf.CrashAtSend(s.Victim, 1, int64(clients))
 	case RankStraggler:
 		rf.Stall(s.Victim, 1, rankStall)
 	case RankDropStorm:
@@ -484,9 +534,9 @@ func (e *world) wantClass() int64 {
 // injection (brownouts and storms slow operations without failing any).
 func (s Scenario) storageEvidence() (counter string, injects bool) {
 	switch s.Storage {
-	case FaultTransient:
+	case FaultTransient, FaultTransientRound1:
 		return stats.CRetries, true
-	case FaultPartial:
+	case FaultPartial, FaultPartialLast:
 		return stats.CPartialResumes, true
 	case FaultBrownout:
 		return stats.CBrownoutServes, false

@@ -1,11 +1,16 @@
 package chaos
 
 import (
+	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/stats"
+	"flexio/internal/trace"
 )
 
 // TestRankChaosJournalPaths pins the two recovery modes side by side: an
@@ -121,5 +126,96 @@ func TestSetupErrorVerbatim(t *testing.T) {
 		if out != nil || err == nil || err.Error() != "mpiio: cb_nodes 9 out of range [0,4]" {
 			t.Errorf("%s: run() = %v, %v; want Open's error verbatim", s.Name(), out, err)
 		}
+	}
+}
+
+// roundsAt returns, for every instant called name on the rank's trace, the
+// rounds of the round spans open around it, outermost first: one round for
+// work inside its own round, two for a file access a pipeline issued for the
+// next round.
+func roundsAt(tr *trace.Tracer, name string) [][]int64 {
+	var at [][]int64
+	var open []int64 // -1 for a span that is no round
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case trace.KindBegin:
+			round := int64(-1)
+			for _, tg := range e.Tags {
+				if e.Name == trace.RoundSpan && tg.Key == trace.RoundTag {
+					round = tg.Int
+				}
+			}
+			open = append(open, round)
+		case trace.KindEnd:
+			open = open[:len(open)-1]
+		case trace.KindInstant:
+			if e.Name == name {
+				at = append(at, slices.DeleteFunc(slices.Clone(open), func(r int64) bool { return r < 0 }))
+			}
+		}
+	}
+	return at
+}
+
+// TestReadAheadCellsLandAhead pins what the read-ahead rows are for: the
+// fault of each lands in a file access issued for round r+1 from inside round
+// r (or, for the crash, right behind a round's last send, where that access
+// would have started), not in a round's own read.
+func TestReadAheadCellsLandAhead(t *testing.T) {
+	for _, c := range readAheadTable() {
+		s := c.(Scenario)
+		t.Run(s.Name(), func(t *testing.T) {
+			t.Parallel()
+			out, err := firstRun(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := out.Recordings[0].Trace
+			instant, want := "", [][]int64(nil)
+			switch {
+			case s.Storage == FaultTransientRound1:
+				instant, want = "retry", [][]int64{{0, 1}, {0, 1}}
+			case s.Storage == FaultPartialLast:
+				instant, want = "resume", [][]int64{{2, 3}, {2, 3}}
+			case s.Rank != "":
+				instant, want = trace.CrashName, [][]int64{{1}}
+			}
+			for rank := 0; rank < s.naggs(); rank++ {
+				got := roundsAt(sink.Tracer(rank), instant)
+				switch {
+				case s.Corrupt != "":
+					// The lone aggregator read its first rounds clean.
+					for _, rounds := range roundsAt(sink.Tracer(rank), "integrity_mismatch") {
+						if len(rounds) != 2 || rounds[1] != rounds[0]+1 {
+							t.Errorf("at-rest damage met in rounds %v, want a read-ahead", rounds)
+						}
+						got = append(got, rounds)
+					}
+					if len(got) == 0 {
+						t.Error("the aggregator met no at-rest damage")
+					}
+				case s.Rank != "" && rank != s.Victim:
+				case !reflect.DeepEqual(got, want):
+					t.Errorf("rank %d: %s in rounds %v, want %v", rank, instant, got, want)
+				}
+			}
+			if s.Rank != "" {
+				// The victim died with its last send of the round behind it.
+				evs := sink.Tracer(s.Victim).Events()
+				k := slices.IndexFunc(evs, func(e trace.Event) bool { return e.Name == trace.CrashName })
+				if k < 1 || evs[k-1].Name != trace.MsgSendName {
+					t.Errorf("the event before the crash is not a send")
+				}
+			}
+			if s.Corrupt != "" && !s.Repairable {
+				var d metrics.Dump
+				if err := json.Unmarshal(canonical(t, out)[".flight.json"], &d); err != nil {
+					t.Fatal(err)
+				}
+				if d.Abort == nil || d.Abort.Round < 1 {
+					t.Errorf("abort context %+v, want the round a read-ahead ran in", d.Abort)
+				}
+			}
+		})
 	}
 }

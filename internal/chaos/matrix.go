@@ -177,10 +177,34 @@ func corruptTable() []Cell {
 	return t.cells
 }
 
-// Matrix is the one table: the four families concatenated.
+// readAheadTable is the pipelined read against every plane, with and without
+// pre-aggregation: faults aimed at rounds an aggregator reads ahead (round 1
+// is the first, the last round the last), at-rest damage a lone aggregator
+// first meets reading ahead, repairable and not, and an aggregator that dies
+// between a round's sends and the read-ahead behind them.
+func readAheadTable() []Cell {
+	t := seeded{base: 11000}
+	for _, pre := range []bool{false, true} {
+		for _, f := range []Fault{FaultTransientRound1, FaultPartialLast} {
+			t.add(Scenario{Engine: "core-nb", Storage: f, Preagg: pre})
+		}
+		for _, repairable := range []bool{true, false} {
+			t.add(Scenario{Engine: "core-nb", CbNodes: 1, Corrupt: CorruptAtRestAhead, Repairable: repairable, Preagg: pre})
+		}
+		victim := 1
+		if pre {
+			victim = 0 // an aggregator that also leads its node
+		}
+		t.add(Scenario{Engine: "core-nb", Rank: RankCrashExchange, Victim: victim, Preagg: pre})
+	}
+	return t.cells
+}
+
+// Matrix is the one table: the four families, then the rows that joined
+// after them.
 func Matrix() []Cell {
 	var cells []Cell
-	for _, table := range [][]Cell{storageTable(), rankTable(), corruptTable(), tenantTable()} {
+	for _, table := range [][]Cell{storageTable(), rankTable(), corruptTable(), tenantTable(), readAheadTable()} {
 		cells = append(cells, table...)
 	}
 	return cells

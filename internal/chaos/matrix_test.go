@@ -185,9 +185,8 @@ func canonical(t *testing.T, out *Outcome) map[string][]byte {
 
 // sameRun asserts two runs of one cell are indistinguishable in everything
 // canonical, and that the flight dump tells the story the class implies: a
-// storage abort leaves its context, a recovery its failover event. (An
-// integrity abort leaves its context only when the at-rest plane raised it;
-// the wire checksum aborts below the engines that record one.)
+// storage or integrity abort leaves its context (whichever agreement raised
+// it, the ones before round 0 included), a recovery its failover event.
 func sameRun(t *testing.T, a, b *Outcome) {
 	t.Helper()
 	fa, fb := canonical(t, a), canonical(t, b)
@@ -207,7 +206,7 @@ func sameRun(t *testing.T, a, b *Outcome) {
 		t.Fatalf("flight dump does not parse: %v", err)
 	}
 	switch a.Class {
-	case mpiio.ClassIO, mpiio.ClassTransient:
+	case mpiio.ClassIO, mpiio.ClassTransient, mpiio.ClassIntegrity:
 		if d.Abort == nil {
 			t.Error("dump of an aborted cell carries no abort context")
 		}

@@ -13,13 +13,13 @@ import (
 // scenario ParseSpec(s.Spec()) == s.
 //
 //	spec  = engine { "," field }
-//	field = "read" | "write"                  direction (default write, read with crash-mid-read)
+//	field = "read" | "write"                  direction (default write, read with a crash-mid-read or -exchange)
 //	      | "datasieve" | "naive" | "listio"  buffered I/O method (default datasieve)
 //	      | "degraded" | "pre"                fall back to naive I/O; node-local pre-aggregation
 //	      | "cb=" N | "seed=" N               cb_nodes (default 0 = all ranks); seed (default 1)
-//	      | storage-fault                     transient partial hard-round1 brownout storm giveup sieve-hard
-//	      | rank-fault [ ":" victim ]         crash-before-shuffle crash-mid-rounds crash-mid-read straggler drop-storm (victim default 1)
-//	      | plane [ ":" budget ]              wire atrest torn; budget repair (default) or abort
+//	      | storage-fault                     transient partial hard-round1 brownout storm giveup sieve-hard transient-round1 partial-last
+//	      | rank-fault [ ":" victim ]         crash-before-shuffle crash-mid-rounds crash-mid-read crash-mid-exchange straggler drop-storm (victim default 1)
+//	      | plane [ ":" budget ]              wire atrest torn atrest-ahead; budget repair (default) or abort
 //
 // Fields come in any order, a plane at most once each: for example
 // "core-nb,crash-mid-rounds:3,cb=2" or "twophase,read,atrest:abort,seed=7".
@@ -106,7 +106,7 @@ func ParseSpec(spec string) (Scenario, error) {
 			return Scenario{}, fmt.Errorf("spec field %q: %w", f, err)
 		}
 	}
-	s.Write = dir == "write" || (dir == "" && s.Rank != RankCrashRead)
+	s.Write = dir == "write" || (dir == "" && !s.Rank.reads())
 	if err := s.validate(); err != nil {
 		return Scenario{}, fmt.Errorf("spec %q: %w", spec, err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/stats"
@@ -76,16 +77,73 @@ type RoundScratch struct {
 	reqs    []*mpi.Request
 }
 
-// degradeNow reports whether a round that failed under method m is re-issued
-// with naive I/O: only sieving has something to fall back from.
-func (x *Executor) degradeNow(m mpiio.Method) bool {
-	return (m == mpiio.DataSieve || m == mpiio.IntegratedSieve) && x.Degrade != nil && x.Degrade()
+// roundFrame is what a write round and a read round share: the round's span
+// and flight record, and this rank's first failure. (The Plan is passed, not
+// held: held, it would escape to the heap with the frame's contents.)
+type roundFrame struct {
+	f     *mpiio.File
+	p     *mpi.Proc
+	op    string // "write" or "read"
+	amAgg bool
+	// err is this rank's first failure. The rank keeps participating in the
+	// round's exchange (deserting a collective would deadlock the
+	// communicator); at each round boundary all ranks agree on the worst error
+	// class and either all continue or all abort with the same error.
+	err   error
+	probe metrics.RoundProbe
+}
+
+// begin enters round r, which is where its rank faults fire.
+func (c *roundFrame) begin(r int) {
+	p := c.p
+	c.f.SetRound(r)
+	if c.amAgg {
+		p.Trace.Begin2(p.Clock(), trace.RoundSpan,
+			trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
+	} else {
+		p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
+	}
+	c.probe = p.Metrics.BeginRound(p.Stats)
+}
+
+// fail keeps err, if it is this rank's first, naming the round whose data it
+// lost: a pipelined write drains round r-1, a read-ahead fills round r+1.
+func (c *roundFrame) fail(r int, err error) {
+	if err != nil && c.err == nil {
+		c.err = fmt.Errorf("core: %s round %d: %w", c.op, r, err)
+	}
+}
+
+// end closes round r: its span, its flight record (before the agreement, so
+// an aborting round's exchange traffic is still captured; recv is the merged
+// realm window at an aggregator) and the boundary agreement, which also proves
+// every peer is done with the views this rank served in the round.
+func (c *roundFrame) end(pl *Plan, r int, recv int64) error {
+	p := c.p
+	p.Trace.End(p.Clock())
+	if p.Metrics != nil {
+		p.Metrics.EndRound(p.Stats, c.probe, r, c.amAgg, pl.sendBytes(r), recv)
+	}
+	return mpiio.AgreeError(p, c.err)
+}
+
+// degrade reports whether round r, which failed under method m, is re-issued
+// with naive I/O, which touches only the useful bytes, and books the re-issue.
+// Only sieving has something to fall back from.
+func (x *Executor) degrade(c *roundFrame, m mpiio.Method, r int) bool {
+	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || x.Degrade == nil || !x.Degrade() {
+		return false
+	}
+	c.p.Stats.Add(stats.CDegradedRounds, 1)
+	c.p.Trace.Instant2(c.p.Clock(), "degrade", trace.I(trace.RoundTag, int64(r)), trace.S("op", c.op))
+	return true
 }
 
 // Rounds runs the plan's rounds on this rank's linear stream: a write drains
 // the stream into the file, a read fills it. Every rank returns the same
 // error (an agreed abort) or nil.
 func (x *Executor) Rounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan, write bool) error {
+	defer f.SetRound(-1) // whichever way the rounds end, the rank leaves the last one
 	if write {
 		return x.writeRounds(f, scr, stream, pl)
 	}
@@ -199,6 +257,7 @@ func (scr *RoundScratch) roundIov(size int) [][][]byte {
 func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
 	p := f.Proc()
 	amAgg, naggs, ntimes, method := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds, pl.Method
+	c := roundFrame{f: f, p: p, op: "write", amAgg: amAgg, err: pl.Err} // a planning failure aborts round 0
 	// Only the nonblocking strategy overlaps a round's file I/O with the next
 	// round's exchange, and only it models the pack of each message and the
 	// unpack into the collective buffer as copies.
@@ -208,25 +267,16 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 		slots = p.Size()
 	}
 
-	// Pending I/O from the previous round (nonblocking pipeline). On an
-	// I/O error the rank keeps participating in the round's exchange
-	// (deserting a collective would deadlock the communicator); at each
-	// round boundary all ranks agree on the worst error class and either
-	// all continue or all abort with the same error.
-	//
-	// pendSegs aliases the round's (immutable) plan.
+	// Pending I/O from the previous round (nonblocking pipeline); pendSegs
+	// aliases the round's (immutable) plan.
 	var pendSegs []datatype.Seg
 	var pendData []byte
-	firstErr := pl.Err // a planning failure aborts round 0
 	j := x.Journal
 
 	flush := func(round int) {
-		if len(pendSegs) == 0 || firstErr != nil {
-			bufpool.Put(pendData)
-			pendSegs, pendData = nil, nil
-			return
-		}
-		if j.Done(p.Rank(), round) {
+		switch {
+		case len(pendSegs) == 0 || c.err != nil:
+		case j.Done(p.Rank(), round):
 			// Already durable from the attempt that failed: the journal
 			// lets the resume skip the physical write entirely. Done
 			// answers true only while the journal is resuming, so a fresh
@@ -234,27 +284,21 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 			// own writes.
 			p.Metrics.NoteReplay(0, 1)
 			p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(round)))
-			bufpool.Put(pendData)
-			pendSegs, pendData = nil, nil
-			return
-		}
-		err := f.WriteStream(pendSegs, pendData, method)
-		if err != nil && x.degradeNow(method) {
-			p.Stats.Add(stats.CDegradedRounds, 1)
-			p.Trace.Instant2(p.Clock(), "degrade",
-				trace.I(trace.RoundTag, int64(round)), trace.S("op", "write"))
-			err = f.WriteStream(pendSegs, pendData, mpiio.Naive)
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("core: write round %d: %w", round, err)
-		} else if p.PeerFailure() == nil {
-			// Journal the round only while no failure is pending that
-			// could abort the collective out from under it; an uncommitted
-			// round merely replays (byte-identically) on resume.
-			j.Commit(p.Rank(), round)
-			if j.Resuming() {
-				p.Metrics.NoteReplay(1, 0)
-				p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(round)))
+		default:
+			err := f.WriteStream(pendSegs, pendData, method)
+			if err != nil && x.degrade(&c, method, round) {
+				err = f.WriteStream(pendSegs, pendData, mpiio.Naive)
+			}
+			c.fail(round, err)
+			if err == nil && p.PeerFailure() == nil {
+				// Journal the round only while no failure is pending that
+				// could abort the collective out from under it; an uncommitted
+				// round merely replays (byte-identically) on resume.
+				j.Commit(p.Rank(), round)
+				if j.Resuming() {
+					p.Metrics.NoteReplay(1, 0)
+					p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(round)))
+				}
 			}
 		}
 		bufpool.Put(pendData)
@@ -262,14 +306,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 	}
 
 	for r := 0; r < ntimes; r++ {
-		f.SetRound(r)
-		if amAgg {
-			p.Trace.Begin2(p.Clock(), trace.RoundSpan,
-				trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
-		} else {
-			p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
-		}
-		probe := p.Metrics.BeginRound(p.Stats)
+		c.begin(r)
 		var roundRecv int64
 		rp := &noRound
 		if amAgg {
@@ -339,39 +376,31 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 		// budget is unusable: the round's merge would shuffle damaged
 		// bytes into the file. Consume the sticky failure so the boundary
 		// agreement aborts every rank with ClassIntegrity.
-		if ierr := p.TakeIntegrityFailure(); ierr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: write round %d: %w", r, ierr)
-		}
+		c.fail(r, p.TakeIntegrityFailure())
 
 		if amAgg {
-			if perr := p.PeerFailure(); perr != nil && firstErr == nil {
-				// The exchange surfaced a dead or straggling peer: the
-				// received round views are incomplete, so the merge below
-				// is skipped and the boundary agreement aborts every rank.
-				firstErr = fmt.Errorf("core: write round %d: %w", r, perr)
+			// A dead or straggling peer the exchange surfaced left the
+			// received round views incomplete: the merge below is skipped
+			// and the boundary agreement aborts every rank.
+			c.fail(r, p.PeerFailure())
+			if c.err == nil {
+				roundRecv = rp.Total
 			}
-			var total int64
-			if firstErr == nil {
-				total = rp.Total
-			}
-			roundRecv = total
-			if total > 0 {
+			if roundRecv > 0 {
 				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
+					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, roundRecv))
 				// Assemble the collective buffer (gap-free: only useful
 				// data). This is the single host copy of the shuffle.
 				scr.cur = Sized(scr.cur, p.Size())
-				concat, err := rp.gather(bufpool.Get(total)[:0], scr.cur, recvIov)
-				if err != nil {
-					firstErr = fmt.Errorf("core: write round %d: %w", r, err)
-				}
+				concat, err := rp.gather(bufpool.Get(roundRecv)[:0], scr.cur, recvIov)
+				c.fail(r, err)
 				if pipelined {
 					// The modelled unpack of the messages.
-					f.ChargeCopy(total)
+					f.ChargeCopy(roundRecv)
 				}
 				if method == mpiio.IntegratedSieve {
 					// The pass that fills the integrated sieve buffer.
-					f.ChargeCopy(total)
+					f.ChargeCopy(roundRecv)
 				}
 				pendSegs, pendData = rp.Segs, concat
 				if !pipelined {
@@ -380,28 +409,14 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 				}
 			}
 		}
-		p.Trace.End(p.Clock()) // round span
-
-		// Flight record before the boundary agreement, so an aborting
-		// round's exchange traffic is still captured. (The last round's
-		// pipelined write lands after its record — see the final flush.)
-		if p.Metrics != nil {
-			p.Metrics.EndRound(p.Stats, probe, r, amAgg, pl.sendBytes(r), roundRecv)
-		}
-
-		// Round boundary: agree on the worst error class so every rank
-		// aborts (or continues) together.
-		if err := mpiio.AgreeError(p, firstErr); err != nil {
-			p.Metrics.NoteAbort(r, mpiio.ClassName(mpiio.ErrorClass(err)))
+		// (The last round's pipelined write lands after its flight record.)
+		if err := c.end(pl, r, roundRecv); err != nil {
 			bufpool.Put(pendData)
-			f.SetRound(-1)
 			return err
 		}
 	}
 	if x.Comm == Blocking {
-		// Every round wrote and agreed inside the loop.
-		f.SetRound(-1)
-		return nil
+		return nil // every round wrote and agreed inside the loop
 	}
 	// The last round's pipelined write lands outside the loop; give it its
 	// own round wrapper so the breakdown attributes the I/O correctly.
@@ -409,90 +424,44 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 	p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(ntimes-1)))
 	flush(ntimes - 1)
 	p.Trace.End(p.Clock())
-	f.SetRound(-1)
-	if err := mpiio.AgreeError(p, firstErr); err != nil {
-		p.Metrics.NoteAbort(ntimes-1, mpiio.ClassName(mpiio.ErrorClass(err)))
-		return err
-	}
-	return nil
+	return mpiio.AgreeError(p, c.err)
 }
 
 func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
 	p := f.Proc()
-	amAgg, naggs, ntimes, method := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds, pl.Method
-	firstErr := pl.Err // a planning failure aborts round 0
+	amAgg, naggs, ntimes := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds
+	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.Err} // a planning failure aborts round 0
+	// Only the nonblocking strategy reads ahead (round r+1's file access while
+	// round r's data is in flight, the write pipeline's mirror) and models the
+	// split into per-client messages as a copy.
+	pipelined := x.Comm == Nonblocking
 	// Only an aggregator sends point-to-point, a slot per client.
 	sendSlots := 0
 	if amAgg || x.Comm == Alltoallw {
 		sendSlots = p.Size()
 	}
 
+	// An aggregator's pooled read buffers: cur holds round r, next the round
+	// read ahead. Every strategy serves each client views of cur, one per
+	// piece, by reference, so a buffer is retired only after its own round's
+	// agreement, once every client has placed its data.
+	rp, nrp := &noRound, &noRound
+	var cur, next []byte
 	for r := 0; r < ntimes; r++ {
-		f.SetRound(r)
-		if amAgg {
-			p.Trace.Begin2(p.Clock(), trace.RoundSpan,
-				trace.I(trace.RoundTag, int64(r)), trace.I(trace.AggTag, int64(p.Rank())))
-		} else {
-			p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
+		c.begin(r)
+		if amAgg && (r == 0 || !pipelined) {
+			rp, cur = x.fill(&c, pl, r)
 		}
-		// Aggregator: read this round's realm window and carve it up.
-		// On an I/O error the rank still serves (zero-filled) payloads
-		// so the round's exchange completes; the round-boundary
-		// agreement below then aborts every rank together.
-		//
-		// Every strategy serves each client views of the pooled read
-		// buffer, one per piece, by reference: the buffer is retired only
-		// after the round's AgreeError, once every client has placed its
-		// data.
-		probe := p.Metrics.BeginRound(p.Stats)
 		sendIov := scr.roundIov(sendSlots)
-		var retire []byte
-		rp := &noRound
-		if amAgg {
-			rp = pl.Agg.Round(r)
-		}
-		roundRecv := rp.Total
-		if amAgg {
-			segs, total := rp.Segs, rp.Total
-			if total > 0 {
-				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, total))
-				if method == mpiio.IntegratedSieve {
-					// The pass that empties the integrated sieve buffer.
-					f.ChargeCopy(total)
-				}
-				// ReadStream fills every byte of rbuf on success; on
-				// error the agreement below aborts the collective, so
-				// stale pooled contents are never placed.
-				rbuf := bufpool.Get(total)
-				if firstErr != nil {
-					clear(rbuf)
-				} else {
-					err := f.ReadStream(segs, rbuf, method)
-					if err != nil && x.degradeNow(method) {
-						p.Stats.Add(stats.CDegradedRounds, 1)
-						p.Trace.Instant2(p.Clock(), "degrade",
-							trace.I(trace.RoundTag, int64(r)), trace.S("op", "read"))
-						err = f.ReadStream(segs, rbuf, mpiio.Naive)
-					}
-					if err != nil {
-						firstErr = fmt.Errorf("core: read round %d: %w", r, err)
-						// Serve deterministic zeros, as a fresh buffer
-						// would have; the agreement below aborts every
-						// rank before any of it reaches a user buffer.
-						clear(rbuf)
-					}
-				}
-				pos := int64(0)
-				for _, it := range rp.Order {
-					sendIov[it.Run] = append(sendIov[it.Run], rbuf[pos:pos+it.Len])
-					pos += it.Len
-				}
-				retire = rbuf
-				if x.Comm == Nonblocking {
-					// The modelled split into per-client messages.
-					f.ChargeCopy(total)
-				}
+		if cur != nil {
+			pos := int64(0)
+			for _, it := range rp.Order {
+				sendIov[it.Run] = append(sendIov[it.Run], cur[pos:pos+it.Len])
+				pos += it.Len
+			}
+			if pipelined {
+				// The modelled split into per-client messages.
+				f.ChargeCopy(rp.Total)
 			}
 		}
 
@@ -507,15 +476,29 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 			// for all of them; ROMIO's read exchange sends every client its
 			// pieces, then takes its own with blocking receives in
 			// aggregator order.
-			posted := x.Comm == Nonblocking
 			reqs := scr.reqs[:0]
-			for a := 0; posted && a < naggs; a++ {
+			for a := 0; pipelined && a < naggs; a++ {
 				if pl.Pieces.bytes(a, r) > 0 {
 					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
 				}
 			}
 			for _, pb := range rp.Peers {
 				p.IsendIov(pb.Client, tagBack+r%1024, sendIov[pb.Client])
+			}
+			if pipelined && amAgg && r+1 < ntimes && c.err == nil {
+				// Read ahead while round r crosses the receivers' NICs. The
+				// storage operations and their span carry round r+1, but the
+				// rank does not enter it: r+1's rank faults fire at its begin.
+				// A failed read-ahead aborts at this round's agreement.
+				p.ChargeTime(stats.PComm, p.Clock()-t0)
+				p.Trace.End(p.Clock())
+				f.TagRound(r + 1)
+				p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r+1)))
+				nrp, next = x.fill(&c, pl, r+1)
+				p.Trace.End(p.Clock())
+				f.TagRound(r)
+				t0 = p.Clock()
+				p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			}
 			scr.recvIov = Sized(scr.recvIov, naggs)
 			recv = scr.recvIov
@@ -525,7 +508,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 				if pl.Pieces.bytes(a, r) == 0 {
 					continue
 				}
-				if posted {
+				if pipelined {
 					recv[a], k = scr.waited[k], k+1
 				} else {
 					recv[a], _ = p.RecvIov(a, tagBack+r%1024)
@@ -541,36 +524,53 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 		}
 		p.ChargeTime(stats.PComm, p.Clock()-t0)
 		p.Trace.End(p.Clock())
-		p.Trace.End(p.Clock()) // round span
 
 		// Read-back data that arrived corrupted past its re-request budget
 		// must never reach the user buffer verified-looking: abort the
 		// round uniformly with ClassIntegrity.
-		if ierr := p.TakeIntegrityFailure(); ierr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: read round %d: %w", r, ierr)
-		}
+		c.fail(r, p.TakeIntegrityFailure())
 
-		// Flight record: send_bytes is this rank's exchange volume with
-		// the aggregators (read-back direction), recv_bytes the merged
-		// realm window at the aggregator.
-		if p.Metrics != nil {
-			p.Metrics.EndRound(p.Stats, probe, r, amAgg, pl.sendBytes(r), roundRecv)
-		}
-
-		// Round boundary: agree on the worst error class so every rank
-		// aborts (or continues) together. It also proves every client has
-		// consumed its views of this aggregator's read buffer, making it
-		// safe to retire.
-		err := mpiio.AgreeError(p, firstErr)
-		bufpool.Put(retire)
+		err := c.end(pl, r, rp.Total)
+		bufpool.Put(cur)
 		if err != nil {
-			p.Metrics.NoteAbort(r, mpiio.ClassName(mpiio.ErrorClass(err)))
-			f.SetRound(-1)
+			bufpool.Put(next)
 			return err
 		}
+		rp, cur, nrp, next = nrp, next, &noRound, nil
 	}
-	f.SetRound(-1)
 	return nil
+}
+
+// fill reads round r's realm window into a pooled buffer (nil for a round the
+// realm has no data in). ReadStream fills every byte of it on success. A rank
+// whose read fails, or that already holds a failure, still serves its clients
+// so the round's exchange completes: deterministic zeros, as a fresh buffer
+// would have, and the agreement aborts every rank before any of it reaches a
+// user buffer.
+func (x *Executor) fill(c *roundFrame, pl *Plan, r int) (*RoundPlan, []byte) {
+	f, p, method := c.f, c.p, pl.Method
+	rp := pl.Agg.Round(r)
+	if rp.Total == 0 {
+		return rp, nil
+	}
+	p.Trace.Instant2(p.Clock(), "round_bytes",
+		trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, rp.Total))
+	if method == mpiio.IntegratedSieve {
+		// The pass that empties the integrated sieve buffer.
+		f.ChargeCopy(rp.Total)
+	}
+	rbuf := bufpool.Get(rp.Total)
+	if c.err == nil {
+		err := f.ReadStream(rp.Segs, rbuf, method)
+		if err != nil && x.degrade(c, method, r) {
+			err = f.ReadStream(rp.Segs, rbuf, mpiio.Naive)
+		}
+		c.fail(r, err)
+	}
+	if c.err != nil {
+		clear(rbuf)
+	}
+	return rp, rbuf
 }
 
 // placeIov scatters an aggregator's round payload — views of its read

@@ -38,18 +38,17 @@ type RoundRecord struct {
 // its rank's goroutine); only the shared context/abort fields take the
 // mutex, and those are written once per collective or per failure.
 type Flight struct {
-	mu         sync.Mutex
-	ranks      []FlightRank
-	naggs      int
-	nodes      int
-	stripe     int64
-	align      int64
-	disps      []int64
-	abortRound int // -1 while no abort has been observed
-	abortClass string
-	failover   *FailoverEvent
-	integrity  *IntegrityEvent
-	critpath   *CritPathSummary
+	mu        sync.Mutex
+	ranks     []FlightRank
+	naggs     int
+	nodes     int
+	stripe    int64
+	align     int64
+	disps     []int64
+	abort     *AbortInfo // nil while no abort has been observed
+	failover  *FailoverEvent
+	integrity *IntegrityEvent
+	critpath  *CritPathSummary
 }
 
 // CritPathSummary is the critical-path profiler's condensed verdict for one
@@ -243,11 +242,9 @@ func (f *Flight) setTopology(nodes int) {
 func (f *Flight) noteAbort(round int, class string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.abortRound >= 0 {
-		return
+	if f.abort == nil {
+		f.abort = &AbortInfo{Round: round, Class: class}
 	}
-	f.abortRound = round
-	f.abortClass = class
 }
 
 // reset clears all rings and the shared context.
@@ -258,7 +255,7 @@ func (f *Flight) reset() {
 	f.mu.Lock()
 	f.naggs, f.nodes, f.stripe, f.align = 0, 0, 0, 0
 	f.disps = f.disps[:0]
-	f.abortRound, f.abortClass = -1, ""
+	f.abort = nil
 	f.failover = nil
 	f.integrity = nil
 	f.critpath = nil
@@ -269,7 +266,8 @@ func (f *Flight) reset() {
 	}
 }
 
-// AbortInfo is the abort context carried by a dump.
+// AbortInfo is the abort context carried by a dump. Round is -1 for an abort
+// agreed before round 0 (an unusable request, a corrupted access exchange).
 type AbortInfo struct {
 	Round int    `json:"round"`
 	Class string `json:"class"`
@@ -340,8 +338,9 @@ func (s *Set) Dump(full bool) *Dump {
 	if len(f.disps) > 0 {
 		d.RealmDisps = append([]int64(nil), f.disps...)
 	}
-	if f.abortRound >= 0 {
-		d.Abort = &AbortInfo{Round: f.abortRound, Class: f.abortClass}
+	if f.abort != nil {
+		abort := *f.abort
+		d.Abort = &abort
 	}
 	if f.failover != nil {
 		fe := *f.failover

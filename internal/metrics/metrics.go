@@ -552,7 +552,7 @@ func NewSetSelective(ranks, flightCap int, keepFlight func(rank int) bool) *Set 
 	if flightCap <= 0 {
 		flightCap = DefaultFlightRounds
 	}
-	f := &Flight{abortRound: -1, ranks: make([]FlightRank, ranks)}
+	f := &Flight{ranks: make([]FlightRank, ranks)}
 	s := &Set{regs: make([]*Registry, ranks), flight: f}
 	for i := range s.regs {
 		f.ranks[i] = FlightRank{f: f, rank: i}

@@ -239,6 +239,11 @@ func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 	p.Trace.Instant2(p.clock, trace.MsgSendName, trace.I(trace.EdgeTag, e.edge), trace.I(trace.BytesTag, n))
 	e.stamp = p.clock
 	p.w.boxes[to].put(e)
+	if rf := p.w.rf; rf != nil {
+		if p.roundSends++; rf.crashAt(crashRule{rank: p.rank, round: p.round, send: p.roundSends}) {
+			p.crashNow()
+		}
+	}
 }
 
 // Recv blocks until a message from src (or Any) with tag (or Any) arrives.

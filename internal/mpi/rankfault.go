@@ -43,8 +43,9 @@ type RankFaultSchedule struct {
 
 type crashRule struct {
 	rank  int
-	round int   // fires at SetRound(round) when seq == 0
+	round int   // fires at SetRound(round) when seq and send are 0
 	seq   int64 // fires at the seq'th collective op when > 0
+	send  int64 // fires right after the send'th send of round when > 0
 	fired bool
 }
 
@@ -90,6 +91,17 @@ func (s *RankFaultSchedule) CrashAtSeq(rank int, seq int64) *RankFaultSchedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashes = append(s.crashes, crashRule{rank: rank, seq: seq})
+	return s
+}
+
+// CrashAtSend makes rank panic right after its send'th point-to-point send
+// (1-based) of two-phase round has left: the message is delivered, and
+// whatever the rank would have done while it was in flight (a read-ahead, the
+// previous round's write) never happens.
+func (s *RankFaultSchedule) CrashAtSend(rank, round int, send int64) *RankFaultSchedule {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.crashes = append(s.crashes, crashRule{rank: rank, round: round, send: send})
 	return s
 }
 
@@ -205,7 +217,7 @@ func (s *RankFaultSchedule) atRound(rank, round int) (stall sim.Time, crash bool
 	}
 	for i := range s.crashes {
 		r := &s.crashes[i]
-		if r.fired || r.seq > 0 || r.rank != rank || r.round != round {
+		if r.fired || r.seq > 0 || r.send > 0 || r.rank != rank || r.round != round {
 			continue
 		}
 		r.fired = true
@@ -215,19 +227,18 @@ func (s *RankFaultSchedule) atRound(rank, round int) (stall sim.Time, crash bool
 	return stall, crash
 }
 
-// atSeq evaluates sequence-triggered crash rules for rank's seq'th
-// collective operation.
-func (s *RankFaultSchedule) atSeq(rank int, seq int64) (crash bool) {
+// crashAt fires the sequence-triggered crash rule that equals at: rank's
+// seq'th collective operation, or its send'th point-to-point send of round.
+// at is unfired, so a rule matches once; a round-triggered rule (no seq, no
+// send) never does.
+func (s *RankFaultSchedule) crashAt(at crashRule) (crash bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.crashes {
-		r := &s.crashes[i]
-		if r.fired || r.seq == 0 || r.rank != rank || r.seq != seq {
-			continue
+		if r := &s.crashes[i]; *r == at {
+			r.fired, crash = true, true
+			s.injected++
 		}
-		r.fired = true
-		s.injected++
-		crash = true
 	}
 	return crash
 }

@@ -414,6 +414,8 @@ type Proc struct {
 	// trigger on.
 	collSeq int64
 	sendSeq int64
+	// roundSends counts the sends since the rank entered its current round.
+	roundSends int64
 	// sendsTo[d] counts this rank's sends to rank d; it seeds the
 	// deterministic per-message edge id ((seq*size)+src)*size+dst, which
 	// is stable across goroutine schedules because each (src,dst) stream
@@ -482,7 +484,7 @@ func (p *Proc) ChargeTime(phase string, d sim.Time) {
 // stall charges the clock, a scheduled crash kills the rank here — after
 // the previous round's rendezvous, before this round's.
 func (p *Proc) SetRound(r int) {
-	p.round = r
+	p.round, p.roundSends = r, 0
 	if rf := p.w.rf; rf != nil && r >= 0 {
 		stall, crash := rf.atRound(p.rank, r)
 		if stall > 0 {
@@ -494,13 +496,16 @@ func (p *Proc) SetRound(r int) {
 	}
 }
 
+// Round returns the two-phase round this rank is in (-1 outside one).
+func (p *Proc) Round() int { return p.round }
+
 // preRendezvous runs at the top of every collective operation: it
 // advances the rank's collective sequence number and fires
 // sequence-triggered crashes. One nil check on the fault-free path.
 func (p *Proc) preRendezvous() {
 	p.collSeq++
 	if rf := p.w.rf; rf != nil {
-		if rf.atSeq(p.rank, p.collSeq) {
+		if rf.crashAt(crashRule{rank: p.rank, seq: p.collSeq}) {
 			p.crashNow()
 		}
 	}
@@ -512,6 +517,11 @@ func (p *Proc) preRendezvous() {
 // with the private crash panic World.Run absorbs.
 func (p *Proc) crashNow() {
 	p.Trace.Instant1(p.clock, trace.CrashName, trace.I(trace.RankTag, int64(p.rank)))
+	for p.Trace.Depth() > 0 {
+		// A crash inside a span (mid-exchange, inside a collective) ends
+		// the span with the rank, so the trace stays well formed.
+		p.Trace.End(p.clock)
+	}
 	p.w.coll.markDead(p.rank)
 	p.w.anyFail.Store(1)
 	for _, b := range p.w.boxes {

@@ -130,6 +130,9 @@ func AgreeError(p *mpi.Proc, local error) error {
 		return nil
 	}
 	p.Trace.Instant1(p.Clock(), "err_agree", trace.S("class", ClassName(agreed)))
+	// Every agreed abort is on the books (and in the flight recorder's dump
+	// context) with the round it surfaced in: -1 for one before round 0.
+	p.Metrics.NoteAbort(p.Round(), ClassName(agreed))
 	if local != nil && ErrorClass(local) == agreed {
 		// Keep the local detail on the rank that observed it.
 		return fmt.Errorf("%w (rank %d: %v)", ClassError(agreed), p.Rank(), local)

@@ -242,16 +242,21 @@ func (f *File) View() View { return f.view }
 // Name returns the file name.
 func (f *File) Name() string { return f.handle.Name() }
 
-// SetRound tags subsequent storage operations with the collective
-// two-phase round, for fault targeting and tracing; -1 (the default)
-// means "outside a collective round". Collective implementations set it at
-// each round boundary and clear it before returning. The rank's process
-// handle is tagged too, which is where round-triggered rank faults
-// (crashes, stalls) fire.
+// SetRound enters collective two-phase round r on this rank; -1 (the
+// default) means "outside a collective round". Collective implementations
+// call it at each round boundary and clear it before returning. It tags the
+// storage operations that follow (see TagRound) and the rank's process
+// handle, which is where round-triggered rank faults (crashes, stalls) fire.
 func (f *File) SetRound(r int) {
 	f.proc.SetRound(r)
-	f.client.SetRound(r)
+	f.TagRound(r)
 }
+
+// TagRound tags subsequent storage operations with round r, for fault
+// targeting and tracing, without entering the round on the process: a
+// read-ahead issues round r+1's file access while the rank is still in round
+// r, and must neither fire r+1's rank faults early nor charge them twice.
+func (f *File) TagRound(r int) { f.client.SetRound(r) }
 
 // PFR returns the persistent file realms established by an earlier
 // collective call (nil if none).

@@ -211,6 +211,9 @@ type FlipRule struct {
 	// MinSeq/MaxSeq bound the per-client operation sequence number
 	// (1-based; zero = unbounded).
 	MinSeq, MaxSeq int64
+	// MinOff/MaxOff bound the segment's starting file offset (MaxOff zero =
+	// unbounded; MaxOff is exclusive).
+	MinOff, MaxOff int64
 	// Prob in (0,1) injects with that probability per matching write
 	// segment; outside (0,1) the rule always fires.
 	Prob float64
@@ -243,6 +246,9 @@ func (r *FlipRule) matches(op Op) bool {
 		return false
 	}
 	if r.MaxSeq > 0 && op.Seq > r.MaxSeq {
+		return false
+	}
+	if op.Off < r.MinOff || (r.MaxOff > 0 && op.Off >= r.MaxOff) {
 		return false
 	}
 	return true

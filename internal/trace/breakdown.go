@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,7 +29,7 @@ type PhaseStat struct {
 type RoundStat struct {
 	Round  int
 	Bytes  int64
-	Wall   sim.Time // sum of round-wrapper span durations across ranks
+	Wall   sim.Time // sum of outermost round-wrapper span durations across ranks
 	Phases map[string]sim.Time
 }
 
@@ -96,7 +97,11 @@ func (s *Sink) Breakdown() *Breakdown {
 				phaseTotal[o.name] += dur
 				spanCount[o.name]++
 				if o.name == RoundSpan {
-					if o.round >= 0 {
+					// A wrapper inside a round (a read-ahead of the next
+					// round's data) books its phases to its own round, but
+					// the rank spent the time in the round around it.
+					nested := slices.ContainsFunc(stack, func(up open) bool { return up.name == RoundSpan })
+					if o.round >= 0 && !nested {
 						roundWall[o.round] += dur
 					}
 				} else if o.round >= 0 {

@@ -250,6 +250,29 @@ func TestBreakdownAttribution(t *testing.T) {
 	}
 }
 
+// TestBreakdownNestedRoundWrapper: a wrapper of round r+1 inside round r (a
+// read-ahead) books its io to round r+1 and its time to round r's wall.
+func TestBreakdownNestedRoundWrapper(t *testing.T) {
+	s := NewSink(1, 0)
+	a := s.Tracer(0)
+	a.Begin(0, RoundSpan, I(RoundTag, 0))
+	a.Begin(1, RoundSpan, I(RoundTag, 1))
+	a.Begin(1, stats.PIO)
+	a.End(4)
+	a.End(4)
+	a.End(5)
+	a.Begin(5, RoundSpan, I(RoundTag, 1))
+	a.End(7)
+	bd := s.Breakdown()
+	if len(bd.Rounds) != 2 {
+		t.Fatalf("rounds = %d, want 2", len(bd.Rounds))
+	}
+	if r0, r1 := bd.Rounds[0], bd.Rounds[1]; r0.Wall != 5 || r1.Wall != 2 || r0.Phases[stats.PIO] != 0 || r1.Phases[stats.PIO] != 3 {
+		t.Fatalf("round 0 wall %v io %v, round 1 wall %v io %v; want 5, 0, 2, 3",
+			r0.Wall, r0.Phases[stats.PIO], r1.Wall, r1.Phases[stats.PIO])
+	}
+}
+
 func TestSinkResetClearsEverything(t *testing.T) {
 	s := NewSink(1, 2)
 	tr := s.Tracer(0)
