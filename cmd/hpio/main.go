@@ -6,6 +6,7 @@
 //
 //	hpio -procs 64 -region 1024 -count 4096 -spacing 128 -aggs 16 -impl new
 //	hpio -impl old -enumerate
+//	hpio -procs 256 -count 256 -region 16 -aggs 16 -nodes 16 -preagg -realms node-local
 package main
 
 import (
@@ -13,6 +14,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
+	"strings"
 
 	"flexio/internal/analyze"
 	"flexio/internal/colltest"
@@ -33,13 +36,13 @@ func main() {
 	spacing := flag.Int64("spacing", 128, "file spacing between regions in bytes")
 	aggs := flag.Int("aggs", 0, "I/O aggregators (0 = all processes)")
 	nodes := flag.Int("nodes", 0, "ranks per simulated node (0 = one rank per node)")
-	preagg := flag.Bool("preagg", false, "node-local pre-aggregation (two-level exchange); with -impl new also installs the topology-aware node-local realms unless -cyclic is set")
+	preagg := flag.Bool("preagg", false, "node-local pre-aggregation (two-level exchange); needs -nodes, changes nothing else")
 	impl := flag.String("impl", "new", "collective implementation: new, old, or none")
 	method := flag.String("method", "datasieve", "buffer access method for the new code: datasieve, naive, listio, conditional")
 	comm := flag.String("comm", "nonblocking", "data exchange for the new code: nonblocking or alltoallw")
 	align := flag.Int64("align", 0, "file realm alignment in bytes (0 = off)")
 	pfr := flag.Bool("pfr", false, "persistent file realms")
-	cyclic := flag.Int64("cyclic", 0, "cyclic realms with this block size (0 = even realms)")
+	realms := flag.String("realms", "even", "file realms of the new code: even, cyclic:<block bytes>, or node-local (each aggregator gets what its node's ranks access; every rank gathers every access list)")
 	enumerate := flag.Bool("enumerate", false, "use an enumerated (vector) filetype instead of the succinct form")
 	memContig := flag.Bool("memcontig", false, "contiguous memory layout")
 	steps := flag.Int("steps", 1, "number of repeated collective writes")
@@ -101,10 +104,18 @@ func main() {
 			log.Fatalf("unknown comm %q", *comm)
 		}
 		o.Preagg = *preagg
-		if *cyclic > 0 {
-			o.Assigner = realm.Cyclic{Block: *cyclic}
-		} else if *preagg {
+		switch block, isCyclic := strings.CutPrefix(*realms, "cyclic:"); {
+		case *realms == "even":
+		case *realms == "node-local":
 			o.Assigner = realm.NodeLocal{}
+		case isCyclic:
+			n, err := strconv.ParseInt(block, 10, 64)
+			if err != nil || n <= 0 {
+				log.Fatalf("bad -realms block size %q", block)
+			}
+			o.Assigner = realm.Cyclic{Block: n}
+		default:
+			log.Fatalf("unknown realms %q", *realms)
 		}
 		coll = core.New(o)
 	default:

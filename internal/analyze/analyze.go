@@ -214,15 +214,15 @@ func Analyze(d *metrics.Dump) []Finding {
 	}
 
 	// Inter-node-heavy shuffle: ranks share nodes, yet most shuffle bytes
-	// still cross node boundaries — the traffic the two-level exchange
-	// (node-local pre-aggregation plus node-local realm placement) keeps
-	// on the cheap intra-node transport.
+	// still cross node boundaries — the traffic node-local realm placement
+	// keeps on the cheap intra-node transport (pre-aggregation alone moves
+	// the same bytes to the same remote aggregators).
 	if inter, intra := c("shuffle_internode_bytes"), c("shuffle_intranode_bytes"); d.Nodes > 0 && d.Nodes < d.Ranks && inter > intra && inter > 0 {
 		frac := float64(inter) / float64(inter+intra)
 		fs = append(fs, finding(SevWarning, "internode-heavy",
 			fmt.Sprintf("%.0f%% of shuffle bytes cross node boundaries (%d inter vs %d intra) despite %d ranks sharing %d nodes",
 				frac*100, inter, intra, d.Ranks, d.Nodes),
-			"enable node-local pre-aggregation (core.Options.Preagg / twophase.WithPreagg) and the topology-aware assigner (realm.NodeLocal) so co-resident ranks merge requests before data leaves the node",
+			"place realms where their bytes are accessed (the topology-aware assigner realm.NodeLocal; its price is an O(P·M) access gather per rank) so the shuffle stays on the node; node-local pre-aggregation (core.Options.Preagg / twophase.WithPreagg) then leaves one sender per node but does not by itself keep a byte off the wire",
 			frac*10))
 	}
 

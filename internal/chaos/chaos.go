@@ -402,7 +402,10 @@ func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) 
 		}
 		return tw
 	}
-	o := core.Options{Comm: e.comm, Method: s.Method, Degraded: s.Degraded, Preagg: s.Preagg, Journal: journal}
+	o := core.Options{Comm: e.comm, Method: s.Method, Preagg: s.Preagg, Journal: journal}
+	if s.Degraded {
+		o.Degrade = core.Always
+	}
 	if dead != nil {
 		return core.ResumeCollective(o, journal, dead)
 	}

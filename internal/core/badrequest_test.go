@@ -14,9 +14,9 @@ import (
 )
 
 // TestMalformedRequestAbortsCollective: a request an aggregator cannot
-// decode used to panic inside that aggregator (overlapping pairs) or make it
+// use used to panic inside that aggregator (overlapping pairs), make it
 // leave the collective alone (short buffer) while its peers waited in the
-// next rendezvous. It must abort the call on every rank instead, and leave
+// next rendezvous, or exhaust memory (an offset far outside the file). It must abort the call on every rank instead, and leave
 // the engine fit for the next one.
 //
 // The bad bytes are planted in the sender's memo entry: the second call of
@@ -25,11 +25,15 @@ import (
 func TestMalformedRequestAbortsCollective(t *testing.T) {
 	const ranks, bad, blk, count = 4, 2, 32, 16
 	malformed := []struct {
-		name   string
-		mangle func(enc []byte) []byte
+		name string
+		// refusers are the aggregators that can tell: all of them when the
+		// bytes do not decode, the one whose realm the access lands in when
+		// they decode to an access no rank announced.
+		refusers []int
+		mangle   func(enc []byte) []byte
 	}{
-		{"truncated", func(enc []byte) []byte { return enc[:len(enc)-5] }},
-		{"overlapping", func(enc []byte) []byte {
+		{"truncated", []int{0, 1, 2, 3}, func(enc []byte) []byte { return enc[:len(enc)-5] }},
+		{"overlapping", []int{0, 1, 2, 3}, func(enc []byte) []byte {
 			fl, err := datatype.DecodeFlat(enc)
 			if err != nil {
 				t.Fatal(err)
@@ -37,12 +41,22 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 			fl.Segs = []datatype.Seg{{Off: 0, Len: 8}, {Off: 4, Len: 8}}
 			return fl.Encode()
 		}},
-		{"unbounded", func(enc []byte) []byte {
+		{"unbounded", []int{0, 1, 2, 3}, func(enc []byte) []byte {
 			fl, err := datatype.DecodeFlat(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fl.Count, fl.Limit = -1, -1
+			return fl.Encode()
+		}},
+		// Decodes, and names bytes no rank announced: the unbounded tail realm
+		// used to take them, and size its round table by their offset.
+		{"far-away", []int{ranks - 1}, func(enc []byte) []byte {
+			fl, err := datatype.DecodeFlat(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl.Disp += 1 << 50
 			return fl.Encode()
 		}},
 	}
@@ -110,7 +124,7 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 					if !named {
 						t.Fatalf("attempt %d: no rank's error names the sender", attempt)
 					}
-					for r := 0; r < ranks; r++ {
+					for _, r := range m.refusers {
 						kept := 0
 						eng.scratch.For(r, ranks).aggs.Each(func(aggKey, *aggEntry) { kept++ })
 						if kept != 1 {

@@ -73,35 +73,21 @@ type Options struct {
 	Method mpiio.Method
 	// Conditional enables conditional data sieving: per collective
 	// call, aggregators pick naive I/O when the filetype extent is at
-	// least CondThreshold and data sieving below it (paper §6.3).
+	// least condThreshold and data sieving below it (paper §6.3).
 	Conditional bool
-	// CondThreshold is the extent crossover for Conditional; zero means
-	// 24 KB, the crossover measured on this repository's simulated
-	// system (the paper measured ~16 KB on its Lustre testbed and notes
-	// the exact numbers are unique to the particular system, §6.3).
-	CondThreshold int64
 	// HeapMerge enables the client-side binary-heap merge across
 	// aggregator realms instead of one access pass per aggregator.
 	HeapMerge bool
-	// TreeRequests ships the filetype's constructor tree instead of its
-	// flattened form in the request exchange (paper §5.3's "higher
-	// level description"): smaller still for regular nested types, at
-	// the cost of the aggregator expanding the tree on arrival.
-	TreeRequests bool
-	// Degraded enables graceful degradation: when a round's buffer
-	// access fails under data sieving, the aggregator re-issues that
-	// round with naive per-segment I/O before reporting an error
-	// (conditional sieving repurposed as fault recovery — naive I/O
-	// touches only the useful bytes, so it sidesteps faults on the
-	// sieve path).
-	Degraded bool
-	// Degrade, when non-nil, extends Degraded dynamically: the fallback
-	// additionally engages whenever it reports true at the moment a sieve
-	// round fails. A tenancy layer points it at its per-OST circuit
-	// breakers so collectives already in flight route around a browning-
-	// out target without reopening the file. It is called only on round
-	// failures (never on the hot path) and must be safe for concurrent
-	// use by all ranks.
+	// Degrade enables graceful degradation: when a round's buffer access
+	// fails under data sieving and Degrade reports true at that moment, the
+	// aggregator re-issues the round with naive per-segment I/O before
+	// reporting an error (conditional sieving repurposed as fault recovery —
+	// naive I/O touches only the useful bytes, so it sidesteps faults on the
+	// sieve path). Always degrades unconditionally; a tenancy layer passes
+	// its per-OST circuit breakers' check so collectives already in flight
+	// route around a browning-out target without reopening the file. It is
+	// called only on round failures (never on the hot path) and must be safe
+	// for concurrent use by all ranks.
 	Degrade func() bool
 	// Preagg enables node-local pre-aggregation (two-level exchange):
 	// under the installed node map, each node's leader merges its
@@ -109,17 +95,7 @@ type Options struct {
 	// aggregators on their behalf, so only one rank per node talks across
 	// the network. Requires a node map with multi-rank nodes to have any
 	// effect; output stays byte-identical to the per-rank exchange.
-	// Overrides TreeRequests (merged accesses have no constructor tree, so
-	// every request travels in flattened form).
 	Preagg bool
-	// SpreadAggs spreads the cb_nodes aggregators across distinct nodes
-	// instead of packing the first ranks: when the hint asks for fewer
-	// aggregators than ranks, every rank keeps an (often empty) slot and
-	// realms are handed round-robin across nodes via realm.Spread, so
-	// node-major rank placement no longer funnels all aggregation traffic
-	// through the first node's NIC. Off by default — the packed layout is
-	// what ROMIO does and what the rank-chaos victim logic assumes.
-	SpreadAggs bool
 	// Validate checks realm coverage of the aggregate access region
 	// before every call and, on every aggregator memo hit, rebuilds the
 	// merge plans from the requests just received and aborts the
@@ -156,11 +132,11 @@ type rankScratch struct {
 	msgs       [][]byte
 	miss       PlanScratch
 	realmDisps []int64
-	// Node-local pre-aggregation working set (see preagg.go).
-	pre        PreaggState
-	preBufs    [][]byte
-	mergedSegs []datatype.Seg
-	leaders    []bool
+	// Node-local pre-aggregation (see preagg.go): the stage's state, this
+	// rank's request as a member forwards it, who leads the other nodes.
+	pre     PreaggState
+	preEnc  []byte
+	leaders []bool
 }
 
 // PlanScratch is the working memory of planning a layout the memo has not
@@ -217,17 +193,19 @@ func New(o Options) *Impl {
 	if o.Assigner == nil {
 		o.Assigner = realm.Even{}
 	}
-	if o.CondThreshold <= 0 {
-		o.CondThreshold = 24 << 10
-	}
-	// A failed sieve round falls back to naive I/O statically via Degraded,
-	// or while the Degrade hook (a tenancy layer's breaker check) says so.
-	degrade := o.Degrade
-	if o.Degraded {
-		degrade = func() bool { return true }
-	}
-	return &Impl{o: o, exec: Executor{Comm: o.Comm, Journal: o.Journal, Degrade: degrade}}
+	return &Impl{o: o, exec: Executor{Comm: o.Comm, Journal: o.Journal, Degrade: o.Degrade}}
 }
+
+// Always is the Options.Degrade of an engine that falls back to naive I/O on
+// every failed sieve round.
+func Always() bool { return true }
+
+// condThreshold is the filetype extent at which Options.Conditional crosses
+// from data sieving to naive I/O: 24 KB, the crossover measured on this
+// repository's simulated system (the paper measured ~16 KB on its Lustre
+// testbed and notes the exact numbers are unique to the particular system,
+// §6.3).
+const condThreshold = 24 << 10
 
 // Name implements mpiio.Collective.
 func (i *Impl) Name() string {
@@ -371,15 +349,6 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if naggs == 0 {
 		naggs = p.Size()
 	}
-	// Spreading keeps one slot per rank but gives realms to only the
-	// cb_nodes slots realm.Spread picks across nodes; the other slots are
-	// inert (empty realm, zero exchange bytes), exactly like a failed-over
-	// aggregator's.
-	spreadActive := 0
-	if i.o.SpreadAggs && naggs < p.Size() && p.NodeCount() > 1 {
-		spreadActive = naggs
-		naggs = p.Size()
-	}
 	amAgg := p.Rank() < naggs
 	scr := i.scratch.For(p.Rank(), p.Size())
 
@@ -408,7 +377,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- File realms. ---
-	asg, err := i.realms(f, naggs, spreadActive, aarSt, aarEn, dataLen)
+	asg, err := i.realms(f, naggs, aarSt, aarEn, dataLen)
 	if err != nil {
 		return err
 	}
@@ -444,7 +413,20 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// accesses and streams, members fall silent for the rest of the call.
 	var pre *PreaggState
 	if i.o.Preagg {
-		myFlat, pre = i.preaggExchange(f, scr, cs, myFlat, dataLen, write)
+		pre = &scr.pre
+		scr.preEnc = myFlat.AppendEncode(scr.preEnc[:0])
+		merged, swapped := pre.Exchange(f, i.o.Journal.Dead(), cs, scr.preEnc, flatRuns, dataLen, scr.bounds, write)
+		if swapped && pre.Plan.Leads(p.Rank()) {
+			myFlat = datatype.Flat{Size: pre.Total, Count: 1, Limit: -1, Segs: merged}
+			if n := len(merged); n > 0 {
+				myFlat.Extent = merged[n-1].End()
+			}
+		} else if swapped {
+			// An empty access produces no pieces, so a member sends nothing
+			// to any aggregator in the rounds.
+			myFlat = datatype.FlatOf(datatype.Bytes(0), myFlat.Disp, 0)
+			myFlat.Limit = 0
+		}
 	}
 
 	// --- Memoized layout lookup (client side). The key pins everything
@@ -481,17 +463,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	NoteMemo(p, "client", clientHit)
 	if !clientHit {
 		ce = scr.clients.Evict()
-		if i.o.TreeRequests && pre == nil {
-			// A merged access has no constructor tree; pre-aggregated
-			// requests always travel in flattened form.
-			ce.enc = encodeTreeRequest(view.Filetype, myFlat.Disp, myFlat.Count, myFlat.Limit)
-		} else {
-			ce.enc = myFlat.AppendEncode(ce.enc[:0])
-		}
+		ce.enc = myFlat.AppendEncode(ce.enc[:0])
 	}
 
-	// --- Request exchange: flattened filetypes (O(D) on the wire) or
-	// constructor trees (smaller still for regular nested types). The
+	// --- Request exchange: flattened filetypes (O(D) on the wire). The
 	// exchange itself always happens — only the decoding is memoizable,
 	// keyed by a hash of the bytes actually received. ---
 	t0 := p.Clock()
@@ -532,12 +507,9 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		aggHit = ae != nil
 		NoteMemo(p, "agg", aggHit)
 		if !aggHit {
-			var expand int64
-			flats, expand, reqErr = i.decodeRequests(&scr.miss, scr.msgs, pre == nil)
+			flats, reqErr = decodeRequests(&scr.miss, scr.msgs)
 			ae = scr.aggs.Evict()
-			ae.charges = append(ae.charges[:0], expand)
 		}
-		f.ChargePairs(ae.charges[0]) // tree expansion, replayed on a hit
 	}
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
 	p.Trace.End(p.Clock())
@@ -566,18 +538,20 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	var planErr error
 	if amAgg {
 		if !aggHit {
-			ae.charges = ae.Build(&scr.miss, flats, realms[p.Rank()], cb, ae.charges)
+			ae.charges, planErr = ae.Build(&scr.miss, flats, realms[p.Rank()], aarSt, aarEn, cb, ae.charges[:0])
+			if reqErr != nil {
+				planErr = reqErr
+			}
 			// A failure-degraded request set (stand-ins for dead or
-			// undecodable senders above) must not poison the cache for
-			// later healthy collectives: it goes without a key.
-			if p.PeerFailure() == nil && reqErr == nil {
+			// unusable senders) must not poison the cache for later
+			// healthy collectives: it goes without a key.
+			if p.PeerFailure() == nil && planErr == nil {
 				scr.aggs.Keep(ak)
 			}
-			planErr = reqErr
 		} else if i.o.Validate {
-			planErr = i.checkPlans(&scr.miss, scr.msgs, ae, realms[p.Rank()], cb, pre == nil)
+			planErr = checkPlans(&scr.miss, scr.msgs, ae, realms[p.Rank()], aarSt, aarEn, cb)
 		}
-		for _, n := range ae.charges[1:] {
+		for _, n := range ae.charges {
 			f.ChargePairs(n)
 		}
 		myRounds = len(ae.Rounds)
@@ -618,7 +592,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		// Conditional data sieving: decide by the (globally agreed)
 		// filetype extent of the access.
 		ext := p.AllreduceMaxInt64(view.Filetype.Extent())
-		if ext >= i.o.CondThreshold {
+		if ext >= condThreshold {
 			method = mpiio.Naive
 		} else {
 			method = mpiio.DataSieve
@@ -634,8 +608,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		plan.Err = pre.Err
 	}
 	err = i.exec.Rounds(f, &scr.RoundScratch, cs.B, &plan, write)
-	if !write && pre != nil {
-		err = pre.Scatter(f, cs, dataLen, err)
+	// Reads under pre-aggregation: the leader scatters each member its bytes
+	// and takes back its own; an abort above skips this uniformly.
+	if err == nil && !write && pre != nil {
+		err = pre.Scatter(f, cs, dataLen)
 	}
 	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
 }
@@ -643,21 +619,16 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 // AccessRegion is where every planner starts: the ranks exchange the bounds of
 // their accesses ([st, en); st > en for a rank that moves nothing) and get the
 // aggregate access region, empty (aarEn <= aarSt) when nobody moves a byte.
-// buf is scratch for the gathers.
+// *buf keeps what was gathered: rank r's bounds are (*buf)[r] and (*buf)[P+r].
 func AccessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) {
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
-	all := Sized(*buf, p.Size())
+	n := p.Size()
+	all := Sized(*buf, 2*n)
 	*buf = all
-	aarSt, aarEn = 1<<62, -1
-	p.AllgatherInt64Into(st, all)
-	for _, v := range all {
-		aarSt = min(aarSt, v)
-	}
-	p.AllgatherInt64Into(en, all)
-	for _, v := range all {
-		aarEn = max(aarEn, v)
-	}
+	p.AllgatherInt64Into(st, all[:n])
+	p.AllgatherInt64Into(en, all[n:])
+	aarSt, aarEn = slices.Min(all[:n]), slices.Max(all[n:])
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
 	p.Trace.End(p.Clock())
 	return aarSt, aarEn
@@ -674,10 +645,10 @@ func NoteMemo(p *mpi.Proc, side string, hit bool) {
 	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", result))
 }
 
-// realms resolves the file realm set: the one persisted with the file, the
-// one the engine's cache holds (see assignCache), or a new assignment, which
-// an assigner that reads the gathered accesses is asked for every time.
-func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, dataLen int64) (*realm.Assignment, error) {
+// realms resolves the file realm set: the one persisted with the file, or the
+// engine's assignment for this call, computed from the region and, for an
+// assigner that reads them, the gathered accesses.
+func (i *Impl) realms(f *mpiio.File, naggs int, aarSt, aarEn, dataLen int64) (*realm.Assignment, error) {
 	if i.o.Persistent {
 		// A resume must not honour realms persisted before the failure:
 		// they still route file regions through the dead aggregator. The
@@ -692,69 +663,64 @@ func (i *Impl) realms(f *mpiio.File, naggs, spreadActive int, aarSt, aarEn, data
 			aarEn = sz
 		}
 	}
-	key := assignKey{world: f.Proc().World(), naggs: naggs, spread: spreadActive, start: aarSt, end: aarEn}
-	shared := !i.o.Assigner.NeedsSegs()
-	var asg *realm.Assignment
-	if shared {
-		i.assign.mu.Lock()
-		defer i.assign.mu.Unlock()
-		if i.assign.key == key { // never the zero key: it names a world
-			asg = i.assign.val
-		}
+	var accesses [][]byte
+	if i.o.Assigner.NeedsSegs() {
+		accesses = gatherAllSegs(f, dataLen)
 	}
-	if asg == nil {
-		ctx := realm.Context{NAggs: naggs, Start: aarSt, End: aarEn, Align: i.o.Align, NodeOf: f.Proc().Node}
-		if !shared {
-			var err error
-			if ctx.AllSegs, ctx.RankSegs, err = i.gatherAllSegs(f, dataLen); err != nil {
-				return nil, err
-			}
-		}
-		assigner := i.o.Assigner
-		if spreadActive > 0 {
-			// Spread nests inside Failover: dead slots drop out first, then
-			// the spread picks among the survivors, so a resume never routes
-			// a realm through a dead rank.
-			if fo, ok := assigner.(realm.Failover); ok {
-				fo.Base = realm.Spread{Base: fo.Base, Active: spreadActive}
-				assigner = fo
-			} else {
-				assigner = realm.Spread{Base: assigner, Active: spreadActive}
-			}
-		}
-		realms, err := assigner.Assign(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("core: realm assignment: %w", err)
-		}
-		asg = &realm.Assignment{Realms: realms, Sig: realmSignature(realms)}
-		if shared {
-			i.assign.key, i.assign.val = key, asg
-		}
+	asg, pairs, err := i.assigned(f.Proc(), naggs, aarSt, aarEn, accesses)
+	if err != nil {
+		return nil, err
 	}
+	f.ChargePairs(pairs)
 	if i.o.Persistent {
 		f.SetPFR(asg)
 	}
 	return asg, nil
 }
 
-// gatherAllSegs builds the combined flattened access of every rank — the
-// O(M) exchange some assigners (load balancing) genuinely need — and the
-// per-rank lists topology-aware assigners attribute to nodes. A list that
-// does not decode is an error on every rank alike: they all decode the same
-// gathered bytes, so the collective is left uniformly.
-func (i *Impl) gatherAllSegs(f *mpiio.File, dataLen int64) ([]datatype.Seg, [][]datatype.Seg, error) {
-	mine := f.ResolveAccess(dataLen)
-	union, perRank, pairs, err := mergeAccessLists(f.Proc().Allgather(datatype.EncodeSegs(mine)))
-	if err != nil {
-		return nil, nil, err
+// assigned is the one path to an assignment: every rank of a call asks the
+// engine's cache (see assignCache) under the same key, the first decodes the
+// accesses, merges them and runs the assigner, the other P-1 receive the same
+// immutable realms and the pairs the merge went through, which each charges.
+func (i *Impl) assigned(p *mpi.Proc, naggs int, aarSt, aarEn int64, accesses [][]byte) (*realm.Assignment, int64, error) {
+	key := assignKey{world: p.World(), naggs: naggs, start: aarSt, end: aarEn, accesses: HashSeed}
+	for _, enc := range accesses {
+		key.accesses = HashBytes(key.accesses, enc)
 	}
-	f.ChargePairs(pairs)
-	return union, perRank, nil
+	c := &i.assign
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.key != key { // never the zero key: it names a world
+		ctx := realm.Context{NAggs: naggs, Start: aarSt, End: aarEn, Align: i.o.Align, NodeOf: p.Node}
+		var pairs int64
+		if accesses != nil {
+			var err error
+			if ctx.AllSegs, ctx.RankSegs, pairs, err = mergeAccessLists(accesses); err != nil {
+				return nil, 0, err
+			}
+		}
+		realms, err := i.o.Assigner.Assign(ctx)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: realm assignment: %w", err)
+		}
+		c.key, c.val, c.pairs = key, &realm.Assignment{Realms: realms, Sig: realmSignature(realms)}, pairs
+	}
+	return c.val, c.pairs, nil
 }
 
-// mergeAccessLists decodes every rank's gathered access list (a crashed
-// rank's slot is nil and reads as no access) and returns their sorted,
-// coalesced union, the lists themselves, and how many pairs went in.
+// gatherAllSegs exchanges every rank's flattened access — the O(M) exchange
+// some assigners (load balancing, node-local placement) genuinely need: P·M
+// pairs arrive at every rank. A crashed rank's slot is nil.
+func gatherAllSegs(f *mpiio.File, dataLen int64) [][]byte {
+	return f.Proc().Allgather(datatype.EncodeSegs(f.ResolveAccess(dataLen)))
+}
+
+// mergeAccessLists decodes every rank's gathered access list (a nil slot
+// reads as no access) and returns their sorted, coalesced union, the lists
+// themselves — what topology-aware assigners attribute to nodes — and how
+// many pairs went in. A list that does not decode is an error on every rank
+// alike: they all hold the same gathered bytes, so the collective is left
+// uniformly.
 func mergeAccessLists(all [][]byte) (union []datatype.Seg, perRank [][]datatype.Seg, pairs int64, err error) {
 	perRank = make([][]datatype.Seg, len(all))
 	var merged []datatype.Seg
@@ -824,26 +790,21 @@ func (i *Impl) clientPieces(ms *PlanScratch, ce *clientEntry, myFlat datatype.Fl
 var noAccess = datatype.Flat{Limit: -1}
 
 // decodeRequests turns the request messages an aggregator received into
-// accesses in ms, returning the tree-expansion work alongside. A nil message
-// stands in an empty access so the collective keeps its structure through to
-// the next agreement point; deserting here would strand the surviving ranks.
-// A message that does not decode gets the same stand-in, and the first such
-// error is returned for that agreement to carry.
-func (i *Impl) decodeRequests(ms *PlanScratch, msgs [][]byte, trees bool) (flats []datatype.Flat, expand int64, bad error) {
+// accesses in ms. A nil message stands in an empty access so the collective
+// keeps its structure through to the next agreement point; deserting here
+// would strand the surviving ranks. A message that does not decode gets the
+// same stand-in, and the first such error is returned for that agreement to
+// carry.
+func decodeRequests(ms *PlanScratch, msgs [][]byte) (flats []datatype.Flat, bad error) {
 	ms.flats, ms.reqSegs = slices.Grow(ms.flats[:0], len(msgs))[:len(msgs)], ms.reqSegs[:0]
 	flats = ms.flats
 	for c, msg := range msgs {
-		var err error
-		switch {
-		case msg == nil:
-			flats[c] = noAccess
-		case i.o.TreeRequests && trees:
-			var work int64
-			flats[c], work, err = decodeTreeRequest(msg)
-			expand += work
-		default:
-			flats[c], ms.reqSegs, err = datatype.DecodeFlatAppend(msg, ms.reqSegs)
+		flats[c] = noAccess
+		if msg == nil {
+			continue
 		}
+		var err error
+		flats[c], ms.reqSegs, err = datatype.DecodeFlatAppend(msg, ms.reqSegs)
 		if err == nil && flats[c].Count < 0 {
 			err = fmt.Errorf("unbounded access (count %d)", flats[c].Count)
 		}
@@ -854,7 +815,16 @@ func (i *Impl) decodeRequests(ms *PlanScratch, msgs [][]byte, trees bool) (flats
 			}
 		}
 	}
-	return flats, expand, bad
+	return flats, bad
+}
+
+// flatRuns is core's PreaggRuns: its requests are flattened filetypes.
+func flatRuns(items []datatype.MergeItem, enc []byte, part int) ([]datatype.MergeItem, error) {
+	fl, err := datatype.DecodeFlat(enc)
+	if err != nil {
+		return items, err
+	}
+	return datatype.AppendFlatRuns(items, fl, part), nil
 }
 
 // RoundPlan is one aggregator round with its merge already done: what is
@@ -903,11 +873,16 @@ func (ap *AggPlans) equal(o *AggPlans) bool {
 // merges the pieces round by round into ap, replacing what it held, and
 // returns charges extended by each client's pair work (which the caller
 // issues, or ignores when its model charges otherwise). The flats must have
-// been validated (DecodeFlat, DecodeSegs). The work happens in ms.
-func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, cb int64, charges []int64) []int64 {
+// been validated (DecodeFlat, DecodeSegs); [lo, hi) is the aggregate access
+// region the ranks agreed on, and a client with a piece outside it (a damaged
+// request that still decoded: under an unbounded tail realm its offset would
+// size the round table) is planned as absent and named in the error, which
+// the caller's first agreement carries. The work happens in ms.
+func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, lo, hi, cb int64, charges []int64) ([]int64, error) {
 	// Every client's pieces, as file segments with the round of each.
 	ms.fileSegs, ms.pieceRound, ms.ends = ms.fileSegs[:0], ms.pieceRound[:0], ms.ends[:0]
 	nrounds := 0
+	var bad error
 	rm.CursorInto(&ms.rc)
 	for c := range flats {
 		if err := flats[c].CursorInto(&ms.ac); err != nil {
@@ -916,7 +891,15 @@ func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm
 		ms.rc.Reset()
 		ms.pieces = datatype.Intersect(&ms.ac, &ms.rc, cb, ms.pieces[:0])
 		charges = append(charges, ms.ac.Work()+ms.rc.Work())
+		at := len(ms.fileSegs)
 		for _, pc := range ms.pieces {
+			if pc.File.Off < lo || pc.File.End() > hi {
+				if bad == nil {
+					bad = fmt.Errorf("core: bad request from rank %d: bytes [%d,%d) outside the access region [%d,%d)", c, pc.File.Off, pc.File.End(), lo, hi)
+				}
+				ms.fileSegs, ms.pieceRound, ms.pieces = ms.fileSegs[:at], ms.pieceRound[:at], ms.pieces[:0]
+				break
+			}
 			ms.fileSegs = append(ms.fileSegs, pc.File)
 			ms.pieceRound = append(ms.pieceRound, int32(pc.Round))
 		}
@@ -961,20 +944,22 @@ func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm
 		s0, p0 = s1, p1
 	}
 	ap.Rounds, ap.order, ap.segs, ap.peers = rounds, order, segs, peers
-	return charges
+	return charges, bad
 }
 
 // checkPlans is the Validate cross-check of a memo hit: the plans are
 // rebuilt from the requests just received and must equal the cached ones.
 // The error seeds the first round-boundary agreement, so a stale plan
 // aborts every rank together before it can move a byte.
-func (i *Impl) checkPlans(ms *PlanScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, cb int64, trees bool) error {
-	flats, expand, err := i.decodeRequests(ms, msgs, trees)
+func checkPlans(ms *PlanScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, lo, hi, cb int64) error {
+	flats, err := decodeRequests(ms, msgs)
 	if err != nil {
 		return err
 	}
 	var fresh aggEntry
-	fresh.charges = fresh.Build(ms, flats, rm, cb, []int64{expand})
+	if fresh.charges, err = fresh.Build(ms, flats, rm, lo, hi, cb, nil); err != nil {
+		return err
+	}
 	if !fresh.equal(&ae.AggPlans) || !slices.Equal(fresh.charges, ae.charges) {
 		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
 	}

@@ -274,66 +274,3 @@ func TestNameIncludesPolicy(t *testing.T) {
 		t.Errorf("Name = %q, want %q", impl.Name(), want)
 	}
 }
-
-func TestTreeRequestsMatchFlatRequests(t *testing.T) {
-	wl := baseWorkload()
-	cfg := sim.DefaultConfig()
-	flat, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{Validate: true})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{TreeRequests: true, Validate: true})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, tree.Image); err != nil {
-		t.Fatal(err)
-	}
-	for i := range flat.Image {
-		if flat.Image[i] != tree.Image[i] {
-			t.Fatalf("tree-request image differs at byte %d", i)
-		}
-	}
-}
-
-func TestTreeRequestsEnumerated(t *testing.T) {
-	// Enumerated (hindexed) filetypes must round-trip through the tree
-	// representation too, and read back correctly.
-	wl := baseWorkload()
-	wl.Enumerate = true
-	impl := core.New(core.Options{TreeRequests: true, Validate: true})
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: impl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, mpiio.Info{Collective: impl}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTreeRequestsCompactForSuccinctTypes(t *testing.T) {
-	// For the succinct HPIO filetype the tree request is no larger than
-	// the flattened request.
-	wl := colltest.Workload{Ranks: 4, RegionSize: 8, RegionCount: 512, Spacing: 8}
-	cfg := sim.DefaultConfig()
-	flat, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{TreeRequests: true})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := stats.Merge(flat.World.Recorders()...).Counter(stats.CReqBytes)
-	tb := stats.Merge(tree.World.Recorders()...).Counter(stats.CReqBytes)
-	if tb > fb*2 {
-		t.Errorf("tree requests %dB vs flat %dB", tb, fb)
-	}
-}

@@ -101,11 +101,11 @@ func BenchmarkPlanMiss(b *testing.B) {
 			if r >= naggs {
 				continue
 			}
-			decoded, _, err := eng.decodeRequests(ms, msgs, true)
+			decoded, err := decodeRequests(ms, msgs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ae.charges = ae.Build(ms, decoded, realms[r], cb, append(ae.charges[:0], 0)); len(ae.Rounds) == 0 {
+			if ae.charges, _ = ae.Build(ms, decoded, realms[r], 0, 1<<62, cb, ae.charges[:0]); len(ae.Rounds) == 0 {
 				b.Fatal("no rounds planned")
 			}
 			pieces += int64(len(ms.fileSegs))

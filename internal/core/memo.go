@@ -76,7 +76,7 @@ type aggKey struct {
 
 type aggEntry struct {
 	AggPlans         // one merge plan per two-phase round
-	charges  []int64 // [0] is the tree-expansion charge, rest per client
+	charges  []int64 // ChargePairs replay: per client
 }
 
 // memoSlots is how many shapes a rank remembers per side. A constant, not an
@@ -170,21 +170,25 @@ func (rt *RankTable[T]) For(rank, size int) *T {
 	return (*t)[rank]
 }
 
-// assignCache is the realm assignment an engine computed last, with its key.
-// Every rank of a call asks with the same key: the first computes, the others
-// receive the same immutable realms and signature. What Assign reads beyond
-// the key (policy, dead set, alignment) is fixed per engine; the world stands
-// for its node map.
+// assignCache is the realm assignment an engine computed last, with its key
+// and the pairs its access merge went through. Every rank of a call asks with
+// the same key: the first computes, the others receive the same immutable
+// realms and signature. What Assign reads beyond the key (policy, dead set,
+// alignment) is fixed per engine; the world stands for its node map; an
+// assigner that reads the gathered accesses has their hash in the key, so a
+// rank that changed its access is never served the old assignment.
 type assignCache struct {
-	mu  sync.Mutex
-	key assignKey
-	val *realm.Assignment
+	mu    sync.Mutex
+	key   assignKey
+	val   *realm.Assignment
+	pairs int64
 }
 
 type assignKey struct {
-	world         *mpi.World
-	naggs, spread int
-	start, end    int64
+	world      *mpi.World
+	naggs      int
+	start, end int64
+	accesses   uint64 // HashSeed over nothing when the assigner reads none
 }
 
 // The memo hash (HashSeed, HashBytes): 64 bits, sixteen input bytes per

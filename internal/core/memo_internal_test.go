@@ -366,12 +366,12 @@ func TestMemoRecyclesEvictedSlots(t *testing.T) {
 		eng.clientPieces(&scr.miss, ce, flats[step][0], realms, cb)
 		scr.clients.Keep(clientKey{disp: int64(calls)})
 
-		decoded, expand, err := eng.decodeRequests(&scr.miss, msgs[step], true)
+		decoded, err := decodeRequests(&scr.miss, msgs[step])
 		if err != nil {
 			t.Fatal(err)
 		}
 		ae := scr.aggs.Evict()
-		ae.charges = ae.Build(&scr.miss, decoded, realms[0], cb, append(ae.charges[:0], expand))
+		ae.charges, _ = ae.Build(&scr.miss, decoded, realms[0], 0, 1<<62, cb, ae.charges[:0])
 		scr.aggs.Keep(aggKey{req: uint64(calls)})
 		if len(ae.Rounds) == 0 || len(ce.pieces.runs) == 0 {
 			t.Fatal("nothing planned")

@@ -100,11 +100,9 @@ func TestPlanMemoHitEqualsFreshBuild(t *testing.T) {
 		"alltoallw":   {Comm: core.Alltoallw},
 		"pfr-aligned": {Persistent: true, Align: 4096},
 		"heapmerge":   {HeapMerge: true},
-		"trees":       {TreeRequests: true},
 		"cyclic":      {Assigner: realm.Cyclic{Block: 512}},
 		"preagg":      {Preagg: true},
 		"preagg-a2a":  {Preagg: true, Comm: core.Alltoallw},
-		"spread":      {SpreadAggs: true},
 	}
 	for pname, wl := range patterns {
 		for ename, o := range engines {

@@ -84,8 +84,7 @@ func TestPreaggReadMatrix(t *testing.T) {
 
 // TestPreaggVariants exercises the wrinkles that interact with the merge:
 // noncontiguous memory, many rounds (small collective buffer), heap-merge
-// intersections, persistent realms, and tree requests (which preagg
-// overrides with flattened encodings).
+// intersections, persistent realms, fewer aggregators than ranks.
 func TestPreaggVariants(t *testing.T) {
 	cases := []struct {
 		name string
@@ -103,9 +102,6 @@ func TestPreaggVariants(t *testing.T) {
 		}},
 		{"persistent", func(wl *colltest.Workload, o *core.Options, in *mpiio.Info) {
 			o.Persistent = true
-		}},
-		{"tree-requests", func(wl *colltest.Workload, o *core.Options, in *mpiio.Info) {
-			o.TreeRequests = true
 		}},
 		{"few-aggs", func(wl *colltest.Workload, o *core.Options, in *mpiio.Info) {
 			in.CbNodes = 3

@@ -39,13 +39,23 @@ func newRealmWorld(t *testing.T, ranks, nodeRanks int, eng *Impl) *realmWorld {
 	return rw
 }
 
+// ask is one rank's request for the call's realms; accesses, when an assigner
+// reads them, is what the ranks' gather would have delivered.
+func (rw *realmWorld) ask(eng *Impl, r, naggs int, st, en int64, accesses [][]byte) (*realm.Assignment, error) {
+	if accesses == nil {
+		return eng.realms(rw.files[r], naggs, st, en, 0)
+	}
+	asg, _, err := eng.assigned(rw.files[r].Proc(), naggs, st, en, accesses)
+	return asg, err
+}
+
 // all asks for rank after rank's realms of one call and checks that they are
 // one assignment: one backing array, one signature.
-func (rw *realmWorld) all(t *testing.T, eng *Impl, naggs, spread int, st, en int64) *realm.Assignment {
+func (rw *realmWorld) all(t *testing.T, eng *Impl, naggs int, st, en int64, accesses [][]byte) *realm.Assignment {
 	t.Helper()
 	var first *realm.Assignment
-	for r, f := range rw.files {
-		asg, err := eng.realms(f, naggs, spread, st, en, 0)
+	for r := range rw.files {
+		asg, err := rw.ask(eng, r, naggs, st, en, accesses)
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
@@ -62,91 +72,96 @@ func (rw *realmWorld) all(t *testing.T, eng *Impl, naggs, spread int, st, en int
 	return first
 }
 
-// TestRealmsSharedPerCall: the realm set is computed once per call per world.
-// The first rank to ask computes, the others receive the same immutable
-// realms and their signature without allocating; a call over the same region
-// reuses them; and nothing that changes what the assigner would answer (the
-// region, the aggregator count, the spread width, the world's node map, a
-// resume's dead set, an assigner that reads the accesses) is ever served a
-// stale assignment.
+// TestRealmsSharedPerCall: the realm set is computed once per call per world,
+// by an assigner that reads the region alone and by one that reads every
+// rank's gathered access. The first rank to ask computes, the others receive
+// the same immutable realms and their signature without allocating; a call
+// over the same region (and accesses) reuses them; and nothing that changes
+// what the assigner would answer (the region, the aggregator count, one rank's
+// access, a resume's dead set) is ever served a stale assignment.
 func TestRealmsSharedPerCall(t *testing.T) {
 	const ranks, naggs = 8, 4
-	eng := New(Options{Align: 4096})
-	rw := newRealmWorld(t, ranks, 4, eng)
-
-	a := rw.all(t, eng, naggs, 0, 0, 1<<20)
-	if again := rw.all(t, eng, naggs, 0, 0, 1<<20); &again.Realms[0] != &a.Realms[0] {
-		t.Error("an unchanged region was assigned again")
-	}
-	if !raceEnabled {
-		// A call over a new region: rank 0 pays for the assignment, the other
-		// P-1 for nothing.
-		region := int64(1 << 20)
-		if got := testing.AllocsPerRun(20, func() {
-			region += 8192
-			if _, err := eng.realms(rw.files[0], naggs, 0, 0, region, 0); err != nil {
-				t.Fatal(err)
-			}
-		}); got == 0 {
-			t.Error("a new region cost its first rank nothing: was it assigned at all?")
-		}
-		for r := 1; r < ranks; r++ {
-			if got := testing.AllocsPerRun(20, func() {
-				if _, err := eng.realms(rw.files[r], naggs, 0, 0, region, 0); err != nil {
-					t.Fatal(err)
-				}
-			}); got != 0 {
-				t.Errorf("rank %d: %.0f allocs to receive the call's realms, want 0", r, got)
-			}
-		}
-	}
-
-	// Whatever moves the answer moves the key.
-	differs := func(what string, b *realm.Assignment) {
-		t.Helper()
-		if b.Sig == a.Sig {
-			t.Errorf("%s was served the assignment of (4 aggregators, [0, 1 MiB))", what)
-		}
-		a = b
-	}
-	differs("a longer region", rw.all(t, eng, naggs, 0, 0, 2<<20))
-	differs("a later start", rw.all(t, eng, naggs, 0, 8192, 2<<20))
-	differs("another aggregator count", rw.all(t, eng, naggs-1, 0, 8192, 2<<20))
-
-	// SpreadAggs: one slot per rank, realms on `spread` of them, picked by
-	// node. The width and the node map both move the assignment.
-	spreadEng := New(Options{SpreadAggs: true})
-	owners := func(asg *realm.Assignment) (out []int) {
-		for r, rm := range asg.Realms {
-			if !rm.Empty() {
-				out = append(out, r)
-			}
+	// What a gather delivers: rank r accesses shift+[r, r+1) * 4 KiB.
+	gathered := func(shift int64) [][]byte {
+		out := make([][]byte, ranks)
+		for r := range out {
+			out[r] = datatype.EncodeSegs([]datatype.Seg{{Off: shift + int64(r)*4096, Len: 4096}})
 		}
 		return out
 	}
-	two := owners(rw.all(t, spreadEng, ranks, 2, 0, 1<<20))
-	if three := owners(rw.all(t, spreadEng, ranks, 3, 0, 1<<20)); len(two) != 2 || len(three) != 3 {
-		t.Errorf("spread widths 2 and 3 gave realms to ranks %v and %v", two, three)
-	}
-	other := newRealmWorld(t, ranks, 2, spreadEng) // four nodes instead of two
-	if moved := owners(other.all(t, spreadEng, ranks, 2, 0, 1<<20)); len(moved) != 2 || moved[1] == two[1] {
-		t.Errorf("node maps of 4 and of 2 ranks a node spread 2 aggregators onto ranks %v and %v", two, moved)
-	}
+	for _, tc := range []struct {
+		name     string
+		assigner realm.Assigner
+		accesses func(shift int64) [][]byte
+	}{
+		{"region", nil, func(int64) [][]byte { return nil }},
+		{"accesses", realm.NodeLocal{}, gathered},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(Options{Assigner: tc.assigner, Align: 4096})
+			rw := newRealmWorld(t, ranks, 4, eng)
 
-	// A resume demotes the dead aggregator: the engine ResumeCollective
-	// builds must not see what the failed attempt's engine assigned.
-	before := rw.all(t, eng, naggs, 0, 0, 1<<20)
-	resumed := ResumeCollective(Options{Align: 4096}, new(mpiio.WriteJournal), []int{1})
-	after := rw.all(t, resumed, naggs, 0, 0, 1<<20)
-	if before.Realms[1].Empty() || !after.Realms[1].Empty() || after.Sig == before.Sig {
-		t.Errorf("resume with rank 1 dead: its realm was %v and is %v", before.Realms[1], after.Realms[1])
+			a := rw.all(t, eng, naggs, 0, 1<<20, tc.accesses(0))
+			if again := rw.all(t, eng, naggs, 0, 1<<20, tc.accesses(0)); &again.Realms[0] != &a.Realms[0] {
+				t.Error("an unchanged call was assigned again")
+			}
+			if !raceEnabled {
+				// A call over a new region: rank 0 pays for the assignment,
+				// the other P-1 for nothing.
+				region, accesses := int64(1<<20), tc.accesses(0)
+				if got := testing.AllocsPerRun(20, func() {
+					region += 8192
+					if _, err := rw.ask(eng, 0, naggs, 0, region, accesses); err != nil {
+						t.Fatal(err)
+					}
+				}); got == 0 {
+					t.Error("a new region cost its first rank nothing: was it assigned at all?")
+				}
+				for r := 1; r < ranks; r++ {
+					if got := testing.AllocsPerRun(20, func() {
+						if _, err := rw.ask(eng, r, naggs, 0, region, accesses); err != nil {
+							t.Fatal(err)
+						}
+					}); got != 0 {
+						t.Errorf("rank %d: %.0f allocs to receive the call's realms, want 0", r, got)
+					}
+				}
+			}
+
+			// Whatever moves the answer moves the key.
+			differs := func(what string, b *realm.Assignment) {
+				t.Helper()
+				if &b.Realms[0] == &a.Realms[0] {
+					t.Errorf("%s was served the previous call's assignment", what)
+				}
+				a = b
+			}
+			differs("a longer region", rw.all(t, eng, naggs, 0, 2<<20, tc.accesses(0)))
+			differs("a later start", rw.all(t, eng, naggs, 8192, 2<<20, tc.accesses(8192)))
+			differs("another aggregator count", rw.all(t, eng, naggs-1, 8192, 2<<20, tc.accesses(8192)))
+			if moved := tc.accesses(8192); moved != nil {
+				// The same region and everybody else's access: rank 5 alone
+				// reaches further.
+				moved[5] = datatype.EncodeSegs([]datatype.Seg{{Off: 8192 + 5*4096, Len: 4096}, {Off: 1 << 20, Len: 4096}})
+				differs("a changed access of one rank", rw.all(t, eng, naggs-1, 8192, 2<<20, moved))
+			}
+
+			// A resume demotes the dead aggregator: the engine ResumeCollective
+			// builds must not see what the failed attempt's engine assigned.
+			before := rw.all(t, eng, naggs, 0, 1<<20, tc.accesses(0))
+			resumed := ResumeCollective(Options{Assigner: tc.assigner, Align: 4096}, new(mpiio.WriteJournal), []int{1})
+			after := rw.all(t, resumed, naggs, 0, 1<<20, tc.accesses(0))
+			if before.Realms[1].Empty() || !after.Realms[1].Empty() || after.Sig == before.Sig {
+				t.Errorf("resume with rank 1 dead: its realm was %v and is %v", before.Realms[1], after.Realms[1])
+			}
+		})
 	}
 }
 
-// TestRealmsFromAccessesAreNotShared: an assigner that reads the gathered
-// accesses answers from more than the key pins, so it is asked on every call:
-// the same aggregate region accessed densely at the other end must move the
-// load-balanced boundaries.
+// TestRealmsFromAccessesAreNotShared: what an assigner that reads the gathered
+// accesses answered for one call is not handed to a call whose accesses
+// differ, through the real gather: the same aggregate region accessed densely
+// at the other end must move the load-balanced boundaries on every rank.
 func TestRealmsFromAccessesAreNotShared(t *testing.T) {
 	const ranks, naggs, span = 4, 2, 1 << 16
 	eng := New(Options{Assigner: realm.LoadBalanced{}})
@@ -163,7 +178,7 @@ func TestRealmsFromAccessesAreNotShared(t *testing.T) {
 				return
 			}
 			var asg *realm.Assignment
-			if asg, errs[r] = eng.realms(f, naggs, 0, 0, span, ft.Size()); errs[r] == nil {
+			if asg, errs[r] = eng.realms(f, naggs, 0, span, ft.Size()); errs[r] == nil {
 				bounds[r][call] = asg.Realms[1].Disp
 			}
 		})

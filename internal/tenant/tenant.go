@@ -545,8 +545,7 @@ func (s *Service) runAndFinish(t *Tenant, job Job, p *Pending) {
 func (s *Service) engine(name string, degradedStart bool) mpiio.Collective {
 	opts := core.Options{Degrade: s.brk.AnyOpen}
 	if degradedStart {
-		opts.Method = mpiio.Naive
-		opts.Degraded = true
+		opts.Method = mpiio.Naive // nothing to degrade from
 	}
 	switch name {
 	case "core-a2a":

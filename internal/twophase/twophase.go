@@ -245,6 +245,10 @@ type rankScratch struct {
 
 	rounds core.RoundScratch
 	walk   aggWalk
+	// Node-local pre-aggregation: the stage's state and this rank's whole
+	// access as a member forwards it.
+	pre    core.PreaggState
+	preEnc []byte
 	bounds []int64
 	msgs   [][]byte
 	disps  []int64
@@ -335,7 +339,11 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// shipped individually.
 	var pre *core.PreaggState
 	if i.preagg {
-		mySegs, pre = i.preaggExchange(f, mySegs, cs, dataLen, write)
+		pre = &scr.pre
+		scr.preEnc = datatype.AppendSegsEncoding(scr.preEnc[:0], mySegs)
+		if merged, swapped := pre.Exchange(f, i.exec.Journal.Dead(), cs, scr.preEnc, segRuns, dataLen, scr.bounds, write); swapped {
+			mySegs = merged
+		}
 	}
 
 	// Even file domains over the aggregate access region, realm.Even's
@@ -496,7 +504,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// Reads under pre-aggregation: the leader scatters each member its
 	// bytes and takes back its own; an abort above skips this uniformly.
 	if err == nil && !write && pre != nil {
-		err = pre.Scatter(f, cs, dataLen, nil)
+		err = pre.Scatter(f, cs, dataLen)
 	}
 	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
 }
@@ -600,7 +608,7 @@ func (ps *planScratch) planAgg(ae *aggEntry, msgs [][]byte, d domains, rank int,
 		dom = realm.Realm{Disp: lo, Pattern: datatype.Bytes(hi - lo), Count: 1}
 	}
 	// Merge with the shared kernel and keep the order it decided.
-	ps.plans.Build(&ps.core, ps.flats, dom, cb, nil)
+	ps.plans.Build(&ps.core, ps.flats, dom, lo, hi, cb, nil) // every request checked against [lo, hi) above
 	plans := ps.plans.Rounds
 	pieces, peers := 0, 0
 	for r := range plans {
