@@ -26,7 +26,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 func main() {
@@ -74,11 +73,7 @@ func main() {
 	var coll mpiio.Collective
 	switch *impl {
 	case "old":
-		tw := twophase.New()
-		if *preagg {
-			tw.WithPreagg()
-		}
-		coll = tw
+		coll = core.ROMIO(core.Options{Preagg: *preagg})
 	case "none":
 		coll = nil
 	case "new":

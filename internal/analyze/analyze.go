@@ -222,7 +222,7 @@ func Analyze(d *metrics.Dump) []Finding {
 		fs = append(fs, finding(SevWarning, "internode-heavy",
 			fmt.Sprintf("%.0f%% of shuffle bytes cross node boundaries (%d inter vs %d intra) despite %d ranks sharing %d nodes",
 				frac*100, inter, intra, d.Ranks, d.Nodes),
-			"place realms where their bytes are accessed (the topology-aware assigner realm.NodeLocal; its price is an O(P·M) access gather per rank) so the shuffle stays on the node; node-local pre-aggregation (core.Options.Preagg / twophase.WithPreagg) then leaves one sender per node but does not by itself keep a byte off the wire",
+			"place realms where their bytes are accessed (the topology-aware assigner realm.NodeLocal; its price is an O(P·M) access gather per rank) so the shuffle stays on the node; node-local pre-aggregation (core.Options.Preagg, for core.New or core.ROMIO) then leaves one sender per node but does not by itself keep a byte off the wire",
 			frac*10))
 	}
 

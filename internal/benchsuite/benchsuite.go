@@ -25,7 +25,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // Config names one benchmark point of the tracked matrix.
@@ -332,11 +331,7 @@ func (c Config) nodeRanks() int {
 func (c Config) info() mpiio.Info {
 	var coll mpiio.Collective
 	if c.Engine == "twophase" {
-		tw := twophase.New()
-		if c.Preagg {
-			tw.WithPreagg()
-		}
-		coll = tw
+		coll = core.ROMIO(core.Options{Preagg: c.Preagg})
 	} else {
 		opts := core.Options{Comm: c.Comm, Persistent: c.PFR, Preagg: c.Preagg}
 		if c.NodeLocal {

@@ -47,7 +47,6 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // Fault names a storage fault plane.
@@ -396,11 +395,7 @@ func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) 
 		if dead != nil {
 			journal.MarkResume(dead)
 		}
-		tw := twophase.NewJournaled(journal)
-		if s.Preagg {
-			tw.WithPreagg()
-		}
-		return tw
+		return core.ROMIO(core.Options{Journal: journal, Preagg: s.Preagg})
 	}
 	o := core.Options{Comm: e.comm, Method: s.Method, Preagg: s.Preagg, Journal: journal}
 	if s.Degraded {

@@ -35,7 +35,7 @@ func genWorkload(rng *rand.Rand) Workload {
 func genInfo(rng *rand.Rand, wl Workload) mpiio.Info {
 	var coll mpiio.Collective
 	if rng.Intn(4) == 0 {
-		coll = twophase.New().WithValidate()
+		coll = core.ROMIO(core.Options{Validate: true})
 	} else {
 		o := core.Options{Validate: true}
 		o.Method = []mpiio.Method{mpiio.DataSieve, mpiio.Naive, mpiio.ListIO, mpiio.IntegratedSieve}[rng.Intn(4)]

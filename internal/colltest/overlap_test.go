@@ -47,7 +47,7 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 
 	engines := map[string]func() mpiio.Collective{
 		"twophase":        func() mpiio.Collective { return twophase.New() },
-		"twophase-preagg": func() mpiio.Collective { return twophase.New().WithPreagg() },
+		"twophase-preagg": func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) },
 		"core-nb":         func() mpiio.Collective { return core.New(core.Options{Validate: true}) },
 		"core-a2a":        func() mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw, Validate: true}) },
 		"core-nb-preagg":  func() mpiio.Collective { return core.New(core.Options{Preagg: true, Validate: true}) },

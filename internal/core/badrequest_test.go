@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"flexio/internal/colltest"
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
@@ -13,134 +17,220 @@ import (
 	"flexio/internal/sim"
 )
 
-// TestMalformedRequestAbortsCollective: a request an aggregator cannot
-// use used to panic inside that aggregator (overlapping pairs), make it
-// leave the collective alone (short buffer) while its peers waited in the
-// next rendezvous, or exhaust memory (an offset far outside the file). It must abort the call on every rank instead, and leave
-// the engine fit for the next one.
+// badRequestWorld is the repro's shape: four ranks, two aggregators, one
+// round, 16 interleaved regions a rank, with one filetype object per rank
+// for all calls, so the sender's side of the memo hits from the second.
+type badRequestWorld struct {
+	wl  colltest.Workload
+	w   *mpi.World
+	fs  *pfs.FileSystem
+	eng *Impl
+	fts []datatype.Type
+}
+
+func newBadRequestWorld(eng *Impl) *badRequestWorld {
+	cfg := sim.DefaultConfig()
+	b := &badRequestWorld{wl: colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 16, Spacing: 32},
+		w: mpi.NewWorld(4, cfg), fs: pfs.NewFileSystem(cfg), eng: eng}
+	b.fts = make([]datatype.Type, b.wl.Ranks)
+	for r := range b.fts {
+		b.fts[r], _ = b.wl.Filetype(r)
+	}
+	return b
+}
+
+// call runs one collective call on every rank and returns their errors and,
+// for a read, whether every rank read back what it wrote. A panic in a rank goroutine is
+// the test's; a call that has not returned within patience fails it.
+func (b *badRequestWorld) call(t *testing.T, write bool, patience time.Duration) (errs []error, exact bool) {
+	t.Helper()
+	errs, same := make([]error, b.wl.Ranks), make([]bool, b.wl.Ranks)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.w.Run(func(p *mpi.Proc) {
+			r := p.Rank()
+			f, err := mpiio.Open(p, b.fs, "bad.dat", mpiio.Info{Collective: b.eng, CbNodes: 2, CollBufSize: 4 << 10})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer f.Close()
+			_, disp := b.wl.Filetype(r)
+			if errs[r] = f.SetView(disp, datatype.Bytes(1), b.fts[r]); errs[r] != nil {
+				return
+			}
+			mt, bufLen := b.wl.Memtype()
+			if write {
+				errs[r] = f.WriteAll(b.wl.FillBuffer(r), mt, b.wl.RegionCount)
+				return
+			}
+			buf := make([]byte, bufLen)
+			errs[r] = f.ReadAll(buf, mt, b.wl.RegionCount)
+			same[r] = bytes.Equal(buf, b.wl.FillBuffer(r))
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(patience):
+		t.Fatal("collective hung")
+	}
+	return errs, !slices.Contains(same, false)
+}
+
+// TestMalformedRequestAbortsCollective: a request an aggregator cannot use
+// used to panic inside that aggregator (overlapping pairs, a length that
+// overran the sender's payload), make it leave the collective alone (short
+// buffer) while its peers waited in the next rendezvous, exhaust memory (an
+// offset far outside the file), or be caught only by the file system's span
+// check. Reading, the sender used to wait forever for bytes the refusing
+// aggregator never sent (the others had none for it either), or, when the
+// damaged list still planned, place the wrong ones. On every engine and in
+// both directions it must abort the call on every rank, name the sender, and
+// leave the engine fit for the next call.
 //
 // The bad bytes are planted in the sender's memo entry: the second call of
-// a shape sends the cached encoding, and the aggregators, whose key is a
-// hash of what they receive, miss and decode it.
+// a shape sends the cached requests, and the aggregators, whose key is a
+// hash of what they receive, miss and decode them. (The baseline's package
+// keeps the wire repro: a bit of the same request flipped in flight.)
 func TestMalformedRequestAbortsCollective(t *testing.T) {
-	const ranks, bad, blk, count = 4, 2, 32, 16
-	malformed := []struct {
+	const bad = 2
+	type malformation struct {
 		name string
 		// refusers are the aggregators that can tell: all of them when the
 		// bytes do not decode, the one whose realm the access lands in when
-		// they decode to an access no rank announced.
+		// they decode to an access no rank announced; none when the request
+		// plans and only the payload shows it up.
 		refusers []int
 		mangle   func(enc []byte) []byte
-	}{
-		{"truncated", []int{0, 1, 2, 3}, func(enc []byte) []byte { return enc[:len(enc)-5] }},
-		{"overlapping", []int{0, 1, 2, 3}, func(enc []byte) []byte {
+	}
+	flat := func(edit func(*datatype.Flat)) func([]byte) []byte {
+		return func(enc []byte) []byte {
 			fl, err := datatype.DecodeFlat(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl.Segs = []datatype.Seg{{Off: 0, Len: 8}, {Off: 4, Len: 8}}
+			edit(&fl)
 			return fl.Encode()
-		}},
-		{"unbounded", []int{0, 1, 2, 3}, func(enc []byte) []byte {
-			fl, err := datatype.DecodeFlat(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl.Count, fl.Limit = -1, -1
-			return fl.Encode()
-		}},
+		}
+	}
+	flats := []malformation{
+		{"truncated", []int{0, 1}, func(enc []byte) []byte { return enc[:len(enc)-5] }},
+		{"overlapping", []int{0, 1}, flat(func(fl *datatype.Flat) { fl.Segs = []datatype.Seg{{Off: 0, Len: 8}, {Off: 4, Len: 8}} })},
+		{"unbounded", []int{0, 1}, flat(func(fl *datatype.Flat) { fl.Count, fl.Limit = -1, -1 })},
 		// Decodes, and names bytes no rank announced: the unbounded tail realm
 		// used to take them, and size its round table by their offset.
-		{"far-away", []int{ranks - 1}, func(enc []byte) []byte {
-			fl, err := datatype.DecodeFlat(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl.Disp += 1 << 50
-			return fl.Encode()
+		{"far-away", []int{1}, flat(func(fl *datatype.Flat) { fl.Disp += 1 << 50 })},
+	}
+	// ROMIO's request to aggregator 0 is the sender's share of its domain,
+	// a count and 16-byte offset/length pairs.
+	pair := func(enc []byte, k int) (off, n []byte) { return enc[4+16*k:], enc[12+16*k:] }
+	lists := []malformation{
+		{"truncated", []int{0}, func(enc []byte) []byte { return enc[:len(enc)-5] }},
+		{"overlapping", []int{0}, func(enc []byte) []byte {
+			off0, _ := pair(enc, 0)
+			off1, _ := pair(enc, 1)
+			copy(off1[:8], off0[:8])
+			return enc
+		}},
+		{"negative length", []int{0}, func(enc []byte) []byte {
+			_, n := pair(enc, 3)
+			binary.LittleEndian.PutUint64(n, uint64(1<<64-64))
+			return enc
+		}},
+		{"outside the domain", []int{0}, func(enc []byte) []byte {
+			off, _ := pair(enc, int(binary.LittleEndian.Uint32(enc))-1)
+			binary.LittleEndian.PutUint64(off, binary.LittleEndian.Uint64(off)+1<<20)
+			return enc
+		}},
+		{"longer than the payload", nil, func(enc []byte) []byte {
+			_, n := pair(enc, 2)
+			binary.LittleEndian.PutUint64(n, binary.LittleEndian.Uint64(n)+8) // still sorted, disjoint, in the domain
+			return enc
 		}},
 	}
-	for _, comm := range []CommStrategy{Nonblocking, Alltoallw} {
-		for _, m := range malformed {
-			t.Run(comm.String()+"/"+m.name, func(t *testing.T) {
-				cfg := sim.DefaultConfig()
-				w := mpi.NewWorld(ranks, cfg)
-				fs := pfs.NewFileSystem(cfg)
-				eng := New(Options{Comm: comm})
-				// One filetype object per rank for all calls, so the sender's
-				// side of the memo hits on the second.
-				fts := make([]datatype.Type, ranks)
-				for r := range fts {
-					fts[r] = datatype.Must(datatype.Resized(datatype.Bytes(blk), blk*ranks))
-				}
-				writeAll := func() []error {
-					errs := make([]error, ranks)
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						w.Run(func(p *mpi.Proc) {
-							f, err := mpiio.Open(p, fs, "bad.dat", mpiio.Info{Collective: eng, CollBufSize: 256})
+	engines := []struct {
+		name  string
+		eng   func() *Impl
+		cases []malformation
+	}{
+		{"nonblocking", func() *Impl { return New(Options{}) }, flats},
+		{"alltoallw", func() *Impl { return New(Options{Comm: Alltoallw}) }, flats},
+		{"romio", func() *Impl { return ROMIO(Options{}) }, lists},
+	}
+	for _, e := range engines {
+		for _, m := range e.cases {
+			t.Run(e.name+"/"+m.name, func(t *testing.T) {
+				for _, write := range []bool{true, false} {
+					t.Run(map[bool]string{true: "write", false: "read"}[write], func(t *testing.T) {
+						patience := 5 * time.Second
+						if write {
+							patience = 30 * time.Second
+						}
+						b := newBadRequestWorld(e.eng())
+						if errs, _ := b.call(t, true, patience); slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+							t.Fatalf("clean write: %v", errs)
+						}
+						var sender *clientEntry
+						b.eng.scratch.For(bad, b.wl.Ranks).clients.Each(func(_ clientKey, ce *clientEntry) { sender = ce })
+						if sender == nil {
+							t.Fatal("no memo entry for the sender")
+						}
+						// The flat form sends every aggregator the same
+						// request; ROMIO's damaged share is aggregator 0's.
+						req := &sender.enc
+						if b.eng.form == listRequests {
+							req = &sender.encs[0]
+						}
+						good := *req
+						*req = m.mangle(slices.Clone(good))
+						// A request that plans is shown up by its payload,
+						// on the aggregator (writing) or the sender (reading).
+						names := fmt.Sprintf("bad request from rank %d", bad)
+						if m.refusers == nil {
+							names = fmt.Sprintf("rank %d", bad)
+						}
+						// Twice: a plan built from the stand-in, if it got a
+						// key, would be hit, and trusted, the second time.
+						for attempt := 0; attempt < 2; attempt++ {
+							errs, _ := b.call(t, write, patience)
+							named := false
+							for r, err := range errs {
+								if err == nil || mpiio.ErrorClass(err) != mpiio.ErrorClass(errs[0]) {
+									t.Fatalf("attempt %d: rank %d returned %v, rank 0 %v", attempt, r, err, errs[0])
+								}
+								named = named || strings.Contains(err.Error(), names)
+							}
+							if !named {
+								t.Fatalf("attempt %d: no rank's error names the sender: %v", attempt, errs)
+							}
+							for _, r := range m.refusers {
+								kept := 0
+								b.eng.scratch.For(r, b.wl.Ranks).aggs.Each(func(aggKey, *aggEntry) { kept++ })
+								if kept != 1 {
+									t.Fatalf("attempt %d: aggregator %d keeps %d plans, want the clean call's alone", attempt, r, kept)
+								}
+							}
+						}
+						*req = good
+						errs, exact := b.call(t, write, patience)
+						for r, err := range errs {
 							if err != nil {
-								errs[p.Rank()] = err
-								return
+								t.Fatalf("rank %d: call after the abort: %v", r, err)
 							}
-							if err := f.SetView(int64(p.Rank()*blk), datatype.Bytes(1), fts[p.Rank()]); err != nil {
-								errs[p.Rank()] = err
-								return
-							}
-							errs[p.Rank()] = f.WriteAll(make([]byte, blk*count), datatype.Bytes(blk), count)
-							f.Close()
-						})
-					}()
-					select {
-					case <-done:
-					case <-time.After(30 * time.Second):
-						t.Fatal("collective hung")
-					}
-					return errs
-				}
-				for r, err := range writeAll() {
-					if err != nil {
-						t.Fatalf("rank %d: clean write: %v", r, err)
-					}
-				}
-				var sender *clientEntry
-				eng.scratch.For(bad, ranks).clients.Each(func(_ clientKey, ce *clientEntry) { sender = ce })
-				if sender == nil {
-					t.Fatal("no memo entry for the sender")
-				}
-				good := sender.enc
-				sender.enc = m.mangle(good)
-				// Twice: a plan built from the stand-in, if it got a key,
-				// would be hit, and trusted, the second time.
-				for attempt := 0; attempt < 2; attempt++ {
-					named := false
-					for r, err := range writeAll() {
-						if err == nil {
-							t.Fatalf("attempt %d, rank %d: malformed request went unnoticed", attempt, r)
 						}
-						named = named || strings.Contains(err.Error(), "bad request from rank 2")
-					}
-					if !named {
-						t.Fatalf("attempt %d: no rank's error names the sender", attempt)
-					}
-					for _, r := range m.refusers {
-						kept := 0
-						eng.scratch.For(r, ranks).aggs.Each(func(aggKey, *aggEntry) { kept++ })
-						if kept != 1 {
-							t.Fatalf("attempt %d: aggregator %d keeps %d plans, want the clean call's alone", attempt, r, kept)
+						if !write && !exact {
+							t.Fatal("read after the abort returned other bytes")
 						}
-					}
-				}
-				sender.enc = good
-				for r, err := range writeAll() {
-					if err != nil {
-						t.Fatalf("rank %d: write after the abort: %v", r, err)
-					}
+						if err := colltest.VerifyImage(b.wl, b.fs.Snapshot("bad.dat", b.wl.FileSize())); err != nil {
+							t.Fatal(err)
+						}
+					})
 				}
 			})
 		}
 	}
+
 }
 
 // TestMergeAccessListsRefusesMalformed: the O(M) exchange of the

@@ -14,7 +14,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // engineSet builds a fresh engine and the engine that resumes it after a
@@ -45,10 +44,10 @@ func byrefEngines() []engineSet {
 		coreSet("core-blocking", core.Options{Method: mpiio.IntegratedSieve, Comm: core.Blocking}),
 		{
 			name:  "twophase",
-			fresh: func(j *mpiio.WriteJournal) mpiio.Collective { return twophase.NewJournaled(j) },
+			fresh: func(j *mpiio.WriteJournal) mpiio.Collective { return core.ROMIO(core.Options{Journal: j}) },
 			resume: func(j *mpiio.WriteJournal, dead []int) mpiio.Collective {
 				j.MarkResume(dead)
-				return twophase.NewJournaled(j)
+				return core.ROMIO(core.Options{Journal: j})
 			},
 		},
 	}

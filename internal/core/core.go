@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"flexio/internal/datatype"
@@ -116,37 +117,44 @@ type Options struct {
 // running worlds: give each simulation its own (buffer pools stay shared).
 type Impl struct {
 	o      Options
-	exec   Executor
+	form   requestForm
 	assign assignCache
 
-	scratch RankTable[rankScratch]
+	scratch rankTable[rankScratch]
 }
 
 // rankScratch is one rank's state across collective calls: its layout memo
 // and reusable working memory, the planner's below, the executor's embedded.
 type rankScratch struct {
-	RoundScratch
-	clients    Memo[clientKey, clientEntry]
-	aggs       Memo[aggKey, aggEntry]
+	roundScratch
+	clients    memo[clientKey, clientEntry]
+	aggs       memo[aggKey, aggEntry]
 	bounds     []int64
 	msgs       [][]byte
-	miss       PlanScratch
+	miss       planScratch
 	realmDisps []int64
 	// Node-local pre-aggregation (see preagg.go): the stage's state, this
 	// rank's request as a member forwards it, who leads the other nodes.
-	pre     PreaggState
+	pre     preaggState
 	preEnc  []byte
 	leaders []bool
+	// last is the access the list form flattened last (see access).
+	last struct {
+		ft            datatype.Type
+		disp, dataLen int64
+		work          int64 // pairs the flattening evaluated
+		st, en        int64 // first and last+1 offset; st > en when empty
+	}
 }
 
-// PlanScratch is the working memory of planning a layout the memo has not
+// planScratch is the working memory of planning a layout the memo has not
 // seen: everything the intersections and the round merge need and the stored
 // entry does not keep. It stays in the rank scratch while misses recur (a
 // checkpoint loop installs a new view, and misses, on every call) and is
 // dropped by the first call that hits on both sides, so the build of one
 // large enumerated layout does not stay pinned under a steady state that
 // never plans again.
-type PlanScratch struct {
+type planScratch struct {
 	// ac and rc are the access and realm cursors of the intersection in
 	// progress, re-pointed (never rebuilt) per client and per aggregator.
 	ac, rc datatype.Cursor
@@ -157,6 +165,10 @@ type PlanScratch struct {
 	rcs    []datatype.Cursor
 	rcPtrs []*datatype.Cursor
 	perAgg [][]datatype.Piece
+
+	// Client side, list form: the rank's flattened access and one
+	// aggregator's share of it.
+	mine, share []datatype.Seg
 
 	// Aggregator side: the decoded requests (segments in one block), then
 	// every client's pieces as file segments in client order with the round
@@ -173,13 +185,13 @@ type PlanScratch struct {
 	clientRuns [][]datatype.Seg
 	roundSegs  []datatype.Seg
 	segs       []datatype.Seg
-	peers      []PeerBytes
+	peers      []peerBytes
 	cuts       []int
 }
 
-// Sized returns s truncated or grown to n zeroed entries, reusing capacity:
-// how the engines size per-call tables in their rank scratch.
-func Sized[T any](s []T, n int) []T {
+// sized returns s truncated or grown to n zeroed entries, reusing capacity:
+// how the engine sizes per-call tables in its rank scratch.
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
@@ -193,7 +205,26 @@ func New(o Options) *Impl {
 	if o.Assigner == nil {
 		o.Assigner = realm.Even{}
 	}
-	return &Impl{o: o, exec: Executor{Comm: o.Comm, Journal: o.Journal, Degrade: o.Degrade}}
+	return &Impl{o: o}
+}
+
+// ROMIO builds the baseline the paper compares against, a model of ROMIO's
+// two-phase collective I/O (Thakur, Gropp, Lusk — "Data sieving and
+// collective I/O in ROMIO"): the same planner with ROMIO's request form (the
+// whole access flattened into offset/length pairs, each aggregator sent its
+// share: O(M) on the wire and O(M) to plan), an even partition of the
+// aggregate access region into file domains, everything of a round posted at
+// once (Blocking) and data sieving integrated into the collective buffer.
+// Those four are fixed: o's Assigner, Comm and Method are overridden, and
+// realm alignment, persistent realms, conditional sieving and the heap merge,
+// which ROMIO does not have, are refused. Journal, Degrade, Preagg and
+// Validate work as they do for New.
+func ROMIO(o Options) *Impl {
+	if o.Align != 0 || o.Persistent || o.Conditional || o.HeapMerge {
+		panic("core: ROMIO has no realm alignment, persistent realms, conditional sieving or heap merge")
+	}
+	o.Assigner, o.Comm, o.Method = realm.Even{}, Blocking, mpiio.IntegratedSieve
+	return &Impl{o: o, form: listRequests}
 }
 
 // Always is the Options.Degrade of an engine that falls back to naive I/O on
@@ -209,11 +240,11 @@ const condThreshold = 24 << 10
 
 // Name implements mpiio.Collective.
 func (i *Impl) Name() string {
+	if i.form == listRequests {
+		return "romio-twophase"
+	}
 	return fmt.Sprintf("flexio(%s,%s)", i.o.Assigner.Name(), i.o.Comm)
 }
-
-// Options returns the engine's configuration.
-func (i *Impl) Options() Options { return i.o }
 
 // WriteAll implements mpiio.Collective.
 func (i *Impl) WriteAll(f *mpiio.File, buf []byte, memtype datatype.Type, count int64) error {
@@ -225,12 +256,12 @@ func (i *Impl) ReadAll(f *mpiio.File, buf []byte, memtype datatype.Type, count i
 	return i.collective(f, buf, memtype, count, false)
 }
 
-// PieceLists is what one client exchanges with every aggregator, grouped by
-// two-phase round (client side; the aggregator keeps a RoundPlan instead).
+// pieceLists is what one client exchanges with every aggregator, grouped by
+// two-phase round (client side; the aggregator keeps a roundPlan instead).
 // Only the stream side of a piece matters once the rounds are formed, so the
 // pieces are kept as ranges of the client's data stream. The blocks keep
 // their memory from one filling (Start, then Add per aggregator) to the next.
-type PieceLists struct {
+type pieceLists struct {
 	// runs lists every aggregator's, and within it every round's, pieces in
 	// the order the payload travels (file-offset order), neighbours that are
 	// adjacent in the stream merged into one range: both ends consume payloads
@@ -253,7 +284,7 @@ type roundSpan struct {
 }
 
 // Start empties the lists of naggs aggregators; Add fills them in rank order.
-func (pl *PieceLists) Start(naggs int) {
+func (pl *pieceLists) Start(naggs int) {
 	pl.runs, pl.rounds, pl.ends, pl.naggs = pl.runs[:0], pl.rounds[:0], pl.ends[:0], naggs
 }
 
@@ -261,7 +292,7 @@ func (pl *PieceLists) Start(naggs int) {
 // aggregator: its access intersected with that aggregator's realm, which the
 // intersection emitted with non-decreasing rounds. It may reorder ps and keeps
 // no reference to it.
-func (pl *PieceLists) Add(ps []datatype.Piece) {
+func (pl *pieceLists) Add(ps []datatype.Piece) {
 	runs, rbase := pl.runs, len(pl.rounds)
 	for k := 0; k < len(ps); {
 		r := ps[k].Round
@@ -296,7 +327,7 @@ func (pl *PieceLists) Add(ps []datatype.Piece) {
 }
 
 // span is round r of aggregator a, zero where it exchanges nothing.
-func (pl *PieceLists) span(a, r int) roundSpan {
+func (pl *pieceLists) span(a, r int) roundSpan {
 	if a >= len(pl.ends) {
 		return roundSpan{}
 	}
@@ -309,12 +340,12 @@ func (pl *PieceLists) span(a, r int) roundSpan {
 	return pl.rounds[r]
 }
 
-func (pl *PieceLists) of(a, r int) []streamRun {
+func (pl *pieceLists) of(a, r int) []streamRun {
 	sp := pl.span(a, r)
 	return pl.runs[sp.first:sp.end]
 }
 
-func (pl *PieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
+func (pl *pieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	// A write's stream is the user's bytes in stream order — the caller's
@@ -338,7 +369,15 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	return err
 }
 
-// run is the collective call proper, on an already linearized stream.
+// refused is what an aggregator that could not use a request contributes to
+// the round-count agreement: larger than any round count, so every rank
+// leaves through the error agreement before round 0.
+const refused = math.MaxInt64
+
+// run is the collective call proper, on an already linearized stream. The
+// request form (form.go) decides what is described, sent and decoded; the
+// rest, and the order of every charge, message and collective, is the same
+// for both forms except where noted.
 func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	p := f.Proc()
 	info := f.Info()
@@ -351,27 +390,14 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 	amAgg := p.Rank() < naggs
 	scr := i.scratch.For(p.Rank(), p.Size())
+	list := i.form == listRequests
 
-	// --- Describe the access succinctly. ---
+	// --- Describe the access. ---
 	view := f.View()
-	ftSize := view.Filetype.Size()
-	var myFlat datatype.Flat
-	if dataLen > 0 && ftSize > 0 {
-		instances := (dataLen + ftSize - 1) / ftSize
-		myFlat = datatype.FlatOf(view.Filetype, view.Disp, instances)
-		myFlat.Limit = dataLen
-	} else {
-		myFlat = datatype.FlatOf(datatype.Bytes(0), view.Disp, 0)
-		myFlat.Limit = 0
-	}
-	f.ChargePairs(int64(len(myFlat.Segs)))
+	acc, st, en := i.access(f, scr, dataLen)
 
 	// --- Aggregate access region. ---
-	var st, en int64 = 1 << 62, -1
-	if dataLen > 0 {
-		st, en = f.AccessBounds(dataLen)
-	}
-	aarSt, aarEn := AccessRegion(p, st, en, &scr.bounds)
+	aarSt, aarEn := accessRegion(p, st, en, &scr.bounds)
 	if aarEn <= aarSt {
 		return nil
 	}
@@ -392,7 +418,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// stripe width) and the flight recorder's layout context. ---
 	if p.Metrics != nil {
 		stripe := f.FS().Config().StripeSize
-		scr.realmDisps = Sized(scr.realmDisps, len(realms))
+		scr.realmDisps = sized(scr.realmDisps, len(realms))
 		var misaligned int64
 		for k := range realms {
 			scr.realmDisps[k] = realms[k].Disp
@@ -410,30 +436,29 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Node-local pre-aggregation: leaders absorb their co-residents'
-	// accesses and streams, members fall silent for the rest of the call.
-	var pre *PreaggState
+	// accesses and streams, members fall silent for the rest of the call
+	// (under the list form they still send every aggregator an empty list). ---
+	var pre *preaggState
 	if i.o.Preagg {
 		pre = &scr.pre
-		scr.preEnc = myFlat.AppendEncode(scr.preEnc[:0])
-		merged, swapped := pre.Exchange(f, i.o.Journal.Dead(), cs, scr.preEnc, flatRuns, dataLen, scr.bounds, write)
+		if list {
+			acc = scr.flattened(f, dataLen)
+		}
+		scr.preEnc = i.form.appendAccess(scr.preEnc[:0], acc)
+		merged, swapped := pre.exchange(f, i.form, i.o.Journal.Dead(), cs, scr.preEnc, dataLen, scr.bounds, write)
 		if swapped && pre.Plan.Leads(p.Rank()) {
-			myFlat = datatype.Flat{Size: pre.Total, Count: 1, Limit: -1, Segs: merged}
+			acc = datatype.Flat{Size: pre.Total, Count: 1, Limit: -1, Segs: merged}
 			if n := len(merged); n > 0 {
-				myFlat.Extent = merged[n-1].End()
+				acc.Extent = merged[n-1].End()
 			}
 		} else if swapped {
 			// An empty access produces no pieces, so a member sends nothing
 			// to any aggregator in the rounds.
-			myFlat = datatype.FlatOf(datatype.Bytes(0), myFlat.Disp, 0)
-			myFlat.Limit = 0
+			acc = datatype.FlatOf(datatype.Bytes(0), view.Disp, 0)
+			acc.Limit = 0
 		}
 	}
 
-	// --- Memoized layout lookup (client side). The key pins everything
-	// the piece lists depend on; see memo.go for the invalidation rules.
-	// On a hit, the request encoding and intersections are reused and the
-	// ChargePairs sequence the miss path would issue is replayed verbatim,
-	// so virtual time and stats are unaffected.
 	if i.o.Journal != nil {
 		if write {
 			// Open (or re-open) the write journal under this realm
@@ -453,6 +478,12 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			}
 		}
 	}
+
+	// --- Memoized layout lookup (client side). The key pins everything
+	// the requests and piece lists depend on; see memo.go for the
+	// invalidation rules. On a hit, the requests and intersections are
+	// reused and the ChargePairs sequence the miss path would issue is
+	// replayed verbatim, so virtual time and stats are unaffected.
 	ck := clientKey{ft: view.Filetype, disp: view.Disp,
 		dataLen: dataLen, cb: cb, naggs: naggs, sig: sig}
 	if pre != nil {
@@ -460,88 +491,62 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 	ce := scr.clients.Get(ck)
 	clientHit := ce != nil
-	NoteMemo(p, "client", clientHit)
+	noteMemo(p, "client", clientHit)
 	if !clientHit {
+		if list && pre == nil {
+			acc = scr.flattened(f, dataLen)
+		}
 		ce = scr.clients.Evict()
-		ce.enc = myFlat.AppendEncode(ce.enc[:0])
+		i.planClient(&scr.miss, ce, acc, realms, aarEn, cb, dataLen)
+		scr.clients.Keep(ck)
 	}
 
-	// --- Request exchange: flattened filetypes (O(D) on the wire). The
-	// exchange itself always happens — only the decoding is memoizable,
-	// keyed by a hash of the bytes actually received. ---
+	// --- Request exchange. It always happens — only the decoding is
+	// memoizable, keyed by a hash of the bytes actually received. ROMIO
+	// charges its split and merge inside it, the flexible design its
+	// intersections after it. ---
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	if pre == nil || pre.Plan.Leads(p.Rank()) {
+	if list {
+		chargeAll(f, ce.charges)
+	}
+	// Under the flat form a pre-aggregation member sends no request: its
+	// leader's speaks for it.
+	silent := pre != nil && !list
+	if !silent || pre.Plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
-			p.Stats.Add(stats.CReqBytes, int64(len(ce.enc)))
-			p.Send(a, tagFlat, ce.enc)
+			p.Stats.Add(stats.CReqBytes, int64(len(ce.request(a))))
+			p.Send(a, tagFlat, ce.request(a))
 		}
 	}
 	var ae *aggEntry
-	var ak aggKey
 	aggHit := false
-	var flats []datatype.Flat
-	// reqErr is a request this aggregator could not decode. The sender got
-	// the empty stand-in of a dead rank, so the collective keeps its shape
-	// up to the first agreement, which the error seeds: every rank aborts.
-	var reqErr error
-	if amAgg {
-		if pre != nil {
-			// Only node leaders send merged requests; members get the same
-			// empty-access stand-in a dead rank would.
-			scr.leaders = Sized(scr.leaders, p.Size())
-			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
-		}
-		scr.msgs = Sized(scr.msgs, p.Size())
-		h := HashSeed
-		for c := 0; c < p.Size(); c++ {
-			var msg []byte
-			if pre == nil || scr.leaders[c] {
-				msg, _ = p.Recv(c, tagFlat)
-			}
-			scr.msgs[c] = msg
-			h = HashBytes(h, msg)
-		}
-		ak = aggKey{req: h, cb: cb, naggs: naggs, sig: sig}
-		ae = scr.aggs.Get(ak)
-		aggHit = ae != nil
-		NoteMemo(p, "agg", aggHit)
-		if !aggHit {
-			flats, reqErr = decodeRequests(&scr.miss, scr.msgs)
-			ae = scr.aggs.Evict()
-		}
-	}
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
-
-	// --- Client-side intersection: my access against every realm. ---
-	// Flatten time is charged (and traced) by the ChargePairs calls below;
-	// no blanket interval here, or the pair processing would count twice.
-	if clientHit && (!amAgg || aggHit) {
-		scr.miss = PlanScratch{} // nothing to plan: see PlanScratch
-	}
-	if !clientHit {
-		ce.pieces.Start(naggs)
-		ce.charges = ce.charges[:0]
-		if dataLen > 0 {
-			i.clientPieces(&scr.miss, ce, myFlat, realms, cb)
-		}
-		scr.clients.Keep(ck)
-	}
-	for _, n := range ce.charges {
-		f.ChargePairs(n)
-	}
-
-	// --- Aggregator-side intersection: every client's filetype against
-	// my realm, merged into one plan per round. ---
-	myRounds := 0
+	// planErr is a request this aggregator could not use. The sender got the
+	// empty stand-in of a dead rank, so the collective keeps its shape up to
+	// the first agreement, which the error seeds: every rank aborts.
 	var planErr error
 	if amAgg {
-		if !aggHit {
-			ae.charges, planErr = ae.Build(&scr.miss, flats, realms[p.Rank()], aarSt, aarEn, cb, ae.charges[:0])
-			if reqErr != nil {
-				planErr = reqErr
+		if silent {
+			// Only node leaders send merged requests; members get the same
+			// empty-access stand-in a dead rank would.
+			scr.leaders = sized(scr.leaders, p.Size())
+			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
+		}
+		scr.msgs = sized(scr.msgs, p.Size())
+		h := hashSeed
+		for c := range scr.msgs {
+			if !silent || scr.leaders[c] {
+				scr.msgs[c], _ = p.Recv(c, tagFlat)
 			}
+			h = hashBytes(h, scr.msgs[c])
+		}
+		ak := aggKey{req: h, cb: cb, naggs: naggs, sig: sig}
+		ae = scr.aggs.Get(ak)
+		aggHit = ae != nil
+		noteMemo(p, "agg", aggHit)
+		if !aggHit {
+			ae = scr.aggs.Evict()
+			planErr = i.planAgg(&scr.miss, ae, scr.msgs, realms, p.Rank(), aarSt, aarEn, cb)
 			// A failure-degraded request set (stand-ins for dead or
 			// unusable senders) must not poison the cache for later
 			// healthy collectives: it goes without a key.
@@ -549,42 +554,82 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 				scr.aggs.Keep(ak)
 			}
 		} else if i.o.Validate {
-			planErr = checkPlans(&scr.miss, scr.msgs, ae, realms[p.Rank()], aarSt, aarEn, cb)
+			planErr = i.checkPlans(&scr.miss, scr.msgs, ae, realms, p.Rank(), aarSt, aarEn, cb)
 		}
-		for _, n := range ae.charges {
-			f.ChargePairs(n)
+		if list {
+			chargeAll(f, ae.charges)
 		}
-		myRounds = len(ae.Rounds)
+	}
+	p.ChargeTime(stats.PExchange, p.Clock()-t0)
+	p.Trace.End(p.Clock())
+	if clientHit && (!amAgg || aggHit) {
+		scr.miss = planScratch{} // nothing was planned: see planScratch
 	}
 
-	ntimes := int(p.AllreduceMaxInt64(int64(myRounds)))
-	if ntimes == 0 {
-		p.Barrier()
-		// A peer failure can shrink the surviving access to nothing; the
-		// barrier's rendezvous delivered the same failure version to every
-		// survivor, so this abort is uniform.
-		if perr := p.PeerFailure(); perr != nil {
-			return fmt.Errorf("%w (rank %d: %v)",
-				mpiio.ClassError(mpiio.ClassUnresponsive), p.Rank(), perr)
+	var ntimes int
+	if list {
+		// ROMIO computes the round count from the domain size: domain 0 is
+		// never the shortest.
+		lo, hi := domain(realms, 0, aarEn)
+		ntimes = int((hi - lo + cb - 1) / cb)
+		// A request list that arrived corrupted past the re-request budget
+		// reads as an empty access. A read's aggregator would then never
+		// send that client its pieces, and the client, whose own view of
+		// its access is intact, would wait forever. Only the receiving
+		// aggregator knows, so when the checksummed datapath is armed every
+		// rank rendezvous here and aborts before the rounds begin.
+		if p.World().IntegrityEnabled() {
+			reqErr := planErr
+			if ierr := p.TakeIntegrityFailure(); ierr != nil {
+				reqErr = fmt.Errorf("core: request exchange: %w", ierr)
+			}
+			if err := mpiio.AgreeError(p, reqErr); err != nil {
+				return err
+			}
 		}
-		// Corrupted control-plane traffic can also shrink the access to
-		// nothing: a flat-access payload that exhausted its re-request
-		// budget reads as an empty access, so no rounds run and the
-		// sticky failure armed at the receiver would otherwise leak into
-		// the next collective. Agree on it here so every rank aborts with
-		// ClassIntegrity instead of silently writing nothing. Requests no
-		// aggregator could decode shrink it the same way.
-		ierr := planErr
-		if e := p.TakeIntegrityFailure(); e != nil {
-			ierr = fmt.Errorf("core: access exchange: %w", e)
+	} else {
+		// Flexible realms can end anywhere: the ranks agree on the round
+		// count, after the intersections the client side charges.
+		chargeAll(f, ce.charges)
+		var myRounds int64
+		if amAgg {
+			chargeAll(f, ae.charges)
+			myRounds = int64(len(ae.Rounds))
 		}
-		if err := mpiio.AgreeError(p, ierr); err != nil {
-			return err
+		if planErr != nil {
+			myRounds = refused
 		}
-		if !write {
-			return f.UnpackMemory(cs.B, buf, memtype, count)
+		agreed := p.AllreduceMaxInt64(myRounds)
+		if agreed == 0 || agreed == refused {
+			p.Barrier()
+			// A peer failure can shrink the surviving access to nothing; the
+			// barrier's rendezvous delivered the same failure version to
+			// every survivor, so this abort is uniform.
+			if perr := p.PeerFailure(); perr != nil {
+				return fmt.Errorf("%w (rank %d: %v)",
+					mpiio.ClassError(mpiio.ClassUnresponsive), p.Rank(), perr)
+			}
+			// Corrupted control-plane traffic can also shrink the access to
+			// nothing: a flat-access payload that exhausted its re-request
+			// budget reads as an empty access, so no rounds run and the
+			// sticky failure armed at the receiver would otherwise leak into
+			// the next collective. Agree on it here so every rank aborts
+			// with ClassIntegrity instead of silently writing nothing. A
+			// request an aggregator refused ends the call here too: its
+			// sender would wait for bytes nobody serves.
+			ierr := planErr
+			if e := p.TakeIntegrityFailure(); e != nil {
+				ierr = fmt.Errorf("core: access exchange: %w", e)
+			}
+			if err := mpiio.AgreeError(p, ierr); err != nil {
+				return err
+			}
+			if !write {
+				return f.UnpackMemory(cs.B, buf, memtype, count)
+			}
+			return nil
 		}
-		return nil
+		ntimes = int(agreed)
 	}
 
 	method := i.o.Method
@@ -600,31 +645,38 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Execution: everything above was planning. ---
-	plan := Plan{Pieces: &ce.pieces, Rounds: ntimes, Method: method, Err: planErr}
+	pl := plan{pieces: &ce.pieces, rounds: ntimes, method: method, err: planErr}
 	if amAgg {
-		plan.Agg = &ae.AggPlans
+		pl.agg = &ae.aggPlans
 	}
 	if pre != nil && pre.Err != nil {
-		plan.Err = pre.Err
+		pl.err = pre.Err
 	}
-	err = i.exec.Rounds(f, &scr.RoundScratch, cs.B, &plan, write)
+	err = i.rounds(f, &scr.roundScratch, cs.B, &pl, write)
 	// Reads under pre-aggregation: the leader scatters each member its bytes
 	// and takes back its own; an abort above skips this uniformly.
 	if err == nil && !write && pre != nil {
-		err = pre.Scatter(f, cs, dataLen)
+		err = pre.scatter(f, cs, dataLen)
 	}
-	return i.exec.Finish(f, cs.B, buf, memtype, count, write, err)
+	return i.finish(f, cs.B, buf, memtype, count, write, err)
 }
 
-// AccessRegion is where every planner starts: the ranks exchange the bounds of
+// chargeAll issues a recorded ChargePairs sequence.
+func chargeAll(f *mpiio.File, charges []int64) {
+	for _, n := range charges {
+		f.ChargePairs(n)
+	}
+}
+
+// accessRegion is where every call starts: the ranks exchange the bounds of
 // their accesses ([st, en); st > en for a rank that moves nothing) and get the
 // aggregate access region, empty (aarEn <= aarSt) when nobody moves a byte.
 // *buf keeps what was gathered: rank r's bounds are (*buf)[r] and (*buf)[P+r].
-func AccessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) {
+func accessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) {
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
 	n := p.Size()
-	all := Sized(*buf, 2*n)
+	all := sized(*buf, 2*n)
 	*buf = all
 	p.AllgatherInt64Into(st, all[:n])
 	p.AllgatherInt64Into(en, all[n:])
@@ -634,8 +686,8 @@ func AccessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) 
 	return aarSt, aarEn
 }
 
-// NoteMemo records one side's memo lookup in the rank's counters and trace.
-func NoteMemo(p *mpi.Proc, side string, hit bool) {
+// noteMemo records one side's memo lookup in the rank's counters and trace.
+func noteMemo(p *mpi.Proc, side string, hit bool) {
 	counter, metric, result := stats.CIsectCacheMisses, metrics.CMemoMisses, "miss"
 	if hit {
 		counter, metric, result = stats.CIsectCacheHits, metrics.CMemoHits, "hit"
@@ -683,9 +735,9 @@ func (i *Impl) realms(f *mpiio.File, naggs int, aarSt, aarEn, dataLen int64) (*r
 // accesses, merges them and runs the assigner, the other P-1 receive the same
 // immutable realms and the pairs the merge went through, which each charges.
 func (i *Impl) assigned(p *mpi.Proc, naggs int, aarSt, aarEn int64, accesses [][]byte) (*realm.Assignment, int64, error) {
-	key := assignKey{world: p.World(), naggs: naggs, start: aarSt, end: aarEn, accesses: HashSeed}
+	key := assignKey{world: p.World(), naggs: naggs, start: aarSt, end: aarEn, accesses: hashSeed}
 	for _, enc := range accesses {
-		key.accesses = HashBytes(key.accesses, enc)
+		key.accesses = hashBytes(key.accesses, enc)
 	}
 	c := &i.assign
 	c.mu.Lock()
@@ -751,15 +803,15 @@ func mergeAccessLists(all [][]byte) (union []datatype.Seg, perRank [][]datatype.
 
 // clientPieces intersects this rank's access with every realm into ce's
 // piece lists and the pair charges the caller issues.
-func (i *Impl) clientPieces(ms *PlanScratch, ce *clientEntry, myFlat datatype.Flat, realms []realm.Realm, cb int64) {
+func (i *Impl) clientPieces(ms *planScratch, ce *clientEntry, myFlat datatype.Flat, realms []realm.Realm, cb int64) {
 	if err := myFlat.CursorInto(&ms.ac); err != nil {
 		panic(fmt.Sprintf("core: own access: %v", err)) // built from a validated filetype
 	}
 	naggs := len(realms)
 	if i.o.HeapMerge {
-		// Not Sized(): the entries keep their tables and capacity.
+		// Not sized(): the entries keep their tables and capacity.
 		ms.rcs, ms.perAgg = slices.Grow(ms.rcs[:0], naggs)[:naggs], slices.Grow(ms.perAgg[:0], naggs)[:naggs]
-		ms.rcPtrs = Sized(ms.rcPtrs, naggs)
+		ms.rcPtrs = sized(ms.rcPtrs, naggs)
 		for a := range realms {
 			realms[a].CursorInto(&ms.rcs[a])
 			ms.rcPtrs[a] = &ms.rcs[a]
@@ -789,73 +841,71 @@ func (i *Impl) clientPieces(ms *PlanScratch, ce *clientEntry, myFlat datatype.Fl
 // a pre-aggregated member, or one whose request could not be decoded.
 var noAccess = datatype.Flat{Limit: -1}
 
-// decodeRequests turns the request messages an aggregator received into
-// accesses in ms. A nil message stands in an empty access so the collective
-// keeps its structure through to the next agreement point; deserting here
-// would strand the surviving ranks. A message that does not decode gets the
-// same stand-in, and the first such error is returned for that agreement to
-// carry.
-func decodeRequests(ms *PlanScratch, msgs [][]byte) (flats []datatype.Flat, bad error) {
-	ms.flats, ms.reqSegs = slices.Grow(ms.flats[:0], len(msgs))[:len(msgs)], ms.reqSegs[:0]
-	flats = ms.flats
-	for c, msg := range msgs {
-		flats[c] = noAccess
-		if msg == nil {
-			continue
-		}
-		var err error
-		flats[c], ms.reqSegs, err = datatype.DecodeFlatAppend(msg, ms.reqSegs)
-		if err == nil && flats[c].Count < 0 {
-			err = fmt.Errorf("unbounded access (count %d)", flats[c].Count)
-		}
-		if err != nil {
-			flats[c] = noAccess
-			if bad == nil {
-				bad = fmt.Errorf("core: bad request from rank %d: %w", c, err)
-			}
-		}
+// planAgg decodes the requests an aggregator received and merges them into
+// its plan, replacing what ae held, with the pair charges the form issues. A
+// request that cannot be used gets the empty stand-in a nil message (a dead
+// rank) gets, and the first such error is returned for the first agreement to
+// carry. [lo, hi) is the aggregate access region.
+func (i *Impl) planAgg(ms *planScratch, ae *aggEntry, msgs [][]byte, realms []realm.Realm, rank int, lo, hi, cb int64) error {
+	dlo, dhi := domain(realms, rank, hi)
+	flats, pairs, bad := i.form.decode(ms, msgs, dlo, dhi)
+	var err error
+	ae.charges, err = ae.Build(ms, flats, realms[rank], lo, hi, cb, ae.charges[:0])
+	if i.form == listRequests {
+		// ROMIO's merge is charged by the pairs it received, not by the
+		// intersections that locate them.
+		ae.charges = append(ae.charges[:0], pairs)
 	}
-	return flats, bad
+	if bad != nil {
+		return bad
+	}
+	return err
 }
 
-// flatRuns is core's PreaggRuns: its requests are flattened filetypes.
-func flatRuns(items []datatype.MergeItem, enc []byte, part int) ([]datatype.MergeItem, error) {
-	fl, err := datatype.DecodeFlat(enc)
-	if err != nil {
-		return items, err
+// checkPlans is the Validate cross-check of a memo hit: the plans are
+// rebuilt from the requests just received and must equal the cached ones.
+// The error seeds the first agreement, so a stale plan aborts every rank
+// together before it can move a byte.
+func (i *Impl) checkPlans(ms *planScratch, msgs [][]byte, ae *aggEntry, realms []realm.Realm, rank int, lo, hi, cb int64) error {
+	var fresh aggEntry
+	if err := i.planAgg(ms, &fresh, msgs, realms, rank, lo, hi, cb); err != nil {
+		return err
 	}
-	return datatype.AppendFlatRuns(items, fl, part), nil
+	if !fresh.equal(&ae.aggPlans) || !slices.Equal(fresh.charges, ae.charges) {
+		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
+	}
+	return nil
 }
 
-// RoundPlan is one aggregator round with its merge already done: what is
+// roundPlan is one aggregator round with its merge already done: what is
 // left per call is to walk order and move payload bytes. Plans depend only
 // on what the aggregator memo key pins (requests, realms, cb), so a hit
 // round does no comparisons and no lookups.
-type RoundPlan struct {
+type roundPlan struct {
 	Order []datatype.RunItem // every piece in file order, as (client, len)
 	Segs  []datatype.Seg     // Order coalesced into the round's I/O list
 	Total int64
-	Peers []PeerBytes // the clients with bytes in this round, in rank order
+	Peers []peerBytes // the clients with bytes in this round, in rank order
 }
 
-// PeerBytes is what one client moves in one round of an aggregator.
-type PeerBytes struct {
+// peerBytes is what one client moves in one round of an aggregator.
+type peerBytes struct {
 	Client int
 	Bytes  int64
 }
 
-// AggPlans is an aggregator's merged rounds, up to the last its realm has data
+// aggPlans is an aggregator's merged rounds, up to the last its realm has data
 // in, and the blocks they are cut from, which Build truncates and refills.
-type AggPlans struct {
-	Rounds []RoundPlan
+type aggPlans struct {
+	Rounds []roundPlan
 	order  []datatype.RunItem
 	segs   []datatype.Seg
-	peers  []PeerBytes
+	peers  []peerBytes
 }
 
-// Round implements AggRounds: an aggregator whose realm runs out before the
+// Round is round r's plan: an aggregator whose realm runs out before the
 // collective's last round gets the empty plan.
-func (ap *AggPlans) Round(r int) *RoundPlan {
+func (ap *aggPlans) Round(r int) *roundPlan {
 	if r >= len(ap.Rounds) {
 		return &noRound
 	}
@@ -863,22 +913,21 @@ func (ap *AggPlans) Round(r int) *RoundPlan {
 }
 
 // equal reports whether two builds planned the same rounds.
-func (ap *AggPlans) equal(o *AggPlans) bool {
-	return slices.EqualFunc(ap.Rounds, o.Rounds, func(x, y RoundPlan) bool {
+func (ap *aggPlans) equal(o *aggPlans) bool {
+	return slices.EqualFunc(ap.Rounds, o.Rounds, func(x, y roundPlan) bool {
 		return x.Total == y.Total && slices.Equal(x.Order, y.Order) && slices.Equal(x.Segs, y.Segs) && slices.Equal(x.Peers, y.Peers)
 	})
 }
 
 // Build intersects every client's access with this aggregator's realm and
 // merges the pieces round by round into ap, replacing what it held, and
-// returns charges extended by each client's pair work (which the caller
-// issues, or ignores when its model charges otherwise). The flats must have
+// returns charges extended by each client's pair work. The flats must have
 // been validated (DecodeFlat, DecodeSegs); [lo, hi) is the aggregate access
 // region the ranks agreed on, and a client with a piece outside it (a damaged
 // request that still decoded: under an unbounded tail realm its offset would
 // size the round table) is planned as absent and named in the error, which
 // the caller's first agreement carries. The work happens in ms.
-func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm, lo, hi, cb int64, charges []int64) ([]int64, error) {
+func (ap *aggPlans) Build(ms *planScratch, flats []datatype.Flat, rm realm.Realm, lo, hi, cb int64, charges []int64) ([]int64, error) {
 	// Every client's pieces, as file segments with the round of each.
 	ms.fileSegs, ms.pieceRound, ms.ends = ms.fileSegs[:0], ms.pieceRound[:0], ms.ends[:0]
 	nrounds := 0
@@ -913,10 +962,10 @@ func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm
 	// of its list.
 	ms.next = append(ms.next[:0], 0)
 	ms.next = append(ms.next, ms.ends[:len(ms.ends)-1]...)
-	ms.clientRuns = Sized(ms.clientRuns, len(flats))
+	ms.clientRuns = sized(ms.clientRuns, len(flats))
 	ms.segs, ms.peers, ms.cuts = ms.segs[:0], ms.peers[:0], ms.cuts[:0]
 	order := slices.Grow(ap.order[:0], len(ms.fileSegs)) // shared by all rounds
-	rounds := Sized(ap.Rounds, nrounds)
+	rounds := sized(ap.Rounds, nrounds)
 	for r := range rounds {
 		rp := &rounds[r]
 		for c := range flats {
@@ -928,7 +977,7 @@ func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm
 			ms.next[c] = hi
 			ms.clientRuns[c] = ms.fileSegs[lo:hi]
 			if n > 0 {
-				ms.peers = append(ms.peers, PeerBytes{Client: c, Bytes: n})
+				ms.peers = append(ms.peers, peerBytes{Client: c, Bytes: n})
 			}
 		}
 		rp.Order, ms.roundSegs, rp.Total = ms.merger.Merge(ms.clientRuns, order[len(order):], ms.roundSegs)
@@ -945,23 +994,4 @@ func (ap *AggPlans) Build(ms *PlanScratch, flats []datatype.Flat, rm realm.Realm
 	}
 	ap.Rounds, ap.order, ap.segs, ap.peers = rounds, order, segs, peers
 	return charges, bad
-}
-
-// checkPlans is the Validate cross-check of a memo hit: the plans are
-// rebuilt from the requests just received and must equal the cached ones.
-// The error seeds the first round-boundary agreement, so a stale plan
-// aborts every rank together before it can move a byte.
-func checkPlans(ms *PlanScratch, msgs [][]byte, ae *aggEntry, rm realm.Realm, lo, hi, cb int64) error {
-	flats, err := decodeRequests(ms, msgs)
-	if err != nil {
-		return err
-	}
-	var fresh aggEntry
-	if fresh.charges, err = fresh.Build(ms, flats, rm, lo, hi, cb, nil); err != nil {
-		return err
-	}
-	if !fresh.equal(&ae.AggPlans) || !slices.Equal(fresh.charges, ae.charges) {
-		return fmt.Errorf("core: memoized merge plan differs from a fresh build")
-	}
-	return nil
 }

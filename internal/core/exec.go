@@ -13,63 +13,40 @@ import (
 )
 
 // The round executor: everything a collective call does once it is planned.
-// A planner (this package's flexible one, twophase's ROMIO-style one) decides
-// what every rank exchanges with every aggregator in every round and hands
-// that over as a Plan; the executor walks the rounds (exchange, gather, buffer
-// access, journal, degrade fallback, integrity failures, the round-boundary
-// agreement) and closes the call. There is one write loop and one read loop;
-// what differs between callers is data: the plan, the exchange strategy, the
-// buffer access method.
+// The planner (run) decides what every rank exchanges with every aggregator in
+// every round and hands that over as a plan; the executor walks the rounds
+// (exchange, gather, buffer access, journal, degrade fallback, integrity
+// failures, the round-boundary agreement) and closes the call. There is one
+// write loop and one read loop; what differs between engines is data: the
+// plan, the exchange strategy, the buffer access method.
 
-// Executor runs planned collective calls. It holds no per-call state: one is
-// built with the engine and shared by every rank.
-type Executor struct {
-	Comm CommStrategy
-	// Journal, when set, records durable write rounds and lets a resumed
-	// call skip them (see Options.Journal).
-	Journal *mpiio.WriteJournal
-	// Degrade reports, at the moment a sieving round fails, whether it should
-	// be re-issued with naive I/O, which touches only the useful bytes. Nil
-	// means never.
-	Degrade func() bool
+// plan is one rank's part of a planned collective call.
+type plan struct {
+	pieces *pieceLists  // what this rank exchanges with each aggregator
+	agg    *aggPlans    // this rank's aggregator side; nil if it has none
+	rounds int          // how many rounds every rank walks
+	method mpiio.Method // moves a collective buffer to and from storage
+	// err is a planning failure only this rank knows of (a request it could
+	// not use, a pre-aggregation member it lost). It seeds the first round's
+	// agreement, so every rank aborts before a byte is written.
+	err error
 }
 
-// Plan is one rank's part of a planned collective call.
-type Plan struct {
-	Pieces *PieceLists  // what this rank exchanges with each aggregator
-	Agg    AggRounds    // this rank's aggregator side; nil if it has none
-	Rounds int          // how many rounds every rank walks
-	Method mpiio.Method // moves a collective buffer to and from storage
-	// Err is a planning failure only this rank knows of (a request it could
-	// not decode, a pre-aggregation member it lost). It seeds the first
-	// round's agreement, so every rank aborts before a byte is written.
-	Err error
-}
-
-// AggRounds serves an aggregator's merged rounds to the executor, which asks
-// for every round of the call once, in order; the empty plan stands for a
-// round the realm has no data in. What Round returns is read-only and stays
-// intact until the next round is asked for, under the pipelined Nonblocking
-// strategy (which drains round r while round r+1 is exchanged) the one after.
-type AggRounds interface {
-	Round(r int) *RoundPlan
-}
-
-var noRound RoundPlan // read-only
+var noRound roundPlan // read-only
 
 // sendBytes is what this rank exchanges with the aggregators in round r.
-func (pl *Plan) sendBytes(r int) (n int64) {
-	for a := 0; a < pl.Pieces.naggs; a++ {
-		n += pl.Pieces.bytes(a, r)
+func (pl *plan) sendBytes(r int) (n int64) {
+	for a := 0; a < pl.pieces.naggs; a++ {
+		n += pl.pieces.bytes(a, r)
 	}
 	return n
 }
 
-// RoundScratch is one rank's reusable working memory for the rounds. A rank
+// roundScratch is one rank's reusable working memory for the rounds. A rank
 // never holds it across a rendezvous where a peer could still read it:
 // everything here is rank-private or consumed by peers before the round's
 // closing agreement (see the ownership notes in writeRounds and readRounds).
-type RoundScratch struct {
+type roundScratch struct {
 	cur     []viewCursor // per-client read position while gathering a round
 	iov     [][][]byte   // views this rank sends, per destination
 	recvIov [][][]byte   // views this rank received, per source (point-to-point)
@@ -78,7 +55,7 @@ type RoundScratch struct {
 }
 
 // roundFrame is what a write round and a read round share: the round's span
-// and flight record, and this rank's first failure. (The Plan is passed, not
+// and flight record, and this rank's first failure. (The plan is passed, not
 // held: held, it would escape to the heap with the frame's contents.)
 type roundFrame struct {
 	f     *mpiio.File
@@ -118,7 +95,7 @@ func (c *roundFrame) fail(r int, err error) {
 // an aborting round's exchange traffic is still captured; recv is the merged
 // realm window at an aggregator) and the boundary agreement, which also proves
 // every peer is done with the views this rank served in the round.
-func (c *roundFrame) end(pl *Plan, r int, recv int64) error {
+func (c *roundFrame) end(pl *plan, r int, recv int64) error {
 	p := c.p
 	p.Trace.End(p.Clock())
 	if p.Metrics != nil {
@@ -130,8 +107,8 @@ func (c *roundFrame) end(pl *Plan, r int, recv int64) error {
 // degrade reports whether round r, which failed under method m, is re-issued
 // with naive I/O, which touches only the useful bytes, and books the re-issue.
 // Only sieving has something to fall back from.
-func (x *Executor) degrade(c *roundFrame, m mpiio.Method, r int) bool {
-	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || x.Degrade == nil || !x.Degrade() {
+func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int) bool {
+	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || i.o.Degrade == nil || !i.o.Degrade() {
 		return false
 	}
 	c.p.Stats.Add(stats.CDegradedRounds, 1)
@@ -139,22 +116,22 @@ func (x *Executor) degrade(c *roundFrame, m mpiio.Method, r int) bool {
 	return true
 }
 
-// Rounds runs the plan's rounds on this rank's linear stream: a write drains
+// rounds runs the plan's rounds on this rank's linear stream: a write drains
 // the stream into the file, a read fills it. Every rank returns the same
 // error (an agreed abort) or nil.
-func (x *Executor) Rounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan, write bool) error {
+func (i *Impl) rounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan, write bool) error {
 	defer f.SetRound(-1) // whichever way the rounds end, the rank leaves the last one
 	if write {
-		return x.writeRounds(f, scr, stream, pl)
+		return i.writeRounds(f, scr, stream, pl)
 	}
-	return x.readRounds(f, scr, stream, pl)
+	return i.readRounds(f, scr, stream, pl)
 }
 
-// Finish closes the call after the rounds (and whatever the planner runs
+// finish closes the call after the rounds (and whatever the planner runs
 // behind them: a pre-aggregated read scatters first) with the barrier that
 // leaves all ranks synchronized, journal retirement, and a read's unpack into
 // the user buffer. err is the rounds' outcome, uniform across ranks.
-func (x *Executor) Finish(f *mpiio.File, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
+func (i *Impl) finish(f *mpiio.File, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
 	if err != nil {
 		// Nothing of an aborted call may meet the next one's receives.
 		f.Proc().DropUndelivered()
@@ -168,7 +145,7 @@ func (x *Executor) Finish(f *mpiio.File, stream, buf []byte, memtype datatype.Ty
 	// Every rank is past its rounds, so retiring the journal's recovery state
 	// cannot race a Done check, and the next collective on this engine starts
 	// fresh instead of skipping rounds or re-reporting the failover.
-	x.Journal.Complete()
+	i.o.Journal.Complete()
 	if !write {
 		return f.UnpackMemory(stream, buf, memtype, count)
 	}
@@ -210,7 +187,7 @@ func (c *viewCursor) take(views [][]byte, n int64) []byte {
 // whose payload is not exactly the bytes the plan holds for it (a damaged
 // request that still decoded) fails the round, which the boundary agreement
 // turns into an abort on every rank.
-func (rp *RoundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) ([]byte, error) {
+func (rp *roundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) ([]byte, error) {
 	for _, it := range rp.Order {
 		for n := it.Len; n > 0; {
 			b := cur[it.Run].take(views[it.Run], n)
@@ -231,7 +208,7 @@ func (rp *RoundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) ([]b
 
 // pieceViews appends one view of the stream per round-r run of pieces: the
 // iovec both transports carry by reference, with no client-side copy.
-func pieceViews(dst [][]byte, stream []byte, pl *PieceLists, a, r int) [][]byte {
+func pieceViews(dst [][]byte, stream []byte, pl *pieceLists, a, r int) [][]byte {
 	for _, run := range pl.of(a, r) {
 		dst = append(dst, stream[run.at:run.at+run.n])
 	}
@@ -242,7 +219,7 @@ func pieceViews(dst [][]byte, stream []byte, pl *PieceLists, a, r int) [][]byte 
 // reusing the inner slices' capacity: one per aggregator under the
 // point-to-point exchanges (a slot per rank is O(P) on every rank every
 // round), one per rank for the collective exchange.
-func (scr *RoundScratch) roundIov(size int) [][][]byte {
+func (scr *roundScratch) roundIov(size int) [][][]byte {
 	if cap(scr.iov) < size {
 		scr.iov = make([][][]byte, size)
 	}
@@ -254,16 +231,16 @@ func (scr *RoundScratch) roundIov(size int) [][][]byte {
 	return iov
 }
 
-func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
+func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
 	p := f.Proc()
-	amAgg, naggs, ntimes, method := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds, pl.Method
-	c := roundFrame{f: f, p: p, op: "write", amAgg: amAgg, err: pl.Err} // a planning failure aborts round 0
+	amAgg, naggs, ntimes, method := pl.agg != nil, pl.pieces.naggs, pl.rounds, pl.method
+	c := roundFrame{f: f, p: p, op: "write", amAgg: amAgg, err: pl.err} // a planning failure aborts round 0
 	// Only the nonblocking strategy overlaps a round's file I/O with the next
 	// round's exchange, and only it models the pack of each message and the
 	// unpack into the collective buffer as copies.
-	pipelined := x.Comm == Nonblocking
+	pipelined := i.o.Comm == Nonblocking
 	slots := naggs
-	if x.Comm == Alltoallw {
+	if i.o.Comm == Alltoallw {
 		slots = p.Size()
 	}
 
@@ -271,7 +248,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 	// aliases the round's (immutable) plan.
 	var pendSegs []datatype.Seg
 	var pendData []byte
-	j := x.Journal
+	j := i.o.Journal
 
 	flush := func(round int) {
 		switch {
@@ -286,7 +263,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 			p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(round)))
 		default:
 			err := f.WriteStream(pendSegs, pendData, method)
-			if err != nil && x.degrade(&c, method, round) {
+			if err != nil && i.degrade(&c, method, round) {
 				err = f.WriteStream(pendSegs, pendData, mpiio.Naive)
 			}
 			c.fail(round, err)
@@ -310,7 +287,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 		var roundRecv int64
 		rp := &noRound
 		if amAgg {
-			rp = pl.Agg.Round(r)
+			rp = pl.agg.Round(r)
 		}
 
 		// Every strategy carries views of the stream, one per run of
@@ -320,10 +297,10 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 		// closing AgreeError.
 		send := scr.roundIov(slots)
 		for a := 0; a < naggs; a++ {
-			send[a] = pieceViews(send[a], stream, pl.Pieces, a, r)
+			send[a] = pieceViews(send[a], stream, pl.pieces, a, r)
 		}
 		var recvIov [][][]byte
-		if x.Comm == Alltoallw {
+		if i.o.Comm == Alltoallw {
 			t0 := p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "alltoallv"))
 			recvIov = p.AlltoallvIov(send)
@@ -342,7 +319,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 				reqs = append(reqs, p.Irecv(pb.Client, tagData+r%1024))
 			}
 			for a := 0; a < naggs; a++ {
-				if n := pl.Pieces.bytes(a, r); n > 0 {
+				if n := pl.pieces.bytes(a, r); n > 0 {
 					if pipelined {
 						// The modelled pack of the message.
 						f.ChargeCopy(n)
@@ -360,7 +337,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 			t0 = p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			if amAgg {
-				scr.recvIov = Sized(scr.recvIov, p.Size())
+				scr.recvIov = sized(scr.recvIov, p.Size())
 				recvIov = scr.recvIov
 				scr.waited = mpi.WaitallIov(reqs, scr.waited)
 				for k, pb := range rp.Peers {
@@ -391,7 +368,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, roundRecv))
 				// Assemble the collective buffer (gap-free: only useful
 				// data). This is the single host copy of the shuffle.
-				scr.cur = Sized(scr.cur, p.Size())
+				scr.cur = sized(scr.cur, p.Size())
 				concat, err := rp.gather(bufpool.Get(roundRecv)[:0], scr.cur, recvIov)
 				c.fail(r, err)
 				if pipelined {
@@ -415,7 +392,7 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 			return err
 		}
 	}
-	if x.Comm == Blocking {
+	if i.o.Comm == Blocking {
 		return nil // every round wrote and agreed inside the loop
 	}
 	// The last round's pipelined write lands outside the loop; give it its
@@ -427,17 +404,17 @@ func (x *Executor) writeRounds(f *mpiio.File, scr *RoundScratch, stream []byte, 
 	return mpiio.AgreeError(p, c.err)
 }
 
-func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, pl *Plan) error {
+func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
 	p := f.Proc()
-	amAgg, naggs, ntimes := pl.Agg != nil, pl.Pieces.naggs, pl.Rounds
-	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.Err} // a planning failure aborts round 0
+	amAgg, naggs, ntimes := pl.agg != nil, pl.pieces.naggs, pl.rounds
+	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.err} // a planning failure aborts round 0
 	// Only the nonblocking strategy reads ahead (round r+1's file access while
 	// round r's data is in flight, the write pipeline's mirror) and models the
 	// split into per-client messages as a copy.
-	pipelined := x.Comm == Nonblocking
+	pipelined := i.o.Comm == Nonblocking
 	// Only an aggregator sends point-to-point, a slot per client.
 	sendSlots := 0
-	if amAgg || x.Comm == Alltoallw {
+	if amAgg || i.o.Comm == Alltoallw {
 		sendSlots = p.Size()
 	}
 
@@ -450,7 +427,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 	for r := 0; r < ntimes; r++ {
 		c.begin(r)
 		if amAgg && (r == 0 || !pipelined) {
-			rp, cur = x.fill(&c, pl, r)
+			rp, cur = i.fill(&c, pl, r)
 		}
 		sendIov := scr.roundIov(sendSlots)
 		if cur != nil {
@@ -469,7 +446,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 		t0 := p.Clock()
 		p.Trace.Begin1(t0, stats.PComm, trace.S("what", "exchange"))
 		var recv [][][]byte
-		if x.Comm == Alltoallw {
+		if i.o.Comm == Alltoallw {
 			recv = p.AlltoallvIov(sendIov)
 		} else {
 			// Point-to-point. Nonblocking posts its receives first and waits
@@ -478,12 +455,24 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 			// aggregator order.
 			reqs := scr.reqs[:0]
 			for a := 0; pipelined && a < naggs; a++ {
-				if pl.Pieces.bytes(a, r) > 0 {
+				if pl.pieces.bytes(a, r) > 0 {
 					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
 				}
 			}
 			for _, pb := range rp.Peers {
 				p.IsendIov(pb.Client, tagBack+r%1024, sendIov[pb.Client])
+			}
+			if r == 0 && amAgg && pl.err != nil {
+				// A request this aggregator refused left its sender waiting
+				// for bytes (under ROMIO's computed round count: an agreed one
+				// aborts before round 0). Every client it serves nothing gets
+				// an empty payload: the sender places it as a short one, the
+				// rest never receive it, and the abort drops it.
+				for cl, v := range sendIov {
+					if len(v) == 0 {
+						p.Send(cl, tagBack, nil)
+					}
+				}
 			}
 			if pipelined && amAgg && r+1 < ntimes && c.err == nil {
 				// Read ahead while round r crosses the receivers' NICs. The
@@ -494,18 +483,18 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 				p.Trace.End(p.Clock())
 				f.TagRound(r + 1)
 				p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r+1)))
-				nrp, next = x.fill(&c, pl, r+1)
+				nrp, next = i.fill(&c, pl, r+1)
 				p.Trace.End(p.Clock())
 				f.TagRound(r)
 				t0 = p.Clock()
 				p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			}
-			scr.recvIov = Sized(scr.recvIov, naggs)
+			scr.recvIov = sized(scr.recvIov, naggs)
 			recv = scr.recvIov
 			scr.waited = mpi.WaitallIov(reqs, scr.waited)
 			k := 0
 			for a := 0; a < naggs; a++ {
-				if pl.Pieces.bytes(a, r) == 0 {
+				if pl.pieces.bytes(a, r) == 0 {
 					continue
 				}
 				if pipelined {
@@ -516,11 +505,11 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 			}
 			scr.reqs = reqs[:0]
 		}
+		var placed error
 		for a := 0; a < naggs; a++ {
-			// A dead or stalled aggregator's slot is nil: nothing is
-			// placed, and the round-boundary agreement below aborts the
-			// read before any partial data reaches the user buffer.
-			placeIov(stream, pl.Pieces, a, r, recv[a])
+			if err := placeIov(stream, pl.pieces, a, r, recv[a]); placed == nil {
+				placed = err
+			}
 		}
 		p.ChargeTime(stats.PComm, p.Clock()-t0)
 		p.Trace.End(p.Clock())
@@ -529,6 +518,7 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 		// must never reach the user buffer verified-looking: abort the
 		// round uniformly with ClassIntegrity.
 		c.fail(r, p.TakeIntegrityFailure())
+		c.fail(r, placed)
 
 		err := c.end(pl, r, rp.Total)
 		bufpool.Put(cur)
@@ -547,9 +537,9 @@ func (x *Executor) readRounds(f *mpiio.File, scr *RoundScratch, stream []byte, p
 // so the round's exchange completes: deterministic zeros, as a fresh buffer
 // would have, and the agreement aborts every rank before any of it reaches a
 // user buffer.
-func (x *Executor) fill(c *roundFrame, pl *Plan, r int) (*RoundPlan, []byte) {
-	f, p, method := c.f, c.p, pl.Method
-	rp := pl.Agg.Round(r)
+func (i *Impl) fill(c *roundFrame, pl *plan, r int) (*roundPlan, []byte) {
+	f, p, method := c.f, c.p, pl.method
+	rp := pl.agg.Round(r)
 	if rp.Total == 0 {
 		return rp, nil
 	}
@@ -562,7 +552,7 @@ func (x *Executor) fill(c *roundFrame, pl *Plan, r int) (*RoundPlan, []byte) {
 	rbuf := bufpool.Get(rp.Total)
 	if c.err == nil {
 		err := f.ReadStream(rp.Segs, rbuf, method)
-		if err != nil && x.degrade(c, method, r) {
+		if err != nil && i.degrade(c, method, r) {
 			err = f.ReadStream(rp.Segs, rbuf, mpiio.Naive)
 		}
 		c.fail(r, err)
@@ -574,20 +564,30 @@ func (x *Executor) fill(c *roundFrame, pl *Plan, r int) (*RoundPlan, []byte) {
 }
 
 // placeIov scatters an aggregator's round payload — views of its read
-// buffer, consumed by byte count — into the client's linear stream. A dead
-// aggregator's table is nil: nothing arrived, and the round's agreement
-// aborts before the stream reaches the user.
-func placeIov(stream []byte, pl *PieceLists, a, r int, views [][]byte) {
+// buffer, consumed by byte count — into the client's linear stream. A dead or
+// stalled aggregator's table is nil: nothing arrived, and the round's
+// agreement aborts before the stream reaches the user. A payload that is not
+// the bytes this client planned to receive (a damaged request that still
+// decoded) is placed nowhere and fails the round.
+func placeIov(stream []byte, pl *pieceLists, a, r int, views [][]byte) error {
+	if views == nil {
+		return nil
+	}
+	var got int64
+	for _, v := range views {
+		got += int64(len(v))
+	}
+	if want := pl.bytes(a, r); got != want {
+		return fmt.Errorf("payload of aggregator rank %d is %d bytes, %d planned", a, got, want)
+	}
 	var cur viewCursor
 	for _, run := range pl.of(a, r) {
 		for at, n := run.at, run.n; n > 0; {
 			b := cur.take(views, n)
-			if b == nil {
-				return
-			}
 			copy(stream[at:], b)
 			at += int64(len(b))
 			n -= int64(len(b))
 		}
 	}
+	return nil
 }

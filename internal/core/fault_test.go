@@ -14,7 +14,6 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // checkAgreement asserts the collective error-agreement invariant: either
@@ -101,7 +100,7 @@ func TestWriteFaultAllRanksAgree(t *testing.T) {
 		{"new-nonblocking", core.New(core.Options{})},
 		{"new-alltoallw", core.New(core.Options{Comm: core.Alltoallw})},
 		{"new-naive", core.New(core.Options{Method: mpiio.Naive})},
-		{"old", twophase.New()},
+		{"old", core.ROMIO(core.Options{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := runFaulty(t, tc.coll, true)

@@ -59,9 +59,9 @@ func BenchmarkHeapMerge(b *testing.B) {
 // BenchmarkPlanMiss measures what one collective call spends planning a
 // layout the memo has never seen, at the scale of the benchmark's ckpt-write
 // (16 ranks, 8 aggregators, 2 MiB-aligned persistent realms, 256 data points
-// of 100 elements): every rank intersects its access with every realm and
-// groups the rounds, every aggregator decodes the 16 requests and builds its
-// merge plans. No communication, no I/O; the rank scratch persists across
+// of 100 elements): every rank encodes its request, intersects its access
+// with every realm and groups the rounds, every aggregator decodes the 16
+// requests and builds its merge plans. No communication, no I/O; the rank scratch persists across
 // iterations as it does across a checkpoint loop's calls. ns/piece divides
 // by the pieces found on both sides.
 func BenchmarkPlanMiss(b *testing.B) {
@@ -81,7 +81,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 		flats[r].Limit = sh.points * ft.Size()
 		msgs[r] = flats[r].Encode()
 	}
-	scratch := make([]PlanScratch, sh.ranks)
+	scratch := make([]planScratch, sh.ranks)
 	var ce clientEntry
 	var ae aggEntry
 	var pieces int64
@@ -92,21 +92,15 @@ func BenchmarkPlanMiss(b *testing.B) {
 		pieces = 0
 		for r := range flats {
 			ms := &scratch[r]
-			ce.pieces.Start(naggs)
-			ce.charges = ce.charges[:0]
-			eng.clientPieces(ms, &ce, flats[r], realms, cb)
+			eng.planClient(ms, &ce, flats[r], realms, fileEnd, cb, flats[r].Limit)
 			if len(ce.charges) != naggs {
 				b.Fatal("client pieces missing")
 			}
 			if r >= naggs {
 				continue
 			}
-			decoded, err := decodeRequests(ms, msgs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ae.charges, _ = ae.Build(ms, decoded, realms[r], 0, 1<<62, cb, ae.charges[:0]); len(ae.Rounds) == 0 {
-				b.Fatal("no rounds planned")
+			if err := eng.planAgg(ms, &ae, msgs, realms, r, 0, 1<<62, cb); err != nil || len(ae.Rounds) == 0 {
+				b.Fatal("no rounds planned", err)
 			}
 			pieces += int64(len(ms.fileSegs))
 		}

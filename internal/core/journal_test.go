@@ -9,7 +9,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // TestJournalledOverwriteSameLayoutWrites is the regression test for the
@@ -31,7 +30,7 @@ func TestJournalledOverwriteSameLayoutWrites(t *testing.T) {
 			return core.New(core.Options{Journal: j})
 		},
 		"twophase": func(j *mpiio.WriteJournal) mpiio.Collective {
-			return twophase.NewJournaled(j)
+			return core.ROMIO(core.Options{Journal: j})
 		},
 	}
 	for name, mk := range mkColl {

@@ -18,9 +18,10 @@ import (
 // identical realms. The piece lists produced by the client- and
 // aggregator-side intersections are pure functions of that shape, so the
 // engine caches them and, on a hit, skips rebuilding cursors, decoding
-// request messages, and re-walking the intersections. The aggregator side
+// request messages, and re-walking the intersections (or, under ROMIO's
+// request form, re-splitting the flattened access). The aggregator side
 // goes one step further and caches what it would do with its piece lists:
-// the per-round merge plan (see RoundPlan), so a hit round neither merges
+// the per-round merge plan (see roundPlan), so a hit round neither merges
 // nor looks anything up.
 //
 // The cost model must not notice: every communication step still happens
@@ -44,7 +45,8 @@ import (
 //     request messages received this call, so any client changing its
 //     access pattern misses automatically;
 //   - realm reassignment (Even -> Aligned -> PFR, or a PFR anchored on a
-//     different region) changes the realm signature and misses.
+//     different region) changes the realm signature and misses; so does a
+//     change of ROMIO's even domains, which are realms like any other.
 type clientKey struct {
 	ft      datatype.Type // identity: types are immutable and comparable
 	disp    int64
@@ -62,9 +64,18 @@ type clientKey struct {
 }
 
 type clientEntry struct {
-	enc     []byte     // request encoding, as sent to every aggregator
-	pieces  PieceLists // what this rank exchanges with each aggregator
-	charges []int64    // ChargePairs replay for the intersection section
+	enc     []byte     // the request sent to every aggregator, or all of them in one block
+	encs    [][]byte   // the request sent to each aggregator, cut from enc (list form only)
+	pieces  pieceLists // what this rank exchanges with each aggregator
+	charges []int64    // ChargePairs replay for the client side
+}
+
+// request is what this rank sends aggregator a.
+func (ce *clientEntry) request(a int) []byte {
+	if len(ce.encs) == 0 {
+		return ce.enc
+	}
+	return ce.encs[a]
 }
 
 type aggKey struct {
@@ -75,8 +86,8 @@ type aggKey struct {
 }
 
 type aggEntry struct {
-	AggPlans         // one merge plan per two-phase round
-	charges  []int64 // ChargePairs replay: per client
+	aggPlans         // one merge plan per two-phase round
+	charges  []int64 // ChargePairs replay for the aggregator side
 }
 
 // memoSlots is how many shapes a rank remembers per side. A constant, not an
@@ -84,7 +95,7 @@ type aggEntry struct {
 // shape pins this many plans per rank (ckpt-write's aggregators: 64 KiB each).
 const memoSlots = 8
 
-// Memo is one rank's cache under the rules above: a fixed ring of entries,
+// memo is one rank's cache under the rules above: a fixed ring of entries,
 // least recently used out first. Entries are rebuilt in place: Evict hands
 // out the slot to go, whose blocks the caller truncates and refills, so a
 // rank that plans a never-seen layout on every call allocates nothing once
@@ -93,7 +104,7 @@ const memoSlots = 8
 // and is the next to go. What Get or Evict returned stays intact until the
 // rank has evicted memoSlots more entries, far longer than the one call the
 // executor reads it for. The zero value is ready to use.
-type Memo[K comparable, V any] struct {
+type memo[K comparable, V any] struct {
 	keys   [memoSlots]K
 	vals   [memoSlots]V
 	used   [memoSlots]uint64 // tick of the last Get or Keep; 0: no key
@@ -102,7 +113,7 @@ type Memo[K comparable, V any] struct {
 }
 
 // Get returns the entry kept under k, or nil.
-func (c *Memo[K, V]) Get(k K) *V {
+func (c *memo[K, V]) Get(k K) *V {
 	for s := range c.keys {
 		if c.used[s] != 0 && c.keys[s] == k {
 			c.tick++
@@ -115,7 +126,7 @@ func (c *Memo[K, V]) Get(k K) *V {
 
 // Evict drops the least recently used key (a slot without one goes first)
 // and returns its entry for the caller to rebuild.
-func (c *Memo[K, V]) Evict() *V {
+func (c *memo[K, V]) Evict() *V {
 	c.victim = 0
 	for s, t := range c.used {
 		if t < c.used[c.victim] {
@@ -128,13 +139,13 @@ func (c *Memo[K, V]) Evict() *V {
 }
 
 // Keep files the entry Evict returned last under k.
-func (c *Memo[K, V]) Keep(k K) {
+func (c *memo[K, V]) Keep(k K) {
 	c.tick++
 	c.keys[c.victim], c.used[c.victim] = k, c.tick
 }
 
 // Each visits every kept entry.
-func (c *Memo[K, V]) Each(visit func(k K, e *V)) {
+func (c *memo[K, V]) Each(visit func(k K, e *V)) {
 	for s := range c.keys {
 		if c.used[s] != 0 {
 			visit(c.keys[s], &c.vals[s])
@@ -142,17 +153,17 @@ func (c *Memo[K, V]) Each(visit func(k K, e *V)) {
 	}
 }
 
-// RankTable holds one lazily built T per rank: an engine's per-rank state
+// rankTable holds one lazily built T per rank: an engine's per-rank state
 // (scratch, memo), segregated by rank because one engine serves every rank
 // goroutine of a world. Lock-free: the table is sized to the world by
 // whichever rank gets there first, and a slot is touched by its rank alone.
 // The zero value is ready to use.
-type RankTable[T any] struct {
+type rankTable[T any] struct {
 	t atomic.Pointer[[]*T]
 }
 
 // For returns rank's T in a world of size ranks.
-func (rt *RankTable[T]) For(rank, size int) *T {
+func (rt *rankTable[T]) For(rank, size int) *T {
 	t := rt.t.Load()
 	for t == nil || len(*t) < size {
 		// A larger world than the engine served before. Every rank of it finds
@@ -188,10 +199,10 @@ type assignKey struct {
 	world      *mpi.World
 	naggs      int
 	start, end int64
-	accesses   uint64 // HashSeed over nothing when the assigner reads none
+	accesses   uint64 // hashSeed over nothing when the assigner reads none
 }
 
-// The memo hash (HashSeed, HashBytes): 64 bits, sixteen input bytes per
+// The memo hash (hashSeed, hashBytes): 64 bits, sixteen input bytes per
 // multiply, nothing allocated. It is the wyhash construction: two words, each masked with a
 // secret or the running state, are multiplied to 128 bits and the halves
 // folded together, so every input bit reaches every state bit in one step.
@@ -202,8 +213,8 @@ const (
 	hashK3 = 0x4D5A2DA51DE1AA47
 )
 
-// HashSeed is the state a hash starts from.
-const HashSeed uint64 = 0x9E3779B97F4A7C15
+// hashSeed is the state a hash starts from.
+const hashSeed uint64 = 0x9E3779B97F4A7C15
 
 // hashPair folds the 16 bytes at the head of b into state s under secret k.
 func hashPair(b []byte, k, s uint64) uint64 {
@@ -211,19 +222,19 @@ func hashPair(b []byte, k, s uint64) uint64 {
 	return hi ^ lo
 }
 
-// HashInt64 folds v into h.
-func HashInt64(h uint64, v int64) uint64 {
+// hashInt64 folds v into h.
+func hashInt64(h uint64, v int64) uint64 {
 	hi, lo := bits.Mul64(uint64(v)^hashK0, h^hashK1)
 	return hi ^ lo
 }
 
-// HashBytes folds b's length and then its bytes into h. Blocks of 128 bytes
+// hashBytes folds b's length and then its bytes into h. Blocks of 128 bytes
 // go through eight independent lanes, so the multiplies (and the cache
 // misses on request bytes another rank wrote) overlap instead of queueing;
 // the remaining 16-byte pairs and the zero-padded tail follow on the
 // combined state.
-func HashBytes(h uint64, b []byte) uint64 {
-	h = HashInt64(h, int64(len(b)))
+func hashBytes(h uint64, b []byte) uint64 {
+	h = hashInt64(h, int64(len(b)))
 	if len(b) >= 128 {
 		s0, s1, s2, s3, s4, s5, s6, s7 := h, h, h, h, ^h, ^h, ^h, ^h
 		n := len(b) &^ 127
@@ -258,19 +269,19 @@ func HashBytes(h uint64, b []byte) uint64 {
 // stable whenever the assignment is. Realm patterns are small (one segment
 // for contiguous partitions), so this is O(realms) per call.
 func realmSignature(realms []realm.Realm) uint64 {
-	h := HashSeed
-	h = HashInt64(h, int64(len(realms)))
+	h := hashSeed
+	h = hashInt64(h, int64(len(realms)))
 	for _, r := range realms {
-		h = HashInt64(h, r.Disp)
-		h = HashInt64(h, r.Count)
+		h = hashInt64(h, r.Disp)
+		h = hashInt64(h, r.Count)
 		if r.Pattern == nil {
-			h = HashInt64(h, -1)
+			h = hashInt64(h, -1)
 			continue
 		}
-		h = HashInt64(h, r.Pattern.Extent())
+		h = hashInt64(h, r.Pattern.Extent())
 		for _, s := range r.Pattern.Flatten() {
-			h = HashInt64(h, s.Off)
-			h = HashInt64(h, s.Len)
+			h = hashInt64(h, s.Off)
+			h = hashInt64(h, s.Len)
 		}
 	}
 	return h

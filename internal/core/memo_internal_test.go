@@ -51,9 +51,9 @@ func TestRealmSignatureAssignments(t *testing.T) {
 
 // requestKey hashes a set of request messages the way the aggregator does.
 func requestKey(msgs [][]byte) uint64 {
-	h := HashSeed
+	h := hashSeed
 	for _, m := range msgs {
-		h = HashBytes(h, m)
+		h = hashBytes(h, m)
 	}
 	return h
 }
@@ -119,7 +119,7 @@ func TestRequestKeySeparatesRequests(t *testing.T) {
 // grouped forms the rounds of one aggregator's pieces on their own, the way
 // clientPieces does for each aggregator in turn.
 func grouped(ps []datatype.Piece) *oneAgg {
-	pl := &PieceLists{}
+	pl := &pieceLists{}
 	pl.Start(1)
 	pl.Add(ps)
 	return &oneAgg{pl, 0}
@@ -127,12 +127,12 @@ func grouped(ps []datatype.Piece) *oneAgg {
 
 // oneAgg is one aggregator's lists of a client's.
 type oneAgg struct {
-	*PieceLists
+	*pieceLists
 	a int
 }
 
-func (o *oneAgg) of(r int) []streamRun { return o.PieceLists.of(o.a, r) }
-func (o *oneAgg) bytes(r int) int64    { return o.PieceLists.bytes(o.a, r) }
+func (o *oneAgg) of(r int) []streamRun { return o.pieceLists.of(o.a, r) }
+func (o *oneAgg) bytes(r int) int64    { return o.pieceLists.bytes(o.a, r) }
 
 // TestClientAndMergerAgreeOnUnsortedRuns: a round's payload travels in
 // file-offset order. Views are normalized today, so the intersection never
@@ -207,12 +207,12 @@ func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
 			t.Errorf("first aggregator, round %d runs %v, want %v", r, got, w)
 		}
 	}
-	second := &oneAgg{rp.PieceLists, 1}
+	second := &oneAgg{rp.pieceLists, 1}
 	if got := second.of(1); second.bytes(0) != 0 || len(second.of(0)) != 0 ||
 		!slices.Equal(got, []streamRun{{104, 16}}) || second.bytes(1) != 16 || second.bytes(2) != 0 {
 		t.Errorf("second aggregator: round 0 %v, round 1 %v (%d bytes)", second.of(0), got, second.bytes(1))
 	}
-	if third := (&oneAgg{rp.PieceLists, 2}); third.bytes(0) != 0 || len(third.of(1)) != 0 {
+	if third := (&oneAgg{rp.pieceLists, 2}); third.bytes(0) != 0 || len(third.of(1)) != 0 {
 		t.Errorf("third aggregator: %d bytes in round 0, round 1 %v", third.bytes(0), third.of(1))
 	}
 }
@@ -268,7 +268,7 @@ func TestValidateCatchesStalePlan(t *testing.T) {
 // recently used, and rebuilds in the slot it dropped. An entry that was
 // evicted into but never kept is not found and is the next to go.
 func TestMemoRing(t *testing.T) {
-	var m Memo[int, []int]
+	var m memo[int, []int]
 	put := func(k int, keep bool) *[]int {
 		e := m.Evict()
 		*e = append((*e)[:0], k)
@@ -360,18 +360,13 @@ func TestMemoRecyclesEvictedSlots(t *testing.T) {
 	plan := func() {
 		step := calls % steps
 		ce := scr.clients.Evict()
-		ce.enc = flats[step][0].AppendEncode(ce.enc[:0])
-		ce.pieces.Start(naggs)
-		ce.charges = ce.charges[:0]
-		eng.clientPieces(&scr.miss, ce, flats[step][0], realms, cb)
+		eng.planClient(&scr.miss, ce, flats[step][0], realms, 1<<62, cb, flats[step][0].Limit)
 		scr.clients.Keep(clientKey{disp: int64(calls)})
 
-		decoded, err := decodeRequests(&scr.miss, msgs[step])
-		if err != nil {
+		ae := scr.aggs.Evict()
+		if err := eng.planAgg(&scr.miss, ae, msgs[step], realms, 0, 0, 1<<62, cb); err != nil {
 			t.Fatal(err)
 		}
-		ae := scr.aggs.Evict()
-		ae.charges, _ = ae.Build(&scr.miss, decoded, realms[0], 0, 1<<62, cb, ae.charges[:0])
 		scr.aggs.Keep(aggKey{req: uint64(calls)})
 		if len(ae.Rounds) == 0 || len(ce.pieces.runs) == 0 {
 			t.Fatal("nothing planned")

@@ -13,7 +13,6 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // The merge-plan tests lean on Options.Validate: on every aggregator memo
@@ -279,7 +278,7 @@ func TestNonMonotoneHIndexedView(t *testing.T) {
 	write(nil, "naive.dat", fs, w)
 	want := fs.Snapshot("naive.dat", count*tile)
 	for name, coll := range map[string]mpiio.Collective{
-		"twophase": twophase.New(),
+		"twophase": core.ROMIO(core.Options{}),
 		"core-nb":  core.New(core.Options{Validate: true}),
 		"core-a2a": core.New(core.Options{Comm: core.Alltoallw, Validate: true}),
 	} {

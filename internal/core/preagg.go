@@ -23,24 +23,19 @@ import (
 // rounds. The merged stream is the deduplicated union of the node's accesses
 // in file-offset order, so the realm intersection produces the same per-round
 // byte sets the members would have produced individually — output stays
-// byte-identical. What a request looks like on the wire is the planner's
-// business (a flattened filetype for core, offset/length pairs for twophase):
-// it passes its own encoding and PreaggRuns, the way back.
+// byte-identical. What a request looks like on the wire is the request
+// form's business (a flattened filetype, or ROMIO's offset/length pairs):
+// the caller passes its encoding, and the form decodes it on the leader.
 const (
 	tagPre     = 6000 // member → leader: the member's request encoding
 	tagPreData = 6500 // member → leader: packed write payload
 	tagScatter = 7000 // leader → member: read payload in member-stream order
 )
 
-// PreaggRuns appends the contiguous runs of the access a request encoding
-// describes (datatype.AppendFlatRuns, AppendSegRuns), tagged with participant
-// part; an encoding that does not decode is an error.
-type PreaggRuns func(items []datatype.MergeItem, enc []byte, part int) ([]datatype.MergeItem, error)
-
-// PreaggState is one rank's pre-aggregation context, in the rank scratch of
-// either planner: what the current call decided, and the stage's working
-// memory, so a steady caller allocates nothing for it.
-type PreaggState struct {
+// preaggState is one rank's pre-aggregation context, in its rank scratch:
+// what the current call decided, and the stage's working memory, so a steady
+// caller allocates nothing for it.
+type preaggState struct {
 	Plan mpi.NodePlan
 	// pre is the clientKey discriminator (see memo.go).
 	pre uint64
@@ -61,14 +56,15 @@ type PreaggState struct {
 }
 
 // fail keeps the first thing a member got wrong.
-func (ps *PreaggState) fail(format string, args ...any) {
+func (ps *preaggState) fail(format string, args ...any) {
 	if ps.Err == nil {
 		ps.Err = fmt.Errorf("core: preagg: "+format, args...)
 	}
 }
 
-// Exchange runs the intra-node forwarding stage and leaves in cs the stream
-// this rank takes into the rounds. A member hands enc, its request, and its
+// exchange runs the intra-node forwarding stage and leaves in cs the stream
+// this rank takes into the rounds. A member hands enc, its whole access in
+// form fm, and its
 // stream to the leader (ownership of a write stream transfers) and continues
 // with no access: (nil, true). A leader continues with the merged stream and
 // the merged access it returns. A rank alone on its node keeps what it has:
@@ -77,7 +73,7 @@ func (ps *PreaggState) fail(format string, args ...any) {
 // that says otherwise is damaged, not an access. The stage is traced and charged as the
 // "preagg" phase; it runs before the first round, so none of its traffic
 // counts as shuffle — and it is intra-node by construction anyway.
-func (ps *PreaggState) Exchange(f *mpiio.File, dead []int, cs *mpiio.Stream, enc []byte, runs PreaggRuns,
+func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *mpiio.Stream, enc []byte,
 	dataLen int64, bounds []int64, write bool) ([]datatype.Seg, bool) {
 
 	p := f.Proc()
@@ -109,23 +105,23 @@ func (ps *PreaggState) Exchange(f *mpiio.File, dead []int, cs *mpiio.Stream, enc
 
 	// Leader: collect the members' requests and build the merge plan.
 	nparts := len(ps.Plan.Members) + 1
-	items, err := runs(ps.Items, enc, 0)
+	items, err := fm.runs(ps.Items, enc, 0)
 	if err != nil {
 		panic(fmt.Sprintf("core: preagg: own request: %v", err)) // this rank encoded it
 	}
-	ps.Totals, ps.bufs = Sized(ps.Totals, nparts), Sized(ps.bufs, nparts)
+	ps.Totals, ps.bufs = sized(ps.Totals, nparts), sized(ps.bufs, nparts)
 	ps.Totals[0], ps.bufs[0] = dataLen, cs.B
-	h := HashSeed
+	h := hashSeed
 	for k, m := range ps.Plan.Members {
 		req, _ := p.Recv(m, tagPre)
-		h = HashInt64(h, int64(m))
-		h = HashBytes(h, req)
+		h = hashInt64(h, int64(m))
+		h = hashBytes(h, req)
 		if req == nil {
 			ps.fail("no request from member rank %d", m)
 			continue
 		}
 		before := len(items)
-		items, err = runs(items, req, k+1)
+		items, err = fm.runs(items, req, k+1)
 		// What the member told every rank: an empty access has st > en, and
 		// only a member with bytes sends (or waits for) a payload.
 		st, en := bounds[m], bounds[p.Size()+m]
@@ -166,7 +162,7 @@ func (ps *PreaggState) Exchange(f *mpiio.File, dead []int, cs *mpiio.Stream, enc
 	}
 	ps.Items, ps.merged, ps.Total = datatype.BuildMergePlan(items, ps.merged[:0])
 	f.ChargePairs(int64(len(ps.Items)))
-	ps.pre = HashInt64(h, ps.Total)
+	ps.pre = hashInt64(h, ps.Total)
 
 	if write {
 		// Gather every participant's bytes into the merged stream. A member
@@ -199,13 +195,14 @@ func (ps *PreaggState) Exchange(f *mpiio.File, dead []int, cs *mpiio.Stream, enc
 	return ps.merged, true
 }
 
-// Scatter distributes a read's merged stream back to the node's members,
+// scatter distributes a read's merged stream back to the node's members,
 // each payload in that member's own stream order, and restores the leader's
 // stream to its own bytes. All ranks agree on the outcome so a member that
-// lost its leader aborts the collective uniformly instead of unpacking stale
-// zeros. It follows rounds that every rank completed: an aborted call skips
-// the stage as one.
-func (ps *PreaggState) Scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) error {
+// lost its leader, or got a payload that is not its stream's length (the
+// leader merged a damaged request), aborts the collective uniformly instead
+// of unpacking stale zeros or misplaced bytes. It follows rounds that every
+// rank completed: an aborted call skips the stage as one.
+func (ps *preaggState) scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) error {
 	p := f.Proc()
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PPreagg, trace.S("what", "scatter"))
@@ -247,9 +244,13 @@ func (ps *PreaggState) Scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) e
 		cs.B = own
 	case !ps.Plan.Leads(rank) && dataLen > 0:
 		data, _ := p.Recv(ps.Plan.Leader, tagScatter)
-		if data == nil {
+		switch {
+		case data == nil:
 			scErr = fmt.Errorf("core: preagg scatter: no payload from leader rank %d", ps.Plan.Leader)
-		} else {
+		case int64(len(data)) != dataLen:
+			scErr = fmt.Errorf("core: preagg scatter: %d bytes from leader rank %d for a stream of %d", len(data), ps.Plan.Leader, dataLen)
+			bufpool.Put(data)
+		default:
 			copy(stream, data)
 			p.AdvanceClock(p.Config().MemcpyTime(int64(len(data))))
 			bufpool.Put(data)

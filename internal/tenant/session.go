@@ -9,7 +9,6 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
-	"flexio/internal/twophase"
 )
 
 // SessionSpec configures a persistent steady-state session: one world with
@@ -100,7 +99,7 @@ func (s *Service) OpenSession(tenantName string, spec SessionSpec) (*Session, er
 		opts.Comm = core.Alltoallw
 		coll = core.New(opts)
 	case "twophase":
-		coll = twophase.NewDegradable(s.brk.AnyOpen)
+		coll = core.ROMIO(core.Options{Degrade: s.brk.AnyOpen})
 	default:
 		coll = core.New(opts)
 	}

@@ -41,7 +41,6 @@ import (
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
 
 // ErrAdmissionRejected is the sentinel every admission failure matches
@@ -552,7 +551,7 @@ func (s *Service) engine(name string, degradedStart bool) mpiio.Collective {
 		opts.Comm = core.Alltoallw
 		return core.New(opts)
 	case "twophase":
-		return twophase.NewDegradable(s.brk.AnyOpen)
+		return core.ROMIO(core.Options{Degrade: s.brk.AnyOpen})
 	default:
 		return core.New(opts)
 	}

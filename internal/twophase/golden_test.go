@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flexio/internal/colltest"
+	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
@@ -220,7 +221,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 
 	case "preagg":
 		wl.NodeRanks = 2
-		info.Collective = twophase.New().WithPreagg()
+		info.Collective = core.ROMIO(core.Options{Preagg: true})
 		s := newRomioSession(t, wl, info, write)
 		for k := 0; k < 3; k++ {
 			s.op(t)
@@ -234,7 +235,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 		// more with nothing left to recover.
 		const victim = 7
 		j := mpiio.NewWriteJournal()
-		info.Collective = twophase.NewJournaled(j)
+		info.Collective = core.ROMIO(core.Options{Journal: j})
 		s := newRomioSession(t, wl, info, write)
 		s.w.SetRankFaults(mpi.NewRankFaultSchedule(1).Crash(victim, 1))
 		s.w.SetCollDeadline(50e-3)
@@ -252,7 +253,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 	case "degrade":
 		// Every sieve operation of round 2 fails hard on every call; the
 		// hook says degrade, so those rounds are re-issued naively.
-		info.Collective = twophase.NewDegradable(func() bool { return true })
+		info.Collective = core.ROMIO(core.Options{Degrade: core.Always})
 		s := newRomioSession(t, wl, info, write)
 		s.fs.SetFaultSchedule(pfs.NewFaultSchedule(5).Add(pfs.Rule{
 			Class: pfs.ClassIO, Rounds: []int{2}, Match: func(op pfs.Op) bool { return op.Sieve }}))

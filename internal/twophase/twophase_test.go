@@ -221,7 +221,7 @@ func TestMemoHitsAtScale(t *testing.T) {
 
 // TestMemoKeepsEightShapes is core's test of the same name for this engine's
 // plan memo: eight shapes in rotation hit the second time round, nine never
-// do, and every call planned into an evicted slot passes WithValidate's
+// do, and every call planned into an evicted slot passes Options.Validate's
 // cross-check and lands its bytes.
 func TestMemoKeepsEightShapes(t *testing.T) {
 	wl := baseWorkload()
@@ -233,7 +233,7 @@ func TestMemoKeepsEightShapes(t *testing.T) {
 		t.Run(fmt.Sprint(tc.shapes, " shapes"), func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			w, fs := mpi.NewWorld(wl.Ranks, cfg), pfs.NewFileSystem(cfg)
-			eng := twophase.New().WithValidate()
+			eng := core.ROMIO(core.Options{Validate: true})
 			errs := make([]error, wl.Ranks)
 			w.Run(func(p *mpi.Proc) {
 				r := p.Rank()
