@@ -494,11 +494,12 @@ func (s *Session) Trace() *trace.Sink { return s.sink }
 // it).
 func (s *Session) Rollup() *metrics.Rollup { return s.rollup }
 
-// ResetTelemetry rewinds virtual time and clears the trace sink, metrics
-// registries, and comm matrix while keeping the warm file, lock, and cache
-// state. After the call, recorded telemetry covers only subsequent steps —
-// for read configs those are bit-deterministic in virtual time, which is
-// what the differential-report determinism property measures against.
+// ResetTelemetry rewinds virtual time (World.ResetClocks, which also clears
+// the trace sink, the metrics registries and the comm matrix) and the OSTs'
+// timing while keeping the warm file, lock, and cache state. After the call,
+// recorded telemetry covers only subsequent steps — for read configs those
+// are bit-deterministic in virtual time, which is what the
+// differential-report determinism property measures against.
 func (s *Session) ResetTelemetry() {
 	s.world.ResetClocks()
 	s.fs.ResetTimingKeepLocks()
@@ -633,12 +634,16 @@ const rollupWindowOps = 32
 // log-bucketed flexio_phase_seconds histograms (exchange and io above all,
 // whose durations wander with scheduling) fill more buckets — so its size
 // after the b.N ops of a timing loop measures the runner's speed, not what
-// a scraper pays per node.
+// a scraper pays per node. The telemetry is reset after the session's
+// seeding write and warm-up, so the window holds exactly those ops; with the
+// clocks rewound too, a read row's float sums do not depend on how long the
+// (arrival-order dependent) seeding write took, and come out bit-identical.
 func rollupBytes(cfg Config) (int, error) {
 	s, err := NewSession(cfg)
 	if err != nil {
 		return 0, err
 	}
+	s.ResetTelemetry()
 	for i := 0; i < rollupWindowOps; i++ {
 		if err := s.Step(); err != nil {
 			return 0, err

@@ -181,7 +181,7 @@ func corruptTable() []Cell {
 // pre-aggregation: faults aimed at rounds an aggregator reads ahead (round 1
 // is the first, the last round the last), at-rest damage a lone aggregator
 // first meets reading ahead, repairable and not, and an aggregator that dies
-// between a round's sends and the read-ahead behind them.
+// right after a round's last send.
 func readAheadTable() []Cell {
 	t := seeded{base: 11000}
 	for _, pre := range []bool{false, true} {

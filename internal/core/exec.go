@@ -8,6 +8,7 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
@@ -44,14 +45,16 @@ func (pl *plan) sendBytes(r int) (n int64) {
 
 // roundScratch is one rank's reusable working memory for the rounds. A rank
 // never holds it across a rendezvous where a peer could still read it:
-// everything here is rank-private or consumed by peers before the round's
-// closing agreement (see the ownership notes in writeRounds and readRounds).
+// everything here is rank-private or consumed by peers before the closing
+// agreement of the round it belongs to (see the ownership notes in
+// writeRounds and readRounds). What a pipelined read posts for round r+1
+// while round r is still live comes in pairs, round r's at index r&1.
 type roundScratch struct {
-	cur     []viewCursor // per-client read position while gathering a round
-	iov     [][][]byte   // views this rank sends, per destination
-	recvIov [][][]byte   // views this rank received, per source (point-to-point)
-	waited  [][][]byte   // WaitallIov output, in request order
-	reqs    []*mpi.Request
+	cur     []viewCursor      // per-client read position while gathering a round
+	iov     [2][][][]byte     // views this rank sends, per destination
+	recvIov [][][]byte        // views this rank received, per source (point-to-point)
+	waited  [][][]byte        // WaitallIov output, in request order
+	reqs    [2][]*mpi.Request // receives posted for the round
 }
 
 // roundFrame is what a write round and a read round share: the round's span
@@ -215,19 +218,20 @@ func pieceViews(dst [][]byte, stream []byte, pl *pieceLists, a, r int) [][]byte 
 	return dst
 }
 
-// roundIov returns the scratch iovec table truncated to size empty slots,
-// reusing the inner slices' capacity: one per aggregator under the
+// roundIov returns round r's scratch iovec table truncated to size empty
+// slots, reusing the inner slices' capacity: one per aggregator under the
 // point-to-point exchanges (a slot per rank is O(P) on every rank every
 // round), one per rank for the collective exchange.
-func (scr *roundScratch) roundIov(size int) [][][]byte {
-	if cap(scr.iov) < size {
-		scr.iov = make([][][]byte, size)
+func (scr *roundScratch) roundIov(r, size int) [][][]byte {
+	iov := scr.iov[r&1]
+	if cap(iov) < size {
+		iov = make([][][]byte, size)
 	}
-	iov := scr.iov[:size]
+	iov = iov[:size]
 	for k := range iov {
 		iov[k] = iov[k][:0]
 	}
-	scr.iov = iov
+	scr.iov[r&1] = iov
 	return iov
 }
 
@@ -294,8 +298,9 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		// pieces, by reference: no client-side payload copy on the host. The views
 		// are dead before this rank reuses the iovec table or recycles the
 		// stream, because the aggregators gather them before the round's
-		// closing AgreeError.
-		send := scr.roundIov(slots)
+		// closing AgreeError: one table (and one request list) serves
+		// every round.
+		send := scr.roundIov(0, slots)
 		for a := 0; a < naggs; a++ {
 			send[a] = pieceViews(send[a], stream, pl.pieces, a, r)
 		}
@@ -314,7 +319,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			// nothing.
 			t0 := p.Clock()
 			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "post+send"))
-			reqs := scr.reqs[:0]
+			reqs := scr.reqs[0][:0]
 			for _, pb := range rp.Peers {
 				reqs = append(reqs, p.Irecv(pb.Client, tagData+r%1024))
 			}
@@ -346,7 +351,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			}
 			p.ChargeTime(stats.PComm, p.Clock()-t0)
 			p.Trace.End(p.Clock())
-			scr.reqs = reqs[:0]
+			scr.reqs[0] = reqs[:0]
 		}
 
 		// A payload that arrived corrupted and exhausted its re-request
@@ -408,9 +413,11 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 	p := f.Proc()
 	amAgg, naggs, ntimes := pl.agg != nil, pl.pieces.naggs, pl.rounds
 	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.err} // a planning failure aborts round 0
-	// Only the nonblocking strategy reads ahead (round r+1's file access while
-	// round r's data is in flight, the write pipeline's mirror) and models the
-	// split into per-client messages as a copy.
+	// Only the nonblocking strategy pipelines, the write pipeline's mirror:
+	// in round r an aggregator reads round r+1, splits it and sends it, and
+	// every rank posts round r+1's receives, all before it waits for round r,
+	// so round r+1 crosses the NICs while round r is placed and agreed. It
+	// alone models the split into per-client messages as a copy.
 	pipelined := i.o.Comm == Nonblocking
 	// Only an aggregator sends point-to-point, a slot per client.
 	sendSlots := 0
@@ -418,79 +425,115 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		sendSlots = p.Size()
 	}
 
+	// split serves each client views of round r's read buffer, one per
+	// piece, by reference, in round r's table.
+	split := func(r int, rp *roundPlan, buf []byte) [][][]byte {
+		iov := scr.roundIov(r, sendSlots)
+		if buf == nil {
+			return iov
+		}
+		pos := int64(0)
+		for _, it := range rp.Order {
+			iov[it.Run] = append(iov[it.Run], buf[pos:pos+it.Len])
+			pos += it.Len
+		}
+		if pipelined {
+			// The modelled split into per-client messages.
+			f.ChargeCopy(rp.Total)
+		}
+		return iov
+	}
+	// post puts round r on the wire point to point. Nonblocking posts its
+	// receives first and waits for all of them in round r; ROMIO's read
+	// exchange sends every client its pieces, then takes its own with
+	// blocking receives in aggregator order.
+	post := func(r int, rp *roundPlan, iov [][][]byte) {
+		reqs := scr.reqs[r&1][:0]
+		for a := 0; pipelined && a < naggs; a++ {
+			if pl.pieces.bytes(a, r) > 0 {
+				reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
+			}
+		}
+		scr.reqs[r&1] = reqs
+		for _, pb := range rp.Peers {
+			p.IsendIov(pb.Client, tagBack+r%1024, iov[pb.Client])
+		}
+		if r == 0 && amAgg && pl.err != nil {
+			// A request this aggregator refused left its sender waiting
+			// for bytes (under ROMIO's computed round count: an agreed one
+			// aborts before round 0). Every client it serves nothing gets
+			// an empty payload: the sender places it as a short one, the
+			// rest never receive it, and the abort drops it.
+			for cl, v := range iov {
+				if len(v) == 0 {
+					p.Send(cl, tagBack, nil)
+				}
+			}
+		}
+	}
+	var t0 sim.Time
+	comm := func(what string) {
+		t0 = p.Clock()
+		p.Trace.Begin1(t0, stats.PComm, trace.S("what", what))
+	}
+	commEnd := func() {
+		p.ChargeTime(stats.PComm, p.Clock()-t0)
+		p.Trace.End(p.Clock())
+	}
+
 	// An aggregator's pooled read buffers: cur holds round r, next the round
-	// read ahead. Every strategy serves each client views of cur, one per
-	// piece, by reference, so a buffer is retired only after its own round's
-	// agreement, once every client has placed its data.
+	// read ahead. Every strategy serves each client views of them by
+	// reference, so a buffer is retired only after its own round's
+	// agreement, once every client has placed its data. An abort retires
+	// both: nobody waits for round r+1, and finish drops it unread.
 	rp, nrp := &noRound, &noRound
 	var cur, next []byte
 	for r := 0; r < ntimes; r++ {
 		c.begin(r)
-		if amAgg && (r == 0 || !pipelined) {
-			rp, cur = i.fill(&c, pl, r)
-		}
-		sendIov := scr.roundIov(sendSlots)
-		if cur != nil {
-			pos := int64(0)
-			for _, it := range rp.Order {
-				sendIov[it.Run] = append(sendIov[it.Run], cur[pos:pos+it.Len])
-				pos += it.Len
-			}
-			if pipelined {
-				// The modelled split into per-client messages.
-				f.ChargeCopy(rp.Total)
-			}
-		}
-
-		// Exchange.
-		t0 := p.Clock()
-		p.Trace.Begin1(t0, stats.PComm, trace.S("what", "exchange"))
+		ahead := pipelined && r+1 < ntimes
 		var recv [][][]byte
-		if i.o.Comm == Alltoallw {
-			recv = p.AlltoallvIov(sendIov)
-		} else {
-			// Point-to-point. Nonblocking posts its receives first and waits
-			// for all of them; ROMIO's read exchange sends every client its
-			// pieces, then takes its own with blocking receives in
-			// aggregator order.
-			reqs := scr.reqs[:0]
-			for a := 0; pipelined && a < naggs; a++ {
-				if pl.pieces.bytes(a, r) > 0 {
-					reqs = append(reqs, p.Irecv(a, tagBack+r%1024))
-				}
+		// A pipelined round after the first left inside the one before.
+		if r == 0 || !pipelined {
+			if amAgg {
+				rp, cur = i.fill(&c, pl, r)
 			}
-			for _, pb := range rp.Peers {
-				p.IsendIov(pb.Client, tagBack+r%1024, sendIov[pb.Client])
+			sendIov := split(r, rp, cur)
+			comm("exchange")
+			if i.o.Comm == Alltoallw {
+				recv = p.AlltoallvIov(sendIov)
+			} else {
+				post(r, rp, sendIov)
 			}
-			if r == 0 && amAgg && pl.err != nil {
-				// A request this aggregator refused left its sender waiting
-				// for bytes (under ROMIO's computed round count: an agreed one
-				// aborts before round 0). Every client it serves nothing gets
-				// an empty payload: the sender places it as a short one, the
-				// rest never receive it, and the abort drops it.
-				for cl, v := range sendIov {
-					if len(v) == 0 {
-						p.Send(cl, tagBack, nil)
-					}
-				}
+			if ahead {
+				commEnd()
 			}
-			if pipelined && amAgg && r+1 < ntimes && c.err == nil {
+		}
+		if ahead {
+			if amAgg {
 				// Read ahead while round r crosses the receivers' NICs. The
 				// storage operations and their span carry round r+1, but the
 				// rank does not enter it: r+1's rank faults fire at its begin.
 				// A failed read-ahead aborts at this round's agreement.
-				p.ChargeTime(stats.PComm, p.Clock()-t0)
-				p.Trace.End(p.Clock())
 				f.TagRound(r + 1)
 				p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r+1)))
 				nrp, next = i.fill(&c, pl, r+1)
 				p.Trace.End(p.Clock())
 				f.TagRound(r)
-				t0 = p.Clock()
-				p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
 			}
+			// Round r+1 leaves now whatever this rank's state: an aggregator
+			// that failed serves fill's zeros, so what crosses the wire does
+			// not depend on which rank failed first, which can vary with
+			// arrival order.
+			sendNext := split(r+1, nrp, next)
+			comm("waitall")
+			post(r+1, nrp, sendNext)
+		} else if r > 0 && pipelined {
+			comm("waitall")
+		}
+		if i.o.Comm != Alltoallw {
 			scr.recvIov = sized(scr.recvIov, naggs)
 			recv = scr.recvIov
+			reqs := scr.reqs[r&1]
 			scr.waited = mpi.WaitallIov(reqs, scr.waited)
 			k := 0
 			for a := 0; a < naggs; a++ {
@@ -503,7 +546,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 					recv[a], _ = p.RecvIov(a, tagBack+r%1024)
 				}
 			}
-			scr.reqs = reqs[:0]
+			scr.reqs[r&1] = reqs[:0]
 		}
 		var placed error
 		for a := 0; a < naggs; a++ {
@@ -511,8 +554,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 				placed = err
 			}
 		}
-		p.ChargeTime(stats.PComm, p.Clock()-t0)
-		p.Trace.End(p.Clock())
+		commEnd()
 
 		// Read-back data that arrived corrupted past its re-request budget
 		// must never reach the user buffer verified-looking: abort the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,32 +63,88 @@ func roundSpans(tr *trace.Tracer) []roundSpan {
 	return spans
 }
 
-// TestReadAheadOverlapsExchange: under Nonblocking an aggregator reads round
-// r+1 while round r's data is on the wire, so every overlapped round costs
-// max(read, exchange) where the serial schedule cost read + exchange. The
-// serial schedule's time was recorded at the commit before the pipeline
-// existed; reads and exchanges are measured on the pipelined run's trace
-// (the read of round r+1 is its nested wrapper on the aggregator, the exchange
-// runs from there to the last client's end of round r). A fast and a slow
-// network put the minimum on either side. Blocking and Alltoallw overlap
-// nothing, by design, and keep their recorded times to the bit.
+// rankRound is one top-level round of a rank's trace: its span and the
+// agreement that closes it (which follows the span).
+type rankRound struct {
+	begin, end           sim.Time
+	agreeBegin, agreeEnd sim.Time
+}
+
+// rankRounds reads a rank's rounds from its trace, calling msg (if not nil)
+// with every message instant and the round the rank was in when it happened
+// (-1 before the first): the last top-level round span begun, through its
+// closing agreement.
+func rankRounds(tr *trace.Tracer, msg func(round int, e trace.Event)) []rankRound {
+	var rounds []rankRound
+	depth, agreeing := 0, false // open spans; whether the outermost is an agreement
+	for _, e := range tr.Events() {
+		cur := len(rounds) - 1
+		switch e.Kind {
+		case trace.KindBegin:
+			switch {
+			case depth > 0:
+			case e.Name == trace.RoundSpan:
+				rounds = append(rounds, rankRound{begin: e.TS})
+			case cur >= 0 && slices.ContainsFunc(e.Tags, func(tg trace.Tag) bool { return tg.Str == "err_agree" }):
+				rounds[cur].agreeBegin, agreeing = e.TS, true
+			}
+			depth++
+		case trace.KindEnd:
+			if depth--; depth > 0 || cur < 0 {
+				break
+			}
+			switch {
+			case agreeing:
+				rounds[cur].agreeEnd, agreeing = e.TS, false
+			case rounds[cur].end == 0:
+				rounds[cur].end = e.TS
+			}
+		case trace.KindInstant:
+			if msg != nil && (e.Name == trace.MsgSendName || e.Name == trace.MsgRecvName) {
+				msg(cur, e)
+			}
+		}
+	}
+	return rounds
+}
+
+// edge is a message instant's causal edge id.
+func edge(e trace.Event) int64 {
+	for _, tg := range e.Tags {
+		if tg.Key == trace.EdgeTag {
+			return tg.Int
+		}
+	}
+	return -1
+}
+
+// TestReadAheadOverlapsExchange: under Nonblocking an aggregator reads,
+// splits and sends round r+1 inside round r, and every rank posts round
+// r+1's receives before it waits for round r. So every round that took its
+// data from the round before and sends the next lasts the longer of two
+// sides, the other hidden entirely: the aggregator's work (read-ahead, split,
+// sends, placing its own piece, the agreement) and a client's transfer of
+// its 16 KiB. A fast and a slow network put the maximum on either side. The
+// pipelined time is pinned; Blocking and Alltoallw overlap nothing, by
+// design, and keep their recorded times to the bit.
 func TestReadAheadOverlapsExchange(t *testing.T) {
-	// One aggregator, 384 KiB in six 64 KiB rounds.
+	// One aggregator, 384 KiB in six 64 KiB rounds, 16 KiB to each rank.
 	wl := colltest.Workload{Ranks: 4, RegionSize: 4096, RegionCount: 24}
-	const rounds = 6
+	const rounds, perRank = 6, 16 << 10
 	for _, tc := range []struct {
-		name                        string
-		netBandwidth                float64
-		serial, blocking, alltoallw uint64 // float64 bits of the parent's elapsed seconds
-		readBound                   bool   // the read is the shorter side of every overlap
+		name                string
+		netBandwidth        float64
+		serial, nonblocking uint64 // float64 bits of elapsed seconds: the schedule before any read-ahead, and this one
+		blocking, alltoallw uint64
+		netBound            bool // the transfer is the longer side of every overlap
 	}{
-		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f840e39eaad3130, 0x3f8841b8d7cc0ebc, false},
-		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f95be199d51a6af, 0x3fa796e0e5ecbcbd, true},
+		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f8257420cb6baa3, 0x3f840e39eaad3130, 0x3f8841b8d7cc0ebc, false},
+		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f8e5d777aa2bcfe, 0x3f95be199d51a6af, 0x3fa796e0e5ecbcbd, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.DefaultConfig()
+			cfg.NetBandwidth = tc.netBandwidth
 			run := func(comm core.CommStrategy) colltest.Result {
-				cfg := sim.DefaultConfig()
-				cfg.NetBandwidth = tc.netBandwidth
 				res, err := colltest.RunReadBack(cfg, wl, mpiio.Info{
 					Collective: core.New(core.Options{Comm: comm}), CbNodes: 1, CollBufSize: 64 << 10})
 				if err != nil {
@@ -106,43 +163,48 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			if err := res.CheckTrace(); err != nil {
 				t.Fatal(err)
 			}
-			var sendEnd, read, arrive [rounds]sim.Time
-			ahead := 0
-			for _, sp := range roundSpans(res.Trace.Tracer(0)) {
-				if sp.nested {
-					sendEnd[sp.round-1], read[sp.round-1] = sp.start, sp.end-sp.start
-					ahead++
+			if got := math.Float64bits(float64(res.Elapsed)); got != tc.nonblocking {
+				t.Errorf("pipelined read took %v s, recorded %v s", res.Elapsed, math.Float64frombits(tc.nonblocking))
+			}
+			if serial := sim.Time(math.Float64frombits(tc.serial)); res.Elapsed > serial*9/10 {
+				t.Errorf("pipelined read took %v s, the serial schedule %v s", res.Elapsed, serial)
+			}
+			tl := make([][]rankRound, wl.Ranks)
+			for rank := range tl {
+				if tl[rank] = rankRounds(res.Trace.Tracer(rank), nil); len(tl[rank]) != rounds {
+					t.Fatalf("rank %d walked %d rounds, want %d", rank, len(tl[rank]), rounds)
 				}
-			}
-			if ahead != rounds-1 {
-				t.Fatalf("aggregator read ahead %d times over %d rounds, want %d", ahead, rounds, rounds-1)
-			}
-			for rank := 1; rank < wl.Ranks; rank++ {
+				ahead := 0
 				for _, sp := range roundSpans(res.Trace.Tracer(rank)) {
 					if sp.nested {
-						t.Fatalf("rank %d is no aggregator but read ahead", rank)
+						ahead++
 					}
-					arrive[sp.round] = max(arrive[sp.round], sp.end)
+				}
+				want := 0 // a client
+				if rank == 0 {
+					want = rounds - 1 // the aggregator
+				}
+				if ahead != want {
+					t.Fatalf("rank %d read ahead %d times over %d rounds, want %d", rank, ahead, rounds, want)
 				}
 			}
-			var saved sim.Time
-			for r := 0; r < rounds-1; r++ {
-				exchange := arrive[r] - sendEnd[r]
-				if read[r] <= 0 || exchange <= 0 {
-					t.Fatalf("round %d: read %v, exchange %v", r, read[r], exchange)
+			transfer := cfg.TransferTime(perRank)
+			for r := 1; r+1 < rounds; r++ {
+				agg := tl[0][r]
+				// What the agreement itself costs: the time the last rank to
+				// reach it spends in it.
+				agree := agg.agreeEnd - agg.agreeBegin
+				for _, rr := range tl[1:] {
+					agree = min(agree, rr[r].agreeEnd-rr[r].agreeBegin)
 				}
-				if (read[r] < exchange) != tc.readBound {
-					t.Errorf("round %d: read %v against exchange %v is not the regime this case is for", r, read[r], exchange)
+				work := agg.end - agg.begin + agree
+				if (work < transfer) != tc.netBound {
+					t.Errorf("round %d: aggregator work %v against transfer %v is not the regime this case is for", r, work, transfer)
 				}
-				saved += min(read[r], exchange)
-			}
-			serial := sim.Time(math.Float64frombits(tc.serial))
-			if drift := math.Abs(float64(res.Elapsed + saved - serial)); drift > 0.01*float64(serial) {
-				t.Errorf("pipelined %v + overlapped %v = %v, serial schedule took %v (off by %.2f%%)",
-					res.Elapsed, saved, res.Elapsed+saved, serial, 100*drift/float64(serial))
-			}
-			if saved < serial/10 {
-				t.Errorf("only %v of %v overlapped", saved, serial)
+				period := tl[0][r+1].begin - agg.begin
+				if d := math.Abs(float64(period - max(work, transfer))); d > 1e-9*float64(period) {
+					t.Errorf("round %d lasted %v, want max(work %v, transfer %v)", r, period, work, transfer)
+				}
 			}
 		})
 	}
@@ -159,14 +221,11 @@ const (
 	aheadRounds = 8
 )
 
-// aheadRun seeds the workload's file, calls arm on rank 0 between two
-// barriers and reads the file back collectively under info. It returns every
-// rank's error and whether the rank's user buffer still holds the 0xA5 it
-// was filled with (a successful read is verified instead).
-func aheadRun(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, arm func()) (errs []error, untouched []bool) {
-	t.Helper()
-	wl := aheadWorkload
-	errs, untouched = make([]error, wl.Ranks), make([]bool, wl.Ranks)
+// aheadCall runs one collective call of the workload on every rank, through
+// a file opened under info with the workload's aggregators and collective
+// buffer, and returns each rank's error.
+func aheadCall(w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, call func(p *mpi.Proc, f *mpiio.File) error) []error {
+	errs := make([]error, aheadWorkload.Ranks)
 	info.CollBufSize, info.CbNodes = aheadCB, aheadAggs
 	w.Run(func(p *mpi.Proc) {
 		r := p.Rank()
@@ -175,32 +234,60 @@ func aheadRun(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, a
 			errs[r] = err
 			return
 		}
-		ft, disp := wl.Filetype(r)
+		ft, disp := aheadWorkload.Filetype(r)
 		f.SetView(disp, datatype.Bytes(1), ft)
-		mt, bufLen := wl.Memtype()
-		if err := f.WriteAll(wl.FillBuffer(r), mt, wl.RegionCount); err != nil {
-			errs[r] = fmt.Errorf("seeding write: %w", err)
-			return
-		}
-		p.Barrier()
-		if r == 0 {
-			arm()
-		}
-		p.Barrier()
-		blank := bytes.Repeat([]byte{0xA5}, int(bufLen))
-		buf := bytes.Clone(blank)
-		errs[r] = f.ReadAll(buf, mt, wl.RegionCount)
-		untouched[r] = bytes.Equal(buf, blank)
-		if errs[r] == nil {
-			got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
-			exp, _ := datatype.Pack(wl.FillBuffer(r), mt, 0, wl.RegionCount)
-			if !bytes.Equal(got, exp) {
-				errs[r] = fmt.Errorf("rank %d: read-back bytes diverge", r)
-			}
-		}
+		errs[r] = call(p, f)
 		f.Close()
 	})
+	return errs
+}
+
+// aheadSeed writes the workload's file collectively under info.
+func aheadSeed(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info) {
+	t.Helper()
+	wl := aheadWorkload
+	mt, _ := wl.Memtype()
+	if err := errors.Join(aheadCall(w, fs, info, func(p *mpi.Proc, f *mpiio.File) error {
+		return f.WriteAll(wl.FillBuffer(p.Rank()), mt, wl.RegionCount)
+	})...); err != nil {
+		t.Fatalf("seeding write: %v", err)
+	}
+}
+
+// aheadRead reads the workload's file back collectively under info. It
+// returns every rank's error and whether the rank's user buffer still holds
+// the 0xA5 it was filled with (a successful read is verified instead).
+func aheadRead(w *mpi.World, fs *pfs.FileSystem, info mpiio.Info) (errs []error, untouched []bool) {
+	wl := aheadWorkload
+	mt, bufLen := wl.Memtype()
+	untouched = make([]bool, wl.Ranks)
+	errs = aheadCall(w, fs, info, func(p *mpi.Proc, f *mpiio.File) error {
+		r := p.Rank()
+		blank := bytes.Repeat([]byte{0xA5}, int(bufLen))
+		buf := bytes.Clone(blank)
+		err := f.ReadAll(buf, mt, wl.RegionCount)
+		untouched[r] = bytes.Equal(buf, blank)
+		if err != nil {
+			return err
+		}
+		got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
+		exp, _ := datatype.Pack(wl.FillBuffer(r), mt, 0, wl.RegionCount)
+		if !bytes.Equal(got, exp) {
+			return fmt.Errorf("rank %d: read-back bytes diverge", r)
+		}
+		return nil
+	})
 	return errs, untouched
+}
+
+// aheadRun seeds the workload's file, calls arm while no rank runs (it may
+// rewire the world: fault schedules, tracing) and reads the file back
+// collectively under info (see aheadRead).
+func aheadRun(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, arm func()) (errs []error, untouched []bool) {
+	t.Helper()
+	aheadSeed(t, w, fs, info)
+	arm()
+	return aheadRead(w, fs, info)
 }
 
 // TestReadAheadAbortsUniformly: a storage fault aimed at round k still hits
@@ -372,4 +459,135 @@ func TestReadAheadDegrades(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReadAheadSendsBeforeAgreement: an aggregator sends every payload of
+// round r+1 inside round r, before round r's agreement ends, so it crosses
+// the wire while round r is placed and agreed. A payload belongs to the round
+// its receiver takes it in.
+func TestReadAheadSendsBeforeAgreement(t *testing.T) {
+	res, err := colltest.RunReadBack(sim.DefaultConfig(), aheadWorkload, mpiio.Info{
+		Collective: core.New(core.Options{}), CbNodes: aheadAggs, CollBufSize: aheadCB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carries := map[int64]int{} // edge id → the round whose data it carried
+	for rank := 0; rank < aheadWorkload.Ranks; rank++ {
+		rankRounds(res.Trace.Tracer(rank), func(round int, e trace.Event) {
+			if e.Name == trace.MsgRecvName && round >= 0 {
+				carries[edge(e)] = round
+			}
+		})
+	}
+	for a := 0; a < aheadAggs; a++ {
+		type send struct {
+			at    sim.Time
+			round int
+		}
+		var sends []send
+		rounds := rankRounds(res.Trace.Tracer(a), func(_ int, e trace.Event) {
+			if r, ok := carries[edge(e)]; ok && e.Name == trace.MsgSendName && r > 0 {
+				sends = append(sends, send{e.TS, r})
+			}
+		})
+		// Every rank has data in every round of both aggregators.
+		if want := (aheadRounds - 1) * aheadWorkload.Ranks; len(sends) != want {
+			t.Errorf("aggregator %d sent %d payloads of rounds after the first, want %d", a, len(sends), want)
+		}
+		for _, s := range sends {
+			if end := rounds[s.round-1].agreeEnd; s.at >= end {
+				t.Errorf("aggregator %d sent a round %d payload at %v, after round %d's agreement ended at %v",
+					a, s.round, s.at, s.round-1, end)
+			}
+		}
+	}
+}
+
+// sentAt is where a traced payload left: its sender and the round it was in.
+type sentAt struct{ rank, round int }
+
+// payloads reads which payloads the ranks traced in sink sent and which
+// they received, by edge id.
+func payloads(sink *trace.Sink) (sent map[int64]sentAt, received map[int64]bool) {
+	sent, received = map[int64]sentAt{}, map[int64]bool{}
+	for rank := 0; rank < aheadWorkload.Ranks; rank++ {
+		rankRounds(sink.Tracer(rank), func(round int, e trace.Event) {
+			if e.Name == trace.MsgSendName {
+				sent[edge(e)] = sentAt{rank, round}
+			} else {
+				received[edge(e)] = true
+			}
+		})
+	}
+	return sent, received
+}
+
+// TestReadAheadAbortDropsSentAhead: a read that aborts in round k-1 (its
+// read-ahead of round k failed) has already sent round k. Nobody receives
+// those payloads (one aggregator's are the zeros a failed read serves): the
+// abort drops them, so the next call on the same engine receives exactly what
+// it sent and reads byte-exact, and every pooled buffer of both calls goes
+// back to the pool once.
+func TestReadAheadAbortDropsSentAhead(t *testing.T) {
+	const k = 3
+	cfg := sim.DefaultConfig()
+	w := mpi.NewWorld(aheadWorkload.Ranks, cfg)
+	fs := pfs.NewFileSystem(cfg)
+	info := mpiio.Info{Collective: core.New(core.Options{}), RetryLimit: -1}
+	aheadSeed(t, w, fs, info)
+
+	before := bufpool.Snapshot()
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(5).Add(pfs.Rule{
+		Kind: "read", Class: pfs.ClassTransient, Rounds: []int{k},
+		Match: func(op pfs.Op) bool { return op.Off < int64(len(aheadWorkload.Reference()))/aheadAggs },
+	}))
+	sink := w.EnableTracing(0)
+	errs, _ := aheadRead(w, fs, info)
+	checkAgreement(t, errs)
+	if errs[0] == nil {
+		t.Fatalf("the fault aimed at round %d vanished", k)
+	}
+	sent, received := payloads(sink)
+	ahead, lost := make([]int, aheadAggs), make([]int, aheadAggs)
+	for e, at := range sent {
+		// What an aggregator sends in round k-1 is round k.
+		if at.rank < aheadAggs && at.round == k-1 {
+			ahead[at.rank]++
+		}
+		if !received[e] {
+			if at.rank >= aheadAggs || at.round != k-1 {
+				t.Errorf("rank %d: a payload it sent in round %d was never received", at.rank, at.round)
+				continue
+			}
+			lost[at.rank]++
+		}
+	}
+	for a := range ahead {
+		if ahead[a] != aheadWorkload.Ranks || lost[a] != ahead[a] {
+			t.Errorf("aggregator %d: %d of the %d payloads it sent ahead never received, want all %d",
+				a, lost[a], ahead[a], aheadWorkload.Ranks)
+		}
+	}
+
+	fs.SetFaultSchedule(nil)
+	sink = w.EnableTracing(0)
+	errs, _ = aheadRead(w, fs, info)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("the call after the abort: %v", err)
+	}
+	sent, received = payloads(sink)
+	for e, at := range sent {
+		if !received[e] {
+			t.Errorf("rank %d: a payload it sent in round %d was never received", at.rank, at.round)
+		}
+	}
+	for e := range received {
+		if _, ok := sent[e]; !ok {
+			t.Errorf("a payload of the aborted call was received by the next one (edge %d)", e)
+		}
+	}
+	after := bufpool.Snapshot()
+	if got, back := after.Gets-before.Gets, after.Puts+after.Drops-before.Puts-before.Drops; got != back {
+		t.Errorf("%d pooled buffers taken, %d returned", got, back)
+	}
 }
