@@ -71,6 +71,11 @@ type roundFrame struct {
 	// class and either all continue or all abort with the same error.
 	err   error
 	probe metrics.RoundProbe
+	// lag waits each round's agreement at the end of the next round (a
+	// pipelined write), so an aggregator flushes round r while slower peers
+	// are still finishing it; agree is the agreement in flight, if agreeing.
+	lag, agreeing bool
+	agree         mpiio.Agreement
 }
 
 // begin enters round r, which is where its rank faults fire.
@@ -96,15 +101,32 @@ func (c *roundFrame) fail(r int, err error) {
 
 // end closes round r: its span, its flight record (before the agreement, so
 // an aborting round's exchange traffic is still captured; recv is the merged
-// realm window at an aggregator) and the boundary agreement, which also proves
-// every peer is done with the views this rank served in the round.
+// realm window at an aggregator) and the boundary agreement, whose rendezvous
+// also proves every peer is done with the views this rank served in the
+// round. Under lag it waits for round r-1's agreement and starts round r's.
 func (c *roundFrame) end(pl *plan, r int, recv int64) error {
 	p := c.p
 	p.Trace.End(p.Clock())
 	if p.Metrics != nil {
 		p.Metrics.EndRound(p.Stats, c.probe, r, c.amAgg, pl.sendBytes(r), recv)
 	}
-	return mpiio.AgreeError(p, c.err)
+	if !c.lag {
+		return mpiio.AgreeError(p, c.err)
+	}
+	if err := c.settle(); err != nil {
+		return err
+	}
+	c.agree, c.agreeing = mpiio.StartAgreement(p, c.err), true
+	return nil
+}
+
+// settle waits for the agreement a lagged round left in flight, if any.
+func (c *roundFrame) settle() error {
+	if !c.agreeing {
+		return nil
+	}
+	c.agreeing = false
+	return c.agree.Wait()
 }
 
 // degrade reports whether round r, which failed under method m, is re-issued
@@ -238,11 +260,11 @@ func (scr *roundScratch) roundIov(r, size int) [][][]byte {
 func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
 	p := f.Proc()
 	amAgg, naggs, ntimes, method := pl.agg != nil, pl.pieces.naggs, pl.rounds, pl.method
-	c := roundFrame{f: f, p: p, op: "write", amAgg: amAgg, err: pl.err} // a planning failure aborts round 0
 	// Only the nonblocking strategy overlaps a round's file I/O with the next
-	// round's exchange, and only it models the pack of each message and the
-	// unpack into the collective buffer as copies.
+	// round's exchange and agreement, and only it models the pack of each
+	// message and the unpack into the collective buffer as copies.
 	pipelined := i.o.Comm == Nonblocking
+	c := roundFrame{f: f, p: p, op: "write", amAgg: amAgg, err: pl.err, lag: pipelined} // a planning failure aborts round 0
 	slots := naggs
 	if i.o.Comm == Alltoallw {
 		slots = p.Size()
@@ -297,9 +319,9 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		// Every strategy carries views of the stream, one per run of
 		// pieces, by reference: no client-side payload copy on the host. The views
 		// are dead before this rank reuses the iovec table or recycles the
-		// stream, because the aggregators gather them before the round's
-		// closing AgreeError: one table (and one request list) serves
-		// every round.
+		// stream, because the aggregators gather them before they start the
+		// round's agreement, whose rendezvous every rank passes before its
+		// next round: one table (and one request list) serves every round.
 		send := scr.roundIov(0, slots)
 		for a := 0; a < naggs; a++ {
 			send[a] = pieceViews(send[a], stream, pl.pieces, a, r)
@@ -392,6 +414,9 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			}
 		}
 		// (The last round's pipelined write lands after its flight record.)
+		// A pipelined round waits here for the agreement of the round whose
+		// data it flushed: a healthy aggregator may have written round r-1,
+		// correct bytes, before an abort at round r-1 surfaces.
 		if err := c.end(pl, r, roundRecv); err != nil {
 			bufpool.Put(pendData)
 			return err
@@ -406,6 +431,9 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 	p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(ntimes-1)))
 	flush(ntimes - 1)
 	p.Trace.End(p.Clock())
+	if err := c.settle(); err != nil {
+		return err
+	}
 	return mpiio.AgreeError(p, c.err)
 }
 

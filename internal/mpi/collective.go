@@ -54,6 +54,11 @@ type collSync struct {
 	deathPending bool
 }
 
+// deadlineTie is the share of the deadline by which an arrival may exceed it
+// and still count as on time: far above the rounding of clocks summed in
+// different orders, far below anything a rank does.
+const deadlineTie = 1e-9
+
 func newCollSync(size int) *collSync {
 	c := &collSync{
 		size:      size,
@@ -201,7 +206,10 @@ func (c *collSync) tryPublish() {
 	// live rank arriving more than the deadline later is a straggler.
 	// Its clock contribution is capped at origin+deadline — survivors do
 	// not wait past the timeout — and it is flagged suspect so the
-	// failure version changes under everyone at this same publish.
+	// failure version changes under everyone at this same publish. A rank
+	// that waited out one detection timeout for a dead peer, from the clock
+	// another rank enters with, arrives exactly one deadline after it: a
+	// tie, which float rounding must not turn into a straggler.
 	var base sim.Time
 	if c.deadline > 0 {
 		first := true
@@ -210,8 +218,9 @@ func (c *collSync) tryPublish() {
 				base, first = c.clocks[r], false
 			}
 		}
+		late := base + c.deadline*(1+deadlineTie)
 		for r := 0; r < c.size; r++ {
-			if c.live[r] && c.deposited[r] && c.clocks[r] > base+c.deadline && !c.suspect[r] {
+			if c.live[r] && c.deposited[r] && c.clocks[r] > late && !c.suspect[r] {
 				c.suspect[r] = true
 				c.suspCount++
 				c.failVer++
@@ -450,30 +459,67 @@ func (p *Proc) AllgatherInt64Into(v int64, out []int64) {
 	p.noteVer(ver)
 }
 
-// allreduceInt64 folds the snapshot in place under the rendezvous return,
-// allocating nothing.
-func (p *Proc) allreduceInt64(v int64, fold func(acc, x int64) int64) int64 {
+// AllreduceRequest is a split-phase int64 allreduce (MPI_Iallreduce): the
+// rendezvous ran when it was started, in host order where a blocking
+// allreduce would have run, so collective sequence numbers, the crash rules
+// keyed on them and the deadline guard over deposit clocks do not depend on
+// when it is waited. Its virtual cost, the failure version it published and
+// its exit instant land at Wait. The zero value is not a request.
+type AllreduceRequest struct {
+	p       *Proc
+	acc     int64
+	max     sim.Time // the rendezvous's maximum entering clock
+	ver     uint64   // the failure version the rendezvous published
+	seq, by int
+}
+
+// allreduceInt64 starts an allreduce: it deposits v at the rendezvous and
+// folds the snapshot in place under its return, allocating nothing. The
+// rank's clock does not move.
+func (p *Proc) allreduceInt64(v int64, fold func(acc, x int64) int64) AllreduceRequest {
 	p.preRendezvous()
-	enter := p.clock
 	snap, m, ver, seq, by := p.w.coll.exchangeInt64(p.rank, p.clock, v)
 	acc := snap[0]
 	for _, x := range snap[1:] {
 		acc = fold(acc, x)
 	}
-	p.clock = sim.Max(p.clock, m) + p.treeLatency() + p.w.cfg.TransferTime(int64(8*(p.w.size-1)))
-	p.traceColl(enter, seq, by)
-	p.noteVer(ver)
+	p.Trace.Instant1(p.clock, trace.CollEnterName, trace.I(trace.SeqTag, int64(seq)))
+	return AllreduceRequest{p: p, acc: acc, max: m, ver: ver, seq: seq, by: by}
+}
+
+// Wait completes the allreduce and returns its result. The clock moves to
+// the later of the rank's clock now and the latest entering clock, plus the
+// tree latency and the transfer of the folded values; then the published
+// failure version is applied (PeerFailure).
+func (r AllreduceRequest) Wait() int64 {
+	p := r.p
+	p.clock = sim.Max(p.clock, r.max) + p.treeLatency() + p.w.cfg.TransferTime(int64(8*(p.w.size-1)))
+	p.Trace.Instant2(p.clock, trace.CollExitName, trace.I(trace.SeqTag, int64(r.seq)), trace.I(trace.ByTag, int64(r.by)))
+	p.noteVer(r.ver)
+	return r.acc
+}
+
+// PeerFailed reports whether the failure version the allreduce's rendezvous
+// published names a crashed or stalled rank. Every rank of the rendezvous
+// reads the same answer, whatever it observed since (a receive between start
+// and Wait may have revealed a later failure to it alone).
+func (r AllreduceRequest) PeerFailed() bool { return r.ver != 0 }
+
+func maxInt64(acc, x int64) int64 {
+	if x > acc {
+		return x
+	}
 	return acc
+}
+
+// IallreduceMaxInt64 starts an allreduce of the maximum of v across ranks.
+func (p *Proc) IallreduceMaxInt64(v int64) AllreduceRequest {
+	return p.allreduceInt64(v, maxInt64)
 }
 
 // AllreduceMaxInt64 returns the maximum of v across ranks.
 func (p *Proc) AllreduceMaxInt64(v int64) int64 {
-	return p.allreduceInt64(v, func(acc, x int64) int64 {
-		if x > acc {
-			return x
-		}
-		return acc
-	})
+	return p.allreduceInt64(v, maxInt64).Wait()
 }
 
 // AllreduceMinInt64 returns the minimum of v across ranks.
@@ -483,12 +529,12 @@ func (p *Proc) AllreduceMinInt64(v int64) int64 {
 			return x
 		}
 		return acc
-	})
+	}).Wait()
 }
 
 // AllreduceSumInt64 returns the sum of v across ranks.
 func (p *Proc) AllreduceSumInt64(v int64) int64 {
-	return p.allreduceInt64(v, func(acc, x int64) int64 { return acc + x })
+	return p.allreduceInt64(v, func(acc, x int64) int64 { return acc + x }).Wait()
 }
 
 // Alltoallv exchanges per-destination buffers: send[d] goes to rank d, and

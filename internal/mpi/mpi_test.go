@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flexio/internal/sim"
+	"flexio/internal/trace"
 )
 
 func testWorld(n int) *World {
@@ -199,6 +200,92 @@ func TestAllgatherInt64AndReductions(t *testing.T) {
 		}
 		if got := p.AllreduceSumInt64(v); got != 15 {
 			t.Errorf("sum = %d", got)
+		}
+	})
+}
+
+// TestIallreduceCompletesAtWait: a started allreduce has met its rendezvous
+// but costs nothing until Wait, which moves the clock by the blocking formula
+// from the later of the rank's clock at Wait and the latest entry, records the
+// exit paired with the entry recorded at start, and only then applies the
+// failure version the rendezvous published (rank 3 died at it).
+func TestIallreduceCompletesAtWait(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	w := NewWorld(4, cfg)
+	w.SetRankFaults(NewRankFaultSchedule(1).CrashAtSeq(3, 1))
+	sink := w.EnableTracing(0)
+	const step = sim.Time(1e-3)
+	w.Run(func(p *Proc) {
+		p.AdvanceClock(sim.Time(p.Rank()) * step) // the survivors enter at 0, 1 and 2 ms
+		enter := p.Clock()
+		req := p.IallreduceMaxInt64(int64(p.Rank() + 1))
+		if p.Clock() != enter {
+			t.Errorf("rank %d: starting moved the clock %v → %v", p.Rank(), enter, p.Clock())
+		}
+		if p.PeerFailure() != nil || !req.PeerFailed() {
+			t.Errorf("rank %d: failure applied before Wait (%v) or not published (%v)", p.Rank(), p.PeerFailure(), req.PeerFailed())
+		}
+		if p.Rank() == 1 {
+			p.AdvanceClock(5 * step) // works past the latest entry
+		}
+		p.Trace.Instant(p.Clock(), "work")
+		at := p.Clock()
+		if got := req.Wait(); got != 3 {
+			t.Errorf("rank %d: max %d over the survivors, want 3", p.Rank(), got)
+		}
+		if want := sim.Max(at, 2*step) + p.treeLatency() + cfg.TransferTime(8*3); p.Clock() != want {
+			t.Errorf("rank %d: clock %v after Wait at %v, want %v", p.Rank(), p.Clock(), at, want)
+		}
+		if p.PeerFailure() == nil {
+			t.Errorf("rank %d: Wait did not apply the published failure", p.Rank())
+		}
+	})
+	for rank := 0; rank < 3; rank++ {
+		var names []string
+		var seqs []int64
+		for _, e := range sink.Tracer(rank).Events() {
+			names = append(names, e.Name)
+			for _, tg := range e.Tags {
+				switch {
+				case tg.Key == trace.SeqTag:
+					seqs = append(seqs, tg.Int)
+				case tg.Key == trace.ByTag && tg.Int != 2:
+					t.Errorf("rank %d: released by rank %d, want the latest entry, rank 2", rank, tg.Int)
+				}
+			}
+			if e.Name == trace.CollEnterName && e.TS != sim.Time(rank)*step {
+				t.Errorf("rank %d: entered at %v, want %v", rank, e.TS, sim.Time(rank)*step)
+			}
+			if e.Name == trace.CollExitName && e.TS != w.Proc(rank).Clock() {
+				t.Errorf("rank %d: exit at %v, clock %v", rank, e.TS, w.Proc(rank).Clock())
+			}
+		}
+		if want := []string{trace.CollEnterName, "work", trace.CollExitName}; !reflect.DeepEqual(names, want) || len(seqs) != 2 || seqs[0] != seqs[1] {
+			t.Errorf("rank %d traced %v with seqs %v, want %v sharing one seq", rank, names, seqs, want)
+		}
+	}
+}
+
+// TestIallreduceKeepsItsPublishedFailure: a death revealed between start and
+// Wait, to one rank by its receive, is not the allreduce's: every rank reads
+// the same published version, which named no failure.
+func TestIallreduceKeepsItsPublishedFailure(t *testing.T) {
+	w := NewWorld(3, sim.DefaultConfig())
+	w.SetRankFaults(NewRankFaultSchedule(1).Crash(2, 0))
+	w.Run(func(p *Proc) {
+		req := p.IallreduceMaxInt64(0)
+		p.SetRound(0) // rank 2 dies here, before it sends
+		if p.Rank() == 0 {
+			if data, _ := p.Recv(2, 9); data != nil {
+				t.Errorf("received %q from a dead rank", data)
+			}
+		}
+		req.Wait()
+		if req.PeerFailed() {
+			t.Errorf("rank %d: the allreduce published a failure that happened after it", p.Rank())
+		}
+		if seen := p.PeerFailure() != nil; seen != (p.Rank() == 0) {
+			t.Errorf("rank %d: PeerFailure %v; only rank 0's receive revealed the death", p.Rank(), p.PeerFailure())
 		}
 	})
 }

@@ -30,6 +30,27 @@ func TestDropCertainProbabilityAlwaysFires(t *testing.T) {
 	}
 }
 
+// A rank that spent exactly one deadline more than a peer before a
+// rendezvous (a detection timeout the peer did not wait out) is on time: the
+// two clocks, summed in different orders, differ from base+deadline by one
+// ulp, which must not flag it.
+func TestDeadlineTieIsNotAStraggler(t *testing.T) {
+	const deadline = sim.Time(50e-3)
+	w := NewWorld(2, sim.DefaultConfig())
+	w.SetCollDeadline(deadline)
+	w.Run(func(p *Proc) {
+		p.AdvanceClock(1e-3)
+		if p.Rank() == 0 {
+			p.AdvanceClock(deadline)
+		}
+		p.AdvanceClock(1e-4)
+		p.Barrier()
+	})
+	if failed := w.FailedRanks(); len(failed) != 0 {
+		t.Fatalf("ranks %v flagged for arriving exactly one deadline apart", failed)
+	}
+}
+
 // A wildcard receive must not hang once every possible sender has
 // crashed: the liveness machinery that unblocks named-source receives
 // covers Recv(Any) too, returning nil data instead of re-parking forever.

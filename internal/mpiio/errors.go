@@ -105,24 +105,45 @@ func ClassError(c int64) error {
 // escalates the agreed class after it. Both paths leave all survivors
 // returning the same ClassUnresponsive abort.
 func AgreeError(p *mpi.Proc, local error) error {
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "err_agree"))
+	return StartAgreement(p, local).Wait()
+}
+
+// Agreement is an error agreement in flight (AgreeError split in two):
+// StartAgreement casts this rank's vote at the rendezvous, Wait pays for it
+// and returns the outcome, so a rank can work in between — a pipelined write
+// flushes a round while slower peers are still finishing it. Every rank
+// starts and waits its agreements in the same order.
+type Agreement struct {
+	p     *mpi.Proc
+	req   mpi.AllreduceRequest
+	local error
+}
+
+// StartAgreement votes local's class, escalated to unresponsive when this
+// rank has observed a failed peer.
+func StartAgreement(p *mpi.Proc, local error) Agreement {
 	cls := ErrorClass(local)
 	if cls < ClassUnresponsive {
 		if perr := p.PeerFailure(); perr != nil {
 			local, cls = perr, ClassUnresponsive
 		}
 	}
-	agreed := p.AllreduceMaxInt64(cls)
-	// The allreduce itself may have been the rendezvous that revealed a
-	// failure (its publish carries the new failure version). Escalate
-	// uniformly: every rank saw the same version, so every rank takes
-	// this branch together.
-	if agreed < ClassUnresponsive {
-		if perr := p.PeerFailure(); perr != nil {
-			local = perr
-			agreed = ClassUnresponsive
-		}
+	return Agreement{p: p, req: p.IallreduceMaxInt64(cls), local: local}
+}
+
+// Wait completes the agreement: nil on every rank, or on every rank an error
+// of the agreed class.
+func (a Agreement) Wait() error {
+	p, local := a.p, a.local
+	t0 := p.Clock()
+	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "err_agree"))
+	agreed := a.req.Wait()
+	// The vote's own rendezvous may have revealed a failure. Escalate on
+	// the failure version it published, which every rank read, so every
+	// rank takes this branch together; never on this rank's live
+	// PeerFailure, which a receive since the vote may have set on it alone.
+	if agreed < ClassUnresponsive && a.req.PeerFailed() {
+		local, agreed = p.PeerFailure(), ClassUnresponsive
 	}
 	p.ChargeTime(stats.PExchange, p.Clock()-t0)
 	p.Trace.End(p.Clock())
