@@ -34,7 +34,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the last experiment's Chrome trace JSON (Perfetto-loadable) to this file")
 	breakdown := flag.Bool("breakdown", false, "print the last experiment's per-phase/per-round trace breakdown")
 	critRun := flag.Bool("critpath", false, "print the last experiment's critical-path profile (virtual-time causal DAG)")
-	chaosRun := flag.String("chaos", "", "run fault-injection cells instead of the figures: all, a family (storage, rank, corrupt, tenant), a regexp over cell names, or a scenario spec such as core-nb,crash-mid-rounds:3,cb=2 (grammar: README, Robustness)")
+	chaosRun := flag.String("chaos", "", "run fault-injection cells instead of the figures: all, a family (storage, rank, corrupt), a regexp over cell names, or a scenario spec such as core-nb,crash-mid-rounds:3,cb=2 (grammar: README, Robustness)")
 	integrityJSON := flag.String("integrityjson", "", "run the tracked benchmark matrix with the checksummed datapath enabled and record the rows under 'after' in this JSON trajectory file")
 	integrityCheck := flag.String("integritycheck", "", "run the tracked benchmark matrix with the checksummed datapath enabled and fail if allocs/op exceed the clean 'after' entries of this JSON file (BENCH_PR3.json) or virtual time regresses >5%")
 	chaosTraces := flag.String("chaostraces", "", "directory (created if missing) for the cells' artifacts: reports, flight dumps, comm matrices, traces, critical paths")

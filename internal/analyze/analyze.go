@@ -238,14 +238,14 @@ func Analyze(d *metrics.Dump) []Finding {
 		fs = append(fs, finding(sev, "corruption-detected",
 			fmt.Sprintf("checksum mismatches detected: %d in-flight and %d at-rest (%d payloads re-requested, %d blocks repaired, %d unrepairable)",
 				wm, am, c("integrity_wire_repaired"), c("integrity_repairs"), unrep),
-			"in-flight mismatches point at the interconnect (bounded re-request absorbs them); at-rest mismatches point at storage media — check the per-OST fault attribution in the flight recorder, and keep the scrubber running so quarantined blocks heal before readers hit them",
+			"in-flight mismatches point at the interconnect (bounded re-request absorbs them); at-rest mismatches point at storage media — size the retained-image ring to the working set so the reads that find them repair them inline",
 			float64(wm+am)/10+float64(unrep)*10))
 	}
 
 	// Scrub backlog: blocks quarantined by at-rest mismatches that no ring
 	// image or rewrite has healed yet. Every one is a read that will fail
-	// with ErrDataIntegrity until the scrubber's journal-replay repair (or
-	// an overwrite) repaves it.
+	// with ErrDataIntegrity until a journal-replay rewrite (or an overwrite)
+	// repaves it.
 	if backlog := c("integrity_quarantined") - c("integrity_repairs"); backlog > 0 {
 		sev := SevWarning
 		if backlog >= 16 {
@@ -254,7 +254,7 @@ func Analyze(d *metrics.Dump) []Finding {
 		fs = append(fs, finding(sev, "scrub-backlog",
 			fmt.Sprintf("%d stripe block(s) remain quarantined (%d quarantined, %d repaired)",
 				backlog, c("integrity_quarantined"), c("integrity_repairs")),
-			"quarantined blocks fail every read until repaired: lower the scrub interval (or raise its per-tick budget) so the background scrubber's journal-replay rewrites catch up, and size the retained-image ring to the working set so inline repairs hit",
+			"quarantined blocks fail every read until repaired: rewrite them (a journal-replay resume or a block-aligned overwrite), and size the retained-image ring to the working set so inline repairs hit",
 			float64(backlog)))
 	}
 

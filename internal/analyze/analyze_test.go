@@ -199,7 +199,7 @@ func TestAnalyzeInterNodeHeavy(t *testing.T) {
 
 // TestAnalyzeIntegrity exercises the corruption findings: detected
 // mismatches must be reported (critical once anything was unrepairable),
-// and a quarantine backlog must surface with the scrubber hint.
+// and a quarantine backlog must surface with the rewrite hint.
 func TestAnalyzeIntegrity(t *testing.T) {
 	d := &metrics.Dump{
 		Schema: metrics.DumpSchema,
@@ -228,7 +228,7 @@ func TestAnalyzeIntegrity(t *testing.T) {
 	if !strings.Contains(sb.Summary, "2 stripe block(s)") {
 		t.Errorf("scrub-backlog summary lacks the backlog count: %s", sb.Summary)
 	}
-	if !strings.Contains(sb.Hint, "scrub") {
+	if !strings.Contains(sb.Hint, "rewrite") {
 		t.Errorf("scrub-backlog hint lacks the remedy: %s", sb.Hint)
 	}
 

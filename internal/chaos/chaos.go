@@ -22,9 +22,8 @@
 //     the stats agree on the backoff cost to within 1% — and the trace
 //     stays well formed (balanced spans, monotone clocks).
 //
-// Tenant scripts (multitenant.go) drive the tenant service instead of a
-// world; they and the scenarios are cells of one table (matrix.go) behind
-// the Cell interface, run by one Soak (soak.go).
+// The scenarios are the cells of one table (matrix.go), run by one Soak
+// (soak.go).
 //
 // Every cell is seeded and virtual-timed, so a failure reproduces exactly
 // and its artifacts can be diffed against a local run.
@@ -312,7 +311,7 @@ func (s Scenario) Fault() string {
 }
 
 // Baseline is the fault-free scenario of the same engine configuration.
-func (s Scenario) Baseline() Cell {
+func (s Scenario) Baseline() Scenario {
 	return Scenario{Engine: s.Engine, Write: s.Write, Method: s.Method, Degraded: s.Degraded,
 		Preagg: s.Preagg, CbNodes: s.CbNodes, Seed: 1}
 }
@@ -398,10 +397,7 @@ func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) 
 		}
 		return core.ROMIO(core.Options{Journal: journal, Preagg: s.Preagg})
 	}
-	o := core.Options{Comm: e.comm, Method: s.Method, Preagg: s.Preagg, Journal: journal}
-	if s.Degraded {
-		o.Degrade = core.Always
-	}
+	o := core.Options{Comm: e.comm, Method: s.Method, Preagg: s.Preagg, Journal: journal, Degraded: s.Degraded}
 	if dead != nil {
 		return core.ResumeCollective(o, journal, dead)
 	}
@@ -455,7 +451,7 @@ func (s Scenario) storageSchedule() *pfs.FaultSchedule {
 	case FaultGiveup:
 		sched.Add(pfs.Rule{Class: pfs.ClassTransient})
 	case FaultSieveHard:
-		sched.Add(sieveHardOn(""))
+		sched.Add(pfs.Rule{Kind: "write", Class: pfs.ClassIO, Match: func(op pfs.Op) bool { return op.Sieve }})
 	}
 	if s.atRest() && s.Write {
 		sched.AddFlip(s.flipRule())
@@ -677,7 +673,7 @@ func (e *world) verifyData(mism []bool) error {
 // cannot run at all (bad field, Open or SetView failure) returns that error
 // and no outcome. Otherwise the error is an invariant violation (nil means
 // the scenario behaved) and the outcome is returned even on violation, so
-// the caller can export its recordings.
+// the caller can export its recording.
 func (s Scenario) Run() (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, fmt.Errorf("chaos: %s: %w", s.Name(), err)
@@ -718,8 +714,8 @@ func (s Scenario) run() (*Outcome, error) {
 	}
 
 	// Trace and time only the faulted phase.
-	rec := Recording{Trace: e.w.EnableTracing(0), Metrics: e.w.EnableMetrics(), Comm: e.w.EnableCommMatrix()}
-	out := &Outcome{Name: s.Name(), Seed: s.Seed, Recordings: []Recording{rec}}
+	out := &Outcome{Name: s.Name(), Seed: s.Seed,
+		Recording: Recording{Trace: e.w.EnableTracing(0), Metrics: e.w.EnableMetrics(), Comm: e.w.EnableCommMatrix()}}
 	e.w.SetNodeMap(mpi.BlockNodeMap(nodeRanks))
 	e.w.ResetClocks()
 	e.fs.ResetTiming()
@@ -889,7 +885,7 @@ func (e *world) heal(out *Outcome) ([]bool, error) {
 // accounting checks the trace is well formed and agrees with the stats on
 // the virtual-time cost of backoff to within 1%.
 func (e *world) accounting(out *Outcome) error {
-	sink := out.Recordings[0].Trace
+	sink := out.Recording.Trace
 	if err := sink.Check(); err != nil {
 		return fmt.Errorf("trace malformed: %w", err)
 	}
@@ -903,7 +899,7 @@ func (e *world) accounting(out *Outcome) error {
 
 // snapshot reads the world's books into the outcome.
 func (e *world) snapshot(out *Outcome) {
-	m := out.Recordings[0].Metrics.Merged()
+	m := out.Recording.Metrics.Merged()
 	out.Injected = e.rf.Injected() + e.sched.Injected() + e.seedFlips.Injected()
 	out.Stats = stats.Merge(e.w.Recorders()...)
 	out.Retries = out.Stats.Counter(stats.CRetries)

@@ -162,15 +162,14 @@ func roundsAt(tr *trace.Tracer, name string) [][]int64 {
 // r (or, for the crash, right behind a round's last send, where that access
 // would have started), not in a round's own read.
 func TestReadAheadCellsLandAhead(t *testing.T) {
-	for _, c := range readAheadTable() {
-		s := c.(Scenario)
+	for _, s := range readAheadTable() {
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
 			out, err := firstRun(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink := out.Recordings[0].Trace
+			sink := out.Recording.Trace
 			instant, want := "", [][]int64(nil)
 			switch {
 			case s.Storage == FaultTransientRound1:

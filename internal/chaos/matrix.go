@@ -12,7 +12,7 @@ import (
 // table only ever grows at its end.
 type seeded struct {
 	base  int64
-	cells []Cell
+	cells []Scenario
 }
 
 func (t *seeded) add(s Scenario) {
@@ -30,7 +30,7 @@ var (
 // storageTable is the storage family: every engine, both directions, the
 // buffered I/O methods and every storage fault, plus the degraded-mode
 // recovery rows and pre-aggregation riding the storage planes.
-func storageTable() []Cell {
+func storageTable() []Scenario {
 	t := seeded{base: 1000}
 	grid := func(engine string, method mpiio.Method) {
 		for _, write := range []bool{true, false} {
@@ -74,7 +74,7 @@ func storageTable() []Cell {
 // with both aggregator and pure-client victims for the mid-collective
 // crash, leader and member victims under pre-aggregation, and the rows
 // that compose a rank fault with a storage or corruption plane.
-func rankTable() []Cell {
+func rankTable() []Scenario {
 	t := seeded{base: 7000}
 	write := func(engine string, f RankFault, victim int) Scenario {
 		return Scenario{Engine: engine, Write: true, Rank: f, Victim: victim}
@@ -147,7 +147,7 @@ func rankTable() []Cell {
 // both planes, repairable and exhausted budgets, plus torn writes and the
 // pre-aggregation rows, where the leader gather, merge and scatter must
 // carry the checksums too.
-func corruptTable() []Cell {
+func corruptTable() []Scenario {
 	t := seeded{base: 9000}
 	add := func(engine string, write bool, plane CorruptPlane, repairable, pre bool) {
 		t.add(Scenario{Engine: engine, Write: write, Corrupt: plane, Repairable: repairable, Preagg: pre})
@@ -182,7 +182,7 @@ func corruptTable() []Cell {
 // is the first, the last round the last), at-rest damage a lone aggregator
 // first meets reading ahead, repairable and not, and an aggregator that dies
 // right after a round's last send.
-func readAheadTable() []Cell {
+func readAheadTable() []Scenario {
 	t := seeded{base: 11000}
 	for _, pre := range []bool{false, true} {
 		for _, f := range []Fault{FaultTransientRound1, FaultPartialLast} {
@@ -200,20 +200,20 @@ func readAheadTable() []Cell {
 	return t.cells
 }
 
-// Matrix is the one table: the four families, then the rows that joined
+// Matrix is the one table: the three families, then the rows that joined
 // after them.
-func Matrix() []Cell {
-	var cells []Cell
-	for _, table := range [][]Cell{storageTable(), rankTable(), corruptTable(), tenantTable(), readAheadTable()} {
+func Matrix() []Scenario {
+	var cells []Scenario
+	for _, table := range [][]Scenario{storageTable(), rankTable(), corruptTable(), readAheadTable()} {
 		cells = append(cells, table...)
 	}
 	return cells
 }
 
 // Quick is the short-mode subset: the first cell per family and fault.
-func Quick(cells []Cell) []Cell {
+func Quick(cells []Scenario) []Scenario {
 	seen := map[string]bool{}
-	var qs []Cell
+	var qs []Scenario
 	for _, c := range cells {
 		if key := c.Family() + "/" + c.Fault(); !seen[key] {
 			seen[key] = true
@@ -225,12 +225,12 @@ func Quick(cells []Cell) []Cell {
 
 // Select resolves what to run: "all", a family name, a regular expression
 // over cell names (when it matches any), or else a scenario spec.
-func Select(what string) ([]Cell, error) {
+func Select(what string) ([]Scenario, error) {
 	cells := Matrix()
 	if what == "all" {
 		return cells, nil
 	}
-	var picked []Cell
+	var picked []Scenario
 	if slices.Contains(Families, what) {
 		for _, c := range cells {
 			if c.Family() == what {
@@ -254,5 +254,5 @@ func Select(what string) ([]Cell, error) {
 		return nil, fmt.Errorf("%q is not all, a family %v, a regexp matching a cell name, or a spec: %w",
 			what, Families, err)
 	}
-	return []Cell{s}, nil
+	return []Scenario{s}, nil
 }

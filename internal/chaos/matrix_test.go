@@ -29,7 +29,7 @@ type ran struct {
 	err  error
 }
 
-func firstRun(c Cell) (*Outcome, error) {
+func firstRun(c Scenario) (*Outcome, error) {
 	v, _ := firstRuns.LoadOrStore(c.Name(), &ran{})
 	r := v.(*ran)
 	r.once.Do(func() { r.out, r.err = c.Run() })
@@ -38,7 +38,7 @@ func firstRun(c Cell) (*Outcome, error) {
 
 // eachCellOf runs fn as a parallel subtest per cell of the family (the quick
 // subset in short mode).
-func eachCellOf(t *testing.T, family string, fn func(t *testing.T, c Cell)) {
+func eachCellOf(t *testing.T, family string, fn func(t *testing.T, c Scenario)) {
 	cells := Matrix()
 	if testing.Short() {
 		cells = Quick(cells)
@@ -57,7 +57,7 @@ func eachCellOf(t *testing.T, family string, fn func(t *testing.T, c Cell)) {
 
 // eachCell is eachCellOf under one subtest per family; it returns once every
 // cell is done.
-func eachCell(t *testing.T, fn func(t *testing.T, c Cell)) {
+func eachCell(t *testing.T, fn func(t *testing.T, c Scenario)) {
 	for _, fam := range Families {
 		fam := fam
 		t.Run(fam, func(t *testing.T) { eachCellOf(t, fam, fn) })
@@ -89,7 +89,7 @@ func TestMatrix(t *testing.T) {
 	golden := readGolden(t)
 	var mu sync.Mutex
 	lines := map[string]string{}
-	eachCell(t, func(t *testing.T, c Cell) {
+	eachCell(t, func(t *testing.T, c Scenario) {
 		out, err := firstRun(c)
 		if err != nil {
 			if a, aerr := newArtifacts(os.Getenv("CHAOS_TRACE_DIR"), t.Logf); aerr == nil && out != nil {
@@ -135,52 +135,32 @@ func TestMatrix(t *testing.T) {
 	}
 }
 
-// The four families under the names they had as separate harnesses: every
+// The three families under the names they had as separate harnesses: every
 // cell holds its invariants.
 func TestChaosMatrix(t *testing.T)     { holdsInvariants(t, "storage") }
 func TestRankChaosMatrix(t *testing.T) { holdsInvariants(t, "rank") }
 func TestCorruptMatrix(t *testing.T)   { holdsInvariants(t, "corrupt") }
-func TestTenantMatrix(t *testing.T)    { holdsInvariants(t, "tenant") }
 
 func holdsInvariants(t *testing.T, family string) {
-	eachCellOf(t, family, func(t *testing.T, c Cell) {
-		out, err := firstRun(c)
-		if err != nil {
+	eachCellOf(t, family, func(t *testing.T, c Scenario) {
+		if _, err := firstRun(c); err != nil {
 			t.Fatalf("invariant violated: %v", err)
-		}
-		if family != "tenant" {
-			return
-		}
-		if len(out.Prom) == 0 {
-			t.Fatal("empty exposition")
-		}
-		if len(out.Tenants) < 2 {
-			t.Fatalf("script hosted %d tenants, want >= 2", len(out.Tenants))
 		}
 	})
 }
 
 // canonical renders what must be byte-identical between two runs of a cell:
-// its golden line and every recording's flight dump and comm matrix.
+// its golden line, its flight dump and its comm matrix.
 func canonical(t *testing.T, out *Outcome) map[string][]byte {
 	t.Helper()
-	files := map[string][]byte{"line": []byte(out.Line())}
-	for _, r := range out.Recordings {
-		var flight, comm bytes.Buffer
-		if r.Metrics != nil {
-			if err := r.WriteFlight(&flight); err != nil {
-				t.Fatal(err)
-			}
-			files[r.Label+".flight.json"] = flight.Bytes()
-		}
-		if r.Comm != nil {
-			if err := r.WriteComm(&comm); err != nil {
-				t.Fatal(err)
-			}
-			files[r.Label+".comm.json"] = comm.Bytes()
-		}
+	var flight, comm bytes.Buffer
+	if err := out.Recording.WriteFlight(&flight); err != nil {
+		t.Fatal(err)
 	}
-	return files
+	if err := out.Recording.WriteComm(&comm); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"line": []byte(out.Line()), ".flight.json": flight.Bytes(), ".comm.json": comm.Bytes()}
 }
 
 // sameRun asserts two runs of one cell are indistinguishable in everything
@@ -190,9 +170,6 @@ func canonical(t *testing.T, out *Outcome) map[string][]byte {
 func sameRun(t *testing.T, a, b *Outcome) {
 	t.Helper()
 	fa, fb := canonical(t, a), canonical(t, b)
-	if len(fa) != len(fb) {
-		t.Fatalf("runs left %d and %d canonical pieces", len(fa), len(fb))
-	}
 	for name, x := range fa {
 		if !bytes.Equal(x, fb[name]) {
 			t.Errorf("%s differs between identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", name, x, fb[name])
@@ -225,7 +202,7 @@ func sameRun(t *testing.T, a, b *Outcome) {
 // artifact be diffed against a local reproduction. (Virtual time is not
 // compared: lock-revoke arrival order can wobble it within a round.)
 func TestMatrixDeterministic(t *testing.T) {
-	eachCell(t, func(t *testing.T, c Cell) {
+	eachCell(t, func(t *testing.T, c Scenario) {
 		a, err := firstRun(c)
 		if err != nil {
 			t.Fatal(err)
@@ -266,37 +243,12 @@ func TestRankChaosDeterministic(t *testing.T) {
 // TestSpecRoundTrip: every scenario of the table prints a spec that parses
 // back to itself.
 func TestSpecRoundTrip(t *testing.T) {
-	for _, c := range Matrix() {
-		s, ok := c.(Scenario)
-		if !ok {
-			continue
-		}
+	for _, s := range Matrix() {
 		got, err := ParseSpec(s.Spec())
 		if err != nil {
 			t.Errorf("%s: spec %q does not parse: %v", s.Name(), s.Spec(), err)
 		} else if got != s {
 			t.Errorf("%s: spec %q parsed to %+v, want %+v", s.Name(), s.Spec(), got, s)
-		}
-	}
-}
-
-// TestTenantMatrixShape pins the tenant family's floor: at least ten
-// scripts and all three of the service's engines exercised.
-func TestTenantMatrixShape(t *testing.T) {
-	engines := map[string]bool{}
-	n := 0
-	for _, c := range Matrix() {
-		if s, ok := c.(TenantScenario); ok {
-			engines[s.Engine] = true
-			n++
-		}
-	}
-	if n < 10 {
-		t.Fatalf("tenant family has %d scripts, want >= 10", n)
-	}
-	for _, e := range []string{"core-nb", "core-a2a", "twophase"} {
-		if !engines[e] {
-			t.Fatalf("tenant family never uses engine %q", e)
 		}
 	}
 }
@@ -348,10 +300,14 @@ func TestSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Scenario{Engine: "core-blk", Corrupt: CorruptAtRest, Seed: 7}
-	if len(cells) != 1 || cells[0] != Cell(want) {
+	if len(cells) != 1 || cells[0] != want {
 		t.Errorf("spec selected %+v, want %+v", cells, want)
 	}
 	if _, err := Select("core-nb,crash-mid-rounds:9"); err == nil || !strings.Contains(err.Error(), "victim 9") {
 		t.Errorf("bad spec: got %v, want an error naming the victim", err)
+	}
+	// Not a family, not a cell name, not a spec: refused, naming the families.
+	if _, err := Select("tenant"); err == nil || !strings.Contains(err.Error(), "[storage rank corrupt]") {
+		t.Errorf("tenant: got %v, want a refusal naming the three families", err)
 	}
 }

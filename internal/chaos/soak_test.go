@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func family(name string) []Cell {
+func family(name string) []Scenario {
 	cells, _ := Select(name)
 	return cells
 }
@@ -33,41 +33,6 @@ func TestRankSoakQuick(t *testing.T) {
 	}
 }
 
-// TestTenantSoakArtifacts runs one script through the soak and checks the
-// per-tenant artifacts and the cross-tenant report land on disk.
-func TestTenantSoakArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	s := TenantScenario{Kind: TKindErrorStorm, Engine: "core-nb", Seed: 7001}
-	if n := Soak([]Cell{s}, dir, t.Logf); n != 0 {
-		t.Fatalf("soak reported %d failures", n)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flights, critpaths, reports int
-	for _, ent := range ents {
-		switch {
-		case strings.HasSuffix(ent.Name(), ".flight.json"):
-			flights++
-		case strings.HasSuffix(ent.Name(), ".critpath.txt"):
-			critpaths++
-		case ent.Name() == s.Name()+".report.txt":
-			reports++
-		}
-		if fi, err := ent.Info(); err != nil {
-			t.Fatal(err)
-		} else if fi.Size() == 0 {
-			t.Errorf("artifact %s is empty", ent.Name())
-		}
-	}
-	// Both tenants ran traced jobs, so both kinds of artifact exist per
-	// tenant.
-	if flights < 2 || critpaths < 2 || reports != 1 {
-		t.Fatalf("got %d flight, %d critpath and %d report artifacts, want >= 2, >= 2 and 1", flights, critpaths, reports)
-	}
-}
-
 // TestSoakArtifactPolicy: a storage cell that rides its fault out leaves
 // only its report, one that aborts leaves its recordings too — and the
 // flight file is the canonical dump, byte for byte, so it diffs against any
@@ -77,7 +42,7 @@ func TestSoakArtifactPolicy(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "not", "yet")
 	rides := Scenario{Engine: "core-nb", Write: true, Storage: FaultTransient, Seed: 7}
 	aborts := Scenario{Engine: "core-nb", Write: true, Storage: FaultRound1, Seed: 42}
-	if n := Soak([]Cell{rides, aborts}, dir, t.Logf); n != 0 {
+	if n := Soak([]Scenario{rides, aborts}, dir, t.Logf); n != 0 {
 		t.Fatalf("soak reported %d failures", n)
 	}
 	ents, err := os.ReadDir(dir)
@@ -101,7 +66,7 @@ func TestSoakArtifactPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dump bytes.Buffer
-	if err := out.Recordings[0].WriteFlight(&dump); err != nil {
+	if err := out.Recording.WriteFlight(&dump); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(filepath.Join(dir, aborts.Name()+".flight.json"))
@@ -122,7 +87,7 @@ func TestSoakUnwritableArtifacts(t *testing.T) {
 	}
 	var log strings.Builder
 	logf := func(format string, args ...any) { fmt.Fprintf(&log, format+"\n", args...) }
-	cells := []Cell{Scenario{Engine: "core-nb", Write: true, Storage: FaultTransient, Seed: 7}}
+	cells := []Scenario{{Engine: "core-nb", Write: true, Storage: FaultTransient, Seed: 7}}
 	if n := Soak(cells, file, logf); n == 0 {
 		t.Error("soak into a path that is a file reported no failure")
 	}

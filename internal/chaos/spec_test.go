@@ -104,10 +104,8 @@ func TestParseCorruptSpec(t *testing.T) {
 // FuzzParseSpec: ParseSpec never panics, and whatever it accepts is a valid
 // scenario whose printed spec parses back to the same scenario.
 func FuzzParseSpec(f *testing.F) {
-	for _, c := range Matrix() {
-		if s, ok := c.(Scenario); ok {
-			f.Add(s.Spec())
-		}
+	for _, s := range Matrix() {
+		f.Add(s.Spec())
 	}
 	for _, tc := range badSpecs {
 		f.Add(tc.spec)

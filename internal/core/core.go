@@ -79,17 +79,12 @@ type Options struct {
 	// HeapMerge enables the client-side binary-heap merge across
 	// aggregator realms instead of one access pass per aggregator.
 	HeapMerge bool
-	// Degrade enables graceful degradation: when a round's buffer access
-	// fails under data sieving and Degrade reports true at that moment, the
-	// aggregator re-issues the round with naive per-segment I/O before
-	// reporting an error (conditional sieving repurposed as fault recovery —
-	// naive I/O touches only the useful bytes, so it sidesteps faults on the
-	// sieve path). Always degrades unconditionally; a tenancy layer passes
-	// its per-OST circuit breakers' check so collectives already in flight
-	// route around a browning-out target without reopening the file. It is
-	// called only on round failures (never on the hot path) and must be safe
-	// for concurrent use by all ranks.
-	Degrade func() bool
+	// Degraded enables graceful degradation: when a round's buffer access
+	// fails under data sieving, the aggregator re-issues the round with
+	// naive per-segment I/O before reporting an error (conditional sieving
+	// repurposed as fault recovery — naive I/O touches only the useful
+	// bytes, so it sidesteps faults on the sieve path).
+	Degraded bool
 	// Preagg enables node-local pre-aggregation (two-level exchange):
 	// under the installed node map, each node's leader merges its
 	// co-residents' accesses and payload streams and exchanges with the
@@ -217,7 +212,7 @@ func New(o Options) *Impl {
 // once (Blocking) and data sieving integrated into the collective buffer.
 // Those four are fixed: o's Assigner, Comm and Method are overridden, and
 // realm alignment, persistent realms, conditional sieving and the heap merge,
-// which ROMIO does not have, are refused. Journal, Degrade, Preagg and
+// which ROMIO does not have, are refused. Journal, Degraded, Preagg and
 // Validate work as they do for New.
 func ROMIO(o Options) *Impl {
 	if o.Align != 0 || o.Persistent || o.Conditional || o.HeapMerge {
@@ -226,10 +221,6 @@ func ROMIO(o Options) *Impl {
 	o.Assigner, o.Comm, o.Method = realm.Even{}, Blocking, mpiio.IntegratedSieve
 	return &Impl{o: o, form: listRequests}
 }
-
-// Always is the Options.Degrade of an engine that falls back to naive I/O on
-// every failed sieve round.
-func Always() bool { return true }
 
 // condThreshold is the filetype extent at which Options.Conditional crosses
 // from data sieving to naive I/O: 24 KB, the crossover measured on this

@@ -133,7 +133,7 @@ func (c *roundFrame) settle() error {
 // with naive I/O, which touches only the useful bytes, and books the re-issue.
 // Only sieving has something to fall back from.
 func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int) bool {
-	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || i.o.Degrade == nil || !i.o.Degrade() {
+	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || !i.o.Degraded {
 		return false
 	}
 	c.p.Stats.Add(stats.CDegradedRounds, 1)

@@ -365,7 +365,7 @@ func TestDegradedModeFallsBackToNaive(t *testing.T) {
 		Match: func(op pfs.Op) bool { return op.Sieve },
 	})
 	errs, agg, _ := runSchedule(t, sched,
-		core.Options{Method: mpiio.DataSieve, Degrade: core.Always}, true, true)
+		core.Options{Method: mpiio.DataSieve, Degraded: true}, true, true)
 	checkAgreement(t, errs)
 	for r, err := range errs {
 		if err != nil {

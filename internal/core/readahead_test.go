@@ -410,7 +410,7 @@ func TestReadAheadDegrades(t *testing.T) {
 			Kind: "read", Class: pfs.ClassIO, Rounds: []int{k},
 			Match: func(op pfs.Op) bool { return op.Sieve },
 		})
-		info := mpiio.Info{Collective: core.New(core.Options{Method: mpiio.DataSieve, Degrade: core.Always})}
+		info := mpiio.Info{Collective: core.New(core.Options{Method: mpiio.DataSieve, Degraded: true})}
 		errs, _ := aheadRun(t, w, fs, info, func() { fs.SetFaultSchedule(sched) })
 		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("degraded mode should have recovered: %v", err)

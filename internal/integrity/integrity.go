@@ -1,8 +1,7 @@
 // Package integrity is the end-to-end data-integrity layer of the stack:
 // seeded, allocation-free checksums for in-flight payloads and at-rest
-// stripe blocks, a per-file block-checksum store with a quarantine set, a
-// bounded ring of retained block images for repair, and a logical-tick
-// scrubber that drains the quarantine in the background.
+// stripe blocks, a per-file block-checksum store with a quarantine set, and
+// a bounded ring of retained block images for repair.
 //
 // Everything is deterministic for a fixed seed, like the fault schedules
 // it defends against: the same run detects the same corruptions at the

@@ -176,58 +176,3 @@ func TestStoreOverwriteClearsQuarantine(t *testing.T) {
 		t.Fatal("rewritten block must verify under its fresh sum")
 	}
 }
-
-func TestScrubberDrainsBacklogDeterministically(t *testing.T) {
-	h := NewHasher(3)
-	defer h.Release()
-	st := NewStore(h, 32)
-	pages := map[string]map[int64][]byte{"t0/f": {}, "t1/f": {}}
-	for name, m := range pages {
-		for i := int64(0); i < 3; i++ {
-			b := []byte{byte(i), byte(i + 1), byte(i + 2), byte(i + 3)}
-			m[i] = b
-			st.Record(name, i, b, 0, int64(len(b)))
-		}
-	}
-	// Corrupt everything and let verification quarantine it.
-	for name, m := range pages {
-		for i, b := range m {
-			b[0] ^= 0x80
-			if st.Verify(name, i, b) {
-				t.Fatalf("flip on %s/%d not detected", name, i)
-			}
-		}
-	}
-	sc := NewScrubber(st, func(name string, idx int64) bool {
-		return st.Repair(name, idx, pages[name][idx])
-	}, 2)
-	if got := st.Backlog(""); got != 6 {
-		t.Fatalf("backlog = %d, want 6", got)
-	}
-	if got := st.Backlog("t1/"); got != 3 {
-		t.Fatalf("t1 backlog = %d, want 3", got)
-	}
-	// Tenant-scoped ticks only touch that tenant's blocks.
-	if fixed := sc.Tick("t1/"); fixed != 2 {
-		t.Fatalf("tick fixed %d, want 2", fixed)
-	}
-	if got := st.Backlog("t0/"); got != 3 {
-		t.Fatalf("t0 backlog disturbed: %d", got)
-	}
-	for sc.Backlog("") > 0 {
-		if sc.Tick("") == 0 {
-			t.Fatal("scrubber stopped making progress")
-		}
-	}
-	for name, m := range pages {
-		for i, b := range m {
-			if !st.Verify(name, i, b) {
-				t.Fatalf("scrubbed block %s/%d does not verify", name, i)
-			}
-		}
-	}
-	ss := sc.Snapshot()
-	if ss.Repaired != 6 || ss.Backlog != 0 {
-		t.Fatalf("unexpected scrub stats: %+v", ss)
-	}
-}

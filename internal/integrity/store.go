@@ -1,8 +1,6 @@
 package integrity
 
 import (
-	"sort"
-	"strings"
 	"sync"
 
 	"flexio/internal/pagetab"
@@ -20,7 +18,7 @@ import (
 // operation on a block is one lookup. The file system resolves a name to
 // its *File once per I/O call and works through that; the name-keyed Store
 // methods are the same operations for callers that touch one block at a
-// time (the scrubber callback, tests, isolated timings).
+// time (tests, isolated timings).
 //
 // The ring is the fast repair path: a corrupted block whose pristine
 // image is still retained is fixed in place without replaying the round
@@ -274,7 +272,7 @@ func (s *Store) Repair(name string, idx int64, dst []byte) bool {
 // retained image with the recorded checksum survives, it is copied into
 // dst (which must be the block's storage buffer), the quarantine cleared,
 // and true returned. Otherwise the block stays quarantined for the
-// scrubber / journal-replay path and false is returned.
+// journal-replay path (or an overwrite) and false is returned.
 func (f *File) Repair(idx int64, dst []byte) bool {
 	f.st.mu.Lock()
 	defer f.st.mu.Unlock()
@@ -352,26 +350,6 @@ func (s *Store) Quarantined(name string, idx int64) bool {
 	return b != nil && b.repaved != nil
 }
 
-// Backlog returns how many blocks are quarantined right now, optionally
-// restricted to file names with the given prefix ("" = all). The prefix
-// form is what makes the scrubber tenant-aware: tenants namespace their
-// files, so a prefix is a tenant.
-func (s *Store) Backlog(prefix string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backlogLocked(prefix)
-}
-
-func (s *Store) backlogLocked(prefix string) int {
-	n := 0
-	for name, f := range s.files {
-		if strings.HasPrefix(name, prefix) {
-			n += f.quar
-		}
-	}
-	return n
-}
-
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
 	Mismatches  int64 // at-rest checksum failures detected
@@ -385,42 +363,15 @@ type Stats struct {
 func (s *Store) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	backlog := 0
+	for _, f := range s.files {
+		backlog += f.quar
+	}
 	return Stats{
 		Mismatches:  s.mismatches,
 		Quarantined: s.quarantined,
 		Repairs:     s.repairs,
 		Unrepaired:  s.unrepaired,
-		Backlog:     s.backlogLocked(""),
+		Backlog:     backlog,
 	}
-}
-
-// quarList returns the quarantined (name, idx) pairs under a prefix in
-// deterministic (name, idx) order — map iteration must not leak
-// scheduling nondeterminism into scrub order.
-func (s *Store) quarList(prefix string) []blockRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []blockRef
-	for name, f := range s.files {
-		if f.quar == 0 || !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		f.blocks.Each(func(idx int64, b *block) {
-			if b.repaved != nil {
-				out = append(out, blockRef{name, idx})
-			}
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return out[i].idx < out[j].idx
-	})
-	return out
-}
-
-type blockRef struct {
-	name string
-	idx  int64
 }

@@ -192,14 +192,9 @@ var histMeta = [numHists]struct {
 // CounterName returns the exposition name of a counter.
 func CounterName(c Counter) string { return counterMeta[c].name }
 
-// CounterCount returns the size of the fixed counter schema, so exposition
-// layers that fold merged registries into external tables (the tenant
-// service's per-tenant accumulators) can size them without knowing the
-// schema.
+// CounterCount returns the size of the fixed counter schema, so callers
+// can walk every counter without knowing the schema.
 func CounterCount() int { return int(numCounters) }
-
-// CounterHelp returns the help text of a counter.
-func CounterHelp(c Counter) string { return counterMeta[c].help }
 
 // phaseHist maps a stats phase name onto its histogram ID.
 func phaseHist(phase string) (Hist, bool) {

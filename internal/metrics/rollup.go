@@ -163,8 +163,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // NodeOfBlock returns the node index of rank under a block placement of
 // perNode consecutive ranks per node (perNode <= 1 means one rank per
-// node) — the metrics-side mirror of mpi.BlockNodeMap, kept here so the
-// tenant service and tools can build rollups without importing mpi.
+// node) — the metrics-side mirror of mpi.BlockNodeMap, kept here so tools
+// can build rollups without importing mpi.
 func NodeOfBlock(perNode int) func(rank int) int {
 	if perNode <= 1 {
 		return func(rank int) int { return rank }

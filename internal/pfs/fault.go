@@ -188,7 +188,7 @@ func (r *Rule) matches(op Op, now sim.Time) bool {
 
 // FlipRule injects silent at-rest corruption into the stored bytes of
 // matching writes: the data lands, the write succeeds, and only later reads
-// (or the scrubber) can discover the damage — the media lied. Two kinds:
+// can discover the damage — the media lied. Two kinds:
 //
 //   - "bitflip": one stored bit inside the written span flips after the
 //     write completes. The stripe-block checksums were recorded for the
@@ -300,21 +300,6 @@ type RevokeStorm struct {
 	PerGrant int
 }
 
-// OSTFaults is one OST's cumulative injected-fault record: how often the
-// schedule hurt requests that this target served. Circuit breakers key
-// their trip decisions on deltas of these counts, so every injection path
-// attributes its damage to the OST holding the op's first byte.
-type OSTFaults struct {
-	// Errors counts rule- and hook-injected op failures (all classes).
-	Errors int64
-	// Slowed counts requests served slower because a brownout was active.
-	Slowed int64
-	// StormRevokes counts extra lock revokes charged by revoke storms.
-	StormRevokes int64
-	// Corrupt counts at-rest flip injections into blocks this OST stores.
-	Corrupt int64
-}
-
 // FaultSchedule is a seeded, deterministic, virtual-time-aware fault plan:
 // a set of error-injection rules plus OST brownouts and lock-revoke storms.
 // It is safe for concurrent use by many clients, and — given the same seed,
@@ -331,7 +316,6 @@ type FaultSchedule struct {
 	storms    []RevokeStorm
 	hook      FaultHook
 	injected  int64
-	ost       []OSTFaults // per-OST attribution, grown on demand
 }
 
 // NewFaultSchedule returns an empty schedule. The seed drives the
@@ -396,44 +380,6 @@ func (s *FaultSchedule) Injected() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.injected
-}
-
-// ostSlot returns the attribution record for ost, growing the table on
-// demand. Negative targets (a rule fired before the OST is known) land on
-// slot 0. Callers hold s.mu.
-func (s *FaultSchedule) ostSlot(ost int) *OSTFaults {
-	if ost < 0 {
-		ost = 0
-	}
-	for len(s.ost) <= ost {
-		s.ost = append(s.ost, OSTFaults{})
-	}
-	return &s.ost[ost]
-}
-
-// noteOSTError attributes one injected op failure to ost.
-func (s *FaultSchedule) noteOSTError(ost int) {
-	s.mu.Lock()
-	s.ostSlot(ost).Errors++
-	s.mu.Unlock()
-}
-
-// noteStormRevokes attributes n storm-charged lock revokes to ost.
-func (s *FaultSchedule) noteStormRevokes(ost int, n int64) {
-	s.mu.Lock()
-	s.ostSlot(ost).StormRevokes += n
-	s.mu.Unlock()
-}
-
-// OSTFaultCounts returns a copy of the cumulative per-OST fault
-// attribution. The slice is indexed by OST and only as long as the highest
-// target hurt so far (empty when nothing was injected).
-func (s *FaultSchedule) OSTFaultCounts() []OSTFaults {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]OSTFaults, len(s.ost))
-	copy(out, s.ost)
-	return out
 }
 
 // fault is one evaluated injection decision.
@@ -501,11 +447,10 @@ func (s *FaultSchedule) evaluate(op Op, now sim.Time) fault {
 }
 
 // evalFlip decides whether the write segment described by op (Off/Len are
-// the segment's own) suffers at-rest corruption, attributing a hit to the
-// OST storing the segment's first byte. The first matching rule wins. It is
-// called with fs.mu held, which is safe: flip rules have no hooks and
-// s.mu nests under fs.mu on every path.
-func (s *FaultSchedule) evalFlip(op Op, ost int) (flipFault, bool) {
+// the segment's own) suffers at-rest corruption. The first matching rule
+// wins. It is called with fs.mu held, which is safe: flip rules have no
+// hooks and s.mu nests under fs.mu on every path.
+func (s *FaultSchedule) evalFlip(op Op) (flipFault, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for idx := range s.flips {
@@ -522,7 +467,6 @@ func (s *FaultSchedule) evalFlip(op Op, ost int) (flipFault, bool) {
 		}
 		s.flipFired[idx][op.Client]++
 		s.injected++
-		s.ostSlot(ost).Corrupt++
 		frac := r.TornFrac
 		if frac <= 0 || frac > 1 {
 			frac = 0.25
@@ -562,9 +506,6 @@ func (s *FaultSchedule) slowdown(ost int, now sim.Time) (mult float64, extra sim
 		if b.ExtraLatency > 0 {
 			extra += b.ExtraLatency
 		}
-	}
-	if mult > 1 || extra > 0 {
-		s.ostSlot(ost).Slowed++
 	}
 	return mult, extra
 }

@@ -342,41 +342,3 @@ func TestOverlappingStormsSumPerGrant(t *testing.T) {
 		}
 	}
 }
-
-func TestOSTFaultAttribution(t *testing.T) {
-	// Every injection path attributes its damage to the OST serving the
-	// op's first byte, so breakers can observe per-OST error rates.
-	cfg := sim.DefaultConfig()
-	fs := NewFileSystem(cfg)
-	c := fs.NewClient(stats.New())
-	sched := NewFaultSchedule(0).
-		Add(Rule{Kind: "write", MinOff: cfg.StripeSize, Class: ClassIO, Count: 1}).
-		AddBrownout(Brownout{OST: 0, Slowdown: 4}).
-		AddStorm(RevokeStorm{PerGrant: 2})
-	fs.SetFaultSchedule(sched)
-	h := c.Open("attr.dat")
-	// Lands on OST 0: slowed by the brownout, storm-charged, no error.
-	if _, err := h.WriteAt(0, make([]byte, 64), 0); err != nil {
-		t.Fatal(err)
-	}
-	// First byte on OST 1: the rule fires a hard error there.
-	if _, err := h.WriteAt(cfg.StripeSize, make([]byte, 64), 0); !errors.Is(err, ErrIO) {
-		t.Fatalf("expected injected hard error on OST 1, got %v", err)
-	}
-	counts := sched.OSTFaultCounts()
-	if len(counts) < 2 {
-		t.Fatalf("OSTFaultCounts covers %d OSTs, want >= 2", len(counts))
-	}
-	if counts[0].Slowed == 0 {
-		t.Error("OST 0 brownout-slowed count stayed zero")
-	}
-	if counts[0].StormRevokes == 0 {
-		t.Error("OST 0 storm-revoke count stayed zero")
-	}
-	if counts[0].Errors != 0 {
-		t.Errorf("OST 0 errors = %d, want 0", counts[0].Errors)
-	}
-	if counts[1].Errors != 1 {
-		t.Errorf("OST 1 errors = %d, want 1", counts[1].Errors)
-	}
-}

@@ -194,14 +194,6 @@ func (fs *FileSystem) SetFaultSchedule(s *FaultSchedule) {
 	fs.mu.Unlock()
 }
 
-// Schedule returns the installed fault schedule (nil when faults are off),
-// so observers can read its cumulative injection counts.
-func (fs *FileSystem) Schedule() *FaultSchedule {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.sched
-}
-
 // EnableIntegrity turns on the at-rest checksummed datapath: every page a
 // write touches gets a seeded per-stripe-block checksum recorded, every
 // page a read touches is re-verified, and mismatches are quarantined and
@@ -225,14 +217,6 @@ func (fs *FileSystem) IntegrityEnabled() bool {
 	return fs.isums != nil
 }
 
-// IntegrityStore exposes the at-rest checksum store (nil when integrity is
-// disabled), for scrub drivers and observability.
-func (fs *FileSystem) IntegrityStore() *integrity.Store {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.isums
-}
-
 // IntegrityStats returns the at-rest integrity counters (zero when the
 // layer is disabled).
 func (fs *FileSystem) IntegrityStats() integrity.Stats {
@@ -243,41 +227,6 @@ func (fs *FileSystem) IntegrityStats() integrity.Stats {
 		return integrity.Stats{}
 	}
 	return st.Snapshot()
-}
-
-// Scrubber builds a background scrubber over this file system's quarantine
-// backlog: each Tick repairs up to perTick quarantined pages in place from
-// the retained-block ring. Returns nil when integrity is disabled (a nil
-// Scrubber's methods are no-ops, so callers need not guard).
-func (fs *FileSystem) Scrubber(perTick int) *integrity.Scrubber {
-	fs.mu.Lock()
-	st := fs.isums
-	fs.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	return integrity.NewScrubber(st, func(name string, idx int64) bool {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		f := fs.files[name]
-		if f == nil {
-			return false
-		}
-		page := f.page(idx)
-		if page == nil {
-			return false
-		}
-		return st.Repair(name, idx, page)
-	}, perTick)
-}
-
-// ostOf maps a file offset onto the OST serving it under the striping
-// config.
-func (fs *FileSystem) ostOf(off int64) int {
-	if off < 0 {
-		return 0
-	}
-	return int((off / fs.cfg.StripeSize) % int64(fs.cfg.StripeCount))
 }
 
 // evalFault consults the installed schedule for op. It must be called
@@ -310,7 +259,7 @@ func (fs *FileSystem) file(name string) *fileData {
 }
 
 // Remove deletes a file and its lock state (and any integrity state, so a
-// removed file cannot leave the scrubber a permanently stuck backlog).
+// removed file cannot leave a permanently stuck quarantine backlog).
 func (fs *FileSystem) Remove(name string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -587,7 +536,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 				w = 0
 			}
 			partial = &PartialError{Written: w}
-			c.noteFault(now, kind, flt.class, w, segs[0].Off)
+			c.noteFault(now, kind, flt.class, w)
 			if w == 0 {
 				return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
 			}
@@ -601,7 +550,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 			}
 			total = w
 		} else {
-			c.noteFault(now, kind, flt.class, 0, segs[0].Off)
+			c.noteFault(now, kind, flt.class, 0)
 			return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: %s %q: %w", kind, f.name, flt.wrapped())
 		}
 	}
@@ -664,15 +613,11 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 	return completion, nil
 }
 
-// noteFault records an injected fault on the owning rank's stats and trace,
-// and attributes it to the OST holding the op's first byte so per-OST
-// breakers can observe the error rate. Called without fs.mu held.
-func (c *Client) noteFault(now sim.Time, kind string, cl Class, written, off int64) {
+// noteFault records an injected fault on the owning rank's stats and trace.
+// Called without fs.mu held.
+func (c *Client) noteFault(now sim.Time, kind string, cl Class, written int64) {
 	c.rec.Add(stats.CFaultsInjected, 1)
 	c.met.Inc(metrics.CFaults)
-	if s := c.fs.Schedule(); s != nil {
-		s.noteOSTError(c.fs.ostOf(off))
-	}
 	if c.tr != nil {
 		c.tr.Instant(now, "fault", trace.S("kind", kind),
 			trace.S("class", cl.String()), trace.I("written", written), trace.I("seq", c.seq))
@@ -804,7 +749,6 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 			n := grants * int64(per)
 			cost += sim.Time(float64(n)) * fs.cfg.LockRevokeCost
 			c.rec.Add(stats.CStormRevokes, n)
-			fs.sched.noteStormRevokes(fs.ostOf(segs[0].Off), n)
 			c.tr.Instant1(now, "revoke_storm", trace.I("revokes", n))
 		}
 	}
@@ -1060,7 +1004,7 @@ func (c *Client) injectFlip(f *fileData, s datatype.Seg, t sim.Time) {
 	}
 	op := Op{Kind: "write", Client: c.id, Name: f.name, Off: s.Off,
 		Len: s.Len, Segs: 1, Seq: c.seq, Round: c.round}
-	if fl, ok := fs.sched.evalFlip(op, fs.ostOf(s.Off)); ok {
+	if fl, ok := fs.sched.evalFlip(op); ok {
 		c.applyFlip(f, s, fl, t)
 	}
 }
@@ -1104,7 +1048,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 // With integrity on, every recorded page the read touches is re-verified
 // first: a mismatch quarantines the page and attempts an inline ring
 // repair; if that fails the read aborts with ErrDataIntegrity, leaving the
-// page quarantined for the scrubber / journal-replay path. A nil buf makes
+// page quarantined for the journal-replay path. A nil buf makes
 // the read timing-only: every check and charge, no bytes delivered.
 func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (sim.Time, error) {
 	fs := c.fs

@@ -96,7 +96,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 				w = 0
 			}
 			partial = &PartialError{Written: w}
-			c.noteFault(now, "write", flt.class, w, span.Off)
+			c.noteFault(now, "write", flt.class, w)
 			if w == 0 {
 				return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: write %q: %w", f.name, partial)
 			}
@@ -104,7 +104,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 			data = data[:w]
 			span = datatype.Seg{Off: span.Off, Len: segs[len(segs)-1].End() - span.Off}
 		} else {
-			c.noteFault(now, "write", flt.class, 0, span.Off)
+			c.noteFault(now, "write", flt.class, 0)
 			return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: write %q: %w", f.name, flt.wrapped())
 		}
 	}

@@ -355,86 +355,6 @@ func (l LoadBalanced) Assign(ctx Context) ([]Realm, error) {
 	return realms, nil
 }
 
-// NodeAware implements the paper's BG/L suggestion (§5.2): aggregators
-// sharing an I/O node get adjacent file realms, so consecutive file
-// regions funnel through one I/O node and its cache. Aggregator i is
-// assumed to forward through I/O node i/AggsPerNode (the BG/L compute- to
-// I/O-node mapping); since an even partition already makes realm i
-// adjacent to realm i+1, the policy's job is to expose the grouping and
-// keep boundaries between *node groups* aligned, while boundaries within
-// a group need no alignment (the node's cache absorbs them).
-type NodeAware struct {
-	// AggsPerNode is the number of aggregators forwarding through one
-	// I/O node (BG/L pset size). Zero means 8.
-	AggsPerNode int
-	// Align applies to node-group boundaries only.
-	Align int64
-}
-
-// Name implements Assigner.
-func (n NodeAware) Name() string {
-	a := n.AggsPerNode
-	if a <= 0 {
-		a = 8
-	}
-	return fmt.Sprintf("node-aware/%d-per-node", a)
-}
-
-// NeedsSegs implements Assigner.
-func (n NodeAware) NeedsSegs() bool { return false }
-
-// Assign implements Assigner.
-func (n NodeAware) Assign(ctx Context) ([]Realm, error) {
-	if err := validate(ctx); err != nil {
-		return nil, err
-	}
-	per := n.AggsPerNode
-	if per <= 0 {
-		per = 8
-	}
-	groups := (ctx.NAggs + per - 1) / per
-	align := n.Align
-	if align == 0 {
-		align = ctx.Align
-	}
-	// Partition the region into `groups` node chunks (aligned), then
-	// each node chunk evenly among its aggregators (unaligned).
-	base := ctx.Start
-	span := ctx.End - ctx.Start
-	if span == 0 {
-		span = 1
-	}
-	nodeChunk := (span + int64(groups) - 1) / int64(groups)
-	if align > 0 {
-		base = roundDown(base, align)
-		nodeChunk = roundUp((ctx.End-base+int64(groups)-1)/int64(groups), align)
-	}
-	if nodeChunk <= 0 {
-		nodeChunk = 1
-	}
-	realms := make([]Realm, ctx.NAggs)
-	for g := 0; g < groups; g++ {
-		lo := base + int64(g)*nodeChunk
-		members := per
-		if g == groups-1 {
-			members = ctx.NAggs - g*per
-		}
-		// Proportional boundaries keep every sub-realm inside the node
-		// chunk (a degenerate chunk may leave some members empty).
-		for m := 0; m < members; m++ {
-			i := g*per + m
-			bm := lo + nodeChunk*int64(m)/int64(members)
-			bn := lo + nodeChunk*int64(m+1)/int64(members)
-			if g == groups-1 && m == members-1 {
-				realms[i] = Realm{Disp: bm, Pattern: datatype.Bytes(tailBlock(bn - bm)), Count: -1}
-				continue
-			}
-			realms[i] = Realm{Disp: bm, Pattern: datatype.Bytes(bn - bm), Count: 1}
-		}
-	}
-	return realms, nil
-}
-
 // Coverage verifies that realms jointly cover [start, end) with no byte
 // owned by two realms; it returns an error describing the first violation.
 // Used by tests and enabled in the collective engine's debug mode.

@@ -243,66 +243,3 @@ func TestCoverageDetectsGapAndOverlap(t *testing.T) {
 		t.Fatal("overlap not detected")
 	}
 }
-
-func TestNodeAware(t *testing.T) {
-	na := NodeAware{AggsPerNode: 4, Align: 4096}
-	realms, err := na.Assign(Context{NAggs: 16, Start: 5000, End: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Coverage(realms, 5000, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	// Node-group boundaries (every 4th realm) are aligned.
-	for g := 0; g < 4; g++ {
-		if realms[g*4].Disp%4096 != 0 {
-			t.Errorf("group %d boundary %d not aligned", g, realms[g*4].Disp)
-		}
-	}
-	// Same-node aggregators own adjacent regions: realm i+1 starts where
-	// realm i ends (within a group).
-	for i := 0; i < 15; i++ {
-		if i%4 == 3 {
-			continue
-		}
-		if realms[i].Empty() {
-			continue
-		}
-		end := realms[i].Disp + realms[i].Pattern.Extent()
-		if realms[i+1].Disp != end {
-			t.Errorf("realm %d ends at %d but realm %d starts at %d", i, end, i+1, realms[i+1].Disp)
-		}
-	}
-	if na.Name() != "node-aware/4-per-node" {
-		t.Errorf("name = %q", na.Name())
-	}
-	if na.NeedsSegs() {
-		t.Error("node-aware should not need segs")
-	}
-}
-
-func TestNodeAwareRaggedGroups(t *testing.T) {
-	// 10 aggregators, 4 per node -> groups of 4, 4, 2.
-	realms, err := NodeAware{AggsPerNode: 4}.Assign(Context{NAggs: 10, Start: 0, End: 999_937})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(realms) != 10 {
-		t.Fatalf("%d realms", len(realms))
-	}
-	if err := Coverage(realms, 0, 999_937); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNodeAwareTinyRegion(t *testing.T) {
-	// Region smaller than the aggregator count: some realms go empty but
-	// the region stays covered.
-	realms, err := NodeAware{AggsPerNode: 2}.Assign(Context{NAggs: 8, Start: 0, End: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Coverage(realms, 0, 5); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -24,8 +24,7 @@ func pct(d Delta) string {
 
 // Top returns the report's headline: the single largest ranked movement,
 // as a one-line attribution ("phase io: 0.021s -> 0.034s (+61.9%)"), or
-// "no differences" when nothing moved. It is what the tenant service
-// surfaces as the last-report summary.
+// "no differences" when nothing moved.
 func (r *Report) Top() string {
 	if r == nil {
 		return "no differences"

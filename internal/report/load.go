@@ -101,13 +101,6 @@ func sortedStrings(s []string) []string {
 	return s
 }
 
-// FromDump wraps an in-memory flight dump as a source — the constructor
-// the chaos soaks and the tenant service use to diff runs they just
-// executed without touching disk.
-func FromDump(label string, d *metrics.Dump) *Source {
-	return &Source{Label: label, Dump: d}
-}
-
 // FromSet captures a live metrics set as a source carrying both its full
 // dump and its exposition (per-rank series), so phase histograms, per-rank
 // critpath gauges, counters, and round structure all diff.

@@ -23,11 +23,10 @@ import (
 
 // Source is one run's ingested artifacts. Any subset may be present; Diff
 // compares whatever both sides carry and skips the rest, so a benchsuite
-// trajectory diffs against a trajectory and a tenant's flight dump against
-// another tenant's.
+// trajectory diffs against a trajectory and a chaos scenario's recording
+// against its fault-free baseline's.
 type Source struct {
-	// Label names the run in the report ("before", "after", a tenant, a
-	// scenario).
+	// Label names the run in the report ("before", "after", a scenario).
 	Label string
 	// Bench holds benchsuite rows (one trajectory label's matrix).
 	Bench []benchsuite.Result
@@ -229,8 +228,8 @@ func diffPhases(r *Report, old, new *Source) {
 // else exposition *_total series summed across their rank/node labels.
 // The bufpool_* counters are excluded: they are process-lifetime pool
 // totals, not per-run telemetry, so diffing them misattributes whenever
-// both artifacts were captured inside one process (the soaks, the tenant
-// service) and their monotone growth would break run-to-run determinism.
+// both artifacts were captured inside one process (the soaks) and their
+// monotone growth would break run-to-run determinism.
 func counterTotals(s *Source) map[string]float64 {
 	out := map[string]float64{}
 	if s.Dump != nil && len(s.Dump.Counters) > 0 {

@@ -253,7 +253,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 	case "degrade":
 		// Every sieve operation of round 2 fails hard on every call; the
 		// hook says degrade, so those rounds are re-issued naively.
-		info.Collective = core.ROMIO(core.Options{Degrade: core.Always})
+		info.Collective = core.ROMIO(core.Options{Degraded: true})
 		s := newRomioSession(t, wl, info, write)
 		s.fs.SetFaultSchedule(pfs.NewFaultSchedule(5).Add(pfs.Rule{
 			Class: pfs.ClassIO, Rounds: []int{2}, Match: func(op pfs.Op) bool { return op.Sieve }}))
