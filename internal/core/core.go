@@ -353,9 +353,10 @@ func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, coun
 	}
 	err = i.run(f, &cs, buf, memtype, count, write)
 	// Not deferred: every consumer of the stream's views is ordered before
-	// a normal return by the closing Barrier/AgreeError rendezvous, but an
-	// injected crash unwinds this rank while peers may still be reading
-	// them, and a dying rank must drop its stream, not pool it.
+	// a normal return by the final agreement's rendezvous (an abort's by the
+	// barrier in finish), but an injected crash unwinds this rank while peers
+	// may still be reading them, and a dying rank must drop its stream, not
+	// pool it.
 	cs.Release()
 	return err
 }
@@ -649,7 +650,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if err == nil && !write && pre != nil {
 		err = pre.scatter(f, cs, dataLen)
 	}
-	return i.finish(f, cs.B, buf, memtype, count, write, err)
+	return i.finish(f, &scr.roundScratch, cs.B, buf, memtype, count, write, err)
 }
 
 // chargeAll issues a recorded ChargePairs sequence.

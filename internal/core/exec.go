@@ -45,16 +45,19 @@ func (pl *plan) sendBytes(r int) (n int64) {
 
 // roundScratch is one rank's reusable working memory for the rounds. A rank
 // never holds it across a rendezvous where a peer could still read it:
-// everything here is rank-private or consumed by peers before the closing
-// agreement of the round it belongs to (see the ownership notes in
-// writeRounds and readRounds). What a pipelined read posts for round r+1
-// while round r is still live comes in pairs, round r's at index r&1.
+// everything here is rank-private or consumed by peers before the agreement
+// of the round it belongs to starts (see the ownership notes in writeRounds
+// and readRounds). What a pipelined read posts for round r+1 while round r is
+// still live comes in pairs, round r's at index r&1.
 type roundScratch struct {
 	cur     []viewCursor      // per-client read position while gathering a round
 	iov     [2][][][]byte     // views this rank sends, per destination
 	recvIov [][][]byte        // views this rank received, per source (point-to-point)
 	waited  [][][]byte        // WaitallIov output, in request order
 	reqs    [2][]*mpi.Request // receives posted for the round
+	// retire holds the read buffers an abort left lent out: no rendezvous
+	// has proven their clients done with them until finish's barrier.
+	retire [][]byte
 }
 
 // roundFrame is what a write round and a read round share: the round's span
@@ -71,9 +74,9 @@ type roundFrame struct {
 	// class and either all continue or all abort with the same error.
 	err   error
 	probe metrics.RoundProbe
-	// lag waits each round's agreement at the end of the next round (a
-	// pipelined write), so an aggregator flushes round r while slower peers
-	// are still finishing it; agree is the agreement in flight, if agreeing.
+	// lag waits each round's agreement at the end of the next round (the
+	// pipelined strategy), so a rank works on round r+1 while slower peers are
+	// still finishing round r; agree is the agreement in flight, if agreeing.
 	lag, agreeing bool
 	agree         mpiio.Agreement
 }
@@ -103,7 +106,9 @@ func (c *roundFrame) fail(r int, err error) {
 // an aborting round's exchange traffic is still captured; recv is the merged
 // realm window at an aggregator) and the boundary agreement, whose rendezvous
 // also proves every peer is done with the views this rank served in the
-// round. Under lag it waits for round r-1's agreement and starts round r's.
+// round. Under lag it waits for round r-1's agreement and starts round r's:
+// the start is the rendezvous, so a nil return proves it all the same, while
+// an error (round r-1's abort) proves nothing about round r.
 func (c *roundFrame) end(pl *plan, r int, recv int64) error {
 	p := c.p
 	p.Trace.End(p.Clock())
@@ -153,23 +158,33 @@ func (i *Impl) rounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan,
 }
 
 // finish closes the call after the rounds (and whatever the planner runs
-// behind them: a pre-aggregated read scatters first) with the barrier that
-// leaves all ranks synchronized, journal retirement, and a read's unpack into
-// the user buffer. err is the rounds' outcome, uniform across ranks.
-func (i *Impl) finish(f *mpiio.File, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
+// behind them: a pre-aggregated read scatters first): journal retirement and a
+// read's unpack into the user buffer. err is the rounds' outcome, uniform
+// across ranks. A successful call already ended in an agreement whose start is
+// a rendezvous after the last use of any view a rank lent (the last round's,
+// or the scatter's), so it closes without a barrier.
+func (i *Impl) finish(f *mpiio.File, scr *roundScratch, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
 	if err != nil {
-		// Nothing of an aborted call may meet the next one's receives.
-		f.Proc().DropUndelivered()
-	}
-	// Synchronize before reporting: a rank that hit a local I/O error
-	// must still complete the collective (its peers are in the barrier).
-	f.Proc().Barrier()
-	if err != nil {
+		// An abort surfaces at a wait, which is no rendezvous: peers may still
+		// be placing a round or sending the one after it. Once every rank is
+		// here, nothing more of the call is sent, nothing of it that was lent
+		// is read, and nothing undelivered may meet the next call's receives;
+		// the second barrier keeps the next call's sends behind every drop.
+		p := f.Proc()
+		p.Barrier()
+		p.DropUndelivered()
+		for _, b := range scr.retire {
+			bufpool.Put(b)
+		}
+		clear(scr.retire)
+		scr.retire = scr.retire[:0]
+		p.Barrier()
 		return err
 	}
-	// Every rank is past its rounds, so retiring the journal's recovery state
-	// cannot race a Done check, and the next collective on this engine starts
-	// fresh instead of skipping rounds or re-reporting the failover.
+	// Every rank is past its last Done check (the final agreement's start
+	// proves it), so retiring the journal's recovery state cannot race one,
+	// and the next collective on this engine starts fresh instead of skipping
+	// rounds or re-reporting the failover.
 	i.o.Journal.Complete()
 	if !write {
 		return f.UnpackMemory(stream, buf, memtype, count)
@@ -440,13 +455,14 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
 	p := f.Proc()
 	amAgg, naggs, ntimes := pl.agg != nil, pl.pieces.naggs, pl.rounds
-	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.err} // a planning failure aborts round 0
 	// Only the nonblocking strategy pipelines, the write pipeline's mirror:
 	// in round r an aggregator reads round r+1, splits it and sends it, and
 	// every rank posts round r+1's receives, all before it waits for round r,
-	// so round r+1 crosses the NICs while round r is placed and agreed. It
-	// alone models the split into per-client messages as a copy.
+	// so round r+1 crosses the NICs while round r is placed; round r's
+	// agreement is waited at the end of round r+1. It alone models the split
+	// into per-client messages as a copy.
 	pipelined := i.o.Comm == Nonblocking
+	c := roundFrame{f: f, p: p, op: "read", amAgg: amAgg, err: pl.err, lag: pipelined} // a planning failure aborts round 0
 	// Only an aggregator sends point-to-point, a slot per client.
 	sendSlots := 0
 	if amAgg || i.o.Comm == Alltoallw {
@@ -511,9 +527,10 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 
 	// An aggregator's pooled read buffers: cur holds round r, next the round
 	// read ahead. Every strategy serves each client views of them by
-	// reference, so a buffer is retired only after its own round's
-	// agreement, once every client has placed its data. An abort retires
-	// both: nobody waits for round r+1, and finish drops it unread.
+	// reference, so a buffer is retired only once its own round's agreement
+	// has started, a rendezvous every client enters after placing its data.
+	// An abort hands both to finish: under lag it surfaced before round r's
+	// agreement, and round r+1 is dropped unread.
 	rp, nrp := &noRound, &noRound
 	var cur, next []byte
 	for r := 0; r < ntimes; r++ {
@@ -590,15 +607,14 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		c.fail(r, p.TakeIntegrityFailure())
 		c.fail(r, placed)
 
-		err := c.end(pl, r, rp.Total)
-		bufpool.Put(cur)
-		if err != nil {
-			bufpool.Put(next)
+		if err := c.end(pl, r, rp.Total); err != nil {
+			scr.retire = append(scr.retire, cur, next)
 			return err
 		}
+		bufpool.Put(cur)
 		rp, cur, nrp, next = nrp, next, &noRound, nil
 	}
-	return nil
+	return c.settle()
 }
 
 // fill reads round r's realm window into a pooled buffer (nil for a round the

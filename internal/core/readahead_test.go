@@ -5,15 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"flexio/internal/bufpool"
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -63,40 +64,26 @@ func roundSpans(tr *trace.Tracer) []roundSpan {
 	return spans
 }
 
-// rankRound is one top-level round of a rank's trace: its span and the
-// agreement that closes it (which follows the span).
-type rankRound struct {
-	begin, end           sim.Time
-	agreeBegin, agreeEnd sim.Time
-}
+// rankRound is one top-level round span of a rank's trace.
+type rankRound struct{ begin, end sim.Time }
 
 // rankRounds reads a rank's rounds from its trace, calling msg (if not nil)
 // with every message instant and the round the rank was in when it happened
-// (-1 before the first): the last top-level round span begun, through its
-// closing agreement.
+// (-1 before the first): the last top-level round span begun, through the
+// agreement wait that closes it.
 func rankRounds(tr *trace.Tracer, msg func(round int, e trace.Event)) []rankRound {
 	var rounds []rankRound
-	depth, agreeing := 0, false // open spans; whether the outermost is an agreement
+	depth := 0 // open spans
 	for _, e := range tr.Events() {
 		cur := len(rounds) - 1
 		switch e.Kind {
 		case trace.KindBegin:
-			switch {
-			case depth > 0:
-			case e.Name == trace.RoundSpan:
+			if depth == 0 && e.Name == trace.RoundSpan {
 				rounds = append(rounds, rankRound{begin: e.TS})
-			case cur >= 0 && slices.ContainsFunc(e.Tags, func(tg trace.Tag) bool { return tg.Str == "err_agree" }):
-				rounds[cur].agreeBegin, agreeing = e.TS, true
 			}
 			depth++
 		case trace.KindEnd:
-			if depth--; depth > 0 || cur < 0 {
-				break
-			}
-			switch {
-			case agreeing:
-				rounds[cur].agreeEnd, agreeing = e.TS, false
-			case rounds[cur].end == 0:
+			if depth--; depth == 0 && cur >= 0 && rounds[cur].end == 0 {
 				rounds[cur].end = e.TS
 			}
 		case trace.KindInstant:
@@ -119,14 +106,16 @@ func edge(e trace.Event) int64 {
 }
 
 // TestReadAheadOverlapsExchange: under Nonblocking an aggregator reads,
-// splits and sends round r+1 inside round r, and every rank posts round
-// r+1's receives before it waits for round r. So every round that took its
-// data from the round before and sends the next lasts the longer of two
-// sides, the other hidden entirely: the aggregator's work (read-ahead, split,
-// sends, placing its own piece, the agreement) and a client's transfer of
-// its 16 KiB. A fast and a slow network put the maximum on either side. The
-// pipelined time is pinned; Blocking and Alltoallw overlap nothing, by
-// design, and keep their recorded times to the bit.
+// splits and sends round r+1 inside round r, every rank posts round r+1's
+// receives before it waits for round r, and round r's agreement is waited a
+// round late, when it has long completed. So every round that took its data
+// from the round before and sends the next lasts, on every client, the longer
+// of two sides, the other hidden entirely: the aggregator's round span
+// (read-ahead, split, sends, placing its own piece) and a client's transfer of
+// its 16 KiB; the agreement is part of neither. A fast and a slow network put
+// the maximum on either side. The pipelined time is pinned; Blocking and
+// Alltoallw overlap nothing, by design, and keep their recorded times to the
+// bit (recorded once the call stopped closing with a barrier).
 func TestReadAheadOverlapsExchange(t *testing.T) {
 	// One aggregator, 384 KiB in six 64 KiB rounds, 16 KiB to each rank.
 	wl := colltest.Workload{Ranks: 4, RegionSize: 4096, RegionCount: 24}
@@ -138,8 +127,8 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 		blocking, alltoallw uint64
 		netBound            bool // the transfer is the longer side of every overlap
 	}{
-		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f8257420cb6baa3, 0x3f840e39eaad3130, 0x3f8841b8d7cc0ebc, false},
-		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f8e5d777aa2bcfe, 0x3f95be199d51a6af, 0x3fa796e0e5ecbcbd, true},
+		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f811c3a4703215c, 0x3f83cf4fca1286f5, 0x3f8802ceb7316481, false},
+		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f8e1e8d5a0812c3, 0x3f959ea48d045192, 0x3fa787265dc6122e, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sim.DefaultConfig()
@@ -190,20 +179,15 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			}
 			transfer := cfg.TransferTime(perRank)
 			for r := 1; r+1 < rounds; r++ {
-				agg := tl[0][r]
-				// What the agreement itself costs: the time the last rank to
-				// reach it spends in it.
-				agree := agg.agreeEnd - agg.agreeBegin
-				for _, rr := range tl[1:] {
-					agree = min(agree, rr[r].agreeEnd-rr[r].agreeBegin)
-				}
-				work := agg.end - agg.begin + agree
+				work := tl[0][r].end - tl[0][r].begin
 				if (work < transfer) != tc.netBound {
-					t.Errorf("round %d: aggregator work %v against transfer %v is not the regime this case is for", r, work, transfer)
+					t.Errorf("round %d: aggregator round span %v against transfer %v is not the regime this case is for", r, work, transfer)
 				}
-				period := tl[0][r+1].begin - agg.begin
-				if d := math.Abs(float64(period - max(work, transfer))); d > 1e-9*float64(period) {
-					t.Errorf("round %d lasted %v, want max(work %v, transfer %v)", r, period, work, transfer)
+				for rank := 1; rank < wl.Ranks; rank++ {
+					period := tl[rank][r+1].begin - tl[rank][r].begin
+					if d := math.Abs(float64(period - max(work, transfer))); d > 1e-9*float64(period) {
+						t.Errorf("rank %d: round %d lasted %v, want max(aggregator span %v, transfer %v)", rank, r, period, work, transfer)
+					}
 				}
 			}
 		})
@@ -293,10 +277,11 @@ func aheadRun(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, a
 // TestReadAheadAbortsUniformly: a storage fault aimed at round k still hits
 // the read of round k's window, although a pipelined aggregator issues that
 // read while it is in round k-1. Every rank aborts with the fault's class and
-// an error naming round k, at the agreement of the round the read was issued
-// in; no user buffer is touched, and every pooled buffer (the one in use and
-// the one read ahead, on the aggregator that failed and on the one that did
-// not) goes back to the pool exactly once.
+// an error naming round k, in round k: Blocking at round k's agreement, the
+// pipeline where it waits for the agreement of round k-1, in which the read
+// was issued. No user buffer is touched, and every pooled buffer (the one in
+// use and the one read ahead, on the aggregator that failed and on the one
+// that did not) goes back to the pool exactly once.
 func TestReadAheadAbortsUniformly(t *testing.T) {
 	type fault struct {
 		name  string
@@ -380,12 +365,8 @@ func TestReadAheadAbortsUniformly(t *testing.T) {
 							t.Errorf("fault aimed at round %d hit a read at offset %d, outside that round's windows", k, off)
 						}
 					}
-					abortRound := k
-					if comm == core.Nonblocking {
-						abortRound = k - 1 // the round the read-ahead ran in
-					}
-					if d := met.Dump(false); d.Abort == nil || d.Abort.Round != abortRound || d.Abort.Class != mpiio.ClassName(ft.class) {
-						t.Errorf("abort context %+v, want round %d class %s", d.Abort, abortRound, mpiio.ClassName(ft.class))
+					if d := met.Dump(false); d.Abort == nil || d.Abort.Round != k || d.Abort.Class != mpiio.ClassName(ft.class) {
+						t.Errorf("abort context %+v, want round %d class %s", d.Abort, k, mpiio.ClassName(ft.class))
 					}
 					if got, back := after.Gets-before.Gets, after.Puts+after.Drops-before.Puts-before.Drops; got != back {
 						t.Errorf("%d pooled buffers taken, %d returned", got, back)
@@ -438,33 +419,38 @@ func TestReadAheadDegrades(t *testing.T) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatal(err)
 		}
-		// Every rank leaves a round's agreement at the same instant, so the
-		// victim enters a round late by exactly what the round charged it.
-		begins := func(rank int) (at [aheadRounds]sim.Time) {
-			for _, sp := range roundSpans(sink.Tracer(rank)) {
-				if !sp.nested {
-					at[sp.round] = sp.start
-				}
+		// The stall is charged as the rank enters the round, between the last
+		// thing it traced and the round's span: the victim's spans of rounds
+		// k and k+1 begin one stall after that, every other round span (the
+		// read-ahead ones included) at once.
+		tr := sink.Tracer(victim)
+		events := tr.Events()
+		var before []sim.Time // the instant before each round span's begin
+		for n, e := range events {
+			if n > 0 && e.Kind == trace.KindBegin && e.Name == trace.RoundSpan {
+				before = append(before, events[n-1].TS)
 			}
-			return at
 		}
-		late, on := begins(victim), begins(0)
-		for r := 0; r < aheadRounds; r++ {
+		spans := roundSpans(tr)
+		if len(spans) != len(before) {
+			t.Fatalf("%d round spans, %d of them after another event", len(spans), len(before))
+		}
+		for n, sp := range spans {
 			want := sim.Time(0)
-			if r == k || r == k+1 {
+			if !sp.nested && (sp.round == k || sp.round == k+1) {
 				want = stall
 			}
-			if got := late[r] - on[r]; math.Abs(float64(got-want)) > 1e-12 {
-				t.Errorf("round %d: victim entered %v after rank 0, want %v", r, got, want)
+			if got := sp.start - before[n]; math.Abs(float64(got-want)) > 1e-12 {
+				t.Errorf("round %d (read ahead: %v): victim entered %v after its last event, want %v", sp.round, sp.nested, got, want)
 			}
 		}
 	})
 }
 
 // TestReadAheadSendsBeforeAgreement: an aggregator sends every payload of
-// round r+1 inside round r, before round r's agreement ends, so it crosses
-// the wire while round r is placed and agreed. A payload belongs to the round
-// its receiver takes it in.
+// round r+1 inside round r's span, before it starts round r's agreement (let
+// alone waits for it, a round later), so it crosses the wire while round r is
+// placed. A payload belongs to the round its receiver takes it in.
 func TestReadAheadSendsBeforeAgreement(t *testing.T) {
 	res, err := colltest.RunReadBack(sim.DefaultConfig(), aheadWorkload, mpiio.Info{
 		Collective: core.New(core.Options{}), CbNodes: aheadAggs, CollBufSize: aheadCB})
@@ -495,9 +481,9 @@ func TestReadAheadSendsBeforeAgreement(t *testing.T) {
 			t.Errorf("aggregator %d sent %d payloads of rounds after the first, want %d", a, len(sends), want)
 		}
 		for _, s := range sends {
-			if end := rounds[s.round-1].agreeEnd; s.at >= end {
-				t.Errorf("aggregator %d sent a round %d payload at %v, after round %d's agreement ended at %v",
-					a, s.round, s.at, s.round-1, end)
+			if in := rounds[s.round-1]; s.at < in.begin || s.at > in.end {
+				t.Errorf("aggregator %d sent a round %d payload at %v, outside round %d's span [%v, %v]",
+					a, s.round, s.at, s.round-1, in.begin, in.end)
 			}
 		}
 	}
@@ -522,9 +508,10 @@ func payloads(sink *trace.Sink) (sent map[int64]sentAt, received map[int64]bool)
 	return sent, received
 }
 
-// TestReadAheadAbortDropsSentAhead: a read that aborts in round k-1 (its
-// read-ahead of round k failed) has already sent round k. Nobody receives
-// those payloads (one aggregator's are the zeros a failed read serves): the
+// TestReadAheadAbortDropsSentAhead: a read whose read-ahead of round k failed
+// (in round k-1) aborts in round k, where round k-1's agreement is waited, and
+// has by then received round k and sent round k+1. Nobody receives round
+// k+1's payloads (one aggregator's are the zeros a failed read serves): the
 // abort drops them, so the next call on the same engine receives exactly what
 // it sent and reads byte-exact, and every pooled buffer of both calls goes
 // back to the pool once.
@@ -550,12 +537,12 @@ func TestReadAheadAbortDropsSentAhead(t *testing.T) {
 	sent, received := payloads(sink)
 	ahead, lost := make([]int, aheadAggs), make([]int, aheadAggs)
 	for e, at := range sent {
-		// What an aggregator sends in round k-1 is round k.
-		if at.rank < aheadAggs && at.round == k-1 {
+		// What an aggregator sends in round k is round k+1.
+		if at.rank < aheadAggs && at.round == k {
 			ahead[at.rank]++
 		}
 		if !received[e] {
-			if at.rank >= aheadAggs || at.round != k-1 {
+			if at.rank >= aheadAggs || at.round != k {
 				t.Errorf("rank %d: a payload it sent in round %d was never received", at.rank, at.round)
 				continue
 			}
@@ -585,6 +572,58 @@ func TestReadAheadAbortDropsSentAhead(t *testing.T) {
 		if _, ok := sent[e]; !ok {
 			t.Errorf("a payload of the aborted call was received by the next one (edge %d)", e)
 		}
+	}
+	after := bufpool.Snapshot()
+	if got, back := after.Gets-before.Gets, after.Puts+after.Drops-before.Puts-before.Drops; got != back {
+		t.Errorf("%d pooled buffers taken, %d returned", got, back)
+	}
+}
+
+// TestReadAheadAbortRetiresAfterBarrier: a pipelined abort surfaces where a
+// rank waits for the previous round's agreement, which is no rendezvous, so a
+// slower aggregator may still take round k's payload from one that has
+// already aborted. Here aggregator 1 is held up (on the host) in its
+// read-ahead of round k+1 while aggregator 0, whose read of round k failed,
+// aborts at the end of round k; only then does aggregator 1 receive round k
+// from it. The aborting aggregator keeps its read buffers until finish's
+// barrier: with the checksummed transport armed and poison-on-put (-tags
+// bufpooldebug; -race reports the same access), a buffer recycled at the
+// abort fails the late receiver's wire checksum. Every pooled buffer goes back
+// once, and a read right after is byte-exact.
+func TestReadAheadAbortRetiresAfterBarrier(t *testing.T) {
+	const k = 3
+	cfg := sim.DefaultConfig()
+	w := mpi.NewWorld(aheadWorkload.Ranks, cfg)
+	met := w.EnableMetrics()
+	w.EnableIntegrity(1)
+	fs := pfs.NewFileSystem(cfg)
+	info := mpiio.Info{Collective: core.New(core.Options{}), RetryLimit: -1}
+	aheadSeed(t, w, fs, info)
+
+	half := int64(len(aheadWorkload.Reference())) / aheadAggs
+	before := bufpool.Snapshot()
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(5).Add(pfs.Rule{
+		Kind: "read", Class: pfs.ClassTransient, Rounds: []int{k},
+		Match: func(op pfs.Op) bool { return op.Off < half },
+	}).WithHook(func(op pfs.Op) error {
+		if op.Kind == "read" && op.Round == k+1 && op.Off >= half {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	}))
+	errs, _ := aheadRead(w, fs, info)
+	checkAgreement(t, errs)
+	if errs[0] == nil || mpiio.ErrorClass(errs[0]) != mpiio.ClassTransient {
+		t.Fatalf("the fault aimed at round %d: %v", k, errs[0])
+	}
+	if n := met.Merged().Counter(metrics.CIntegWireMismatch); n != 0 {
+		t.Errorf("%d payloads failed their wire checksum: a read buffer was recycled under a live view", n)
+	}
+
+	fs.SetFaultSchedule(nil)
+	errs, _ = aheadRead(w, fs, info)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("the call after the abort: %v", err)
 	}
 	after := bufpool.Snapshot()
 	if got, back := after.Gets-before.Gets, after.Puts+after.Drops-before.Puts-before.Drops; got != back {

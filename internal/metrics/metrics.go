@@ -28,7 +28,7 @@ const (
 	CRounds                          // two-phase rounds executed
 	CCommBytes                       // all bytes through the MPI transport
 	// Node placement split of the shuffle traffic, recorded at the
-	// transport under the world's node map (ROADMAP item 2).
+	// transport under the world's node map (DESIGN §9 and §11).
 	CShuffleInterNodeBytes // shuffle bytes that crossed a node boundary
 	CShuffleIntraNodeBytes // shuffle bytes that stayed on the sender's node
 

@@ -9,8 +9,8 @@ import (
 // Rollup is the per-node telemetry rollup tree over a Set: member
 // registries fold into one merged registry per node (through the same
 // MergeFrom path Merged uses), so exposition and scraping cost O(nodes)
-// series instead of O(ranks). It is the exposition shape ROADMAP item 2's
-// 10k-rank worlds need — the per-rank registries keep recording lock-free
+// series instead of O(ranks). It is the exposition shape large worlds need
+// (DESIGN §12) — the per-rank registries keep recording lock-free
 // at full resolution, the rollup is only a read-side view.
 //
 // A Rollup is built once (the node map is fixed for a world) and refolded

@@ -463,11 +463,15 @@ func (p *Proc) AllgatherInt64Into(v int64, out []int64) {
 // rendezvous ran when it was started, in host order where a blocking
 // allreduce would have run, so collective sequence numbers, the crash rules
 // keyed on them and the deadline guard over deposit clocks do not depend on
-// when it is waited. Its virtual cost, the failure version it published and
-// its exit instant land at Wait. The zero value is not a request.
+// when it is waited. It completes in the background: at the later of this
+// rank's clock at start and the latest entering clock, plus the tree latency
+// and the transfer of the folded values. Wait pays only what is left of that,
+// applies the failure version it published and records its exit instant. The
+// zero value is not a request.
 type AllreduceRequest struct {
 	p       *Proc
 	acc     int64
+	start   sim.Time // this rank's clock when it entered the rendezvous
 	max     sim.Time // the rendezvous's maximum entering clock
 	ver     uint64   // the failure version the rendezvous published
 	seq, by int
@@ -484,16 +488,18 @@ func (p *Proc) allreduceInt64(v int64, fold func(acc, x int64) int64) AllreduceR
 		acc = fold(acc, x)
 	}
 	p.Trace.Instant1(p.clock, trace.CollEnterName, trace.I(trace.SeqTag, int64(seq)))
-	return AllreduceRequest{p: p, acc: acc, max: m, ver: ver, seq: seq, by: by}
+	return AllreduceRequest{p: p, acc: acc, start: p.clock, max: m, ver: ver, seq: seq, by: by}
 }
 
 // Wait completes the allreduce and returns its result. The clock moves to
-// the later of the rank's clock now and the latest entering clock, plus the
-// tree latency and the transfer of the folded values; then the published
+// the later of the rank's clock now and the allreduce's completion, so a wait
+// issued right after the start costs exactly what a blocking allreduce does
+// and one issued after the completion costs nothing; then the published
 // failure version is applied (PeerFailure).
 func (r AllreduceRequest) Wait() int64 {
 	p := r.p
-	p.clock = sim.Max(p.clock, r.max) + p.treeLatency() + p.w.cfg.TransferTime(int64(8*(p.w.size-1)))
+	done := sim.Max(r.start, r.max) + p.treeLatency() + p.w.cfg.TransferTime(int64(8*(p.w.size-1)))
+	p.clock = sim.Max(p.clock, done)
 	p.Trace.Instant2(p.clock, trace.CollExitName, trace.I(trace.SeqTag, int64(r.seq)), trace.I(trace.ByTag, int64(r.by)))
 	p.noteVer(r.ver)
 	return r.acc

@@ -205,65 +205,96 @@ func TestAllgatherInt64AndReductions(t *testing.T) {
 }
 
 // TestIallreduceCompletesAtWait: a started allreduce has met its rendezvous
-// but costs nothing until Wait, which moves the clock by the blocking formula
-// from the later of the rank's clock at Wait and the latest entry, records the
-// exit paired with the entry recorded at start, and only then applies the
-// failure version the rendezvous published (rank 3 died at it).
+// and completes in the background, at the later of the rank's start and the
+// latest entry plus the tree latency and the transfer. Wait pays what is left
+// of that: a wait before the completion ends at it, one after leaves the clock
+// alone, and a blocking allreduce (a wait right at the start) costs max(entry,
+// published maximum) + latency + transfer, bit for bit as before the rule,
+// even for a straggler whose own entry lies past the deadline-capped maximum.
 func TestIallreduceCompletesAtWait(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	w := NewWorld(4, cfg)
-	w.SetRankFaults(NewRankFaultSchedule(1).CrashAtSeq(3, 1))
-	sink := w.EnableTracing(0)
 	const step = sim.Time(1e-3)
-	w.Run(func(p *Proc) {
-		p.AdvanceClock(sim.Time(p.Rank()) * step) // the survivors enter at 0, 1 and 2 ms
-		enter := p.Clock()
-		req := p.IallreduceMaxInt64(int64(p.Rank() + 1))
-		if p.Clock() != enter {
-			t.Errorf("rank %d: starting moved the clock %v → %v", p.Rank(), enter, p.Clock())
-		}
-		if p.PeerFailure() != nil || !req.PeerFailed() {
-			t.Errorf("rank %d: failure applied before Wait (%v) or not published (%v)", p.Rank(), p.PeerFailure(), req.PeerFailed())
-		}
-		if p.Rank() == 1 {
-			p.AdvanceClock(5 * step) // works past the latest entry
-		}
-		p.Trace.Instant(p.Clock(), "work")
-		at := p.Clock()
-		if got := req.Wait(); got != 3 {
-			t.Errorf("rank %d: max %d over the survivors, want 3", p.Rank(), got)
-		}
-		if want := sim.Max(at, 2*step) + p.treeLatency() + cfg.TransferTime(8*3); p.Clock() != want {
-			t.Errorf("rank %d: clock %v after Wait at %v, want %v", p.Rank(), p.Clock(), at, want)
-		}
-		if p.PeerFailure() == nil {
-			t.Errorf("rank %d: Wait did not apply the published failure", p.Rank())
-		}
-	})
-	for rank := 0; rank < 3; rank++ {
-		var names []string
-		var seqs []int64
-		for _, e := range sink.Tracer(rank).Events() {
-			names = append(names, e.Name)
-			for _, tg := range e.Tags {
-				switch {
-				case tg.Key == trace.SeqTag:
-					seqs = append(seqs, tg.Int)
-				case tg.Key == trace.ByTag && tg.Int != 2:
-					t.Errorf("rank %d: released by rank %d, want the latest entry, rank 2", rank, tg.Int)
+
+	// Rank 2 waits before the completion, rank 1 long after it. The exit is
+	// recorded paired with the entry recorded at start, and the failure
+	// version the rendezvous published (rank 3 died at it) is applied only
+	// at Wait.
+	t.Run("lagged", func(t *testing.T) {
+		w := NewWorld(4, cfg)
+		w.SetRankFaults(NewRankFaultSchedule(1).CrashAtSeq(3, 1))
+		sink := w.EnableTracing(0)
+		w.Run(func(p *Proc) {
+			p.AdvanceClock(sim.Time(p.Rank()) * step) // the survivors enter at 0, 1 and 2 ms
+			enter := p.Clock()
+			req := p.IallreduceMaxInt64(int64(p.Rank() + 1))
+			if p.Clock() != enter {
+				t.Errorf("rank %d: starting moved the clock %v → %v", p.Rank(), enter, p.Clock())
+			}
+			if p.PeerFailure() != nil || !req.PeerFailed() {
+				t.Errorf("rank %d: failure applied before Wait (%v) or not published (%v)", p.Rank(), p.PeerFailure(), req.PeerFailed())
+			}
+			cost := p.treeLatency() + cfg.TransferTime(8*3)
+			switch p.Rank() {
+			case 1:
+				p.AdvanceClock(5 * step) // works past the completion
+			case 2:
+				p.AdvanceClock(cost / 2) // works, but less than the allreduce takes
+			}
+			p.Trace.Instant(p.Clock(), "work")
+			at := p.Clock()
+			if got := req.Wait(); got != 3 {
+				t.Errorf("rank %d: max %d over the survivors, want 3", p.Rank(), got)
+			}
+			if want := sim.Max(at, 2*step+cost); p.Clock() != want {
+				t.Errorf("rank %d: clock %v after Wait at %v, want %v", p.Rank(), p.Clock(), at, want)
+			}
+			if p.PeerFailure() == nil {
+				t.Errorf("rank %d: Wait did not apply the published failure", p.Rank())
+			}
+		})
+		for rank := 0; rank < 3; rank++ {
+			var names []string
+			var seqs []int64
+			for _, e := range sink.Tracer(rank).Events() {
+				names = append(names, e.Name)
+				for _, tg := range e.Tags {
+					switch {
+					case tg.Key == trace.SeqTag:
+						seqs = append(seqs, tg.Int)
+					case tg.Key == trace.ByTag && tg.Int != 2:
+						t.Errorf("rank %d: released by rank %d, want the latest entry, rank 2", rank, tg.Int)
+					}
+				}
+				if e.Name == trace.CollEnterName && e.TS != sim.Time(rank)*step {
+					t.Errorf("rank %d: entered at %v, want %v", rank, e.TS, sim.Time(rank)*step)
+				}
+				if e.Name == trace.CollExitName && e.TS != w.Proc(rank).Clock() {
+					t.Errorf("rank %d: exit at %v, clock %v", rank, e.TS, w.Proc(rank).Clock())
 				}
 			}
-			if e.Name == trace.CollEnterName && e.TS != sim.Time(rank)*step {
-				t.Errorf("rank %d: entered at %v, want %v", rank, e.TS, sim.Time(rank)*step)
-			}
-			if e.Name == trace.CollExitName && e.TS != w.Proc(rank).Clock() {
-				t.Errorf("rank %d: exit at %v, clock %v", rank, e.TS, w.Proc(rank).Clock())
+			if want := []string{trace.CollEnterName, "work", trace.CollExitName}; !reflect.DeepEqual(names, want) || len(seqs) != 2 || seqs[0] != seqs[1] {
+				t.Errorf("rank %d traced %v with seqs %v, want %v sharing one seq", rank, names, seqs, want)
 			}
 		}
-		if want := []string{trace.CollEnterName, "work", trace.CollExitName}; !reflect.DeepEqual(names, want) || len(seqs) != 2 || seqs[0] != seqs[1] {
-			t.Errorf("rank %d traced %v with seqs %v, want %v sharing one seq", rank, names, seqs, want)
+	})
+
+	t.Run("blocking", func(t *testing.T) {
+		const deadline = 10 * step
+		w := NewWorld(3, cfg)
+		w.SetCollDeadline(deadline)
+		entries := []sim.Time{step, 2 * step, step + 3*deadline} // rank 2 straggles
+		w.Run(func(p *Proc) {
+			p.AdvanceClock(entries[p.Rank()])
+			p.AllreduceMaxInt64(int64(p.Rank()))
+			published := entries[0] + deadline // the straggler's entry, capped
+			if want := sim.Max(entries[p.Rank()], published) + p.treeLatency() + cfg.TransferTime(8*2); p.Clock() != want {
+				t.Errorf("rank %d: clock %v after the allreduce, want %v", p.Rank(), p.Clock(), want)
+			}
+		})
+		if failed := w.FailedRanks(); !reflect.DeepEqual(failed, []int{2}) {
+			t.Errorf("ranks %v flagged, want the straggler, rank 2", failed)
 		}
-	}
+	})
 }
 
 // TestIallreduceKeepsItsPublishedFailure: a death revealed between start and

@@ -136,10 +136,12 @@ func (b *mailbox) drain() {
 
 // DropUndelivered discards every message sent to this rank and not yet
 // received. A collective that aborts by agreement calls it on every rank
-// between the agreement (after which nothing more of the call is sent) and the
-// closing barrier (before which nothing of the next is): a rank that stopped
-// expecting a payload, such as an aggregator that refused the sender's
-// request, would otherwise match it in the next call, under the same tag.
+// between two barriers: after the first nothing more of the call is sent
+// (an agreement waited late is no rendezvous, and peers may still be sending
+// when it aborts), before the second nothing of the next is. A rank that
+// stopped expecting a payload, such as an aggregator that refused the
+// sender's request or a client a read-ahead served, would otherwise match it
+// in the next call, under the same tag.
 func (p *Proc) DropUndelivered() {
 	b := p.w.boxes[p.rank]
 	b.mu.Lock()

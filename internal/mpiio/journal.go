@@ -108,8 +108,9 @@ func (j *WriteJournal) MarkResume(dead []int) {
 // engine is a fresh attempt, not a replay) and the committed set is
 // dropped, so a subsequent collective under an unchanged realm epoch —
 // e.g. overwriting the same checkpoint region — starts with nothing to
-// skip. Every rank calls it after the collective's closing barrier;
-// repeat calls are idempotent.
+// skip. Every rank calls it after the collective's final agreement, whose
+// rendezvous every rank reaches past its last Done check; repeat calls are
+// idempotent.
 func (j *WriteJournal) Complete() {
 	if j == nil {
 		return

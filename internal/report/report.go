@@ -7,8 +7,8 @@
 // which ranks, why". The ranked attribution (per-phase histogram deltas,
 // internode-byte deltas, critical-path hotspot shifts, straggler and
 // imbalance changes) is the decision input the paper's flexible design
-// needs for choosing collective parameters from observed behavior, and the
-// substrate ROADMAP item 5's closed-loop controller consumes.
+// needs for choosing collective parameters from observed behavior (DESIGN
+// §12, differential reports).
 package report
 
 import (

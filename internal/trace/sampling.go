@@ -1,6 +1,6 @@
 package trace
 
-// Adaptive trace sampling (ROADMAP item 2): at large P a tracer ring per
+// Adaptive trace sampling (DESIGN §12): at large P a tracer ring per
 // rank is O(P) memory and O(P) export cost, but the causal structure the
 // critical-path profiler needs is concentrated on a few special ranks —
 // node leaders (every member's pre-aggregation traffic funnels through

@@ -287,11 +287,13 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 
 // TestRomioGolden pins the modelled behaviour of the ROMIO baseline against
 // listings recorded, by this very file, at the commit before the engine
-// became a planner in front of core's round executor: per call and rank the
-// pairs charged, the copies charged, the collectives and messages issued,
-// then the counters and the data. How the host moves the bytes is free to
-// change; a charge, a message or a rendezvous of a completed call is not.
-// (A call that aborts is pinned by its agreed outcome only.)
+// became a planner in front of core's round executor, and re-recorded once
+// when a completed call stopped closing with a barrier (one collective fewer
+// per call and rank, and the final clocks): per call and rank the pairs
+// charged, the copies charged, the collectives and messages issued, then the
+// counters and the data. How the host moves the bytes is free to change; a
+// charge, a message or a rendezvous of a completed call is not. (A call that
+// aborts is pinned by its agreed outcome only.)
 func TestRomioGolden(t *testing.T) {
 	type variant struct {
 		scenario string
