@@ -480,7 +480,18 @@ func (s Scenario) rankSchedule() *mpi.RankFaultSchedule {
 		}
 		rf.CrashAtSend(s.Victim, 1, int64(clients))
 	case RankStraggler:
-		rf.Stall(s.Victim, 1, rankStall)
+		// Composed with a storage plane, a core engine's straggler holds off
+		// a round longer: the data-sieving core engines write the tile's
+		// sparse rounds in pairs, so under Alltoallw the first write is
+		// issued inside round 1, and a stall entering round 1 would abort
+		// the attempt before any storage operation the plane could hit.
+		// The baseline sieves in its collective buffer and writes every
+		// round alone.
+		round := 1
+		if s.Storage != "" && s.Engine != "twophase" {
+			round = 2
+		}
+		rf.Stall(s.Victim, round, rankStall)
 	case RankDropStorm:
 		rf.Drop(s.Victim, mpi.Any, 0.4, rankDropPen, 0)
 	}

@@ -96,3 +96,60 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 		}
 	}
 }
+
+// TestContainedWritesHighestRankWins: one rank's region contains another's,
+// so the aggregator's segment list overlaps within one sieve window (rank 0
+// writes bytes [0,100), rank 1 bytes [50,60), one aggregator). Every
+// exchange strategy writes the highest rank's bytes where they overlap and
+// reads the image back through the same list.
+func TestContainedWritesHighestRankWins(t *testing.T) {
+	regions := []struct{ disp, n int64 }{{0, 100}, {50, 10}}
+	fill := func(rank int) []byte {
+		buf := make([]byte, regions[rank].n)
+		for k := range buf {
+			buf[k] = Byte(rank, int64(k))
+		}
+		return buf
+	}
+	want := make([]byte, 100)
+	for rank := range regions { // ascending: the highest rank lands last
+		copy(want[regions[rank].disp:], fill(rank))
+	}
+	for _, comm := range []core.CommStrategy{core.Nonblocking, core.Alltoallw, core.Blocking} {
+		t.Run(comm.String(), func(t *testing.T) {
+			cfg := sim.DefaultConfig()
+			w := mpi.NewWorld(len(regions), cfg)
+			fs := pfs.NewFileSystem(cfg)
+			info := mpiio.Info{Collective: core.New(core.Options{Comm: comm}), CbNodes: 1}
+			errs := make([]error, len(regions))
+			w.Run(func(p *mpi.Proc) {
+				r := p.Rank()
+				f, err := mpiio.Open(p, fs, "contain.dat", info)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				defer f.Close()
+				n := regions[r].n
+				if errs[r] = f.SetView(regions[r].disp, datatype.Bytes(1), datatype.Bytes(n)); errs[r] != nil {
+					return
+				}
+				if errs[r] = f.WriteAll(fill(r), datatype.Bytes(n), 1); errs[r] != nil {
+					return
+				}
+				got := make([]byte, n)
+				if errs[r] = f.ReadAll(got, datatype.Bytes(n), 1); errs[r] == nil && !bytes.Equal(got, want[regions[r].disp:][:n]) {
+					errs[r] = fmt.Errorf("rank %d read back %v, want %v", r, got, want[regions[r].disp:][:n])
+				}
+			})
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fs.Snapshot("contain.dat", int64(len(want))); !bytes.Equal(got, want) {
+				t.Fatalf("image %v, want %v", got, want)
+			}
+		})
+	}
+}

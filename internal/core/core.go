@@ -637,7 +637,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Execution: everything above was planning. ---
-	pl := plan{pieces: &ce.pieces, rounds: ntimes, method: method, err: planErr}
+	pl := plan{pieces: &ce.pieces, rounds: ntimes, cb: cb, method: method, err: planErr}
 	if amAgg {
 		pl.agg = &ae.aggPlans
 	}
@@ -878,6 +878,7 @@ type roundPlan struct {
 	Segs  []datatype.Seg     // Order coalesced into the round's I/O list
 	Total int64
 	Peers []peerBytes // the clients with bytes in this round, in rank order
+	at    int         // where Segs starts in the aggregator's segs block
 }
 
 // peerBytes is what one client moves in one round of an aggregator.
@@ -902,6 +903,13 @@ func (ap *aggPlans) Round(r int) *roundPlan {
 		return &noRound
 	}
 	return &ap.Rounds[r]
+}
+
+// segsOf is the I/O list of rounds first..last, one slice of the block Build
+// lays the rounds out in back to back: nothing is copied.
+func (ap *aggPlans) segsOf(first, last int) []datatype.Seg {
+	end := &ap.Rounds[last]
+	return ap.segs[ap.Rounds[first].at : end.at+len(end.Segs)]
 }
 
 // equal reports whether two builds planned the same rounds.
@@ -981,7 +989,7 @@ func (ap *aggPlans) Build(ms *planScratch, flats []datatype.Flat, rm realm.Realm
 	var s0, p0 int
 	for r := range rounds {
 		s1, p1 := ms.cuts[2*r], ms.cuts[2*r+1]
-		rounds[r].Segs, rounds[r].Peers = segs[s0:s1:s1], peers[p0:p1:p1]
+		rounds[r].Segs, rounds[r].Peers, rounds[r].at = segs[s0:s1:s1], peers[p0:p1:p1], s0
 		s0, p0 = s1, p1
 	}
 	ap.Rounds, ap.order, ap.segs, ap.peers = rounds, order, segs, peers

@@ -26,6 +26,7 @@ type plan struct {
 	pieces *pieceLists  // what this rank exchanges with each aggregator
 	agg    *aggPlans    // this rank's aggregator side; nil if it has none
 	rounds int          // how many rounds every rank walks
+	cb     int64        // the collective buffer size the rounds are cut at
 	method mpiio.Method // moves a collective buffer to and from storage
 	// err is a planning failure only this rank knows of (a request it could
 	// not use, a pre-aggregation member it lost). It seeds the first round's
@@ -41,6 +42,39 @@ func (pl *plan) sendBytes(r int) (n int64) {
 		n += pl.pieces.bytes(a, r)
 	}
 	return n
+}
+
+// batch returns the last round of the write batch that opens at round r, a
+// round this aggregator has data in, and the batch's bytes. Rounds are cut at
+// cb bytes of realm extent, so a sparse round leaves most of the collective
+// buffer empty; under DataSieve consecutive rounds share one buffer and one
+// sieve window while their data fits cb and their span, from round r's first
+// segment to the furthest end of the last round, fits the sieve buffer. Rounds
+// without data never end a batch. Every other method writes each round alone:
+// a batch would only delay naive and list calls, and the integrated sieve's
+// window is the collective buffer, which an extent round already fills.
+func (pl *plan) batch(r int, sieve int64) (last int, bytes int64) {
+	rp := pl.agg.Round(r)
+	last, bytes = r, rp.Total
+	if pl.method != mpiio.DataSieve {
+		return last, bytes
+	}
+	lo := rp.Segs[0].Off
+	for k := r + 1; k < len(pl.agg.Rounds); k++ {
+		next := &pl.agg.Rounds[k]
+		if next.Total == 0 {
+			continue
+		}
+		hi := lo
+		for _, s := range next.Segs {
+			hi = max(hi, s.End())
+		}
+		if bytes+next.Total > pl.cb || hi-lo > sieve {
+			break
+		}
+		last, bytes = k, bytes+next.Total
+	}
+	return last, bytes
 }
 
 // roundScratch is one rank's reusable working memory for the rounds. A rank
@@ -134,14 +168,15 @@ func (c *roundFrame) settle() error {
 	return c.agree.Wait()
 }
 
-// degrade reports whether round r, which failed under method m, is re-issued
-// with naive I/O, which touches only the useful bytes, and books the re-issue.
-// Only sieving has something to fall back from.
-func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int) bool {
+// degrade reports whether an access that failed under method m is re-issued
+// with naive I/O, which touches only the useful bytes, and books the re-issue
+// of its n rounds with data, the last of which is r. Only sieving has
+// something to fall back from.
+func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int, n int64) bool {
 	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || !i.o.Degraded {
 		return false
 	}
-	c.p.Stats.Add(stats.CDegradedRounds, 1)
+	c.p.Stats.Add(stats.CDegradedRounds, n)
 	c.p.Trace.Instant2(c.p.Clock(), "degrade", trace.I(trace.RoundTag, int64(r)), trace.S("op", c.op))
 	return true
 }
@@ -285,42 +320,67 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		slots = p.Size()
 	}
 
-	// Pending I/O from the previous round (nonblocking pipeline); pendSegs
-	// aliases the round's (immutable) plan.
-	var pendSegs []datatype.Seg
+	// The batch being gathered (see plan.batch): rounds first..last of this
+	// aggregator share pendData and leave in one WriteStream once round last
+	// is gathered (ready); n counts its rounds with data gathered so far.
+	// None is open while first < 0. Its segments alias the (immutable) plan.
 	var pendData []byte
+	first, last, n, ready := -1, -1, int64(0), false
 	j := i.o.Journal
+	sieve := f.Info().SieveBufSize
 
-	flush := func(round int) {
-		switch {
-		case len(pendSegs) == 0 || c.err != nil:
-		case j.Done(p.Rank(), round):
-			// Already durable from the attempt that failed: the journal
-			// lets the resume skip the physical write entirely. Done
-			// answers true only while the journal is resuming, so a fresh
-			// collective under an unchanged realm epoch never skips its
-			// own writes.
-			p.Metrics.NoteReplay(0, 1)
-			p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(round)))
-		default:
-			err := f.WriteStream(pendSegs, pendData, method)
-			if err != nil && i.degrade(&c, method, round) {
-				err = f.WriteStream(pendSegs, pendData, mpiio.Naive)
+	// journaled reports whether every round of the batch with data is already
+	// durable from the attempt that failed, and books each as skipped if so.
+	// Done answers true only while the journal is resuming, so a fresh
+	// collective under an unchanged realm epoch never skips its own writes.
+	journaled := func() bool {
+		for r := first; r <= last; r++ {
+			if pl.agg.Round(r).Total > 0 && !j.Done(p.Rank(), r) {
+				return false
 			}
-			c.fail(round, err)
+		}
+		for r := first; r <= last; r++ {
+			if pl.agg.Round(r).Total > 0 {
+				p.Metrics.NoteReplay(0, 1)
+				p.Trace.Instant1(p.Clock(), trace.RoundSkipName, trace.I(trace.RoundTag, int64(r)))
+			}
+		}
+		return true
+	}
+	flush := func() {
+		switch {
+		case c.err != nil:
+		case journaled():
+		default:
+			// The storage operations carry the last round whose data they
+			// write, whichever round issues them, so a fault aimed at round r
+			// hits the write of round r's data.
+			segs := pl.agg.segsOf(first, last)
+			f.TagRound(last)
+			err := f.WriteStream(segs, pendData, method)
+			if err != nil && i.degrade(&c, method, last, n) {
+				err = f.WriteStream(segs, pendData, mpiio.Naive)
+			}
+			f.TagRound(p.Round())
+			c.fail(last, err)
 			if err == nil && p.PeerFailure() == nil {
-				// Journal the round only while no failure is pending that
-				// could abort the collective out from under it; an uncommitted
-				// round merely replays (byte-identically) on resume.
-				j.Commit(p.Rank(), round)
-				if j.Resuming() {
-					p.Metrics.NoteReplay(1, 0)
-					p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(round)))
+				// Journal the rounds only while no failure is pending that
+				// could abort the collective out from under them; an
+				// uncommitted round merely replays (byte-identically) on resume.
+				for r := first; r <= last; r++ {
+					if pl.agg.Round(r).Total == 0 {
+						continue
+					}
+					j.Commit(p.Rank(), r)
+					if j.Resuming() {
+						p.Metrics.NoteReplay(1, 0)
+						p.Trace.Instant1(p.Clock(), trace.RoundReplayName, trace.I(trace.RoundTag, int64(r)))
+					}
 				}
 			}
 		}
 		bufpool.Put(pendData)
-		pendSegs, pendData = nil, nil
+		pendData, first, n, ready = nil, -1, 0, false
 	}
 
 	for r := 0; r < ntimes; r++ {
@@ -372,8 +432,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			p.ChargeTime(stats.PComm, p.Clock()-t0)
 			p.Trace.End(p.Clock())
 
-			if pipelined {
-				flush(r - 1)
+			if ready {
+				flush() // pipelined: the batch its last round gathered
 			}
 
 			t0 = p.Clock()
@@ -408,10 +468,19 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			if roundRecv > 0 {
 				p.Trace.Instant2(p.Clock(), "round_bytes",
 					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, roundRecv))
+				if first < 0 {
+					var size int64
+					first = r
+					last, size = pl.batch(r, sieve)
+					pendData = bufpool.Get(size)[:0]
+				}
+				n++
 				// Assemble the collective buffer (gap-free: only useful
-				// data). This is the single host copy of the shuffle.
+				// data), appending to the batch. This is the single host copy
+				// of the shuffle.
 				scr.cur = sized(scr.cur, p.Size())
-				concat, err := rp.gather(bufpool.Get(roundRecv)[:0], scr.cur, recvIov)
+				var err error
+				pendData, err = rp.gather(pendData, scr.cur, recvIov)
 				c.fail(r, err)
 				if pipelined {
 					// The modelled unpack of the messages.
@@ -421,17 +490,17 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 					// The pass that fills the integrated sieve buffer.
 					f.ChargeCopy(roundRecv)
 				}
-				pendSegs, pendData = rp.Segs, concat
-				if !pipelined {
+				ready = r == last
+				if ready && !pipelined {
 					// No pipeline: write now.
-					flush(r)
+					flush()
 				}
 			}
 		}
-		// (The last round's pipelined write lands after its flight record.)
-		// A pipelined round waits here for the agreement of the round whose
-		// data it flushed: a healthy aggregator may have written round r-1,
-		// correct bytes, before an abort at round r-1 surfaces.
+		// (The last batch's pipelined write lands after its flight record.)
+		// A pipelined round waits here for the agreement of round r-1, whose
+		// data it may have flushed: a healthy aggregator may have written
+		// round r-1, correct bytes, before an abort at round r-1 surfaces.
 		if err := c.end(pl, r, roundRecv); err != nil {
 			bufpool.Put(pendData)
 			return err
@@ -440,11 +509,13 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 	if i.o.Comm == Blocking {
 		return nil // every round wrote and agreed inside the loop
 	}
-	// The last round's pipelined write lands outside the loop; give it its
+	// The last batch's pipelined write lands outside the loop; give it its
 	// own round wrapper so the breakdown attributes the I/O correctly.
 	f.SetRound(ntimes - 1)
 	p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(ntimes-1)))
-	flush(ntimes - 1)
+	if first >= 0 {
+		flush() // a batch a failure left unready is only recycled
+	}
 	p.Trace.End(p.Clock())
 	if err := c.settle(); err != nil {
 		return err
@@ -638,7 +709,7 @@ func (i *Impl) fill(c *roundFrame, pl *plan, r int) (*roundPlan, []byte) {
 	rbuf := bufpool.Get(rp.Total)
 	if c.err == nil {
 		err := f.ReadStream(rp.Segs, rbuf, method)
-		if err != nil && i.degrade(c, method, r) {
+		if err != nil && i.degrade(c, method, r, 1) {
 			err = f.ReadStream(rp.Segs, rbuf, mpiio.Naive)
 		}
 		c.fail(r, err)

@@ -19,8 +19,10 @@ import (
 )
 
 // A nonblocking write waits for round r's agreement at the end of round r+1,
-// after flushing round r. These tests run aheadWorkload's eight rounds of two
-// aggregators (ranks 0 and 1) as a write.
+// after flushing what round r completed. These tests run aheadWorkload's
+// eight rounds of two aggregators (ranks 0 and 1) as a write. Its rounds are
+// half dense, so each aggregator writes them in batches of two (rounds 0-1,
+// 2-3, ...), each in the round after its last.
 
 // aheadWrite writes the workload collectively under a Nonblocking engine and
 // returns every rank's error; a call that has not returned within five
@@ -46,10 +48,11 @@ func aheadWrite(t *testing.T, w *mpi.World, fs *pfs.FileSystem) []error {
 	return errs
 }
 
-// TestLaggedAgreementFlushesAhead: on every aggregator, the write of round
-// r's data (in round r+1) starts before round r's agreement completes on that
-// rank, for every round: an aggregator writes round r while slower peers are
-// still finishing it. The file is still exact.
+// TestLaggedAgreementFlushesAhead: on every aggregator, the write of each
+// batch (in the round after its last) starts before the agreement of the
+// batch's last round completes on that rank: an aggregator writes a batch
+// while slower peers are still finishing its last round. The file is still
+// exact.
 func TestLaggedAgreementFlushesAhead(t *testing.T) {
 	res, err := colltest.RunWrite(sim.DefaultConfig(), aheadWorkload, mpiio.Info{
 		Collective: core.New(core.Options{Comm: core.Nonblocking}), CbNodes: aheadAggs, CollBufSize: aheadCB})
@@ -62,10 +65,12 @@ func TestLaggedAgreementFlushesAhead(t *testing.T) {
 	tagged := func(e trace.Event, key, val string) bool {
 		return slices.ContainsFunc(e.Tags, func(tg trace.Tag) bool { return tg.Key == key && tg.Str == val })
 	}
+	wantLast := []int{1, 3, 5, 7}
 	for a := 0; a < aheadAggs; a++ {
-		// Round r's data is the first file write after round r's span; the
-		// agreements that complete once round 0 has begun are round 0's,
-		// round 1's, ... and the call's closing one, in that order.
+		// A batch is written once its last round's span has ended, in the
+		// next; the agreements that complete once round 0 has begun are
+		// round 0's, round 1's, ... and the call's closing one, in that order.
+		var last []int
 		var written, agreed []sim.Time
 		var open []string // names of the open spans, err_agree for an agreement
 		ended, begun := 0, false
@@ -78,9 +83,7 @@ func TestLaggedAgreementFlushesAhead(t *testing.T) {
 				}
 				begun = begun || name == trace.RoundSpan
 				if name == stats.PIO && tagged(e, "op", "write") {
-					for len(written) < ended {
-						written = append(written, e.TS)
-					}
+					last, written = append(last, ended-1), append(written, e.TS)
 				}
 				open = append(open, name)
 			case trace.KindEnd:
@@ -94,14 +97,14 @@ func TestLaggedAgreementFlushesAhead(t *testing.T) {
 				}
 			}
 		}
-		if len(written) != aheadRounds || len(agreed) != aheadRounds+1 {
-			t.Fatalf("aggregator %d: %d rounds written and %d agreements, want %d and %d",
-				a, len(written), len(agreed), aheadRounds, aheadRounds+1)
+		if !slices.Equal(last, wantLast) || len(agreed) != aheadRounds+1 {
+			t.Fatalf("aggregator %d: batches end at rounds %v with %d agreements, want %v and %d",
+				a, last, len(agreed), wantLast, aheadRounds+1)
 		}
-		for r := range written {
-			if written[r] >= agreed[r] {
-				t.Errorf("aggregator %d: round %d written at %v, its agreement completed at %v: want the write first",
-					a, r, written[r], agreed[r])
+		for k, r := range last {
+			if written[k] >= agreed[r] {
+				t.Errorf("aggregator %d: batch ending at round %d written at %v, the round's agreement completed at %v: want the write first",
+					a, r, written[k], agreed[r])
 			}
 		}
 	}
@@ -134,13 +137,15 @@ func TestLaggedAgreementClientCrashAbortsUniformly(t *testing.T) {
 	}
 }
 
-// TestLaggedAgreementIOFaultWritesHealthyRound: a hard fault on aggregator
-// 0's write in round k (the write of round k-1's data) aborts every rank with
-// the io class, and the error names round k-1 on that aggregator. The abort
-// surfaces at the end of round k+1, so the healthy aggregator has written
-// round k by then: correct bytes, in the window its round k covers.
+// TestLaggedAgreementIOFaultWritesHealthyRound: a storage operation carries
+// the last round whose data it writes, so a hard fault aimed at round k hits
+// aggregator 0's write of the batch ending at round k (issued in round k+1).
+// It aborts every rank with the io class, and the error names round k on that
+// aggregator. The abort surfaces at the end of round k+2, so the healthy
+// aggregator has written its own batch of rounds k-1 and k by then: correct
+// bytes, in the window those rounds cover.
 func TestLaggedAgreementIOFaultWritesHealthyRound(t *testing.T) {
-	const k = 3
+	const k = 3 // the last round of the second batch
 	cfg := sim.DefaultConfig()
 	w := mpi.NewWorld(aheadWorkload.Ranks, cfg)
 	fs := pfs.NewFileSystem(cfg)
@@ -161,12 +166,12 @@ func TestLaggedAgreementIOFaultWritesHealthyRound(t *testing.T) {
 			t.Errorf("rank %d: class %s, want io (%v)", r, mpiio.ClassName(c), err)
 		}
 	}
-	if err := errs[0]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("write round %d:", k-1)) {
-		t.Errorf("aggregator 0's error does not name round %d: %v", k-1, err)
+	if err := errs[0]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("write round %d:", k)) {
+		t.Errorf("aggregator 0's error does not name round %d: %v", k, err)
 	}
 	img := fs.Snapshot("ahead.dat", int64(len(ref)))
-	lo, hi := realm+k*aheadCB, realm+(k+1)*aheadCB
+	lo, hi := realm+(k-1)*aheadCB, realm+(k+1)*aheadCB
 	if !bytes.Equal(img[lo:hi], ref[lo:hi]) {
-		t.Errorf("aggregator 1's round %d window [%d, %d) differs from the reference", k, lo, hi)
+		t.Errorf("aggregator 1's rounds %d-%d window [%d, %d) differs from the reference", k-1, k, lo, hi)
 	}
 }

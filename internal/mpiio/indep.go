@@ -213,50 +213,103 @@ func spanOf(segs []datatype.Seg) datatype.Seg {
 // attributes to layering collective I/O on the independent path. It is a
 // modelled copy only: the charge is issued here, and the storage layer
 // moves the useful bytes straight between data and the file's pages.
+//
+// The list is offset-sorted but may overlap (a segment may contain the next),
+// so a window's span ends at its furthest segment end, and every segment that
+// starts inside a window contributes its head to it; heads cut at the window
+// edge leave their remainders, in list order, to start the next window.
 func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error {
 	sieve := f.info.SieveBufSize
-	i := 0
-	pos := int64(0)
-	pending := append(f.sievePending[:0], segs...)
+	if span := spanOf(segs); span.Len <= sieve {
+		// One window: the list goes to storage as it is.
+		f.ChargeCopy(int64(len(data)))
+		if write {
+			return f.WriteSieve(span, segs, data)
+		}
+		return f.ReadSieve(span, segs, data)
+	}
+	pending := f.sievePending[:0]
+	var at int64
+	for _, s := range segs {
+		pending = append(pending, sieveSeg{s, at})
+		at += s.Len
+	}
 	f.sievePending = pending
-	for i < len(pending) {
+	for i := 0; i < len(pending); {
 		wlo := pending[i].Off
 		wend := wlo + sieve
 		group := f.sieveGroup[:0]
-		var useful int64
+		hi, useful := wlo, int64(0)
+		contiguous := true // the heads' bytes follow one another in data
 		j := i
-		for j < len(pending) && pending[j].Off < wend {
+		for ; j < len(pending) && pending[j].Off < wend; j++ {
 			s := pending[j]
-			if s.End() > wend {
-				// Split the straddling segment at the window edge;
-				// the remainder starts the next window.
-				group = append(group, datatype.Seg{Off: s.Off, Len: wend - s.Off})
-				useful += wend - s.Off
-				pending[j] = datatype.Seg{Off: wend, Len: s.End() - wend}
-				break
-			}
-			group = append(group, s)
-			useful += s.Len
-			j++
+			head := datatype.Seg{Off: s.Off, Len: min(s.End(), wend) - s.Off}
+			contiguous = contiguous && (j == i || s.at == pending[j-1].at+group[len(group)-1].Len)
+			group = append(group, head)
+			hi, useful = max(hi, head.End()), useful+head.Len
 		}
-		span := datatype.Seg{Off: wlo, Len: group[len(group)-1].End() - wlo}
-		chunk := data[pos : pos+useful]
+		span := datatype.Seg{Off: wlo, Len: hi - wlo}
 
 		// The modelled copy through the sieve buffer.
 		f.ChargeCopy(useful)
 
+		// Heads that do not follow one another in data (a segment cut at
+		// the edge while a later one starts inside the window) move through
+		// a staging buffer in window order.
+		chunk := data[pending[i].at : pending[i].at+useful]
+		if !contiguous {
+			chunk = bufpool.Get(useful)
+		}
+		stage := func(toChunk bool) {
+			var pos int64
+			for k, h := range group {
+				d := data[pending[i+k].at : pending[i+k].at+h.Len]
+				if toChunk {
+					copy(chunk[pos:], d)
+				} else {
+					copy(d, chunk[pos:])
+				}
+				pos += h.Len
+			}
+		}
 		var err error
 		if write {
+			if !contiguous {
+				stage(true)
+			}
 			err = f.WriteSieve(span, group, chunk)
 		} else {
 			err = f.ReadSieve(span, group, chunk)
+			if err == nil && !contiguous {
+				stage(false)
+			}
+		}
+		if !contiguous {
+			bufpool.Put(chunk)
 		}
 		if err != nil {
 			return err
 		}
 		f.sieveGroup = group[:0]
-		pos += useful
-		i = j
+
+		// The remainders past the edge, in list order, start the next window
+		// (they all start at wend, so the list stays sorted).
+		k := j
+		for m := j - 1; m >= i; m-- {
+			if s := pending[m]; s.End() > wend {
+				k--
+				pending[k] = sieveSeg{datatype.Seg{Off: wend, Len: s.End() - wend}, s.at + wend - s.Off}
+			}
+		}
+		i = k
 	}
 	return nil
+}
+
+// sieveSeg is a segment sieveWindows has yet to move and where its bytes sit
+// in the caller's data.
+type sieveSeg struct {
+	datatype.Seg
+	at int64
 }

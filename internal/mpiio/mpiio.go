@@ -152,7 +152,7 @@ type File struct {
 	// sievePending/sieveGroup are sieveWindows scratch, reused across
 	// calls; a File is driven by one rank goroutine and the storage layer
 	// consumes segment lists synchronously, so reuse is safe.
-	sievePending []datatype.Seg
+	sievePending []sieveSeg
 	sieveGroup   []datatype.Seg
 
 	closed bool

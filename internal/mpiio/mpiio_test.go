@@ -254,6 +254,61 @@ func TestSieveWindowSplitStraddle(t *testing.T) {
 	}
 }
 
+// TestSieveWindowsContainedSegments: an offset-sorted list may overlap (one
+// rank's region containing another's). Under data sieving a window's span
+// reaches the furthest segment end, later segments win where they overlap, and
+// a containing segment cut at a window edge leaves no contained segment
+// behind the cut. Each list is written, then read back through the same list.
+func TestSieveWindowsContainedSegments(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sieve int64
+		segs  []datatype.Seg
+	}{
+		{"one-window", 0, []datatype.Seg{{Off: 0, Len: 100}, {Off: 50, Len: 10}}},
+		// Windows of 40 bytes: [30,50) crosses the first edge inside [0,100),
+		// [60,70) sits inside the second window's part of it, and [120,130)
+		// starts a window of its own.
+		{"across-edges", 40, []datatype.Seg{{Off: 0, Len: 100}, {Off: 30, Len: 20}, {Off: 60, Len: 10}, {Off: 120, Len: 10}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var data []byte
+			want := make([]byte, 130)
+			for _, s := range tc.segs {
+				for k := int64(0); k < s.Len; k++ {
+					b := byte(len(data) + 1)
+					data = append(data, b)
+					want[s.Off+k] = b
+				}
+			}
+			var back []byte
+			for _, s := range tc.segs {
+				back = append(back, want[s.Off:s.End()]...)
+			}
+			cfg := sim.DefaultConfig()
+			w := mpi.NewWorld(1, cfg)
+			fs := pfs.NewFileSystem(cfg)
+			w.Run(func(p *mpi.Proc) {
+				f, _ := Open(p, fs, "contain.dat", Info{SieveBufSize: tc.sieve})
+				defer f.Close()
+				if err := f.WriteStream(tc.segs, data, DataSieve); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				got := make([]byte, len(data))
+				if err := f.ReadStream(tc.segs, got, DataSieve); err != nil {
+					t.Errorf("read: %v", err)
+				} else if !bytes.Equal(got, back) {
+					t.Errorf("read back %v, want %v", got, back)
+				}
+			})
+			if img := fs.Snapshot("contain.dat", int64(len(want))); !bytes.Equal(img, want) {
+				t.Errorf("image %v, want %v", img, want)
+			}
+		})
+	}
+}
+
 func TestWriteStreamMismatch(t *testing.T) {
 	single(t, func(f *File, _ *pfs.FileSystem) {
 		if err := f.WriteStream([]datatype.Seg{{Off: 0, Len: 4}}, []byte("toolong"), Naive); err == nil {
