@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
@@ -125,6 +126,7 @@ type rankScratch struct {
 	clients    memo[clientKey, clientEntry]
 	aggs       memo[aggKey, aggEntry]
 	bounds     []int64
+	recvs      []*mpi.Request // an aggregator's request receives, per rank (nil where none is expected)
 	msgs       [][]byte
 	miss       planScratch
 	realmDisps []int64
@@ -494,21 +496,45 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Request exchange. It always happens — only the decoding is
-	// memoizable, keyed by a hash of the bytes actually received. ROMIO
-	// charges its split and merge inside it, the flexible design its
-	// intersections after it. ---
+	// memoizable, keyed by a hash of the bytes actually received. An
+	// aggregator posts its receives before it sends, so the requests cross
+	// the wire while it does what needs no message (paper §5.4): ROMIO's
+	// split, or the flexible design's client-side intersections, which sit
+	// between two exchange spans. ROMIO charges its merge inside the exchange,
+	// the flexible design its aggregator side after it. ---
 	t0 := p.Clock()
 	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
-	if list {
-		chargeAll(f, ce.charges)
-	}
 	// Under the flat form a pre-aggregation member sends no request: its
 	// leader's speaks for it.
 	silent := pre != nil && !list
+	if amAgg {
+		if silent {
+			// Only node leaders send merged requests; members get the same
+			// empty-access stand-in a dead rank would.
+			scr.leaders = sized(scr.leaders, p.Size())
+			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
+		}
+		scr.recvs = sized(scr.recvs, p.Size())
+		if !postAtWait {
+			scr.postRequests(p, silent, false)
+		}
+	}
+	if list {
+		chargeAll(f, ce.charges)
+	}
 	if !silent || pre.Plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
 			p.Stats.Add(stats.CReqBytes, int64(len(ce.request(a))))
 			p.Send(a, tagFlat, ce.request(a))
+		}
+	}
+	if !list {
+		p.ChargeTime(stats.PExchange, p.Clock()-t0)
+		p.Trace.End(p.Clock())
+		chargeAll(f, ce.charges)
+		if amAgg {
+			t0 = p.Clock()
+			p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
 		}
 	}
 	var ae *aggEntry
@@ -518,19 +544,13 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// the first agreement, which the error seeds: every rank aborts.
 	var planErr error
 	if amAgg {
-		if silent {
-			// Only node leaders send merged requests; members get the same
-			// empty-access stand-in a dead rank would.
-			scr.leaders = sized(scr.leaders, p.Size())
-			p.NodeLeadersInto(scr.leaders, i.o.Journal.Dead())
+		if postAtWait {
+			scr.postRequests(p, silent, true)
 		}
-		scr.msgs = sized(scr.msgs, p.Size())
+		scr.msgs = mpi.WaitallInto(scr.recvs, scr.msgs)
 		h := hashSeed
-		for c := range scr.msgs {
-			if !silent || scr.leaders[c] {
-				scr.msgs[c], _ = p.Recv(c, tagFlat)
-			}
-			h = hashBytes(h, scr.msgs[c])
+		for _, m := range scr.msgs {
+			h = hashBytes(h, m)
 		}
 		ak := aggKey{req: h, cb: cb, naggs: naggs, sig: sig}
 		ae = scr.aggs.Get(ak)
@@ -552,18 +572,26 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			chargeAll(f, ae.charges)
 		}
 	}
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
+	if list || amAgg {
+		p.ChargeTime(stats.PExchange, p.Clock()-t0)
+		p.Trace.End(p.Clock())
+	}
 	if clientHit && (!amAgg || aggHit) {
 		scr.miss = planScratch{} // nothing was planned: see planScratch
 	}
 
-	var ntimes int
+	pl := plan{pieces: &ce.pieces, cb: cb, method: i.o.Method, err: planErr}
+	if amAgg {
+		pl.agg = &ae.aggPlans
+	}
+	if pre != nil && pre.Err != nil {
+		pl.err = pre.Err
+	}
 	if list {
 		// ROMIO computes the round count from the domain size: domain 0 is
 		// never the shortest.
 		lo, hi := domain(realms, 0, aarEn)
-		ntimes = int((hi - lo + cb - 1) / cb)
+		pl.rounds = int((hi - lo + cb - 1) / cb)
 		// A request list that arrived corrupted past the re-request budget
 		// reads as an empty access. A read's aggregator would then never
 		// send that client its pieces, and the client, whose own view of
@@ -580,9 +608,18 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			}
 		}
 	} else {
+		if i.o.Conditional {
+			// Conditional data sieving: decide by the (globally agreed)
+			// filetype extent of the access, before the round count, so a
+			// read's first round is read the way the rounds read.
+			pl.method = mpiio.DataSieve
+			if p.AllreduceMaxInt64(view.Filetype.Extent()) >= condThreshold {
+				pl.method = mpiio.Naive
+			}
+		}
 		// Flexible realms can end anywhere: the ranks agree on the round
-		// count, after the intersections the client side charges.
-		chargeAll(f, ce.charges)
+		// count, after the aggregator side's intersections. A read aggregator
+		// reads and splits its first round while the count is in flight.
 		var myRounds int64
 		if amAgg {
 			chargeAll(f, ae.charges)
@@ -591,8 +628,14 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		if planErr != nil {
 			myRounds = refused
 		}
-		agreed := p.AllreduceMaxInt64(myRounds)
+		countReq := p.IallreduceMaxInt64(myRounds)
+		if !write && myRounds > 0 && pl.err == nil {
+			i.readFirst(f, &scr.roundScratch, &pl)
+		}
+		agreed := countReq.Wait()
 		if agreed == 0 || agreed == refused {
+			// Nothing was sent from a first round read ahead.
+			bufpool.Put(pl.firstBuf)
 			p.Barrier()
 			// A peer failure can shrink the surviving access to nothing; the
 			// barrier's rendezvous delivered the same failure version to
@@ -621,29 +664,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			}
 			return nil
 		}
-		ntimes = int(agreed)
-	}
-
-	method := i.o.Method
-	if i.o.Conditional {
-		// Conditional data sieving: decide by the (globally agreed)
-		// filetype extent of the access.
-		ext := p.AllreduceMaxInt64(view.Filetype.Extent())
-		if ext >= condThreshold {
-			method = mpiio.Naive
-		} else {
-			method = mpiio.DataSieve
-		}
+		pl.rounds = int(agreed)
 	}
 
 	// --- Execution: everything above was planning. ---
-	pl := plan{pieces: &ce.pieces, rounds: ntimes, cb: cb, method: method, err: planErr}
-	if amAgg {
-		pl.agg = &ae.aggPlans
-	}
-	if pre != nil && pre.Err != nil {
-		pl.err = pre.Err
-	}
 	err = i.rounds(f, &scr.roundScratch, cs.B, &pl, write)
 	// Reads under pre-aggregation: the leader scatters each member its bytes
 	// and takes back its own; an abort above skips this uniformly.
@@ -651,6 +675,24 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		err = pre.scatter(f, cs, dataLen)
 	}
 	return i.finish(f, &scr.roundScratch, cs.B, buf, memtype, count, write, err)
+}
+
+// postAtWait, set only by tests, posts each request receive where it is
+// waited, as a blocking receive would: the schedule to compare against.
+var postAtWait bool
+
+// postRequests posts a receive for every request an aggregator waits for: a
+// silent form's (the flat form under pre-aggregation) from node leaders only.
+// wait completes each as it is posted.
+func (scr *rankScratch) postRequests(p *mpi.Proc, silent, wait bool) {
+	for c := range scr.recvs {
+		if !silent || scr.leaders[c] {
+			scr.recvs[c] = p.Irecv(c, tagFlat)
+			if wait {
+				scr.recvs[c].Wait()
+			}
+		}
+	}
 }
 
 // chargeAll issues a recorded ChargePairs sequence.

@@ -32,6 +32,10 @@ type plan struct {
 	// not use, a pre-aggregation member it lost). It seeds the first round's
 	// agreement, so every rank aborts before a byte is written.
 	err error
+	// first and firstBuf are round 0 of a read aggregator that read it while
+	// the round count was agreed (readFirst), split into round 0's table.
+	first    *roundPlan
+	firstBuf []byte
 }
 
 var noRound roundPlan // read-only
@@ -307,6 +311,25 @@ func (scr *roundScratch) roundIov(r, size int) [][][]byte {
 	return iov
 }
 
+// split serves each client views of round r's read buffer, one per piece, by
+// reference, in round r's table of slots entries; copy charges the modelled
+// split into per-client messages.
+func (scr *roundScratch) split(f *mpiio.File, r, slots int, rp *roundPlan, buf []byte, copy bool) [][][]byte {
+	iov := scr.roundIov(r, slots)
+	if buf == nil {
+		return iov
+	}
+	pos := int64(0)
+	for _, it := range rp.Order {
+		iov[it.Run] = append(iov[it.Run], buf[pos:pos+it.Len])
+		pos += it.Len
+	}
+	if copy {
+		f.ChargeCopy(rp.Total)
+	}
+	return iov
+}
+
 func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
 	p := f.Proc()
 	amAgg, naggs, ntimes, method := pl.agg != nil, pl.pieces.naggs, pl.rounds, pl.method
@@ -540,24 +563,6 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		sendSlots = p.Size()
 	}
 
-	// split serves each client views of round r's read buffer, one per
-	// piece, by reference, in round r's table.
-	split := func(r int, rp *roundPlan, buf []byte) [][][]byte {
-		iov := scr.roundIov(r, sendSlots)
-		if buf == nil {
-			return iov
-		}
-		pos := int64(0)
-		for _, it := range rp.Order {
-			iov[it.Run] = append(iov[it.Run], buf[pos:pos+it.Len])
-			pos += it.Len
-		}
-		if pipelined {
-			// The modelled split into per-client messages.
-			f.ChargeCopy(rp.Total)
-		}
-		return iov
-	}
 	// post puts round r on the wire point to point. Nonblocking posts its
 	// receives first and waits for all of them in round r; ROMIO's read
 	// exchange sends every client its pieces, then takes its own with
@@ -610,10 +615,15 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		var recv [][][]byte
 		// A pipelined round after the first left inside the one before.
 		if r == 0 || !pipelined {
-			if amAgg {
-				rp, cur = i.fill(&c, pl, r)
+			var sendIov [][][]byte
+			if r == 0 && pl.first != nil { // read and split behind the round count
+				rp, cur, sendIov = pl.first, pl.firstBuf, scr.iov[0]
+			} else {
+				if amAgg {
+					rp, cur = i.fill(&c, pl, r)
+				}
+				sendIov = scr.split(f, r, sendSlots, rp, cur, pipelined)
 			}
-			sendIov := split(r, rp, cur)
 			comm("exchange")
 			if i.o.Comm == Alltoallw {
 				recv = p.AlltoallvIov(sendIov)
@@ -640,7 +650,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 			// that failed serves fill's zeros, so what crosses the wire does
 			// not depend on which rank failed first, which can vary with
 			// arrival order.
-			sendNext := split(r+1, nrp, next)
+			sendNext := scr.split(f, r+1, sendSlots, nrp, next, pipelined)
 			comm("waitall")
 			post(r+1, nrp, sendNext)
 		} else if r > 0 && pipelined {
@@ -686,6 +696,20 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		rp, cur, nrp, next = nrp, next, &noRound, nil
 	}
 	return c.settle()
+}
+
+// readFirst reads and splits an aggregator's round 0 before the rounds begin,
+// while the round count is agreed. Its storage operations carry round 0, but
+// the rank does not enter it: round 0's rank faults fire at its begin. A
+// failed read seeds round 0's agreement like any planning failure; a count
+// agreement that ends the call returns the buffer, which nobody was sent.
+func (i *Impl) readFirst(f *mpiio.File, scr *roundScratch, pl *plan) {
+	c := roundFrame{f: f, p: f.Proc(), op: "read", amAgg: true}
+	f.TagRound(0)
+	pl.first, pl.firstBuf = i.fill(&c, pl, 0)
+	f.TagRound(-1)
+	scr.split(f, 0, c.p.Size(), pl.first, pl.firstBuf, i.o.Comm == Nonblocking)
+	pl.err = c.err
 }
 
 // fill reads round r's realm window into a pooled buffer (nil for a round the

@@ -114,8 +114,10 @@ func edge(e trace.Event) int64 {
 // (read-ahead, split, sends, placing its own piece) and a client's transfer of
 // its 16 KiB; the agreement is part of neither. A fast and a slow network put
 // the maximum on either side. The pipelined time is pinned; Blocking and
-// Alltoallw overlap nothing, by design, and keep their recorded times to the
-// bit (recorded once the call stopped closing with a barrier).
+// Alltoallw overlap nothing inside the rounds, by design, and keep their
+// recorded times to the bit. Only the exchange ahead of round 0 overlaps
+// anything for them (the request receives posted before the sends, round 0
+// read while the round count is agreed); the times were recorded with it.
 func TestReadAheadOverlapsExchange(t *testing.T) {
 	// One aggregator, 384 KiB in six 64 KiB rounds, 16 KiB to each rank.
 	wl := colltest.Workload{Ranks: 4, RegionSize: 4096, RegionCount: 24}
@@ -127,8 +129,8 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 		blocking, alltoallw uint64
 		netBound            bool // the transfer is the longer side of every overlap
 	}{
-		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f811c3a4703215c, 0x3f83cf4fca1286f5, 0x3f8802ceb7316481, false},
-		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f8e1e8d5a0812c3, 0x3f959ea48d045192, 0x3fa787265dc6122e, true},
+		{"fast-net", 110e6, 0x3f84ba0661beb594, 0x3f80989879f8f0e1, 0x3f834badfd08567b, 0x3f877f2cea273407, false},
+		{"slow-net", 8e6, 0x3f9613ffd8da68df, 0x3f8d99762e7262c3, 0x3f955c18f7397991, 0x3fa765e092e0a62e, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sim.DefaultConfig()
@@ -143,8 +145,8 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			}
 			for comm, want := range map[core.CommStrategy]uint64{core.Blocking: tc.blocking, core.Alltoallw: tc.alltoallw} {
 				if got := math.Float64bits(float64(run(comm).Elapsed)); got != want {
-					t.Errorf("%v read took %v s, recorded %v s: a strategy that overlaps nothing moved",
-						comm, math.Float64frombits(got), math.Float64frombits(want))
+					t.Errorf("%v read took %v s (%#x), recorded %v s: a strategy that overlaps nothing moved",
+						comm, math.Float64frombits(got), got, math.Float64frombits(want))
 				}
 			}
 
@@ -153,7 +155,7 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := math.Float64bits(float64(res.Elapsed)); got != tc.nonblocking {
-				t.Errorf("pipelined read took %v s, recorded %v s", res.Elapsed, math.Float64frombits(tc.nonblocking))
+				t.Errorf("pipelined read took %v s (%#x), recorded %v s", float64(res.Elapsed), got, math.Float64frombits(tc.nonblocking))
 			}
 			if serial := sim.Time(math.Float64frombits(tc.serial)); res.Elapsed > serial*9/10 {
 				t.Errorf("pipelined read took %v s, the serial schedule %v s", res.Elapsed, serial)
