@@ -4,8 +4,8 @@
 // CPU micro-benchmarks for the datatype engine that does the real work.
 //
 // The figure benchmarks run reduced-scale workloads so `go test -bench=.`
-// finishes quickly; `cmd/flexio-bench` runs the paper's full parameter
-// grids.
+// finishes quickly; `flexio fig` (cmd/flexio) runs the paper's full
+// parameter grids.
 package flexio
 
 import (
@@ -20,14 +20,13 @@ import (
 	"flexio/internal/hpio"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // --- Tracked collective matrix: the BENCH_PR3.json trajectory ---
 //
 // One sub-benchmark per tracked configuration (2 engines x 2 comm
 // strategies x read/write, plus the PFR steady-state points). Allocation
-// reporting is on; `flexio-bench -benchjson` runs the same matrix and
+// reporting is on; `flexio ledger bench -record` runs the same matrix and
 // records it to the committed trajectory.
 //
 // The twophase rows are steady-state rows too since the baseline became a
@@ -36,7 +35,7 @@ import (
 // write, 879 read, at the commit before), at the same virtual time (the
 // read row is deterministic: 0.007931 virt-s/op on both sides). A change
 // that moves them moved the shared executor or the ROMIO planner's memo:
-// see TestRomioGolden and TestRomioSteadyStateAllocs in internal/twophase.
+// see TestRomioGolden and TestRomioSteadyStateAllocs in internal/core.
 
 func BenchmarkCollectiveMatrix(b *testing.B) {
 	for _, cfg := range benchsuite.Default() {
@@ -76,7 +75,7 @@ func BenchmarkFig4(b *testing.B) {
 					benchWrite(b, wl, func() mpiio.Info {
 						var coll mpiio.Collective
 						if series == "old+vec" {
-							coll = twophase.New()
+							coll = core.ROMIO(core.Options{})
 						} else {
 							coll = core.New(core.Options{})
 						}
@@ -165,7 +164,7 @@ func BenchmarkAblationExchange(b *testing.B) {
 		b.Run(impl, func(b *testing.B) {
 			benchWrite(b, wl, func() mpiio.Info {
 				if impl == "old" {
-					return mpiio.Info{Collective: twophase.New()}
+					return mpiio.Info{Collective: core.ROMIO(core.Options{})}
 				}
 				return mpiio.Info{Collective: core.New(core.Options{})}
 			})

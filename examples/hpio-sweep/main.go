@@ -16,7 +16,6 @@ import (
 	"flexio/internal/hpio"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 func main() {
@@ -41,7 +40,7 @@ func main() {
 		}{
 			{false, core.New(core.Options{})},
 			{true, core.New(core.Options{})},
-			{true, twophase.New()},
+			{true, core.ROMIO(core.Options{})},
 		} {
 			wl := hpio.Pattern{
 				Ranks:        ranks,

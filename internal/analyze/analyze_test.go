@@ -21,11 +21,11 @@ func get(fs []Finding, code string) *Finding {
 // aggregator-imbalance and realm-misalignment findings with the metric
 // values that triggered them.
 func TestAnalyzeDemo(t *testing.T) {
-	met, err := Demo()
+	w, err := Demo()
 	if err != nil {
 		t.Fatalf("demo workload failed: %v", err)
 	}
-	d := met.Dump(true)
+	d := w.MetricsSet().Dump(true)
 	fs := Analyze(d)
 	if len(fs) == 0 {
 		t.Fatal("no findings on the pathological demo workload")

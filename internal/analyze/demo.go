@@ -5,16 +5,15 @@ import (
 
 	"flexio/internal/core"
 	"flexio/internal/datatype"
-	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
 )
 
-// Demo runs a deliberately unhealthy pair of workloads and returns the
-// resulting metrics set, so `flexio-bench -analyze` (and the analyzer
-// tests) have findings that are known in advance. Act one is a rank
+// Demo runs a deliberately unhealthy pair of workloads and returns the world
+// they ran on, metrics enabled, so `flexio observe` (and the analyzer tests)
+// have findings that are known in advance. Act one is a rank
 // failure: a journalled collective write loses rank 1 mid-round, the
 // survivors abort through the deadline guard, and the collective resumes
 // with the dead rank demoted from aggregator duty — the dump's failover
@@ -22,7 +21,7 @@ import (
 // misaligned realm displacements, a sparse access pattern that defeats
 // data sieving, and one rank with far denser data than the rest so its
 // aggregator is overloaded.
-func Demo() (*metrics.Set, error) {
+func Demo() (*mpi.World, error) {
 	cfg := sim.DefaultConfig()
 	const (
 		ranks   = 4
@@ -38,7 +37,7 @@ func Demo() (*metrics.Set, error) {
 	region := int64(sparseN) * stride
 
 	w := mpi.NewWorld(ranks, cfg)
-	met := w.EnableMetrics()
+	w.EnableMetrics()
 	fs := pfs.NewFileSystem(cfg)
 
 	// Act one: aggregator failover. The traffic is kept small (a few KiB
@@ -157,5 +156,5 @@ func Demo() (*metrics.Set, error) {
 			return nil, err
 		}
 	}
-	return met, nil
+	return w, nil
 }

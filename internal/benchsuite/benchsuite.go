@@ -5,7 +5,7 @@
 // virtual time land in a committed JSON trajectory (BENCH_PR3.json).
 //
 // The same configurations back `go test -bench BenchmarkCollectiveMatrix`
-// and `flexio-bench -benchjson`, so local runs and CI regress against the
+// and `flexio ledger bench`, so local runs and CI regress against the
 // identical workload definitions.
 package benchsuite
 

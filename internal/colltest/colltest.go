@@ -22,23 +22,26 @@ import (
 // flexio/internal/hpio for the layout rules.
 type Workload = hpio.Pattern
 
-// SampleK, when positive, switches the harness to sampled tracing: the
+// SampleK, when positive, switches harness tracing to sampling: the
 // aggregators and node leaders are always traced, K member ranks are
-// reservoir-sampled, and every other rank gets a nil tracer (cmd/hpio's
-// -sample flag). Zero traces every rank.
+// reservoir-sampled, and every other rank gets a nil tracer (cmd/flexio's
+// -sample flag; flexio/internal/experiments traces through EnableTracing
+// too). Zero traces every rank.
 var SampleK int
 
-// enableTracing attaches the harness trace sink — full by default, sampled
-// when SampleK is set — after the node map is installed.
-func enableTracing(w *mpi.World, info mpiio.Info, ranks int) *trace.Sink {
+// EnableTracing attaches a trace sink of the given per-rank capacity
+// (non-positive means trace.DefaultCapacity) to w — every rank, or under
+// SampleK the first cbNodes ranks (the aggregators), the node leaders and
+// SampleK sampled members. Call it after the node map is installed.
+func EnableTracing(w *mpi.World, capacity, cbNodes int) *trace.Sink {
 	if SampleK <= 0 {
-		return w.EnableTracing(0)
+		return w.EnableTracing(capacity)
 	}
-	always := make([]int, 0, info.CbNodes)
-	for a := 0; a < info.CbNodes && a < ranks; a++ {
+	always := make([]int, 0, cbNodes)
+	for a := 0; a < cbNodes && a < w.Size(); a++ {
 		always = append(always, a)
 	}
-	return w.EnableSampledTracing(0, trace.SamplePolicy{Always: always, K: SampleK, Seed: 1})
+	return w.EnableSampledTracing(capacity, trace.SamplePolicy{Always: always, K: SampleK, Seed: 1})
 }
 
 // Byte is the deterministic payload byte for a rank's k-th data byte.
@@ -136,7 +139,7 @@ func RunReadBack(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error) 
 
 	// Trace only the measured phase: timestamps restart at zero with the
 	// clocks.
-	sink := enableTracing(w, info, wl.Ranks)
+	sink := EnableTracing(w, 0, info.CbNodes)
 	met := w.EnableMetrics()
 	comm := w.EnableCommMatrix()
 	w.ResetClocks()
@@ -182,7 +185,7 @@ func run(cfg *sim.Config, wl Workload, info mpiio.Info, write bool, steps int) (
 	if wl.NodeRanks > 0 {
 		w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
 	}
-	sink := enableTracing(w, info, wl.Ranks)
+	sink := EnableTracing(w, 0, info.CbNodes)
 	met := w.EnableMetrics()
 	comm := w.EnableCommMatrix()
 	fs := pfs.NewFileSystem(cfg)

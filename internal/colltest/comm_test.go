@@ -8,7 +8,6 @@ import (
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // commEngines lists the engine configurations the comm-matrix property is
@@ -16,7 +15,7 @@ import (
 // one (the blocking one under the access ROMIO pairs it with).
 func commEngines() map[string]func() mpiio.Collective {
 	return map[string]func() mpiio.Collective{
-		"twophase": func() mpiio.Collective { return twophase.New() },
+		"twophase": func() mpiio.Collective { return core.ROMIO(core.Options{}) },
 		"core-nb":  func() mpiio.Collective { return core.New(core.Options{Comm: core.Nonblocking}) },
 		"core-a2a": func() mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw}) },
 		"core-blk": func() mpiio.Collective {

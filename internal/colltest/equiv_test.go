@@ -11,7 +11,6 @@ import (
 	"flexio/internal/realm"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // genWorkload draws a random HPIO-style workload small enough to run fast.
@@ -133,7 +132,7 @@ func TestTraceDeterministicExport(t *testing.T) {
 // recorded at the same call sites over the same clock intervals.
 func TestTraceMatchesStats(t *testing.T) {
 	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
-	for _, coll := range []mpiio.Collective{twophase.New(), core.New(core.Options{Validate: true})} {
+	for _, coll := range []mpiio.Collective{core.ROMIO(core.Options{}), core.New(core.Options{Validate: true})} {
 		res, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", coll.Name(), err)
@@ -172,7 +171,7 @@ func TestRandomizedOldNewEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		wl := genWorkload(rng)
 		cb := int64(512 << rng.Intn(5))
-		old, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New(), CollBufSize: cb})
+		old, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: cb})
 		if err != nil {
 			t.Fatalf("trial %d old: %v", trial, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // TestMetricsMatchStatsAndTrace: the registry's per-phase histogram totals
@@ -19,7 +18,7 @@ import (
 // systems must agree exactly.
 func TestMetricsMatchStatsAndTrace(t *testing.T) {
 	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
-	for _, coll := range []mpiio.Collective{twophase.New(), core.New(core.Options{Validate: true})} {
+	for _, coll := range []mpiio.Collective{core.ROMIO(core.Options{}), core.New(core.Options{Validate: true})} {
 		res, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", coll.Name(), err)

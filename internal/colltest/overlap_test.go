@@ -11,7 +11,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // TestOverlappingWritesHighestRankWins pins the overlap tie-break. MPI
@@ -46,7 +45,7 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 	}
 
 	engines := map[string]func() mpiio.Collective{
-		"twophase":        func() mpiio.Collective { return twophase.New() },
+		"twophase":        func() mpiio.Collective { return core.ROMIO(core.Options{}) },
 		"twophase-preagg": func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) },
 		"core-nb":         func() mpiio.Collective { return core.New(core.Options{Validate: true}) },
 		"core-a2a":        func() mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw, Validate: true}) },

@@ -10,7 +10,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/twophase"
 )
 
 // TestPoolSharedAcrossEngines drives both collective engines concurrently
@@ -44,7 +43,7 @@ func TestPoolSharedAcrossEngines(t *testing.T) {
 		mk   func() mpiio.Info
 	}{
 		{"twophase", func() mpiio.Info {
-			return mpiio.Info{Collective: twophase.New()}
+			return mpiio.Info{Collective: core.ROMIO(core.Options{})}
 		}},
 		{"core-nonblocking", func() mpiio.Info {
 			return mpiio.Info{Collective: core.New(core.Options{

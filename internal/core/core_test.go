@@ -55,6 +55,35 @@ func TestWriteAllMatrix(t *testing.T) {
 			}
 		}
 	}
+	// The ROMIO baseline: core's planner with ROMIO's request form.
+	for _, tc := range []struct {
+		name string
+		tune func(*colltest.Workload, *mpiio.Info)
+	}{
+		{"plain", func(*colltest.Workload, *mpiio.Info) {}},
+		{"naggs=1", func(_ *colltest.Workload, in *mpiio.Info) { in.CbNodes = 1 }},
+		{"naggs=2", func(_ *colltest.Workload, in *mpiio.Info) { in.CbNodes = 2 }},
+		{"naggs=5", func(_ *colltest.Workload, in *mpiio.Info) { in.CbNodes = 5 }},
+		{"naggs=8", func(_ *colltest.Workload, in *mpiio.Info) { in.CbNodes = 8 }},
+		{"many-rounds", func(_ *colltest.Workload, in *mpiio.Info) { in.CollBufSize = 192 }},
+		{"enumerated", func(wl *colltest.Workload, _ *mpiio.Info) { wl.Enumerate = true }},
+		{"mem-noncontig", func(wl *colltest.Workload, _ *mpiio.Info) { wl.MemNoncontig, wl.MemGap = true, 24 }},
+		{"single-rank", func(wl *colltest.Workload, _ *mpiio.Info) {
+			*wl = colltest.Workload{Ranks: 1, RegionSize: 100, RegionCount: 17, Spacing: 28}
+		}},
+	} {
+		t.Run("romio/"+tc.name, func(t *testing.T) {
+			wl, info := baseWorkload(), mpiio.Info{Collective: core.ROMIO(core.Options{})}
+			tc.tune(&wl, &info)
+			res, err := colltest.RunWrite(cfg, wl, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := colltest.VerifyImage(wl, res.Image); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestReadAllMatrix(t *testing.T) {
@@ -70,6 +99,11 @@ func TestReadAllMatrix(t *testing.T) {
 			})
 		}
 	}
+	t.Run("romio", func(t *testing.T) {
+		if _, err := colltest.RunReadBack(cfg, wl, mpiio.Info{Collective: core.ROMIO(core.Options{})}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestWriteAllNoncontigMemory(t *testing.T) {
@@ -272,5 +306,85 @@ func TestNameIncludesPolicy(t *testing.T) {
 	want := "flexio(cyclic/block=1024,alltoallw)"
 	if impl.Name() != want {
 		t.Errorf("Name = %q, want %q", impl.Name(), want)
+	}
+	if got := core.ROMIO(core.Options{}).Name(); got != "romio-twophase" {
+		t.Errorf("ROMIO's Name = %q, want romio-twophase", got)
+	}
+}
+
+// TestOldAndNewProduceIdenticalFiles is the central cross-implementation
+// check: the ROMIO baseline and the new planner write byte-identical files.
+func TestOldAndNewProduceIdenticalFiles(t *testing.T) {
+	wl := colltest.Workload{Ranks: 6, RegionSize: 48, RegionCount: 57, Spacing: 80, Disp: 13}
+	cfg := sim.DefaultConfig()
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{
+		Collective: core.New(core.Options{Validate: true}), CollBufSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Image) != len(niu.Image) {
+		t.Fatalf("image sizes differ: %d vs %d", len(old.Image), len(niu.Image))
+	}
+	for i := range old.Image {
+		if old.Image[i] != niu.Image[i] {
+			t.Fatalf("images differ at byte %d: old=%d new=%d", i, old.Image[i], niu.Image[i])
+		}
+	}
+	if err := colltest.VerifyImage(wl, old.Image); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestVolumeOldVsNew verifies the paper's §5.3 tradeoff: the old
+// implementation exchanges O(M) request bytes, the new one O(D·A); with a
+// succinct filetype and many regions the new code's request traffic must
+// be orders of magnitude smaller.
+func TestRequestVolumeOldVsNew(t *testing.T) {
+	wl := colltest.Workload{Ranks: 4, RegionSize: 8, RegionCount: 4096, Spacing: 120}
+	cfg := sim.DefaultConfig()
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.ROMIO(core.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.New(core.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldReq := stats.Merge(old.World.Recorders()...).Counter(stats.CReqBytes)
+	newReq := stats.Merge(niu.World.Recorders()...).Counter(stats.CReqBytes)
+	if newReq*20 > oldReq {
+		t.Errorf("request bytes old=%d new=%d; expected >20x reduction", oldReq, newReq)
+	}
+	// And the computation tradeoff goes the other way.
+	oldPairs := stats.Merge(old.World.Recorders()...).Counter(stats.CPairsProcessed)
+	newPairs := stats.Merge(niu.World.Recorders()...).Counter(stats.CPairsProcessed)
+	if newPairs <= oldPairs {
+		t.Logf("note: new pairs %d <= old pairs %d (succinct skipping very effective)", newPairs, oldPairs)
+	}
+}
+
+// TestIntegratedSieveSingleCopy: the old implementation passes data through
+// one buffer; the new one (sieve mode) passes it through two. The copy
+// phase accounting must reflect that.
+func TestIntegratedSieveSingleCopy(t *testing.T) {
+	wl := baseWorkload()
+	cfg := sim.DefaultConfig()
+	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.ROMIO(core.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{
+		Collective: core.New(core.Options{Method: mpiio.DataSieve})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldCopy := stats.Merge(old.World.Recorders()...).Time(stats.PCopy)
+	newCopy := stats.Merge(niu.World.Recorders()...).Time(stats.PCopy)
+	if !(oldCopy < newCopy) {
+		t.Errorf("double buffering not visible: old copy %v, new copy %v", oldCopy, newCopy)
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"flexio/internal/colltest"
@@ -197,15 +198,26 @@ func TestMemoRealmReassignmentMisses(t *testing.T) {
 // ranks there are. When the memo was one map of 128 entries per world, a
 // world of more than 128 ranks evicted its whole steady state on every call
 // (148 hits of 1,088 lookups at P=256, 115 of 8,320 at P=1024 over 8 steps);
-// per rank, every call after the first hits on both sides.
+// per rank, every call after the first hits on both sides, on every engine
+// and filetype form.
 func TestMemoHitsAtScale(t *testing.T) {
 	const steps, aggs = 4, 16
 	for _, ranks := range []int{256, 1024} {
-		for _, comm := range []core.CommStrategy{core.Nonblocking, core.Alltoallw} {
-			t.Run(fmt.Sprintf("P=%d/%s", ranks, comm), func(t *testing.T) {
-				wl := colltest.Workload{Ranks: ranks, RegionSize: 16, RegionCount: 32, Spacing: 128, NodeRanks: 16}
+		for _, e := range []struct {
+			name      string
+			engine    func() mpiio.Collective
+			enumerate bool
+		}{
+			{"nonblocking", func() mpiio.Collective { return core.New(core.Options{Comm: core.Nonblocking}) }, false},
+			{"alltoallw", func() mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw}) }, false},
+			{"romio/enumerate=false", func() mpiio.Collective { return core.ROMIO(core.Options{}) }, false},
+			{"romio/enumerate=true", func() mpiio.Collective { return core.ROMIO(core.Options{}) }, true},
+		} {
+			t.Run(fmt.Sprintf("P=%d/%s", ranks, e.name), func(t *testing.T) {
+				wl := colltest.Workload{Ranks: ranks, RegionSize: 16, RegionCount: 32, Spacing: 128, NodeRanks: 16,
+					Enumerate: e.enumerate}
 				res, err := colltest.RunWriteSteps(sim.DefaultConfig(), wl,
-					mpiio.Info{Collective: core.New(core.Options{Comm: comm}), CbNodes: aggs}, steps)
+					mpiio.Info{Collective: e.engine(), CbNodes: aggs}, steps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +257,8 @@ func shapeScript(wl colltest.Workload, disps []int64) func(p *mpi.Proc, f *mpiio
 // on; eight in rotation all hit the second time round; nine in rotation never
 // do (each call evicts the shape the next-but-seven needs), and every one of
 // those calls, planned into the slot of the shape it evicted, still moves the
-// right bytes under Validate's cross-checks.
+// right bytes under Validate's cross-checks. The ROMIO baseline's plans live
+// in the same memo.
 func TestMemoKeepsEightShapes(t *testing.T) {
 	wl := baseWorkload()
 	u := int64(2 * wl.Ranks) // lookups per call: naggs == ranks
@@ -263,9 +276,16 @@ func TestMemoKeepsEightShapes(t *testing.T) {
 		{"alternating", 2, 6, 2 * u},
 		{"eight", 8, 24, 8 * u},
 		{"nine", 9, 27, 27 * u},
+		{"romio/2 shapes", 2, 6, 2 * u},
+		{"romio/8 shapes", 8, 24, 8 * u},
+		{"romio/9 shapes", 9, 27, 27 * u},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			info := mpiio.Info{Collective: core.New(core.Options{Validate: true})}
+			engine := core.New
+			if strings.HasPrefix(tc.name, "romio/") {
+				engine = core.ROMIO
+			}
+			info := mpiio.Info{Collective: engine(core.Options{Validate: true})}
 			w, fs := planWorld(t, wl.Ranks, 0, info, shapeScript(wl, rotate(tc.shapes, tc.calls)))
 			hits, misses := cacheCounts(w.Recorders()...)
 			if misses != tc.wantMisses || hits != int64(tc.calls)*u-tc.wantMisses {

@@ -174,33 +174,39 @@ func TestMissPathGolden(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			got := missPathListing(t, v.o)
-			path := filepath.Join("testdata", "misspath_"+v.name+".txt")
-			if *recordMissPath {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got == string(want) {
-				return
-			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for k := 0; k < len(gl) && k < len(wl); k++ {
-				if gl[k] != wl[k] {
-					t.Errorf("line %d:\n got  %s\n want %s", k+1, gl[k], wl[k])
-				}
-			}
-			if len(gl) != len(wl) {
-				t.Errorf("%d lines, want %d", len(gl), len(wl))
-			}
+			checkGolden(t, filepath.Join("testdata", "misspath_"+v.name+".txt"), got, *recordMissPath)
 		})
+	}
+}
+
+// checkGolden compares a listing with its golden file line by line, or
+// rewrites the file when record is set.
+func checkGolden(t *testing.T, path, got string, record bool) {
+	t.Helper()
+	if record {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for k := 0; k < len(gl) && k < len(wl); k++ {
+		if gl[k] != wl[k] {
+			t.Errorf("line %d:\n got  %s\n want %s", k+1, gl[k], wl[k])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("%d lines, want %d", len(gl), len(wl))
 	}
 }
 

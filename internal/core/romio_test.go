@@ -1,4 +1,4 @@
-package twophase_test
+package core
 
 import (
 	"bytes"
@@ -6,13 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"flexio/internal/colltest"
-	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
@@ -20,8 +18,10 @@ import (
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 	"flexio/internal/trace"
-	"flexio/internal/twophase"
 )
+
+// The ROMIO baseline (ROMIO: this package's planner with ROMIO's request
+// form) pinned end to end: its golden listings and its steady-state cost.
 
 var recordRomio = flag.Bool("record-romio", false,
 	"rewrite testdata/romio_*.txt from this build (only when a change is meant to move a ROMIO charge, message or rendezvous)")
@@ -212,7 +212,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 	info := mpiio.Info{CbNodes: romioAggs, CollBufSize: romioCB}
 	switch scenario {
 	case "plain":
-		info.Collective = twophase.New()
+		info.Collective = ROMIO(Options{})
 		s := newRomioSession(t, wl, info, write)
 		for k := 0; k < 3; k++ {
 			s.op(t)
@@ -221,7 +221,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 
 	case "preagg":
 		wl.NodeRanks = 2
-		info.Collective = core.ROMIO(core.Options{Preagg: true})
+		info.Collective = ROMIO(Options{Preagg: true})
 		s := newRomioSession(t, wl, info, write)
 		for k := 0; k < 3; k++ {
 			s.op(t)
@@ -235,7 +235,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 		// more with nothing left to recover.
 		const victim = 7
 		j := mpiio.NewWriteJournal()
-		info.Collective = core.ROMIO(core.Options{Journal: j})
+		info.Collective = ROMIO(Options{Journal: j})
 		s := newRomioSession(t, wl, info, write)
 		s.w.SetRankFaults(mpi.NewRankFaultSchedule(1).Crash(victim, 1))
 		s.w.SetCollDeadline(50e-3)
@@ -253,7 +253,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 	case "degrade":
 		// Every sieve operation of round 2 fails hard on every call; the
 		// hook says degrade, so those rounds are re-issued naively.
-		info.Collective = core.ROMIO(core.Options{Degraded: true})
+		info.Collective = ROMIO(Options{Degraded: true})
 		s := newRomioSession(t, wl, info, write)
 		s.fs.SetFaultSchedule(pfs.NewFaultSchedule(5).Add(pfs.Rule{
 			Class: pfs.ClassIO, Rounds: []int{2}, Match: func(op pfs.Op) bool { return op.Sieve }}))
@@ -267,7 +267,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 		// reach it in cannot move a virtual time and every final clock is
 		// pinned bit for bit. Three writes, then three reads of them.
 		info.CbNodes = 1
-		info.Collective = twophase.New()
+		info.Collective = ROMIO(Options{})
 		s := newRomioSession(t, wl, info, true)
 		for k := 0; k < 3; k++ {
 			s.op(t)
@@ -286,7 +286,7 @@ func romioListing(t *testing.T, scenario string, write bool) string {
 }
 
 // TestRomioGolden pins the modelled behaviour of the ROMIO baseline against
-// listings recorded, by this very file, at the commit before the engine
+// listings recorded, by this test, at the commit before the engine
 // became a planner in front of core's round executor, and re-recorded once
 // when a completed call stopped closing with a barrier (one collective fewer
 // per call and rank, and the final clocks): per call and rank the pairs
@@ -311,32 +311,144 @@ func TestRomioGolden(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			got := romioListing(t, v.scenario, v.write)
-			path := filepath.Join("testdata", "romio_"+name+".txt")
-			if *recordRomio {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got == string(want) {
-				return
-			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for k := 0; k < len(gl) && k < len(wl); k++ {
-				if gl[k] != wl[k] {
-					t.Errorf("line %d:\n got  %s\n want %s", k+1, gl[k], wl[k])
-				}
-			}
-			if len(gl) != len(wl) {
-				t.Errorf("%d lines, want %d", len(gl), len(wl))
-			}
+			checkGolden(t, filepath.Join("testdata", "romio_"+name+".txt"), got, *recordRomio)
 		})
+	}
+}
+
+// steadySession is one world with a file open on every rank and the view
+// installed; the handles outlive the World.Run that opened them, so a test
+// issues one collective call at a time, as the benchmark's romio-write does.
+type steadySession struct {
+	wl    colltest.Workload
+	w     *mpi.World
+	files []*mpiio.File
+	bufs  [][]byte
+	errs  []error
+	mt    datatype.Type
+	write bool
+	stepF func(p *mpi.Proc)
+}
+
+func newSteadySession(t testing.TB, wl colltest.Workload, aggs int, cb int64) *steadySession {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	s := &steadySession{wl: wl, w: mpi.NewWorld(wl.Ranks, cfg), write: true,
+		files: make([]*mpiio.File, wl.Ranks), bufs: make([][]byte, wl.Ranks), errs: make([]error, wl.Ranks)}
+	s.mt, _ = wl.Memtype()
+	fs := pfs.NewFileSystem(cfg)
+	info := mpiio.Info{Collective: ROMIO(Options{}), CbNodes: aggs, CollBufSize: cb}
+	s.w.Run(func(p *mpi.Proc) {
+		r := p.Rank()
+		f, err := mpiio.Open(p, fs, "steady.dat", info)
+		if err == nil {
+			ft, disp := wl.Filetype(r)
+			err = f.SetView(disp, datatype.Bytes(1), ft)
+		}
+		s.files[r], s.errs[r], s.bufs[r] = f, err, wl.FillBuffer(r)
+	})
+	s.stepF = s.rankStep
+	s.check(t, "open")
+	return s
+}
+
+func (s *steadySession) check(t testing.TB, what string) {
+	t.Helper()
+	for r, err := range s.errs {
+		if err != nil {
+			t.Fatalf("%s: rank %d: %v", what, r, err)
+		}
+	}
+}
+
+func (s *steadySession) rankStep(p *mpi.Proc) {
+	r := p.Rank()
+	if s.write {
+		s.errs[r] = s.files[r].WriteAll(s.bufs[r], s.mt, s.wl.RegionCount)
+	} else {
+		s.errs[r] = s.files[r].ReadAll(s.bufs[r], s.mt, s.wl.RegionCount)
+	}
+}
+
+// step issues one collective call on every rank.
+func (s *steadySession) step(t testing.TB) {
+	t.Helper()
+	s.w.Run(s.stepF)
+	s.check(t, "step")
+}
+
+// romioWriteShape is the benchmark's romio-write: 8 ranks, 1024 interleaved
+// regions of 512 bytes each, gapped in memory, 4 aggregators, 256 KiB rounds.
+func romioWriteShape() (colltest.Workload, int, int64) {
+	return colltest.Workload{Ranks: 8, RegionSize: 512, RegionCount: 1024, Spacing: 256,
+		MemNoncontig: true, MemGap: 64}, 4, 256 << 10
+}
+
+// TestRomioSteadyStateAllocs bounds what a collective call through the
+// baseline costs in allocations once both sides of the plan memo hit: what is
+// left is what World.Run itself allocates per call (a goroutine per rank, a
+// WaitGroup, the closure), nothing per piece, per round or per message. With
+// its own round loop the engine measured 1,114 per write of this shape. The
+// budget is the measured value plus a tenth.
+func TestRomioSteadyStateAllocs(t *testing.T) {
+	wl, aggs, cb := romioWriteShape()
+	s := newSteadySession(t, wl, aggs, cb)
+	for _, write := range []bool{true, false} {
+		s.write = write
+		s.step(t) // plans, or re-plans nothing: reads share the writes' plans
+		s.step(t)
+		got := testing.AllocsPerRun(20, func() { s.step(t) })
+		t.Logf("%.0f allocs per memo-hit collective call (write=%v, all %d ranks)", got, write, wl.Ranks)
+		const budget = 22
+		if got > budget && !raceEnabled {
+			t.Errorf("%.0f allocs per memo-hit call (write=%v), budget %d", got, write, budget)
+		}
+	}
+	for r := range s.bufs {
+		want := wl.FillBuffer(r)
+		for k := range want {
+			if s.bufs[r][k] != want[k] {
+				t.Fatalf("rank %d read back wrong byte %d", r, k)
+			}
+		}
+	}
+}
+
+// BenchmarkRomioHit is one romio-write-sized collective write on a warm
+// engine: planning is two memo lookups and the replay of three pair charges.
+func BenchmarkRomioHit(b *testing.B) {
+	wl, aggs, cb := romioWriteShape()
+	s := newSteadySession(b, wl, aggs, cb)
+	s.step(b)
+	s.step(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step(b)
+	}
+}
+
+// BenchmarkRomioMiss is the same call planning from nothing, as every call of
+// a checkpoint loop does (Fig 7's "old" curves): flatten, split and encode on
+// every rank, decode and merge on every aggregator. Nine view displacements
+// in rotation miss a memo of eight shapes on every call (after the first
+// nine, on file pages that exist). The difference to
+// BenchmarkRomioHit is what the memo saves.
+func BenchmarkRomioMiss(b *testing.B) {
+	wl, aggs, cb := romioWriteShape()
+	s := newSteadySession(b, wl, aggs, cb)
+	call := 0
+	s.stepF = func(p *mpi.Proc) {
+		r := p.Rank()
+		ft, disp := wl.Filetype(r)
+		if s.errs[r] = s.files[r].SetView(disp+int64(call%9)*4096, datatype.Bytes(1), ft); s.errs[r] == nil {
+			s.rankStep(p)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step(b)
+		call++
 	}
 }

@@ -1,6 +1,6 @@
 // Package experiments regenerates every evaluation figure of the paper
 // (Figures 4, 5, and 7) plus the ablation studies DESIGN.md calls out, as
-// tables of bandwidth series over parameter sweeps. cmd/flexio-bench and
+// tables of bandwidth series over parameter sweeps. cmd/flexio's fig and
 // the repository's benchmarks are thin wrappers over this package.
 package experiments
 
@@ -8,34 +8,25 @@ import (
 	"fmt"
 	"strings"
 
+	"flexio/internal/colltest"
 	"flexio/internal/datatype"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
-	"flexio/internal/trace"
 )
 
 // TraceCapacity, when positive, makes every harness run record a virtual-time
-// trace with that per-rank event capacity. The sink and merged stats of the
-// most recent successful run land in LastTrace and LastStats, so a sweep
-// driver (cmd/flexio-bench) can export the final experiment's trace without
-// threading a sink through every figure's signature.
-var (
-	TraceCapacity int
-	LastTrace     *trace.Sink
-	LastStats     *stats.Recorder
-)
+// trace with that per-rank event capacity (sampled under colltest.SampleK).
+var TraceCapacity int
 
-// SampleK, when positive, makes traced harness runs sample only the node
-// leaders, the aggregators the critical-path profiler cannot do without,
-// and K reservoir-chosen member ranks, instead of tracing every rank
-// (cmd/pfrbench's -sample flag). Zero traces everything.
-var SampleK int
+// Last is the world of the most recent successful harness run, so the caller
+// of a sweep (cmd/flexio's fig) can render the final experiment's trace,
+// stats and metrics without threading them through every figure's signature.
+var Last *mpi.World
 
 // NodeRanks, when positive, places every NodeRanks consecutive ranks on one
-// simulated node for every harness run (cmd/flexio-bench's -nodes flag).
+// simulated node for every harness run (cmd/flexio's -nodes flag).
 // Zero keeps the default one-rank-per-node topology, under which the
 // intra-node fast path and pre-aggregation never engage.
 var NodeRanks int
@@ -122,15 +113,7 @@ func RunSteps(cfg *sim.Config, ranks int, info mpiio.Info, steps int,
 		w.SetNodeMap(mpi.BlockNodeMap(NodeRanks))
 	}
 	if TraceCapacity > 0 {
-		if SampleK > 0 {
-			always := make([]int, 0, info.CbNodes)
-			for a := 0; a < info.CbNodes && a < ranks; a++ {
-				always = append(always, a)
-			}
-			w.EnableSampledTracing(TraceCapacity, trace.SamplePolicy{Always: always, K: SampleK, Seed: 1})
-		} else {
-			w.EnableTracing(TraceCapacity)
-		}
+		colltest.EnableTracing(w, TraceCapacity, info.CbNodes)
 	}
 	// Metrics are allocation-free; always on so drivers can export the
 	// exposition or run the analyzer via World.MetricsSet.
@@ -161,9 +144,6 @@ func RunSteps(cfg *sim.Config, ranks int, info mpiio.Info, steps int,
 			return RunResult{}, err
 		}
 	}
-	if TraceCapacity > 0 {
-		LastTrace = w.TraceSink()
-		LastStats = stats.Merge(w.Recorders()...)
-	}
+	Last = w
 	return RunResult{Elapsed: w.MaxClock(), World: w, FS: fs}, nil
 }

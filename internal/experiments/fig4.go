@@ -8,8 +8,6 @@ import (
 	"flexio/internal/hpio"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
-	"flexio/internal/twophase"
 )
 
 // Fig4Params configures the Figure 4 reproduction: HPIO, noncontiguous in
@@ -78,7 +76,7 @@ func Fig4(p Fig4Params) ([]Table, error) {
 	}{
 		{"new+struct", false, func() mpiio.Collective { return core.New(core.Options{}) }},
 		{"new+vect", true, func() mpiio.Collective { return core.New(core.Options{}) }},
-		{"old+vec", true, func() mpiio.Collective { return twophase.New() }},
+		{"old+vec", true, func() mpiio.Collective { return core.ROMIO(core.Options{}) }},
 	}
 
 	tables := make([]Table, 0, len(p.AggCounts))
@@ -121,10 +119,7 @@ func Fig4(p Fig4Params) ([]Table, error) {
 					if bw := res.BandwidthMBs(wl.TotalBytes()); bw > best {
 						best = bw
 					}
-					if TraceCapacity > 0 {
-						LastTrace = res.Trace
-						LastStats = stats.Merge(res.World.Recorders()...)
-					}
+					Last = res.World
 				}
 				s.Points = append(s.Points, Point{
 					X:     fmt.Sprintf("%d", rs),

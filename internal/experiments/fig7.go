@@ -148,7 +148,7 @@ func Fig7(p Fig7Params) ([]Table, error) {
 }
 
 // RunPFRConfig runs the Figure 7 workload once for a single configuration
-// (used by cmd/pfrbench to inspect one cell of the 2x2 in detail).
+// (`flexio fig 7 -clients N` inspects one cell of the 2x2 in detail).
 func RunPFRConfig(p Fig7Params, clients int, pfr bool, align int64) (RunResult, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"flexio/internal/integrity"
@@ -386,33 +387,6 @@ func (p *Proc) Barrier() {
 	p.noteVer(ver)
 }
 
-// Bcast distributes root's buffer to every rank. Non-root callers pass nil.
-func (p *Proc) Bcast(root int, data []byte) []byte {
-	p.preRendezvous()
-	enter := p.clock
-	var dep interface{}
-	if p.rank == root {
-		dep = data
-	}
-	vals, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, dep)
-	out, _ := vals[root].([]byte)
-	n := int64(len(out))
-	p.clock = sim.Max(p.clock, m) + p.treeLatency() + sim.Time(float64(log2ceil(p.w.size)))*p.w.cfg.TransferTime(n)
-	if p.rank != root {
-		p.Stats.Add(stats.CBytesComm, n)
-		p.Metrics.Add(metrics.CCommBytes, n)
-	} else {
-		for d := 0; d < p.w.size; d++ {
-			if d != root {
-				p.recordVectorRow(d, n)
-			}
-		}
-	}
-	p.traceColl(enter, seq, by)
-	p.noteVer(ver)
-	return out
-}
-
 // Allgather collects every rank's buffer; result[i] is rank i's
 // contribution (nil for crashed ranks).
 func (p *Proc) Allgather(data []byte) [][]byte {
@@ -437,16 +411,9 @@ func (p *Proc) Allgather(data []byte) [][]byte {
 	return out
 }
 
-// AllgatherInt64 is Allgather for a single int64 per rank. The result is
-// owned by the caller (it is a copy of the rendezvous snapshot).
-func (p *Proc) AllgatherInt64(v int64) []int64 {
-	out := make([]int64, p.w.size)
-	p.AllgatherInt64Into(v, out)
-	return out
-}
-
-// AllgatherInt64Into is AllgatherInt64 gathering into caller scratch
-// (len must be the world size), so hot paths can reuse a buffer. Crashed
+// AllgatherInt64Into is Allgather for a single int64 per rank, gathering
+// into caller scratch (len must be the world size) so hot paths can reuse a
+// buffer. Crashed
 // ranks' slots read zero; callers that need to tell "zero" from "dead"
 // consult PeerFailure after the call.
 func (p *Proc) AllgatherInt64Into(v int64, out []int64) {
@@ -477,18 +444,14 @@ type AllreduceRequest struct {
 	seq, by int
 }
 
-// allreduceInt64 starts an allreduce: it deposits v at the rendezvous and
-// folds the snapshot in place under its return, allocating nothing. The
-// rank's clock does not move.
-func (p *Proc) allreduceInt64(v int64, fold func(acc, x int64) int64) AllreduceRequest {
+// IallreduceMaxInt64 starts an allreduce of the maximum of v across ranks:
+// it deposits v at the rendezvous and folds the snapshot under its return,
+// allocating nothing. The rank's clock does not move.
+func (p *Proc) IallreduceMaxInt64(v int64) AllreduceRequest {
 	p.preRendezvous()
 	snap, m, ver, seq, by := p.w.coll.exchangeInt64(p.rank, p.clock, v)
-	acc := snap[0]
-	for _, x := range snap[1:] {
-		acc = fold(acc, x)
-	}
 	p.Trace.Instant1(p.clock, trace.CollEnterName, trace.I(trace.SeqTag, int64(seq)))
-	return AllreduceRequest{p: p, acc: acc, start: p.clock, max: m, ver: ver, seq: seq, by: by}
+	return AllreduceRequest{p: p, acc: slices.Max(snap), start: p.clock, max: m, ver: ver, seq: seq, by: by}
 }
 
 // Wait completes the allreduce and returns its result. The clock moves to
@@ -511,36 +474,9 @@ func (r AllreduceRequest) Wait() int64 {
 // and Wait may have revealed a later failure to it alone).
 func (r AllreduceRequest) PeerFailed() bool { return r.ver != 0 }
 
-func maxInt64(acc, x int64) int64 {
-	if x > acc {
-		return x
-	}
-	return acc
-}
-
-// IallreduceMaxInt64 starts an allreduce of the maximum of v across ranks.
-func (p *Proc) IallreduceMaxInt64(v int64) AllreduceRequest {
-	return p.allreduceInt64(v, maxInt64)
-}
-
 // AllreduceMaxInt64 returns the maximum of v across ranks.
 func (p *Proc) AllreduceMaxInt64(v int64) int64 {
-	return p.allreduceInt64(v, maxInt64).Wait()
-}
-
-// AllreduceMinInt64 returns the minimum of v across ranks.
-func (p *Proc) AllreduceMinInt64(v int64) int64 {
-	return p.allreduceInt64(v, func(acc, x int64) int64 {
-		if x < acc {
-			return x
-		}
-		return acc
-	}).Wait()
-}
-
-// AllreduceSumInt64 returns the sum of v across ranks.
-func (p *Proc) AllreduceSumInt64(v int64) int64 {
-	return p.allreduceInt64(v, func(acc, x int64) int64 { return acc + x }).Wait()
+	return p.IallreduceMaxInt64(v).Wait()
 }
 
 // Alltoallv exchanges per-destination buffers: send[d] goes to rank d, and

@@ -164,7 +164,7 @@ func TestCorruptSilentWithoutIntegrity(t *testing.T) {
 }
 
 // TestCorruptWaitallNonblockingPath: corruption on a payload received via
-// Irecv/Waitall goes through the same verify-and-re-request machinery as
+// Irecv/WaitallInto goes through the same verify-and-re-request machinery as
 // blocking Recv — the engines' shuffle uses this path.
 func TestCorruptWaitallNonblockingPath(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
@@ -178,11 +178,11 @@ func TestCorruptWaitallNonblockingPath(t *testing.T) {
 			p.Send(1, 9, payload(2048))
 		} else {
 			req := p.Irecv(0, 9)
-			got = Waitall([]*Request{req})[0]
+			got = WaitallInto([]*Request{req}, nil)[0]
 		}
 	})
 	if !bytes.Equal(got, want) {
-		t.Fatal("Waitall delivered wrong bytes after repair")
+		t.Fatal("WaitallInto delivered wrong bytes after repair")
 	}
 	if n := w.MetricsSet().Merged().Counter(metrics.CIntegWireRepaired); n != 1 {
 		t.Errorf("wire repaired = %d, want 1", n)

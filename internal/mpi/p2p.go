@@ -435,23 +435,17 @@ type Request struct {
 	ok   bool
 }
 
-// reqPool recycles receive requests; Waitall returns them once completed.
+// reqPool recycles receive requests; WaitallInto returns them once completed.
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
-// doneRequest is the shared handle every Isend returns: sends are eager,
+// doneRequest is the shared handle every IsendIov returns: sends are eager,
 // so the request is born complete, carries no per-send state, and is never
 // mutated — Wait on it only reads the done flag.
 var doneRequest = &Request{done: true}
 
-// Isend posts a nonblocking send. In the eager model the data is buffered
-// immediately, so the returned request is already complete; it exists so
-// calling code reads like the MPI it models.
-func (p *Proc) Isend(to, tag int, data []byte) *Request {
-	p.Send(to, tag, data)
-	return doneRequest
-}
-
-// IsendIov is Isend for SendIov.
+// IsendIov posts a nonblocking SendIov. In the eager model the payload is
+// buffered immediately, so the returned request is already complete; it
+// exists so calling code reads like the MPI it models.
 func (p *Proc) IsendIov(to, tag int, iov [][]byte) *Request {
 	p.SendIov(to, tag, iov)
 	return doneRequest
@@ -463,8 +457,8 @@ func (p *Proc) IsendIov(to, tag int, iov [][]byte) *Request {
 // overlaps the transfer, which is how the new implementation hides address
 // computation behind communication (paper §5.4).
 //
-// The request comes from a pool that Waitall releases back into; a request
-// completed by Waitall must not be touched again. Requests waited directly
+// The request comes from a pool that WaitallInto releases back into; a request
+// completed by WaitallInto must not be touched again. Requests waited directly
 // via Wait stay with the caller and fall to the GC.
 func (p *Proc) Irecv(src, tag int) *Request {
 	r := reqPool.Get().(*Request)
@@ -511,17 +505,11 @@ func (r *Request) waitIov() [][]byte {
 	return r.iov
 }
 
-// Waitall completes a set of requests and returns the received payloads in
-// request order (nil entries for sends). It consumes the requests: each is
-// released back to the pool and its slot nilled, so callers must not Wait
-// on them again.
-func Waitall(reqs []*Request) [][]byte {
-	return WaitallInto(reqs, nil)
-}
-
-// WaitallInto is Waitall filling caller scratch: out is resized to
-// len(reqs) (reusing its capacity) and returned, so a round loop waits
-// without allocating.
+// WaitallInto completes a set of requests and returns the received payloads
+// in request order (nil entries for sends) in caller scratch: out is resized
+// to len(reqs) (reusing its capacity) and returned, so a round loop waits
+// without allocating. It consumes the requests: each is released back to the
+// pool and its slot nilled, so callers must not Wait on them again.
 func WaitallInto(reqs []*Request, out [][]byte) [][]byte {
 	out = slices.Grow(out[:0], len(reqs))[:len(reqs)]
 	for i, r := range reqs {

@@ -65,8 +65,8 @@ func (m Method) String() string {
 }
 
 // Collective is a pluggable collective I/O implementation
-// (flexio/internal/core is the paper's; flexio/internal/twophase is the
-// ROMIO-style baseline).
+// (flexio/internal/core's New is the paper's, its ROMIO the ROMIO-style
+// baseline).
 type Collective interface {
 	Name() string
 	WriteAll(f *File, buf []byte, memtype datatype.Type, count int64) error

@@ -1,22 +1,15 @@
-// Package twophase names the baseline: a faithful model of the original
-// ROMIO-style two-phase collective I/O implementation the paper compares
-// against (Thakur, Gropp, Lusk — "Data sieving and collective I/O in
-// ROMIO").
+// Package twophase exists only because the benchmark module (benchmark/,
+// which is frozen) builds its romio-write workload with twophase.New; no
+// package of this module imports it. The next change to the benchmark
+// deletes it and calls core.ROMIO directly.
 //
-// Its defining characteristics, all modelled:
-//
-//   - The entire access is flattened into offset/length pairs (M pairs) and
-//     the pairs themselves are exchanged: O(M) memory and communication,
-//     but only O(M) computation.
-//   - File domains (realms) are an even partition of the aggregate access
-//     region — contiguous byte ranges only.
-//   - Data sieving is integrated directly into the collective buffer.
-//   - All communication of a round is posted at once.
-//
-// None of them needs a planner of its own: they are a request form, realms,
-// an exchange strategy and a buffer access method of flexio/internal/core's
-// one planner and round executor, which core.ROMIO fixes. Journalling,
-// degradation, pre-aggregation and validation are core.Options fields.
+// The ROMIO-style baseline the paper compares against (Thakur, Gropp, Lusk —
+// "Data sieving and collective I/O in ROMIO") is core.ROMIO: core's one
+// planner and round executor with ROMIO's request form (the flattened
+// offset/length pairs), even realms, all of a round's communication posted
+// at once and data sieving integrated into the collective buffer. Its tests
+// are rows of core's tables; the few kept here call New and go with the
+// package.
 package twophase
 
 import "flexio/internal/core"

@@ -1,9 +1,15 @@
 package twophase_test
 
+// These tests keep the names they had before the ROMIO baseline's tests
+// joined core's tables as romio rows. They exercise New, the one entry
+// point the benchmark module still calls, and go with the package.
+
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"flexio/internal/colltest"
 	"flexio/internal/core"
@@ -26,24 +32,6 @@ func baseWorkload() colltest.Workload {
 	}
 }
 
-func TestWriteAll(t *testing.T) {
-	wl := baseWorkload()
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadAll(t *testing.T) {
-	wl := baseWorkload()
-	if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriteAllAggregatorCounts(t *testing.T) {
 	wl := baseWorkload()
 	for _, naggs := range []int{1, 2, 5, 8} {
@@ -57,131 +45,6 @@ func TestWriteAllAggregatorCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestWriteAllManyRounds(t *testing.T) {
-	wl := baseWorkload()
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl,
-		mpiio.Info{Collective: twophase.New(), CollBufSize: 192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteAllEnumeratedFiletype(t *testing.T) {
-	wl := baseWorkload()
-	wl.Enumerate = true
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteAllNoncontigMemory(t *testing.T) {
-	wl := baseWorkload()
-	wl.MemNoncontig = true
-	wl.MemGap = 24
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSingleRank(t *testing.T) {
-	wl := colltest.Workload{Ranks: 1, RegionSize: 100, RegionCount: 17, Spacing: 28}
-	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colltest.VerifyImage(wl, res.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOldAndNewProduceIdenticalFiles is the central cross-implementation
-// check: both collective engines must write byte-identical files.
-func TestOldAndNewProduceIdenticalFiles(t *testing.T) {
-	wl := colltest.Workload{Ranks: 6, RegionSize: 48, RegionCount: 57, Spacing: 80, Disp: 13}
-	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New(), CollBufSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{Validate: true}), CollBufSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old.Image) != len(niu.Image) {
-		t.Fatalf("image sizes differ: %d vs %d", len(old.Image), len(niu.Image))
-	}
-	for i := range old.Image {
-		if old.Image[i] != niu.Image[i] {
-			t.Fatalf("images differ at byte %d: old=%d new=%d", i, old.Image[i], niu.Image[i])
-		}
-	}
-	if err := colltest.VerifyImage(wl, old.Image); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRequestVolumeOldVsNew verifies the paper's §5.3 tradeoff: the old
-// implementation exchanges O(M) request bytes, the new one O(D·A); with a
-// succinct filetype and many regions the new code's request traffic must
-// be orders of magnitude smaller.
-func TestRequestVolumeOldVsNew(t *testing.T) {
-	wl := colltest.Workload{Ranks: 4, RegionSize: 8, RegionCount: 4096, Spacing: 120}
-	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: core.New(core.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldReq := stats.Merge(old.World.Recorders()...).Counter(stats.CReqBytes)
-	newReq := stats.Merge(niu.World.Recorders()...).Counter(stats.CReqBytes)
-	if newReq*20 > oldReq {
-		t.Errorf("request bytes old=%d new=%d; expected >20x reduction", oldReq, newReq)
-	}
-	// And the computation tradeoff goes the other way.
-	oldPairs := stats.Merge(old.World.Recorders()...).Counter(stats.CPairsProcessed)
-	newPairs := stats.Merge(niu.World.Recorders()...).Counter(stats.CPairsProcessed)
-	if newPairs <= oldPairs {
-		t.Logf("note: new pairs %d <= old pairs %d (succinct skipping very effective)", newPairs, oldPairs)
-	}
-}
-
-// TestIntegratedSieveSingleCopy: the old implementation passes data through
-// one buffer; the new one (sieve mode) passes it through two. The copy
-// phase accounting must reflect that.
-func TestIntegratedSieveSingleCopy(t *testing.T) {
-	wl := baseWorkload()
-	cfg := sim.DefaultConfig()
-	old, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: twophase.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	niu, err := colltest.RunWrite(cfg, wl, mpiio.Info{
-		Collective: core.New(core.Options{Method: mpiio.DataSieve})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCopy := stats.Merge(old.World.Recorders()...).Time(stats.PCopy)
-	newCopy := stats.Merge(niu.World.Recorders()...).Time(stats.PCopy)
-	if !(oldCopy < newCopy) {
-		t.Errorf("double buffering not visible: old copy %v, new copy %v", oldCopy, newCopy)
 	}
 }
 
@@ -273,6 +136,146 @@ func TestMemoKeepsEightShapes(t *testing.T) {
 						t.Fatalf("region %d of rank %d is not in the file", i, r)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestMalformedRequestAbortsCollective is the repro the baseline's malformed
+// requests were found with: integrity off, one bit of the sender's first
+// request to rank 0 flipped in flight, in the shape of core's test of the
+// same name (four ranks, two aggregators, one round), whose romio rows plant
+// the damage in the sender's memo entry instead. Seeds 4 and 7 once panicked
+// rank 0, seed 2 was caught only by the file system's span check, and the
+// other five lost the sender's bytes without a word (the flip pushed a pair
+// out of every round's window). Every rank must abort alike, and rank 0 must
+// name the sender.
+func TestMalformedRequestAbortsCollective(t *testing.T) {
+	const bad = 2
+	wl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 16, Spacing: 32}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("bit flip/seed ", seed), func(t *testing.T) {
+			cfg := sim.DefaultConfig()
+			w, fs := mpi.NewWorld(wl.Ranks, cfg), pfs.NewFileSystem(cfg)
+			w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(bad, 0, 1.0, 1, 1))
+			info := mpiio.Info{Collective: twophase.New(), CbNodes: 2, CollBufSize: 4 << 10}
+			errs := make([]error, wl.Ranks)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				w.Run(func(p *mpi.Proc) {
+					r := p.Rank()
+					f, err := mpiio.Open(p, fs, "bad.dat", info)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					defer f.Close()
+					ft, disp := wl.Filetype(r)
+					if errs[r] = f.SetView(disp, datatype.Bytes(1), ft); errs[r] == nil {
+						mt, _ := wl.Memtype()
+						errs[r] = f.WriteAll(wl.FillBuffer(r), mt, wl.RegionCount)
+					}
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("collective hung")
+			}
+			for r, err := range errs {
+				if err == nil || mpiio.ErrorClass(err) != mpiio.ErrorClass(errs[0]) {
+					t.Fatalf("rank %d returned %v, rank 0 %v", r, err, errs[0])
+				}
+			}
+			if !strings.Contains(errs[0].Error(), fmt.Sprintf("bad request from rank %d", bad)) {
+				t.Fatalf("rank 0's error does not name the sender: %v", errs[0])
+			}
+		})
+	}
+}
+
+// preaggImage runs one collective write and returns the verified image.
+func preaggImage(t *testing.T, wl colltest.Workload, info mpiio.Info) (colltest.Result, []byte) {
+	t.Helper()
+	res, err := colltest.RunWrite(sim.DefaultConfig(), wl, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := colltest.VerifyImage(wl, res.Image); err != nil {
+		t.Fatal(err)
+	}
+	return res, res.Image
+}
+
+// TestPreaggWriteByteIdentical: with pre-aggregation on, the baseline's
+// written file is byte-identical to the per-rank exchange, across node
+// sizes (including ones that do not divide the world).
+func TestPreaggWriteByteIdentical(t *testing.T) {
+	for _, nodeRanks := range []int{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("nodes%d", nodeRanks), func(t *testing.T) {
+			wl := baseWorkload()
+			wl.NodeRanks = nodeRanks
+			_, plain := preaggImage(t, wl, mpiio.Info{Collective: twophase.New()})
+			_, merged := preaggImage(t, wl, mpiio.Info{Collective: core.ROMIO(core.Options{Preagg: true})})
+			if !bytes.Equal(plain, merged) {
+				t.Fatalf("pre-aggregated image differs from per-rank image")
+			}
+		})
+	}
+}
+
+// TestPreaggReadMatrix: collective reads with pre-aggregation return the
+// exact bytes an independent write produced (the harness checks every
+// rank's buffer, so the leader scatter is fully exercised).
+func TestPreaggReadMatrix(t *testing.T) {
+	for _, nodeRanks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("nodes%d", nodeRanks), func(t *testing.T) {
+			wl := baseWorkload()
+			wl.NodeRanks = nodeRanks
+			info := mpiio.Info{Collective: core.ROMIO(core.Options{Preagg: true})}
+			if _, err := colltest.RunReadBack(sim.DefaultConfig(), wl, info); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPreaggVariants exercises the wrinkles that interact with the merge:
+// noncontiguous memory, many small rounds, and a capped aggregator count.
+func TestPreaggVariants(t *testing.T) {
+	cases := []struct {
+		name string
+		tune func(*colltest.Workload, *mpiio.Info)
+	}{
+		{"mem-noncontig", func(wl *colltest.Workload, in *mpiio.Info) {
+			wl.MemNoncontig = true
+			wl.MemGap = 48
+		}},
+		{"many-rounds", func(wl *colltest.Workload, in *mpiio.Info) {
+			in.CollBufSize = 192
+		}},
+		{"few-aggs", func(wl *colltest.Workload, in *mpiio.Info) {
+			in.CbNodes = 3
+		}},
+		{"no-node-map", func(wl *colltest.Workload, in *mpiio.Info) {
+			wl.NodeRanks = 0 // identity map: every rank leads itself
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := baseWorkload()
+			wl.NodeRanks = 4
+			plainInfo := mpiio.Info{Collective: twophase.New()}
+			preInfo := mpiio.Info{Collective: core.ROMIO(core.Options{Preagg: true})}
+			tc.tune(&wl, &plainInfo)
+			wl2 := baseWorkload()
+			wl2.NodeRanks = 4
+			tc.tune(&wl2, &preInfo)
+			_, plain := preaggImage(t, wl, plainInfo)
+			_, merged := preaggImage(t, wl2, preInfo)
+			if !bytes.Equal(plain, merged) {
+				t.Fatalf("pre-aggregated image differs from per-rank image")
 			}
 		})
 	}
