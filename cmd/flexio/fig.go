@@ -9,7 +9,7 @@ import (
 
 	"flexio/internal/colltest"
 	"flexio/internal/experiments"
-	"flexio/internal/stats"
+	"flexio/internal/metrics"
 	"flexio/internal/trace"
 )
 
@@ -76,14 +76,14 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 			*clients, *clients/2, p.Points, p.ElemsPerPoint, p.ElemSize, p.Steps, *pfr, *align)
 		fmt.Fprintf(out, "data per step: %.2f MB   total: %.2f MB\n", float64(total)/float64(p.Steps)/1e6, float64(total)/1e6)
 		fmt.Fprintf(out, "elapsed (virtual): %v   bandwidth: %.2f MB/s\n", res.Elapsed, res.BandwidthMBs(total))
-		agg := stats.Merge(res.World.Recorders()...)
-		fmt.Fprintf(out, "\nlock grants:      %d\n", agg.Counter(stats.CLockGrants))
-		fmt.Fprintf(out, "lock revocations: %d\n", agg.Counter(stats.CLockRevokes))
-		fmt.Fprintf(out, "stripe conflicts: %d\n", agg.Counter(stats.CStripeConflicts))
-		fmt.Fprintf(out, "cache hits:       %d\n", agg.Counter(stats.CCacheHits))
-		fmt.Fprintf(out, "cache flushes:    %d\n", agg.Counter(stats.CCacheFlushes))
-		fmt.Fprintf(out, "I/O calls:        %d\n", agg.Counter(stats.CIOCalls))
-		fmt.Fprintf(out, "bytes to storage: %.2f MB (vs %.2f MB useful)\n", float64(agg.Counter(stats.CBytesIO))/1e6, float64(total)/1e6)
+		agg := res.World.Totals()
+		fmt.Fprintf(out, "\nlock grants:      %d\n", agg.Counter(metrics.CLockGrants))
+		fmt.Fprintf(out, "lock revocations: %d\n", agg.Counter(metrics.CLockRevokes))
+		fmt.Fprintf(out, "stripe conflicts: %d\n", agg.Counter(metrics.CStripeConflicts))
+		fmt.Fprintf(out, "cache hits:       %d\n", agg.Counter(metrics.CCacheHits))
+		fmt.Fprintf(out, "cache flushes:    %d\n", agg.Counter(metrics.CCacheFlushes))
+		fmt.Fprintf(out, "I/O calls:        %d\n", agg.Counter(metrics.CIOCalls))
+		fmt.Fprintf(out, "bytes to storage: %.2f MB (vs %.2f MB useful)\n", float64(agg.Counter(metrics.CIOBytes))/1e6, float64(total)/1e6)
 		return rec.render(out, res.World, false)
 	}
 

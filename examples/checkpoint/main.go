@@ -15,11 +15,11 @@ import (
 
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 const (
@@ -81,10 +81,10 @@ func runConfig(pfr bool, align int64) (bw float64, revokes, conflicts int64) {
 	})
 
 	total := int64(points) * elemsPerPoint * elemSize * steps
-	agg := stats.Merge(world.Recorders()...)
+	agg := world.Totals()
 	return float64(total) / 1e6 / world.MaxClock().Seconds(),
-		agg.Counter(stats.CLockRevokes),
-		agg.Counter(stats.CStripeConflicts)
+		agg.Counter(metrics.CLockRevokes),
+		agg.Counter(metrics.CStripeConflicts)
 }
 
 func main() {

@@ -45,7 +45,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 // Fault names a storage fault plane.
@@ -538,20 +537,20 @@ func (e *world) wantClass() int64 {
 // storageEvidence names the stat that proves the storage plane exercised
 // the path under test, and whether the schedule must also have counted an
 // injection (brownouts and storms slow operations without failing any).
-func (s Scenario) storageEvidence() (counter string, injects bool) {
+func (s Scenario) storageEvidence() (counter metrics.Counter, injects bool) {
 	switch s.Storage {
 	case FaultTransient, FaultTransientRound1:
-		return stats.CRetries, true
+		return metrics.CRetries, true
 	case FaultPartial, FaultPartialLast:
-		return stats.CPartialResumes, true
+		return metrics.CResumes, true
 	case FaultBrownout:
-		return stats.CBrownoutServes, false
+		return metrics.CBrownoutServes, false
 	case FaultStorm:
-		return stats.CStormRevokes, false
+		return metrics.CStormRevokes, false
 	case FaultGiveup:
-		return stats.CGiveups, true
+		return metrics.CGiveups, true
 	default:
-		return stats.CFaultsInjected, true
+		return metrics.CFaults, true
 	}
 }
 
@@ -802,13 +801,13 @@ func (e *world) evidence(out *Outcome) error {
 		missing     string
 	}{
 		{s.Storage != "" && injects, e.sched.Injected() > 0, "storage fault schedule never fired"},
-		{s.Storage != "", out.Stats.Counter(counter) > 0, fmt.Sprintf("counter %q stayed zero", counter)},
-		{s.Rank == RankDropStorm, out.Redelivered > 0, "drop schedule never fired: nothing was redelivered"},
+		{s.Storage != "", out.Totals.Counter(counter) > 0, fmt.Sprintf("counter %q stayed zero", metrics.TableName(counter))},
+		{s.Rank == RankDropStorm, out.Totals.Counter(metrics.CRedelivered) > 0, "drop schedule never fired: nothing was redelivered"},
 		{failed, slices.Contains(out.Dead, s.Victim), fmt.Sprintf("victim %d not in detected dead set %v", s.Victim, out.Dead)},
-		{failed, out.DeadlineTrips > 0, "deadline_trips stayed zero across an unresponsive abort"},
+		{failed, out.Totals.Counter(metrics.CDeadlineTrips) > 0, "deadline_trips stayed zero across an unresponsive abort"},
 		{s.Corrupt != "", out.Injected > 0, "corruption schedule never fired"},
-		{wire, out.WireMismatch > 0, fmt.Sprintf("wire checksum never tripped across %d injections", out.Injected)},
-		{wire && s.Repairable, out.WireRepaired > 0, "no wire repair recorded"},
+		{wire, out.Totals.Counter(metrics.CIntegWireMismatch) > 0, fmt.Sprintf("wire checksum never tripped across %d injections", out.Injected)},
+		{wire && s.Repairable, out.Totals.Counter(metrics.CIntegWireRepaired) > 0, "no wire repair recorded"},
 		{rest, out.AtRest.Mismatches > 0, fmt.Sprintf("at-rest checksum never tripped across %d injections", out.Injected)},
 		{rest && s.Repairable, out.AtRest.Repairs > 0, "no at-rest repair recorded"},
 		{rest && s.Repairable, out.AtRest.Backlog == 0, fmt.Sprintf("repairable run left %d blocks quarantined", out.AtRest.Backlog)},
@@ -839,13 +838,13 @@ func (e *world) resume(out *Outcome) ([]bool, error) {
 		}
 	}
 	e.snapshot(out)
-	if out.Failovers == 0 {
+	if out.Totals.Counter(metrics.CFailovers) == 0 {
 		return nil, errors.New("resume recorded no failover")
 	}
 	if !s.Write {
 		return mism, nil
 	}
-	if out.Replayed+out.Skipped == 0 {
+	if out.Totals.Counter(metrics.CRoundsReplayed)+out.Totals.Counter(metrics.CRoundsSkipped) == 0 {
 		return nil, errors.New("resume journalled no rounds (replayed=0 skipped=0)")
 	}
 	// The same-epoch skip path: a dead pure client moves no realms, so
@@ -855,7 +854,7 @@ func (e *world) resume(out *Outcome) ([]bool, error) {
 		if out.PreRounds == 0 {
 			return nil, errors.New("mid-collective crash committed no rounds before dying")
 		}
-		if out.Skipped == 0 {
+		if out.Totals.Counter(metrics.CRoundsSkipped) == 0 {
 			return nil, fmt.Errorf("client-victim resume replayed everything (skipped=0, pre=%d)", out.PreRounds)
 		}
 	}
@@ -893,35 +892,25 @@ func (e *world) heal(out *Outcome) ([]bool, error) {
 	return mism, nil
 }
 
-// accounting checks the trace is well formed and agrees with the stats on
-// the virtual-time cost of backoff to within 1%.
+// accounting checks the trace is well formed and agrees with the books on
+// the virtual-time cost of backoff to within 1e-9, relative.
 func (e *world) accounting(out *Outcome) error {
 	sink := out.Recording.Trace
 	if err := sink.Check(); err != nil {
 		return fmt.Errorf("trace malformed: %w", err)
 	}
-	sb := out.Stats.Time(stats.PBackoff)
-	tb := sink.Breakdown().PhaseTotal(stats.PBackoff)
-	if drift := math.Abs(float64(sb - tb)); sb > 0 && drift > 0.01*float64(sb) {
-		return fmt.Errorf("backoff drift: stats %v vs trace %v", sb, tb)
+	sb := out.Totals.Phase(metrics.PBackoff)
+	tb := sink.Breakdown().PhaseTotal(metrics.PBackoff.String())
+	if drift := math.Abs(float64(sb - tb)); sb > 0 && drift > 1e-9*float64(sb) {
+		return fmt.Errorf("backoff drift: books %v vs trace %v", sb, tb)
 	}
 	return nil
 }
 
 // snapshot reads the world's books into the outcome.
 func (e *world) snapshot(out *Outcome) {
-	m := out.Recording.Metrics.Merged()
+	out.Totals = out.Recording.Metrics.Merged()
 	out.Injected = e.rf.Injected() + e.sched.Injected() + e.seedFlips.Injected()
-	out.Stats = stats.Merge(e.w.Recorders()...)
-	out.Retries = out.Stats.Counter(stats.CRetries)
-	out.Resumes = out.Stats.Counter(stats.CPartialResumes)
-	out.DeadlineTrips = m.Counter(metrics.CDeadlineTrips)
-	out.Failovers = m.Counter(metrics.CFailovers)
-	out.Replayed = m.Counter(metrics.CRoundsReplayed)
-	out.Skipped = m.Counter(metrics.CRoundsSkipped)
-	out.Redelivered = m.Counter(metrics.CRedelivered)
-	out.WireMismatch = m.Counter(metrics.CIntegWireMismatch)
-	out.WireRepaired = m.Counter(metrics.CIntegWireRepaired)
 	out.AtRest = e.fs.IntegrityStats()
 	out.Elapsed = e.w.MaxClock()
 }

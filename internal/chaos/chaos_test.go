@@ -9,7 +9,6 @@ import (
 
 	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -25,10 +24,10 @@ func TestRankChaosJournalPaths(t *testing.T) {
 	if out.PreRounds == 0 {
 		t.Error("aggregator victim: nothing journalled before the crash")
 	}
-	if out.Skipped != 0 {
-		t.Errorf("aggregator victim moved realms; resume must replay everything, skipped %d", out.Skipped)
+	if out.Totals.Counter(metrics.CRoundsSkipped) != 0 {
+		t.Errorf("aggregator victim moved realms; resume must replay everything, skipped %d", out.Totals.Counter(metrics.CRoundsSkipped))
 	}
-	if out.Replayed == 0 {
+	if out.Totals.Counter(metrics.CRoundsReplayed) == 0 {
 		t.Error("aggregator victim: resume replayed nothing")
 	}
 
@@ -37,7 +36,7 @@ func TestRankChaosJournalPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Skipped == 0 {
+	if out.Totals.Counter(metrics.CRoundsSkipped) == 0 {
 		t.Errorf("client victim kept realms; resume must skip the %d committed rounds", out.PreRounds)
 	}
 }
@@ -54,7 +53,7 @@ func TestRankChaosComposesStorageFaults(t *testing.T) {
 	if out.Class != mpiio.ClassUnresponsive {
 		t.Errorf("abort class %s, want unresponsive", mpiio.ClassName(out.Class))
 	}
-	if out.Stats.Counter(stats.CBrownoutServes) == 0 {
+	if out.Totals.Counter(metrics.CBrownoutServes) == 0 {
 		t.Error("brownout never served a slowed request")
 	}
 }

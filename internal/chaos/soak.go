@@ -15,7 +15,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/report"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -57,15 +56,9 @@ type Outcome struct {
 	Dead []int
 	// Injected counts faults the schedules fired, all planes together.
 	Injected int64
-	// Retries and Resumes are the storage recovery counters.
-	Retries, Resumes int64
 	// PreRounds is the journal's committed (agg, round) count at abort
 	// time — the work recovery gets to keep when the epoch survives.
 	PreRounds int64
-	// The failover counters, after the resume when one happened.
-	DeadlineTrips, Failovers, Replayed, Skipped, Redelivered int64
-	// WireMismatch / WireRepaired are the merged wire-checksum counters.
-	WireMismatch, WireRepaired int64
 	// AtRest is the file system's at-rest integrity snapshot.
 	AtRest integrity.Stats
 	// Healed reports that the clean rewrite after an integrity abort
@@ -73,8 +66,10 @@ type Outcome struct {
 	Healed bool
 	// Elapsed is the total virtual time across all attempts.
 	Elapsed sim.Time
-	// Stats is the merged per-rank recorder.
-	Stats *stats.Recorder
+	// Totals is every rank's registry merged: the storage recovery,
+	// failover (after the resume when one happened) and wire-checksum
+	// counters among them.
+	Totals *metrics.Registry
 
 	// Recording is the faulted world, for artifact export.
 	Recording Recording
@@ -94,15 +89,16 @@ func (o *Outcome) Line() string {
 			fmt.Fprintf(&b, " %s=%d", label, v)
 		}
 	}
+	n := o.Totals.Counter
 	count("inj", o.Injected)
-	count("retry", o.Retries)
-	count("resume", o.Resumes)
-	count("trips", o.DeadlineTrips)
-	count("replay", o.Replayed)
-	count("skip", o.Skipped)
-	count("redeliver", o.Redelivered)
-	if o.WireMismatch != 0 {
-		fmt.Fprintf(&b, " wire=%d/%d", o.WireRepaired, o.WireMismatch)
+	count("retry", n(metrics.CRetries))
+	count("resume", n(metrics.CResumes))
+	count("trips", n(metrics.CDeadlineTrips))
+	count("replay", n(metrics.CRoundsReplayed))
+	count("skip", n(metrics.CRoundsSkipped))
+	count("redeliver", n(metrics.CRedelivered))
+	if n(metrics.CIntegWireMismatch) != 0 {
+		fmt.Fprintf(&b, " wire=%d/%d", n(metrics.CIntegWireRepaired), n(metrics.CIntegWireMismatch))
 	}
 	if o.AtRest.Mismatches != 0 {
 		fmt.Fprintf(&b, " rest=%d/%d", o.AtRest.Repairs, o.AtRest.Mismatches)

@@ -1,0 +1,278 @@
+package colltest
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"flexio/internal/core"
+	"flexio/internal/datatype"
+	"flexio/internal/metrics"
+	"flexio/internal/mpi"
+	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
+	"flexio/internal/sim"
+	"flexio/internal/stats"
+)
+
+var recordRecorders = flag.Bool("record-recorders", false,
+	"rewrite testdata/recorders_*.txt from this build (only for a change meant to move a recorded count or charge)")
+
+// recorderRun is one run whose books TestRecorderGolden lists.
+type recorderRun struct {
+	res Result
+	// exact marks a run whose virtual times repeat to the bit (reads,
+	// Alltoallw): its phase seconds and histogram buckets are listed too.
+	// Write rows wander with the order ranks reach the file system, so
+	// only their counters and canonical flight dump are.
+	exact bool
+}
+
+// TestRecorderGolden compares what every recording surface prints after
+// five collectives with testdata/recorders_*.txt: the merged stats table,
+// each rank's stats line, the per-rank and per-node Prometheus expositions,
+// the canonical flight dump and, on the runs whose virtual time is exact,
+// the trace breakdown against the stats buckets. The listings were written
+// by this test, with -record-recorders, before the two per-rank stores
+// became one.
+func TestRecorderGolden(t *testing.T) {
+	wl := Workload{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64, Disp: 32, MemNoncontig: true, MemGap: 3, NodeRanks: 2}
+	const cb, stripe = 1 << 10, 4096
+	cfg := func() *sim.Config {
+		c := sim.DefaultConfig()
+		c.StripeSize = stripe
+		return c
+	}
+	runs := map[string]func() (recorderRun, error){
+		"new_write": func() (recorderRun, error) {
+			res, err := RunWrite(cfg(), wl, mpiio.Info{Collective: core.New(core.Options{Validate: true}), CollBufSize: cb, CbNodes: 2})
+			return recorderRun{res: res}, err
+		},
+		"romio_write": func() (recorderRun, error) {
+			res, err := RunWrite(cfg(), wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: cb, CbNodes: 2})
+			return recorderRun{res: res}, err
+		},
+		"new_read": func() (recorderRun, error) {
+			res, err := readFresh(cfg(), wl, mpiio.Info{Collective: core.New(core.Options{Validate: true}), CollBufSize: cb, CbNodes: 2})
+			return recorderRun{res: res, exact: true}, err
+		},
+		"romio_read": func() (recorderRun, error) {
+			res, err := readFresh(cfg(), wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: cb, CbNodes: 2})
+			return recorderRun{res: res, exact: true}, err
+		},
+		"a2a_write": func() (recorderRun, error) {
+			res, err := RunWrite(cfg(), wl, mpiio.Info{
+				Collective: core.New(core.Options{Comm: core.Alltoallw, Method: mpiio.DataSieve}), CollBufSize: cb, CbNodes: 2})
+			return recorderRun{res: res, exact: true}, err
+		},
+		"storage_chaos": func() (recorderRun, error) {
+			res, err := writeFaulted(cfg(), wl, mpiio.Info{
+				Collective: core.New(core.Options{Comm: core.Alltoallw, Method: mpiio.DataSieve}), CollBufSize: cb, CbNodes: 2, RetryLimit: 6})
+			return recorderRun{res: res, exact: true}, err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			rr, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := listRecorders(t, rr)
+			path := filepath.Join("testdata", "recorders_"+name+".txt")
+			if *recordRecorders {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (record with -record-recorders)", err)
+			}
+			if got != string(want) {
+				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) || i < len(wl); i++ {
+					var g, w string
+					if i < len(gl) {
+						g = gl[i]
+					}
+					if i < len(wl) {
+						w = wl[i]
+					}
+					if g != w {
+						t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// listRecorders renders every recording surface of one run.
+func listRecorders(t *testing.T, rr recorderRun) string {
+	t.Helper()
+	var b strings.Builder
+	recs := rr.res.World.Recorders()
+	flat := stats.Merge(recs...)
+	section := func(title string) { fmt.Fprintf(&b, "-- %s\n", title) }
+
+	section("stats table (merged)")
+	b.WriteString(keepLines(flat.Table(), rr.exact, func(l string) bool {
+		return !strings.HasPrefix(l, "phase times") && !strings.Contains(l, ".")
+	}))
+	section("stats per rank")
+	for r, rec := range recs {
+		s := rec.String()
+		if !rr.exact {
+			var keep []string
+			for _, f := range strings.Fields(s) {
+				if strings.HasPrefix(f, "n[") {
+					keep = append(keep, f)
+				}
+			}
+			s = strings.Join(keep, " ")
+		}
+		fmt.Fprintf(&b, "%d: %s\n", r, s)
+	}
+
+	// The buffer-pool counters are process-wide, so they depend on what
+	// else ran in this test binary: they are left out.
+	prom := func(write func(*bytes.Buffer) error) string {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return keepLines(buf.String(), rr.exact, func(l string) bool { return strings.Contains(l, "_total") }, "flexio_bufpool_")
+	}
+	section("prometheus (per rank)")
+	b.WriteString(prom(func(buf *bytes.Buffer) error { return rr.res.Metrics.WriteProm(buf) }))
+	section("prometheus (per node)")
+	ru := metrics.NewRollup(rr.res.Metrics, metrics.NodeOfBlock(2))
+	b.WriteString(prom(func(buf *bytes.Buffer) error { return ru.WriteProm(buf) }))
+	section("flight (canonical)")
+	var buf bytes.Buffer
+	if err := rr.res.Metrics.Dump(false).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(buf.String())
+	if rr.exact {
+		section("trace breakdown")
+		b.WriteString(rr.res.Trace.Breakdown().Format(flat))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// keepLines returns text's lines, newline-terminated, minus those holding
+// any of the drop substrings and, unless all, those keep rejects.
+func keepLines(text string, all bool, keep func(string) bool, drop ...string) string {
+	var b strings.Builder
+next:
+	for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		for _, d := range drop {
+			if strings.Contains(l, d) {
+				continue next
+			}
+		}
+		if all || keep(l) {
+			b.WriteString(l)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// readFresh writes the workload collectively, then reads it back with the
+// same collective in a second world over the same file system, so the
+// recorders hold the read alone.
+func readFresh(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error) {
+	seed, err := RunWrite(cfg, wl, info)
+	if err != nil {
+		return Result{}, err
+	}
+	fs := seed.FS
+	fs.ResetTiming()
+	w := mpi.NewWorld(wl.Ranks, cfg)
+	w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
+	sink := w.EnableTracing(0)
+	met := w.EnableMetrics()
+	errs := make([]error, wl.Ranks)
+	w.Run(func(p *mpi.Proc) {
+		errs[p.Rank()] = func() error {
+			f, err := mpiio.Open(p, fs, "coll.dat", info)
+			if err != nil {
+				return err
+			}
+			ft, disp := wl.Filetype(p.Rank())
+			if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
+				return err
+			}
+			mt, bufLen := wl.Memtype()
+			buf := make([]byte, bufLen)
+			if err := f.ReadAll(buf, mt, wl.RegionCount); err != nil {
+				return err
+			}
+			got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
+			exp, _ := datatype.Pack(wl.FillBuffer(p.Rank()), mt, 0, wl.RegionCount)
+			if !bytes.Equal(got, exp) {
+				return fmt.Errorf("rank %d: read-back data mismatch", p.Rank())
+			}
+			return f.Close()
+		}()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return Result{}, err
+		}
+	}
+	return Result{Elapsed: w.MaxClock(), World: w, FS: fs, Trace: sink, Metrics: met}, nil
+}
+
+// writeFaulted is one collective write under a storage fault schedule that
+// makes every client retry two transient errors (backing off each time)
+// and resume two partial writes.
+func writeFaulted(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error) {
+	fs := pfs.NewFileSystem(cfg)
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(7).
+		Add(pfs.Rule{Class: pfs.ClassTransient, Count: 2}).
+		Add(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2}))
+	w := mpi.NewWorld(wl.Ranks, cfg)
+	w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
+	sink := w.EnableTracing(0)
+	met := w.EnableMetrics()
+	errs := make([]error, wl.Ranks)
+	w.Run(func(p *mpi.Proc) {
+		errs[p.Rank()] = func() error {
+			f, err := mpiio.Open(p, fs, "coll.dat", info)
+			if err != nil {
+				return err
+			}
+			ft, disp := wl.Filetype(p.Rank())
+			if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
+				return err
+			}
+			mt, _ := wl.Memtype()
+			if err := f.WriteAll(wl.FillBuffer(p.Rank()), mt, wl.RegionCount); err != nil {
+				return err
+			}
+			return f.Close()
+		}()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return Result{}, err
+		}
+	}
+	res := Result{Elapsed: w.MaxClock(), World: w, FS: fs, Trace: sink, Metrics: met}
+	if err := VerifyImage(wl, fs.Snapshot("coll.dat", int64(len(wl.Reference())))); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}

@@ -123,7 +123,7 @@ func TestWriteBatchesSparseRounds(t *testing.T) {
 						}
 					}
 					// One RMW read and one write a batch.
-					if got := res.World.Recorders()[a].Counter(stats.CIOCalls); got != int64(2*tc.batches) {
+					if got := res.World.Proc(a).Metrics.Counter(metrics.CIOCalls); got != int64(2*tc.batches) {
 						t.Errorf("aggregator %d: %d storage calls, want %d", a, got, 2*tc.batches)
 					}
 				}
@@ -196,7 +196,7 @@ func TestWriteBatchBounds(t *testing.T) {
 					t.Errorf("aggregator %d: %d writes for %d rounds with data, want one a round", a, len(writes), rounds)
 				}
 			}
-			if got := stats.Merge(res.World.Recorders()...).Counter(stats.CIOCalls); got != tc.calls {
+			if got := res.World.Totals().Counter(metrics.CIOCalls); got != tc.calls {
 				t.Errorf("%d storage calls, want %d", got, tc.calls)
 			}
 		})
@@ -306,7 +306,7 @@ func TestWriteBatchDegrades(t *testing.T) {
 	if got := sched.Injected(); got != 2*batchAggs {
 		t.Errorf("%d sieve writes faulted, want %d", got, 2*batchAggs)
 	}
-	if got := stats.Merge(w.Recorders()...).Counter(stats.CDegradedRounds); got != batchAggs*batchRounds {
+	if got := w.Totals().Counter(metrics.CDegradedRounds); got != batchAggs*batchRounds {
 		t.Errorf("%d degraded rounds, want %d", got, batchAggs*batchRounds)
 	}
 }

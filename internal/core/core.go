@@ -12,7 +12,6 @@ import (
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -410,23 +409,21 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 
 	// --- Metrics: realm layout health (alignment against the actual
 	// stripe width) and the flight recorder's layout context. ---
-	if p.Metrics != nil {
-		stripe := f.FS().Config().StripeSize
-		scr.realmDisps = sized(scr.realmDisps, len(realms))
-		var misaligned int64
-		for k := range realms {
-			scr.realmDisps[k] = realms[k].Disp
-			if realms[k].Disp%stripe != 0 {
-				misaligned++
-			}
+	stripe := f.FS().Config().StripeSize
+	scr.realmDisps = sized(scr.realmDisps, len(realms))
+	var misaligned int64
+	for k := range realms {
+		scr.realmDisps[k] = realms[k].Disp
+		if realms[k].Disp%stripe != 0 {
+			misaligned++
 		}
-		p.Metrics.Add(metrics.CRealmsAssigned, int64(len(realms)))
-		p.Metrics.Add(metrics.CRealmsMisaligned, misaligned)
-		p.Metrics.SetGauge(metrics.GNAggs, float64(naggs))
-		if p.Rank() == 0 {
-			p.Metrics.SetRealmContext(naggs, stripe, i.o.Align, scr.realmDisps)
-			p.Metrics.SetTopology(p.NodeCount())
-		}
+	}
+	p.Metrics.Add(metrics.CRealmsAssigned, int64(len(realms)))
+	p.Metrics.Add(metrics.CRealmsMisaligned, misaligned)
+	p.Metrics.SetGauge(metrics.GNAggs, float64(naggs))
+	if p.Rank() == 0 {
+		p.Metrics.SetRealmContext(naggs, stripe, i.o.Align, scr.realmDisps)
+		p.Metrics.SetTopology(p.NodeCount())
 	}
 
 	// --- Node-local pre-aggregation: leaders absorb their co-residents'
@@ -502,8 +499,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// split, or the flexible design's client-side intersections, which sit
 	// between two exchange spans. ROMIO charges its merge inside the exchange,
 	// the flexible design its aggregator side after it. ---
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
+	iv := p.Begin1(metrics.PExchange, trace.S("what", "requests"))
 	// Under the flat form a pre-aggregation member sends no request: its
 	// leader's speaks for it.
 	silent := pre != nil && !list
@@ -524,17 +520,15 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 	if !silent || pre.Plan.Leads(p.Rank()) {
 		for a := 0; a < naggs; a++ {
-			p.Stats.Add(stats.CReqBytes, int64(len(ce.request(a))))
+			p.Metrics.Add(metrics.CReqBytes, int64(len(ce.request(a))))
 			p.Send(a, tagFlat, ce.request(a))
 		}
 	}
 	if !list {
-		p.ChargeTime(stats.PExchange, p.Clock()-t0)
-		p.Trace.End(p.Clock())
+		p.End(iv)
 		chargeAll(f, ce.charges)
 		if amAgg {
-			t0 = p.Clock()
-			p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "requests"))
+			iv = p.Begin1(metrics.PExchange, trace.S("what", "requests"))
 		}
 	}
 	var ae *aggEntry
@@ -573,8 +567,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		}
 	}
 	if list || amAgg {
-		p.ChargeTime(stats.PExchange, p.Clock()-t0)
-		p.Trace.End(p.Clock())
+		p.End(iv)
 	}
 	if clientHit && (!amAgg || aggHit) {
 		scr.miss = planScratch{} // nothing was planned: see planScratch
@@ -707,27 +700,24 @@ func chargeAll(f *mpiio.File, charges []int64) {
 // aggregate access region, empty (aarEn <= aarSt) when nobody moves a byte.
 // *buf keeps what was gathered: rank r's bounds are (*buf)[r] and (*buf)[P+r].
 func accessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) {
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "bounds"))
+	iv := p.Begin1(metrics.PExchange, trace.S("what", "bounds"))
 	n := p.Size()
 	all := sized(*buf, 2*n)
 	*buf = all
 	p.AllgatherInt64Into(st, all[:n])
 	p.AllgatherInt64Into(en, all[n:])
 	aarSt, aarEn = slices.Min(all[:n]), slices.Max(all[n:])
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
+	p.End(iv)
 	return aarSt, aarEn
 }
 
 // noteMemo records one side's memo lookup in the rank's counters and trace.
 func noteMemo(p *mpi.Proc, side string, hit bool) {
-	counter, metric, result := stats.CIsectCacheMisses, metrics.CMemoMisses, "miss"
+	counter, result := metrics.CMemoMisses, "miss"
 	if hit {
-		counter, metric, result = stats.CIsectCacheHits, metrics.CMemoHits, "hit"
+		counter, result = metrics.CMemoHits, "hit"
 	}
-	p.Stats.Add(counter, 1)
-	p.Metrics.Inc(metric)
+	p.Metrics.Inc(counter)
 	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", result))
 }
 

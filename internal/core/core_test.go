@@ -6,10 +6,10 @@ import (
 
 	"flexio/internal/colltest"
 	"flexio/internal/core"
+	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 func baseWorkload() colltest.Workload {
@@ -206,8 +206,8 @@ func TestHeapMergeMatchesBase(t *testing.T) {
 		}
 	}
 	// The heap path must process fewer pairs on the client side.
-	pa := stats.Merge(a.World.Recorders()...).Counter(stats.CPairsProcessed)
-	pb := stats.Merge(b.World.Recorders()...).Counter(stats.CPairsProcessed)
+	pa := a.World.Totals().Counter(metrics.CPairsProcessed)
+	pb := b.World.Totals().Counter(metrics.CPairsProcessed)
 	if pb >= pa {
 		t.Errorf("heap merge pairs %d not below per-aggregator pairs %d", pb, pa)
 	}
@@ -227,7 +227,7 @@ func TestPersistentAlignedRealmsAvoidRevocation(t *testing.T) {
 	if err := colltest.VerifyImage(wl, res.Image); err != nil {
 		t.Fatal(err)
 	}
-	if revokes := stats.Merge(res.World.Recorders()...).Counter(stats.CLockRevokes); revokes != 0 {
+	if revokes := res.World.Totals().Counter(metrics.CLockRevokes); revokes != 0 {
 		t.Errorf("persistent aligned realms still caused %d revocations", revokes)
 	}
 
@@ -238,7 +238,7 @@ func TestPersistentAlignedRealmsAvoidRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if revokes := stats.Merge(res2.World.Recorders()...).Counter(stats.CLockRevokes); revokes == 0 {
+	if revokes := res2.World.Totals().Counter(metrics.CLockRevokes); revokes == 0 {
 		t.Error("unaligned realms caused no revocations; lock model inert")
 	}
 }
@@ -291,7 +291,7 @@ func TestRequestExchangeIsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := stats.Merge(res.World.Recorders()...).Counter(stats.CReqBytes)
+	req := res.World.Totals().Counter(metrics.CReqBytes)
 	// 4 ranks x 4 aggregators x ~60-byte flat.
 	if req > 4*4*128 {
 		t.Errorf("request bytes = %d, want O(D) per rank-aggregator pair", req)
@@ -354,14 +354,14 @@ func TestRequestVolumeOldVsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldReq := stats.Merge(old.World.Recorders()...).Counter(stats.CReqBytes)
-	newReq := stats.Merge(niu.World.Recorders()...).Counter(stats.CReqBytes)
+	oldReq := old.World.Totals().Counter(metrics.CReqBytes)
+	newReq := niu.World.Totals().Counter(metrics.CReqBytes)
 	if newReq*20 > oldReq {
 		t.Errorf("request bytes old=%d new=%d; expected >20x reduction", oldReq, newReq)
 	}
 	// And the computation tradeoff goes the other way.
-	oldPairs := stats.Merge(old.World.Recorders()...).Counter(stats.CPairsProcessed)
-	newPairs := stats.Merge(niu.World.Recorders()...).Counter(stats.CPairsProcessed)
+	oldPairs := old.World.Totals().Counter(metrics.CPairsProcessed)
+	newPairs := niu.World.Totals().Counter(metrics.CPairsProcessed)
 	if newPairs <= oldPairs {
 		t.Logf("note: new pairs %d <= old pairs %d (succinct skipping very effective)", newPairs, oldPairs)
 	}
@@ -382,8 +382,8 @@ func TestIntegratedSieveSingleCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldCopy := stats.Merge(old.World.Recorders()...).Time(stats.PCopy)
-	newCopy := stats.Merge(niu.World.Recorders()...).Time(stats.PCopy)
+	oldCopy := old.World.Totals().Phase(metrics.PCopy)
+	newCopy := niu.World.Totals().Phase(metrics.PCopy)
 	if !(oldCopy < newCopy) {
 		t.Errorf("double buffering not visible: old copy %v, new copy %v", oldCopy, newCopy)
 	}

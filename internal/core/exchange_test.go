@@ -11,6 +11,7 @@ import (
 	"flexio/internal/bufpool"
 	"flexio/internal/colltest"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -167,10 +168,10 @@ func TestRequestExchangeHidesIntersections(t *testing.T) {
 	if !bytes.Equal(res.Image, ref.Image) {
 		t.Error("the file images differ")
 	}
-	got, want := stats.Merge(res.World.Recorders()...), stats.Merge(ref.World.Recorders()...)
-	for _, c := range []string{stats.CPairsProcessed, stats.CReqBytes, stats.CBytesComm} {
+	got, want := res.World.Totals(), ref.World.Totals()
+	for _, c := range []metrics.Counter{metrics.CPairsProcessed, metrics.CReqBytes, metrics.CCommBytes} {
 		if got.Counter(c) != want.Counter(c) {
-			t.Errorf("%s %d, %d with every receive posted at its wait", c, got.Counter(c), want.Counter(c))
+			t.Errorf("%s %d, %d with every receive posted at its wait", metrics.TableName(c), got.Counter(c), want.Counter(c))
 		}
 	}
 	if res.Comm.TotalMsgs() != ref.Comm.TotalMsgs() || res.Comm.TotalBytes() != ref.Comm.TotalBytes() {

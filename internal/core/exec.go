@@ -8,8 +8,6 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
-	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -129,7 +127,7 @@ func (c *roundFrame) begin(r int) {
 	} else {
 		p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r)))
 	}
-	c.probe = p.Metrics.BeginRound(p.Stats)
+	c.probe = p.Metrics.BeginRound()
 }
 
 // fail keeps err, if it is this rank's first, naming the round whose data it
@@ -150,9 +148,7 @@ func (c *roundFrame) fail(r int, err error) {
 func (c *roundFrame) end(pl *plan, r int, recv int64) error {
 	p := c.p
 	p.Trace.End(p.Clock())
-	if p.Metrics != nil {
-		p.Metrics.EndRound(p.Stats, c.probe, r, c.amAgg, pl.sendBytes(r), recv)
-	}
+	p.Metrics.EndRound(c.probe, r, c.amAgg, pl.sendBytes(r), recv)
 	if !c.lag {
 		return mpiio.AgreeError(p, c.err)
 	}
@@ -180,7 +176,7 @@ func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int, n int64) bool {
 	if (m != mpiio.DataSieve && m != mpiio.IntegratedSieve) || !i.o.Degraded {
 		return false
 	}
-	c.p.Stats.Add(stats.CDegradedRounds, n)
+	c.p.Metrics.Add(metrics.CDegradedRounds, n)
 	c.p.Trace.Instant2(c.p.Clock(), "degrade", trace.I(trace.RoundTag, int64(r)), trace.S("op", c.op))
 	return true
 }
@@ -426,19 +422,16 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		}
 		var recvIov [][][]byte
 		if i.o.Comm == Alltoallw {
-			t0 := p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "alltoallv"))
+			iv := p.Begin1(metrics.PComm, trace.S("what", "alltoallv"))
 			recvIov = p.AlltoallvIov(send)
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
+			p.End(iv)
 		} else {
 			// Point-to-point: post every receive, send everything, wait.
 			// The nonblocking strategy does the previous round's file I/O
 			// while this round's data is in flight; the blocking one (all
 			// Irecvs, all Isends, Waitall: ROMIO's exchange) overlaps
 			// nothing.
-			t0 := p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "post+send"))
+			iv := p.Begin1(metrics.PComm, trace.S("what", "post+send"))
 			reqs := scr.reqs[0][:0]
 			for _, pb := range rp.Peers {
 				reqs = append(reqs, p.Irecv(pb.Client, tagData+r%1024))
@@ -452,15 +445,13 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 					p.IsendIov(a, tagData+r%1024, send[a])
 				}
 			}
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
+			p.End(iv)
 
 			if ready {
 				flush() // pipelined: the batch its last round gathered
 			}
 
-			t0 = p.Clock()
-			p.Trace.Begin1(t0, stats.PComm, trace.S("what", "waitall"))
+			iv = p.Begin1(metrics.PComm, trace.S("what", "waitall"))
 			if amAgg {
 				scr.recvIov = sized(scr.recvIov, p.Size())
 				recvIov = scr.recvIov
@@ -469,8 +460,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 					recvIov[pb.Client] = scr.waited[k]
 				}
 			}
-			p.ChargeTime(stats.PComm, p.Clock()-t0)
-			p.Trace.End(p.Clock())
+			p.End(iv)
 			scr.reqs[0] = reqs[:0]
 		}
 
@@ -591,15 +581,9 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 			}
 		}
 	}
-	var t0 sim.Time
-	comm := func(what string) {
-		t0 = p.Clock()
-		p.Trace.Begin1(t0, stats.PComm, trace.S("what", what))
-	}
-	commEnd := func() {
-		p.ChargeTime(stats.PComm, p.Clock()-t0)
-		p.Trace.End(p.Clock())
-	}
+	var iv mpi.Interval
+	comm := func(what string) { iv = p.Begin1(metrics.PComm, trace.S("what", what)) }
+	commEnd := func() { p.End(iv) }
 
 	// An aggregator's pooled read buffers: cur holds round r, next the round
 	// read ahead. Every strategy serves each client views of them by

@@ -9,11 +9,11 @@ import (
 
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 // checkAgreement asserts the collective error-agreement invariant: either
@@ -236,7 +236,7 @@ func TestFailedWriteLeavesOtherRealmsIntact(t *testing.T) {
 // across at least two two-phase rounds. With gapped set, the tile leaves a
 // 64-byte hole per cycle so aggregator accesses stay noncontiguous and the
 // data-sieving path (including its RMW prefetch) is exercised.
-func runSchedule(t *testing.T, sched *pfs.FaultSchedule, opts core.Options, verify, gapped bool) ([]error, *stats.Recorder, *pfs.FileSystem) {
+func runSchedule(t *testing.T, sched *pfs.FaultSchedule, opts core.Options, verify, gapped bool) ([]error, *metrics.Registry, *pfs.FileSystem) {
 	t.Helper()
 	const ranks = 4
 	cfg := sim.DefaultConfig()
@@ -279,7 +279,7 @@ func runSchedule(t *testing.T, sched *pfs.FaultSchedule, opts core.Options, veri
 		}
 		f.Close()
 	})
-	return errs, stats.Merge(w.Recorders()...), fs
+	return errs, w.Totals(), fs
 }
 
 func TestTransientFaultRecovers(t *testing.T) {
@@ -301,13 +301,13 @@ func TestTransientFaultRecovers(t *testing.T) {
 	if sched.Injected() == 0 {
 		t.Fatal("schedule never fired")
 	}
-	if agg.Counter(stats.CRetries) == 0 {
+	if agg.Counter(metrics.CRetries) == 0 {
 		t.Error("no retries recorded despite injected transient faults")
 	}
-	if agg.Counter(stats.CFaultsInjected) == 0 {
+	if agg.Counter(metrics.CFaults) == 0 {
 		t.Error("CFaultsInjected not recorded")
 	}
-	if agg.Time(stats.PBackoff) <= 0 {
+	if agg.Phase(metrics.PBackoff) <= 0 {
 		t.Error("backoff did not charge virtual time")
 	}
 }
@@ -372,7 +372,7 @@ func TestDegradedModeFallsBackToNaive(t *testing.T) {
 			t.Fatalf("rank %d: degraded mode should have recovered: %v", r, err)
 		}
 	}
-	if agg.Counter(stats.CDegradedRounds) == 0 {
+	if agg.Counter(metrics.CDegradedRounds) == 0 {
 		t.Error("no degraded rounds counted despite sieve faults")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 var byteType = datatype.Bytes(1)
@@ -22,9 +22,9 @@ var byteType = datatype.Bytes(1)
 // one aggregator-side lookup, so with naggs == ranks a call where every
 // lookup misses adds 2*ranks misses.
 
-func cacheCounts(rs ...*stats.Recorder) (hits, misses int64) {
-	agg := stats.Merge(rs...)
-	return agg.Counter(stats.CIsectCacheHits), agg.Counter(stats.CIsectCacheMisses)
+func cacheCounts(rs ...*metrics.Registry) (hits, misses int64) {
+	agg := metrics.Merge(rs...)
+	return agg.Counter(metrics.CMemoHits), agg.Counter(metrics.CMemoMisses)
 }
 
 // runScript opens one file per rank on a fresh world and runs the given
@@ -58,7 +58,7 @@ func TestMemoSteadyStateHits(t *testing.T) {
 			if err := colltest.VerifyImage(wl, res.Image); err != nil {
 				t.Fatal(err)
 			}
-			hits, misses := cacheCounts(res.World.Recorders()...)
+			hits, misses := cacheCounts(res.World.Totals())
 			if misses != u || hits != (steps-1)*u {
 				t.Fatalf("hits=%d misses=%d, want hits=%d misses=%d",
 					hits, misses, (steps-1)*u, u)
@@ -100,7 +100,7 @@ func TestMemoFiletypeChangeMisses(t *testing.T) {
 			}
 			return write(wlA, 1) // fresh ft object: client miss, agg hit
 		})
-	hits, misses := cacheCounts(w.Recorders()...)
+	hits, misses := cacheCounts(w.Totals())
 	r := int64(ranks)
 	wantMisses := 2*2*r + r // two full-miss calls + one client-only miss
 	wantHits := 2*2*r + r   // two full-hit calls + one agg-only hit
@@ -132,7 +132,7 @@ func TestMemoOffsetChangeMisses(t *testing.T) {
 			}
 			return nil
 		})
-	hits, misses := cacheCounts(w.Recorders()...)
+	hits, misses := cacheCounts(w.Totals())
 	want := 2 * 2 * int64(ranks)
 	if misses != want || hits != want {
 		t.Fatalf("hits=%d misses=%d, want %d of each", hits, misses, want)
@@ -183,11 +183,11 @@ func TestMemoRealmReassignmentMisses(t *testing.T) {
 		})
 	// Rank 0 never changed anything about its own call, yet its client
 	// lookups must go miss, hit, miss, hit.
-	hits0, misses0 := cacheCounts(w.Recorders()[0])
+	hits0, misses0 := cacheCounts(w.Proc(0).Metrics)
 	if misses0 != 4 || hits0 != 4 {
 		t.Fatalf("rank 0: hits=%d misses=%d, want 4 of each", hits0, misses0)
 	}
-	hits, misses := cacheCounts(w.Recorders()...)
+	hits, misses := cacheCounts(w.Totals())
 	want := 2 * 2 * int64(ranks)
 	if misses != want || hits != want {
 		t.Fatalf("total: hits=%d misses=%d, want %d of each", hits, misses, want)
@@ -224,7 +224,7 @@ func TestMemoHitsAtScale(t *testing.T) {
 				if err := colltest.VerifyImage(wl, res.Image); err != nil {
 					t.Fatal(err)
 				}
-				hits, misses := cacheCounts(res.World.Recorders()...)
+				hits, misses := cacheCounts(res.World.Totals())
 				if u := int64(ranks + aggs); misses != u || hits != (steps-1)*u {
 					t.Fatalf("hits=%d misses=%d, want hits=%d misses=%d", hits, misses, (steps-1)*u, u)
 				}
@@ -287,7 +287,7 @@ func TestMemoKeepsEightShapes(t *testing.T) {
 			}
 			info := mpiio.Info{Collective: engine(core.Options{Validate: true})}
 			w, fs := planWorld(t, wl.Ranks, 0, info, shapeScript(wl, rotate(tc.shapes, tc.calls)))
-			hits, misses := cacheCounts(w.Recorders()...)
+			hits, misses := cacheCounts(w.Totals())
 			if misses != tc.wantMisses || hits != int64(tc.calls)*u-tc.wantMisses {
 				t.Fatalf("hits=%d misses=%d, want %d misses of %d lookups", hits, misses, tc.wantMisses, int64(tc.calls)*u)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -140,10 +141,10 @@ func missPathListing(t *testing.T, o Options) string {
 		}
 	}
 	for r := 0; r < sh.ranks; r++ {
-		rec := s.w.Proc(r).Stats
+		rec := s.w.Proc(r).Metrics
 		fmt.Fprintf(&b, "rank %2d pairs_processed %d req_bytes %d memo hits %d misses %d\n", r,
-			rec.Counter(stats.CPairsProcessed), rec.Counter(stats.CReqBytes),
-			rec.Counter(stats.CIsectCacheHits), rec.Counter(stats.CIsectCacheMisses))
+			rec.Counter(metrics.CPairsProcessed), rec.Counter(metrics.CReqBytes),
+			rec.Counter(metrics.CMemoHits), rec.Counter(metrics.CMemoMisses))
 	}
 	size := s.fs.Size("ckpt.dat")
 	fmt.Fprintf(&b, "image %d bytes sha256 %x\n", size, sha256.Sum256(s.fs.Snapshot("ckpt.dat", size)))

@@ -115,7 +115,7 @@ func TestPlanMemoHitEqualsFreshBuild(t *testing.T) {
 				// Four calls, one agg-side lookup per aggregator slot per
 				// call; at least the three repeats of the three real
 				// aggregators must have hit (and been cross-checked).
-				if hits, _ := cacheCounts(w.Recorders()...); hits < 3*3 {
+				if hits, _ := cacheCounts(w.Totals()); hits < 3*3 {
 					t.Fatalf("only %d memo hits: the plan cross-check never ran", hits)
 				}
 			})

@@ -5,9 +5,9 @@ import (
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -78,16 +78,11 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 
 	p := f.Proc()
 	ps.Plan, ps.pre, ps.Err, ps.Items, ps.Total = p.PlanNode(dead), 0, nil, ps.Items[:0], 0
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PPreagg, trace.S("what", "merge"))
-	defer func() {
-		p.ChargeTime(stats.PPreagg, p.Clock()-t0)
-		p.Trace.End(p.Clock())
-	}()
+	defer p.End(p.Begin1(metrics.PPreagg, trace.S("what", "merge")))
 
 	if !ps.Plan.Leads(p.Rank()) {
 		ps.pre = 1
-		p.Stats.Add(stats.CReqBytes, int64(len(enc)))
+		p.Metrics.Add(metrics.CReqBytes, int64(len(enc)))
 		p.Send(ps.Plan.Leader, tagPre, enc)
 		if write && dataLen > 0 {
 			// Ownership of a pooled buffer passes to the leader, which
@@ -204,12 +199,7 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 // rank completed: an aborted call skips the stage as one.
 func (ps *preaggState) scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) error {
 	p := f.Proc()
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PPreagg, trace.S("what", "scatter"))
-	defer func() {
-		p.ChargeTime(stats.PPreagg, p.Clock()-t0)
-		p.Trace.End(p.Clock())
-	}()
+	defer p.End(p.Begin1(metrics.PPreagg, trace.S("what", "scatter")))
 
 	var scErr error
 	rank := p.Rank()

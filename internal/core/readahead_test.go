@@ -19,7 +19,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -401,7 +400,7 @@ func TestReadAheadDegrades(t *testing.T) {
 		if sched.Injected() == 0 {
 			t.Fatal("the sieve fault never fired")
 		}
-		if n := stats.Merge(w.Recorders()...).Counter(stats.CDegradedRounds); n != aheadAggs {
+		if n := w.Totals().Counter(metrics.CDegradedRounds); n != aheadAggs {
 			t.Errorf("%d degraded rounds, want one per aggregator", n)
 		}
 	})

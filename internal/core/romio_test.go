@@ -12,6 +12,7 @@ import (
 
 	"flexio/internal/colltest"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -88,8 +89,17 @@ func newRomioSession(t *testing.T, wl colltest.Workload, info mpiio.Info, write 
 				t.Fatalf("seeding: rank %d: %v", r, err)
 			}
 		}
+		// The listings' counters include the seeding: they were recorded
+		// while a reset still left counters standing. Carry them across.
+		seeded := make([]*metrics.Registry, wl.Ranks)
+		for r := range seeded {
+			seeded[r] = metrics.Merge(s.w.Proc(r).Metrics)
+		}
 		s.w.ResetClocks()
 		s.fs.ResetTiming()
+		for r, reg := range seeded {
+			s.w.Proc(r).Metrics.MergeFrom(reg)
+		}
 	}
 	s.sink = s.w.EnableTracing(0)
 	return s
@@ -160,10 +170,10 @@ func (s *romioSession) op(t *testing.T) {
 func (s *romioSession) finish(t *testing.T) string {
 	t.Helper()
 	for r := 0; r < s.wl.Ranks; r++ {
-		rec := s.w.Proc(r).Stats
+		rec := s.w.Proc(r).Metrics
 		fmt.Fprintf(&s.b, "rank %d req_bytes %d bytes_comm %d io_calls %d bytes_io %d pairs %d degraded %d\n", r,
-			rec.Counter(stats.CReqBytes), rec.Counter(stats.CBytesComm), rec.Counter(stats.CIOCalls),
-			rec.Counter(stats.CBytesIO), rec.Counter(stats.CPairsProcessed), rec.Counter(stats.CDegradedRounds))
+			rec.Counter(metrics.CReqBytes), rec.Counter(metrics.CCommBytes), rec.Counter(metrics.CIOCalls),
+			rec.Counter(metrics.CIOBytes), rec.Counter(metrics.CPairsProcessed), rec.Counter(metrics.CDegradedRounds))
 	}
 	s.data(t)
 	return s.b.String()

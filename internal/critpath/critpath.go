@@ -39,7 +39,7 @@ import (
 )
 
 // Synthetic phases the walk introduces for the connecting edges; local
-// intervals keep the span names the engines recorded (stats.P*).
+// intervals keep the span names the engines recorded (metrics.Phase names).
 const (
 	// PhaseTransfer is time a message spent between its send stamp and its
 	// delivery — wire latency, NIC serialization, and the payload transfer.

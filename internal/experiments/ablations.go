@@ -7,10 +7,10 @@ import (
 	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/hpio"
+	"flexio/internal/metrics"
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 // AblationParams scales the ablation studies.
@@ -64,9 +64,9 @@ func AblationExchange(p AblationParams) ([]Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("A1 %s rc=%d: %w", im.name, rc, err)
 			}
-			agg := stats.Merge(res.World.Recorders()...)
-			rs.Points = append(rs.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(stats.CReqBytes))})
-			ps.Points = append(ps.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(stats.CPairsProcessed))})
+			agg := res.World.Totals()
+			rs.Points = append(rs.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(metrics.CReqBytes))})
+			ps.Points = append(ps.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(metrics.CPairsProcessed))})
 		}
 		reqT.Series = append(reqT.Series, rs)
 		pairT.Series = append(pairT.Series, ps)
@@ -173,7 +173,7 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 		// largest per-rank I/O volume as the imbalance measure.
 		var maxIO int64
 		for r := 0; r < ranks; r++ {
-			if n := res.World.Proc(r).Stats.Counter(stats.CBytesIO); n > maxIO {
+			if n := res.World.Proc(r).Metrics.Counter(metrics.CIOBytes); n > maxIO {
 				maxIO = n
 			}
 		}

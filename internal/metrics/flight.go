@@ -12,25 +12,25 @@ import (
 // RoundRecord is one structured flight-recorder entry: what a single rank
 // did in a single two-phase round. Byte and event fields are functions of
 // the program order of the workload and fault schedule only, so they are
-// deterministic across runs with the same seed; the *Sec virtual-time
-// fields depend on goroutine scheduling and are therefore excluded from
-// canonical dumps (see Dump / WriteJSON).
+// deterministic across runs with the same seed; the PhaseSec virtual times
+// depend on goroutine scheduling and are therefore excluded from canonical
+// dumps (see Dump / WriteJSON).
 type RoundRecord struct {
-	Round            int     `json:"round"`
-	Agg              bool    `json:"agg"`
-	SendBytes        int64   `json:"send_bytes"`
-	RecvBytes        int64   `json:"recv_bytes"`
-	SieveSpanBytes   int64   `json:"sieve_span_bytes,omitempty"`
-	SieveUsefulBytes int64   `json:"sieve_useful_bytes,omitempty"`
-	Faults           int64   `json:"faults,omitempty"`
-	Retries          int64   `json:"retries,omitempty"`
-	Resumes          int64   `json:"resumes,omitempty"`
-	CommSec          float64 `json:"comm_sec,omitempty"`
-	IOSec            float64 `json:"io_sec,omitempty"`
-	CopySec          float64 `json:"copy_sec,omitempty"`
-	ExchangeSec      float64 `json:"exchange_sec,omitempty"`
-	BackoffSec       float64 `json:"backoff_sec,omitempty"`
+	Round            int
+	Agg              bool
+	SendBytes        int64
+	RecvBytes        int64
+	SieveSpanBytes   int64
+	SieveUsefulBytes int64
+	Faults           int64
+	Retries          int64
+	Resumes          int64
+	// PhaseSec holds the virtual seconds of each of roundPhases.
+	PhaseSec [len(roundPhases)]float64
 }
+
+// roundPhases are the phases a round record times.
+var roundPhases = [...]Phase{PComm, PIO, PCopy, PExchange, PBackoff}
 
 // Flight is the shared, bounded flight recorder: one RoundRecord ring per
 // rank plus the realm context of the current collective and the first
@@ -247,8 +247,8 @@ func (f *Flight) noteAbort(round int, class string) {
 	}
 }
 
-// reset clears all rings and the shared context.
-func (f *Flight) reset() {
+// Reset clears all rings and the shared context (nil-safe).
+func (f *Flight) Reset() {
 	if f == nil {
 		return
 	}
@@ -396,11 +396,9 @@ func (s *Set) Dump(full bool) *Dump {
 				aggTotals = append(aggTotals, rec.RecvBytes)
 			}
 			if full {
-				rs.PhaseSec["comm"] += rec.CommSec
-				rs.PhaseSec["io"] += rec.IOSec
-				rs.PhaseSec["copy"] += rec.CopySec
-				rs.PhaseSec["exchange"] += rec.ExchangeSec
-				rs.PhaseSec["backoff"] += rec.BackoffSec
+				for k, ph := range roundPhases {
+					rs.PhaseSec[ph.String()] += rec.PhaseSec[k]
+				}
 			}
 		}
 		rs.Imbalance = Imbalance(aggTotals)
@@ -410,7 +408,7 @@ func (s *Set) Dump(full bool) *Dump {
 		m := s.Merged()
 		d.Counters = map[string]int64{}
 		for c := Counter(0); c < numCounters; c++ {
-			if v := m.Counter(c); v != 0 {
+			if v := m.Counter(c); v != 0 && counterMeta[c].name != "" {
 				d.Counters[counterMeta[c].name] = v
 			}
 		}

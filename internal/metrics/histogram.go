@@ -1,0 +1,163 @@
+package metrics
+
+import "math"
+
+// histBase is the lower edge of the first histogram bucket: 1 ns of
+// virtual time. histSub sub-buckets per octave give ~9% value resolution.
+const (
+	histBase    = 1e-9
+	histSub     = 8
+	histBuckets = 512 // covers histBase .. histBase*2^(512/8) and beyond
+)
+
+// Histogram is a log-bucketed distribution of non-negative samples
+// (virtual-time durations, byte counts, ...). It backs the percentile
+// columns of the trace breakdown tables. The zero value is ready to use; a
+// nil *Histogram observes nothing and reports zeros.
+type Histogram struct {
+	counts   [histBuckets]int64
+	n        int64
+	sum      float64
+	min, max float64
+}
+
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
+
+// histIndex maps a sample to its bucket.
+func histIndex(v float64) int {
+	if v < histBase {
+		return 0
+	}
+	i := int(math.Floor(math.Log2(v/histBase) * histSub))
+	if i < 0 {
+		i = 0
+	}
+	if i >= histBuckets {
+		i = histBuckets - 1
+	}
+	return i
+}
+
+// histUpper is the upper edge of bucket i.
+func histUpper(i int) float64 {
+	return histBase * math.Exp2(float64(i+1)/histSub)
+}
+
+// Observe records one sample. Negative samples are clamped to zero.
+func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
+	if v < 0 {
+		v = 0
+	}
+	h.counts[histIndex(v)]++
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sum += v
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.n
+}
+
+// Sum returns the sum of all samples.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
+
+// Min returns the smallest sample (0 when empty).
+func (h *Histogram) Min() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.min
+}
+
+// Max returns the largest sample (0 when empty).
+func (h *Histogram) Max() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.max
+}
+
+// Quantile returns an estimate of the q-quantile (0 <= q <= 1): the upper
+// edge of the bucket holding the q-th sample, clamped to the observed
+// [min, max]. With ~9% bucket resolution the estimate is table-grade, not
+// audit-grade.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil || h.n == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	target := int64(math.Ceil(q * float64(h.n)))
+	if target < 1 {
+		target = 1
+	}
+	var cum int64
+	for i := 0; i < histBuckets; i++ {
+		cum += h.counts[i]
+		if cum >= target {
+			v := histUpper(i)
+			if v < h.min {
+				v = h.min
+			}
+			if v > h.max {
+				v = h.max
+			}
+			return v
+		}
+	}
+	return h.max
+}
+
+// Buckets visits the non-empty buckets in ascending order, passing each
+// bucket's upper edge and sample count. Exporters (e.g. Prometheus text
+// exposition) build cumulative bucket series from it.
+func (h *Histogram) Buckets(visit func(upper float64, count int64)) {
+	if h == nil {
+		return
+	}
+	for i := 0; i < histBuckets; i++ {
+		if h.counts[i] != 0 {
+			visit(histUpper(i), h.counts[i])
+		}
+	}
+}
+
+// MergeHist folds o's samples into h.
+func (h *Histogram) MergeHist(o *Histogram) {
+	if h == nil || o == nil || o.n == 0 {
+		return
+	}
+	for i := range h.counts {
+		h.counts[i] += o.counts[i]
+	}
+	if h.n == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if o.max > h.max {
+		h.max = o.max
+	}
+	h.n += o.n
+	h.sum += o.sum
+}

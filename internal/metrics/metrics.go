@@ -1,26 +1,31 @@
-// Package metrics is the always-on signal layer of the I/O stack: a
-// fixed-schema registry of counters, gauges, and log-bucketed histograms
-// that is allocation-free on the hot path when enabled and a no-op when
-// disabled (every method on a nil *Registry records nothing, mirroring the
-// nil-safe stats.Recorder and trace.Tracer).
+// Package metrics is the one per-rank recording store of the I/O stack: a
+// fixed-schema registry of counters, gauges, phase-time sums and
+// log-bucketed histograms, allocation-free on the hot path. Every rank of a
+// world owns one from the start (counters, gauges and phase sums, well
+// under 1 KiB); enabling metrics attaches histograms and flight-recorder
+// rings to the same registries. Every method on a nil *Registry records
+// nothing, like a nil trace.Tracer.
 //
-// Unlike stats (string-keyed maps, merged at the end of a run) the registry
-// uses dense integer IDs into fixed arrays, so the steady-state collective
-// datapath can update it on every round without allocating. A Set bundles
-// one Registry per rank plus a shared flight recorder (flight.go), and
-// exports the whole thing in Prometheus text exposition format (prom.go).
+// Counters and phases are dense integer IDs into fixed arrays, so the
+// collective datapath updates them every round without allocating. Each
+// counter carries its exposition name and, where the stats tables print it,
+// its table name; the stats package is a name-keyed read view of a
+// registry. A Set bundles the registries of a world plus a shared flight
+// recorder (flight.go) and exports them in Prometheus text exposition
+// format (prom.go).
 package metrics
 
 import (
+	"fmt"
+
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 // Counter identifies one monotonically increasing count in the registry.
 type Counter int
 
-// The counter schema. Names (see counterMeta) align with the stats package
-// where both record the same event, so tables and exposition agree.
+// The counter schema. counterMeta names each entry for the exposition and,
+// where the stats tables print it, for the tables.
 const (
 	// Shuffle traffic (two-phase exchange).
 	CShuffleSendBytes Counter = iota // bytes this rank shipped toward aggregators
@@ -81,6 +86,14 @@ const (
 	CIntegRepaired       // stripe blocks repaired inline from retained images
 	CIntegUnrepaired     // integrity failures that had to abort the collective
 
+	// Table-only counters: printed by the stats tables, not exposed.
+	CPairsProcessed // offset/length pairs evaluated
+	CReqBytes       // bytes of access-description metadata exchanged
+	CCacheHits      // client cache hits: read pages and page locks already held
+	CDegradedRounds // collective rounds re-issued with naive I/O after a sieve fault
+	CStormRevokes   // extra lock revokes charged by revoke storms
+	CBrownoutServes // OST requests served slower due to a brownout
+
 	numCounters
 )
 
@@ -94,157 +107,157 @@ const (
 	numGauges
 )
 
-// Hist identifies one log-bucketed histogram (stats.Histogram semantics).
+// Phase identifies one bucket of attributed virtual time. Its name is the
+// trace span name and the stats table row.
+type Phase int
+
+const (
+	PFlatten  Phase = iota // datatype flattening / request generation
+	PPreagg                // node-local request/payload pre-aggregation
+	PExchange              // access-description exchange
+	PComm                  // data shuffle between clients and aggregators
+	PIO                    // file system access (client-observed, incl. queueing)
+	PServe                 // raw OST service time consumed by this client's requests
+	PCopy                  // pack/unpack and buffer copies
+	PBackoff               // virtual time spent backing off between retries
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"flatten", "preagg", "exchange", "comm", "io", "ost_service", "copy", "backoff"}
+
+// String returns the phase's name.
+func (ph Phase) String() string { return phaseNames[ph] }
+
+// PhaseCount returns the size of the phase enum.
+func PhaseCount() int { return int(numPhases) }
+
+// PhaseNamed returns the phase called name.
+func PhaseNamed(name string) (Phase, bool) {
+	for ph, n := range phaseNames {
+		if n == name {
+			return Phase(ph), true
+		}
+	}
+	return 0, false
+}
+
+// Hist identifies one log-bucketed histogram. The first PhaseCount are the
+// per-phase family, one sample per charge, in Phase order (ph.Hist()).
 type Hist int
 
 const (
-	// Per-phase virtual-time durations, one sample per charge. The summed
-	// totals match the stats time buckets exactly: both are fed by the
-	// same mpi.Proc.ChargeTime calls.
-	HPhaseFlatten Hist = iota
-	HPhasePreagg
-	HPhaseExchange
-	HPhaseComm
-	HPhaseIO
-	HPhaseServe
-	HPhaseCopy
-	HPhaseBackoff
-
 	// Per-round byte distributions.
-	HRoundSendBytes // bytes a rank contributed per round
-	HRoundRecvBytes // bytes an aggregator merged per round
+	HRoundSendBytes Hist = Hist(numPhases) + iota // bytes a rank contributed per round
+	HRoundRecvBytes                               // bytes an aggregator merged per round
 
 	numHists
 )
 
-// meta describes one metric for exposition and dumps.
+// Hist returns the phase's histogram.
+func (ph Phase) Hist() Hist { return Hist(ph) }
+
+// meta describes one metric: its exposition name and help text, and for a
+// counter the stats table name ("" where the tables do not print it; a
+// table-only counter has no exposition name).
 type meta struct {
-	name string
-	help string
+	name  string
+	help  string
+	table string
 }
 
 var counterMeta = [numCounters]meta{
-	CShuffleSendBytes:      {"shuffle_send_bytes", "bytes shipped toward aggregators during two-phase exchanges"},
-	CShuffleRecvBytes:      {"shuffle_recv_bytes", "bytes merged while acting as an aggregator"},
-	CShuffleInterNodeBytes: {"shuffle_internode_bytes", "shuffle bytes sent across a node boundary under the installed node map"},
-	CShuffleIntraNodeBytes: {"shuffle_intranode_bytes", "shuffle bytes sent within the sender's node under the installed node map"},
-	CRounds:                {"rounds", "two-phase rounds executed"},
-	CCommBytes:             {"comm_bytes", "bytes moved through the MPI transport"},
-	CIOCalls:               {"io_calls", "file-system calls issued"},
-	CIOBytes:               {"io_bytes", "bytes moved to or from the file system"},
-	CSieveSpanBytes:        {"sieve_span_bytes", "contiguous span bytes touched by data-sieving windows"},
-	CSieveUsefulBytes:      {"sieve_useful_bytes", "useful data bytes inside sieve spans"},
-	CRMWPages:              {"rmw_pages", "read-modify-write page penalties"},
-	CStripeConflicts:       {"stripe_conflicts", "stripe extent-lock transfers between writers"},
-	CLockGrants:            {"lock_grants", "page-lock extents granted"},
-	CLockRevokes:           {"lock_revokes", "page locks revoked from other clients"},
-	CCacheFlushes:          {"cache_flushes", "dirty pages flushed on lock revocation"},
-	CPageCacheHits:         {"page_cache_hits", "read pages served from the client page cache"},
-	CPageCacheMisses:       {"page_cache_misses", "read pages fetched from the storage server"},
-	CMemoHits:              {"memo_hits", "collective calls served from the layout memo"},
-	CMemoMisses:            {"memo_misses", "collective calls that computed intersections afresh"},
-	CRetries:               {"io_retries", "transient-error retries issued"},
-	CResumes:               {"io_resumes", "partial-transfer tail resumptions"},
-	CGiveups:               {"io_giveups", "operations abandoned after exhausting the retry policy"},
-	CFaults:                {"faults_injected", "faults the schedule injected into this rank's operations"},
-	CAborts:                {"collective_aborts", "collective operations aborted by error agreement"},
-	CRealmsAssigned:        {"realms_assigned", "file realms handed out by the assigner"},
-	CRealmsMisaligned:      {"realms_misaligned", "file realms whose start offset is not stripe-aligned"},
-	CDeadlineTrips:         {"deadline_trips", "failed peers detected via the collective deadline guard"},
-	CFailovers:             {"failovers", "collectives resumed with realms reassigned off dead ranks"},
-	CRoundsReplayed:        {"rounds_replayed", "journalled two-phase rounds re-executed during a resume"},
-	CRoundsSkipped:         {"rounds_skipped", "journalled two-phase rounds skipped during a resume"},
-	CRedelivered:           {"msg_redeliveries", "messages dropped and redelivered by rank-fault injection"},
-	CIntegWireMismatch:     {"integrity_wire_mismatches", "in-flight payloads whose checksum failed at the receiver"},
-	CIntegWireRepaired:     {"integrity_wire_repaired", "corrupted payloads recovered by bounded re-request"},
-	CIntegAtRestMismatch:   {"integrity_atrest_mismatches", "stored stripe blocks whose checksum failed on read"},
-	CIntegQuarantined:      {"integrity_quarantined", "stripe blocks quarantined after an at-rest mismatch"},
-	CIntegRepaired:         {"integrity_repairs", "stripe blocks repaired inline from retained images"},
-	CIntegUnrepaired:       {"integrity_unrepaired", "integrity failures that escalated to a collective abort"},
+	CShuffleSendBytes:      {"shuffle_send_bytes", "bytes shipped toward aggregators during two-phase exchanges", ""},
+	CShuffleRecvBytes:      {"shuffle_recv_bytes", "bytes merged while acting as an aggregator", ""},
+	CShuffleInterNodeBytes: {"shuffle_internode_bytes", "shuffle bytes sent across a node boundary under the installed node map", ""},
+	CShuffleIntraNodeBytes: {"shuffle_intranode_bytes", "shuffle bytes sent within the sender's node under the installed node map", ""},
+	CRounds:                {"rounds", "two-phase rounds executed", ""},
+	CCommBytes:             {"comm_bytes", "bytes moved through the MPI transport", "bytes_comm"},
+	CIOCalls:               {"io_calls", "file-system calls issued", "io_calls"},
+	CIOBytes:               {"io_bytes", "bytes moved to or from the file system", "bytes_io"},
+	CSieveSpanBytes:        {"sieve_span_bytes", "contiguous span bytes touched by data-sieving windows", ""},
+	CSieveUsefulBytes:      {"sieve_useful_bytes", "useful data bytes inside sieve spans", ""},
+	CRMWPages:              {"rmw_pages", "read-modify-write page penalties", "rmw_pages"},
+	CStripeConflicts:       {"stripe_conflicts", "stripe extent-lock transfers between writers", "stripe_conflicts"},
+	CLockGrants:            {"lock_grants", "page-lock extents granted", "lock_grants"},
+	CLockRevokes:           {"lock_revokes", "page locks revoked from other clients", "lock_revokes"},
+	CCacheFlushes:          {"cache_flushes", "dirty pages flushed on lock revocation", "cache_flushes"},
+	CPageCacheHits:         {"page_cache_hits", "read pages served from the client page cache", ""},
+	CPageCacheMisses:       {"page_cache_misses", "read pages fetched from the storage server", ""},
+	CMemoHits:              {"memo_hits", "collective calls served from the layout memo", "isect_cache_hits"},
+	CMemoMisses:            {"memo_misses", "collective calls that computed intersections afresh", "isect_cache_misses"},
+	CRetries:               {"io_retries", "transient-error retries issued", "io_retries"},
+	CResumes:               {"io_resumes", "partial-transfer tail resumptions", "io_resumes"},
+	CGiveups:               {"io_giveups", "operations abandoned after exhausting the retry policy", "io_giveups"},
+	CFaults:                {"faults_injected", "faults the schedule injected into this rank's operations", "faults_injected"},
+	CAborts:                {"collective_aborts", "collective operations aborted by error agreement", ""},
+	CRealmsAssigned:        {"realms_assigned", "file realms handed out by the assigner", ""},
+	CRealmsMisaligned:      {"realms_misaligned", "file realms whose start offset is not stripe-aligned", ""},
+	CDeadlineTrips:         {"deadline_trips", "failed peers detected via the collective deadline guard", ""},
+	CFailovers:             {"failovers", "collectives resumed with realms reassigned off dead ranks", ""},
+	CRoundsReplayed:        {"rounds_replayed", "journalled two-phase rounds re-executed during a resume", ""},
+	CRoundsSkipped:         {"rounds_skipped", "journalled two-phase rounds skipped during a resume", ""},
+	CRedelivered:           {"msg_redeliveries", "messages dropped and redelivered by rank-fault injection", "msg_redeliveries"},
+	CIntegWireMismatch:     {"integrity_wire_mismatches", "in-flight payloads whose checksum failed at the receiver", ""},
+	CIntegWireRepaired:     {"integrity_wire_repaired", "corrupted payloads recovered by bounded re-request", ""},
+	CIntegAtRestMismatch:   {"integrity_atrest_mismatches", "stored stripe blocks whose checksum failed on read", ""},
+	CIntegQuarantined:      {"integrity_quarantined", "stripe blocks quarantined after an at-rest mismatch", ""},
+	CIntegRepaired:         {"integrity_repairs", "stripe blocks repaired inline from retained images", ""},
+	CIntegUnrepaired:       {"integrity_unrepaired", "integrity failures that escalated to a collective abort", ""},
+	CPairsProcessed:        {"", "", "pairs_processed"},
+	CReqBytes:              {"", "", "req_bytes"},
+	CCacheHits:             {"", "", "cache_hits"},
+	CDegradedRounds:        {"", "", "degraded_rounds"},
+	CStormRevokes:          {"", "", "storm_revokes"},
+	CBrownoutServes:        {"", "", "brownout_serves"},
 }
 
 var gaugeMeta = [numGauges]meta{
-	GNAggs:       {"naggs", "aggregator count of the most recent collective"},
-	GLastRound:   {"last_round", "last two-phase round index executed"},
-	GCritPathSec: {"critpath_seconds", "virtual seconds of the critical path attributed to this rank"},
+	GNAggs:       {"naggs", "aggregator count of the most recent collective", ""},
+	GLastRound:   {"last_round", "last two-phase round index executed", ""},
+	GCritPathSec: {"critpath_seconds", "virtual seconds of the critical path attributed to this rank", ""},
 }
 
-// histMeta additionally carries an optional label pair so related
-// histograms (the per-phase family) share one Prometheus metric name.
-var histMeta = [numHists]struct {
-	family   string
-	help     string
-	labelKey string
-	labelVal string
-}{
-	HPhaseFlatten:   {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PFlatten},
-	HPhasePreagg:    {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PPreagg},
-	HPhaseExchange:  {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PExchange},
-	HPhaseComm:      {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PComm},
-	HPhaseIO:        {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PIO},
-	HPhaseServe:     {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PServe},
-	HPhaseCopy:      {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PCopy},
-	HPhaseBackoff:   {"phase_seconds", "virtual seconds per phase charge", "phase", stats.PBackoff},
-	HRoundSendBytes: {"round_send_bytes", "bytes a rank contributed per two-phase round", "", ""},
-	HRoundRecvBytes: {"round_recv_bytes", "bytes an aggregator merged per two-phase round", "", ""},
+// histMeta names the per-round histograms; the per-phase family shares one
+// Prometheus metric name under a phase label (writePromHists).
+var histMeta = [numHists]meta{
+	HRoundSendBytes: {"round_send_bytes", "bytes a rank contributed per two-phase round", ""},
+	HRoundRecvBytes: {"round_recv_bytes", "bytes an aggregator merged per two-phase round", ""},
 }
 
-// CounterName returns the exposition name of a counter.
+// CounterName returns the exposition name of a counter ("" for a
+// table-only counter).
 func CounterName(c Counter) string { return counterMeta[c].name }
+
+// TableName returns the stats table name of a counter ("" for a counter
+// the tables do not print).
+func TableName(c Counter) string { return counterMeta[c].table }
 
 // CounterCount returns the size of the fixed counter schema, so callers
 // can walk every counter without knowing the schema.
 func CounterCount() int { return int(numCounters) }
 
-// phaseHist maps a stats phase name onto its histogram ID.
-func phaseHist(phase string) (Hist, bool) {
-	switch phase {
-	case stats.PFlatten:
-		return HPhaseFlatten, true
-	case stats.PPreagg:
-		return HPhasePreagg, true
-	case stats.PExchange:
-		return HPhaseExchange, true
-	case stats.PComm:
-		return HPhaseComm, true
-	case stats.PIO:
-		return HPhaseIO, true
-	case stats.PServe:
-		return HPhaseServe, true
-	case stats.PCopy:
-		return HPhaseCopy, true
-	case stats.PBackoff:
-		return HPhaseBackoff, true
-	}
-	return 0, false
-}
-
-// PhaseHists enumerates the (phase name, histogram ID) pairs of the
-// per-phase family, for coherence checks against stats and traces.
-func PhaseHists() map[string]Hist {
-	return map[string]Hist{
-		stats.PFlatten:  HPhaseFlatten,
-		stats.PPreagg:   HPhasePreagg,
-		stats.PExchange: HPhaseExchange,
-		stats.PComm:     HPhaseComm,
-		stats.PIO:       HPhaseIO,
-		stats.PServe:    HPhaseServe,
-		stats.PCopy:     HPhaseCopy,
-		stats.PBackoff:  HPhaseBackoff,
-	}
-}
-
-// Registry accumulates one rank's metrics. It is owned by that rank's
-// goroutine and is not safe for concurrent use (exactly like the rank's
-// stats.Recorder); cross-rank views are built with Set.Merged after a run.
-// A nil *Registry is valid and records nothing.
+// Registry accumulates one rank's counters, gauges and phase-time sums,
+// plus its histograms and flight ring once a Set is attached. It is owned
+// by that rank's goroutine and is not safe for concurrent use; cross-rank
+// views are built with Merge after a run. A nil *Registry is valid and
+// records nothing.
 type Registry struct {
 	rank     int
 	fr       *FlightRank
+	hists    *[numHists]Histogram // nil until a Set is attached
 	counters [numCounters]int64
 	gauges   [numGauges]float64
-	hists    [numHists]stats.Histogram
+	phases   [numPhases]sim.Time
+	// seen marks the counters (bit c) and phases (bit 63-ph) ever added to,
+	// zero amounts included: the stats tables print exactly those rows.
+	seen uint64
 }
+
+// seen's bits hold every counter and phase: this fails to compile otherwise.
+const _ = uint64(64 - int(numCounters) - int(numPhases))
+
+// NewRegistry returns rank's empty registry, with no histograms or ring.
+func NewRegistry(rank int) *Registry { return &Registry{rank: rank} }
 
 // Rank returns the owning rank (-1 for merged views and nil registries).
 func (r *Registry) Rank() int {
@@ -260,6 +273,7 @@ func (r *Registry) Add(c Counter, n int64) {
 		return
 	}
 	r.counters[c] += n
+	r.seen |= 1 << c
 }
 
 // Inc adds one to a counter.
@@ -272,6 +286,46 @@ func (r *Registry) Counter(c Counter) int64 {
 	}
 	return r.counters[c]
 }
+
+// Charge books d of virtual time to a phase: its sum and, when attached,
+// its histogram (one sample per charge), so the two agree by construction.
+// mpi.Proc's intervals charge through it.
+func (r *Registry) Charge(ph Phase, d sim.Time) {
+	if r == nil {
+		return
+	}
+	r.phases[ph] += d
+	r.seen |= 1 << (63 - ph)
+	if r.hists != nil {
+		r.hists[ph].Observe(d.Seconds())
+	}
+}
+
+// ObservePhase is Charge by phase name; an unknown name is a programming
+// error and panics.
+func (r *Registry) ObservePhase(name string, d sim.Time) {
+	ph, ok := PhaseNamed(name)
+	if !ok {
+		panic(fmt.Sprintf("metrics: unknown phase %q", name))
+	}
+	r.Charge(ph, d)
+}
+
+// Phase returns a phase's summed virtual time (zero on nil).
+func (r *Registry) Phase(ph Phase) sim.Time {
+	if r == nil {
+		return 0
+	}
+	return r.phases[ph]
+}
+
+// Seen reports whether counter c was ever passed to Add, zero amounts
+// included.
+func (r *Registry) Seen(c Counter) bool { return r != nil && r.seen&(1<<c) != 0 }
+
+// PhaseSeen reports whether phase ph was ever charged, zero charges
+// included.
+func (r *Registry) PhaseSeen(ph Phase) bool { return r != nil && r.seen&(1<<(63-ph)) != 0 }
 
 // SetGauge stores a gauge's latest value.
 func (r *Registry) SetGauge(g Gauge, v float64) {
@@ -289,33 +343,20 @@ func (r *Registry) Gauge(g Gauge) float64 {
 	return r.gauges[g]
 }
 
-// Observe records one histogram sample.
+// Observe records one histogram sample (nothing without histograms).
 func (r *Registry) Observe(h Hist, v float64) {
-	if r == nil {
+	if r == nil || r.hists == nil {
 		return
 	}
 	r.hists[h].Observe(v)
 }
 
-// Hist returns the histogram (nil on a nil registry).
-func (r *Registry) Hist(h Hist) *stats.Histogram {
-	if r == nil {
+// Hist returns the histogram (nil on a registry without histograms).
+func (r *Registry) Hist(h Hist) *Histogram {
+	if r == nil || r.hists == nil {
 		return nil
 	}
 	return &r.hists[h]
-}
-
-// ObservePhase records a phase duration into the per-phase histogram
-// family; unknown phases are dropped. mpi.Proc.ChargeTime calls this next
-// to stats.AddTime, so the summed per-phase histogram totals equal the
-// stats time buckets by construction.
-func (r *Registry) ObservePhase(phase string, d sim.Time) {
-	if r == nil {
-		return
-	}
-	if h, ok := phaseHist(phase); ok {
-		r.hists[h].Observe(d.Seconds())
-	}
 }
 
 // Flight returns this rank's flight-recorder handle (nil when disabled).
@@ -437,13 +478,13 @@ func (r *Registry) NoteAtRestIntegrity(quarantined, repaired bool) {
 // RoundProbe snapshots the per-round-deltas' baseline at a round start.
 // It is a value type: Begin/EndRound allocate nothing.
 type RoundProbe struct {
-	sieveSpan, sieveUseful     int64
-	faults, retries, resumes   int64
-	comm, io, copyT, exch, bko sim.Time
+	sieveSpan, sieveUseful   int64
+	faults, retries, resumes int64
+	phases                   [numPhases]sim.Time
 }
 
 // BeginRound snapshots counters and phase times at a round boundary.
-func (r *Registry) BeginRound(st *stats.Recorder) RoundProbe {
+func (r *Registry) BeginRound() RoundProbe {
 	if r == nil {
 		return RoundProbe{}
 	}
@@ -453,11 +494,7 @@ func (r *Registry) BeginRound(st *stats.Recorder) RoundProbe {
 		faults:      r.counters[CFaults],
 		retries:     r.counters[CRetries],
 		resumes:     r.counters[CResumes],
-		comm:        st.Time(stats.PComm),
-		io:          st.Time(stats.PIO),
-		copyT:       st.Time(stats.PCopy),
-		exch:        st.Time(stats.PExchange),
-		bko:         st.Time(stats.PBackoff),
+		phases:      r.phases,
 	}
 }
 
@@ -466,21 +503,24 @@ func (r *Registry) BeginRound(st *stats.Recorder) RoundProbe {
 // deltas since BeginRound) to the flight recorder's bounded ring. agg says
 // whether this rank aggregated this round; recvBytes is the merged byte
 // total at the aggregator (ignored otherwise).
-func (r *Registry) EndRound(st *stats.Recorder, pr RoundProbe, round int, agg bool, sendBytes, recvBytes int64) {
+func (r *Registry) EndRound(pr RoundProbe, round int, agg bool, sendBytes, recvBytes int64) {
 	if r == nil {
 		return
 	}
 	r.counters[CRounds]++
 	r.counters[CShuffleSendBytes] += sendBytes
-	r.hists[HRoundSendBytes].Observe(float64(sendBytes))
+	r.Observe(HRoundSendBytes, float64(sendBytes))
 	if agg {
 		r.counters[CShuffleRecvBytes] += recvBytes
-		r.hists[HRoundRecvBytes].Observe(float64(recvBytes))
+		r.Observe(HRoundRecvBytes, float64(recvBytes))
 	} else {
 		recvBytes = 0
 	}
 	r.gauges[GLastRound] = float64(round)
-	r.fr.Record(RoundRecord{
+	if r.fr == nil {
+		return
+	}
+	rec := RoundRecord{
 		Round:            round,
 		Agg:              agg,
 		SendBytes:        sendBytes,
@@ -490,27 +530,70 @@ func (r *Registry) EndRound(st *stats.Recorder, pr RoundProbe, round int, agg bo
 		Faults:           r.counters[CFaults] - pr.faults,
 		Retries:          r.counters[CRetries] - pr.retries,
 		Resumes:          r.counters[CResumes] - pr.resumes,
-		CommSec:          (st.Time(stats.PComm) - pr.comm).Seconds(),
-		IOSec:            (st.Time(stats.PIO) - pr.io).Seconds(),
-		CopySec:          (st.Time(stats.PCopy) - pr.copyT).Seconds(),
-		ExchangeSec:      (st.Time(stats.PExchange) - pr.exch).Seconds(),
-		BackoffSec:       (st.Time(stats.PBackoff) - pr.bko).Seconds(),
-	})
+	}
+	for k, ph := range roundPhases {
+		rec.PhaseSec[k] = (r.phases[ph] - pr.phases[ph]).Seconds()
+	}
+	r.fr.Record(rec)
 }
 
-// reset zeroes the registry in place.
-func (r *Registry) reset() {
+// Reset zeroes the registry in place, histograms included.
+func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	r.counters = [numCounters]int64{}
-	r.gauges = [numGauges]float64{}
-	for i := range r.hists {
-		r.hists[i] = stats.Histogram{}
+	hists := r.hists
+	*r = Registry{rank: r.rank, fr: r.fr, hists: hists}
+	if hists != nil {
+		*hists = [numHists]Histogram{}
 	}
 }
 
-// Set bundles one Registry per rank plus the shared flight recorder; it is
+// MergeFrom folds another registry into this one: counters and phase sums
+// add, gauges take the maximum, histograms merge (when this registry has
+// them). It is the one merge path: Merge, Set.Merged and the per-node
+// rollup tree (rollup.go) all use it, so their views agree by
+// construction. Nil receivers and sources are no-ops.
+func (r *Registry) MergeFrom(o *Registry) {
+	if r == nil || o == nil {
+		return
+	}
+	for c, v := range o.counters {
+		r.counters[c] += v
+	}
+	for ph, v := range o.phases {
+		r.phases[ph] += v
+	}
+	r.seen |= o.seen
+	for g, v := range o.gauges {
+		if v > r.gauges[g] {
+			r.gauges[g] = v
+		}
+	}
+	if r.hists != nil && o.hists != nil {
+		for h := range o.hists {
+			r.hists[h].MergeHist(&o.hists[h])
+		}
+	}
+}
+
+// Merge folds registries, in order, into a fresh cross-rank view (rank -1,
+// no flight handle) that has histograms when any source has them.
+func Merge(regs ...*Registry) *Registry {
+	out := NewRegistry(-1)
+	for _, r := range regs {
+		if r != nil && r.hists != nil {
+			out.hists = new([numHists]Histogram)
+			break
+		}
+	}
+	for _, r := range regs {
+		out.MergeFrom(r)
+	}
+	return out
+}
+
+// Set bundles a world's registries plus the shared flight recorder; it is
 // what World.EnableMetrics attaches and what exposition and dumps consume.
 // A nil *Set is valid: Registry returns nil, and the nil registry records
 // nothing.
@@ -524,39 +607,39 @@ type Set struct {
 // cannot grow without limit.
 const DefaultFlightRounds = 512
 
-// NewSet builds a Set for the given number of ranks with the default
-// flight-recorder depth.
-func NewSet(ranks int) *Set { return NewSetCap(ranks, DefaultFlightRounds) }
-
-// NewSetCap is NewSet with an explicit per-rank flight ring capacity
-// (non-positive means DefaultFlightRounds). All ring storage is allocated
-// here, so recording stays allocation-free afterwards.
-func NewSetCap(ranks, flightCap int) *Set {
-	return NewSetSelective(ranks, flightCap, nil)
+// NewSet builds a standalone Set of fresh registries for the given number
+// of ranks with the default flight-recorder depth.
+func NewSet(ranks int) *Set {
+	regs := make([]*Registry, ranks)
+	for i := range regs {
+		regs[i] = NewRegistry(i)
+	}
+	return Attach(regs, DefaultFlightRounds, nil)
 }
 
-// NewSetSelective is NewSetCap with flight-recorder rings allocated only
-// for the ranks keepFlight admits (nil admits every rank). Registries stay
-// per-rank — they are small fixed arrays and must be lock-free for the
-// owning goroutine — but the rings dominate the Set's memory (flightCap
-// RoundRecords per rank), so a rollup deployment that keeps rings only on
-// node leaders and trace-sampled ranks holds flight memory to
-// O(nodes + sampled ranks) instead of O(ranks). Ranks without a ring still
-// record rounds; FlightRank.Record on a zero-capacity ring is a no-op.
-func NewSetSelective(ranks, flightCap int, keepFlight func(rank int) bool) *Set {
+// Attach gives each registry (regs[i] is rank i's) its histograms and, for
+// the ranks keepFlight admits (nil admits every rank), a flight-recorder
+// ring of flightCap rounds (non-positive means DefaultFlightRounds), and
+// returns the Set over them. All of that storage is allocated here, so
+// recording stays allocation-free afterwards. The rings dominate a Set's
+// memory, so a rollup deployment that keeps them only on node leaders and
+// trace-sampled ranks holds flight memory to O(nodes + sampled ranks)
+// instead of O(ranks); ranks without a ring still record rounds, and
+// FlightRank.Record on a zero-capacity ring is a no-op.
+func Attach(regs []*Registry, flightCap int, keepFlight func(rank int) bool) *Set {
 	if flightCap <= 0 {
 		flightCap = DefaultFlightRounds
 	}
-	f := &Flight{ranks: make([]FlightRank, ranks)}
-	s := &Set{regs: make([]*Registry, ranks), flight: f}
-	for i := range s.regs {
+	f := &Flight{ranks: make([]FlightRank, len(regs))}
+	hists := make([][numHists]Histogram, len(regs))
+	for i, r := range regs {
 		f.ranks[i] = FlightRank{f: f, rank: i}
 		if keepFlight == nil || keepFlight(i) {
 			f.ranks[i].recs = make([]RoundRecord, flightCap)
 		}
-		s.regs[i] = &Registry{rank: i, fr: &f.ranks[i]}
+		r.fr, r.hists = &f.ranks[i], &hists[i]
 	}
-	return s
+	return &Set{regs: regs, flight: f}
 }
 
 // Ranks returns the number of per-rank registries (zero on nil).
@@ -584,8 +667,8 @@ func (s *Set) Flight() *Flight {
 }
 
 // FlightRingRanks counts the ranks holding allocated flight rings. Under
-// NewSetSelective this is the O(leaders + sampled ranks) bound the scale
-// smoke test asserts; under NewSet it equals Ranks().
+// a keepFlight filter this is the O(leaders + sampled ranks) bound the
+// scale smoke test asserts; under NewSet it equals Ranks().
 func (s *Set) FlightRingRanks() int {
 	if s == nil {
 		return 0
@@ -599,40 +682,14 @@ func (s *Set) FlightRingRanks() int {
 	return n
 }
 
-// MergeFrom folds another registry into this one: counters sum, gauges
-// take the maximum, histograms merge. It is the single merge path both
-// Merged and the per-node rollup tree (rollup.go) use, so cross-rank and
-// per-node views agree by construction. Nil receivers and sources are
-// no-ops.
-func (r *Registry) MergeFrom(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	for c, v := range o.counters {
-		r.counters[c] += v
-	}
-	for g, v := range o.gauges {
-		if v > r.gauges[g] {
-			r.gauges[g] = v
-		}
-	}
-	for h := range o.hists {
-		r.hists[h].MergeHist(&o.hists[h])
-	}
-}
-
 // Merged folds every rank's registry into a fresh cross-rank view: counters
 // sum, gauges take the maximum, histograms merge. The result has no flight
 // handle and rank -1.
 func (s *Set) Merged() *Registry {
-	out := &Registry{rank: -1}
 	if s == nil {
-		return out
+		return NewRegistry(-1)
 	}
-	for _, r := range s.regs {
-		out.MergeFrom(r)
-	}
-	return out
+	return Merge(s.regs...)
 }
 
 // NoteCritPath publishes the critical-path profiler's summary into the
@@ -649,16 +706,4 @@ func (s *Set) NoteCritPath(cp CritPathSummary, perRankSec []float64) {
 			r.SetGauge(GCritPathSec, perRankSec[i])
 		}
 	}
-}
-
-// Reset clears every registry and the flight recorder (for reuse across
-// independent experiments; World.ResetClocks calls it).
-func (s *Set) Reset() {
-	if s == nil {
-		return
-	}
-	for _, r := range s.regs {
-		r.reset()
-	}
-	s.flight.reset()
 }

@@ -6,12 +6,10 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"flexio/internal/stats"
 )
 
 // TestNilSafety drives every entry point through nil receivers: the
-// disabled-metrics path must be inert, mirroring the nil-safe stats
+// disabled-metrics path must be inert, mirroring the nil-safe
 // recorder and tracer.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
@@ -19,11 +17,11 @@ func TestNilSafety(t *testing.T) {
 	r.Inc(CIOCalls)
 	r.SetGauge(GNAggs, 4)
 	r.Observe(HRoundSendBytes, 1024)
-	r.ObservePhase(stats.PComm, 1)
+	r.Charge(PComm, 1)
 	r.SetRealmContext(4, 1<<20, 0, []int64{0, 1})
 	r.NoteAbort(3, "transient")
-	pr := r.BeginRound(nil)
-	r.EndRound(nil, pr, 0, true, 1, 2)
+	pr := r.BeginRound()
+	r.EndRound(pr, 0, true, 1, 2)
 	if r.Counter(CIOBytes) != 0 || r.Gauge(GNAggs) != 0 || r.Hist(HRoundSendBytes) != nil || r.Flight() != nil || r.Rank() != -1 {
 		t.Fatal("nil Registry must report zeros")
 	}
@@ -32,7 +30,6 @@ func TestNilSafety(t *testing.T) {
 	if s.Ranks() != 0 || s.Registry(0) != nil || s.Flight() != nil {
 		t.Fatal("nil Set must report zeros")
 	}
-	s.Reset()
 	if m := s.Merged(); m == nil || m.Counter(CIOCalls) != 0 {
 		t.Fatal("nil Set Merged must be an empty registry")
 	}
@@ -62,8 +59,15 @@ func TestRegistryBasics(t *testing.T) {
 	r1.SetGauge(GNAggs, 4)
 	r0.Observe(HRoundSendBytes, 1024)
 	r1.Observe(HRoundSendBytes, 2048)
-	r0.ObservePhase(stats.PIO, 0.5)
-	r0.ObservePhase("not-a-phase", 0.5) // dropped, not a panic
+	r0.ObservePhase("io", 0.5)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an unknown phase name must panic, not be dropped")
+			}
+		}()
+		r0.ObservePhase("not-a-phase", 0.5)
+	}()
 
 	m := s.Merged()
 	if got := m.Counter(CIOBytes); got != 150 {
@@ -75,22 +79,25 @@ func TestRegistryBasics(t *testing.T) {
 	if got := m.Hist(HRoundSendBytes).Count(); got != 2 {
 		t.Fatalf("merged HRoundSendBytes count = %d, want 2", got)
 	}
-	if got := m.Hist(HPhaseIO).Sum(); got != 0.5 {
-		t.Fatalf("merged HPhaseIO sum = %v, want 0.5", got)
+	if got := m.Hist(PIO.Hist()).Sum(); got != 0.5 {
+		t.Fatalf("merged PIO.Hist() sum = %v, want 0.5", got)
 	}
 	if m.Rank() != -1 {
 		t.Fatalf("merged rank = %d, want -1", m.Rank())
 	}
 
-	s.Reset()
-	if got := s.Merged().Counter(CIOBytes); got != 0 {
-		t.Fatalf("after Reset, merged CIOBytes = %d, want 0", got)
+	r0.Reset()
+	if got := s.Merged().Counter(CIOBytes); got != 50 {
+		t.Fatalf("after resetting rank 0, merged CIOBytes = %d, want 50", got)
+	}
+	if r0.Hist(HRoundSendBytes).Count() != 0 || r0.Flight() == nil {
+		t.Fatal("Reset must clear the histograms and keep the flight handle")
 	}
 }
 
 // TestFlightRing checks the bounded ring discipline.
 func TestFlightRing(t *testing.T) {
-	s := NewSetCap(1, 4)
+	s := newSetCap(1, 4)
 	fr := s.Registry(0).Flight()
 	for i := 0; i < 6; i++ {
 		fr.Record(RoundRecord{Round: i, SendBytes: int64(i)})
@@ -118,10 +125,8 @@ func TestFlightRing(t *testing.T) {
 // allocate nothing — the property that lets the collective datapath keep
 // metrics enabled everywhere.
 func TestZeroAllocHotPath(t *testing.T) {
-	s := NewSetCap(2, 8)
+	s := newSetCap(2, 8)
 	r := s.Registry(0)
-	st := stats.New()
-	st.AddTime(stats.PComm, 1)
 	disps := []int64{0, 4 << 20}
 	r.SetRealmContext(2, 2<<20, 0, disps) // first call may copy; do it outside the measurement
 
@@ -130,10 +135,10 @@ func TestZeroAllocHotPath(t *testing.T) {
 		r.Inc(CIOCalls)
 		r.SetGauge(GNAggs, 2)
 		r.Observe(HRoundRecvBytes, 4096)
-		r.ObservePhase(stats.PComm, 0.001)
+		r.Charge(PComm, 0.001)
 		r.SetRealmContext(2, 2<<20, 0, disps) // unchanged context: compare-and-skip
-		pr := r.BeginRound(st)
-		r.EndRound(st, pr, 3, true, 100, 200)
+		pr := r.BeginRound()
+		r.EndRound(pr, 3, true, 100, 200)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path allocs/op = %v, want 0", allocs)
@@ -143,9 +148,9 @@ func TestZeroAllocHotPath(t *testing.T) {
 	var nilReg *Registry
 	allocs = testing.AllocsPerRun(200, func() {
 		nilReg.Add(CIOBytes, 4096)
-		nilReg.ObservePhase(stats.PComm, 0.001)
-		pr := nilReg.BeginRound(st)
-		nilReg.EndRound(st, pr, 3, true, 100, 200)
+		nilReg.Charge(PComm, 0.001)
+		pr := nilReg.BeginRound()
+		nilReg.EndRound(pr, 3, true, 100, 200)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-registry allocs/op = %v, want 0", allocs)
@@ -156,15 +161,14 @@ func TestZeroAllocHotPath(t *testing.T) {
 func TestRoundDeltas(t *testing.T) {
 	s := NewSet(1)
 	r := s.Registry(0)
-	st := stats.New()
 
 	r.Add(CSieveSpanBytes, 1000) // pre-round noise the probe must exclude
-	pr := r.BeginRound(st)
+	pr := r.BeginRound()
 	r.Add(CSieveSpanBytes, 4096)
 	r.Add(CSieveUsefulBytes, 512)
 	r.Inc(CFaults)
-	st.AddTime(stats.PComm, 2)
-	r.EndRound(st, pr, 7, true, 300, 400)
+	r.Charge(PComm, 2)
+	r.EndRound(pr, 7, true, 300, 400)
 
 	fr := r.Flight()
 	if fr.Len() != 1 {
@@ -177,8 +181,8 @@ func TestRoundDeltas(t *testing.T) {
 	if rec.SieveSpanBytes != 4096 || rec.SieveUsefulBytes != 512 || rec.Faults != 1 {
 		t.Fatalf("round record deltas wrong: %+v", rec)
 	}
-	if rec.CommSec != 2 {
-		t.Fatalf("round record CommSec = %v, want 2", rec.CommSec)
+	if rec.PhaseSec[0] != 2 {
+		t.Fatalf("round record comm seconds = %v, want 2", rec.PhaseSec[0])
 	}
 	if got := r.Counter(CRounds); got != 1 {
 		t.Fatalf("CRounds = %d, want 1", got)
@@ -187,8 +191,8 @@ func TestRoundDeltas(t *testing.T) {
 		t.Fatalf("CShuffleSendBytes = %d, want 300", got)
 	}
 	// Non-aggregator rounds must not count recv bytes.
-	pr = r.BeginRound(st)
-	r.EndRound(st, pr, 8, false, 10, 999)
+	pr = r.BeginRound()
+	r.EndRound(pr, 8, false, 10, 999)
 	if got := r.Counter(CShuffleRecvBytes); got != 400 {
 		t.Fatalf("CShuffleRecvBytes = %d, want 400", got)
 	}
@@ -202,11 +206,10 @@ func TestRoundDeltas(t *testing.T) {
 func TestDumpDeterministicJSON(t *testing.T) {
 	build := func() *Set {
 		s := NewSet(3)
-		st := stats.New()
 		for rank := 0; rank < 3; rank++ {
 			r := s.Registry(rank)
-			pr := r.BeginRound(st)
-			r.EndRound(st, pr, 0, rank < 2, int64(100*(rank+1)), int64(1000*(rank+1)))
+			pr := r.BeginRound()
+			r.EndRound(pr, 0, rank < 2, int64(100*(rank+1)), int64(1000*(rank+1)))
 		}
 		s.Registry(0).SetRealmContext(2, 1<<16, 0, []int64{0, 1 << 16})
 		s.Registry(1).NoteAbort(0, "transient")
@@ -273,17 +276,15 @@ func TestImbalanceAndMedian(t *testing.T) {
 // TestPromRoundTrip writes an exposition and parses it back.
 func TestPromRoundTrip(t *testing.T) {
 	s := NewSet(2)
-	st := stats.New()
-	st.AddTime(stats.PComm, 1)
 	for rank := 0; rank < 2; rank++ {
 		r := s.Registry(rank)
 		r.Add(CIOBytes, int64(1000*(rank+1)))
 		r.Inc(CIOCalls)
 		r.SetGauge(GNAggs, 2)
-		r.ObservePhase(stats.PComm, 0.25)
-		r.ObservePhase(stats.PIO, 1.5)
-		pr := r.BeginRound(st)
-		r.EndRound(st, pr, 0, rank == 0, 512, 1024)
+		r.Charge(PComm, 0.25)
+		r.Charge(PIO, 1.5)
+		pr := r.BeginRound()
+		r.EndRound(pr, 0, rank == 0, 512, 1024)
 	}
 	var buf bytes.Buffer
 	if err := s.WriteProm(&buf); err != nil {
@@ -336,10 +337,10 @@ func TestPromRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets exercises the new stats bucket visitor contract the
+// TestHistogramBuckets exercises the bucket visitor contract the
 // exposition depends on.
 func TestHistogramBuckets(t *testing.T) {
-	var h stats.Histogram
+	var h Histogram
 	h.Observe(1e-6)
 	h.Observe(1e-6)
 	h.Observe(2.0)
@@ -358,7 +359,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("visited %d samples, want 3", total)
 	}
-	var nilH *stats.Histogram
+	var nilH *Histogram
 	nilH.Buckets(func(float64, int64) { t.Fatal("nil histogram visited a bucket") })
 }
 
@@ -400,14 +401,13 @@ func TestFailoverEventOrderIndependent(t *testing.T) {
 // values.
 func FuzzParseProm(f *testing.F) {
 	s := NewSet(2)
-	st := stats.New()
 	for rank := 0; rank < 2; rank++ {
 		r := s.Registry(rank)
 		r.Add(CIOBytes, int64(1000*(rank+1)))
 		r.SetGauge(GNAggs, 2)
-		r.ObservePhase(stats.PComm, 0.25)
-		pr := r.BeginRound(st)
-		r.EndRound(st, pr, 0, rank == 0, 512, 1024)
+		r.Charge(PComm, 0.25)
+		pr := r.BeginRound()
+		r.EndRound(pr, 0, rank == 0, 512, 1024)
 	}
 	var own bytes.Buffer
 	if err := s.WriteProm(&own); err != nil {
@@ -447,4 +447,16 @@ func FuzzParseProm(f *testing.F) {
 			}
 		}
 	})
+}
+
+// newSetCap is NewSet with a flight ring of flightCap rounds per rank.
+func newSetCap(ranks, flightCap int) *Set { return newSetKeeping(ranks, flightCap, nil) }
+
+// newSetKeeping is newSetCap with rings only where keep admits.
+func newSetKeeping(ranks, flightCap int, keep func(rank int) bool) *Set {
+	regs := make([]*Registry, ranks)
+	for i := range regs {
+		regs[i] = NewRegistry(i)
+	}
+	return Attach(regs, flightCap, keep)
 }

@@ -25,6 +25,9 @@ func (s *Set) WriteProm(w io.Writer) error {
 
 	// Counters.
 	for c := Counter(0); c < numCounters; c++ {
+		if counterMeta[c].name == "" {
+			continue
+		}
 		name := promPrefix + counterMeta[c].name + "_total"
 		any := false
 		for r := 0; r < s.Ranks(); r++ {
@@ -68,29 +71,29 @@ func (s *Set) WriteProm(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writePromHists emits the merged histogram section: families sharing a
-// name (the per-phase set) go under one HELP/TYPE header, each with
-// cumulative le buckets, +Inf, _sum and _count. Shared by the per-rank and
-// per-node (rollup) expositions — histograms always merge across ranks, so
-// the section is identical in both.
+// writePromHists emits the merged histogram section: the per-phase family
+// under one HELP/TYPE header with a phase label per member, then the
+// per-round byte histograms, each with cumulative le buckets, +Inf, _sum
+// and _count. Shared by the per-rank and per-node (rollup) expositions —
+// histograms always merge across ranks, so the section is identical in
+// both.
 func writePromHists(bw *bufio.Writer, merged *Registry) {
-	headerDone := map[string]bool{}
+	familyDone := false // the per-phase family shares one HELP/TYPE header
 	for h := Hist(0); h < numHists; h++ {
-		hm := histMeta[h]
 		hist := merged.Hist(h)
 		if hist.Count() == 0 {
 			continue
 		}
-		name := promPrefix + hm.family
-		if !headerDone[name] {
-			fmt.Fprintf(bw, "# HELP %s %s\n", name, hm.help)
+		family := h < Hist(numPhases)
+		name, help, label := promPrefix+histMeta[h].name, histMeta[h].help, ""
+		if family {
+			name, help, label = promPrefix+"phase_seconds", "virtual seconds per phase charge", "phase=\""+Phase(h).String()+"\","
+		}
+		if !family || !familyDone {
+			fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
 			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
-			headerDone[name] = true
 		}
-		label := ""
-		if hm.labelKey != "" {
-			label = hm.labelKey + "=\"" + hm.labelVal + "\","
-		}
+		familyDone = familyDone || family
 		cum := int64(0)
 		hist.Buckets(func(upper float64, count int64) {
 			cum += count

@@ -70,14 +70,14 @@ func (ru *Rollup) Members(node int) []int {
 // no flight handle), exactly as a node leader would merge them before
 // shipping one registry up the tree.
 func (ru *Rollup) Node(node int) *Registry {
-	out := &Registry{rank: -1}
 	if ru == nil || node < 0 || node >= len(ru.members) {
-		return out
+		return NewRegistry(-1)
 	}
-	for _, r := range ru.members[node] {
-		out.MergeFrom(ru.set.Registry(r))
+	regs := make([]*Registry, len(ru.members[node]))
+	for i, r := range ru.members[node] {
+		regs[i] = ru.set.Registry(r)
 	}
-	return out
+	return Merge(regs...)
 }
 
 // WriteProm writes the rollup in Prometheus text exposition format with
@@ -100,6 +100,9 @@ func (ru *Rollup) WriteProm(w io.Writer) error {
 
 	// Counters.
 	for c := Counter(0); c < numCounters; c++ {
+		if counterMeta[c].name == "" {
+			continue
+		}
 		name := promPrefix + counterMeta[c].name + "_total"
 		any := false
 		for _, reg := range folded {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"flexio/internal/stats"
 )
 
 func TestRegistryMergeFrom(t *testing.T) {
@@ -14,7 +12,7 @@ func TestRegistryMergeFrom(t *testing.T) {
 	b.Add(CIOBytes, 100)
 	b.Inc(CIOCalls)
 	b.SetGauge(GNAggs, 4)
-	b.ObservePhase(stats.PIO, 1.0)
+	b.Charge(PIO, 1.0)
 	a.MergeFrom(b)
 	a.MergeFrom(b)
 	if got := a.Counter(CIOBytes); got != 200 {
@@ -56,13 +54,11 @@ func TestRollupFoldsByNode(t *testing.T) {
 
 func TestRollupPromRoundTrip(t *testing.T) {
 	s := NewSet(4)
-	st := stats.New()
-	st.AddTime(stats.PComm, 1)
 	for rank := 0; rank < 4; rank++ {
 		r := s.Registry(rank)
 		r.Add(CIOBytes, 1000)
 		r.Inc(CIOCalls)
-		r.ObservePhase(stats.PComm, 0.25)
+		r.Charge(PComm, 0.25)
 	}
 	ru := NewRollup(s, NodeOfBlock(2))
 	var buf bytes.Buffer
@@ -112,14 +108,12 @@ func TestRollupPromRoundTrip(t *testing.T) {
 // exist only for the kept ranks.
 func TestRollupPartialReporting(t *testing.T) {
 	keep := func(rank int) bool { return rank == 0 || rank == 2 }
-	s := NewSetSelective(4, 8, keep)
-	st := stats.New()
-	st.AddTime(stats.PComm, 1)
+	s := newSetKeeping(4, 8, keep)
 	for rank := 0; rank < 4; rank++ {
 		r := s.Registry(rank)
-		r.ObservePhase(stats.PIO, 1.0)
-		pr := r.BeginRound(st)
-		r.EndRound(st, pr, 0, rank == 0, 256, 512)
+		r.Charge(PIO, 1.0)
+		pr := r.BeginRound()
+		r.EndRound(pr, 0, rank == 0, 256, 512)
 	}
 	var buf bytes.Buffer
 	ru := NewRollup(s, NodeOfBlock(2))

@@ -8,7 +8,6 @@ import (
 	"flexio/internal/integrity"
 	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -404,7 +403,6 @@ func (p *Proc) Allgather(data []byte) [][]byte {
 		}
 	}
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + p.w.cfg.TransferTime(others)
-	p.Stats.Add(stats.CBytesComm, others)
 	p.Metrics.Add(metrics.CCommBytes, others)
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
@@ -532,7 +530,6 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 		extra += p.w.cfg.MemcpyTime(vol.sent() + rbytes)
 	}
 	p.clock += extra
-	p.Stats.Add(stats.CBytesComm, vol.sent())
 	p.Metrics.Add(metrics.CCommBytes, vol.sent())
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
@@ -675,7 +672,6 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 		extra += p.w.cfg.MemcpyTime(vol.sent() + rbytes)
 	}
 	p.clock += extra
-	p.Stats.Add(stats.CBytesComm, vol.sent())
 	p.Metrics.Add(metrics.CCommBytes, vol.sent())
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)

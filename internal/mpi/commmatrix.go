@@ -248,8 +248,9 @@ func (m *CommMatrix) TotalMsgs() int64 {
 
 // NodeSplit classifies the shuffle bytes with a node map (nodeOf(rank) ->
 // node id; nil means one rank per node): inter-node bytes crossed a node
-// boundary, intra-node bytes stayed on one node. This is the ROADMAP's
-// shuffle_internode_bytes metric, computable post hoc under any placement.
+// boundary, intra-node bytes stayed on one node. This is the
+// shuffle_internode_bytes metric of DESIGN §11, computable post hoc under
+// any placement.
 func (m *CommMatrix) NodeSplit(nodeOf func(rank int) int) (inter, intra int64) {
 	if m == nil {
 		return 0, 0

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
 )
@@ -423,7 +426,7 @@ func TestCommStatsCounted(t *testing.T) {
 			p.Recv(0, 0)
 		}
 	})
-	if got := w.Proc(0).Stats.Counter("bytes_comm"); got != 100 {
+	if got := w.Proc(0).Metrics.Counter(metrics.CCommBytes); got != 100 {
 		t.Errorf("sender bytes_comm = %d, want 100", got)
 	}
 }
@@ -445,4 +448,36 @@ func TestCollectiveValuesStableAcrossGenerations(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorldWithoutMetricsHoldsNoHistograms: every rank's registry exists
+// from the start and stays small (counters, gauges and phase sums); only
+// EnableMetrics attaches histograms and flight rings. A world's allocation
+// stays in the hundreds of bytes per rank beyond its O(P) send counters,
+// where one inline histogram set alone is about 41 KB.
+func TestWorldWithoutMetricsHoldsNoHistograms(t *testing.T) {
+	const ranks = 256
+	if size := unsafe.Sizeof(metrics.Registry{}); size > 1024 {
+		t.Errorf("a registry is %d bytes, want at most 1 KiB", size)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := testWorld(ranks)
+	runtime.ReadMemStats(&after)
+	perRank := (after.TotalAlloc - before.TotalAlloc) / ranks
+	if limit := uint64(8*ranks + 2048); perRank > limit {
+		t.Errorf("NewWorld allocated %d bytes per rank, want at most %d", perRank, limit)
+	}
+	w.Run(func(p *Proc) { p.Barrier() })
+	for r := 0; r < ranks; r++ {
+		reg := w.Proc(r).Metrics
+		if reg == nil || reg.Hist(metrics.HRoundSendBytes) != nil || reg.Hist(metrics.PIO.Hist()) != nil || reg.Flight() != nil {
+			t.Fatalf("rank %d: registry %p holds histograms or a flight ring without EnableMetrics", r, reg)
+		}
+	}
+	w.EnableMetrics()
+	if reg := w.Proc(0).Metrics; reg.Hist(metrics.PIO.Hist()) == nil || reg.Flight() == nil {
+		t.Fatal("EnableMetrics attached no histograms or flight ring")
+	}
 }

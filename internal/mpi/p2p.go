@@ -8,7 +8,6 @@ import (
 	"flexio/internal/integrity"
 	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -199,7 +198,6 @@ func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 			// retransmit leaves one timeout later, so the message is
 			// stamped after the penalty — delivered late, not lost.
 			p.clock += pen
-			p.Stats.Add(stats.CRedeliveries, 1)
 			p.Metrics.Inc(metrics.CRedelivered)
 		}
 		if r, h, ok := rf.corruptHit(p.rank, to, p.sendSeq); ok && n > 0 {
@@ -217,7 +215,6 @@ func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 		}
 	}
 	p.clock += p.w.cfg.SendOverhead
-	p.Stats.Add(stats.CBytesComm, n)
 	p.Metrics.Add(metrics.CCommBytes, n)
 	// Edge id: the sender alone sequences its (src,dst) stream, so the id
 	// is deterministic across goroutine schedules, and the receiver's

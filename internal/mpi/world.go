@@ -36,6 +36,7 @@ type World struct {
 	boxes []*mailbox
 	coll  *collSync
 	procs []*Proc
+	regs  []*metrics.Registry // regs[r] is procs[r].Metrics
 	sink  *trace.Sink
 	met   *metrics.Set
 	// rf is the rank-level fault plan (nil = no rank faults); every
@@ -80,13 +81,15 @@ func NewWorld(size int, cfg *sim.Config) *World {
 		boxes: make([]*mailbox, size),
 		coll:  newCollSync(size),
 		procs: make([]*Proc, size),
+		regs:  make([]*metrics.Registry, size),
 		nodes: size,
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
 	for i := range w.procs {
-		w.procs[i] = &Proc{w: w, rank: i, round: -1, Stats: stats.New(), sendsTo: make([]int64, size)}
+		w.regs[i] = metrics.NewRegistry(i)
+		w.procs[i] = &Proc{w: w, rank: i, round: -1, Metrics: w.regs[i], sendsTo: make([]int64, size)}
 	}
 	return w
 }
@@ -189,25 +192,22 @@ func (w *World) EnableSampledTracing(capacity int, policy trace.SamplePolicy) *t
 	return w.sink
 }
 
-// EnableMetrics attaches a metrics set (registry per rank plus the shared
-// flight recorder) and hands each rank its registry. Call it before Run; it
-// returns the set for exposition, dumps, and analysis.
+// EnableMetrics attaches histograms and flight-recorder rings to the ranks'
+// registries and returns the set over them for exposition, dumps, and
+// analysis. Call it before Run.
 func (w *World) EnableMetrics() *metrics.Set {
-	w.met = metrics.NewSet(w.size)
-	for i, p := range w.procs {
-		p.Metrics = w.met.Registry(i)
-	}
+	w.met = metrics.Attach(w.regs, 0, nil)
 	return w.met
 }
 
 // MetricsSet returns the attached metrics set (nil when metrics are off).
 func (w *World) MetricsSet() *metrics.Set { return w.met }
 
-// EnableMetricsRollup attaches a metrics set whose flight-recorder rings
-// are restricted to the node leaders under the installed node map plus the
-// ranks the attached trace sink samples (registries stay per-rank: they
-// are small and must stay lock-free for the owning goroutine), and returns
-// it with the per-node rollup view for O(nodes) exposition. Together with
+// EnableMetricsRollup is EnableMetrics with flight-recorder rings only on
+// the node leaders under the installed node map plus the ranks the attached
+// trace sink samples (registries stay per-rank: they are small and must
+// stay lock-free for the owning goroutine), and returns the set with the
+// per-node rollup view for O(nodes) exposition. Together with
 // EnableSampledTracing this holds per-run telemetry memory to
 // O(nodes + sampled ranks). Call it after SetNodeMap (and after
 // EnableSampledTracing if sampling), before Run.
@@ -215,12 +215,9 @@ func (w *World) EnableMetricsRollup(flightCap int) (*metrics.Set, *metrics.Rollu
 	leaders := make([]bool, w.size)
 	w.procs[0].NodeLeadersInto(leaders, nil)
 	sink := w.sink
-	w.met = metrics.NewSetSelective(w.size, flightCap, func(rank int) bool {
+	w.met = metrics.Attach(w.regs, flightCap, func(rank int) bool {
 		return leaders[rank] || sink.Sampled(rank)
 	})
-	for i, p := range w.procs {
-		p.Metrics = w.met.Registry(i)
-	}
 	return w.met, metrics.NewRollup(w.met, w.nodeOf)
 }
 
@@ -236,7 +233,7 @@ func (w *World) EnableCommMatrix() *CommMatrix {
 func (w *World) CommMatrix() *CommMatrix { return w.comm }
 
 // SetNodeMap installs the rank→node placement used to split shuffle bytes
-// into inter-node vs. intra-node (the ROADMAP's shuffle_internode_bytes).
+// into inter-node vs. intra-node (shuffle_internode_bytes, DESIGN §11).
 // nil restores the default of one rank per node (all traffic inter-node).
 // Call it before Run.
 func (w *World) SetNodeMap(nodeOf func(rank int) int) {
@@ -256,9 +253,11 @@ func (w *World) node(r int) int {
 	return w.nodeOf(r)
 }
 
-// ResetClocks zeroes every rank's virtual clock and drops undelivered
-// messages, making the world ready for an independent experiment. Any
-// attached trace sink is cleared too: its timestamps restart from zero.
+// ResetClocks makes the world ready for an independent experiment: it
+// zeroes every rank's virtual clock, round and failure state, drops
+// undelivered messages, and clears every rank's registry (counters, phase
+// times, histograms), the flight recorder, the trace sink (its timestamps
+// restart from zero) and the comm matrix.
 func (w *World) ResetClocks() {
 	for _, p := range w.procs {
 		p.clock = 0
@@ -273,6 +272,7 @@ func (w *World) ResetClocks() {
 		for i := range p.sendsTo {
 			p.sendsTo[i] = 0
 		}
+		p.Metrics.Reset()
 	}
 	for _, b := range w.boxes {
 		b.drain()
@@ -280,7 +280,7 @@ func (w *World) ResetClocks() {
 	w.coll.revive()
 	w.anyFail.Store(0)
 	w.sink.Reset()
-	w.met.Reset()
+	w.met.Flight().Reset()
 	w.comm.reset()
 }
 
@@ -380,16 +380,19 @@ func (w *World) MinClock() sim.Time {
 	return m
 }
 
-// Recorders returns every rank's stats recorder.
+// Recorders returns every rank's stats view.
 func (w *World) Recorders() []*stats.Recorder {
 	out := make([]*stats.Recorder, w.size)
-	for i, p := range w.procs {
-		out[i] = p.Stats
+	for i, reg := range w.regs {
+		out[i] = stats.Of(reg)
 	}
 	return out
 }
 
-// Proc is one rank's handle: its identity, virtual clock, and stats. All
+// Totals returns every rank's registry merged into one.
+func (w *World) Totals() *metrics.Registry { return metrics.Merge(w.regs...) }
+
+// Proc is one rank's handle: its identity, virtual clock, and books. All
 // methods must be called only from the goroutine running that rank.
 type Proc struct {
 	w     *World
@@ -400,14 +403,13 @@ type Proc struct {
 	// ingesting data from many clients is throughput-limited — the
 	// effect that makes aggregator load balancing matter.
 	nicBusy sim.Time
-	Stats   *stats.Recorder
 	// Trace records this rank's virtual-time spans and events; nil (the
 	// default) records nothing, so instrumentation stays in place
 	// unconditionally. Set for all ranks by World.EnableTracing.
 	Trace *trace.Tracer
-	// Metrics accumulates this rank's counters, gauges, and phase/byte
-	// histograms; nil (the default) records nothing, like Trace. Set for
-	// all ranks by World.EnableMetrics.
+	// Metrics is this rank's one store of counters, gauges and phase
+	// times (stats.Of reads it by table name); World.EnableMetrics
+	// attaches its histograms and flight ring.
 	Metrics *metrics.Registry
 	// collSeq counts this rank's collective operations and sendSeq its
 	// point-to-point sends: the deterministic streams rank-fault rules
@@ -470,13 +472,36 @@ func (p *Proc) SyncClock(t sim.Time) {
 	}
 }
 
-// ChargeTime attributes a virtual-time duration to a named phase in both
-// the stats recorder and the metrics phase histogram. Feeding both from
-// the same call is what makes their per-phase totals agree exactly, which
-// the colltest coherence check asserts.
-func (p *Proc) ChargeTime(phase string, d sim.Time) {
-	p.Stats.AddTime(phase, d)
-	p.Metrics.ObservePhase(phase, d)
+// Interval is a charged phase interval, opened by Begin or Begin1 and
+// closed by End or EndAs.
+type Interval struct {
+	ph    metrics.Phase
+	start sim.Time
+}
+
+// Begin opens an interval of phase ph now, with its trace span. The
+// variadic tags are built even when tracing is off: hot paths use Begin1,
+// or pass nil tags when the tracer is nil.
+func (p *Proc) Begin(ph metrics.Phase, tags ...trace.Tag) Interval {
+	p.Trace.Begin(p.clock, ph.String(), tags...)
+	return Interval{ph: ph, start: p.clock}
+}
+
+// Begin1 is Begin with exactly one tag, allocation-free when tracing is off.
+func (p *Proc) Begin1(ph metrics.Phase, tag trace.Tag) Interval {
+	p.Trace.Begin1(p.clock, ph.String(), tag)
+	return Interval{ph: ph, start: p.clock}
+}
+
+// End closes iv: the clock's advance since it opened is booked to its
+// phase, sum and histogram together, and its trace span ends.
+func (p *Proc) End(iv Interval) { p.EndAs(iv, p.clock-iv.start) }
+
+// EndAs is End booking d, for an interval that only advanced the clock by
+// d: the phase books d itself, not the clock difference it rounds to.
+func (p *Proc) EndAs(iv Interval, d sim.Time) {
+	p.Metrics.Charge(iv.ph, d)
+	p.Trace.End(p.clock)
 }
 
 // SetRound tags this rank with the current two-phase round (-1 = outside

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -135,8 +135,7 @@ func StartAgreement(p *mpi.Proc, local error) Agreement {
 // of the agreed class.
 func (a Agreement) Wait() error {
 	p, local := a.p, a.local
-	t0 := p.Clock()
-	p.Trace.Begin1(t0, stats.PExchange, trace.S("what", "err_agree"))
+	iv := p.Begin1(metrics.PExchange, trace.S("what", "err_agree"))
 	agreed := a.req.Wait()
 	// The vote's own rendezvous may have revealed a failure. Escalate on
 	// the failure version it published, which every rank read, so every
@@ -145,8 +144,7 @@ func (a Agreement) Wait() error {
 	if agreed < ClassUnresponsive && a.req.PeerFailed() {
 		local, agreed = p.PeerFailure(), ClassUnresponsive
 	}
-	p.ChargeTime(stats.PExchange, p.Clock()-t0)
-	p.Trace.End(p.Clock())
+	p.End(iv)
 	if agreed == ClassOK {
 		return nil
 	}

@@ -5,8 +5,8 @@ import (
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -83,117 +83,77 @@ func (f *File) ReadIndependent(buf []byte, memtype datatype.Type, count int64) e
 // drain their collective buffers — the layering that lets a collective
 // call pick a different optimization per two-phase round (paper §5.1).
 func (f *File) WriteStream(segs []datatype.Seg, data []byte, m Method) error {
+	return f.stream(segs, data, m, true)
+}
+
+// ReadStream reads the given absolute file segments into a linear buffer.
+func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
+	return f.stream(segs, buf, m, false)
+}
+
+// stream moves a linear stream to (write) or from the given absolute file
+// segments with method m, as one io interval.
+func (f *File) stream(segs []datatype.Seg, data []byte, m Method, write bool) error {
+	op, call, what := "read", "ReadStream", "buffer"
+	if write {
+		op, call, what = "write", "WriteStream", "data"
+	}
 	var total int64
 	for _, s := range segs {
 		total += s.Len
 	}
 	if total != int64(len(data)) {
-		return fmt.Errorf("mpiio: WriteStream: %d segment bytes, %d data bytes", total, len(data))
+		return fmt.Errorf("mpiio: %s: %d segment bytes, %d %s bytes", call, total, len(data), what)
 	}
 	if total == 0 {
 		return nil
 	}
-	start := f.proc.Clock()
-	// Guarded: four tags would allocate per call even with tracing off.
-	if tr := f.proc.Trace; tr != nil {
-		tr.Begin(start, stats.PIO,
-			trace.S("op", "write"), trace.S("method", m.String()),
-			trace.I("segs", int64(len(segs))), trace.I(trace.BytesTag, total))
+	var tags []trace.Tag
+	if f.proc.Trace != nil {
+		// Guarded: four tags would allocate per call even with tracing off.
+		tags = []trace.Tag{trace.S("op", op), trace.S("method", m.String()),
+			trace.I("segs", int64(len(segs))), trace.I(trace.BytesTag, total)}
 	}
-	defer func() { f.proc.Trace.End(f.proc.Clock()) }()
-	var err error
+	defer f.proc.End(f.proc.Begin(metrics.PIO, tags...))
+	at := func(off int64, b []byte) error {
+		return f.withRetry(op, func(skip int64, now sim.Time) (sim.Time, error) {
+			if write {
+				return f.handle.WriteAt(off+skip, b[skip:], now)
+			}
+			return f.handle.ReadAt(off+skip, b[skip:], now)
+		})
+	}
 	switch {
+	case m == IntegratedSieve && write:
+		return f.WriteSieve(spanOf(segs), segs, data)
 	case m == IntegratedSieve:
-		err = f.WriteSieve(spanOf(segs), segs, data)
+		return f.ReadSieve(spanOf(segs), segs, data)
 	case len(segs) == 1:
 		// Contiguous fast path: "contiguous in memory to contiguous in file".
-		err = f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
-			return f.handle.WriteAt(segs[0].Off+skip, data[skip:], now)
-		})
-	default:
-		switch m {
-		case Naive:
-			pos := int64(0)
-			for _, s := range segs {
-				chunk := data[pos : pos+s.Len]
-				off := s.Off
-				if err = f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
-					return f.handle.WriteAt(off+skip, chunk[skip:], now)
-				}); err != nil {
-					break
-				}
-				pos += s.Len
+		return at(segs[0].Off, data)
+	}
+	switch m {
+	case Naive:
+		pos := int64(0)
+		for _, s := range segs {
+			if err := at(s.Off, data[pos:pos+s.Len]); err != nil {
+				return err
 			}
-		case ListIO:
-			err = f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
-				_, tail := datatype.SplitSegs(segs, skip)
-				return f.handle.WriteList(tail, data[skip:], now)
-			})
-		case DataSieve:
-			err = f.sieveWindows(segs, data, true)
-		default:
-			err = fmt.Errorf("mpiio: unknown access method %v", m)
+			pos += s.Len
 		}
-	}
-	f.proc.ChargeTime(stats.PIO, f.proc.Clock()-start)
-	return err
-}
-
-// ReadStream reads the given absolute file segments into a linear buffer.
-func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
-	var total int64
-	for _, s := range segs {
-		total += s.Len
-	}
-	if total != int64(len(buf)) {
-		return fmt.Errorf("mpiio: ReadStream: %d segment bytes, %d buffer bytes", total, len(buf))
-	}
-	if total == 0 {
 		return nil
-	}
-	start := f.proc.Clock()
-	// Guarded: four tags would allocate per call even with tracing off.
-	if tr := f.proc.Trace; tr != nil {
-		tr.Begin(start, stats.PIO,
-			trace.S("op", "read"), trace.S("method", m.String()),
-			trace.I("segs", int64(len(segs))), trace.I(trace.BytesTag, total))
-	}
-	defer func() { f.proc.Trace.End(f.proc.Clock()) }()
-	var err error
-	switch {
-	case m == IntegratedSieve:
-		err = f.ReadSieve(spanOf(segs), segs, buf)
-	case len(segs) == 1:
-		err = f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
-			return f.handle.ReadAt(segs[0].Off+skip, buf[skip:], now)
-		})
-	default:
-		switch m {
-		case Naive:
-			pos := int64(0)
-			for _, s := range segs {
-				chunk := buf[pos : pos+s.Len]
-				off := s.Off
-				if err = f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
-					return f.handle.ReadAt(off+skip, chunk[skip:], now)
-				}); err != nil {
-					break
-				}
-				pos += s.Len
+	case ListIO:
+		return f.withRetry(op, func(skip int64, now sim.Time) (sim.Time, error) {
+			_, tail := datatype.SplitSegs(segs, skip)
+			if write {
+				return f.handle.WriteList(tail, data[skip:], now)
 			}
-		case ListIO:
-			err = f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
-				_, tail := datatype.SplitSegs(segs, skip)
-				return f.handle.ReadList(tail, buf[skip:], now)
-			})
-		case DataSieve:
-			err = f.sieveWindows(segs, buf, false)
-		default:
-			err = fmt.Errorf("mpiio: unknown access method %v", m)
-		}
+			return f.handle.ReadList(tail, data[skip:], now)
+		})
+	case DataSieve:
+		return f.sieveWindows(segs, data, write)
 	}
-	f.proc.ChargeTime(stats.PIO, f.proc.Clock()-start)
-	return err
+	return fmt.Errorf("mpiio: unknown access method %v", m)
 }
 
 // spanOf returns the extent covering a non-empty offset-sorted list (whose

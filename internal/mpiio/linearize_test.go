@@ -6,8 +6,8 @@ import (
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/pfs"
-	"flexio/internal/stats"
 )
 
 // TestLinearizeAliasesOnlyDenseTypes: a dense memory type (one segment at
@@ -46,7 +46,7 @@ func TestLinearizeAliasesOnlyDenseTypes(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			for _, charged := range []bool{false, true} {
-				before, copyTime := p.Clock(), p.Stats.Time(stats.PCopy)
+				before, copyTime := p.Clock(), p.Metrics.Phase(metrics.PCopy)
 				st, err := f.Linearize(buf, tc.mt, tc.count, charged)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
@@ -73,7 +73,7 @@ func TestLinearizeAliasesOnlyDenseTypes(t *testing.T) {
 				if p.Clock() != before+wantCharge {
 					t.Errorf("%s charged=%v: clock moved %v, want %v", tc.name, charged, p.Clock()-before, wantCharge)
 				}
-				if got := p.Stats.Time(stats.PCopy); got != copyTime+wantCharge {
+				if got := p.Metrics.Phase(metrics.PCopy); got != copyTime+wantCharge {
 					t.Errorf("%s charged=%v: copy time moved %v, want %v", tc.name, charged, got-copyTime, wantCharge)
 				}
 				// Owned hands on B itself when pooled, a copy otherwise.

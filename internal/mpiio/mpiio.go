@@ -16,11 +16,11 @@ import (
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -172,9 +172,8 @@ func Open(p *mpi.Proc, fs *pfs.FileSystem, name string, info Info) (*File, error
 	if info.CbNodes < 0 || info.CbNodes > p.Size() {
 		return nil, fmt.Errorf("mpiio: cb_nodes %d out of range [0,%d]", info.CbNodes, p.Size())
 	}
-	client := fs.NewClient(p.Stats)
+	client := fs.NewClient(p.Metrics)
 	client.SetTracer(p.Trace)
-	client.SetMetrics(p.Metrics)
 	f := &File{
 		proc:   p,
 		fs:     fs,
@@ -441,10 +440,9 @@ func (f *File) UnpackMemory(stream, buf []byte, memtype datatype.Type, count int
 func (f *File) ChargeCopy(n int64) {
 	p := f.proc
 	d := p.Config().MemcpyTime(n)
-	p.Trace.Begin1(p.Clock(), stats.PCopy, trace.I(trace.BytesTag, n))
+	iv := p.Begin1(metrics.PCopy, trace.I(trace.BytesTag, n))
 	p.AdvanceClock(d)
-	p.ChargeTime(stats.PCopy, d)
-	p.Trace.End(p.Clock())
+	p.EndAs(iv, d)
 }
 
 // ChargePairs converts offset/length-pair processing into virtual time on
@@ -454,9 +452,8 @@ func (f *File) ChargePairs(n int64) {
 		return
 	}
 	d := f.proc.Config().PairTime(n)
-	f.proc.Trace.Begin1(f.proc.Clock(), stats.PFlatten, trace.I("pairs", n))
+	iv := f.proc.Begin1(metrics.PFlatten, trace.I("pairs", n))
 	f.proc.AdvanceClock(d)
-	f.proc.ChargeTime(stats.PFlatten, d)
-	f.proc.Stats.Add(stats.CPairsProcessed, n)
-	f.proc.Trace.End(f.proc.Clock())
+	f.proc.Metrics.Add(metrics.CPairsProcessed, n)
+	f.proc.EndAs(iv, d)
 }

@@ -8,7 +8,6 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -55,7 +54,6 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 			// strictly shrinks the remaining work) but do respect the
 			// deadline.
 			skip += pe.Written
-			p.Stats.Add(stats.CPartialResumes, 1)
 			p.Metrics.Inc(metrics.CResumes)
 			p.Trace.Instant(p.Clock(), "resume", trace.S("op", kind),
 				trace.I(trace.BytesTag, pe.Written), trace.I("skip", skip))
@@ -64,20 +62,16 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 			}
 		} else if retries < f.info.RetryLimit && p.Clock()+backoff < deadline {
 			retries++
-			p.Stats.Add(stats.CRetries, 1)
 			p.Metrics.Inc(metrics.CRetries)
-			p.Trace.Begin(p.Clock(), stats.PBackoff,
-				trace.S("op", kind), trace.I("attempt", int64(retries)))
+			iv := p.Begin(metrics.PBackoff, trace.S("op", kind), trace.I("attempt", int64(retries)))
 			p.AdvanceClock(backoff)
-			p.ChargeTime(stats.PBackoff, backoff)
-			p.Trace.End(p.Clock())
+			p.EndAs(iv, backoff)
 			p.Trace.Instant(p.Clock(), "retry",
 				trace.S("op", kind), trace.I("attempt", int64(retries)))
 			backoff *= 2
 			continue
 		}
 
-		p.Stats.Add(stats.CGiveups, 1)
 		p.Metrics.Inc(metrics.CGiveups)
 		p.Trace.Instant(p.Clock(), "gaveup", trace.S("op", kind),
 			trace.I("attempt", int64(retries)), trace.I("skip", skip))

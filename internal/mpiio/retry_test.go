@@ -6,13 +6,13 @@ import (
 	"testing"
 
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
-func retryWorld(t *testing.T, info Info, sched *pfs.FaultSchedule, fn func(f *File, fs *pfs.FileSystem)) *stats.Recorder {
+func retryWorld(t *testing.T, info Info, sched *pfs.FaultSchedule, fn func(f *File, fs *pfs.FileSystem)) *metrics.Registry {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	w := mpi.NewWorld(1, cfg)
@@ -29,7 +29,7 @@ func retryWorld(t *testing.T, info Info, sched *pfs.FaultSchedule, fn func(f *Fi
 		fn(f, fs)
 		f.Close()
 	})
-	return stats.Merge(w.Recorders()...)
+	return w.Totals()
 }
 
 func TestRetryTransientRecovers(t *testing.T) {
@@ -45,13 +45,13 @@ func TestRetryTransientRecovers(t *testing.T) {
 			t.Error("recovered write left wrong bytes")
 		}
 	})
-	if got := rec.Counter(stats.CRetries); got != 2 {
+	if got := rec.Counter(metrics.CRetries); got != 2 {
 		t.Errorf("CRetries = %d, want 2", got)
 	}
-	if rec.Time(stats.PBackoff) <= 0 {
+	if rec.Phase(metrics.PBackoff) <= 0 {
 		t.Error("backoff charged no virtual time")
 	}
-	if rec.Counter(stats.CGiveups) != 0 {
+	if rec.Counter(metrics.CGiveups) != 0 {
 		t.Error("spurious giveup")
 	}
 }
@@ -72,11 +72,11 @@ func TestRetryPartialResume(t *testing.T) {
 			t.Error("resumed write left wrong bytes")
 		}
 	})
-	if got := rec.Counter(stats.CPartialResumes); got != 3 {
+	if got := rec.Counter(metrics.CResumes); got != 3 {
 		t.Errorf("CPartialResumes = %d, want 3", got)
 	}
 	// Resumptions are not retries: no backoff should have been paid.
-	if got := rec.Counter(stats.CRetries); got != 0 {
+	if got := rec.Counter(metrics.CRetries); got != 0 {
 		t.Errorf("CRetries = %d, want 0 (resume is not retry)", got)
 	}
 }
@@ -91,10 +91,10 @@ func TestRetryGivesUpAfterLimit(t *testing.T) {
 			t.Fatalf("giveup should keep the transient class, got %v", err)
 		}
 	})
-	if got := rec.Counter(stats.CRetries); got != 3 {
+	if got := rec.Counter(metrics.CRetries); got != 3 {
 		t.Errorf("CRetries = %d, want 3", got)
 	}
-	if got := rec.Counter(stats.CGiveups); got != 1 {
+	if got := rec.Counter(metrics.CGiveups); got != 1 {
 		t.Errorf("CGiveups = %d, want 1", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestRetryHardErrorNotRetried(t *testing.T) {
 			t.Fatalf("want hard ErrIO, got %v", err)
 		}
 	})
-	if got := rec.Counter(stats.CRetries); got != 0 {
+	if got := rec.Counter(metrics.CRetries); got != 0 {
 		t.Errorf("CRetries = %d, want 0 (hard errors surface at once)", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestRetryDisabled(t *testing.T) {
 			t.Fatalf("disabled retries should surface the transient, got %v", err)
 		}
 	})
-	if got := rec.Counter(stats.CRetries); got != 0 {
+	if got := rec.Counter(metrics.CRetries); got != 0 {
 		t.Errorf("CRetries = %d, want 0", got)
 	}
 }
@@ -142,10 +142,10 @@ func TestRetryDeadlineCapsBackoff(t *testing.T) {
 	})
 	// First backoff (0.1s) fits the 0.15s budget, the doubled second does
 	// not, so the deadline truncates the retry ladder below the limit.
-	if got := rec.Counter(stats.CRetries); got != 1 {
+	if got := rec.Counter(metrics.CRetries); got != 1 {
 		t.Errorf("CRetries = %d, want 1 (deadline-capped)", got)
 	}
-	if got := rec.Counter(stats.CGiveups); got != 1 {
+	if got := rec.Counter(metrics.CGiveups); got != 1 {
 		t.Errorf("CGiveups = %d, want 1", got)
 	}
 }
@@ -168,7 +168,7 @@ func TestRetryReadPath(t *testing.T) {
 			t.Error("recovered read returned wrong bytes")
 		}
 	})
-	if got := rec.Counter(stats.CRetries); got != 1 {
+	if got := rec.Counter(metrics.CRetries); got != 1 {
 		t.Errorf("CRetries = %d, want 1", got)
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
-func faultFS(t *testing.T) (*FileSystem, *Client, *stats.Recorder) {
+func faultFS(t *testing.T) (*FileSystem, *Client, *metrics.Registry) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	fs := NewFileSystem(cfg)
-	rec := stats.New()
+	rec := metrics.NewRegistry(0)
 	return fs, fs.NewClient(rec), rec
 }
 
@@ -65,7 +65,7 @@ func TestCoinDeterministic(t *testing.T) {
 
 func TestRulePerClientCount(t *testing.T) {
 	fs, c1, _ := faultFS(t)
-	c2 := fs.NewClient(stats.New())
+	c2 := fs.NewClient(metrics.NewRegistry(0))
 	sched := NewFaultSchedule(1).Add(Rule{Kind: "write", Class: ClassTransient, Count: 2})
 	fs.SetFaultSchedule(sched)
 	h1, h2 := c1.Open("a.dat"), c2.Open("a.dat")
@@ -189,7 +189,7 @@ func TestRevokeStormCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counter(stats.CStormRevokes) == 0 {
+	if rec.Counter(metrics.CStormRevokes) == 0 {
 		t.Error("no storm revokes counted")
 	}
 	fs2, c2, _ := faultFS(t)
@@ -223,8 +223,8 @@ func TestRuleSeqAndRoundTargeting(t *testing.T) {
 	if _, err := h.WriteAt(24, make([]byte, 8), 0); err != nil {
 		t.Fatalf("outside round 1 should pass: %v", err)
 	}
-	if rec.Counter(stats.CFaultsInjected) != 2 {
-		t.Errorf("CFaultsInjected = %d, want 2", rec.Counter(stats.CFaultsInjected))
+	if rec.Counter(metrics.CFaults) != 2 {
+		t.Errorf("CFaultsInjected = %d, want 2", rec.Counter(metrics.CFaults))
 	}
 }
 

@@ -33,7 +33,6 @@ type goldenRun struct {
 	cfg   *sim.Config
 	fs    *FileSystem
 	image []byte
-	recs  [2]*stats.Recorder
 	mets  *metrics.Set
 	hs    [2]*Handle
 	out   []string
@@ -51,9 +50,7 @@ func newGoldenRun(t *testing.T, integ bool, cachePages int) *goldenRun {
 		g.fs.EnableIntegrity(1234, 0)
 	}
 	for i := range g.hs {
-		g.recs[i] = stats.New()
-		c := g.fs.NewClient(g.recs[i])
-		c.SetMetrics(g.mets.Registry(i))
+		c := g.fs.NewClient(g.mets.Registry(i))
 		g.hs[i] = c.Open(goldenFile)
 	}
 	return g
@@ -186,23 +183,24 @@ func (g *goldenRun) listing() []string {
 	g.t.Helper()
 	g.checkImage()
 	out := append(g.out, fmt.Sprintf("size=%d", g.fs.Size(goldenFile)))
-	for i, r := range g.recs {
-		keys := make([]string, 0, len(r.Times)+len(r.Counters))
-		for k, v := range r.Times {
-			keys = append(keys, fmt.Sprintf("c%d time[%s]=%016x", i, k, math.Float64bits(float64(v))))
+	for i := range g.hs {
+		reg := g.mets.Registry(i)
+		r := stats.Of(reg)
+		var keys []string
+		for _, k := range r.Phases() {
+			keys = append(keys, fmt.Sprintf("c%d time[%s]=%016x", i, k, math.Float64bits(float64(r.Time(k)))))
 		}
-		for k, v := range r.Counters {
-			keys = append(keys, fmt.Sprintf("c%d n[%s]=%d", i, k, v))
+		for _, k := range r.Counters() {
+			keys = append(keys, fmt.Sprintf("c%d n[%s]=%d", i, k, r.Counter(k)))
 		}
 		sort.Strings(keys)
 		out = append(out, keys...)
-		reg := g.mets.Registry(i)
 		for c := metrics.Counter(0); int(c) < metrics.CounterCount(); c++ {
-			if v := reg.Counter(c); v != 0 {
+			if v := reg.Counter(c); v != 0 && metrics.CounterName(c) != "" {
 				out = append(out, fmt.Sprintf("c%d %s=%d", i, metrics.CounterName(c), v))
 			}
 		}
-		h := reg.Hist(metrics.HPhaseServe)
+		h := reg.Hist(metrics.PServe.Hist())
 		out = append(out, fmt.Sprintf("c%d serve count=%d sum=%016x", i, h.Count(), math.Float64bits(h.Sum())))
 	}
 	for i, b := range g.fs.OSTBusy() {

@@ -210,8 +210,7 @@ func TestSievePrefetchVerifiesWithoutCopying(t *testing.T) {
 	fs, cfg := newIntegFS(64)
 	ps := cfg.PageSize
 	mets := metrics.NewSet(1)
-	c := fs.NewClient(nil)
-	c.SetMetrics(mets.Registry(0))
+	c := fs.NewClient(mets.Registry(0))
 	h := c.Open("f")
 	base := bytes.Repeat([]byte{0xAB}, int(2*ps))
 	if _, err := h.WriteAt(0, base, 0); err != nil {

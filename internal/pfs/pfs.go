@@ -23,7 +23,6 @@ import (
 	"flexio/internal/metrics"
 	"flexio/internal/pagetab"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -305,8 +304,7 @@ func (c *Client) stripeConflicts(f *fileData, s datatype.Seg, now sim.Time) sim.
 		writer := f.stripeWriter.Slot(st)
 		if prev := *writer; prev != 0 && prev != c.id {
 			cost += fs.cfg.StripeLockCost
-			c.rec.Add(stats.CStripeConflicts, 1)
-			c.met.Inc(metrics.CStripeConflicts)
+			c.reg.Inc(metrics.CStripeConflicts)
 			c.tr.Instant2(now, "stripe_conflict",
 				trace.I("stripe", st), trace.I("prev", int64(prev)))
 			if holder := fs.clients[prev]; holder != nil {
@@ -362,20 +360,18 @@ func (fs *FileSystem) Snapshot(name string, n int64) []byte {
 }
 
 // Client is one compute node's view of the file system: its identity, its
-// page cache, and its stats recorder.
+// page cache, and the owning rank's registry it counts into.
 type Client struct {
 	fs    *FileSystem
 	id    int
 	cache *pageCache
-	rec   *stats.Recorder
+	// reg is the owning rank's registry (nil records nothing), owned like tr.
+	reg *metrics.Registry
 	// tr records file-system events (lock revokes, stripe conflicts,
 	// read-modify-writes) on the owning rank's trace; nil records nothing.
 	// A client only ever emits to its own tracer — never to the tracer of
 	// a client it conflicts with — so tracing stays race-free.
 	tr *trace.Tracer
-	// met mirrors the file-system counters into the owning rank's metrics
-	// registry; nil records nothing. Same single-writer discipline as tr.
-	met *metrics.Registry
 	// seq counts this client's operations (1-based), for fault targeting.
 	seq int64
 	// round is the collective two-phase round tag stamped on ops (-1
@@ -396,8 +392,8 @@ type Client struct {
 // pageRange is an inclusive page-index range of one request segment.
 type pageRange struct{ lo, hi int64 }
 
-// NewClient registers a client. rec may be nil.
-func (fs *FileSystem) NewClient(rec *stats.Recorder) *Client {
+// NewClient registers a client counting into reg, which may be nil.
+func (fs *FileSystem) NewClient(reg *metrics.Registry) *Client {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.nextID++
@@ -405,7 +401,7 @@ func (fs *FileSystem) NewClient(rec *stats.Recorder) *Client {
 		fs:    fs,
 		id:    fs.nextID,
 		cache: newPageCache(fs.cfg.ClientCachePages),
-		rec:   rec,
+		reg:   reg,
 		round: -1,
 	}
 	fs.clients[c.id] = c
@@ -436,10 +432,6 @@ func (c *Client) beginRequest(f *fileData) {
 
 // SetTracer attaches the owning rank's tracer (nil disables tracing).
 func (c *Client) SetTracer(t *trace.Tracer) { c.tr = t }
-
-// SetMetrics attaches the owning rank's metrics registry (nil disables
-// metrics).
-func (c *Client) SetMetrics(m *metrics.Registry) { c.met = m }
 
 // SetRound tags subsequent operations with a collective round number for
 // fault targeting and tracing; -1 means "outside a collective round".
@@ -566,10 +558,8 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 			trace.I("off", segs[0].Off), trace.I("len", total), trace.I("segs", int64(len(segs))))
 	}
 	t := now + fs.cfg.IOCallOverhead
-	c.rec.Add(stats.CIOCalls, 1)
-	c.rec.Add(stats.CBytesIO, total)
-	c.met.Inc(metrics.CIOCalls)
-	c.met.Add(metrics.CIOBytes, total)
+	c.reg.Inc(metrics.CIOCalls)
+	c.reg.Add(metrics.CIOBytes, total)
 
 	// Lock acquisition for the whole request, then per-OST service.
 	t += c.lockSpan(f, segs, kind == "write", now)
@@ -616,8 +606,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 // noteFault records an injected fault on the owning rank's stats and trace.
 // Called without fs.mu held.
 func (c *Client) noteFault(now sim.Time, kind string, cl Class, written int64) {
-	c.rec.Add(stats.CFaultsInjected, 1)
-	c.met.Inc(metrics.CFaults)
+	c.reg.Inc(metrics.CFaults)
 	if c.tr != nil {
 		c.tr.Instant(now, "fault", trace.S("kind", kind),
 			trace.S("class", cl.String()), trace.I("written", written), trace.I("seq", c.seq))
@@ -635,7 +624,7 @@ func (c *Client) degradeSvc(ost int, t, svc sim.Time) sim.Time {
 	if mult <= 1 && extra <= 0 {
 		return svc
 	}
-	c.rec.Add(stats.CBrownoutServes, 1)
+	c.reg.Inc(metrics.CBrownoutServes)
 	return sim.Time(mult)*svc + extra
 }
 
@@ -698,8 +687,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 			case owner != 0: // conflicting owner: revoke (callback + holder flush)
 				if owner != lastRevokedOwner || !inGrantRun {
 					cost += fs.cfg.LockRevokeCost
-					c.rec.Add(stats.CLockRevokes, 1)
-					c.met.Inc(metrics.CLockRevokes)
+					c.reg.Inc(metrics.CLockRevokes)
 					c.tr.Instant2(now, "lock_revoke",
 						trace.I("page", pi), trace.I("owner", int64(owner)))
 					lastRevokedOwner = owner
@@ -732,15 +720,13 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 	// One update per counter per request; a counter the request did not move
 	// is not touched, so the recorder lists the same keys as ever.
 	if hits > 0 {
-		c.rec.Add(stats.CCacheHits, hits)
+		c.reg.Add(metrics.CCacheHits, hits)
 	}
 	if flushes > 0 {
-		c.rec.Add(stats.CCacheFlushes, flushes)
-		c.met.Add(metrics.CCacheFlushes, flushes)
+		c.reg.Add(metrics.CCacheFlushes, flushes)
 	}
 	if grants > 0 {
-		c.rec.Add(stats.CLockGrants, grants)
-		c.met.Add(metrics.CLockGrants, grants)
+		c.reg.Add(metrics.CLockGrants, grants)
 	}
 	// A lock-revoke storm makes every grant pay extra revocation
 	// round-trips (a competing job churning the lock manager).
@@ -748,7 +734,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 		if per := fs.sched.stormRevokes(now); per > 0 {
 			n := grants * int64(per)
 			cost += sim.Time(float64(n)) * fs.cfg.LockRevokeCost
-			c.rec.Add(stats.CStormRevokes, n)
+			c.reg.Add(metrics.CStormRevokes, n)
 			c.tr.Instant1(now, "revoke_storm", trace.I("revokes", n))
 		}
 	}
@@ -787,8 +773,7 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) 
 			rmwPages++
 		}
 	}
-	c.rec.Add(stats.CRMWPages, rmwPages)
-	c.met.Add(metrics.CRMWPages, rmwPages)
+	c.reg.Add(metrics.CRMWPages, rmwPages)
 	var rmwSvc sim.Time
 	if rmwPages > 0 {
 		c.tr.Instant1(t, "rmw", trace.I("pages", rmwPages))
@@ -836,8 +821,7 @@ func (c *Client) serve(f *fileData, s datatype.Seg, t sim.Time, frac float64, rm
 		svc = c.degradeSvc(p.ost, t, svc)
 		end := ost.serve(t, svc)
 		*head = p.seg.End()
-		c.rec.AddTime(stats.PServe, svc)
-		c.met.ObservePhase(stats.PServe, svc)
+		c.reg.Charge(metrics.PServe, svc)
 		if end > done {
 			done = end
 		}
@@ -883,7 +867,7 @@ func (c *Client) preMergePage(f *fileData, pi int64, t sim.Time) {
 // noteMismatch reports one at-rest checksum failure on the owning rank's
 // metrics and trace.
 func (c *Client) noteMismatch(pi int64, repaired bool, t sim.Time) {
-	c.met.NoteAtRestIntegrity(true, repaired)
+	c.reg.NoteAtRestIntegrity(true, repaired)
 	if c.tr != nil {
 		c.tr.Instant2(t, "integrity_mismatch", trace.I("page", pi),
 			trace.S("repaired", fmt.Sprintf("%v", repaired)))
@@ -1094,11 +1078,11 @@ func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (s
 		serverBytes += min((pi+1)*ps, s.End()) - max(pi*ps, s.Off)
 	}
 	if hits > 0 {
-		c.rec.Add(stats.CCacheHits, hits)
-		c.met.Add(metrics.CPageCacheHits, hits)
+		c.reg.Add(metrics.CCacheHits, hits)
+		c.reg.Add(metrics.CPageCacheHits, hits)
 	}
 	if misses := lastPage - firstPage + 1 - hits; misses > 0 {
-		c.met.Add(metrics.CPageCacheMisses, misses)
+		c.reg.Add(metrics.CPageCacheMisses, misses)
 	}
 	if serverBytes == 0 {
 		return t + integSvc + fs.cfg.MemcpyTime(s.Len), nil

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 func newFS() (*FileSystem, *sim.Config) {
@@ -104,7 +104,7 @@ func TestWriteListLengthMismatch(t *testing.T) {
 
 func TestListIOChargesOneCallOverhead(t *testing.T) {
 	fs, cfg := newFS()
-	rec := stats.New()
+	rec := metrics.NewRegistry(0)
 	h := fs.NewClient(rec).Open("f")
 	segs := make([]datatype.Seg, 64)
 	data := make([]byte, 64*8)
@@ -115,7 +115,7 @@ func TestListIOChargesOneCallOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Counter(stats.CIOCalls); got != 1 {
+	if got := rec.Counter(metrics.CIOCalls); got != 1 {
 		t.Fatalf("list write counted as %d calls", got)
 	}
 
@@ -153,63 +153,63 @@ func TestContiguousFasterThanStrided(t *testing.T) {
 
 func TestUnalignedWritePaysRMW(t *testing.T) {
 	fs, _ := newFS()
-	rec := stats.New()
+	rec := metrics.NewRegistry(0)
 	h := fs.NewClient(rec).Open("f")
 	// Page-aligned full-page write: no RMW.
 	if _, err := h.WriteAt(4096, make([]byte, 4096), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Counter(stats.CRMWPages); got != 0 {
+	if got := rec.Counter(metrics.CRMWPages); got != 0 {
 		t.Fatalf("aligned write RMW pages = %d", got)
 	}
 	// Unaligned sub-page write to a cold page: RMW.
 	if _, err := h.WriteAt(100_000, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Counter(stats.CRMWPages); got != 1 {
+	if got := rec.Counter(metrics.CRMWPages); got != 1 {
 		t.Fatalf("unaligned write RMW pages = %d", got)
 	}
 	// A second write to the same (now cached) page: no new RMW.
 	if _, err := h.WriteAt(100_200, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Counter(stats.CRMWPages); got != 1 {
+	if got := rec.Counter(metrics.CRMWPages); got != 1 {
 		t.Fatalf("cached page write RMW pages = %d", got)
 	}
 }
 
 func TestLockCachingAndRevocation(t *testing.T) {
 	fs, _ := newFS()
-	recA, recB := stats.New(), stats.New()
+	recA, recB := metrics.NewRegistry(0), metrics.NewRegistry(1)
 	a := fs.NewClient(recA)
 	b := fs.NewClient(recB)
 	ha, hb := a.Open("f"), b.Open("f")
 
 	ha.WriteAt(0, make([]byte, 8192), 0)
-	if recA.Counter(stats.CLockGrants) == 0 {
+	if recA.Counter(metrics.CLockGrants) == 0 {
 		t.Fatal("first write acquired no locks")
 	}
-	grants := recA.Counter(stats.CLockGrants)
+	grants := recA.Counter(metrics.CLockGrants)
 
 	// Same client, same pages: lock cache hits, no new grants.
 	ha.WriteAt(0, make([]byte, 8192), 0)
-	if recA.Counter(stats.CLockGrants) != grants {
+	if recA.Counter(metrics.CLockGrants) != grants {
 		t.Fatal("re-write re-acquired locks")
 	}
-	if recA.Counter(stats.CCacheHits) == 0 {
+	if recA.Counter(metrics.CCacheHits) == 0 {
 		t.Fatal("no lock cache hits recorded")
 	}
 
 	// Other client touching the same pages must revoke.
 	hb.WriteAt(0, make([]byte, 4096), 0)
-	if recB.Counter(stats.CLockRevokes) == 0 {
+	if recB.Counter(metrics.CLockRevokes) == 0 {
 		t.Fatal("conflicting write caused no revocation")
 	}
 
 	// And client A's cached page is gone: writing part of it pays RMW.
-	before := recA.Counter(stats.CRMWPages)
+	before := recA.Counter(metrics.CRMWPages)
 	ha.WriteAt(64, make([]byte, 8), 0)
-	if recA.Counter(stats.CRMWPages) != before+1 {
+	if recA.Counter(metrics.CRMWPages) != before+1 {
 		t.Fatal("revoked page still served from cache")
 	}
 }
@@ -254,7 +254,7 @@ func TestOSTContentionSerializes(t *testing.T) {
 
 func TestReadFromCacheIsFast(t *testing.T) {
 	fs, _ := newFS()
-	rec := stats.New()
+	rec := metrics.NewRegistry(0)
 	h := fs.NewClient(rec).Open("f")
 	h.WriteAt(0, make([]byte, 65536), 0)
 	t1, _ := h.ReadAt(0, make([]byte, 65536), 0) // all pages cached by the write
@@ -306,13 +306,13 @@ func TestRemoveAndSnapshot(t *testing.T) {
 
 func TestZeroLengthAccess(t *testing.T) {
 	fs, _ := newFS()
-	rec := stats.New()
+	rec := metrics.NewRegistry(0)
 	h := fs.NewClient(rec).Open("f")
 	done, err := h.WriteAt(0, nil, 5)
 	if err != nil || done != 5 {
 		t.Fatalf("zero write: done=%v err=%v", done, err)
 	}
-	if rec.Counter(stats.CIOCalls) != 0 {
+	if rec.Counter(metrics.CIOCalls) != 0 {
 		t.Fatal("zero-length access counted as an I/O call")
 	}
 }
@@ -357,7 +357,7 @@ func TestPageCacheZeroCapacity(t *testing.T) {
 func TestTablesFollowPagesTouched(t *testing.T) {
 	fs, cfg := newFS()
 	fs.EnableIntegrity(1, 0)
-	c := fs.NewClient(stats.New())
+	c := fs.NewClient(metrics.NewRegistry(0))
 	h := c.Open("sparse.dat")
 	data := bytes.Repeat([]byte{0xC3}, int(cfg.PageSize))
 	buf := make([]byte, cfg.PageSize)

@@ -7,7 +7,6 @@ import (
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/trace"
 )
 
@@ -32,8 +31,8 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 	if span.Len == 0 {
 		return now, nil
 	}
-	h.c.met.Add(metrics.CSieveSpanBytes, span.Len)
-	h.c.met.Add(metrics.CSieveUsefulBytes, useful)
+	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
+	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	t := now
 	if useful < span.Len {
 		// Holes: fetch the span first (read-modify-write at sieve
@@ -120,10 +119,8 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 			trace.I("off", span.Off), trace.I("len", span.Len), trace.I("segs", int64(len(segs))))
 	}
 	t := now + fs.cfg.IOCallOverhead
-	c.rec.Add(stats.CIOCalls, 1)
-	c.rec.Add(stats.CBytesIO, span.Len)
-	c.met.Inc(metrics.CIOCalls)
-	c.met.Add(metrics.CIOBytes, span.Len)
+	c.reg.Inc(metrics.CIOCalls)
+	c.reg.Add(metrics.CIOBytes, span.Len)
 	c.rmwSpan[0] = span
 	t += c.lockSpan(f, c.rmwSpan[:1], true, now)
 	conflictSvc := c.stripeConflicts(f, span, t)
@@ -184,8 +181,8 @@ func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, n
 	if span.Len == 0 {
 		return now, nil
 	}
-	h.c.met.Add(metrics.CSieveSpanBytes, span.Len)
-	h.c.met.Add(metrics.CSieveUsefulBytes, useful)
+	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
+	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	h.c.rmwSpan[0] = span
 	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], nil, buf, segs, true, now)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"flexio/internal/bufpool"
@@ -24,8 +23,8 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 	for _, s := range segs {
 		useful += s.Len
 	}
-	h.c.met.Add(metrics.CSieveSpanBytes, span.Len)
-	h.c.met.Add(metrics.CSieveUsefulBytes, useful)
+	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
+	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	tmp := make([]byte, span.Len)
 	done, err := h.c.access("read", h.f, []datatype.Seg{span}, nil, tmp, nil, true, now)
 	cut := span.End()
@@ -54,19 +53,17 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 type sieveReadWorld struct {
 	fs  *FileSystem
 	h   *Handle
-	rec *stats.Recorder
 	met *metrics.Set
 }
 
 func newSieveReadWorld(t *testing.T, integrity bool, prep func(w *sieveReadWorld)) *sieveReadWorld {
 	t.Helper()
 	cfg := sim.DefaultConfig()
-	w := &sieveReadWorld{fs: NewFileSystem(cfg), rec: stats.New(), met: metrics.NewSet(1)}
+	w := &sieveReadWorld{fs: NewFileSystem(cfg), met: metrics.NewSet(1)}
 	if integrity {
 		w.fs.EnableIntegrity(42, 1)
 	}
-	c := w.fs.NewClient(w.rec)
-	c.SetMetrics(w.met.Registry(0))
+	c := w.fs.NewClient(w.met.Registry(0))
 	w.h = c.Open("f")
 	ps := cfg.PageSize
 	fill := func(off, n int64, seed byte) {
@@ -170,12 +167,18 @@ func TestSieveReadMatchesStagedReference(t *testing.T) {
 			if tc.wantErr == nil && !bytes.Equal(got, gatherImage(a.fs.Snapshot("f", span.End()), segs)) {
 				t.Error("delivered bytes differ from the file image")
 			}
-			if !reflect.DeepEqual(a.rec.Times, b.rec.Times) || !reflect.DeepEqual(a.rec.Counters, b.rec.Counters) {
-				t.Errorf("stats differ:\n  SieveRead %v\n  reference %v", a.rec, b.rec)
+			ra, rb := a.met.Registry(0), b.met.Registry(0)
+			if sa, sb := stats.Of(ra), stats.Of(rb); sa.String() != sb.String() {
+				t.Errorf("stats differ:\n  SieveRead %v\n  reference %v", sa, sb)
+			}
+			for ph := metrics.Phase(0); int(ph) < metrics.PhaseCount(); ph++ {
+				if x, y := ra.Phase(ph), rb.Phase(ph); x != y {
+					t.Errorf("phase %s = %v, reference %v", ph, x, y)
+				}
 			}
 			for c := metrics.Counter(0); int(c) < metrics.CounterCount(); c++ {
-				if x, y := a.met.Registry(0).Counter(c), b.met.Registry(0).Counter(c); x != y {
-					t.Errorf("metric %s = %d, reference %d", metrics.CounterName(c), x, y)
+				if x, y := ra.Counter(c), rb.Counter(c); x != y {
+					t.Errorf("counter %d = %d, reference %d", c, x, y)
 				}
 			}
 			if tc.integrity && a.fs.IntegrityStats() != b.fs.IntegrityStats() {

@@ -1,119 +1,124 @@
-// Package stats provides MPE-style per-rank instrumentation: named virtual
-// time buckets and event counters. The paper used MPE logging to attribute
-// the new implementation's overheads to datatype processing and double
-// buffering; the same breakdown is exposed here through phase timers.
+// Package stats is the MPE-style table view of a rank's metrics registry:
+// phase times and event counters under their table names. The paper used
+// MPE logging to attribute the new implementation's overheads to datatype
+// processing and double buffering; the same breakdown is printed here. The
+// counts live in the registry alone (metrics.Registry: one schema, one
+// store); a Recorder reads them by name and holds nothing of its own.
 //
-// A nil *Recorder is valid and records nothing, so instrumentation can be
-// left in place unconditionally.
+// A nil *Recorder is valid and reads zeros.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
 )
 
-// Recorder accumulates phase times and counters for a single rank. It is
-// not safe for concurrent use; each rank owns its own Recorder.
-type Recorder struct {
-	Times    map[string]sim.Time
-	Counters map[string]int64
-}
+// Phase names (metrics.Phase's names, as plain strings for name-keyed
+// readers) and the two table counters the benchmark reads by name.
+const (
+	PFlatten  = "flatten"     // datatype flattening / request generation
+	PPreagg   = "preagg"      // node-local request/payload pre-aggregation
+	PExchange = "exchange"    // access-description exchange
+	PComm     = "comm"        // data shuffle between clients and aggregators
+	PIO       = "io"          // file system access (client-observed, incl. queueing)
+	PServe    = "ost_service" // raw OST service time consumed by this client's requests
+	PCopy     = "copy"        // pack/unpack and buffer copies
+	PBackoff  = "backoff"     // virtual time spent backing off between retries
 
-// New returns an empty recorder.
-func New() *Recorder {
-	return &Recorder{
-		Times:    make(map[string]sim.Time),
-		Counters: make(map[string]int64),
-	}
-}
+	CPairsProcessed = "pairs_processed" // offset/length pairs evaluated
+	CReqBytes       = "req_bytes"       // bytes of access-description metadata exchanged
+)
 
-// AddTime accumulates d into the named phase bucket.
-func (r *Recorder) AddTime(phase string, d sim.Time) {
-	if r == nil {
-		return
-	}
-	r.Times[phase] += d
-}
+// Recorder is a read-only, name-keyed view of one registry.
+type Recorder struct{ reg *metrics.Registry }
 
-// Add accumulates n into the named counter.
-func (r *Recorder) Add(counter string, n int64) {
-	if r == nil {
-		return
-	}
-	r.Counters[counter] += n
-}
+// Of returns the view of reg.
+func Of(reg *metrics.Registry) *Recorder { return &Recorder{reg: reg} }
 
-// Time returns the accumulated time for a phase (zero if absent or nil).
-func (r *Recorder) Time(phase string) sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.Times[phase]
-}
-
-// Counter returns the accumulated count (zero if absent or nil).
-func (r *Recorder) Counter(counter string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Counters[counter]
-}
-
-// Reset clears all buckets.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	for k := range r.Times {
-		delete(r.Times, k)
-	}
-	for k := range r.Counters {
-		delete(r.Counters, k)
-	}
-}
-
-// Merge sums a set of per-rank recorders into one aggregate view.
+// Merge sums per-rank views, in order, into one aggregate view.
 func Merge(rs ...*Recorder) *Recorder {
-	out := New()
+	regs := make([]*metrics.Registry, 0, len(rs))
 	for _, r := range rs {
-		if r == nil {
-			continue
+		if r != nil {
+			regs = append(regs, r.reg)
 		}
-		for k, v := range r.Times {
-			out.Times[k] += v
+	}
+	return Of(metrics.Merge(regs...))
+}
+
+// Time returns the accumulated time of the named phase (zero if unknown).
+func (r *Recorder) Time(phase string) sim.Time {
+	if ph, ok := metrics.PhaseNamed(phase); ok && r != nil {
+		return r.reg.Phase(ph)
+	}
+	return 0
+}
+
+// Counter returns the count under a table name (zero if unknown).
+func (r *Recorder) Counter(name string) int64 {
+	for _, c := range tableOrder {
+		if metrics.TableName(c) == name && r != nil {
+			return r.reg.Counter(c)
 		}
-		for k, v := range r.Counters {
-			out.Counters[k] += v
+	}
+	return 0
+}
+
+// tableOrder and phaseOrder list the table counters and the phases sorted
+// by name, the order every rendering prints them in.
+var tableOrder, phaseOrder = func() ([]metrics.Counter, []metrics.Phase) {
+	var cs []metrics.Counter
+	for c := metrics.Counter(0); int(c) < metrics.CounterCount(); c++ {
+		if metrics.TableName(c) != "" {
+			cs = append(cs, c)
+		}
+	}
+	sort.Slice(cs, func(i, j int) bool { return metrics.TableName(cs[i]) < metrics.TableName(cs[j]) })
+	ps := make([]metrics.Phase, metrics.PhaseCount())
+	for i := range ps {
+		ps[i] = metrics.Phase(i)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
+	return cs, ps
+}()
+
+// Phases returns the names of the phases ever charged, sorted.
+func (r *Recorder) Phases() []string {
+	var out []string
+	for _, ph := range phaseOrder {
+		if r != nil && r.reg.PhaseSeen(ph) {
+			out = append(out, ph.String())
 		}
 	}
 	return out
 }
 
-// String renders the recorder sorted by key for stable output.
+// Counters returns the table names of the counters ever added to, sorted.
+func (r *Recorder) Counters() []string {
+	var out []string
+	for _, c := range tableOrder {
+		if r != nil && r.reg.Seen(c) {
+			out = append(out, metrics.TableName(c))
+		}
+	}
+	return out
+}
+
+// String renders the recorder on one line, sorted by name.
 func (r *Recorder) String() string {
 	if r == nil {
 		return "stats(nil)"
 	}
 	var b strings.Builder
-	keys := make([]string, 0, len(r.Times))
-	for k := range r.Times {
-		keys = append(keys, k)
+	for _, k := range r.Phases() {
+		fmt.Fprintf(&b, "time[%s]=%v ", k, r.Time(k))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "time[%s]=%v ", k, r.Times[k])
-	}
-	keys = keys[:0]
-	for k := range r.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "n[%s]=%d ", k, r.Counters[k])
+	for _, k := range r.Counters() {
+		fmt.Fprintf(&b, "n[%s]=%d ", k, r.Counter(k))
 	}
 	return strings.TrimSpace(b.String())
 }
@@ -125,34 +130,22 @@ func (r *Recorder) Table() string {
 	if r == nil {
 		return "stats(nil)"
 	}
-	var b strings.Builder
+	phases, counters := r.Phases(), r.Counters()
 	width := 0
-	timeKeys := make([]string, 0, len(r.Times))
-	for k := range r.Times {
-		timeKeys = append(timeKeys, k)
-		if len(k) > width {
-			width = len(k)
-		}
+	for _, k := range append(phases, counters...) {
+		width = max(width, len(k))
 	}
-	counterKeys := make([]string, 0, len(r.Counters))
-	for k := range r.Counters {
-		counterKeys = append(counterKeys, k)
-		if len(k) > width {
-			width = len(k)
-		}
-	}
-	sort.Strings(timeKeys)
-	sort.Strings(counterKeys)
-	if len(timeKeys) > 0 {
+	var b strings.Builder
+	if len(phases) > 0 {
 		b.WriteString("phase times (virtual seconds):\n")
-		for _, k := range timeKeys {
-			fmt.Fprintf(&b, "  %-*s  %12.6f\n", width, k, r.Times[k].Seconds())
+		for _, k := range phases {
+			fmt.Fprintf(&b, "  %-*s  %12.6f\n", width, k, r.Time(k).Seconds())
 		}
 	}
-	if len(counterKeys) > 0 {
+	if len(counters) > 0 {
 		b.WriteString("counters:\n")
-		for _, k := range counterKeys {
-			fmt.Fprintf(&b, "  %-*s  %12d\n", width, k, r.Counters[k])
+		for _, k := range counters {
+			fmt.Fprintf(&b, "  %-*s  %12d\n", width, k, r.Counter(k))
 		}
 	}
 	if b.Len() == 0 {
@@ -160,204 +153,3 @@ func (r *Recorder) Table() string {
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
-
-// histBase is the lower edge of the first histogram bucket: 1 ns of
-// virtual time. histSub sub-buckets per octave give ~9% value resolution.
-const (
-	histBase    = 1e-9
-	histSub     = 8
-	histBuckets = 512 // covers histBase .. histBase*2^(512/8) and beyond
-)
-
-// Histogram is a log-bucketed distribution of non-negative samples
-// (virtual-time durations, byte counts, ...). It backs the percentile
-// columns of the trace breakdown tables. The zero value is ready to use; a
-// nil *Histogram observes nothing and reports zeros.
-type Histogram struct {
-	counts   [histBuckets]int64
-	n        int64
-	sum      float64
-	min, max float64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// histIndex maps a sample to its bucket.
-func histIndex(v float64) int {
-	if v < histBase {
-		return 0
-	}
-	i := int(math.Floor(math.Log2(v/histBase) * histSub))
-	if i < 0 {
-		i = 0
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return i
-}
-
-// histUpper is the upper edge of bucket i.
-func histUpper(i int) float64 {
-	return histBase * math.Exp2(float64(i+1)/histSub)
-}
-
-// Observe records one sample. Negative samples are clamped to zero.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.counts[histIndex(v)]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1): the upper
-// edge of the bucket holding the q-th sample, clamped to the observed
-// [min, max]. With ~9% bucket resolution the estimate is table-grade, not
-// audit-grade.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := int64(math.Ceil(q * float64(h.n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i]
-		if cum >= target {
-			v := histUpper(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
-}
-
-// Buckets visits the non-empty buckets in ascending order, passing each
-// bucket's upper edge and sample count. Exporters (e.g. Prometheus text
-// exposition) build cumulative bucket series from it.
-func (h *Histogram) Buckets(visit func(upper float64, count int64)) {
-	if h == nil {
-		return
-	}
-	for i := 0; i < histBuckets; i++ {
-		if h.counts[i] != 0 {
-			visit(histUpper(i), h.counts[i])
-		}
-	}
-}
-
-// MergeHist folds o's samples into h.
-func (h *Histogram) MergeHist(o *Histogram) {
-	if h == nil || o == nil || o.n == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
-// Common counter and phase names used across the I/O stack, collected here
-// so tools and tests agree on spelling.
-const (
-	// Counters.
-	CBytesIO         = "bytes_io"         // bytes moved to/from the file system
-	CIOCalls         = "io_calls"         // file system calls issued
-	CBytesComm       = "bytes_comm"       // bytes exchanged between ranks
-	CPairsProcessed  = "pairs_processed"  // offset/length pairs evaluated
-	CReqBytes        = "req_bytes"        // bytes of access-description metadata exchanged
-	CLockGrants      = "lock_grants"      // page locks acquired
-	CLockRevokes     = "lock_revokes"     // page locks revoked from other clients
-	CStripeConflicts = "stripe_conflicts" // stripe extent-lock transfers between writers
-	CCacheHits       = "cache_hits"       // client cache page hits
-	CCacheFlushes    = "cache_flushes"    // dirty pages flushed
-	CRMWPages        = "rmw_pages"        // read-modify-write page penalties
-
-	// Memoization counters (core engine's flatten/intersection cache).
-	CIsectCacheHits   = "isect_cache_hits"   // collective calls served from the intersection cache
-	CIsectCacheMisses = "isect_cache_misses" // collective calls that computed intersections afresh
-
-	// Fault-tolerance counters.
-	CFaultsInjected = "faults_injected"  // faults the schedule injected into this rank's ops
-	CRetries        = "io_retries"       // transient-error retries issued
-	CPartialResumes = "io_resumes"       // partial-transfer tail resumptions
-	CGiveups        = "io_giveups"       // operations abandoned after exhausting the retry policy
-	CDegradedRounds = "degraded_rounds"  // collective rounds re-issued with naive I/O after a sieve fault
-	CStormRevokes   = "storm_revokes"    // extra lock revokes charged by revoke storms
-	CBrownoutServes = "brownout_serves"  // OST requests served slower due to a brownout
-	CRedeliveries   = "msg_redeliveries" // messages dropped and redelivered by rank-fault injection
-
-	// Phases.
-	PFlatten  = "flatten"     // datatype flattening / request generation
-	PPreagg   = "preagg"      // node-local request/payload pre-aggregation
-	PExchange = "exchange"    // access-description exchange
-	PComm     = "comm"        // data shuffle between clients and aggregators
-	PIO       = "io"          // file system access (client-observed, incl. queueing)
-	PServe    = "ost_service" // raw OST service time consumed by this client's requests
-	PCopy     = "copy"        // pack/unpack and buffer copies
-	PBackoff  = "backoff"     // virtual time spent backing off between retries
-)

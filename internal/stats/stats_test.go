@@ -4,97 +4,125 @@ import (
 	"strings"
 	"testing"
 
-	"flexio/internal/sim"
+	"flexio/internal/metrics"
 )
 
+// TestNamesMatchSchema: the phase name constants are metrics.Phase's names,
+// and the two counter constants are table names of the schema.
+func TestNamesMatchSchema(t *testing.T) {
+	for ph, name := range map[metrics.Phase]string{metrics.PFlatten: PFlatten, metrics.PPreagg: PPreagg,
+		metrics.PExchange: PExchange, metrics.PComm: PComm, metrics.PIO: PIO, metrics.PServe: PServe,
+		metrics.PCopy: PCopy, metrics.PBackoff: PBackoff} {
+		if ph.String() != name {
+			t.Errorf("phase %d is %q, stats spells it %q", ph, ph, name)
+		}
+	}
+	for c, name := range map[metrics.Counter]string{metrics.CPairsProcessed: CPairsProcessed, metrics.CReqBytes: CReqBytes} {
+		if metrics.TableName(c) != name {
+			t.Errorf("counter %d is %q in the tables, stats spells it %q", c, metrics.TableName(c), name)
+		}
+	}
+}
+
 func TestRecorderBasics(t *testing.T) {
-	r := New()
-	r.AddTime(PIO, 1.5)
-	r.AddTime(PIO, 0.5)
-	r.Add(CIOCalls, 3)
+	reg := metrics.NewRegistry(0)
+	reg.Charge(metrics.PIO, 1.5)
+	reg.Charge(metrics.PIO, 0.5)
+	reg.Add(metrics.CIOCalls, 3)
+	reg.Add(metrics.CRounds, 9) // no table name: not printed
+	r := Of(reg)
 	if r.Time(PIO) != 2.0 {
 		t.Fatalf("time = %v", r.Time(PIO))
 	}
-	if r.Counter(CIOCalls) != 3 {
-		t.Fatalf("counter = %d", r.Counter(CIOCalls))
+	if r.Counter("io_calls") != 3 {
+		t.Fatalf("counter = %d", r.Counter("io_calls"))
 	}
-	if r.Time("absent") != 0 || r.Counter("absent") != 0 {
-		t.Fatal("absent keys not zero")
+	if r.Time("absent") != 0 || r.Counter("absent") != 0 || r.Counter("rounds") != 0 {
+		t.Fatal("absent names not zero")
 	}
-	r.Reset()
-	if r.Time(PIO) != 0 || r.Counter(CIOCalls) != 0 {
-		t.Fatal("reset incomplete")
+	if got, want := r.String(), "time[io]=2.000000s n[io_calls]=3"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	reg.Reset()
+	if r.Time(PIO) != 0 || r.Counter("io_calls") != 0 || r.String() != "" {
+		t.Fatal("a reset registry still reads through the view")
+	}
+}
+
+// TestZeroAddsPrint: a row appears once its counter or phase was added to,
+// even by zero, and not before.
+func TestZeroAddsPrint(t *testing.T) {
+	reg := metrics.NewRegistry(0)
+	r := Of(reg)
+	if r.Table() != "stats(empty)" {
+		t.Fatalf("empty Table = %q", r.Table())
+	}
+	reg.Add(metrics.CCommBytes, 0)
+	reg.Charge(metrics.PCopy, 0)
+	if got, want := r.String(), "time[copy]=0.000000s n[bytes_comm]=0"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if m := Merge(Of(metrics.NewRegistry(1)), r); m.String() != r.String() {
+		t.Fatalf("merged String = %q, want %q", m.String(), r.String())
 	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.AddTime(PIO, 1)
-	r.Add(CIOCalls, 1)
-	r.Reset()
-	if r.Time(PIO) != 0 || r.Counter(CIOCalls) != 0 {
+	if r.Time(PIO) != 0 || r.Counter("io_calls") != 0 || len(r.Phases()) != 0 || len(r.Counters()) != 0 {
 		t.Fatal("nil recorder returned nonzero")
 	}
-	if r.String() != "stats(nil)" {
-		t.Fatalf("nil String = %q", r.String())
+	if r.String() != "stats(nil)" || r.Table() != "stats(nil)" {
+		t.Fatalf("nil String = %q, Table = %q", r.String(), r.Table())
 	}
 }
 
 func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Add(CBytesIO, 10)
-	b.Add(CBytesIO, 32)
-	a.AddTime(PComm, sim.Time(1))
-	b.AddTime(PComm, sim.Time(2))
-	m := Merge(a, nil, b)
-	if m.Counter(CBytesIO) != 42 {
-		t.Fatalf("merged counter = %d", m.Counter(CBytesIO))
+	a, b := metrics.NewRegistry(0), metrics.NewRegistry(1)
+	a.Add(metrics.CIOBytes, 10)
+	b.Add(metrics.CIOBytes, 32)
+	a.Charge(metrics.PComm, 1)
+	b.Charge(metrics.PComm, 2)
+	m := Merge(Of(a), nil, Of(b))
+	if m.Counter("bytes_io") != 42 {
+		t.Fatalf("merged counter = %d", m.Counter("bytes_io"))
 	}
 	if m.Time(PComm) != 3 {
 		t.Fatalf("merged time = %v", m.Time(PComm))
 	}
 }
 
-func TestStringIsStable(t *testing.T) {
-	r := New()
-	r.Add("b", 2)
-	r.Add("a", 1)
-	r.AddTime("z", 1)
-	s1, s2 := r.String(), r.String()
-	if s1 != s2 {
-		t.Fatal("String not deterministic")
-	}
-	if !strings.Contains(s1, "n[a]=1") || !strings.Contains(s1, "time[z]=") {
-		t.Fatalf("String = %q", s1)
-	}
-}
-
 func TestMergeAllNil(t *testing.T) {
-	m := Merge(nil, nil)
-	if m == nil {
-		t.Fatal("Merge of nils should return an empty recorder, not nil")
+	if m := Merge(nil, nil); m == nil || m.Table() != "stats(empty)" {
+		t.Fatalf("Merge of nils should return an empty recorder, got %v", m)
 	}
-	if len(m.Times) != 0 || len(m.Counters) != 0 {
-		t.Fatalf("Merge of nils not empty: %v", m)
-	}
-	if m2 := Merge(); m2 == nil || len(m2.Times) != 0 {
+	if m := Merge(); m == nil || m.Table() != "stats(empty)" {
 		t.Fatal("Merge of nothing should return an empty recorder")
 	}
 }
 
+func TestStringIsStable(t *testing.T) {
+	reg := metrics.NewRegistry(0)
+	reg.Add(metrics.CRetries, 2)
+	reg.Add(metrics.CIOCalls, 1)
+	reg.Charge(metrics.PServe, 1)
+	r := Of(reg)
+	s1, s2 := r.String(), r.String()
+	if s1 != s2 {
+		t.Fatal("String not deterministic")
+	}
+	if want := "time[ost_service]=1.000000s n[io_calls]=1 n[io_retries]=2"; s1 != want {
+		t.Fatalf("String = %q, want %q", s1, want)
+	}
+}
+
 func TestTable(t *testing.T) {
-	var nilRec *Recorder
-	if got := nilRec.Table(); got != "stats(nil)" {
-		t.Fatalf("nil Table = %q", got)
-	}
-	if got := New().Table(); got != "stats(empty)" {
-		t.Fatalf("empty Table = %q", got)
-	}
-	r := New()
-	r.AddTime(PIO, 1.25)
-	r.AddTime(PComm, 0.5)
-	r.Add(CIOCalls, 7)
-	r.Add(CBytesIO, 4096)
+	reg := metrics.NewRegistry(0)
+	reg.Charge(metrics.PIO, 1.25)
+	reg.Charge(metrics.PComm, 0.5)
+	reg.Add(metrics.CIOCalls, 7)
+	reg.Add(metrics.CIOBytes, 4096)
+	r := Of(reg)
 	got := r.Table()
 	if got != r.Table() {
 		t.Fatal("Table not deterministic")
@@ -110,7 +138,7 @@ func TestTable(t *testing.T) {
 		t.Fatalf("phase rows unsorted:\n%s", got)
 	}
 	if !strings.Contains(got, "counters:") ||
-		!strings.Contains(got, CBytesIO) || !strings.Contains(got, "4096") {
+		!strings.Contains(got, "bytes_io") || !strings.Contains(got, "4096") {
 		t.Fatalf("counter rows missing:\n%s", got)
 	}
 	// Alignment: names pad to a common width and values right-align to a
@@ -125,73 +153,5 @@ func TestTable(t *testing.T) {
 		} else if len(ln) != rowLen {
 			t.Fatalf("misaligned row %q (%d chars vs %d):\n%s", ln, len(ln), rowLen, got)
 		}
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	var nilHist *Histogram
-	nilHist.Observe(1)
-	nilHist.MergeHist(NewHistogram())
-	if nilHist.Count() != 0 || nilHist.Sum() != 0 || nilHist.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram should report zeros")
-	}
-
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 1e-3)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Min() != 1e-3 || h.Max() != 100e-3 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	// Log buckets give ~9% resolution; allow a generous 15% band.
-	if p50 := h.Quantile(0.50); p50 < 40e-3 || p50 > 60e-3 {
-		t.Fatalf("p50 = %v, want ~50e-3", p50)
-	}
-	if p95 := h.Quantile(0.95); p95 < 85e-3 || p95 > 100e-3 {
-		t.Fatalf("p95 = %v, want ~95e-3", p95)
-	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
-		t.Fatal("q=0/1 should clamp to min/max")
-	}
-
-	// Zeros (ranks that never enter a phase) land in the first bucket and
-	// drag the median down honestly.
-	z := NewHistogram()
-	for i := 0; i < 10; i++ {
-		z.Observe(0)
-	}
-	z.Observe(1)
-	if p50 := z.Quantile(0.5); p50 > 1e-6 {
-		t.Fatalf("p50 of mostly-zeros = %v, want ~0", p50)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 50; i++ {
-		a.Observe(1e-3)
-		b.Observe(1.0)
-	}
-	a.MergeHist(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != 1e-3 || a.Max() != 1.0 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	if got, want := a.Sum(), 50*1e-3+50*1.0; got < want*0.999 || got > want*1.001 {
-		t.Fatalf("merged sum = %v, want %v", got, want)
-	}
-	// Into an empty histogram, min must come over verbatim.
-	c := NewHistogram()
-	c.MergeHist(b)
-	if c.Min() != 1.0 || c.Count() != 50 {
-		t.Fatalf("merge into empty: min=%v count=%d", c.Min(), c.Count())
 	}
 }

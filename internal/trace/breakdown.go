@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"flexio/internal/metrics"
 	"flexio/internal/sim"
 	"flexio/internal/stats"
 )
@@ -134,7 +135,7 @@ func (s *Sink) Breakdown() *Breakdown {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := stats.NewHistogram()
+		h := metrics.NewHistogram()
 		var max sim.Time
 		for _, rp := range perRank {
 			v := rp[name]
@@ -221,14 +222,10 @@ func (b *Breakdown) Format(flat *stats.Recorder) string {
 		sb.WriteByte('\n')
 	}
 	if flat != nil {
-		extra := make([]string, 0, len(flat.Times))
-		for name := range flat.Times {
-			if !listed[name] {
-				extra = append(extra, name)
+		for _, name := range flat.Phases() {
+			if listed[name] {
+				continue
 			}
-		}
-		sort.Strings(extra)
-		for _, name := range extra {
 			fmt.Fprintf(&sb, "  %-12s %12.6f %12s %12s %12s %8d %12.6f %8s\n",
 				name, 0.0, "-", "-", "-", 0, flat.Time(name).Seconds(), "-")
 		}

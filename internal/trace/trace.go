@@ -41,8 +41,9 @@ const (
 )
 
 // Well-known span, tag, and event names shared by the instrumented layers
-// and the breakdown exporter. Phase spans use the stats.P* names directly
-// so span sums line up with the flat time buckets.
+// and the breakdown exporter. Phase spans are named after metrics.Phase and
+// opened by mpi.Proc.Begin, which books the same interval to the phase's
+// time, so span sums line up with the flat time buckets.
 const (
 	// RoundSpan wraps one two-phase round on a rank.
 	RoundSpan = "round"

@@ -14,11 +14,11 @@ import (
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 	"flexio/internal/twophase"
 )
 
@@ -72,8 +72,8 @@ func TestMemoHitsAtScale(t *testing.T) {
 				if err := colltest.VerifyImage(wl, res.Image); err != nil {
 					t.Fatal(err)
 				}
-				agg := stats.Merge(res.World.Recorders()...)
-				hits, misses := agg.Counter(stats.CIsectCacheHits), agg.Counter(stats.CIsectCacheMisses)
+				agg := res.World.Totals()
+				hits, misses := agg.Counter(metrics.CMemoHits), agg.Counter(metrics.CMemoMisses)
 				if u := int64(ranks + aggs); misses != u || hits != (steps-1)*u {
 					t.Fatalf("hits=%d misses=%d, want hits=%d misses=%d", hits, misses, (steps-1)*u, u)
 				}
@@ -120,8 +120,8 @@ func TestMemoKeepsEightShapes(t *testing.T) {
 					t.Fatalf("rank %d: %v", r, err)
 				}
 			}
-			agg := stats.Merge(w.Recorders()...)
-			hits, misses := agg.Counter(stats.CIsectCacheHits), agg.Counter(stats.CIsectCacheMisses)
+			agg := w.Totals()
+			hits, misses := agg.Counter(metrics.CMemoHits), agg.Counter(metrics.CMemoMisses)
 			if misses != tc.wantMisses || hits != int64(tc.calls)*u-tc.wantMisses {
 				t.Fatalf("hits=%d misses=%d, want %d misses of %d lookups", hits, misses, tc.wantMisses, int64(tc.calls)*u)
 			}
