@@ -151,18 +151,6 @@ func Default() []Config {
 	return out
 }
 
-// SteadyStateNames lists the configurations the allocation budget (and the
-// CI regression gate's hard floor) is defined on: repeated identical
-// collective calls with persistent file realms.
-func SteadyStateNames() []string {
-	return []string{
-		"core-pfr/nonblocking/write",
-		"core-pfr/nonblocking/read",
-		"core-pfr/alltoallw/write",
-		"core-pfr/alltoallw/read",
-	}
-}
-
 // netBoundSim is the cluster profile the preagg-net rows run under: a
 // congested commodity interconnect in front of a fast storage tier, the
 // regime the two-level exchange targets — inter-node bytes are the

@@ -48,9 +48,9 @@ type File struct {
 	Results map[string][]Result `json:"results"`
 }
 
-// Measure runs one config under testing.Benchmark and extracts the tracked
+// measure runs one config under testing.Benchmark and extracts the tracked
 // metrics.
-func Measure(cfg Config) (Result, error) {
+func measure(cfg Config) (Result, error) {
 	var failed bool
 	r := testing.Benchmark(func(b *testing.B) {
 		defer func() {
@@ -86,7 +86,7 @@ func Measure(cfg Config) (Result, error) {
 func MeasureAll(logf func(format string, args ...any)) ([]Result, error) {
 	var out []Result
 	for _, cfg := range Default() {
-		res, err := Measure(cfg)
+		res, err := measure(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func MeasureAll(logf func(format string, args ...any)) ([]Result, error) {
 func MeasureAllPreagg(on bool, logf func(format string, args ...any)) ([]Result, error) {
 	var out []Result
 	for _, cfg := range PreaggConfigs(on) {
-		res, err := Measure(cfg)
+		res, err := measure(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func MeasureAllPreagg(on bool, logf func(format string, args ...any)) ([]Result,
 func MeasureAllTelemetry(logf func(format string, args ...any)) ([]Result, error) {
 	var out []Result
 	for _, cfg := range TelemetryConfigs() {
-		res, err := Measure(cfg)
+		res, err := measure(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func MeasureAllTelemetry(logf func(format string, args ...any)) ([]Result, error
 func MeasureAllIntegrity(logf func(format string, args ...any)) ([]Result, error) {
 	var out []Result
 	for _, cfg := range IntegrityConfigs() {
-		res, err := Measure(cfg)
+		res, err := measure(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,19 +2,21 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
 	"flexio/internal/trace"
 )
 
 // The round executor: everything a collective call does once it is planned.
 // The planner (run) decides what every rank exchanges with every aggregator in
 // every round and hands that over as a plan; the executor walks the rounds
-// (exchange, gather, buffer access, journal, degrade fallback, integrity
+// (exchange, write batch, buffer access, journal, degrade fallback, integrity
 // failures, the round-boundary agreement) and closes the call. There is one
 // write loop and one read loop; what differs between engines is data: the
 // plan, the exchange strategy, the buffer access method.
@@ -86,7 +88,7 @@ func (pl *plan) batch(r int, sieve int64) (last int, bytes int64) {
 // and readRounds). What a pipelined read posts for round r+1 while round r is
 // still live comes in pairs, round r's at index r&1.
 type roundScratch struct {
-	cur     []viewCursor      // per-client read position while gathering a round
+	batch   batchData         // the write batch an aggregator has received (read, never lent)
 	iov     [2][][][]byte     // views this rank sends, per destination
 	recvIov [][][]byte        // views this rank received, per source (point-to-point)
 	waited  [][][]byte        // WaitallIov output, in request order
@@ -241,6 +243,12 @@ type viewCursor struct {
 // n of them, and advances; nil once the payload is exhausted (or never
 // arrived: a dead sender's table is nil).
 func (c *viewCursor) take(views [][]byte, n int64) []byte {
+	if c.k < len(views) && int64(len(views[c.k])-c.off) >= n {
+		// The usual case, checked first: n bytes left in the current view.
+		v := views[c.k][c.off : c.off+int(n)]
+		c.off += int(n)
+		return v
+	}
 	for c.k < len(views) {
 		v := views[c.k][c.off:]
 		if len(v) == 0 {
@@ -256,29 +264,133 @@ func (c *viewCursor) take(views [][]byte, n int64) []byte {
 	return nil
 }
 
-// gather appends the round's collective buffer to dst: the plan's pieces in
-// file order, each the next unread bytes of its client's views. This is the
-// only host copy of the shuffle. cur is zeroed per-client scratch. A client
-// whose payload is not exactly the bytes the plan holds for it (a damaged
-// request that still decoded) fails the round, which the boundary agreement
-// turns into an abort on every rank.
-func (rp *roundPlan) gather(dst []byte, cur []viewCursor, views [][][]byte) ([]byte, error) {
-	for _, it := range rp.Order {
-		for n := it.Len; n > 0; {
-			b := cur[it.Run].take(views[it.Run], n)
-			if b == nil {
-				return dst, fmt.Errorf("payload of rank %d is shorter than planned", it.Run)
-			}
-			dst = append(dst, b...)
-			n -= int64(len(b))
-		}
+// batchData is an aggregator's write batch read where it arrived: the
+// collective buffer of rounds first..last is the plan's pieces in file order,
+// each the next unread bytes of its client's views in its round. Nothing
+// gathers it: it is the pfs.Source of the batch's write, which copies each
+// piece once, into its page. It keeps the rounds' received view tables (the
+// headers only, about one view per client run, since a sender rebuilds its
+// table for the next round), never a view per piece. The views stay valid
+// until the write: they are the clients' streams, which live until the
+// call's closing rendezvous (an abort's barrier in finish).
+type batchData struct {
+	agg   *aggPlans
+	first int
+	views [][]byte     // the batch rounds' views, round by round, peer by peer
+	ends  []int        // where each round's peers' views end in views
+	tab   [][][]byte   // per client: its views in the round being walked
+	cur   []viewCursor // per client: its read position there
+	// The walk is at stream offset pos: in bytes into piece i of round r,
+	// whose peers start at ends[e].
+	ord     []datatype.RunItem
+	pos, in int64
+	r, i, e int
+}
+
+// open starts a batch of rounds first..last, its tables sized for a view per
+// peer of each round.
+func (b *batchData) open(agg *aggPlans, first, last, size int) {
+	b.agg, b.first = agg, first
+	b.tab, b.cur = sized(b.tab, size), sized(b.cur, size)
+	peers := 0
+	for r := first; r <= last; r++ {
+		peers += len(agg.Round(r).Peers)
 	}
+	b.views, b.ends = slices.Grow(b.views[:0], peers), slices.Grow(b.ends[:0], peers)
+	b.rewind()
+}
+
+// add keeps round rp's received views. A client whose payload is not exactly
+// the bytes the plan holds for it (a damaged request that still decoded)
+// fails the round, which the boundary agreement turns into an abort on every
+// rank.
+func (b *batchData) add(rp *roundPlan, views [][][]byte) error {
 	for _, pb := range rp.Peers {
-		if cur[pb.Client].take(views[pb.Client], 1) != nil {
-			return dst, fmt.Errorf("payload of rank %d runs past its %d planned bytes", pb.Client, pb.Bytes)
+		var got int64
+		for _, v := range views[pb.Client] {
+			got += int64(len(v))
+		}
+		if got != pb.Bytes {
+			return fmt.Errorf("payload of rank %d is %d bytes, %d planned", pb.Client, got, pb.Bytes)
+		}
+		b.views = append(b.views, views[pb.Client]...)
+		b.ends = append(b.ends, len(b.views))
+	}
+	return nil
+}
+
+// gatheredBatches, set only by tests, writes each batch from a copy of it in
+// one buffer: the reference the in-place write is compared with.
+var gatheredBatches func(b *batchData, n int64) []byte
+
+// rewind puts the walk before the batch's first round, which it enters when
+// it moves.
+func (b *batchData) rewind() {
+	b.r, b.e, b.pos, b.i, b.ord = b.first-1, 0, 0, 0, nil
+}
+
+// release drops the batch's views, which hold its clients' streams.
+func (b *batchData) release() {
+	clear(b.views)
+	b.views, b.ends, b.agg, b.ord = b.views[:0], b.ends[:0], nil, nil
+}
+
+// enter starts the walk of round r: its clients' views and cursors.
+func (b *batchData) enter() {
+	rp := b.agg.Round(b.r)
+	b.ord, b.i, b.in = rp.Order, 0, 0
+	for _, pb := range rp.Peers {
+		lo := 0
+		if b.e > 0 {
+			lo = b.ends[b.e-1]
+		}
+		b.tab[pb.Client], b.cur[pb.Client] = b.views[lo:b.ends[b.e]], viewCursor{}
+		b.e++
+	}
+}
+
+// Fill copies the batch's bytes [at, at+len(dst)) into dst. A write asks for
+// them in order; one that starts over (a retried window, a batch re-issued
+// naive) rewalks from the start.
+func (b *batchData) Fill(dst []byte, at int64) {
+	if at != b.pos {
+		if at < b.pos {
+			b.rewind()
+		}
+		b.walk(nil, at-b.pos)
+	}
+	b.walk(dst, int64(len(dst)))
+}
+
+// walk moves the walk n bytes on, copying them into dst unless it is nil.
+func (b *batchData) walk(dst []byte, n int64) {
+	b.pos += n
+	ord, cur, tab := b.ord, b.cur, b.tab
+	i, in := b.i, b.in
+	for n > 0 {
+		if i == len(ord) {
+			if b.r++; b.r >= len(b.agg.Rounds) {
+				panic("core: write batch walked past its last round")
+			}
+			b.enter()
+			ord, i, in = b.ord, 0, 0
+			continue
+		}
+		it := ord[i]
+		v := cur[it.Run].take(tab[it.Run], min(n, it.Len-in))
+		if len(v) == 0 {
+			panic("core: write batch walked past a payload add measured")
+		}
+		if dst != nil {
+			dst = dst[copy(dst, v):]
+		}
+		k := int64(len(v))
+		n -= k
+		if in += k; in == it.Len {
+			i, in = i+1, 0
 		}
 	}
-	return dst, nil
+	b.i, b.in = i, in
 }
 
 // pieceViews appends one view of the stream per round-r run of pieces: the
@@ -339,12 +451,12 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		slots = p.Size()
 	}
 
-	// The batch being gathered (see plan.batch): rounds first..last of this
-	// aggregator share pendData and leave in one WriteStream once round last
-	// is gathered (ready); n counts its rounds with data gathered so far.
-	// None is open while first < 0. Its segments alias the (immutable) plan.
-	var pendData []byte
-	first, last, n, ready := -1, -1, int64(0), false
+	// The batch being received (see plan.batch): rounds first..last of this
+	// aggregator leave in one WriteStream of size bytes once round last is
+	// received (ready); n counts its rounds with data received so far. None
+	// is open while first < 0. Its segments alias the (immutable) plan.
+	batch := &scr.batch
+	first, last, n, size, ready := -1, -1, int64(0), int64(0), false
 	j := i.o.Journal
 	sieve := f.Info().SieveBufSize
 
@@ -374,11 +486,14 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			// The storage operations carry the last round whose data they
 			// write, whichever round issues them, so a fault aimed at round r
 			// hits the write of round r's data.
-			segs := pl.agg.segsOf(first, last)
+			segs, data := pl.agg.segsOf(first, last), pfs.From(batch, size)
+			if gatheredBatches != nil {
+				data = pfs.Bytes(gatheredBatches(batch, size))
+			}
 			f.TagRound(last)
-			err := f.WriteStream(segs, pendData, method)
+			err := f.WriteStream(segs, data, method)
 			if err != nil && i.degrade(&c, method, last, n) {
-				err = f.WriteStream(segs, pendData, mpiio.Naive)
+				err = f.WriteStream(segs, data, mpiio.Naive)
 			}
 			f.TagRound(p.Round())
 			c.fail(last, err)
@@ -398,8 +513,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 				}
 			}
 		}
-		bufpool.Put(pendData)
-		pendData, first, n, ready = nil, -1, 0, false
+		batch.release()
+		first, n, ready = -1, 0, false
 	}
 
 	for r := 0; r < ntimes; r++ {
@@ -411,11 +526,13 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		}
 
 		// Every strategy carries views of the stream, one per run of
-		// pieces, by reference: no client-side payload copy on the host. The views
-		// are dead before this rank reuses the iovec table or recycles the
-		// stream, because the aggregators gather them before they start the
-		// round's agreement, whose rendezvous every rank passes before its
-		// next round: one table (and one request list) serves every round.
+		// pieces, by reference: no client-side payload copy on the host. The
+		// aggregators copy the table's headers into their batch before they
+		// start the round's agreement, whose rendezvous every rank passes
+		// before its next round, so one table (and one request list) serves
+		// every round. The bytes are read until the batch is written, which
+		// is before the call's closing rendezvous: the stream is recycled
+		// only after it.
 		send := scr.roundIov(0, slots)
 		for a := 0; a < naggs; a++ {
 			send[a] = pieceViews(send[a], stream, pl.pieces, a, r)
@@ -448,7 +565,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 			p.End(iv)
 
 			if ready {
-				flush() // pipelined: the batch its last round gathered
+				flush() // pipelined: the batch its last round completed
 			}
 
 			iv = p.Begin1(metrics.PComm, trace.S("what", "waitall"))
@@ -482,19 +599,14 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 				p.Trace.Instant2(p.Clock(), "round_bytes",
 					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, roundRecv))
 				if first < 0 {
-					var size int64
 					first = r
 					last, size = pl.batch(r, sieve)
-					pendData = bufpool.Get(size)[:0]
+					batch.open(pl.agg, first, last, p.Size())
 				}
 				n++
-				// Assemble the collective buffer (gap-free: only useful
-				// data), appending to the batch. This is the single host copy
-				// of the shuffle.
-				scr.cur = sized(scr.cur, p.Size())
-				var err error
-				pendData, err = rp.gather(pendData, scr.cur, recvIov)
-				c.fail(r, err)
+				// The collective buffer (gap-free: only useful data) is the
+				// round's views themselves; the write reads them in place.
+				c.fail(r, batch.add(rp, recvIov))
 				if pipelined {
 					// The modelled unpack of the messages.
 					f.ChargeCopy(roundRecv)
@@ -515,7 +627,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		// data it may have flushed: a healthy aggregator may have written
 		// round r-1, correct bytes, before an abort at round r-1 surfaces.
 		if err := c.end(pl, r, roundRecv); err != nil {
-			bufpool.Put(pendData)
+			batch.release()
 			return err
 		}
 	}

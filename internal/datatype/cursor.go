@@ -100,24 +100,6 @@ func (c *Cursor) SetLimit(n int64) {
 	}
 }
 
-// Remaining returns the data bytes left before the limit (or before the end
-// of a bounded access); -1 when unlimited and unbounded.
-func (c *Cursor) Remaining() int64 {
-	if c.done {
-		return 0
-	}
-	var rem int64 = -1
-	if c.count >= 0 {
-		rem = c.count*c.size - c.StreamPos()
-	}
-	if c.limit >= 0 {
-		if lr := c.limit - c.StreamPos(); rem < 0 || lr < rem {
-			rem = lr
-		}
-	}
-	return rem
-}
-
 // Run returns the length of the contiguous data run starting at the current
 // position (0 if exhausted), without consuming it.
 func (c *Cursor) Run() int64 {
@@ -136,10 +118,6 @@ func (c *Cursor) Run() int64 {
 // Work returns the number of offset/length pairs touched since creation or
 // the last Reset.
 func (c *Cursor) Work() int64 { return c.work }
-
-// ChargeWork adds extra pair-processing work (used by callers that do
-// per-pair bookkeeping beyond cursor movement, e.g. heap operations).
-func (c *Cursor) ChargeWork(n int64) { c.work += n }
 
 // Done reports whether the cursor has consumed every data byte.
 func (c *Cursor) Done() bool { return c.done }

@@ -31,13 +31,37 @@ type envelope struct {
 	sum  uint64
 	orig [][]byte
 	rep  uint8
+	// next links it on its sender's stack of returned envelopes.
+	next *envelope
 }
 
-// envPool recycles envelope structs (not their payloads). *envelope is a
-// pointer, so sync.Pool stores it without boxing. An envelope is released
-// by the receiver once matched and read; drained mailboxes simply drop
-// theirs to the GC.
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
+// A rank recycles the envelopes it sends (not their payloads) and its
+// receive requests itself, rather than through sync.Pools, which every
+// garbage collection empties: with those, allocs/op followed the GC's pace,
+// and with it how much memory the rest of the process retained. A rank holds
+// at most as many of each as it ever had in flight at once, and they go with
+// its world.
+
+// newEnvelope takes one of this rank's free envelopes. Its receivers push
+// the ones they have read onto envBack from their own goroutines; only the
+// rank itself takes them off, all at once, so the stack needs no lock and
+// cannot mistake a recycled head for the one it read.
+func (p *Proc) newEnvelope() *envelope {
+	if len(p.envs) == 0 {
+		for e := p.envBack.Swap(nil); e != nil; {
+			next := e.next
+			e.next = nil
+			p.envs = append(p.envs, e)
+			e = next
+		}
+	}
+	if n := len(p.envs); n > 0 {
+		e := p.envs[n-1]
+		p.envs = p.envs[:n-1]
+		return e
+	}
+	return new(envelope)
+}
 
 // checksum sums the payload as it currently is: Sum and SumIov agree on
 // equal bytes, so the cut does not matter.
@@ -48,9 +72,18 @@ func (e *envelope) checksum(ig *integrity.Hasher) uint64 {
 	return ig.Sum(e.data)
 }
 
-func releaseEnvelope(e *envelope) {
+// releaseEnvelope returns a read envelope to its sender (drained mailboxes
+// simply drop theirs to the GC).
+func (w *World) releaseEnvelope(e *envelope) {
+	sender := w.procs[e.src]
 	*e = envelope{}
-	envPool.Put(e)
+	for {
+		head := sender.envBack.Load()
+		e.next = head
+		if sender.envBack.CompareAndSwap(head, e) {
+			return
+		}
+	}
 }
 
 // mailbox is a rank's unmatched-message queue with FIFO matching per
@@ -183,7 +216,7 @@ func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 	if to < 0 || to >= p.w.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", to, p.w.size))
 	}
-	e := envPool.Get().(*envelope)
+	e := p.newEnvelope()
 	*e = envelope{src: p.rank, tag: tag, data: data, iov: iov, n: n}
 	if ig := p.w.integ; ig != nil {
 		// Checksum the pristine payload before any in-flight fault can
@@ -260,7 +293,7 @@ func (p *Proc) Recv(src, tag int) (data []byte, from int) {
 		return nil, from
 	}
 	data = asBytes(e.data, e.iov)
-	releaseEnvelope(e)
+	p.w.releaseEnvelope(e)
 	return data, from
 }
 
@@ -277,7 +310,7 @@ func (p *Proc) RecvIov(src, tag int) (iov [][]byte, from int) {
 		return nil, from
 	}
 	iov = asViews(e.data, e.iov)
-	releaseEnvelope(e)
+	p.w.releaseEnvelope(e)
 	return iov, from
 }
 
@@ -338,7 +371,7 @@ func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 		p.SyncClock(post + d)
 		p.w.coll.markSuspect(e.src)
 		p.noteVer(p.w.coll.ver())
-		releaseEnvelope(e)
+		p.w.releaseEnvelope(e)
 		return false
 	}
 	p.SyncClock(p.arrivalTime(post, e))
@@ -348,7 +381,7 @@ func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 		// just because its envelope was matched before.
 		p.clock += p.w.cfg.ChecksumTime(e.n)
 		if e.checksum(ig) != e.sum && !p.reRequest(e) {
-			releaseEnvelope(e)
+			p.w.releaseEnvelope(e)
 			return false
 		}
 	}
@@ -432,9 +465,6 @@ type Request struct {
 	ok   bool
 }
 
-// reqPool recycles receive requests; WaitallInto returns them once completed.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
 // doneRequest is the shared handle every IsendIov returns: sends are eager,
 // so the request is born complete, carries no per-send state, and is never
 // mutated — Wait on it only reads the done flag.
@@ -454,11 +484,17 @@ func (p *Proc) IsendIov(to, tag int, iov [][]byte) *Request {
 // overlaps the transfer, which is how the new implementation hides address
 // computation behind communication (paper §5.4).
 //
-// The request comes from a pool that WaitallInto releases back into; a request
-// completed by WaitallInto must not be touched again. Requests waited directly
-// via Wait stay with the caller and fall to the GC.
+// The request comes from the rank's own free requests, which WaitallInto,
+// called by the same rank, refills; a request completed by WaitallInto must
+// not be touched again. Requests waited directly via Wait stay with the
+// caller and fall to the GC.
 func (p *Proc) Irecv(src, tag int) *Request {
-	r := reqPool.Get().(*Request)
+	var r *Request
+	if n := len(p.reqs); n > 0 {
+		r, p.reqs = p.reqs[n-1], p.reqs[:n-1]
+	} else {
+		r = new(Request)
+	}
 	*r = Request{p: p, isRecv: true, src: src, tag: tag, post: p.clock}
 	return r
 }
@@ -474,7 +510,7 @@ func (r *Request) complete() (ok bool) {
 			r.from = from
 			if e != nil {
 				r.data, r.iov = e.data, e.iov
-				releaseEnvelope(e)
+				r.p.w.releaseEnvelope(e)
 				r.ok = true
 			}
 		}
@@ -536,8 +572,9 @@ func WaitallIov(reqs []*Request, out [][][]byte) [][][]byte {
 // retire releases a completed request back to the pool and nils its slot.
 func retire(reqs []*Request, i int) {
 	if r := reqs[i]; r != doneRequest {
+		p := r.p
 		*r = Request{}
-		reqPool.Put(r)
+		p.reqs = append(p.reqs, r)
 	}
 	reqs[i] = nil
 }

@@ -304,9 +304,6 @@ func (w *World) IntegrityEnabled() bool { return w.integ != nil }
 // before Run; it applies to every subsequent collective and send.
 func (w *World) SetRankFaults(s *RankFaultSchedule) { w.rf = s }
 
-// RankFaults returns the installed rank-fault plan (nil when off).
-func (w *World) RankFaults() *RankFaultSchedule { return w.rf }
-
 // SetCollDeadline arms a virtual-time deadline on every rendezvous and
 // point-to-point wait: a peer trailing by more than d is flagged
 // unresponsive instead of waited on forever. Zero disarms.
@@ -314,9 +311,6 @@ func (w *World) SetCollDeadline(d sim.Time) {
 	w.collDeadline = d
 	w.coll.setDeadline(d)
 }
-
-// CollDeadline returns the armed rendezvous deadline (0 = off).
-func (w *World) CollDeadline() sim.Time { return w.collDeadline }
 
 // FailedRanks returns the ranks currently considered failed — crashed or
 // flagged as stragglers — in rank order. It is the dead set a resumed
@@ -439,6 +433,12 @@ type Proc struct {
 	// it. The engines consume it (TakeIntegrityFailure) at the next round
 	// boundary and turn it into a uniform ErrDataIntegrity abort.
 	integErr error
+	// The envelopes this rank sends and its receive requests, recycled
+	// (see newEnvelope): envs and reqs are taken from and refilled by this
+	// rank alone, envBack by the receivers of its envelopes.
+	envs    []*envelope
+	envBack atomic.Pointer[envelope]
+	reqs    []*Request
 }
 
 // Rank returns this process's rank in the world.

@@ -6,6 +6,8 @@ import (
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
+	"flexio/internal/mpi"
+	"flexio/internal/pfs"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
 )
@@ -51,7 +53,7 @@ func (f *File) WriteIndependent(buf []byte, memtype datatype.Type, count int64) 
 		return err
 	}
 	segs := f.ResolveAccess(int64(len(stream.B)))
-	err = f.WriteStream(segs, stream.B, f.info.IndepMethod)
+	err = f.WriteStream(segs, pfs.Bytes(stream.B), f.info.IndepMethod)
 	// Storage copies the bytes into its pages synchronously, so the stream
 	// can be recycled as soon as WriteStream returns.
 	stream.Release()
@@ -82,18 +84,22 @@ func (f *File) ReadIndependent(buf []byte, memtype datatype.Type, count int64) e
 // the internal independent call the collective implementations use to
 // drain their collective buffers — the layering that lets a collective
 // call pick a different optimization per two-phase round (paper §5.1).
-func (f *File) WriteStream(segs []datatype.Seg, data []byte, m Method) error {
+// The stream is read in place: storage copies each byte once, into its
+// page, and whatever the method, nothing is copied on the way down (bar the
+// staging of overlapping segments cut at a sieve-window edge).
+func (f *File) WriteStream(segs []datatype.Seg, data pfs.Data, m Method) error {
 	return f.stream(segs, data, m, true)
 }
 
 // ReadStream reads the given absolute file segments into a linear buffer.
 func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
-	return f.stream(segs, buf, m, false)
+	return f.stream(segs, pfs.Bytes(buf), m, false)
 }
 
-// stream moves a linear stream to (write) or from the given absolute file
-// segments with method m, as one io interval.
-func (f *File) stream(segs []datatype.Seg, data []byte, m Method, write bool) error {
+// stream moves a linear stream to (write) or from (read: data is the
+// buffer) the given absolute file segments with method m, as one io
+// interval.
+func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) error {
 	op, call, what := "read", "ReadStream", "buffer"
 	if write {
 		op, call, what = "write", "WriteStream", "data"
@@ -102,58 +108,59 @@ func (f *File) stream(segs []datatype.Seg, data []byte, m Method, write bool) er
 	for _, s := range segs {
 		total += s.Len
 	}
-	if total != int64(len(data)) {
-		return fmt.Errorf("mpiio: %s: %d segment bytes, %d %s bytes", call, total, len(data), what)
+	if total != data.Len() {
+		return fmt.Errorf("mpiio: %s: %d segment bytes, %d %s bytes", call, total, data.Len(), what)
 	}
 	if total == 0 {
 		return nil
 	}
-	var tags []trace.Tag
-	if f.proc.Trace != nil {
-		// Guarded: four tags would allocate per call even with tracing off.
-		tags = []trace.Tag{trace.S("op", op), trace.S("method", m.String()),
-			trace.I("segs", int64(len(segs))), trace.I(trace.BytesTag, total)}
-	}
-	defer f.proc.End(f.proc.Begin(metrics.PIO, tags...))
-	at := func(off int64, b []byte) error {
+	defer f.proc.End(f.ioSpan(op, m, len(segs), total))
+	// list moves d to or from segs with one storage request, the tail a
+	// partial transfer left resumed as one more.
+	list := func(segs []datatype.Seg, d pfs.Data) error {
 		return f.withRetry(op, func(skip int64, now sim.Time) (sim.Time, error) {
+			_, tail := datatype.SplitSegs(segs, skip)
 			if write {
-				return f.handle.WriteAt(off+skip, b[skip:], now)
+				return f.handle.WriteData(tail, d.Slice(skip, d.Len()), now)
 			}
-			return f.handle.ReadAt(off+skip, b[skip:], now)
+			return f.handle.ReadList(tail, d.Buf()[skip:], now)
 		})
 	}
 	switch {
 	case m == IntegratedSieve && write:
 		return f.WriteSieve(spanOf(segs), segs, data)
 	case m == IntegratedSieve:
-		return f.ReadSieve(spanOf(segs), segs, data)
-	case len(segs) == 1:
-		// Contiguous fast path: "contiguous in memory to contiguous in file".
-		return at(segs[0].Off, data)
+		return f.ReadSieve(spanOf(segs), segs, data.Buf())
+	case len(segs) == 1 || m == ListIO:
+		// One segment is the contiguous fast path: "contiguous in memory to
+		// contiguous in file".
+		return list(segs, data)
 	}
 	switch m {
 	case Naive:
 		pos := int64(0)
-		for _, s := range segs {
-			if err := at(s.Off, data[pos:pos+s.Len]); err != nil {
+		for k, s := range segs {
+			if err := list(segs[k:k+1], data.Slice(pos, pos+s.Len)); err != nil {
 				return err
 			}
 			pos += s.Len
 		}
 		return nil
-	case ListIO:
-		return f.withRetry(op, func(skip int64, now sim.Time) (sim.Time, error) {
-			_, tail := datatype.SplitSegs(segs, skip)
-			if write {
-				return f.handle.WriteList(tail, data[skip:], now)
-			}
-			return f.handle.ReadList(tail, data[skip:], now)
-		})
 	case DataSieve:
 		return f.sieveWindows(segs, data, write)
 	}
 	return fmt.Errorf("mpiio: unknown access method %v", m)
+}
+
+// ioSpan opens a stream's io interval. Its tags are built only when tracing
+// (four would allocate per call otherwise), and here rather than in stream:
+// the storage calls run below stream's frame, on a rank goroutine's stack.
+func (f *File) ioSpan(op string, m Method, segs int, total int64) mpi.Interval {
+	if f.proc.Trace == nil {
+		return f.proc.Begin(metrics.PIO)
+	}
+	return f.proc.Begin(metrics.PIO, trace.S("op", op), trace.S("method", m.String()),
+		trace.I("segs", int64(segs)), trace.I(trace.BytesTag, total))
 }
 
 // spanOf returns the extent covering a non-empty offset-sorted list (whose
@@ -178,15 +185,15 @@ func spanOf(segs []datatype.Seg) datatype.Seg {
 // so a window's span ends at its furthest segment end, and every segment that
 // starts inside a window contributes its head to it; heads cut at the window
 // edge leave their remainders, in list order, to start the next window.
-func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error {
+func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) error {
 	sieve := f.info.SieveBufSize
 	if span := spanOf(segs); span.Len <= sieve {
 		// One window: the list goes to storage as it is.
-		f.ChargeCopy(int64(len(data)))
+		f.ChargeCopy(data.Len())
 		if write {
 			return f.WriteSieve(span, segs, data)
 		}
-		return f.ReadSieve(span, segs, data)
+		return f.ReadSieve(span, segs, data.Buf())
 	}
 	pending := f.sievePending[:0]
 	var at int64
@@ -215,20 +222,23 @@ func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error 
 		f.ChargeCopy(useful)
 
 		// Heads that do not follow one another in data (a segment cut at
-		// the edge while a later one starts inside the window) move through
-		// a staging buffer in window order.
-		chunk := data[pending[i].at : pending[i].at+useful]
+		// the edge while a later one starts inside the window, which only
+		// overlapping segments do) move through a staging buffer in window
+		// order.
+		chunk := data.Slice(pending[i].at, pending[i].at+useful)
+		var staged []byte
 		if !contiguous {
-			chunk = bufpool.Get(useful)
+			staged = bufpool.Get(useful)
+			chunk = pfs.Bytes(staged)
 		}
 		stage := func(toChunk bool) {
 			var pos int64
 			for k, h := range group {
-				d := data[pending[i+k].at : pending[i+k].at+h.Len]
+				d := data.Slice(pending[i+k].at, pending[i+k].at+h.Len)
 				if toChunk {
-					copy(chunk[pos:], d)
+					d.Copy(staged[pos:pos+h.Len], 0)
 				} else {
-					copy(d, chunk[pos:])
+					copy(d.Buf(), staged[pos:])
 				}
 				pos += h.Len
 			}
@@ -240,13 +250,13 @@ func (f *File) sieveWindows(segs []datatype.Seg, data []byte, write bool) error 
 			}
 			err = f.WriteSieve(span, group, chunk)
 		} else {
-			err = f.ReadSieve(span, group, chunk)
+			err = f.ReadSieve(span, group, chunk.Buf())
 			if err == nil && !contiguous {
 				stage(false)
 			}
 		}
 		if !contiguous {
-			bufpool.Put(chunk)
+			bufpool.Put(staged)
 		}
 		if err != nil {
 			return err

@@ -357,20 +357,20 @@ type Stream struct {
 	Pooled bool
 }
 
-// ReadStreamBuf returns the private, zeroed, pooled stream a read of n bytes
+// readStreamBuf returns the private, zeroed, pooled stream a read of n bytes
 // fills before it is unpacked: reads never alias the user buffer, so an
 // aborted collective leaves it untouched, and the zero fill keeps any byte
 // the access happens not to cover identical to a fresh allocation.
-func ReadStreamBuf(n int64) Stream {
+func readStreamBuf(n int64) Stream {
 	return Stream{B: bufpool.GetZero(n), Pooled: true}
 }
 
 // CollectiveStream returns the stream a collective call works on: a write's
 // linearized user data (see Linearize), a read's private buffer (see
-// ReadStreamBuf).
+// readStreamBuf).
 func (f *File) CollectiveStream(buf []byte, memtype datatype.Type, count int64, write, charged bool) (Stream, error) {
 	if !write {
-		return ReadStreamBuf(datatype.TotalSize(memtype, count)), nil
+		return readStreamBuf(datatype.TotalSize(memtype, count)), nil
 	}
 	return f.Linearize(buf, memtype, count, charged)
 }

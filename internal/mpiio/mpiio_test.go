@@ -107,7 +107,7 @@ func TestCloseReleasesClient(t *testing.T) {
 			}
 			// Both ranks write the same page: each open revokes what the
 			// other rank's previous, closed client still holds.
-			if err := f.WriteStream([]datatype.Seg{{Off: int64(p.Rank()) * 64, Len: 64}}, make([]byte, 64), Naive); err != nil {
+			if err := f.WriteStream([]datatype.Seg{{Off: int64(p.Rank()) * 64, Len: 64}}, pfs.Bytes(make([]byte, 64)), Naive); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
 			if err := f.Close(); err != nil {
@@ -236,7 +236,7 @@ func TestSieveWindowSplitStraddle(t *testing.T) {
 			data[i] = byte(i)
 		}
 		segs := []datatype.Seg{{Off: 50, Len: 20}, {Off: 120, Len: 280}}
-		if err := f.WriteStream(segs, data, DataSieve); err != nil {
+		if err := f.WriteStream(segs, pfs.Bytes(data), DataSieve); err != nil {
 			t.Error(err)
 		}
 		f.Close()
@@ -291,7 +291,7 @@ func TestSieveWindowsContainedSegments(t *testing.T) {
 			w.Run(func(p *mpi.Proc) {
 				f, _ := Open(p, fs, "contain.dat", Info{SieveBufSize: tc.sieve})
 				defer f.Close()
-				if err := f.WriteStream(tc.segs, data, DataSieve); err != nil {
+				if err := f.WriteStream(tc.segs, pfs.Bytes(data), DataSieve); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -311,7 +311,7 @@ func TestSieveWindowsContainedSegments(t *testing.T) {
 
 func TestWriteStreamMismatch(t *testing.T) {
 	single(t, func(f *File, _ *pfs.FileSystem) {
-		if err := f.WriteStream([]datatype.Seg{{Off: 0, Len: 4}}, []byte("toolong"), Naive); err == nil {
+		if err := f.WriteStream([]datatype.Seg{{Off: 0, Len: 4}}, pfs.Bytes([]byte("toolong")), Naive); err == nil {
 			t.Error("length mismatch accepted")
 		}
 		if err := f.ReadStream([]datatype.Seg{{Off: 0, Len: 4}}, make([]byte, 2), Naive); err == nil {
@@ -368,7 +368,7 @@ func TestMethodCostOrdering(t *testing.T) {
 				total += pieceLen
 			}
 			start := p.Clock()
-			if err := f.WriteStream(segs, make([]byte, total), m); err != nil {
+			if err := f.WriteStream(segs, pfs.Bytes(make([]byte, total)), m); err != nil {
 				t.Error(err)
 			}
 			elapsed = p.Clock() - start

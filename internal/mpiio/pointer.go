@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"flexio/internal/datatype"
+	"flexio/internal/pfs"
 )
 
 // This file implements the explicit-offset and individual-file-pointer
@@ -58,7 +59,7 @@ func (f *File) WriteAt(offset int64, buf []byte, memtype datatype.Type, count in
 		return err
 	}
 	segs := f.resolveAt(offset*f.etypeSize(), int64(len(stream)))
-	return f.WriteStream(segs, stream, f.info.IndepMethod)
+	return f.WriteStream(segs, pfs.Bytes(stream), f.info.IndepMethod)
 }
 
 // ReadAt is MPI_File_read_at.

@@ -84,37 +84,37 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 // data holding the useful bytes) under the retry policy, advancing the
 // rank's clock. The ROMIO-style collective engine drains its integrated
 // collective buffer through this call.
-func (f *File) WriteSieve(span datatype.Seg, segs []datatype.Seg, data []byte) error {
+func (f *File) WriteSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data) error {
 	return f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
-		sp, group, chunk := shrinkSieveWindow(span, segs, data, skip)
+		sp, group := shrinkSieveWindow(span, segs, skip)
 		if len(group) == 0 {
 			return now, nil
 		}
-		return f.handle.SieveWrite(sp, group, chunk, now)
+		return f.handle.SieveWriteData(sp, group, data.Slice(skip, data.Len()), now)
 	})
 }
 
 // ReadSieve is the read counterpart of WriteSieve.
 func (f *File) ReadSieve(span datatype.Seg, segs []datatype.Seg, buf []byte) error {
 	return f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
-		sp, group, chunk := shrinkSieveWindow(span, segs, buf, skip)
+		sp, group := shrinkSieveWindow(span, segs, skip)
 		if len(group) == 0 {
 			return now, nil
 		}
-		return f.handle.SieveRead(sp, group, chunk, now)
+		return f.handle.SieveRead(sp, group, buf[skip:], now)
 	})
 }
 
 // shrinkSieveWindow drops the first skip useful bytes from a sieve window,
-// narrowing the span to the surviving segments.
-func shrinkSieveWindow(span datatype.Seg, segs []datatype.Seg, data []byte, skip int64) (datatype.Seg, []datatype.Seg, []byte) {
+// narrowing the span to the surviving segments; the caller drops the same
+// bytes of its data.
+func shrinkSieveWindow(span datatype.Seg, segs []datatype.Seg, skip int64) (datatype.Seg, []datatype.Seg) {
 	if skip <= 0 {
-		return span, segs, data
+		return span, segs
 	}
 	_, tail := datatype.SplitSegs(segs, skip)
 	if len(tail) == 0 {
-		return datatype.Seg{}, nil, nil
+		return datatype.Seg{}, nil
 	}
-	sp := datatype.Seg{Off: tail[0].Off, Len: span.End() - tail[0].Off}
-	return sp, tail, data[skip:]
+	return datatype.Seg{Off: tail[0].Off, Len: span.End() - tail[0].Off}, tail
 }

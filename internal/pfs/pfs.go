@@ -456,25 +456,32 @@ func (h *Handle) Name() string { return h.f.name }
 // WriteAt writes data at off starting at virtual time now and returns the
 // completion time.
 func (h *Handle) WriteAt(off int64, data []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("write", h.f, []datatype.Seg{{Off: off, Len: int64(len(data))}}, data, nil, nil, false, now)
+	return h.WriteData([]datatype.Seg{{Off: off, Len: int64(len(data))}}, Bytes(data), now)
 }
 
 // ReadAt reads len(buf) bytes at off into buf.
 func (h *Handle) ReadAt(off int64, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, []datatype.Seg{{Off: off, Len: int64(len(buf))}}, nil, buf, nil, false, now)
+	return h.c.access("read", h.f, []datatype.Seg{{Off: off, Len: int64(len(buf))}}, Data{}, buf, nil, false, now)
 }
 
 // WriteList writes the concatenated data stream into the given file
 // segments with a single request (list I/O semantics: one call overhead for
 // the whole batch, as with PVFS's listio interface).
 func (h *Handle) WriteList(segs []datatype.Seg, data []byte, now sim.Time) (sim.Time, error) {
+	return h.WriteData(segs, Bytes(data), now)
+}
+
+// WriteData is the one plain write: data's bytes, in stream order, into the
+// given file segments with a single request. WriteAt and WriteList are it
+// for one buffer.
+func (h *Handle) WriteData(segs []datatype.Seg, data Data, now sim.Time) (sim.Time, error) {
 	return h.c.access("write", h.f, segs, data, nil, nil, false, now)
 }
 
 // ReadList reads the given file segments into the concatenated buffer with
 // a single request.
 func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, segs, nil, buf, nil, false, now)
+	return h.c.access("read", h.f, segs, Data{}, buf, nil, false, now)
 }
 
 // access is the single entry point for all I/O: it validates, applies fault
@@ -486,7 +493,7 @@ func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Ti
 // timing-only in the same way, and rbuf then receives the bytes of gather
 // — the useful segments inside the span — straight from the pages, up to
 // where a partial fault cut the span short.
-func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rbuf []byte, gather []datatype.Seg, sieve bool, now sim.Time) (sim.Time, error) {
+func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Data, rbuf []byte, gather []datatype.Seg, sieve bool, now sim.Time) (sim.Time, error) {
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Len < 0 {
@@ -494,8 +501,8 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 		}
 		total += s.Len
 	}
-	if kind == "write" && total != int64(len(wdata)) {
-		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, len(wdata))
+	if kind == "write" && total != wdata.Len() {
+		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, wdata.Len())
 	}
 	// dst receives the bytes of segs themselves; a sieve read delivers
 	// through gather instead and accesses segs timing-only.
@@ -536,7 +543,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 			// sees how far it got and may resume the tail.
 			segs, _ = datatype.SplitSegs(segs, w)
 			if kind == "write" {
-				wdata = wdata[:w]
+				wdata = wdata.Slice(0, w)
 			} else if dst != nil {
 				dst = dst[:w]
 			}
@@ -551,12 +558,8 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 	defer fs.mu.Unlock()
 	c.beginRequest(f)
 
-	// One call overhead for the whole (possibly list) request. Guarded:
-	// four tags would allocate per call even with tracing off.
-	if c.tr != nil {
-		c.tr.Instant(now, "io_call", trace.S("kind", kind),
-			trace.I("off", segs[0].Off), trace.I("len", total), trace.I("segs", int64(len(segs))))
-	}
+	// One call overhead for the whole (possibly list) request.
+	c.traceCall(now, kind, segs[0].Off, total, len(segs))
 	t := now + fs.cfg.IOCallOverhead
 	c.reg.Inc(metrics.CIOCalls)
 	c.reg.Add(metrics.CIOBytes, total)
@@ -572,7 +575,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 		}
 		var segDone sim.Time
 		if kind == "write" {
-			segDone = c.writeSeg(f, s, wdata[pos:pos+s.Len], t)
+			segDone = c.writeSeg(f, s, wdata.Slice(pos, pos+s.Len), t)
 		} else {
 			var into []byte
 			if dst != nil {
@@ -601,6 +604,16 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata, rb
 		return completion, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
 	}
 	return completion, nil
+}
+
+// traceCall marks one storage request in the trace. Guarded: four tags would
+// allocate per call even with tracing off. They are built here rather than
+// in the caller's frame, which stays under every page the request copies.
+func (c *Client) traceCall(now sim.Time, kind string, off, n int64, segs int) {
+	if c.tr != nil {
+		c.tr.Instant(now, "io_call", trace.S("kind", kind),
+			trace.I("off", off), trace.I("len", n), trace.I("segs", int64(segs)))
+	}
 }
 
 // noteFault records an injected fault on the owning rank's stats and trace.
@@ -752,7 +765,7 @@ func (fs *FileSystem) evictClientPage(clientID int, file int32, page int64) {
 }
 
 // writeSeg applies one contiguous write and returns its completion time.
-func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) sim.Time {
+func (c *Client) writeSeg(f *fileData, s datatype.Seg, data Data, t sim.Time) sim.Time {
 	fs := c.fs
 	ps := fs.cfg.PageSize
 	// Extent-lock transfers occupy the server, not just the client:
@@ -788,7 +801,7 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data []byte, t sim.Time) 
 	c.integrityPreMerge(f, s, t)
 
 	// Apply the data.
-	f.writeBytes(s.Off, data, ps)
+	f.writeBytes([]datatype.Seg{s}, data, ps)
 
 	integSvc := c.integrityCommit(f, s, t)
 
@@ -1122,26 +1135,22 @@ func (fs *FileSystem) stripePortions(s datatype.Seg, out []stripePortion) []stri
 	return out
 }
 
-// writeBytes applies data into the sparse page store.
-func (f *fileData) writeBytes(off int64, data []byte, pageSize int64) {
-	pos := int64(0)
-	for pos < int64(len(data)) {
-		abs := off + pos
-		pi := abs / pageSize
-		inPage := abs % pageSize
-		n := pageSize - inPage
-		if rem := int64(len(data)) - pos; n > rem {
-			n = rem
+// writeBytes applies data, back to back, to segs in the sparse page store:
+// the one host copy of every written byte.
+func (f *fileData) writeBytes(segs []datatype.Seg, data Data, pageSize int64) {
+	var pos int64
+	for _, s := range segs {
+		for abs := s.Off; abs < s.End(); {
+			pi, inPage := abs/pageSize, abs%pageSize
+			n := min(pageSize-inPage, s.End()-abs)
+			slot := f.pages.Slot(pi)
+			if slot.data == nil {
+				slot.data = make([]byte, pageSize)
+			}
+			data.Copy(slot.data[inPage:inPage+n], pos)
+			abs, pos = abs+n, pos+n
 		}
-		slot := f.pages.Slot(pi)
-		if slot.data == nil {
-			slot.data = make([]byte, pageSize)
-		}
-		copy(slot.data[inPage:inPage+n], data[pos:pos+n])
-		pos += n
-	}
-	if end := off + int64(len(data)); end > f.size {
-		f.size = end
+		f.size = max(f.size, s.End())
 	}
 }
 

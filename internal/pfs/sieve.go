@@ -17,6 +17,12 @@ import (
 // interleaved byte ranges (e.g. cyclic file realms) are never clobbered by
 // the gap data the sieve buffer carries.
 func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte, now sim.Time) (sim.Time, error) {
+	return h.SieveWriteData(span, segs, Bytes(data), now)
+}
+
+// SieveWriteData is the one sieve write, SieveWrite's window with data's
+// bytes read in place.
+func (h *Handle) SieveWriteData(span datatype.Seg, segs []datatype.Seg, data Data, now sim.Time) (sim.Time, error) {
 	var useful int64
 	for _, s := range segs {
 		if s.Off < span.Off || s.End() > span.End() {
@@ -25,8 +31,8 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 		}
 		useful += s.Len
 	}
-	if useful != int64(len(data)) {
-		return now, fmt.Errorf("pfs: SieveWrite: %d segment bytes but %d data bytes", useful, len(data))
+	if useful != data.Len() {
+		return now, fmt.Errorf("pfs: SieveWrite: %d segment bytes but %d data bytes", useful, data.Len())
 	}
 	if span.Len == 0 {
 		return now, nil
@@ -45,7 +51,7 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 		// already where they belong — hence a timing-only access.
 		h.c.rmwSpan[0] = span
 		var err error
-		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], nil, nil, nil, true, t)
+		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], Data{}, nil, nil, true, t)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrDataIntegrity):
@@ -74,7 +80,7 @@ func (h *Handle) SieveWrite(span datatype.Seg, segs []datatype.Seg, data []byte,
 
 // accessSieveSpan performs the write-back half of a sieve window: data is
 // scattered to segs, timing is that of one contiguous span write.
-func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, data []byte, now sim.Time) (sim.Time, error) {
+func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, data Data, now sim.Time) (sim.Time, error) {
 	fs := c.fs
 
 	// Fault evaluation happens before fs.mu is taken, so hooks are free to
@@ -82,11 +88,11 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// useful (data) bytes, not span bytes.
 	c.seq++
 	flt := fs.evalFault(Op{Kind: "write", Client: c.id, Name: f.name, Off: span.Off,
-		Len: int64(len(data)), Segs: len(segs), Seq: c.seq, Round: c.round, Sieve: true}, now)
+		Len: data.Len(), Segs: len(segs), Seq: c.seq, Round: c.round, Sieve: true}, now)
 	var partial *PartialError
 	if flt.class != ClassNone {
 		if flt.class == ClassPartial && flt.err == nil {
-			useful := int64(len(data))
+			useful := data.Len()
 			w := int64(flt.frac * float64(useful))
 			if w >= useful {
 				w = useful - 1
@@ -100,7 +106,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 				return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: write %q: %w", f.name, partial)
 			}
 			segs, _ = datatype.SplitSegs(segs, w)
-			data = data[:w]
+			data = data.Slice(0, w)
 			span = datatype.Seg{Off: span.Off, Len: segs[len(segs)-1].End() - span.Off}
 		} else {
 			c.noteFault(now, "write", flt.class, 0)
@@ -112,12 +118,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	defer fs.mu.Unlock()
 	c.beginRequest(f)
 
-	// Guarded like the io_call of access: four tags would allocate per
-	// window even with tracing off.
-	if c.tr != nil {
-		c.tr.Instant(now, "io_call", trace.S("kind", "sieve_write"),
-			trace.I("off", span.Off), trace.I("len", span.Len), trace.I("segs", int64(len(segs))))
-	}
+	c.traceCall(now, "sieve_write", span.Off, span.Len, len(segs))
 	t := now + fs.cfg.IOCallOverhead
 	c.reg.Inc(metrics.CIOCalls)
 	c.reg.Add(metrics.CIOBytes, span.Len)
@@ -132,11 +133,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// — the sieve buffer is not a side door around the checksummed
 	// datapath.
 	c.integrityPreMergeSpan(f, span, segs, t)
-	pos := int64(0)
-	for _, s := range segs {
-		f.writeBytes(s.Off, data[pos:pos+s.Len], fs.cfg.PageSize)
-		pos += s.Len
-	}
+	f.writeBytes(segs, data, fs.cfg.PageSize)
 	// Checksums first (over the union of the landed segments), injection
 	// second, so the recorded sums cover the intended content and the
 	// damage is detectable.
@@ -184,7 +181,7 @@ func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, n
 	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	h.c.rmwSpan[0] = span
-	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], nil, buf, segs, true, now)
+	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], Data{}, buf, segs, true, now)
 	if err != nil {
 		var pe *PartialError
 		if errors.As(err, &pe) {

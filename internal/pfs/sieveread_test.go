@@ -26,7 +26,7 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	tmp := make([]byte, span.Len)
-	done, err := h.c.access("read", h.f, []datatype.Seg{span}, nil, tmp, nil, true, now)
+	done, err := h.c.access("read", h.f, []datatype.Seg{span}, Data{}, tmp, nil, true, now)
 	cut := span.End()
 	var pe *PartialError
 	if errors.As(err, &pe) {
