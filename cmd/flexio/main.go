@@ -1,8 +1,7 @@
 // Command flexio drives the simulated cluster: figures and ablations (fig),
-// one HPIO configuration (hpio), the chaos table (chaos), the benchmark
-// ledgers (ledger), run-to-run reports (report) and the analyzer's demo
-// (observe). `flexio` alone lists them; flags may stand before or after the
-// positional arguments.
+// one HPIO configuration (hpio), the chaos table (chaos), run-to-run reports
+// (report) and the analyzer's demo (observe). `flexio` alone lists them;
+// flags may stand before or after the positional arguments.
 package main
 
 import (
@@ -24,7 +23,6 @@ var commands = []command{
 	{"fig", "fig [4|5|7|A1..A5|all] [flags]      regenerate figures and ablations (fig 7 -clients N: one cell)", runFig},
 	{"hpio", "hpio [flags]                         one HPIO configuration, verified, with its phase table", runHPIO},
 	{"chaos", "chaos [-traces DIR] <selection>      fault-injection cells: all, storage, rank, corrupt, a regexp or a spec", runChaos},
-	{"ledger", "ledger <bench|preagg|integrity|telemetry> [-record FILE] [-label L] [-check FILE]", runLedger},
 	{"report", "report OLD NEW                       ranked differential report of two run artifacts", runReport},
 	{"observe", "observe [-metrics-out FILE]          the analyzer on its diagnostic demo workload", runObserve},
 }

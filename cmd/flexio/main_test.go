@@ -29,8 +29,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"fig", "9"}, false, `"9"`},
 		{[]string{"fig", "5", "-clients", "8"}, false, "-clients"},
 		{[]string{"fig", "7", "-pfr"}, false, "-pfr"},
-		{[]string{"ledger", "nosuch", "-check", "BENCH_PR3.json"}, false, `"nosuch"`},
-		{[]string{"ledger", "bench"}, false, "-record"},
+		{[]string{"ledger", "bench"}, true, `"ledger"`},
 		{[]string{"chaos"}, false, "one selection"},
 		{[]string{"chaos", "storage", "rank"}, false, "one selection"},
 		{[]string{"chaos", "core-nb,nosuch-fault"}, false, "nosuch-fault"},

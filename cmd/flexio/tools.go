@@ -29,9 +29,8 @@ func runChaos(fs *flag.FlagSet, args []string, out *output) error {
 	return nil
 }
 
-// runReport diffs two run artifacts (benchsuite trajectories with an
-// optional #label suffix, flight-recorder dumps, or Prometheus expositions)
-// and prints the ranked differential report plus the analyzer's findings
+// runReport diffs two run artifacts (flight-recorder dumps or Prometheus
+// expositions, each with an optional #label suffix) and prints the ranked differential report plus the analyzer's findings
 // over it.
 func runReport(fs *flag.FlagSet, args []string, out *output) error {
 	pos, err := parse(fs, args, 2, 2, "two artifacts: OLD NEW")

@@ -11,14 +11,14 @@ import (
 // relative floor or the absolute grace are measurement noise, not
 // regressions.
 const (
-	phaseRegressTolFrac  = 0.10
-	phaseRegressGraceSec = 1e-4
-	benchRegressTolFrac  = 0.10
+	phaseRegressTolFrac     = 0.10
+	phaseRegressGraceSec    = 1e-4
+	internodeRegressTolFrac = 0.10
 )
 
 // ReportFindings turns a differential run report into ranked findings: one
 // phase-regression per phase whose virtual seconds grew past the tolerance,
-// plus headline internode-byte and bench-row regressions. It is the
+// plus the headline internode-byte regression. It is the
 // analyzer's bridge from "these two runs differ" to "this is what got
 // slower and by how much".
 func ReportFindings(rep *report.Report) []Finding {
@@ -49,32 +49,13 @@ func ReportFindings(rep *report.Report) []Finding {
 
 	if d := rep.InterNodeBytes; d != nil {
 		rel := d.Rel()
-		if !math.IsInf(rel, 1) && rel >= benchRegressTolFrac && d.Abs() > 0 {
+		if !math.IsInf(rel, 1) && rel >= internodeRegressTolFrac && d.Abs() > 0 {
 			fs = append(fs, finding(SevInfo, "internode-regression",
 				fmt.Sprintf("inter-node shuffle bytes grew %.0f%% between %s and %s: %.0f -> %.0f",
 					rel*100, rep.OldLabel, rep.NewLabel, d.Old, d.New),
 				"check whether pre-aggregation or node-local realm placement was disabled; the two-level exchange exists to keep this number flat",
 				math.Min(rel, 4)*15))
 		}
-	}
-
-	for _, b := range rep.Bench {
-		rel := b.VirtSec.Rel()
-		if math.IsInf(rel, 1) || rel < benchRegressTolFrac {
-			continue
-		}
-		fs = append(fs, finding(SevInfo, "bench-regression",
-			fmt.Sprintf("bench %s slowed %.0f%%: %.6f -> %.6f virt-s/op",
-				b.Name, rel*100, b.VirtSec.Old, b.VirtSec.New),
-			"re-run the row under -telemetryjson tracing and diff the critpath sections to attribute the slowdown",
-			math.Min(rel, 4)*20))
-	}
-
-	for _, name := range rep.BenchOnlyOld {
-		fs = append(fs, finding(SevWarning, "bench-row-dropped",
-			fmt.Sprintf("bench row %s present in %s but missing from %s", name, rep.OldLabel, rep.NewLabel),
-			"a silently dropped row hides regressions; restore the config or retire it explicitly in the trajectory",
-			1))
 	}
 
 	return Merge(fs)

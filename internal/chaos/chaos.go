@@ -187,8 +187,7 @@ const (
 	collBuf = 1024
 	// nodeRanks is the block node-mapping width chaos worlds run under, so
 	// pre-aggregation has co-resident ranks to gather and comm-matrix
-	// artifacts split shuffle bytes into inter- and intra-node (matching
-	// benchsuite.NodeRanks).
+	// artifacts split shuffle bytes into inter- and intra-node.
 	nodeRanks = 2
 )
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -326,65 +327,18 @@ func TestRomioGolden(t *testing.T) {
 	}
 }
 
-// steadySession is one world with a file open on every rank and the view
-// installed; the handles outlive the World.Run that opened them, so a test
-// issues one collective call at a time, as the benchmark's romio-write does.
-type steadySession struct {
-	wl    colltest.Workload
-	w     *mpi.World
-	files []*mpiio.File
-	bufs  [][]byte
-	errs  []error
-	mt    datatype.Type
-	write bool
-	stepF func(p *mpi.Proc)
-}
-
-func newSteadySession(t testing.TB, wl colltest.Workload, aggs int, cb int64) *steadySession {
+// newSteadySession opens a warm session of the baseline on the workload,
+// writing or reading, with aggs aggregators and cb-byte rounds.
+func newSteadySession(t testing.TB, wl colltest.Workload, aggs int, cb int64, write bool) (*mpi.World, *colltest.Session) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
-	s := &steadySession{wl: wl, w: mpi.NewWorld(wl.Ranks, cfg), write: true,
-		files: make([]*mpiio.File, wl.Ranks), bufs: make([][]byte, wl.Ranks), errs: make([]error, wl.Ranks)}
-	s.mt, _ = wl.Memtype()
-	fs := pfs.NewFileSystem(cfg)
+	w := mpi.NewWorld(wl.Ranks, cfg)
 	info := mpiio.Info{Collective: ROMIO(Options{}), CbNodes: aggs, CollBufSize: cb}
-	s.w.Run(func(p *mpi.Proc) {
-		r := p.Rank()
-		f, err := mpiio.Open(p, fs, "steady.dat", info)
-		if err == nil {
-			ft, disp := wl.Filetype(r)
-			err = f.SetView(disp, datatype.Bytes(1), ft)
-		}
-		s.files[r], s.errs[r], s.bufs[r] = f, err, wl.FillBuffer(r)
-	})
-	s.stepF = s.rankStep
-	s.check(t, "open")
-	return s
-}
-
-func (s *steadySession) check(t testing.TB, what string) {
-	t.Helper()
-	for r, err := range s.errs {
-		if err != nil {
-			t.Fatalf("%s: rank %d: %v", what, r, err)
-		}
+	s, err := colltest.NewSession(w, pfs.NewFileSystem(cfg), wl, info, write)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func (s *steadySession) rankStep(p *mpi.Proc) {
-	r := p.Rank()
-	if s.write {
-		s.errs[r] = s.files[r].WriteAll(s.bufs[r], s.mt, s.wl.RegionCount)
-	} else {
-		s.errs[r] = s.files[r].ReadAll(s.bufs[r], s.mt, s.wl.RegionCount)
-	}
-}
-
-// step issues one collective call on every rank.
-func (s *steadySession) step(t testing.TB) {
-	t.Helper()
-	s.w.Run(s.stepF)
-	s.check(t, "step")
+	return w, s
 }
 
 // romioWriteShape is the benchmark's romio-write: 8 ranks, 1024 interleaved
@@ -402,24 +356,20 @@ func romioWriteShape() (colltest.Workload, int, int64) {
 // budget is the measured value plus a tenth.
 func TestRomioSteadyStateAllocs(t *testing.T) {
 	wl, aggs, cb := romioWriteShape()
-	s := newSteadySession(t, wl, aggs, cb)
 	for _, write := range []bool{true, false} {
-		s.write = write
-		s.step(t) // plans, or re-plans nothing: reads share the writes' plans
-		s.step(t)
-		got := testing.AllocsPerRun(20, func() { s.step(t) })
+		_, s := newSteadySession(t, wl, aggs, cb, write)
+		got := testing.AllocsPerRun(20, func() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
 		t.Logf("%.0f allocs per memo-hit collective call (write=%v, all %d ranks)", got, write, wl.Ranks)
 		const budget = 22
 		if got > budget && !raceEnabled {
 			t.Errorf("%.0f allocs per memo-hit call (write=%v), budget %d", got, write, budget)
 		}
-	}
-	for r := range s.bufs {
-		want := wl.FillBuffer(r)
-		for k := range want {
-			if s.bufs[r][k] != want[k] {
-				t.Fatalf("rank %d read back wrong byte %d", r, k)
-			}
+		if err := s.Verify(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -428,13 +378,13 @@ func TestRomioSteadyStateAllocs(t *testing.T) {
 // engine: planning is two memo lookups and the replay of three pair charges.
 func BenchmarkRomioHit(b *testing.B) {
 	wl, aggs, cb := romioWriteShape()
-	s := newSteadySession(b, wl, aggs, cb)
-	s.step(b)
-	s.step(b)
+	_, s := newSteadySession(b, wl, aggs, cb, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(b)
+		if err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -446,19 +396,27 @@ func BenchmarkRomioHit(b *testing.B) {
 // BenchmarkRomioHit is what the memo saves.
 func BenchmarkRomioMiss(b *testing.B) {
 	wl, aggs, cb := romioWriteShape()
-	s := newSteadySession(b, wl, aggs, cb)
+	w, s := newSteadySession(b, wl, aggs, cb, true)
+	mt, _ := wl.Memtype()
+	bufs, errs := make([][]byte, wl.Ranks), make([]error, wl.Ranks)
+	for r := range bufs {
+		bufs[r] = wl.FillBuffer(r)
+	}
 	call := 0
-	s.stepF = func(p *mpi.Proc) {
-		r := p.Rank()
+	miss := func(p *mpi.Proc) {
+		r, f := p.Rank(), s.File(p.Rank())
 		ft, disp := wl.Filetype(r)
-		if s.errs[r] = s.files[r].SetView(disp+int64(call%9)*4096, datatype.Bytes(1), ft); s.errs[r] == nil {
-			s.rankStep(p)
+		if errs[r] = f.SetView(disp+int64(call%9)*4096, datatype.Bytes(1), ft); errs[r] == nil {
+			errs[r] = f.WriteAll(bufs[r], mt, wl.RegionCount)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(b)
+		w.Run(miss)
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
 		call++
 	}
 }

@@ -146,24 +146,6 @@ func (ru *Rollup) WriteProm(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ExpositionBytes measures the rollup exposition size — the column the
-// BENCH_PR9 telemetry gate regresses, since it is what a scraper pays per
-// node per scrape.
-func (ru *Rollup) ExpositionBytes() (int, error) {
-	var cw countWriter
-	if err := ru.WriteProm(&cw); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
-}
-
-type countWriter struct{ n int }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += len(p)
-	return len(p), nil
-}
-
 // NodeOfBlock returns the node index of rank under a block placement of
 // perNode consecutive ranks per node (perNode <= 1 means one rank per
 // node) — the metrics-side mirror of mpi.BlockNodeMap, kept here so tools

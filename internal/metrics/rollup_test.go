@@ -85,20 +85,13 @@ func TestRollupPromRoundTrip(t *testing.T) {
 	if got := parsed[`flexio_phase_seconds_bucket{phase="comm",le="+Inf"}`]; got != 4 {
 		t.Fatalf("phase comm +Inf = %v, want 4", got)
 	}
-	// Deterministic bytes, and ExpositionBytes agrees with WriteProm.
+	// Deterministic bytes.
 	var buf2 bytes.Buffer
 	if err := ru.WriteProm(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if text != buf2.String() {
 		t.Fatal("rollup exposition differs between writes")
-	}
-	n, err := ru.ExpositionBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(text) {
-		t.Fatalf("ExpositionBytes = %d, want %d", n, len(text))
 	}
 }
 

@@ -526,8 +526,8 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + vol.transferTime(p)
 	if p.w.integ != nil {
 		// Checksumming the outgoing rows and verifying the incoming ones
-		// is one streaming pass over each, priced like a memcpy.
-		extra += p.w.cfg.MemcpyTime(vol.sent() + rbytes)
+		// is one read-only streaming pass over each.
+		extra += p.w.cfg.ChecksumTime(vol.sent() + rbytes)
 	}
 	p.clock += extra
 	p.Metrics.Add(metrics.CCommBytes, vol.sent())
@@ -669,7 +669,7 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 	}
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + vol.transferTime(p)
 	if p.w.integ != nil {
-		extra += p.w.cfg.MemcpyTime(vol.sent() + rbytes)
+		extra += p.w.cfg.ChecksumTime(vol.sent() + rbytes)
 	}
 	p.clock += extra
 	p.Metrics.Add(metrics.CCommBytes, vol.sent())

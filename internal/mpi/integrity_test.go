@@ -188,3 +188,57 @@ func TestCorruptWaitallNonblockingPath(t *testing.T) {
 		t.Errorf("wire repaired = %d, want 1", n)
 	}
 }
+
+// TestChecksumChargeOnePrice: every checksum pass is priced by ChecksumTime,
+// a read-only streaming pass, whichever path hashes the bytes. A sender
+// hashes what it posts and a receiver what it is delivered. A vector
+// collective hashes the rows it sends to other ranks and every row it
+// receives. Integrity-on clock minus integrity-off clock is that charge on
+// every rank.
+func TestChecksumChargeOnePrice(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	// rows[r][d] is the row rank r sends rank d.
+	rows := [2][2][]byte{{payload(100), payload(300)}, {payload(200), payload(50)}}
+	for _, tc := range []struct {
+		name   string
+		op     func(p *Proc)
+		hashed [2]int64
+	}{
+		{"send-recv", func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Send(1, 7, payload(512))
+			} else {
+				p.SyncClock(1) // the arrival does not gate the receive
+				p.Recv(0, 7)
+			}
+		}, [2]int64{512, 512}},
+		{"alltoallv", func(p *Proc) {
+			p.Alltoallv(rows[p.Rank()][:])
+		}, [2]int64{300 + 100 + 200, 200 + 300 + 50}},
+		{"alltoallv-iov", func(p *Proc) {
+			iov := make([][][]byte, 2)
+			for d, row := range rows[p.Rank()] {
+				iov[d] = [][]byte{row[:len(row)/2], row[len(row)/2:]}
+			}
+			p.AlltoallvIov(iov)
+		}, [2]int64{300 + 100 + 200, 200 + 300 + 50}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clocks := func(armed bool) [2]sim.Time {
+				w := NewWorld(2, cfg)
+				if armed {
+					w.EnableIntegrity(1)
+				}
+				w.Run(tc.op)
+				return [2]sim.Time{w.Proc(0).Clock(), w.Proc(1).Clock()}
+			}
+			off, on := clocks(false), clocks(true)
+			for r := range off {
+				got, want := on[r]-off[r], cfg.ChecksumTime(tc.hashed[r])
+				if d := got - want; d > 1e-15 || d < -1e-15 {
+					t.Errorf("rank %d: integrity costs %g s, want ChecksumTime(%d) = %g s", r, float64(got), tc.hashed[r], float64(want))
+				}
+			}
+		})
+	}
+}

@@ -29,12 +29,6 @@ func (r *Report) Top() string {
 	if r == nil {
 		return "no differences"
 	}
-	if len(r.Bench) > 0 {
-		d := r.Bench[0].VirtSec
-		if d.Abs() != 0 {
-			return fmt.Sprintf("bench %s: %.6f -> %.6f virt-s/op (%s)", r.Bench[0].Name, d.Old, d.New, pct(d))
-		}
-	}
 	if len(r.Phases) > 0 && r.Phases[0].Abs() != 0 {
 		d := r.Phases[0]
 		return fmt.Sprintf("phase %s: %.6fs -> %.6fs (%s)", d.Name, d.Old, d.New, pct(d))
@@ -58,27 +52,6 @@ func (r *Report) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== differential run report: %s -> %s ==\n", r.OldLabel, r.NewLabel)
 	fmt.Fprintf(&sb, "headline: %s\n", r.Top())
-
-	if len(r.Bench) > 0 {
-		sb.WriteString("bench rows, ranked by virt-s/op movement (old, new, change; internode-B/op in brackets):\n")
-		for i, b := range r.Bench {
-			if i == maxRows {
-				fmt.Fprintf(&sb, "  ... %d more row(s)\n", len(r.Bench)-maxRows)
-				break
-			}
-			fmt.Fprintf(&sb, "  %-36s %.6f -> %.6f (%s)  [%.0f -> %.0f B/op]\n",
-				b.Name, b.VirtSec.Old, b.VirtSec.New, pct(b.VirtSec),
-				b.InterNodeBytes.Old, b.InterNodeBytes.New)
-		}
-	}
-	for _, only := range []struct {
-		names []string
-		side  string
-	}{{r.BenchOnlyOld, "old"}, {r.BenchOnlyNew, "new"}} {
-		if len(only.names) > 0 {
-			fmt.Fprintf(&sb, "bench rows only in %s run: %s\n", only.side, strings.Join(only.names, ", "))
-		}
-	}
 
 	if len(r.Phases) > 0 {
 		sb.WriteString("per-phase virtual seconds, ranked:\n")

@@ -7,20 +7,16 @@ import (
 	"os"
 	"strings"
 
-	"flexio/internal/benchsuite"
 	"flexio/internal/metrics"
 )
 
 // LoadFile ingests one run's artifact by sniffing its format:
 //
-//   - a benchsuite trajectory (JSON with a "results" map) — spec may carry
-//     a "#label" suffix selecting the trajectory label (default "after"),
-//     so "BENCH_PR8.json#before" names the committed flat-exchange run;
 //   - a flight-recorder dump (JSON with the flexio-flight-v1 schema);
 //   - a Prometheus exposition (the text format WriteProm emits).
 //
-// The source's Label defaults to the trajectory label (bench files) or the
-// file's base name.
+// spec may carry a "#label" suffix naming the run in the report; the label
+// defaults to the file's base name.
 func LoadFile(spec string) (*Source, error) {
 	path, label := spec, ""
 	if i := strings.LastIndexByte(spec, '#'); i >= 0 {
@@ -51,54 +47,25 @@ func sniff(data []byte, label string) (*Source, error) {
 	}
 	if trimmed[0] == '{' {
 		var head struct {
-			Schema  string                         `json:"schema"`
-			Results map[string][]benchsuite.Result `json:"results"`
+			Schema string `json:"schema"`
 		}
 		if err := json.Unmarshal(trimmed, &head); err != nil {
 			return nil, fmt.Errorf("parse JSON: %w", err)
 		}
-		switch {
-		case head.Schema == metrics.DumpSchema:
-			var d metrics.Dump
-			if err := json.Unmarshal(trimmed, &d); err != nil {
-				return nil, fmt.Errorf("parse flight dump: %w", err)
-			}
-			return &Source{Label: label, Dump: &d}, nil
-		case head.Results != nil:
-			if label == "" {
-				label = "after"
-			}
-			rows, ok := head.Results[label]
-			if !ok {
-				return nil, fmt.Errorf("trajectory has no label %q (have %s)", label, strings.Join(trajectoryLabels(head.Results), ", "))
-			}
-			return &Source{Label: label, Bench: rows}, nil
-		default:
+		if head.Schema != metrics.DumpSchema {
 			return nil, fmt.Errorf("unrecognized JSON artifact (schema %q)", head.Schema)
 		}
+		var d metrics.Dump
+		if err := json.Unmarshal(trimmed, &d); err != nil {
+			return nil, fmt.Errorf("parse flight dump: %w", err)
+		}
+		return &Source{Label: label, Dump: &d}, nil
 	}
 	prom, err := metrics.ParseProm(bytes.NewReader(trimmed))
 	if err != nil {
 		return nil, fmt.Errorf("parse exposition: %w", err)
 	}
 	return &Source{Label: label, Prom: prom}, nil
-}
-
-func trajectoryLabels(results map[string][]benchsuite.Result) []string {
-	var out []string
-	for k := range results {
-		out = append(out, k)
-	}
-	return sortedStrings(out)
-}
-
-func sortedStrings(s []string) []string {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s
 }
 
 // FromSet captures a live metrics set as a source carrying both its full

@@ -1,6 +1,6 @@
 // Package report is the differential run-report engine: it ingests two
-// runs' artifacts — benchsuite trajectories, flight-recorder dumps,
-// Prometheus expositions — and emits a ranked, byte-deterministic
+// runs' artifacts — flight-recorder dumps and Prometheus expositions — and
+// emits a ranked, byte-deterministic
 // regression-attribution report. The repo's telemetry says where one run
 // spent its time; this package answers the question operators actually
 // ask: "this run got slower than the committed baseline — which phase,
@@ -17,19 +17,15 @@ import (
 	"sort"
 	"strings"
 
-	"flexio/internal/benchsuite"
 	"flexio/internal/metrics"
 )
 
-// Source is one run's ingested artifacts. Any subset may be present; Diff
-// compares whatever both sides carry and skips the rest, so a benchsuite
-// trajectory diffs against a trajectory and a chaos scenario's recording
-// against its fault-free baseline's.
+// Source is one run's ingested artifacts. Either may be present; Diff
+// compares whatever both sides carry and skips the rest, so a chaos
+// scenario's recording diffs against its fault-free baseline's.
 type Source struct {
 	// Label names the run in the report ("before", "after", a scenario).
 	Label string
-	// Bench holds benchsuite rows (one trajectory label's matrix).
-	Bench []benchsuite.Result
 	// Dump is a flight-recorder dump (canonical or full).
 	Dump *metrics.Dump
 	// Prom is a parsed Prometheus exposition: series -> value.
@@ -72,15 +68,6 @@ func deltaLess(a, b Delta) bool {
 	return a.Name < b.Name
 }
 
-// BenchDelta compares one benchsuite row across the two runs.
-type BenchDelta struct {
-	Name           string `json:"name"`
-	VirtSec        Delta  `json:"virt_sec_per_op"`
-	InterNodeBytes Delta  `json:"internode_bytes_per_op"`
-	Allocs         Delta  `json:"allocs_per_op"`
-	Coverage       Delta  `json:"critpath_coverage,omitempty"`
-}
-
 // CritPathDelta compares the critical-path summaries of two full dumps.
 type CritPathDelta struct {
 	Window  Delta `json:"window_sec"`
@@ -108,12 +95,6 @@ type Report struct {
 	Schema   string `json:"schema"`
 	OldLabel string `json:"old_label"`
 	NewLabel string `json:"new_label"`
-	// Bench rows present in both runs, ranked by virt-s/op movement.
-	Bench []BenchDelta `json:"bench,omitempty"`
-	// BenchOnlyOld/New list rows present on one side only — a silently
-	// dropped row is itself a finding.
-	BenchOnlyOld []string `json:"bench_only_old,omitempty"`
-	BenchOnlyNew []string `json:"bench_only_new,omitempty"`
 	// Phases are per-phase virtual-second totals (from the phase_seconds
 	// histogram sums of an exposition, or the round phase timings of a
 	// full dump), ranked.
@@ -140,7 +121,6 @@ func Diff(old, new *Source) *Report {
 	if old == nil || new == nil {
 		return r
 	}
-	diffBench(r, old.Bench, new.Bench)
 	diffPhases(r, old, new)
 	diffCounters(r, old, new)
 	diffRankCrit(r, old.Prom, new.Prom)
@@ -153,40 +133,6 @@ func label(s *Source) string {
 		return "?"
 	}
 	return s.Label
-}
-
-func diffBench(r *Report, old, new []benchsuite.Result) {
-	if len(old) == 0 || len(new) == 0 {
-		return
-	}
-	base := map[string]benchsuite.Result{}
-	for _, b := range old {
-		base[b.Name] = b
-	}
-	seen := map[string]bool{}
-	for _, n := range new {
-		seen[n.Name] = true
-		b, ok := base[n.Name]
-		if !ok {
-			r.BenchOnlyNew = append(r.BenchOnlyNew, n.Name)
-			continue
-		}
-		r.Bench = append(r.Bench, BenchDelta{
-			Name:           n.Name,
-			VirtSec:        Delta{Name: n.Name, Old: b.VirtSecPerOp, New: n.VirtSecPerOp},
-			InterNodeBytes: Delta{Name: n.Name, Old: b.InterNodeBytesPerOp, New: n.InterNodeBytesPerOp},
-			Allocs:         Delta{Name: n.Name, Old: float64(b.AllocsPerOp), New: float64(n.AllocsPerOp)},
-			Coverage:       Delta{Name: n.Name, Old: b.CritPathCoverage, New: n.CritPathCoverage},
-		})
-	}
-	for _, b := range old {
-		if !seen[b.Name] {
-			r.BenchOnlyOld = append(r.BenchOnlyOld, b.Name)
-		}
-	}
-	sort.Strings(r.BenchOnlyOld)
-	sort.Strings(r.BenchOnlyNew)
-	sort.Slice(r.Bench, func(i, j int) bool { return deltaLess(r.Bench[i].VirtSec, r.Bench[j].VirtSec) })
 }
 
 // phaseTotals extracts per-phase virtual-second totals from whatever the

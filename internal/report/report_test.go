@@ -8,9 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"flexio/internal/benchsuite"
+	"flexio/internal/colltest"
+	"flexio/internal/core"
 	"flexio/internal/critpath"
 	"flexio/internal/hpio"
+	"flexio/internal/mpi"
+	"flexio/internal/mpiio"
+	"flexio/internal/pfs"
+	"flexio/internal/sim"
 )
 
 // detPattern is a small read workload: reads are bit-deterministic in
@@ -20,6 +25,24 @@ var detPattern = hpio.Pattern{
 	RegionSize:  256,
 	RegionCount: 32,
 	Spacing:     128,
+}
+
+// detSession opens a traced, metered read session of detPattern on the
+// core engine.
+func detSession(t *testing.T) (*mpi.World, *pfs.FileSystem, *colltest.Session) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	w, fs := mpi.NewWorld(detPattern.Ranks, cfg), pfs.NewFileSystem(cfg)
+	w.SetNodeMap(mpi.BlockNodeMap(2))
+	w.EnableTracing(0)
+	w.EnableMetrics()
+	w.EnableCommMatrix()
+	info := mpiio.Info{Collective: core.New(core.Options{}), CbNodes: 2, CollBufSize: 32 << 10}
+	s, err := colltest.NewSession(w, fs, detPattern, info, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, fs, s
 }
 
 func TestDeltaRanking(t *testing.T) {
@@ -96,59 +119,18 @@ func TestDiffFromProm(t *testing.T) {
 	}
 }
 
-func TestDiffBenchRows(t *testing.T) {
-	old := &Source{Label: "before", Bench: []benchsuite.Result{
-		{Name: "core/write", VirtSecPerOp: 0.010, InterNodeBytesPerOp: 1000, AllocsPerOp: 5},
-		{Name: "core/read", VirtSecPerOp: 0.005, InterNodeBytesPerOp: 500, AllocsPerOp: 5},
-		{Name: "dropped/row", VirtSecPerOp: 0.001},
-	}}
-	new := &Source{Label: "after", Bench: []benchsuite.Result{
-		{Name: "core/write", VirtSecPerOp: 0.020, InterNodeBytesPerOp: 1000, AllocsPerOp: 5},
-		{Name: "core/read", VirtSecPerOp: 0.005, InterNodeBytesPerOp: 500, AllocsPerOp: 5},
-		{Name: "fresh/row", VirtSecPerOp: 0.002},
-	}}
-	rep := Diff(old, new)
-	if len(rep.Bench) != 2 || rep.Bench[0].Name != "core/write" {
-		t.Fatalf("bench = %+v, want core/write ranked first", rep.Bench)
-	}
-	if len(rep.BenchOnlyOld) != 1 || rep.BenchOnlyOld[0] != "dropped/row" {
-		t.Fatalf("BenchOnlyOld = %v", rep.BenchOnlyOld)
-	}
-	if len(rep.BenchOnlyNew) != 1 || rep.BenchOnlyNew[0] != "fresh/row" {
-		t.Fatalf("BenchOnlyNew = %v", rep.BenchOnlyNew)
-	}
-	text := rep.Format()
-	for _, want := range []string{
-		"== differential run report: before -> after ==",
-		"core/write",
-		"bench rows only in old run: dropped/row",
-		"bench rows only in new run: fresh/row",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("Format missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestLoadFileSniffing(t *testing.T) {
 	dir := t.TempDir()
 
-	bench := filepath.Join(dir, "traj.json")
-	os.WriteFile(bench, []byte(`{"results":{"before":[{"name":"a","virt_sec_per_op":1}],"after":[{"name":"a","virt_sec_per_op":2}]}}`), 0o644)
-	src, err := LoadFile(bench + "#before")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Label != "before" || len(src.Bench) != 1 || src.Bench[0].VirtSecPerOp != 1 {
-		t.Fatalf("bench source = %+v", src)
-	}
-	if _, err := LoadFile(bench + "#nope"); err == nil || !strings.Contains(err.Error(), "after, before") {
-		t.Fatalf("bad label error should list available labels, got %v", err)
+	other := filepath.Join(dir, "other.json")
+	os.WriteFile(other, []byte(`{"results":{"after":[{"name":"a","virt_sec_per_op":2}]}}`), 0o644)
+	if _, err := LoadFile(other); err == nil || !strings.Contains(err.Error(), "unrecognized JSON artifact") {
+		t.Fatalf("JSON without the flight-dump schema must be refused, got %v", err)
 	}
 
 	prom := filepath.Join(dir, "scrape.prom")
 	os.WriteFile(prom, []byte("# TYPE flexio_io_bytes_total counter\nflexio_io_bytes_total{rank=\"0\"} 7\n"), 0o644)
-	src, err = LoadFile(prom)
+	src, err := LoadFile(prom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,31 +159,18 @@ func TestLoadFileSniffing(t *testing.T) {
 // bit-deterministic in virtual time, so the report must be too.
 func TestReportDeterministic(t *testing.T) {
 	build := func() *Source {
-		cfg := benchsuite.Config{
-			Name:    "det/read",
-			Engine:  "core",
-			Write:   false,
-			Pattern: detPattern,
-			Naggs:   2,
-			CollBuf: 32 << 10,
-			Trace:   true,
-		}
-		s, err := benchsuite.NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Drop the seeding/warm-up write phases from the telemetry: only
-		// the steady-state reads are bit-deterministic in virtual time.
-		s.ResetTelemetry()
+		w, fs, s := detSession(t)
+		// Drop the seeding and warm-up phases from the telemetry: only the
+		// steady-state reads are bit-deterministic in virtual time.
+		w.ResetClocks()
+		fs.ResetTimingKeepLocks()
 		for i := 0; i < 3; i++ {
 			if err := s.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if rep := s.CritPath(); rep != nil {
-			rep.Note(s.Metrics())
-		}
-		src, err := FromSet("run", s.Metrics())
+		critpath.Analyze(w.TraceSink()).Note(w.MetricsSet())
+		src, err := FromSet("run", w.MetricsSet())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,28 +203,12 @@ func TestReportDeterministic(t *testing.T) {
 // TestDiffDumpsCritPath checks the full-dump path: critpath summaries and
 // round structure flow into the report.
 func TestDiffDumpsCritPath(t *testing.T) {
-	cfg := benchsuite.Config{
-		Name:    "det/read",
-		Engine:  "core",
-		Write:   false,
-		Pattern: detPattern,
-		Naggs:   2,
-		CollBuf: 32 << 10,
-		Trace:   true,
-	}
-	s, err := benchsuite.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _, s := detSession(t)
 	if err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
-	var rep *critpath.Report
-	if rep = s.CritPath(); rep == nil {
-		t.Fatal("traced session produced no critpath report")
-	}
-	rep.Note(s.Metrics())
-	src, err := FromSet("run", s.Metrics())
+	critpath.Analyze(w.TraceSink()).Note(w.MetricsSet())
+	src, err := FromSet("run", w.MetricsSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +257,12 @@ func FuzzLoadFile(f *testing.F) {
 			return
 		}
 		kinds := 0
-		for _, is := range []bool{src.Dump != nil, src.Prom != nil, src.Bench != nil} {
+		for _, is := range []bool{src.Dump != nil, src.Prom != nil} {
 			if is {
 				kinds++
 			}
 		}
-		if kinds > 1 || src.Label == "" { // a trajectory label may hold no rows
+		if kinds != 1 || src.Label == "" {
 			t.Fatalf("loaded source %+v: want one kind and a label", src)
 		}
 		rep := Diff(src, src)
