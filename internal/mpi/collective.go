@@ -354,27 +354,6 @@ func (p *Proc) traceColl(enter sim.Time, seq, by int) {
 	p.Trace.Instant2(p.clock, trace.CollExitName, trace.I(trace.SeqTag, int64(seq)), trace.I(trace.ByTag, int64(by)))
 }
 
-// recordVectorRow accounts one per-destination row of a vector collective
-// (alltoallv/w, allgather, bcast) into the communication matrix and — when
-// inside a two-phase round — the inter/intra-node shuffle split. Empty
-// rows are skipped so message counts stay meaningful.
-func (p *Proc) recordVectorRow(dst int, n int64) {
-	if n == 0 {
-		return
-	}
-	shuffle := p.round >= 0
-	if shuffle {
-		if p.w.node(p.rank) == p.w.node(dst) {
-			p.Metrics.Add(metrics.CShuffleIntraNodeBytes, n)
-		} else {
-			p.Metrics.Add(metrics.CShuffleInterNodeBytes, n)
-		}
-	}
-	if m := p.w.comm; m != nil {
-		m.add(p.rank, dst, n, shuffle)
-	}
-}
-
 // Barrier synchronizes all ranks: every clock advances to the maximum
 // entering clock plus a binomial-tree latency term.
 func (p *Proc) Barrier() {
@@ -399,11 +378,13 @@ func (p *Proc) Allgather(data []byte) [][]byte {
 		out[i] = b
 		if i != p.rank {
 			others += int64(len(b))
-			p.recordVectorRow(i, int64(len(data)))
+			if len(data) > 0 {
+				p.book(i, int64(len(data)))
+			}
 		}
 	}
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + p.w.cfg.TransferTime(others)
-	p.Metrics.Add(metrics.CCommBytes, others)
+	p.Metrics.Add(metrics.CCommBytes, int64(len(data))*int64(p.w.size-1))
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
 	return out
@@ -479,60 +460,19 @@ func (p *Proc) AllreduceMaxInt64(v int64) int64 {
 
 // Alltoallv exchanges per-destination buffers: send[d] goes to rank d, and
 // the result's entry s is the buffer rank s sent here. Entries may be nil
-// (crashed ranks' rows always are). Each rank's clock advances by the tree
-// latency plus the transfer time of the larger of its total send and total
-// receive volume, modelling a well-scheduled exchange (MPI_Alltoallv /
-// MPI_Alltoallw).
+// (crashed ranks' rows always are). It is AlltoallvIov over one-view rows,
+// so it costs and books exactly what that does for the same bytes.
 func (p *Proc) Alltoallv(send [][]byte) [][]byte {
-	if len(send) != p.w.size {
-		panic("mpi: Alltoallv send slice must have one entry per rank")
+	rows := make([][][]byte, len(send))
+	for d := range send {
+		rows[d] = send[d : d+1 : d+1]
 	}
-	p.preRendezvous()
-	enter := p.clock
-	vals, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, send)
-	out := make([][]byte, p.w.size)
-	var vol vectorVolume
-	for d, b := range send {
-		p.recordVectorRow(d, int64(len(b)))
-		vol.addSend(p, d, int64(len(b)))
-	}
-	var extra sim.Time
-	var rbytes int64
-	for s, v := range vals {
-		row, ok := v.([][]byte)
-		if !ok {
-			continue // crashed rank: leave out[s] nil
-		}
-		out[s] = row[p.rank]
-		n := int64(len(out[s]))
-		vol.addRecv(p, s, n)
-		rbytes += n
-		if rf := p.w.rf; rf != nil && n > 0 {
-			if rep, h, hit := rf.corruptHit(s, p.rank, int64(seq)); hit {
-				d, fixed, silent := p.rowCorruption(s, n, rep)
-				extra += d
-				if silent {
-					bad := make([]byte, n)
-					copy(bad, out[s])
-					bit := h % uint64(n*8)
-					bad[bit/8] ^= 1 << (bit % 8)
-					out[s] = bad
-				} else if !fixed {
-					out[s] = nil
-				}
-			}
+	out := make([][]byte, len(send))
+	for s, row := range p.AlltoallvIov(rows) {
+		if row != nil {
+			out[s] = row[0]
 		}
 	}
-	p.clock = sim.Max(p.clock, m) + p.treeLatency() + vol.transferTime(p)
-	if p.w.integ != nil {
-		// Checksumming the outgoing rows and verifying the incoming ones
-		// is one read-only streaming pass over each.
-		extra += p.w.cfg.ChecksumTime(vol.sent() + rbytes)
-	}
-	p.clock += extra
-	p.Metrics.Add(metrics.CCommBytes, vol.sent())
-	p.traceColl(enter, seq, by)
-	p.noteVer(ver)
 	return out
 }
 
@@ -616,14 +556,15 @@ func (v *vectorVolume) transferTime(p *Proc) sim.Time {
 	return p.w.cfg.TransferTime(inter) + p.w.cfg.IntraNodeTransferTime(intra)
 }
 
-// AlltoallvIov is Alltoallv with iovec-style payloads: send[d] is a list
+// AlltoallvIov exchanges per-destination rows of views: send[d] is a list
 // of segments for rank d, gathered by the transport without the sender
 // concatenating them first (MPI_Alltoallw with derived types). out[s] is
 // the segment list rank s sent here, aliasing the sender's memory — the
 // receiver must consume it before the sender reuses those buffers, which
 // the collective engines guarantee by recycling only at rendezvous
-// boundaries. Crashed ranks' rows are nil. Cost accounting is identical
-// to Alltoallv for the same total bytes.
+// boundaries. Crashed ranks' rows are nil. Each rank's clock advances by
+// the tree latency plus the transfer time of the larger of its total send
+// and total receive volume, modelling a well-scheduled exchange.
 func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 	if len(send) != p.w.size {
 		panic("mpi: AlltoallvIov send slice must have one entry per rank")
@@ -638,7 +579,9 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 		for _, b := range iov {
 			row += int64(len(b))
 		}
-		p.recordVectorRow(d, row)
+		if row > 0 {
+			p.book(d, row)
+		}
 		vol.addSend(p, d, row)
 	}
 	var extra sim.Time

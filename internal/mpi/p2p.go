@@ -252,22 +252,8 @@ func (p *Proc) post(to, tag int, data []byte, iov [][]byte, n int64) {
 	// Edge id: the sender alone sequences its (src,dst) stream, so the id
 	// is deterministic across goroutine schedules, and the receiver's
 	// matching instant carries the same id via the envelope.
-	seq := p.sendsTo[to]
-	p.sendsTo[to]++
 	size := int64(p.w.size)
-	e.edge = (seq*size+int64(p.rank))*size + int64(to)
-	if shuffle := p.round >= 0; shuffle {
-		if p.w.node(p.rank) == p.w.node(to) {
-			p.Metrics.Add(metrics.CShuffleIntraNodeBytes, n)
-		} else {
-			p.Metrics.Add(metrics.CShuffleInterNodeBytes, n)
-		}
-		if m := p.w.comm; m != nil {
-			m.add(p.rank, to, n, true)
-		}
-	} else if m := p.w.comm; m != nil {
-		m.add(p.rank, to, n, false)
-	}
+	e.edge = (p.book(to, n)*size+int64(p.rank))*size + int64(to)
 	p.Trace.Instant2(p.clock, trace.MsgSendName, trace.I(trace.EdgeTag, e.edge), trace.I(trace.BytesTag, n))
 	e.stamp = p.clock
 	p.w.boxes[to].put(e)

@@ -49,9 +49,6 @@ type World struct {
 	// anyFail flips to 1 at the first crash; it gates the dead-peer
 	// check in mailbox waits so the healthy path stays branch-cheap.
 	anyFail atomic.Int32
-	// comm is the rank×rank communication matrix (nil = accounting off);
-	// every datapath record is gated on it, like rf.
-	comm *CommMatrix
 	// nodeOf maps ranks to simulated nodes for the inter/intra-node
 	// shuffle-byte split (nil = one rank per node).
 	nodeOf func(rank int) int
@@ -89,7 +86,7 @@ func NewWorld(size int, cfg *sim.Config) *World {
 	}
 	for i := range w.procs {
 		w.regs[i] = metrics.NewRegistry(i)
-		w.procs[i] = &Proc{w: w, rank: i, round: -1, Metrics: w.regs[i], sendsTo: make([]int64, size)}
+		w.procs[i] = &Proc{w: w, rank: i, round: -1, Metrics: w.regs[i]}
 	}
 	return w
 }
@@ -221,16 +218,17 @@ func (w *World) EnableMetricsRollup(flightCap int) (*metrics.Set, *metrics.Rollu
 	return w.met, metrics.NewRollup(w.met, w.nodeOf)
 }
 
-// EnableCommMatrix attaches a rank×rank communication matrix that every
-// point-to-point send and vector-collective row is accounted into. Call it
-// before Run; it returns the matrix for inspection after the ranks finish.
+// EnableCommMatrix empties every rank's peer row, so the traffic the
+// returned view reports starts here. Call it before Run.
 func (w *World) EnableCommMatrix() *CommMatrix {
-	w.comm = newCommMatrix(w.size)
-	return w.comm
+	for _, p := range w.procs {
+		p.peers.reset()
+	}
+	return w.CommMatrix()
 }
 
-// CommMatrix returns the attached communication matrix (nil when off).
-func (w *World) CommMatrix() *CommMatrix { return w.comm }
+// CommMatrix returns the rank×rank view over the ranks' peer rows.
+func (w *World) CommMatrix() *CommMatrix { return &CommMatrix{w: w} }
 
 // SetNodeMap installs the rank→node placement used to split shuffle bytes
 // into inter-node vs. intra-node (shuffle_internode_bytes, DESIGN §11).
@@ -256,8 +254,8 @@ func (w *World) node(r int) int {
 // ResetClocks makes the world ready for an independent experiment: it
 // zeroes every rank's virtual clock, round and failure state, drops
 // undelivered messages, and clears every rank's registry (counters, phase
-// times, histograms), the flight recorder, the trace sink (its timestamps
-// restart from zero) and the comm matrix.
+// times, histograms), its peer row, the flight recorder and the trace sink
+// (its timestamps restart from zero).
 func (w *World) ResetClocks() {
 	for _, p := range w.procs {
 		p.clock = 0
@@ -269,9 +267,7 @@ func (w *World) ResetClocks() {
 		p.peerErr = nil
 		p.integErr = nil
 		p.failSeen = 0
-		for i := range p.sendsTo {
-			p.sendsTo[i] = 0
-		}
+		p.peers.reset()
 		p.Metrics.Reset()
 	}
 	for _, b := range w.boxes {
@@ -281,7 +277,6 @@ func (w *World) ResetClocks() {
 	w.anyFail.Store(0)
 	w.sink.Reset()
 	w.met.Flight().Reset()
-	w.comm.reset()
 }
 
 // EnableIntegrity arms the checksummed datapath: every point-to-point
@@ -412,11 +407,12 @@ type Proc struct {
 	sendSeq int64
 	// roundSends counts the sends since the rank entered its current round.
 	roundSends int64
-	// sendsTo[d] counts this rank's sends to rank d; it seeds the
-	// deterministic per-message edge id ((seq*size)+src)*size+dst, which
-	// is stable across goroutine schedules because each (src,dst) stream
-	// is sequenced by the sender alone.
-	sendsTo []int64
+	// peers is this rank's traffic per destination (see book); its
+	// message counts number the per-message edge ids
+	// ((seq*size)+src)*size+dst, which are stable across goroutine
+	// schedules because each (src,dst) stream is sequenced by the sender
+	// alone.
+	peers peerRow
 	// round is the current two-phase round (-1 outside one), mirrored
 	// from mpiio.File.SetRound for round-triggered fault rules.
 	round int
