@@ -33,22 +33,23 @@ type RoundRecord struct {
 var roundPhases = [...]Phase{PComm, PIO, PCopy, PExchange, PBackoff}
 
 // Flight is the shared, bounded flight recorder: one RoundRecord ring per
-// rank plus the realm context of the current collective and the first
-// abort observed. Per-rank recording is lock-free (each ring is owned by
-// its rank's goroutine); only the shared context/abort fields take the
-// mutex, and those are written once per collective or per failure.
+// rank plus what no counter holds: the realm context of the current
+// collective, the first abort observed, the first failover's dead set and
+// the critical-path summary. Per-rank recording is lock-free (each ring is
+// owned by its rank's goroutine); only the shared fields take the mutex,
+// and those are written once per collective or per failure.
 type Flight struct {
-	mu        sync.Mutex
-	ranks     []FlightRank
-	naggs     int
-	nodes     int
-	stripe    int64
-	align     int64
-	disps     []int64
-	abort     *AbortInfo // nil while no abort has been observed
-	failover  *FailoverEvent
-	integrity *IntegrityEvent
-	critpath  *CritPathSummary
+	mu       sync.Mutex
+	ranks    []FlightRank
+	naggs    int
+	nodes    int
+	stripe   int64
+	align    int64
+	disps    []int64
+	abort    *AbortInfo // nil while no abort has been observed
+	dead     []int      // the first failover's dead set and realm count
+	realms   int
+	critpath *CritPathSummary
 }
 
 // CritPathSummary is the critical-path profiler's condensed verdict for one
@@ -87,37 +88,19 @@ type FailoverEvent struct {
 }
 
 // noteFailover records the first failover's dead set and realm count;
-// repeat calls (every rank reports the same resume) are folded into it. An
-// aggregator may have journalled a resumed round first (noteReplay), which
-// leaves the event with its counts and these two fields still to fill.
+// repeat calls (every rank reports the same resume) keep the first.
 func (f *Flight) noteFailover(dead []int, realms int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.failover == nil {
-		f.failover = &FailoverEvent{}
-	}
-	if f.failover.Realms == 0 {
-		f.failover.DeadRanks, f.failover.Realms = append([]int(nil), dead...), realms
+	if f.realms == 0 {
+		f.dead, f.realms = append(f.dead[:0], dead...), realms
 	}
 }
 
-// noteReplay accumulates an aggregator's replayed/skipped round counts
-// into the failover event.
-func (f *Flight) noteReplay(replayed, skipped int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failover == nil {
-		f.failover = &FailoverEvent{}
-	}
-	f.failover.RoundsReplayed += replayed
-	f.failover.RoundsSkipped += skipped
-}
-
-// IntegrityEvent accumulates the run's corruption story: how many
-// checksums failed in flight and at rest, and how each failure resolved
-// (re-request, quarantine + repair, or escalation). All fields are
-// functions of the workload and fault schedule, so the event is part of
-// canonical dumps like FailoverEvent.
+// IntegrityEvent is the run's corruption story: how many checksums failed
+// in flight and at rest, and how each failure resolved (re-request,
+// quarantine + repair, or escalation). A dump reads it from the CInteg*
+// counters, so it is part of canonical dumps like FailoverEvent.
 type IntegrityEvent struct {
 	WireMismatches   int64 `json:"wire_mismatches,omitempty"`
 	WireRepaired     int64 `json:"wire_repaired,omitempty"`
@@ -125,21 +108,6 @@ type IntegrityEvent struct {
 	Quarantined      int64 `json:"quarantined,omitempty"`
 	Repaired         int64 `json:"repaired,omitempty"`
 	Unrepaired       int64 `json:"unrepaired,omitempty"`
-}
-
-// noteIntegrity folds one detection outcome into the shared event.
-func (f *Flight) noteIntegrity(ev IntegrityEvent) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.integrity == nil {
-		f.integrity = &IntegrityEvent{}
-	}
-	f.integrity.WireMismatches += ev.WireMismatches
-	f.integrity.WireRepaired += ev.WireRepaired
-	f.integrity.AtRestMismatches += ev.AtRestMismatches
-	f.integrity.Quarantined += ev.Quarantined
-	f.integrity.Repaired += ev.Repaired
-	f.integrity.Unrepaired += ev.Unrepaired
 }
 
 // FlightRank is one rank's bounded ring of round records. A nil
@@ -256,8 +224,7 @@ func (f *Flight) Reset() {
 	f.naggs, f.nodes, f.stripe, f.align = 0, 0, 0, 0
 	f.disps = f.disps[:0]
 	f.abort = nil
-	f.failover = nil
-	f.integrity = nil
+	f.dead, f.realms = f.dead[:0], 0
 	f.critpath = nil
 	f.mu.Unlock()
 	for i := range f.ranks {
@@ -322,12 +289,26 @@ const DumpSchema = "flexio-flight-v1"
 
 // Dump assembles a snapshot. full=true additionally includes the
 // scheduling-dependent phase timings and the merged counters map; pass
-// false for the canonical (byte-deterministic for a fixed seed) form.
+// false for the canonical (byte-deterministic for a fixed seed) form. The
+// failover and integrity events are read from the merged counters.
 func (s *Set) Dump(full bool) *Dump {
 	d := &Dump{Schema: DumpSchema, Rounds: []RoundSummary{}}
 	if s == nil {
 		return d
 	}
+	m := s.Merged()
+	if ie := (IntegrityEvent{
+		WireMismatches:   m.Counter(CIntegWireMismatch),
+		WireRepaired:     m.Counter(CIntegWireRepaired),
+		AtRestMismatches: m.Counter(CIntegAtRestMismatch),
+		Quarantined:      m.Counter(CIntegQuarantined),
+		Repaired:         m.Counter(CIntegRepaired),
+		Unrepaired:       m.Counter(CIntegUnrepaired),
+	}); ie != (IntegrityEvent{}) {
+		d.Integrity = &ie
+	}
+	replayed, skipped := m.Counter(CRoundsReplayed), m.Counter(CRoundsSkipped)
+	failover := m.Counter(CFailovers) > 0 || replayed+skipped > 0
 	f := s.flight
 	f.mu.Lock()
 	d.Ranks = len(f.ranks)
@@ -342,14 +323,9 @@ func (s *Set) Dump(full bool) *Dump {
 		abort := *f.abort
 		d.Abort = &abort
 	}
-	if f.failover != nil {
-		fe := *f.failover
-		fe.DeadRanks = append([]int(nil), f.failover.DeadRanks...)
-		d.Failover = &fe
-	}
-	if f.integrity != nil {
-		ie := *f.integrity
-		d.Integrity = &ie
+	if failover {
+		d.Failover = &FailoverEvent{DeadRanks: append([]int(nil), f.dead...), Realms: f.realms,
+			RoundsReplayed: replayed, RoundsSkipped: skipped}
 	}
 	if full && f.critpath != nil {
 		cp := *f.critpath
@@ -405,7 +381,6 @@ func (s *Set) Dump(full bool) *Dump {
 		d.Rounds = append(d.Rounds, rs)
 	}
 	if full {
-		m := s.Merged()
 		d.Counters = map[string]int64{}
 		for c := Counter(0); c < numCounters; c++ {
 			if v := m.Counter(c); v != 0 && counterMeta[c].name != "" {

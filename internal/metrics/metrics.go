@@ -423,34 +423,24 @@ func (r *Registry) NoteReplay(replayed, skipped int64) {
 	}
 	r.counters[CRoundsReplayed] += replayed
 	r.counters[CRoundsSkipped] += skipped
-	if r.fr != nil && replayed+skipped > 0 {
-		r.fr.f.noteReplay(replayed, skipped)
-	}
 }
 
-// NoteWireIntegrity records the outcome of one in-flight checksum failure:
-// the mismatch is counted, a repaired delivery (bounded re-request
-// succeeded) bumps the repair counter, and the flight recorder's integrity
-// event accumulates both so dumps carry the corruption context.
+// NoteWireIntegrity counts the outcome of one in-flight checksum failure:
+// the mismatch, and either a repaired delivery (bounded re-request
+// succeeded) or an unrepaired one.
 func (r *Registry) NoteWireIntegrity(repaired bool) {
 	if r == nil {
 		return
 	}
 	r.counters[CIntegWireMismatch]++
-	ev := IntegrityEvent{WireMismatches: 1}
 	if repaired {
 		r.counters[CIntegWireRepaired]++
-		ev.WireRepaired = 1
 	} else {
 		r.counters[CIntegUnrepaired]++
-		ev.Unrepaired = 1
-	}
-	if r.fr != nil {
-		r.fr.f.noteIntegrity(ev)
 	}
 }
 
-// NoteAtRestIntegrity records the outcome of one at-rest checksum failure
+// NoteAtRestIntegrity counts the outcome of one at-rest checksum failure
 // observed by this rank's storage client: detection, quarantine, and
 // either an inline ring repair or escalation to ErrDataIntegrity.
 func (r *Registry) NoteAtRestIntegrity(quarantined, repaired bool) {
@@ -458,20 +448,13 @@ func (r *Registry) NoteAtRestIntegrity(quarantined, repaired bool) {
 		return
 	}
 	r.counters[CIntegAtRestMismatch]++
-	ev := IntegrityEvent{AtRestMismatches: 1}
 	if quarantined {
 		r.counters[CIntegQuarantined]++
-		ev.Quarantined = 1
 	}
 	if repaired {
 		r.counters[CIntegRepaired]++
-		ev.Repaired = 1
 	} else {
 		r.counters[CIntegUnrepaired]++
-		ev.Unrepaired = 1
-	}
-	if r.fr != nil {
-		r.fr.f.noteIntegrity(ev)
 	}
 }
 
