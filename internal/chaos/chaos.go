@@ -724,7 +724,7 @@ func (s Scenario) run() (*Outcome, error) {
 
 	// Trace and time only the faulted phase.
 	out := &Outcome{Name: s.Name(), Seed: s.Seed,
-		Recording: Recording{Trace: e.w.EnableTracing(0), Metrics: e.w.EnableMetrics(), Comm: e.w.EnableCommMatrix()}}
+		Recording: Recording{Trace: e.w.EnableTracing(0), Metrics: e.w.EnableMetrics(), Comm: e.w.CommMatrix()}}
 	e.w.SetNodeMap(mpi.BlockNodeMap(nodeRanks))
 	e.w.ResetClocks()
 	e.fs.ResetTiming()

@@ -141,7 +141,7 @@ func RunReadBack(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error) 
 	// clocks.
 	sink := EnableTracing(w, 0, info.CbNodes)
 	met := w.EnableMetrics()
-	comm := w.EnableCommMatrix()
+	comm := w.CommMatrix()
 	w.ResetClocks()
 	fs.ResetTiming()
 	errs := make(chan error, wl.Ranks)
@@ -187,7 +187,7 @@ func run(cfg *sim.Config, wl Workload, info mpiio.Info, write bool, steps int) (
 	}
 	sink := EnableTracing(w, 0, info.CbNodes)
 	met := w.EnableMetrics()
-	comm := w.EnableCommMatrix()
+	comm := w.CommMatrix()
 	fs := pfs.NewFileSystem(cfg)
 	errs := make(chan error, wl.Ranks)
 	w.Run(func(p *mpi.Proc) {

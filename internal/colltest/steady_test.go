@@ -93,7 +93,7 @@ func (row steadyRow) info() mpiio.Info {
 // arm configures a fresh world and file system before a session opens.
 type arm func(w *mpi.World, fs *pfs.FileSystem)
 
-func metered(w *mpi.World, _ *pfs.FileSystem) { w.EnableMetrics(); w.EnableCommMatrix() }
+func metered(w *mpi.World, _ *pfs.FileSystem) { w.EnableMetrics() }
 
 func checksummed(w *mpi.World, fs *pfs.FileSystem) {
 	w.EnableIntegrity(10)
@@ -329,7 +329,7 @@ func TestObservabilityColumnsDeterministic(t *testing.T) {
 // the persistent-file-realm path.
 func TestMetricsZeroOverhead(t *testing.T) {
 	row := steadyRowNamed(t, "core-pfr/nonblocking/write")
-	offWorld, off := row.open(t, func(w *mpi.World, _ *pfs.FileSystem) { w.EnableCommMatrix() })
+	offWorld, off := row.open(t)
 	onWorld, on := row.open(t, metered)
 	if a, b := callAllocs(t, on), callAllocs(t, off); a > b && !raceEnabled {
 		t.Errorf("metrics add allocations on the steady-state PFR path: %.1f allocs per call enabled vs %.1f disabled", a, b)

@@ -246,7 +246,7 @@ func TestPreaggReducesInterNodeBytes(t *testing.T) {
 						cfg := profile.cfg()
 						w, fs := mpi.NewWorld(wl.Ranks, cfg), pfs.NewFileSystem(cfg)
 						w.SetNodeMap(mpi.BlockNodeMap(4))
-						matrix := w.EnableCommMatrix()
+						matrix := w.CommMatrix()
 						info := mpiio.Info{Collective: core.New(o), CbNodes: 8, CollBufSize: 64 << 10}
 						s, err := colltest.NewSession(w, fs, wl, info, write)
 						if err != nil {

@@ -36,7 +36,6 @@ func detSession(t *testing.T) (*mpi.World, *pfs.FileSystem, *colltest.Session) {
 	w.SetNodeMap(mpi.BlockNodeMap(2))
 	w.EnableTracing(0)
 	w.EnableMetrics()
-	w.EnableCommMatrix()
 	info := mpiio.Info{Collective: core.New(core.Options{}), CbNodes: 2, CollBufSize: 32 << 10}
 	s, err := colltest.NewSession(w, fs, detPattern, info, false)
 	if err != nil {
