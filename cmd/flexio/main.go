@@ -1,7 +1,7 @@
 // Command flexio drives the simulated cluster: figures and ablations (fig),
-// one HPIO configuration (hpio), the chaos table (chaos), run-to-run reports
-// (report) and the analyzer's demo (observe). `flexio` alone lists them;
-// flags may stand before or after the positional arguments.
+// one HPIO configuration (hpio), the chaos table (chaos) and run-to-run
+// reports (report). `flexio` alone lists them; flags may stand before or
+// after the positional arguments.
 package main
 
 import (
@@ -24,7 +24,6 @@ var commands = []command{
 	{"hpio", "hpio [flags]                         one HPIO configuration, verified, with its phase table", runHPIO},
 	{"chaos", "chaos [-traces DIR] <selection>      fault-injection cells: all, storage, rank, corrupt, a regexp or a spec", runChaos},
 	{"report", "report OLD NEW                       ranked differential report of two run artifacts", runReport},
-	{"observe", "observe [-metrics-out FILE]          the analyzer on its diagnostic demo workload", runObserve},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -30,6 +30,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"fig", "5", "-clients", "8"}, false, "-clients"},
 		{[]string{"fig", "7", "-pfr"}, false, "-pfr"},
 		{[]string{"ledger", "bench"}, true, `"ledger"`},
+		{[]string{"observe"}, true, `"observe"`},
+		{[]string{"hpio", "-analyze"}, true, "-analyze"},
 		{[]string{"chaos"}, false, "one selection"},
 		{[]string{"chaos", "storage", "rank"}, false, "one selection"},
 		{[]string{"chaos", "core-nb,nosuch-fault"}, false, "nosuch-fault"},

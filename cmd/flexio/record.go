@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"flexio/internal/analyze"
 	"flexio/internal/critpath"
 	"flexio/internal/mpi"
 	"flexio/internal/stats"
@@ -15,9 +14,9 @@ import (
 // recording holds the flags that ask for a run's recordings; every command
 // that takes one of them takes it from here.
 type recording struct {
-	trace, metricsOut            string
-	sample, nodes                int
-	breakdown, critpath, analyze bool
+	trace, metricsOut   string
+	sample, nodes       int
+	breakdown, critpath bool
 }
 
 // flags defines the recording flags of a command that runs the cluster.
@@ -27,13 +26,7 @@ func (r *recording) flags(fs *flag.FlagSet) {
 	fs.IntVar(&r.nodes, "nodes", 0, "ranks per simulated node (0 = one rank per node)")
 	fs.BoolVar(&r.breakdown, "breakdown", false, "print the per-phase/per-round trace breakdown")
 	fs.BoolVar(&r.critpath, "critpath", false, "print the run's critical-path profile (virtual-time causal DAG)")
-	r.metricFlags(fs)
-}
-
-// metricFlags defines the two recording flags that need no trace.
-func (r *recording) metricFlags(fs *flag.FlagSet) {
 	fs.StringVar(&r.metricsOut, "metrics-out", "", "write the run's Prometheus text exposition to this file")
-	fs.BoolVar(&r.analyze, "analyze", false, "print the collective-I/O health analyzer report for the run")
 }
 
 // traced reports whether a recording needs the run's trace.
@@ -42,10 +35,9 @@ func (r *recording) traced() bool { return r.trace != "" || r.breakdown || r.cri
 // render writes what the recordings ask of world w's finished run, in one
 // order for every command: the Chrome trace, the breakdown (then the stats
 // table, unless the report printed it: tabled), the critical path noted into
-// the metrics with the trace findings, the Prometheus exposition, the
-// analyzer report.
+// the metrics, the Prometheus exposition.
 func (r *recording) render(out *output, w *mpi.World, tabled bool) error {
-	if w == nil && (r.traced() || r.metricsOut != "" || r.analyze) {
+	if w == nil && (r.traced() || r.metricsOut != "") {
 		return errors.New("no run to record: nothing ran")
 	}
 	if r.traced() && w.TraceSink() == nil {
@@ -74,9 +66,6 @@ func (r *recording) render(out *output, w *mpi.World, tabled bool) error {
 		rep.Note(met)
 		out.section()
 		fmt.Fprintln(out, rep.Format())
-		if fs := analyze.TraceFindings(sink, rep); len(fs) > 0 {
-			fmt.Fprint(out, analyze.FormatReport(fs))
-		}
 	}
 	if r.metricsOut != "" {
 		f, err := os.Create(r.metricsOut)
@@ -91,10 +80,6 @@ func (r *recording) render(out *output, w *mpi.World, tabled bool) error {
 		}
 		out.section()
 		fmt.Fprintf(out, "wrote Prometheus exposition to %s\n", r.metricsOut)
-	}
-	if r.analyze {
-		out.section()
-		fmt.Fprint(out, analyze.FormatReport(analyze.Analyze(met.Dump(true))))
 	}
 	return nil
 }

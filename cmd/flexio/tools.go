@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 
-	"flexio/internal/analyze"
 	"flexio/internal/chaos"
 	"flexio/internal/report"
 )
@@ -30,8 +29,8 @@ func runChaos(fs *flag.FlagSet, args []string, out *output) error {
 }
 
 // runReport diffs two run artifacts (flight-recorder dumps or Prometheus
-// expositions, each with an optional #label suffix) and prints the ranked differential report plus the analyzer's findings
-// over it.
+// expositions, each with an optional #label suffix) and prints the ranked
+// differential report.
 func runReport(fs *flag.FlagSet, args []string, out *output) error {
 	pos, err := parse(fs, args, 2, 2, "two artifacts: OLD NEW")
 	if err != nil {
@@ -45,29 +44,6 @@ func runReport(fs *flag.FlagSet, args []string, out *output) error {
 	if err != nil {
 		return err
 	}
-	rep := report.Diff(old, fresh)
-	fmt.Fprintln(out, rep.Format())
-	if found := analyze.ReportFindings(rep); len(found) > 0 {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, analyze.FormatReport(found))
-	}
+	fmt.Fprintln(out, report.Diff(old, fresh).Format())
 	return nil
-}
-
-// runObserve runs the analyzer's diagnostic demo (misaligned realms,
-// sieve-hostile sparse accesses, one overloaded aggregator, a rank crash and
-// its failover) and prints the analyzer report, or writes the demo's
-// exposition with -metrics-out.
-func runObserve(fs *flag.FlagSet, args []string, out *output) error {
-	var rec recording
-	rec.metricFlags(fs)
-	if _, err := parse(fs, args, 0, 0, "no arguments"); err != nil {
-		return err
-	}
-	w, err := analyze.Demo()
-	if err != nil {
-		return fmt.Errorf("analyze demo workload: %w", err)
-	}
-	rec.analyze = rec.analyze || rec.metricsOut == ""
-	return rec.render(out, w, false)
 }

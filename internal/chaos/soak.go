@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"flexio/internal/analyze"
 	"flexio/internal/critpath"
 	"flexio/internal/integrity"
 	"flexio/internal/metrics"
@@ -164,8 +163,7 @@ func newArtifacts(dir string, logf func(format string, args ...any)) (*artifacts
 // export writes what a scenario leaves behind. The policy, in one place:
 //
 //   - <cell>.report.txt, every scenario: the ranked differential report
-//     (and the analyzer's findings on it) of the run against its fault-free
-//     baseline.
+//     of the run against its fault-free baseline.
 //   - the recording, for every scenario that did more than ride its fault
 //     out — it violated an invariant, aborted, or is a rank cell, where the
 //     recovered run is the interesting one: <cell>.flight.json (canonical
@@ -193,15 +191,8 @@ func (a *artifacts) export(s Scenario, out *Outcome, violated bool) {
 		return
 	}
 	a.write(name+".report.txt", func(w io.Writer) error {
-		rep := report.Diff(before, after)
-		if _, err := fmt.Fprintln(w, rep.Format()); err != nil {
-			return err
-		}
-		if fs := analyze.ReportFindings(rep); len(fs) > 0 {
-			_, err := io.WriteString(w, analyze.FormatReport(fs))
-			return err
-		}
-		return nil
+		_, err := fmt.Fprintln(w, report.Diff(before, after).Format())
+		return err
 	})
 }
 

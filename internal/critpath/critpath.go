@@ -103,7 +103,7 @@ type Report struct {
 	// unsampled rank: the walk had to stay local, so the time it attributed
 	// there may really belong to an invisible sender or releaser. This is
 	// the honesty knob of sampled profiling — the fraction is reported, not
-	// hidden (see BlindSpotFrac and the sampling-blind-spot finding).
+	// hidden (see BlindSpotFrac and the sampling line in Format).
 	BlindSteps int
 	ByRank     []RankShare // indexed by rank
 	Entries    []Entry     // sorted by Sec descending (ties: rank, phase, round)

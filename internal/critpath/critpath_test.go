@@ -98,8 +98,12 @@ func TestAnalyzeTruncated(t *testing.T) {
 	r0.Instant2(3, trace.MsgRecvName, trace.I(trace.EdgeTag, 7), trace.I(trace.BlockedTag, 1))
 	r0.End(4)
 	rep := Analyze(s)
-	if !rep.Truncated || rep.DroppedEvents == 0 {
-		t.Fatal("overflowed trace not flagged as truncated")
+	if !rep.Truncated || rep.DroppedEvents != 3 {
+		t.Fatalf("truncated %v with %d dropped, want true with 3 (7 events into r1's ring of 4)", rep.Truncated, rep.DroppedEvents)
+	}
+	// The report is the one place a truncated trace is flagged.
+	if want := "WARNING: trace truncated (3 event(s) dropped)"; !strings.Contains(rep.Format(), want) {
+		t.Fatalf("report lacks %q:\n%s", want, rep.Format())
 	}
 	if rep.TransferSec != 0 {
 		t.Fatalf("transfer = %v, want 0 (send was dropped)", rep.TransferSec)

@@ -3,10 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
-
-	"flexio/internal/bufpool"
 )
 
 // RoundRecord is one structured flight-recorder entry: what a single rank
@@ -194,9 +191,8 @@ func (f *Flight) setContext(naggs int, stripe, align int64, disps []int64) {
 }
 
 // setTopology records the node count of the world's installed node map, so
-// dumps (and the analyzer) can relate the inter/intra-node shuffle split to
-// ranks-per-node. Compare-and-skip keeps steady-state calls lock-cheap and
-// allocation-free.
+// a dump relates the inter/intra-node shuffle split to ranks-per-node.
+// Compare-and-skip keeps steady-state calls lock-cheap and allocation-free.
 func (f *Flight) setTopology(nodes int) {
 	f.mu.Lock()
 	if f.nodes != nodes {
@@ -288,7 +284,8 @@ type Dump struct {
 const DumpSchema = "flexio-flight-v1"
 
 // Dump assembles a snapshot. full=true additionally includes the
-// scheduling-dependent phase timings and the merged counters map; pass
+// scheduling-dependent phase timings and this set's merged counters (never
+// the process-wide bufpool totals, which other worlds move too); pass
 // false for the canonical (byte-deterministic for a fixed seed) form. The
 // failover and integrity events are read from the merged counters.
 func (s *Set) Dump(full bool) *Dump {
@@ -387,13 +384,6 @@ func (s *Set) Dump(full bool) *Dump {
 				d.Counters[counterMeta[c].name] = v
 			}
 		}
-		// Process-wide buffer-pool balance rides along so the analyzer
-		// can flag get/put imbalance from a dump alone.
-		pc := bufpool.Snapshot()
-		d.Counters["bufpool_gets"] = pc.Gets
-		d.Counters["bufpool_puts"] = pc.Puts
-		d.Counters["bufpool_news"] = pc.News
-		d.Counters["bufpool_drops"] = pc.Drops
 	}
 	return d
 }
@@ -418,26 +408,6 @@ func Imbalance(loads []int64) float64 {
 		return 0
 	}
 	return float64(max) * float64(n) / float64(sum)
-}
-
-// Median returns the median of the positive entries (0 if none). Used by
-// the analyzer for "N× median" style findings.
-func Median(loads []int64) float64 {
-	pos := make([]int64, 0, len(loads))
-	for _, v := range loads {
-		if v > 0 {
-			pos = append(pos, v)
-		}
-	}
-	if len(pos) == 0 {
-		return 0
-	}
-	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-	m := len(pos) / 2
-	if len(pos)%2 == 1 {
-		return float64(pos[m])
-	}
-	return float64(pos[m-1]+pos[m]) / 2
 }
 
 // WriteJSON writes the dump as indented JSON. encoding/json sorts map keys,

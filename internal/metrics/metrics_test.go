@@ -3,9 +3,12 @@ package metrics
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
+
+	"flexio/internal/bufpool"
 )
 
 // TestNilSafety drives every entry point through nil receivers: the
@@ -249,10 +252,23 @@ func TestDumpDeterministicJSON(t *testing.T) {
 	if full.Rounds[0].PhaseSec == nil {
 		t.Fatal("full dump must carry phase seconds")
 	}
+	// A full dump holds this set's counters only: pool traffic from
+	// elsewhere in the process between two dumps changes neither.
+	s := build()
+	first := s.Dump(true).Counters
+	bufpool.Put(bufpool.Get(4096))
+	if second := s.Dump(true).Counters; !maps.Equal(first, second) {
+		t.Fatalf("two full dumps of one set differ across pool traffic:\n%v\n%v", first, second)
+	}
+	for name := range first {
+		if strings.HasPrefix(name, "bufpool_") {
+			t.Fatalf("full dump carries process-wide counter %s", name)
+		}
+	}
 }
 
-// TestImbalanceAndMedian pins the analyzer helper math.
-func TestImbalanceAndMedian(t *testing.T) {
+// TestImbalance pins the load-skew factor the dump's rounds carry.
+func TestImbalance(t *testing.T) {
 	if got := Imbalance(nil); got != 0 {
 		t.Fatalf("Imbalance(nil) = %v", got)
 	}
@@ -261,15 +277,6 @@ func TestImbalanceAndMedian(t *testing.T) {
 	}
 	if got := Imbalance([]int64{300, 100, 0, -5}); got != 1.5 {
 		t.Fatalf("Imbalance(skewed) = %v, want 1.5", got)
-	}
-	if got := Median([]int64{5, 1, 3}); got != 3 {
-		t.Fatalf("Median(odd) = %v", got)
-	}
-	if got := Median([]int64{4, 0, 2}); got != 3 {
-		t.Fatalf("Median(even positive) = %v", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Fatalf("Median(nil) = %v", got)
 	}
 }
 
@@ -395,7 +402,7 @@ func TestFailoverEventOrderIndependent(t *testing.T) {
 	}
 }
 
-// FuzzParseProm: whatever text arrives as an exposition (the analyzer reads
+// FuzzParseProm: whatever text arrives as an exposition (report reads
 // files), parsing either fails or returns series that stand in the text, at
 // most one per line, and our own rendering of them parses back to the same
 // values.

@@ -142,7 +142,7 @@ func formatProm(v float64) string {
 
 // ParseProm is a strict-enough parser for the exposition format WriteProm
 // emits: it validates HELP/TYPE/sample structure and returns series
-// (name{labels}) -> value. Used by the round-trip test and the analyzer's
+// (name{labels}) -> value. Used by the round-trip test and report's
 // file input path.
 func ParseProm(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}

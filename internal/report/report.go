@@ -172,17 +172,14 @@ func diffPhases(r *Report, old, new *Source) {
 
 // counterTotals extracts merged counters: the Counters map of a full dump,
 // else exposition *_total series summed across their rank/node labels.
-// The bufpool_* counters are excluded: they are process-lifetime pool
-// totals, not per-run telemetry, so diffing them misattributes whenever
+// The exposition's bufpool_* series are excluded: they are process-lifetime
+// pool totals, not per-run telemetry, so diffing them misattributes whenever
 // both artifacts were captured inside one process (the soaks) and their
 // monotone growth would break run-to-run determinism.
 func counterTotals(s *Source) map[string]float64 {
 	out := map[string]float64{}
 	if s.Dump != nil && len(s.Dump.Counters) > 0 {
 		for name, v := range s.Dump.Counters {
-			if strings.HasPrefix(name, "bufpool_") {
-				continue
-			}
 			out[name] = float64(v)
 		}
 		return out
