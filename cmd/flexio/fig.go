@@ -84,7 +84,7 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 		fmt.Fprintf(out, "cache flushes:    %d\n", agg.Counter(metrics.CCacheFlushes))
 		fmt.Fprintf(out, "I/O calls:        %d\n", agg.Counter(metrics.CIOCalls))
 		fmt.Fprintf(out, "bytes to storage: %.2f MB (vs %.2f MB useful)\n", float64(agg.Counter(metrics.CIOBytes))/1e6, float64(total)/1e6)
-		return rec.render(out, res.World, false)
+		return rec.render(out, res.World)
 	}
 
 	ab := experiments.DefaultAblation()
@@ -137,7 +137,7 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 			fmt.Fprintln(out, t.Format())
 		}
 	}
-	if err := rec.render(out, experiments.Last, false); err != nil {
+	if err := rec.render(out, experiments.Last); err != nil {
 		failed = append(failed, err)
 	}
 	return errors.Join(failed...)

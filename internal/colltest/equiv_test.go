@@ -10,7 +10,6 @@ import (
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 // genWorkload draws a random HPIO-style workload small enough to run fast.
@@ -124,39 +123,6 @@ func TestTraceDeterministicExport(t *testing.T) {
 	}
 	if !bytes.Equal(exports[0], exports[1]) {
 		t.Fatalf("trace export is nondeterministic: %d vs %d bytes", len(exports[0]), len(exports[1]))
-	}
-}
-
-// TestTraceMatchesStats: per-phase span sums from the trace must agree with
-// the flat stats time buckets of the same names to 1e-9, relative: one
-// begin/end pair books each interval to both.
-func TestTraceMatchesStats(t *testing.T) {
-	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
-	for _, coll := range []mpiio.Collective{core.ROMIO(core.Options{}), core.New(core.Options{Validate: true})} {
-		res, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10})
-		if err != nil {
-			t.Fatalf("%s: %v", coll.Name(), err)
-		}
-		flat := stats.Merge(res.World.Recorders()...)
-		bd := res.Trace.Breakdown()
-		for _, phase := range []string{stats.PFlatten, stats.PExchange, stats.PComm, stats.PIO, stats.PCopy} {
-			ref := flat.Time(phase)
-			got := bd.PhaseTotal(phase)
-			diff := (got - ref).Seconds()
-			if diff < 0 {
-				diff = -diff
-			}
-			if ref.Seconds() == 0 {
-				if got.Seconds() != 0 {
-					t.Errorf("%s: phase %q: spans total %v but stats bucket is zero", coll.Name(), phase, got)
-				}
-				continue
-			}
-			if diff/ref.Seconds() > 1e-9 {
-				t.Errorf("%s: phase %q: spans total %v, stats bucket %v (>1e-9 apart)",
-					coll.Name(), phase, got, ref)
-			}
-		}
 	}
 }
 

@@ -34,11 +34,9 @@ type recorderRun struct {
 
 // TestRecorderGolden compares what every recording surface prints after
 // five collectives with testdata/recorders_*.txt: the merged stats table,
-// each rank's stats line, the per-rank and per-node Prometheus expositions,
-// the canonical flight dump and, on the runs whose virtual time is exact,
-// the trace breakdown against the stats buckets. The listings were written
-// by this test, with -record-recorders, before the two per-rank stores
-// became one.
+// each rank's stats line, the per-rank and per-node Prometheus expositions
+// and the canonical flight dump. The listings were written by this test,
+// with -record-recorders, before the two per-rank stores became one.
 func TestRecorderGolden(t *testing.T) {
 	wl := Workload{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64, Disp: 32, MemNoncontig: true, MemGap: 3, NodeRanks: 2}
 	const cb, stripe = 1 << 10, 4096
@@ -162,11 +160,6 @@ func listRecorders(t *testing.T, rr recorderRun) string {
 		t.Fatal(err)
 	}
 	b.WriteString(buf.String())
-	if rr.exact {
-		section("trace breakdown")
-		b.WriteString(rr.res.Trace.Breakdown().Format(flat))
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 

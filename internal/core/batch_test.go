@@ -53,9 +53,8 @@ func tagStr(e trace.Event, key, val string) bool {
 	return slices.ContainsFunc(e.Tags, func(tg trace.Tag) bool { return tg.Key == key && tg.Str == val })
 }
 
-// aggWrites returns an aggregator's writes in issue order and how many rounds
-// it gathered data in.
-func aggWrites(tr *trace.Tracer) (writes []batchWrite, dataRounds int) {
+// aggWrites returns an aggregator's writes in issue order.
+func aggWrites(tr *trace.Tracer) (writes []batchWrite) {
 	inWrite := false
 	var open []bool // per open span: is it a write's I/O span
 	for _, e := range tr.Events() {
@@ -75,16 +74,25 @@ func aggWrites(tr *trace.Tracer) (writes []batchWrite, dataRounds int) {
 			}
 			open = open[:len(open)-1]
 		case trace.KindInstant:
-			switch {
-			case e.Name == "round_bytes":
-				dataRounds++
-			case e.Name == "io_call" && tagStr(e, "kind", "sieve_write") && inWrite:
+			if e.Name == "io_call" && tagStr(e, "kind", "sieve_write") && inWrite {
 				w := &writes[len(writes)-1]
 				w.windows = append(w.windows, tagInt(e, "len"))
 			}
 		}
 	}
-	return writes, dataRounds
+	return writes
+}
+
+// dataRounds counts the rounds aggregator a gathered data in, from the
+// flight recorder.
+func dataRounds(res colltest.Result, a int) int {
+	n := 0
+	for _, rs := range res.Metrics.Dump(false).Rounds {
+		if rs.RecvBytes[a] > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestWriteBatchesSparseRounds: on a sparse shape with cb smaller than the
@@ -112,7 +120,7 @@ func TestWriteBatchesSparseRounds(t *testing.T) {
 					t.Fatal(err)
 				}
 				for a := 0; a < batchAggs; a++ {
-					writes, rounds := aggWrites(res.Trace.Tracer(a))
+					writes, rounds := aggWrites(res.Trace.Tracer(a)), dataRounds(res, a)
 					if rounds != batchRounds || len(writes) != tc.batches {
 						t.Fatalf("aggregator %d: %d writes of %d rounds, want %d of %d", a, len(writes), rounds, tc.batches, batchRounds)
 					}
@@ -152,7 +160,7 @@ func TestWriteBatchBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for a := 0; a < batchAggs; a++ {
-				writes, _ := aggWrites(res.Trace.Tracer(a))
+				writes := aggWrites(res.Trace.Tracer(a))
 				for k, w := range writes {
 					if w.bytes > tc.cb {
 						t.Errorf("aggregator %d batch %d: %d bytes, cb is %d", a, k, w.bytes, tc.cb)
@@ -192,7 +200,7 @@ func TestWriteBatchBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for a := 0; a < batchAggs; a++ {
-				if writes, rounds := aggWrites(res.Trace.Tracer(a)); len(writes) != rounds {
+				if writes, rounds := aggWrites(res.Trace.Tracer(a)), dataRounds(res, a); len(writes) != rounds {
 					t.Errorf("aggregator %d: %d writes for %d rounds with data, want one a round", a, len(writes), rounds)
 				}
 			}

@@ -596,8 +596,6 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 				roundRecv = rp.Total
 			}
 			if roundRecv > 0 {
-				p.Trace.Instant2(p.Clock(), "round_bytes",
-					trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, roundRecv))
 				if first < 0 {
 					first = r
 					last, size = pl.batch(r, sieve)
@@ -635,7 +633,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		return nil // every round wrote and agreed inside the loop
 	}
 	// The last batch's pipelined write lands outside the loop; give it its
-	// own round wrapper so the breakdown attributes the I/O correctly.
+	// own round wrapper so the critical path books the I/O to its round.
 	f.SetRound(ntimes - 1)
 	p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(ntimes-1)))
 	if first >= 0 {
@@ -815,13 +813,11 @@ func (i *Impl) readFirst(f *mpiio.File, scr *roundScratch, pl *plan) {
 // would have, and the agreement aborts every rank before any of it reaches a
 // user buffer.
 func (i *Impl) fill(c *roundFrame, pl *plan, r int) (*roundPlan, []byte) {
-	f, p, method := c.f, c.p, pl.method
+	f, method := c.f, pl.method
 	rp := pl.agg.Round(r)
 	if rp.Total == 0 {
 		return rp, nil
 	}
-	p.Trace.Instant2(p.Clock(), "round_bytes",
-		trace.I(trace.RoundTag, int64(r)), trace.I(trace.BytesTag, rp.Total))
 	if method == mpiio.IntegratedSieve {
 		// The pass that empties the integrated sieve buffer.
 		f.ChargeCopy(rp.Total)

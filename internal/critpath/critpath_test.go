@@ -114,6 +114,42 @@ func TestAnalyzeTruncated(t *testing.T) {
 	}
 }
 
+// TestNestedRoundWrapper: a round r+1 wrapper inside round r (a read-ahead)
+// books its phases to round r+1; the rest of round r's wrapper stays in r.
+func TestNestedRoundWrapper(t *testing.T) {
+	s := trace.NewSink(1, 0)
+	a := s.Tracer(0)
+	a.Begin(0, trace.RoundSpan, trace.I(trace.RoundTag, 0))
+	a.Begin(1, trace.RoundSpan, trace.I(trace.RoundTag, 1))
+	a.Begin(1, metrics.PIO.String())
+	a.End(4)
+	a.End(4)
+	a.End(5)
+	a.Begin(5, trace.RoundSpan, trace.I(trace.RoundTag, 1))
+	a.End(7)
+	type bucket struct {
+		phase string
+		round int
+	}
+	got := map[bucket]float64{}
+	for _, e := range Analyze(s).Entries {
+		got[bucket{e.Phase, e.Round}] += e.Sec
+	}
+	want := map[bucket]float64{
+		{trace.RoundSpan, 0}:      2, // [0,1] and [4,5]
+		{metrics.PIO.String(), 1}: 3,
+		{trace.RoundSpan, 1}:      2,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("entries %v, want %v", got, want)
+	}
+	for b, sec := range want {
+		if !approx(got[b], sec) {
+			t.Fatalf("entries %v, want %v", got, want)
+		}
+	}
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
 	if rep := Analyze(nil); !approx(rep.Coverage(), 1) || rep.Top().Rank != -1 {
 		t.Fatal("nil sink should yield an empty fully-covered report")

@@ -7,11 +7,10 @@ import (
 )
 
 // RoundRecord is one structured flight-recorder entry: what a single rank
-// did in a single two-phase round. Byte and event fields are functions of
-// the program order of the workload and fault schedule only, so they are
-// deterministic across runs with the same seed; the PhaseSec virtual times
-// depend on goroutine scheduling and are therefore excluded from canonical
-// dumps (see Dump / WriteJSON).
+// did in a single two-phase round. Every field is a function of the program
+// order of the workload and fault schedule only, so records are
+// deterministic across runs with the same seed. Phase times are not kept
+// per round: the registry's phase sums and histograms hold them.
 type RoundRecord struct {
 	Round            int
 	Agg              bool
@@ -22,12 +21,7 @@ type RoundRecord struct {
 	Faults           int64
 	Retries          int64
 	Resumes          int64
-	// PhaseSec holds the virtual seconds of each of roundPhases.
-	PhaseSec [len(roundPhases)]float64
 }
-
-// roundPhases are the phases a round record times.
-var roundPhases = [...]Phase{PComm, PIO, PCopy, PExchange, PBackoff}
 
 // Flight is the shared, bounded flight recorder: one RoundRecord ring per
 // rank plus what no counter holds: the realm context of the current
@@ -51,9 +45,8 @@ type Flight struct {
 
 // CritPathSummary is the critical-path profiler's condensed verdict for one
 // run, published into the flight recorder by Set.NoteCritPath. Its fields
-// are virtual-time durations, which (like the *Sec round fields) can vary
-// with goroutine scheduling on contended workloads, so the summary appears
-// in full dumps only.
+// are virtual-time durations, which can vary with goroutine scheduling on
+// contended workloads, so the summary appears in full dumps only.
 type CritPathSummary struct {
 	Collectives int     `json:"collectives"`
 	TotalSec    float64 `json:"total_sec"`   // virtual wall time of the profiled window
@@ -253,9 +246,6 @@ type RoundSummary struct {
 	Faults           int64   `json:"faults,omitempty"`
 	Retries          int64   `json:"retries,omitempty"`
 	Resumes          int64   `json:"resumes,omitempty"`
-	// Phase virtual-seconds summed across ranks; present in full dumps
-	// only (wall-scheduling-dependent, excluded from canonical dumps).
-	PhaseSec map[string]float64 `json:"phase_sec,omitempty"`
 }
 
 // Dump is the serializable snapshot of a Set: flight-recorder rounds with
@@ -276,7 +266,7 @@ type Dump struct {
 	Rounds     []RoundSummary   `json:"rounds"`
 	Counters   map[string]int64 `json:"counters,omitempty"`
 	// CritPath carries the critical-path profiler summary; full dumps only
-	// (virtual-time fields, excluded from the canonical form like PhaseSec).
+	// (its virtual-time fields are excluded from the canonical form).
 	CritPath *CritPathSummary `json:"critpath,omitempty"`
 }
 
@@ -284,10 +274,11 @@ type Dump struct {
 const DumpSchema = "flexio-flight-v1"
 
 // Dump assembles a snapshot. full=true additionally includes the
-// scheduling-dependent phase timings and this set's merged counters (never
-// the process-wide bufpool totals, which other worlds move too); pass
-// false for the canonical (byte-deterministic for a fixed seed) form. The
-// failover and integrity events are read from the merged counters.
+// scheduling-dependent critical-path summary and this set's merged
+// counters (never the process-wide bufpool totals, which other worlds move
+// too); pass false for the canonical (byte-deterministic for a fixed seed)
+// form. The failover and integrity events are read from the merged
+// counters.
 func (s *Set) Dump(full bool) *Dump {
 	d := &Dump{Schema: DumpSchema, Rounds: []RoundSummary{}}
 	if s == nil {
@@ -343,9 +334,6 @@ func (s *Set) Dump(full bool) *Dump {
 			SendBytes: make([]int64, len(f.ranks)),
 			RecvBytes: make([]int64, len(f.ranks)),
 		}
-		if full {
-			rs.PhaseSec = map[string]float64{}
-		}
 		var aggTotals []int64
 		for r := range f.ranks {
 			fr := &f.ranks[r]
@@ -367,11 +355,6 @@ func (s *Set) Dump(full bool) *Dump {
 			rs.Resumes += rec.Resumes
 			if rec.Agg {
 				aggTotals = append(aggTotals, rec.RecvBytes)
-			}
-			if full {
-				for k, ph := range roundPhases {
-					rs.PhaseSec[ph.String()] += rec.PhaseSec[k]
-				}
 			}
 		}
 		rs.Imbalance = Imbalance(aggTotals)

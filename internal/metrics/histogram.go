@@ -11,14 +11,13 @@ const (
 )
 
 // Histogram is a log-bucketed distribution of non-negative samples
-// (virtual-time durations, byte counts, ...). It backs the percentile
-// columns of the trace breakdown tables. The zero value is ready to use; a
-// nil *Histogram observes nothing and reports zeros.
+// (virtual-time durations, byte counts, ...). It backs the exposition's
+// histogram series (bucket counts, sample count and sum). The zero value is
+// ready to use; a nil *Histogram observes nothing and reports zeros.
 type Histogram struct {
-	counts   [histBuckets]int64
-	n        int64
-	sum      float64
-	min, max float64
+	counts [histBuckets]int64
+	n      int64
+	sum    float64
 }
 
 // NewHistogram returns an empty histogram.
@@ -53,12 +52,6 @@ func (h *Histogram) Observe(v float64) {
 		v = 0
 	}
 	h.counts[histIndex(v)]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
 	h.n++
 	h.sum += v
 }
@@ -77,57 +70,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1): the upper
-// edge of the bucket holding the q-th sample, clamped to the observed
-// [min, max]. With ~9% bucket resolution the estimate is table-grade, not
-// audit-grade.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := int64(math.Ceil(q * float64(h.n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i]
-		if cum >= target {
-			v := histUpper(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
 }
 
 // Buckets visits the non-empty buckets in ascending order, passing each
@@ -151,12 +93,6 @@ func (h *Histogram) MergeHist(o *Histogram) {
 	}
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
 	}
 	h.n += o.n
 	h.sum += o.sum

@@ -463,10 +463,9 @@ func (r *Registry) NoteAtRestIntegrity(quarantined, repaired bool) {
 type RoundProbe struct {
 	sieveSpan, sieveUseful   int64
 	faults, retries, resumes int64
-	phases                   [numPhases]sim.Time
 }
 
-// BeginRound snapshots counters and phase times at a round boundary.
+// BeginRound snapshots the counters a round record takes deltas of.
 func (r *Registry) BeginRound() RoundProbe {
 	if r == nil {
 		return RoundProbe{}
@@ -477,7 +476,6 @@ func (r *Registry) BeginRound() RoundProbe {
 		faults:      r.counters[CFaults],
 		retries:     r.counters[CRetries],
 		resumes:     r.counters[CResumes],
-		phases:      r.phases,
 	}
 }
 
@@ -503,7 +501,7 @@ func (r *Registry) EndRound(pr RoundProbe, round int, agg bool, sendBytes, recvB
 	if r.fr == nil {
 		return
 	}
-	rec := RoundRecord{
+	r.fr.Record(RoundRecord{
 		Round:            round,
 		Agg:              agg,
 		SendBytes:        sendBytes,
@@ -513,11 +511,7 @@ func (r *Registry) EndRound(pr RoundProbe, round int, agg bool, sendBytes, recvB
 		Faults:           r.counters[CFaults] - pr.faults,
 		Retries:          r.counters[CRetries] - pr.retries,
 		Resumes:          r.counters[CResumes] - pr.resumes,
-	}
-	for k, ph := range roundPhases {
-		rec.PhaseSec[k] = (r.phases[ph] - pr.phases[ph]).Seconds()
-	}
-	r.fr.Record(rec)
+	})
 }
 
 // Reset zeroes the registry in place, histograms included.

@@ -170,7 +170,6 @@ func TestRoundDeltas(t *testing.T) {
 	r.Add(CSieveSpanBytes, 4096)
 	r.Add(CSieveUsefulBytes, 512)
 	r.Inc(CFaults)
-	r.Charge(PComm, 2)
 	r.EndRound(pr, 7, true, 300, 400)
 
 	fr := r.Flight()
@@ -183,9 +182,6 @@ func TestRoundDeltas(t *testing.T) {
 	}
 	if rec.SieveSpanBytes != 4096 || rec.SieveUsefulBytes != 512 || rec.Faults != 1 {
 		t.Fatalf("round record deltas wrong: %+v", rec)
-	}
-	if rec.PhaseSec[0] != 2 {
-		t.Fatalf("round record comm seconds = %v, want 2", rec.PhaseSec[0])
 	}
 	if got := r.Counter(CRounds); got != 1 {
 		t.Fatalf("CRounds = %d, want 1", got)
@@ -244,13 +240,10 @@ func TestDumpDeterministicJSON(t *testing.T) {
 	if strings.Contains(b1.String(), "comm_sec") {
 		t.Fatal("canonical dump must not carry scheduling-dependent timings")
 	}
-	// Full dumps add counters and phase seconds.
+	// Full dumps add counters.
 	full := build().Dump(true)
 	if len(full.Counters) == 0 {
 		t.Fatal("full dump must carry merged counters")
-	}
-	if full.Rounds[0].PhaseSec == nil {
-		t.Fatal("full dump must carry phase seconds")
 	}
 	// A full dump holds this set's counters only: pool traffic from
 	// elsewhere in the process between two dumps changes neither.

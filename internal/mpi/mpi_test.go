@@ -513,3 +513,80 @@ func TestWorldWithoutMetricsHoldsNoHistograms(t *testing.T) {
 		t.Fatal("EnableMetrics attached no histograms or flight ring")
 	}
 }
+
+// TestIntervalBooksPhaseAndSpan: one Begin/End pair is where a phase's time
+// is booked. End adds exactly the clock's advance to the phase's sum and its
+// histogram and closes one balanced span over the same interval; EndAs books
+// the duration it is given, not the clock difference; a crash inside an open
+// interval ends the span with the rank and books nothing. (Registry.Charge's
+// only other caller outside tests is pfs's server time, which has no span.)
+func TestIntervalBooksPhaseAndSpan(t *testing.T) {
+	const start, d = sim.Time(1.5), sim.Time(0.25)
+	for _, tc := range []struct {
+		name  string
+		ph    metrics.Phase
+		body  func(p *Proc, ph metrics.Phase)
+		book  sim.Time // the phase's sum afterwards
+		crash bool
+	}{
+		{"begin", metrics.PComm, func(p *Proc, ph metrics.Phase) {
+			iv := p.Begin(ph)
+			p.AdvanceClock(d)
+			p.End(iv)
+		}, d, false},
+		{"begin1", metrics.PIO, func(p *Proc, ph metrics.Phase) {
+			iv := p.Begin1(ph, trace.I(trace.BytesTag, 7))
+			p.AdvanceClock(d)
+			p.End(iv)
+		}, d, false},
+		{"endas", metrics.PCopy, func(p *Proc, ph metrics.Phase) {
+			iv := p.Begin(ph)
+			p.AdvanceClock(d)
+			p.EndAs(iv, d/2)
+		}, d / 2, false},
+		{"crash", metrics.PExchange, func(p *Proc, ph metrics.Phase) {
+			iv := p.Begin(ph)
+			p.AdvanceClock(d)
+			p.SetRound(0) // the scheduled crash fires here
+			p.End(iv)
+		}, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := testWorld(1)
+			sink := w.EnableTracing(0)
+			w.EnableMetrics()
+			if tc.crash {
+				w.SetRankFaults(NewRankFaultSchedule(1).Crash(0, 0))
+			}
+			w.Run(func(p *Proc) {
+				p.SyncClock(start)
+				tc.body(p, tc.ph)
+			})
+			reg := w.Proc(0).Metrics
+			samples := int64(1)
+			if tc.crash {
+				samples = 0
+			}
+			if got := reg.Phase(tc.ph); got != tc.book {
+				t.Errorf("phase %s sum %v, want %v", tc.ph, got, tc.book)
+			}
+			if h := reg.Hist(tc.ph.Hist()); h.Count() != samples || h.Sum() != tc.book.Seconds() {
+				t.Errorf("phase %s histogram: %d sample(s) summing to %v, want %d summing to %v",
+					tc.ph, h.Count(), h.Sum(), samples, tc.book.Seconds())
+			}
+			if err := sink.Check(); err != nil {
+				t.Fatal(err)
+			}
+			var spans []trace.Event
+			for _, e := range sink.Tracer(0).Events() {
+				if e.Kind != trace.KindInstant {
+					spans = append(spans, e)
+				}
+			}
+			if len(spans) != 2 || spans[0].Kind != trace.KindBegin || spans[0].Name != tc.ph.String() ||
+				spans[0].TS != start || spans[1].TS != start+d {
+				t.Errorf("spans %+v, want one %s span from %v to %v", spans, tc.ph, start, start+d)
+			}
+		})
+	}
+}

@@ -96,8 +96,7 @@ type Report struct {
 	OldLabel string `json:"old_label"`
 	NewLabel string `json:"new_label"`
 	// Phases are per-phase virtual-second totals (from the phase_seconds
-	// histogram sums of an exposition, or the round phase timings of a
-	// full dump), ranked.
+	// histogram sums of an exposition), ranked.
 	Phases []Delta `json:"phases,omitempty"`
 	// Counters are merged counter deltas (full dumps or expositions),
 	// ranked.
@@ -135,25 +134,15 @@ func label(s *Source) string {
 	return s.Label
 }
 
-// phaseTotals extracts per-phase virtual-second totals from whatever the
-// source carries: the phase_seconds histogram sums of an exposition, else
-// the summed per-round phase timings of a full dump.
+// phaseTotals extracts per-phase virtual-second totals from the
+// phase_seconds histogram sums of the source's exposition (a dump carries
+// none).
 func phaseTotals(s *Source) map[string]float64 {
 	out := map[string]float64{}
 	for series, v := range s.Prom {
 		var phase string
 		if n, err := fmt.Sscanf(series, "flexio_phase_seconds_sum{phase=%q}", &phase); n == 1 && err == nil {
 			out[phase] = v
-		}
-	}
-	if len(out) > 0 {
-		return out
-	}
-	if s.Dump != nil {
-		for _, rs := range s.Dump.Rounds {
-			for ph, sec := range rs.PhaseSec {
-				out[ph] += sec
-			}
 		}
 	}
 	return out

@@ -64,9 +64,6 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 				if line, ok := flowJSON(e, rank, ts); ok {
 					emit(line)
 				}
-			case KindCounter:
-				emit(fmt.Sprintf(`{"name":%s,"ph":"C","pid":0,"tid":%d,"ts":%.3f,"args":{"value":%s}}`,
-					strconv.Quote(e.Name), rank, ts, strconv.FormatFloat(e.Value, 'g', -1, 64)))
 			}
 		}
 		for ; depth > 0; depth-- {

@@ -7,16 +7,9 @@ package trace
 // them), aggregators (every shuffle round lands on them), and failover
 // participants (the ranks whose crash/stall the run is about). A
 // SamplePolicy therefore always samples those ranks and reservoir-samples K
-// of the remaining members, and the Sink keeps a sampled_ranks manifest so
+// of the remaining members, and the Sink remembers which ranks it sampled so
 // downstream coverage accounting (critpath blind spots) stays honest about
 // what it could not see.
-
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sort"
-)
 
 // SamplePolicy decides which ranks of a world get tracers.
 type SamplePolicy struct {
@@ -130,47 +123,4 @@ func (s *Sink) SampledCount() int {
 		}
 	}
 	return n
-}
-
-// SampledRanks returns the sampled ranks in ascending order — the
-// sampled_ranks manifest consumers (critpath, exports, reports) key off.
-func (s *Sink) SampledRanks() []int {
-	if s == nil {
-		return nil
-	}
-	out := make([]int, 0, s.SampledCount())
-	for r := range s.tracers {
-		if s.Sampled(r) {
-			out = append(out, r)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// SampledManifestSchema identifies the manifest JSON layout.
-const SampledManifestSchema = "flexio-sampled-ranks-v1"
-
-// sampledManifest is the serialized sampled_ranks manifest.
-type sampledManifest struct {
-	Schema  string `json:"schema"`
-	Ranks   int    `json:"ranks"`
-	Sampled []int  `json:"sampled_ranks"`
-}
-
-// WriteManifest writes the sampled_ranks manifest as indented JSON: world
-// size plus the ascending sampled rank list. Byte-deterministic, so it can
-// ride along with the other canonical artifacts.
-func (s *Sink) WriteManifest(w io.Writer) error {
-	doc := sampledManifest{Schema: SampledManifestSchema, Ranks: s.Ranks(), Sampled: s.SampledRanks()}
-	if doc.Sampled == nil {
-		doc.Sampled = []int{}
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&doc); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -1,12 +1,13 @@
 // Package trace is the virtual-time tracing subsystem: a per-rank event
-// recorder for begin/end spans, instant events, and counter samples, all
-// stamped with simulated time (sim.Time). The paper attributed the new
-// implementation's overheads (datatype processing, double buffering) with
-// MPE logging and Jumpshot timelines; this package plays the same role for
-// the simulation — every two-phase round's flatten / exchange / comm / io /
-// copy phases become spans on one track per rank, exportable as Chrome
-// trace-event JSON (chrome.go) or as an MPE-style breakdown table
-// (breakdown.go).
+// recorder for begin/end spans and instant events, stamped with simulated
+// time (sim.Time). The paper attributed the new implementation's overheads
+// (datatype processing, double buffering) with MPE logging and Jumpshot
+// timelines; this package plays the same role for the simulation — every
+// two-phase round's flatten / exchange / comm / io / copy phases become
+// spans on one track per rank, exported as Chrome trace-event JSON
+// (chrome.go) and walked by the critical-path profiler (internal/critpath).
+// It keeps no totals: phase sums live in the metrics registry, per-round
+// bytes in its flight recorder.
 //
 // A nil *Tracer (and a nil *Sink) is valid and records nothing, mirroring
 // stats.Recorder, so instrumentation can be left in place unconditionally.
@@ -36,14 +37,11 @@ const (
 	KindEnd
 	// KindInstant marks a point in time.
 	KindInstant
-	// KindCounter samples a named value.
-	KindCounter
 )
 
-// Well-known span, tag, and event names shared by the instrumented layers
-// and the breakdown exporter. Phase spans are named after metrics.Phase and
-// opened by mpi.Proc.Begin, which books the same interval to the phase's
-// time, so span sums line up with the flat time buckets.
+// Well-known span and tag names shared by the instrumented layers and the
+// critical-path walk. Phase spans are named after metrics.Phase and opened
+// by mpi.Proc.Begin, whose End books the same interval to the phase's sum.
 const (
 	// RoundSpan wraps one two-phase round on a rank.
 	RoundSpan = "round"
@@ -51,9 +49,7 @@ const (
 	RoundTag = "round"
 	// AggTag carries the aggregator id on a span.
 	AggTag = "agg"
-	// BytesTag carries a byte count on a span or instant; on an instant
-	// inside (or tagged with) a round it is summed into the round's
-	// "bytes moved" column.
+	// BytesTag carries a byte count on a span or instant.
 	BytesTag = "bytes"
 )
 
@@ -127,11 +123,10 @@ func S(key, v string) Tag { return Tag{Key: key, Str: v, IsStr: true} }
 
 // Event is one recorded trace event.
 type Event struct {
-	Kind  Kind
-	Name  string
-	TS    sim.Time
-	Tags  []Tag
-	Value float64 // counter sample value (KindCounter only)
+	Kind Kind
+	Name string
+	TS   sim.Time
+	Tags []Tag
 }
 
 // Tracer records one rank's events into a bounded ring buffer. When the
@@ -247,14 +242,6 @@ func (t *Tracer) Instant2(at sim.Time, name string, t1, t2 Tag) {
 	t.push(Event{Kind: KindInstant, Name: name, TS: at, Tags: []Tag{t1, t2}})
 }
 
-// Counter records a sample of a named value at virtual time at.
-func (t *Tracer) Counter(at sim.Time, name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.push(Event{Kind: KindCounter, Name: name, TS: at, Value: v})
-}
-
 // Depth returns the number of currently open spans.
 func (t *Tracer) Depth() int {
 	if t == nil {
@@ -347,8 +334,6 @@ func kindName(k Kind) string {
 		return "end"
 	case KindInstant:
 		return "instant"
-	case KindCounter:
-		return "counter"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -360,7 +345,7 @@ func kindName(k Kind) string {
 type Sink struct {
 	tracers []*Tracer
 	// sampled marks which ranks carry tracers (nil = all of them); set by
-	// NewSampledSink, read through the manifest accessors in sampling.go.
+	// NewSampledSink, read through Sampled and SampledCount (sampling.go).
 	sampled []bool
 }
 

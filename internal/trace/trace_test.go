@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flexio/internal/sim"
-	"flexio/internal/stats"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -15,7 +14,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Begin(1, "x")
 	tr.End(2)
 	tr.Instant(3, "y")
-	tr.Counter(4, "z", 5)
 	tr.Reset()
 	if tr.Depth() != 0 || tr.Len() != 0 || tr.Dropped() != 0 || tr.Rank() != -1 {
 		t.Fatal("nil tracer should report zeros")
@@ -39,9 +37,6 @@ func TestNilSafety(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("nil sink export is not JSON: %v", err)
-	}
-	if b := s.Breakdown(); b == nil || len(b.Phases) != 0 {
-		t.Fatal("nil sink breakdown should be empty, not nil")
 	}
 }
 
@@ -160,7 +155,6 @@ func TestChromeTraceShape(t *testing.T) {
 	s := NewSink(2, 0)
 	s.Tracer(0).Begin(0.5, "io", S("op", "write"), I("bytes", 42))
 	s.Tracer(0).End(1.25)
-	s.Tracer(1).Counter(0.75, "queue", 3)
 	s.Tracer(1).Instant(1, "mark")
 
 	var buf bytes.Buffer
@@ -190,86 +184,6 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if !strings.Contains(out, `"args":{"op":"write","bytes":42}`) {
 		t.Fatalf("tags should render in call-site order:\n%s", out)
-	}
-}
-
-func TestBreakdownAttribution(t *testing.T) {
-	s := NewSink(2, 0)
-	// Rank 0 is the aggregator: two rounds, each with comm and io inside
-	// the round wrapper, and a bytes instant.
-	a := s.Tracer(0)
-	for r := 0; r < 2; r++ {
-		base := sim.Time(r) * 10
-		a.Begin(base, RoundSpan, I(RoundTag, int64(r)), I(AggTag, 0))
-		a.Begin(base+1, stats.PComm)
-		a.End(base + 3)
-		a.Instant(base+3, "round_bytes", I(RoundTag, int64(r)), I(BytesTag, 100))
-		a.Begin(base+3, stats.PIO)
-		a.End(base + 7)
-		a.End(base + 8)
-	}
-	// Rank 1 only communicates, outside any round.
-	b := s.Tracer(1)
-	b.Begin(0, stats.PComm)
-	b.End(5)
-
-	bd := s.Breakdown()
-	if bd.Ranks != 2 {
-		t.Fatalf("Ranks = %d", bd.Ranks)
-	}
-	if got, want := bd.PhaseTotal(stats.PComm), sim.Time(2+2+5); got != want {
-		t.Fatalf("comm total = %v, want %v", got, want)
-	}
-	if got, want := bd.PhaseTotal(stats.PIO), sim.Time(8); got != want {
-		t.Fatalf("io total = %v, want %v", got, want)
-	}
-	if len(bd.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(bd.Rounds))
-	}
-	for r, rs := range bd.Rounds {
-		if rs.Round != r {
-			t.Fatalf("round %d reported as %d", r, rs.Round)
-		}
-		if rs.Bytes != 100 {
-			t.Fatalf("round %d bytes = %d, want 100", r, rs.Bytes)
-		}
-		if rs.Wall != 8 {
-			t.Fatalf("round %d wall = %v, want 8", r, rs.Wall)
-		}
-		if rs.Phases[stats.PComm] != 2 || rs.Phases[stats.PIO] != 4 {
-			t.Fatalf("round %d phases = %v", r, rs.Phases)
-		}
-	}
-	// Formatting is exercised for panics/determinism, not exact content.
-	txt := bd.Format(nil)
-	if !strings.Contains(txt, "per-round phase split") {
-		t.Fatalf("Format output missing round table:\n%s", txt)
-	}
-	if txt != bd.Format(nil) {
-		t.Fatal("Format is nondeterministic")
-	}
-}
-
-// TestBreakdownNestedRoundWrapper: a wrapper of round r+1 inside round r (a
-// read-ahead) books its io to round r+1 and its time to round r's wall.
-func TestBreakdownNestedRoundWrapper(t *testing.T) {
-	s := NewSink(1, 0)
-	a := s.Tracer(0)
-	a.Begin(0, RoundSpan, I(RoundTag, 0))
-	a.Begin(1, RoundSpan, I(RoundTag, 1))
-	a.Begin(1, stats.PIO)
-	a.End(4)
-	a.End(4)
-	a.End(5)
-	a.Begin(5, RoundSpan, I(RoundTag, 1))
-	a.End(7)
-	bd := s.Breakdown()
-	if len(bd.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(bd.Rounds))
-	}
-	if r0, r1 := bd.Rounds[0], bd.Rounds[1]; r0.Wall != 5 || r1.Wall != 2 || r0.Phases[stats.PIO] != 0 || r1.Phases[stats.PIO] != 3 {
-		t.Fatalf("round 0 wall %v io %v, round 1 wall %v io %v; want 5, 0, 2, 3",
-			r0.Wall, r0.Phases[stats.PIO], r1.Wall, r1.Phases[stats.PIO])
 	}
 }
 
