@@ -36,6 +36,7 @@ type Store struct {
 	quarantined int64 // blocks ever quarantined
 	repairs     int64 // blocks repaired (ring or overwrite)
 	unrepaired  int64 // reads that had to surface ErrDataIntegrity
+	hashed      int64 // blocks hashed by verify and record
 }
 
 // File is the store's state for one file: a table of blocks by index. It is
@@ -216,6 +217,7 @@ func (f *File) record(idx int64, data []byte, runs []Span) {
 		s.repairs++
 	}
 	b.sum, b.recorded = s.h.Sum(data), true
+	s.hashed++
 	r := &s.ring[s.next]
 	s.next = (s.next + 1) % len(s.ring)
 	r.file, r.idx, r.sum = f, idx, b.sum
@@ -248,7 +250,11 @@ func (f *File) Verify(idx int64, data []byte) bool {
 
 func (f *File) verify(idx int64, data []byte) bool {
 	b := f.blocks.Peek(idx)
-	if b == nil || !b.recorded || f.st.h.Sum(data) == b.sum {
+	if b == nil || !b.recorded {
+		return true
+	}
+	f.st.hashed++
+	if f.st.h.Sum(data) == b.sum {
 		return true
 	}
 	f.st.mismatches++
@@ -308,15 +314,18 @@ func (f *File) repair(idx int64, dst []byte) bool {
 // the recorded checksum, or the overwrite would launder undetected
 // corruption into a freshly blessed block. A block already quarantined is
 // not verified again (its mismatch is already counted); either way a
-// mismatched block gets one ring repair attempt. It reports whether this
-// call detected a new mismatch and whether the block was repaired.
-func (f *File) PreMerge(idx int64, data []byte) (mismatch, repaired bool) {
+// mismatched block gets one ring repair attempt. verified says the caller
+// knows data already passed Verify and has not changed since (the sieve
+// prefetch checked this very content): the hash is skipped then, and
+// nothing else is. It reports whether this call detected a new mismatch
+// and whether the block was repaired.
+func (f *File) PreMerge(idx int64, data []byte, verified bool) (mismatch, repaired bool) {
 	f.st.mu.Lock()
 	defer f.st.mu.Unlock()
 	if b := f.blocks.Peek(idx); b != nil && b.repaved != nil {
 		return false, f.repair(idx, data)
 	}
-	if f.verify(idx, data) {
+	if verified || f.verify(idx, data) {
 		return false, false
 	}
 	return true, f.repair(idx, data)
@@ -357,6 +366,7 @@ type Stats struct {
 	Repairs     int64 // blocks repaired (ring hit or overwrite)
 	Unrepaired  int64 // reads that surfaced ErrDataIntegrity
 	Backlog     int   // blocks quarantined right now
+	Hashed      int64 // blocks hashed by verify and record
 }
 
 // Snapshot returns the store's counters.
@@ -373,5 +383,6 @@ func (s *Store) Snapshot() Stats {
 		Repairs:     s.repairs,
 		Unrepaired:  s.unrepaired,
 		Backlog:     backlog,
+		Hashed:      s.hashed,
 	}
 }

@@ -146,10 +146,23 @@ type fileData struct {
 	stripeWriter pagetab.Table[int]
 }
 
-// pageSlot is one page of a file.
+// pageSlot is one page of a file. It stays 32 bytes (TestPageSlotSize):
+// a file holds one for every page ever written or locked.
 type pageSlot struct {
 	data  []byte // nil = hole (never written)
-	owner int    // client id holding the exclusive lock, 0 = unlocked
+	owner int32  // client id holding the exclusive lock, 0 = unlocked
+	// ver is the content version: every path that changes data's bytes —
+	// writeBytes, applyFlip, a successful ring repair in readSeg or
+	// preMergePage — bumps it, so a page still at the version it was
+	// verified at holds the bytes that were verified. A sieve write's
+	// pre-merge gate skips the hash of such a page (integrityPreMergeSpan).
+	ver uint32
+}
+
+// pageVer names one page's content: its index and version.
+type pageVer struct {
+	page int64
+	ver  uint32
 }
 
 // page returns the content of page pi, nil for a hole.
@@ -158,6 +171,17 @@ func (f *fileData) page(pi int64) []byte {
 		return s.data
 	}
 	return nil
+}
+
+// change returns the content of page pi for the caller to modify in place,
+// bumping its version; nil for a hole.
+func (f *fileData) change(pi int64) []byte {
+	s := f.pages.Peek(pi)
+	if s == nil || s.data == nil {
+		return nil
+	}
+	s.ver++
+	return s.data
 }
 
 // NewFileSystem creates an empty file system with cfg.StripeCount OSTs.
@@ -381,12 +405,18 @@ type Client struct {
 	// (a client serves one rank goroutine, and all are consumed before the
 	// request returns). sums is the integrity store's state for the file
 	// of the request in flight, looked up by name once per request; nil
-	// when integrity is off.
+	// when integrity is off. clean is a sieve write's: while cleanOf is
+	// its file (during its RMW prefetch), readSeg lists each page of that
+	// file it verified clean, ascending, with the version it verified; the
+	// write-back's pre-merge gate reads the list, and SieveWriteData
+	// empties it on every return.
 	lockRanges []pageRange
 	portions   []stripePortion
 	rmwSpan    [1]datatype.Seg
 	runs       []integrity.Span
 	sums       *integrity.File
+	clean      []pageVer
+	cleanOf    *fileData
 }
 
 // pageRange is an inclusive page-index range of one request segment.
@@ -691,7 +721,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 			}
 			owner := 0
 			if slot != nil {
-				owner = slot.owner
+				owner = int(slot.owner)
 			}
 			switch {
 			case owner == c.id:
@@ -709,7 +739,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 				flushes++
 				slot.owner = 0
 				if write {
-					slot.owner = c.id
+					slot.owner = int32(c.id)
 				}
 				if !inGrantRun {
 					cost += fs.cfg.LockGrantCost
@@ -718,7 +748,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 				}
 			default: // unlocked
 				if write {
-					slot.owner = c.id
+					slot.owner = int32(c.id)
 				}
 				if !inGrantRun {
 					cost += fs.cfg.LockGrantCost
@@ -861,18 +891,26 @@ func (c *Client) integrityPreMerge(f *fileData, s datatype.Seg, t sim.Time) {
 		if full := pi*ps >= s.Off && (pi+1)*ps <= s.End(); full {
 			continue // fully rewritten below: old content is irrelevant
 		}
-		c.preMergePage(f, pi, t)
+		c.preMergePage(f, pi, nil, t)
 	}
 }
 
 // preMergePage passes one partially overwritten page through the store's
 // pre-merge gate. Holes have nothing recorded and nothing to launder.
-func (c *Client) preMergePage(f *fileData, pi int64, t sim.Time) {
-	page := f.page(pi)
-	if page == nil {
+// seen, when non-nil, is the page as this request's sieve prefetch verified
+// it clean: if its version has not moved since, the bytes are the verified
+// ones and the gate skips the hash. A ring repair bumps the version.
+func (c *Client) preMergePage(f *fileData, pi int64, seen *pageVer, t sim.Time) {
+	slot := f.pages.Peek(pi)
+	if slot == nil || slot.data == nil {
 		return
 	}
-	if mismatch, repaired := c.sums.PreMerge(pi, page); mismatch {
+	verified := seen != nil && seen.ver == slot.ver
+	mismatch, repaired := c.sums.PreMerge(pi, slot.data, verified)
+	if repaired {
+		slot.ver++
+	}
+	if mismatch {
 		c.noteMismatch(pi, repaired, t)
 	}
 }
@@ -941,14 +979,16 @@ func (c *Client) landedRuns(segs []datatype.Seg, si int, pstart, pend int64) int
 // and a per-segment verify would misread that as corruption and "repair"
 // the just-written bytes away. Pages fully repaved by the union of the
 // segments skip the check (their old content is irrelevant); pages the
-// window never touches keep their sums untouched. Called with fs.mu held,
-// before the scatter.
+// window never touches keep their sums untouched. A page the window's RMW
+// prefetch verified clean (c.clean) and nobody changed since — its version
+// has not moved — passes without a second hash; every other partly covered
+// page gets the full gate. Called with fs.mu held, before the scatter.
 func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, t sim.Time) {
 	if c.sums == nil {
 		return
 	}
 	ps := c.fs.cfg.PageSize
-	si := 0
+	si, k := 0, 0
 	for pi := span.Off / ps; pi <= (span.End()-1)/ps; pi++ {
 		si = c.landedRuns(segs, si, pi*ps, (pi+1)*ps)
 		if len(c.runs) == 0 {
@@ -957,7 +997,14 @@ func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []da
 		if c.runs[0] == (integrity.Span{Off: 0, End: ps}) {
 			continue // fully repaved below: old content is irrelevant
 		}
-		c.preMergePage(f, pi, t)
+		for k < len(c.clean) && c.clean[k].page < pi {
+			k++
+		}
+		var seen *pageVer
+		if k < len(c.clean) && c.clean[k].page == pi {
+			seen = &c.clean[k]
+		}
+		c.preMergePage(f, pi, seen, t)
 	}
 }
 
@@ -1018,10 +1065,13 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 		if tail < 1 {
 			tail = 1
 		}
-		for abs := s.End() - tail; abs < s.End(); abs++ {
-			if page := f.page(abs / ps); page != nil {
-				page[abs%ps] = 0
+		for abs := s.End() - tail; abs < s.End(); {
+			pi, inPage := abs/ps, abs%ps
+			n := min(ps-inPage, s.End()-abs)
+			if page := f.change(pi); page != nil {
+				clear(page[inPage : inPage+n])
 			}
+			abs += n
 		}
 		if c.tr != nil {
 			c.tr.Instant(t, "atrest_flip", trace.S("kind", "torn"),
@@ -1030,7 +1080,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 	default: // "bitflip"
 		bit := int64(fl.hash % uint64(s.Len*8))
 		abs := s.Off + bit/8
-		if page := f.page(abs / ps); page != nil {
+		if page := f.change(abs / ps); page != nil {
 			page[abs%ps] ^= 1 << (bit % 8)
 		}
 		if c.tr != nil {
@@ -1046,7 +1096,8 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 // first: a mismatch quarantines the page and attempts an inline ring
 // repair; if that fails the read aborts with ErrDataIntegrity, leaving the
 // page quarantined for the journal-replay path. A nil buf makes
-// the read timing-only: every check and charge, no bytes delivered.
+// the read timing-only: every check and charge, no bytes delivered. Each
+// page of c.cleanOf that verified clean goes on c.clean with its version.
 func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (sim.Time, error) {
 	fs := c.fs
 	ps := fs.cfg.PageSize
@@ -1056,14 +1107,20 @@ func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (s
 	if c.sums != nil {
 		integSvc = fs.cfg.ChecksumTime((lastPage - firstPage + 1) * ps)
 		for pi := firstPage; pi <= lastPage; pi++ {
-			page := f.page(pi)
-			if page == nil {
+			slot := f.pages.Peek(pi)
+			if slot == nil || slot.data == nil {
 				continue // sparse hole: nothing recorded, nothing to check
 			}
-			if c.sums.Verify(pi, page) {
+			if c.sums.Verify(pi, slot.data) {
+				if f == c.cleanOf {
+					c.clean = append(c.clean, pageVer{pi, slot.ver})
+				}
 				continue
 			}
-			repaired := c.sums.Repair(pi, page)
+			repaired := c.sums.Repair(pi, slot.data)
+			if repaired {
+				slot.ver++
+			}
 			c.noteMismatch(pi, repaired, t)
 			if !repaired {
 				fs.isums.NoteUnrepairable()
@@ -1148,6 +1205,7 @@ func (f *fileData) writeBytes(segs []datatype.Seg, data Data, pageSize int64) {
 				slot.data = make([]byte, pageSize)
 			}
 			data.Copy(slot.data[inPage:inPage+n], pos)
+			slot.ver++
 			abs, pos = abs+n, pos+n
 		}
 		f.size = max(f.size, s.End())
