@@ -7,10 +7,9 @@ import (
 	"slices"
 	"strings"
 
-	"flexio/internal/colltest"
 	"flexio/internal/experiments"
 	"flexio/internal/metrics"
-	"flexio/internal/trace"
+	"flexio/internal/mpi"
 )
 
 // figures are the names fig accepts, in the order "all" runs them.
@@ -53,21 +52,16 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 			return err
 		}
 	}
-
-	// The harness is package state: set all of it, for in-process runs too.
-	experiments.NodeRanks = rec.nodes
-	colltest.SampleK = rec.sample
-	experiments.TraceCapacity = 0
-	if rec.traced() {
-		experiments.TraceCapacity = trace.DefaultCapacity
+	if err := rec.check(fs); err != nil {
+		return err
 	}
-	experiments.Last = nil
+
 	if *clients > 0 {
 		p := experiments.DefaultFig7()
 		p.Clients = []int{*clients}
 		p.ElemsPerPoint, p.ElemSize, p.Points = *elems, *elemSize, *points
 		p.Steps, p.Verify = *steps, *verify
-		res, err := experiments.RunPFRConfig(p, *clients, *pfr, *align)
+		res, err := experiments.RunPFRConfig(p, *clients, *pfr, *align, rec.arm)
 		if err != nil {
 			return err
 		}
@@ -91,16 +85,18 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 	if *small {
 		ab.Ranks, ab.RegionCount = 8, 512
 	}
-	ablations := map[string]func(experiments.AblationParams) ([]experiments.Table, error){
+	ablations := map[string]func(experiments.AblationParams, experiments.Arm) ([]experiments.Table, *mpi.World, error){
 		"a1": experiments.AblationExchange, "a2": experiments.AblationRepresentation, "a3": experiments.AblationRealms,
 		"a4": experiments.AblationComm, "a5": experiments.AblationHeap,
 	}
 	var failed []error
+	var last *mpi.World // the world of the last figure that ran one
 	for _, name := range figures {
 		if want != "all" && want != name {
 			continue
 		}
 		var tables []experiments.Table
+		var w *mpi.World
 		switch name {
 		case "4":
 			p := experiments.DefaultFig4()
@@ -111,7 +107,7 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 				p.AggCounts = []int{*fig4aggs}
 			}
 			p.Verify = *verify
-			tables, err = experiments.Fig4(p)
+			tables, w, err = experiments.Fig4(p, rec.arm)
 		case "5":
 			p := experiments.DefaultFig5().Scale(*fig5file, *fig5every)
 			if *small {
@@ -119,16 +115,19 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 				p.Ranks = 8
 			}
 			p.Verify = *verify
-			tables, err = experiments.Fig5(p)
+			tables, w, err = experiments.Fig5(p, rec.arm)
 		case "7":
 			p := experiments.DefaultFig7()
 			if *small {
 				p = p.Scale(512, 8, []int{16, 32})
 			}
 			p.Verify = *verify
-			tables, err = experiments.Fig7(p)
+			tables, w, err = experiments.Fig7(p, rec.arm)
 		default:
-			tables, err = ablations[name](ab)
+			tables, w, err = ablations[name](ab, rec.arm)
+		}
+		if w != nil {
+			last = w
 		}
 		if err != nil {
 			failed = append(failed, fmt.Errorf("%s: %w", strings.ToUpper(name), err))
@@ -137,7 +136,7 @@ func runFig(fs *flag.FlagSet, args []string, out *output) error {
 			fmt.Fprintln(out, t.Format())
 		}
 	}
-	if err := rec.render(out, experiments.Last); err != nil {
+	if err := rec.render(out, last); err != nil {
 		failed = append(failed, err)
 	}
 	return errors.Join(failed...)

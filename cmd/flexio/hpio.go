@@ -9,6 +9,7 @@ import (
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/hpio"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
@@ -53,6 +54,9 @@ func runHPIO(fs *flag.FlagSet, args []string, out *output) error {
 	if err := refuse(fs, unusedBy[*impl], "does nothing with -impl "+*impl); err != nil {
 		return err
 	}
+	if err := rec.check(fs); err != nil {
+		return err
+	}
 
 	o := core.Options{Align: *align, Persistent: *pfr, Preagg: *preagg, Conditional: *method == "conditional"}
 	var ok bool
@@ -90,12 +94,14 @@ func runHPIO(fs *flag.FlagSet, args []string, out *output) error {
 	}
 
 	wl := hpio.Pattern{Ranks: *procs, RegionSize: *region, RegionCount: *count, Spacing: *spacing,
-		MemNoncontig: !*memContig, MemGap: *spacing, Enumerate: *enumerate, NodeRanks: rec.nodes}
+		MemNoncontig: !*memContig, MemGap: *spacing, Enumerate: *enumerate}
 	if err := wl.Validate(); err != nil {
 		return usagef("%v", err)
 	}
-	colltest.SampleK = rec.sample
-	res, err := colltest.RunWriteSteps(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CbNodes: *aggs}, *steps)
+	info := mpiio.Info{Collective: coll, CbNodes: *aggs}
+	w := mpi.NewWorld(wl.Ranks, sim.DefaultConfig())
+	rec.arm(w, info)
+	res, err := colltest.Write(w, wl, info, *steps)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -40,6 +42,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"hpio", "-impl", "old", "-pfr"}, false, "-pfr"},
 		{[]string{"hpio", "-impl", "none", "-preagg"}, false, "-preagg"},
 		{[]string{"hpio", "-realms", "cyclic:0"}, false, "-realms"},
+		{[]string{"hpio", "-sample", "4"}, false, "-sample"},
+		{[]string{"fig", "5", "-small", "-sample", "2", "-metrics-out", "m.prom"}, false, "-sample"},
 	} {
 		code, out, errOut := flexio(tc.args...)
 		if code != 2 || out != "" {
@@ -90,5 +94,23 @@ func TestRecordingNeedsARun(t *testing.T) {
 	rec.critpath = true
 	if err := rec.render(&output{Writer: &bytes.Buffer{}}, nil); err == nil {
 		t.Fatal("-critpath without a run rendered nothing and no error")
+	}
+}
+
+// TestAblationRecords: an ablation's run is recorded like any figure's:
+// -metrics-out and -trace write their files.
+func TestAblationRecords(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ fig, flag, file string }{
+		{"A5", "-metrics-out", "a5.prom"},
+		{"A1", "-trace", "a1.json"},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if code, _, errOut := flexio("fig", tc.fig, "-small", tc.flag, path); code != 0 {
+			t.Fatalf("fig %s %s: exit %d: %s", tc.fig, tc.flag, code, errOut)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("fig %s %s wrote no file: %v", tc.fig, tc.flag, err)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 
 	"flexio/internal/critpath"
 	"flexio/internal/mpi"
+	"flexio/internal/mpiio"
+	"flexio/internal/trace"
 )
 
 // recording holds the flags that ask for a run's recordings; every command
@@ -30,17 +32,45 @@ func (r *recording) flags(fs *flag.FlagSet) {
 // traced reports whether a recording needs the run's trace.
 func (r *recording) traced() bool { return r.trace != "" || r.critpath }
 
-// render writes what the recordings ask of world w's finished run, in one
-// order for every command: the Chrome trace, the critical path noted into
-// the metrics, the Prometheus exposition.
+// check refuses a flag that shapes a recording nobody asked for.
+func (r *recording) check(fs *flag.FlagSet) error {
+	if r.traced() {
+		return nil
+	}
+	return refuse(fs, []string{"sample"}, "needs -trace or -critpath")
+}
+
+// arm builds on w, before it runs, what the flags ask to record: the node
+// map; the trace, of every rank or, under -sample, of the first
+// info.CbNodes ranks (the aggregators), the node leaders and K sampled
+// members; the metrics.
+func (r *recording) arm(w *mpi.World, info mpiio.Info) {
+	if r.nodes > 0 {
+		w.SetNodeMap(mpi.BlockNodeMap(r.nodes))
+	}
+	switch {
+	case r.traced() && r.sample > 0:
+		always := make([]int, 0, info.CbNodes)
+		for a := 0; a < info.CbNodes && a < w.Size(); a++ {
+			always = append(always, a)
+		}
+		w.EnableSampledTracing(trace.DefaultCapacity, trace.SamplePolicy{Always: always, K: r.sample, Seed: 1})
+	case r.traced():
+		w.EnableTracing(trace.DefaultCapacity)
+	}
+	if r.metricsOut != "" || r.critpath {
+		w.EnableMetrics()
+	}
+}
+
+// render writes what the recordings ask of world w's finished run, armed by
+// arm, in one order for every command: the Chrome trace, the critical path
+// noted into the metrics, the Prometheus exposition.
 func (r *recording) render(out *output, w *mpi.World) error {
-	if w == nil && (r.traced() || r.metricsOut != "") {
-		return errors.New("no run to record: nothing ran")
-	}
-	if r.traced() && w.TraceSink() == nil {
-		return errors.New("-trace and -critpath need a traced run")
-	}
 	if w == nil {
+		if r.traced() || r.metricsOut != "" {
+			return errors.New("no run to record: nothing ran")
+		}
 		return nil
 	}
 	sink, met := w.TraceSink(), w.MetricsSet()

@@ -12,9 +12,10 @@ import (
 	"fmt"
 	"log"
 
+	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
-	"flexio/internal/experiments"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 )
@@ -31,12 +32,12 @@ func run(cfg *sim.Config, extent int64, o core.Options) float64 {
 	regions := blockSize / extent
 	rs := extent / 2
 	ft := datatype.Must(datatype.Resized(datatype.Bytes(rs), extent))
-	spec := func(step, rank int) experiments.StepSpec {
+	spec := func(step, rank int) colltest.StepSpec {
 		buf := make([]byte, rs*regions)
 		for i := range buf {
 			buf[i] = byte(rank + i)
 		}
-		return experiments.StepSpec{
+		return colltest.StepSpec{
 			Filetype: ft,
 			Disp:     int64(rank) * blockSize,
 			Memtype:  datatype.Bytes(rs),
@@ -44,7 +45,7 @@ func run(cfg *sim.Config, extent int64, o core.Options) float64 {
 			Buf:      buf,
 		}
 	}
-	res, err := experiments.RunSteps(cfg, ranks, mpiio.Info{Collective: core.New(o)}, 1, spec)
+	res, err := colltest.WriteSpec(mpi.NewWorld(ranks, cfg), mpiio.Info{Collective: core.New(o)}, 1, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

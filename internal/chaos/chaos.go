@@ -30,14 +30,13 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
+	"flexio/internal/colltest"
 	"flexio/internal/core"
-	"flexio/internal/datatype"
 	"flexio/internal/hpio"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
@@ -566,48 +565,25 @@ type world struct {
 	rf               *mpi.RankFaultSchedule
 }
 
-// transfer runs one transfer of the tile on every rank: collective through
-// info.Collective, or an independent write without one. It returns the
-// per-rank results (nil error and false mismatch for a rank whose goroutine
-// the fault killed mid-call); an Open or SetView failure is a setup error,
-// not a result.
+// transfer runs one transfer of the tile on every rank (colltest.Transfer)
+// and returns the per-rank results: a read also reports each live rank whose
+// call returned nil but whose buffer does not hold the tile's bytes (a rank
+// a fault killed mid-call keeps a nil error and no mismatch). An Open or
+// SetView failure is a setup error, not a result.
 func (e *world) transfer(info mpiio.Info, write bool) (errs []error, mism []bool, setup error) {
-	errs = make([]error, tile.Ranks)
+	spec := colltest.Spec(tile)
+	if !write {
+		for r := range tile.Ranks {
+			clear(spec(0, r).Buf)
+		}
+	}
+	if errs, setup = colltest.Transfer(e.w, e.fs, fname, info, write, 1, spec); setup != nil {
+		return nil, nil, setup
+	}
 	mism = make([]bool, tile.Ranks)
-	setups := make([]error, tile.Ranks)
-	e.w.Run(func(p *mpi.Proc) {
-		f, err := mpiio.Open(p, e.fs, fname, info)
-		if err != nil {
-			setups[p.Rank()] = err
-			return
-		}
-		ft, disp := tile.Filetype(p.Rank())
-		if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
-			setups[p.Rank()] = err
-			return
-		}
-		mt, bufLen := tile.Memtype()
-		switch {
-		case info.Collective == nil:
-			errs[p.Rank()] = f.WriteIndependent(tile.FillBuffer(p.Rank()), mt, tile.RegionCount)
-		case write:
-			errs[p.Rank()] = f.WriteAll(tile.FillBuffer(p.Rank()), mt, tile.RegionCount)
-		default:
-			buf := make([]byte, bufLen)
-			if err := f.ReadAll(buf, mt, tile.RegionCount); err != nil {
-				errs[p.Rank()] = err
-			} else {
-				got, _ := datatype.Pack(buf, mt, 0, tile.RegionCount)
-				exp, _ := datatype.Pack(tile.FillBuffer(p.Rank()), mt, 0, tile.RegionCount)
-				mism[p.Rank()] = !bytes.Equal(got, exp)
-			}
-		}
-		f.Close()
-	})
-	for _, err := range setups {
-		if err != nil {
-			return nil, nil, err
-		}
+	dead := e.w.FailedRanks()
+	for r, err := range errs {
+		mism[r] = !write && err == nil && !slices.Contains(dead, r) && !colltest.ReadMatches(tile, r, spec(0, r).Buf)
 	}
 	return errs, mism, nil
 }

@@ -62,18 +62,16 @@ func TestCommMatrixMatchesShuffleCounters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Comm == nil {
-					t.Fatal("harness recorded no comm matrix")
-				}
-				if res.Comm.TotalBytes() == 0 {
+				comm := res.World.CommMatrix()
+				if comm.TotalBytes() == 0 {
 					t.Fatal("comm matrix recorded no traffic")
 				}
 				for r := 0; r < wl.Ranks; r++ {
-					reg := res.Metrics.Registry(r)
+					reg := res.World.Proc(r).Metrics
 					sent := reg.Counter(metrics.CShuffleSendBytes)
 					recv := reg.Counter(metrics.CShuffleRecvBytes)
-					row := res.Comm.ShuffleRowBytes(r)
-					col := res.Comm.ShuffleColBytes(r)
+					row := comm.ShuffleRowBytes(r)
+					col := comm.ShuffleColBytes(r)
 					if write {
 						if row != sent {
 							t.Errorf("rank %d: shuffle row sum %d != shuffle_send_bytes %d", r, row, sent)
@@ -105,11 +103,12 @@ func TestCommMatrixNodeSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	comm := res.World.CommMatrix()
 	var shuffle int64
 	for r := 0; r < wl.Ranks; r++ {
-		shuffle += res.Comm.ShuffleRowBytes(r)
+		shuffle += comm.ShuffleRowBytes(r)
 	}
-	inter, intra := res.Comm.NodeSplit(mpi.BlockNodeMap(2))
+	inter, intra := comm.NodeSplit(mpi.BlockNodeMap(2))
 	if inter+intra != shuffle {
 		t.Errorf("node split %d+%d does not partition shuffle bytes %d", inter, intra, shuffle)
 	}
@@ -120,9 +119,9 @@ func TestCommMatrixNodeSplit(t *testing.T) {
 	// intra-node.
 	var diag int64
 	for r := 0; r < wl.Ranks; r++ {
-		diag += res.Comm.Cell(r, r).ShuffleBytes
+		diag += comm.Cell(r, r).ShuffleBytes
 	}
-	interAll, intraAll := res.Comm.NodeSplit(nil)
+	interAll, intraAll := comm.NodeSplit(nil)
 	if intraAll != diag || interAll != shuffle-diag {
 		t.Errorf("identity node map split = (%d, %d), want (%d, %d)", interAll, intraAll, shuffle-diag, diag)
 	}

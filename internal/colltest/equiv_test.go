@@ -82,7 +82,9 @@ func TestRandomizedWriteCorrectness(t *testing.T) {
 		if info.Collective != nil {
 			name = info.Collective.Name()
 		}
-		res, err := RunWriteSteps(sim.DefaultConfig(), wl, info, 2) // the second call hits the memo
+		w := NewWorld(sim.DefaultConfig(), wl)
+		sink := w.EnableTracing(0)
+		res, err := Write(w, wl, info, 2) // the second call hits the memo
 		if err != nil {
 			t.Fatalf("trial %d (%s, %s): %v", trial, wl, name, err)
 		}
@@ -90,7 +92,7 @@ func TestRandomizedWriteCorrectness(t *testing.T) {
 			t.Fatalf("trial %d (%s, %s, cb=%d naggs=%d): %v",
 				trial, wl, name, info.CollBufSize, info.CbNodes, err)
 		}
-		if err := res.CheckTrace(); err != nil {
+		if err := sink.Check(); err != nil {
 			t.Fatalf("trial %d (%s, %s): %v", trial, wl, name, err)
 		}
 	}
@@ -106,14 +108,15 @@ func TestRandomizedWriteCorrectness(t *testing.T) {
 func TestTraceDeterministicExport(t *testing.T) {
 	wl := Workload{Ranks: 4, RegionSize: 97, RegionCount: 23, Spacing: 31, Disp: 5, MemNoncontig: true, MemGap: 7}
 	info := mpiio.Info{Collective: core.New(core.Options{Validate: true}), CollBufSize: 1 << 10}
-	res, err := RunWrite(sim.DefaultConfig(), wl, info)
-	if err != nil {
+	w := NewWorld(sim.DefaultConfig(), wl)
+	sink := w.EnableTracing(0)
+	if _, err := Write(w, wl, info, 1); err != nil {
 		t.Fatal(err)
 	}
 	var exports [2][]byte
 	for i := range exports {
 		var buf bytes.Buffer
-		if err := res.Trace.WriteChromeTrace(&buf); err != nil {
+		if err := sink.WriteChromeTrace(&buf); err != nil {
 			t.Fatalf("export %d: %v", i, err)
 		}
 		exports[i] = buf.Bytes()

@@ -20,14 +20,13 @@ import (
 func TestMetricsMatchStats(t *testing.T) {
 	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
 	for _, coll := range []mpiio.Collective{core.ROMIO(core.Options{}), core.New(core.Options{Validate: true})} {
-		res, err := RunWrite(sim.DefaultConfig(), wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10})
+		w := NewWorld(sim.DefaultConfig(), wl)
+		met := w.EnableMetrics()
+		res, err := Write(w, wl, mpiio.Info{Collective: coll, CollBufSize: 1 << 10}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", coll.Name(), err)
 		}
-		if res.Metrics == nil {
-			t.Fatalf("%s: harness did not enable metrics", coll.Name())
-		}
-		merged := res.Metrics.Merged()
+		merged := met.Merged()
 
 		flat := stats.Merge(res.World.Recorders()...)
 		for _, ph := range []metrics.Phase{metrics.PFlatten, metrics.PExchange, metrics.PComm, metrics.PIO, metrics.PCopy} {
@@ -56,14 +55,14 @@ func TestMetricsMatchStats(t *testing.T) {
 		if merged.Counter(metrics.CRealmsAssigned) == 0 {
 			t.Errorf("%s: no realms recorded", coll.Name())
 		}
-		d := res.Metrics.Dump(false)
+		d := met.Dump(false)
 		if len(d.Rounds) == 0 {
 			t.Errorf("%s: empty flight dump", coll.Name())
 		}
 
 		// And the exposition must round-trip.
 		var buf bytes.Buffer
-		if err := res.Metrics.WriteProm(&buf); err != nil {
+		if err := met.WriteProm(&buf); err != nil {
 			t.Fatalf("%s: WriteProm: %v", coll.Name(), err)
 		}
 		if _, err := metrics.ParseProm(bytes.NewReader(buf.Bytes())); err != nil {
@@ -80,12 +79,14 @@ func TestMetricsMatchStats(t *testing.T) {
 // either view.
 func TestResetClocksClearsEveryRecorder(t *testing.T) {
 	wl := Workload{Ranks: 5, RegionSize: 64, RegionCount: 40, Spacing: 16, MemNoncontig: true, MemGap: 3}
-	res, err := RunReadBack(sim.DefaultConfig(), wl, mpiio.Info{Collective: core.New(core.Options{}), CollBufSize: 1 << 10})
+	w := NewWorld(sim.DefaultConfig(), wl)
+	met := w.EnableMetrics()
+	res, err := ReadBack(w, wl, mpiio.Info{Collective: core.New(core.Options{}), CollBufSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat := stats.Merge(res.World.Recorders()...)
-	merged := res.Metrics.Merged()
+	merged := met.Merged()
 	for c := metrics.Counter(0); int(c) < metrics.CounterCount(); c++ {
 		table, expo := metrics.TableName(c), metrics.CounterName(c)
 		if table == "" || expo == "" {

@@ -7,6 +7,7 @@ import (
 
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/hpio"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -31,11 +32,7 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 		return int64(rank * size)
 	}
 	fill := func(rank int) []byte {
-		buf := make([]byte, regions*size)
-		for k := range buf {
-			buf[k] = Byte(rank, int64(k))
-		}
-		return buf
+		return hpio.Fill(make([]byte, regions*size), rank, 0)
 	}
 	want := make([]byte, regions*ranks*size)
 	for rank := 0; rank < ranks; rank++ { // ascending: the highest rank lands last
@@ -59,32 +56,14 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 				w.SetNodeMap(mpi.BlockNodeMap(2)) // 5 and 6 sit on different nodes
 				fs := pfs.NewFileSystem(cfg)
 				info := mpiio.Info{Collective: mk(), CbNodes: 2, CollBufSize: cb}
-				errs := make(chan error, ranks)
-				w.Run(func(p *mpi.Proc) {
-					f, err := mpiio.Open(p, fs, "overlap.dat", info)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if err := f.SetView(disp(p.Rank()), datatype.Bytes(1), ft); err != nil {
-						errs <- err
-						return
-					}
-					buf := fill(p.Rank())
-					for step := 0; step < 2; step++ { // the second call hits the memo
-						if err := f.WriteAll(buf, datatype.Bytes(int64(len(buf))), 1); err != nil {
-							errs <- err
-							return
-						}
-					}
-					errs <- f.Close()
-				})
-				for i := 0; i < ranks; i++ {
-					if err := <-errs; err != nil {
-						t.Fatal(err)
-					}
+				spec := func(_, rank int) StepSpec {
+					buf := fill(rank)
+					return StepSpec{Filetype: ft, Disp: disp(rank), Memtype: datatype.Bytes(int64(len(buf))), Count: 1, Buf: buf}
 				}
-				if got := fs.Snapshot("overlap.dat", int64(len(want))); !bytes.Equal(got, want) {
+				if err := run(w, fs, info, true, 2, spec); err != nil { // the second call hits the memo
+					t.Fatal(err)
+				}
+				if got := fs.Snapshot(File, int64(len(want))); !bytes.Equal(got, want) {
 					for k := range want {
 						if got[k] != want[k] {
 							t.Fatalf("file byte %d = %d, want %d (slot %d)", k, got[k], want[k], (k/size)%ranks)
@@ -104,11 +83,7 @@ func TestOverlappingWritesHighestRankWins(t *testing.T) {
 func TestContainedWritesHighestRankWins(t *testing.T) {
 	regions := []struct{ disp, n int64 }{{0, 100}, {50, 10}}
 	fill := func(rank int) []byte {
-		buf := make([]byte, regions[rank].n)
-		for k := range buf {
-			buf[k] = Byte(rank, int64(k))
-		}
-		return buf
+		return hpio.Fill(make([]byte, regions[rank].n), rank, 0)
 	}
 	want := make([]byte, 100)
 	for rank := range regions { // ascending: the highest rank lands last

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"flexio/internal/core"
-	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
@@ -47,11 +46,11 @@ func TestRecorderGolden(t *testing.T) {
 	}
 	runs := map[string]func() (recorderRun, error){
 		"new_write": func() (recorderRun, error) {
-			res, err := RunWrite(cfg(), wl, mpiio.Info{Collective: core.New(core.Options{Validate: true}), CollBufSize: cb, CbNodes: 2})
+			res, err := Write(recorded(cfg(), wl), wl, mpiio.Info{Collective: core.New(core.Options{Validate: true}), CollBufSize: cb, CbNodes: 2}, 1)
 			return recorderRun{res: res}, err
 		},
 		"romio_write": func() (recorderRun, error) {
-			res, err := RunWrite(cfg(), wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: cb, CbNodes: 2})
+			res, err := Write(recorded(cfg(), wl), wl, mpiio.Info{Collective: core.ROMIO(core.Options{}), CollBufSize: cb, CbNodes: 2}, 1)
 			return recorderRun{res: res}, err
 		},
 		"new_read": func() (recorderRun, error) {
@@ -63,8 +62,8 @@ func TestRecorderGolden(t *testing.T) {
 			return recorderRun{res: res, exact: true}, err
 		},
 		"a2a_write": func() (recorderRun, error) {
-			res, err := RunWrite(cfg(), wl, mpiio.Info{
-				Collective: core.New(core.Options{Comm: core.Alltoallw, Method: mpiio.DataSieve}), CollBufSize: cb, CbNodes: 2})
+			res, err := Write(recorded(cfg(), wl), wl, mpiio.Info{
+				Collective: core.New(core.Options{Comm: core.Alltoallw, Method: mpiio.DataSieve}), CollBufSize: cb, CbNodes: 2}, 1)
 			return recorderRun{res: res, exact: true}, err
 		},
 		"storage_chaos": func() (recorderRun, error) {
@@ -150,13 +149,14 @@ func listRecorders(t *testing.T, rr recorderRun) string {
 		return keepLines(buf.String(), rr.exact, func(l string) bool { return strings.Contains(l, "_total") }, "flexio_bufpool_")
 	}
 	section("prometheus (per rank)")
-	b.WriteString(prom(func(buf *bytes.Buffer) error { return rr.res.Metrics.WriteProm(buf) }))
+	met := rr.res.World.MetricsSet()
+	b.WriteString(prom(func(buf *bytes.Buffer) error { return met.WriteProm(buf) }))
 	section("prometheus (per node)")
-	ru := metrics.NewRollup(rr.res.Metrics, metrics.NodeOfBlock(2))
+	ru := metrics.NewRollup(met, metrics.NodeOfBlock(2))
 	b.WriteString(prom(func(buf *bytes.Buffer) error { return ru.WriteProm(buf) }))
 	section("flight (canonical)")
 	var buf bytes.Buffer
-	if err := rr.res.Metrics.Dump(false).WriteJSON(&buf); err != nil {
+	if err := met.Dump(false).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(buf.String())
@@ -182,6 +182,14 @@ next:
 	return b.String()
 }
 
+// recorded builds the workload's world with its trace and metrics armed.
+func recorded(cfg *sim.Config, wl Workload) *mpi.World {
+	w := NewWorld(cfg, wl)
+	w.EnableTracing(0)
+	w.EnableMetrics()
+	return w
+}
+
 // readFresh writes the workload collectively, then reads it back with the
 // same collective in a second world over the same file system, so the
 // recorders hold the read alone.
@@ -192,40 +200,20 @@ func readFresh(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error) {
 	}
 	fs := seed.FS
 	fs.ResetTiming()
-	w := mpi.NewWorld(wl.Ranks, cfg)
-	w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
-	sink := w.EnableTracing(0)
-	met := w.EnableMetrics()
-	errs := make([]error, wl.Ranks)
-	w.Run(func(p *mpi.Proc) {
-		errs[p.Rank()] = func() error {
-			f, err := mpiio.Open(p, fs, "coll.dat", info)
-			if err != nil {
-				return err
-			}
-			ft, disp := wl.Filetype(p.Rank())
-			if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
-				return err
-			}
-			mt, bufLen := wl.Memtype()
-			buf := make([]byte, bufLen)
-			if err := f.ReadAll(buf, mt, wl.RegionCount); err != nil {
-				return err
-			}
-			got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
-			exp, _ := datatype.Pack(wl.FillBuffer(p.Rank()), mt, 0, wl.RegionCount)
-			if !bytes.Equal(got, exp) {
-				return fmt.Errorf("rank %d: read-back data mismatch", p.Rank())
-			}
-			return f.Close()
-		}()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
+	w := recorded(cfg, wl)
+	spec := Spec(wl)
+	for r := range wl.Ranks {
+		clear(spec(0, r).Buf)
+	}
+	if err := run(w, fs, info, false, 1, spec); err != nil {
+		return Result{}, err
+	}
+	for r := range wl.Ranks {
+		if !ReadMatches(wl, r, spec(0, r).Buf) {
+			return Result{}, fmt.Errorf("rank %d: read-back data mismatch", r)
 		}
 	}
-	return Result{Elapsed: w.MaxClock(), World: w, FS: fs, Trace: sink, Metrics: met}, nil
+	return Result{Elapsed: w.MaxClock(), World: w, FS: fs}, nil
 }
 
 // writeFaulted is one collective write under a storage fault schedule that
@@ -236,36 +224,12 @@ func writeFaulted(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error)
 	fs.SetFaultSchedule(pfs.NewFaultSchedule(7).
 		Add(pfs.Rule{Class: pfs.ClassTransient, Count: 2}).
 		Add(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2}))
-	w := mpi.NewWorld(wl.Ranks, cfg)
-	w.SetNodeMap(mpi.BlockNodeMap(wl.NodeRanks))
-	sink := w.EnableTracing(0)
-	met := w.EnableMetrics()
-	errs := make([]error, wl.Ranks)
-	w.Run(func(p *mpi.Proc) {
-		errs[p.Rank()] = func() error {
-			f, err := mpiio.Open(p, fs, "coll.dat", info)
-			if err != nil {
-				return err
-			}
-			ft, disp := wl.Filetype(p.Rank())
-			if err := f.SetView(disp, datatype.Bytes(1), ft); err != nil {
-				return err
-			}
-			mt, _ := wl.Memtype()
-			if err := f.WriteAll(wl.FillBuffer(p.Rank()), mt, wl.RegionCount); err != nil {
-				return err
-			}
-			return f.Close()
-		}()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	res := Result{Elapsed: w.MaxClock(), World: w, FS: fs, Trace: sink, Metrics: met}
-	if err := VerifyImage(wl, fs.Snapshot("coll.dat", int64(len(wl.Reference())))); err != nil {
+	w := recorded(cfg, wl)
+	if err := run(w, fs, info, true, 1, Spec(wl)); err != nil {
 		return Result{}, err
 	}
-	return res, nil
+	if err := VerifyImage(wl, fs.Snapshot(File, wl.FileSize())); err != nil {
+		return Result{}, err
+	}
+	return Result{Elapsed: w.MaxClock(), World: w, FS: fs}, nil
 }

@@ -1,7 +1,6 @@
 package colltest
 
 import (
-	"bytes"
 	"fmt"
 
 	"flexio/internal/datatype"
@@ -10,24 +9,21 @@ import (
 	"flexio/internal/pfs"
 )
 
-// sessionFile is the file a Session opens.
-const sessionFile = "steady.dat"
-
 // Session is a warm steady-state harness: one file open on every rank with
 // the workload's view installed, ready to issue the same collective call
 // again and again. Everything per open is paid and the file and page state
 // have reached their fixed point, so a Step costs what one call costs in
 // steady state. The caller builds and configures the world and the file
 // system (node map, integrity, tracing, metrics, deadline) before opening
-// one; the handles outlive the World.Run that opened them.
+// one; the handles outlive the World.Run that opened them, which is what
+// sets a Session apart from Transfer.
 type Session struct {
 	w     *mpi.World
 	fs    *pfs.FileSystem
 	wl    Workload
 	write bool
-	mt    datatype.Type
+	spec  func(step, rank int) StepSpec
 	files []*mpiio.File
-	bufs  [][]byte
 	errs  []error
 	call  func(p *mpi.Proc) // bound once: a Step allocates what World.Run does
 }
@@ -40,17 +36,16 @@ type Session struct {
 // call's virtual time is that of the steady state.
 func NewSession(w *mpi.World, fs *pfs.FileSystem, wl Workload, info mpiio.Info, write bool) (*Session, error) {
 	// A read session's first call is the seeding write.
-	s := &Session{w: w, fs: fs, wl: wl, write: true,
-		files: make([]*mpiio.File, wl.Ranks), bufs: make([][]byte, wl.Ranks), errs: make([]error, wl.Ranks)}
-	s.mt, _ = wl.Memtype()
+	s := &Session{w: w, fs: fs, wl: wl, write: true, spec: Spec(wl),
+		files: make([]*mpiio.File, wl.Ranks), errs: make([]error, wl.Ranks)}
 	w.Run(func(p *mpi.Proc) {
 		r := p.Rank()
-		f, err := mpiio.Open(p, fs, sessionFile, info)
+		f, err := mpiio.Open(p, fs, File, info)
 		if err == nil {
-			ft, disp := wl.Filetype(r)
-			err = f.SetView(disp, datatype.Bytes(1), ft)
+			sp := s.spec(0, r)
+			err = f.SetView(sp.Disp, datatype.Bytes(1), sp.Filetype)
 		}
-		s.files[r], s.errs[r], s.bufs[r] = f, err, wl.FillBuffer(r)
+		s.files[r], s.errs[r] = f, err
 	})
 	if err := s.check("open"); err != nil {
 		return nil, err
@@ -62,8 +57,8 @@ func NewSession(w *mpi.World, fs *pfs.FileSystem, wl Workload, info mpiio.Info, 
 		if err := s.Step(); err != nil {
 			return nil, err
 		}
-		for _, b := range s.bufs {
-			clear(b)
+		for r := range wl.Ranks {
+			clear(s.spec(0, r).Buf)
 		}
 		s.write = false
 	}
@@ -77,10 +72,11 @@ func NewSession(w *mpi.World, fs *pfs.FileSystem, wl Workload, info mpiio.Info, 
 
 func (s *Session) rankCall(p *mpi.Proc) {
 	r := p.Rank()
+	sp := s.spec(0, r)
 	if s.write {
-		s.errs[r] = s.files[r].WriteAll(s.bufs[r], s.mt, s.wl.RegionCount)
+		s.errs[r] = s.files[r].WriteAll(sp.Buf, sp.Memtype, sp.Count)
 	} else {
-		s.errs[r] = s.files[r].ReadAll(s.bufs[r], s.mt, s.wl.RegionCount)
+		s.errs[r] = s.files[r].ReadAll(sp.Buf, sp.Memtype, sp.Count)
 	}
 }
 
@@ -108,12 +104,10 @@ func (s *Session) File(rank int) *mpiio.File { return s.files[rank] }
 // rank wrote.
 func (s *Session) Verify() error {
 	if s.write {
-		return VerifyImage(s.wl, s.fs.Snapshot(sessionFile, int64(len(s.wl.Reference()))))
+		return VerifyImage(s.wl, s.fs.Snapshot(File, s.wl.FileSize()))
 	}
-	for r, buf := range s.bufs {
-		got, _ := datatype.Pack(buf, s.mt, 0, s.wl.RegionCount)
-		want, _ := datatype.Pack(s.wl.FillBuffer(r), s.mt, 0, s.wl.RegionCount)
-		if !bytes.Equal(got, want) {
+	for r := range s.wl.Ranks {
+		if !ReadMatches(s.wl, r, s.spec(0, r).Buf) {
 			return fmt.Errorf("colltest: rank %d read back other bytes than it wrote", r)
 		}
 	}

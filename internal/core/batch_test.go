@@ -83,11 +83,19 @@ func aggWrites(tr *trace.Tracer) (writes []batchWrite) {
 	return writes
 }
 
+// recorded builds the workload's world with its trace and metrics armed.
+func recorded(cfg *sim.Config, wl colltest.Workload) *mpi.World {
+	w := colltest.NewWorld(cfg, wl)
+	w.EnableTracing(0)
+	w.EnableMetrics()
+	return w
+}
+
 // dataRounds counts the rounds aggregator a gathered data in, from the
 // flight recorder.
 func dataRounds(res colltest.Result, a int) int {
 	n := 0
-	for _, rs := range res.Metrics.Dump(false).Rounds {
+	for _, rs := range res.World.MetricsSet().Dump(false).Rounds {
 		if rs.RecvBytes[a] > 0 {
 			n++
 		}
@@ -110,9 +118,9 @@ func TestWriteBatchesSparseRounds(t *testing.T) {
 	} {
 		for _, comm := range []core.CommStrategy{core.Nonblocking, core.Alltoallw, core.Blocking} {
 			t.Run(fmt.Sprintf("%s/sieve=%d", comm, tc.sieve), func(t *testing.T) {
-				res, err := colltest.RunWrite(sim.DefaultConfig(), batchWorkload, mpiio.Info{
+				res, err := colltest.Write(recorded(sim.DefaultConfig(), batchWorkload), batchWorkload, mpiio.Info{
 					Collective: core.New(core.Options{Comm: comm}), CbNodes: batchAggs,
-					CollBufSize: batchCB, SieveBufSize: tc.sieve})
+					CollBufSize: batchCB, SieveBufSize: tc.sieve}, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +128,7 @@ func TestWriteBatchesSparseRounds(t *testing.T) {
 					t.Fatal(err)
 				}
 				for a := 0; a < batchAggs; a++ {
-					writes, rounds := aggWrites(res.Trace.Tracer(a)), dataRounds(res, a)
+					writes, rounds := aggWrites(res.World.TraceSink().Tracer(a)), dataRounds(res, a)
 					if rounds != batchRounds || len(writes) != tc.batches {
 						t.Fatalf("aggregator %d: %d writes of %d rounds, want %d of %d", a, len(writes), rounds, tc.batches, batchRounds)
 					}
@@ -150,9 +158,9 @@ func TestWriteBatchBounds(t *testing.T) {
 		{1024, 1024}, {1024, 1536}, {1024, 3000}, {512, 3000}, {1000, 5000}, {3000, 1024}, {1024, 1 << 20},
 	} {
 		t.Run(fmt.Sprintf("cb=%d/sieve=%d", tc.cb, tc.sieve), func(t *testing.T) {
-			res, err := colltest.RunWrite(sim.DefaultConfig(), batchWorkload, mpiio.Info{
+			res, err := colltest.Write(recorded(sim.DefaultConfig(), batchWorkload), batchWorkload, mpiio.Info{
 				Collective: core.New(core.Options{}), CbNodes: batchAggs,
-				CollBufSize: tc.cb, SieveBufSize: tc.sieve})
+				CollBufSize: tc.cb, SieveBufSize: tc.sieve}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +168,7 @@ func TestWriteBatchBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for a := 0; a < batchAggs; a++ {
-				writes := aggWrites(res.Trace.Tracer(a))
+				writes := aggWrites(res.World.TraceSink().Tracer(a))
 				for k, w := range writes {
 					if w.bytes > tc.cb {
 						t.Errorf("aggregator %d batch %d: %d bytes, cb is %d", a, k, w.bytes, tc.cb)
@@ -191,8 +199,8 @@ func TestWriteBatchBounds(t *testing.T) {
 		{"sparse/romio", batchWorkload, func() mpiio.Collective { return core.ROMIO(core.Options{}) }, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := colltest.RunWrite(sim.DefaultConfig(), tc.wl, mpiio.Info{
-				Collective: tc.coll(), CbNodes: batchAggs, CollBufSize: batchCB})
+			res, err := colltest.Write(recorded(sim.DefaultConfig(), tc.wl), tc.wl, mpiio.Info{
+				Collective: tc.coll(), CbNodes: batchAggs, CollBufSize: batchCB}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +208,7 @@ func TestWriteBatchBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for a := 0; a < batchAggs; a++ {
-				if writes, rounds := aggWrites(res.Trace.Tracer(a)), dataRounds(res, a); len(writes) != rounds {
+				if writes, rounds := aggWrites(res.World.TraceSink().Tracer(a)), dataRounds(res, a); len(writes) != rounds {
 					t.Errorf("aggregator %d: %d writes for %d rounds with data, want one a round", a, len(writes), rounds)
 				}
 			}

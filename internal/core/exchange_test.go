@@ -125,14 +125,16 @@ func TestRequestExchangeHidesIntersections(t *testing.T) {
 	const naggs = 4
 	cfg := sim.DefaultConfig()
 	run := func() colltest.Result {
-		res, err := colltest.RunWrite(cfg, wl, mpiio.Info{Collective: New(Options{}), CbNodes: naggs, CollBufSize: 8 << 10})
+		w := colltest.NewWorld(cfg, wl)
+		w.EnableTracing(0)
+		res, err := colltest.Write(w, wl, mpiio.Info{Collective: New(Options{}), CbNodes: naggs, CollBufSize: 8 << 10}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := colltest.VerifyImage(wl, res.Image); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.CheckTrace(); err != nil {
+		if err := w.TraceSink().Check(); err != nil {
 			t.Fatal(err)
 		}
 		return res
@@ -144,7 +146,7 @@ func TestRequestExchangeHidesIntersections(t *testing.T) {
 
 	pr := make([]preRound, wl.Ranks)
 	for r := range pr {
-		pr[r] = preRoundOf(res.Trace.Tracer(r))
+		pr[r] = preRoundOf(res.World.TraceSink().Tracer(r))
 	}
 	var entry sim.Time // the latest an aggregator could enter the round-count allreduce
 	for a := 0; a < naggs; a++ {
@@ -174,9 +176,9 @@ func TestRequestExchangeHidesIntersections(t *testing.T) {
 			t.Errorf("%s %d, %d with every receive posted at its wait", metrics.TableName(c), got.Counter(c), want.Counter(c))
 		}
 	}
-	if res.Comm.TotalMsgs() != ref.Comm.TotalMsgs() || res.Comm.TotalBytes() != ref.Comm.TotalBytes() {
+	if got, want := res.World.CommMatrix(), ref.World.CommMatrix(); got.TotalMsgs() != want.TotalMsgs() || got.TotalBytes() != want.TotalBytes() {
 		t.Errorf("%d messages of %d bytes, %d of %d with every receive posted at its wait",
-			res.Comm.TotalMsgs(), res.Comm.TotalBytes(), ref.Comm.TotalMsgs(), ref.Comm.TotalBytes())
+			got.TotalMsgs(), got.TotalBytes(), want.TotalMsgs(), want.TotalBytes())
 	}
 }
 
@@ -236,17 +238,18 @@ func TestReadFillsRoundZeroBehindCountAgreement(t *testing.T) {
 	strategies := []CommStrategy{Nonblocking, Blocking, Alltoallw}
 	for _, comm := range strategies {
 		t.Run(comm.String(), func(t *testing.T) {
-			res, err := colltest.RunReadBack(sim.DefaultConfig(), zeroWorkload,
-				mpiio.Info{Collective: New(Options{Comm: comm}), CbNodes: 2, CollBufSize: 1024})
-			if err != nil {
+			w := colltest.NewWorld(sim.DefaultConfig(), zeroWorkload)
+			sink := w.EnableTracing(0)
+			if _, err := colltest.ReadBack(w, zeroWorkload,
+				mpiio.Info{Collective: New(Options{Comm: comm}), CbNodes: 2, CollBufSize: 1024}); err != nil {
 				t.Fatal(err)
 			}
 			for a := 0; a < 2; a++ {
-				pr := preRoundOf(res.Trace.Tracer(a))
+				pr := preRoundOf(sink.Tracer(a))
 				if !pr.counted || len(pr.ioCalls) == 0 {
 					t.Fatalf("aggregator %d issued no file access between the round count's start and round 0", a)
 				}
-				done := countDone(res.Trace, zeroWorkload.Ranks, pr.countSeq)
+				done := countDone(sink, zeroWorkload.Ranks, pr.countSeq)
 				for _, at := range pr.ioCalls {
 					if at < pr.countEnter || at >= done {
 						t.Errorf("aggregator %d read round 0 at %v, outside the round count's flight [%v, %v)", a, at, pr.countEnter, done)

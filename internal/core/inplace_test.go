@@ -11,6 +11,7 @@ import (
 	"flexio/internal/bufpool"
 	"flexio/internal/colltest"
 	"flexio/internal/datatype"
+	"flexio/internal/hpio"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
@@ -128,11 +129,7 @@ func sparse(rank int) (int64, datatype.Type, []byte) {
 // [0, 3000) holds rank 1's [100, 300), and ranks 2 and 3 overlap at the ends.
 func nested(rank int) (int64, datatype.Type, []byte) {
 	at := [][2]int64{{0, 3000}, {100, 200}, {2900, 600}, {3400, 600}}[rank]
-	data := make([]byte, at[1])
-	for k := range data {
-		data[k] = colltest.Byte(rank, int64(k))
-	}
-	return at[0], datatype.Bytes(at[1]), data
+	return at[0], datatype.Bytes(at[1]), hpio.Fill(make([]byte, at[1]), rank, 0)
 }
 
 // TestInPlaceWriteMatchesGatheredCopy: every edge the view-fed write path

@@ -54,8 +54,8 @@ func aheadWrite(t *testing.T, w *mpi.World, fs *pfs.FileSystem) []error {
 // while slower peers are still finishing its last round. The file is still
 // exact.
 func TestLaggedAgreementFlushesAhead(t *testing.T) {
-	res, err := colltest.RunWrite(sim.DefaultConfig(), aheadWorkload, mpiio.Info{
-		Collective: core.New(core.Options{Comm: core.Nonblocking}), CbNodes: aheadAggs, CollBufSize: aheadCB})
+	res, err := colltest.Write(recorded(sim.DefaultConfig(), aheadWorkload), aheadWorkload, mpiio.Info{
+		Collective: core.New(core.Options{Comm: core.Nonblocking}), CbNodes: aheadAggs, CollBufSize: aheadCB}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLaggedAgreementFlushesAhead(t *testing.T) {
 		var written, agreed []sim.Time
 		var open []string // names of the open spans, err_agree for an agreement
 		ended, begun := 0, false
-		for _, e := range res.Trace.Tracer(a).Events() {
+		for _, e := range res.World.TraceSink().Tracer(a).Events() {
 			switch e.Kind {
 			case trace.KindBegin:
 				name := e.Name

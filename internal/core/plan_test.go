@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
+	"flexio/internal/hpio"
 	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/pfs"
@@ -238,38 +240,15 @@ func TestNonMonotoneHIndexedView(t *testing.T) {
 	const count = 5 // filetype instances per rank
 	write := func(coll mpiio.Collective, name string, fs *pfs.FileSystem, w *mpi.World) {
 		t.Helper()
-		errs := make(chan error, ranks)
-		w.Run(func(p *mpi.Proc) {
-			f, err := mpiio.Open(p, fs, name, mpiio.Info{Collective: coll, IndepMethod: mpiio.Naive, CbNodes: 2, CollBufSize: 256})
-			if err != nil {
-				errs <- err
-				return
-			}
-			ft, disp := view(p.Rank())
-			if err := f.SetView(disp, byteType, ft); err != nil {
-				errs <- err
-				return
-			}
-			buf := make([]byte, count*4*blk)
-			for k := range buf {
-				buf[k] = colltest.Byte(p.Rank(), int64(k))
-			}
-			mt := datatype.Bytes(int64(len(buf)))
-			if coll == nil {
-				err = f.WriteIndependent(buf, mt, 1)
-			} else {
-				err = f.WriteAll(buf, mt, 1)
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
-			errs <- f.Close()
-		})
-		for i := 0; i < ranks; i++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
+		spec := func(_, rank int) colltest.StepSpec {
+			ft, disp := view(rank)
+			buf := hpio.Fill(make([]byte, count*4*blk), rank, 0)
+			return colltest.StepSpec{Filetype: ft, Disp: disp, Memtype: datatype.Bytes(int64(len(buf))), Count: 1, Buf: buf}
+		}
+		info := mpiio.Info{Collective: coll, IndepMethod: mpiio.Naive, CbNodes: 2, CollBufSize: 256}
+		errs, err := colltest.Transfer(w, fs, name, info, true, 1, spec)
+		if err := errors.Join(append(errs, err)...); err != nil {
+			t.Fatal(err)
 		}
 	}
 	cfg := sim.DefaultConfig()

@@ -187,8 +187,8 @@ func TestPreaggShuffleAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inter, intra := res.Comm.NodeSplit(res.World.NodeMap())
-			m := res.Metrics.Merged()
+			inter, intra := res.World.CommMatrix().NodeSplit(res.World.NodeMap())
+			m := res.World.Totals()
 			if got := m.Counter(metrics.CShuffleInterNodeBytes); got != inter {
 				t.Fatalf("internode shuffle: matrix %d, counters %d", inter, got)
 			}
@@ -293,7 +293,7 @@ func TestPreaggLeaderCarriesRoundData(t *testing.T) {
 		if leader == r {
 			continue
 		}
-		if out := res.Comm.ShuffleRowBytes(r); out != 0 {
+		if out := res.World.CommMatrix().ShuffleRowBytes(r); out != 0 {
 			t.Fatalf("member rank %d sent %d shuffle bytes; leaders should carry the rounds", r, out)
 		}
 	}

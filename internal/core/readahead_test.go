@@ -135,7 +135,7 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.NetBandwidth = tc.netBandwidth
 			run := func(comm core.CommStrategy) colltest.Result {
-				res, err := colltest.RunReadBack(cfg, wl, mpiio.Info{
+				res, err := colltest.ReadBack(recorded(cfg, wl), wl, mpiio.Info{
 					Collective: core.New(core.Options{Comm: comm}), CbNodes: 1, CollBufSize: 64 << 10})
 				if err != nil {
 					t.Fatal(err)
@@ -150,7 +150,7 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			}
 
 			res := run(core.Nonblocking)
-			if err := res.CheckTrace(); err != nil {
+			if err := res.World.TraceSink().Check(); err != nil {
 				t.Fatal(err)
 			}
 			if got := math.Float64bits(float64(res.Elapsed)); got != tc.nonblocking {
@@ -161,11 +161,11 @@ func TestReadAheadOverlapsExchange(t *testing.T) {
 			}
 			tl := make([][]rankRound, wl.Ranks)
 			for rank := range tl {
-				if tl[rank] = rankRounds(res.Trace.Tracer(rank), nil); len(tl[rank]) != rounds {
+				if tl[rank] = rankRounds(res.World.TraceSink().Tracer(rank), nil); len(tl[rank]) != rounds {
 					t.Fatalf("rank %d walked %d rounds, want %d", rank, len(tl[rank]), rounds)
 				}
 				ahead := 0
-				for _, sp := range roundSpans(res.Trace.Tracer(rank)) {
+				for _, sp := range roundSpans(res.World.TraceSink().Tracer(rank)) {
 					if sp.nested {
 						ahead++
 					}
@@ -453,14 +453,14 @@ func TestReadAheadDegrades(t *testing.T) {
 // alone waits for it, a round later), so it crosses the wire while round r is
 // placed. A payload belongs to the round its receiver takes it in.
 func TestReadAheadSendsBeforeAgreement(t *testing.T) {
-	res, err := colltest.RunReadBack(sim.DefaultConfig(), aheadWorkload, mpiio.Info{
+	res, err := colltest.ReadBack(recorded(sim.DefaultConfig(), aheadWorkload), aheadWorkload, mpiio.Info{
 		Collective: core.New(core.Options{}), CbNodes: aheadAggs, CollBufSize: aheadCB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	carries := map[int64]int{} // edge id → the round whose data it carried
 	for rank := 0; rank < aheadWorkload.Ranks; rank++ {
-		rankRounds(res.Trace.Tracer(rank), func(round int, e trace.Event) {
+		rankRounds(res.World.TraceSink().Tracer(rank), func(round int, e trace.Event) {
 			if e.Name == trace.MsgRecvName && round >= 0 {
 				carries[edge(e)] = round
 			}
@@ -472,7 +472,7 @@ func TestReadAheadSendsBeforeAgreement(t *testing.T) {
 			round int
 		}
 		var sends []send
-		rounds := rankRounds(res.Trace.Tracer(a), func(_ int, e trace.Event) {
+		rounds := rankRounds(res.World.TraceSink().Tracer(a), func(_ int, e trace.Event) {
 			if r, ok := carries[edge(e)]; ok && e.Name == trace.MsgSendName && r > 0 {
 				sends = append(sends, send{e.TS, r})
 			}

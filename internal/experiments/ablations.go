@@ -8,6 +8,7 @@ import (
 	"flexio/internal/datatype"
 	"flexio/internal/hpio"
 	"flexio/internal/metrics"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/realm"
 	"flexio/internal/sim"
@@ -37,7 +38,7 @@ func DefaultAblation() AblationParams {
 // metadata volume and offset/length pairs processed, old flattened-access
 // exchange vs new flattened-filetype exchange, over a region-count sweep.
 // Values are bytes (request series) and pairs (pairs series).
-func AblationExchange(p AblationParams) ([]Table, error) {
+func AblationExchange(p AblationParams, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
@@ -52,6 +53,7 @@ func AblationExchange(p AblationParams) ([]Table, error) {
 		{"new (flattened filetype)", func() mpiio.Collective { return core.New(core.Options{}) }},
 		{"new+vect (enumerated)", func() mpiio.Collective { return core.New(core.Options{}) }},
 	}
+	var last *mpi.World
 	for i, im := range impls {
 		rs := Series{Name: im.name}
 		ps := Series{Name: im.name}
@@ -60,10 +62,11 @@ func AblationExchange(p AblationParams) ([]Table, error) {
 				Ranks: p.Ranks, RegionSize: p.RegionSize, RegionCount: rc,
 				Spacing: p.Spacing, Enumerate: i == 2,
 			}
-			res, err := colltest.RunWrite(p.Cfg, wl, mpiio.Info{Collective: im.coll()})
+			res, err := run(p.Cfg, p.Ranks, mpiio.Info{Collective: im.coll()}, 1, colltest.Spec(wl), arm)
 			if err != nil {
-				return nil, fmt.Errorf("A1 %s rc=%d: %w", im.name, rc, err)
+				return nil, last, fmt.Errorf("A1 %s rc=%d: %w", im.name, rc, err)
 			}
+			last = res.World
 			agg := res.World.Totals()
 			rs.Points = append(rs.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(metrics.CReqBytes))})
 			ps.Points = append(ps.Points, Point{X: fmt.Sprint(rc), Value: float64(agg.Counter(metrics.CPairsProcessed))})
@@ -71,13 +74,14 @@ func AblationExchange(p AblationParams) ([]Table, error) {
 		reqT.Series = append(reqT.Series, rs)
 		pairT.Series = append(pairT.Series, ps)
 	}
-	return []Table{reqT, pairT}, nil
+	return []Table{reqT, pairT}, last, nil
 }
 
 // AblationRepresentation (A2) reproduces the paper's Figure 3 trade-off as
 // concrete encoded sizes: higher-level datatype vs flattened datatype vs
 // flattened access, for patterns of growing region count. Values are bytes.
-func AblationRepresentation(p AblationParams) ([]Table, error) {
+// It runs no world, so it arms none and returns none.
+func AblationRepresentation(p AblationParams, _ Arm) ([]Table, *mpi.World, error) {
 	tbl := Table{Title: "A2: access representation sizes (one process)", XLabel: "regions", YLabel: "bytes"}
 	tree := Series{Name: "datatype tree"}
 	flatDT := Series{Name: "flattened datatype"}
@@ -103,24 +107,24 @@ func AblationRepresentation(p AblationParams) ([]Table, error) {
 		innerStride := int64(64)
 		inner, err := datatype.Vector(n, 1, innerStride, datatype.Bytes(16))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		outer, err := datatype.Vector(n, 1, inner.Extent()+innerStride, inner)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nTree.Points = append(nTree.Points, Point{X: fmt.Sprint(n), Value: float64(datatype.Tree(outer).WireBytes())})
 		nFlat.Points = append(nFlat.Points, Point{X: fmt.Sprint(n), Value: float64(datatype.FlatOf(outer, 0, 1).WireBytes())})
 	}
 	nestT.Series = []Series{nTree, nFlat}
-	return []Table{tbl, nestT}, nil
+	return []Table{tbl, nestT}, nil, nil
 }
 
 // AblationRealms (A3) demonstrates datatype-described realm flexibility:
 // on a sparse clustered access (most data near the end of a huge aggregate
 // region), even realms leave most aggregators idle while load-balanced
 // realms split the actual data. Values are MB/s.
-func AblationRealms(p AblationParams) ([]Table, error) {
+func AblationRealms(p AblationParams, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
@@ -142,11 +146,12 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 		clusterPitch = int64(10) << 20
 	)
 	clusterBytes := int64(regionSize) * regionCount
-	run := func(as realm.Assigner) (float64, float64, error) {
+	var last *mpi.World
+	runPolicy := func(as realm.Assigner) (float64, float64, error) {
 		impl := core.New(core.Options{Assigner: as})
-		spec := func(step, rank int) StepSpec {
+		spec := func(step, rank int) colltest.StepSpec {
 			if rank == 0 {
-				return StepSpec{
+				return colltest.StepSpec{
 					Filetype: datatype.Bytes(64),
 					Disp:     0,
 					Memtype:  datatype.Bytes(64),
@@ -157,7 +162,7 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 			// Rank r owns its private dense cluster.
 			ft := datatype.Must(datatype.Resized(datatype.Bytes(regionSize), regionSize+spacing))
 			buf := hpio.Fill(make([]byte, clusterBytes), rank, 0)
-			return StepSpec{
+			return colltest.StepSpec{
 				Filetype: ft,
 				Disp:     clusterBase + int64(rank-1)*clusterPitch,
 				Memtype:  datatype.Bytes(regionSize),
@@ -165,10 +170,11 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 				Buf:      buf,
 			}
 		}
-		res, err := RunSteps(p.Cfg, ranks, mpiio.Info{Collective: impl}, 1, spec)
+		res, err := run(p.Cfg, ranks, mpiio.Info{Collective: impl}, 1, spec, arm)
 		if err != nil {
 			return 0, 0, err
 		}
+		last = res.World
 		// The slowest aggregator bounds the collective call: report the
 		// largest per-rank I/O volume as the imbalance measure.
 		var maxIO int64
@@ -184,24 +190,25 @@ func AblationRealms(p AblationParams) ([]Table, error) {
 	bw := Series{Name: "bandwidth"}
 	worst := Series{Name: "max aggregator I/O (MB)"}
 	for _, as := range []realm.Assigner{realm.Even{}, realm.LoadBalanced{Align: p.Cfg.StripeSize}} {
-		b, m, err := run(as)
+		b, m, err := runPolicy(as)
 		if err != nil {
-			return nil, fmt.Errorf("A3 %s: %w", as.Name(), err)
+			return nil, last, fmt.Errorf("A3 %s: %w", as.Name(), err)
 		}
 		bw.Points = append(bw.Points, Point{X: as.Name(), Value: b})
 		worst.Points = append(worst.Points, Point{X: as.Name(), Value: m})
 	}
 	tbl.Series = []Series{bw, worst}
-	return []Table{tbl}, nil
+	return []Table{tbl}, last, nil
 }
 
 // AblationComm (A4) compares the data exchange strategies of §5.4:
 // Alltoallw vs overlapped nonblocking, across aggregator counts.
-func AblationComm(p AblationParams) ([]Table, error) {
+func AblationComm(p AblationParams, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
 	tbl := Table{Title: "A4: data exchange strategy", XLabel: "aggregators", YLabel: "MB/s"}
+	var last *mpi.World
 	for _, comm := range []core.CommStrategy{core.Alltoallw, core.Nonblocking} {
 		s := Series{Name: comm.String()}
 		for _, naggs := range []int{4, 8, 16, 32} {
@@ -212,27 +219,29 @@ func AblationComm(p AblationParams) ([]Table, error) {
 				Ranks: p.Ranks, RegionSize: p.RegionSize, RegionCount: p.RegionCount,
 				Spacing: p.Spacing, MemNoncontig: true, MemGap: p.Spacing,
 			}
-			res, err := colltest.RunWrite(p.Cfg, wl, mpiio.Info{
+			res, err := run(p.Cfg, p.Ranks, mpiio.Info{
 				Collective: core.New(core.Options{Comm: comm}),
 				CbNodes:    naggs,
-			})
+			}, 1, colltest.Spec(wl), arm)
 			if err != nil {
-				return nil, fmt.Errorf("A4 %v naggs=%d: %w", comm, naggs, err)
+				return nil, last, fmt.Errorf("A4 %v naggs=%d: %w", comm, naggs, err)
 			}
+			last = res.World
 			s.Points = append(s.Points, Point{X: fmt.Sprint(naggs), Value: res.BandwidthMBs(wl.TotalBytes())})
 		}
 		tbl.Series = append(tbl.Series, s)
 	}
-	return []Table{tbl}, nil
+	return []Table{tbl}, last, nil
 }
 
 // AblationHeap (A5) measures the client-side heap merge against the base
 // per-aggregator pass, for enumerated filetypes where it matters.
-func AblationHeap(p AblationParams) ([]Table, error) {
+func AblationHeap(p AblationParams, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
 	tbl := Table{Title: "A5: client merge strategy (enumerated filetype)", XLabel: "aggregators", YLabel: "MB/s"}
+	var last *mpi.World
 	for _, heap := range []bool{false, true} {
 		name := "per-aggregator pass"
 		if heap {
@@ -247,16 +256,17 @@ func AblationHeap(p AblationParams) ([]Table, error) {
 				Ranks: p.Ranks, RegionSize: p.RegionSize, RegionCount: p.RegionCount,
 				Spacing: p.Spacing, Enumerate: true,
 			}
-			res, err := colltest.RunWrite(p.Cfg, wl, mpiio.Info{
+			res, err := run(p.Cfg, p.Ranks, mpiio.Info{
 				Collective: core.New(core.Options{HeapMerge: heap}),
 				CbNodes:    naggs,
-			})
+			}, 1, colltest.Spec(wl), arm)
 			if err != nil {
-				return nil, fmt.Errorf("A5 heap=%v naggs=%d: %w", heap, naggs, err)
+				return nil, last, fmt.Errorf("A5 heap=%v naggs=%d: %w", heap, naggs, err)
 			}
+			last = res.World
 			s.Points = append(s.Points, Point{X: fmt.Sprint(naggs), Value: res.BandwidthMBs(wl.TotalBytes())})
 		}
 		tbl.Series = append(tbl.Series, s)
 	}
-	return []Table{tbl}, nil
+	return []Table{tbl}, last, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 )
@@ -38,7 +39,8 @@ func smallFig4() Fig4Params {
 // 4096 B spread over 134–220 MB/s at GOMAXPROCS 2).
 func fig4Serial(p Fig4Params) ([]Table, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	return Fig4(p)
+	tables, _, err := Fig4(p, nil)
+	return tables, err
 }
 
 func TestFig4ShapesSmall(t *testing.T) {
@@ -115,7 +117,7 @@ func TestFig5CrossoverSmall(t *testing.T) {
 	p.Ranks = 8
 	p.Extents = []int64{1 << 10, 64 << 10}
 	p.Verify = true
-	tables, err := Fig5(p)
+	tables, _, err := Fig5(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestFig5DatasieveScalesWithUsefulFraction(t *testing.T) {
 	p := DefaultFig5().Scale(16<<20, 8)
 	p.Ranks = 4
 	p.Extents = []int64{8 << 10}
-	tables, err := Fig5(p)
+	tables, _, err := Fig5(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestFig7ShapesSmall(t *testing.T) {
 	cfg.StripeSize = 64 << 10
 	p.Cfg = cfg
 	p.Align = 64 << 10
-	tables, err := Fig7(p)
+	tables, _, err := Fig7(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestAblations(t *testing.T) {
 	p.RegionCount = 256
 
 	t.Run("A1", func(t *testing.T) {
-		tables, err := AblationExchange(p)
+		tables, _, err := AblationExchange(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +238,7 @@ func TestAblations(t *testing.T) {
 	})
 
 	t.Run("A2", func(t *testing.T) {
-		tables, err := AblationRepresentation(p)
+		tables, _, err := AblationRepresentation(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +274,7 @@ func TestAblations(t *testing.T) {
 	})
 
 	t.Run("A3", func(t *testing.T) {
-		tables, err := AblationRealms(p)
+		tables, _, err := AblationRealms(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,13 +297,13 @@ func TestAblations(t *testing.T) {
 	})
 
 	t.Run("A4", func(t *testing.T) {
-		if _, err := AblationComm(p); err != nil {
+		if _, _, err := AblationComm(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	t.Run("A5", func(t *testing.T) {
-		if _, err := AblationHeap(p); err != nil {
+		if _, _, err := AblationHeap(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -323,12 +325,34 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-func TestRunStepsPropagatesErrors(t *testing.T) {
-	_, err := RunSteps(sim.DefaultConfig(), 2, mpiio.Info{}, 1,
-		func(step, rank int) StepSpec {
-			return StepSpec{} // nil filetype -> SetView error
-		})
-	if err == nil {
-		t.Fatal("nil filetype accepted")
+// TestNodesOnEveryFigure: every figure and ablation that runs a world runs
+// it on the node map its Arm installs, and hands that world back.
+func TestNodesOnEveryFigure(t *testing.T) {
+	arm := func(w *mpi.World, _ mpiio.Info) { w.SetNodeMap(mpi.BlockNodeMap(2)) }
+	f4 := DefaultFig4().Scale(8, 64)
+	f4.RegionSizes, f4.AggCounts = []int64{64}, []int{4}
+	f5 := DefaultFig5().Scale(1<<20, 1)
+	f5.Ranks, f5.Extents, f5.Fractions = 8, []int64{1 << 10}, []int64{16}
+	f7 := DefaultFig7().Scale(64, 2, []int{8})
+	ab := DefaultAblation()
+	ab.Ranks, ab.RegionCount = 8, 64
+	for name, fig := range map[string]func() ([]Table, *mpi.World, error){
+		"4":  func() ([]Table, *mpi.World, error) { return Fig4(f4, arm) },
+		"5":  func() ([]Table, *mpi.World, error) { return Fig5(f5, arm) },
+		"7":  func() ([]Table, *mpi.World, error) { return Fig7(f7, arm) },
+		"A1": func() ([]Table, *mpi.World, error) { return AblationExchange(ab, arm) },
+		"A3": func() ([]Table, *mpi.World, error) { return AblationRealms(ab, arm) },
+		"A4": func() ([]Table, *mpi.World, error) { return AblationComm(ab, arm) },
+		"A5": func() ([]Table, *mpi.World, error) { return AblationHeap(ab, arm) },
+	} {
+		_, w, err := fig()
+		switch {
+		case err != nil:
+			t.Errorf("fig %s: %v", name, err)
+		case w == nil:
+			t.Errorf("fig %s returned no world", name)
+		case w.NodeCount() != w.Size()/2:
+			t.Errorf("fig %s: %d nodes for %d ranks, want %d", name, w.NodeCount(), w.Size(), w.Size()/2)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/hpio"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 )
@@ -64,8 +65,9 @@ func (p Fig4Params) Scale(ranks int, regions int64) Fig4Params {
 	return p
 }
 
-// Fig4 runs the sweep and returns one table per aggregator count.
-func Fig4(p Fig4Params) ([]Table, error) {
+// Fig4 runs the sweep and returns one table per aggregator count and the
+// last run's world; arm records on every world.
+func Fig4(p Fig4Params, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
@@ -79,6 +81,7 @@ func Fig4(p Fig4Params) ([]Table, error) {
 		{"old+vec", true, func() mpiio.Collective { return core.ROMIO(core.Options{}) }},
 	}
 
+	var last *mpi.World
 	tables := make([]Table, 0, len(p.AggCounts))
 	for _, naggs := range p.AggCounts {
 		tbl := Table{
@@ -104,22 +107,20 @@ func Fig4(p Fig4Params) ([]Table, error) {
 				}
 				best := 0.0
 				for rep := 0; rep < reps; rep++ {
-					res, err := colltest.RunWrite(p.Cfg, wl, mpiio.Info{
+					res, err := run(p.Cfg, p.Ranks, mpiio.Info{
 						Collective: c.coll(),
 						CbNodes:    naggs,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("fig4 %s region=%d naggs=%d: %w", c.name, rs, naggs, err)
+					}, 1, colltest.Spec(wl), arm)
+					if err == nil && p.Verify {
+						err = colltest.VerifyImage(wl, res.FS.Snapshot(colltest.File, wl.FileSize()))
 					}
-					if p.Verify {
-						if err := colltest.VerifyImage(wl, res.Image); err != nil {
-							return nil, fmt.Errorf("fig4 %s region=%d naggs=%d: %w", c.name, rs, naggs, err)
-						}
+					if err != nil {
+						return nil, last, fmt.Errorf("fig4 %s region=%d naggs=%d: %w", c.name, rs, naggs, err)
 					}
 					if bw := res.BandwidthMBs(wl.TotalBytes()); bw > best {
 						best = bw
 					}
-					Last = res.World
+					last = res.World
 				}
 				s.Points = append(s.Points, Point{
 					X:     fmt.Sprintf("%d", rs),
@@ -130,5 +131,5 @@ func Fig4(p Fig4Params) ([]Table, error) {
 		}
 		tables = append(tables, tbl)
 	}
-	return tables, nil
+	return tables, last, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 
+	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/hpio"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 )
@@ -70,7 +72,7 @@ func (p Fig5Params) Scale(fileSize int64, everyKth int) Fig5Params {
 
 // fig5Spec builds the per-rank access: each rank owns a contiguous block
 // of the file, filled with one region of rs bytes per extent E.
-func fig5Spec(p Fig5Params, extent, rs int64) (func(step, rank int) StepSpec, int64, error) {
+func fig5Spec(p Fig5Params, extent, rs int64) (func(step, rank int) colltest.StepSpec, int64, error) {
 	blockSize := p.FileSize / int64(p.Ranks)
 	if blockSize%extent != 0 {
 		return nil, 0, fmt.Errorf("fig5: block %d not a multiple of extent %d", blockSize, extent)
@@ -87,9 +89,9 @@ func fig5Spec(p Fig5Params, extent, rs int64) (func(step, rank int) StepSpec, in
 		}
 	}
 	total := int64(p.Ranks) * regionsPerRank * rs
-	spec := func(step, rank int) StepSpec {
+	spec := func(step, rank int) colltest.StepSpec {
 		buf := hpio.Fill(make([]byte, rs*regionsPerRank), rank, 0)
-		return StepSpec{
+		return colltest.StepSpec{
 			Filetype: ft,
 			Disp:     int64(rank) * blockSize,
 			Memtype:  datatype.Bytes(rs),
@@ -100,8 +102,9 @@ func fig5Spec(p Fig5Params, extent, rs int64) (func(step, rank int) StepSpec, in
 	return spec, total, nil
 }
 
-// Fig5 runs the sweep: one table per extent, series Datasieve and Naive.
-func Fig5(p Fig5Params) ([]Table, error) {
+// Fig5 runs the sweep: one table per extent, series Datasieve and Naive,
+// and returns the last run's world; arm records on every world.
+func Fig5(p Fig5Params, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
@@ -113,6 +116,7 @@ func Fig5(p Fig5Params) ([]Table, error) {
 		{"Naive", mpiio.Naive},
 	}
 	var tables []Table
+	var last *mpi.World
 	for _, ext := range p.Extents {
 		tbl := Table{
 			Title:  fmt.Sprintf("Figure 5: %s datatype extent, %s file", fmtBytes(ext), fmtBytes(p.FileSize)),
@@ -128,19 +132,18 @@ func Fig5(p Fig5Params) ([]Table, error) {
 				}
 				spec, total, err := fig5Spec(p, ext, rs)
 				if err != nil {
-					return nil, err
+					return nil, last, err
 				}
-				res, err := RunSteps(p.Cfg, p.Ranks, mpiio.Info{
+				res, err := run(p.Cfg, p.Ranks, mpiio.Info{
 					Collective: core.New(core.Options{Method: m.m}),
-				}, 1, spec)
+				}, 1, spec, arm)
+				if err == nil && p.Verify {
+					err = verifyFig5(p, res, ext, rs)
+				}
 				if err != nil {
-					return nil, fmt.Errorf("fig5 %s ext=%d rs=%d: %w", m.name, ext, rs, err)
+					return nil, last, fmt.Errorf("fig5 %s ext=%d rs=%d: %w", m.name, ext, rs, err)
 				}
-				if p.Verify {
-					if err := verifyFig5(p, res, ext, rs); err != nil {
-						return nil, fmt.Errorf("fig5 %s ext=%d rs=%d: %w", m.name, ext, rs, err)
-					}
-				}
+				last = res.World
 				s.Points = append(s.Points, Point{
 					X:     fmt.Sprintf("%d (%d%%)", rs, rs*100/ext),
 					Value: res.BandwidthMBs(total),
@@ -150,12 +153,12 @@ func Fig5(p Fig5Params) ([]Table, error) {
 		}
 		tables = append(tables, tbl)
 	}
-	return tables, nil
+	return tables, last, nil
 }
 
-func verifyFig5(p Fig5Params, res RunResult, ext, rs int64) error {
+func verifyFig5(p Fig5Params, res colltest.Result, ext, rs int64) error {
 	blockSize := p.FileSize / int64(p.Ranks)
-	img := res.FS.Snapshot("exp.dat", p.FileSize)
+	img := res.FS.Snapshot(colltest.File, p.FileSize)
 	want := make([]byte, blockSize/ext*rs) // one rank's data stream
 	for rank := 0; rank < p.Ranks; rank++ {
 		base := int64(rank) * blockSize

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 
+	"flexio/internal/colltest"
 	"flexio/internal/core"
 	"flexio/internal/datatype"
 	"flexio/internal/hpio"
+	"flexio/internal/mpi"
 	"flexio/internal/mpiio"
 	"flexio/internal/sim"
 )
@@ -67,10 +69,10 @@ func myElems(c, clients int, elemsPerPoint int64) []int64 {
 
 // fig7Spec builds the per-step access: at step t, client c writes its
 // elements of every data point's slot t.
-func fig7Spec(p Fig7Params, clients int) func(step, rank int) StepSpec {
+func fig7Spec(p Fig7Params, clients int) func(step, rank int) colltest.StepSpec {
 	slotSize := p.ElemsPerPoint * p.ElemSize
 	pointExtent := int64(p.Steps) * slotSize
-	return func(step, rank int) StepSpec {
+	return func(step, rank int) colltest.StepSpec {
 		elems := myElems(rank, clients, p.ElemsPerPoint)
 		lens := make([]int64, len(elems))
 		displs := make([]int64, len(elems))
@@ -82,7 +84,7 @@ func fig7Spec(p Fig7Params, clients int) func(step, rank int) StepSpec {
 		ft := datatype.Must(datatype.Resized(pattern, pointExtent))
 		mine := int64(len(elems)) * p.ElemSize
 		buf := hpio.Fill(make([]byte, mine*p.Points), rank, int64(step)*mine*p.Points)
-		return StepSpec{
+		return colltest.StepSpec{
 			Filetype: ft,
 			Disp:     int64(step) * slotSize,
 			Memtype:  datatype.Bytes(mine),
@@ -108,8 +110,9 @@ func fig7Configs(align int64) []struct {
 	}
 }
 
-// Fig7 runs the study: one table, X = client count, four series.
-func Fig7(p Fig7Params) ([]Table, error) {
+// Fig7 runs the study: one table, X = client count, four series, and
+// returns the last run's world; arm records on every world.
+func Fig7(p Fig7Params, arm Arm) ([]Table, *mpi.World, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
@@ -121,22 +124,15 @@ func Fig7(p Fig7Params) ([]Table, error) {
 		XLabel: "clients",
 		YLabel: "MB/s",
 	}
+	var last *mpi.World
 	for _, cfg := range fig7Configs(p.Align) {
 		s := Series{Name: cfg.name}
 		for _, clients := range p.Clients {
-			info := mpiio.Info{
-				Collective: core.New(cfg.opts),
-				CbNodes:    clients / 2,
-			}
-			res, err := RunSteps(p.Cfg, clients, info, p.Steps, fig7Spec(p, clients))
+			res, err := runFig7(p, clients, cfg.opts, arm)
 			if err != nil {
-				return nil, fmt.Errorf("fig7 %s clients=%d: %w", cfg.name, clients, err)
+				return nil, last, fmt.Errorf("fig7 %s clients=%d: %w", cfg.name, clients, err)
 			}
-			if p.Verify {
-				if err := verifyFig7(p, res, clients); err != nil {
-					return nil, fmt.Errorf("fig7 %s clients=%d: %w", cfg.name, clients, err)
-				}
-			}
+			last = res.World
 			s.Points = append(s.Points, Point{
 				X:     fmt.Sprintf("%d", clients),
 				Value: res.BandwidthMBs(total),
@@ -144,35 +140,33 @@ func Fig7(p Fig7Params) ([]Table, error) {
 		}
 		tbl.Series = append(tbl.Series, s)
 	}
-	return []Table{tbl}, nil
+	return []Table{tbl}, last, nil
 }
 
 // RunPFRConfig runs the Figure 7 workload once for a single configuration
-// (`flexio fig 7 -clients N` inspects one cell of the 2x2 in detail).
-func RunPFRConfig(p Fig7Params, clients int, pfr bool, align int64) (RunResult, error) {
+// (`flexio fig 7 -clients N` inspects one cell of the 2x2 in detail); arm
+// records on its world.
+func RunPFRConfig(p Fig7Params, clients int, pfr bool, align int64, arm Arm) (colltest.Result, error) {
 	if p.Cfg == nil {
 		p.Cfg = sim.DefaultConfig()
 	}
-	info := mpiio.Info{
-		Collective: core.New(core.Options{Persistent: pfr, Align: align, Method: mpiio.DataSieve}),
-		CbNodes:    clients / 2,
-	}
-	res, err := RunSteps(p.Cfg, clients, info, p.Steps, fig7Spec(p, clients))
-	if err != nil {
-		return RunResult{}, err
-	}
-	if p.Verify {
-		if err := verifyFig7(p, res, clients); err != nil {
-			return RunResult{}, err
-		}
-	}
-	return res, nil
+	return runFig7(p, clients, core.Options{Persistent: pfr, Align: align, Method: mpiio.DataSieve}, arm)
 }
 
-func verifyFig7(p Fig7Params, res RunResult, clients int) error {
+// runFig7 runs one cell: half of the clients aggregate.
+func runFig7(p Fig7Params, clients int, o core.Options, arm Arm) (colltest.Result, error) {
+	info := mpiio.Info{Collective: core.New(o), CbNodes: clients / 2}
+	res, err := run(p.Cfg, clients, info, p.Steps, fig7Spec(p, clients), arm)
+	if err == nil && p.Verify {
+		err = verifyFig7(p, res, clients)
+	}
+	return res, err
+}
+
+func verifyFig7(p Fig7Params, res colltest.Result, clients int) error {
 	slotSize := p.ElemsPerPoint * p.ElemSize
 	pointExtent := int64(p.Steps) * slotSize
-	img := res.FS.Snapshot("exp.dat", p.Points*pointExtent)
+	img := res.FS.Snapshot(colltest.File, p.Points*pointExtent)
 	for rank := 0; rank < clients; rank++ {
 		elems := myElems(rank, clients, p.ElemsPerPoint)
 		mine := int64(len(elems)) * p.ElemSize
