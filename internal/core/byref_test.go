@@ -238,14 +238,14 @@ func TestAbortedReadAllLeavesUserBufferUntouched(t *testing.T) {
 			fs := pfs.NewFileSystem(cfg)
 			var mu sync.Mutex
 			armed := false
-			fs.SetFaultHook(func(op pfs.Op) error {
+			fs.SetFaultSchedule(pfs.NewFaultSchedule(0).WithHook(func(op pfs.Op) error {
 				mu.Lock()
 				defer mu.Unlock()
 				if armed && op.Kind == "read" && op.Round == 3 {
 					return errors.New("injected EIO")
 				}
 				return nil
-			})
+			}))
 			errs := make([]error, wl.Ranks)
 			touched := make([]bool, wl.Ranks)
 			info := mpiio.Info{Collective: eng.fresh(nil), CollBufSize: 1024, CbNodes: 2}

@@ -58,7 +58,7 @@ func runFaulty(t *testing.T, coll mpiio.Collective, write bool) []error {
 
 	var mu sync.Mutex
 	injected := false
-	fs.SetFaultHook(func(op pfs.Op) error {
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(0).WithHook(func(op pfs.Op) error {
 		mu.Lock()
 		defer mu.Unlock()
 		// Fail the first write that reaches storage.
@@ -67,7 +67,7 @@ func runFaulty(t *testing.T, coll mpiio.Collective, write bool) []error {
 			return boom
 		}
 		return nil
-	})
+	}))
 
 	errs := make([]error, ranks)
 	w.Run(func(p *mpi.Proc) {
@@ -130,7 +130,7 @@ func TestReadFaultAllRanksAgree(t *testing.T) {
 	boom := errors.New("injected EIO")
 	var mu sync.Mutex
 	armed := false
-	fs.SetFaultHook(func(op pfs.Op) error {
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(0).WithHook(func(op pfs.Op) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if op.Kind == "read" && armed {
@@ -138,7 +138,7 @@ func TestReadFaultAllRanksAgree(t *testing.T) {
 			return boom
 		}
 		return nil
-	})
+	}))
 
 	errs := make([]error, ranks)
 	w.Run(func(p *mpi.Proc) {
@@ -185,7 +185,7 @@ func TestFailedWriteLeavesOtherRealmsIntact(t *testing.T) {
 	var mu sync.Mutex
 	failed := false
 	var failedOff int64 = -1
-	fs.SetFaultHook(func(op pfs.Op) error {
+	fs.SetFaultSchedule(pfs.NewFaultSchedule(0).WithHook(func(op pfs.Op) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if op.Kind == "write" && !failed {
@@ -194,7 +194,7 @@ func TestFailedWriteLeavesOtherRealmsIntact(t *testing.T) {
 			return boom
 		}
 		return nil
-	})
+	}))
 	w.Run(func(p *mpi.Proc) {
 		f, _ := mpiio.Open(p, fs, "partial.dat", mpiio.Info{
 			Collective: core.New(core.Options{Method: mpiio.Naive}),

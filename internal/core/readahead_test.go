@@ -315,12 +315,12 @@ func TestReadAheadAbortsUniformly(t *testing.T) {
 					}
 					arm := func() {
 						if ft.class == mpiio.ClassIntegrity {
-							fs.SetFaultHook(func(op pfs.Op) error {
+							fs.SetFaultSchedule(pfs.NewFaultSchedule(0).WithHook(func(op pfs.Op) error {
 								if aimed(op) {
 									return fmt.Errorf("block quarantined: %w", pfs.ErrDataIntegrity)
 								}
 								return nil
-							})
+							}))
 							return
 						}
 						rule := ft.rule

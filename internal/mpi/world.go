@@ -582,15 +582,12 @@ func (p *Proc) noteVer(ver uint64) {
 // World.ReviveAll.
 func (p *Proc) PeerFailure() error { return p.peerErr }
 
-// IntegrityFailure returns the pending unrepairable-corruption error
-// (wrapping integrity.ErrDataIntegrity), or nil. Unlike PeerFailure it
-// describes one poisoned payload, not a permanent rank state.
-func (p *Proc) IntegrityFailure() error { return p.integErr }
-
-// TakeIntegrityFailure consumes the pending integrity failure, returning
-// it and clearing it, so an aborted collective does not poison the next
-// one: the corrupted payload dies with the abort, and a resume runs
-// clean unless corruption strikes again.
+// TakeIntegrityFailure consumes the pending unrepairable-corruption error
+// (wrapping integrity.ErrDataIntegrity), returning it — nil when there is
+// none — and clearing it. Unlike PeerFailure it describes one poisoned
+// payload, not a permanent rank state, so an aborted collective does not
+// poison the next one: the corrupted payload dies with the abort, and a
+// resume runs clean unless corruption strikes again.
 func (p *Proc) TakeIntegrityFailure() error {
 	err := p.integErr
 	p.integErr = nil

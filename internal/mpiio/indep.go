@@ -128,9 +128,9 @@ func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) 
 	}
 	switch {
 	case m == IntegratedSieve && write:
-		return f.WriteSieve(spanOf(segs), segs, data)
+		return f.writeSieve(spanOf(segs), segs, data)
 	case m == IntegratedSieve:
-		return f.ReadSieve(spanOf(segs), segs, data.Buf())
+		return f.readSieve(spanOf(segs), segs, data.Buf())
 	case len(segs) == 1 || m == ListIO:
 		// One segment is the contiguous fast path: "contiguous in memory to
 		// contiguous in file".
@@ -191,9 +191,9 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 		// One window: the list goes to storage as it is.
 		f.ChargeCopy(data.Len())
 		if write {
-			return f.WriteSieve(span, segs, data)
+			return f.writeSieve(span, segs, data)
 		}
-		return f.ReadSieve(span, segs, data.Buf())
+		return f.readSieve(span, segs, data.Buf())
 	}
 	pending := f.sievePending[:0]
 	var at int64
@@ -248,9 +248,9 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 			if !contiguous {
 				stage(true)
 			}
-			err = f.WriteSieve(span, group, chunk)
+			err = f.writeSieve(span, group, chunk)
 		} else {
-			err = f.ReadSieve(span, group, chunk.Buf())
+			err = f.readSieve(span, group, chunk.Buf())
 			if err == nil && !contiguous {
 				stage(false)
 			}

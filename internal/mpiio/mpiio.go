@@ -20,7 +20,6 @@ import (
 	"flexio/internal/mpi"
 	"flexio/internal/pfs"
 	"flexio/internal/realm"
-	"flexio/internal/sim"
 	"flexio/internal/trace"
 )
 
@@ -94,14 +93,6 @@ type Info struct {
 	// per independent operation. Zero means 4; negative disables retries
 	// (errors surface immediately).
 	RetryLimit int
-	// RetryBackoff is the initial virtual-time backoff before the first
-	// retry, doubled on each subsequent retry of the same operation.
-	// Zero means 500 microseconds.
-	RetryBackoff sim.Time
-	// RetryDeadline caps the total virtual time (first attempt included)
-	// one independent operation may spend across retries and partial
-	// resumptions. Zero means 250 milliseconds.
-	RetryDeadline sim.Time
 }
 
 func (i Info) withDefaults() Info {
@@ -113,12 +104,6 @@ func (i Info) withDefaults() Info {
 	}
 	if i.RetryLimit == 0 {
 		i.RetryLimit = 4
-	}
-	if i.RetryBackoff <= 0 {
-		i.RetryBackoff = 500e-6
-	}
-	if i.RetryDeadline <= 0 {
-		i.RetryDeadline = 0.25
 	}
 	return i
 }
@@ -144,10 +129,6 @@ type File struct {
 	// pfr holds persistent file realms across collective calls (paper
 	// §5.2); owned by the collective implementation via PFR/SetPFR.
 	pfr *realm.Assignment
-
-	// pos is the individual file pointer in etype units (MPI_File_seek /
-	// the pointer-relative read/write forms).
-	pos int64
 
 	// sievePending/sieveGroup are sieveWindows scratch, reused across
 	// calls; a File is driven by one rank goroutine and the storage layer
@@ -218,7 +199,6 @@ func (f *File) SetView(disp int64, etype, filetype datatype.Type) error {
 			filetype.Size(), etype.Size())
 	}
 	f.view = View{Disp: disp, Etype: etype, Filetype: filetype}
-	f.pos = 0 // MPI_File_set_view resets the individual file pointer
 	f.proc.Barrier()
 	return nil
 }
@@ -228,9 +208,6 @@ func (f *File) Proc() *mpi.Proc { return f.proc }
 
 // FS returns the underlying file system.
 func (f *File) FS() *pfs.FileSystem { return f.fs }
-
-// Handle returns the underlying per-client file handle.
-func (f *File) Handle() *pfs.Handle { return f.handle }
 
 // Info returns the (defaulted) hints.
 func (f *File) Info() Info { return f.info }
@@ -330,22 +307,11 @@ func (f *File) checkAccess(buf []byte, memtype datatype.Type, count int64) error
 		return fmt.Errorf("mpiio: nil memory datatype")
 	case count < 0:
 		return fmt.Errorf("mpiio: negative count %d", count)
-	case count > 0 && memtype.Extent()*count > int64(len(buf)):
+	case count > 0 && memtype.Extent() > 0 && count > int64(len(buf))/memtype.Extent():
 		return fmt.Errorf("mpiio: buffer of %d bytes too small for %d x %s",
 			len(buf), count, memtype)
 	}
 	return nil
-}
-
-// PackMemory linearizes the user buffer according to the memory datatype,
-// charging the copy to the rank's clock.
-func (f *File) PackMemory(buf []byte, memtype datatype.Type, count int64) ([]byte, error) {
-	stream, err := datatype.Pack(buf, memtype, 0, count)
-	if err != nil {
-		return nil, err
-	}
-	f.ChargeCopy(int64(len(stream)))
-	return stream, nil
 }
 
 // Stream is the linear data stream of one access: the bytes it moves, in

@@ -331,6 +331,11 @@ func TestCheckAccessValidation(t *testing.T) {
 		if err := f.WriteAll(make([]byte, 4), datatype.Bytes(8), 1); err == nil {
 			t.Error("short buffer accepted")
 		}
+		// extent*count wraps past int64: the check must not multiply.
+		huge := datatype.Must(datatype.Resized(datatype.Bytes(1), 1<<40))
+		if err := f.WriteAll(make([]byte, 64), huge, 1<<24); err == nil {
+			t.Error("buffer far too small for an overflowing extent*count accepted")
+		}
 	})
 }
 

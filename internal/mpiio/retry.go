@@ -11,6 +11,15 @@ import (
 	"flexio/internal/trace"
 )
 
+// The retry policy's virtual-time budget: the first retry of an operation
+// waits retryBackoff, each later one twice the one before, and no operation
+// spends more than retryDeadline across its attempts, backoffs and partial
+// resumptions (first attempt included).
+const (
+	retryBackoff  sim.Time = 500e-6
+	retryDeadline sim.Time = 0.25
+)
+
 // withRetry drives one logical storage operation through the retry policy.
 // attempt issues the operation at virtual time now, skipping the first skip
 // data bytes (the prefix already durable from earlier partial transfers),
@@ -18,7 +27,7 @@ import (
 // backoff waits charge it too (PBackoff spans and stats), so retry cost is
 // visible in virtual time. Transient errors retry up to the hinted limit
 // with doubling backoff; partial transfers resume the unwritten tail
-// immediately; everything is bounded by the per-op virtual-time deadline;
+// immediately; everything is bounded by retryDeadline;
 // hard errors surface at once.
 func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (sim.Time, error)) error {
 	p := f.proc
@@ -32,8 +41,8 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 		return nil
 	}
 	start := p.Clock()
-	deadline := start + f.info.RetryDeadline
-	backoff := f.info.RetryBackoff
+	deadline := start + retryDeadline
+	backoff := retryBackoff
 	var skip int64
 	retries := 0
 	for {
@@ -80,11 +89,12 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 	}
 }
 
-// WriteSieve performs one data-sieving write window (span covering segs,
+// writeSieve performs one data-sieving write window (span covering segs,
 // data holding the useful bytes) under the retry policy, advancing the
-// rank's clock. The ROMIO-style collective engine drains its integrated
-// collective buffer through this call.
-func (f *File) WriteSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data) error {
+// rank's clock. Every sieving independent write — the IntegratedSieve
+// method the ROMIO-style collective engine drains its buffer with included
+// — lands through this call.
+func (f *File) writeSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data) error {
 	return f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
 		sp, group := shrinkSieveWindow(span, segs, skip)
 		if len(group) == 0 {
@@ -94,8 +104,8 @@ func (f *File) WriteSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data)
 	})
 }
 
-// ReadSieve is the read counterpart of WriteSieve.
-func (f *File) ReadSieve(span datatype.Seg, segs []datatype.Seg, buf []byte) error {
+// readSieve is the read counterpart of writeSieve.
+func (f *File) readSieve(span datatype.Seg, segs []datatype.Seg, buf []byte) error {
 	return f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
 		sp, group := shrinkSieveWindow(span, segs, skip)
 		if len(group) == 0 {

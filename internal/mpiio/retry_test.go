@@ -133,17 +133,18 @@ func TestRetryDeadlineCapsBackoff(t *testing.T) {
 	sched := pfs.NewFaultSchedule(9).Add(pfs.Rule{
 		Kind: "write", Class: pfs.ClassTransient,
 	})
-	info := Info{RetryLimit: 10, RetryBackoff: 0.1, RetryDeadline: 0.15}
+	info := Info{RetryLimit: 10}
 	rec := retryWorld(t, info, sched, func(f *File, fs *pfs.FileSystem) {
 		err := f.WriteIndependent(make([]byte, 512), datatype.Bytes(512), 1)
 		if !errors.Is(err, pfs.ErrTransient) {
 			t.Fatalf("want transient giveup, got %v", err)
 		}
 	})
-	// First backoff (0.1s) fits the 0.15s budget, the doubled second does
-	// not, so the deadline truncates the retry ladder below the limit.
-	if got := rec.Counter(metrics.CRetries); got != 1 {
-		t.Errorf("CRetries = %d, want 1 (deadline-capped)", got)
+	// Eight doubling backoffs from retryBackoff (0.5 ms to 64 ms, 127.5 ms
+	// in all) fit the 250 ms retryDeadline; a ninth (128 ms) does not, so
+	// the deadline truncates the retry ladder below the limit of ten.
+	if got := rec.Counter(metrics.CRetries); got != 8 {
+		t.Errorf("CRetries = %d, want 8 (deadline-capped)", got)
 	}
 	if got := rec.Counter(metrics.CGiveups); got != 1 {
 		t.Errorf("CGiveups = %d, want 1", got)
@@ -159,7 +160,6 @@ func TestRetryReadPath(t *testing.T) {
 		if err := f.WriteIndependent(data, datatype.Bytes(2048), 1); err != nil {
 			t.Fatal(err)
 		}
-		f.Seek(0, 0)
 		got := make([]byte, 2048)
 		if err := f.ReadIndependent(got, datatype.Bytes(2048), 1); err != nil {
 			t.Fatalf("read should recover: %v", err)

@@ -363,7 +363,7 @@ func (s *FaultSchedule) AddStorm(st RevokeStorm) *FaultSchedule {
 	return s
 }
 
-// WithHook installs a legacy FaultHook, consulted before the rules; a
+// WithHook installs a FaultHook, consulted before the rules; a
 // non-nil hook error aborts the op with that error, classified by its
 // wrapped sentinel (unknown errors count as hard). The hook runs without
 // any file-system lock held, so it may call back into the FileSystem.
@@ -401,7 +401,7 @@ func (f fault) wrapped() error {
 }
 
 // evaluate decides what, if anything, to inject into op issued at now. It
-// must be called without fs.mu held: legacy hooks may call back into the
+// must be called without fs.mu held: fault hooks may call back into the
 // file system.
 func (s *FaultSchedule) evaluate(op Op, now sim.Time) fault {
 	s.mu.Lock()

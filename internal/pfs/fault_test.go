@@ -130,10 +130,10 @@ func TestHookMayCallBackIntoFileSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawSize int64 = -1
-	fs.SetFaultHook(func(op Op) error {
+	fs.SetFaultSchedule(NewFaultSchedule(0).WithHook(func(op Op) error {
 		sawSize = fs.Size("r.dat") // reenters the FileSystem
 		return nil
-	})
+	}))
 	if _, err := h.WriteAt(64, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}

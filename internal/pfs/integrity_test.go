@@ -327,3 +327,81 @@ func TestSieveWindowRetainsOneImagePerPage(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d mismatches all repaired", st, pages)
 	}
 }
+
+// TestPlainWriteGatesLikeOneSegmentWindow: a plain write passes its segment
+// through the integrity gates as a one-segment sieve window, so a WriteAt
+// and a hole-free SieveWrite of the same bytes over recorded pages leave
+// the same image and move the store's counters alike — including over a
+// page a flip left quarantined, which a partial write must keep poisoned.
+func TestPlainWriteGatesLikeOneSegmentWindow(t *testing.T) {
+	ps := sim.DefaultConfig().PageSize
+	const pages = 5
+	cases := []struct {
+		name        string
+		seg         datatype.Seg
+		quarantined bool // page 1 flipped and caught unrepairable first
+	}{
+		{"sub-page", datatype.Seg{Off: ps + 100, Len: 200}, false},
+		{"page-straddling", datatype.Seg{Off: 2*ps - 100, Len: 200}, false},
+		{"page-aligned", datatype.Seg{Off: 2 * ps, Len: ps}, false},
+		{"multi-page", datatype.Seg{Off: 100, Len: 3 * ps}, false},
+		{"quarantined page", datatype.Seg{Off: ps + 100, Len: 200}, true},
+	}
+	// twin primes a file system: every page written and recorded, one
+	// write per page, so a ring of one slot holds only the last.
+	twin := func(quarantined bool) *FileSystem {
+		fs, _ := newIntegFS(1)
+		if quarantined {
+			fs.SetFaultSchedule(NewFaultSchedule(7).AddFlip(FlipRule{Name: "f", MinOff: ps, MaxOff: ps + 1, Count: 1}))
+		}
+		h := fs.NewClient(nil).Open("f")
+		for pi := int64(0); pi < pages; pi++ {
+			if _, err := h.WriteAt(pi*ps, bytes.Repeat([]byte{byte(0x10 + pi)}, int(ps)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.SetFaultSchedule(nil)
+		if quarantined {
+			if _, err := h.ReadAt(ps, make([]byte, ps), 0); !errors.Is(err, ErrDataIntegrity) {
+				t.Fatalf("flipped page read: want ErrDataIntegrity, got %v", err)
+			}
+			if st := fs.IntegrityStats(); st.Backlog != 1 {
+				t.Fatalf("flipped page not quarantined: %+v", st)
+			}
+		}
+		return fs
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Repeat([]byte{0xE7}, int(tc.seg.Len))
+			plain, sieve := twin(tc.quarantined), twin(tc.quarantined)
+			before := plain.IntegrityStats()
+			if sieve.IntegrityStats() != before {
+				t.Fatal("twins differ before the write")
+			}
+			if _, err := plain.NewClient(nil).Open("f").WriteAt(tc.seg.Off, data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sieve.NewClient(nil).Open("f").SieveWrite(tc.seg, []datatype.Seg{tc.seg}, data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plain.Snapshot("f", pages*ps), sieve.Snapshot("f", pages*ps)) {
+				t.Error("plain write and one-segment window left different images")
+			}
+			delta := func(fs *FileSystem) [3]int64 {
+				st := fs.IntegrityStats()
+				return [3]int64{st.Hashed - before.Hashed, st.Quarantined - before.Quarantined, st.Repairs - before.Repairs}
+			}
+			p, s := delta(plain), delta(sieve)
+			if p != s {
+				t.Errorf("[hashed quarantined repairs] delta: plain write %v, one-segment window %v", p, s)
+			}
+			// A quarantined page takes no sum until its coverage is whole.
+			if st := plain.IntegrityStats(); tc.quarantined && st.Backlog != 1 {
+				t.Errorf("a partial write healed the quarantined page: %+v", st)
+			} else if !tc.quarantined && p[0] == 0 {
+				t.Error("the write hashed nothing")
+			}
+		})
+	}
+}

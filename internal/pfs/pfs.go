@@ -199,17 +199,6 @@ func NewFileSystem(cfg *sim.Config) *FileSystem {
 	return fs
 }
 
-// SetFaultHook installs (or clears, with nil) a legacy fault injection
-// hook, implemented as an adapter over SetFaultSchedule. Installing a hook
-// replaces any current schedule.
-func (fs *FileSystem) SetFaultHook(h FaultHook) {
-	if h == nil {
-		fs.SetFaultSchedule(nil)
-		return
-	}
-	fs.SetFaultSchedule(NewFaultSchedule(0).WithHook(h))
-}
-
 // SetFaultSchedule installs (or clears, with nil) the fault schedule.
 func (fs *FileSystem) SetFaultSchedule(s *FaultSchedule) {
 	fs.mu.Lock()
@@ -253,7 +242,7 @@ func (fs *FileSystem) IntegrityStats() integrity.Stats {
 }
 
 // evalFault consults the installed schedule for op. It must be called
-// without fs.mu held: legacy hooks may call back into the file system.
+// without fs.mu held: fault hooks may call back into the file system.
 func (fs *FileSystem) evalFault(op Op, now sim.Time) fault {
 	fs.mu.Lock()
 	s := fs.sched
@@ -408,7 +397,7 @@ type Client struct {
 	// when integrity is off. clean is a sieve write's: while cleanOf is
 	// its file (during its RMW prefetch), readSeg lists each page of that
 	// file it verified clean, ascending, with the version it verified; the
-	// write-back's pre-merge gate reads the list, and SieveWriteData
+	// write-back hands the list to its pre-merge gate, and SieveWriteData
 	// empties it on every return.
 	lockRanges []pageRange
 	portions   []stripePortion
@@ -548,40 +537,22 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 	}
 
 	fs := c.fs
-
-	// Fault evaluation happens before fs.mu is taken, so hooks are free to
-	// call back into the file system.
-	c.seq++
-	flt := fs.evalFault(Op{Kind: kind, Client: c.id, Name: f.name, Off: segs[0].Off,
-		Len: total, Segs: len(segs), Seq: c.seq, Round: c.round, Sieve: sieve}, now)
-	var partial *PartialError
-	if flt.class != ClassNone {
-		if flt.class == ClassPartial && flt.err == nil {
-			w := int64(flt.frac * float64(total))
-			if w >= total {
-				w = total - 1
-			}
-			if w < 0 {
-				w = 0
-			}
-			partial = &PartialError{Written: w}
-			c.noteFault(now, kind, flt.class, w)
-			if w == 0 {
-				return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
-			}
-			// Truncate the request to the completed prefix; the caller
-			// sees how far it got and may resume the tail.
-			segs, _ = datatype.SplitSegs(segs, w)
-			if kind == "write" {
-				wdata = wdata.Slice(0, w)
-			} else if dst != nil {
-				dst = dst[:w]
-			}
-			total = w
-		} else {
-			c.noteFault(now, kind, flt.class, 0)
-			return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: %s %q: %w", kind, f.name, flt.wrapped())
+	partial, err := c.admit(Op{Kind: kind, Name: f.name, Off: segs[0].Off,
+		Len: total, Segs: len(segs), Sieve: sieve}, now)
+	if err != nil {
+		return now + fs.cfg.IOCallOverhead, err
+	}
+	if partial != nil {
+		// Truncate the request to the completed prefix; the caller sees
+		// how far it got and may resume the tail.
+		w := partial.Written
+		segs, _ = datatype.SplitSegs(segs, w)
+		if kind == "write" {
+			wdata = wdata.Slice(0, w)
+		} else if dst != nil {
+			dst = dst[:w]
 		}
+		total = w
 	}
 
 	fs.mu.Lock()
@@ -634,6 +605,33 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 		return completion, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
 	}
 	return completion, nil
+}
+
+// admit numbers one storage request, stamps op with the client, its
+// sequence number and round, and asks the fault schedule about it. It
+// returns the error that fails the request outright, or the partial fault
+// that lets only the first Written of op.Len bytes complete (never all of
+// them). Fault evaluation happens before fs.mu is taken, so hooks are free
+// to call back into the file system.
+func (c *Client) admit(op Op, now sim.Time) (*PartialError, error) {
+	c.seq++
+	op.Client, op.Seq, op.Round = c.id, c.seq, c.round
+	flt := c.fs.evalFault(op, now)
+	switch {
+	case flt.class == ClassNone:
+		return nil, nil
+	case flt.class == ClassPartial && flt.err == nil:
+		w := max(min(int64(flt.frac*float64(op.Len)), op.Len-1), 0)
+		partial := &PartialError{Written: w}
+		c.noteFault(now, op.Kind, flt.class, w)
+		if w == 0 {
+			return nil, fmt.Errorf("pfs: %s %q: %w", op.Kind, op.Name, partial)
+		}
+		return partial, nil
+	default:
+		c.noteFault(now, op.Kind, flt.class, 0)
+		return nil, fmt.Errorf("pfs: %s %q: %w", op.Kind, op.Name, flt.wrapped())
+	}
 }
 
 // traceCall marks one storage request in the trace. Guarded: four tags would
@@ -828,12 +826,12 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data Data, t sim.Time) si
 		c.cache.put(f.id, pi)
 	}
 
-	c.integrityPreMerge(f, s, t)
-
-	// Apply the data.
-	f.writeBytes([]datatype.Seg{s}, data, ps)
-
-	integSvc := c.integrityCommit(f, s, t)
+	// The segment passes the integrity gates as a one-segment window.
+	one := [1]datatype.Seg{s}
+	c.integrityPreMergeSpan(f, s, one[:], nil, t)
+	f.writeBytes(one[:], data, ps)
+	integSvc := c.integrityRecordSpan(f, s, one[:])
+	c.injectFlip(f, s, t)
 
 	return c.serve(f, s, t, 1, rmwSvc, conflictSvc, integSvc)
 }
@@ -872,29 +870,6 @@ func (c *Client) serve(f *fileData, s datatype.Seg, t sim.Time, frac float64, rm
 	return done
 }
 
-// integrityPreMerge re-verifies the partially covered pages of a write
-// segment before its bytes merge with existing content (the RMW
-// pre-check): bytes outside the written span must still match their
-// recorded checksum, or the overwrite would launder undetected
-// corruption into a freshly blessed block. A mismatch — pre-existing
-// quarantine or caught right here — attempts a ring repair; when that
-// fails the page stays quarantined and integrityCommit skips it, keeping
-// the block poisoned until a full rewrite heals it. Called with fs.mu
-// held, before the segment's writeBytes.
-func (c *Client) integrityPreMerge(f *fileData, s datatype.Seg, t sim.Time) {
-	if c.sums == nil {
-		return
-	}
-	ps := c.fs.cfg.PageSize
-	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
-	for pi := firstPage; pi <= lastPage; pi++ {
-		if full := pi*ps >= s.Off && (pi+1)*ps <= s.End(); full {
-			continue // fully rewritten below: old content is irrelevant
-		}
-		c.preMergePage(f, pi, nil, t)
-	}
-}
-
 // preMergePage passes one partially overwritten page through the store's
 // pre-merge gate. Holes have nothing recorded and nothing to launder.
 // seen, when non-nil, is the page as this request's sieve prefetch verified
@@ -925,30 +900,6 @@ func (c *Client) noteMismatch(pi int64, repaired bool, t sim.Time) {
 	}
 }
 
-// integrityCommit records per-stripe-block checksums over the pages a
-// just-landed write segment touches, then lets the fault schedule decide
-// whether the media silently corrupts the landed bytes. Injection runs
-// after recording on purpose: the checksums cover the intended content,
-// which is what makes the damage detectable later. Returns the virtual
-// service time of the checksum pass. Called with fs.mu held, after the
-// segment's writeBytes.
-func (c *Client) integrityCommit(f *fileData, s datatype.Seg, t sim.Time) sim.Time {
-	fs := c.fs
-	ps := fs.cfg.PageSize
-	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
-	var integSvc sim.Time
-	if c.sums != nil {
-		for pi := firstPage; pi <= lastPage; pi++ {
-			pstart := pi * ps
-			c.runs = append(c.runs[:0], integrity.Span{Off: s.Off - pstart, End: s.End() - pstart})
-			c.sums.Record(pi, f.page(pi), c.runs)
-		}
-		integSvc = fs.cfg.ChecksumTime((lastPage - firstPage + 1) * ps)
-	}
-	c.injectFlip(f, s, t)
-	return integSvc
-}
-
 // landedRuns collects into c.runs the byte ranges, relative to the page
 // [pstart,pend), that the segments from segs[si] on land in it — abutting
 // pieces merged, everything clipped to the page — and returns the index of
@@ -972,18 +923,25 @@ func (c *Client) landedRuns(segs []datatype.Seg, si int, pstart, pend int64) int
 	return si
 }
 
-// integrityPreMergeSpan is integrityPreMerge for a whole sieve window: it
-// runs once per touched page BEFORE any of the window's segments land.
-// Running it per segment would be wrong — after the first segment of the
-// window scatters, the page content is ahead of its recorded checksum,
-// and a per-segment verify would misread that as corruption and "repair"
-// the just-written bytes away. Pages fully repaved by the union of the
-// segments skip the check (their old content is irrelevant); pages the
-// window never touches keep their sums untouched. A page the window's RMW
-// prefetch verified clean (c.clean) and nobody changed since — its version
-// has not moved — passes without a second hash; every other partly covered
-// page gets the full gate. Called with fs.mu held, before the scatter.
-func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, t sim.Time) {
+// integrityPreMergeSpan re-verifies the partly covered pages of a write
+// window (a sieve window, or a plain write's segment as a one-segment one)
+// before its bytes merge with existing content (the RMW pre-check): bytes
+// outside the written runs must still match their recorded checksum, or the
+// overwrite would launder undetected corruption into a freshly blessed
+// block. A mismatch — pre-existing quarantine or caught right here —
+// attempts a ring repair; when that fails the page stays quarantined and
+// integrityRecordSpan leaves it poisoned until a full rewrite heals it. The
+// gate runs once per touched page BEFORE any of the window's segments land.
+// Running it per segment would be wrong — after the first segment of the window scatters,
+// the page content is ahead of its recorded checksum, and a per-segment
+// verify would misread that as corruption and "repair" the just-written
+// bytes away. Pages fully repaved by the union of the segments skip the
+// check (their old content is irrelevant); pages the window never touches
+// keep their sums untouched. A page on clean — the pages a sieve window's
+// RMW prefetch verified, ascending — whose version has not moved since
+// passes without a second hash; every other partly covered page gets the
+// full gate. Called with fs.mu held, before the scatter.
+func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, clean []pageVer, t sim.Time) {
 	if c.sums == nil {
 		return
 	}
@@ -997,18 +955,18 @@ func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []da
 		if c.runs[0] == (integrity.Span{Off: 0, End: ps}) {
 			continue // fully repaved below: old content is irrelevant
 		}
-		for k < len(c.clean) && c.clean[k].page < pi {
+		for k < len(clean) && clean[k].page < pi {
 			k++
 		}
 		var seen *pageVer
-		if k < len(c.clean) && c.clean[k].page == pi {
-			seen = &c.clean[k]
+		if k < len(clean) && clean[k].page == pi {
+			seen = &clean[k]
 		}
 		c.preMergePage(f, pi, seen, t)
 	}
 }
 
-// integrityRecordSpan records a checksum over every page a sieve window
+// integrityRecordSpan records a checksum over every page a write window
 // touched — once per page: all the runs the window landed in the page go
 // to the store together, which folds them into the page's written (and,
 // under quarantine, repaved) extent and then hashes and retains the page

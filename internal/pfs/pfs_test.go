@@ -269,12 +269,12 @@ func TestFaultInjection(t *testing.T) {
 	fs, _ := newFS()
 	h := fs.NewClient(nil).Open("f")
 	boom := errors.New("injected EIO")
-	fs.SetFaultHook(func(op Op) error {
+	fs.SetFaultSchedule(NewFaultSchedule(0).WithHook(func(op Op) error {
 		if op.Kind == "write" && op.Off == 4096 {
 			return boom
 		}
 		return nil
-	})
+	}))
 	if _, err := h.WriteAt(0, []byte("ok"), 0); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestFaultInjection(t *testing.T) {
 	if img := fs.Snapshot("f", 4099); img[4096] != 0 {
 		t.Fatal("failed write modified the file")
 	}
-	fs.SetFaultHook(nil)
+	fs.SetFaultSchedule(nil)
 	if _, err := h.WriteAt(4096, []byte("yes"), 0); err != nil {
 		t.Fatalf("hook not cleared: %v", err)
 	}

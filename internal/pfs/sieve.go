@@ -94,35 +94,17 @@ func (c *Client) forgetClean() { c.clean = c.clean[:0] }
 func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, data Data, now sim.Time) (sim.Time, error) {
 	fs := c.fs
 
-	// Fault evaluation happens before fs.mu is taken, so hooks are free to
-	// call back into the file system. Op.Len and partial progress are in
-	// useful (data) bytes, not span bytes.
-	c.seq++
-	flt := fs.evalFault(Op{Kind: "write", Client: c.id, Name: f.name, Off: span.Off,
-		Len: data.Len(), Segs: len(segs), Seq: c.seq, Round: c.round, Sieve: true}, now)
-	var partial *PartialError
-	if flt.class != ClassNone {
-		if flt.class == ClassPartial && flt.err == nil {
-			useful := data.Len()
-			w := int64(flt.frac * float64(useful))
-			if w >= useful {
-				w = useful - 1
-			}
-			if w < 0 {
-				w = 0
-			}
-			partial = &PartialError{Written: w}
-			c.noteFault(now, "write", flt.class, w)
-			if w == 0 {
-				return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: write %q: %w", f.name, partial)
-			}
-			segs, _ = datatype.SplitSegs(segs, w)
-			data = data.Slice(0, w)
-			span = datatype.Seg{Off: span.Off, Len: segs[len(segs)-1].End() - span.Off}
-		} else {
-			c.noteFault(now, "write", flt.class, 0)
-			return now + fs.cfg.IOCallOverhead, fmt.Errorf("pfs: write %q: %w", f.name, flt.wrapped())
-		}
+	// Op.Len and partial progress are in useful (data) bytes, not span
+	// bytes.
+	partial, err := c.admit(Op{Kind: "write", Name: f.name, Off: span.Off,
+		Len: data.Len(), Segs: len(segs), Sieve: true}, now)
+	if err != nil {
+		return now + fs.cfg.IOCallOverhead, err
+	}
+	if partial != nil {
+		segs, _ = datatype.SplitSegs(segs, partial.Written)
+		data = data.Slice(0, partial.Written)
+		span = datatype.Seg{Off: span.Off, Len: segs[len(segs)-1].End() - span.Off}
 	}
 
 	fs.mu.Lock()
@@ -143,7 +125,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// content, and the fault schedule gets its chance to corrupt the media
 	// — the sieve buffer is not a side door around the checksummed
 	// datapath.
-	c.integrityPreMergeSpan(f, span, segs, t)
+	c.integrityPreMergeSpan(f, span, segs, c.clean, t)
 	f.writeBytes(segs, data, fs.cfg.PageSize)
 	// Checksums first (over the union of the landed segments), injection
 	// second, so the recorded sums cover the intended content and the

@@ -173,13 +173,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Clone returns a copy of the configuration that can be mutated
-// independently.
-func (c *Config) Clone() *Config {
-	dup := *c
-	return &dup
-}
-
 // TransferTime is the virtual time to move n bytes point-to-point,
 // excluding latency.
 func (c *Config) TransferTime(n int64) Time {

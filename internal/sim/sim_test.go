@@ -71,3 +71,60 @@ func TestValidateChecksumBandwidth(t *testing.T) {
 		t.Errorf("negative ChecksumBandwidth: err = %v, want one naming ChecksumBandwidth", err)
 	}
 }
+
+func TestPairTime(t *testing.T) {
+	c := DefaultConfig()
+	if got, want := c.PairTime(1000), Time(float64(1000))*c.PairProcessCost; got != want {
+		t.Errorf("PairTime(1000) = %v, want %v", got, want)
+	}
+	for _, n := range []int64{0, -3} {
+		if got := c.PairTime(n); got != 0 {
+			t.Errorf("PairTime(%d) = %v, want 0", n, got)
+		}
+	}
+}
+
+func TestServerTransferTime(t *testing.T) {
+	c := DefaultConfig()
+	if got, want := c.ServerTransferTime(1<<20), Time(float64(1<<20)/c.ServerBandwidth); got != want {
+		t.Errorf("ServerTransferTime(1 MiB) = %v, want %v", got, want)
+	}
+	for _, n := range []int64{0, -3} {
+		if got := c.ServerTransferTime(n); got != 0 {
+			t.Errorf("ServerTransferTime(%d) = %v, want 0", n, got)
+		}
+	}
+}
+
+func TestIntraNodeTransferTime(t *testing.T) {
+	c := DefaultConfig()
+	if got, want := c.IntraNodeTransferTime(1<<20), Time(float64(1<<20)/c.IntraNodeBandwidth); got != want {
+		t.Errorf("IntraNodeTransferTime(1 MiB) = %v, want %v", got, want)
+	}
+	for _, n := range []int64{0, -3} {
+		if got := c.IntraNodeTransferTime(n); got != 0 {
+			t.Errorf("IntraNodeTransferTime(%d) = %v, want 0", n, got)
+		}
+	}
+	// No intra-node bandwidth: a same-node move is priced like the network.
+	for _, bw := range []float64{0, -1} {
+		c.IntraNodeBandwidth = bw
+		if got, want := c.IntraNodeTransferTime(1<<20), Time(float64(1<<20)/c.NetBandwidth); got != want {
+			t.Errorf("IntraNodeTransferTime(1 MiB) with IntraNodeBandwidth %v = %v, want %v", bw, got, want)
+		}
+	}
+}
+
+func TestIntraNodeHopLatency(t *testing.T) {
+	c := DefaultConfig()
+	if got, want := c.IntraNodeHopLatency(), c.IntraNodeLatency; got != want {
+		t.Errorf("IntraNodeHopLatency() = %v, want IntraNodeLatency %v", got, want)
+	}
+	// No intra-node latency: a same-node hop costs a network hop.
+	for _, lat := range []Time{0, -1} {
+		c.IntraNodeLatency = lat
+		if got, want := c.IntraNodeHopLatency(), c.NetLatency; got != want {
+			t.Errorf("IntraNodeHopLatency() with IntraNodeLatency %v = %v, want NetLatency %v", lat, got, want)
+		}
+	}
+}
