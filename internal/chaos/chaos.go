@@ -403,14 +403,14 @@ func (e engine) collective(s Scenario, journal *mpiio.WriteJournal, dead []int) 
 // flipRule is the at-rest corruption plan: every write segment is flipped
 // (or torn), so whichever write lands last on a page leaves detectable
 // damage for the next read.
-func (s Scenario) flipRule() pfs.FlipRule {
+func (s Scenario) flipRule() pfs.Rule {
 	switch s.Corrupt {
 	case CorruptTorn:
-		return pfs.FlipRule{Kind: "torn"}
+		return pfs.Rule{Class: pfs.ClassTorn}
 	case CorruptAtRestAhead:
-		return pfs.FlipRule{Kind: "bitflip", MinOff: sim.DefaultConfig().PageSize}
+		return pfs.Rule{Class: pfs.ClassBitflip, MinOff: sim.DefaultConfig().PageSize}
 	}
-	return pfs.FlipRule{Kind: "bitflip"}
+	return pfs.Rule{Class: pfs.ClassBitflip}
 }
 
 // storageSchedule builds the seeded pfs plan the transfer runs under: the
@@ -431,13 +431,13 @@ func (s Scenario) storageSchedule() *pfs.FaultSchedule {
 	case FaultTransientRound1:
 		sched.Add(pfs.Rule{Rounds: []int{1}, Class: pfs.ClassTransient, Count: 2})
 	case FaultPartial:
-		sched.Add(pfs.Rule{Kind: kind, Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2})
+		sched.Add(pfs.Rule{Kind: kind, Class: pfs.ClassPartial, Frac: 0.5, Count: 2})
 	case FaultPartialLast:
 		// Every realm is an even share of the file, drained a collective
 		// buffer a round.
 		realm := (tile.FileSize() + int64(s.naggs()) - 1) / int64(s.naggs())
 		last := int((realm+collBuf-1)/collBuf) - 1
-		sched.Add(pfs.Rule{Kind: kind, Rounds: []int{last}, Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2})
+		sched.Add(pfs.Rule{Kind: kind, Rounds: []int{last}, Class: pfs.ClassPartial, Frac: 0.5, Count: 2})
 	case FaultRound1:
 		sched.Add(pfs.Rule{Rounds: []int{1}, Class: pfs.ClassIO})
 	case FaultBrownout:
@@ -450,7 +450,7 @@ func (s Scenario) storageSchedule() *pfs.FaultSchedule {
 		sched.Add(pfs.Rule{Kind: "write", Class: pfs.ClassIO, Match: func(op pfs.Op) bool { return op.Sieve }})
 	}
 	if s.atRest() && s.Write {
-		sched.AddFlip(s.flipRule())
+		sched.Add(s.flipRule())
 	}
 	return sched
 }
@@ -487,16 +487,16 @@ func (s Scenario) rankSchedule() *mpi.RankFaultSchedule {
 		if s.Storage != "" && s.Engine != "twophase" {
 			round = 2
 		}
-		rf.Stall(s.Victim, round, rankStall)
+		rf.Stall(s.Victim, round, rankStall, 1)
 	case RankDropStorm:
-		rf.Drop(s.Victim, mpi.Any, 0.4, rankDropPen, 0)
+		rf.Drop(s.Victim, 0.4, rankDropPen)
 	}
 	if s.Corrupt == CorruptWire {
 		repeat := 1
 		if !s.Repairable {
 			repeat = wireRepeatUnrepairable
 		}
-		rf.Corrupt(mpi.Any, mpi.Any, 1, repeat, 0)
+		rf.Corrupt(mpi.Any, mpi.Any, repeat, 0)
 	}
 	return rf
 }
@@ -690,7 +690,7 @@ func (s Scenario) run() (*Outcome, error) {
 	// checksums.
 	if !s.Write {
 		if s.atRest() {
-			e.fs.SetFaultSchedule(e.seedFlips.AddFlip(s.flipRule()))
+			e.fs.SetFaultSchedule(e.seedFlips.Add(s.flipRule()))
 		}
 		if err := e.seedFile(); err != nil {
 			return nil, fmt.Errorf("chaos: seeding %s: %w", s.Name(), err)

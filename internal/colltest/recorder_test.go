@@ -223,7 +223,7 @@ func writeFaulted(cfg *sim.Config, wl Workload, info mpiio.Info) (Result, error)
 	fs := pfs.NewFileSystem(cfg)
 	fs.SetFaultSchedule(pfs.NewFaultSchedule(7).
 		Add(pfs.Rule{Class: pfs.ClassTransient, Count: 2}).
-		Add(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 2}))
+		Add(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, Frac: 0.5, Count: 2}))
 	w := recorded(cfg, wl)
 	if err := run(w, fs, info, true, 1, Spec(wl)); err != nil {
 		return Result{}, err

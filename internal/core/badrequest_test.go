@@ -237,7 +237,7 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("romio/bit flip/seed ", seed), func(t *testing.T) {
 			b := newBadRequestWorld(ROMIO(Options{}))
-			b.w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(bad, 0, 1.0, 1, 1))
+			b.w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(bad, 0, 1, 1))
 			errs, _ := b.call(t, true, 30*time.Second)
 			for r, err := range errs {
 				if err == nil || mpiio.ErrorClass(err) != mpiio.ErrorClass(errs[0]) {

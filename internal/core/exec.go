@@ -559,7 +559,7 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 						// The modelled pack of the message.
 						f.ChargeCopy(n)
 					}
-					p.IsendIov(a, tagData+r%1024, send[a])
+					p.SendIov(a, tagData+r%1024, send[a])
 				}
 			}
 			p.End(iv)
@@ -676,7 +676,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		}
 		scr.reqs[r&1] = reqs
 		for _, pb := range rp.Peers {
-			p.IsendIov(pb.Client, tagBack+r%1024, iov[pb.Client])
+			p.SendIov(pb.Client, tagBack+r%1024, iov[pb.Client])
 		}
 		if r == 0 && amAgg && pl.err != nil {
 			// A request this aggregator refused left its sender waiting

@@ -164,9 +164,9 @@ func TestInPlaceWriteMatchesGatheredCopy(t *testing.T) {
 		{name: "listio", views: interleaved, info: sieve, opts: Options{Method: mpiio.ListIO}},
 		{name: "integrated-sieve", views: interleaved, info: sieve, romio: true},
 		{name: "partial-resumes-mid-view", views: interleaved, info: sieve, faults: true,
-			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.37, Count: 3})},
+			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, Frac: 0.37, Count: 3})},
 		{name: "partial-listio", views: interleaved, info: sieve, opts: Options{Method: mpiio.ListIO}, faults: true,
-			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.61, Count: 2})},
+			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, Frac: 0.61, Count: 2})},
 		{name: "transient-retry", views: interleaved, info: sieve, faults: true,
 			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassTransient, Count: 2})},
 		{name: "degrade-rewalks", views: interleaved, faults: true,
@@ -175,14 +175,14 @@ func TestInPlaceWriteMatchesGatheredCopy(t *testing.T) {
 		{name: "batch-of-rounds", views: sparse, info: batched},
 		{name: "batch-pairs-partial", views: sparse, faults: true,
 			info: mpiio.Info{CollBufSize: 1024, SieveBufSize: 2048},
-			arm:  rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.45, Count: 4})},
+			arm:  rule(pfs.Rule{Kind: "write", Class: pfs.ClassPartial, Frac: 0.45, Count: 4})},
 		{name: "batch-degrade-rewalks", views: sparse, faults: true,
 			info: mpiio.Info{CollBufSize: 1024, RetryLimit: -1}, opts: Options{Degraded: true},
 			arm: rule(pfs.Rule{Kind: "write", Class: pfs.ClassIO, Match: func(op pfs.Op) bool { return op.Sieve }})},
 		{name: "corrupt-repaired", views: interleaved, info: sieve, faults: true,
 			arm: func(w *mpi.World, _ *pfs.FileSystem) func() int64 {
 				w.EnableIntegrity(9)
-				w.SetRankFaults(mpi.NewRankFaultSchedule(9).Corrupt(2, 0, 1, 1, 3))
+				w.SetRankFaults(mpi.NewRankFaultSchedule(9).Corrupt(2, 0, 1, 3))
 				return func() int64 { return w.Totals().Counter(metrics.CIntegWireRepaired) }
 			}},
 	}

@@ -417,7 +417,7 @@ func malformedMemberCall(t *testing.T, wl colltest.Workload, engine mpiio.Collec
 			}
 		}
 	}
-	w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(1, 0, 1.0, 1, 1))
+	w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(1, 0, 1, 1))
 	before := bufpool.Snapshot()
 	done := make(chan struct{})
 	go func() {

@@ -291,7 +291,7 @@ func TestReadAheadAbortsUniformly(t *testing.T) {
 	}
 	faults := []fault{
 		{"transient", mpiio.ClassTransient, pfs.Rule{Class: pfs.ClassTransient}},
-		{"partial", mpiio.ClassPartial, pfs.Rule{Class: pfs.ClassPartial, PartialFrac: 0.5}},
+		{"partial", mpiio.ClassPartial, pfs.Rule{Class: pfs.ClassPartial, Frac: 0.5}},
 		{"integrity", mpiio.ClassIntegrity, pfs.Rule{}}, // raised by the hook below
 	}
 	for _, comm := range []core.CommStrategy{core.Nonblocking, core.Blocking} {
@@ -413,7 +413,7 @@ func TestReadAheadDegrades(t *testing.T) {
 		var sink *trace.Sink
 		arm := func() {
 			// Rounds k and k+1 of the read: the seeding write is over.
-			w.SetRankFaults(mpi.NewRankFaultSchedule(1).Straggle(victim, k, stall, 2))
+			w.SetRankFaults(mpi.NewRankFaultSchedule(1).Stall(victim, k, stall, 2))
 			sink = w.EnableTracing(0)
 		}
 		errs, _ := aheadRun(t, w, fs, mpiio.Info{Collective: core.New(core.Options{})}, arm)

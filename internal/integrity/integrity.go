@@ -49,11 +49,11 @@ type Hasher struct {
 // from the pool. Call Release when the owning world or file system is
 // torn down to recycle the table; a dropped hasher merely falls to the GC.
 func NewHasher(seed int64) *Hasher {
-	h := &Hasher{seed: smix(uint64(seed) + 0x9e3779b97f4a7c15)}
+	h := &Hasher{seed: Mix(uint64(seed) + 0x9e3779b97f4a7c15)}
 	h.tab = tabPool.Get().(*[tabWords]uint64)
 	x := h.seed
 	for i := range h.tab {
-		x = smix(x + 0x9e3779b97f4a7c15)
+		x = Mix(x + 0x9e3779b97f4a7c15)
 		h.tab[i] = x
 	}
 	return h
@@ -185,11 +185,11 @@ func (h *Hasher) finish(st *sumState, tail []byte) uint64 {
 	for _, l := range lanes[1:] {
 		x = mixWord(x, l)
 	}
-	return smix(x)
+	return Mix(x)
 }
 
-// smix is the splitmix64 finalizer shared with the fault-schedule coins.
-func smix(x uint64) uint64 {
+// Mix is the splitmix64 finalizer; the pfs and mpi fault coins chain it too.
+func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -25,7 +25,7 @@ func TestCorruptRepairedByReRequest(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
 	w.EnableMetrics()
 	w.EnableIntegrity(42)
-	w.SetRankFaults(NewRankFaultSchedule(42).Corrupt(0, 1, 1, 1, 1))
+	w.SetRankFaults(NewRankFaultSchedule(42).Corrupt(0, 1, 1, 1))
 	want := payload(512)
 	var got []byte
 	w.Run(func(p *Proc) {
@@ -58,7 +58,7 @@ func TestCorruptUnrepairableArmsIntegrityFailure(t *testing.T) {
 	w.EnableMetrics()
 	w.EnableIntegrity(42)
 	w.SetRankFaults(NewRankFaultSchedule(42).
-		Corrupt(0, 1, 1, integrity.MaxReRequests+1, 1))
+		Corrupt(0, 1, integrity.MaxReRequests+1, 1))
 	var got []byte
 	w.Run(func(p *Proc) {
 		if p.Rank() == 0 {
@@ -97,8 +97,8 @@ func TestDropThenCorruptRedeliveredReVerified(t *testing.T) {
 	w.EnableMetrics()
 	w.EnableIntegrity(99)
 	w.SetRankFaults(NewRankFaultSchedule(99).
-		Drop(0, 1, 1, 5e-3, 1).
-		Corrupt(0, 1, 1, 1, 1))
+		Drop(0, 1, 5e-3).
+		Corrupt(0, 1, 1, 1))
 	want := payload(1024)
 	var got []byte
 	w.Run(func(p *Proc) {
@@ -134,7 +134,7 @@ func TestDropThenCorruptRedeliveredReVerified(t *testing.T) {
 func TestCorruptSilentWithoutIntegrity(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
 	w.EnableMetrics()
-	w.SetRankFaults(NewRankFaultSchedule(7).Corrupt(0, 1, 1, 1, 1))
+	w.SetRankFaults(NewRankFaultSchedule(7).Corrupt(0, 1, 1, 1))
 	want := payload(128)
 	var got []byte
 	w.Run(func(p *Proc) {
@@ -170,7 +170,7 @@ func TestCorruptWaitallNonblockingPath(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
 	w.EnableMetrics()
 	w.EnableIntegrity(5)
-	w.SetRankFaults(NewRankFaultSchedule(5).Corrupt(0, 1, 1, 1, 1))
+	w.SetRankFaults(NewRankFaultSchedule(5).Corrupt(0, 1, 1, 1))
 	want := payload(2048)
 	var got []byte
 	w.Run(func(p *Proc) {

@@ -141,7 +141,7 @@ func TestCorruptIovRepairedByReRequest(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
 	w.EnableMetrics()
 	w.EnableIntegrity(42)
-	w.SetRankFaults(NewRankFaultSchedule(42).Corrupt(0, 1, 1, 1, 1))
+	w.SetRankFaults(NewRankFaultSchedule(42).Corrupt(0, 1, 1, 1))
 	src := payload(512)
 	sent := cut(src, 7, 100, 32)
 	var got [][]byte
@@ -183,11 +183,11 @@ func TestCorruptIovUnrepairableArmsIntegrityFailure(t *testing.T) {
 	w.EnableMetrics()
 	w.EnableIntegrity(42)
 	w.SetRankFaults(NewRankFaultSchedule(42).
-		Corrupt(0, 1, 1, integrity.MaxReRequests+1, 1))
+		Corrupt(0, 1, integrity.MaxReRequests+1, 1))
 	var got [][]byte
 	w.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.IsendIov(1, 7, cut(payload(256), 100))
+			p.SendIov(1, 7, cut(payload(256), 100))
 		} else {
 			got = WaitallIov([]*Request{p.Irecv(0, 7)}, nil)[0]
 		}
@@ -208,7 +208,7 @@ func TestCorruptIovUnrepairableArmsIntegrityFailure(t *testing.T) {
 // one view it landed in; the other views still alias the sender.
 func TestCorruptIovSilentWithoutIntegrity(t *testing.T) {
 	w := NewWorld(2, sim.DefaultConfig())
-	w.SetRankFaults(NewRankFaultSchedule(7).Corrupt(0, 1, 1, 1, 1))
+	w.SetRankFaults(NewRankFaultSchedule(7).Corrupt(0, 1, 1, 1))
 	src := payload(128)
 	var got [][]byte
 	w.Run(func(p *Proc) {
@@ -280,7 +280,7 @@ func TestAlltoallvMatchesIov(t *testing.T) {
 			run := func(op func(p *Proc, rows [][]byte) [][]byte) []string {
 				var rf *RankFaultSchedule
 				if tc.corrupt > 0 {
-					rf = NewRankFaultSchedule(5).Corrupt(1, 3, 1, tc.corrupt, 1)
+					rf = NewRankFaultSchedule(5).Corrupt(1, 3, tc.corrupt, 1)
 				}
 				out := accounted(4, tc.integ, rf, func(p *Proc, got func([]byte)) {
 					rows := make([][]byte, p.Size())

@@ -434,34 +434,19 @@ func (p *Proc) arrivalTime(post sim.Time, e *envelope) sim.Time {
 	return p.nicBusy + p.w.cfg.NetLatency
 }
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking receive handle (sends are eager and need none).
 type Request struct {
 	p    *Proc
 	done bool
-	// For receives:
-	isRecv bool
-	src    int
-	tag    int
-	post   sim.Time // clock when the receive was posted
+	src  int
+	tag  int
+	post sim.Time // clock when the receive was posted
 	// A completed receive holds its payload the way it travelled: data
 	// from Send, iov from SendIov, both nil when the receive failed.
 	data []byte
 	iov  [][]byte
 	from int
 	ok   bool
-}
-
-// doneRequest is the shared handle every IsendIov returns: sends are eager,
-// so the request is born complete, carries no per-send state, and is never
-// mutated — Wait on it only reads the done flag.
-var doneRequest = &Request{done: true}
-
-// IsendIov posts a nonblocking SendIov. In the eager model the payload is
-// buffered immediately, so the returned request is already complete; it
-// exists so calling code reads like the MPI it models.
-func (p *Proc) IsendIov(to, tag int, iov [][]byte) *Request {
-	p.SendIov(to, tag, iov)
-	return doneRequest
 }
 
 // Irecv posts a nonblocking receive. The matching and transfer are resolved
@@ -481,7 +466,7 @@ func (p *Proc) Irecv(src, tag int) *Request {
 	} else {
 		r = new(Request)
 	}
-	*r = Request{p: p, isRecv: true, src: src, tag: tag, post: p.clock}
+	*r = Request{p: p, src: src, tag: tag, post: p.clock}
 	return r
 }
 
@@ -491,20 +476,18 @@ func (p *Proc) Irecv(src, tag int) *Request {
 func (r *Request) complete() (ok bool) {
 	if !r.done {
 		r.done = true
-		if r.isRecv {
-			e, from := r.p.recv(r.post, r.src, r.tag)
-			r.from = from
-			if e != nil {
-				r.data, r.iov = e.data, e.iov
-				r.p.w.releaseEnvelope(e)
-				r.ok = true
-			}
+		e, from := r.p.recv(r.post, r.src, r.tag)
+		r.from = from
+		if e != nil {
+			r.data, r.iov = e.data, e.iov
+			r.p.w.releaseEnvelope(e)
+			r.ok = true
 		}
 	}
 	return r.ok
 }
 
-// Wait completes the request. For receives it returns the data and source;
+// Wait completes the receive and returns its data and source;
 // nil data with the posted source means the peer crashed or tripped the
 // deadline (see Recv).
 func (r *Request) Wait() (data []byte, from int) {
@@ -525,7 +508,7 @@ func (r *Request) waitIov() [][]byte {
 }
 
 // WaitallInto completes a set of requests and returns the received payloads
-// in request order (nil entries for sends) in caller scratch: out is resized
+// in request order in caller scratch: out is resized
 // to len(reqs) (reusing its capacity) and returned, so a round loop waits
 // without allocating. It consumes the requests: each is released back to the
 // pool and its slot nilled, so callers must not Wait on them again.
@@ -542,7 +525,7 @@ func WaitallInto(reqs []*Request, out [][]byte) [][]byte {
 }
 
 // WaitallIov is WaitallInto for payloads consumed as views: out[i] is
-// request i's view table (nil for sends and failed receives).
+// request i's view table (nil for a failed receive).
 func WaitallIov(reqs []*Request, out [][][]byte) [][][]byte {
 	out = slices.Grow(out[:0], len(reqs))[:len(reqs)]
 	for i, r := range reqs {
@@ -557,10 +540,9 @@ func WaitallIov(reqs []*Request, out [][][]byte) [][][]byte {
 
 // retire releases a completed request back to the pool and nils its slot.
 func retire(reqs []*Request, i int) {
-	if r := reqs[i]; r != doneRequest {
-		p := r.p
-		*r = Request{}
-		p.reqs = append(p.reqs, r)
-	}
+	r := reqs[i]
+	p := r.p
+	*r = Request{}
+	p.reqs = append(p.reqs, r)
 	reqs[i] = nil
 }

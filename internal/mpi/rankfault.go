@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"flexio/internal/integrity"
 	"flexio/internal/sim"
 )
 
@@ -57,21 +58,19 @@ type stallRule struct {
 }
 
 type dropRule struct {
-	from, to int // to == Any matches every destination
-	prob     float64
-	penalty  sim.Time
-	left     int // remaining injections (from Count)
+	from    int // Any matches every sender
+	prob    float64
+	penalty sim.Time
 }
 
 type corruptRule struct {
-	from, to int // to == Any matches every destination
-	prob     float64
+	from, to int // Any matches every rank
 	repeat   int // consecutive corrupted delivery attempts per hit
 	left     int // remaining injections (from Count)
 }
 
 // NewRankFaultSchedule returns an empty schedule; the seed drives the
-// probability coins of Drop rules.
+// coins of Drop rules and the bits Corrupt rules flip.
 func NewRankFaultSchedule(seed int64) *RankFaultSchedule {
 	return &RankFaultSchedule{seed: seed}
 }
@@ -105,59 +104,46 @@ func (s *RankFaultSchedule) CrashAtSend(rank, round int, send int64) *RankFaultS
 	return s
 }
 
-// Stall charges rank a one-shot virtual-time delay when it reaches round:
-// the rank keeps running but arrives everywhere late, which is what trips
-// deadline detection without tearing the process down.
-func (s *RankFaultSchedule) Stall(rank, round int, d sim.Time) *RankFaultSchedule {
+// Stall charges rank a virtual-time delay at each of rounds consecutive
+// rounds starting at round: the rank keeps running but arrives everywhere
+// late, which is what trips deadline detection without tearing the process
+// down. One round is a hiccup; more model a persistently slow rank.
+func (s *RankFaultSchedule) Stall(rank, round int, d sim.Time, rounds int) *RankFaultSchedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stalls = append(s.stalls, stallRule{rank: rank, round: round, delay: d, left: 1})
+	s.stalls = append(s.stalls, stallRule{rank: rank, round: round, delay: d, left: max(rounds, 1)})
 	return s
 }
 
-// Straggle charges rank the delay at each of count consecutive rounds
-// starting at round, modelling a persistently slow rank rather than one
-// hiccup.
-func (s *RankFaultSchedule) Straggle(rank, round int, d sim.Time, count int) *RankFaultSchedule {
-	if count < 1 {
-		count = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stalls = append(s.stalls, stallRule{rank: rank, round: round, delay: d, left: count})
-	return s
-}
-
-// Drop injects message loss on the from→to link (Any on either side for every
-// destination): each matching send is dropped and redelivered with
-// probability prob, charging the sender the redelivery penalty (the
-// retransmit timeout) before the message leaves. Count caps total
-// injections (0 = unlimited). The message itself is still delivered — late
+// Drop injects message loss on every link out of from (Any for every
+// sender): each send is dropped and redelivered with probability prob,
+// charging the sender the redelivery penalty (the retransmit timeout)
+// before the message leaves. The message itself is still delivered — late
 // — so the collective completes; this is a latency fault, not a loss.
-func (s *RankFaultSchedule) Drop(from, to int, prob float64, penalty sim.Time, count int) *RankFaultSchedule {
+func (s *RankFaultSchedule) Drop(from int, prob float64, penalty sim.Time) *RankFaultSchedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drops = append(s.drops, dropRule{from: from, to: to, prob: prob, penalty: penalty, left: count})
+	s.drops = append(s.drops, dropRule{from: from, prob: prob, penalty: penalty})
 	return s
 }
 
 // Corrupt injects silent payload corruption on the from→to link (Any on
-// either side matches every rank): each matching send has one bit of its payload
-// flipped in flight with probability prob. The flipped bit and the firing
-// messages are functions of the seed alone, like Drop. repeat is how many
+// either side matches every rank): each matching send has one bit of its
+// payload flipped in flight. The flipped bit is a function of the seed and
+// the message alone, like Drop's coin. repeat is how many
 // consecutive delivery attempts of one hit arrive corrupted — 1 means the
 // first copy only, so a single re-request recovers; a repeat beyond
 // integrity.MaxReRequests is unrepairable by construction and forces the
 // ErrDataIntegrity abort path. Count caps total injections (0 =
 // unlimited). Without World.EnableIntegrity the corruption is truly
 // silent: the flipped payload is delivered as if nothing happened.
-func (s *RankFaultSchedule) Corrupt(from, to int, prob float64, repeat, count int) *RankFaultSchedule {
+func (s *RankFaultSchedule) Corrupt(from, to, repeat, count int) *RankFaultSchedule {
 	if repeat < 1 {
 		repeat = 1
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.corrupts = append(s.corrupts, corruptRule{from: from, to: to, prob: prob, repeat: repeat, left: count})
+	s.corrupts = append(s.corrupts, corruptRule{from: from, to: to, repeat: repeat, left: count})
 	return s
 }
 
@@ -205,7 +191,7 @@ func (s *RankFaultSchedule) atRound(rank, round int) (stall sim.Time, crash bool
 	defer s.mu.Unlock()
 	// Rounds are visited in order within a collective, so "fire while
 	// charges remain, starting at the rule's round" yields consecutive
-	// slow rounds for Straggle and exactly one for Stall.
+	// slow rounds.
 	for i := range s.stalls {
 		r := &s.stalls[i]
 		if r.rank != rank || r.left <= 0 || round < r.round {
@@ -249,24 +235,14 @@ func (s *RankFaultSchedule) crashAt(at crashRule) (crash bool) {
 func (s *RankFaultSchedule) dropPenalty(from, to int, seq int64) sim.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// left encodes the remaining budget: 0 = unlimited, >0 = remaining,
-	// -1 = exhausted.
 	var pen sim.Time
 	for i := range s.drops {
 		r := &s.drops[i]
-		if (r.from != Any && r.from != from) || (r.to != Any && r.to != to) || r.left < 0 {
+		if r.from != Any && r.from != from {
 			continue
 		}
-		if r.prob <= 0 {
-			continue // a zero-probability rule never fires
-		}
-		if r.prob < 1 && dropCoin(s.seed, i, from, to, seq) >= r.prob {
+		if float64(linkCoin(dropSalt, s.seed, i, from, to, seq)>>11)/(1<<53) >= r.prob {
 			continue
-		}
-		if r.left > 0 {
-			if r.left--; r.left == 0 {
-				r.left = -1
-			}
 		}
 		s.injected++
 		pen += r.penalty
@@ -277,23 +253,15 @@ func (s *RankFaultSchedule) dropPenalty(from, to int, seq int64) sim.Time {
 // corruptHit evaluates corruption rules for the seq'th send from→to. On a
 // hit it returns the repeat count (consecutive corrupted delivery
 // attempts) and a hash that picks the flipped bit; the first matching
-// rule wins. The coin stream is salted differently from dropCoin, so drop
-// and corrupt rules on the same link make independent decisions about the
-// same message — which is exactly the redelivery-interaction case the
-// regression tests pin down.
+// rule wins.
 func (s *RankFaultSchedule) corruptHit(from, to int, seq int64) (repeat int, bitHash uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// left encodes the remaining budget: 0 = unlimited, >0 = remaining,
+	// -1 = exhausted.
 	for i := range s.corrupts {
 		r := &s.corrupts[i]
 		if (r.from != Any && r.from != from) || (r.to != Any && r.to != to) || r.left < 0 {
-			continue
-		}
-		if r.prob <= 0 {
-			continue // a zero-probability rule never fires
-		}
-		h := corruptCoin(s.seed, i, from, to, seq)
-		if r.prob < 1 && float64(h>>11)/float64(1<<53) >= r.prob {
 			continue
 		}
 		if r.left > 0 {
@@ -302,38 +270,27 @@ func (s *RankFaultSchedule) corruptHit(from, to int, seq int64) (repeat int, bit
 			}
 		}
 		s.injected++
-		return r.repeat, rmix(h + 0x9e3779b97f4a7c15), true
+		h := linkCoin(corruptSalt, s.seed, i, from, to, seq)
+		return r.repeat, integrity.Mix(h + 0x9e3779b97f4a7c15), true
 	}
 	return 0, 0, false
 }
 
-// dropCoin maps (seed, rule, link, seq) to a uniform [0,1) value with the
-// same splitmix64 finalizer chain pfs uses for its fault coins.
-func dropCoin(seed int64, rule, from, to int, seq int64) float64 {
-	x := rmix(uint64(seed) + 0x9e3779b97f4a7c15)
-	x = rmix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
-	x = rmix(x ^ uint64(from+1)*0x94d049bb133111eb)
-	x = rmix(x ^ uint64(to+2))
-	x = rmix(x ^ uint64(seq))
-	return float64(x>>11) / float64(1<<53)
-}
+// The salts of the two link coin streams: drop and corrupt rules on the
+// same link make independent decisions about the same message, which is
+// exactly the redelivery-interaction case the regression tests pin down.
+const (
+	dropSalt    = 0x9e3779b97f4a7c15
+	corruptSalt = 0xd1b54a32d192ed03
+)
 
-// corruptCoin is dropCoin with a distinct salt so corruption decisions
-// are independent of drop decisions on the same (rule, link, seq).
-func corruptCoin(seed int64, rule, from, to int, seq int64) uint64 {
-	x := rmix(uint64(seed) + 0xd1b54a32d192ed03)
-	x = rmix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
-	x = rmix(x ^ uint64(from+1)*0x94d049bb133111eb)
-	x = rmix(x ^ uint64(to+2))
-	x = rmix(x ^ uint64(seq))
-	return x
-}
-
-func rmix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+// linkCoin maps (seed, rule, link, seq) to a 64-bit hash with the
+// splitmix64 finalizer chain, salted per stream.
+func linkCoin(salt uint64, seed int64, rule, from, to int, seq int64) uint64 {
+	x := integrity.Mix(uint64(seed) + salt)
+	x = integrity.Mix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
+	x = integrity.Mix(x ^ uint64(from+1)*0x94d049bb133111eb)
+	x = integrity.Mix(x ^ uint64(to+2))
+	x = integrity.Mix(x ^ uint64(seq))
 	return x
 }

@@ -9,7 +9,7 @@ import (
 // A Drop rule with prob 0 is a no-op: no matching send is charged the
 // redelivery penalty and the injection counter stays at zero.
 func TestDropZeroProbabilityNeverFires(t *testing.T) {
-	s := NewRankFaultSchedule(7).Drop(0, Any, 0, 1000, 0)
+	s := NewRankFaultSchedule(7).Drop(0, 0, 1000)
 	for seq := int64(1); seq <= 64; seq++ {
 		if pen := s.dropPenalty(0, 1, seq); pen != 0 {
 			t.Fatalf("seq %d: zero-probability drop charged penalty %v", seq, pen)
@@ -20,12 +20,37 @@ func TestDropZeroProbabilityNeverFires(t *testing.T) {
 	}
 }
 
-// prob >= 1 bypasses the coin and fires on every matching send.
+// prob 1 fires on every matching send: the coin is always below 1.
 func TestDropCertainProbabilityAlwaysFires(t *testing.T) {
-	s := NewRankFaultSchedule(7).Drop(0, Any, 1, 1000, 0)
+	s := NewRankFaultSchedule(7).Drop(0, 1, 1000)
 	for seq := int64(1); seq <= 8; seq++ {
 		if pen := s.dropPenalty(0, 1, seq); pen != 1000 {
 			t.Fatalf("seq %d: certain drop charged %v, want 1000", seq, pen)
+		}
+	}
+}
+
+// TestRankFaultCoinsPinned pins both link coin streams: a seeded schedule
+// drops and corrupts the messages these values pick, so a change to the
+// chain changes every recorded rank fault. The drop stream is compared at
+// the 53 bits its coin uses.
+func TestRankFaultCoinsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed           int64
+		rule, from, to int
+		seq            int64
+		drop, corrupt  uint64
+	}{
+		{7, 0, 0, 1, 1, 0xb40453ac65c02, 0x9b0020b4d29b517e},
+		{7, 1, 0, 1, 1, 0x9e21e1cded449, 0x46f1289f9b756279},
+		{99, 0, 2, 5, 5, 0x2bb8df512ca09, 0x528dcbb9a45a6719},
+		{42, 0, 3, 0, 1000, 0x82d62d211ffb2, 0x9be035bcaaf7350a},
+	} {
+		if got := linkCoin(dropSalt, tc.seed, tc.rule, tc.from, tc.to, tc.seq) >> 11; got != tc.drop {
+			t.Errorf("drop coin %+v = %#x, want %#x", tc, got, tc.drop)
+		}
+		if got := linkCoin(corruptSalt, tc.seed, tc.rule, tc.from, tc.to, tc.seq); got != tc.corrupt {
+			t.Errorf("corrupt coin %+v = %#x, want %#x", tc, got, tc.corrupt)
 		}
 	}
 }

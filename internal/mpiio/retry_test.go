@@ -58,7 +58,7 @@ func TestRetryTransientRecovers(t *testing.T) {
 
 func TestRetryPartialResume(t *testing.T) {
 	sched := pfs.NewFaultSchedule(9).Add(pfs.Rule{
-		Kind: "write", Class: pfs.ClassPartial, PartialFrac: 0.5, Count: 3,
+		Kind: "write", Class: pfs.ClassPartial, Frac: 0.5, Count: 3,
 	})
 	data := make([]byte, 4096)
 	for i := range data {

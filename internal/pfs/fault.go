@@ -3,6 +3,7 @@ package pfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"flexio/internal/integrity"
@@ -58,6 +59,17 @@ const (
 	ClassPartial
 	// ClassIO aborts the op with ErrIO and no side effects.
 	ClassIO
+	// ClassBitflip flips one stored bit of a landed write segment. The
+	// stripe-block checksums were recorded for the intended content, so
+	// with integrity enabled the next read of the block detects it.
+	ClassBitflip
+	// ClassTorn loses the tail of a landed write segment: it never reached
+	// the media and reads back as zeros (a torn write across a sector
+	// boundary). Checksums again cover the intended content.
+	//
+	// Without FileSystem.EnableIntegrity both at-rest classes are truly
+	// silent: reads return the damaged bytes with no error.
+	ClassTorn
 )
 
 // String names the class for trace tags and tables.
@@ -71,6 +83,10 @@ func (c Class) String() string {
 		return "partial"
 	case ClassIO:
 		return "io"
+	case ClassBitflip:
+		return "bitflip"
+	case ClassTorn:
+		return "torn"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
 	}
@@ -94,31 +110,25 @@ func classifyErr(err error) Class {
 // Rule matches a subset of operations and injects one fault class into
 // them. All match fields are conjunctive; zero values match everything.
 //
-// Rules deliberately do not key probability coins on Op.Client: client ids
-// are assigned in Open order, which wall-clock goroutine scheduling can
-// permute between runs. Coins hash the rank-deterministic fields (Seq, Off,
-// Len, Kind) instead, so a seeded schedule makes identical decisions on
-// every run.
+// A request class (transient, partial, io) fails the matching request. An
+// at-rest class (bitflip, torn) lets every write segment land and then
+// damages its stored bytes: the write succeeds, and only later reads can
+// discover that the media lied. At-rest rules see each landed write segment
+// as its own op (Off/Len are the segment's, Kind is "write").
+//
+// The flipped bit is a hash of the schedule seed and the op, never of
+// Op.Client: client ids are assigned in Open order, which wall-clock
+// goroutine scheduling can permute between runs. It hashes the
+// rank-deterministic fields (Seq, Off, Len) instead, so a seeded schedule
+// damages the same bit on every run.
 type Rule struct {
 	// Kind restricts to "read" or "write" ops ("" = both).
 	Kind string
-	// Name restricts to one file ("" = any).
-	Name string
 	// Rounds restricts to specific collective rounds (nil = any,
 	// including ops outside a collective, which carry round -1).
 	Rounds []int
-	// MinSeq/MaxSeq bound the per-client operation sequence number
-	// (1-based; zero = unbounded).
-	MinSeq, MaxSeq int64
-	// MinSegs restricts to list ops carrying at least this many segments.
-	MinSegs int
-	// MinOff/MaxOff bound the op's starting file offset (MaxOff zero =
-	// unbounded; MaxOff is exclusive).
-	MinOff, MaxOff int64
-	// After/Until bound the op's virtual issue time (zero = unbounded;
-	// Until is exclusive). Virtual times depend on simulated contention,
-	// so time-windowed rules are best combined with Prob == 0 (always).
-	After, Until sim.Time
+	// MinOff bounds the op's starting file offset from below.
+	MinOff int64
 	// Match is an extra predicate (nil = always). It must be pure: it may
 	// not call back into the FileSystem.
 	Match func(Op) bool
@@ -126,58 +136,25 @@ type Rule struct {
 	// Class is the fault to inject (ClassNone is promoted to ClassIO so a
 	// zero-valued class still means "fail").
 	Class Class
-	// Prob in (0,1) injects with that probability per matching op, decided
-	// by a deterministic hash of the schedule seed and the op; outside
-	// (0,1) the rule always fires.
-	Prob float64
 	// Count caps injections per client (0 = unlimited).
 	Count int64
-	// PartialFrac is the fraction of the op's data bytes that complete
-	// for ClassPartial (clamped to (0,1); default 0.5). The completed
-	// byte count is additionally clamped below the full length, so a
-	// partial op always returns an error.
-	PartialFrac float64
+	// Frac is the fraction of the op's data bytes that complete for
+	// ClassPartial (clamped to (0,1); default 0.5; the completed byte count
+	// is additionally clamped below the full length, so a partial op always
+	// returns an error), or of the segment's tail lost for ClassTorn
+	// (clamped to (0,1]; default 0.25).
+	Frac float64
 }
 
-// matches reports whether the rule applies to op at virtual time now.
-func (r *Rule) matches(op Op, now sim.Time) bool {
+// matches reports whether the rule applies to op.
+func (r *Rule) matches(op Op) bool {
 	if r.Kind != "" && r.Kind != op.Kind {
 		return false
 	}
-	if r.Name != "" && r.Name != op.Name {
-		return false
-	}
-	if len(r.Rounds) > 0 {
-		found := false
-		for _, rd := range r.Rounds {
-			if rd == op.Round {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	if r.MinSeq > 0 && op.Seq < r.MinSeq {
-		return false
-	}
-	if r.MaxSeq > 0 && op.Seq > r.MaxSeq {
-		return false
-	}
-	if r.MinSegs > 0 && op.Segs < r.MinSegs {
+	if len(r.Rounds) > 0 && !slices.Contains(r.Rounds, op.Round) {
 		return false
 	}
 	if op.Off < r.MinOff {
-		return false
-	}
-	if r.MaxOff > 0 && op.Off >= r.MaxOff {
-		return false
-	}
-	if r.After > 0 && now < r.After {
-		return false
-	}
-	if r.Until > 0 && now >= r.Until {
 		return false
 	}
 	if r.Match != nil && !r.Match(op) {
@@ -186,79 +163,11 @@ func (r *Rule) matches(op Op, now sim.Time) bool {
 	return true
 }
 
-// FlipRule injects silent at-rest corruption into the stored bytes of
-// matching writes: the data lands, the write succeeds, and only later reads
-// can discover the damage — the media lied. Two kinds:
-//
-//   - "bitflip": one stored bit inside the written span flips after the
-//     write completes. The stripe-block checksums were recorded for the
-//     intended content, so with integrity enabled the next read of the
-//     block detects the mismatch.
-//   - "torn": the tail of the written span never reaches the media and
-//     reads back as zeros (torn write across a sector boundary). Checksums
-//     again cover the intended content, so the loss is detectable.
-//
-// Without FileSystem.EnableIntegrity the corruption is truly silent:
-// reads return the damaged bytes with no error. Like Rule coins, flip
-// coins hash only rank-deterministic op fields, never Op.Client.
-type FlipRule struct {
-	// Kind is "bitflip" or "torn" ("" is promoted to "bitflip").
-	Kind string
-	// Name restricts to one file ("" = any).
-	Name string
-	// Rounds restricts to specific collective rounds (nil = any).
-	Rounds []int
-	// MinSeq/MaxSeq bound the per-client operation sequence number
-	// (1-based; zero = unbounded).
-	MinSeq, MaxSeq int64
-	// MinOff/MaxOff bound the segment's starting file offset (MaxOff zero =
-	// unbounded; MaxOff is exclusive).
-	MinOff, MaxOff int64
-	// Prob in (0,1) injects with that probability per matching write
-	// segment; outside (0,1) the rule always fires.
-	Prob float64
-	// Count caps injections per client (0 = unlimited).
-	Count int64
-	// TornFrac is the fraction of the segment's tail lost for "torn"
-	// (clamped to (0,1]; default 0.25).
-	TornFrac float64
-}
-
-// matches reports whether the flip rule applies to the write segment
-// described by op (Off/Len are the segment's, not the whole list op's).
-func (r *FlipRule) matches(op Op) bool {
-	if r.Name != "" && r.Name != op.Name {
-		return false
-	}
-	if len(r.Rounds) > 0 {
-		found := false
-		for _, rd := range r.Rounds {
-			if rd == op.Round {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	if r.MinSeq > 0 && op.Seq < r.MinSeq {
-		return false
-	}
-	if r.MaxSeq > 0 && op.Seq > r.MaxSeq {
-		return false
-	}
-	if op.Off < r.MinOff || (r.MaxOff > 0 && op.Off >= r.MaxOff) {
-		return false
-	}
-	return true
-}
-
 // flipFault is one evaluated at-rest corruption decision.
 type flipFault struct {
-	kind string  // "bitflip" or "torn"
-	hash uint64  // picks the flipped bit for "bitflip"
-	frac float64 // tail fraction lost for "torn"
+	torn bool    // tail lost rather than one bit flipped
+	hash uint64  // picks the flipped bit for a bitflip
+	frac float64 // tail fraction lost when torn
 }
 
 // Brownout temporarily degrades OST service: requests arriving in
@@ -308,42 +217,39 @@ type RevokeStorm struct {
 type FaultSchedule struct {
 	mu        sync.Mutex
 	seed      int64
-	rules     []Rule
-	fired     []map[int]int64 // rule index -> client id -> injections
-	flips     []FlipRule
-	flipFired []map[int]int64 // flip index -> client id -> injections
+	requests  ruleList
+	atRest    ruleList
 	brownouts []Brownout
 	storms    []RevokeStorm
 	hook      FaultHook
 	injected  int64
 }
 
-// NewFaultSchedule returns an empty schedule. The seed drives the
-// probability coins of rules with Prob in (0,1).
+// ruleList is one plane's rules in the order they were added; a rule's
+// index is its position in its own list.
+type ruleList struct {
+	rules []Rule
+	fired []map[int]int64 // rule index -> client id -> injections
+}
+
+// NewFaultSchedule returns an empty schedule. The seed drives the hash that
+// picks each flipped bit.
 func NewFaultSchedule(seed int64) *FaultSchedule {
 	return &FaultSchedule{seed: seed}
 }
 
-// Add appends a rule; earlier rules win when several match. Returns the
-// schedule for chaining.
+// Add appends a rule to its plane: an at-rest class to the at-rest rules,
+// any other class to the request rules. Earlier rules of a plane win when
+// several match. Returns the schedule for chaining.
 func (s *FaultSchedule) Add(r Rule) *FaultSchedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rules = append(s.rules, r)
-	s.fired = append(s.fired, make(map[int]int64))
-	return s
-}
-
-// AddFlip appends an at-rest corruption rule; the first matching flip rule
-// wins per write segment. Returns the schedule for chaining.
-func (s *FaultSchedule) AddFlip(r FlipRule) *FaultSchedule {
-	if r.Kind == "" {
-		r.Kind = "bitflip"
+	l := &s.requests
+	if r.Class == ClassBitflip || r.Class == ClassTorn {
+		l = &s.atRest
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flips = append(s.flips, r)
-	s.flipFired = append(s.flipFired, make(map[int]int64))
+	l.rules = append(l.rules, r)
+	l.fired = append(l.fired, make(map[int]int64))
 	return s
 }
 
@@ -400,10 +306,28 @@ func (f fault) wrapped() error {
 	return ErrIO
 }
 
-// evaluate decides what, if anything, to inject into op issued at now. It
-// must be called without fs.mu held: fault hooks may call back into the
-// file system.
-func (s *FaultSchedule) evaluate(op Op, now sim.Time) fault {
+// fire finds the first rule of l that matches op and has injections left
+// for op.Client, and charges the injection to it. It returns the rule's
+// index, or -1 when none fires. Called with s.mu held.
+func (s *FaultSchedule) fire(l *ruleList, op Op) int {
+	for idx := range l.rules {
+		r := &l.rules[idx]
+		if !r.matches(op) {
+			continue
+		}
+		if r.Count > 0 && l.fired[idx][op.Client] >= r.Count {
+			continue
+		}
+		l.fired[idx][op.Client]++
+		s.injected++
+		return idx
+	}
+	return -1
+}
+
+// evaluate decides what, if anything, to inject into op. It must be called
+// without fs.mu held: fault hooks may call back into the file system.
+func (s *FaultSchedule) evaluate(op Op) fault {
 	s.mu.Lock()
 	hook := s.hook
 	s.mu.Unlock()
@@ -418,73 +342,50 @@ func (s *FaultSchedule) evaluate(op Op, now sim.Time) fault {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for idx := range s.rules {
-		r := &s.rules[idx]
-		if !r.matches(op, now) {
-			continue
-		}
-		if r.Prob > 0 && r.Prob < 1 && coin(s.seed, idx, op) >= r.Prob {
-			continue
-		}
-		if r.Count > 0 {
-			if s.fired[idx][op.Client] >= r.Count {
-				continue
-			}
-		}
-		s.fired[idx][op.Client]++
-		s.injected++
-		cl := r.Class
-		if cl == ClassNone {
-			cl = ClassIO
-		}
-		frac := r.PartialFrac
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
-		return fault{class: cl, frac: frac}
+	idx := s.fire(&s.requests, op)
+	if idx < 0 {
+		return fault{}
 	}
-	return fault{}
+	r := &s.requests.rules[idx]
+	cl := r.Class
+	if cl == ClassNone {
+		cl = ClassIO
+	}
+	frac := r.Frac
+	if frac <= 0 || frac >= 1 {
+		frac = 0.5
+	}
+	return fault{class: cl, frac: frac}
 }
 
 // evalFlip decides whether the write segment described by op (Off/Len are
 // the segment's own) suffers at-rest corruption. The first matching rule
-// wins. It is called with fs.mu held, which is safe: flip rules have no
+// wins. It is called with fs.mu held, which is safe: at-rest rules have no
 // hooks and s.mu nests under fs.mu on every path.
 func (s *FaultSchedule) evalFlip(op Op) (flipFault, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for idx := range s.flips {
-		r := &s.flips[idx]
-		if !r.matches(op) {
-			continue
-		}
-		h := flipCoin(s.seed, idx, op)
-		if r.Prob > 0 && r.Prob < 1 && float64(h>>11)/float64(1<<53) >= r.Prob {
-			continue
-		}
-		if r.Count > 0 && s.flipFired[idx][op.Client] >= r.Count {
-			continue
-		}
-		s.flipFired[idx][op.Client]++
-		s.injected++
-		frac := r.TornFrac
-		if frac <= 0 || frac > 1 {
-			frac = 0.25
-		}
-		return flipFault{kind: r.Kind, hash: mix(h + 0x9e3779b97f4a7c15), frac: frac}, true
+	idx := s.fire(&s.atRest, op)
+	if idx < 0 {
+		return flipFault{}, false
 	}
-	return flipFault{}, false
+	r := &s.atRest.rules[idx]
+	frac := r.Frac
+	if frac <= 0 || frac > 1 {
+		frac = 0.25
+	}
+	h := flipCoin(s.seed, idx, op)
+	return flipFault{torn: r.Class == ClassTorn, hash: integrity.Mix(h + 0x9e3779b97f4a7c15), frac: frac}, true
 }
 
-// flipCoin maps (seed, flip rule, op) to a raw 64-bit hash. It is salted
-// differently from coin, so flip decisions are independent of error-rule
-// decisions about the same op. Op.Client is deliberately excluded.
+// flipCoin maps (seed, at-rest rule, op) to a raw 64-bit hash with a
+// splitmix64 finalizer chain. Op.Client is deliberately excluded.
 func flipCoin(seed int64, rule int, op Op) uint64 {
-	x := mix(uint64(seed) + 0xd1b54a32d192ed03)
-	x = mix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
-	x = mix(x ^ uint64(op.Seq))
-	x = mix(x ^ uint64(op.Off)*0x94d049bb133111eb)
-	x = mix(x ^ uint64(op.Len))
+	x := integrity.Mix(uint64(seed) + 0xd1b54a32d192ed03)
+	x = integrity.Mix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
+	x = integrity.Mix(x ^ uint64(op.Seq))
+	x = integrity.Mix(x ^ uint64(op.Off)*0x94d049bb133111eb)
+	x = integrity.Mix(x ^ uint64(op.Len))
 	return x
 }
 
@@ -526,27 +427,4 @@ func (s *FaultSchedule) stormRevokes(now sim.Time) int {
 		per += st.PerGrant
 	}
 	return per
-}
-
-// coin maps (seed, rule, op) to a uniform value in [0,1) with a splitmix64
-// finalizer chain. Op.Client is deliberately excluded — see Rule.
-func coin(seed int64, rule int, op Op) float64 {
-	x := mix(uint64(seed) + 0x9e3779b97f4a7c15)
-	x = mix(x ^ uint64(rule+1)*0xbf58476d1ce4e5b9)
-	x = mix(x ^ uint64(op.Seq))
-	x = mix(x ^ uint64(op.Off)*0x94d049bb133111eb)
-	x = mix(x ^ uint64(op.Len))
-	if op.Kind == "read" {
-		x = mix(x ^ 0x517cc1b727220a95)
-	}
-	return float64(x>>11) / float64(1<<53)
-}
-
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -39,28 +39,104 @@ func TestSentinelClassification(t *testing.T) {
 	}
 }
 
-func TestCoinDeterministic(t *testing.T) {
+func TestFaultCoinDeterministic(t *testing.T) {
 	op := Op{Kind: "write", Off: 4096, Len: 128, Seq: 3}
-	a := coin(42, 0, op)
-	if b := coin(42, 0, op); a != b {
-		t.Errorf("same inputs, different coins: %v vs %v", a, b)
+	a := flipCoin(42, 0, op)
+	if b := flipCoin(42, 0, op); a != b {
+		t.Errorf("same inputs, different coins: %#x vs %#x", a, b)
 	}
-	if a < 0 || a >= 1 {
-		t.Errorf("coin out of [0,1): %v", a)
-	}
-	if b := coin(43, 0, op); a == b {
+	if b := flipCoin(43, 0, op); a == b {
 		t.Error("different seeds produced the same coin")
 	}
-	if b := coin(42, 1, op); a == b {
+	if b := flipCoin(42, 1, op); a == b {
 		t.Error("different rules produced the same coin")
 	}
 	// Client id must not influence the coin: ids are assigned in Open
 	// order, which goroutine scheduling can permute.
 	op2 := op
 	op2.Client = 99
-	if b := coin(42, 0, op2); a != b {
+	if b := flipCoin(42, 0, op2); a != b {
 		t.Error("client id influenced the coin")
 	}
+
+	// Pinned values: every seeded schedule damages the bits these pick, so a
+	// change to the chain changes every recorded at-rest fault.
+	for _, tc := range []struct {
+		op   Op
+		want uint64
+	}{
+		{op, 0x35ec6a1feca78f6},
+		{Op{Kind: "write", Off: 0, Len: 1, Seq: 1, Round: -1}, 0x475ef8271c0be6ba},
+		{Op{Kind: "write", Off: 1 << 20, Len: 65536, Seq: 17, Round: 2}, 0xce5a5e104b57ffa7},
+	} {
+		if got := flipCoin(42, 0, tc.op); got != tc.want {
+			t.Errorf("flipCoin(42, 0, %+v) = %#x, want %#x", tc.op, got, tc.want)
+		}
+	}
+
+	// The bit a bitflip rule damages in one 256-byte write. A request rule
+	// filed first must not shift the at-rest rule off index 0 of its list.
+	for _, tc := range []struct {
+		seed int64
+		bit  int
+	}{{42, 1065}, {7, 1296}} {
+		fs, c, _ := faultFS(t)
+		fs.SetFaultSchedule(NewFaultSchedule(tc.seed).
+			Add(Rule{Kind: "read", Class: ClassTransient}).
+			Add(Rule{Class: ClassBitflip}))
+		data := make([]byte, 256)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		if _, err := c.Open("f").WriteAt(0, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte{}, data...)
+		want[tc.bit/8] ^= 1 << (tc.bit % 8)
+		if got := fs.Snapshot("f", 256); !bytes.Equal(got, want) {
+			t.Errorf("seed %d: stored image is not the write with bit %d flipped", tc.seed, tc.bit)
+		}
+	}
+}
+
+// TestFaultRuleClassPicksPlane: a rule's class alone decides whether it
+// fails requests or damages what they store.
+func TestFaultRuleClassPicksPlane(t *testing.T) {
+	data := bytes.Repeat([]byte{0xA5}, 256)
+	t.Run("at-rest", func(t *testing.T) {
+		fs, c, _ := faultFS(t)
+		sched := NewFaultSchedule(7).Add(Rule{Class: ClassBitflip})
+		atAdmit := int64(-1)
+		sched.WithHook(func(Op) error { atAdmit = sched.Injected(); return nil })
+		fs.SetFaultSchedule(sched)
+		if _, err := c.Open("f").WriteAt(0, data, 0); err != nil {
+			t.Fatalf("a bitflip rule failed the request: %v", err)
+		}
+		if atAdmit != 0 || sched.Injected() != 1 {
+			t.Errorf("Injected() = %d at admission and %d after the write, want 0 and 1", atAdmit, sched.Injected())
+		}
+		if bytes.Equal(fs.Snapshot("f", 256), data) {
+			t.Error("the flip did not land")
+		}
+	})
+	t.Run("request", func(t *testing.T) {
+		fs, c, _ := faultFS(t)
+		sched := NewFaultSchedule(7).Add(Rule{Class: ClassIO, Count: 1})
+		fs.SetFaultSchedule(sched)
+		h := c.Open("f")
+		if _, err := h.WriteAt(0, data, 0); !errors.Is(err, ErrIO) {
+			t.Fatalf("first write: want ErrIO, got %v", err)
+		}
+		if _, err := h.WriteAt(0, data, 0); err != nil {
+			t.Fatalf("second write past the count: %v", err)
+		}
+		if !bytes.Equal(fs.Snapshot("f", 256), data) {
+			t.Error("an io rule damaged the bytes of the write it let through")
+		}
+		if sched.Injected() != 1 {
+			t.Errorf("Injected() = %d, want 1", sched.Injected())
+		}
+	})
 }
 
 func TestRulePerClientCount(t *testing.T) {
@@ -98,7 +174,7 @@ func TestRulePerClientCount(t *testing.T) {
 func TestPartialWriteLeavesPrefixOnly(t *testing.T) {
 	fs, c, _ := faultFS(t)
 	fs.SetFaultSchedule(NewFaultSchedule(5).Add(Rule{
-		Kind: "write", Class: ClassPartial, PartialFrac: 0.25, Count: 1,
+		Kind: "write", Class: ClassPartial, Frac: 0.25, Count: 1,
 	}))
 	h := c.Open("p.dat")
 	data := bytes.Repeat([]byte{0xCD}, 100)
@@ -206,7 +282,7 @@ func TestRevokeStormCharges(t *testing.T) {
 func TestRuleSeqAndRoundTargeting(t *testing.T) {
 	fs, c, rec := faultFS(t)
 	fs.SetFaultSchedule(NewFaultSchedule(0).
-		Add(Rule{Kind: "write", MinSeq: 2, MaxSeq: 2, Class: ClassIO}).
+		Add(Rule{Kind: "write", Match: func(op Op) bool { return op.Seq == 2 }, Class: ClassIO}).
 		Add(Rule{Kind: "write", Rounds: []int{1}, Class: ClassTransient}))
 	h := c.Open("t.dat")
 	if _, err := h.WriteAt(0, make([]byte, 8), 0); err != nil { // seq 1
@@ -249,6 +325,39 @@ func TestSieveRMWReadFaultBecomesTransient(t *testing.T) {
 	}
 	if !errors.Is(err, ErrTransient) || errors.Is(err, ErrPartial) {
 		t.Errorf("RMW read fault should classify transient, got %v", err)
+	}
+}
+
+// TestCorruptSkipsEmptySieveSegments: a sieve window may carry empty
+// segments. They land no byte, so an at-rest rule skips them as a plain
+// write does: no division by their zero length, no damage to the byte
+// before them, and no injection spent on them.
+func TestCorruptSkipsEmptySieveSegments(t *testing.T) {
+	span := datatype.Seg{Off: 0, Len: 32}
+	data := bytes.Repeat([]byte{0x5A}, 8)
+	pristine := bytes.Repeat([]byte{0xFF}, 64)
+	copy(pristine[16:24], data)
+	for _, cl := range []Class{ClassBitflip, ClassTorn} {
+		image := func(segs []datatype.Seg) []byte {
+			fs, c, _ := faultFS(t)
+			h := c.Open("f")
+			if _, err := h.WriteAt(0, bytes.Repeat([]byte{0xFF}, 64), 0); err != nil {
+				t.Fatal(err)
+			}
+			fs.SetFaultSchedule(NewFaultSchedule(7).Add(Rule{Class: cl, Count: 1}))
+			if _, err := h.SieveWrite(span, segs, data, 0); err != nil {
+				t.Fatalf("%v: %v", cl, err)
+			}
+			return fs.Snapshot("f", 64)
+		}
+		got := image([]datatype.Seg{{Off: 8, Len: 0}, {Off: 16, Len: 8}})
+		want := image([]datatype.Seg{{Off: 16, Len: 8}})
+		if bytes.Equal(want, pristine) {
+			t.Fatalf("%v: the rule damaged nothing", cl)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: stored image with an empty segment %x, want %x", cl, got, want)
+		}
 	}
 }
 

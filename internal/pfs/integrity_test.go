@@ -41,7 +41,7 @@ func TestIntegrityCleanRoundTrip(t *testing.T) {
 func TestBitflipDetectedAndRingRepaired(t *testing.T) {
 	fs, cfg := newIntegFS(64)
 	sched := NewFaultSchedule(7)
-	sched.AddFlip(FlipRule{Kind: "bitflip", Name: "f", Count: 1})
+	sched.Add(Rule{Class: ClassBitflip, Count: 1})
 	fs.SetFaultSchedule(sched)
 	h := fs.NewClient(nil).Open("f")
 	data := bytes.Repeat([]byte{0xAB}, int(cfg.PageSize))
@@ -69,7 +69,7 @@ func TestBitflipDetectedAndRingRepaired(t *testing.T) {
 func TestTornWriteDetected(t *testing.T) {
 	fs, cfg := newIntegFS(64)
 	sched := NewFaultSchedule(7)
-	sched.AddFlip(FlipRule{Kind: "torn", Name: "f", Count: 1, TornFrac: 0.5})
+	sched.Add(Rule{Class: ClassTorn, Count: 1, Frac: 0.5})
 	fs.SetFaultSchedule(sched)
 	h := fs.NewClient(nil).Open("f")
 	data := bytes.Repeat([]byte{0xCD}, int(cfg.PageSize))
@@ -94,7 +94,7 @@ func TestUnrepairableFlipSurfacesErrDataIntegrity(t *testing.T) {
 	// the flip on the first block cannot ring-repair.
 	fs, cfg := newIntegFS(1)
 	sched := NewFaultSchedule(7)
-	sched.AddFlip(FlipRule{Kind: "bitflip", Name: "f", MaxSeq: 1, Count: 1})
+	sched.Add(Rule{Match: func(op Op) bool { return op.Seq <= 1 }, Class: ClassBitflip, Count: 1})
 	fs.SetFaultSchedule(sched)
 	c := fs.NewClient(nil)
 	h := c.Open("f")
@@ -132,7 +132,7 @@ func TestUnrepairableFlipSurfacesErrDataIntegrity(t *testing.T) {
 func TestPartialOverwriteDoesNotBlessCorruption(t *testing.T) {
 	fs, cfg := newIntegFS(1)
 	sched := NewFaultSchedule(7)
-	sched.AddFlip(FlipRule{Kind: "torn", Name: "f", MaxSeq: 1, Count: 1, TornFrac: 0.9})
+	sched.Add(Rule{Match: func(op Op) bool { return op.Seq <= 1 }, Class: ClassTorn, Count: 1, Frac: 0.9})
 	fs.SetFaultSchedule(sched)
 	c := fs.NewClient(nil)
 	h := c.Open("f")
@@ -165,7 +165,7 @@ func TestPartialOverwriteDoesNotBlessCorruption(t *testing.T) {
 func TestRMWVerifyCatchesUndetectedCorruption(t *testing.T) {
 	fs, cfg := newIntegFS(64)
 	sched := NewFaultSchedule(7)
-	sched.AddFlip(FlipRule{Kind: "bitflip", Name: "f", Count: 1})
+	sched.Add(Rule{Class: ClassBitflip, Count: 1})
 	fs.SetFaultSchedule(sched)
 	h := fs.NewClient(nil).Open("f")
 	base := bytes.Repeat([]byte{0xAB}, int(cfg.PageSize))
@@ -352,7 +352,7 @@ func TestPlainWriteGatesLikeOneSegmentWindow(t *testing.T) {
 	twin := func(quarantined bool) *FileSystem {
 		fs, _ := newIntegFS(1)
 		if quarantined {
-			fs.SetFaultSchedule(NewFaultSchedule(7).AddFlip(FlipRule{Name: "f", MinOff: ps, MaxOff: ps + 1, Count: 1}))
+			fs.SetFaultSchedule(NewFaultSchedule(7).Add(Rule{Match: func(op Op) bool { return op.Off == ps }, Class: ClassBitflip, Count: 1}))
 		}
 		h := fs.NewClient(nil).Open("f")
 		for pi := int64(0); pi < pages; pi++ {

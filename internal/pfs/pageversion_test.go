@@ -57,10 +57,10 @@ func TestPageVersionAdvances(t *testing.T) {
 		f.writeBytes([]datatype.Seg{{Off: 0, Len: ps}}, Bytes(bytes.Repeat([]byte{0x11}, int(ps))), ps)
 	}))
 	step("a torn landing", 1, locked(func() {
-		c.applyFlip(f, datatype.Seg{Off: 0, Len: 256}, flipFault{kind: "torn", frac: 0.25}, 0)
+		c.applyFlip(f, datatype.Seg{Off: 0, Len: 256}, flipFault{torn: true, frac: 0.25}, 0)
 	}))
 	step("a bitflip", 1, locked(func() {
-		c.applyFlip(f, datatype.Seg{Off: 0, Len: 256}, flipFault{kind: "bitflip", hash: 77}, 0)
+		c.applyFlip(f, datatype.Seg{Off: 0, Len: 256}, flipFault{hash: 77}, 0)
 	}))
 
 	// Record the page through the datapath, then damage it behind the
@@ -131,7 +131,7 @@ func TestSievePreMergeRehashesChangedPages(t *testing.T) {
 		hookHashed = fs.IntegrityStats().Hashed - before
 		return nil
 	})
-	sched.AddFlip(FlipRule{Kind: "bitflip", Name: "f", MinOff: 1000, MaxOff: 1001, Count: 1})
+	sched.Add(Rule{Match: func(op Op) bool { return op.Off == 1000 }, Class: ClassBitflip, Count: 1})
 	fs.SetFaultSchedule(sched)
 
 	span := datatype.Seg{Off: 0, Len: 2 * ps}

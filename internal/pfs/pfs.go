@@ -33,7 +33,6 @@ type Op struct {
 	Name   string
 	Off    int64 // starting file offset (first segment / sieve span start)
 	Len    int64 // data bytes moved (for sieve ops: useful bytes, not span bytes)
-	Segs   int   // number of segments in the (possibly list) request
 	Seq    int64 // 1-based per-client operation sequence number
 	Round  int   // collective two-phase round, -1 outside a collective
 	Sieve  bool  // issued by the data-sieving path (RMW prefetch or span write)
@@ -243,14 +242,14 @@ func (fs *FileSystem) IntegrityStats() integrity.Stats {
 
 // evalFault consults the installed schedule for op. It must be called
 // without fs.mu held: fault hooks may call back into the file system.
-func (fs *FileSystem) evalFault(op Op, now sim.Time) fault {
+func (fs *FileSystem) evalFault(op Op) fault {
 	fs.mu.Lock()
 	s := fs.sched
 	fs.mu.Unlock()
 	if s == nil {
 		return fault{}
 	}
-	return s.evaluate(op, now)
+	return s.evaluate(op)
 }
 
 // Config returns the cost model.
@@ -538,7 +537,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 
 	fs := c.fs
 	partial, err := c.admit(Op{Kind: kind, Name: f.name, Off: segs[0].Off,
-		Len: total, Segs: len(segs), Sieve: sieve}, now)
+		Len: total, Sieve: sieve}, now)
 	if err != nil {
 		return now + fs.cfg.IOCallOverhead, err
 	}
@@ -616,7 +615,7 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 func (c *Client) admit(op Op, now sim.Time) (*PartialError, error) {
 	c.seq++
 	op.Client, op.Seq, op.Round = c.id, c.seq, c.round
-	flt := c.fs.evalFault(op, now)
+	flt := c.fs.evalFault(op)
 	switch {
 	case flt.class == ClassNone:
 		return nil, nil
@@ -1001,11 +1000,11 @@ func (c *Client) integrityRecordSpan(f *fileData, span datatype.Seg, segs []data
 // detectable later. Called with fs.mu held.
 func (c *Client) injectFlip(f *fileData, s datatype.Seg, t sim.Time) {
 	fs := c.fs
-	if fs.sched == nil {
-		return
+	if fs.sched == nil || s.Len == 0 {
+		return // an empty segment lands no byte to damage
 	}
 	op := Op{Kind: "write", Client: c.id, Name: f.name, Off: s.Off,
-		Len: s.Len, Segs: 1, Seq: c.seq, Round: c.round}
+		Len: s.Len, Seq: c.seq, Round: c.round}
 	if fl, ok := fs.sched.evalFlip(op); ok {
 		c.applyFlip(f, s, fl, t)
 	}
@@ -1015,8 +1014,7 @@ func (c *Client) injectFlip(f *fileData, s datatype.Seg, t sim.Time) {
 // according to one at-rest corruption decision. Called with fs.mu held.
 func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time) {
 	ps := c.fs.cfg.PageSize
-	switch fl.kind {
-	case "torn":
+	if fl.torn {
 		// The tail of the segment never reached the media: it reads back
 		// as zeros from the failed sectors.
 		tail := int64(fl.frac * float64(s.Len))
@@ -1035,16 +1033,16 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 			c.tr.Instant(t, "atrest_flip", trace.S("kind", "torn"),
 				trace.I("off", s.End()-tail), trace.I("len", tail))
 		}
-	default: // "bitflip"
-		bit := int64(fl.hash % uint64(s.Len*8))
-		abs := s.Off + bit/8
-		if page := f.change(abs / ps); page != nil {
-			page[abs%ps] ^= 1 << (bit % 8)
-		}
-		if c.tr != nil {
-			c.tr.Instant(t, "atrest_flip", trace.S("kind", "bitflip"),
-				trace.I("off", abs), trace.I("bit", bit%8))
-		}
+		return
+	}
+	bit := int64(fl.hash % uint64(s.Len*8))
+	abs := s.Off + bit/8
+	if page := f.change(abs / ps); page != nil {
+		page[abs%ps] ^= 1 << (bit % 8)
+	}
+	if c.tr != nil {
+		c.tr.Instant(t, "atrest_flip", trace.S("kind", "bitflip"),
+			trace.I("off", abs), trace.I("bit", bit%8))
 	}
 }
 

@@ -97,7 +97,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// Op.Len and partial progress are in useful (data) bytes, not span
 	// bytes.
 	partial, err := c.admit(Op{Kind: "write", Name: f.name, Off: span.Off,
-		Len: data.Len(), Segs: len(segs), Sieve: true}, now)
+		Len: data.Len(), Sieve: true}, now)
 	if err != nil {
 		return now + fs.cfg.IOCallOverhead, err
 	}

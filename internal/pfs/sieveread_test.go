@@ -112,7 +112,7 @@ func TestSieveReadMatchesStagedReference(t *testing.T) {
 	partial := func(frac float64) func(w *sieveReadWorld) {
 		return func(w *sieveReadWorld) {
 			w.fs.SetFaultSchedule(NewFaultSchedule(3).Add(Rule{
-				Kind: "read", Class: ClassPartial, PartialFrac: frac, Count: 1}))
+				Kind: "read", Class: ClassPartial, Frac: frac, Count: 1}))
 		}
 	}
 	cases := []struct {

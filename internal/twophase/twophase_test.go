@@ -157,7 +157,7 @@ func TestMalformedRequestAbortsCollective(t *testing.T) {
 		t.Run(fmt.Sprint("bit flip/seed ", seed), func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			w, fs := mpi.NewWorld(wl.Ranks, cfg), pfs.NewFileSystem(cfg)
-			w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(bad, 0, 1.0, 1, 1))
+			w.SetRankFaults(mpi.NewRankFaultSchedule(seed).Corrupt(bad, 0, 1, 1))
 			info := mpiio.Info{Collective: twophase.New(), CbNodes: 2, CollBufSize: 4 << 10}
 			errs := make([]error, wl.Ranks)
 			done := make(chan struct{})
