@@ -41,7 +41,7 @@ func runHPIO(fs *flag.FlagSet, args []string, out *output) error {
 	impl := fs.String("impl", "new", "collective implementation: new, old (the ROMIO baseline), or none (independent I/O)")
 	method := fs.String("method", "datasieve", "buffer access method for the new code: datasieve, naive, listio, conditional")
 	comm := fs.String("comm", "nonblocking", "data exchange for the new code: nonblocking or alltoallw")
-	align := fs.Int64("align", 0, "file realm alignment in bytes (0 = off)")
+	align := fs.Int64("align", 0, "file realm alignment in bytes (0 = off; only -realms even reads it)")
 	pfr := fs.Bool("pfr", false, "persistent file realms")
 	realms := fs.String("realms", "even", "file realms of the new code: even, cyclic:<block bytes>, or node-local (each aggregator gets what its node's ranks access; every rank gathers every access list)")
 	enumerate := fs.Bool("enumerate", false, "use an enumerated (vector) filetype instead of the succinct form")
@@ -77,6 +77,12 @@ func runHPIO(fs *flag.FlagSet, args []string, out *output) error {
 		o.Assigner = realm.Cyclic{Block: n}
 	case *realms != "even":
 		return usagef("unknown -realms %q", *realms)
+	}
+	if *realms != "even" {
+		// Only Even rounds its boundaries to the alignment.
+		if err := refuse(fs, []string{"align"}, "does nothing with -realms "+*realms); err != nil {
+			return err
+		}
 	}
 	var coll mpiio.Collective
 	name := "independent"

@@ -42,6 +42,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"hpio", "-impl", "old", "-pfr"}, false, "-pfr"},
 		{[]string{"hpio", "-impl", "none", "-preagg"}, false, "-preagg"},
 		{[]string{"hpio", "-realms", "cyclic:0"}, false, "-realms"},
+		{[]string{"hpio", "-realms", "node-local", "-align", "4096"}, false, "-align"},
+		{[]string{"hpio", "-realms", "cyclic:4096", "-align", "4096"}, false, "-align"},
 		{[]string{"hpio", "-sample", "4"}, false, "-sample"},
 		{[]string{"fig", "5", "-small", "-sample", "2", "-metrics-out", "m.prom"}, false, "-sample"},
 	} {

@@ -2,10 +2,8 @@ package mpi
 
 import (
 	"math"
-	"slices"
 	"sync"
 
-	"flexio/internal/integrity"
 	"flexio/internal/metrics"
 	"flexio/internal/sim"
 	"flexio/internal/trace"
@@ -26,32 +24,38 @@ import (
 // they saw to learn about deaths and suspects at the same rendezvous,
 // which is what makes the abort decision collective.
 type collSync struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	size      int
-	gen       int
-	arrived   int
-	vals      []interface{}
-	clocks    []sim.Time
-	snapVals  []interface{}
-	i64vals   []int64
-	snapI64   []int64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	size    int
+	gen     int
+	arrived int
+	clocks  []sim.Time
+	// dep holds each rank's deposit for the current generation and snap the
+	// last published snapshot. Both are reused across generations: the next
+	// publish waits until every live rank has deposited again, which each
+	// rank does only after it has finished reading the current snapshot.
+	dep       []slot
+	snap      []slot
 	snapMax   sim.Time
 	snapVer   uint64
 	snapBy    int // rank whose (capped) clock set snapMax; first max wins
 	poisoned  bool
-	kindI64   bool
-	deadline  sim.Time // 0 = no deadline guard
+	deadline  sim.Time // 0 = no deadline guard; set before Run
 	live      []bool
 	suspect   []bool // sticky straggler flags
 	deposited []bool
 	failVer   uint64
-	deadCount int
-	suspCount int
 	// deathPending makes the first publish after a death charge the
 	// detection timeout: survivors sat at the rendezvous until the
 	// deadline expired before concluding the rank was gone.
 	deathPending bool
+}
+
+// slot is one rank's deposit at a rendezvous: a value or an int64, so the
+// int64 collectives deposit without boxing. A crashed rank's slot is zero.
+type slot struct {
+	v any
+	i int64
 }
 
 // deadlineTie is the share of the deadline by which an arrival may exceed it
@@ -62,10 +66,9 @@ const deadlineTie = 1e-9
 func newCollSync(size int) *collSync {
 	c := &collSync{
 		size:      size,
-		vals:      make([]interface{}, size),
 		clocks:    make([]sim.Time, size),
-		i64vals:   make([]int64, size),
-		snapI64:   make([]int64, size),
+		dep:       make([]slot, size),
+		snap:      make([]slot, size),
 		live:      make([]bool, size),
 		suspect:   make([]bool, size),
 		deposited: make([]bool, size),
@@ -86,13 +89,6 @@ func (c *collSync) poison() {
 	c.cond.Broadcast()
 }
 
-// setDeadline arms (or with 0 disarms) the rendezvous deadline.
-func (c *collSync) setDeadline(d sim.Time) {
-	c.mu.Lock()
-	c.deadline = d
-	c.mu.Unlock()
-}
-
 // markDead records rank's crash and, if a rendezvous was only waiting on
 // it, publishes so the survivors proceed. Called from the dying rank's own
 // goroutine, which is never deposited-and-waiting at that moment — so the
@@ -102,7 +98,6 @@ func (c *collSync) markDead(rank int) {
 	c.mu.Lock()
 	if c.live[rank] {
 		c.live[rank] = false
-		c.deadCount++
 		c.failVer++
 		c.deathPending = true
 		c.tryPublish()
@@ -118,7 +113,6 @@ func (c *collSync) markSuspect(rank int) {
 	c.mu.Lock()
 	if c.live[rank] && !c.suspect[rank] {
 		c.suspect[rank] = true
-		c.suspCount++
 		c.failVer++
 	}
 	c.mu.Unlock()
@@ -180,11 +174,9 @@ func (c *collSync) revive() {
 		c.live[i] = true
 		c.suspect[i] = false
 		c.deposited[i] = false
-		c.vals[i] = nil
+		c.dep[i] = slot{}
 	}
 	c.arrived = 0
-	c.deadCount = 0
-	c.suspCount = 0
 	c.failVer = 0
 	c.snapVer = 0
 	c.deathPending = false
@@ -222,7 +214,6 @@ func (c *collSync) tryPublish() {
 		for r := 0; r < c.size; r++ {
 			if c.live[r] && c.deposited[r] && c.clocks[r] > late && !c.suspect[r] {
 				c.suspect[r] = true
-				c.suspCount++
 				c.failVer++
 			}
 		}
@@ -248,21 +239,12 @@ func (c *collSync) tryPublish() {
 		m += c.deadline
 		c.deathPending = false
 	}
-	if c.kindI64 {
-		copy(c.snapI64, c.i64vals)
-		for r := 0; r < c.size; r++ {
-			if !c.live[r] || !c.deposited[r] {
-				c.snapI64[r] = 0
-			}
+	for r := 0; r < c.size; r++ {
+		if c.live[r] && c.deposited[r] {
+			c.snap[r] = c.dep[r]
+		} else {
+			c.snap[r] = slot{}
 		}
-	} else {
-		snap := make([]interface{}, c.size)
-		for r := 0; r < c.size; r++ {
-			if c.live[r] && c.deposited[r] {
-				snap[r] = c.vals[r]
-			}
-		}
-		c.snapVals = snap
 	}
 	c.snapMax = m
 	c.snapVer = c.failVer
@@ -270,26 +252,26 @@ func (c *collSync) tryPublish() {
 	c.arrived = 0
 	for r := 0; r < c.size; r++ {
 		c.deposited[r] = false
-		c.vals[r] = nil
+		c.dep[r] = slot{}
 	}
 	c.gen++
 	c.cond.Broadcast()
 }
 
-// exchange deposits val for this rank and returns every rank's value
-// (crashed ranks' slots are nil), the snapshot clock, the failure version
-// at publish time, the rendezvous generation (the same on every
-// participating rank, so trace instants tagged with it pair up across
-// tracks), and the rank whose arrival released the rendezvous.
-func (c *collSync) exchange(rank int, clock sim.Time, val interface{}) ([]interface{}, sim.Time, uint64, int, int) {
+// exchange deposits s for this rank and returns every rank's slot (crashed
+// ranks' slots are zero), the snapshot clock, the failure version at publish
+// time, the rendezvous generation (the same on every participating rank, so
+// trace instants tagged with it pair up across tracks), and the rank whose
+// arrival released the rendezvous. The returned slice is the shared
+// snapshot: callers copy out what they keep and never write to it.
+func (c *collSync) exchange(rank int, clock sim.Time, s slot) ([]slot, sim.Time, uint64, int, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gen := c.gen
-	c.vals[rank] = val
+	c.dep[rank] = s
 	c.clocks[rank] = clock
 	c.deposited[rank] = true
 	c.arrived++
-	c.kindI64 = false
 	c.tryPublish()
 	for c.gen == gen && !c.poisoned {
 		c.cond.Wait()
@@ -297,33 +279,7 @@ func (c *collSync) exchange(rank int, clock sim.Time, val interface{}) ([]interf
 	if c.poisoned {
 		panic("mpi: collective aborted after peer failure")
 	}
-	return c.snapVals, c.snapMax, c.snapVer, gen, c.snapBy
-}
-
-// exchangeInt64 is exchange specialized to one int64 per rank. It reuses
-// persistent deposit and snapshot buffers — no interface boxing, no
-// per-generation allocation. Reuse is safe because the next generation's
-// snapshot is only published once every rank has deposited again, which
-// each rank does only after it finished reading the current one. The
-// returned slice is that shared snapshot: callers must copy out what they
-// keep and must not write to it. Crashed ranks' slots read zero.
-func (c *collSync) exchangeInt64(rank int, clock sim.Time, val int64) ([]int64, sim.Time, uint64, int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gen := c.gen
-	c.i64vals[rank] = val
-	c.clocks[rank] = clock
-	c.deposited[rank] = true
-	c.arrived++
-	c.kindI64 = true
-	c.tryPublish()
-	for c.gen == gen && !c.poisoned {
-		c.cond.Wait()
-	}
-	if c.poisoned {
-		panic("mpi: collective aborted after peer failure")
-	}
-	return c.snapI64, c.snapMax, c.snapVer, gen, c.snapBy
+	return c.snap, c.snapMax, c.snapVer, gen, c.snapBy
 }
 
 // log2ceil returns ceil(log2(n)), at least 1 for n > 1 and 0 for n <= 1.
@@ -359,7 +315,7 @@ func (p *Proc) traceColl(enter sim.Time, seq, by int) {
 func (p *Proc) Barrier() {
 	p.preRendezvous()
 	enter := p.clock
-	_, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, nil)
+	_, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{})
 	p.clock = sim.Max(p.clock, m) + p.treeLatency()
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
@@ -370,11 +326,11 @@ func (p *Proc) Barrier() {
 func (p *Proc) Allgather(data []byte) [][]byte {
 	p.preRendezvous()
 	enter := p.clock
-	vals, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, data)
+	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{v: data})
 	out := make([][]byte, p.w.size)
 	var others int64
-	for i, v := range vals {
-		b, _ := v.([]byte)
+	for i, s := range snap {
+		b, _ := s.v.([]byte)
 		out[i] = b
 		if i != p.rank {
 			others += int64(len(b))
@@ -398,8 +354,10 @@ func (p *Proc) Allgather(data []byte) [][]byte {
 func (p *Proc) AllgatherInt64Into(v int64, out []int64) {
 	p.preRendezvous()
 	enter := p.clock
-	snap, m, ver, seq, by := p.w.coll.exchangeInt64(p.rank, p.clock, v)
-	copy(out, snap)
+	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{i: v})
+	for r, s := range snap {
+		out[r] = s.i
+	}
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + p.w.cfg.TransferTime(int64(8*(p.w.size-1)))
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
@@ -428,9 +386,13 @@ type AllreduceRequest struct {
 // allocating nothing. The rank's clock does not move.
 func (p *Proc) IallreduceMaxInt64(v int64) AllreduceRequest {
 	p.preRendezvous()
-	snap, m, ver, seq, by := p.w.coll.exchangeInt64(p.rank, p.clock, v)
+	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{i: v})
+	acc := snap[0].i
+	for _, s := range snap[1:] {
+		acc = max(acc, s.i)
+	}
 	p.Trace.Instant1(p.clock, trace.CollEnterName, trace.I(trace.SeqTag, int64(seq)))
-	return AllreduceRequest{p: p, acc: slices.Max(snap), start: p.clock, max: m, ver: ver, seq: seq, by: by}
+	return AllreduceRequest{p: p, acc: acc, start: p.clock, max: m, ver: ver, seq: seq, by: by}
 }
 
 // Wait completes the allreduce and returns its result. The clock moves to
@@ -479,81 +441,32 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 // rowCorruption resolves one corrupted vector-collective row for the
 // receiver. With the checksummed datapath off it reports silent=true: the
 // caller delivers a flipped copy and nobody notices. With it on, the
-// receiver detects the mismatch at the rendezvous and runs the bounded
-// re-request protocol against the row's sender; the returned charge is
-// the modelled retransmit latency, and fixed reports whether a clean copy
-// arrived within the bound (the caller's aliased row is already pristine
-// — the flipped copy only ever existed in flight). An unrepairable row
-// arms the sticky integrity error, exactly like the envelope path.
+// receiver detects the mismatch at the rendezvous and retransmits the row
+// from its sender; the returned charge is the modelled retransmit latency,
+// and fixed reports whether a clean copy arrived within the bound (the
+// caller's aliased row is already pristine — the flipped copy only ever
+// existed in flight).
 func (p *Proc) rowCorruption(src int, n int64, rep int) (charge sim.Time, fixed, silent bool) {
 	if p.w.integ == nil {
 		return 0, false, true
 	}
-	intra := src != p.rank && p.w.node(src) == p.w.node(p.rank)
-	for attempt := 1; attempt <= integrity.MaxReRequests; attempt++ {
-		switch {
-		case src == p.rank:
-			charge += p.w.cfg.MemcpyTime(n)
-		case intra:
-			charge += 2*p.w.cfg.IntraNodeHopLatency() + p.w.cfg.IntraNodeTransferTime(n)
-		default:
-			charge += 2*p.w.cfg.NetLatency + p.w.cfg.TransferTime(n)
-		}
-		if attempt >= rep {
-			p.Metrics.NoteWireIntegrity(true)
-			return charge, true, false
-		}
-	}
-	p.Metrics.NoteWireIntegrity(false)
-	p.noteIntegrityFailure(src)
-	return charge, false, false
+	fixed = p.retransmit(&charge, src, n, rep)
+	return charge, fixed, false
 }
 
-// vectorVolume accumulates a vector collective's per-destination byte
-// counts split by the node map, so inter-node traffic pays the network
-// price while same-node rows move at the intra-node bandwidth.
+// vectorVolume accumulates a vector collective's bytes sent and received,
+// indexed by link, so inter-node traffic pays the network price while
+// same-node rows move at the intra-node bandwidth.
 type vectorVolume struct {
-	sentInter, sentIntra   int64
-	recvdInter, recvdIntra int64
+	sent, recvd [linkNet + 1]int64
 }
-
-func (v *vectorVolume) addSend(p *Proc, dst int, n int64) {
-	if dst == p.rank {
-		return
-	}
-	if p.w.node(p.rank) == p.w.node(dst) {
-		v.sentIntra += n
-	} else {
-		v.sentInter += n
-	}
-}
-
-func (v *vectorVolume) addRecv(p *Proc, src int, n int64) {
-	if src == p.rank {
-		return
-	}
-	if p.w.node(p.rank) == p.w.node(src) {
-		v.recvdIntra += n
-	} else {
-		v.recvdInter += n
-	}
-}
-
-func (v *vectorVolume) sent() int64 { return v.sentInter + v.sentIntra }
 
 // transferTime prices the exchange as the sum of the two links' bottleneck
 // volumes: the NIC carries max(sent, received) inter-node bytes while the
 // shared-memory path carries max(sent, received) same-node bytes.
 func (v *vectorVolume) transferTime(p *Proc) sim.Time {
-	inter := v.sentInter
-	if v.recvdInter > inter {
-		inter = v.recvdInter
-	}
-	intra := v.sentIntra
-	if v.recvdIntra > intra {
-		intra = v.recvdIntra
-	}
-	return p.w.cfg.TransferTime(inter) + p.w.cfg.IntraNodeTransferTime(intra)
+	return p.w.cfg.TransferTime(max(v.sent[linkNet], v.recvd[linkNet])) +
+		p.w.cfg.IntraNodeTransferTime(max(v.sent[linkNode], v.recvd[linkNode]))
 }
 
 // AlltoallvIov exchanges per-destination rows of views: send[d] is a list
@@ -571,7 +484,7 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 	}
 	p.preRendezvous()
 	enter := p.clock
-	vals, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, send)
+	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{v: send})
 	out := make([][][]byte, p.w.size)
 	var vol vectorVolume
 	for d, iov := range send {
@@ -582,12 +495,12 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 		if row > 0 {
 			p.book(d, row)
 		}
-		vol.addSend(p, d, row)
+		vol.sent[p.link(d)] += row
 	}
 	var extra sim.Time
 	var rbytes int64
-	for s, v := range vals {
-		row, ok := v.([][][]byte)
+	for s, sl := range snap {
+		row, ok := sl.v.([][][]byte)
 		if !ok {
 			continue // crashed rank: leave out[s] nil
 		}
@@ -596,7 +509,7 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 		for _, b := range out[s] {
 			got += int64(len(b))
 		}
-		vol.addRecv(p, s, got)
+		vol.recvd[p.link(s)] += got
 		rbytes += got
 		if rf := p.w.rf; rf != nil && got > 0 {
 			if rep, h, hit := rf.corruptHit(s, p.rank, int64(seq)); hit {
@@ -611,11 +524,12 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 		}
 	}
 	p.clock = sim.Max(p.clock, m) + p.treeLatency() + vol.transferTime(p)
+	sent := vol.sent[linkNode] + vol.sent[linkNet]
 	if p.w.integ != nil {
-		extra += p.w.cfg.ChecksumTime(vol.sent() + rbytes)
+		extra += p.w.cfg.ChecksumTime(sent + rbytes)
 	}
 	p.clock += extra
-	p.Metrics.Add(metrics.CCommBytes, vol.sent())
+	p.Metrics.Add(metrics.CCommBytes, sent)
 	p.traceColl(enter, seq, by)
 	p.noteVer(ver)
 	return out

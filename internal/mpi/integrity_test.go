@@ -242,3 +242,59 @@ func TestChecksumChargeOnePrice(t *testing.T) {
 		})
 	}
 }
+
+// TestRetransmitOnePrice: a corrupted vector-collective row and a corrupted
+// envelope are retransmitted at one price. On every link, for a clean copy
+// at attempt rep, the charge rowCorruption returns equals the clock advance
+// reRequest books, and both equal, to the bit, one round trip plus the
+// payload per attempt on that link; past integrity.MaxReRequests both give
+// up and arm the integrity failure.
+func TestRetransmitOnePrice(t *testing.T) {
+	const n = 4096
+	cfg := sim.DefaultConfig()
+	w := NewWorld(4, cfg)
+	w.SetNodeMap(BlockNodeMap(2))
+	w.EnableIntegrity(1)
+	p := w.Proc(0)
+	for _, link := range []struct {
+		name  string
+		src   int
+		price sim.Time
+	}{
+		{"self", 0, cfg.MemcpyTime(n)},
+		{"node", 1, 2*cfg.IntraNodeHopLatency() + cfg.IntraNodeTransferTime(n)},
+		{"network", 2, 2*cfg.NetLatency + cfg.TransferTime(n)},
+	} {
+		for rep := 1; rep <= integrity.MaxReRequests+1; rep++ {
+			var want sim.Time
+			for a := 1; a <= min(rep, integrity.MaxReRequests); a++ {
+				want += link.price
+			}
+			fixed := rep <= integrity.MaxReRequests
+
+			charge, ok, silent := p.rowCorruption(link.src, n, rep)
+			rowFailed := p.TakeIntegrityFailure() != nil
+
+			p.clock = 0
+			pristine := payload(n)
+			e := &envelope{src: link.src, n: n, data: bytes.Clone(pristine), orig: [][]byte{pristine}, rep: uint8(rep)}
+			e.data[0] ^= 1
+			got := p.reRequest(e)
+			advance := p.clock
+			envFailed := p.TakeIntegrityFailure() != nil
+
+			if silent || ok != fixed || got != fixed {
+				t.Errorf("%s rep=%d: row fixed=%v silent=%v, envelope fixed=%v, want fixed=%v", link.name, rep, ok, silent, got, fixed)
+			}
+			if charge != want || advance != want {
+				t.Errorf("%s rep=%d: row charge %v, envelope advance %v, want %v", link.name, rep, charge, advance, want)
+			}
+			if rowFailed == fixed || envFailed == fixed {
+				t.Errorf("%s rep=%d: integrity failure armed by row %v, by envelope %v, want %v", link.name, rep, rowFailed, envFailed, !fixed)
+			}
+			if fixed && !bytes.Equal(e.data, pristine) {
+				t.Errorf("%s rep=%d: the retransmitted envelope does not carry the pristine bytes", link.name, rep)
+			}
+		}
+	}
+}

@@ -346,11 +346,11 @@ func asViews(data []byte, iov [][]byte) [][]byte {
 func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 	if e == nil {
 		// Crashed peer: this rank waited the full detection timeout.
-		p.SyncClock(post + p.w.collDeadline)
+		p.SyncClock(post + p.w.coll.deadline)
 		p.noteVer(p.w.coll.ver())
 		return false
 	}
-	if d := p.w.collDeadline; d > 0 && e.src != p.rank && e.stamp > post+d {
+	if d := p.w.coll.deadline; d > 0 && e.src != p.rank && e.stamp > post+d {
 		// The message left the (live) sender after this rank's patience
 		// ran out: a straggler. Give up at the deadline, flag the peer,
 		// and drop the payload — the round is aborted by agreement.
@@ -379,38 +379,72 @@ func (p *Proc) completeRecv(post sim.Time, e *envelope) bool {
 	return true
 }
 
-// reRequest models the bounded retransmit protocol for a payload whose
-// wire checksum failed: the receiver NACKs the sender and pulls a fresh
-// copy, up to integrity.MaxReRequests times, charging each attempt a
-// round trip plus the payload transfer on the link the message used. A
-// clean copy (the fault rule's repeat budget exhausted) swaps the
-// pristine bytes in and succeeds; a corruption outliving the bound leaves
-// the sticky integrity error armed for the engines' error agreement.
+// reRequest retransmits a payload whose wire checksum failed (see
+// retransmit), charging the attempts to the clock. A clean copy swaps the
+// pristine bytes in; an envelope that carries none fails every attempt.
 func (p *Proc) reRequest(e *envelope) bool {
-	n := e.n
-	intra := e.src != p.rank && p.w.node(e.src) == p.w.node(p.rank)
+	rep := int(e.rep)
+	if e.orig == nil {
+		rep = integrity.MaxReRequests + 1
+	}
+	if !p.retransmit(&p.clock, e.src, e.n, rep) {
+		return false
+	}
+	if e.iov != nil {
+		e.iov = e.orig
+	} else {
+		e.data = e.orig[0]
+	}
+	return true
+}
+
+// retransmit models the bounded retransmit protocol for n bytes from src
+// that failed their checksum: the receiver NACKs the sender and pulls a
+// fresh copy, up to integrity.MaxReRequests times, adding each attempt — a
+// round trip plus the payload on the link the bytes used — to *at. The
+// copy of attempt rep is the first clean one. A corruption outliving the
+// bound leaves the sticky integrity error armed for the engines' error
+// agreement.
+func (p *Proc) retransmit(at *sim.Time, src int, n int64, rep int) bool {
+	l := p.link(src)
 	for attempt := 1; attempt <= integrity.MaxReRequests; attempt++ {
-		switch {
-		case e.src == p.rank:
-			p.clock += p.w.cfg.MemcpyTime(n)
-		case intra:
-			p.clock += 2*p.w.cfg.IntraNodeHopLatency() + p.w.cfg.IntraNodeTransferTime(n)
+		switch l {
+		case linkSelf:
+			*at += p.w.cfg.MemcpyTime(n)
+		case linkNode:
+			*at += 2*p.w.cfg.IntraNodeHopLatency() + p.w.cfg.IntraNodeTransferTime(n)
 		default:
-			p.clock += 2*p.w.cfg.NetLatency + p.w.cfg.TransferTime(n)
+			*at += 2*p.w.cfg.NetLatency + p.w.cfg.TransferTime(n)
 		}
-		if attempt >= int(e.rep) && e.orig != nil {
-			if e.iov != nil {
-				e.iov = e.orig
-			} else {
-				e.data = e.orig[0]
-			}
+		if attempt >= rep {
 			p.Metrics.NoteWireIntegrity(true)
 			return true
 		}
 	}
 	p.Metrics.NoteWireIntegrity(false)
-	p.noteIntegrityFailure(e.src)
+	p.noteIntegrityFailure(src)
 	return false
+}
+
+// link is the path bytes take between two ranks.
+type link uint8
+
+const (
+	linkSelf link = iota // a rank to itself: a memory copy
+	linkNode             // two ranks the node map places on one node: shared memory
+	linkNet              // different nodes: the network, through the receiver's NIC
+)
+
+// link returns the path between this rank and peer under the installed
+// node map: the one rule every transfer is priced by.
+func (p *Proc) link(peer int) link {
+	switch {
+	case peer == p.rank:
+		return linkSelf
+	case p.w.node(peer) == p.w.node(p.rank):
+		return linkNode
+	}
+	return linkNet
 }
 
 // arrivalTime computes when a message posted for receive at `post` is fully
@@ -422,10 +456,10 @@ func (p *Proc) reRequest(e *envelope) bool {
 // the topology-aware cost model.
 func (p *Proc) arrivalTime(post sim.Time, e *envelope) sim.Time {
 	start := sim.Max(post, e.stamp)
-	if e.src == p.rank {
+	switch p.link(e.src) {
+	case linkSelf:
 		return start + p.w.cfg.MemcpyTime(e.n)
-	}
-	if p.w.node(e.src) == p.w.node(p.rank) {
+	case linkNode:
 		return start + p.w.cfg.IntraNodeTransferTime(e.n) +
 			p.w.cfg.IntraNodeHopLatency()
 	}

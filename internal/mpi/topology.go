@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // Topology helpers for node-local pre-aggregation. The installed node map
 // (SetNodeMap) is the single source of truth for rank placement; everything
 // here is a pure, deterministic function of it, so every rank computes the
@@ -34,34 +36,27 @@ func (w *World) countNodes() int {
 // allocation-free so the steady state stays within the benchmark gates.
 func (p *Proc) NodeLeadersInto(leaders []bool, dead []int) {
 	w := p.w
-	isDead := func(r int) bool {
-		for _, d := range dead {
-			if d == r {
-				return true
-			}
-		}
-		return false
+	for r := range leaders {
+		leaders[r] = leaderOf(w.size, w.node, w.node(r), dead) == r
 	}
-	for r := 0; r < w.size; r++ {
-		node := w.node(r)
-		leader, lowest := -1, -1
-		for c := 0; c < w.size; c++ {
-			if w.node(c) != node {
-				continue
-			}
-			if lowest < 0 {
-				lowest = c
-			}
-			if !isDead(c) {
-				leader = c
-				break
-			}
+}
+
+// leaderOf elects node's leader: its lowest rank not listed dead, or its
+// lowest rank outright when the whole node is listed.
+func leaderOf(size int, nodeOf func(int) int, node int, dead []int) int {
+	lowest := -1
+	for r := 0; r < size; r++ {
+		if nodeOf(r) != node {
+			continue
 		}
-		if leader < 0 {
-			leader = lowest
+		if !slices.Contains(dead, r) {
+			return r
 		}
-		leaders[r] = leader == r
+		if lowest < 0 {
+			lowest = r
+		}
 	}
+	return lowest
 }
 
 // NodePlan is one rank's view of the node-local pre-aggregation roster:
@@ -93,31 +88,8 @@ func (p *Proc) PlanNode(dead []int) NodePlan {
 }
 
 func planNode(size int, nodeOf func(int) int, rank int, dead []int) NodePlan {
-	isDead := func(r int) bool {
-		for _, d := range dead {
-			if d == r {
-				return true
-			}
-		}
-		return false
-	}
 	myNode := nodeOf(rank)
-	plan := NodePlan{Leader: -1}
-	lowest := -1
-	for r := 0; r < size; r++ {
-		if nodeOf(r) != myNode {
-			continue
-		}
-		if lowest < 0 {
-			lowest = r
-		}
-		if plan.Leader < 0 && !isDead(r) {
-			plan.Leader = r
-		}
-	}
-	if plan.Leader < 0 {
-		plan.Leader = lowest // whole node listed dead: lowest rank fronts it anyway
-	}
+	plan := NodePlan{Leader: leaderOf(size, nodeOf, myNode, dead)}
 	if plan.Leader != rank {
 		return plan
 	}

@@ -66,23 +66,30 @@ func TestPlanNode(t *testing.T) {
 	})
 }
 
-// TestNodeLeadersInto: the allocation-free aggregator-side fill must agree
-// with every rank's own PlanNode across dead sets.
+// TestNodeLeadersInto: the aggregator-side fill marks each node's lowest
+// rank not listed dead (its lowest rank when the whole node is listed),
+// allocating nothing.
 func TestNodeLeadersInto(t *testing.T) {
 	w := testWorld(6)
 	w.SetNodeMap(BlockNodeMap(3))
-	for _, dead := range [][]int{nil, {0}, {0, 1}, {0, 1, 2}, {3}} {
+	p := w.Proc(0)
+	for _, tc := range []struct {
+		dead []int
+		want []bool
+	}{
+		{nil, []bool{true, false, false, true, false, false}},
+		{[]int{0}, []bool{false, true, false, true, false, false}},
+		{[]int{0, 1}, []bool{false, false, true, true, false, false}},
+		{[]int{0, 1, 2}, []bool{true, false, false, true, false, false}},
+		{[]int{3}, []bool{true, false, false, false, true, false}},
+	} {
 		leaders := make([]bool, 6)
-		want := make([]bool, 6)
-		w.Run(func(p *Proc) {
-			if p.Rank() == 0 {
-				p.NodeLeadersInto(leaders, dead)
-			}
-			plan := p.PlanNode(dead)
-			want[p.Rank()] = plan.Leads(p.Rank())
-		})
-		if !reflect.DeepEqual(leaders, want) {
-			t.Fatalf("dead=%v: NodeLeadersInto %v, PlanNode says %v", dead, leaders, want)
+		p.NodeLeadersInto(leaders, tc.dead)
+		if !reflect.DeepEqual(leaders, tc.want) {
+			t.Errorf("dead=%v: NodeLeadersInto %v, want %v", tc.dead, leaders, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { p.NodeLeadersInto(leaders, tc.dead) }); n != 0 {
+			t.Errorf("dead=%v: NodeLeadersInto allocates %v times", tc.dead, n)
 		}
 	}
 }

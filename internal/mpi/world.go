@@ -15,6 +15,7 @@ package mpi
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,9 +44,6 @@ type World struct {
 	// fault-injection check in the datapath is gated on it so the
 	// fault-free steady state pays one nil comparison.
 	rf *RankFaultSchedule
-	// collDeadline is the virtual-time deadline every rendezvous and
-	// point-to-point wait is guarded by (0 = no guard).
-	collDeadline sim.Time
 	// anyFail flips to 1 at the first crash; it gates the dead-peer
 	// check in mailbox waits so the healthy path stays branch-cheap.
 	anyFail atomic.Int32
@@ -257,24 +255,14 @@ func (w *World) node(r int) int {
 // times, histograms), its peer row, the flight recorder and the trace sink
 // (its timestamps restart from zero).
 func (w *World) ResetClocks() {
+	w.revive(0)
 	for _, p := range w.procs {
-		p.clock = 0
-		p.nicBusy = 0
 		p.collSeq = 0
 		p.sendSeq = 0
 		p.round = -1
-		p.verSeen = 0
-		p.peerErr = nil
-		p.integErr = nil
-		p.failSeen = 0
 		p.peers.reset()
 		p.Metrics.Reset()
 	}
-	for _, b := range w.boxes {
-		b.drain()
-	}
-	w.coll.revive()
-	w.anyFail.Store(0)
 	w.sink.Reset()
 	w.met.Flight().Reset()
 }
@@ -301,11 +289,9 @@ func (w *World) SetRankFaults(s *RankFaultSchedule) { w.rf = s }
 
 // SetCollDeadline arms a virtual-time deadline on every rendezvous and
 // point-to-point wait: a peer trailing by more than d is flagged
-// unresponsive instead of waited on forever. Zero disarms.
-func (w *World) SetCollDeadline(d sim.Time) {
-	w.collDeadline = d
-	w.coll.setDeadline(d)
-}
+// unresponsive instead of waited on forever. Zero disarms. Call it before
+// Run.
+func (w *World) SetCollDeadline(d sim.Time) { w.coll.deadline = d }
 
 // FailedRanks returns the ranks currently considered failed — crashed or
 // flagged as stragglers — in rank order. It is the dead set a resumed
@@ -314,12 +300,7 @@ func (w *World) FailedRanks() []int {
 	dead, suspects := w.coll.failureSets()
 	out := append([]int{}, dead...)
 	out = append(out, suspects...)
-	// Both inputs are rank-ordered and disjoint; merge by sorting.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -330,12 +311,15 @@ func (w *World) FailedRanks() []int {
 // common "now" — a straggler's inflated clock would otherwise re-trip
 // deadline detection immediately. Consumed fault rules stay consumed, so
 // the recovery attempt runs clean. Call between Run calls only.
-func (w *World) ReviveAll() {
+func (w *World) ReviveAll() { w.revive(w.MaxClock()) }
+
+// revive clears every failure and sets every clock to now: all ranks live,
+// no undelivered messages, no failure a rank has seen or still holds.
+func (w *World) revive(now sim.Time) {
 	w.coll.revive()
 	for _, b := range w.boxes {
 		b.drain()
 	}
-	now := w.MaxClock()
 	for _, p := range w.procs {
 		p.clock = now
 		p.nicBusy = 0
@@ -352,17 +336,6 @@ func (w *World) MaxClock() sim.Time {
 	var m sim.Time
 	for _, p := range w.procs {
 		if p.clock > m {
-			m = p.clock
-		}
-	}
-	return m
-}
-
-// MinClock returns the earliest virtual clock across ranks.
-func (w *World) MinClock() sim.Time {
-	m := w.procs[0].clock
-	for _, p := range w.procs[1:] {
-		if p.clock < m {
 			m = p.clock
 		}
 	}

@@ -26,11 +26,9 @@ const farEnd = int64(1) << 62
 // first-touching node, gaps attach to the next owner so the partition
 // stays gapless, each node's byte set is split evenly by bytes among that
 // node's aggregator slots (AggRanks), and nodes without a local aggregator
-// spill round-robin onto the nodes that have one.
-type NodeLocal struct {
-	// Fallback handles contexts without per-rank segs (defaults to Even).
-	Fallback Assigner
-}
+// spill round-robin onto the nodes that have one. A context without any
+// accessed byte gets Even's partition.
+type NodeLocal struct{}
 
 // Name implements Assigner.
 func (n NodeLocal) Name() string { return "node-local" }
@@ -50,11 +48,7 @@ func (n NodeLocal) Assign(ctx Context) ([]Realm, error) {
 		return nil, err
 	}
 	if len(ctx.RankSegs) == 0 {
-		fb := n.Fallback
-		if fb == nil {
-			fb = Even{}
-		}
-		return fb.Assign(ctx)
+		return Even{}.Assign(ctx)
 	}
 	nodeOf := ctx.NodeOf
 	if nodeOf == nil {
@@ -94,11 +88,7 @@ func (n NodeLocal) Assign(ctx Context) ([]Realm, error) {
 		}
 	}
 	if len(runs) == 0 {
-		fb := n.Fallback
-		if fb == nil {
-			fb = Even{}
-		}
-		return fb.Assign(ctx)
+		return Even{}.Assign(ctx)
 	}
 
 	// Disjoint sweep: the first-starting run owns contested bytes (ties to

@@ -139,14 +139,21 @@ func TestNodeLocalOverlapFirstTouch(t *testing.T) {
 }
 
 // TestNodeLocalFallback: without per-rank segs the policy defers to Even
-// (or an explicit fallback) instead of failing.
+// instead of failing.
 func TestNodeLocalFallback(t *testing.T) {
-	realms, err := NodeLocal{}.Assign(Context{NAggs: 4, Start: 0, End: 400})
+	ctx := Context{NAggs: 4, Start: 0, End: 400}
+	realms, err := NodeLocal{}.Assign(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Coverage(realms, 0, 400); err != nil {
 		t.Fatal(err)
+	}
+	even, _ := Even{}.Assign(ctx)
+	for i := range realms {
+		if realms[i].Disp != even[i].Disp {
+			t.Errorf("realm %d starts at %d, Even's at %d", i, realms[i].Disp, even[i].Disp)
+		}
 	}
 }
 

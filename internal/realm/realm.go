@@ -294,6 +294,8 @@ func (c Cyclic) Assign(ctx Context) ([]Realm, error) {
 // clustered accesses (paper §5.2's motivating example). It requires the
 // combined flattened access.
 type LoadBalanced struct {
+	// Align, when positive, rounds each boundary up to a multiple of it;
+	// 0 takes the context's alignment.
 	Align int64
 }
 
@@ -316,6 +318,10 @@ func (l LoadBalanced) Assign(ctx Context) ([]Realm, error) {
 	if total == 0 {
 		return Even{Align: l.Align}.Assign(ctx)
 	}
+	align := l.Align
+	if align == 0 {
+		align = ctx.Align
+	}
 	n := int64(ctx.NAggs)
 	target := (total + n - 1) / n
 	bounds := make([]int64, 0, ctx.NAggs+1)
@@ -326,8 +332,8 @@ func (l LoadBalanced) Assign(ctx Context) ([]Realm, error) {
 			// Boundary inside (or at the end of) this segment.
 			need := target*int64(len(bounds)) - acc
 			b := s.Off + need
-			if l.Align > 0 {
-				b = roundUp(b, l.Align)
+			if align > 0 {
+				b = roundUp(b, align)
 			}
 			if b <= bounds[len(bounds)-1] {
 				b = bounds[len(bounds)-1] + 1

@@ -185,6 +185,31 @@ func TestLoadBalancedEmptyAccessFallsBack(t *testing.T) {
 	}
 }
 
+// TestLoadBalancedHonorsContextAlign: with no alignment of its own the
+// policy rounds its boundaries to the context's, as Even does, whether or
+// not anything is accessed.
+func TestLoadBalancedHonorsContextAlign(t *testing.T) {
+	var segs []datatype.Seg
+	for i := int64(0); i < 1000; i++ {
+		segs = append(segs, datatype.Seg{Off: i * 1000, Len: 300})
+	}
+	for _, all := range [][]datatype.Seg{segs, nil} {
+		ctx := Context{NAggs: 4, Start: 0, End: 1_000_000, Align: 4096, AllSegs: all}
+		realms, err := LoadBalanced{}.Assign(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Coverage(realms, 0, ctx.End); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range realms {
+			if r.Disp%4096 != 0 {
+				t.Errorf("%d segs: realm %d starts at %d, not a multiple of 4096", len(all), i, r.Disp)
+			}
+		}
+	}
+}
+
 func TestAssignErrors(t *testing.T) {
 	if _, err := (Even{}).Assign(Context{NAggs: 0, Start: 0, End: 1}); err == nil {
 		t.Fatal("zero aggregators accepted")
