@@ -1,6 +1,7 @@
 package integrity
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -9,9 +10,6 @@ func TestSumDeterministicAndSeedSensitive(t *testing.T) {
 	h1 := NewHasher(42)
 	h2 := NewHasher(42)
 	h3 := NewHasher(43)
-	defer h1.Release()
-	defer h2.Release()
-	defer h3.Release()
 	data := []byte("the quick brown fox jumps over the lazy dog")
 	if h1.Sum(data) != h2.Sum(data) {
 		t.Fatal("same seed, same data must hash equal")
@@ -25,11 +23,9 @@ func TestSumDeterministicAndSeedSensitive(t *testing.T) {
 }
 
 // TestSumDetectsEverySingleBitFlip flips every bit of a 4 KiB page and of
-// every length from 0 to 200 — whole lane blocks, the 8-byte words after
-// the last block, the byte tail — and requires each flip to change the sum.
+// every length from 0 to 200, and requires each flip to change the sum.
 func TestSumDetectsEverySingleBitFlip(t *testing.T) {
 	h := NewHasher(7)
-	defer h.Release()
 	lengths := []int{4096}
 	for n := 0; n <= 200; n++ {
 		lengths = append(lengths, n)
@@ -57,12 +53,49 @@ func TestSumDetectsEverySingleBitFlip(t *testing.T) {
 	}
 }
 
-// TestSumPositionAndSeedSensitive: the same word hashes differently in
-// every lane and block (so swapped or shifted zero runs are caught), and a
+// TestSumDetectsEveryShortBurst: a CRC-32C catches every burst of 32 bits
+// or fewer with certainty. At every 7th bit offset of a 4 KiB page, a burst
+// of 2 to 32 bits (first and last bit flipped, the ones between at random)
+// must change Sum, and SumIov when a view boundary cuts through the burst.
+func TestSumDetectsEveryShortBurst(t *testing.T) {
+	h := NewHasher(13)
+	rng := rand.New(rand.NewSource(17))
+	data := make([]byte, 4096)
+	rng.Read(data)
+	want := h.Sum(data)
+	nbits := len(data) * 8
+	flip := func(at, n int, mask uint64) {
+		for i := 0; i < n; i++ {
+			if mask>>i&1 != 0 {
+				data[(at+i)/8] ^= 1 << ((at + i) % 8)
+			}
+		}
+	}
+	for at := 0; at+2 <= nbits; at += 7 {
+		n := min(2+at/7%31, nbits-at)
+		mask := 1 | 1<<(n-1) | rng.Uint64()&(1<<(n-1)-1)
+		flip(at, n, mask)
+		if h.Sum(data) == want {
+			t.Fatalf("%d-bit burst %#x at bit %d not detected", n, mask, at)
+		}
+		// The cut falls before the burst's last byte: inside the burst
+		// whenever it spans two bytes or more.
+		cut := (at + n - 1) / 8
+		if h.SumIov([][]byte{data[:cut], data[cut:]}) == want {
+			t.Fatalf("%d-bit burst %#x at bit %d cut at byte %d not detected", n, mask, at, cut)
+		}
+		flip(at, n, mask)
+	}
+	if h.Sum(data) != want {
+		t.Fatal("restored data must hash to the original sum")
+	}
+}
+
+// TestSumPositionAndSeedSensitive: the same byte hashes differently at
+// every 8-byte offset (so swapped or shifted zero runs are caught), and a
 // page of zeros — what a torn write leaves — hashes differently per seed.
 func TestSumPositionAndSeedSensitive(t *testing.T) {
 	h := NewHasher(7)
-	defer h.Release()
 	seen := map[uint64]int{}
 	for pos := 0; pos+8 <= 512; pos += 8 {
 		data := make([]byte, 512)
@@ -78,7 +111,6 @@ func TestSumPositionAndSeedSensitive(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		hs := NewHasher(seed)
 		bySeed[hs.Sum(zeros)] = true
-		hs.Release()
 	}
 	if len(bySeed) != 64 {
 		t.Fatalf("64 seeds gave %d distinct sums of a zero page", len(bySeed))
@@ -89,7 +121,6 @@ func TestSumPositionAndSeedSensitive(t *testing.T) {
 // receiver verifies with the world's hasher); run under -race.
 func TestSumConcurrent(t *testing.T) {
 	h := NewHasher(5)
-	defer h.Release()
 	data := make([]byte, 4099)
 	for i := range data {
 		data[i] = byte(i*131 + i>>8)
@@ -113,7 +144,6 @@ func TestSumConcurrent(t *testing.T) {
 
 func TestSumAllocationFree(t *testing.T) {
 	h := NewHasher(1)
-	defer h.Release()
 	data := make([]byte, 4096)
 	if n := testing.AllocsPerRun(100, func() { _ = h.Sum(data) }); n != 0 {
 		t.Fatalf("Sum allocated %.1f per call, want 0", n)
@@ -122,7 +152,6 @@ func TestSumAllocationFree(t *testing.T) {
 
 func TestStoreVerifyQuarantineRepair(t *testing.T) {
 	h := NewHasher(9)
-	defer h.Release()
 	st := NewStore(h, 8)
 	blk := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	st.Record("f", 0, blk, 0, int64(len(blk)))
@@ -153,7 +182,6 @@ func TestStoreVerifyQuarantineRepair(t *testing.T) {
 
 func TestStoreOverwriteClearsQuarantine(t *testing.T) {
 	h := NewHasher(11)
-	defer h.Release()
 	st := NewStore(h, 2)
 	blk := []byte{9, 9, 9, 9}
 	st.Record("g", 5, blk, 0, int64(len(blk)))

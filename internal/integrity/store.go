@@ -314,18 +314,15 @@ func (f *File) repair(idx int64, dst []byte) bool {
 // the recorded checksum, or the overwrite would launder undetected
 // corruption into a freshly blessed block. A block already quarantined is
 // not verified again (its mismatch is already counted); either way a
-// mismatched block gets one ring repair attempt. verified says the caller
-// knows data already passed Verify and has not changed since (the sieve
-// prefetch checked this very content): the hash is skipped then, and
-// nothing else is. It reports whether this call detected a new mismatch
-// and whether the block was repaired.
-func (f *File) PreMerge(idx int64, data []byte, verified bool) (mismatch, repaired bool) {
+// mismatched block gets one ring repair attempt. It reports whether this
+// call detected a new mismatch and whether the block was repaired.
+func (f *File) PreMerge(idx int64, data []byte) (mismatch, repaired bool) {
 	f.st.mu.Lock()
 	defer f.st.mu.Unlock()
 	if b := f.blocks.Peek(idx); b != nil && b.repaved != nil {
 		return false, f.repair(idx, data)
 	}
-	if verified || f.verify(idx, data) {
+	if f.verify(idx, data) {
 		return false, false
 	}
 	return true, f.repair(idx, data)

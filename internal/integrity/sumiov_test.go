@@ -35,12 +35,11 @@ func splitAt(data []byte, cuts []int) [][]byte {
 	return iov
 }
 
-// TestSumIovEqualsSumOfConcat splits inputs of every length around the
-// block size at random points — including one-byte views, empty views and
-// cuts inside a 32-byte block — and requires Sum's result every time.
+// TestSumIovEqualsSumOfConcat splits inputs of every length up to 130 and
+// of about a page at random points — including one-byte views and empty
+// views — and requires Sum's result every time.
 func TestSumIovEqualsSumOfConcat(t *testing.T) {
 	h := NewHasher(11)
-	defer h.Release()
 	rng := rand.New(rand.NewSource(5))
 	lengths := []int{4096, 4097, 1000}
 	for n := 0; n <= 130; n++ {
@@ -78,10 +77,9 @@ func TestSumIovEqualsSumOfConcat(t *testing.T) {
 }
 
 // TestSumIovDetectsEverySingleBitFlip flips every bit of every view of a
-// payload whose views straddle blocks and words.
+// payload cut into views of uneven lengths, some of them empty.
 func TestSumIovDetectsEverySingleBitFlip(t *testing.T) {
 	h := NewHasher(3)
-	defer h.Release()
 	data := make([]byte, 203)
 	for i := range data {
 		data[i] = byte(i*41 + 7)
@@ -104,7 +102,6 @@ func TestSumIovDetectsEverySingleBitFlip(t *testing.T) {
 
 func TestSumIovAllocationFree(t *testing.T) {
 	h := NewHasher(1)
-	defer h.Release()
 	data := make([]byte, 4096)
 	iov := splitAt(data, []int{5, 100, 1033, 4000})
 	if n := testing.AllocsPerRun(100, func() { _ = h.SumIov(iov) }); n != 0 {

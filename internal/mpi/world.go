@@ -274,9 +274,6 @@ func (w *World) ResetClocks() {
 // and, when that fails, a sticky per-rank integrity error the collective
 // engines fold into the error agreement. Call it before Run.
 func (w *World) EnableIntegrity(seed int64) {
-	if w.integ != nil {
-		w.integ.Release()
-	}
 	w.integ = integrity.NewHasher(seed)
 }
 

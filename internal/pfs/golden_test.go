@@ -208,7 +208,7 @@ func (g *goldenRun) listing() []string {
 	}
 	if g.fs.IntegrityEnabled() {
 		// The outcome counters, as recorded; Stats.Hashed counts host work,
-		// which is free to fall, not a virtual charge.
+		// which is free to move, not a virtual charge.
 		st := g.fs.IntegrityStats()
 		out = append(out, fmt.Sprintf("integrity={Mismatches:%d Quarantined:%d Repairs:%d Unrepaired:%d Backlog:%d}",
 			st.Mismatches, st.Quarantined, st.Repairs, st.Unrepaired, st.Backlog))

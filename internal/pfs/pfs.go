@@ -150,18 +150,6 @@ type fileData struct {
 type pageSlot struct {
 	data  []byte // nil = hole (never written)
 	owner int32  // client id holding the exclusive lock, 0 = unlocked
-	// ver is the content version: every path that changes data's bytes —
-	// writeBytes, applyFlip, a successful ring repair in readSeg or
-	// preMergePage — bumps it, so a page still at the version it was
-	// verified at holds the bytes that were verified. A sieve write's
-	// pre-merge gate skips the hash of such a page (integrityPreMergeSpan).
-	ver uint32
-}
-
-// pageVer names one page's content: its index and version.
-type pageVer struct {
-	page int64
-	ver  uint32
 }
 
 // page returns the content of page pi, nil for a hole.
@@ -170,17 +158,6 @@ func (f *fileData) page(pi int64) []byte {
 		return s.data
 	}
 	return nil
-}
-
-// change returns the content of page pi for the caller to modify in place,
-// bumping its version; nil for a hole.
-func (f *fileData) change(pi int64) []byte {
-	s := f.pages.Peek(pi)
-	if s == nil || s.data == nil {
-		return nil
-	}
-	s.ver++
-	return s.data
 }
 
 // NewFileSystem creates an empty file system with cfg.StripeCount OSTs.
@@ -214,9 +191,6 @@ func (fs *FileSystem) SetFaultSchedule(s *FaultSchedule) {
 func (fs *FileSystem) EnableIntegrity(seed int64, ringCap int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.integ != nil {
-		fs.integ.Release()
-	}
 	fs.integ = integrity.NewHasher(seed)
 	fs.isums = integrity.NewStore(fs.integ, ringCap)
 }
@@ -393,18 +367,12 @@ type Client struct {
 	// (a client serves one rank goroutine, and all are consumed before the
 	// request returns). sums is the integrity store's state for the file
 	// of the request in flight, looked up by name once per request; nil
-	// when integrity is off. clean is a sieve write's: while cleanOf is
-	// its file (during its RMW prefetch), readSeg lists each page of that
-	// file it verified clean, ascending, with the version it verified; the
-	// write-back hands the list to its pre-merge gate, and SieveWriteData
-	// empties it on every return.
+	// when integrity is off.
 	lockRanges []pageRange
 	portions   []stripePortion
 	rmwSpan    [1]datatype.Seg
 	runs       []integrity.Span
 	sums       *integrity.File
-	clean      []pageVer
-	cleanOf    *fileData
 }
 
 // pageRange is an inclusive page-index range of one request segment.
@@ -827,7 +795,7 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data Data, t sim.Time) si
 
 	// The segment passes the integrity gates as a one-segment window.
 	one := [1]datatype.Seg{s}
-	c.integrityPreMergeSpan(f, s, one[:], nil, t)
+	c.integrityPreMergeSpan(f, s, one[:], t)
 	f.writeBytes(one[:], data, ps)
 	integSvc := c.integrityRecordSpan(f, s, one[:])
 	c.injectFlip(f, s, t)
@@ -871,19 +839,12 @@ func (c *Client) serve(f *fileData, s datatype.Seg, t sim.Time, frac float64, rm
 
 // preMergePage passes one partially overwritten page through the store's
 // pre-merge gate. Holes have nothing recorded and nothing to launder.
-// seen, when non-nil, is the page as this request's sieve prefetch verified
-// it clean: if its version has not moved since, the bytes are the verified
-// ones and the gate skips the hash. A ring repair bumps the version.
-func (c *Client) preMergePage(f *fileData, pi int64, seen *pageVer, t sim.Time) {
-	slot := f.pages.Peek(pi)
-	if slot == nil || slot.data == nil {
+func (c *Client) preMergePage(f *fileData, pi int64, t sim.Time) {
+	page := f.page(pi)
+	if page == nil {
 		return
 	}
-	verified := seen != nil && seen.ver == slot.ver
-	mismatch, repaired := c.sums.PreMerge(pi, slot.data, verified)
-	if repaired {
-		slot.ver++
-	}
+	mismatch, repaired := c.sums.PreMerge(pi, page)
 	if mismatch {
 		c.noteMismatch(pi, repaired, t)
 	}
@@ -936,16 +897,13 @@ func (c *Client) landedRuns(segs []datatype.Seg, si int, pstart, pend int64) int
 // verify would misread that as corruption and "repair" the just-written
 // bytes away. Pages fully repaved by the union of the segments skip the
 // check (their old content is irrelevant); pages the window never touches
-// keep their sums untouched. A page on clean — the pages a sieve window's
-// RMW prefetch verified, ascending — whose version has not moved since
-// passes without a second hash; every other partly covered page gets the
-// full gate. Called with fs.mu held, before the scatter.
-func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, clean []pageVer, t sim.Time) {
+// keep their sums untouched. Called with fs.mu held, before the scatter.
+func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []datatype.Seg, t sim.Time) {
 	if c.sums == nil {
 		return
 	}
 	ps := c.fs.cfg.PageSize
-	si, k := 0, 0
+	si := 0
 	for pi := span.Off / ps; pi <= (span.End()-1)/ps; pi++ {
 		si = c.landedRuns(segs, si, pi*ps, (pi+1)*ps)
 		if len(c.runs) == 0 {
@@ -954,14 +912,7 @@ func (c *Client) integrityPreMergeSpan(f *fileData, span datatype.Seg, segs []da
 		if c.runs[0] == (integrity.Span{Off: 0, End: ps}) {
 			continue // fully repaved below: old content is irrelevant
 		}
-		for k < len(clean) && clean[k].page < pi {
-			k++
-		}
-		var seen *pageVer
-		if k < len(clean) && clean[k].page == pi {
-			seen = &clean[k]
-		}
-		c.preMergePage(f, pi, seen, t)
+		c.preMergePage(f, pi, t)
 	}
 }
 
@@ -1024,7 +975,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 		for abs := s.End() - tail; abs < s.End(); {
 			pi, inPage := abs/ps, abs%ps
 			n := min(ps-inPage, s.End()-abs)
-			if page := f.change(pi); page != nil {
+			if page := f.page(pi); page != nil {
 				clear(page[inPage : inPage+n])
 			}
 			abs += n
@@ -1037,7 +988,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 	}
 	bit := int64(fl.hash % uint64(s.Len*8))
 	abs := s.Off + bit/8
-	if page := f.change(abs / ps); page != nil {
+	if page := f.page(abs / ps); page != nil {
 		page[abs%ps] ^= 1 << (bit % 8)
 	}
 	if c.tr != nil {
@@ -1052,8 +1003,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 // first: a mismatch quarantines the page and attempts an inline ring
 // repair; if that fails the read aborts with ErrDataIntegrity, leaving the
 // page quarantined for the journal-replay path. A nil buf makes
-// the read timing-only: every check and charge, no bytes delivered. Each
-// page of c.cleanOf that verified clean goes on c.clean with its version.
+// the read timing-only: every check and charge, no bytes delivered.
 func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (sim.Time, error) {
 	fs := c.fs
 	ps := fs.cfg.PageSize
@@ -1063,20 +1013,14 @@ func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (s
 	if c.sums != nil {
 		integSvc = fs.cfg.ChecksumTime((lastPage - firstPage + 1) * ps)
 		for pi := firstPage; pi <= lastPage; pi++ {
-			slot := f.pages.Peek(pi)
-			if slot == nil || slot.data == nil {
+			page := f.page(pi)
+			if page == nil {
 				continue // sparse hole: nothing recorded, nothing to check
 			}
-			if c.sums.Verify(pi, slot.data) {
-				if f == c.cleanOf {
-					c.clean = append(c.clean, pageVer{pi, slot.ver})
-				}
+			if c.sums.Verify(pi, page) {
 				continue
 			}
-			repaired := c.sums.Repair(pi, slot.data)
-			if repaired {
-				slot.ver++
-			}
+			repaired := c.sums.Repair(pi, page)
 			c.noteMismatch(pi, repaired, t)
 			if !repaired {
 				fs.isums.NoteUnrepairable()
@@ -1161,7 +1105,6 @@ func (f *fileData) writeBytes(segs []datatype.Seg, data Data, pageSize int64) {
 				slot.data = make([]byte, pageSize)
 			}
 			data.Copy(slot.data[inPage:inPage+n], pos)
-			slot.ver++
 			abs, pos = abs+n, pos+n
 		}
 		f.size = max(f.size, s.End())

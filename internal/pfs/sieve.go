@@ -39,7 +39,6 @@ func (h *Handle) SieveWriteData(span datatype.Seg, segs []datatype.Seg, data Dat
 	}
 	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
-	defer h.c.forgetClean()
 	t := now
 	if useful < span.Len {
 		// Holes: fetch the span first (read-modify-write at sieve
@@ -49,16 +48,10 @@ func (h *Handle) SieveWriteData(span datatype.Seg, segs []datatype.Seg, data Dat
 			trace.I("span", span.Len), trace.I("useful", useful))
 		// The prefetch only exists for its timing — the file image is
 		// exact, so the gap bytes a real sieve buffer would carry are
-		// already where they belong — hence a timing-only access. Its
-		// verdicts are kept (c.clean, emptied first: this window may run
-		// inside a fault hook of another of the client's windows): the
-		// pre-merge gate below needs no second hash of a page nobody has
-		// changed since.
+		// already where they belong — hence a timing-only access.
 		h.c.rmwSpan[0] = span
-		h.c.clean, h.c.cleanOf = h.c.clean[:0], h.f
 		var err error
 		t, err = h.c.access("read", h.f, h.c.rmwSpan[:1], Data{}, nil, nil, true, t)
-		h.c.cleanOf = nil
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrDataIntegrity):
@@ -84,10 +77,6 @@ func (h *Handle) SieveWriteData(span datatype.Seg, segs []datatype.Seg, data Dat
 	// Apply the useful bytes, but charge the write as one contiguous span.
 	return h.c.accessSieveSpan(h.f, span, segs, data, t)
 }
-
-// forgetClean empties the prefetch's verdicts when a sieve write returns, so
-// no later request of the client reads them.
-func (c *Client) forgetClean() { c.clean = c.clean[:0] }
 
 // accessSieveSpan performs the write-back half of a sieve window: data is
 // scattered to segs, timing is that of one contiguous span write.
@@ -125,7 +114,7 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 	// content, and the fault schedule gets its chance to corrupt the media
 	// — the sieve buffer is not a side door around the checksummed
 	// datapath.
-	c.integrityPreMergeSpan(f, span, segs, c.clean, t)
+	c.integrityPreMergeSpan(f, span, segs, t)
 	f.writeBytes(segs, data, fs.cfg.PageSize)
 	// Checksums first (over the union of the landed segments), injection
 	// second, so the recorded sums cover the intended content and the
