@@ -165,6 +165,9 @@ type planScratch struct {
 	// Client side, list form: the rank's flattened access and one
 	// aggregator's share of it.
 	mine, share []datatype.Seg
+	// Client side, flat form: the rank's request, encoded to find its shape
+	// in the memo after an exact miss.
+	enc []byte
 
 	// Aggregator side: the decoded requests (segments in one block), then
 	// every client's pieces as file segments in client order with the round
@@ -472,24 +475,28 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 
 	// --- Memoized layout lookup (client side). The key pins everything
 	// the requests and piece lists depend on; see memo.go for the
-	// invalidation rules. On a hit, the requests and intersections are
-	// reused and the ChargePairs sequence the miss path would issue is
-	// replayed verbatim, so virtual time and stats are unaffected.
+	// invalidation rules. On a hit or a rebase, the requests and
+	// intersections are reused and the ChargePairs sequence the miss path
+	// would issue is replayed verbatim, so virtual time and stats are
+	// unaffected.
 	ck := clientKey{ft: view.Filetype, disp: view.Disp,
 		dataLen: dataLen, cb: cb, naggs: naggs, sig: sig}
 	if pre != nil {
 		ck.pre = pre.pre
 	}
 	ce := scr.clients.Get(ck)
-	clientHit := ce != nil
-	noteMemo(p, "client", clientHit)
-	if !clientHit {
-		if list && pre == nil {
-			acc = scr.flattened(f, dataLen)
-		}
-		ce = scr.clients.Evict()
-		i.planClient(&scr.miss, ce, acc, realms, aarEn, cb, dataLen)
+	client := memoHit
+	if list && pre == nil && (ce == nil || i.o.Validate) {
+		acc = scr.flattened(f, dataLen)
+	}
+	if ce == nil {
+		ce, client = i.clientMiss(scr, ck, acc, realms, aarEn, cb, dataLen)
 		scr.clients.Keep(ck)
+	}
+	noteMemo(p, "client", client)
+	var clientErr error
+	if client != memoMiss && i.o.Validate {
+		clientErr = i.checkClient(&scr.miss, ce, acc, realms, aarEn, cb, dataLen)
 	}
 
 	// --- Request exchange. It always happens — only the decoding is
@@ -532,7 +539,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		}
 	}
 	var ae *aggEntry
-	aggHit := false
+	agg := memoHit
 	// planErr is a request this aggregator could not use. The sender got the
 	// empty stand-in of a dead rank, so the collective keeps its shape up to
 	// the first agreement, which the error seeds: every rank aborts.
@@ -542,24 +549,20 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			scr.postRequests(p, silent, true)
 		}
 		scr.msgs = mpi.WaitallInto(scr.recvs, scr.msgs)
-		h := hashSeed
-		for _, m := range scr.msgs {
-			h = hashBytes(h, m)
-		}
-		ak := aggKey{req: h, cb: cb, naggs: naggs, sig: sig}
+		ak := aggKey{cb: cb, naggs: naggs, sig: sig}
+		ak.req, ak.at = requestKey(scr.msgs, i.rebases())
 		ae = scr.aggs.Get(ak)
-		aggHit = ae != nil
-		noteMemo(p, "agg", aggHit)
-		if !aggHit {
-			ae = scr.aggs.Evict()
-			planErr = i.planAgg(&scr.miss, ae, scr.msgs, realms, p.Rank(), aarSt, aarEn, cb)
+		if ae == nil {
+			ae, agg, planErr = i.aggMiss(scr, ak, realms, p.Rank(), aarSt, aarEn, cb)
 			// A failure-degraded request set (stand-ins for dead or
 			// unusable senders) must not poison the cache for later
 			// healthy collectives: it goes without a key.
 			if p.PeerFailure() == nil && planErr == nil {
 				scr.aggs.Keep(ak)
 			}
-		} else if i.o.Validate {
+		}
+		noteMemo(p, "agg", agg)
+		if agg != memoMiss && i.o.Validate {
 			planErr = i.checkPlans(&scr.miss, scr.msgs, ae, realms, p.Rank(), aarSt, aarEn, cb)
 		}
 		if list {
@@ -569,7 +572,10 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if list || amAgg {
 		p.End(iv)
 	}
-	if clientHit && (!amAgg || aggHit) {
+	if planErr == nil {
+		planErr = clientErr
+	}
+	if client == memoHit && agg == memoHit {
 		scr.miss = planScratch{} // nothing was planned: see planScratch
 	}
 
@@ -711,14 +717,21 @@ func accessRegion(p *mpi.Proc, st, en int64, buf *[]int64) (aarSt, aarEn int64) 
 	return aarSt, aarEn
 }
 
+// memoNotes is how each memo outcome is counted and traced.
+var memoNotes = [...]struct {
+	counter metrics.Counter
+	result  string
+}{
+	memoMiss:   {metrics.CMemoMisses, "miss"},
+	memoHit:    {metrics.CMemoHits, "hit"},
+	memoRebase: {metrics.CMemoRebases, "rebase"},
+}
+
 // noteMemo records one side's memo lookup in the rank's counters and trace.
-func noteMemo(p *mpi.Proc, side string, hit bool) {
-	counter, result := metrics.CMemoMisses, "miss"
-	if hit {
-		counter, result = metrics.CMemoHits, "hit"
-	}
-	p.Metrics.Inc(counter)
-	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", result))
+func noteMemo(p *mpi.Proc, side string, o memoOutcome) {
+	n := memoNotes[o]
+	p.Metrics.Inc(n.counter)
+	p.Trace.Instant2(p.Clock(), "isect_cache", trace.S("side", side), trace.S("result", n.result))
 }
 
 // realms resolves the file realm set: the one persisted with the file, or the
@@ -886,8 +899,27 @@ func (i *Impl) planAgg(ms *planScratch, ae *aggEntry, msgs [][]byte, realms []re
 	return err
 }
 
-// checkPlans is the Validate cross-check of a memo hit: the plans are
-// rebuilt from the requests just received and must equal the cached ones.
+// aggMiss finds or builds this aggregator's entry after an exact miss: the
+// entry of the same request shape rebased (see rebase.go), or a fresh plan in
+// the least recently used slot. The error is planAgg's.
+func (i *Impl) aggMiss(scr *rankScratch, ak aggKey, realms []realm.Realm, rank int, lo, hi, cb int64) (*aggEntry, memoOutcome, error) {
+	if i.rebases() {
+		k, ae := scr.aggs.Find(func(k *aggKey, _ *aggEntry) bool {
+			o := *k
+			o.at = ak.at
+			return o == ak
+		})
+		if ae != nil && ae.rebase(&scr.aggs, &scr.miss, scr.msgs, realms[rank], lo, hi, cb, ak.at-k.at) {
+			return ae, memoRebase, nil
+		}
+	}
+	ae := scr.aggs.Evict()
+	err := i.planAgg(&scr.miss, ae, scr.msgs, realms, rank, lo, hi, cb)
+	return ae, memoMiss, err
+}
+
+// checkPlans is the Validate cross-check of a memo hit or rebase: the plans
+// are rebuilt from the requests just received and must equal the cached ones.
 // The error seeds the first agreement, so a stale plan aborts every rank
 // together before it can move a byte.
 func (i *Impl) checkPlans(ms *planScratch, msgs [][]byte, ae *aggEntry, realms []realm.Realm, rank int, lo, hi, cb int64) error {

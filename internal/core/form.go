@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -114,6 +115,43 @@ func (i *Impl) planClient(ms *planScratch, ce *clientEntry, acc datatype.Flat, r
 	if dataLen > 0 {
 		i.clientPieces(ms, ce, acc, realms, cb)
 	}
+}
+
+// clientMiss finds or builds this rank's client entry after an exact miss:
+// under rebases, the entry of the same request shape at another displacement,
+// rebased when its access moved past no cut of any realm (rebase.go), or a
+// fresh plan in the least recently used slot. An equal access through a new
+// type object at the same displacement plans afresh, as it always has. end is
+// the end of the aggregate access region.
+func (i *Impl) clientMiss(scr *rankScratch, ck clientKey, acc datatype.Flat, realms []realm.Realm, end, cb, dataLen int64) (*clientEntry, memoOutcome) {
+	if i.rebases() {
+		ms := &scr.miss
+		ms.enc = acc.AppendEncode(ms.enc[:0])
+		_, ce := scr.clients.Find(func(k *clientKey, e *clientEntry) bool {
+			return k.cb == ck.cb && k.naggs == ck.naggs && k.sig == ck.sig &&
+				len(e.enc) == len(ms.enc) && dispOf(e.enc) != acc.Disp && bytes.Equal(e.enc[8:], ms.enc[8:])
+		})
+		if ce != nil && rebasableClient(acc, realms, cb, acc.Disp-dispOf(ce.enc)) {
+			scr.clients.Claim(ce)
+			ce.enc = append(ce.enc[:0], ms.enc...)
+			return ce, memoRebase
+		}
+	}
+	ce := scr.clients.Evict()
+	i.planClient(&scr.miss, ce, acc, realms, end, cb, dataLen)
+	return ce, memoMiss
+}
+
+// checkClient is the Validate cross-check of a client hit or rebase: ce must
+// equal a fresh build for the access acc. The error seeds the first
+// agreement, as checkPlans' does.
+func (i *Impl) checkClient(ms *planScratch, ce *clientEntry, acc datatype.Flat, realms []realm.Realm, end, cb, dataLen int64) error {
+	var fresh clientEntry
+	i.planClient(ms, &fresh, acc, realms, end, cb, dataLen)
+	if !fresh.equal(ce) {
+		return fmt.Errorf("core: memoized client plan differs from a fresh build")
+	}
+	return nil
 }
 
 // split is the list form's client side: it splits an offset-sorted access at

@@ -111,3 +111,73 @@ func BenchmarkPlanMiss(b *testing.B) {
 	// Each piece is found twice: once by its client, once by its aggregator.
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*pieces), "ns/piece")
 }
+
+// BenchmarkPlanShift measures what planning costs per step of the checkpoint
+// loop BenchmarkPlanMiss plans one call of: the 32 steps of one file, each
+// the last moved by one slot, looked up through the memo as run does after
+// an exact miss (the client by its request's shape, the aggregator by its
+// requests' shape), so each side rebases the last step's plan or, where the
+// move crosses a cut, plans afresh. Every loop starts from memos that hold
+// no entry (a file's first step plans from scratch) but keep their blocks.
+// ns/step is comparable with BenchmarkPlanMiss's ns/op.
+func BenchmarkPlanShift(b *testing.B) {
+	const naggs, cb, steps = 8, 4 << 20, 32
+	sh := ckptShape{ranks: 16, elem: 32, elems: 100, points: 256, slots: steps}
+	eng := New(Options{Persistent: true, Align: 2 << 20})
+	fileEnd := sh.points * sh.slots * sh.elems * sh.elem
+	realms, err := realm.Even{}.Assign(realm.Context{NAggs: naggs, Start: 0, End: fileEnd, Align: 2 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flats := make([][]datatype.Flat, steps)
+	msgs := make([][][]byte, steps)
+	for s := range flats {
+		flats[s], msgs[s] = make([]datatype.Flat, sh.ranks), make([][]byte, sh.ranks)
+		for r := range flats[s] {
+			disp, ft := sh.view(r, s)
+			flats[s][r] = datatype.FlatOf(ft, disp, sh.points)
+			flats[s][r].Limit = sh.points * ft.Size()
+			msgs[s][r] = flats[s][r].Encode()
+		}
+	}
+	scr := make([]rankScratch, sh.ranks)
+	var rebased int
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range scr {
+			clear(scr[r].clients.used[:])
+			clear(scr[r].aggs.used[:])
+		}
+		for s := range flats {
+			for r := range scr {
+				acc := flats[s][r]
+				ck := clientKey{disp: acc.Disp, dataLen: acc.Limit, cb: cb, naggs: naggs}
+				if _, o := eng.clientMiss(&scr[r], ck, acc, realms, fileEnd, cb, acc.Limit); o == memoRebase {
+					rebased++
+				}
+				scr[r].clients.Keep(ck)
+				if r >= naggs {
+					continue
+				}
+				scr[r].msgs = msgs[s]
+				ak := aggKey{cb: cb, naggs: naggs}
+				ak.req, ak.at = requestKey(msgs[s], true)
+				_, o, err := eng.aggMiss(&scr[r], ak, realms, r, 0, 1<<62, cb)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if o == memoRebase {
+					rebased++
+				}
+				scr[r].aggs.Keep(ak)
+			}
+		}
+	}
+	if rebased == 0 {
+		b.Fatal("nothing rebased")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
+	b.ReportMetric(float64(rebased)/float64(b.N)/steps, "rebases/step")
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +49,20 @@ import (
 //   - realm reassignment (Even -> Aligned -> PFR, or a PFR anchored on a
 //     different region) changes the realm signature and misses; so does a
 //     change of ROMIO's even domains, which are realms like any other.
+//
+// A lookup ends in one of three ways (memoOutcome). An exact hit finds the
+// key. Under the flat request form without pre-aggregation, an exact miss
+// next looks for the entry of the same access shape — the same requests but
+// for their displacements, under the same cb, aggregator count and realm set
+// — and rebases it when every access moved by one delta and no cut the plan
+// was built at lies within delta of a feature of an access (rebase.go): the
+// shifted plan and its charges are then exactly what a fresh build would
+// give. Otherwise the call misses and plans afresh. The aggregator key keeps
+// the shape, which holds every request's displacement relative to the first
+// one's, apart from that first displacement (requestKey), so a key that
+// differs in the latter alone names requests that all moved by one delta. The
+// client keeps type identity as its fast path and compares its encoded
+// request, displacement aside, with the kept ones only after an exact miss.
 type clientKey struct {
 	ft      datatype.Type // identity: types are immutable and comparable
 	disp    int64
@@ -78,8 +94,18 @@ func (ce *clientEntry) request(a int) []byte {
 	return ce.encs[a]
 }
 
+// equal reports whether two builds planned the same requests, pieces and
+// charges.
+func (ce *clientEntry) equal(o *clientEntry) bool {
+	pl, ol := &ce.pieces, &o.pieces
+	return bytes.Equal(ce.enc, o.enc) && slices.EqualFunc(ce.encs, o.encs, bytes.Equal) &&
+		slices.Equal(ce.charges, o.charges) && pl.naggs == ol.naggs && slices.Equal(pl.runs, ol.runs) &&
+		slices.Equal(pl.rounds, ol.rounds) && slices.Equal(pl.ends, ol.ends)
+}
+
 type aggKey struct {
-	req   uint64 // hash of all received request messages
+	req   uint64 // hash of all received request messages, see requestKey
+	at    int64  // the displacement the others are relative to in req
 	cb    int64
 	naggs int
 	sig   uint64
@@ -89,6 +115,31 @@ type aggEntry struct {
 	aggPlans         // one merge plan per two-phase round
 	charges  []int64 // ChargePairs replay for the aggregator side
 }
+
+// requestKey hashes the request messages an aggregator received into its
+// memo key. With split set (the flat form, whose requests lead with their
+// 8-byte displacement, see dispOf), at is the first displacement and req
+// covers every other byte and each displacement relative to at; a message
+// too short to hold one is hashed whole. Without split, req covers the
+// messages whole and at is 0.
+func requestKey(msgs [][]byte, split bool) (req uint64, at int64) {
+	req, first := hashSeed, true
+	for _, m := range msgs {
+		if split && len(m) >= 8 {
+			d := dispOf(m)
+			if first {
+				at, first = d, false
+			}
+			req, m = hashInt64(req, d-at), m[8:]
+		}
+		req = hashBytes(req, m)
+	}
+	return req, at
+}
+
+// dispOf is the displacement a flat request leads with
+// (datatype.Flat.AppendEncode).
+func dispOf(enc []byte) int64 { return int64(binary.LittleEndian.Uint64(enc)) }
 
 // memoSlots is how many shapes a rank remembers per side. A constant, not an
 // option: a steady state holds one or two, and a loop that never repeats a
@@ -138,7 +189,34 @@ func (c *memo[K, V]) Evict() *V {
 	return &c.vals[c.victim]
 }
 
-// Keep files the entry Evict returned last under k.
+// Find returns the most recently used kept entry that match accepts with its
+// key, or nils. It changes nothing: a caller that rebuilds the entry in place
+// Claims it.
+func (c *memo[K, V]) Find(match func(k *K, e *V) bool) (*K, *V) {
+	found := -1
+	for s := range c.keys {
+		if c.used[s] != 0 && (found < 0 || c.used[s] > c.used[found]) && match(&c.keys[s], &c.vals[s]) {
+			found = s
+		}
+	}
+	if found < 0 {
+		return nil, nil
+	}
+	return &c.keys[found], &c.vals[found]
+}
+
+// Claim drops the key of e, an entry Find returned, for the caller to
+// rebuild in place, as Evict does for the slot it picks.
+func (c *memo[K, V]) Claim(e *V) {
+	for s := range c.vals {
+		if &c.vals[s] == e {
+			var none K
+			c.victim, c.keys[s], c.used[s] = s, none, 0
+		}
+	}
+}
+
+// Keep files the entry Evict or Claim handed out last under k.
 func (c *memo[K, V]) Keep(k K) {
 	c.tick++
 	c.keys[c.victim], c.used[c.victim] = k, c.tick

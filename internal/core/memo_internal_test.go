@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -49,21 +50,19 @@ func TestRealmSignatureAssignments(t *testing.T) {
 	}
 }
 
-// requestKey hashes a set of request messages the way the aggregator does.
-func requestKey(msgs [][]byte) uint64 {
-	h := hashSeed
-	for _, m := range msgs {
-		h = hashBytes(h, m)
-	}
-	return h
-}
-
 // TestRequestKeySeparatesRequests: the aggregator memo key is the only
 // thing standing between a changed access and a stale merge plan. Equal
 // messages must give equal keys; any single flipped byte (every position,
 // so every lane, the whole-word loop and the padded tail are covered), any
 // swapped pair of clients, and any length change must give a different one.
+// Split at the displacements, moving every one by the same delta changes
+// only the key's displacement; moving one alone, or changing any other byte,
+// changes the hash.
 func TestRequestKeySeparatesRequests(t *testing.T) {
+	requestKey := func(msgs [][]byte) uint64 {
+		req, _ := requestKey(msgs, false)
+		return req
+	}
 	rng := rand.New(rand.NewSource(7))
 	msgs := make([][]byte, 6)
 	for c, n := range []int{0, 5, 8, 32, 77, 200} {
@@ -114,7 +113,30 @@ func TestRequestKeySeparatesRequests(t *testing.T) {
 	m := clone()
 	m[3], m[4] = append(m[3], m[4][0]), m[4][1:]
 	distinct("boundary shift", m)
+
+	req0, at0 := keys(msgs, true)
+	moved := clone()
+	for c := range moved {
+		if len(moved[c]) >= 8 {
+			binary.LittleEndian.PutUint64(moved[c], binary.LittleEndian.Uint64(moved[c])+4096)
+		}
+	}
+	if req, at := keys(moved, true); req != req0 || at != at0+4096 {
+		t.Fatalf("every displacement moved by 4096: hash moved %v, displacement %d -> %d", req != req0, at0, at)
+	}
+	for c := range msgs {
+		for b := range msgs[c] {
+			m := clone()
+			m[c][b] ^= 1
+			if req, _ := keys(m, true); req == req0 {
+				t.Fatalf("flip client %d byte %d: hash unchanged", c, b)
+			}
+		}
+	}
 }
+
+// keys is requestKey under a name the test's own requestKey does not shadow.
+var keys = requestKey
 
 // grouped forms the rounds of one aggregator's pieces on their own, the way
 // clientPieces does for each aggregator in turn.
@@ -219,13 +241,36 @@ func TestGroupRoundsMergesStreamNeighbours(t *testing.T) {
 
 // TestValidateCatchesStalePlan proves the Validate cross-check is live: a
 // cached plan that no longer matches what the requests would build must
-// abort the next collective on every rank, before a byte moves.
+// abort the next collective on every rank, before a byte moves. The client
+// side is checked too: a tampered client entry aborts the same way.
 func TestValidateCatchesStalePlan(t *testing.T) {
+	t.Run("aggregator", func(t *testing.T) {
+		staleCheck(t, "merge plan", func(scr *rankScratch) {
+			scr.aggs.Each(func(_ aggKey, ae *aggEntry) {
+				if n := len(ae.Rounds[0].Order); n > 1 {
+					o := ae.Rounds[0].Order
+					o[0], o[n-1] = o[n-1], o[0]
+				}
+			})
+		})
+	})
+	t.Run("client", func(t *testing.T) {
+		staleCheck(t, "client plan", func(scr *rankScratch) {
+			scr.clients.Each(func(_ clientKey, ce *clientEntry) { ce.charges[0]++ })
+		})
+	})
+}
+
+// staleCheck writes once cleanly, applies tamper to every rank's memo and
+// requires the next write to fail on every rank with an error naming what.
+func staleCheck(t *testing.T, what string, tamper func(*rankScratch)) {
 	const ranks, blk, count = 4, 32, 16
 	cfg := sim.DefaultConfig()
 	w := mpi.NewWorld(ranks, cfg)
 	fs := pfs.NewFileSystem(cfg)
 	eng := New(Options{Validate: true})
+	// One filetype object for every call, so the client side finds its entry.
+	ft := datatype.Must(datatype.Resized(datatype.Bytes(blk), blk*ranks))
 	writeAll := func() []error {
 		errs := make([]error, ranks)
 		w.Run(func(p *mpi.Proc) {
@@ -234,7 +279,6 @@ func TestValidateCatchesStalePlan(t *testing.T) {
 				errs[p.Rank()] = err
 				return
 			}
-			ft := datatype.Must(datatype.Resized(datatype.Bytes(blk), blk*ranks))
 			if err := f.SetView(int64(p.Rank()*blk), datatype.Bytes(1), ft); err != nil {
 				errs[p.Rank()] = err
 				return
@@ -250,15 +294,10 @@ func TestValidateCatchesStalePlan(t *testing.T) {
 		}
 	}
 	for r := 0; r < ranks; r++ {
-		eng.scratch.For(r, ranks).aggs.Each(func(_ aggKey, ae *aggEntry) {
-			if n := len(ae.Rounds[0].Order); n > 1 {
-				o := ae.Rounds[0].Order
-				o[0], o[n-1] = o[n-1], o[0]
-			}
-		})
+		tamper(eng.scratch.For(r, ranks))
 	}
 	for r, err := range writeAll() {
-		if err == nil || !strings.Contains(err.Error(), "merge plan") {
+		if err == nil || !strings.Contains(err.Error(), what) {
 			t.Fatalf("rank %d: tampered plan went unnoticed: %v", r, err)
 		}
 	}

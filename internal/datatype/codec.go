@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -83,6 +84,38 @@ func (f Flat) normalSegs() (segs []Seg, size, extent int64, err error) {
 		return nil, 0, 0, fmt.Errorf("datatype: extent %d smaller than span %d", extent, span)
 	}
 	return segs, size, extent, nil
+}
+
+// Touches reports whether the access f has a data byte, a segment edge or an
+// instance start in [a, b] (a <= b): the places where an intersection's walk
+// over f can change course. Every segment of every instance counts, the data
+// limit aside, and so does the start of instance Count, where the access ends.
+// f's segments must be in normal form (FlatOf, DecodeFlat).
+func (f Flat) Touches(a, b int64) bool {
+	n := len(f.Segs)
+	if n == 0 || f.Count == 0 || b < f.Disp {
+		return false
+	}
+	if a <= f.Disp {
+		return true
+	}
+	ext := f.Extent
+	if ext <= 0 {
+		ext = f.Segs[n-1].End()
+	}
+	// i is the first instance starting at or after a.
+	i := (a - f.Disp + ext - 1) / ext
+	if f.Count >= 0 && i > f.Count {
+		return false
+	}
+	base := f.Disp + (i-1)*ext
+	if base+ext <= b {
+		return true
+	}
+	// [a, b] lies inside instance i-1: find its first segment ending at or
+	// after a.
+	k, _ := slices.BinarySearchFunc(f.Segs, a-base, func(s Seg, at int64) int { return cmp.Compare(s.End(), at) })
+	return k < n && base+f.Segs[k].Off <= b
 }
 
 // WireBytes returns the encoded size in bytes, the quantity the cost model

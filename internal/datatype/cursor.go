@@ -1,9 +1,6 @@
 package datatype
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Cursor walks the data bytes of a tiled datatype access: count instances
 // (count < 0 means unbounded, as used by persistent file realms) of a type
@@ -242,36 +239,6 @@ func (c *Cursor) SeekOffset(off int64) bool {
 			return false
 		}
 	}
-}
-
-// SeekStream positions the cursor at data byte p of the linearized stream
-// (0-based). It returns false if p is past the end of the access. Unlike
-// SeekOffset, SeekStream may move in either direction; it is used by the
-// independent I/O path to resolve an arbitrary range of the view.
-func (c *Cursor) SeekStream(p int64) bool {
-	if p < 0 {
-		p = 0
-	}
-	if c.size == 0 || c.extent == 0 || c.count == 0 {
-		c.done = true
-		return false
-	}
-	ti := p / c.size
-	rem := p % c.size
-	if c.count >= 0 && ti >= c.count {
-		c.done = true
-		return false
-	}
-	if c.limit >= 0 && p >= c.limit {
-		c.done = true
-		return false
-	}
-	// Binary search the prefix sums for the segment containing rem.
-	idx := sort.Search(len(c.segs), func(i int) bool { return c.prefix[i+1] > rem })
-	c.inst, c.idx, c.intra = ti, idx, rem-c.prefix[idx]
-	c.done = false
-	c.work++
-	return true
 }
 
 // String describes the cursor position for debugging.

@@ -158,35 +158,6 @@ func TestCursorInstanceSkipIsCheap(t *testing.T) {
 	}
 }
 
-func TestCursorSeekStream(t *testing.T) {
-	v := Must(Vector(2, 1, 16, Bytes(8))) // 16 data bytes, extent 24
-	c := NewCursor(v, 0, 4)
-	for _, tc := range []struct {
-		p       int64
-		wantOff int64
-	}{
-		{0, 0},
-		{7, 7},
-		{8, 16},
-		{15, 23},
-		{16, 24},
-		{40, 24*2 + 16}, // byte 40 = instance 2, second segment start
-	} {
-		if !c.SeekStream(tc.p) {
-			t.Fatalf("SeekStream(%d) exhausted", tc.p)
-		}
-		if got := c.Offset(); got != tc.wantOff {
-			t.Fatalf("SeekStream(%d): offset = %d, want %d", tc.p, got, tc.wantOff)
-		}
-		if got := c.StreamPos(); got != tc.p {
-			t.Fatalf("SeekStream(%d): StreamPos = %d", tc.p, got)
-		}
-	}
-	if c.SeekStream(64) {
-		t.Fatal("SeekStream past end succeeded")
-	}
-}
-
 func TestCursorCloneIndependence(t *testing.T) {
 	c := NewCursor(Bytes(8), 0, 10)
 	c.Next(5)

@@ -124,35 +124,6 @@ func TestQuickSeekOffsetEquivalence(t *testing.T) {
 	}
 }
 
-// PropSeekStreamRoundTrip: SeekStream(p) then StreamPos() == p for every
-// p < total data, and the file offset maps back through SeekOffset.
-func TestQuickSeekStreamRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ty := genType(rng)
-		count := int64(1 + rng.Intn(4))
-		total := count * ty.Size()
-		p := int64(rng.Intn(int(total)))
-
-		c := NewCursor(ty, 0, count)
-		if !c.SeekStream(p) {
-			return false
-		}
-		if c.StreamPos() != p {
-			return false
-		}
-		off := c.Offset()
-		d := NewCursor(ty, 0, count)
-		if !d.SeekOffset(off) {
-			return false
-		}
-		return d.Offset() == off && d.StreamPos() == p
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // PropPackUnpack: Unpack(Pack(buf)) restores exactly the data bytes.
 func TestQuickPackUnpackRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -229,6 +200,57 @@ func TestQuickCursorLimit(t *testing.T) {
 			want = total
 		}
 		return seen == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickTouchesMatchesEnumeration: Flat.Touches agrees with a listing of
+// every data byte, segment edge and instance start of the access, for random
+// types, counts (the end instance start included) and windows, wide and a
+// few bytes, on either side of the access and inside it; an empty access
+// touches nothing.
+func TestQuickTouchesMatchesEnumeration(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ty := genType(rng)
+		disp := int64(rng.Intn(50))
+		count := int64(1 + rng.Intn(4))
+		f := FlatOf(ty, disp, count)
+		if FlatOf(ty, disp, 0).Touches(0, 1<<20) {
+			return false // an empty access has nothing to touch
+		}
+		marked := map[int64]bool{}
+		for i := int64(0); i <= count; i++ {
+			base := disp + i*ty.Extent()
+			marked[base] = true
+			if i == count {
+				break
+			}
+			for _, s := range ty.Flatten() {
+				for x := base + s.Off; x <= base+s.End(); x++ {
+					marked[x] = true
+				}
+			}
+		}
+		end := disp + (count+1)*ty.Extent() + 10
+		for k := 0; k < 40; k++ {
+			a := int64(rng.Intn(int(end))) - 5
+			b := a + int64(rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				b = a + int64(rng.Intn(int(end)))
+			}
+			want := false
+			for x := a; x <= b; x++ {
+				want = want || marked[x]
+			}
+			if f.Touches(a, b) != want {
+				t.Logf("%s disp %d count %d: Touches(%d, %d) = %v", ty, disp, count, a, b, !want)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

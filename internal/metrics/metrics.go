@@ -57,8 +57,9 @@ const (
 	CPageCacheMisses // read pages fetched from the server
 
 	// Layout memoization (core engine).
-	CMemoHits   // collective calls served from the layout memo
-	CMemoMisses // collective calls that computed intersections afresh
+	CMemoHits    // collective calls served from the layout memo
+	CMemoMisses  // collective calls that computed intersections afresh
+	CMemoRebases // collective calls that shifted a memoized plan to a moved access
 
 	// Fault tolerance.
 	CRetries // transient-error retries issued
@@ -185,6 +186,7 @@ var counterMeta = [numCounters]meta{
 	CPageCacheMisses:       {"page_cache_misses", "read pages fetched from the storage server", ""},
 	CMemoHits:              {"memo_hits", "collective calls served from the layout memo", "isect_cache_hits"},
 	CMemoMisses:            {"memo_misses", "collective calls that computed intersections afresh", "isect_cache_misses"},
+	CMemoRebases:           {"memo_rebases", "collective calls that shifted a memoized plan to a moved access", "isect_cache_rebases"},
 	CRetries:               {"io_retries", "transient-error retries issued", "io_retries"},
 	CResumes:               {"io_resumes", "partial-transfer tail resumptions", "io_resumes"},
 	CGiveups:               {"io_giveups", "operations abandoned after exhausting the retry policy", "io_giveups"},

@@ -1093,22 +1093,52 @@ func (fs *FileSystem) stripePortions(s datatype.Seg, out []stripePortion) []stri
 }
 
 // writeBytes applies data, back to back, to segs in the sparse page store:
-// the one host copy of every written byte.
+// the one host copy of every written byte. The pages a call creates share
+// one allocation, counted when it meets the first of them; pages go only
+// with their file, so the slab retains nothing its pages do not.
 func (f *fileData) writeBytes(segs []datatype.Seg, data Data, pageSize int64) {
 	var pos int64
-	for _, s := range segs {
+	var slab []byte // the pages still to be created, back to back
+	for k, s := range segs {
 		for abs := s.Off; abs < s.End(); {
 			pi, inPage := abs/pageSize, abs%pageSize
 			n := min(pageSize-inPage, s.End()-abs)
 			slot := f.pages.Slot(pi)
 			if slot.data == nil {
-				slot.data = make([]byte, pageSize)
+				if len(slab) == 0 {
+					slab = make([]byte, f.holes(segs[k:], pi, pageSize)*pageSize)
+				}
+				slot.data, slab = slab[:pageSize:pageSize], slab[pageSize:]
 			}
 			data.Copy(slot.data[inPage:inPage+n], pos)
 			abs, pos = abs+n, pos+n
 		}
 		f.size = max(f.size, s.End())
 	}
+}
+
+// holes counts the pages segs cover from page first on that hold no data
+// yet, each once: the pages writeBytes is about to create, first among them.
+// A segment that starts before the previous one ends ends the count, so no
+// page is counted twice.
+func (f *fileData) holes(segs []datatype.Seg, first, pageSize int64) int64 {
+	var n int64
+	next, prev := first, int64(-1) // the first page not yet looked at, the last segment's end
+	for _, s := range segs {
+		if s.Len <= 0 {
+			continue
+		}
+		if s.Off < prev {
+			break
+		}
+		for pi := max(next, s.Off/pageSize); pi <= (s.End()-1)/pageSize; pi++ {
+			if f.page(pi) == nil {
+				n++
+			}
+		}
+		next, prev = max(next, (s.End()-1)/pageSize+1), s.End()
+	}
+	return n
 }
 
 // readBytes fills buf from the sparse page store (zeros where unwritten).

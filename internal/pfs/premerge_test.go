@@ -144,3 +144,45 @@ func TestSieveWindowHashesPagesThrice(t *testing.T) {
 		t.Errorf("stats = %+v, want page 3 alone caught and still quarantined", st)
 	}
 }
+
+// TestFirstTouchPagesShareOneAllocation: a write that creates 64 pages
+// allocates them as one slab, not one page at a time (the page table's
+// chunk for them is the other allocation), and a write over pages that all
+// exist allocates nothing. The bytes land as a page-at-a-time store put
+// them: the data where the segments say, zeros in the gaps.
+func TestFirstTouchPagesShareOneAllocation(t *testing.T) {
+	const ps, pages = 4096, 64
+	var f fileData
+	src := make([]byte, pages*ps)
+	for i := range src {
+		src[i] = byte(i*7 + i>>12)
+	}
+	// Every call writes a fresh, chunk-aligned run of pages; the segments
+	// leave a gap in the first two pages, and two of them share a page.
+	call := int64(0)
+	write := func() {
+		base := call * 2 * pages * ps
+		call++
+		segs := []datatype.Seg{{Off: base + 100, Len: ps}, {Off: base + ps + 200, Len: 1000}, {Off: base + ps + 1300, Len: (pages-1)*ps - 1300}}
+		f.writeBytes(segs, Bytes(src), ps)
+	}
+	write()
+	got := make([]byte, 2*ps)
+	f.readBytes(0, got, ps)
+	want := make([]byte, 2*ps)
+	copy(want[100:], src[:ps])
+	copy(want[ps+200:], src[ps:ps+1000])
+	copy(want[ps+1300:], src[ps+1000:2*ps-300])
+	if !bytes.Equal(got, want) {
+		t.Fatal("the first two pages do not hold what was written")
+	}
+	if n := testing.AllocsPerRun(20, write); n > 2 {
+		t.Fatalf("%.1f allocations per write that creates %d pages, want at most 2", n, pages)
+	}
+	again := func() {
+		f.writeBytes([]datatype.Seg{{Off: 100, Len: (pages - 1) * ps}}, Bytes(src), ps)
+	}
+	if n := testing.AllocsPerRun(20, again); n != 0 {
+		t.Fatalf("%.1f allocations per write over existing pages, want 0", n)
+	}
+}

@@ -56,15 +56,6 @@ func (r Realm) Flat() datatype.Flat {
 	return datatype.FlatOf(r.Pattern, r.Disp, r.Count)
 }
 
-// FromFlat reconstructs a realm from its wire form.
-func FromFlat(f datatype.Flat) (Realm, error) {
-	t, err := datatype.FromSegs(f.Segs, f.Extent)
-	if err != nil {
-		return Realm{}, fmt.Errorf("realm: %w", err)
-	}
-	return Realm{Disp: f.Disp, Pattern: t, Count: f.Count}, nil
-}
-
 // String describes the realm.
 func (r Realm) String() string {
 	if r.Empty() {

@@ -222,23 +222,6 @@ func TestAssignErrors(t *testing.T) {
 	}
 }
 
-func TestRealmFlatRoundTrip(t *testing.T) {
-	realms, _ := Cyclic{Block: 64}.Assign(Context{NAggs: 2, Start: 0, End: 1000})
-	f := realms[1].Flat()
-	back, err := FromFlat(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := realms[1].Cursor(), back.Cursor()
-	for i := 0; i < 10; i++ {
-		sa, _, oka := a.Next(1 << 20)
-		sb, _, okb := b.Next(1 << 20)
-		if oka != okb || sa != sb {
-			t.Fatalf("cursor divergence at step %d: %v/%v vs %v/%v", i, sa, oka, sb, okb)
-		}
-	}
-}
-
 func TestEmptyRealm(t *testing.T) {
 	var r Realm
 	if !r.Empty() {
