@@ -63,19 +63,29 @@ func byrefEngines() []engineSet {
 // under the aggregator still gathering from it, the journal marks the
 // poisoned round durable, the resume skips it, and the image check fails
 // (the race detector flags the same access). The victim is a pure client
-// for the skip path and an aggregator for the serve path.
+// for the skip path and an aggregator for the serve path. The write-lent rows
+// write from memory segments long enough to be lent, not packed: a victim
+// that dies after lending its own buffer must drop it, never pool it.
 func TestCrashSweepDropsViewsInFlight(t *testing.T) {
-	wl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64,
+	packedWl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 32, Spacing: 64,
+		MemNoncontig: true, MemGap: 16}
+	lentWl := colltest.Workload{Ranks: 4, RegionSize: 256, RegionCount: 8, Spacing: 256,
 		MemNoncontig: true, MemGap: 16}
 	const cbNodes = 2
+	rows := []struct {
+		dir   string
+		wl    colltest.Workload
+		write bool
+	}{
+		{"write", packedWl, true},
+		{"read", packedWl, false},
+		{"write-lent", lentWl, true},
+	}
 	for _, eng := range byrefEngines() {
-		for _, write := range []bool{true, false} {
+		for _, row := range rows {
+			wl, write := row.wl, row.write
 			for _, victim := range []int{wl.Ranks - 1, 0} {
-				dir := "read"
-				if write {
-					dir = "write"
-				}
-				t.Run(fmt.Sprintf("%s/%s/victim%d", eng.name, dir, victim), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/victim%d", eng.name, row.dir, victim), func(t *testing.T) {
 					fired := 0
 					// Ops 1 and 2 are the barriers of Open and SetView.
 					for seq := int64(3); ; seq++ {
@@ -173,16 +183,36 @@ func crashAndResume(wl colltest.Workload, eng engineSet, write bool, victim, cbN
 }
 
 // TestDenseMemtypeWrittenInPlace: a dense memory type makes the stream the
-// caller's buffer itself. The write must leave that buffer byte-identical
-// and produce the image a gapped (Resized) memory type carrying the same
-// data produces through the packed path, on every engine and strategy.
+// caller's buffer itself, and a gapped one whose segments are long enough
+// lends the caller's buffer. Each write must leave that buffer
+// byte-identical and produce the image a gapped (Resized) memory type of
+// short segments carrying the same data produces through the packed path,
+// on every engine and strategy.
 func TestDenseMemtypeWrittenInPlace(t *testing.T) {
 	dense := colltest.Workload{Ranks: 6, RegionSize: 48, RegionCount: 50, Spacing: 80, Disp: 24}
 	gapped := dense
 	gapped.MemNoncontig, gapped.MemGap = true, 24
+	type memory func(r int) (datatype.Type, int64, []byte)
+	of := func(wl colltest.Workload) memory {
+		return func(r int) (datatype.Type, int64, []byte) {
+			mt, _ := wl.Memtype()
+			return mt, wl.RegionCount, wl.FillBuffer(r)
+		}
+	}
+	// The same stream in segments of five regions (240 B) with 24-byte gaps.
+	lent := func(r int) (datatype.Type, int64, []byte) {
+		mt := datatype.Must(datatype.Resized(datatype.Bytes(5*dense.RegionSize), 5*dense.RegionSize+24))
+		count := dense.RegionCount / 5
+		buf := make([]byte, count*mt.Extent())
+		if err := datatype.Unpack(dense.FillBuffer(r), buf, mt, 0, count); err != nil {
+			panic(err)
+		}
+		return mt, count, buf
+	}
 	for _, eng := range byrefEngines() {
 		t.Run(eng.name, func(t *testing.T) {
-			image := func(wl colltest.Workload) []byte {
+			image := func(mem memory) []byte {
+				wl := dense
 				cfg := sim.DefaultConfig()
 				w := mpi.NewWorld(wl.Ranks, cfg)
 				fs := pfs.NewFileSystem(cfg)
@@ -199,11 +229,10 @@ func TestDenseMemtypeWrittenInPlace(t *testing.T) {
 					if errs[r] = f.SetView(disp, datatype.Bytes(1), ft); errs[r] != nil {
 						return
 					}
-					mt, _ := wl.Memtype()
-					buf := wl.FillBuffer(r)
+					mt, count, buf := mem(r)
 					keep := bytes.Clone(buf)
 					for step := 0; step < 2 && errs[r] == nil; step++ { // the second call hits the memo
-						errs[r] = f.WriteAll(buf, mt, wl.RegionCount)
+						errs[r] = f.WriteAll(buf, mt, count)
 					}
 					if !bytes.Equal(buf, keep) {
 						errs[r] = fmt.Errorf("rank %d: WriteAll modified the user buffer", r)
@@ -219,8 +248,12 @@ func TestDenseMemtypeWrittenInPlace(t *testing.T) {
 				}
 				return img
 			}
-			if !bytes.Equal(image(dense), image(gapped)) {
+			want := image(of(gapped))
+			if !bytes.Equal(image(of(dense)), want) {
 				t.Fatal("dense and gapped memory types of the same data produced different images")
+			}
+			if !bytes.Equal(image(lent), want) {
+				t.Fatal("lent and packed memory types of the same data produced different images")
 			}
 		})
 	}

@@ -344,13 +344,14 @@ func (pl *pieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
 
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	// A write's stream is the user's bytes in stream order — the caller's
-	// buffer itself when the memory type is dense, a packed pooled copy
-	// otherwise — and peers read it in place: every exchange hands the
-	// aggregators views of it. A read's stream is private. Node-local
-	// pre-aggregation swaps the stream (a member hands its own to the leader,
-	// a leader continues with the merged one). Alltoallw communicates
-	// directly from the user buffer: its linearization is free of charge.
-	// The point-to-point strategies model the pack.
+	// buffer itself when the memory type is dense, lent segment by segment
+	// when its gapped segments are long, a packed pooled copy otherwise —
+	// and peers read it in place: every exchange hands the aggregators views
+	// of it (mpiio.Stream.Views). A read's stream is private. Node-local
+	// pre-aggregation swaps the stream (a member hands a pooled copy of its
+	// own to the leader, a leader continues with the merged one). Alltoallw
+	// communicates directly from the user buffer: its linearization is free
+	// of charge. The point-to-point strategies model the pack.
 	cs, err := f.CollectiveStream(buf, memtype, count, write, i.o.Comm != Alltoallw)
 	if err != nil {
 		return err
@@ -667,7 +668,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	}
 
 	// --- Execution: everything above was planning. ---
-	err = i.rounds(f, &scr.roundScratch, cs.B, &pl, write)
+	err = i.rounds(f, &scr.roundScratch, cs, &pl, write)
 	// Reads under pre-aggregation: the leader scatters each member its bytes
 	// and takes back its own; an abort above skips this uniformly.
 	if err == nil && !write && pre != nil {

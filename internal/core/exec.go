@@ -186,12 +186,12 @@ func (i *Impl) degrade(c *roundFrame, m mpiio.Method, r int, n int64) bool {
 // rounds runs the plan's rounds on this rank's linear stream: a write drains
 // the stream into the file, a read fills it. Every rank returns the same
 // error (an agreed abort) or nil.
-func (i *Impl) rounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan, write bool) error {
+func (i *Impl) rounds(f *mpiio.File, scr *roundScratch, cs *mpiio.Stream, pl *plan, write bool) error {
 	defer f.SetRound(-1) // whichever way the rounds end, the rank leaves the last one
 	if write {
-		return i.writeRounds(f, scr, stream, pl)
+		return i.writeRounds(f, scr, cs, pl)
 	}
-	return i.readRounds(f, scr, stream, pl)
+	return i.readRounds(f, scr, cs.B, pl)
 }
 
 // finish closes the call after the rounds (and whatever the planner runs
@@ -245,8 +245,12 @@ type viewCursor struct {
 func (c *viewCursor) take(views [][]byte, n int64) []byte {
 	if c.k < len(views) && int64(len(views[c.k])-c.off) >= n {
 		// The usual case, checked first: n bytes left in the current view.
+		// A view taken to its end is left at once, so the next take of a
+		// payload cut at piece boundaries is the usual case too.
 		v := views[c.k][c.off : c.off+int(n)]
-		c.off += int(n)
+		if c.off += int(n); c.off == len(views[c.k]) {
+			c.k, c.off = c.k+1, 0
+		}
 		return v
 	}
 	for c.k < len(views) {
@@ -269,10 +273,12 @@ func (c *viewCursor) take(views [][]byte, n int64) []byte {
 // each the next unread bytes of its client's views in its round. Nothing
 // gathers it: it is the pfs.Source of the batch's write, which copies each
 // piece once, into its page. It keeps the rounds' received view tables (the
-// headers only, about one view per client run, since a sender rebuilds its
-// table for the next round), never a view per piece. The views stay valid
-// until the write: they are the clients' streams, which live until the
-// call's closing rendezvous (an abort's barrier in finish).
+// headers only, about one view per client run, or per memory segment of a
+// lent stream, since a sender rebuilds its table for the next round), never
+// a view per piece of a packed one. The views stay valid until the write:
+// they are the clients' streams — pooled, or the clients' own buffers, in
+// place or lent — which live until the call's closing rendezvous (an abort's
+// barrier in finish).
 type batchData struct {
 	agg   *aggPlans
 	first int
@@ -393,11 +399,13 @@ func (b *batchData) walk(dst []byte, n int64) {
 	b.i, b.in = i, in
 }
 
-// pieceViews appends one view of the stream per round-r run of pieces: the
-// iovec both transports carry by reference, with no client-side copy.
-func pieceViews(dst [][]byte, stream []byte, pl *pieceLists, a, r int) [][]byte {
+// pieceViews appends views of the stream for each round-r run of pieces:
+// the iovec both transports carry by reference, with no client-side copy.
+// A run is one view of a stream in a buffer, and one view per memory segment
+// it touches of a lent stream (see mpiio.Stream.Views).
+func pieceViews(dst [][]byte, stream *mpiio.Stream, pl *pieceLists, a, r int) [][]byte {
 	for _, run := range pl.of(a, r) {
-		dst = append(dst, stream[run.at:run.at+run.n])
+		dst = stream.Views(dst, run.at, run.n)
 	}
 	return dst
 }
@@ -438,7 +446,7 @@ func (scr *roundScratch) split(f *mpiio.File, r, slots int, rp *roundPlan, buf [
 	return iov
 }
 
-func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *plan) error {
+func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream *mpiio.Stream, pl *plan) error {
 	p := f.Proc()
 	amAgg, naggs, ntimes, method := pl.agg != nil, pl.pieces.naggs, pl.rounds, pl.method
 	// Only the nonblocking strategy overlaps a round's file I/O with the next
@@ -526,7 +534,8 @@ func (i *Impl) writeRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *
 		}
 
 		// Every strategy carries views of the stream, one per run of
-		// pieces, by reference: no client-side payload copy on the host. The
+		// pieces (per memory segment of a lent stream), by reference: no
+		// client-side payload copy on the host. The
 		// aggregators copy the table's headers into their batch before they
 		// start the round's agreement, whose rendezvous every rank passes
 		// before its next round, so one table (and one request list) serves

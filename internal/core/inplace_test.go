@@ -250,8 +250,9 @@ func retainedBytes(scr *roundScratch) int64 {
 // a 64 KiB collective buffer, DataSieve batches of four rounds) against the
 // same bytes in pieces four times as long. What each rank's executor keeps is
 // the same for both: one view per client run, never one per piece. And the
-// pool sees one get per rank per call for the packed noncontiguous stream,
-// none for dense memory: an aggregator takes none.
+// pool sees one get per rank per call for a packed stream (memory segments of
+// 16 B), none for dense memory and none for a lent stream (memory segments of
+// 256 B): an aggregator takes none.
 func TestWriteBatchKeepsNoPieceTable(t *testing.T) {
 	const ranks, steps = 8, 3
 	call := func(wl colltest.Workload) (retained []int64, gets int64) {
@@ -311,5 +312,10 @@ func TestWriteBatchKeepsNoPieceTable(t *testing.T) {
 	dense.MemNoncontig, dense.MemGap = false, 0
 	if _, gets := call(dense); gets != 0 {
 		t.Errorf("%d pooled buffers taken by a steady-state call on dense memory, want 0", gets)
+	}
+	lent := tiny
+	lent.RegionSize, lent.RegionCount, lent.Spacing = 256, 64, 1792
+	if _, gets := call(lent); gets != 0 {
+		t.Errorf("%d pooled buffers taken by a steady-state call on memory segments of 256 B, want 0", gets)
 	}
 }

@@ -64,9 +64,9 @@ func (ps *preaggState) fail(format string, args ...any) {
 
 // exchange runs the intra-node forwarding stage and leaves in cs the stream
 // this rank takes into the rounds. A member hands enc, its whole access in
-// form fm, and its
-// stream to the leader (ownership of a write stream transfers) and continues
-// with no access: (nil, true). A leader continues with the merged stream and
+// form fm, and its write stream's bytes, as Owned returns them, to the leader
+// (ownership of that pooled buffer transfers) and continues with no access:
+// (nil, true). A leader continues with the merged stream and
 // the merged access it returns. A rank alone on its node keeps what it has:
 // (nil, false). bounds is what AccessRegion gathered before this stage, every
 // rank's own word on where its access starts and ends: a member's request
@@ -105,7 +105,12 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 		panic(fmt.Sprintf("core: preagg: own request: %v", err)) // this rank encoded it
 	}
 	ps.Totals, ps.bufs = sized(ps.Totals, nparts), sized(ps.bufs, nparts)
-	ps.Totals[0], ps.bufs[0] = dataLen, cs.B
+	ps.Totals[0] = dataLen
+	if write {
+		// The leader's own bytes, like a member's, are reached through
+		// Owned: a lent stream has no B to read.
+		ps.bufs[0] = cs.Owned()
+	}
 	h := hashSeed
 	for k, m := range ps.Plan.Members {
 		req, _ := p.Recv(m, tagPre)
@@ -176,15 +181,12 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 		}
 		p.AdvanceClock(p.Config().MemcpyTime(ps.Total))
 		for k, b := range ps.bufs {
-			if k > 0 || cs.Pooled {
-				bufpool.Put(b) // the members' forwarded payloads and our own stream
-			}
+			bufpool.Put(b) // the members' forwarded payloads and our own bytes
 			ps.bufs[k] = nil
 		}
 		*cs = mpiio.Stream{B: out, Pooled: true}
 	} else {
 		bufpool.Put(cs.B)
-		ps.bufs[0] = nil
 		cs.B = bufpool.GetZero(ps.Total)
 	}
 	return ps.merged, true

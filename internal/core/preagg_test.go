@@ -81,6 +81,50 @@ func TestPreaggWriteByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPreaggLentStreamByteIdentical: a write whose gapped memory segments
+// are long enough to be lent reaches pre-aggregation with no packed bytes: a
+// member packs its buffer when it hands it over, and the leader must reach
+// its own bytes the same way, or they merge as a hole. At 4 ranks a node,
+// every request form and exchange strategy writes the image the same call
+// writes with pre-aggregation off, and leaves every user buffer unchanged.
+func TestPreaggLentStreamByteIdentical(t *testing.T) {
+	wl := colltest.Workload{Ranks: 8, NodeRanks: 4, RegionSize: 192, RegionCount: 24, Spacing: 64,
+		Disp: 100, MemNoncontig: true, MemGap: 32}
+	engines := []struct {
+		name string
+		New  func(preagg bool) mpiio.Collective
+	}{
+		{"nonblocking", func(pre bool) mpiio.Collective { return core.New(core.Options{Preagg: pre}) }},
+		{"alltoallw", func(pre bool) mpiio.Collective { return core.New(core.Options{Comm: core.Alltoallw, Preagg: pre}) }},
+		{"romio", func(pre bool) mpiio.Collective { return core.ROMIO(core.Options{Preagg: pre}) }},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			image := func(preagg bool) []byte {
+				spec := colltest.Spec(wl)
+				res, err := colltest.WriteSpec(colltest.NewWorld(sim.DefaultConfig(), wl),
+					mpiio.Info{Collective: eng.New(preagg), CbNodes: 3, CollBufSize: 2048}, 2, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range wl.Ranks {
+					if !bytes.Equal(spec(0, r).Buf, wl.FillBuffer(r)) {
+						t.Fatalf("preagg=%v: rank %d's user buffer changed", preagg, r)
+					}
+				}
+				img := res.FS.Snapshot(colltest.File, wl.FileSize())
+				if err := colltest.VerifyImage(wl, img); err != nil {
+					t.Fatalf("preagg=%v: %v", preagg, err)
+				}
+				return img
+			}
+			if !bytes.Equal(image(true), image(false)) {
+				t.Fatal("the pre-aggregated image differs from the per-rank one")
+			}
+		})
+	}
+}
+
 // TestPreaggReadMatrix verifies collective reads with pre-aggregation
 // return the exact bytes an independent write produced, across comm
 // strategies and node sizes (the harness checks every rank's buffer).

@@ -13,6 +13,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 
 	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
@@ -135,6 +136,10 @@ type File struct {
 	// consumes segment lists synchronously, so reuse is safe.
 	sievePending []sieveSeg
 	sieveGroup   []datatype.Seg
+	// lentEnds is the segment-end table of the stream a collective write
+	// lends (see Stream), reused across calls: a call's stream is dead
+	// before the next call on the File starts.
+	lentEnds []int64
 
 	closed bool
 }
@@ -315,12 +320,32 @@ func (f *File) checkAccess(buf []byte, memtype datatype.Type, count int64) error
 }
 
 // Stream is the linear data stream of one access: the bytes it moves, in
-// file-view order. B is a pooled buffer the holder owns unless Pooled is
-// false, when it is the caller's own buffer used in place (see Linearize)
-// and must be neither modified nor recycled.
+// file-view order, in one of three forms. Pooled: B is a pooled buffer the
+// holder owns. In place: B is the caller's dense buffer (see Linearize),
+// Pooled is false. Lent: a collective write's gapped buffer, read where it
+// lies through Views; B is nil. The last two are the caller's memory, to be
+// neither modified nor recycled.
 type Stream struct {
 	B      []byte
 	Pooled bool
+	lent   lentBuf
+}
+
+// minLentSeg is the average memory-segment length, in bytes, at or above
+// which a collective write lends its gapped buffer instead of packing it:
+// below it, a view per segment costs the exchange and the aggregators' page
+// copy more than one pack saves (DESIGN §5 has the sweep).
+const minLentSeg = 128
+
+// lentBuf describes a lent stream: count instances of mt laid out in buf,
+// n bytes in all; ends[i] is the stream length of mt's first i+1 segments
+// within an instance.
+type lentBuf struct {
+	buf   []byte
+	mt    datatype.Type
+	count int64
+	n     int64
+	ends  []int64
 }
 
 // readStreamBuf returns the private, zeroed, pooled stream a read of n bytes
@@ -332,19 +357,20 @@ func readStreamBuf(n int64) Stream {
 }
 
 // CollectiveStream returns the stream a collective call works on: a write's
-// linearized user data (see Linearize), a read's private buffer (see
-// readStreamBuf).
+// user data, linearized or lent (see Linearize), a read's private buffer
+// (see readStreamBuf).
 func (f *File) CollectiveStream(buf []byte, memtype datatype.Type, count int64, write, charged bool) (Stream, error) {
 	if !write {
 		return readStreamBuf(datatype.TotalSize(memtype, count)), nil
 	}
-	return f.Linearize(buf, memtype, count, charged)
+	return f.linearize(buf, memtype, count, charged, true)
 }
 
 // Release recycles a pooled stream. Collective engines call it after the
 // rendezvous that ends the call, and not from a deferred function: peers
 // hold views of a write stream until then, and a rank an injected crash
-// unwinds must drop its stream to the garbage collector instead.
+// unwinds must drop its stream to the garbage collector instead. The caller's
+// memory, in place or lent, is never released.
 func (s Stream) Release() {
 	if s.Pooled {
 		bufpool.Put(s.B)
@@ -353,30 +379,88 @@ func (s Stream) Release() {
 
 // Owned returns the stream's bytes in a pooled buffer whose ownership can
 // be handed to a peer that will recycle it: B itself when pooled, a pooled
-// copy of the caller's buffer otherwise.
+// copy of the caller's buffer otherwise (a lent one packed).
 func (s Stream) Owned() []byte {
-	if s.Pooled {
+	switch l := s.lent; {
+	case s.Pooled:
 		return s.B
+	case l.mt != nil:
+		// The lend checked buf against the access.
+		out, _ := datatype.AppendPack(bufpool.Get(l.n)[:0], l.buf, l.mt, 0, l.count)
+		return out
 	}
 	return append(bufpool.Get(int64(len(s.B)))[:0], s.B...)
 }
 
-// Linearize returns the data stream of a write: count instances of memtype
-// in buf, back to back. A dense memory type — one segment at offset 0
-// filling its extent, so the instances tile buf without gaps — needs no
-// packing: the stream is then buf itself, in place. Every other type is
-// packed into a pooled buffer. With charged set the modelled pack is
-// charged to the rank's clock either way: the model packs whatever the
-// host does.
+// Views appends views of the stream's bytes [at, at+n) to dst, for peers to
+// read by reference: one view when the stream is a buffer, one per memory
+// segment the range touches when it is lent, found with a binary search of
+// the segment ends and walked from there. No view reaches past its bytes.
+func (s *Stream) Views(dst [][]byte, at, n int64) [][]byte {
+	l := &s.lent
+	if l.mt == nil {
+		return append(dst, s.B[at:at+n:at+n])
+	}
+	if at < 0 || n < 0 || at > l.n-n {
+		panic(fmt.Sprintf("mpiio: views [%d,%d) of a lent stream of %d bytes", at, at+n, l.n))
+	}
+	segs, ends, ext := l.mt.Flatten(), l.ends, l.mt.Extent()
+	size := ends[len(ends)-1]
+	inst, in := at/size, at%size
+	k, _ := slices.BinarySearch(ends, in+1) // the segment holding byte in
+	for n > 0 {
+		end := min(ends[k], in+n)
+		lo := inst*ext + segs[k].End() - (ends[k] - in)
+		hi := lo + end - in
+		dst = append(dst, l.buf[lo:hi:hi])
+		n -= end - in
+		if in = end; in == ends[k] {
+			if k++; k == len(segs) {
+				k, in, inst = 0, 0, inst+1
+			}
+		}
+	}
+	return dst
+}
+
+// Linearize returns the data stream of an independent write: count
+// instances of memtype in buf, back to back. A dense memory type — one
+// segment at offset 0 filling its extent, so the instances tile buf without
+// gaps — needs no packing: the stream is then buf itself, in place. Every
+// other type is packed into a pooled buffer. With charged set the modelled
+// pack is charged to the rank's clock either way: the model packs whatever
+// the host does.
 func (f *File) Linearize(buf []byte, memtype datatype.Type, count int64, charged bool) (Stream, error) {
+	return f.linearize(buf, memtype, count, charged, false)
+}
+
+// linearize is Linearize, and with lend set a collective write's stream: a
+// gapped memory type whose segments average minLentSeg bytes or more is then
+// lent (see Stream), neither packed nor copied, and its modelled pack is
+// charged all the same.
+func (f *File) linearize(buf []byte, memtype datatype.Type, count int64, charged, lend bool) (Stream, error) {
 	n := datatype.TotalSize(memtype, count)
 	var s Stream
-	if segs := memtype.Flatten(); n >= 0 && len(segs) == 1 && segs[0].Off == 0 && segs[0].Len == memtype.Extent() {
+	segs, ext := memtype.Flatten(), memtype.Extent()
+	switch {
+	case n >= 0 && len(segs) == 1 && segs[0].Off == 0 && segs[0].Len == ext:
 		if n > int64(len(buf)) {
 			return s, fmt.Errorf("mpiio: buffer of %d bytes too small for %d x %s", len(buf), count, memtype)
 		}
 		s.B = buf[:n:n]
-	} else {
+	case lend && n > 0 && memtype.Size() >= minLentSeg*int64(len(segs)):
+		if count > int64(len(buf))/ext {
+			return s, fmt.Errorf("mpiio: buffer of %d bytes too small for %d x %s", len(buf), count, memtype)
+		}
+		ends, sum := f.lentEnds[:0], int64(0)
+		for _, sg := range segs {
+			sum += sg.Len
+			ends = append(ends, sum)
+		}
+		f.lentEnds = ends
+		used := count * ext
+		s.lent = lentBuf{buf: buf[:used:used], mt: memtype, count: count, n: n, ends: ends}
+	default:
 		scratch := bufpool.Get(n)
 		packed, err := datatype.AppendPack(scratch[:0], buf, memtype, 0, count)
 		if err != nil {
