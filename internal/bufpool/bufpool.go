@@ -1,6 +1,6 @@
 // Package bufpool provides size-classed byte-slice pools for the
 // collective datapath. Every hot-path buffer — packed data streams,
-// aggregator read buffers, forwarded payloads, sieve staging —
+// read streams, forwarded payloads, sieve staging —
 // cycles through these pools so a steady-state collective call allocates
 // nothing.
 //
@@ -24,8 +24,8 @@
 //     out (a caller's own memory would be handed to the next Get).
 //
 // Pools are global and shared by every rank goroutine: the same buffer a
-// client packed its stream into comes back as an aggregator's read buffer
-// in a later call. All operations are safe for concurrent use.
+// client packed its write stream into comes back as another rank's read
+// stream in a later call. All operations are safe for concurrent use.
 package bufpool
 
 import (

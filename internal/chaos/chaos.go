@@ -100,8 +100,8 @@ const (
 	// RankCrashExchange kills an aggregator of a collective read in the
 	// middle of round 1, right after its last send of the round (which,
 	// pipelined, carries round 2 and follows the read-ahead of it): its
-	// clients hold views of read buffers nobody will retire, and the round's
-	// agreement must notice.
+	// clients hold views of the pages it lent, and the round's agreement
+	// must notice.
 	RankCrashExchange RankFault = "crash-mid-exchange"
 	// RankStraggler stalls the victim far past the collective deadline at
 	// round 1 without killing it: deadline detection must flag it suspect

@@ -56,7 +56,7 @@ func byrefEngines() []engineSet {
 // TestCrashSweepDropsViewsInFlight kills one rank at every collective
 // operation of a transfer in turn — so also right after it handed the
 // aggregators views of its stream (crash-after-send) and, on reads, right
-// after an aggregator served views of its read buffer (crash-after-serve)
+// after an aggregator served views of the file's pages (crash-after-serve)
 // — then revives the world, resumes, and requires the byte-identical
 // result. A dying rank must drop, never pool, a buffer whose views are in
 // flight: under `-race -tags bufpooldebug` a recycled stream is poisoned

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
@@ -342,6 +341,16 @@ func (pl *pieceLists) of(a, r int) []streamRun {
 
 func (pl *pieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
 
+// total is how many bytes of the client's stream the pieces cover. Each
+// stream byte lies in one realm and one round of it, so no byte is counted
+// twice: a total of the stream's length is an exact cover.
+func (pl *pieceLists) total() (n int64) {
+	for _, sp := range pl.rounds {
+		n += sp.bytes
+	}
+	return n
+}
+
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	// A write's stream is the user's bytes in stream order — the caller's
 	// buffer itself when the memory type is dense, lent segment by segment
@@ -587,6 +596,11 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if pre != nil && pre.Err != nil {
 		pl.err = pre.Err
 	}
+	if !write && pl.pieces.total() != int64(len(cs.B)) {
+		// The rounds place every byte of a stream its pieces cover: only a
+		// stream they do not (a pre-aggregation member's) needs the zeros.
+		clear(cs.B)
+	}
 	if list {
 		// ROMIO computes the round count from the domain size: domain 0 is
 		// never the shortest.
@@ -634,8 +648,6 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		}
 		agreed := countReq.Wait()
 		if agreed == 0 || agreed == refused {
-			// Nothing was sent from a first round read ahead.
-			bufpool.Put(pl.firstBuf)
 			p.Barrier()
 			// A peer failure can shrink the surviving access to nothing; the
 			// barrier's rendezvous delivered the same failure version to
@@ -660,6 +672,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 				return err
 			}
 			if !write {
+				clear(cs.B) // no round placed anything
 				return f.UnpackMemory(cs.B, buf, memtype, count)
 			}
 			return nil
@@ -674,7 +687,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if err == nil && !write && pre != nil {
 		err = pre.scatter(f, cs, dataLen)
 	}
-	return i.finish(f, &scr.roundScratch, cs.B, buf, memtype, count, write, err)
+	return i.finish(f, cs.B, buf, memtype, count, write, err)
 }
 
 // postAtWait, set only by tests, posts each request receive where it is

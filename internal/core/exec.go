@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"flexio/internal/bufpool"
 	"flexio/internal/datatype"
 	"flexio/internal/metrics"
 	"flexio/internal/mpi"
@@ -32,10 +31,9 @@ type plan struct {
 	// not use, a pre-aggregation member it lost). It seeds the first round's
 	// agreement, so every rank aborts before a byte is written.
 	err error
-	// first and firstBuf are round 0 of a read aggregator that read it while
-	// the round count was agreed (readFirst), split into round 0's table.
-	first    *roundPlan
-	firstBuf []byte
+	// first is round 0 of a read aggregator that read it while the round
+	// count was agreed (readFirst), split into round 0's table.
+	first *roundPlan
 }
 
 var noRound roundPlan // read-only
@@ -93,9 +91,10 @@ type roundScratch struct {
 	recvIov [][][]byte        // views this rank received, per source (point-to-point)
 	waited  [][][]byte        // WaitallIov output, in request order
 	reqs    [2][]*mpi.Request // receives posted for the round
-	// retire holds the read buffers an abort left lent out: no rendezvous
-	// has proven their clients done with them until finish's barrier.
-	retire [][]byte
+	// pages is the page views a read aggregator's fill took, which split
+	// deals out into the round's iov table at once: one table serves both
+	// rounds a pipelined read has in flight.
+	pages [][]byte
 }
 
 // roundFrame is what a write round and a read round share: the round's span
@@ -200,7 +199,7 @@ func (i *Impl) rounds(f *mpiio.File, scr *roundScratch, cs *mpiio.Stream, pl *pl
 // across ranks. A successful call already ended in an agreement whose start is
 // a rendezvous after the last use of any view a rank lent (the last round's,
 // or the scatter's), so it closes without a barrier.
-func (i *Impl) finish(f *mpiio.File, scr *roundScratch, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
+func (i *Impl) finish(f *mpiio.File, stream, buf []byte, memtype datatype.Type, count int64, write bool, err error) error {
 	if err != nil {
 		// An abort surfaces at a wait, which is no rendezvous: peers may still
 		// be placing a round or sending the one after it. Once every rank is
@@ -210,11 +209,6 @@ func (i *Impl) finish(f *mpiio.File, scr *roundScratch, stream, buf []byte, memt
 		p := f.Proc()
 		p.Barrier()
 		p.DropUndelivered()
-		for _, b := range scr.retire {
-			bufpool.Put(b)
-		}
-		clear(scr.retire)
-		scr.retire = scr.retire[:0]
 		p.Barrier()
 		return err
 	}
@@ -427,18 +421,24 @@ func (scr *roundScratch) roundIov(r, size int) [][][]byte {
 	return iov
 }
 
-// split serves each client views of round r's read buffer, one per piece, by
-// reference, in round r's table of slots entries; copy charges the modelled
-// split into per-client messages.
-func (scr *roundScratch) split(f *mpiio.File, r, slots int, rp *roundPlan, buf []byte, copy bool) [][][]byte {
+// split deals round r's page views (fill's) out to the clients by reference,
+// each piece as the views it spans, in round r's table of slots entries; copy
+// charges the modelled split into per-client messages.
+func (scr *roundScratch) split(f *mpiio.File, r, slots int, rp *roundPlan, pages [][]byte, copy bool) [][][]byte {
 	iov := scr.roundIov(r, slots)
-	if buf == nil {
+	if pages == nil {
 		return iov
 	}
-	pos := int64(0)
+	var cur viewCursor
 	for _, it := range rp.Order {
-		iov[it.Run] = append(iov[it.Run], buf[pos:pos+it.Len])
-		pos += it.Len
+		for n := it.Len; n > 0; {
+			v := cur.take(pages, n)
+			if len(v) == 0 {
+				panic("core: read round split past the views fill took")
+			}
+			iov[it.Run] = append(iov[it.Run], v)
+			n -= int64(len(v))
+		}
 	}
 	if copy {
 		f.ChargeCopy(rp.Total)
@@ -704,14 +704,12 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 	comm := func(what string) { iv = p.Begin1(metrics.PComm, trace.S("what", what)) }
 	commEnd := func() { p.End(iv) }
 
-	// An aggregator's pooled read buffers: cur holds round r, next the round
-	// read ahead. Every strategy serves each client views of them by
-	// reference, so a buffer is retired only once its own round's agreement
-	// has started, a rendezvous every client enters after placing its data.
-	// An abort hands both to finish: under lag it surfaced before round r's
-	// agreement, and round r+1 is dropped unread.
+	// An aggregator serves each client views of the file's pages by
+	// reference (fill's), round r's and, read ahead, round r+1's. Nothing
+	// writes the file before the call's last agreement starts, a rendezvous
+	// every client enters after placing its data, or an abort's barrier in
+	// finish, and pages never move: there is nothing to retire.
 	rp, nrp := &noRound, &noRound
-	var cur, next []byte
 	for r := 0; r < ntimes; r++ {
 		c.begin(r)
 		ahead := pipelined && r+1 < ntimes
@@ -720,12 +718,13 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		if r == 0 || !pipelined {
 			var sendIov [][][]byte
 			if r == 0 && pl.first != nil { // read and split behind the round count
-				rp, cur, sendIov = pl.first, pl.firstBuf, scr.iov[0]
+				rp, sendIov = pl.first, scr.iov[0]
 			} else {
+				var pages [][]byte
 				if amAgg {
-					rp, cur = i.fill(&c, pl, r)
+					rp, pages = i.fill(&c, scr, pl, r)
 				}
-				sendIov = scr.split(f, r, sendSlots, rp, cur, pipelined)
+				sendIov = scr.split(f, r, sendSlots, rp, pages, pipelined)
 			}
 			comm("exchange")
 			if i.o.Comm == Alltoallw {
@@ -738,6 +737,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 			}
 		}
 		if ahead {
+			var pages [][]byte
 			if amAgg {
 				// Read ahead while round r crosses the receivers' NICs. The
 				// storage operations and their span carry round r+1, but the
@@ -745,7 +745,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 				// A failed read-ahead aborts at this round's agreement.
 				f.TagRound(r + 1)
 				p.Trace.Begin1(p.Clock(), trace.RoundSpan, trace.I(trace.RoundTag, int64(r+1)))
-				nrp, next = i.fill(&c, pl, r+1)
+				nrp, pages = i.fill(&c, scr, pl, r+1)
 				p.Trace.End(p.Clock())
 				f.TagRound(r)
 			}
@@ -753,7 +753,7 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 			// that failed serves fill's zeros, so what crosses the wire does
 			// not depend on which rank failed first, which can vary with
 			// arrival order.
-			sendNext := scr.split(f, r+1, sendSlots, nrp, next, pipelined)
+			sendNext := scr.split(f, r+1, sendSlots, nrp, pages, pipelined)
 			comm("waitall")
 			post(r+1, nrp, sendNext)
 		} else if r > 0 && pipelined {
@@ -792,11 +792,9 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 		c.fail(r, placed)
 
 		if err := c.end(pl, r, rp.Total); err != nil {
-			scr.retire = append(scr.retire, cur, next)
 			return err
 		}
-		bufpool.Put(cur)
-		rp, cur, nrp, next = nrp, next, &noRound, nil
+		rp, nrp = nrp, &noRound
 	}
 	return c.settle()
 }
@@ -804,24 +802,24 @@ func (i *Impl) readRounds(f *mpiio.File, scr *roundScratch, stream []byte, pl *p
 // readFirst reads and splits an aggregator's round 0 before the rounds begin,
 // while the round count is agreed. Its storage operations carry round 0, but
 // the rank does not enter it: round 0's rank faults fire at its begin. A
-// failed read seeds round 0's agreement like any planning failure; a count
-// agreement that ends the call returns the buffer, which nobody was sent.
+// failed read seeds round 0's agreement like any planning failure.
 func (i *Impl) readFirst(f *mpiio.File, scr *roundScratch, pl *plan) {
 	c := roundFrame{f: f, p: f.Proc(), op: "read", amAgg: true}
 	f.TagRound(0)
-	pl.first, pl.firstBuf = i.fill(&c, pl, 0)
+	rp, pages := i.fill(&c, scr, pl, 0)
 	f.TagRound(-1)
-	scr.split(f, 0, c.p.Size(), pl.first, pl.firstBuf, i.o.Comm == Nonblocking)
-	pl.err = c.err
+	scr.split(f, 0, c.p.Size(), rp, pages, i.o.Comm == Nonblocking)
+	pl.first, pl.err = rp, c.err
 }
 
-// fill reads round r's realm window into a pooled buffer (nil for a round the
-// realm has no data in). ReadStream fills every byte of it on success. A rank
-// whose read fails, or that already holds a failure, still serves its clients
-// so the round's exchange completes: deterministic zeros, as a fresh buffer
-// would have, and the agreement aborts every rank before any of it reaches a
-// user buffer.
-func (i *Impl) fill(c *roundFrame, pl *plan, r int) (*roundPlan, []byte) {
+// fill reads round r's realm window and returns views of its bytes where
+// they lie in the file's pages (nil for a round the realm has no data in):
+// the storage requests are ReadStream's, timed and checked the same, but
+// nothing is copied. A rank whose read fails, or that already holds a
+// failure, still serves its clients so the round's exchange completes:
+// views of the zero page, the same whichever rank failed, and the agreement
+// aborts every rank before any of it reaches a user buffer.
+func (i *Impl) fill(c *roundFrame, scr *roundScratch, pl *plan, r int) (*roundPlan, [][]byte) {
 	f, method := c.f, pl.method
 	rp := pl.agg.Round(r)
 	if rp.Total == 0 {
@@ -831,22 +829,24 @@ func (i *Impl) fill(c *roundFrame, pl *plan, r int) (*roundPlan, []byte) {
 		// The pass that empties the integrated sieve buffer.
 		f.ChargeCopy(rp.Total)
 	}
-	rbuf := bufpool.Get(rp.Total)
+	pages := scr.pages[:0]
 	if c.err == nil {
-		err := f.ReadStream(rp.Segs, rbuf, method)
+		var err error
+		pages, err = f.ReadViews(rp.Segs, pages, method)
 		if err != nil && i.degrade(c, method, r, 1) {
-			err = f.ReadStream(rp.Segs, rbuf, mpiio.Naive)
+			pages, err = f.ReadViews(rp.Segs, pages, mpiio.Naive)
 		}
 		c.fail(r, err)
 	}
 	if c.err != nil {
-		clear(rbuf)
+		pages = f.FS().ZeroViews(pages[:0], rp.Total)
 	}
-	return rp, rbuf
+	scr.pages = pages
+	return rp, pages
 }
 
-// placeIov scatters an aggregator's round payload — views of its read
-// buffer, consumed by byte count — into the client's linear stream. A dead or
+// placeIov scatters an aggregator's round payload — views of the file's
+// pages, consumed by byte count — into the client's linear stream. A dead or
 // stalled aggregator's table is nil: nothing arrived, and the round's
 // agreement aborts before the stream reaches the user. A payload that is not
 // the bytes this client planned to receive (a damaged request that still

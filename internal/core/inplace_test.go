@@ -234,7 +234,7 @@ func retainedBytes(scr *roundScratch) int64 {
 	b := &scr.batch
 	n := int64(cap(b.views))*hdr + int64(cap(b.ends))*8 + int64(cap(b.tab))*hdr +
 		int64(cap(b.cur))*int64(unsafe.Sizeof(viewCursor{})) +
-		int64(cap(scr.recvIov)+cap(scr.waited)+cap(scr.retire))*hdr
+		int64(cap(scr.recvIov)+cap(scr.waited)+cap(scr.pages))*hdr
 	for k := range scr.iov {
 		iov := scr.iov[k][:cap(scr.iov[k])]
 		n += int64(len(iov))*hdr + int64(cap(scr.reqs[k]))*8

@@ -280,9 +280,8 @@ func aheadRun(t *testing.T, w *mpi.World, fs *pfs.FileSystem, info mpiio.Info, a
 // read while it is in round k-1. Every rank aborts with the fault's class and
 // an error naming round k, in round k: Blocking at round k's agreement, the
 // pipeline where it waits for the agreement of round k-1, in which the read
-// was issued. No user buffer is touched, and every pooled buffer (the one in
-// use and the one read ahead, on the aggregator that failed and on the one
-// that did not) goes back to the pool exactly once.
+// was issued. No user buffer is touched, and every pooled buffer goes back to
+// the pool exactly once.
 func TestReadAheadAbortsUniformly(t *testing.T) {
 	type fault struct {
 		name  string
@@ -586,11 +585,13 @@ func TestReadAheadAbortDropsSentAhead(t *testing.T) {
 // already aborted. Here aggregator 1 is held up (on the host) in its
 // read-ahead of round k+1 while aggregator 0, whose read of round k failed,
 // aborts at the end of round k; only then does aggregator 1 receive round k
-// from it. The aborting aggregator keeps its read buffers until finish's
-// barrier: with the checksummed transport armed and poison-on-put (-tags
-// bufpooldebug; -race reports the same access), a buffer recycled at the
-// abort fails the late receiver's wire checksum. Every pooled buffer goes back
-// once, and a read right after is byte-exact.
+// from it. What the aborting aggregator served is views of the file system's
+// zero page (its failed read) and of the file's pages, which nothing recycles
+// or writes before finish's barrier: with the checksummed transport armed, a
+// view whose bytes changed under the late receiver (a buffer recycled at the
+// abort, poisoned under -tags bufpooldebug; -race reports the same access)
+// fails its wire checksum. Every pooled buffer goes back once, and a read
+// right after is byte-exact.
 func TestReadAheadAbortRetiresAfterBarrier(t *testing.T) {
 	const k = 3
 	cfg := sim.DefaultConfig()

@@ -96,6 +96,23 @@ func (f *File) ReadStream(segs []datatype.Seg, buf []byte, m Method) error {
 	return f.stream(segs, pfs.Bytes(buf), m, false)
 }
 
+// ReadViews is ReadStream without the copy: it issues the same storage
+// requests (windows, retries and charges included) timing-only and, once
+// they succeed, appends to dst views of the bytes of segs where they lie in
+// the file's pages, in list order (see pfs.Handle.Views). The views are
+// only to be read, and only until the file is next written. On failure dst
+// comes back as it was.
+func (f *File) ReadViews(segs []datatype.Seg, dst [][]byte, m Method) ([][]byte, error) {
+	var total int64
+	for _, s := range segs {
+		total += s.Len
+	}
+	if err := f.stream(segs, pfs.None(total), m, false); err != nil {
+		return dst, err
+	}
+	return f.handle.Views(segs, dst), nil
+}
+
 // stream moves a linear stream to (write) or from (read: data is the
 // buffer) the given absolute file segments with method m, as one io
 // interval.
@@ -123,14 +140,14 @@ func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) 
 			if write {
 				return f.handle.WriteData(tail, d.Slice(skip, d.Len()), now)
 			}
-			return f.handle.ReadList(tail, d.Buf()[skip:], now)
+			return f.handle.ReadList(tail, d.Slice(skip, d.Len()).Buf(), now)
 		})
 	}
 	switch {
 	case m == IntegratedSieve && write:
 		return f.writeSieve(spanOf(segs), segs, data)
 	case m == IntegratedSieve:
-		return f.readSieve(spanOf(segs), segs, data.Buf())
+		return f.readSieve(spanOf(segs), segs, data)
 	case len(segs) == 1 || m == ListIO:
 		// One segment is the contiguous fast path: "contiguous in memory to
 		// contiguous in file".
@@ -193,7 +210,7 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 		if write {
 			return f.writeSieve(span, segs, data)
 		}
-		return f.readSieve(span, segs, data.Buf())
+		return f.readSieve(span, segs, data)
 	}
 	pending := f.sievePending[:0]
 	var at int64
@@ -224,8 +241,9 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 		// Heads that do not follow one another in data (a segment cut at
 		// the edge while a later one starts inside the window, which only
 		// overlapping segments do) move through a staging buffer in window
-		// order.
+		// order. A timing-only read moves no bytes to stage.
 		chunk := data.Slice(pending[i].at, pending[i].at+useful)
+		contiguous = contiguous || !write && data.Buf() == nil
 		var staged []byte
 		if !contiguous {
 			staged = bufpool.Get(useful)
@@ -250,7 +268,7 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 			}
 			err = f.writeSieve(span, group, chunk)
 		} else {
-			err = f.readSieve(span, group, chunk.Buf())
+			err = f.readSieve(span, group, chunk)
 			if err == nil && !contiguous {
 				stage(false)
 			}

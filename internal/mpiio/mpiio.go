@@ -348,20 +348,16 @@ type lentBuf struct {
 	ends  []int64
 }
 
-// readStreamBuf returns the private, zeroed, pooled stream a read of n bytes
-// fills before it is unpacked: reads never alias the user buffer, so an
-// aborted collective leaves it untouched, and the zero fill keeps any byte
-// the access happens not to cover identical to a fresh allocation.
-func readStreamBuf(n int64) Stream {
-	return Stream{B: bufpool.GetZero(n), Pooled: true}
-}
-
 // CollectiveStream returns the stream a collective call works on: a write's
-// user data, linearized or lent (see Linearize), a read's private buffer
-// (see readStreamBuf).
+// user data, linearized or lent (see Linearize), a read's private pooled
+// buffer, which it fills before it is unpacked. Reads never alias the user
+// buffer, so an aborted collective leaves it untouched. A read's stream comes
+// with undefined contents: the caller clears whatever its plan does not
+// prove it fills, so that a byte the access happens not to cover reads as in
+// a fresh allocation.
 func (f *File) CollectiveStream(buf []byte, memtype datatype.Type, count int64, write, charged bool) (Stream, error) {
 	if !write {
-		return readStreamBuf(datatype.TotalSize(memtype, count)), nil
+		return Stream{B: bufpool.Get(datatype.TotalSize(memtype, count)), Pooled: true}, nil
 	}
 	return f.linearize(buf, memtype, count, charged, true)
 }

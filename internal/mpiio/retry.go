@@ -104,14 +104,15 @@ func (f *File) writeSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data)
 	})
 }
 
-// readSieve is the read counterpart of writeSieve.
-func (f *File) readSieve(span datatype.Seg, segs []datatype.Seg, buf []byte) error {
+// readSieve is the read counterpart of writeSieve; buf is the destination,
+// or None for a timing-only read.
+func (f *File) readSieve(span datatype.Seg, segs []datatype.Seg, buf pfs.Data) error {
 	return f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
 		sp, group := shrinkSieveWindow(span, segs, skip)
 		if len(group) == 0 {
 			return now, nil
 		}
-		return f.handle.SieveRead(sp, group, buf[skip:], now)
+		return f.handle.SieveRead(sp, group, buf.Slice(skip, buf.Len()).Buf(), now)
 	})
 }
 

@@ -23,6 +23,10 @@ func Bytes(b []byte) Data { return Data{b: b, hi: int64(len(b))} }
 // From is the first n bytes of src as Data.
 func From(src Source, n int64) Data { return Data{src: src, hi: n} }
 
+// None is n bytes with no buffer behind them: the destination of a
+// timing-only read, whose Buf is nil.
+func None(n int64) Data { return Data{hi: n} }
+
 // Len is the number of bytes in d.
 func (d Data) Len() int64 { return d.hi - d.lo }
 
@@ -36,10 +40,13 @@ func (d Data) Slice(lo, hi int64) Data {
 }
 
 // Buf is the buffer behind d, which must not be a Source: the destination
-// of a read that goes through a path shared with writes.
+// of a read that goes through a path shared with writes. It is nil for None.
 func (d Data) Buf() []byte {
 	if d.src != nil {
 		panic("pfs: Buf of a Source")
+	}
+	if d.b == nil {
+		return nil
 	}
 	return d.b[d.lo:d.hi]
 }

@@ -60,6 +60,9 @@ type FileSystem struct {
 	// EnableIntegrity before I/O starts; never cleared.
 	integ *integrity.Hasher
 	isums *integrity.Store
+	// zero is one page of zeros, what Views lends for holes and for bytes
+	// past the end of a file. Nothing writes it.
+	zero []byte
 }
 
 type ostState struct {
@@ -171,6 +174,7 @@ func NewFileSystem(cfg *sim.Config) *FileSystem {
 		fileIDs: make(map[string]int32),
 		osts:    make([]ostState, cfg.StripeCount),
 		clients: make(map[int]*Client),
+		zero:    make([]byte, cfg.PageSize),
 	}
 	return fs
 }
@@ -468,6 +472,43 @@ func (h *Handle) WriteData(segs []datatype.Seg, data Data, now sim.Time) (sim.Ti
 // a single request.
 func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
 	return h.c.access("read", h.f, segs, Data{}, buf, nil, false, now)
+}
+
+// Views appends to dst a view of every page fragment of segs, in list order:
+// the bytes ReadList would copy, where they lie. Holes and bytes past the end
+// of the file are views of the file system's zero page. Every view is capped
+// (cap == len) and only to be read. A view stays valid while the file is not
+// written: pages are written in place, and never moved or freed while the
+// file exists. Views charges nothing; the read that checks, locks and times
+// the same bytes is the caller's (a timing-only ReadList or SieveRead).
+func (h *Handle) Views(segs []datatype.Seg, dst [][]byte) [][]byte {
+	fs, f := h.c.fs, h.f
+	ps := fs.cfg.PageSize
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, s := range segs {
+		for abs := s.Off; abs < s.End(); {
+			in := abs % ps
+			n := min(ps-in, s.End()-abs)
+			page := fs.zero
+			if p := f.page(abs / ps); p != nil && abs < f.size {
+				page = p
+			}
+			dst = append(dst, page[in:in+n:in+n])
+			abs += n
+		}
+	}
+	return dst
+}
+
+// ZeroViews appends views of n zero bytes to dst, a page at most each: what
+// stands in for a read whose bytes must not be served.
+func (fs *FileSystem) ZeroViews(dst [][]byte, n int64) [][]byte {
+	for ps := int64(len(fs.zero)); n > 0; n -= ps {
+		k := min(n, ps)
+		dst = append(dst, fs.zero[:k:k])
+	}
+	return dst
 }
 
 // access is the single entry point for all I/O: it validates, applies fault

@@ -144,7 +144,8 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 // span in timing, locking, page verification and cache fill, while only the
 // useful bytes move — each once, from the file's pages into buf. No sieve
 // buffer exists on the host: the file image is exact, so the gap bytes a
-// real one would carry have nowhere to go.
+// real one would carry have nowhere to go. A nil buf makes the read
+// timing-only: every check and charge, no bytes delivered (see Views).
 func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
 	var useful int64
 	for _, s := range segs {
@@ -154,7 +155,7 @@ func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, n
 		}
 		useful += s.Len
 	}
-	if useful != int64(len(buf)) {
+	if buf != nil && useful != int64(len(buf)) {
 		return now, fmt.Errorf("pfs: SieveRead: %d segment bytes but %d buffer bytes", useful, len(buf))
 	}
 	if span.Len == 0 {

@@ -1,0 +1,131 @@
+package pfs
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"flexio/internal/datatype"
+	"flexio/internal/sim"
+)
+
+// inPage reports whether v's bytes lie inside page.
+func inPage(v, page []byte) bool {
+	if len(v) == 0 || len(page) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(&v[0])), uintptr(unsafe.Pointer(&page[0]))
+	return p >= lo && p+uintptr(len(v)) <= lo+uintptr(len(page))
+}
+
+// TestPageViewsMatchReadList: Views lends what ReadList copies. Over a file
+// of written, partly written and never written pages that ends inside a
+// page, random offset-sorted lists (overlapping, zero-length and past-EOF
+// segments among them) get views whose bytes, back to back, are ReadList's;
+// every view is capped, one per page fragment; a fragment of a hole or past
+// the end of the file is a view of the zero page and any other one a view of
+// its own page.
+func TestPageViewsMatchReadList(t *testing.T) {
+	fs, cfg := newFS()
+	ps := cfg.PageSize
+	h := fs.NewClient(nil).Open("f")
+	rng := rand.New(rand.NewSource(1))
+	fill := func(n int64) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(1 + rng.Intn(255))
+		}
+		return b
+	}
+	// Pages 0-1 written in part, 3 whole, 5 from its middle to the end of
+	// the file at 5.5 pages; 2, 4 and everything from 6 on never written.
+	for _, s := range []datatype.Seg{{Off: 100, Len: 900}, {Off: ps + 7, Len: 13}, {Off: 3 * ps, Len: ps}, {Off: 5*ps + ps/4, Len: ps / 4}} {
+		if _, err := h.WriteAt(s.Off, fill(s.Len), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := fs.Size("f")
+	if size != 5*ps+ps/2 {
+		t.Fatalf("file size %d", size)
+	}
+	for trial := 0; trial < 300; trial++ {
+		segs := make([]datatype.Seg, 1+rng.Intn(8))
+		off := rng.Int63n(2 * ps)
+		for k := range segs {
+			n := rng.Int63n(2 * ps)
+			if rng.Intn(5) == 0 {
+				n = 0
+			}
+			segs[k] = datatype.Seg{Off: off, Len: n}
+			// The next segment may start inside this one.
+			off += rng.Int63n(n + ps/2)
+		}
+		var total int64
+		for _, s := range segs {
+			total += s.Len
+		}
+		want := make([]byte, total)
+		if _, err := h.ReadList(segs, want, 0); err != nil {
+			t.Fatal(err)
+		}
+		views := h.Views(segs, nil)
+		if got := bytes.Join(views, nil); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d %v: views differ from ReadList's bytes", trial, segs)
+		}
+		k := 0
+		for _, s := range segs {
+			for abs := s.Off; abs < s.End(); k++ {
+				in := abs % ps
+				n := min(ps-in, s.End()-abs)
+				v := views[k]
+				if int64(len(v)) != n || cap(v) != len(v) {
+					t.Fatalf("trial %d: view %d has len %d cap %d, want a capped view of %d bytes", trial, k, len(v), cap(v), n)
+				}
+				page := fs.files["f"].page(abs / ps)
+				hole := page == nil || abs >= size
+				if hole != inPage(v, fs.zero) || !hole && !inPage(v, page[in:]) {
+					t.Fatalf("trial %d: view %d of [%d,+%d) (hole %v) is not where it lies", trial, k, abs, n, hole)
+				}
+				abs += n
+			}
+		}
+		if k != len(views) {
+			t.Fatalf("trial %d: %d views for %d page fragments", trial, len(views), k)
+		}
+	}
+
+	var n int64
+	for _, v := range fs.ZeroViews(nil, 3*ps+5) {
+		if !inPage(v, fs.zero) || cap(v) != len(v) {
+			t.Fatal("a zero view is not a capped view of the zero page")
+		}
+		n += int64(len(v))
+	}
+	if n != 3*ps+5 || !bytes.Equal(fs.zero, make([]byte, ps)) {
+		t.Fatalf("zero views cover %d bytes; zero page intact: %v", n, bytes.Equal(fs.zero, make([]byte, ps)))
+	}
+}
+
+// TestTimingOnlySieveReadCostsTheSame: a sieve read with no buffer delivers
+// nothing but takes the time of one with a buffer.
+func TestTimingOnlySieveReadCostsTheSame(t *testing.T) {
+	run := func(buf []byte) sim.Time {
+		fs, cfg := newFS()
+		h := fs.NewClient(nil).Open("f")
+		if _, err := h.WriteAt(0, bytes.Repeat([]byte{7}, int(3*cfg.PageSize)), 0); err != nil {
+			t.Fatal(err)
+		}
+		fs.ResetTiming()
+		segs := []datatype.Seg{{Off: 10, Len: 100}, {Off: 5000, Len: 3000}}
+		done, err := fs.NewClient(nil).Open("f").SieveRead(datatype.Seg{Off: 10, Len: 7990}, segs, buf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	withBuf, timingOnly := run(make([]byte, 3100)), run(nil)
+	if withBuf != timingOnly {
+		t.Fatalf("timing-only sieve read completes at %v, a buffered one at %v", timingOnly, withBuf)
+	}
+}
