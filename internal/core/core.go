@@ -341,16 +341,6 @@ func (pl *pieceLists) of(a, r int) []streamRun {
 
 func (pl *pieceLists) bytes(a, r int) int64 { return pl.span(a, r).bytes }
 
-// total is how many bytes of the client's stream the pieces cover. Each
-// stream byte lies in one realm and one round of it, so no byte is counted
-// twice: a total of the stream's length is an exact cover.
-func (pl *pieceLists) total() (n int64) {
-	for _, sp := range pl.rounds {
-		n += sp.bytes
-	}
-	return n
-}
-
 func (i *Impl) collective(f *mpiio.File, buf []byte, memtype datatype.Type, count int64, write bool) error {
 	// A write's stream is the user's bytes in stream order — the caller's
 	// buffer itself when the memory type is dense, lent segment by segment
@@ -443,6 +433,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// accesses and streams, members fall silent for the rest of the call
 	// (under the list form they still send every aggregator an empty list). ---
 	var pre *preaggState
+	streamLen := dataLen // what the rounds move for this rank: a leader's is its node's
 	if i.o.Preagg {
 		pre = &scr.pre
 		if list {
@@ -451,6 +442,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		scr.preEnc = i.form.appendAccess(scr.preEnc[:0], acc)
 		merged, swapped := pre.exchange(f, i.form, i.o.Journal.Dead(), cs, scr.preEnc, dataLen, scr.bounds, write)
 		if swapped && pre.Plan.Leads(p.Rank()) {
+			streamLen = pre.Total
 			acc = datatype.Flat{Size: pre.Total, Count: 1, Limit: -1, Segs: merged}
 			if n := len(merged); n > 0 {
 				acc.Extent = merged[n-1].End()
@@ -490,7 +482,7 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	// would issue is replayed verbatim, so virtual time and stats are
 	// unaffected.
 	ck := clientKey{ft: view.Filetype, disp: view.Disp,
-		dataLen: dataLen, cb: cb, naggs: naggs, sig: sig}
+		dataLen: streamLen, cb: cb, naggs: naggs, sig: sig}
 	if pre != nil {
 		ck.pre = pre.pre
 	}
@@ -500,13 +492,13 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 		acc = scr.flattened(f, dataLen)
 	}
 	if ce == nil {
-		ce, client = i.clientMiss(scr, ck, acc, realms, aarEn, cb, dataLen)
+		ce, client = i.clientMiss(scr, ck, acc, realms, aarEn, cb, streamLen)
 		scr.clients.Keep(ck)
 	}
 	noteMemo(p, "client", client)
 	var clientErr error
 	if client != memoMiss && i.o.Validate {
-		clientErr = i.checkClient(&scr.miss, ce, acc, realms, aarEn, cb, dataLen)
+		clientErr = i.checkClient(&scr.miss, ce, acc, realms, aarEn, cb, streamLen)
 	}
 
 	// --- Request exchange. It always happens — only the decoding is
@@ -596,11 +588,6 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 	if pre != nil && pre.Err != nil {
 		pl.err = pre.Err
 	}
-	if !write && pl.pieces.total() != int64(len(cs.B)) {
-		// The rounds place every byte of a stream its pieces cover: only a
-		// stream they do not (a pre-aggregation member's) needs the zeros.
-		clear(cs.B)
-	}
 	if list {
 		// ROMIO computes the round count from the domain size: domain 0 is
 		// never the shortest.
@@ -663,8 +650,9 @@ func (i *Impl) run(f *mpiio.File, cs *mpiio.Stream, buf []byte, memtype datatype
 			// the next collective. Agree on it here so every rank aborts
 			// with ClassIntegrity instead of silently writing nothing. A
 			// request an aggregator refused ends the call here too: its
-			// sender would wait for bytes nobody serves.
-			ierr := planErr
+			// sender would wait for bytes nobody serves; so does a member's
+			// request its leader refused, whose member holds no stream.
+			ierr := pl.err
 			if e := p.TakeIntegrityFailure(); e != nil {
 				ierr = fmt.Errorf("core: access exchange: %w", e)
 			}

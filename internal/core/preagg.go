@@ -66,8 +66,9 @@ func (ps *preaggState) fail(format string, args ...any) {
 // this rank takes into the rounds. A member hands enc, its whole access in
 // form fm, and its write stream's bytes, as Owned returns them, to the leader
 // (ownership of that pooled buffer transfers) and continues with no access:
-// (nil, true). A leader continues with the merged stream and
-// the merged access it returns. A rank alone on its node keeps what it has:
+// (nil, true). A read member pools its stream and continues with none;
+// scatter hands it its leader's payload as its stream. A leader continues
+// with the merged stream and the merged access it returns. A rank alone on its node keeps what it has:
 // (nil, false). bounds is what AccessRegion gathered before this stage, every
 // rank's own word on where its access starts and ends: a member's request
 // that says otherwise is damaged, not an access. The stage is traced and charged as the
@@ -84,11 +85,16 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 		ps.pre = 1
 		p.Metrics.Add(metrics.CReqBytes, int64(len(enc)))
 		p.Send(ps.Plan.Leader, tagPre, enc)
-		if write && dataLen > 0 {
+		switch {
+		case write && dataLen > 0:
 			// Ownership of a pooled buffer passes to the leader, which
 			// recycles it.
 			p.Send(ps.Plan.Leader, tagPreData, cs.Owned())
 			*cs = mpiio.Stream{}
+		case !write:
+			// The leader's scatter payload becomes the stream.
+			bufpool.Put(cs.B)
+			cs.B = nil
 		}
 		return nil, true
 	}
@@ -186,8 +192,9 @@ func (ps *preaggState) exchange(f *mpiio.File, fm requestForm, dead []int, cs *m
 		}
 		*cs = mpiio.Stream{B: out, Pooled: true}
 	} else {
+		// The rounds place every byte of the merged stream.
 		bufpool.Put(cs.B)
-		cs.B = bufpool.GetZero(ps.Total)
+		cs.B = bufpool.Get(ps.Total)
 	}
 	return ps.merged, true
 }
@@ -205,9 +212,9 @@ func (ps *preaggState) scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) e
 
 	var scErr error
 	rank := p.Rank()
-	stream := cs.B // a read's stream: always pooled
 	switch {
 	case ps.Plan.Leads(rank) && len(ps.Plan.Members) > 0:
+		stream := cs.B // a read's stream: always pooled
 		own := bufpool.Get(dataLen)
 		var copied int64
 		for _, it := range ps.Items {
@@ -243,9 +250,10 @@ func (ps *preaggState) scatter(f *mpiio.File, cs *mpiio.Stream, dataLen int64) e
 			scErr = fmt.Errorf("core: preagg scatter: %d bytes from leader rank %d for a stream of %d", len(data), ps.Plan.Leader, dataLen)
 			bufpool.Put(data)
 		default:
-			copy(stream, data)
+			// The payload is the member's stream, adopted rather than
+			// copied; the model still charges the copy.
+			cs.B = data
 			p.AdvanceClock(p.Config().MemcpyTime(int64(len(data))))
-			bufpool.Put(data)
 		}
 	}
 	return mpiio.AgreeError(p, scErr)

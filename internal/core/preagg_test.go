@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -154,6 +155,73 @@ func TestPreaggReadMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestPreaggLeaderWithNothingToMove: a node leader whose own access is empty
+// still carries its members' bytes, on both request forms. It plans its
+// client side over the merged stream, not over its own empty one: planned
+// over its own, the flat form's leader sent the aggregators nothing (a write
+// hung) and placed nothing its member then read (a read returned stale bytes
+// and no error).
+func TestPreaggLeaderWithNothingToMove(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	wl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 16, Spacing: 32, NodeRanks: 2}
+	indep := mpiio.Info{IndepMethod: mpiio.ListIO}
+	for _, romio := range []bool{false, true} {
+		for _, write := range []bool{true, false} {
+			t.Run(fmt.Sprintf("romio=%v/write=%v", romio, write), func(t *testing.T) {
+				full := colltest.Spec(wl)
+				spec := func(step, rank int) colltest.StepSpec {
+					sp := full(step, rank)
+					if rank == 0 { // the leader of ranks 0 and 1
+						sp.Count = 0
+					}
+					return sp
+				}
+				impl := core.New(core.Options{Preagg: true, Validate: true})
+				if romio {
+					impl = core.ROMIO(core.Options{Preagg: true})
+				}
+				w, fs := colltest.NewWorld(cfg, wl), pfs.NewFileSystem(cfg)
+				if !write {
+					if errs, err := colltest.Transfer(w, fs, colltest.File, indep, true, 1, full); err != nil || errors.Join(errs...) != nil {
+						t.Fatalf("seeding the file: %v %v", err, errs)
+					}
+					for r := range wl.Ranks {
+						clear(full(0, r).Buf)
+					}
+				}
+				done := make(chan error, 1)
+				go func() {
+					errs, err := colltest.Transfer(w, fs, colltest.File, mpiio.Info{Collective: impl}, write, 1, spec)
+					done <- errors.Join(append(errs, err)...)
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("collective hung")
+				}
+				if write {
+					ref := pfs.NewFileSystem(cfg)
+					if _, err := colltest.Transfer(colltest.NewWorld(cfg, wl), ref, colltest.File, indep, true, 1, spec); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(fs.Snapshot(colltest.File, wl.FileSize()), ref.Snapshot(colltest.File, wl.FileSize())) {
+						t.Fatal("image differs from the independent write's")
+					}
+					return
+				}
+				for r := 1; r < wl.Ranks; r++ {
+					if !colltest.ReadMatches(wl, r, full(0, r).Buf) {
+						t.Fatalf("rank %d read other bytes than the file holds", r)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -358,6 +426,8 @@ func TestPreaggLeaderCarriesRoundData(t *testing.T) {
 // seeds do is pinned (ROMIO's reads were 30 before the scatter checked).
 // No pooled buffer is released twice, and none is lost except the payload
 // behind a request the leader refused before taking it, which the abort drops.
+// With the member the only rank that moves anything (alone), a refused
+// request leaves no round to run: the no-rounds exit aborts alike too.
 func TestPreaggMalformedMemberAbortsUniformly(t *testing.T) {
 	wl := colltest.Workload{Ranks: 4, RegionSize: 64, RegionCount: 16, Spacing: 32, NodeRanks: 2}
 	const seeds = 200
@@ -366,16 +436,18 @@ func TestPreaggMalformedMemberAbortsUniformly(t *testing.T) {
 		engine func() mpiio.Collective
 		write  bool
 		silent int // seeds that return nil with other bytes moved
+		alone  bool
 	}{
-		{"core/write", func() mpiio.Collective { return core.New(core.Options{Preagg: true}) }, true, 4},
-		{"core/read", func() mpiio.Collective { return core.New(core.Options{Preagg: true}) }, false, 4},
-		{"twophase/write", func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) }, true, 12},
-		{"twophase/read", func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) }, false, 12},
+		{"core/write", func() mpiio.Collective { return core.New(core.Options{Preagg: true}) }, true, 4, false},
+		{"core/read", func() mpiio.Collective { return core.New(core.Options{Preagg: true}) }, false, 4, false},
+		{"core/read/alone", func() mpiio.Collective { return core.New(core.Options{Preagg: true}) }, false, 4, true},
+		{"twophase/write", func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) }, true, 12, false},
+		{"twophase/read", func() mpiio.Collective { return core.ROMIO(core.Options{Preagg: true}) }, false, 12, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rejected, silent := 0, 0
 			for seed := int64(1); seed <= seeds; seed++ {
-				errs, exact, lost := malformedMemberCall(t, wl, tc.engine(), tc.write, seed)
+				errs, exact, lost := malformedMemberCall(t, wl, tc.engine(), tc.write, tc.alone, seed)
 				for r, err := range errs {
 					if (err == nil) != (errs[0] == nil) || mpiio.ErrorClass(err) != mpiio.ErrorClass(errs[0]) {
 						t.Fatalf("seed %d: rank %d returned %v, rank 0 %v", seed, r, err, errs[0])
@@ -415,8 +487,8 @@ func TestPreaggMalformedMemberAbortsUniformly(t *testing.T) {
 // malformedMemberCall runs one collective call of wl with the first message
 // of member 1 to its leader 0 damaged as seed says, and returns every rank's
 // error, whether the data came out byte-exact, and how many pooled buffers the
-// call took and did not give back.
-func malformedMemberCall(t *testing.T, wl colltest.Workload, engine mpiio.Collective, write bool, seed int64) (errs []error, exact bool, lost int64) {
+// call took and did not give back. Alone, only member 1 reads.
+func malformedMemberCall(t *testing.T, wl colltest.Workload, engine mpiio.Collective, write, alone bool, seed int64) (errs []error, exact bool, lost int64) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	w := mpi.NewWorld(wl.Ranks, cfg)
@@ -445,10 +517,14 @@ func malformedMemberCall(t *testing.T, wl colltest.Workload, engine mpiio.Collec
 			case write:
 				errs[r] = f.WriteAll(wl.FillBuffer(r), mt, wl.RegionCount)
 			default:
+				count := wl.RegionCount
+				if alone && r != 1 {
+					count = 0
+				}
 				buf := make([]byte, bufLen)
-				errs[r] = f.ReadAll(buf, mt, wl.RegionCount)
-				got, _ := datatype.Pack(buf, mt, 0, wl.RegionCount)
-				want, _ := datatype.Pack(wl.FillBuffer(r), mt, 0, wl.RegionCount)
+				errs[r] = f.ReadAll(buf, mt, count)
+				got, _ := datatype.Pack(buf, mt, 0, count)
+				want, _ := datatype.Pack(wl.FillBuffer(r), mt, 0, count)
 				same[r] = bytes.Equal(got, want)
 			}
 		})

@@ -352,9 +352,9 @@ type lentBuf struct {
 // user data, linearized or lent (see Linearize), a read's private pooled
 // buffer, which it fills before it is unpacked. Reads never alias the user
 // buffer, so an aborted collective leaves it untouched. A read's stream comes
-// with undefined contents: the caller clears whatever its plan does not
-// prove it fills, so that a byte the access happens not to cover reads as in
-// a fresh allocation.
+// with undefined contents: the collective places every byte of it (each
+// stream byte lies in one piece of the plan), and a call no round runs for
+// clears it.
 func (f *File) CollectiveStream(buf []byte, memtype datatype.Type, count int64, write, charged bool) (Stream, error) {
 	if !write {
 		return Stream{B: bufpool.Get(datatype.TotalSize(memtype, count)), Pooled: true}, nil

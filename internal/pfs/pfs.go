@@ -60,8 +60,8 @@ type FileSystem struct {
 	// EnableIntegrity before I/O starts; never cleared.
 	integ *integrity.Hasher
 	isums *integrity.Store
-	// zero is one page of zeros, what Views lends for holes and for bytes
-	// past the end of a file. Nothing writes it.
+	// zero is one page of zeros, what fileData.views returns for holes and
+	// for bytes past the end of a file. Nothing writes it.
 	zero []byte
 }
 
@@ -367,14 +367,15 @@ type Client struct {
 	// round is the collective two-phase round tag stamped on ops (-1
 	// outside a collective); set by the MPI-IO layer.
 	round int
-	// lockRanges, portions, rmwSpan, runs and sums are per-request scratch
-	// (a client serves one rank goroutine, and all are consumed before the
-	// request returns). sums is the integrity store's state for the file
-	// of the request in flight, looked up by name once per request; nil
-	// when integrity is off.
+	// lockRanges, portions, rmwSpan, views, runs and sums are per-request
+	// scratch (a client serves one rank goroutine, and all are consumed
+	// before the request returns). sums is the integrity store's state for
+	// the file of the request in flight, looked up by name once per
+	// request; nil when integrity is off.
 	lockRanges []pageRange
 	portions   []stripePortion
 	rmwSpan    [1]datatype.Seg
+	views      [][]byte
 	runs       []integrity.Span
 	sums       *integrity.File
 }
@@ -451,7 +452,8 @@ func (h *Handle) WriteAt(off int64, data []byte, now sim.Time) (sim.Time, error)
 
 // ReadAt reads len(buf) bytes at off into buf.
 func (h *Handle) ReadAt(off int64, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, []datatype.Seg{{Off: off, Len: int64(len(buf))}}, Data{}, buf, nil, false, now)
+	segs := []datatype.Seg{{Off: off, Len: int64(len(buf))}}
+	return h.c.access("read", h.f, segs, Data{}, buf, segs, false, now)
 }
 
 // WriteList writes the concatenated data stream into the given file
@@ -471,26 +473,41 @@ func (h *Handle) WriteData(segs []datatype.Seg, data Data, now sim.Time) (sim.Ti
 // ReadList reads the given file segments into the concatenated buffer with
 // a single request.
 func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
-	return h.c.access("read", h.f, segs, Data{}, buf, nil, false, now)
+	if buf != nil {
+		var n int64
+		for _, s := range segs {
+			n += s.Len
+		}
+		if n != int64(len(buf)) {
+			return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", h.f.name, n, len(buf))
+		}
+	}
+	return h.c.access("read", h.f, segs, Data{}, buf, segs, false, now)
 }
 
 // Views appends to dst a view of every page fragment of segs, in list order:
-// the bytes ReadList would copy, where they lie. Holes and bytes past the end
-// of the file are views of the file system's zero page. Every view is capped
+// fileData.views, the walk a buffered read copies from. Every view is capped
 // (cap == len) and only to be read. A view stays valid while the file is not
 // written: pages are written in place, and never moved or freed while the
 // file exists. Views charges nothing; the read that checks, locks and times
 // the same bytes is the caller's (a timing-only ReadList or SieveRead).
 func (h *Handle) Views(segs []datatype.Seg, dst [][]byte) [][]byte {
-	fs, f := h.c.fs, h.f
-	ps := fs.cfg.PageSize
+	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	return h.f.views(segs, fs.zero, dst)
+}
+
+// views appends to dst a capped view of every page fragment of segs, in list
+// order: into its page, or into zero (one zeroed page) over a hole or past
+// the end of the file. The caller holds fs.mu.
+func (f *fileData) views(segs []datatype.Seg, zero []byte, dst [][]byte) [][]byte {
+	ps := int64(len(zero))
 	for _, s := range segs {
 		for abs := s.Off; abs < s.End(); {
 			in := abs % ps
 			n := min(ps-in, s.End()-abs)
-			page := fs.zero
+			page := zero
 			if p := f.page(abs / ps); p != nil && abs < f.size {
 				page = p
 			}
@@ -512,14 +529,14 @@ func (fs *FileSystem) ZeroViews(dst [][]byte, n int64) [][]byte {
 }
 
 // access is the single entry point for all I/O: it validates, applies fault
-// injection, moves bytes, and computes the completion time. A read with a
-// nil rbuf is a timing-only access: it takes the locks, verifies the pages,
-// fills the page cache and charges the OSTs like any read of segs, but
-// delivers no bytes (the sieve RMW prefetch, whose data nobody looks at). A
-// read with gather set is a sieve read: segs (the span) is accessed
-// timing-only in the same way, and rbuf then receives the bytes of gather
-// — the useful segments inside the span — straight from the pages, up to
-// where a partial fault cut the span short.
+// injection, serves segs and computes the completion time. A read then
+// copies into rbuf, back to back, the bytes of gather (segs for ReadAt and
+// ReadList, the useful segments of a sieve read's span) from the pages
+// fileData.views walks, under the same hold of fs.mu: only bytes this access
+// verified, none a writer holds half written. A nil rbuf makes the read
+// timing-only: every lock, check, cache fill and charge, no bytes delivered.
+// A partial fault cuts segs short; a sieve read then delivers, and reports
+// as Written, the useful bytes below the cut.
 func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Data, rbuf []byte, gather []datatype.Seg, sieve bool, now sim.Time) (sim.Time, error) {
 	var total int64
 	for _, s := range segs {
@@ -530,15 +547,6 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 	}
 	if kind == "write" && total != wdata.Len() {
 		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, wdata.Len())
-	}
-	// dst receives the bytes of segs themselves; a sieve read delivers
-	// through gather instead and accesses segs timing-only.
-	dst := rbuf
-	if gather != nil {
-		dst = nil
-	}
-	if kind == "read" && dst != nil && total != int64(len(dst)) {
-		return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", f.name, total, len(dst))
 	}
 	if total == 0 {
 		return now, nil
@@ -553,12 +561,15 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 	if partial != nil {
 		// Truncate the request to the completed prefix; the caller sees
 		// how far it got and may resume the tail.
-		w := partial.Written
+		w, n := partial.Written, partial.Written
+		if sieve {
+			n = below(gather, segs[0].Off+w)
+			partial.Written = n
+		}
 		segs, _ = datatype.SplitSegs(segs, w)
+		gather, _ = datatype.SplitSegs(gather, n)
 		if kind == "write" {
 			wdata = wdata.Slice(0, w)
-		} else if dst != nil {
-			dst = dst[:w]
 		}
 		total = w
 	}
@@ -583,31 +594,26 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 			continue
 		}
 		var segDone sim.Time
+		var rerr error
 		if kind == "write" {
 			segDone = c.writeSeg(f, s, wdata.Slice(pos, pos+s.Len), t)
 		} else {
-			var into []byte
-			if dst != nil {
-				into = dst[pos : pos+s.Len]
-			}
-			var rerr error
-			segDone, rerr = c.readSeg(f, s, into, t)
-			if rerr != nil {
-				// An unrepairable block poisons the whole request: the
-				// caller must not trust any byte of the buffer.
-				if segDone > completion {
-					completion = segDone
-				}
-				return completion, rerr
-			}
+			segDone, rerr = c.readSeg(f, s, t)
 		}
-		if segDone > completion {
-			completion = segDone
+		completion = max(completion, segDone)
+		if rerr != nil {
+			// An unrepairable block fails the whole request: no byte of
+			// it is delivered.
+			return completion, rerr
 		}
 		pos += s.Len
 	}
-	if gather != nil {
-		f.gatherBytes(gather, segs[len(segs)-1].End(), rbuf, fs.cfg.PageSize)
+	if rbuf != nil {
+		c.views = f.views(gather, fs.zero, c.views[:0])
+		var at int
+		for _, v := range c.views {
+			at += copy(rbuf[at:], v)
+		}
 	}
 	if partial != nil {
 		return completion, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
@@ -1043,9 +1049,9 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 // With integrity on, every recorded page the read touches is re-verified
 // first: a mismatch quarantines the page and attempts an inline ring
 // repair; if that fails the read aborts with ErrDataIntegrity, leaving the
-// page quarantined for the journal-replay path. A nil buf makes
-// the read timing-only: every check and charge, no bytes delivered.
-func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (sim.Time, error) {
+// page quarantined for the journal-replay path. It moves no bytes: access
+// copies a read's bytes once all of its segments are served.
+func (c *Client) readSeg(f *fileData, s datatype.Seg, t sim.Time) (sim.Time, error) {
 	fs := c.fs
 	ps := fs.cfg.PageSize
 	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
@@ -1072,10 +1078,6 @@ func (c *Client) readSeg(f *fileData, s datatype.Seg, buf []byte, t sim.Time) (s
 			// memcpy on top of the verify pass.
 			integSvc += fs.cfg.MemcpyTime(ps)
 		}
-	}
-
-	if buf != nil {
-		f.readBytes(s.Off, buf, ps)
 	}
 
 	// Determine the portion actually needing server access.
@@ -1182,41 +1184,22 @@ func (f *fileData) holes(segs []datatype.Seg, first, pageSize int64) int64 {
 	return n
 }
 
-// readBytes fills buf from the sparse page store (zeros where unwritten).
-func (f *fileData) readBytes(off int64, buf []byte, pageSize int64) {
-	pos := int64(0)
-	for pos < int64(len(buf)) {
-		abs := off + pos
-		pi := abs / pageSize
-		inPage := abs % pageSize
-		n := pageSize - inPage
-		if rem := int64(len(buf)) - pos; n > rem {
-			n = rem
-		}
-		if page := f.page(pi); page != nil {
-			copy(buf[pos:pos+n], page[inPage:inPage+n])
-		} else {
-			clear(buf[pos : pos+n])
-		}
-		pos += n
-	}
-}
-
-// gatherBytes fills buf, back to back, with the bytes of segs that lie below
-// file offset cut and returns how many those are; a nil buf only counts.
-func (f *fileData) gatherBytes(segs []datatype.Seg, cut int64, buf []byte, pageSize int64) int64 {
-	var pos int64
+// below counts the bytes of segs, back to back, that lie below file offset
+// cut, up to the first segment that starts at or after it: what a sieve
+// read whose span a partial fault cut at cut delivered. An empty segment
+// delivers nothing and ends nothing.
+func below(segs []datatype.Seg, cut int64) (n int64) {
 	for _, s := range segs {
-		n := min(s.End(), cut) - s.Off
-		if n <= 0 {
+		if s.Len == 0 {
+			continue
+		}
+		k := min(s.End(), cut) - s.Off
+		if k <= 0 {
 			break
 		}
-		if buf != nil {
-			f.readBytes(s.Off, buf[pos:pos+n], pageSize)
-		}
-		pos += n
+		n += k
 	}
-	return pos
+	return n
 }
 
 // Clients reports how many clients are registered (diagnostics).

@@ -78,9 +78,10 @@ func TestWriteListScatter(t *testing.T) {
 	if string(img[0:4]) != "aaaa" || string(img[100:104]) != "bbbb" || string(img[5000:5004]) != "cccc" {
 		t.Fatal("list write misplaced data")
 	}
-	// ReadList gathers the same bytes.
+	// ReadList gathers the same bytes; an empty segment among them reads
+	// nothing.
 	buf := make([]byte, 12)
-	if _, err := h.ReadList(segs, buf, 0); err != nil {
+	if _, err := h.ReadList([]datatype.Seg{segs[0], segs[1], {Off: 300, Len: 0}, segs[2]}, buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "aaaabbbbcccc" {

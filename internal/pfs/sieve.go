@@ -64,10 +64,9 @@ func (h *Handle) SieveWriteData(span datatype.Seg, segs []datatype.Seg, data Dat
 				h.c.tr.Instant1(t, "sieve_rmw_quarantined",
 					trace.I("span", span.Len))
 			case errors.Is(err, ErrPartial):
-				// A short RMW prefetch is not a short write: its Written
-				// is in span bytes, and no user data landed. Surface it
-				// as a transient whole-window failure the caller can
-				// retry.
+				// A short RMW prefetch is not a short write: no user
+				// data landed. Surface it as a transient whole-window
+				// failure the caller can retry.
 				return t, fmt.Errorf("pfs: sieve rmw read %q: %w", h.f.name, ErrTransient)
 			default:
 				return t, err
@@ -144,8 +143,10 @@ func (c *Client) accessSieveSpan(f *fileData, span datatype.Seg, segs []datatype
 // span in timing, locking, page verification and cache fill, while only the
 // useful bytes move — each once, from the file's pages into buf. No sieve
 // buffer exists on the host: the file image is exact, so the gap bytes a
-// real one would carry have nowhere to go. A nil buf makes the read
-// timing-only: every check and charge, no bytes delivered (see Views).
+// real one would carry have nowhere to go. A span a partial fault cuts
+// short delivers the useful bytes below the cut and reports them as
+// Written. A nil buf makes the read timing-only: every check and charge, no
+// bytes delivered (see Views).
 func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
 	var useful int64
 	for _, s := range segs {
@@ -164,16 +165,5 @@ func (h *Handle) SieveRead(span datatype.Seg, segs []datatype.Seg, buf []byte, n
 	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	h.c.rmwSpan[0] = span
-	done, err := h.c.access("read", h.f, h.c.rmwSpan[:1], Data{}, buf, segs, true, now)
-	if err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			// The span read stopped short. Translate Written from span
-			// bytes into useful bytes — access delivered exactly the useful
-			// bytes below the cut — so the caller can resume from there.
-			got := h.f.gatherBytes(segs, span.Off+pe.Written, nil, 0)
-			return done, fmt.Errorf("pfs: read %q: %w", h.f.name, &PartialError{Written: got})
-		}
-	}
-	return done, err
+	return h.c.access("read", h.f, h.c.rmwSpan[:1], Data{}, buf, segs, true, now)
 }

@@ -26,7 +26,8 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 	h.c.reg.Add(metrics.CSieveSpanBytes, span.Len)
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	tmp := make([]byte, span.Len)
-	done, err := h.c.access("read", h.f, []datatype.Seg{span}, Data{}, tmp, nil, true, now)
+	whole := []datatype.Seg{span}
+	done, err := h.c.access("read", h.f, whole, Data{}, tmp, whole, true, now)
 	cut := span.End()
 	var pe *PartialError
 	if errors.As(err, &pe) {
@@ -36,6 +37,9 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 	}
 	var got int64
 	for _, s := range segs {
+		if s.Len == 0 {
+			continue
+		}
 		n := min(s.End(), cut) - s.Off
 		if n <= 0 {
 			break
@@ -98,6 +102,7 @@ func TestSieveReadMatchesStagedReference(t *testing.T) {
 	segs := []datatype.Seg{
 		{Off: 40, Len: 30},           // hole before the first written run
 		{Off: 90, Len: 200},          // hole into data
+		{Off: 500, Len: 0},           // empty: delivers nothing, ends nothing
 		{Off: 790, Len: 40},          // data into hole
 		{Off: ps - 60, Len: 120},     // across a page boundary
 		{Off: 2*ps + 5, Len: 300},    // a page never written

@@ -19,10 +19,11 @@ func inPage(v, page []byte) bool {
 	return p >= lo && p+uintptr(len(v)) <= lo+uintptr(len(page))
 }
 
-// TestPageViewsMatchReadList: Views lends what ReadList copies. Over a file
-// of written, partly written and never written pages that ends inside a
-// page, random offset-sorted lists (overlapping, zero-length and past-EOF
-// segments among them) get views whose bytes, back to back, are ReadList's;
+// TestPageViewsMatchReadList: Views lends, and ReadList copies, the file's
+// bytes. Over a file of written, partly written and never written pages that
+// ends inside a page, random offset-sorted lists (overlapping, zero-length
+// and past-EOF segments among them) get views whose bytes, back to back, and
+// ReadList's bytes are both the file image's (fs.Snapshot) cut per segment;
 // every view is capped, one per page fragment; a fragment of a hole or past
 // the end of the file is a view of the zero page and any other one a view of
 // its own page.
@@ -49,6 +50,7 @@ func TestPageViewsMatchReadList(t *testing.T) {
 	if size != 5*ps+ps/2 {
 		t.Fatalf("file size %d", size)
 	}
+	img := fs.Snapshot("f", 32*ps) // past every segment a trial draws
 	for trial := 0; trial < 300; trial++ {
 		segs := make([]datatype.Seg, 1+rng.Intn(8))
 		off := rng.Int63n(2 * ps)
@@ -61,17 +63,20 @@ func TestPageViewsMatchReadList(t *testing.T) {
 			// The next segment may start inside this one.
 			off += rng.Int63n(n + ps/2)
 		}
-		var total int64
+		var want []byte
 		for _, s := range segs {
-			total += s.Len
+			want = append(want, img[s.Off:s.End()]...)
 		}
-		want := make([]byte, total)
-		if _, err := h.ReadList(segs, want, 0); err != nil {
+		read := make([]byte, len(want))
+		if _, err := h.ReadList(segs, read, 0); err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(read, want) {
+			t.Fatalf("trial %d %v: ReadList's bytes differ from the file image", trial, segs)
 		}
 		views := h.Views(segs, nil)
 		if got := bytes.Join(views, nil); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d %v: views differ from ReadList's bytes", trial, segs)
+			t.Fatalf("trial %d %v: views differ from the file image", trial, segs)
 		}
 		k := 0
 		for _, s := range segs {
@@ -108,17 +113,23 @@ func TestPageViewsMatchReadList(t *testing.T) {
 }
 
 // TestTimingOnlySieveReadCostsTheSame: a sieve read with no buffer delivers
-// nothing but takes the time of one with a buffer.
+// nothing but takes the time of one with a buffer. Neither it nor a
+// timing-only ReadList allocates, and a buffered ReadList on a warm client
+// allocates nothing either: its page-view table is the client's scratch.
 func TestTimingOnlySieveReadCostsTheSame(t *testing.T) {
-	run := func(buf []byte) sim.Time {
+	span := datatype.Seg{Off: 10, Len: 7990}
+	segs := []datatype.Seg{{Off: 10, Len: 100}, {Off: 5000, Len: 3000}}
+	open := func() *Handle {
 		fs, cfg := newFS()
 		h := fs.NewClient(nil).Open("f")
 		if _, err := h.WriteAt(0, bytes.Repeat([]byte{7}, int(3*cfg.PageSize)), 0); err != nil {
 			t.Fatal(err)
 		}
 		fs.ResetTiming()
-		segs := []datatype.Seg{{Off: 10, Len: 100}, {Off: 5000, Len: 3000}}
-		done, err := fs.NewClient(nil).Open("f").SieveRead(datatype.Seg{Off: 10, Len: 7990}, segs, buf, 1)
+		return fs.NewClient(nil).Open("f")
+	}
+	run := func(buf []byte) sim.Time {
+		done, err := open().SieveRead(span, segs, buf, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,5 +138,21 @@ func TestTimingOnlySieveReadCostsTheSame(t *testing.T) {
 	withBuf, timingOnly := run(make([]byte, 3100)), run(nil)
 	if withBuf != timingOnly {
 		t.Fatalf("timing-only sieve read completes at %v, a buffered one at %v", timingOnly, withBuf)
+	}
+
+	h := open()
+	buf := make([]byte, 3100)
+	for _, tc := range []struct {
+		name string
+		read func() (sim.Time, error)
+	}{
+		{"timing-only ReadList", func() (sim.Time, error) { return h.ReadList(segs, nil, 1) }},
+		{"timing-only SieveRead", func() (sim.Time, error) { return h.SieveRead(span, segs, nil, 1) }},
+		{"buffered ReadList", func() (sim.Time, error) { return h.ReadList(segs, buf, 1) }},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(20, func() { _, err = tc.read() }); n != 0 || err != nil {
+			t.Errorf("%s: %.1f allocations per call (err %v), want 0", tc.name, n, err)
+		}
 	}
 }
