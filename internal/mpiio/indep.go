@@ -114,8 +114,10 @@ func (f *File) ReadViews(segs []datatype.Seg, dst [][]byte, m Method) ([][]byte,
 }
 
 // stream moves a linear stream to (write) or from (read: data is the
-// buffer) the given absolute file segments with method m, as one io
-// interval.
+// destination, None for a timing-only read) the given absolute file segments
+// with method m, as one io interval. Whatever the method and direction, each
+// storage call is one pfs request: a list of segments (WriteData, ReadList)
+// or a sieve window (File.sieve), retried and resumed the same way.
 func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) error {
 	op, call, what := "read", "ReadStream", "buffer"
 	if write {
@@ -144,10 +146,8 @@ func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) 
 		})
 	}
 	switch {
-	case m == IntegratedSieve && write:
-		return f.writeSieve(spanOf(segs), segs, data)
 	case m == IntegratedSieve:
-		return f.readSieve(spanOf(segs), segs, data)
+		return f.sieve(op, segs, data)
 	case len(segs) == 1 || m == ListIO:
 		// One segment is the contiguous fast path: "contiguous in memory to
 		// contiguous in file".
@@ -164,7 +164,7 @@ func (f *File) stream(segs []datatype.Seg, data pfs.Data, m Method, write bool) 
 		}
 		return nil
 	case DataSieve:
-		return f.sieveWindows(segs, data, write)
+		return f.sieveWindows(op, segs, data)
 	}
 	return fmt.Errorf("mpiio: unknown access method %v", m)
 }
@@ -202,16 +202,14 @@ func spanOf(segs []datatype.Seg) datatype.Seg {
 // so a window's span ends at its furthest segment end, and every segment that
 // starts inside a window contributes its head to it; heads cut at the window
 // edge leave their remainders, in list order, to start the next window.
-func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) error {
+func (f *File) sieveWindows(op string, segs []datatype.Seg, data pfs.Data) error {
 	sieve := f.info.SieveBufSize
-	if span := spanOf(segs); span.Len <= sieve {
+	if spanOf(segs).Len <= sieve {
 		// One window: the list goes to storage as it is.
 		f.ChargeCopy(data.Len())
-		if write {
-			return f.writeSieve(span, segs, data)
-		}
-		return f.readSieve(span, segs, data)
+		return f.sieve(op, segs, data)
 	}
+	write := op == "write"
 	pending := f.sievePending[:0]
 	var at int64
 	for _, s := range segs {
@@ -223,7 +221,7 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 		wlo := pending[i].Off
 		wend := wlo + sieve
 		group := f.sieveGroup[:0]
-		hi, useful := wlo, int64(0)
+		var useful int64
 		contiguous := true // the heads' bytes follow one another in data
 		j := i
 		for ; j < len(pending) && pending[j].Off < wend; j++ {
@@ -231,9 +229,8 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 			head := datatype.Seg{Off: s.Off, Len: min(s.End(), wend) - s.Off}
 			contiguous = contiguous && (j == i || s.at == pending[j-1].at+group[len(group)-1].Len)
 			group = append(group, head)
-			hi, useful = max(hi, head.End()), useful+head.Len
+			useful += head.Len
 		}
-		span := datatype.Seg{Off: wlo, Len: hi - wlo}
 
 		// The modelled copy through the sieve buffer.
 		f.ChargeCopy(useful)
@@ -249,11 +246,11 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 			staged = bufpool.Get(useful)
 			chunk = pfs.Bytes(staged)
 		}
-		stage := func(toChunk bool) {
+		stage := func() {
 			var pos int64
 			for k, h := range group {
 				d := data.Slice(pending[i+k].at, pending[i+k].at+h.Len)
-				if toChunk {
+				if write {
 					d.Copy(staged[pos:pos+h.Len], 0)
 				} else {
 					copy(d.Buf(), staged[pos:])
@@ -261,17 +258,12 @@ func (f *File) sieveWindows(segs []datatype.Seg, data pfs.Data, write bool) erro
 				pos += h.Len
 			}
 		}
-		var err error
-		if write {
-			if !contiguous {
-				stage(true)
-			}
-			err = f.writeSieve(span, group, chunk)
-		} else {
-			err = f.readSieve(span, group, chunk)
-			if err == nil && !contiguous {
-				stage(false)
-			}
+		if write && !contiguous {
+			stage()
+		}
+		err := f.sieve(op, group, chunk)
+		if err == nil && !write && !contiguous {
+			stage()
 		}
 		if !contiguous {
 			bufpool.Put(staged)

@@ -33,12 +33,8 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 	p := f.proc
 	if f.info.RetryLimit < 0 {
 		done, err := attempt(0, p.Clock())
-		if err != nil {
-			p.SyncClock(done)
-			return err
-		}
 		p.SyncClock(done)
-		return nil
+		return err
 	}
 	start := p.Clock()
 	deadline := start + retryDeadline
@@ -89,43 +85,25 @@ func (f *File) withRetry(kind string, attempt func(skip int64, now sim.Time) (si
 	}
 }
 
-// writeSieve performs one data-sieving write window (span covering segs,
-// data holding the useful bytes) under the retry policy, advancing the
-// rank's clock. Every sieving independent write — the IntegratedSieve
-// method the ROMIO-style collective engine drains its buffer with included
-// — lands through this call.
-func (f *File) writeSieve(span datatype.Seg, segs []datatype.Seg, data pfs.Data) error {
-	return f.withRetry("write", func(skip int64, now sim.Time) (sim.Time, error) {
-		sp, group := shrinkSieveWindow(span, segs, skip)
+// sieve performs one data-sieving window (its span covering segs, data the
+// useful bytes: a write's source, or a read's destination, None for a
+// timing-only read) under the retry policy, advancing the rank's clock. A
+// resumed window starts at the first segment it has yet to move. Every
+// sieving independent access — the IntegratedSieve method the ROMIO-style
+// collective engine drains its buffer with included — goes through this
+// call.
+func (f *File) sieve(op string, segs []datatype.Seg, data pfs.Data) error {
+	end := spanOf(segs).End()
+	return f.withRetry(op, func(skip int64, now sim.Time) (sim.Time, error) {
+		_, group := datatype.SplitSegs(segs, skip)
 		if len(group) == 0 {
 			return now, nil
 		}
-		return f.handle.SieveWriteData(sp, group, data.Slice(skip, data.Len()), now)
-	})
-}
-
-// readSieve is the read counterpart of writeSieve; buf is the destination,
-// or None for a timing-only read.
-func (f *File) readSieve(span datatype.Seg, segs []datatype.Seg, buf pfs.Data) error {
-	return f.withRetry("read", func(skip int64, now sim.Time) (sim.Time, error) {
-		sp, group := shrinkSieveWindow(span, segs, skip)
-		if len(group) == 0 {
-			return now, nil
+		span := datatype.Seg{Off: group[0].Off, Len: end - group[0].Off}
+		d := data.Slice(skip, data.Len())
+		if op == "write" {
+			return f.handle.SieveWriteData(span, group, d, now)
 		}
-		return f.handle.SieveRead(sp, group, buf.Slice(skip, buf.Len()).Buf(), now)
+		return f.handle.SieveRead(span, group, d.Buf(), now)
 	})
-}
-
-// shrinkSieveWindow drops the first skip useful bytes from a sieve window,
-// narrowing the span to the surviving segments; the caller drops the same
-// bytes of its data.
-func shrinkSieveWindow(span datatype.Seg, segs []datatype.Seg, skip int64) (datatype.Seg, []datatype.Seg) {
-	if skip <= 0 {
-		return span, segs
-	}
-	_, tail := datatype.SplitSegs(segs, skip)
-	if len(tail) == 0 {
-		return datatype.Seg{}, nil
-	}
-	return datatype.Seg{Off: tail[0].Off, Len: span.End() - tail[0].Off}, tail
 }

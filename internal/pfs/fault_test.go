@@ -171,29 +171,55 @@ func TestRulePerClientCount(t *testing.T) {
 	}
 }
 
+// TestPartialWriteLeavesPrefixOnly: a partial write fault lets exactly the
+// reported prefix of the data land and nothing after it. Written counts data
+// bytes, so a sieve window's prefix is of its useful bytes, not its span's,
+// and the file then ends at the last landed byte, not at the span's end.
 func TestPartialWriteLeavesPrefixOnly(t *testing.T) {
-	fs, c, _ := faultFS(t)
-	fs.SetFaultSchedule(NewFaultSchedule(5).Add(Rule{
-		Kind: "write", Class: ClassPartial, Frac: 0.25, Count: 1,
-	}))
-	h := c.Open("p.dat")
-	data := bytes.Repeat([]byte{0xCD}, 100)
-	_, err := h.WriteAt(0, data, 0)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want PartialError, got %v", err)
-	}
-	if pe.Written <= 0 || pe.Written >= 100 {
-		t.Fatalf("Written = %d, want a strict prefix", pe.Written)
-	}
-	img := fs.Snapshot("p.dat", 100)
-	for i, b := range img {
-		if int64(i) < pe.Written && b != 0xCD {
-			t.Fatalf("byte %d inside the durable prefix not written", i)
-		}
-		if int64(i) >= pe.Written && b == 0xCD {
-			t.Fatalf("byte %d beyond the reported prefix was written", i)
-		}
+	window := []datatype.Seg{{Off: 0, Len: 100}, {Off: 400, Len: 100}, {Off: 800, Len: 100}}
+	for _, tc := range []struct {
+		name    string
+		frac    float64
+		n       int64 // data bytes
+		write   func(h *Handle, data []byte) (sim.Time, error)
+		written int64
+		landed  []datatype.Seg
+		size    int64
+	}{
+		{"plain", 0.25, 100, func(h *Handle, data []byte) (sim.Time, error) {
+			return h.WriteAt(0, data, 0)
+		}, 25, []datatype.Seg{{Off: 0, Len: 25}}, 25},
+		{"sieve window", 0.5, 300, func(h *Handle, data []byte) (sim.Time, error) {
+			return h.SieveWrite(datatype.Seg{Off: 0, Len: 1000}, window, data, 0)
+		}, 150, []datatype.Seg{{Off: 0, Len: 100}, {Off: 400, Len: 50}}, 450},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, c, _ := faultFS(t)
+			fs.SetFaultSchedule(NewFaultSchedule(5).Add(Rule{
+				Kind: "write", Class: ClassPartial, Frac: tc.frac, Count: 1,
+			}))
+			h := c.Open("p.dat")
+			_, err := tc.write(h, bytes.Repeat([]byte{0xCD}, int(tc.n)))
+			var pe *PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("want PartialError, got %v", err)
+			}
+			if pe.Written != tc.written {
+				t.Fatalf("Written = %d, want %d", pe.Written, tc.written)
+			}
+			if got := fs.Size("p.dat"); got != tc.size {
+				t.Errorf("size %d, want %d (the end of the last landed byte)", got, tc.size)
+			}
+			for i, b := range fs.Snapshot("p.dat", 1000) {
+				in := false
+				for _, s := range tc.landed {
+					in = in || int64(i) >= s.Off && int64(i) < s.End()
+				}
+				if in != (b == 0xCD) {
+					t.Fatalf("byte %d written: %v, inside the landed prefix: %v", i, b == 0xCD, in)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@
 package pfs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -111,14 +112,8 @@ func (o *ostState) serve(t, svc sim.Time) sim.Time {
 	for k := bi - queueBuckets + 1; k <= bi; k++ {
 		recent += o.buckets[k]
 	}
-	backlog := recent - queueWindow
-	if backlog < 0 {
-		backlog = 0
-	}
-	done := t + svc + backlog
-	if done > o.busyUntil {
-		o.busyUntil = done
-	}
+	done := t + svc + max(recent-queueWindow, 0)
+	o.busyUntil = max(o.busyUntil, done)
 	if len(o.buckets) > 16*queueBuckets {
 		for k := range o.buckets {
 			if k < bi-2*queueBuckets {
@@ -266,13 +261,9 @@ func (fs *FileSystem) Remove(name string) {
 // ResetTiming clears OST queues and all lock/cache state but preserves file
 // contents; used between repetitions of an experiment.
 func (fs *FileSystem) ResetTiming() {
+	fs.ResetTimingKeepLocks()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := range fs.osts {
-		fs.osts[i].busyUntil = 0
-		fs.osts[i].buckets = nil
-		clear(fs.osts[i].lastEnd)
-	}
 	for _, f := range fs.files {
 		f.pages.Each(func(_ int64, s *pageSlot) { s.owner = 0 })
 		f.stripeWriter.Clear()
@@ -367,14 +358,14 @@ type Client struct {
 	// round is the collective two-phase round tag stamped on ops (-1
 	// outside a collective); set by the MPI-IO layer.
 	round int
-	// lockRanges, portions, rmwSpan, views, runs and sums are per-request
+	// lockRanges, portions, span, views, runs and sums are per-request
 	// scratch (a client serves one rank goroutine, and all are consumed
 	// before the request returns). sums is the integrity store's state for
 	// the file of the request in flight, looked up by name once per
 	// request; nil when integrity is off.
 	lockRanges []pageRange
 	portions   []stripePortion
-	rmwSpan    [1]datatype.Seg
+	span       [1]datatype.Seg
 	views      [][]byte
 	runs       []integrity.Span
 	sums       *integrity.File
@@ -452,8 +443,7 @@ func (h *Handle) WriteAt(off int64, data []byte, now sim.Time) (sim.Time, error)
 
 // ReadAt reads len(buf) bytes at off into buf.
 func (h *Handle) ReadAt(off int64, buf []byte, now sim.Time) (sim.Time, error) {
-	segs := []datatype.Seg{{Off: off, Len: int64(len(buf))}}
-	return h.c.access("read", h.f, segs, Data{}, buf, segs, false, now)
+	return h.ReadList([]datatype.Seg{{Off: off, Len: int64(len(buf))}}, buf, now)
 }
 
 // WriteList writes the concatenated data stream into the given file
@@ -467,22 +457,21 @@ func (h *Handle) WriteList(segs []datatype.Seg, data []byte, now sim.Time) (sim.
 // given file segments with a single request. WriteAt and WriteList are it
 // for one buffer.
 func (h *Handle) WriteData(segs []datatype.Seg, data Data, now sim.Time) (sim.Time, error) {
-	return h.c.access("write", h.f, segs, data, nil, nil, false, now)
+	return h.c.access("write", h.f, segs, segs, data, false, now)
 }
 
 // ReadList reads the given file segments into the concatenated buffer with
-// a single request.
+// a single request; a nil buf makes the read timing-only.
 func (h *Handle) ReadList(segs []datatype.Seg, buf []byte, now sim.Time) (sim.Time, error) {
-	if buf != nil {
+	dst := Bytes(buf)
+	if buf == nil {
 		var n int64
 		for _, s := range segs {
 			n += s.Len
 		}
-		if n != int64(len(buf)) {
-			return now, fmt.Errorf("pfs: read %q: %d segment bytes but %d buffer bytes", h.f.name, n, len(buf))
-		}
+		dst = None(n)
 	}
-	return h.c.access("read", h.f, segs, Data{}, buf, segs, false, now)
+	return h.c.access("read", h.f, segs, segs, dst, false, now)
 }
 
 // Views appends to dst a view of every page fragment of segs, in list order:
@@ -528,50 +517,62 @@ func (fs *FileSystem) ZeroViews(dst [][]byte, n int64) [][]byte {
 	return dst
 }
 
-// access is the single entry point for all I/O: it validates, applies fault
-// injection, serves segs and computes the completion time. A read then
-// copies into rbuf, back to back, the bytes of gather (segs for ReadAt and
-// ReadList, the useful segments of a sieve read's span) from the pages
-// fileData.views walks, under the same hold of fs.mu: only bytes this access
-// verified, none a writer holds half written. A nil rbuf makes the read
-// timing-only: every lock, check, cache fill and charge, no bytes delivered.
-// A partial fault cuts segs short; a sieve read then delivers, and reports
-// as Written, the useful bytes below the cut.
-func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Data, rbuf []byte, gather []datatype.Seg, sieve bool, now sim.Time) (sim.Time, error) {
-	var total int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return now, fmt.Errorf("pfs: %s %q: invalid segment [%d,+%d)", kind, f.name, s.Off, s.Len)
-		}
-		total += s.Len
-	}
-	if kind == "write" && total != wdata.Len() {
-		return now, fmt.Errorf("pfs: write %q: %d segment bytes but %d data bytes", f.name, total, wdata.Len())
-	}
-	if total == 0 {
-		return now, nil
+// access is the one storage request, in either direction. units are the
+// extents it locks, charges and serves: a plain or list request's own
+// segments, or a sieve window's one span. land is where its bytes land or are
+// gathered from: the same segments, or the window's useful ones, which lie
+// inside its span. data is those bytes, back to back: a write's source, or a
+// read's destination, Bytes of a buffer or None for a timing-only read (every
+// lock, check, cache fill and charge, no bytes delivered). A read copies its
+// bytes from the pages fileData.views walks once its last unit is served,
+// under the same hold of fs.mu: only bytes this request verified, none a
+// writer holds half written.
+//
+// Op.Len, and the Written of a partial fault, count a write's data bytes and
+// a read's unit bytes. A partial fault cuts the request to its completed
+// prefix: a sieve write's span then ends at its last landed byte, and a sieve
+// read delivers, and reports as Written, the useful bytes below the cut.
+func (c *Client) access(kind string, f *fileData, units, land []datatype.Seg, data Data, sieve bool, now sim.Time) (sim.Time, error) {
+	write := kind == "write"
+	// Only empty units move nothing: a window with no useful bytes still
+	// locks and times its span.
+	total, err := unitBytes(kind, f.name, units, data.Len(), sieve)
+	if err != nil || total == 0 {
+		return now, err
 	}
 
 	fs := c.fs
-	partial, err := c.admit(Op{Kind: kind, Name: f.name, Off: segs[0].Off,
-		Len: total, Sieve: sieve}, now)
+	n := total
+	if write {
+		n = data.Len()
+	}
+	partial, err := c.admit(Op{Kind: kind, Name: f.name, Off: units[0].Off,
+		Len: n, Sieve: sieve}, now)
 	if err != nil {
 		return now + fs.cfg.IOCallOverhead, err
 	}
 	if partial != nil {
-		// Truncate the request to the completed prefix; the caller sees
-		// how far it got and may resume the tail.
-		w, n := partial.Written, partial.Written
+		// Cut the request to the completed prefix; the caller sees how far
+		// it got and may resume the tail.
+		w := partial.Written
+		switch {
+		case !sieve:
+			units, _ = datatype.SplitSegs(units, w)
+			land, total = units, w
+		case write: // the span ends at the last landed byte
+			land, _ = datatype.SplitSegs(land, w)
+			total = land[len(land)-1].End() - units[0].Off
+		default: // the useful bytes below the cut are delivered
+			total = w
+			w = below(land, units[0].Off+w)
+			partial.Written = w
+			land, _ = datatype.SplitSegs(land, w)
+		}
 		if sieve {
-			n = below(gather, segs[0].Off+w)
-			partial.Written = n
+			c.span[0] = datatype.Seg{Off: units[0].Off, Len: total}
+			units = c.span[:1]
 		}
-		segs, _ = datatype.SplitSegs(segs, w)
-		gather, _ = datatype.SplitSegs(gather, n)
-		if kind == "write" {
-			wdata = wdata.Slice(0, w)
-		}
-		total = w
+		data = data.Slice(0, w)
 	}
 
 	fs.mu.Lock()
@@ -579,46 +580,68 @@ func (c *Client) access(kind string, f *fileData, segs []datatype.Seg, wdata Dat
 	c.beginRequest(f)
 
 	// One call overhead for the whole (possibly list) request.
-	c.traceCall(now, kind, segs[0].Off, total, len(segs))
+	c.traceCall(now, kind, sieve, units[0].Off, total, len(units), len(land))
 	t := now + fs.cfg.IOCallOverhead
 	c.reg.Inc(metrics.CIOCalls)
 	c.reg.Add(metrics.CIOBytes, total)
 
 	// Lock acquisition for the whole request, then per-OST service.
-	t += c.lockSpan(f, segs, kind == "write", now)
+	t += c.lockSpan(f, units, write, now)
 
 	completion := t
 	pos := int64(0)
-	for _, s := range segs {
-		if s.Len == 0 {
+	for i, u := range units {
+		if u.Len == 0 {
 			continue
 		}
-		var segDone sim.Time
+		var done sim.Time
 		var rerr error
-		if kind == "write" {
-			segDone = c.writeSeg(f, s, wdata.Slice(pos, pos+s.Len), t)
-		} else {
-			segDone, rerr = c.readSeg(f, s, t)
+		switch {
+		case !write:
+			done, rerr = c.readSeg(f, u, t)
+		case sieve: // every segment of the window lands in its one span
+			done = c.writeSeg(f, u, land, data, true, t)
+		default:
+			done = c.writeSeg(f, u, units[i:i+1], data.Slice(pos, pos+u.Len), false, t)
 		}
-		completion = max(completion, segDone)
+		completion = max(completion, done)
 		if rerr != nil {
 			// An unrepairable block fails the whole request: no byte of
 			// it is delivered.
 			return completion, rerr
 		}
-		pos += s.Len
+		pos += u.Len
 	}
-	if rbuf != nil {
-		c.views = f.views(gather, fs.zero, c.views[:0])
-		var at int
-		for _, v := range c.views {
-			at += copy(rbuf[at:], v)
+	if !write {
+		if b := data.Buf(); b != nil {
+			c.views = f.views(land, fs.zero, c.views[:0])
+			var at int
+			for _, v := range c.views {
+				at += copy(b[at:], v)
+			}
 		}
 	}
 	if partial != nil {
 		return completion, fmt.Errorf("pfs: %s %q: %w", kind, f.name, partial)
 	}
 	return completion, nil
+}
+
+// unitBytes returns the bytes of a request's units, or why the request is
+// invalid: a negative offset or length, or, for a plain request, n data
+// bytes where its units hold another number.
+func unitBytes(kind, name string, units []datatype.Seg, n int64, sieve bool) (int64, error) {
+	var total int64
+	for _, s := range units {
+		if s.Off < 0 || s.Len < 0 {
+			return 0, fmt.Errorf("pfs: %s %q: invalid segment [%d,+%d)", kind, name, s.Off, s.Len)
+		}
+		total += s.Len
+	}
+	if !sieve && total != n {
+		return 0, fmt.Errorf("pfs: %s %q: %d segment bytes but %d data bytes", kind, name, total, n)
+	}
+	return total, nil
 }
 
 // admit numbers one storage request, stamps op with the client, its
@@ -648,14 +671,21 @@ func (c *Client) admit(op Op, now sim.Time) (*PartialError, error) {
 	}
 }
 
-// traceCall marks one storage request in the trace. Guarded: four tags would
+// traceCall marks one storage request in the trace: its kind, where its units
+// start, their bytes and how many there are, but a sieve window's write-back
+// is a sieve_write and counts the segments it lands. Guarded: four tags would
 // allocate per call even with tracing off. They are built here rather than
 // in the caller's frame, which stays under every page the request copies.
-func (c *Client) traceCall(now sim.Time, kind string, off, n int64, segs int) {
-	if c.tr != nil {
-		c.tr.Instant(now, "io_call", trace.S("kind", kind),
-			trace.I("off", off), trace.I("len", n), trace.I("segs", int64(segs)))
+func (c *Client) traceCall(now sim.Time, kind string, sieve bool, off, n int64, units, land int) {
+	if c.tr == nil {
+		return
 	}
+	segs := units
+	if kind == "write" && sieve {
+		kind, segs = "sieve_write", land
+	}
+	c.tr.Instant(now, "io_call", trace.S("kind", kind),
+		trace.I("off", off), trace.I("len", n), trace.I("segs", int64(segs)))
 }
 
 // noteFault records an injected fault on the owning rank's stats and trace.
@@ -702,16 +732,7 @@ func (c *Client) lockSpan(f *fileData, segs []datatype.Seg, write bool, now sim.
 		ranges = append(ranges, pageRange{s.Off / ps, (s.Off + s.Len - 1) / ps})
 	}
 	c.lockRanges = ranges
-	slices.SortFunc(ranges, func(a, b pageRange) int {
-		switch {
-		case a.lo < b.lo:
-			return -1
-		case a.lo > b.lo:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(ranges, func(a, b pageRange) int { return cmp.Compare(a.lo, b.lo) })
 
 	lastPage := int64(-2) // avoid double-charging overlapping segment pages
 	inGrantRun := false
@@ -806,18 +827,53 @@ func (fs *FileSystem) evictClientPage(clientID int, file int32, page int64) {
 	}
 }
 
-// writeSeg applies one contiguous write and returns its completion time.
-func (c *Client) writeSeg(f *fileData, s datatype.Seg, data Data, t sim.Time) sim.Time {
+// writeSeg writes one unit u of a request: it takes u's stripes, caches its
+// pages, lands data's bytes, back to back, in land (segments inside u, sorted,
+// as a sieve window's are) through the integrity gates and the fault
+// schedule's flips, grows the file to u's end, and charges u as one
+// contiguous write. A plain write's unit is a one-segment window.
+func (c *Client) writeSeg(f *fileData, u datatype.Seg, land []datatype.Seg, data Data, sieve bool, t sim.Time) sim.Time {
 	fs := c.fs
 	ps := fs.cfg.PageSize
 	// Extent-lock transfers occupy the server, not just the client:
 	// fold them into the first portion's service time.
-	conflictSvc := c.stripeConflicts(f, s, t)
+	conflictSvc := c.stripeConflicts(f, u, t)
 
-	// Read-modify-write penalty: a partially covered page that is not in
-	// the client cache must be fetched before it can be written.
+	// A sieve window's write-back charges no RMW page reads: its prefetch
+	// read the span, or the window has no holes. The latter misprices a
+	// hole-free window that ends mid-page, which the plain write of the same
+	// bytes pays a page read for (ROADMAP item 19).
+	var rmwSvc sim.Time
+	if !sieve {
+		rmwSvc = c.rmw(f, u, t)
+	}
+
+	// The written pages are now cached at this client.
+	for pi := u.Off / ps; pi <= (u.End()-1)/ps; pi++ {
+		c.cache.put(f.id, pi)
+	}
+
+	// Checksums are recorded over the landed content before the schedule
+	// may corrupt it, so the recorded sums cover the intended bytes and the
+	// damage is detectable.
+	c.integrityPreMergeSpan(f, u, land, t)
+	f.writeBytes(land, data, ps)
+	integSvc := c.integrityRecordSpan(f, u, land)
+	for _, s := range land {
+		c.injectFlip(f, s, t)
+	}
+	f.size = max(f.size, u.End()) // a window's span may end past its last segment
+
+	return c.serve(f, u, t, 1, rmwSvc, conflictSvc, integSvc)
+}
+
+// rmw returns the read-modify-write penalty of writing s: a partially
+// covered page that is not in the client cache must be fetched before it
+// can be written.
+func (c *Client) rmw(f *fileData, s datatype.Seg, t sim.Time) sim.Time {
+	ps := c.fs.cfg.PageSize
 	var rmwPages int64
-	firstPage, lastPage := s.Off/ps, (s.Off+s.Len-1)/ps
+	firstPage, lastPage := s.Off/ps, (s.End()-1)/ps
 	if s.Off%ps != 0 || (firstPage == lastPage && s.End()%ps != 0) {
 		if !c.cache.has(f.id, firstPage) {
 			rmwPages++
@@ -829,25 +885,11 @@ func (c *Client) writeSeg(f *fileData, s datatype.Seg, data Data, t sim.Time) si
 		}
 	}
 	c.reg.Add(metrics.CRMWPages, rmwPages)
-	var rmwSvc sim.Time
-	if rmwPages > 0 {
-		c.tr.Instant1(t, "rmw", trace.I("pages", rmwPages))
-		rmwSvc = sim.Time(fs.cfg.RMWPenalty*float64(rmwPages)) * fs.cfg.ServerTransferTime(ps)
+	if rmwPages == 0 {
+		return 0
 	}
-
-	// The written pages are now cached at this client.
-	for pi := firstPage; pi <= lastPage; pi++ {
-		c.cache.put(f.id, pi)
-	}
-
-	// The segment passes the integrity gates as a one-segment window.
-	one := [1]datatype.Seg{s}
-	c.integrityPreMergeSpan(f, s, one[:], t)
-	f.writeBytes(one[:], data, ps)
-	integSvc := c.integrityRecordSpan(f, s, one[:])
-	c.injectFlip(f, s, t)
-
-	return c.serve(f, s, t, 1, rmwSvc, conflictSvc, integSvc)
+	c.tr.Instant1(t, "rmw", trace.I("pages", rmwPages))
+	return sim.Time(c.fs.cfg.RMWPenalty*float64(rmwPages)) * c.fs.cfg.ServerTransferTime(ps)
 }
 
 // serve charges one contiguous segment to the OSTs it is striped over and
@@ -874,12 +916,9 @@ func (c *Client) serve(f *fileData, s datatype.Seg, t sim.Time, frac float64, rm
 			svc += integSvc
 		}
 		svc = c.degradeSvc(p.ost, t, svc)
-		end := ost.serve(t, svc)
+		done = max(done, ost.serve(t, svc))
 		*head = p.seg.End()
 		c.reg.Charge(metrics.PServe, svc)
-		if end > done {
-			done = end
-		}
 	}
 	return done
 }
@@ -1015,10 +1054,7 @@ func (c *Client) applyFlip(f *fileData, s datatype.Seg, fl flipFault, t sim.Time
 	if fl.torn {
 		// The tail of the segment never reached the media: it reads back
 		// as zeros from the failed sectors.
-		tail := int64(fl.frac * float64(s.Len))
-		if tail < 1 {
-			tail = 1
-		}
+		tail := max(int64(fl.frac*float64(s.Len)), 1)
 		for abs := s.End() - tail; abs < s.End(); {
 			pi, inPage := abs/ps, abs%ps
 			n := min(ps-inPage, s.End()-abs)
@@ -1120,11 +1156,7 @@ func (fs *FileSystem) stripePortions(s datatype.Seg, out []stripePortion) []stri
 	remain := s.Len
 	for remain > 0 {
 		stripe := off / ss
-		inStripe := ss - off%ss
-		n := remain
-		if n > inStripe {
-			n = inStripe
-		}
+		n := min(remain, ss-off%ss)
 		out = append(out, stripePortion{
 			ost: int(stripe % int64(fs.cfg.StripeCount)),
 			seg: datatype.Seg{Off: off, Len: n},

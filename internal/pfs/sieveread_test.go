@@ -27,7 +27,7 @@ func stagedSieveRead(h *Handle, span datatype.Seg, segs []datatype.Seg, buf []by
 	h.c.reg.Add(metrics.CSieveUsefulBytes, useful)
 	tmp := make([]byte, span.Len)
 	whole := []datatype.Seg{span}
-	done, err := h.c.access("read", h.f, whole, Data{}, tmp, whole, true, now)
+	done, err := h.c.access("read", h.f, whole, whole, Bytes(tmp), true, now)
 	cut := span.End()
 	var pe *PartialError
 	if errors.As(err, &pe) {
