@@ -25,7 +25,7 @@ type Session struct {
 	spec  func(step, rank int) StepSpec
 	files []*mpiio.File
 	errs  []error
-	call  func(p *mpi.Proc) // bound once: a Step allocates what World.Run does
+	call  func(p *mpi.Proc) // bound once, so a warm Step allocates nothing
 }
 
 // NewSession opens the workload's file on every rank of w, installs the

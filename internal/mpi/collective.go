@@ -52,7 +52,9 @@ type collSync struct {
 }
 
 // slot is one rank's deposit at a rendezvous: a value or an int64, so the
-// int64 collectives deposit without boxing. A crashed rank's slot is zero.
+// int64 collectives deposit without boxing (a vector collective deposits a
+// pointer, which boxes without allocating). A crashed rank's slot is zero.
+// Every rank reads all P slots of a snapshot, so a slot stays this small.
 type slot struct {
 	v any
 	i int64
@@ -475,17 +477,28 @@ func (v *vectorVolume) transferTime(p *Proc) sim.Time {
 // the segment list rank s sent here, aliasing the sender's memory — the
 // receiver must consume it before the sender reuses those buffers, which
 // the collective engines guarantee by recycling only at rendezvous
-// boundaries. Crashed ranks' rows are nil. Each rank's clock advances by
-// the tree latency plus the transfer time of the larger of its total send
-// and total receive volume, modelling a well-scheduled exchange.
+// boundaries. Crashed ranks' rows are nil. out itself is this rank's table,
+// valid until its next AlltoallvIov. Each rank's clock advances by the tree
+// latency plus the transfer time of the larger of its total send and total
+// receive volume, modelling a well-scheduled exchange.
 func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 	if len(send) != p.w.size {
 		panic("mpi: AlltoallvIov send slice must have one entry per rank")
 	}
 	p.preRendezvous()
 	enter := p.clock
-	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{v: send})
-	out := make([][][]byte, p.w.size)
+	// The deposit points at this rank's copy of the send table, which peers
+	// read after the rendezvous. The rank's next vector collective fills the
+	// other copy: a peer may still be reading this one, but not by the
+	// rendezvous after that, which it enters only once it has read it.
+	dep := &p.iovSend[p.collSeq&1]
+	*dep = send
+	snap, m, ver, seq, by := p.w.coll.exchange(p.rank, p.clock, slot{v: dep})
+	if p.iovOut == nil {
+		p.iovOut = make([][][]byte, p.w.size)
+	}
+	out := p.iovOut
+	clear(out)
 	var vol vectorVolume
 	for d, iov := range send {
 		var row int64
@@ -500,11 +513,11 @@ func (p *Proc) AlltoallvIov(send [][][]byte) [][][]byte {
 	var extra sim.Time
 	var rbytes int64
 	for s, sl := range snap {
-		row, ok := sl.v.([][][]byte)
+		rows, ok := sl.v.(*[][][]byte)
 		if !ok {
 			continue // crashed rank: leave out[s] nil
 		}
-		out[s] = row[p.rank]
+		out[s] = (*rows)[p.rank]
 		var got int64
 		for _, b := range out[s] {
 			got += int64(len(b))

@@ -79,3 +79,35 @@ func TestRendezvousAllocatesNoSnapshot(t *testing.T) {
 		t.Errorf("exchange allocates %v times per call, want 0", n)
 	}
 }
+
+// TestAlltoallvIovBackToBack: peers read a rank's send table after the
+// rendezvous, so a rank that goes straight on to its next AlltoallvIov must
+// not overwrite the table they may still be reading. Every rank issues
+// consecutive calls with a different table each time and checks every row
+// it receives; the race detector reports a table written under a reader.
+// The returned table is the rank's own and is refilled by each call.
+func TestAlltoallvIovBackToBack(t *testing.T) {
+	const size, calls = 4, 64
+	w := testWorld(size)
+	w.Run(func(p *Proc) {
+		r := p.Rank()
+		tables := [2][][][]byte{make([][][]byte, size), make([][][]byte, size)}
+		var prev [][][]byte
+		for c := 0; c < calls; c++ {
+			send := tables[c%2]
+			for d := range send {
+				send[d] = [][]byte{{byte(c), byte(r), byte(d)}}
+			}
+			got := p.AlltoallvIov(send)
+			for s, row := range got {
+				if want := []byte{byte(c), byte(s), byte(r)}; !bytes.Equal(concat(row), want) {
+					t.Errorf("rank %d call %d: row from %d reads %v, want %v", r, c, s, concat(row), want)
+				}
+			}
+			if prev != nil && &prev[0] != &got[0] {
+				t.Errorf("rank %d call %d: AlltoallvIov returned a new table", r, c)
+			}
+			prev = got
+		}
+	})
+}

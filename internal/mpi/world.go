@@ -5,15 +5,21 @@
 // collective operations (barrier, bcast, allgather, allreduce, alltoallv/w)
 // used by two-phase I/O.
 //
-// Each rank is a goroutine. Time is virtual (sim.Time): sending, receiving,
-// computing and file system access advance a rank's clock according to the
-// sim.Config cost model, so "bandwidth" measured over virtual time responds
-// to the same effects the paper measures — message counts, request sizes,
-// serialized computation, and server contention — without real hardware.
+// Each rank is a goroutine that, like an MPI process, outlives its calls: a
+// world's first Run starts one per rank, every later Run hands each its
+// Proc, so a warm collective call allocates nothing, and the goroutines end
+// once the world is garbage (see rankGate).
+//
+// Time is virtual (sim.Time): sending, receiving, computing and file system
+// access advance a rank's clock according to the sim.Config cost model, so
+// "bandwidth" measured over virtual time responds to the same effects the
+// paper measures — message counts, request sizes, serialized computation,
+// and server contention — without real hardware.
 package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -58,6 +64,13 @@ type World struct {
 	// verified at the receiver, and vector-collective rows are verified
 	// at their rendezvous. One nil check on the integrity-off path.
 	integ *integrity.Hasher
+	// The rank goroutines' shared state, allocated by the first Run and
+	// reused by every call: fn is the current call, done counts its ranks
+	// out, and panics carries their failures (one slot per rank).
+	ranks  *rankGate
+	fn     func(p *Proc)
+	done   sync.WaitGroup
+	panics chan string
 }
 
 // NewWorld creates a communicator with size ranks using the given cost
@@ -99,49 +112,106 @@ func (w *World) Config() *sim.Config { return w.cfg }
 // Run; clocks and stats persist across Run calls).
 func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
-// Run executes fn once per rank, each in its own goroutine, and waits for
+// Run executes fn once per rank, each on its rank's goroutine, and waits for
 // all to finish. A panic in any rank is re-raised (with its rank) after the
 // others complete or deadlock detection would be hopeless, so tests fail
-// loudly. Run may be called multiple times; clocks continue from their
-// previous values (call ResetClocks between independent experiments).
+// loudly. Run may be called multiple times, one call at a time and never
+// from inside fn; clocks continue from their previous values (call
+// ResetClocks between independent experiments).
+//
+// A rank's goroutine outlives its calls, as an MPI process does: the first
+// Run starts one per rank and every later Run hands each its Proc, so a
+// warm Run allocates nothing and a rank's stack grows once per world. A
+// panic or an injected crash leaves the goroutine waiting for the next
+// call; a runtime.Goexit ends it, and the next Run starts a new one. See
+// rankGate for how the goroutines end with the world.
 func (w *World) Run(fn func(p *Proc)) {
-	var wg sync.WaitGroup
-	panics := make(chan string, w.size)
-	for i := 0; i < w.size; i++ {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(rankCrash); ok {
-						// Injected crash: the rank dies quietly.
-						// crashNow already marked it dead and woke
-						// its peers, who detect the failure through
-						// the liveness machinery instead of a test
-						// panic.
-						return
-					}
-					// Re-panicking on the Run goroutine loses the rank's
-					// stack; carry it in the message.
-					panics <- fmt.Sprintf("rank %d: %v\n%s", p.rank, r, debug.Stack())
-					// Unblock peers stuck in collectives or receives
-					// so the process doesn't deadlock before
-					// reporting.
-					w.coll.poison()
-					for _, b := range w.boxes {
-						b.poisonAndWake()
-					}
-				}
-			}()
-			fn(p)
-		}(w.procs[i])
+	if w.ranks == nil {
+		w.ranks = &rankGate{in: make([]chan *Proc, w.size)}
+		runtime.SetFinalizer(w.ranks, (*rankGate).close)
+		w.panics = make(chan string, w.size)
 	}
-	wg.Wait()
+	w.fn = fn
+	w.done.Add(w.size)
+	for r, p := range w.procs {
+		in := w.ranks.in[r]
+		if in == nil {
+			in = make(chan *Proc, 1)
+			w.ranks.in[r] = in
+			go rankLoop(in)
+		}
+		in <- p
+	}
+	w.done.Wait()
+	// fn's captures (a caller's file system, say) are the caller's to
+	// keep: a world kept after its last call must not hold them.
+	w.fn = nil
 	select {
-	case msg := <-panics:
+	case msg := <-w.panics:
+		for len(w.panics) > 0 {
+			<-w.panics
+		}
 		panic("mpi: " + msg)
 	default:
 	}
+}
+
+// rankGate holds the channels a world's rank goroutines wait on between
+// calls; in[r] is nil until rank r's goroutine starts, and again once a call
+// ended it. A waiting goroutine holds only its channel, never the World or
+// a Proc, so a dropped world is garbage while its goroutines still wait.
+// The finalizer sits on this gate rather than on the World, which its procs
+// point back to (the runtime does not finalize an object in a cycle): the
+// first GC after the drop frees the world and its procs, and the gate's
+// finalizer closes the channels, which ends the goroutines.
+type rankGate struct{ in []chan *Proc }
+
+func (g *rankGate) close() {
+	for _, in := range g.in {
+		if in != nil {
+			close(in)
+		}
+	}
+}
+
+// rankLoop is one rank's goroutine: it runs the current call for each Proc
+// its channel hands it, until the channel closes.
+func rankLoop(in <-chan *Proc) {
+	for p := range in {
+		p.w.serve(p)
+	}
+}
+
+// serve runs the current call's fn on p and counts the rank out of it.
+func (w *World) serve(p *Proc) {
+	returned := false
+	defer func() {
+		if !returned {
+			switch r := recover(); r.(type) {
+			case nil:
+				// runtime.Goexit: this goroutine ends with the call.
+				w.ranks.in[p.rank] = nil
+			case rankCrash:
+				// Injected crash: the rank dies quietly. crashNow
+				// already marked it dead and woke its peers, who
+				// detect the failure through the liveness machinery
+				// instead of a test panic.
+			default:
+				// Re-panicking on the Run goroutine loses the rank's
+				// stack; carry it in the message.
+				w.panics <- fmt.Sprintf("rank %d: %v\n%s", p.rank, r, debug.Stack())
+				// Unblock peers stuck in collectives or receives so
+				// the process doesn't deadlock before reporting.
+				w.coll.poison()
+				for _, b := range w.boxes {
+					b.poisonAndWake()
+				}
+			}
+		}
+		w.done.Done()
+	}()
+	w.fn(p)
+	returned = true
 }
 
 // EnableTracing attaches a virtual-time trace sink with the given per-rank
@@ -405,6 +475,11 @@ type Proc struct {
 	envs    []*envelope
 	envBack atomic.Pointer[envelope]
 	reqs    []*Request
+	// iovSend holds the send tables of this rank's last two AlltoallvIov
+	// calls, which peers read through the rendezvous, and iovOut is the
+	// table AlltoallvIov returns, refilled by each call.
+	iovSend [2][][][]byte
+	iovOut  [][][]byte
 }
 
 // Rank returns this process's rank in the world.

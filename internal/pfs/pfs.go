@@ -580,7 +580,7 @@ func (c *Client) access(kind string, f *fileData, units, land []datatype.Seg, da
 	c.beginRequest(f)
 
 	// One call overhead for the whole (possibly list) request.
-	c.traceCall(now, kind, sieve, units[0].Off, total, len(units), len(land))
+	c.traceCall(now, kind, sieve, units[0].Off, total, len(units), land)
 	t := now + fs.cfg.IOCallOverhead
 	c.reg.Inc(metrics.CIOCalls)
 	c.reg.Add(metrics.CIOBytes, total)
@@ -672,17 +672,22 @@ func (c *Client) admit(op Op, now sim.Time) (*PartialError, error) {
 }
 
 // traceCall marks one storage request in the trace: its kind, where its units
-// start, their bytes and how many there are, but a sieve window's write-back
-// is a sieve_write and counts the segments it lands. Guarded: four tags would
+// start, their bytes and how many segments it moves. A plain or list request
+// moves its units. A sieve window moves the segments it lands or gathers,
+// and its write-back is a sieve_write; a sieve write's timing-only prefetch
+// gathers no list and counts its one unit. Guarded: four tags would
 // allocate per call even with tracing off. They are built here rather than
 // in the caller's frame, which stays under every page the request copies.
-func (c *Client) traceCall(now sim.Time, kind string, sieve bool, off, n int64, units, land int) {
+func (c *Client) traceCall(now sim.Time, kind string, sieve bool, off, n int64, units int, land []datatype.Seg) {
 	if c.tr == nil {
 		return
 	}
 	segs := units
+	if sieve && (kind == "write" || land != nil) {
+		segs = len(land)
+	}
 	if kind == "write" && sieve {
-		kind, segs = "sieve_write", land
+		kind = "sieve_write"
 	}
 	c.tr.Instant(now, "io_call", trace.S("kind", kind),
 		trace.I("off", off), trace.I("len", n), trace.I("segs", int64(segs)))

@@ -3,11 +3,13 @@ package pfs
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"flexio/internal/datatype"
 	"flexio/internal/sim"
+	"flexio/internal/trace"
 )
 
 // inPage reports whether v's bytes lie inside page.
@@ -158,5 +160,64 @@ func TestTimingOnlySieveReadCostsTheSame(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { _, err = tc.read() }); n != 0 || err != nil {
 			t.Errorf("%s: %.1f allocations per call (err %v), want 0", tc.name, n, err)
 		}
+	}
+}
+
+// TestIOCallCountsTheSegmentsItMoves pins the io_call instant's segs tag in
+// both directions: a list request counts its segments, a sieve window the
+// segments it gathers or lands, buffered or timing-only, and a sieve write's
+// prefetch its one span.
+func TestIOCallCountsTheSegmentsItMoves(t *testing.T) {
+	span := datatype.Seg{Off: 10, Len: 7990}
+	segs := []datatype.Seg{{Off: 10, Len: 100}, {Off: 900, Len: 50}, {Off: 5000, Len: 3000}}
+	buf := make([]byte, 3150)
+	type call struct {
+		kind string
+		segs int64
+	}
+	for _, tc := range []struct {
+		name string
+		do   func(h *Handle) (sim.Time, error)
+		want []call
+	}{
+		{"ReadList", func(h *Handle) (sim.Time, error) { return h.ReadList(segs, buf, 1) },
+			[]call{{"read", 3}}},
+		{"SieveRead", func(h *Handle) (sim.Time, error) { return h.SieveRead(span, segs, buf, 1) },
+			[]call{{"read", 3}}},
+		{"timing-only SieveRead", func(h *Handle) (sim.Time, error) { return h.SieveRead(span, segs, nil, 1) },
+			[]call{{"read", 3}}},
+		{"WriteList", func(h *Handle) (sim.Time, error) { return h.WriteList(segs, buf, 1) },
+			[]call{{"write", 3}}},
+		{"SieveWrite", func(h *Handle) (sim.Time, error) { return h.SieveWrite(span, segs, buf, 1) },
+			[]call{{"read", 1}, {"sieve_write", 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, _ := newFS()
+			c := fs.NewClient(nil)
+			tr := trace.NewTracer(0, 0)
+			c.SetTracer(tr)
+			if _, err := tc.do(c.Open("f")); err != nil {
+				t.Fatal(err)
+			}
+			var got []call
+			for _, e := range tr.Events() {
+				if e.Name != "io_call" {
+					continue
+				}
+				var k call
+				for _, tag := range e.Tags {
+					switch tag.Key {
+					case "kind":
+						k.kind = tag.Str
+					case "segs":
+						k.segs = tag.Int
+					}
+				}
+				got = append(got, k)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("io_call (kind, segs) = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
